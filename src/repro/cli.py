@@ -22,7 +22,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import Table
-from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
 from repro.layout import generators
 from repro.layout.gdsii import read_gdsii
@@ -84,11 +83,6 @@ def _recipe_from_args(args: argparse.Namespace) -> PrepRecipe:
     )
 
 
-def _build_pipeline(args: argparse.Namespace) -> PreparationPipeline:
-    cache_dir = None if args.no_cache else args.cache_dir
-    return _recipe_from_args(args).build_pipeline(cache_dir=cache_dir)
-
-
 def _program_path(args: argparse.Namespace) -> Optional[str]:
     """Explicit machine-program path: ``--machine-output``, or derived
     from ``--output``.  ``None`` lets the pipeline derive its sanitized
@@ -102,16 +96,6 @@ def _program_path(args: argparse.Namespace) -> Optional[str]:
 
         return str(Path(args.output).with_suffix(f".{args.machine}.ebp"))
     return None
-
-
-def _maybe_write_output(result, args: argparse.Namespace) -> None:
-    output = getattr(args, "output", None)
-    if not output:
-        return
-    from repro.core.jobfile import write_job
-
-    n = write_job(result.job, output)
-    print(f"wrote machine job file {output} ({n:,} bytes)")
 
 
 def _print_result(result, pec_matrix=None) -> None:
@@ -238,26 +222,33 @@ def _print_result(result, pec_matrix=None) -> None:
     print(table.render())
 
 
-def cmd_prep(args: argparse.Namespace) -> int:
-    pipeline = _build_pipeline(args)
-    if args.stream:
-        result = pipeline.run_streaming(
-            args.gdsii,
-            program_path=_program_path(args),
-            job_path=args.output or None,
-        )
-        _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-        if args.output:
-            print(
-                f"wrote machine job file {args.output} "
-                f"({result.job_bytes:,} bytes)"
-            )
-        return 0
-    library = read_gdsii(args.gdsii)
-    result = pipeline.run(library, program_path=_program_path(args))
+def _prepare_and_report(
+    args: argparse.Namespace, source, name: Optional[str] = None
+) -> int:
+    """Build the recipe's pipeline, prepare ``source`` (streamed or
+    resident, as the recipe says) and print the report."""
+    recipe = _recipe_from_args(args)
+    pipeline = recipe.build_pipeline(
+        cache_dir=None if args.no_cache else args.cache_dir
+    )
+    result = recipe.prepare(
+        pipeline,
+        source,
+        name=name,
+        program_path=_program_path(args),
+        job_path=args.output or None,
+    )
     _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-    _maybe_write_output(result, args)
+    if args.output:
+        print(
+            f"wrote machine job file {args.output} "
+            f"({result.job_bytes:,} bytes)"
+        )
     return 0
+
+
+def cmd_prep(args: argparse.Namespace) -> int:
+    return _prepare_and_report(args, args.gdsii)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -338,29 +329,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             )
             return 2
         source = workloads[args.workload]
-    pipeline = _build_pipeline(args)
-    if args.stream:
-        result = pipeline.run_streaming(
-            source,
-            name=args.workload,
-            program_path=_program_path(args),
-            job_path=args.output or None,
-        )
-        _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-        if args.output:
-            print(
-                f"wrote machine job file {args.output} "
-                f"({result.job_bytes:,} bytes)"
-            )
-        return 0
-    result = pipeline.run(
-        source,
-        name=args.workload,
-        program_path=_program_path(args),
-    )
-    _print_result(result, pec_matrix=args.pec_matrix if args.pec else None)
-    _maybe_write_output(result, args)
-    return 0
+    return _prepare_and_report(args, source, name=args.workload)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -48,6 +48,18 @@ enforces an ``overlap_policy``:
 This matters doubly with the shard cache: a silently double-counted
 shard would be double-counted on every warm run as well.
 
+One shard loop
+--------------
+Every entry point of :class:`ShardedExecutor` runs the same loop
+(:meth:`ShardedExecutor._run_shards`): a *source* supplies windows of
+shards, the loop does cache lookup → dispatch → store → recovery
+attribution per window, and a *sink* receives each result in row-major
+order.  Resident sequences are one window whose results are held for
+the merge; a one-shot polygon cursor is spooled to disk and arrives as
+one window per shard row whose results are spilled
+(:class:`StreamingExecution`).  Which pair runs follows from the input,
+never from a knob, and both produce the same bytes and counters.
+
 Caching
 -------
 With a :class:`~repro.core.cache.ShardCache` attached, every shard's
@@ -61,6 +73,7 @@ serial run.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -80,7 +93,7 @@ from concurrent.futures import (
 from concurrent.futures import (
     wait as futures_wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -304,9 +317,25 @@ class ShardRecovery:
     def retry_total(self) -> int:
         return sum(self.retries.values())
 
-    @property
-    def timeout_total(self) -> int:
-        return sum(self.timeouts.values())
+    def rekeyed(self, positions: Sequence[int]) -> "ShardRecovery":
+        """This log with every position ``i`` renamed ``positions[i]``.
+
+        A map over a sub-list (the cache misses of a window, the shards
+        a fleet left unfinished) logs sub-list positions; its caller
+        reads the log in its own.  Every position-keyed field is
+        translated, whatever fields the log has.
+        """
+
+        def rename(log):
+            if isinstance(log, dict):
+                return {positions[i]: count for i, count in log.items()}
+            if isinstance(log, set):
+                return {positions[i] for i in log}
+            return log
+
+        return ShardRecovery(
+            **{f.name: rename(getattr(self, f.name)) for f in fields(self)}
+        )
 
 
 @dataclass
@@ -1219,52 +1248,218 @@ def merge_shard_results(
     )
 
 
+
 #: Spool record framing: a big-endian vertex count followed by that many
 #: ``(x, y)`` float64 pairs.  Doubles round-trip exactly, so a polygon
 #: re-read from the spool is vertex-identical to the one spooled.
 _SPOOL_COUNT = struct.Struct(">I")
 
 
-class StreamingExecution:
-    """Handle on one out-of-core execution (cursor over spilled results).
+def _read_spooled(spool) -> Optional[Tuple[float, ...]]:
+    """The next spool record's ``x0, y0, x1, y1, …`` coordinates, or
+    ``None`` at the end of the spool."""
+    head = spool.read(_SPOOL_COUNT.size)
+    if not head:
+        return None
+    (count,) = _SPOOL_COUNT.unpack(head)
+    return struct.unpack(f">{2 * count}d", spool.read(16 * count))
 
-    Returned by :meth:`ShardedExecutor.execute_stream` after all shard
-    windows have been dispatched: it carries the merged
-    :class:`~repro.fracture.quality.FractureReport`, the
-    :class:`ExecutionStats` (with the streaming witness counters live)
-    and a *re-iterable* row-major cursor over the shard results —
-    :meth:`iter_results` re-reads each spilled result from the cache's
-    blob family one at a time, so job assembly never holds more than one
-    shard's shots resident.
+
+@contextlib.contextmanager
+def _spooled_windows(polygons, field_size: Optional[float]):
+    """The spool source: a one-shot polygon cursor as shard-row windows.
+
+    Consumes ``polygons`` exactly once without materializing the layout
+    and yields ``(source_polygons, total_shards, windows)``:
+
+    1. **Spool** — every polygon is written to a flat temp file as exact
+       doubles while the mosaic origin (min corner of the combined
+       bounding box) folds incrementally.
+    2. **Index** — the spool is re-read sequentially; each polygon's
+       field index is computed exactly as :func:`plan_shards` would
+       (bounding-box centre against the same origin), building a tiny
+       row → column → spool-offset index.
+    3. **Window** — ``windows`` yields one ``(shards, owners,
+       source_bytes)`` triple per shard row, bottom to top, re-reading
+       only that row's polygons; every shard belongs to owner 0.
+
+    The spool file is removed when the context exits, however it exits.
+    """
+    spool_fd, spool_path = tempfile.mkstemp(prefix="repro-spool-")
+    try:
+        source_polygons = 0
+        min_x = min_y = math.inf
+        with os.fdopen(spool_fd, "wb", buffering=1 << 20) as spool:
+            for poly in polygons:
+                verts = poly.vertices
+                spool.write(_SPOOL_COUNT.pack(len(verts)))
+                spool.write(
+                    struct.pack(
+                        f">{2 * len(verts)}d",
+                        *(c for v in verts for c in (v.x, v.y)),
+                    )
+                )
+                source_polygons += 1
+                for v in verts:
+                    if v.x < min_x:
+                        min_x = v.x
+                    if v.y < min_y:
+                        min_y = v.y
+
+        rows: Dict[int, Dict[int, List[int]]] = {}
+        with open(spool_path, "rb", buffering=1 << 20) as spool:
+            offset = 0
+            while (values := _read_spooled(spool)) is not None:
+                if field_size is None:
+                    col, row = 0, 0
+                else:
+                    xs = values[0::2]
+                    ys = values[1::2]
+                    col, row = field_index_of(
+                        (min(xs) + max(xs)) / 2.0,
+                        (min(ys) + max(ys)) / 2.0,
+                        min_x,
+                        min_y,
+                        field_size,
+                    )
+                rows.setdefault(row, {}).setdefault(col, []).append(offset)
+                offset += _SPOOL_COUNT.size + 8 * len(values)
+
+        def windows(spool):
+            for row in sorted(rows):
+                shards: List[Shard] = []
+                source_bytes = 0
+                for col in sorted(rows[row]):
+                    bucket: List[Polygon] = []
+                    for poly_offset in rows[row][col]:
+                        spool.seek(poly_offset)
+                        values = _read_spooled(spool)
+                        bucket.append(
+                            Polygon(list(zip(values[0::2], values[1::2])))
+                        )
+                        source_bytes += _SPOOL_COUNT.size + 8 * len(values)
+                    shards.append(
+                        Shard(index=(col, row), polygons=tuple(bucket))
+                    )
+                yield shards, [0] * len(shards), source_bytes
+
+        with open(spool_path, "rb") as spool:
+            yield (
+                source_polygons,
+                sum(len(cols) for cols in rows.values()),
+                windows(spool),
+            )
+    finally:
+        try:
+            os.unlink(spool_path)
+        except OSError:
+            pass
+
+
+class _HeldResults:
+    """The hold-and-merge sink: every result stays resident, grouped by
+    owner in arrival (row-major) order, for :func:`merge_shard_results`.
+    Touches neither the spool nor any spill store."""
+
+    streamed = False
+
+    def __init__(self, owners: int) -> None:
+        self.grouped: List[List[ShardResult]] = [[] for _ in range(owners)]
+
+    def add(self, owner, key, result: ShardResult, stats) -> int:
+        self.grouped[owner].append(result)
+        return 0
+
+
+class StreamingExecution:
+    """Handle on one out-of-core execution — the spill-and-iterate sink.
+
+    While :meth:`ShardedExecutor.execute_stream` runs, the shard loop
+    hands every result to :meth:`add`, which spills it to the cache's
+    content-addressed blob family (:meth:`~repro.core.cache.ShardCache.
+    spill_key_for`; a private spill directory when no cache is
+    configured) and keeps only the blob key.  Afterwards the handle
+    carries the merged :class:`~repro.fracture.quality.FractureReport`,
+    the :class:`ExecutionStats` (streaming witness counters live) and a
+    *re-iterable* row-major cursor over the shard results —
+    :meth:`iter_results` re-reads each spilled result one at a time, so
+    job assembly never holds more than one shard's shots resident.
+
+    A failed spill store degrades that shard (and the rest of the run)
+    to being held resident, with one :class:`SpillDegradedWarning` —
+    never a crash.
 
     Use as a context manager (or call :meth:`close`) so a run without a
-    configured cache can remove its private spill directory.
+    configured cache can remove its private spill directory;
+    ``execute_stream`` closes the handle itself when it does not return
+    one.
     """
 
-    def __init__(
-        self,
-        stats: ExecutionStats,
-        report: FractureReport,
-        corrected: bool,
-        source_polygons: int,
-        total_shots: int,
-        entries: List[Tuple[Optional[str], Optional[ShardResult]]],
-        spill_cache: Optional[ShardCache],
-        spill_dir: Optional[str],
-    ) -> None:
-        self.stats = stats
-        self.report = report
-        self.corrected = corrected
-        self.source_polygons = source_polygons
-        self.total_shots = total_shots
-        self._entries = entries
-        self._spill_cache = spill_cache
-        self._spill_dir = spill_dir
-        self._closed = False
+    streamed = True
 
-    @property
-    def occupied_shards(self) -> int:
-        return self.stats.occupied_shards
+    def __init__(self, cache: Optional[ShardCache] = None) -> None:
+        # Set by execute_stream once the loop has drained into the sink.
+        self.stats: Optional[ExecutionStats] = None
+        self.report: Optional[FractureReport] = None
+        self.corrected = False
+        self.source_polygons = 0
+        self.total_shots = 0
+        self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
+        self._reports: List[FractureReport] = []
+        self._reference = 0.0
+        self._degraded = False
+        self._closed = False
+        self._spill_dir = (
+            tempfile.mkdtemp(prefix="repro-spill-") if cache is None else None
+        )
+        self._spill_cache = (
+            ShardCache(self._spill_dir) if cache is None else cache
+        )
+
+    def add(
+        self,
+        owner: int,
+        key: Optional[str],
+        result: ShardResult,
+        stats: ExecutionStats,
+    ) -> int:
+        """Spill one result (engine-facing); returns its serialized
+        size, the result's share of the window's resident bytes."""
+        from repro.core.jobfile import dumps_shard_result
+
+        self._reports.append(result.report)
+        self._reference += result.reference_area
+        self.total_shots += len(result.shots)
+        payload = dumps_shard_result(result)
+        stored = False
+        if not self._degraded:
+            blob_key = self._spill_cache.spill_key_for(
+                key or f"stream-position:{len(self._entries)}"
+            )
+            try:
+                stored = self._spill_cache.put_blob(blob_key, payload)
+            except OSError as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            else:
+                reason = "the filesystem refused the store"
+            if not stored:
+                self._degraded = True
+                warnings.warn(
+                    "shard-result spilling degraded to the in-memory "
+                    f"merge for the rest of this run ({reason}); results "
+                    "are unaffected, but memory is no longer bounded by "
+                    "one shard row",
+                    SpillDegradedWarning,
+                    stacklevel=4,
+                )
+        if stored:
+            stats.shards_spilled += 1
+            stats.spill_bytes += len(payload)
+            self._entries.append((blob_key, None))
+        else:
+            stats.spill_fallbacks += 1
+            self._entries.append((None, result))
+        return len(payload)
 
     def iter_results(self):
         """Yield every :class:`ShardResult` in row-major shard order.
@@ -1316,6 +1511,20 @@ class StreamingExecution:
 
 class ShardedExecutor:
     """Runs fracture + proximity correction over a field-shard plan.
+
+    One engine, :meth:`_run_shards`, serves every entry point: a
+    *source* supplies windows of shards, the loop does cache lookup →
+    dispatch → store → recovery attribution per window, and a *sink*
+    receives each result in row-major order.
+
+    * :meth:`execute`, :meth:`execute_figures` and :meth:`execute_many`
+      take resident sequences: the source is one window holding every
+      layout's shards (with an owner index per shard), the sink holds
+      results for the per-owner merge.  Nothing touches disk.
+    * :meth:`execute_stream` takes a one-shot cursor: the source spools
+      it and yields one window per shard row, the sink
+      (:class:`StreamingExecution`) spills each result and keeps only
+      its blob key.
 
     Args:
         fracturer: fracturing strategy applied per shard.
@@ -1426,7 +1635,6 @@ class ShardedExecutor:
         self.endpoint = endpoint
         self.dist_policy = dist_policy
         self.waiter = waiter
-        self._last_dist = None
 
     def _map(
         self,
@@ -1434,43 +1642,40 @@ class ShardedExecutor:
         config: tuple,
         workers: int,
         tick: Optional[Callable[[], None]],
-        retry: RetryPolicy,
         faults: Optional[FaultPlan],
-        cache_keys: Optional[List[str]] = None,
-    ) -> Tuple[List[ShardResult], bool, ShardRecovery]:
+        cache_keys: Optional[List[str]],
+    ) -> tuple:
         """Route one shard map to the configured dispatch path.
 
-        Distributed runs stash their scheduling counters on
-        ``self._last_dist`` for :meth:`execute_many` to fold into the
-        batch's :class:`ExecutionStats`.
+        Returns ``(results, pooled, recovery, dist)``; ``dist`` is the
+        map's :class:`~repro.dist.coordinator.DistRunStats`, ``None``
+        when nothing was mapped remotely.
         """
-        self._last_dist = None
         if self.dispatch == "distributed" and shards:
             from repro.dist.run import map_shards_distributed
 
-            results, pooled, recovery, dist = map_shards_distributed(
+            return map_shards_distributed(
                 shards,
                 config,
                 workers,
                 endpoint=self.endpoint,
                 tick=tick,
-                retry=retry,
+                retry=self.retry,
                 faults=faults,
                 policy=self.dist_policy,
                 cache_keys=cache_keys,
                 waiter=self.waiter,
             )
-            self._last_dist = dist
-            return results, pooled, recovery
-        return _map_shards(
+        results, pooled, recovery = _map_shards(
             shards,
             config,
             workers,
             tick=tick,
-            retry=retry,
+            retry=self.retry,
             faults=faults,
             waiter=self.waiter,
         )
+        return results, pooled, recovery, None
 
     def _progress_tick(self, total: int) -> Optional[Callable[[], None]]:
         """A thread-safe per-shard tick feeding ``self.progress``.
@@ -1495,24 +1700,181 @@ class ShardedExecutor:
 
         return tick
 
-    def _resolve_cache(
-        self, cache: Union[ShardCache, bool, None]
-    ) -> Optional[ShardCache]:
-        """Per-call cache override: ``None`` = default, ``False`` = off,
-        ``True`` = require the configured default, or an explicit cache."""
-        if cache is None:
-            return self.cache
-        if cache is False:
-            return None
-        if cache is True:
-            if self.cache is None:
-                raise ValueError(
-                    "cache=True requested but no cache is configured"
-                )
-            return self.cache
-        return cache
+    def _resolve(
+        self,
+        workers: Optional[int],
+        field_size: Optional[float],
+        cache: Union[ShardCache, bool, None],
+    ) -> tuple:
+        """Per-call ``(workers, field_size, cache)`` overrides resolved
+        against the executor's defaults.  ``cache``: ``None`` = the
+        default, ``False`` = off, ``True`` = require the configured
+        default, or an explicit cache."""
+        if cache is True and self.cache is None:
+            raise ValueError(
+                "cache=True requested but no cache is configured"
+            )
+        if cache is None or cache is True:
+            cache = self.cache
+        elif cache is False:
+            cache = None
+        return (
+            _resolve_workers(self.workers if workers is None else workers),
+            self.field_size if field_size is None else field_size,
+            cache,
+        )
 
-    # -- single layout ----------------------------------------------------
+    # -- the shard loop ---------------------------------------------------
+
+    def _run_shards(
+        self,
+        windows,
+        total: int,
+        sink,
+        prefractured: Sequence[bool],
+        workers: int,
+        field_size: Optional[float],
+        cache: Optional[ShardCache],
+    ) -> List[ExecutionStats]:
+        """The one shard loop: lookup → dispatch → store → attribute.
+
+        ``windows`` yields ``(shards, owners, source_bytes)`` triples
+        (``owners[i]`` is the layout shard ``i`` belongs to;
+        ``source_bytes`` what the source re-read to build the window);
+        ``total`` is the shard count over all windows, announced to the
+        progress callback up front.  Each window's shards are looked up
+        in ``cache``, the misses dispatched through :meth:`_map` and
+        stored, and every ``(owner, key, result)`` handed to
+        ``sink.add`` in window order — row-major per owner.
+
+        Returns one :class:`ExecutionStats` per owner
+        (``prefractured[owner]`` says whether its shards carry figures).
+        Per-shard counters land on the owning layout; run-level ones
+        (pool restarts, cache degradation, every distributed counter,
+        the window witness of a streamed sink) are replicated onto
+        every owner.  Distributed counters sum across windows, except
+        ``dist_workers`` which takes the maximum.
+
+        Injected fault schedules key positions into the dispatched work
+        list of the *current window*, so a multi-window run restarts
+        them at 0 on every window.
+        """
+        config = (self.fracturer, self.corrector, self.psf)
+        faults = self.faults.arm() if self.faults is not None else None
+        tick = self._progress_tick(total)
+        tallies = [
+            ExecutionStats(
+                shard_count=0,
+                occupied_shards=0,
+                workers=workers,
+                field_size=field_size,
+                cache_enabled=cache is not None,
+                hierarchy="cells" if figures else "flat",
+                # The configured mode even when a warm cache left
+                # nothing to map remotely — an all-hit run on a
+                # distributed executor is still a distributed run.
+                dispatch=self.dispatch,
+                streamed=sink.streamed,
+            )
+            for figures in prefractured
+        ]
+        degraded = False
+        for shards, owners, window_bytes in windows:
+            keys: List[Optional[str]] = [None] * len(shards)
+            results: List[Optional[ShardResult]] = [None] * len(shards)
+            if cache is not None:
+                # Keys are computed for the whole window up front,
+                # before any processing can touch corrector state, so
+                # hit/miss decisions never depend on execution order.
+                keys = [cache.key_for(shard, *config) for shard in shards]
+                for i, key in enumerate(keys):
+                    stats = tallies[owners[i]]
+                    before = cache.stats.evictions
+                    results[i] = cache.get(key)
+                    stats.cache_evictions += cache.stats.evictions - before
+                    if results[i] is not None:
+                        stats.cache_hits += 1
+                        if tick is not None:
+                            tick()
+            pending = [i for i, hit in enumerate(results) if hit is None]
+            computed, pooled, recovery, dist = self._map(
+                [shards[i] for i in pending],
+                config,
+                workers,
+                tick,
+                faults,
+                [keys[i] for i in pending] if cache is not None else None,
+            )
+            for i, result in zip(pending, computed):
+                results[i] = result
+                if cache is None:
+                    continue
+                stats = tallies[owners[i]]
+                stats.cache_misses += 1
+                if degraded:
+                    continue
+                # Contain store faults: the first failed put (ENOSPC,
+                # read-only filesystem) degrades the *run* to cache
+                # read-only mode with one warning — a computed result
+                # must never be lost to cache trouble.
+                try:
+                    stored = cache.put(keys[i], result)
+                except OSError as exc:
+                    stored = False
+                    reason = f"{type(exc).__name__}: {exc}"
+                else:
+                    reason = "the filesystem refused the store"
+                if stored is False:
+                    stats.cache_write_failures += 1
+                    degraded = True
+                    warnings.warn(
+                        "shard cache degraded to read-only for the rest "
+                        f"of this run ({reason}); results are "
+                        "unaffected, but uncached shards will be "
+                        "recomputed by later runs",
+                        CacheDegradedWarning,
+                        stacklevel=3,
+                    )
+            # The recovery log indexes the dispatched sub-list.
+            recovery = recovery.rekeyed(pending)
+            for i, count in recovery.retries.items():
+                tallies[owners[i]].shard_retries += count
+            for i, count in recovery.timeouts.items():
+                tallies[owners[i]].shard_timeouts += count
+            for i in recovery.salvaged:
+                tallies[owners[i]].shards_salvaged += 1
+            for owner, key, result in zip(owners, keys, results):
+                stats = tallies[owner]
+                stats.shard_count += 1
+                if result.shots:
+                    stats.occupied_shards += 1
+                fallbacks = result.kernel_fallbacks
+                stats.kernel_coord_fallbacks += fallbacks.coord_limit
+                stats.kernel_slab_fallbacks += fallbacks.rational_slab
+                stats.kernel_fallbacks += fallbacks.total()
+                window_bytes += sink.add(owner, key, result, stats)
+            for stats in tallies:
+                stats.parallel = stats.parallel or pooled
+                stats.pool_restarts += recovery.pool_restarts
+                stats.cache_degraded = degraded
+                if sink.streamed:
+                    stats.stream_windows += 1
+                    stats.peak_window_bytes = max(
+                        stats.peak_window_bytes, window_bytes
+                    )
+                if dist is not None:
+                    stats.dist_workers = max(stats.dist_workers, dist.workers)
+                    stats.leases_granted += dist.leases_granted
+                    stats.leases_reclaimed += dist.leases_reclaimed
+                    stats.worker_deaths += dist.worker_deaths
+                    stats.heartbeats_missed += dist.heartbeats_missed
+                    stats.speculative_wins += dist.speculative_wins
+                    stats.speculative_losses += dist.speculative_losses
+                    stats.duplicate_commits += dist.duplicate_commits
+                    stats.dist_local_fallbacks += dist.local_fallbacks
+        return tallies
+
+    # -- resident layouts -------------------------------------------------
 
     def execute(
         self,
@@ -1550,198 +1912,60 @@ class ShardedExecutor:
         )
         return results[0]
 
-    # -- batched layouts --------------------------------------------------
-
     def execute_many(
         self,
         polygon_sets: Sequence[Sequence[Polygon]],
         workers: Optional[int] = None,
         field_size: Optional[float] = None,
         cache: Union[ShardCache, bool, None] = None,
-        prefractured: bool = False,
+        prefractured: Union[bool, Sequence[bool]] = False,
     ) -> List[ExecutionResult]:
-        """Process several layouts through one shared worker pool.
+        """Process several resident layouts through one shared loop.
 
-        Shards from all layouts are interleaved into a single work list,
-        so a batch of small layers keeps every worker busy; results come
-        back per input layout, each merged in its own shard order.  With
-        a cache, shards whose content address is already stored skip the
-        work list entirely.
+        Shards from all layouts are interleaved into a single window of
+        the shard loop (:meth:`_run_shards`), so a batch of small layers
+        keeps every worker busy; results are held and come back per
+        input layout, each merged in its own shard order.  With a cache,
+        shards whose content address is already stored skip the work
+        list entirely.
 
-        With ``prefractured=True`` each input set holds
+        ``prefractured`` marks input sets that hold
         :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
-        polygons (see :meth:`execute_figures`).
+        polygons (see :meth:`execute_figures`) — one flag for the whole
+        batch, or one per set for a mixed batch.
         """
-        if workers is None:
-            workers = self.workers
-        workers = _resolve_workers(workers)
-        if field_size is None:
-            field_size = self.field_size
-        active_cache = self._resolve_cache(cache)
-
-        if prefractured:
-            plans = [
-                plan_figure_shards(
-                    figs, field_size, overlap_policy=self.overlap_policy
-                )
-                for figs in polygon_sets
-            ]
-        else:
-            plans = [
-                plan_shards(
-                    polys, field_size, overlap_policy=self.overlap_policy
-                )
-                for polys in polygon_sets
-            ]
-        shards: List[Shard] = []
-        owners: List[int] = []
-        for which, plan in enumerate(plans):
-            for shard in plan:
-                shards.append(shard)
-                owners.append(which)
-        config = (self.fracturer, self.corrector, self.psf)
-        retry = self.retry
-        faults = self.faults.arm() if self.faults is not None else None
-
-        tick = self._progress_tick(len(shards))
-
-        hit_flags = [False] * len(shards)
-        evictions_by_owner = [0] * len(polygon_sets)
-        write_failures_by_owner = [0] * len(polygon_sets)
-        cache_degraded = False
-        if active_cache is None:
-            shard_results, pooled, recovery = self._map(
-                shards, config, workers, tick, retry, faults,
+        workers, field_size, active_cache = self._resolve(
+            workers, field_size, cache
+        )
+        if isinstance(prefractured, bool):
+            prefractured = [prefractured] * len(polygon_sets)
+        plans = [
+            (plan_figure_shards if figures else plan_shards)(
+                geometry, field_size, overlap_policy=self.overlap_policy
             )
-            # Recovery log positions == work-list positions here.
-            computed_positions = list(range(len(shards)))
-        else:
-            # Keys are computed for every shard up front, before any
-            # processing can touch corrector state, so hit/miss decisions
-            # never depend on execution order.
-            keys = [
-                active_cache.key_for(shard, *config) for shard in shards
-            ]
-            shard_results = []
-            for i, key in enumerate(keys):
-                before = active_cache.stats.evictions
-                shard_results.append(active_cache.get(key))
-                evictions_by_owner[owners[i]] += (
-                    active_cache.stats.evictions - before
-                )
-            pending = [
-                i for i, result in enumerate(shard_results) if result is None
-            ]
-            for i, result in enumerate(shard_results):
-                hit_flags[i] = result is not None
-                if hit_flags[i] and tick is not None:
-                    tick()
-            computed, pooled, recovery = self._map(
-                [shards[i] for i in pending], config, workers, tick,
-                retry, faults, cache_keys=[keys[i] for i in pending],
-            )
-            for i, result in zip(pending, computed):
-                shard_results[i] = result
-                if cache_degraded:
-                    continue
-                # Contain store faults: the first failed put (ENOSPC,
-                # read-only filesystem) degrades the *run* to cache
-                # read-only mode with one warning — a computed result
-                # must never be lost to cache trouble.
-                try:
-                    stored = active_cache.put(keys[i], result)
-                except OSError as exc:
-                    stored = False
-                    reason = f"{type(exc).__name__}: {exc}"
-                else:
-                    reason = "the filesystem refused the store"
-                if stored is False:
-                    write_failures_by_owner[owners[i]] += 1
-                    cache_degraded = True
-                    warnings.warn(
-                        "shard cache degraded to read-only for the rest "
-                        f"of this run ({reason}); results are "
-                        "unaffected, but uncached shards will be "
-                        "recomputed by later runs",
-                        CacheDegradedWarning,
-                        stacklevel=2,
-                    )
-            # Recovery log positions index the pending sub-list.
-            computed_positions = pending
-
-        retries_by_owner = [0] * len(polygon_sets)
-        timeouts_by_owner = [0] * len(polygon_sets)
-        salvaged_by_owner = [0] * len(polygon_sets)
-        for local, count in recovery.retries.items():
-            retries_by_owner[owners[computed_positions[local]]] += count
-        for local, count in recovery.timeouts.items():
-            timeouts_by_owner[owners[computed_positions[local]]] += count
-        for local in recovery.salvaged:
-            salvaged_by_owner[owners[computed_positions[local]]] += 1
-
-        grouped: List[List[ShardResult]] = [[] for _ in polygon_sets]
-        grouped_hits: List[int] = [0] * len(polygon_sets)
-        for which, result, hit in zip(owners, shard_results, hit_flags):
-            grouped[which].append(result)
-            if hit:
-                grouped_hits[which] += 1
-
+            for geometry, figures in zip(polygon_sets, prefractured)
+        ]
+        shards = [shard for plan in plans for shard in plan]
+        owners = [which for which, plan in enumerate(plans) for _ in plan]
+        held = _HeldResults(len(plans))
         corrected = self.corrector is not None
-        out: List[ExecutionResult] = []
-        for which, (plan, results) in enumerate(zip(plans, grouped)):
-            coord_fb = sum(
-                r.kernel_fallbacks.coord_limit for r in results
+        tallies = self._run_shards(
+            [(shards, owners, 0)],
+            len(shards),
+            held,
+            prefractured,
+            workers,
+            field_size,
+            active_cache,
+        )
+        return [
+            merge_shard_results(
+                results,
+                corrected=corrected and stats.occupied_shards > 0,
+                stats=stats,
             )
-            slab_fb = sum(
-                r.kernel_fallbacks.rational_slab for r in results
-            )
-            stats = ExecutionStats(
-                shard_count=len(plan),
-                occupied_shards=sum(1 for r in results if r.shots),
-                workers=workers,
-                parallel=pooled,
-                field_size=field_size,
-                cache_enabled=active_cache is not None,
-                cache_hits=grouped_hits[which],
-                cache_misses=(
-                    len(plan) - grouped_hits[which] if active_cache else 0
-                ),
-                hierarchy="cells" if prefractured else "flat",
-                kernel_fallbacks=coord_fb + slab_fb,
-                kernel_coord_fallbacks=coord_fb,
-                kernel_slab_fallbacks=slab_fb,
-                shard_retries=retries_by_owner[which],
-                shards_salvaged=salvaged_by_owner[which],
-                pool_restarts=recovery.pool_restarts,
-                shard_timeouts=timeouts_by_owner[which],
-                cache_write_failures=write_failures_by_owner[which],
-                cache_degraded=cache_degraded,
-                cache_evictions=evictions_by_owner[which],
-            )
-            # Dispatch reflects the configured mode even when a warm
-            # cache left nothing to map remotely — an all-hit run on a
-            # distributed executor is still a distributed run.
-            stats.dispatch = self.dispatch
-            dist = self._last_dist
-            if dist is not None:
-                # Distributed scheduling counters are run-level, like
-                # pool_restarts: replicated onto every batch owner.
-                stats.dist_workers = dist.workers
-                stats.leases_granted = dist.leases_granted
-                stats.leases_reclaimed = dist.leases_reclaimed
-                stats.worker_deaths = dist.worker_deaths
-                stats.heartbeats_missed = dist.heartbeats_missed
-                stats.speculative_wins = dist.speculative_wins
-                stats.speculative_losses = dist.speculative_losses
-                stats.duplicate_commits = dist.duplicate_commits
-                stats.dist_local_fallbacks = dist.local_fallbacks
-            merged = merge_shard_results(
-                results, corrected=corrected and bool(results), stats=stats
-            )
-            if not merged.shots:
-                merged.corrected = False
-            out.append(merged)
-        return out
+            for results, stats in zip(held.grouped, tallies)
+        ]
 
     # -- out-of-core streaming --------------------------------------------
 
@@ -1756,31 +1980,17 @@ class ShardedExecutor:
 
         The out-of-core counterpart of :meth:`execute`: ``polygons`` may
         be any iterable (a :meth:`~repro.layout.stream.LayoutStream.iter_flat`
-        cursor above all) and is consumed exactly once.
-
-        Three passes, none of which materializes the layout:
-
-        1. **Spool** — every polygon is written to a flat temp file as
-           exact doubles while the mosaic origin (min corner of the
-           combined bounding box) folds incrementally.
-        2. **Index** — the spool is re-read sequentially; each polygon's
-           field index is computed exactly as :func:`plan_shards` would
-           (bounding-box centre against the same origin), building a
-           tiny row → column → spool-offset index.
-        3. **Window** — shard rows run bottom-to-top: only the active
-           row's polygons are re-read from the spool, its shards are
-           dispatched through the same cache ladder and dispatch path
-           (local pool or :mod:`repro.dist`) as :meth:`execute_many`,
-           and every completed result is spilled to the cache's blob
-           family (:meth:`~repro.core.cache.ShardCache.spill_key_for`)
-           instead of being held for the merge.
+        cursor above all) and is consumed exactly once by the spool
+        source (:func:`_spooled_windows`); the same shard loop
+        (:meth:`_run_shards`) then runs one shard row at a time and the
+        returned :class:`StreamingExecution` is its sink.
 
         Because shards, their order and every per-shard computation are
-        identical to the in-memory plan, a streamed run is byte-identical
+        identical to the resident plan, a streamed run is byte-identical
         to :meth:`execute` at any worker count, cold or warm cache, local
         or distributed dispatch.
 
-        Differences from the in-memory path, by construction:
+        Differences from the resident path, by construction:
 
         * ``overlap_policy="union"`` is rejected — a global boolean
           union needs the whole layout resident.  The ``"warn"``
@@ -1793,9 +2003,9 @@ class ShardedExecutor:
           content-addressed blob family (and stay there — concurrent
           identical runs may share them); without one a private spill
           directory is used and removed by
-          :meth:`StreamingExecution.close`.  A failed spill store
-          degrades that shard to the in-memory fallback with one
-          :class:`SpillDegradedWarning` — never a crash.
+          :meth:`StreamingExecution.close` — or here, on every exit
+          that does not return the handle (a failing shard, a service
+          cancel or timeout raised through the progress tick).
         """
         if self.overlap_policy == "union":
             raise ValueError(
@@ -1803,294 +2013,31 @@ class ShardedExecutor:
                 "execution (the global union needs the whole layout "
                 "resident); pre-union the layout or use 'warn'/'ignore'"
             )
-        if workers is None:
-            workers = self.workers
-        workers = _resolve_workers(workers)
-        if field_size is None:
-            field_size = self.field_size
+        workers, field_size, active_cache = self._resolve(
+            workers, field_size, cache
+        )
         if field_size is not None and field_size <= 0:
             raise ValueError("field size must be positive")
-        active_cache = self._resolve_cache(cache)
-
-        if active_cache is not None:
-            spill_cache = active_cache
-            spill_dir = None
-        else:
-            spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            spill_cache = ShardCache(spill_dir)
-
-        config = (self.fracturer, self.corrector, self.psf)
-        retry = self.retry
-        faults = self.faults.arm() if self.faults is not None else None
-
-        spool_fd, spool_path = tempfile.mkstemp(prefix="repro-spool-")
+        execution = StreamingExecution(active_cache)
         try:
-            # Pass 1: spool the layout, folding the mosaic origin.
-            source_polygons = 0
-            min_x = min_y = math.inf
-            with os.fdopen(spool_fd, "wb", buffering=1 << 20) as spool:
-                for poly in polygons:
-                    verts = poly.vertices
-                    spool.write(_SPOOL_COUNT.pack(len(verts)))
-                    spool.write(
-                        struct.pack(
-                            f">{2 * len(verts)}d",
-                            *(c for v in verts for c in (v.x, v.y)),
-                        )
-                    )
-                    source_polygons += 1
-                    for v in verts:
-                        if v.x < min_x:
-                            min_x = v.x
-                        if v.y < min_y:
-                            min_y = v.y
-
-            # Pass 2: index spool offsets onto the field mosaic.
-            rows: Dict[int, Dict[int, List[int]]] = {}
-            with open(spool_path, "rb", buffering=1 << 20) as spool:
-                offset = 0
-                while True:
-                    head = spool.read(_SPOOL_COUNT.size)
-                    if not head:
-                        break
-                    (count,) = _SPOOL_COUNT.unpack(head)
-                    data = spool.read(16 * count)
-                    if field_size is None:
-                        col, row = 0, 0
-                    else:
-                        values = struct.unpack(f">{2 * count}d", data)
-                        xs = values[0::2]
-                        ys = values[1::2]
-                        col, row = field_index_of(
-                            (min(xs) + max(xs)) / 2.0,
-                            (min(ys) + max(ys)) / 2.0,
-                            min_x,
-                            min_y,
-                            field_size,
-                        )
-                    rows.setdefault(row, {}).setdefault(col, []).append(offset)
-                    offset += _SPOOL_COUNT.size + 16 * count
-
-            total_shards = sum(len(cols) for cols in rows.values())
-            tick = self._progress_tick(total_shards)
-
-            entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
-            reports: List[FractureReport] = []
-            reference = 0.0
-            total_shots = 0
-            occupied = 0
-            pooled = False
-            cache_hits = cache_misses = 0
-            evictions = write_failures = 0
-            cache_degraded = False
-            retries = salvaged = pool_restarts = timeouts = 0
-            coord_fb = slab_fb = 0
-            stream_windows = 0
-            peak_window_bytes = 0
-            shards_spilled = 0
-            spill_bytes = 0
-            spill_fallbacks = 0
-            spill_degraded = False
-            dist_totals: Dict[str, int] = {}
-
-            # Pass 3: dispatch one shard row at a time, spilling results.
-            from repro.core.jobfile import dumps_shard_result
-
-            with open(spool_path, "rb") as spool:
-                for row in sorted(rows):
-                    window_shards: List[Shard] = []
-                    window_bytes = 0
-                    for col in sorted(rows[row]):
-                        bucket: List[Polygon] = []
-                        for poly_offset in rows[row][col]:
-                            spool.seek(poly_offset)
-                            (count,) = _SPOOL_COUNT.unpack(
-                                spool.read(_SPOOL_COUNT.size)
-                            )
-                            values = struct.unpack(
-                                f">{2 * count}d", spool.read(16 * count)
-                            )
-                            bucket.append(
-                                Polygon(list(zip(values[0::2], values[1::2])))
-                            )
-                            window_bytes += _SPOOL_COUNT.size + 16 * count
-                        window_shards.append(
-                            Shard(index=(col, row), polygons=tuple(bucket))
-                        )
-
-                    # The execute_many cache ladder, per window.
-                    keys: List[Optional[str]]
-                    hit_flags = [False] * len(window_shards)
-                    if active_cache is None:
-                        keys = [None] * len(window_shards)
-                        results_w, pooled_w, recovery = self._map(
-                            window_shards, config, workers, tick, retry,
-                            faults,
-                        )
-                    else:
-                        keys = [
-                            active_cache.key_for(shard, *config)
-                            for shard in window_shards
-                        ]
-                        results_w = []
-                        for key in keys:
-                            before = active_cache.stats.evictions
-                            results_w.append(active_cache.get(key))
-                            evictions += active_cache.stats.evictions - before
-                        pending = [
-                            i
-                            for i, result in enumerate(results_w)
-                            if result is None
-                        ]
-                        for i, result in enumerate(results_w):
-                            hit_flags[i] = result is not None
-                            if hit_flags[i] and tick is not None:
-                                tick()
-                        computed, pooled_w, recovery = self._map(
-                            [window_shards[i] for i in pending],
-                            config, workers, tick, retry, faults,
-                            cache_keys=[keys[i] for i in pending],
-                        )
-                        for i, result in zip(pending, computed):
-                            results_w[i] = result
-                            if cache_degraded:
-                                continue
-                            try:
-                                stored = active_cache.put(keys[i], result)
-                            except OSError as exc:
-                                stored = False
-                                reason = f"{type(exc).__name__}: {exc}"
-                            else:
-                                reason = "the filesystem refused the store"
-                            if stored is False:
-                                write_failures += 1
-                                cache_degraded = True
-                                warnings.warn(
-                                    "shard cache degraded to read-only "
-                                    f"for the rest of this run ({reason})"
-                                    "; results are unaffected, but "
-                                    "uncached shards will be recomputed "
-                                    "by later runs",
-                                    CacheDegradedWarning,
-                                    stacklevel=2,
-                                )
-                        cache_hits += sum(hit_flags)
-                        cache_misses += len(pending)
-
-                    pooled = pooled or pooled_w
-                    retries += recovery.retry_total
-                    salvaged += len(recovery.salvaged)
-                    pool_restarts += recovery.pool_restarts
-                    timeouts += recovery.timeout_total
-                    dist = self._last_dist
-                    if dist is not None:
-                        dist_totals["dist_workers"] = max(
-                            dist_totals.get("dist_workers", 0), dist.workers
-                        )
-                        for name, value in (
-                            ("leases_granted", dist.leases_granted),
-                            ("leases_reclaimed", dist.leases_reclaimed),
-                            ("worker_deaths", dist.worker_deaths),
-                            ("heartbeats_missed", dist.heartbeats_missed),
-                            ("speculative_wins", dist.speculative_wins),
-                            ("speculative_losses", dist.speculative_losses),
-                            ("duplicate_commits", dist.duplicate_commits),
-                            ("dist_local_fallbacks", dist.local_fallbacks),
-                        ):
-                            dist_totals[name] = dist_totals.get(name, 0) + value
-
-                    # Spill the window's results (row-major, like the
-                    # in-memory merge order).
-                    for shard_key, result in zip(keys, results_w):
-                        coord_fb += result.kernel_fallbacks.coord_limit
-                        slab_fb += result.kernel_fallbacks.rational_slab
-                        reports.append(result.report)
-                        reference += result.reference_area
-                        total_shots += len(result.shots)
-                        if result.shots:
-                            occupied += 1
-                        payload = dumps_shard_result(result)
-                        window_bytes += len(payload)
-                        if spill_degraded:
-                            spill_fallbacks += 1
-                            entries.append((None, result))
-                            continue
-                        if shard_key is None:
-                            shard_key = f"stream-position:{len(entries)}"
-                        blob_key = spill_cache.spill_key_for(shard_key)
-                        try:
-                            stored = spill_cache.put_blob(blob_key, payload)
-                        except OSError as exc:
-                            stored = False
-                            spill_reason = f"{type(exc).__name__}: {exc}"
-                        else:
-                            spill_reason = "the filesystem refused the store"
-                        if stored:
-                            shards_spilled += 1
-                            spill_bytes += len(payload)
-                            entries.append((blob_key, None))
-                        else:
-                            spill_degraded = True
-                            spill_fallbacks += 1
-                            entries.append((None, result))
-                            warnings.warn(
-                                "shard-result spilling degraded to the "
-                                "in-memory merge for the rest of this "
-                                f"run ({spill_reason}); results are "
-                                "unaffected, but memory is no longer "
-                                "bounded by one shard row",
-                                SpillDegradedWarning,
-                                stacklevel=2,
-                            )
-
-                    stream_windows += 1
-                    peak_window_bytes = max(peak_window_bytes, window_bytes)
-        finally:
-            try:
-                os.unlink(spool_path)
-            except OSError:
-                pass
-
-        stats = ExecutionStats(
-            shard_count=total_shards,
-            occupied_shards=occupied,
-            workers=workers,
-            parallel=pooled,
-            field_size=field_size,
-            cache_enabled=active_cache is not None,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            hierarchy="flat",
-            kernel_fallbacks=coord_fb + slab_fb,
-            kernel_coord_fallbacks=coord_fb,
-            kernel_slab_fallbacks=slab_fb,
-            shard_retries=retries,
-            shards_salvaged=salvaged,
-            pool_restarts=pool_restarts,
-            shard_timeouts=timeouts,
-            cache_write_failures=write_failures,
-            cache_degraded=cache_degraded,
-            cache_evictions=evictions,
-            streamed=True,
-            stream_windows=stream_windows,
-            peak_window_bytes=peak_window_bytes,
-            shards_spilled=shards_spilled,
-            spill_bytes=spill_bytes,
-            spill_fallbacks=spill_fallbacks,
+            with _spooled_windows(polygons, field_size) as spooled:
+                execution.source_polygons, total_shards, windows = spooled
+                (execution.stats,) = self._run_shards(
+                    windows,
+                    total_shards,
+                    execution,
+                    [False],
+                    workers,
+                    field_size,
+                    active_cache,
+                )
+        except BaseException:
+            execution.close()
+            raise
+        execution.report = merge_reports(
+            execution._reports, reference_area=execution._reference
         )
-        stats.dispatch = self.dispatch
-        for name, value in dist_totals.items():
-            setattr(stats, name, value)
-
-        report = merge_reports(reports, reference_area=reference)
-        corrected = self.corrector is not None and total_shots > 0
-        return StreamingExecution(
-            stats=stats,
-            report=report,
-            corrected=corrected,
-            source_polygons=source_polygons,
-            total_shots=total_shots,
-            entries=entries,
-            spill_cache=spill_cache,
-            spill_dir=spill_dir,
+        execution.corrected = (
+            self.corrector is not None and execution.total_shots > 0
         )
+        return execution

@@ -83,8 +83,8 @@ def _program_slug(name: str) -> str:
 def _apply_hierarchy_stats(
     stats: ExecutionStats, hier: HierarchicalFractureResult
 ) -> None:
-    """Copy per-cell reuse counters onto an execution's stats record."""
-    stats.hierarchy = "cells"
+    """Copy per-cell reuse counters onto the stats record of an
+    execution over that fracture's figures."""
     stats.cells_fractured = hier.cells_fractured
     stats.instances_reused = hier.instances_reused
     stats.instances_fallback = hier.instances_fallback
@@ -92,9 +92,7 @@ def _apply_hierarchy_stats(
     # zero; the kernel ran during the hierarchy walk instead.
     stats.kernel_coord_fallbacks += hier.kernel_fallbacks.coord_limit
     stats.kernel_slab_fallbacks += hier.kernel_fallbacks.rational_slab
-    stats.kernel_fallbacks = (
-        stats.kernel_coord_fallbacks + stats.kernel_slab_fallbacks
-    )
+    stats.kernel_fallbacks += hier.kernel_fallbacks.total()
 
 
 @dataclass
@@ -110,10 +108,11 @@ class PipelineResult:
         execution: how the sharded engine ran (shards, workers, pool).
         machine_program: the exported machine data stream (also on
             ``execution.program``) when the run had a ``machine`` mode.
-        job_bytes: size of the ``.ebj`` job file a streaming run wrote
-            (0 when no ``job_path`` was requested); the streamed bytes
-            are identical to :func:`~repro.core.jobfile.write_job` of
-            the materialized job.
+        job_bytes: size of the ``.ebj`` job file written with the run
+            (0 when none was requested) — streamed by a ``job_path``
+            streaming run, or written from the materialized job by
+            :meth:`~repro.core.recipe.PrepRecipe.prepare`; the bytes
+            are identical either way.
     """
 
     job: MachineJob
@@ -347,40 +346,21 @@ class PreparationPipeline:
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
         """
-        hierarchy = self._resolve_hierarchy(hierarchy)
-        if hierarchy == "cells" and isinstance(source, (Library, Cell)):
-            # merge_layers mirrors the flat path, which fractures the
-            # union of every requested layer's polygons in one pass.
-            hier = fracture_hierarchical(
-                source,
-                self.fracturer,
-                layers={layer} if layer is not None else None,
-                merge_layers=True,
-            )
-            figures = hier.figures.get(None, [])
-            outcome = self.executor.execute_figures(
-                figures, workers=workers, field_size=field_size, cache=cache
-            )
-            _apply_hierarchy_stats(outcome.stats, hier)
-            cell = source.top_cell() if isinstance(source, Library) else source
-            return self._finish(
-                outcome,
-                name or cell.name,
-                hier.source_polygons,
-                machine=machine,
-                program_path=program_path,
-                cache=cache,
-            )
-        polygons, inferred_name = self._gather(source, layer)
-        return self.run_polygons(
-            polygons,
-            name=name or inferred_name,
-            workers=workers,
-            field_size=field_size,
-            cache=cache,
-            machine=machine,
-            program_path=program_path,
+        items = self._work_items(
+            source,
+            None if layer is None else [layer],
+            False,
+            self._resolve_hierarchy(hierarchy),
         )
+        return self._run_batch(
+            items,
+            [name] if name else None,
+            workers,
+            field_size,
+            cache,
+            machine,
+            program_path,
+        )[0]
 
     def run_polygons(
         self,
@@ -393,17 +373,14 @@ class PreparationPipeline:
         program_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
         """Run fracture → correction → job build → write-time estimation."""
-        polygons = list(polygons)
-        outcome = self.executor.execute(
-            polygons, workers=workers, field_size=field_size, cache=cache
-        )
-        return self._finish(
-            outcome,
-            name,
-            len(polygons),
+        return self.run(
+            list(polygons),
+            name=name,
+            workers=workers,
+            field_size=field_size,
+            cache=cache,
             machine=machine,
             program_path=program_path,
-            cache=cache,
         )
 
     def run_streaming(
@@ -474,13 +451,13 @@ class PreparationPipeline:
             if owned and stream is not None:
                 stream.close()
         with execution:
-            return self._finish_streaming(
-                execution,
-                name or inferred,
-                machine=machine,
-                program_path=program_path,
-                cache=cache,
-                job_path=job_path,
+            return self._finish(
+                self._assemble_streaming(execution, name or inferred, job_path),
+                execution.iter_results(),
+                machine,
+                program_path,
+                cache,
+                segment_count=execution.stats.occupied_shards,
             )
 
     def run_layers(
@@ -512,56 +489,13 @@ class PreparationPipeline:
         Returns:
             Mapping layer → result, in layer sort order.
         """
-        cell = source.top_cell() if isinstance(source, Library) else source
-        hierarchy = self._resolve_hierarchy(hierarchy)
-        program_seen: Dict[tuple, int] = {}
-        if hierarchy == "cells":
-            hier = fracture_hierarchical(
-                cell,
-                self.fracturer,
-                layers=set(layers) if layers is not None else None,
-            )
-            wanted = sorted(hier.figures) if layers is None else list(layers)
-            figure_sets = [hier.figures.get(layer, []) for layer in wanted]
-            outcomes = self.executor.execute_many(
-                figure_sets,
-                workers=workers,
-                field_size=field_size,
-                cache=cache,
-                prefractured=True,
-            )
-            out: Dict[Layer, PipelineResult] = {}
-            for layer, outcome in zip(wanted, outcomes):
-                _apply_hierarchy_stats(outcome.stats, hier)
-                out[layer] = self._finish(
-                    outcome,
-                    f"{cell.name}:{layer}",
-                    hier.source_polygons_by_layer.get(layer, 0),
-                    machine=machine,
-                    cache=cache,
-                    program_seen=program_seen,
-                )
-            return out
-        flat = flatten_cell(cell)
-        if layers is None:
-            wanted = sorted(flat)
-        else:
-            wanted = list(layers)
-        polygon_sets = [flat.get(layer, []) for layer in wanted]
-        outcomes = self.executor.execute_many(
-            polygon_sets, workers=workers, field_size=field_size, cache=cache
+        items = self._work_items(
+            source, layers, True, self._resolve_hierarchy(hierarchy)
         )
-        return {
-            layer: self._finish(
-                outcome,
-                f"{cell.name}:{layer}",
-                len(polys),
-                machine=machine,
-                cache=cache,
-                program_seen=program_seen,
-            )
-            for layer, polys, outcome in zip(wanted, polygon_sets, outcomes)
-        }
+        results = self._run_batch(
+            items, None, workers, field_size, cache, machine
+        )
+        return {layer: result for (layer, *_), result in zip(items, results)}
 
     def run_many(
         self,
@@ -580,68 +514,115 @@ class PreparationPipeline:
         scenario matrix (many workloads × this pipeline's machines).
         With ``hierarchy="cells"`` every Library/Cell source goes
         through per-cell fracture + figure replication; raw polygon
-        sources in the same batch still run flat.
+        sources in the same batch still run flat, in the same
+        interleaved shard list.
         """
         hierarchy = self._resolve_hierarchy(hierarchy)
-        entries: List[tuple] = []
-        for source in sources:
-            if hierarchy == "cells" and isinstance(source, (Library, Cell)):
-                hier = fracture_hierarchical(
-                    source,
-                    self.fracturer,
-                    layers={layer} if layer is not None else None,
-                    merge_layers=True,
-                )
-                figures = hier.figures.get(None, [])
-                cell = (
-                    source.top_cell()
-                    if isinstance(source, Library)
-                    else source
-                )
-                entries.append(
-                    ("figures", figures, cell.name, hier.source_polygons, hier)
-                )
-            else:
-                polys, inferred = self._gather(source, layer)
-                entries.append(("polygons", polys, inferred, len(polys), None))
+        layers = None if layer is None else [layer]
+        items = [
+            item
+            for source in sources
+            for item in self._work_items(source, layers, False, hierarchy)
+        ]
+        return self._run_batch(
+            items, names, workers, field_size, cache, machine
+        )
 
-        flat_sets = [e[1] for e in entries if e[0] == "polygons"]
-        figure_sets = [e[1] for e in entries if e[0] == "figures"]
-        flat_outcomes = (
-            self.executor.execute_many(
-                flat_sets, workers=workers, field_size=field_size, cache=cache
+    def _work_items(
+        self,
+        source: Union[Library, Cell, Iterable[Polygon]],
+        layers: Optional[Sequence[Layer]],
+        per_layer: bool,
+        hierarchy: str,
+    ) -> List[tuple]:
+        """The jobs one source contributes to a batch.
+
+        ``(layer, geometry, name, source_polygons, hier)`` tuples: one
+        job merging the selected ``layers`` (``layer`` is ``None``), or
+        with ``per_layer`` one job per layer in the order given (layer
+        sort order by default).  ``hier`` is the per-cell fracture the
+        geometry came from when it holds pre-fractured figures
+        (``hierarchy="cells"`` on a library/cell), else ``None`` and
+        the geometry is polygons; raw polygon sources carry no
+        hierarchy and always run flat.
+        """
+        if not isinstance(source, (Library, Cell)):
+            polygons = list(source)
+            return [(None, polygons, "job", len(polygons), None)]
+        cell = source.top_cell() if isinstance(source, Library) else source
+        selected = set(layers) if layers is not None else None
+        if hierarchy == "cells":
+            # A merged job fractures each cell's selected layers as one
+            # union, mirroring the flat path, which fractures the union
+            # of every requested layer's polygons in one pass.
+            hier = fracture_hierarchical(
+                cell, self.fracturer, layers=selected, merge_layers=not per_layer
             )
-            if flat_sets
-            else []
-        )
-        figure_outcomes = (
-            self.executor.execute_many(
-                figure_sets,
-                workers=workers,
-                field_size=field_size,
-                cache=cache,
-                prefractured=True,
+            geometry, counts = hier.figures, hier.source_polygons_by_layer
+        else:
+            hier = None
+            geometry = flatten_cell(cell, layers=selected)
+            counts = {layer: len(polys) for layer, polys in geometry.items()}
+        if not per_layer:
+            merged = [item for items in geometry.values() for item in items]
+            return [(None, merged, cell.name, sum(counts.values()), hier)]
+        return [
+            (
+                layer,
+                geometry.get(layer, []),
+                f"{cell.name}:{layer}",
+                counts.get(layer, 0),
+                hier,
             )
-            if figure_sets
-            else []
+            for layer in (sorted(geometry) if layers is None else layers)
+        ]
+
+    def _run_batch(
+        self,
+        items: List[tuple],
+        names: Optional[Sequence[str]],
+        workers: Optional[int],
+        field_size: Optional[float],
+        cache: Union[ShardCache, bool, None],
+        machine: Optional[str],
+        program_path: Optional[Union[str, Path]] = None,
+    ) -> List[PipelineResult]:
+        """Execute :meth:`_work_items` jobs as one interleaved shard
+        list and finish each into a result (``names`` override the
+        inferred job names; ``program_path`` is for one-job batches)."""
+        outcomes = self.executor.execute_many(
+            [geometry for _, geometry, *_ in items],
+            workers=workers,
+            field_size=field_size,
+            cache=cache,
+            prefractured=[hier is not None for *_, hier in items],
         )
-        flat_iter = iter(flat_outcomes)
-        figure_iter = iter(figure_outcomes)
-        out: List[PipelineResult] = []
         program_seen: Dict[tuple, int] = {}
-        for i, (kind, _, inferred, n_polys, hier) in enumerate(entries):
-            outcome = next(figure_iter if kind == "figures" else flat_iter)
+        out: List[PipelineResult] = []
+        for i, (item, outcome) in enumerate(zip(items, outcomes)):
+            _, _, inferred, source_polygons, hier = item
             if hier is not None:
                 _apply_hierarchy_stats(outcome.stats, hier)
-            name = names[i] if names is not None else inferred
+            job = MachineJob(
+                outcome.shots,
+                base_dose=self.base_dose,
+                name=names[i] if names is not None else inferred,
+            )
+            result = PipelineResult(
+                job=job,
+                fracture_report=outcome.report,
+                source_polygons=source_polygons,
+                corrected=outcome.corrected,
+                execution=outcome.stats,
+            )
             out.append(
                 self._finish(
-                    outcome,
-                    name,
-                    n_polys,
-                    machine=machine,
-                    cache=cache,
-                    program_seen=program_seen,
+                    result,
+                    outcome.shard_results,
+                    machine,
+                    program_path,
+                    cache,
+                    program_seen,
                 )
             )
         return out
@@ -693,42 +674,37 @@ class PreparationPipeline:
 
     def _finish(
         self,
-        outcome,
-        name: str,
-        source_polygons: int,
-        machine: Optional[str] = None,
-        program_path: Optional[Union[str, Path]] = None,
-        cache: Union[ShardCache, bool, None] = None,
+        result: PipelineResult,
+        shard_results,
+        machine: Optional[str],
+        program_path: Optional[Union[str, Path]],
+        cache: Union[ShardCache, bool, None],
         program_seen: Optional[Dict[tuple, int]] = None,
+        segment_count: Optional[int] = None,
     ) -> PipelineResult:
-        """Wrap an execution outcome in a job, estimate write times and
-        (with a machine mode) export the machine program."""
-        job = MachineJob(outcome.shots, base_dose=self.base_dose, name=name)
-        result = PipelineResult(
-            job=job,
-            fracture_report=outcome.report,
-            source_polygons=source_polygons,
-            corrected=outcome.corrected,
-            execution=outcome.stats,
-        )
+        """The tail every run shares: estimate write times on the
+        result's job and (with a machine mode) export the machine
+        program from ``shard_results`` — a resident list, or a spill
+        cursor with its occupied ``segment_count``."""
+        job = result.job
         for writer in self.machines:
             result.write_times[writer.name] = writer.write_time(job)
         mode = self._resolve_machine(machine)
         if mode is not None:
             from repro.machine.program import MachineSpec, export_program
 
-            spec = MachineSpec(mode=mode, address_unit=self.address_unit)
             if program_path is None:
-                program_path = self._default_program_path(name, mode, program_seen)
-            program = export_program(
-                outcome.shard_results,
+                program_path = self._default_program_path(
+                    job.name, mode, program_seen
+                )
+            result.machine_program = result.execution.program = export_program(
+                shard_results,
                 job,
-                spec,
+                MachineSpec(mode=mode, address_unit=self.address_unit),
                 program_path,
                 cache=self._resolve_program_cache(cache),
+                segment_count=segment_count,
             )
-            result.machine_program = program
-            outcome.stats.program = program
         return result
 
     @staticmethod
@@ -743,14 +719,11 @@ class PreparationPipeline:
             return MemoryStream(source), True
         return None, False
 
-    def _finish_streaming(
+    def _assemble_streaming(
         self,
         execution,
         name: str,
-        machine: Optional[str] = None,
-        program_path: Optional[Union[str, Path]] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        job_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]],
     ) -> PipelineResult:
         """Assemble a streaming execution into a result, one shard at a
         time.
@@ -759,9 +732,8 @@ class PreparationPipeline:
         materialized path reads off the resident shot list — bounding
         box, exposure aggregates, dose range and the exact shot digest —
         and (with ``job_path``) streams the ``.ebj`` records as it goes.
-        A second pass feeds the machine-program exporter.  Every fold
-        runs in the merged shot order, so the aggregates and digest are
-        bit-identical to the materialized job's.
+        Every fold runs in the merged shot order, so the aggregates and
+        digest are bit-identical to the materialized job's.
         """
         digest = hashlib.sha256()
         digest.update(_SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0))
@@ -827,7 +799,7 @@ class PreparationPipeline:
         )
         job._digest = digest.hexdigest()
         job._dose_range = ((dose_min, dose_max) if dose_min is not None else (0.0, 0.0))
-        result = PipelineResult(
+        return PipelineResult(
             job=job,
             fracture_report=execution.report,
             source_polygons=execution.source_polygons,
@@ -835,41 +807,3 @@ class PreparationPipeline:
             execution=execution.stats,
             job_bytes=job_bytes,
         )
-        for machine_writer in self.machines:
-            result.write_times[machine_writer.name] = machine_writer.write_time(job)
-        mode = self._resolve_machine(machine)
-        if mode is not None:
-            from repro.machine.program import MachineSpec, export_program
-
-            spec = MachineSpec(mode=mode, address_unit=self.address_unit)
-            if program_path is None:
-                program_path = self._default_program_path(name, mode, None)
-            program = export_program(
-                execution.iter_results(),
-                job,
-                spec,
-                program_path,
-                cache=self._resolve_program_cache(cache),
-                segment_count=execution.stats.occupied_shards,
-            )
-            result.machine_program = program
-            execution.stats.program = program
-        return result
-
-    @staticmethod
-    def _gather(
-        source: Union[Library, Cell, Iterable[Polygon]],
-        layer: Optional[Layer],
-    ) -> tuple:
-        if isinstance(source, Library):
-            cell = source.top_cell()
-        elif isinstance(source, Cell):
-            cell = source
-        else:
-            return list(source), "job"
-        layers = {layer} if layer is not None else None
-        flat = flatten_cell(cell, layers=layers)
-        polygons: List[Polygon] = []
-        for polys in flat.values():
-            polygons.extend(polys)
-        return polygons, cell.name

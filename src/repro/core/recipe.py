@@ -232,3 +232,37 @@ class PrepRecipe:
             workers_endpoint=self.workers_endpoint,
             waiter=waiter,
         )
+
+    def prepare(
+        self,
+        pipeline,
+        source,
+        name: Optional[str] = None,
+        program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
+    ):
+        """Run ``source`` through ``pipeline`` the way this recipe
+        selects, writing the ``.ebj`` job file to ``job_path`` if given.
+
+        The one place the ``streaming`` flag picks a path for the CLI
+        and the service alike: a streaming recipe runs out of core
+        (``run_streaming`` reads a layout file through the cursor and
+        streams the job file itself); otherwise a layout file path is
+        loaded as GDSII, the run is resident and the job file is
+        written from the materialized job.  Both produce the same
+        bytes; ``result.job_bytes`` is the job file's size either way.
+        """
+        if self.streaming:
+            return pipeline.run_streaming(
+                source, name=name, program_path=program_path, job_path=job_path
+            )
+        if isinstance(source, (str, Path)):
+            from repro.layout.gdsii import read_gdsii
+
+            source = read_gdsii(source)
+        result = pipeline.run(source, name=name, program_path=program_path)
+        if job_path is not None:
+            from repro.core.jobfile import write_job
+
+            result.job_bytes = write_job(result.job, job_path)
+        return result

@@ -124,13 +124,5 @@ def map_shards_distributed(
         )
         for position, result in zip(leftover, local_results):
             results[position] = result
-        # Re-key the local recovery log from sub-list to batch positions.
-        for local, count in local_recovery.retries.items():
-            recovery.retries[leftover[local]] = count
-        for local, count in local_recovery.timeouts.items():
-            recovery.timeouts[leftover[local]] = count
-        recovery.salvaged.update(
-            leftover[local] for local in local_recovery.salvaged
-        )
-        recovery.pool_restarts += local_recovery.pool_restarts
+        recovery = local_recovery.rekeyed(leftover)
     return results, pooled or stats.remote_commits > 0, recovery, stats

@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from repro.core.cache import ShardCache
 from repro.core.executor import BackoffWaiter, ExecutionStats
-from repro.core.jobfile import write_job
 from repro.service.jobs import Job, JobStore
 
 
@@ -192,58 +191,41 @@ class JobRunner:
         if spec.recipe.machine is not None:
             program_path = job_dir / f"program.{spec.recipe.machine}.ebp"
         job_path = job_dir / "job.ebj"
-        if spec.recipe.streaming:
-            # Out-of-core: the pipeline spills shard results and streams
-            # the .ebj itself — byte-identical to write_job of the
-            # materialized run, without ever holding the shot list.
-            result = pipeline.run_streaming(
-                library,
-                name=spec.job_name,
-                program_path=program_path,
-                job_path=job_path,
-            )
-            job_bytes = result.job_bytes
-        else:
-            result = pipeline.run(
-                library, name=spec.job_name, program_path=program_path
-            )
-            job_bytes = write_job(result.job, job_path)
+        result = spec.recipe.prepare(
+            pipeline,
+            library,
+            name=spec.job_name,
+            program_path=program_path,
+            job_path=job_path,
+        )
 
         summary = {
             "digest": result.job.digest(),
             "figure_count": result.fracture_report.figure_count,
             "source_polygons": result.source_polygons,
             "corrected": result.corrected,
-            "job_bytes": job_bytes,
+            "job_bytes": result.job_bytes,
             "execution": _stats_view(result.execution),
         }
         stats = result.execution
         if stats is not None:
+            # The store's declared keys are the counter list; keys the
+            # engine does not count (whole-job retries, timeouts,
+            # cancels) are recorded where they happen.
             self.store.record_faults(
                 {
-                    "shard_retries": stats.shard_retries,
-                    "shards_salvaged": stats.shards_salvaged,
-                    "pool_restarts": stats.pool_restarts,
-                    "shard_timeouts": stats.shard_timeouts,
-                    "cache_write_failures": stats.cache_write_failures,
-                    "cache_evictions": stats.cache_evictions,
-                    "spill_fallbacks": stats.spill_fallbacks,
+                    key: getattr(stats, key)
+                    for key in JobStore.FAULT_KEYS
+                    if hasattr(stats, key)
                 }
             )
             if stats.dispatch == "distributed":
-                self.store.record_dist(
-                    {
-                        "distributed_jobs": 1,
-                        "leases_granted": stats.leases_granted,
-                        "leases_reclaimed": stats.leases_reclaimed,
-                        "worker_deaths": stats.worker_deaths,
-                        "heartbeats_missed": stats.heartbeats_missed,
-                        "speculative_wins": stats.speculative_wins,
-                        "speculative_losses": stats.speculative_losses,
-                        "duplicate_commits": stats.duplicate_commits,
-                        "dist_local_fallbacks": stats.dist_local_fallbacks,
-                    }
-                )
+                counters = {
+                    key: getattr(stats, key)
+                    for key in JobStore.DIST_KEYS
+                    if hasattr(stats, key)
+                }
+                self.store.record_dist({**counters, "distributed_jobs": 1})
         program = result.machine_program
         if program is not None:
             summary["program"] = {

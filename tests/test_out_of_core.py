@@ -12,7 +12,9 @@ on the artifacts themselves with ``filecmp``.
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
+import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.executor import (
+    ExecutionStats,
     RetryPolicy,
     ShardedExecutor,
     SpillDegradedWarning,
@@ -280,6 +283,50 @@ def _materialized_artifacts(pipe, library, tmp_path, **kwargs):
     return result
 
 
+#: ExecutionStats fields that legitimately differ between a resident and
+#: a streamed run of the same layout: the streaming witness counters,
+#: ``parallel`` (one-shard windows never reach the pool) and the program
+#: record (same bytes, different path).
+_MODE_FIELDS = {
+    "streamed",
+    "stream_windows",
+    "peak_window_bytes",
+    "shards_spilled",
+    "spill_bytes",
+    "spill_fallbacks",
+    "parallel",
+    "program",
+}
+
+
+def _assert_mode_parity(mat, res, tmp_path):
+    """Every mode-independent counter equal, artifacts ``cmp``-equal."""
+    for f in dataclasses.fields(ExecutionStats):
+        if f.name not in _MODE_FIELDS:
+            assert getattr(res.execution, f.name) == getattr(
+                mat.execution, f.name
+            ), f.name
+    assert res.execution.streamed and not mat.execution.streamed
+    write_job(mat.job, tmp_path / "mat.ebj")
+    assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "st.ebj", shallow=False)
+    assert filecmp.cmp(tmp_path / "mat.ebp", tmp_path / "st.ebp", shallow=False)
+
+
+class _FailingFracturer(TrapezoidFracturer):
+    """Raises on its ``fail_at``-th shard (in-process runs only)."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def fracture_to_shots(self, polygons):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ValueError("injected shard failure")
+        return super().fracture_to_shots(polygons)
+
+
 class TestStreamingPipeline:
     @pytest.fixture(autouse=True)
     def _clean_pool(self):
@@ -372,6 +419,123 @@ class TestStreamingPipeline:
         pipe = PreparationPipeline(field_size=FIELD_SIZE, overlap_policy="union")
         with pytest.raises(ValueError, match="union"):
             pipe.run_streaming(generators.fresnel_zone_plate())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
+    def test_stats_parity_with_resident_run(self, tmp_path, cache_state, workers):
+        library = generators.fresnel_zone_plate()
+
+        def pipe(cache_name):
+            cache_dir = None if cache_state == "none" else tmp_path / cache_name
+            return PreparationPipeline(
+                field_size=FIELD_SIZE,
+                machine="vsb",
+                workers=workers,
+                cache_dir=cache_dir,
+            )
+
+        if cache_state == "warm":
+            pipe("shared").run(library, machine="off")
+        # Cold runs each need an empty cache of their own; warm runs
+        # share the primed one.
+        shared = cache_state == "warm"
+        mat = pipe("shared" if shared else "resident").run(
+            library, program_path=tmp_path / "mat.ebp"
+        )
+        res = pipe("shared" if shared else "streamed").run_streaming(
+            library,
+            program_path=tmp_path / "st.ebp",
+            job_path=tmp_path / "st.ebj",
+        )
+        assert mat.execution.shard_count > 1
+        assert res.execution.stream_windows > 1
+        if cache_state != "none":
+            lookups = mat.execution.shard_count
+            expected = (lookups, 0) if shared else (0, lookups)
+            assert (
+                mat.execution.cache_hits,
+                mat.execution.cache_misses,
+            ) == expected
+        _assert_mode_parity(mat, res, tmp_path)
+
+    def test_stats_parity_under_transient_fault(self, tmp_path):
+        # One shard row = one window, so the per-window restart of fault
+        # positions cannot fire the (0, 0) fault more than once.
+        library = generators.grating(pitch=2.0, duty=0.5, lines=12, length=3.0)
+        pipe = PreparationPipeline(
+            field_size=4.0,
+            machine="vsb",
+            faults=FaultPlan(transient=frozenset({(0, 0)})),
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        )
+        mat = pipe.run(library, program_path=tmp_path / "mat.ebp")
+        res = pipe.run_streaming(
+            library,
+            program_path=tmp_path / "st.ebp",
+            job_path=tmp_path / "st.ebj",
+        )
+        assert mat.execution.shard_count > 1
+        assert res.execution.stream_windows == 1
+        assert mat.execution.shard_retries == 1
+        _assert_mode_parity(mat, res, tmp_path)
+
+    def test_run_many_mixed_batch_matches_single_runs(self, tmp_path):
+        library = generators.memory_array(blocks=(2, 2))
+        polygons = _flat_sequence(generators.grating(lines=6))
+        pipe = PreparationPipeline(
+            field_size=FIELD_SIZE,
+            hierarchy="cells",
+            machine="vsb",
+            program_dir=tmp_path / "batch",
+        )
+        (tmp_path / "batch").mkdir()
+        batch = pipe.run_many([library, polygons], names=["cells", "raw"])
+        assert [r.execution.hierarchy for r in batch] == ["cells", "flat"]
+        assert batch[0].execution.cells_fractured > 0
+        for result, source in zip(batch, (library, polygons)):
+            name = result.job.name
+            single = pipe.run(
+                source, name=name, program_path=tmp_path / f"{name}.ebp"
+            )
+            write_job(result.job, tmp_path / f"{name}.batch.ebj")
+            write_job(single.job, tmp_path / f"{name}.single.ebj")
+            assert filecmp.cmp(
+                tmp_path / f"{name}.batch.ebj",
+                tmp_path / f"{name}.single.ebj",
+                shallow=False,
+            )
+            assert filecmp.cmp(
+                result.machine_program.path,
+                tmp_path / f"{name}.ebp",
+                shallow=False,
+            )
+            assert result.source_polygons == single.source_polygons
+            assert result.execution.shard_count == single.execution.shard_count
+
+    @pytest.mark.parametrize("failure", ["shard", "progress"])
+    def test_failed_run_leaves_no_temp_files(self, tmp_path, monkeypatch, failure):
+        # Regression: the private spill directory (and every blob already
+        # spilled into it) used to survive any failing streamed run.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        polys = _flat_sequence(generators.fresnel_zone_plate())
+
+        def cancel_late(done, total):
+            if done == 3:
+                raise KeyboardInterrupt("cancelled at a shard boundary")
+
+        if failure == "shard":
+            executor = ShardedExecutor(
+                _FailingFracturer(fail_at=4), field_size=FIELD_SIZE
+            )
+            expected = ValueError
+        else:
+            executor = ShardedExecutor(
+                TrapezoidFracturer(), field_size=FIELD_SIZE, progress=cancel_late
+            )
+            expected = KeyboardInterrupt
+        with pytest.raises(expected):
+            executor.execute_stream(polys)
+        assert list(tmp_path.iterdir()) == []
 
     def test_closed_execution_refuses_reads(self):
         executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
