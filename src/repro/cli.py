@@ -103,73 +103,9 @@ def _print_result(result, pec_matrix=None) -> None:
     report = result.fracture_report
     print(f"job: {job.name}")
     stats = result.execution
-    if stats is not None and stats.shard_count > 1:
-        mode = "parallel" if stats.parallel else "serial"
-        print(
-            f"  shards:    {stats.occupied_shards}/{stats.shard_count} "
-            f"occupied ({stats.field_size:g} µm fields, "
-            f"{stats.workers} workers, {mode})"
-        )
-    if stats is not None and stats.hierarchy == "cells":
-        print(
-            f"  hierarchy: {stats.cells_fractured} cells fractured, "
-            f"{stats.instances_reused} instances reused, "
-            f"{stats.instances_fallback} fallback"
-        )
-    if stats is not None and stats.cache_enabled:
-        lookups = stats.cache_hits + stats.cache_misses
-        rate = stats.cache_hits / lookups if lookups else 0.0
-        evicted = (
-            f", {stats.cache_evictions} evicted" if stats.cache_evictions else ""
-        )
-        print(
-            f"  cache:     {stats.cache_hits} hits, "
-            f"{stats.cache_misses} misses ({rate:.0%} hit rate){evicted}"
-        )
-    if stats is not None and stats.streamed:
-        spill = (
-            f"{stats.shards_spilled} shards spilled "
-            f"({stats.spill_bytes:,} bytes)"
-            if stats.shards_spilled
-            else "no shards spilled"
-        )
-        fallback = (
-            f", {stats.spill_fallbacks} held resident (spill degraded)"
-            if stats.spill_fallbacks
-            else ""
-        )
-        print(
-            f"  memory:    streamed in {stats.stream_windows} windows, "
-            f"peak {stats.peak_window_bytes:,} bytes resident, "
-            f"{spill}{fallback}"
-        )
-    if stats is not None and stats.fault_events:
-        degraded = " (cache degraded to read-only)" if stats.cache_degraded else ""
-        print(
-            f"  faults:    {stats.shard_retries} shard retries, "
-            f"{stats.shards_salvaged} salvaged, "
-            f"{stats.pool_restarts} pool restarts, "
-            f"{stats.shard_timeouts} timeouts, "
-            f"{stats.cache_write_failures} cache write failures{degraded}"
-        )
-    if stats is not None and stats.dispatch == "distributed":
-        print(
-            f"  dist:      {stats.dist_workers} workers, "
-            f"{stats.leases_granted} leases granted, "
-            f"{stats.leases_reclaimed} reclaimed, "
-            f"{stats.worker_deaths} deaths, "
-            f"{stats.heartbeats_missed} heartbeats missed, "
-            f"{stats.speculative_wins}/{stats.speculative_losses} "
-            f"speculative wins/losses, "
-            f"{stats.duplicate_commits} duplicate commits, "
-            f"{stats.dist_local_fallbacks} local fallbacks"
-        )
-    if stats is not None and stats.kernel_fallbacks:
-        print(
-            f"  kernel:    {stats.kernel_fallbacks} fast-path fallbacks "
-            f"({stats.kernel_coord_fallbacks} coord-limit, "
-            f"{stats.kernel_slab_fallbacks} rational-slab)"
-        )
+    if stats is not None:
+        for line in stats.lines():
+            print(line)
     print(f"  digest:    {job.digest()}")
     print(f"  figures:   {report.figure_count}")
     print(f"  area:      {report.total_area:.2f} µm²")

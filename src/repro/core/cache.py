@@ -35,7 +35,7 @@ import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
@@ -392,10 +392,13 @@ class ShardCache:
 
     # -- lookup / store ---------------------------------------------------
 
-    def get(self, key: str) -> Optional["ShardResult"]:
-        """Return the stored result for ``key``, or ``None`` on a miss.
+    def lookup(self, key: str) -> Tuple[Optional["ShardResult"], bool]:
+        """``(result, evicted)`` for ``key``: the stored result or
+        ``None`` on a miss, and whether *this* lookup evicted a corrupt
+        or truncated entry (which then counts as a miss).
 
-        Corrupt or truncated entries are evicted and count as misses.
+        ``stats.evictions`` is shared by every run on this cache
+        instance; the flag is what a run may attribute to itself.
         """
         from repro.core.jobfile import JobFileError, loads_shard_result
 
@@ -404,7 +407,7 @@ class ShardCache:
             data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
-            return None
+            return None, False
         try:
             result = loads_shard_result(data)
         except JobFileError:
@@ -414,23 +417,21 @@ class ShardCache:
                 path.unlink()
             except OSError:
                 pass
-            return None
+            return None, True
         self.stats.hits += 1
-        return result
+        return result, False
 
-    def put(self, key: str, result: "ShardResult") -> bool:
-        """Store ``result`` under ``key`` with an atomic publish.
+    def get(self, key: str) -> Optional["ShardResult"]:
+        """Return the stored result for ``key``, or ``None`` on a miss.
 
-        Write failures (read-only directory, full disk) are swallowed
-        and counted in ``stats.write_errors`` — the cache must never
-        turn a successfully computed run into a crash; it degrades to
-        storing nothing.  Returns ``True`` when the entry was published
-        so callers (the execution layer) can degrade the rest of their
-        run to read-only mode after the first failure.
+        Corrupt or truncated entries are evicted and count as misses.
         """
-        from repro.core.jobfile import dumps_shard_result
+        return self.lookup(key)[0]
 
-        data = dumps_shard_result(result)
+    def _publish(self, key: str, data: bytes) -> bool:
+        """Stage ``data`` in the root and publish it under ``key`` with
+        an atomic :func:`os.replace`; a failed write is counted in
+        ``stats.write_errors``, cleaned up and reported as ``False``."""
         path = self.path_for(key)
         staging = self.root / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
         try:
@@ -446,6 +447,20 @@ class ShardCache:
             return False
         self.stats.stores += 1
         return True
+
+    def put(self, key: str, result: "ShardResult") -> bool:
+        """Store ``result`` under ``key`` with an atomic publish.
+
+        Write failures (read-only directory, full disk) are swallowed
+        and counted in ``stats.write_errors`` — the cache must never
+        turn a successfully computed run into a crash; it degrades to
+        storing nothing.  Returns ``True`` when the entry was published
+        so callers (the execution layer) can degrade the rest of their
+        run to read-only mode after the first failure.
+        """
+        from repro.core.jobfile import dumps_shard_result
+
+        return self._publish(key, dumps_shard_result(result))
 
     # -- machine-program segment blobs ------------------------------------
 
@@ -486,22 +501,9 @@ class ShardCache:
         Returns ``True`` when the blob was published (same degradation
         contract as :meth:`put`).
         """
-        data = _BLOB_HEADER.pack(_BLOB_MAGIC, len(payload)) + payload
-        path = self.path_for(key)
-        staging = self.root / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            staging.write_bytes(data)
-            os.replace(staging, path)
-        except OSError:
-            self.stats.write_errors += 1
-            try:
-                staging.unlink()
-            except OSError:
-                pass
-            return False
-        self.stats.stores += 1
-        return True
+        return self._publish(
+            key, _BLOB_HEADER.pack(_BLOB_MAGIC, len(payload)) + payload
+        )
 
     # -- maintenance ------------------------------------------------------
 

@@ -95,7 +95,6 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field, fields
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -109,6 +108,7 @@ from typing import (
 from repro.core.cache import CacheDegradedWarning, ShardCache
 from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex, field_index_of
+from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.polygon import Polygon
@@ -116,9 +116,6 @@ from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
 from repro.pec.base import ProximityCorrector
 from repro.physics.psf import DoubleGaussianPSF
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.machine.program import MachineProgram
 
 
 class ShardOverlapWarning(UserWarning):
@@ -253,8 +250,11 @@ class RetryPolicy:
             self.backoff_base * 2.0 ** (retry_number - 1),
         )
 
-    def is_transient(self, exc: BaseException) -> bool:
-        """True for infrastructure faults worth retrying."""
+    @staticmethod
+    def is_transient(exc: BaseException) -> bool:
+        """True for infrastructure faults worth retrying.  The one
+        classifier: the shard ladder, the distributed workers and the
+        service's whole-job retry all ask it."""
         return isinstance(exc, (BrokenExecutor, OSError))
 
 
@@ -335,156 +335,6 @@ class ShardRecovery:
 
         return ShardRecovery(
             **{f.name: rename(getattr(self, f.name)) for f in fields(self)}
-        )
-
-
-@dataclass
-class ExecutionStats:
-    """How an execution ran (for logs, benchmarks and the CLI).
-
-    Attributes:
-        cache_enabled: a shard cache was consulted for this run.
-        cache_hits: shards answered from the cache (skipped entirely).
-        cache_misses: shards computed (and stored) this run.
-        hierarchy: how the figures were produced — ``"flat"`` (fracture
-            per shard) or ``"cells"`` (each cell fractured once, figures
-            replicated per placement, PEC per shard).
-        cells_fractured: distinct (cell, layer) fracture computations
-            in a ``"cells"`` run.
-        instances_reused: placements served from the per-cell figure
-            cache in a ``"cells"`` run.
-        instances_fallback: placements that required re-fracturing
-            (90°/270° rotations) in a ``"cells"`` run.
-        kernel_fallbacks: total times the fast scanline kernel degraded
-            to a slower exact path across all shards (0 means every
-            sweep ran fully vectorized).  Split by reason into
-            ``kernel_coord_fallbacks`` (coordinates beyond the kernel's
-            exact range; whole sweeps handed to the reference engine)
-            and ``kernel_slab_fallbacks`` (slabs swept by the scalar
-            safety valve).
-        shard_retries: shard dispatches re-run after a transient fault
-            (worker death, transient exception, hang-watchdog victim).
-        shards_salvaged: completed shard results preserved across pool
-            restarts instead of being recomputed — the "re-enqueue,
-            not a failed job" half of the fault-tolerance contract.
-        pool_restarts: times the shared worker pool was torn down and
-            rebuilt (broken or hung) during this run.  Run-level: a
-            batch replicates the count onto every layout of the batch.
-        shard_timeouts: shard dispatches abandoned by the hung-worker
-            watchdog (see ``RetryPolicy.shard_timeout``).
-        cache_write_failures: failed cache stores this run observed
-            before degrading to read-only.
-        cache_degraded: the run stopped storing cache entries after a
-            write failure (ENOSPC, read-only filesystem); lookups
-            continue.  Run-level flag, replicated across a batch.
-        cache_evictions: corrupt cache entries evicted during this
-            run's lookups (each also counts as a miss).
-        dispatch: how shards were scheduled — ``"local"`` (this
-            process's pool/serial ladder) or ``"distributed"`` (the
-            lease coordinator of :mod:`repro.dist`; the remaining
-            ``dist``-prefixed and lease counters are then live).  All
-            distributed counters are run-level: a batch replicates them
-            onto every layout of the batch.
-        dist_workers: distinct worker daemons that contacted the
-            coordinator during this run.
-        leases_granted: shard leases handed to workers (including
-            re-grants after reclaims and speculative duplicates).
-        leases_reclaimed: leases taken back from dead workers or
-            past-deadline (hung) shards and re-queued.
-        worker_deaths: workers that went silent while holding leases.
-        heartbeats_missed: silence episodes past two heartbeat
-            intervals from a lease-holding worker.
-        speculative_wins: straggler re-executions whose result landed
-            first (the duplicate beat the original lease).
-        speculative_losses: speculative leases whose original finished
-            first (the duplicate's work was discarded).
-        duplicate_commits: byte-identical re-commits discarded by the
-            coordinator (at-least-once delivery made visible).
-        dist_local_fallbacks: shards the fleet could not finish
-            (attempt budget spent, no live workers) that the local
-            pool → serial ladder completed instead.
-        streamed: the run used the out-of-core field-window path
-            (:meth:`ShardedExecutor.execute_stream`) — source polygons
-            were spooled to disk and only one shard row was resident at
-            a time; the remaining ``stream``/``spill`` counters are
-            then live.
-        stream_windows: shard-row windows dispatched by a streamed run.
-        peak_window_bytes: high-water mark of one window's resident
-            bytes (spooled source geometry read back for the window
-            plus its serialized shard results) — the streamed
-            counterpart of the machine-program writer's
-            ``peak_segment_bytes`` witness.
-        shards_spilled: completed shard results spilled to the cache's
-            blob family instead of being held for the merge.
-        spill_bytes: total serialized bytes spilled.
-        spill_fallbacks: shard results held in memory because a spill
-            store failed (ENOSPC, read-only filesystem) — the run
-            degrades to an in-memory merge for those shards with one
-            :class:`SpillDegradedWarning`, never a crash.
-        program: the exported machine program for this run, when the
-            pipeline ran with a ``machine`` mode — carries the
-            write-time breakdown, exact stream bytes and channel check
-            (see :mod:`repro.machine.program`).
-    """
-
-    shard_count: int = 1
-    occupied_shards: int = 1
-    workers: int = 1
-    parallel: bool = False
-    field_size: Optional[float] = None
-    cache_enabled: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
-    hierarchy: str = "flat"
-    cells_fractured: int = 0
-    instances_reused: int = 0
-    instances_fallback: int = 0
-    kernel_fallbacks: int = 0
-    kernel_coord_fallbacks: int = 0
-    kernel_slab_fallbacks: int = 0
-    shard_retries: int = 0
-    shards_salvaged: int = 0
-    pool_restarts: int = 0
-    shard_timeouts: int = 0
-    cache_write_failures: int = 0
-    cache_degraded: bool = False
-    cache_evictions: int = 0
-    dispatch: str = "local"
-    dist_workers: int = 0
-    leases_granted: int = 0
-    leases_reclaimed: int = 0
-    worker_deaths: int = 0
-    heartbeats_missed: int = 0
-    speculative_wins: int = 0
-    speculative_losses: int = 0
-    duplicate_commits: int = 0
-    dist_local_fallbacks: int = 0
-    streamed: bool = False
-    stream_windows: int = 0
-    peak_window_bytes: int = 0
-    shards_spilled: int = 0
-    spill_bytes: int = 0
-    spill_fallbacks: int = 0
-    program: Optional["MachineProgram"] = None
-
-    @property
-    def fault_events(self) -> int:
-        """Total recovery events — nonzero iff the run degraded
-        anywhere (the CLI prints its ``faults:`` line exactly then).
-        Clean-run distributed counters (workers, granted leases,
-        speculation outcomes) are excluded; reclaims, deaths and missed
-        heartbeats are degradation and count."""
-        return (
-            self.shard_retries
-            + self.shards_salvaged
-            + self.pool_restarts
-            + self.shard_timeouts
-            + self.cache_write_failures
-            + int(self.cache_degraded)
-            + self.leases_reclaimed
-            + self.worker_deaths
-            + self.heartbeats_missed
-            + self.spill_fallbacks
         )
 
 
@@ -1356,6 +1206,49 @@ def _spooled_windows(polygons, field_size: Optional[float]):
             pass
 
 
+@dataclass
+class _ContainedStore:
+    """The one store-failure policy, for cache entries and spill blobs.
+
+    A computed result must never be lost to storage trouble: the first
+    store that raises ``OSError`` or reports a refused publish (ENOSPC,
+    read-only filesystem) degrades the *rest of the run* — ``degraded``
+    flips, ``warning`` is emitted once with the reason, and no further
+    store is attempted.  The caller keeps the result either way and
+    counts what the failure means to it.
+
+    ``stacklevel`` is the number of frames between ``warnings.warn``
+    and the pipeline call the warning should point at (this object's
+    own frame included).
+    """
+
+    warning: type
+    message: str
+    stacklevel: int
+    degraded: bool = False
+
+    def __call__(self, put, key: str, value) -> bool:
+        """``put(key, value)`` unless already degraded; True iff the
+        value was stored."""
+        if self.degraded:
+            return False
+        try:
+            stored = put(key, value)
+        except OSError as exc:
+            stored = False
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            reason = "the filesystem refused the store"
+        if not stored:
+            self.degraded = True
+            warnings.warn(
+                self.message.format(reason=reason),
+                self.warning,
+                stacklevel=self.stacklevel,
+            )
+        return bool(stored)
+
+
 class _HeldResults:
     """The hold-and-merge sink: every result stays resident, grouped by
     owner in arrival (row-major) order, for :func:`merge_shard_results`.
@@ -1407,7 +1300,13 @@ class StreamingExecution:
         self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
         self._reports: List[FractureReport] = []
         self._reference = 0.0
-        self._degraded = False
+        self._store = _ContainedStore(
+            SpillDegradedWarning,
+            "shard-result spilling degraded to the in-memory merge for "
+            "the rest of this run ({reason}); results are unaffected, but "
+            "memory is no longer bounded by one shard row",
+            stacklevel=5,
+        )
         self._closed = False
         self._spill_dir = (
             tempfile.mkdtemp(prefix="repro-spill-") if cache is None else None
@@ -1431,28 +1330,10 @@ class StreamingExecution:
         self._reference += result.reference_area
         self.total_shots += len(result.shots)
         payload = dumps_shard_result(result)
-        stored = False
-        if not self._degraded:
-            blob_key = self._spill_cache.spill_key_for(
-                key or f"stream-position:{len(self._entries)}"
-            )
-            try:
-                stored = self._spill_cache.put_blob(blob_key, payload)
-            except OSError as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            else:
-                reason = "the filesystem refused the store"
-            if not stored:
-                self._degraded = True
-                warnings.warn(
-                    "shard-result spilling degraded to the in-memory "
-                    f"merge for the rest of this run ({reason}); results "
-                    "are unaffected, but memory is no longer bounded by "
-                    "one shard row",
-                    SpillDegradedWarning,
-                    stacklevel=4,
-                )
-        if stored:
+        blob_key = self._spill_cache.spill_key_for(
+            key or f"stream-position:{len(self._entries)}"
+        )
+        if self._store(self._spill_cache.put_blob, blob_key, payload):
             stats.shards_spilled += 1
             stats.spill_bytes += len(payload)
             self._entries.append((blob_key, None))
@@ -1749,15 +1630,17 @@ class ShardedExecutor:
 
         Returns one :class:`ExecutionStats` per owner
         (``prefractured[owner]`` says whether its shards carry figures).
-        Per-shard counters land on the owning layout; run-level ones
-        (pool restarts, cache degradation, every distributed counter,
-        the window witness of a streamed sink) are replicated onto
-        every owner.  Distributed counters sum across windows, except
-        ``dist_workers`` which takes the maximum.
+        Per-shard counters land on the owning layout by plain
+        arithmetic; each window's run-level values (pool restarts,
+        cache degradation, every distributed counter, the window
+        witness of a streamed sink) are gathered on one record and
+        merged onto every owner by the schema's rules
+        (:meth:`~repro.core.stats.ExecutionStats.merge`).
 
-        Injected fault schedules key positions into the dispatched work
-        list of the *current window*, so a multi-window run restarts
-        them at 0 on every window.
+        Injected fault schedules key positions into the run's
+        dispatched work list: each window sees the plan rebased by the
+        shards dispatched before it, so a plan means the same thing
+        however the run is windowed.
         """
         config = (self.fracturer, self.corrector, self.psf)
         faults = self.faults.arm() if self.faults is not None else None
@@ -1778,7 +1661,15 @@ class ShardedExecutor:
             )
             for figures in prefractured
         ]
-        degraded = False
+        kernel = [KernelFallbacks() for _ in tallies]
+        store = _ContainedStore(
+            CacheDegradedWarning,
+            "shard cache degraded to read-only for the rest of this run "
+            "({reason}); results are unaffected, but uncached shards will "
+            "be recomputed by later runs",
+            stacklevel=4,
+        )
+        dispatched = 0
         for shards, owners, window_bytes in windows:
             keys: List[Optional[str]] = [None] * len(shards)
             results: List[Optional[ShardResult]] = [None] * len(shards)
@@ -1789,9 +1680,8 @@ class ShardedExecutor:
                 keys = [cache.key_for(shard, *config) for shard in shards]
                 for i, key in enumerate(keys):
                     stats = tallies[owners[i]]
-                    before = cache.stats.evictions
-                    results[i] = cache.get(key)
-                    stats.cache_evictions += cache.stats.evictions - before
+                    results[i], evicted = cache.lookup(key)
+                    stats.cache_evictions += evicted
                     if results[i] is not None:
                         stats.cache_hits += 1
                         if tick is not None:
@@ -1802,39 +1692,18 @@ class ShardedExecutor:
                 config,
                 workers,
                 tick,
-                faults,
+                faults.rebased(dispatched) if faults is not None else None,
                 [keys[i] for i in pending] if cache is not None else None,
             )
+            dispatched += len(pending)
             for i, result in zip(pending, computed):
                 results[i] = result
                 if cache is None:
                     continue
                 stats = tallies[owners[i]]
                 stats.cache_misses += 1
-                if degraded:
-                    continue
-                # Contain store faults: the first failed put (ENOSPC,
-                # read-only filesystem) degrades the *run* to cache
-                # read-only mode with one warning — a computed result
-                # must never be lost to cache trouble.
-                try:
-                    stored = cache.put(keys[i], result)
-                except OSError as exc:
-                    stored = False
-                    reason = f"{type(exc).__name__}: {exc}"
-                else:
-                    reason = "the filesystem refused the store"
-                if stored is False:
+                if not store.degraded and not store(cache.put, keys[i], result):
                     stats.cache_write_failures += 1
-                    degraded = True
-                    warnings.warn(
-                        "shard cache degraded to read-only for the rest "
-                        f"of this run ({reason}); results are "
-                        "unaffected, but uncached shards will be "
-                        "recomputed by later runs",
-                        CacheDegradedWarning,
-                        stacklevel=3,
-                    )
             # The recovery log indexes the dispatched sub-list.
             recovery = recovery.rekeyed(pending)
             for i, count in recovery.retries.items():
@@ -1848,30 +1717,21 @@ class ShardedExecutor:
                 stats.shard_count += 1
                 if result.shots:
                     stats.occupied_shards += 1
-                fallbacks = result.kernel_fallbacks
-                stats.kernel_coord_fallbacks += fallbacks.coord_limit
-                stats.kernel_slab_fallbacks += fallbacks.rational_slab
-                stats.kernel_fallbacks += fallbacks.total()
+                kernel[owner].add(result.kernel_fallbacks)
                 window_bytes += sink.add(owner, key, result, stats)
+            window = ExecutionStats(
+                parallel=pooled,
+                pool_restarts=recovery.pool_restarts,
+                cache_degraded=store.degraded,
+                stream_windows=int(sink.streamed),
+                peak_window_bytes=window_bytes,
+            )
+            if dist is not None:
+                window.fold(dist)
             for stats in tallies:
-                stats.parallel = stats.parallel or pooled
-                stats.pool_restarts += recovery.pool_restarts
-                stats.cache_degraded = degraded
-                if sink.streamed:
-                    stats.stream_windows += 1
-                    stats.peak_window_bytes = max(
-                        stats.peak_window_bytes, window_bytes
-                    )
-                if dist is not None:
-                    stats.dist_workers = max(stats.dist_workers, dist.workers)
-                    stats.leases_granted += dist.leases_granted
-                    stats.leases_reclaimed += dist.leases_reclaimed
-                    stats.worker_deaths += dist.worker_deaths
-                    stats.heartbeats_missed += dist.heartbeats_missed
-                    stats.speculative_wins += dist.speculative_wins
-                    stats.speculative_losses += dist.speculative_losses
-                    stats.duplicate_commits += dist.duplicate_commits
-                    stats.dist_local_fallbacks += dist.local_fallbacks
+                stats.merge(window, scope="run")
+        for stats, fallbacks in zip(tallies, kernel):
+            stats.fold(fallbacks)
         return tallies
 
     # -- resident layouts -------------------------------------------------
@@ -1996,9 +1856,6 @@ class ShardedExecutor:
           union needs the whole layout resident.  The ``"warn"``
           advisory check is skipped (it is pairwise across shards and
           purely advisory; it never changes bytes).
-        * Injected fault schedules (chaos testing) key positions per
-          window, not per run — the work-list position restarts at 0 on
-          every shard row.
         * Results are spilled: with a configured cache they land in its
           content-addressed blob family (and stay there — concurrent
           identical runs may share them); without one a private spill

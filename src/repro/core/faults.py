@@ -7,7 +7,11 @@ module is that harness: a :class:`FaultPlan` describes *exactly* which
 shard attempts misbehave and how, keyed by ``(position, attempt)`` —
 the shard's 0-based index in the run's computed-work list and the
 0-based dispatch attempt — with no wall-clock or RNG anywhere in the
-schedule, so a chaos test that passes once passes always.
+schedule, so a chaos test that passes once passes always.  Positions
+are run-global: a run that dispatches its work in several windows
+(streamed execution) hands each window the plan rebased by the shards
+dispatched before it (:meth:`FaultPlan.rebased`), so one plan means
+the same thing resident, streamed or distributed.
 
 Fault kinds
 -----------
@@ -63,7 +67,7 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import FrozenSet, Optional, Tuple
 
 #: Environment variable carrying a JSON fault plan into CLI runs and
@@ -107,6 +111,13 @@ def _pairs(value, kind: str) -> FrozenSet[Tuple[int, int]]:
     return frozenset(pairs)
 
 
+def _schedule(family: str):
+    """A ``(position, attempt)`` fault kind of ``family`` — ``"shard"``
+    (fired by :meth:`FaultPlan.fire`) or ``"network"`` (consulted by the
+    worker daemon).  The field list is the only list of kinds."""
+    return field(default=frozenset(), metadata={"family": family})
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A reproducible schedule of injected faults.
@@ -130,36 +141,56 @@ class FaultPlan:
             same schedule complete instead of killing the run.
     """
 
-    kill_worker: FrozenSet[Tuple[int, int]] = frozenset()
-    transient: FrozenSet[Tuple[int, int]] = frozenset()
-    hang: FrozenSet[Tuple[int, int]] = frozenset()
-    permanent: FrozenSet[Tuple[int, int]] = frozenset()
+    kill_worker: FrozenSet[Tuple[int, int]] = _schedule("shard")
+    transient: FrozenSet[Tuple[int, int]] = _schedule("shard")
+    hang: FrozenSet[Tuple[int, int]] = _schedule("shard")
+    permanent: FrozenSet[Tuple[int, int]] = _schedule("shard")
     enospc_puts: FrozenSet[int] = frozenset()
-    dead_worker: FrozenSet[Tuple[int, int]] = frozenset()
-    drop_conn: FrozenSet[Tuple[int, int]] = frozenset()
-    late_heartbeat: FrozenSet[Tuple[int, int]] = frozenset()
-    duplicate_commit: FrozenSet[Tuple[int, int]] = frozenset()
+    dead_worker: FrozenSet[Tuple[int, int]] = _schedule("network")
+    drop_conn: FrozenSet[Tuple[int, int]] = _schedule("network")
+    late_heartbeat: FrozenSet[Tuple[int, int]] = _schedule("network")
+    duplicate_commit: FrozenSet[Tuple[int, int]] = _schedule("network")
     hang_seconds: float = 60.0
     coordinator_pid: Optional[int] = None
+
+    @classmethod
+    def _kinds(cls, family: Optional[str] = None) -> Tuple[str, ...]:
+        """The ``(position, attempt)`` kinds (of one family, or all)."""
+        return tuple(
+            f.name
+            for f in fields(cls)
+            if f.metadata and family in (None, f.metadata["family"])
+        )
 
     def arm(self) -> "FaultPlan":
         """Bind the plan to the current process as the coordinator."""
         return replace(self, coordinator_pid=os.getpid())
 
-    @property
-    def any_shard_faults(self) -> bool:
-        return bool(
-            self.kill_worker or self.transient or self.hang or self.permanent
+    def rebased(self, dispatched: int) -> "FaultPlan":
+        """The plan as a work list starting ``dispatched`` shards into
+        the run sees it: every ``(position, attempt)`` kind shifted
+        down, entries already behind the list dropped.  This is what
+        keeps positions run-global when a run dispatches its work in
+        several windows."""
+        return replace(
+            self,
+            **{
+                kind: frozenset(
+                    (position - dispatched, attempt)
+                    for position, attempt in getattr(self, kind)
+                    if position >= dispatched
+                )
+                for kind in self._kinds()
+            },
         )
 
     @property
+    def any_shard_faults(self) -> bool:
+        return any(getattr(self, kind) for kind in self._kinds("shard"))
+
+    @property
     def any_network_faults(self) -> bool:
-        return bool(
-            self.dead_worker
-            or self.drop_conn
-            or self.late_heartbeat
-            or self.duplicate_commit
-        )
+        return any(getattr(self, kind) for kind in self._kinds("network"))
 
     def fire(self, position: int, attempt: int) -> None:
         """Raise/kill/hang if the schedule names this shard attempt.
@@ -200,18 +231,7 @@ class FaultPlan:
                 f"fault plan must be a JSON object, "
                 f"got {type(payload).__name__}"
             )
-        known = {
-            "kill_worker",
-            "transient",
-            "hang",
-            "permanent",
-            "enospc_puts",
-            "hang_seconds",
-            "dead_worker",
-            "drop_conn",
-            "late_heartbeat",
-            "duplicate_commit",
-        }
+        known = {f.name for f in fields(cls)} - {"coordinator_pid"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
@@ -219,16 +239,7 @@ class FaultPlan:
                 f"valid keys are {', '.join(sorted(known))}"
             )
         kwargs = {}
-        for kind in (
-            "kill_worker",
-            "transient",
-            "hang",
-            "permanent",
-            "dead_worker",
-            "drop_conn",
-            "late_heartbeat",
-            "duplicate_commit",
-        ):
+        for kind in cls._kinds():
             if kind in payload:
                 kwargs[kind] = _pairs(payload[kind], kind)
         if "enospc_puts" in payload:

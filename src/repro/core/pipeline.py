@@ -27,10 +27,7 @@ from typing import (
 from repro.core.cache import ShardCache
 from repro.core.executor import ExecutionStats, RetryPolicy, ShardedExecutor
 from repro.core.faults import FaultPlan, FaultyCache
-from repro.core.hierarchical import (
-    HierarchicalFractureResult,
-    fracture_hierarchical,
-)
+from repro.core.hierarchical import fracture_hierarchical
 from repro.core.job import MachineJob, _SHOT_PACK
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
@@ -78,21 +75,6 @@ def _program_slug(name: str) -> str:
         ch if (ch.isalnum() or ch in "._-") else "-" for ch in name
     ).strip("-.")
     return cleaned or "job"
-
-
-def _apply_hierarchy_stats(
-    stats: ExecutionStats, hier: HierarchicalFractureResult
-) -> None:
-    """Copy per-cell reuse counters onto the stats record of an
-    execution over that fracture's figures."""
-    stats.cells_fractured = hier.cells_fractured
-    stats.instances_reused = hier.instances_reused
-    stats.instances_fallback = hier.instances_fallback
-    # Cells-mode shards are prefractured, so the per-shard counters are
-    # zero; the kernel ran during the hierarchy walk instead.
-    stats.kernel_coord_fallbacks += hier.kernel_fallbacks.coord_limit
-    stats.kernel_slab_fallbacks += hier.kernel_fallbacks.rational_slab
-    stats.kernel_fallbacks += hier.kernel_fallbacks.total()
 
 
 @dataclass
@@ -602,7 +584,11 @@ class PreparationPipeline:
         for i, (item, outcome) in enumerate(zip(items, outcomes)):
             _, _, inferred, source_polygons, hier = item
             if hier is not None:
-                _apply_hierarchy_stats(outcome.stats, hier)
+                # Cells-mode shards are prefractured, so their per-shard
+                # kernel counters are zero; the kernel ran during the
+                # hierarchy walk instead.
+                outcome.stats.fold(hier)
+                outcome.stats.fold(hier.kernel_fallbacks)
             job = MachineJob(
                 outcome.shots,
                 base_dose=self.base_dose,

@@ -96,8 +96,8 @@ class PrepServer(ThreadingHTTPServer):
             "pool": worker_pool_status(),
             "cache": cache_stats,
             "jobs": self.store.counts(),
-            "faults": self.store.fault_totals(),
-            "dist": self.store.dist_totals(),
+            "faults": self.store.totals("faults"),
+            "dist": self.store.totals("dist"),
         }
 
 

@@ -20,6 +20,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.core.stats import ExecutionStats
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.schemas import JobSpec
 
@@ -83,43 +85,37 @@ class Job:
 
 
 class JobStore:
-    """Thread-safe in-memory registry of every job the server has seen."""
+    """Thread-safe in-memory registry of every job the server has seen.
 
-    #: Every fault counter the store aggregates across jobs — the
-    #: ``faults`` section of ``GET /stats`` always carries all keys.
-    FAULT_KEYS = (
-        "shard_retries",
-        "shards_salvaged",
-        "pool_restarts",
-        "shard_timeouts",
-        "cache_write_failures",
-        "cache_evictions",
-        "spill_fallbacks",
-        "jobs_retried",
-        "job_timeouts",
-        "cancelled_while_running",
-    )
+    It also keeps the server-wide run totals behind ``GET /stats``: one
+    :class:`~repro.core.stats.ExecutionStats` every finished run is
+    merged into, read back through the schema's ``totals`` sections —
+    no counter is named here.
+    """
 
-    #: Distributed-scheduling counters aggregated across jobs — the
-    #: ``dist`` section of ``GET /stats`` always carries all keys.
-    DIST_KEYS = (
-        "leases_granted",
-        "leases_reclaimed",
-        "worker_deaths",
-        "heartbeats_missed",
-        "speculative_wins",
-        "speculative_losses",
-        "duplicate_commits",
-        "dist_local_fallbacks",
-        "distributed_jobs",
-    )
+    #: Events only the service can count (whole-job retries, timeouts,
+    #: cancels, how many jobs ran distributed), by ``GET /stats``
+    #: section.  Everything else in a section is an engine counter the
+    #: stats schema assigns to it (``stat(..., totals=section)``).
+    SERVICE_KEYS = {
+        "faults": ("jobs_retried", "job_timeouts", "cancelled_while_running"),
+        "dist": ("distributed_jobs",),
+    }
+
+    #: The keys of the ``faults`` / ``dist`` sections of ``GET /stats``
+    #: (always all present): schema-declared, then service-only.
+    FAULT_KEYS = (*ExecutionStats().select("totals", "faults"), *SERVICE_KEYS["faults"])
+    DIST_KEYS = (*ExecutionStats().select("totals", "dist"), *SERVICE_KEYS["dist"])
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._sequence = 0
-        self._fault_totals: Dict[str, int] = {k: 0 for k in self.FAULT_KEYS}
-        self._dist_totals: Dict[str, int] = {k: 0 for k in self.DIST_KEYS}
+        self._run_totals = ExecutionStats()
+        self._service_totals = {
+            section: dict.fromkeys(keys, 0)
+            for section, keys in self.SERVICE_KEYS.items()
+        }
 
     # -- creation / lookup -------------------------------------------------
 
@@ -269,31 +265,26 @@ class JobStore:
 
     # -- fault accounting --------------------------------------------------
 
-    def record_faults(self, counters: Dict[str, int]) -> None:
-        """Fold one run's recovery counters into the server-wide
-        totals (unknown keys and zero values are ignored)."""
+    def record_run(self, stats: ExecutionStats) -> None:
+        """Fold one finished run's statistics into the server-wide
+        totals, by the schema's merge rules."""
         with self._lock:
-            for key, value in counters.items():
-                if key in self._fault_totals and isinstance(value, int):
-                    self._fault_totals[key] += value
+            self._run_totals.merge(stats)
 
-    def fault_totals(self) -> Dict[str, int]:
-        """A copy of the server-wide fault counters (all keys present)."""
+    def count(self, section: str, key: str) -> None:
+        """Count one service-only event (a :data:`SERVICE_KEYS` entry)."""
         with self._lock:
-            return dict(self._fault_totals)
+            self._service_totals[section][key] += 1
 
-    def record_dist(self, counters: Dict[str, int]) -> None:
-        """Fold one distributed run's scheduling counters into the
-        server-wide totals (unknown keys and non-ints are ignored)."""
+    def totals(self, section: str) -> Dict[str, int]:
+        """The ``section`` (``"faults"``/``"dist"``) body of ``GET
+        /stats``: the schema's counters for it summed over every run,
+        plus the service-only events (all keys always present)."""
         with self._lock:
-            for key, value in counters.items():
-                if key in self._dist_totals and isinstance(value, int):
-                    self._dist_totals[key] += value
-
-    def dist_totals(self) -> Dict[str, int]:
-        """A copy of the server-wide distributed counters."""
-        with self._lock:
-            return dict(self._dist_totals)
+            return {
+                **self._run_totals.select("totals", section),
+                **self._service_totals[section],
+            }
 
     def update_progress(self, job_id: str, done: int, total: int) -> None:
         """Per-shard progress from the execution engine (monotonic;

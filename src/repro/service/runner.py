@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.cache import ShardCache
-from repro.core.executor import BackoffWaiter, ExecutionStats
+from repro.core.executor import BackoffWaiter, RetryPolicy
 from repro.service.jobs import Job, JobStore
 
 
@@ -31,62 +31,6 @@ class JobCancelled(Exception):
 
 class JobTimeoutError(Exception):
     """Raised inside a run when the job's wall-clock budget expires."""
-
-
-def _stats_view(stats: Optional[ExecutionStats]) -> dict:
-    """The JSON view of one run's :class:`ExecutionStats`."""
-    if stats is None:
-        return {}
-    view = {
-        "shard_count": stats.shard_count,
-        "occupied_shards": stats.occupied_shards,
-        "workers": stats.workers,
-        "parallel": stats.parallel,
-        "field_size": stats.field_size,
-        "cache_enabled": stats.cache_enabled,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "hierarchy": stats.hierarchy,
-        "kernel_fallbacks": stats.kernel_fallbacks,
-        "kernel_coord_fallbacks": stats.kernel_coord_fallbacks,
-        "kernel_slab_fallbacks": stats.kernel_slab_fallbacks,
-        "dispatch": stats.dispatch,
-        "faults": {
-            "shard_retries": stats.shard_retries,
-            "shards_salvaged": stats.shards_salvaged,
-            "pool_restarts": stats.pool_restarts,
-            "shard_timeouts": stats.shard_timeouts,
-            "cache_write_failures": stats.cache_write_failures,
-            "cache_degraded": stats.cache_degraded,
-            "cache_evictions": stats.cache_evictions,
-        },
-    }
-    if stats.streamed:
-        view["memory"] = {
-            "streamed": True,
-            "stream_windows": stats.stream_windows,
-            "peak_window_bytes": stats.peak_window_bytes,
-            "shards_spilled": stats.shards_spilled,
-            "spill_bytes": stats.spill_bytes,
-            "spill_fallbacks": stats.spill_fallbacks,
-        }
-    if stats.hierarchy == "cells":
-        view["cells_fractured"] = stats.cells_fractured
-        view["instances_reused"] = stats.instances_reused
-        view["instances_fallback"] = stats.instances_fallback
-    if stats.dispatch == "distributed":
-        view["dist"] = {
-            "workers": stats.dist_workers,
-            "leases_granted": stats.leases_granted,
-            "leases_reclaimed": stats.leases_reclaimed,
-            "worker_deaths": stats.worker_deaths,
-            "heartbeats_missed": stats.heartbeats_missed,
-            "speculative_wins": stats.speculative_wins,
-            "speculative_losses": stats.speculative_losses,
-            "duplicate_commits": stats.duplicate_commits,
-            "local_fallbacks": stats.dist_local_fallbacks,
-        }
-    return view
 
 
 class JobRunner:
@@ -130,9 +74,13 @@ class JobRunner:
         per-job wall-clock ``timeout`` are observed at shard
         boundaries via the progress callback.  A cancelled run lands
         the job in ``cancelled`` here; a timed-out run raises (never
-        retried) and the queue worker records the failure; any other
-        exception re-runs the job up to ``spec.retries`` extra times
-        before propagating.
+        retried) and the queue worker records the failure.  Any other
+        exception is put to the engine's one classifier
+        (:meth:`~repro.core.executor.RetryPolicy.is_transient`): an
+        infrastructure fault re-runs the job up to ``spec.retries``
+        extra times before propagating; a deterministic failure (bad
+        shard data, an injected permanent fault) cannot change on a
+        re-run and propagates at once.
         """
         spec = job.spec
         while True:
@@ -142,15 +90,15 @@ class JobRunner:
                 return
             except JobCancelled:
                 self.store.to_cancelled_running(job.id)
-                self.store.record_faults({"cancelled_while_running": 1})
+                self.store.count("faults", "cancelled_while_running")
                 return
             except JobTimeoutError:
-                self.store.record_faults({"job_timeouts": 1})
+                self.store.count("faults", "job_timeouts")
                 raise
-            except Exception:
-                if attempt > spec.retries:
+            except Exception as exc:
+                if attempt > spec.retries or not RetryPolicy.is_transient(exc):
                     raise
-                self.store.record_faults({"jobs_retried": 1})
+                self.store.count("faults", "jobs_retried")
 
     def _run_once(self, job: Job) -> None:
         """One attempt: run the pipeline and mark the job done.
@@ -199,33 +147,18 @@ class JobRunner:
             job_path=job_path,
         )
 
+        execution = result.execution.to_json()
         summary = {
             "digest": result.job.digest(),
             "figure_count": result.fracture_report.figure_count,
             "source_polygons": result.source_polygons,
             "corrected": result.corrected,
             "job_bytes": result.job_bytes,
-            "execution": _stats_view(result.execution),
+            "execution": execution,
         }
-        stats = result.execution
-        if stats is not None:
-            # The store's declared keys are the counter list; keys the
-            # engine does not count (whole-job retries, timeouts,
-            # cancels) are recorded where they happen.
-            self.store.record_faults(
-                {
-                    key: getattr(stats, key)
-                    for key in JobStore.FAULT_KEYS
-                    if hasattr(stats, key)
-                }
-            )
-            if stats.dispatch == "distributed":
-                counters = {
-                    key: getattr(stats, key)
-                    for key in JobStore.DIST_KEYS
-                    if hasattr(stats, key)
-                }
-                self.store.record_dist({**counters, "distributed_jobs": 1})
+        self.store.record_run(result.execution)
+        if "dist" in execution:
+            self.store.count("dist", "distributed_jobs")
         program = result.machine_program
         if program is not None:
             summary["program"] = {

@@ -129,12 +129,14 @@ def parse_job_spec(payload) -> JobSpec:
 def job_view(job: Job) -> dict:
     """The JSON representation served by ``GET /jobs/{id}``.
 
-    A done job's ``result.execution`` carries the run's
-    :class:`~repro.core.executor.ExecutionStats` view, including the
-    fast-kernel degradation counters (``kernel_fallbacks``, split into
-    ``kernel_coord_fallbacks`` / ``kernel_slab_fallbacks``) — a nonzero
-    value means part of the job ran on a slower exact path even though
-    the recipe asked for the fast kernel.
+    A done job's ``result.execution`` is
+    :meth:`ExecutionStats.to_json() <repro.core.stats.ExecutionStats.to_json>`
+    — generated from the stats schema, not listed here: run-level keys
+    at the top (the fast-kernel degradation counters among them — a
+    nonzero value means part of the job ran on a slower exact path even
+    though the recipe asked for the fast kernel), ``faults`` always,
+    ``memory`` for a streamed run, ``dist`` for a distributed one and
+    the per-cell reuse counters for ``hierarchy="cells"``.
     """
     view = {
         "id": job.id,

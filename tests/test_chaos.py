@@ -114,6 +114,20 @@ class TestFaultPlan:
         assert plan.coordinator_pid is None
         assert plan.any_shard_faults
 
+    def test_rebased_shifts_every_pair_kind(self):
+        plan = FaultPlan(
+            transient=frozenset({(0, 0), (3, 1)}),
+            dead_worker=frozenset({(4, 0)}),
+            enospc_puts=frozenset({2}),
+        )
+        later = plan.rebased(3)
+        # Positions behind the window drop out; the rest shift down.
+        assert later.transient == frozenset({(0, 1)})
+        assert later.dead_worker == frozenset({(1, 0)})
+        # Store ordinals are not work-list positions.
+        assert later.enospc_puts == frozenset({2})
+        assert plan.rebased(0) == plan
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -228,6 +242,28 @@ class TestCacheFaultScenarios:
         assert dumps_job(warm.job) == clean
         # The evicted entry was recomputed and re-stored.
         assert len(cache_entry_paths(cache_dir)) == len(entries)
+
+    def test_concurrent_eviction_is_not_charged_to_this_run(self, tmp_path):
+        """The service shares one ShardCache between concurrent jobs: a
+        corrupt entry another job evicts in the middle of this run's
+        lookup moves the shared counter but not this run's tally."""
+        foreign_key = "f" * 64
+
+        class SharedCache(ShardCache):
+            def lookup(self, key):
+                if self.path_for(foreign_key).exists():
+                    # Another job's lookup lands inside this one.
+                    assert super().lookup(foreign_key) == (None, True)
+                return super().lookup(key)
+
+        cache = SharedCache(tmp_path / "cache")
+        cache.path_for(foreign_key).parent.mkdir(parents=True)
+        cache.path_for(foreign_key).write_bytes(b"garbage")
+        pipeline = PreparationPipeline(field_size=FIELD_SIZE, cache=cache)
+        stats = pipeline.run(grating_library()).execution
+        assert cache.stats.evictions == 1
+        assert stats.cache_evictions == 0
+        assert stats.cache_misses == stats.shard_count
 
     def test_enospc_degrades_to_read_only_with_one_warning(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -1,10 +1,13 @@
 """Tests for the parallel field-sharded execution engine."""
 
+import dataclasses
+import re
 import warnings
 
 import pytest
 
 from repro.core.executor import (
+    ExecutionStats,
     ShardedExecutor,
     ShardOverlapWarning,
     merge_shard_results,
@@ -12,6 +15,7 @@ from repro.core.executor import (
     _process_shard,
 )
 from repro.core.pipeline import PreparationPipeline
+from repro.core.stats import stat
 from repro.fracture.quality import analyze_figures, merge_reports
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
@@ -672,3 +676,212 @@ class TestWarmPoolFailureConsistency:
             monkeypatch.undo()
             ex._release_pool()
             ex.shutdown_worker_pool()
+
+
+# ---------------------------------------------------------------------------
+# The stats schema is the single source of every counter's plumbing
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class _WithWidget(ExecutionStats):
+    """The schema plus one fault counter, declared like any other."""
+
+    widget_faults: int = stat(0, "faults", fault=True, totals="faults")
+
+
+#: One distinct value per counter, so a swapped or dropped field shows.
+_POPULATED = dict(
+    shard_count=12,
+    occupied_shards=11,
+    workers=4,
+    parallel=True,
+    field_size=25.0,
+    cache_enabled=True,
+    cache_hits=7,
+    cache_misses=5,
+    cells_fractured=3,
+    instances_reused=40,
+    instances_fallback=2,
+    kernel_fallbacks=9,
+    kernel_coord_fallbacks=6,
+    kernel_slab_fallbacks=3,
+    shard_retries=13,
+    shards_salvaged=14,
+    pool_restarts=15,
+    shard_timeouts=16,
+    cache_write_failures=17,
+    cache_degraded=True,
+    cache_evictions=18,
+    dist_workers=19,
+    leases_granted=20,
+    leases_reclaimed=21,
+    worker_deaths=22,
+    heartbeats_missed=23,
+    speculative_wins=24,
+    speculative_losses=25,
+    duplicate_commits=26,
+    dist_local_fallbacks=27,
+    stream_windows=28,
+    peak_window_bytes=29000,
+    shards_spilled=30,
+    spill_bytes=31000,
+    spill_fallbacks=32,
+)
+
+#: The mode switches of the four record kinds.
+_MODES = {
+    "resident": {},
+    "streamed": {"streamed": True},
+    "cells": {"hierarchy": "cells"},
+    "distributed": {"dispatch": "distributed"},
+}
+
+#: Frozen contract: the service's ``execution`` view as the hand-written
+#: ``_stats_view`` produced it before the schema generated it.  The part
+#: every record has, then what each mode adds.
+_VIEW_COMMON = {
+    "shard_count": 12,
+    "occupied_shards": 11,
+    "workers": 4,
+    "parallel": True,
+    "field_size": 25.0,
+    "cache_enabled": True,
+    "cache_hits": 7,
+    "cache_misses": 5,
+    "kernel_fallbacks": 9,
+    "kernel_coord_fallbacks": 6,
+    "kernel_slab_fallbacks": 3,
+    "faults": {
+        "shard_retries": 13,
+        "shards_salvaged": 14,
+        "pool_restarts": 15,
+        "shard_timeouts": 16,
+        "cache_write_failures": 17,
+        "cache_degraded": True,
+        "cache_evictions": 18,
+    },
+}
+_VIEW = {
+    "resident": {"hierarchy": "flat", "dispatch": "local"},
+    "streamed": {
+        "hierarchy": "flat",
+        "dispatch": "local",
+        "memory": {
+            "streamed": True,
+            "stream_windows": 28,
+            "peak_window_bytes": 29000,
+            "shards_spilled": 30,
+            "spill_bytes": 31000,
+            "spill_fallbacks": 32,
+        },
+    },
+    "cells": {
+        "hierarchy": "cells",
+        "dispatch": "local",
+        "cells_fractured": 3,
+        "instances_reused": 40,
+        "instances_fallback": 2,
+    },
+    "distributed": {
+        "hierarchy": "flat",
+        "dispatch": "distributed",
+        "dist": {
+            "workers": 19,
+            "leases_granted": 20,
+            "leases_reclaimed": 21,
+            "worker_deaths": 22,
+            "heartbeats_missed": 23,
+            "speculative_wins": 24,
+            "speculative_losses": 25,
+            "duplicate_commits": 26,
+            "local_fallbacks": 27,
+        },
+    },
+}
+
+#: Frozen contract: the CLI block as ``_print_result`` printed it.
+_SHARDS = "  shards:    11/12 occupied (25 µm fields, 4 workers, parallel)"
+_CACHE = "  cache:     7 hits, 5 misses (58% hit rate), 18 evicted"
+_FAULTS = (
+    "  faults:    13 shard retries, 14 salvaged, 15 pool restarts, "
+    "16 timeouts, 17 cache write failures (cache degraded to read-only)"
+)
+_KERNEL = "  kernel:    9 fast-path fallbacks (6 coord-limit, 3 rational-slab)"
+_LINES = {
+    "resident": [_SHARDS, _CACHE, _FAULTS, _KERNEL],
+    "streamed": [
+        _SHARDS,
+        _CACHE,
+        "  memory:    streamed in 28 windows, peak 29,000 bytes resident, "
+        "30 shards spilled (31,000 bytes), 32 held resident (spill degraded)",
+        _FAULTS,
+        _KERNEL,
+    ],
+    "cells": [
+        _SHARDS,
+        "  hierarchy: 3 cells fractured, 40 instances reused, 2 fallback",
+        _CACHE,
+        _FAULTS,
+        _KERNEL,
+    ],
+    "distributed": [
+        _SHARDS,
+        _CACHE,
+        _FAULTS,
+        "  dist:      19 workers, 20 leases granted, 21 reclaimed, 22 deaths, "
+        "23 heartbeats missed, 24/25 speculative wins/losses, "
+        "26 duplicate commits, 27 local fallbacks",
+        _KERNEL,
+    ],
+}
+
+
+class TestStatsSchema:
+    def test_executor_reexports_the_schema(self):
+        from repro.core import executor, stats
+
+        assert executor.ExecutionStats is stats.ExecutionStats
+
+    def test_new_counter_is_one_declaration(self):
+        total = _WithWidget(shard_retries=1, widget_faults=2)
+        assert total.fault_events == 3
+        total.merge(_WithWidget(widget_faults=3))
+        assert total.widget_faults == 5
+        assert total.to_json()["faults"]["widget_faults"] == 5
+        # What GET /stats would report under ``faults``.
+        assert total.select("totals", "faults")["widget_faults"] == 5
+        assert "widget_faults" not in ExecutionStats().to_json()["faults"]
+
+    @pytest.mark.parametrize("kind", sorted(_MODES))
+    def test_json_view_matches_frozen_contract(self, kind):
+        stats = ExecutionStats(**_POPULATED, **_MODES[kind])
+        assert stats.to_json() == {**_VIEW_COMMON, **_VIEW[kind]}
+
+    @pytest.mark.parametrize("kind", sorted(_MODES))
+    def test_cli_block_matches_frozen_contract(self, kind):
+        stats = ExecutionStats(**_POPULATED, **_MODES[kind])
+        assert stats.lines() == _LINES[kind]
+
+    def test_clean_unsharded_run_prints_nothing(self):
+        assert ExecutionStats().lines() == []
+        assert ExecutionStats().fault_events == 0
+
+    def test_run_scope_merge_leaves_shard_counters(self):
+        tally = ExecutionStats(shard_count=4, cache_hits=2, stream_windows=1)
+        window = ExecutionStats(
+            shard_count=9, cache_hits=9, stream_windows=1, parallel=True
+        )
+        tally.merge(window, scope="run")
+        assert (tally.shard_count, tally.cache_hits) == (4, 2)
+        assert (tally.stream_windows, tally.parallel) == (2, True)
+
+    def test_every_field_is_declared_and_documented(self):
+        documented = set(
+            re.findall(r"^ {8}(\w+):", ExecutionStats.__doc__, re.MULTILINE)
+        )
+        for f in dataclasses.fields(ExecutionStats):
+            assert f.name in documented, f"{f.name} has no Attributes: entry"
+            if f.name != "program":
+                assert f.metadata.get("group"), f"{f.name} is outside the schema"
+        assert not ExecutionStats.__dataclass_fields__["program"].metadata

@@ -459,25 +459,34 @@ class TestStreamingPipeline:
         _assert_mode_parity(mat, res, tmp_path)
 
     def test_stats_parity_under_transient_fault(self, tmp_path):
-        # One shard row = one window, so the per-window restart of fault
-        # positions cannot fire the (0, 0) fault more than once.
-        library = generators.grating(pitch=2.0, duty=0.5, lines=12, length=3.0)
-        pipe = PreparationPipeline(
-            field_size=4.0,
-            machine="vsb",
-            faults=FaultPlan(transient=frozenset({(0, 0)})),
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-        )
-        mat = pipe.run(library, program_path=tmp_path / "mat.ebp")
-        res = pipe.run_streaming(
-            library,
-            program_path=tmp_path / "st.ebp",
-            job_path=tmp_path / "st.ebj",
-        )
-        assert mat.execution.shard_count > 1
-        assert res.execution.stream_windows == 1
-        assert mat.execution.shard_retries == 1
-        _assert_mode_parity(mat, res, tmp_path)
+        # Fault positions index the run's dispatched work list, so the
+        # (0, 0) fault fires once however many windows the run takes.
+        one_row = generators.grating(pitch=2.0, duty=0.5, lines=12, length=3.0)
+        multi_row = generators.fresnel_zone_plate()
+        for library, field_size, windows in (
+            (one_row, 4.0, 1),
+            (multi_row, FIELD_SIZE, 4),
+        ):
+            out = tmp_path / f"windows-{windows}"
+            out.mkdir()
+            clean = PreparationPipeline(field_size=field_size).run(library)
+            write_job(clean.job, out / "clean.ebj")
+            pipe = PreparationPipeline(
+                field_size=field_size,
+                machine="vsb",
+                faults=FaultPlan(transient=frozenset({(0, 0)})),
+                retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            )
+            mat = pipe.run(library, program_path=out / "mat.ebp")
+            res = pipe.run_streaming(
+                library, program_path=out / "st.ebp", job_path=out / "st.ebj"
+            )
+            assert mat.execution.shard_count > 1
+            assert res.execution.stream_windows == windows
+            assert mat.execution.shard_retries == 1
+            assert mat.execution.fault_events == res.execution.fault_events == 1
+            _assert_mode_parity(mat, res, out)
+            assert filecmp.cmp(out / "clean.ebj", out / "st.ebj", shallow=False)
 
     def test_run_many_mixed_batch_matches_single_runs(self, tmp_path):
         library = generators.memory_array(blocks=(2, 2))

@@ -450,6 +450,19 @@ class TestJobFaultKnobs:
         status, stats = client.get_json("/stats")
         assert stats["faults"]["jobs_retried"] == 1
 
+    def test_deterministic_failure_is_not_rerun(self, client, monkeypatch):
+        """``retries`` cover transient faults only: a permanent shard
+        fault is put to ``RetryPolicy.is_transient`` like everywhere
+        else, and re-running a pure function cannot change it."""
+        monkeypatch.setenv("REPRO_FAULTS", '{"permanent": [[0, 0]]}')
+        job_id = client.submit({"workload": "grating", "retries": 2})
+        view = client.wait(job_id)
+        assert view["state"] == "failed"
+        assert "InjectedFaultError" in view["error"]
+        assert view["attempts"] == 1
+        status, stats = client.get_json("/stats")
+        assert stats["faults"]["jobs_retried"] == 0
+
 
 class TestSchemas:
     def test_parse_round_trip(self):
