@@ -24,8 +24,11 @@ from typing import List, Optional
 from repro.analysis.tables import Table
 from repro.core.recipe import PrepRecipe
 from repro.layout import generators
-from repro.layout.gdsii import read_gdsii
 from repro.layout.stats import library_stats
+from repro.layout.stream import open_layout_stream
+
+
+_LAYOUT_FILE_HELP = "input layout file: GDSII stream, or CIF when named *.cif"
 
 
 def _worker_count(text: str) -> int:
@@ -188,7 +191,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    library = read_gdsii(args.gdsii)
+    with open_layout_stream(args.gdsii) as stream:
+        library = stream.materialize()
     stats = library_stats(library)
     print(f"library: {library.name}")
     print(f"  cells:                {stats.cell_count}")
@@ -388,13 +392,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_prep = sub.add_parser("prep", help="prepare a GDSII file for writing")
-    p_prep.add_argument("gdsii", help="input GDSII stream file")
+    p_prep = sub.add_parser("prep", help="prepare a layout file for writing")
+    p_prep.add_argument("gdsii", help=_LAYOUT_FILE_HELP)
     _add_common(p_prep)
     p_prep.set_defaults(func=cmd_prep)
 
-    p_stats = sub.add_parser("stats", help="hierarchy statistics of a GDSII file")
-    p_stats.add_argument("gdsii", help="input GDSII stream file")
+    p_stats = sub.add_parser("stats", help="hierarchy statistics of a layout file")
+    p_stats.add_argument("gdsii", help=_LAYOUT_FILE_HELP)
     p_stats.set_defaults(func=cmd_stats)
 
     p_demo = sub.add_parser("demo", help="run on a built-in workload")

@@ -11,26 +11,107 @@ from repro.fracture.base import Shot
 _SHOT_PACK = struct.Struct("!7d")
 
 
+class ShotFold:
+    """Everything a job reports about its shots, folded one at a time.
+
+    The one place the exact digest packing, the bounding box, the
+    exposure sums and the dose range are computed: a resident
+    :class:`MachineJob` folds its shot list once, the out-of-core
+    pipeline calls :meth:`add` as the shots stream past, and both get
+    bit-identical answers because every sum is the same left-to-right
+    loop over the same shot order.
+
+    Attributes:
+        base_dose: physical dose [µC/cm²] the job is built with.
+        count: shots folded so far.
+        pattern_area: Σ area_i [µm²].
+        dose_weighted_area: Σ dose_i · area_i.
+        dose_weighted_count: Σ dose_i.
+        bounding_box: ``(x0, y0, x1, y1)`` of the shots, all zero before
+            the first.
+        dose_range: ``(min, max)`` relative dose, zero before the first.
+    """
+
+    __slots__ = (
+        "base_dose",
+        "count",
+        "pattern_area",
+        "dose_weighted_area",
+        "dose_weighted_count",
+        "bounding_box",
+        "dose_range",
+        "_hash",
+    )
+
+    def __init__(self, base_dose: float = 1.0) -> None:
+        self.base_dose = float(base_dose)
+        self.count = 0
+        self.pattern_area = 0.0
+        self.dose_weighted_area = 0.0
+        self.dose_weighted_count = 0.0
+        self.bounding_box: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+        self.dose_range: Tuple[float, float] = (0.0, 0.0)
+        self._hash = hashlib.sha256(
+            _SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0)
+        )
+
+    def add(self, shot: Shot) -> None:
+        """Fold one shot (call in the job's shot order)."""
+        t = shot.trapezoid
+        dose = shot.dose
+        self._hash.update(
+            _SHOT_PACK.pack(
+                t.y_bottom,
+                t.y_top,
+                t.x_bottom_left,
+                t.x_bottom_right,
+                t.x_top_left,
+                t.x_top_right,
+                dose,
+            )
+        )
+        box = t.bounding_box()
+        if self.count:
+            x0, y0, x1, y1 = self.bounding_box
+            box = (min(x0, box[0]), min(y0, box[1]), max(x1, box[2]), max(y1, box[3]))
+            low, high = self.dose_range
+            self.dose_range = (min(low, dose), max(high, dose))
+        else:
+            self.dose_range = (dose, dose)
+        self.bounding_box = box
+        self.count += 1
+        area = shot.area()
+        self.pattern_area += area
+        self.dose_weighted_area += dose * area
+        self.dose_weighted_count += dose
+
+    def digest(self) -> str:
+        """SHA-256 over the base dose and every shot folded so far."""
+        return self._hash.hexdigest()
+
+    def job(self, name: str = "job") -> "MachineJob":
+        """The aggregate job of the folded shots (no resident shot list)."""
+        job = MachineJob(
+            [], base_dose=self.base_dose, name=name, bounding_box=self.bounding_box
+        )
+        job._fold = self
+        return job
+
+
 class MachineJob:
     """A writable job: shots plus exposure bookkeeping.
 
     Attributes:
         name: job identifier.
-        shots: fractured, dose-assigned figures.
+        shots: fractured, dose-assigned figures (treated as read-only
+            once the job is built: the accounting below is folded from
+            them once and cached).
         base_dose: physical dose [µC/cm²] that relative dose 1.0 means.
         bounding_box: chip extent ``(x0, y0, x1, y1)`` [µm]; defaults to
             the shot bounding box.
     """
 
-    __slots__ = (
-        "name",
-        "shots",
-        "base_dose",
-        "bounding_box",
-        "_aggregate",
-        "_digest",
-        "_dose_range",
-    )
+    __slots__ = ("name", "shots", "base_dose", "bounding_box", "_fold")
 
     def __init__(
         self,
@@ -44,21 +125,21 @@ class MachineJob:
         self.shots: List[Shot] = list(shots)
         self.base_dose = float(base_dose)
         self.name = name
-        self._aggregate: Optional[Tuple[int, float, float, float]] = None
-        self._digest: Optional[str] = None
-        self._dose_range: Optional[Tuple[float, float]] = None
-        if bounding_box is not None:
-            self.bounding_box = bounding_box
-        elif self.shots:
-            boxes = [s.trapezoid.bounding_box() for s in self.shots]
-            self.bounding_box = (
-                min(b[0] for b in boxes),
-                min(b[1] for b in boxes),
-                max(b[2] for b in boxes),
-                max(b[3] for b in boxes),
-            )
-        else:
-            self.bounding_box = (0.0, 0.0, 0.0, 0.0)
+        self._fold: Optional[ShotFold] = None
+        if bounding_box is None:
+            bounding_box = self._folded().bounding_box
+        self.bounding_box = bounding_box
+
+    def _folded(self) -> ShotFold:
+        """The job's :class:`ShotFold` — one pass over the resident
+        shots on first use, or the fold an aggregate job was built
+        from."""
+        if self._fold is None:
+            fold = ShotFold(self.base_dose)
+            for shot in self.shots:
+                fold.add(shot)
+            self._fold = fold
+        return self._fold
 
     @classmethod
     def synthetic(
@@ -78,51 +159,44 @@ class MachineJob:
         throughput studies can model multi-million-figure chips without
         materializing the shots.  ``dose_weighted_area`` /
         ``dose_weighted_count`` override the ``mean_dose``
-        approximation with exact sums — what the out-of-core pipeline
-        folds while streaming, so a streamed job's timing model matches
-        the materialized one bit for bit.
+        approximation with exact sums.
         """
         if figure_count < 0 or pattern_area < 0:
             raise ValueError("figure count and area must be non-negative")
-        job = cls([], base_dose=base_dose, name=name, bounding_box=bounding_box)
-        job._aggregate = (
-            int(figure_count),
-            float(pattern_area),
-            float(pattern_area) * mean_dose
+        fold = ShotFold(base_dose)
+        fold.count = int(figure_count)
+        fold.pattern_area = float(pattern_area)
+        fold.dose_weighted_area = (
+            fold.pattern_area * mean_dose
             if dose_weighted_area is None
-            else float(dose_weighted_area),
+            else float(dose_weighted_area)
+        )
+        fold.dose_weighted_count = (
             float(figure_count) * mean_dose
             if dose_weighted_count is None
-            else float(dose_weighted_count),
+            else float(dose_weighted_count)
         )
-        return job
+        fold.bounding_box = bounding_box
+        return fold.job(name)
 
     # -- accounting -------------------------------------------------------
 
     def figure_count(self) -> int:
         """Number of machine figures."""
-        if self._aggregate is not None:
-            return self._aggregate[0]
-        return len(self.shots)
+        return self._folded().count
 
     def pattern_area(self) -> float:
         """Exposed pattern area [µm²] (shots are disjoint by contract)."""
-        if self._aggregate is not None:
-            return self._aggregate[1]
-        return sum(s.area() for s in self.shots)
+        return self._folded().pattern_area
 
     def dose_weighted_area(self) -> float:
         """Σ dose_i · area_i — proportional to beam-on time on a vector
         machine."""
-        if self._aggregate is not None:
-            return self._aggregate[2]
-        return sum(s.dose * s.area() for s in self.shots)
+        return self._folded().dose_weighted_area
 
     def dose_weighted_count(self) -> float:
         """Σ dose_i — proportional to total flash time on a VSB machine."""
-        if self._aggregate is not None:
-            return self._aggregate[3]
-        return sum(s.dose for s in self.shots)
+        return self._folded().dose_weighted_count
 
     def chip_area(self) -> float:
         """Bounding-box area [µm²]."""
@@ -145,27 +219,10 @@ class MachineJob:
 
         Jobs assembled by the out-of-core pipeline carry the digest
         folded over the same packing while the shots streamed past
-        (``_digest``) — identical bytes hashed in identical order, never
-        an approximation.
+        (:class:`ShotFold`) — identical bytes hashed in identical
+        order, never an approximation.
         """
-        if self._digest is not None:
-            return self._digest
-        h = hashlib.sha256()
-        h.update(_SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0))
-        for s in self.shots:
-            t = s.trapezoid
-            h.update(
-                _SHOT_PACK.pack(
-                    t.y_bottom,
-                    t.y_top,
-                    t.x_bottom_left,
-                    t.x_bottom_right,
-                    t.x_top_left,
-                    t.x_top_right,
-                    s.dose,
-                )
-            )
-        return h.hexdigest()
+        return self._folded().digest()
 
     def portable_digest(self, sig_digits: int = 9) -> str:
         """Digest with values canonicalized to ``sig_digits`` significant
@@ -209,12 +266,7 @@ class MachineJob:
 
     def dose_range(self) -> Tuple[float, float]:
         """(min, max) relative dose over all shots."""
-        if self._dose_range is not None:
-            return self._dose_range
-        if not self.shots:
-            return (0.0, 0.0)
-        doses = [s.dose for s in self.shots]
-        return (min(doses), max(doses))
+        return self._folded().dose_range
 
     def __len__(self) -> int:
         return len(self.shots)

@@ -11,7 +11,6 @@ through one shared worker pool.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -28,7 +27,7 @@ from repro.core.cache import ShardCache
 from repro.core.executor import ExecutionStats, RetryPolicy, ShardedExecutor
 from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import fracture_hierarchical
-from repro.core.job import MachineJob, _SHOT_PACK
+from repro.core.job import MachineJob, ShotFold
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -714,15 +713,14 @@ class PreparationPipeline:
         """Assemble a streaming execution into a result, one shard at a
         time.
 
-        One pass over the spilled shard results folds everything the
-        materialized path reads off the resident shot list — bounding
-        box, exposure aggregates, dose range and the exact shot digest —
-        and (with ``job_path``) streams the ``.ebj`` records as it goes.
-        Every fold runs in the merged shot order, so the aggregates and
-        digest are bit-identical to the materialized job's.
+        One pass over the spilled shard results feeds each shot, in the
+        merged shot order, to the same :class:`~repro.core.job.ShotFold`
+        a resident job folds its shot list with — so bounding box,
+        exposure aggregates, dose range and digest are bit-identical to
+        the materialized job's — and (with ``job_path``) streams the
+        ``.ebj`` records as it goes.
         """
-        digest = hashlib.sha256()
-        digest.update(_SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0))
+        fold = ShotFold(self.base_dose)
         writer = None
         if job_path is not None:
             from repro.core.jobfile import JobFileWriter
@@ -730,63 +728,19 @@ class PreparationPipeline:
             writer = JobFileWriter(
                 job_path, execution.total_shots, base_dose=self.base_dose
             )
-        pattern_area = 0.0
-        dose_weighted_area = 0.0
-        dose_weighted_count = 0.0
-        bbox: Optional[List[float]] = None
-        dose_min: Optional[float] = None
-        dose_max: Optional[float] = None
         try:
             for result in execution.iter_results():
                 for shot in result.shots:
-                    t = shot.trapezoid
-                    digest.update(
-                        _SHOT_PACK.pack(
-                            t.y_bottom,
-                            t.y_top,
-                            t.x_bottom_left,
-                            t.x_bottom_right,
-                            t.x_top_left,
-                            t.x_top_right,
-                            shot.dose,
-                        )
-                    )
+                    fold.add(shot)
                     if writer is not None:
                         writer.write_shot(shot)
-                    box = t.bounding_box()
-                    if bbox is None:
-                        bbox = list(box)
-                    else:
-                        bbox[0] = min(bbox[0], box[0])
-                        bbox[1] = min(bbox[1], box[1])
-                        bbox[2] = max(bbox[2], box[2])
-                        bbox[3] = max(bbox[3], box[3])
-                    area = shot.area()
-                    pattern_area += area
-                    dose_weighted_area += shot.dose * area
-                    dose_weighted_count += shot.dose
-                    if dose_min is None or shot.dose < dose_min:
-                        dose_min = shot.dose
-                    if dose_max is None or shot.dose > dose_max:
-                        dose_max = shot.dose
             job_bytes = writer.close() if writer is not None else 0
         except BaseException:
             if writer is not None:
                 writer.abort()
             raise
-        job = MachineJob.synthetic(
-            figure_count=execution.total_shots,
-            pattern_area=pattern_area,
-            bounding_box=(tuple(bbox) if bbox is not None else (0.0, 0.0, 0.0, 0.0)),
-            base_dose=self.base_dose,
-            name=name,
-            dose_weighted_area=dose_weighted_area,
-            dose_weighted_count=dose_weighted_count,
-        )
-        job._digest = digest.hexdigest()
-        job._dose_range = ((dose_min, dose_max) if dose_min is not None else (0.0, 0.0))
         return PipelineResult(
-            job=job,
+            job=fold.job(name),
             fracture_report=execution.report,
             source_polygons=execution.source_polygons,
             corrected=execution.corrected,

@@ -247,19 +247,21 @@ class PrepRecipe:
         The one place the ``streaming`` flag picks a path for the CLI
         and the service alike: a streaming recipe runs out of core
         (``run_streaming`` reads a layout file through the cursor and
-        streams the job file itself); otherwise a layout file path is
-        loaded as GDSII, the run is resident and the job file is
-        written from the materialized job.  Both produce the same
-        bytes; ``result.job_bytes`` is the job file's size either way.
+        streams the job file itself); otherwise a layout file path
+        (``.gds`` or ``.cif``) is read to completion through the same
+        cursor, the run is resident and the job file is written from
+        the materialized job.  Both produce the same bytes;
+        ``result.job_bytes`` is the job file's size either way.
         """
         if self.streaming:
             return pipeline.run_streaming(
                 source, name=name, program_path=program_path, job_path=job_path
             )
         if isinstance(source, (str, Path)):
-            from repro.layout.gdsii import read_gdsii
+            from repro.layout.stream import open_layout_stream
 
-            source = read_gdsii(source)
+            with open_layout_stream(source) as stream:
+                source = stream.materialize()
         result = pipeline.run(source, name=name, program_path=program_path)
         if job_path is not None:
             from repro.core.jobfile import write_job

@@ -10,12 +10,19 @@ The layout package provides the pattern-source side of the pipeline:
   transform parameterization.
 * :class:`~repro.layout.library.Library` — a set of cells with units,
   cycle checking and top-cell discovery.
-* :mod:`~repro.layout.gdsii` — binary GDSII stream reader/writer.
-* :mod:`~repro.layout.cif` — Caltech Intermediate Form writer/reader
-  (the period-appropriate interchange format).
+* :mod:`~repro.layout.gdsii` — binary GDSII stream files: the writers
+  (whole-library and incremental) and the one reader, a two-pass cursor
+  that ``read_gdsii``/``loads_gdsii`` run to completion.
+* :mod:`~repro.layout.cif` — Caltech Intermediate Form (the
+  period-appropriate interchange format): writer and the one reader,
+  built the same way.
 * :mod:`~repro.layout.flatten` — hierarchy flattening.
-* :mod:`~repro.layout.stream` — cursor-based streaming readers/writer for
-  out-of-core preparation (lazy flattening in bounded memory).
+* :mod:`~repro.layout.cursor` — the cursor protocol the readers
+  implement: lazy flattening in bounded memory, over files or resident
+  libraries alike.
+* :mod:`~repro.layout.stream` — the streaming import surface and
+  :func:`~repro.layout.stream.open_layout_stream`, the one door layout
+  files are opened through (resident and out-of-core preparation both).
 * :mod:`~repro.layout.generators` — synthetic workload generators used by
   the reconstructed evaluation.
 """

@@ -1,4 +1,4 @@
-"""Caltech Intermediate Form (CIF 2.0) writer and reader.
+"""Caltech Intermediate Form (CIF 2.0): the writer and the one reader.
 
 CIF was *the* interchange format of late-1970s university/industry mask
 flows (Mead–Conway era), so the data-volume experiment (T3) compares GDSII
@@ -16,16 +16,26 @@ binary streams against CIF text.  Supported commands:
 ======== =====================================================
 
 Coordinates are written in centimicrons (10 nm), the CIF convention.
+Files are UTF-8: ``;``, ``(`` and ``)`` never occur inside a multi-byte
+sequence, so statements are split on bytes and decoded one at a time.
+
+:class:`CifStream` is the reader — a two-pass cursor that interprets
+the statements once for structure and re-reads geometry lazily;
+:func:`loads_cif` / :func:`read_cif` are that cursor run to completion.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
+import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
+from repro.layout.cursor import FileStream
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 from repro.layout.reference import CellArray, CellReference
@@ -40,9 +50,9 @@ class CifError(ValueError):
 
 def write_cif(library: Library, path: Union[str, Path]) -> int:
     """Write a library as CIF text; returns the number of bytes written."""
-    text = dumps_cif(library)
-    Path(path).write_text(text)
-    return len(text.encode())
+    data = dumps_cif(library).encode("utf-8")
+    Path(path).write_bytes(data)
+    return len(data)
 
 
 def dumps_cif(library: Library) -> str:
@@ -109,8 +119,6 @@ def _dump_call(ref: CellReference, numbering: Dict[str, int]) -> List[str]:
 
 
 def _transform_ops(ref: CellReference) -> str:
-    import math
-
     ops = ""
     if ref.x_reflection:
         ops += " M Y"  # CIF 'M Y' negates y, matching GDSII x_reflection.
@@ -133,18 +141,19 @@ def _parse_layer_token(token: str) -> Layer:
     """Fold an ``L`` command's token into a :class:`Layer`.
 
     Tokens in the writer's ``L<layer>D<datatype>`` convention map exactly;
-    any other name is hashed into the 0–255 layer space (deterministic
-    within one process), matching what :func:`loads_cif` has always done.
+    any other name is folded into the 0–255 layer space by its CRC-32,
+    so a named layer gets the same number in every process (pool
+    workers, ``work`` daemons and warm re-runs included).
     """
     match = _LAYER_RE.match(token)
     if match:
         return Layer(int(match.group(1)), int(match.group(2) or 0))
-    return Layer(abs(hash(token)) % 256, 0, name=token)
+    return Layer(zlib.crc32(token.encode("utf-8")) % 256, 0, name=token)
 
 
 def read_cif(path: Union[str, Path]) -> Library:
-    """Read a CIF file into a :class:`Library`."""
-    return loads_cif(Path(path).read_text())
+    """Read a CIF file (UTF-8) into a :class:`Library`."""
+    return CifStream.load(Path(path))
 
 
 def loads_cif(text: str) -> Library:
@@ -153,95 +162,239 @@ def loads_cif(text: str) -> Library:
     Top-level geometry (outside any ``DS``) is placed in a cell named
     ``TOP`` if present.
     """
-    # Strip comments.
-    text = re.sub(r"\([^)]*\)", " ", text)
-    statements = [s.strip() for s in text.split(";")]
+    return CifStream.load(text.encode("utf-8"))
 
-    library = Library("CIF", unit=1e-6, precision=1e-8)
-    cells: Dict[int, Cell] = {}
-    names: Dict[int, str] = {}
-    deferred_calls: List[Tuple[Cell, int, List[str]]] = []
 
-    current: Optional[Cell] = None
-    current_number: Optional[int] = None
-    top_cell = Cell("TOP")
-    top_used = False
-    layer = Layer(0, 0)
+#: Byte span of statements plus the layer selected when it begins (the
+#: CIF layer state persists across symbol boundaries, so a lazy re-scan
+#: must restore it).
+_CifSpan = Tuple[int, int, Layer]
 
-    for statement in statements:
-        if not statement:
-            continue
-        if statement == "E" or statement.startswith("E "):
-            break
-        command = statement[0]
-        if command == "D":
-            parts = statement.split()
-            if parts[0] == "DS":
-                if len(parts) < 2:
-                    raise CifError(f"malformed DS: {statement!r}")
-                current_number = int(parts[1])
-                current = cells.setdefault(
-                    current_number, Cell(f"SYMBOL_{current_number}")
-                )
-            elif parts[0] == "DF":
-                current = None
-                current_number = None
-            elif parts[0] == "DD":
+_CIF_CHUNK = 1 << 16
+
+
+class CifStream(FileStream):
+    """Cursor-based CIF reader — the only CIF parser.
+
+    Pass 1 (the constructor) interprets every statement up to ``E`` and
+    records, per symbol, the byte span of its ``DS``…``DF`` block and
+    the layer in effect when the block begins (CIF layer state is
+    global, not per-symbol); geometry statements are only counted,
+    never parsed.  Geometry is re-read from the spans on demand.
+    """
+
+    def __init__(self, source: Union[str, Path, bytes]) -> None:
+        self._cell_spans: Dict[str, List[_CifSpan]] = {}
+        super().__init__(source)
+
+    # -- statement cursor --------------------------------------------------
+
+    def _iter_statements(
+        self, start: int = 0, end: Optional[int] = None
+    ) -> Iterator[Tuple[int, str]]:
+        """Yield ``(offset, stripped_statement)`` pairs.
+
+        Comments ``( … )`` are replaced by one space, so a ``;``
+        inside a comment never splits a statement; a comment still open
+        at the end of the file is an error.  Statements are decoded as
+        UTF-8 one at a time.  ``start`` must be a statement boundary
+        previously yielded by this cursor.
+        """
+        fh = self._fh
+        fh.seek(start)
+        offset = start
+        statement_start = start
+        parts: List[bytes] = []
+        comment_start: Optional[int] = None
+
+        def decode() -> str:
+            try:
+                return b"".join(parts).decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise CifError(
+                    f"statement at byte {statement_start} is not valid UTF-8"
+                ) from None
+
+        remaining = None if end is None else end - start
+        while remaining is None or remaining > 0:
+            size = _CIF_CHUNK if remaining is None else min(_CIF_CHUNK, remaining)
+            chunk = fh.read(size)
+            if not chunk:
+                break
+            if remaining is not None:
+                remaining -= len(chunk)
+            cursor = 0
+            while cursor < len(chunk):
+                if comment_start is not None:
+                    close = chunk.find(b")", cursor)
+                    if close < 0:
+                        break
+                    comment_start = None
+                    cursor = close + 1
+                    continue
+                stop = len(chunk)
+                semi = chunk.find(b";", cursor)
+                paren = chunk.find(b"(", cursor)
+                if semi >= 0:
+                    stop = min(stop, semi)
+                if paren >= 0:
+                    stop = min(stop, paren)
+                if stop > cursor:
+                    parts.append(chunk[cursor:stop])
+                if stop == semi and semi >= 0:
+                    yield statement_start, decode()
+                    parts = []
+                    statement_start = offset + semi + 1
+                    cursor = semi + 1
+                elif stop == paren and paren >= 0:
+                    parts.append(b" ")
+                    comment_start = offset + paren
+                    cursor = paren + 1
+                else:
+                    cursor = stop
+            offset += len(chunk)
+        if comment_start is not None:
+            raise CifError(f"unterminated comment opened at byte {comment_start}")
+        tail = decode()
+        if tail:
+            yield statement_start, tail
+
+    # -- pass 1: skeleton --------------------------------------------------
+
+    def _scan(self) -> None:
+        library = Library("CIF", unit=1e-6, precision=1e-8)
+        cells: Dict[int, Cell] = {}
+        names: Dict[int, str] = {}
+        deferred_calls: List[Tuple[Optional[int], int, List[str]]] = []
+        symbol_spans: Dict[int, List[_CifSpan]] = {}
+        top_spans: List[_CifSpan] = []
+        layer_orders: Dict[Optional[int], List[Layer]] = {}
+
+        current: Optional[Cell] = None
+        current_number: Optional[int] = None
+        layer = Layer(0, 0)
+
+        span_start = 0
+        span_layer = layer
+
+        def close_span(end_offset: int) -> None:
+            nonlocal span_start, span_layer
+            span = (span_start, end_offset, span_layer)
+            if span_start < end_offset:
+                if current_number is None:
+                    top_spans.append(span)
+                else:
+                    symbol_spans.setdefault(current_number, []).append(span)
+            span_start = end_offset
+            span_layer = layer
+
+        for offset, statement in self._iter_statements():
+            if not statement:
                 continue
+            if statement == "E" or statement.startswith("E "):
+                close_span(offset)
+                break
+            command = statement[0]
+            if command == "D":
+                parts = statement.split()
+                if parts[0] == "DS":
+                    if len(parts) < 2:
+                        raise CifError(f"malformed DS: {statement!r}")
+                    close_span(offset)
+                    current_number = int(parts[1])
+                    current = cells.setdefault(
+                        current_number, Cell(f"SYMBOL_{current_number}")
+                    )
+                elif parts[0] == "DF":
+                    # The DF statement itself carries no geometry; close
+                    # the symbol span at its start.
+                    close_span(offset)
+                    current = None
+                    current_number = None
+                elif parts[0] == "DD":
+                    continue
+                else:
+                    raise CifError(f"unknown D command: {statement!r}")
+            elif command == "9":
+                name = statement[1:].strip()
+                if current_number is not None and name:
+                    names[current_number] = name
+            elif command == "L":
+                layer = _parse_layer_token(statement[1:].strip())
+            elif command in ("B", "P"):
+                order = layer_orders.setdefault(current_number, [])
+                if layer not in order:
+                    order.append(layer)
+            elif command == "C":
+                callee, ops = _parse_call(statement)
+                deferred_calls.append((current_number, callee, ops))
             else:
-                raise CifError(f"unknown D command: {statement!r}")
-        elif command == "9":
-            name = statement[1:].strip()
-            if current_number is not None and name:
-                names[current_number] = name
-        elif command == "L":
-            layer = _parse_layer_token(statement[1:].strip())
-        elif command == "B":
-            target = current if current is not None else top_cell
-            if current is None:
-                top_used = True
-            target.add_polygon(_parse_box(statement), layer)
-        elif command == "P":
-            target = current if current is not None else top_cell
-            if current is None:
-                top_used = True
-            target.add_polygon(_parse_polygon(statement), layer)
-        elif command == "C":
-            target = current if current is not None else top_cell
-            if current is None:
-                top_used = True
-            callee, ops = _parse_call(statement)
-            deferred_calls.append((target, callee, ops))
+                # Unknown user extensions are ignored per the CIF spec.
+                continue
         else:
-            # Unknown user extensions are ignored per the CIF spec.
-            continue
+            # No E marker: the file simply ends.
+            close_span(self._fh.seek(0, os.SEEK_END))
 
-    for number, name in names.items():
-        if number in cells:
-            cells[number].name = name
+        for number, name in names.items():
+            if number in cells:
+                cells[number].name = name
 
-    for parent, callee, ops in deferred_calls:
-        child = cells.get(callee)
-        if child is None:
-            raise CifError(f"call to undefined symbol {callee}")
-        parent.add_reference(_reference_from_ops(child, ops))
+        top_cell = Cell("TOP")
+        for owner_number, callee, ops in deferred_calls:
+            child = cells.get(callee)
+            if child is None:
+                raise CifError(f"call to undefined symbol {callee}")
+            parent = top_cell if owner_number is None else cells[owner_number]
+            parent.add_reference(_reference_from_ops(child, ops))
 
-    for cell in cells.values():
-        library.add(cell, include_descendants=False)
-    if top_used and not _is_redundant_wrapper(top_cell):
-        if top_cell.name in library:
-            top_cell.name = "CIF_TOP"
-        library.add(top_cell, include_descendants=False)
-    return library
+        for cell in cells.values():
+            library.add(cell, include_descendants=False)
+        top_geometry = None in layer_orders
+        top_used = top_geometry or bool(top_cell.references)
+        if top_used and not _is_redundant_wrapper(top_cell, top_geometry):
+            if top_cell.name in library:
+                top_cell.name = "CIF_TOP"
+            library.add(top_cell, include_descendants=False)
+        else:
+            top_spans = []
+
+        # Re-key spans and layer order (collected by symbol number while
+        # scanning — names are only applied at the end) by cell name.
+        for number, spans in symbol_spans.items():
+            self._cell_spans[cells[number].name] = spans
+        if top_spans:
+            self._cell_spans[top_cell.name] = top_spans
+        for owner, order in layer_orders.items():
+            owner_cell = top_cell if owner is None else cells[owner]
+            self._layer_order[owner_cell.name] = order
+        self.library = library
+
+    # -- pass 2+: lazy geometry --------------------------------------------
+
+    def _iter_cell_geometry(self, name: str) -> Iterator[Tuple[Layer, Polygon]]:
+        for start, end, entry_layer in self._cell_spans.get(name, ()):
+            layer = entry_layer
+            for _, statement in self._iter_statements(start, end):
+                if not statement:
+                    continue
+                command = statement[0]
+                if command == "L":
+                    layer = _parse_layer_token(statement[1:].strip())
+                elif command == "B":
+                    yield layer, _parse_box(statement)
+                elif command == "P":
+                    yield layer, _parse_polygon(statement)
+                # DS/DF/9/C and extensions carry no geometry.
 
 
-def _is_redundant_wrapper(top_cell: Cell) -> bool:
-    """True when top-level content is just one untransformed symbol call.
+def _is_redundant_wrapper(top_cell: Cell, has_geometry: bool) -> bool:
+    """True when top-level content is just one untransformed symbol call
+    (``has_geometry``: the file holds top-level ``B``/``P`` statements).
 
     The writer emits ``C <top>;`` to mark the top symbol; reading that back
     as a wrapper cell would change the hierarchy on every round trip.
     """
-    if top_cell.polygon_count() or len(top_cell.references) != 1:
+    if has_geometry or len(top_cell.references) != 1:
         return False
     ref = top_cell.references[0]
     return (
@@ -264,8 +417,6 @@ def _parse_box(statement: str) -> Polygon:
         cx - width / 2, cy - height / 2, cx + width / 2, cy + height / 2
     )
     if len(parts) >= 7:
-        import math
-
         a, b = int(parts[5]), int(parts[6])
         angle = math.atan2(b, a)
         poly = poly.rotated(angle, about=(cx, cy))
@@ -299,8 +450,6 @@ def _reference_from_ops(child: Cell, ops: List[str]) -> CellReference:
     as (mirror, angle, translation) which is exact for the operator set the
     writer emits.
     """
-    import math
-
     mirrored = False
     angle = 0.0
     tx = 0.0
@@ -308,36 +457,35 @@ def _reference_from_ops(child: Cell, ops: List[str]) -> CellReference:
     index = 0
     while index < len(ops):
         op = ops[index]
+        if op not in ("T", "R", "M"):
+            raise CifError(f"unknown call operator {op!r}")
+        need = 1 if op == "M" else 2
+        operands = ops[index + 1 : index + 1 + need]
+        if len(operands) < need:
+            raise CifError(
+                f"call operator {op!r} needs {need} operand(s) in {' '.join(ops)!r}"
+            )
+        index += 1 + need
         if op == "T":
-            dx = int(ops[index + 1]) * CENTIMICRON
-            dy = int(ops[index + 2]) * CENTIMICRON
-            tx += dx
-            ty += dy
-            index += 3
+            tx += int(operands[0]) * CENTIMICRON
+            ty += int(operands[1]) * CENTIMICRON
         elif op == "R":
-            a = int(ops[index + 1])
-            b = int(ops[index + 2])
+            a, b = int(operands[0]), int(operands[1])
             delta = math.degrees(math.atan2(b, a))
             angle += delta
             rad = math.radians(delta)
             cos_d, sin_d = math.cos(rad), math.sin(rad)
             tx, ty = tx * cos_d - ty * sin_d, tx * sin_d + ty * cos_d
-            index += 3
-        elif op == "M":
-            axis = ops[index + 1]
-            if axis == "Y":
-                mirrored = not mirrored
-                angle = -angle
-                ty = -ty
-            elif axis == "X":
-                mirrored = not mirrored
-                angle = 180.0 - angle
-                tx = -tx
-            else:
-                raise CifError(f"unknown mirror axis {axis!r}")
-            index += 2
+        elif operands[0] == "Y":
+            mirrored = not mirrored
+            angle = -angle
+            ty = -ty
+        elif operands[0] == "X":
+            mirrored = not mirrored
+            angle = 180.0 - angle
+            tx = -tx
         else:
-            raise CifError(f"unknown call operator {op!r}")
+            raise CifError(f"unknown mirror axis {operands[0]!r}")
     return CellReference(
         child, (tx, ty), rotation_deg=angle % 360.0, x_reflection=mirrored
     )

@@ -1,19 +1,30 @@
-"""GDSII stream file writer and reader.
+"""GDSII stream files: the writers and the one reader.
 
-Supports the geometry subset this toolchain needs: BOUNDARY elements,
-SREF/AREF references with full STRANS transforms, and library units.
-Round-trips :class:`~repro.layout.library.Library` objects losslessly up to
-database-unit quantization.
+Supports the geometry subset this toolchain needs: BOUNDARY and PATH
+elements, SREF/AREF references with full STRANS transforms, and library
+units.  Round-trips :class:`~repro.layout.library.Library` objects
+losslessly up to database-unit quantization.
+
+* :func:`dumps_gdsii` / :func:`write_gdsii` serialize a resident
+  library; :class:`GdsiiStreamWriter` emits the same bytes cell by
+  cell, so a synthetic reticle far larger than RAM can be generated
+  without materializing it.
+* :class:`GdsiiStream` is the reader — a two-pass cursor that scans the
+  structure first and re-reads geometry lazily.  :func:`loads_gdsii` /
+  :func:`read_gdsii` are that cursor run to completion, so the resident
+  and the out-of-core read cannot disagree on any input.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
+from repro.layout.cursor import FileStream
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 from repro.layout.reference import CellArray, CellReference
@@ -21,7 +32,8 @@ from repro.layout.gdsii_records import (
     DataType,
     GdsiiError,
     RecordType,
-    iter_records,
+    int32_count,
+    iter_record_headers,
     pack_ascii,
     pack_bitarray,
     pack_int16,
@@ -58,15 +70,7 @@ def write_gdsii(library: Library, path: Union[str, Path]) -> int:
 def dumps_gdsii(library: Library) -> bytes:
     """Serialize a library to GDSII stream bytes."""
     library.check_acyclic()
-    chunks: List[bytes] = [
-        pack_int16(RecordType.HEADER, [600]),
-        pack_int16(RecordType.BGNLIB, _TIMESTAMP),
-        pack_ascii(RecordType.LIBNAME, library.name),
-        pack_real8(
-            RecordType.UNITS,
-            [library.precision / library.unit, library.precision],
-        ),
-    ]
+    chunks = [_dump_header(library.name, library.unit, library.precision)]
     scale = 1.0 / library.grid  # user units -> database units
     for cell in library:
         chunks.append(_dump_cell(cell, scale))
@@ -74,11 +78,26 @@ def dumps_gdsii(library: Library) -> bytes:
     return b"".join(chunks)
 
 
+def _dump_header(name: str, unit: float, precision: float) -> bytes:
+    """The four records that open every library."""
+    return b"".join(
+        [
+            pack_int16(RecordType.HEADER, [600]),
+            pack_int16(RecordType.BGNLIB, _TIMESTAMP),
+            pack_ascii(RecordType.LIBNAME, name),
+            pack_real8(RecordType.UNITS, [precision / unit, precision]),
+        ]
+    )
+
+
+def _dump_cell_open(name: str) -> bytes:
+    return pack_int16(RecordType.BGNSTR, _TIMESTAMP) + pack_ascii(
+        RecordType.STRNAME, name
+    )
+
+
 def _dump_cell(cell: Cell, scale: float) -> bytes:
-    chunks: List[bytes] = [
-        pack_int16(RecordType.BGNSTR, _TIMESTAMP),
-        pack_ascii(RecordType.STRNAME, cell.name),
-    ]
+    chunks: List[bytes] = [_dump_cell_open(cell.name)]
     for layer in sorted(cell.polygons):
         for poly in cell.polygons[layer]:
             chunks.append(_dump_boundary(poly, layer, scale))
@@ -148,13 +167,111 @@ def _dump_reference(ref: CellReference, scale: float) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Incremental GDSII writer
+# ---------------------------------------------------------------------------
+
+
+class GdsiiStreamWriter:
+    """Write a GDSII stream file cell by cell, in bounded memory.
+
+    The emitted bytes are identical to :func:`dumps_gdsii` of a library
+    holding the same cells in the same order — the header, per-cell and
+    trailer records come from the same serializers.  The one thing an
+    incremental writer cannot do is check the full hierarchy for cycles
+    up front; callers stream cells they know to be acyclic.
+
+    Cells can be written whole (:meth:`write_cell`) or opened with
+    :meth:`begin_cell` and filled incrementally — the caller is then
+    responsible for the canonical order (polygons sorted by layer, then
+    references) if byte identity with the materialized writer matters.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        name: str = "LIB",
+        unit: float = 1e-6,
+        precision: float = 1e-9,
+    ) -> None:
+        if unit <= 0 or precision <= 0:
+            raise ValueError("unit and precision must be positive")
+        if precision > unit:
+            raise ValueError("precision must not exceed unit")
+        self.path = Path(path)
+        self.name = name
+        self.unit = unit
+        self.precision = precision
+        self._scale = 1.0 / (precision / unit)  # user units -> db units
+        self._fh = open(self.path, "wb")
+        self.bytes_written = 0
+        self._in_cell = False
+        self._closed = False
+        self._write(_dump_header(name, unit, precision))
+
+    def _write(self, data: bytes) -> None:
+        if self._closed:
+            raise ValueError("writer is closed")
+        self._fh.write(data)
+        self.bytes_written += len(data)
+
+    def write_cell(self, cell: Cell) -> None:
+        """Emit one whole cell (canonical record order, like dumps)."""
+        if self._in_cell:
+            raise ValueError("finish the open cell before writing another")
+        self._write(_dump_cell(cell, self._scale))
+
+    def begin_cell(self, name: str) -> None:
+        """Open a structure for incremental geometry/reference writes."""
+        if self._in_cell:
+            raise ValueError("finish the open cell before beginning another")
+        self._write(_dump_cell_open(name))
+        self._in_cell = True
+
+    def write_polygon(self, polygon: Polygon, layer: Layer) -> None:
+        """Emit one BOUNDARY into the open structure."""
+        if not self._in_cell:
+            raise ValueError("no open cell to write a polygon into")
+        self._write(_dump_boundary(polygon, Layer.of(layer), self._scale))
+
+    def write_reference(self, reference) -> None:
+        """Emit one SREF/AREF into the open structure."""
+        if not self._in_cell:
+            raise ValueError("no open cell to write a reference into")
+        self._write(_dump_reference(reference, self._scale))
+
+    def end_cell(self) -> None:
+        """Close the structure opened by :meth:`begin_cell`."""
+        if not self._in_cell:
+            raise ValueError("no open cell to end")
+        self._write(pack_record(RecordType.ENDSTR, DataType.NONE))
+        self._in_cell = False
+
+    def close(self) -> int:
+        """Write ENDLIB, close the file; returns total bytes written."""
+        if self._closed:
+            return self.bytes_written
+        if self._in_cell:
+            self.end_cell()
+        self._write(pack_record(RecordType.ENDLIB, DataType.NONE))
+        self._closed = True
+        self._fh.close()
+        return self.bytes_written
+
+    def __enter__(self) -> "GdsiiStreamWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+# ---------------------------------------------------------------------------
 # Reader
 # ---------------------------------------------------------------------------
 
 
 def read_gdsii(path: Union[str, Path]) -> Library:
     """Read a GDSII stream file into a :class:`Library`."""
-    return loads_gdsii(Path(path).read_bytes())
+    return GdsiiStream.load(Path(path))
 
 
 def loads_gdsii(data: bytes) -> Library:
@@ -164,142 +281,258 @@ def loads_gdsii(data: bytes) -> Library:
         GdsiiError: on structural violations (missing UNITS, dangling
             references, truncated records, elements outside structures).
     """
-    library: Optional[Library] = None
-    lib_name = "LIB"
-    current_cell: Optional[Cell] = None
-    cells: Dict[str, Cell] = {}
-    pending_refs: List[Tuple[Cell, dict]] = []
-    element: Optional[dict] = None
-    saw_header = False
+    return GdsiiStream.load(bytes(data))
 
-    for record_type, data_type, payload in iter_records(data):
-        if record_type == RecordType.HEADER:
-            saw_header = True
-        elif record_type == RecordType.LIBNAME:
-            lib_name = unpack_ascii(payload)
-        elif record_type == RecordType.UNITS:
-            values = unpack_real8(payload)
-            if len(values) != 2:
-                raise GdsiiError("UNITS record must hold two reals")
-            db_in_user, db_in_meters = values
-            unit = db_in_meters / db_in_user
-            library = Library(lib_name, unit=unit, precision=db_in_meters)
-        elif record_type == RecordType.BGNSTR:
-            current_cell = None
-        elif record_type == RecordType.STRNAME:
-            name = unpack_ascii(payload)
-            current_cell = cells.setdefault(name, Cell(name))
-        elif record_type == RecordType.ENDSTR:
-            current_cell = None
-        elif record_type in (
-            RecordType.BOUNDARY,
-            RecordType.PATH,
-            RecordType.SREF,
-            RecordType.AREF,
+
+_GEOMETRY_KINDS = (RecordType.BOUNDARY, RecordType.PATH)
+_REFERENCE_KINDS = (RecordType.SREF, RecordType.AREF)
+#: Elements that must sit inside a structure the moment they open.
+_PLACED_KINDS = _GEOMETRY_KINDS + _REFERENCE_KINDS
+_ELEMENT_KINDS = _PLACED_KINDS + (RecordType.TEXT,)
+
+#: Records that organize the library around its elements.
+_LIBRARY_RECORDS = (
+    RecordType.HEADER,
+    RecordType.LIBNAME,
+    RecordType.UNITS,
+    RecordType.ENDLIB,
+    RecordType.BGNSTR,
+    RecordType.STRNAME,
+    RecordType.ENDSTR,
+)
+
+#: The records that describe an element: record type → (field, payload
+#: decoder, whether the field is the record's first value).  Any other
+#: record inside an element (TEXT's strings, properties, …) is skipped.
+_ELEMENT_FIELDS = {
+    RecordType.LAYER: ("layer", unpack_int16, True),
+    RecordType.DATATYPE: ("datatype", unpack_int16, True),
+    RecordType.WIDTH: ("width", unpack_int32, True),
+    RecordType.XY: ("xy", unpack_int32, False),
+    RecordType.SNAME: ("sname", unpack_ascii, False),
+    RecordType.STRANS: ("strans", lambda data: int.from_bytes(data, "big"), False),
+    RecordType.MAG: ("mag", unpack_real8, True),
+    RecordType.ANGLE: ("angle", unpack_real8, True),
+    RecordType.COLROW: ("colrow", unpack_int16, False),
+}
+
+
+class GdsiiStream(FileStream):
+    """Cursor-based GDSII reader — the only GDSII parser.
+
+    Pass 1 (the constructor) walks the file once, reading only the
+    small structural records (cell names, references, units) and
+    seeking past every geometry ``XY`` payload; what it keeps is a
+    skeleton :class:`Library` plus, per cell, the byte spans holding its
+    elements and the first-encounter order of its geometry layers.
+    Geometry is re-read from the spans on demand, through the same
+    record → element routine (:meth:`_iter_events`) and the same
+    BOUNDARY/PATH rule (:func:`_build_shape`) pass 1 checked it with.
+
+    A cell's span opens at the ``STRNAME`` that names it and closes at
+    the next ``BGNSTR``/``STRNAME``/``ENDSTR``/``ENDLIB`` or the end of
+    the file, so a structure missing its ``BGNSTR`` or ``ENDSTR`` still
+    owns its geometry; an element cut short by one of those records is
+    an error, never a silently dropped polygon.
+    """
+
+    def __init__(self, source: Union[str, Path, bytes]) -> None:
+        self._spans: Dict[str, List[Tuple[int, int]]] = {}
+        super().__init__(source)
+
+    def _payload(self, length: int) -> bytes:
+        return self._fh.read(length - 4)
+
+    def _iter_events(
+        self, start: int = 0, end: Optional[int] = None, geometry: bool = True
+    ) -> Iterator[Tuple[int, int, int, Optional[dict]]]:
+        """Fold the records of ``[start, end)`` into elements.
+
+        Yields ``(offset, length, record_type, element)`` for every
+        record that is not an element's field: ``element`` is the
+        finished field dict on the ``ENDEL`` that closes one and
+        ``None`` otherwise (after such a yield the caller may read the
+        record's payload).  With ``geometry`` off, the ``XY`` payload
+        of a BOUNDARY/PATH is sized and seeked past instead of read.
+        """
+        element: Optional[dict] = None
+        for offset, length, record_type, _ in iter_record_headers(
+            self._fh, self._size, start, end
         ):
-            if current_cell is None:
+            finished = None
+            if record_type in _ELEMENT_KINDS:
+                element = {"kind": record_type}
+            elif element is not None:
+                if record_type == RecordType.ENDEL:
+                    finished, element = element, None
+                elif record_type in _LIBRARY_RECORDS:
+                    raise GdsiiError(
+                        f"{RecordType.NAMES[record_type]} inside an unfinished "
+                        f"{RecordType.NAMES[element['kind']]} element"
+                    )
+                else:
+                    self._read_field(element, record_type, length, geometry)
+                    continue
+            yield offset, length, record_type, finished
+
+    def _read_field(
+        self, element: dict, record_type: int, length: int, geometry: bool
+    ) -> None:
+        spec = _ELEMENT_FIELDS.get(record_type)
+        if spec is None:
+            return
+        field, decode, first = spec
+        if field == "xy" and element["kind"] in _GEOMETRY_KINDS:
+            element["xy_count"] = int32_count(length - 4)
+            if not geometry:
+                return
+        value = decode(self._payload(length))
+        if first:
+            if not value:
                 raise GdsiiError(
-                    f"{RecordType.NAMES[record_type]} outside a structure"
+                    f"{RecordType.NAMES[record_type]} record holds no value"
                 )
-            element = {
-                "kind": record_type,
-                "strans": 0,
-                "mag": 1.0,
-                "angle": 0.0,
-                "width": 0,
-            }
-        elif record_type == RecordType.TEXT:
-            # Recognized but unsupported: skip until ENDEL.
-            element = {"kind": record_type}
-        elif element is not None:
-            if record_type == RecordType.LAYER:
-                element["layer"] = unpack_int16(payload)[0]
-            elif record_type == RecordType.WIDTH:
-                element["width"] = unpack_int32(payload)[0]
-            elif record_type == RecordType.DATATYPE:
-                element["datatype"] = unpack_int16(payload)[0]
-            elif record_type == RecordType.XY:
-                element["xy"] = unpack_int32(payload)
-            elif record_type == RecordType.SNAME:
-                element["sname"] = unpack_ascii(payload)
-            elif record_type == RecordType.STRANS:
-                element["strans"] = int.from_bytes(payload, "big")
-            elif record_type == RecordType.MAG:
-                element["mag"] = unpack_real8(payload)[0]
-            elif record_type == RecordType.ANGLE:
-                element["angle"] = unpack_real8(payload)[0]
-            elif record_type == RecordType.COLROW:
-                element["colrow"] = unpack_int16(payload)
-            elif record_type == RecordType.ENDEL:
+            value = value[0]
+        element[field] = value
+
+    # -- pass 1: skeleton --------------------------------------------------
+
+    def _scan(self) -> None:
+        self._size = self._fh.seek(0, os.SEEK_END)
+        library: Optional[Library] = None
+        lib_name = "LIB"
+        cells: Dict[str, Cell] = {}
+        pending_refs: List[Tuple[Cell, dict]] = []
+        saw_header = False
+        current_cell: Optional[Cell] = None
+        span_start = scan_end = 0
+
+        def close_span(end: int) -> None:
+            nonlocal current_cell
+            if current_cell is not None:
+                self._spans.setdefault(current_cell.name, []).append(
+                    (span_start, end)
+                )
+            current_cell = None
+
+        for offset, length, record_type, element in self._iter_events(
+            geometry=False
+        ):
+            scan_end = offset + length
+            if element is not None:
                 if library is None:
                     raise GdsiiError("element before UNITS record")
-                _finish_element(current_cell, element, library, pending_refs)
-                element = None
-        elif record_type == RecordType.ENDLIB:
-            break
+                if current_cell is None:
+                    raise GdsiiError("ENDEL outside a structure")
+                if element["kind"] in _REFERENCE_KINDS:
+                    if "sname" not in element or "xy" not in element:
+                        raise GdsiiError("reference without SNAME or XY")
+                    pending_refs.append((current_cell, element))
+                elif element["kind"] in _GEOMETRY_KINDS:
+                    shape = _build_shape(element, library.grid)
+                    if shape is not None:
+                        order = self._layer_order.setdefault(current_cell.name, [])
+                        if shape[0] not in order:
+                            order.append(shape[0])
+                # TEXT: silently skipped.
+            elif record_type in _PLACED_KINDS:
+                if current_cell is None:
+                    raise GdsiiError(
+                        f"{RecordType.NAMES[record_type]} outside a structure"
+                    )
+            elif record_type == RecordType.HEADER:
+                saw_header = True
+            elif record_type == RecordType.LIBNAME:
+                lib_name = unpack_ascii(self._payload(length))
+            elif record_type == RecordType.UNITS:
+                values = unpack_real8(self._payload(length))
+                if len(values) != 2:
+                    raise GdsiiError("UNITS record must hold two reals")
+                db_in_user, db_in_meters = values
+                if db_in_user <= 0:
+                    raise GdsiiError("UNITS record must hold positive reals")
+                unit = db_in_meters / db_in_user
+                library = Library(lib_name, unit=unit, precision=db_in_meters)
+            elif record_type in (RecordType.BGNSTR, RecordType.ENDSTR):
+                close_span(offset)
+            elif record_type == RecordType.STRNAME:
+                close_span(offset)
+                name = unpack_ascii(self._payload(length))
+                current_cell = cells.setdefault(name, Cell(name))
+                span_start = scan_end
+            elif record_type == RecordType.ENDLIB:
+                break
+        # A structure left open (no ENDSTR before ENDLIB/EOF) keeps the
+        # elements read so far.
+        close_span(scan_end)
 
-    if not saw_header:
-        raise GdsiiError("missing HEADER record")
-    if library is None:
-        raise GdsiiError("missing UNITS record")
+        if not saw_header:
+            raise GdsiiError("missing HEADER record")
+        if library is None:
+            raise GdsiiError("missing UNITS record")
 
-    for parent, ref_spec in pending_refs:
-        target = cells.get(ref_spec["sname"])
-        if target is None:
-            raise GdsiiError(f"reference to undefined cell {ref_spec['sname']!r}")
-        parent.add_reference(_build_reference(target, ref_spec, library))
+        for parent, ref_spec in pending_refs:
+            target = cells.get(ref_spec["sname"])
+            if target is None:
+                raise GdsiiError(f"reference to undefined cell {ref_spec['sname']!r}")
+            parent.add_reference(_build_reference(target, ref_spec, library.grid))
 
-    # Register cells one by one so the library preserves stream order
-    # (a batched add pushes through a LIFO work list and would reverse
-    # it, making write→read→write oscillate instead of round-tripping).
-    for cell in cells.values():
-        library.add(cell, include_descendants=False)
-    return library
+        # Register cells one by one so the library preserves stream order
+        # (a batched add pushes through a LIFO work list and would reverse
+        # it, making write→read→write oscillate instead of round-tripping).
+        for cell in cells.values():
+            library.add(cell, include_descendants=False)
+        self.library = library
+
+    # -- pass 2+: lazy geometry --------------------------------------------
+
+    def _iter_cell_geometry(self, name: str) -> Iterator[Tuple[Layer, Polygon]]:
+        assert self.library is not None
+        grid = self.library.grid
+        for start, end in self._spans.get(name, ()):
+            for *_, element in self._iter_events(start, end):
+                if element is not None and element["kind"] in _GEOMETRY_KINDS:
+                    shape = _build_shape(element, grid)
+                    if shape is not None:
+                        yield shape
 
 
-def _finish_element(
-    cell: Optional[Cell],
-    element: dict,
-    library: Library,
-    pending_refs: List[Tuple[Cell, dict]],
-) -> None:
-    if cell is None:
-        raise GdsiiError("ENDEL outside a structure")
-    kind = element["kind"]
-    if kind == RecordType.BOUNDARY:
-        xy = element.get("xy")
-        if not xy or len(xy) < 8:
+def _build_shape(
+    element: dict, grid: float
+) -> Optional[Tuple[Layer, Optional[Polygon]]]:
+    """The BOUNDARY/PATH rule, shared by both passes.
+
+    Returns the element's layer and polygon, or ``None`` for an element
+    that prints nothing (a zero-width PATH).  The polygon is ``None``
+    when the ``XY`` payload was not read (pass 1 checks its size only).
+    """
+    boundary = element["kind"] == RecordType.BOUNDARY
+    count = element.get("xy_count", 0)
+    if boundary:
+        if count < 8 or count % 2:
             raise GdsiiError("BOUNDARY without a valid XY record")
-        grid = library.grid
-        pts = [
-            (xy[i] * grid, xy[i + 1] * grid) for i in range(0, len(xy) - 2, 2)
-        ]
-        layer = Layer(element.get("layer", 0), element.get("datatype", 0))
-        cell.add_polygon(Polygon(pts), layer)
-    elif kind == RecordType.PATH:
-        xy = element.get("xy")
-        if not xy or len(xy) < 4:
+        count -= 2  # GDSII closes the ring explicitly; drop the repeat.
+    else:
+        if count < 4 or count % 2:
             raise GdsiiError("PATH without a valid XY record")
-        grid = library.grid
         width = element.get("width", 0) * grid
         if width <= 0:
             # Zero-width paths carry no printable geometry.
-            return
-        pts = [(xy[i] * grid, xy[i + 1] * grid) for i in range(0, len(xy), 2)]
-        layer = Layer(element.get("layer", 0), element.get("datatype", 0))
-        cell.add_polygon(Polygon.from_path(pts, width), layer)
-    elif kind in (RecordType.SREF, RecordType.AREF):
-        if "sname" not in element or "xy" not in element:
-            raise GdsiiError("reference without SNAME or XY")
-        pending_refs.append((cell, element))
-    # TEXT: silently skipped.
+            return None
+    layer = Layer(element.get("layer", 0), element.get("datatype", 0))
+    xy = element.get("xy")
+    if xy is None:
+        return layer, None
+    pts = [(xy[i] * grid, xy[i + 1] * grid) for i in range(0, count, 2)]
+    if boundary:
+        return layer, Polygon(pts)
+    return layer, Polygon.from_path(pts, width)
 
 
-def _build_reference(
-    target: Cell, spec: dict, library: Library
-) -> CellReference:
-    grid = library.grid
+def _build_reference(target: Cell, spec: dict, grid: float) -> CellReference:
     xy = spec["xy"]
+    if len(xy) < 2:
+        raise GdsiiError("reference XY record holds no point")
     x_reflection = bool(spec.get("strans", 0) & 0x8000)
     mag = spec.get("mag", 1.0)
     angle = spec.get("angle", 0.0)
@@ -313,6 +546,8 @@ def _build_reference(
     if not colrow or len(colrow) != 2 or len(xy) != 6:
         raise GdsiiError("AREF needs COLROW and three XY corners")
     columns, rows = colrow
+    if columns < 1 or rows < 1:
+        raise GdsiiError(f"AREF COLROW must be at least 1 x 1, got {columns} x {rows}")
     col_end = Point(xy[2] * grid, xy[3] * grid)
     row_end = Point(xy[4] * grid, xy[5] * grid)
     origin_pt = Point(*origin)

@@ -13,8 +13,9 @@ format of the IBM System/360 (GDSII predates IEEE 754).
 
 from __future__ import annotations
 
+import io
 import struct
-from typing import List
+from typing import List, Optional
 
 
 class RecordType:
@@ -148,28 +149,49 @@ def pack_bitarray(record_type: int, bits: int) -> bytes:
     return pack_record(record_type, DataType.BITARRAY, struct.pack(">H", bits))
 
 
+def iter_record_headers(fh, total: int, start: int = 0, end: Optional[int] = None):
+    """Yield ``(offset, length, record_type, data_type)`` record headers.
+
+    The one GDSII tokenizer: ``fh`` is a seekable binary file object
+    holding ``total`` bytes, ``[start, end)`` the byte range to walk.
+    After each yield the file position is just past the 4-byte header,
+    so the caller may read the payload (``length - 4`` bytes) or leave
+    it; the cursor re-seeks to the next record either way.  A
+    zero-length record terminates the walk (some writers pad the tail
+    with zero words).
+
+    Raises:
+        GdsiiError: on truncated or malformed records.
+    """
+    limit = total if end is None else min(end, total)
+    offset = start
+    fh.seek(offset)
+    while offset < limit:
+        header = fh.read(4)
+        if len(header) < 4:
+            raise GdsiiError(f"truncated record header at byte {offset}")
+        length, record_type, data_type = struct.unpack(">HBB", header)
+        if length == 0:
+            break
+        if length < 4:
+            raise GdsiiError(f"record length {length} < 4 at byte {offset}")
+        if offset + length > total:
+            raise GdsiiError(f"truncated record payload at byte {offset}")
+        yield offset, length, record_type, data_type
+        offset += length
+        if fh.tell() != offset:
+            fh.seek(offset)
+
+
 def iter_records(stream: bytes):
     """Yield ``(record_type, data_type, payload)`` tuples from a stream.
 
     Raises:
         GdsiiError: on truncated or malformed records.
     """
-    offset = 0
-    total = len(stream)
-    while offset < total:
-        if offset + 4 > total:
-            raise GdsiiError(f"truncated record header at byte {offset}")
-        length, record_type, data_type = struct.unpack_from(">HBB", stream, offset)
-        if length == 0:
-            # Some writers pad the tail with zero words.
-            break
-        if length < 4:
-            raise GdsiiError(f"record length {length} < 4 at byte {offset}")
-        if offset + length > total:
-            raise GdsiiError(f"truncated record payload at byte {offset}")
-        payload = stream[offset + 4 : offset + length]
-        yield record_type, data_type, payload
-        offset += length
+    fh = io.BytesIO(stream)
+    for _, length, record_type, data_type in iter_record_headers(fh, len(stream)):
+        yield record_type, data_type, fh.read(length - 4)
 
 
 def unpack_int16(payload: bytes) -> List[int]:
@@ -179,11 +201,16 @@ def unpack_int16(payload: bytes) -> List[int]:
     return list(struct.unpack(f">{len(payload) // 2}h", payload))
 
 
+def int32_count(size: int) -> int:
+    """How many int32 values a ``size``-byte payload holds."""
+    if size % 4:
+        raise GdsiiError("int32 payload length not a multiple of 4")
+    return size // 4
+
+
 def unpack_int32(payload: bytes) -> List[int]:
     """Decode a big-endian int32 payload."""
-    if len(payload) % 4:
-        raise GdsiiError("int32 payload length not a multiple of 4")
-    return list(struct.unpack(f">{len(payload) // 4}i", payload))
+    return list(struct.unpack(f">{int32_count(len(payload))}i", payload))
 
 
 def unpack_real8(payload: bytes) -> List[float]:
@@ -195,4 +222,7 @@ def unpack_real8(payload: bytes) -> List[float]:
 
 def unpack_ascii(payload: bytes) -> str:
     """Decode a NUL-padded ASCII payload."""
-    return payload.rstrip(b"\x00").decode("ascii")
+    try:
+        return payload.rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError:
+        raise GdsiiError("non-ASCII byte in a string record") from None

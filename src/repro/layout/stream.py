@@ -1,963 +1,53 @@
-"""Cursor-based layout streaming: read and write layouts out of core.
+"""Layout streaming: the one door every layout file is read through.
 
-``loads_gdsii``/``loads_cif`` materialize every polygon of every cell
-before the pipeline sees the first one, which caps full-reticle prep at
-whatever one process can hold.  This module provides the out-of-core
-counterparts:
+Each format has a single reader, a two-pass cursor living next to its
+writer: :class:`~repro.layout.gdsii.GdsiiStream` and
+:class:`~repro.layout.cif.CifStream`.  Pass 1 builds a *skeleton*
+library (cells, references, units — no polygons) plus per-cell byte
+spans; geometry is re-read lazily from those spans, so
+:meth:`~repro.layout.cursor.LayoutStream.iter_flat` yields the
+flattened polygons in :func:`~repro.layout.flatten.flatten_cell` order
+while holding at most one cell's geometry.  The resident read
+(``read_gdsii``/``loads_gdsii``/``read_cif``/``loads_cif``, or
+:meth:`~repro.layout.cursor.LayoutStream.materialize` on an open
+stream) is the same cursor run to completion — not a second parser —
+so resident and out-of-core preparation see the same cells, the same
+polygons and the same errors on every input, and every downstream
+artifact (`.ebj`, `.ebp`) is byte-identical whichever mode produced it.
 
-* :class:`GdsiiStream` / :class:`CifStream` — cursor-based readers that
-  scan the file once to build a *skeleton* library (cells, references,
-  units — no polygons) plus per-cell byte spans, then re-read geometry
-  lazily from those spans on demand.  :meth:`LayoutStream.iter_flat`
-  walks the hierarchy exactly like
-  :func:`repro.layout.flatten.flatten_cell` and yields the flattened
-  polygons one at a time, in the identical order and with bit-identical
-  coordinates, without ever holding more than one cell's geometry.
-* :class:`MemoryStream` — the same cursor interface over an
-  already-materialized :class:`~repro.layout.library.Library` or
-  :class:`~repro.layout.cell.Cell`, so pipeline code can treat every
-  source uniformly.
-* :class:`GdsiiStreamWriter` — an incremental GDSII writer that emits
-  cells as they are produced (byte-identical to
-  :func:`~repro.layout.gdsii.dumps_gdsii` for the same cell sequence),
-  so a synthetic reticle far larger than RAM can be generated without
-  materializing it.
-
-The contract throughout is *bit identity*: for any well-formed file,
-streaming and materialized reads observe the same cells, the same
-polygons, and the same flattened geometry, so every downstream artifact
-(`.ebj`, `.ebp`) is byte-identical whichever path produced it.
+This module gathers the streaming surface in one import path: the
+cursor protocol (:class:`LayoutStream`, :class:`MemoryStream`), the
+two readers, the incremental :class:`GdsiiStreamWriter`, and
+:func:`open_layout_stream`, which picks the reader by file suffix.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
+from typing import Union
+
+from repro.layout.cif import CifStream
+from repro.layout.cursor import (
+    GEOM_CACHE_MAX_POLYGONS,
+    LayoutStream,
+    MemoryStream,
 )
-
-from repro.geometry.polygon import Polygon
-from repro.geometry.transform import Transform
-from repro.layout.cell import Cell
-from repro.layout.cif import (
-    CifError,
-    _parse_box,
-    _parse_layer_token,
-    _parse_polygon,
-    _is_redundant_wrapper,
-    _parse_call,
-    _reference_from_ops,
-)
-from repro.layout.gdsii import (
-    _TIMESTAMP,
-    _build_reference,
-    _dump_cell,
-    _dump_boundary,
-    _dump_reference,
-)
-from repro.layout.gdsii_records import (
-    DataType,
-    GdsiiError,
-    RecordType,
-    pack_ascii,
-    pack_int16,
-    pack_real8,
-    pack_record,
-    unpack_ascii,
-    unpack_int16,
-    unpack_int32,
-    unpack_real8,
-)
-from repro.layout.layer import Layer
-from repro.layout.library import Library
-
-#: Geometry of the most recently walked cell is memoized up to this many
-#: polygons, so array references expand in O(parse once); larger cells
-#: fall back to one re-scan per layer, keeping residency bounded.
-GEOM_CACHE_MAX_POLYGONS = 65536
-
-
-class LayoutStream:
-    """Common cursor interface over a layout source.
-
-    Subclasses expose a skeleton :class:`Library` (cells with references
-    but, for file-backed streams, no resident polygons) and lazy per-cell
-    geometry.  The flattening walk here replicates
-    :func:`~repro.layout.flatten.flatten_cell` — same traversal order,
-    same transform composition, same cycle detection — so its output is
-    float-identical to materializing and flattening.
-    """
-
-    library: Optional[Library] = None
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def _cell_layer_list(self, cell: Cell) -> List[Layer]:
-        """Layers of ``cell``'s own geometry, in first-encounter order."""
-        raise NotImplementedError
-
-    def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
-        """The cell's own polygons on ``layer``, in stream order."""
-        raise NotImplementedError
-
-    def materialize(self) -> Library:
-        """Load everything and return the full library (tests/tools)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the underlying file handle (no-op for memory streams)."""
-
-    # -- context manager ---------------------------------------------------
-
-    def __enter__(self) -> "LayoutStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- flattening walk ---------------------------------------------------
-
-    def top_cell(self) -> Cell:
-        """The unique top cell of the skeleton hierarchy."""
-        if self.library is None:
-            raise ValueError("stream has no library")
-        return self.library.top_cell()
-
-    def _resolve_top(self, top: Union[None, str, Cell]) -> Cell:
-        if isinstance(top, Cell):
-            return top
-        if isinstance(top, str):
-            if self.library is None:
-                raise ValueError("stream has no library to look cells up in")
-            return self.library[top]
-        return self.top_cell()
-
-    def flat_layer_order(self, top: Union[None, str, Cell] = None) -> List[Layer]:
-        """Layers in the order the flatten walk first encounters them.
-
-        This is exactly the key order of
-        :func:`~repro.layout.flatten.flatten_cell`'s result dict, which
-        downstream code relies on for deterministic polygon ordering.
-        """
-        cell = self._resolve_top(top)
-        memo: Dict[str, Tuple[Layer, ...]] = {}
-
-        def subtree(c: Cell, path: Tuple[str, ...]) -> Tuple[Layer, ...]:
-            if c.name in path:
-                cycle = " -> ".join(path + (c.name,))
-                raise ValueError(f"reference cycle while flattening: {cycle}")
-            cached = memo.get(c.name)
-            if cached is not None:
-                return cached
-            local: Dict[Layer, None] = {}
-            for layer in self._cell_layer_list(c):
-                local.setdefault(layer)
-            for ref in c.references:
-                for layer in subtree(ref.cell, path + (c.name,)):
-                    local.setdefault(layer)
-            result = tuple(local)
-            memo[c.name] = result
-            return result
-
-        return list(subtree(cell, ()))
-
-    def iter_flat(
-        self,
-        top: Union[None, str, Cell] = None,
-        layers: Optional[Set[Layer]] = None,
-    ) -> Iterator[Polygon]:
-        """Yield the flattened polygons of the hierarchy, lazily.
-
-        Order and coordinates match concatenating the per-layer lists of
-        :func:`~repro.layout.flatten.flatten_cell` in dict order — the
-        exact sequence the materialized pipeline feeds to fracturing.
-        """
-        cell = self._resolve_top(top)
-        for layer in self.flat_layer_order(cell):
-            if layers is not None and layer not in layers:
-                continue
-            yield from self._walk_layer(cell, Transform.identity(), layer, ())
-
-    def _walk_layer(
-        self,
-        cell: Cell,
-        transform: Transform,
-        layer: Layer,
-        path: Tuple[str, ...],
-    ) -> Iterator[Polygon]:
-        if cell.name in path:
-            cycle = " -> ".join(path + (cell.name,))
-            raise ValueError(f"reference cycle while flattening: {cycle}")
-        identity = transform.is_identity()
-        if layer in self._cell_layer_list(cell):
-            for poly in self._iter_cell_layer(cell, layer):
-                yield poly if identity else poly.transformed(transform)
-        for ref in cell.references:
-            for placement in ref.placements():
-                yield from self._walk_layer(
-                    ref.cell,
-                    transform @ placement,
-                    layer,
-                    path + (cell.name,),
-                )
-
-
-class MemoryStream(LayoutStream):
-    """The cursor interface over an already-materialized source.
-
-    Lets the pipeline and the service run in streaming mode on workload
-    libraries without touching the filesystem: the walk is lazy even
-    though the geometry is resident.
-    """
-
-    def __init__(self, source: Union[Library, Cell]) -> None:
-        if isinstance(source, Library):
-            self.library = source
-            self._top: Optional[Cell] = None
-        else:
-            self.library = None
-            self._top = source
-
-    def top_cell(self) -> Cell:
-        if self._top is not None:
-            return self._top
-        return super().top_cell()
-
-    def _cell_layer_list(self, cell: Cell) -> List[Layer]:
-        return list(cell.polygons)
-
-    def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
-        return iter(cell.polygons.get(layer, ()))
-
-    def materialize(self) -> Library:
-        if self.library is not None:
-            return self.library
-        assert self._top is not None
-        return Library().add(self._top)
-
-
-class _FileGeometryCache:
-    """One-cell polygon memo shared by the file-backed streams."""
-
-    def __init__(self) -> None:
-        self.cell_name: Optional[str] = None
-        self.geometry: Optional[Dict[Layer, List[Polygon]]] = None
-        self.uncacheable: Set[str] = set()
-
-
-class _FileStream(LayoutStream):
-    """Shared machinery of the file-backed streams: spans, layer-order
-    side tables, and the one-cell geometry memo."""
-
-    def __init__(self) -> None:
-        self._layer_order: Dict[str, List[Layer]] = {}
-        self._geom = _FileGeometryCache()
-        self._materialized = False
-
-    def _iter_cell_geometry(self, name: str) -> Iterator[Tuple[Layer, Polygon]]:
-        """The cell's own geometry in file-stream order."""
-        raise NotImplementedError
-
-    def _cell_layer_list(self, cell: Cell) -> List[Layer]:
-        if self._materialized:
-            return list(cell.polygons)
-        return self._layer_order.get(cell.name, [])
-
-    def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
-        if self._materialized:
-            yield from cell.polygons.get(layer, ())
-            return
-        geometry = self._cell_geometry(cell.name)
-        if geometry is not None:
-            yield from geometry.get(layer, ())
-            return
-        for found, poly in self._iter_cell_geometry(cell.name):
-            if found == layer:
-                yield poly
-
-    def _cell_geometry(self, name: str) -> Optional[Dict[Layer, List[Polygon]]]:
-        """The memoized geometry of ``name`` (None when over the cap)."""
-        if self._geom.cell_name == name:
-            return self._geom.geometry
-        if name in self._geom.uncacheable:
-            return None
-        geometry: Dict[Layer, List[Polygon]] = {}
-        count = 0
-        for layer, poly in self._iter_cell_geometry(name):
-            count += 1
-            if count > GEOM_CACHE_MAX_POLYGONS:
-                self._geom.uncacheable.add(name)
-                return None
-            geometry.setdefault(layer, []).append(poly)
-        self._geom.cell_name = name
-        self._geom.geometry = geometry
-        return geometry
-
-    def materialize(self) -> Library:
-        """Fill the skeleton cells with geometry and return the library.
-
-        The result is indistinguishable from the corresponding
-        ``loads_*`` call: same cell order, same per-cell layer order,
-        same polygons.  Mutates the skeleton in place (idempotent).
-        """
-        assert self.library is not None
-        if not self._materialized:
-            for cell in self.library:
-                for layer, poly in self._iter_cell_geometry(cell.name):
-                    cell.add_polygon(poly, layer)
-            self._materialized = True
-        return self.library
-
-
-# ---------------------------------------------------------------------------
-# GDSII
-# ---------------------------------------------------------------------------
-
-
-_GEOMETRY_KINDS = (RecordType.BOUNDARY, RecordType.PATH)
-
-
-class GdsiiStream(_FileStream):
-    """Cursor-based GDSII reader.
-
-    The constructor scans the file once, reading only the small
-    structural records (cell names, references, units) and seeking past
-    every geometry ``XY`` payload; what it keeps is a skeleton
-    :class:`Library` plus, per cell, the byte spans of its structure
-    blocks and the first-encounter order of its geometry layers.
-    Geometry is re-read from the spans on demand.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        super().__init__()
-        self.path = Path(path)
-        self._fh = open(self.path, "rb")
-        self._size = os.fstat(self._fh.fileno()).st_size
-        self._spans: Dict[str, List[Tuple[int, int]]] = {}
-        try:
-            self._scan()
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def close(self) -> None:
-        self._fh.close()
-
-    # -- record cursor -----------------------------------------------------
-
-    def _iter_file_records(
-        self, start: int = 0, end: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, int, int]]:
-        """Yield ``(offset, length, record_type, data_type)`` headers.
-
-        The caller may read the payload (``length - 4`` bytes) before
-        advancing; the cursor re-seeks to the next record either way.
-        Semantics mirror :func:`repro.layout.gdsii_records.iter_records`:
-        zero-length records terminate (tail padding), short ones raise.
-        """
-        fh = self._fh
-        total = self._size
-        limit = total if end is None else min(end, total)
-        offset = start
-        fh.seek(offset)
-        while offset < limit:
-            if offset + 4 > total:
-                raise GdsiiError(f"truncated record header at byte {offset}")
-            header = fh.read(4)
-            if len(header) < 4:
-                raise GdsiiError(f"truncated record header at byte {offset}")
-            length, record_type, data_type = struct.unpack(">HBB", header)
-            if length == 0:
-                break
-            if length < 4:
-                raise GdsiiError(f"record length {length} < 4 at byte {offset}")
-            if offset + length > total:
-                raise GdsiiError(f"truncated record payload at byte {offset}")
-            yield offset, length, record_type, data_type
-            offset += length
-            if fh.tell() != offset:
-                fh.seek(offset)
-
-    def _payload(self, length: int) -> bytes:
-        return self._fh.read(length - 4)
-
-    # -- pass 1: skeleton --------------------------------------------------
-
-    def _scan(self) -> None:
-        library: Optional[Library] = None
-        lib_name = "LIB"
-        current_cell: Optional[Cell] = None
-        cells: Dict[str, Cell] = {}
-        pending_refs: List[Tuple[Cell, dict]] = []
-        element: Optional[dict] = None
-        saw_header = False
-        span_start: Optional[int] = None
-        span_cell: Optional[str] = None
-        scan_end = 0
-
-        for offset, length, record_type, _ in self._iter_file_records():
-            scan_end = offset + length
-            if record_type == RecordType.HEADER:
-                saw_header = True
-            elif record_type == RecordType.LIBNAME:
-                lib_name = unpack_ascii(self._payload(length))
-            elif record_type == RecordType.UNITS:
-                values = unpack_real8(self._payload(length))
-                if len(values) != 2:
-                    raise GdsiiError("UNITS record must hold two reals")
-                db_in_user, db_in_meters = values
-                unit = db_in_meters / db_in_user
-                library = Library(lib_name, unit=unit, precision=db_in_meters)
-            elif record_type == RecordType.BGNSTR:
-                current_cell = None
-                span_start = offset
-                span_cell = None
-            elif record_type == RecordType.STRNAME:
-                name = unpack_ascii(self._payload(length))
-                current_cell = cells.setdefault(name, Cell(name))
-                span_cell = name
-            elif record_type == RecordType.ENDSTR:
-                if span_cell is not None and span_start is not None:
-                    self._spans.setdefault(span_cell, []).append(
-                        (span_start, offset + length)
-                    )
-                current_cell = None
-                span_start = None
-                span_cell = None
-            elif record_type in (
-                RecordType.BOUNDARY,
-                RecordType.PATH,
-                RecordType.SREF,
-                RecordType.AREF,
-            ):
-                if current_cell is None:
-                    raise GdsiiError(
-                        f"{RecordType.NAMES[record_type]} outside a structure"
-                    )
-                element = {
-                    "kind": record_type,
-                    "strans": 0,
-                    "mag": 1.0,
-                    "angle": 0.0,
-                    "width": 0,
-                }
-            elif record_type == RecordType.TEXT:
-                element = {"kind": record_type}
-            elif element is not None:
-                kind = element["kind"]
-                if record_type == RecordType.XY and kind in _GEOMETRY_KINDS:
-                    # The one payload worth skipping: note its size so
-                    # validity can still be checked without reading it.
-                    if (length - 4) % 4:
-                        raise GdsiiError("int32 payload length not a multiple of 4")
-                    element["xy_count"] = (length - 4) // 4
-                elif record_type == RecordType.LAYER:
-                    element["layer"] = unpack_int16(self._payload(length))[0]
-                elif record_type == RecordType.WIDTH:
-                    element["width"] = unpack_int32(self._payload(length))[0]
-                elif record_type == RecordType.DATATYPE:
-                    element["datatype"] = unpack_int16(self._payload(length))[0]
-                elif record_type == RecordType.XY:
-                    element["xy"] = unpack_int32(self._payload(length))
-                elif record_type == RecordType.SNAME:
-                    element["sname"] = unpack_ascii(self._payload(length))
-                elif record_type == RecordType.STRANS:
-                    element["strans"] = int.from_bytes(self._payload(length), "big")
-                elif record_type == RecordType.MAG:
-                    element["mag"] = unpack_real8(self._payload(length))[0]
-                elif record_type == RecordType.ANGLE:
-                    element["angle"] = unpack_real8(self._payload(length))[0]
-                elif record_type == RecordType.COLROW:
-                    element["colrow"] = unpack_int16(self._payload(length))
-                elif record_type == RecordType.ENDEL:
-                    if library is None:
-                        raise GdsiiError("element before UNITS record")
-                    self._finish_scan_element(current_cell, element, pending_refs)
-                    element = None
-            elif record_type == RecordType.ENDLIB:
-                break
-
-        if span_cell is not None and span_start is not None:
-            # Structure left open (no ENDSTR before ENDLIB/EOF): keep the
-            # geometry parsed so far, like the materialized reader does.
-            self._spans.setdefault(span_cell, []).append((span_start, scan_end))
-
-        if not saw_header:
-            raise GdsiiError("missing HEADER record")
-        if library is None:
-            raise GdsiiError("missing UNITS record")
-
-        for parent, ref_spec in pending_refs:
-            target = cells.get(ref_spec["sname"])
-            if target is None:
-                raise GdsiiError(f"reference to undefined cell {ref_spec['sname']!r}")
-            parent.add_reference(_build_reference(target, ref_spec, library))
-
-        # One by one, like loads_gdsii: preserves stream order (a batched
-        # add would walk a LIFO list and reverse it).
-        for cell in cells.values():
-            library.add(cell, include_descendants=False)
-        self.library = library
-
-    def _finish_scan_element(
-        self,
-        cell: Optional[Cell],
-        element: dict,
-        pending_refs: List[Tuple[Cell, dict]],
-    ) -> None:
-        if cell is None:
-            raise GdsiiError("ENDEL outside a structure")
-        kind = element["kind"]
-        if kind == RecordType.BOUNDARY:
-            count = element.get("xy_count", 0)
-            if count < 8:
-                raise GdsiiError("BOUNDARY without a valid XY record")
-            self._note_layer(cell.name, element)
-        elif kind == RecordType.PATH:
-            count = element.get("xy_count", 0)
-            if count < 4:
-                raise GdsiiError("PATH without a valid XY record")
-            if element.get("width", 0) <= 0:
-                return  # Zero-width paths carry no printable geometry.
-            self._note_layer(cell.name, element)
-        elif kind in (RecordType.SREF, RecordType.AREF):
-            if "sname" not in element or "xy" not in element:
-                raise GdsiiError("reference without SNAME or XY")
-            pending_refs.append((cell, element))
-        # TEXT: silently skipped.
-
-    def _note_layer(self, cell_name: str, element: dict) -> None:
-        layer = Layer(element.get("layer", 0), element.get("datatype", 0))
-        order = self._layer_order.setdefault(cell_name, [])
-        if layer not in order:
-            order.append(layer)
-
-    # -- pass 2+: lazy geometry --------------------------------------------
-
-    def _iter_cell_geometry(self, name: str) -> Iterator[Tuple[Layer, Polygon]]:
-        for start, end in self._spans.get(name, ()):
-            yield from self._iter_span_geometry(start, end)
-
-    def _iter_span_geometry(
-        self, start: int, end: int
-    ) -> Iterator[Tuple[Layer, Polygon]]:
-        assert self.library is not None
-        grid = self.library.grid
-        element: Optional[dict] = None
-        for _, length, record_type, _ in self._iter_file_records(start, end):
-            if record_type in (
-                RecordType.BOUNDARY,
-                RecordType.PATH,
-            ):
-                element = {"kind": record_type, "width": 0}
-            elif record_type in (
-                RecordType.SREF,
-                RecordType.AREF,
-                RecordType.TEXT,
-            ):
-                element = {"kind": record_type}
-            elif element is not None:
-                kind = element["kind"]
-                if kind not in _GEOMETRY_KINDS:
-                    if record_type == RecordType.ENDEL:
-                        element = None
-                    continue
-                if record_type == RecordType.LAYER:
-                    element["layer"] = unpack_int16(self._payload(length))[0]
-                elif record_type == RecordType.DATATYPE:
-                    element["datatype"] = unpack_int16(self._payload(length))[0]
-                elif record_type == RecordType.WIDTH:
-                    element["width"] = unpack_int32(self._payload(length))[0]
-                elif record_type == RecordType.XY:
-                    element["xy"] = unpack_int32(self._payload(length))
-                elif record_type == RecordType.ENDEL:
-                    result = self._finish_geometry(element, grid)
-                    element = None
-                    if result is not None:
-                        yield result
-
-    @staticmethod
-    def _finish_geometry(element: dict, grid: float) -> Optional[Tuple[Layer, Polygon]]:
-        # Mirrors loads_gdsii's _finish_element for the geometry kinds,
-        # including the dropped closing vertex and the zero-width skip.
-        kind = element["kind"]
-        xy = element.get("xy")
-        layer = Layer(element.get("layer", 0), element.get("datatype", 0))
-        if kind == RecordType.BOUNDARY:
-            if not xy or len(xy) < 8:
-                raise GdsiiError("BOUNDARY without a valid XY record")
-            pts = [(xy[i] * grid, xy[i + 1] * grid) for i in range(0, len(xy) - 2, 2)]
-            return layer, Polygon(pts)
-        if not xy or len(xy) < 4:
-            raise GdsiiError("PATH without a valid XY record")
-        width = element.get("width", 0) * grid
-        if width <= 0:
-            return None
-        pts = [(xy[i] * grid, xy[i + 1] * grid) for i in range(0, len(xy), 2)]
-        return layer, Polygon.from_path(pts, width)
-
-
-# ---------------------------------------------------------------------------
-# CIF
-# ---------------------------------------------------------------------------
-
-#: Byte span of statements plus the layer selected when it begins (the
-#: CIF layer state persists across symbol boundaries, so a lazy re-scan
-#: must restore it).
-_CifSpan = Tuple[int, int, Layer]
-
-_CIF_CHUNK = 1 << 16
-
-
-class CifStream(_FileStream):
-    """Cursor-based CIF reader.
-
-    One pass over the file records, per symbol, the byte span of its
-    ``DS``…``DF`` block and the layer in effect when the block begins
-    (CIF layer state is global, not per-symbol); geometry statements are
-    only counted, never parsed.  The skeleton cells, symbol names,
-    deferred calls and the top-level wrapper rule all follow
-    :func:`~repro.layout.cif.loads_cif` exactly.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        super().__init__()
-        self.path = Path(path)
-        self._fh = open(self.path, "rb")
-        self._cell_spans: Dict[str, List[_CifSpan]] = {}
-        self._by_number_layer_order: Dict[Optional[int], List[Layer]] = {}
-        try:
-            self._scan()
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def close(self) -> None:
-        self._fh.close()
-
-    # -- statement cursor --------------------------------------------------
-
-    def _iter_statements(
-        self, start: int = 0, end: Optional[int] = None
-    ) -> Iterator[Tuple[int, str]]:
-        """Yield ``(offset, stripped_statement)`` pairs.
-
-        Comments ``( … )`` are replaced by one space (exactly what the
-        materialized reader's regex does), so a ``;`` inside a comment
-        never splits a statement.  ``start`` must be a statement
-        boundary previously yielded by this cursor.
-        """
-        fh = self._fh
-        fh.seek(start)
-        offset = start
-        statement_start = start
-        parts: List[bytes] = []
-        in_comment = False
-        remaining = None if end is None else end - start
-        while remaining is None or remaining > 0:
-            size = _CIF_CHUNK if remaining is None else min(_CIF_CHUNK, remaining)
-            chunk = fh.read(size)
-            if not chunk:
-                break
-            if remaining is not None:
-                remaining -= len(chunk)
-            cursor = 0
-            while cursor < len(chunk):
-                if in_comment:
-                    close = chunk.find(b")", cursor)
-                    if close < 0:
-                        cursor = len(chunk)
-                        break
-                    in_comment = False
-                    cursor = close + 1
-                    continue
-                stop = len(chunk)
-                semi = chunk.find(b";", cursor)
-                paren = chunk.find(b"(", cursor)
-                if semi >= 0:
-                    stop = min(stop, semi)
-                if paren >= 0:
-                    stop = min(stop, paren)
-                if stop > cursor:
-                    parts.append(chunk[cursor:stop])
-                if stop == semi and semi >= 0:
-                    text = b"".join(parts).decode("ascii", "replace")
-                    yield statement_start, text.strip()
-                    parts = []
-                    statement_start = offset + semi + 1
-                    cursor = semi + 1
-                elif stop == paren and paren >= 0:
-                    parts.append(b" ")
-                    in_comment = True
-                    cursor = paren + 1
-                else:
-                    cursor = stop
-            offset += len(chunk)
-        tail = b"".join(parts).decode("ascii", "replace").strip()
-        if tail:
-            yield statement_start, tail
-
-    # -- pass 1: skeleton --------------------------------------------------
-
-    def _scan(self) -> None:
-        library = Library("CIF", unit=1e-6, precision=1e-8)
-        cells: Dict[int, Cell] = {}
-        names: Dict[int, str] = {}
-        deferred_calls: List[Tuple[Optional[int], int, List[str]]] = []
-        symbol_spans: Dict[int, List[_CifSpan]] = {}
-        top_spans: List[_CifSpan] = []
-        top_poly_count = 0
-
-        current: Optional[Cell] = None
-        current_number: Optional[int] = None
-        top_used = False
-        layer = Layer(0, 0)
-
-        span_start = 0
-        span_layer = layer
-
-        def close_span(end_offset: int) -> None:
-            nonlocal span_start, span_layer
-            span = (span_start, end_offset, span_layer)
-            if span_start < end_offset:
-                if current_number is None:
-                    top_spans.append(span)
-                else:
-                    symbol_spans.setdefault(current_number, []).append(span)
-            span_start = end_offset
-            span_layer = layer
-
-        for offset, statement in self._iter_statements():
-            if not statement:
-                continue
-            if statement == "E" or statement.startswith("E "):
-                close_span(offset)
-                break
-            command = statement[0]
-            if command == "D":
-                parts = statement.split()
-                if parts[0] == "DS":
-                    if len(parts) < 2:
-                        raise CifError(f"malformed DS: {statement!r}")
-                    close_span(offset)
-                    current_number = int(parts[1])
-                    current = cells.setdefault(
-                        current_number, Cell(f"SYMBOL_{current_number}")
-                    )
-                    span_start = offset
-                elif parts[0] == "DF":
-                    # The DF statement itself carries no geometry; close
-                    # the symbol span at its start.
-                    close_span(offset)
-                    current = None
-                    current_number = None
-                elif parts[0] == "DD":
-                    continue
-                else:
-                    raise CifError(f"unknown D command: {statement!r}")
-            elif command == "9":
-                name = statement[1:].strip()
-                if current_number is not None and name:
-                    names[current_number] = name
-            elif command == "L":
-                layer = _parse_layer_token(statement[1:].strip())
-            elif command in ("B", "P"):
-                if current is None:
-                    top_used = True
-                    top_poly_count += 1
-                self._note_layer(current_number, layer)
-            elif command == "C":
-                if current is None:
-                    top_used = True
-                callee, ops = _parse_call(statement)
-                deferred_calls.append((current_number, callee, ops))
-            else:
-                continue
-        else:
-            # No E marker: the file simply ends.
-            close_span(self._fh.seek(0, os.SEEK_END))
-
-        for number, name in names.items():
-            if number in cells:
-                cells[number].name = name
-
-        top_cell = Cell("TOP")
-        for owner_number, callee, ops in deferred_calls:
-            child = cells.get(callee)
-            if child is None:
-                raise CifError(f"call to undefined symbol {callee}")
-            parent = top_cell if owner_number is None else cells[owner_number]
-            parent.add_reference(_reference_from_ops(child, ops))
-
-        for cell in cells.values():
-            library.add(cell, include_descendants=False)
-        if top_used and not (top_poly_count == 0 and _is_redundant_wrapper(top_cell)):
-            if top_cell.name in library:
-                top_cell.name = "CIF_TOP"
-            library.add(top_cell, include_descendants=False)
-        else:
-            top_spans = []
-
-        # Re-key spans and layer order (collected by symbol number while
-        # scanning — names are only applied at the end) by cell name.
-        for number, spans in symbol_spans.items():
-            self._cell_spans[cells[number].name] = spans
-        if top_spans:
-            self._cell_spans[top_cell.name] = top_spans
-        layer_order: Dict[str, List[Layer]] = {}
-        for owner, order in self._by_number_layer_order.items():
-            if owner is None:
-                layer_order[top_cell.name] = order
-            else:
-                layer_order[cells[owner].name] = order
-        self._layer_order = layer_order
-        self.library = library
-
-    def _note_layer(self, owner: Optional[int], layer: Layer) -> None:
-        order = self._by_number_layer_order.setdefault(owner, [])
-        if layer not in order:
-            order.append(layer)
-
-    # -- pass 2+: lazy geometry --------------------------------------------
-
-    def _iter_cell_geometry(self, name: str) -> Iterator[Tuple[Layer, Polygon]]:
-        for start, end, entry_layer in self._cell_spans.get(name, ()):
-            layer = entry_layer
-            for _, statement in self._iter_statements(start, end):
-                if not statement:
-                    continue
-                command = statement[0]
-                if command == "L":
-                    layer = _parse_layer_token(statement[1:].strip())
-                elif command == "B":
-                    yield layer, _parse_box(statement)
-                elif command == "P":
-                    yield layer, _parse_polygon(statement)
-                # DS/DF/9/C and extensions carry no geometry.
-
-
-# ---------------------------------------------------------------------------
-# Incremental GDSII writer
-# ---------------------------------------------------------------------------
-
-
-class GdsiiStreamWriter:
-    """Write a GDSII stream file cell by cell, in bounded memory.
-
-    The emitted bytes are identical to
-    :func:`~repro.layout.gdsii.dumps_gdsii` of a library holding the
-    same cells in the same order — the header, per-cell and trailer
-    records reuse the exact serializers.  The one thing an incremental
-    writer cannot do is check the full hierarchy for cycles up front;
-    callers stream cells they know to be acyclic.
-
-    Cells can be written whole (:meth:`write_cell`) or opened with
-    :meth:`begin_cell` and filled incrementally — the caller is then
-    responsible for the canonical order (polygons sorted by layer, then
-    references) if byte identity with the materialized writer matters.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        name: str = "LIB",
-        unit: float = 1e-6,
-        precision: float = 1e-9,
-    ) -> None:
-        if unit <= 0 or precision <= 0:
-            raise ValueError("unit and precision must be positive")
-        if precision > unit:
-            raise ValueError("precision must not exceed unit")
-        self.path = Path(path)
-        self.name = name
-        self.unit = unit
-        self.precision = precision
-        self._scale = 1.0 / (precision / unit)  # user units -> db units
-        self._fh = open(self.path, "wb")
-        self.bytes_written = 0
-        self._in_cell = False
-        self._closed = False
-        self._write(
-            b"".join(
-                [
-                    pack_int16(RecordType.HEADER, [600]),
-                    pack_int16(RecordType.BGNLIB, _TIMESTAMP),
-                    pack_ascii(RecordType.LIBNAME, name),
-                    pack_real8(RecordType.UNITS, [precision / unit, precision]),
-                ]
-            )
-        )
-
-    def _write(self, data: bytes) -> None:
-        if self._closed:
-            raise ValueError("writer is closed")
-        self._fh.write(data)
-        self.bytes_written += len(data)
-
-    def write_cell(self, cell: Cell) -> None:
-        """Emit one whole cell (canonical record order, like dumps)."""
-        if self._in_cell:
-            raise ValueError("finish the open cell before writing another")
-        self._write(_dump_cell(cell, self._scale))
-
-    def begin_cell(self, name: str) -> None:
-        """Open a structure for incremental geometry/reference writes."""
-        if self._in_cell:
-            raise ValueError("finish the open cell before beginning another")
-        self._write(
-            pack_int16(RecordType.BGNSTR, _TIMESTAMP)
-            + pack_ascii(RecordType.STRNAME, name)
-        )
-        self._in_cell = True
-
-    def write_polygon(self, polygon: Polygon, layer: Layer) -> None:
-        """Emit one BOUNDARY into the open structure."""
-        if not self._in_cell:
-            raise ValueError("no open cell to write a polygon into")
-        self._write(_dump_boundary(polygon, Layer.of(layer), self._scale))
-
-    def write_reference(self, reference) -> None:
-        """Emit one SREF/AREF into the open structure."""
-        if not self._in_cell:
-            raise ValueError("no open cell to write a reference into")
-        self._write(_dump_reference(reference, self._scale))
-
-    def end_cell(self) -> None:
-        """Close the structure opened by :meth:`begin_cell`."""
-        if not self._in_cell:
-            raise ValueError("no open cell to end")
-        self._write(pack_record(RecordType.ENDSTR, DataType.NONE))
-        self._in_cell = False
-
-    def close(self) -> int:
-        """Write ENDLIB, close the file; returns total bytes written."""
-        if self._closed:
-            return self.bytes_written
-        if self._in_cell:
-            self.end_cell()
-        self._write(pack_record(RecordType.ENDLIB, DataType.NONE))
-        self._closed = True
-        self._fh.close()
-        return self.bytes_written
-
-    def __enter__(self) -> "GdsiiStreamWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+from repro.layout.gdsii import GdsiiStream, GdsiiStreamWriter
+
+__all__ = [
+    "GEOM_CACHE_MAX_POLYGONS",
+    "LayoutStream",
+    "MemoryStream",
+    "GdsiiStream",
+    "CifStream",
+    "GdsiiStreamWriter",
+    "open_layout_stream",
+]
 
 
 def open_layout_stream(path: Union[str, Path]) -> LayoutStream:
-    """Open a layout file as a stream, choosing the reader by suffix."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".cif":
+    """Open a layout file as a stream, choosing the reader by suffix
+    (``.cif`` is CIF, anything else GDSII)."""
+    if Path(path).suffix.lower() == ".cif":
         return CifStream(path)
     return GdsiiStream(path)

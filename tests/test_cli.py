@@ -2,8 +2,13 @@
 
 import pytest
 
+from test_cif import CIF_CORPUS, CIF_EXPECTED
+from test_gdsii import GDSII_CORPUS, GDSII_EXPECTED
+
 from repro.cli import main
+from repro.core.jobfile import read_job
 from repro.layout import generators
+from repro.layout.cif import write_cif
 from repro.layout.gdsii import write_gdsii
 
 
@@ -111,8 +116,6 @@ class TestPrep:
         assert main(["prep", gds_file, "--dose", "10"]) == 0
 
     def test_prep_writes_jobfile(self, gds_file, tmp_path, capsys):
-        from repro.core.jobfile import read_job
-
         out_path = tmp_path / "job.ebj"
         assert main(["prep", gds_file, "--output", str(out_path)]) == 0
         assert "wrote machine job file" in capsys.readouterr().out
@@ -126,6 +129,80 @@ class TestStats:
         out = capsys.readouterr().out
         assert "cells:" in out
         assert "compaction" in out
+
+
+class TestLayoutInputs:
+    """``prep`` reads its input through one reader per format, whichever
+    mode runs: resident and ``--stream`` accept the same files, reject
+    the same files with the same one-line error, and write the same
+    bytes."""
+
+    @staticmethod
+    def prep_both_modes(path, tmp_path, capsys):
+        """Per mode: exit code, stderr, and the artifact bytes."""
+        runs = []
+        for mode, flags in (("resident", []), ("streamed", ["--stream"])):
+            job = tmp_path / f"{mode}.ebj"
+            code = main(
+                ["prep", str(path), *flags, "--field-size", "10"]
+                + ["--machine", "vsb", "--output", str(job)]
+            )
+            artifacts = [
+                file.read_bytes() if file.exists() else None
+                for file in (job, job.with_suffix(".vsb.ebp"))
+            ]
+            runs.append((code, capsys.readouterr().err, artifacts))
+        return runs
+
+    def test_cif_preps_to_the_same_bytes_in_both_modes(self, tmp_path, capsys):
+        path = tmp_path / "contacts.cif"
+        write_cif(generators.contact_array(columns=3, rows=2, hierarchical=True), path)
+        resident, streamed = self.prep_both_modes(path, tmp_path, capsys)
+        assert resident[:2] == streamed[:2] == (0, "")
+        assert resident[2] == streamed[2] and None not in resident[2]
+        assert read_job(tmp_path / "resident.ebj").figure_count() == 6
+        assert main(["stats", str(path)]) == 0
+        assert "polygons (flat):      6" in capsys.readouterr().out
+
+    def test_structure_without_bgnstr_keeps_its_geometry(self, tmp_path, capsys):
+        # Losing the cell's polygon with exit 0 is the one outcome
+        # not allowed; both modes read it.
+        path = tmp_path / "headless.gds"
+        path.write_bytes(GDSII_CORPUS["strname_without_bgnstr"])
+        resident, streamed = self.prep_both_modes(path, tmp_path, capsys)
+        assert resident[:2] == streamed[:2] == (0, "")
+        assert resident[2] == streamed[2] and None not in resident[2]
+        assert read_job(tmp_path / "streamed.ebj").figure_count() == 1
+
+    @pytest.mark.parametrize(
+        "suffix, corpus, expected, cases",
+        [
+            (
+                ".gds",
+                GDSII_CORPUS,
+                GDSII_EXPECTED,
+                ["empty_layer", "empty_datatype", "empty_width", "empty_mag"]
+                + ["empty_angle", "path_odd_xy", "sref_xy_one_int"]
+                + ["aref_colrow_zero", "strname_inside_element"],
+            ),
+            (
+                ".cif",
+                CIF_CORPUS,
+                CIF_EXPECTED,
+                ["unterminated_comment", "translate_cut_short", "mirror_cut_short"],
+            ),
+        ],
+    )
+    def test_malformed_layouts_exit_2_with_one_line(
+        self, suffix, corpus, expected, cases, tmp_path, capsys
+    ):
+        for case in cases:
+            data = corpus[case]
+            path = tmp_path / f"{case}{suffix}"
+            path.write_bytes(data if isinstance(data, bytes) else data.encode())
+            message = f"error: {expected[case][1]}\n"
+            for code, err, artifacts in self.prep_both_modes(path, tmp_path, capsys):
+                assert (code, err, artifacts) == (2, message, [None, None])
 
 
 class TestArgParsing:

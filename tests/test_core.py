@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.compare import compare_machines
-from repro.core.job import MachineJob
+from repro.core.job import MachineJob, ShotFold
 from repro.core.metrics import fidelity_report
 from repro.core.pipeline import PreparationPipeline
 from repro.fracture.base import Shot
@@ -63,6 +63,51 @@ class TestMachineJob:
     def test_base_dose_validation(self):
         with pytest.raises(ValueError):
             MachineJob([], base_dose=0)
+
+    def test_resident_and_streamed_jobs_share_one_fold(self):
+        shots = [
+            Shot(
+                Trapezoid.from_rectangle(
+                    0.1 * k, 0.3 * k, 0.1 * k + 0.7, 0.3 * k + 1.1
+                ),
+                dose=0.1 * (k + 1),
+            )
+            for k in range(10)
+        ]
+        resident = MachineJob(shots, base_dose=3.0)
+        fold = ShotFold(3.0)
+        for shot in shots:
+            fold.add(shot)
+        streamed = fold.job("streamed")
+        assert streamed.shots == [] and streamed.name == "streamed"
+        # Literals: what MachineJob answered before the fold existed
+        # (built-in sum() on 3.11 — plain left-to-right addition).
+        for job in (resident, streamed):
+            assert job.digest() == (
+                "05684563c04b9382b9fbcb790fd8c974f2ad4c2aec058b321545b7e1c909e105"
+            )
+            assert job.bounding_box == (0.0, 0.0, 1.6, 3.8)
+            assert job.figure_count() == 10
+            assert job.pattern_area() == 7.7
+            assert job.dose_weighted_area() == 4.235000000000001
+            assert job.dose_weighted_count() == 5.500000000000001
+            assert job.dose_range() == (0.1, 1.0)
+
+    def test_accessors_fold_the_shot_list_once(self):
+        class CountedShot(Shot):
+            areas = 0
+
+            def area(self):
+                CountedShot.areas += 1
+                return super().area()
+
+        job = MachineJob(
+            [CountedShot(Trapezoid.from_rectangle(k, 0, k + 1, 1)) for k in range(4)]
+        )
+        for _ in range(3):
+            job.pattern_area(), job.dose_weighted_area(), job.pattern_density()
+            job.dose_weighted_count(), job.dose_range(), job.digest()
+        assert CountedShot.areas == 4
 
 
 class TestPipeline:

@@ -77,7 +77,7 @@ def _vertices(polys):
 
 
 # ---------------------------------------------------------------------------
-# Cursor readers: bit-equivalent to the materialized loaders
+# Cursor readers: the lazy walk equals flattening the complete read
 # ---------------------------------------------------------------------------
 
 
@@ -91,9 +91,10 @@ class TestStreamingReaders:
         with GdsiiStream(path) as stream:
             streamed = list(stream.iter_flat())
             assert _vertices(streamed) == _vertices(_flat_sequence(materialized))
-            # Materializing the skeleton reproduces the loaded library
-            # exactly (same cells, same order, same polygons).
-            assert dumps_gdsii(stream.materialize()) == dumps_gdsii(materialized)
+            # loads_gdsii is this cursor run to completion, so
+            # materialize() is checked against the independent writer:
+            # same cells, same order, same polygons as were written.
+            assert dumps_gdsii(stream.materialize()) == path.read_bytes()
 
     @given(library=generated_libraries())
     @settings(max_examples=25, deadline=None)
@@ -105,7 +106,11 @@ class TestStreamingReaders:
         with CifStream(path) as stream:
             streamed = list(stream.iter_flat())
             assert _vertices(streamed) == _vertices(_flat_sequence(materialized))
-            assert dumps_cif(stream.materialize()) == dumps_cif(materialized)
+            # Likewise against the writer: re-writing the materialized
+            # library changes only the header comment (the library name
+            # is the one thing CIF does not carry).
+            rewritten = dumps_cif(stream.materialize())
+            assert rewritten.split("\n", 1)[1] == text.split("\n", 1)[1]
 
     def test_memory_stream_walks_like_flatten(self):
         library = generators.memory_array(words=2, bits=2, blocks=(2, 2))
