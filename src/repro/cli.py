@@ -260,15 +260,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
         # sized by --tiles instead of baked into the workload table.
         source = generators.full_reticle(tiles=args.tiles)
     else:
-        workloads = dict(generators.all_workloads())
-        if args.workload not in workloads:
+        factory = generators.WORKLOADS.get(args.workload)
+        if factory is None:
             print(
                 f"unknown workload {args.workload!r}; choose from "
-                f"{sorted(workloads) + ['full_reticle']}",
+                f"{sorted(generators.WORKLOADS) + ['full_reticle']}",
                 file=sys.stderr,
             )
             return 2
-        source = workloads[args.workload]
+        source = factory()
     return _prepare_and_report(args, source, name=args.workload)
 
 

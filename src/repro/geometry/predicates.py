@@ -8,7 +8,7 @@ not overflow).  Points are plain ``(x, y)`` tuples of ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 IntPoint = Tuple[int, int]
 
@@ -129,6 +129,24 @@ def snap(value: float, grid: float) -> int:
     """Snap a float coordinate to the integer grid with half-up rounding."""
     scaled = value / grid
     return int(scaled + 0.5) if scaled >= 0 else -int(-scaled + 0.5)
+
+
+def ring_collapses(xy: Sequence[int]) -> bool:
+    """True if the integer ring ``[x0, y0, x1, y1, …]`` encloses no area.
+
+    The layout writers' one degeneracy rule: a polygon whose vertices,
+    snapped to the file's grid, have zero shoelace area (a sub-grid
+    sliver, repeated or collinear points) is not a figure, and a record
+    for it need not survive a read → write round trip byte for byte —
+    the writers reject it instead of emitting it.  Exact: Python
+    integers do not overflow.  The ring may or may not repeat its first
+    point at the end.
+    """
+    xs, ys = xy[0::2], xy[1::2]
+    doubled = xs[-1] * ys[0] - xs[0] * ys[-1]
+    for i in range(len(xs) - 1):
+        doubled += xs[i] * ys[i + 1] - xs[i + 1] * ys[i]
+    return doubled == 0
 
 
 def bounding_boxes_overlap(

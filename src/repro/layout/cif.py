@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import ring_collapses
 from repro.layout.cell import Cell
 from repro.layout.cursor import FileStream
 from repro.layout.layer import Layer
@@ -60,7 +61,8 @@ def dumps_cif(library: Library) -> str:
 
     Raises:
         CifError: for references with non-unit magnification (CIF cannot
-            represent scaling in calls).
+            represent scaling in calls) and for polygons with zero area
+            on the centimicron grid.
     """
     library.check_acyclic()
     numbering: Dict[str, int] = {
@@ -89,8 +91,13 @@ def _to_cu(value: float) -> int:
 
 
 def _dump_polygon(poly: Polygon) -> str:
-    coords = " ".join(f"{_to_cu(v.x)} {_to_cu(v.y)}" for v in poly.vertices)
-    return f"P {coords};"
+    xy = [_to_cu(c) for v in poly.vertices for c in (v.x, v.y)]
+    if ring_collapses(xy):
+        raise CifError(
+            f"polygon with bounding box {poly.bounding_box()} has zero area "
+            "on the centimicron grid"
+        )
+    return f"P {' '.join(map(str, xy))};"
 
 
 def _dump_call(ref: CellReference, numbering: Dict[str, int]) -> List[str]:

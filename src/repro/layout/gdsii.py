@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import ring_collapses
 from repro.layout.cell import Cell
 from repro.layout.cursor import FileStream
 from repro.layout.layer import Layer
@@ -57,7 +58,8 @@ def write_gdsii(library: Library, path: Union[str, Path]) -> int:
     """Write a library as a GDSII stream file.
 
     Polygons are quantized to the library's database unit.  Polygons with
-    more vertices than a single XY record can hold are rejected.
+    more vertices than a single XY record can hold, or with zero area on
+    that grid, are rejected (:class:`GdsiiError`).
 
     Returns:
         The number of bytes written.
@@ -117,6 +119,11 @@ def _dump_boundary(poly: Polygon, layer: Layer, scale: float) -> bytes:
     for v in verts:
         xy.append(int(round(v.x * scale)))
         xy.append(int(round(v.y * scale)))
+    if ring_collapses(xy):
+        raise GdsiiError(
+            f"polygon with bounding box {poly.bounding_box()} has zero area "
+            f"on the database grid ({1.0 / scale:g} user units)"
+        )
     # GDSII closes the ring explicitly.
     xy.append(xy[0])
     xy.append(xy[1])

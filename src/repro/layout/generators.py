@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
 from repro.layout.layer import DEFAULT_LAYER, Layer
 from repro.layout.library import Library
+
+
+#: No generator emits a feature narrower than this [µm]: one CIF
+#: centimicron, the coarser of the two layout-file grids (GDSII's default
+#: database unit is 1 nm), so generated geometry never collapses to zero
+#: area when a writer snaps it — writers reject polygons that do.
+MIN_FEATURE = 0.01
 
 
 def _library(top: Cell, name: str) -> Library:
@@ -135,18 +142,25 @@ def random_logic(
         y = rng.uniform(0, chip_size)
         x = round(x / grid) * grid
         y = round(y / grid) * grid
+        # Clip to the chip.  A wire whose clipped width falls below the
+        # grid (a track on, or within rounding of, the chip edge) is not
+        # emitted — it would collapse to zero area in a layout file —
+        # but still counts against the budget as it always has, so every
+        # other wire of a given seed stays where it was.
         if horizontal:
             x_end = min(x + length, chip_size)
+            y_end = min(y + wire_width, chip_size)
             if x_end - x < wire_width:
                 continue
-            top.add_rectangle(x, y, x_end, min(y + wire_width, chip_size), layer)
             placed += (x_end - x) * wire_width
         else:
+            x_end = min(x + wire_width, chip_size)
             y_end = min(y + length, chip_size)
             if y_end - y < wire_width:
                 continue
-            top.add_rectangle(x, y, min(x + wire_width, chip_size), y_end, layer)
             placed += (y_end - y) * wire_width
+        if min(x_end - x, y_end - y) >= MIN_FEATURE:
+            top.add_rectangle(x, y, x_end, y_end, layer)
     return _library(top, "LOGIC_LIB")
 
 
@@ -381,16 +395,26 @@ def write_full_reticle(
     return write_gdsii(full_reticle(tiles=tiles, pitch=pitch, layer=layer), path)
 
 
+#: The standard benchmark workload suite: name → generator, each called
+#: with its defaults.  Look one workload up here; :func:`all_workloads`
+#: builds every one of them.
+WORKLOADS: Dict[str, Callable[..., Library]] = {
+    "grating": grating,
+    "contacts": contact_array,
+    "logic": random_logic,
+    "memory": memory_array,
+    "fzp": fresnel_zone_plate,
+    "serpentine": serpentine,
+    "density_ladder": density_ladder,
+    "line_and_pad": isolated_line_with_pad,
+    "checkerboard": checkerboard,
+}
+
+
 def all_workloads(seed: int = 0) -> List[Tuple[str, Library]]:
-    """The standard benchmark workload suite, as ``(name, library)`` pairs."""
+    """Every :data:`WORKLOADS` entry built, as ``(name, library)`` pairs
+    (``seed`` reaches the one seeded generator, ``random_logic``)."""
     return [
-        ("grating", grating()),
-        ("contacts", contact_array()),
-        ("logic", random_logic(seed=seed)),
-        ("memory", memory_array()),
-        ("fzp", fresnel_zone_plate()),
-        ("serpentine", serpentine()),
-        ("density_ladder", density_ladder()),
-        ("line_and_pad", isolated_line_with_pad()),
-        ("checkerboard", checkerboard()),
+        (name, factory(seed=seed) if factory is random_logic else factory())
+        for name, factory in WORKLOADS.items()
     ]

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
-
-import networkx as nx
+from typing import Dict, Iterator, List, Tuple
 
 from repro.layout.cell import Cell
 
@@ -81,33 +79,65 @@ class Library:
 
     # -- hierarchy ---------------------------------------------------------
 
-    def hierarchy_graph(self) -> "nx.DiGraph":
-        """Directed parent→child reference graph over the library."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.cells)
-        for cell in self.cells.values():
-            for ref in cell.references:
-                graph.add_edge(cell.name, ref.cell.name)
-        return graph
+    def hierarchy_graph(self) -> Dict[str, Tuple[str, ...]]:
+        """Parent → referenced cell names, one entry per library cell.
+
+        Children are distinct and in first-reference order; a child
+        that is not itself in the library has no entry (it is a leaf).
+        """
+        return {
+            name: tuple(dict.fromkeys(ref.cell.name for ref in cell.references))
+            for name, cell in self.cells.items()
+        }
+
+    def _chain_lengths(self) -> Dict[str, int]:
+        """Longest reference chain starting at each cell (1 for a leaf).
+
+        One iterative depth-first walk (a deep hierarchy must not hit
+        the recursion limit) that memoises per cell and raises
+        ``ValueError`` on the first back edge, naming the closed path.
+        """
+        graph = self.hierarchy_graph()
+        length: Dict[str, int] = {}
+        for root in graph:
+            if root in length:
+                continue
+            path = [root]
+            on_path = {root}
+            pending = [iter(graph[root])]
+            while pending:
+                for child in pending[-1]:
+                    if child in on_path:
+                        cycle = path[path.index(child) :] + [child]
+                        raise ValueError(
+                            "reference cycle in library: " + " -> ".join(cycle)
+                        )
+                    if child not in length:
+                        path.append(child)
+                        on_path.add(child)
+                        pending.append(iter(graph.get(child, ())))
+                        break
+                else:
+                    pending.pop()
+                    done = path.pop()
+                    on_path.remove(done)
+                    length[done] = 1 + max(
+                        (length[c] for c in graph.get(done, ())), default=0
+                    )
+        return length
 
     def check_acyclic(self) -> None:
         """Raise ``ValueError`` if any reference cycle exists."""
-        graph = self.hierarchy_graph()
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-        raise ValueError(f"reference cycle in library: {path}")
+        self._chain_lengths()
 
     def top_cells(self) -> List[Cell]:
         """Cells that are not referenced by any other cell."""
-        graph = self.hierarchy_graph()
-        return [
-            self.cells[name]
-            for name in self.cells
-            if graph.in_degree(name) == 0
-        ]
+        referenced = {
+            child
+            for children in self.hierarchy_graph().values()
+            for child in children
+        }
+        return [cell for name, cell in self.cells.items() if name not in referenced]
 
     def top_cell(self) -> Cell:
         """The unique top cell.
@@ -123,11 +153,7 @@ class Library:
 
     def depth(self) -> int:
         """Longest reference chain (1 for a flat library)."""
-        graph = self.hierarchy_graph()
-        if not graph:
-            return 0
-        self.check_acyclic()
-        return int(nx.dag_longest_path_length(graph)) + 1
+        return max(self._chain_lengths().values(), default=0)
 
     def __repr__(self) -> str:
         return (

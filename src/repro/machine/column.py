@@ -59,6 +59,18 @@ FIELD_EMISSION = ElectronSource(
 )
 
 
+def _sum_of_squares(d_gauss, d_sphere, d_chromatic, d_diffraction):
+    """``d²`` of the quadrature budget, added in one fixed order.
+
+    Written out (not ``sum()``, which CPython ≥ 3.12 compensates for
+    floats) so the scalar :meth:`Column.spot_size` and the array scan in
+    :meth:`Column.optimal_half_angle` round identically on every Python.
+    """
+    total = d_gauss * d_gauss + d_sphere * d_sphere
+    total = total + d_chromatic * d_chromatic
+    return total + d_diffraction * d_diffraction
+
+
 class Column:
     """A Gaussian electron-optical column.
 
@@ -92,37 +104,53 @@ class Column:
         if current_a <= 0 or half_angle_rad <= 0:
             raise ValueError("current and half-angle must be positive")
         contributions = self.spot_contributions(current_a, half_angle_rad)
-        return math.sqrt(sum(c * c for c in contributions))
+        return math.sqrt(_sum_of_squares(*contributions))
 
     def spot_contributions(
         self, current_a: float, half_angle_rad: float
     ) -> Tuple[float, float, float, float]:
         """``(d_gauss, d_sphere, d_chromatic, d_diffraction)`` in µm."""
+        return self._contributions(current_a, half_angle_rad, half_angle_rad**3)
+
+    def _contributions(self, current_a: float, alpha, alpha_cubed):
+        """The four budget terms for one ``α`` or, elementwise, an array.
+
+        ``α³`` is passed in because numpy's array ``pow`` may round
+        differently from the scalar one; every other operation here is
+        a correctly rounded IEEE elementary, identical in both forms.
+        """
         brightness = self.source.brightness_at(self.energy_kev)  # A/cm²/sr
         brightness_um = brightness / 1e8  # A/µm²/sr
-        d_gauss = (
-            (2.0 / math.pi)
-            * math.sqrt(current_a / brightness_um)
-            / half_angle_rad
-        )
-        d_sphere = 0.5 * self.cs_um * half_angle_rad**3
+        d_gauss = (2.0 / math.pi) * math.sqrt(current_a / brightness_um) / alpha
+        d_sphere = 0.5 * self.cs_um * alpha_cubed
         delta_e = self.source.energy_spread_ev / (self.energy_kev * 1e3)
-        d_chromatic = self.cc_um * delta_e * half_angle_rad
+        d_chromatic = self.cc_um * delta_e * alpha
         wavelength_um = relativistic_wavelength_nm(self.energy_kev) * 1e-3
-        d_diffraction = 0.61 * wavelength_um / half_angle_rad
+        d_diffraction = 0.61 * wavelength_um / alpha
         return (d_gauss, d_sphere, d_chromatic, d_diffraction)
+
+    def _best_on_grid(self, current_a: float, angles: np.ndarray) -> int:
+        """Index of the grid angle with the smallest :meth:`spot_size`.
+
+        One array evaluation instead of ``len(angles)`` scalar calls;
+        each element is the float ``spot_size`` returns for that angle
+        (``α³`` comes from the scalar ``pow``, point by point).
+        """
+        cubes = np.array([a**3 for a in angles])
+        contributions = self._contributions(current_a, angles, cubes)
+        return int(np.argmin(np.sqrt(_sum_of_squares(*contributions))))
 
     def optimal_half_angle(self, current_a: float) -> float:
         """Aperture α minimizing spot size at ``current_a`` [rad]."""
+        if current_a <= 0:
+            raise ValueError("current must be positive")
         angles = np.geomspace(1e-4, 5e-2, 400)
-        sizes = [self.spot_size(current_a, a) for a in angles]
-        best = int(np.argmin(sizes))
+        best = self._best_on_grid(current_a, angles)
         # Refine once around the coarse optimum.
         lo = angles[max(best - 1, 0)]
         hi = angles[min(best + 1, len(angles) - 1)]
         fine = np.linspace(lo, hi, 200)
-        sizes_fine = [self.spot_size(current_a, a) for a in fine]
-        return float(fine[int(np.argmin(sizes_fine))])
+        return float(fine[self._best_on_grid(current_a, fine)])
 
     def best_spot_size(self, current_a: float) -> float:
         """Minimum achievable spot diameter [µm] at ``current_a``."""

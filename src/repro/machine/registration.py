@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 
 def mark_signal(
@@ -39,6 +38,9 @@ def mark_signal(
     """
     if beam_size <= 0:
         raise ValueError("beam size must be positive")
+    # Call-time import: a run that detects no mark never loads scipy.
+    from scipy.special import erf
+
     signal = 0.5 * contrast * (1.0 + erf((positions - edge_position) / beam_size))
     if noise > 0:
         if rng is None:

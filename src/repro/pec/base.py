@@ -17,7 +17,6 @@ import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 from repro.fracture.base import Shot
 from repro.geometry.trapezoid import Trapezoid
@@ -38,6 +37,9 @@ def _rect_gauss_integral(
     ``g(r) = exp(−r²/σ²) / (π σ²)`` (the PSF term normalization), so the
     integral over the whole plane is 1.
     """
+    # Call-time import: only a PEC run pays for scipy.special (~0.3 s).
+    from scipy.special import erf
+
     ax = 0.5 * (erf((x1 - px) / sigma) - erf((x0 - px) / sigma))
     ay = 0.5 * (erf((y1 - py) / sigma) - erf((y0 - py) / sigma))
     return ax * ay

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.fracture.base import Shot
 from repro.geometry.rasterize import RasterFrame, _scanline_coverage_rows
@@ -102,6 +101,9 @@ class ExposureSimulator:
                 f"dose map shape {dose_map.shape} does not match frame "
                 f"({self.frame.ny}, {self.frame.nx})"
             )
+        # Call-time import: scipy.signal costs ~1.15 s at start-up.
+        from scipy.signal import fftconvolve
+
         return fftconvolve(dose_map, self._kernel, mode="same")
 
     def expose_shots(

@@ -106,6 +106,11 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
 
     server: PrepServer
     protocol_version = "HTTP/1.1"
+    # Buffered ``wfile``, flushed once per request in ``_dispatch``: the
+    # stdlib default (0) sends headers and body as two segments, and the
+    # second waits ~40 ms on Nagle + the client's delayed ACK.  An
+    # artifact larger than the buffer still streams chunk by chunk.
+    wbufsize = _CHUNK
 
     # -- plumbing ----------------------------------------------------------
 
@@ -148,6 +153,7 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
         self._response_begun = False
         try:
             handled = self._route(method, parts, query)
+            self.wfile.flush()
         except SchemaError as exc:
             self._send_error_json(400, str(exc))
             return

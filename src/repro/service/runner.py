@@ -57,12 +57,13 @@ class JobRunner:
         every run sees the identical deterministic geometry)."""
         from repro.layout import generators
 
-        workloads = dict(generators.all_workloads())
-        if name not in workloads:
+        factory = generators.WORKLOADS.get(name)
+        if factory is None:
             raise ValueError(
-                f"unknown workload {name!r}; choose from {sorted(workloads)}"
+                f"unknown workload {name!r}; choose from "
+                f"{sorted(generators.WORKLOADS)}"
             )
-        return workloads[name]
+        return factory()
 
     def job_dir(self, job_id: str) -> Path:
         return self.work_dir / "jobs" / job_id

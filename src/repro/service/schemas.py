@@ -43,7 +43,7 @@ class JobSpec:
 
     Attributes:
         workload: built-in workload name (see
-            :func:`repro.layout.generators.all_workloads`).
+            :data:`repro.layout.generators.WORKLOADS`).
         recipe: the full pipeline-knob set.
         priority: scheduling priority — higher runs earlier (FIFO
             within a class); default 0.
@@ -72,7 +72,7 @@ def known_workloads() -> list:
     """The submittable workload names, sorted."""
     from repro.layout import generators
 
-    return sorted(name for name, _ in generators.all_workloads())
+    return sorted(generators.WORKLOADS)
 
 
 def parse_job_spec(payload) -> JobSpec:

@@ -56,6 +56,25 @@ class TestWriter:
         with pytest.raises(CifError, match="magnification"):
             dumps_cif(lib)
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (18.0, 20.0, 20.000000000000004, 20.000000000000004),
+            (0.0, 0.0, 5.0, 0.004),  # a figure in GDSII (4 dbu), not on 10 nm
+        ],
+    )
+    def test_polygon_collapsing_on_the_centimicron_grid_rejected(self, box):
+        # The GDSII writers' rule (tests/test_gdsii.py), on CIF's grid.
+        lib = Library("T")
+        lib.new_cell("TOP").add_rectangle(*box)
+        with pytest.raises(CifError, match="zero area on the centimicron grid"):
+            dumps_cif(lib)
+
+    def test_one_centimicron_is_enough(self):
+        lib = Library("T")
+        lib.new_cell("TOP").add_rectangle(0.0, 0.0, 5.0, 0.01)
+        assert "P 0 0 500 0 500 1 0 1;" in dumps_cif(lib)
+
     def test_array_expanded_to_calls(self):
         lib = generators.contact_array(columns=3, rows=2, hierarchical=True)
         text = dumps_cif(lib)

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from test_cif import CIF_CORPUS, CIF_EXPECTED
@@ -106,6 +109,53 @@ class TestDemo:
         assert "Traceback" not in err
 
 
+def loaded_modules(script):
+    """Run ``script`` in a fresh interpreter; the ``sys.modules`` names
+    it ends with (import cost is pinned by name, never by seconds)."""
+    result = subprocess.run(
+        [sys.executable, "-c", script + "\nprint(*sorted(sys.modules))"],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def heavy(modules, *roots):
+    return sorted(
+        m for m in modules if any(m == r or m.startswith(r + ".") for r in roots)
+    )
+
+
+class TestImportSurface:
+    """Third-party packages heavier than numpy load where they are
+    called, so start-up and non-PEC runs never pay for them."""
+
+    DEMO = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['demo', '--workload', 'fzp', '--field-size', '15',"
+        " '--machine', 'vsb', '--output', {out!r}{extra}]) == 0"
+    )
+
+    def test_importing_the_cli_loads_no_scipy_or_networkx(self):
+        modules = loaded_modules("import sys\nimport repro.cli")
+        assert "repro.pec.base" in modules  # the eager package did load
+        assert heavy(modules, "scipy", "networkx") == []
+
+    def test_prep_without_pec_never_imports_scipy(self, tmp_path):
+        out = tmp_path / "out.ebj"
+        modules = loaded_modules(self.DEMO.format(out=str(out), extra=""))
+        assert heavy(modules, "scipy", "networkx") == []
+        assert out.stat().st_size > 0
+
+    def test_dense_pec_imports_scipy_special_only(self, tmp_path):
+        out = tmp_path / "out.ebj"
+        modules = loaded_modules(self.DEMO.format(out=str(out), extra=", '--pec'"))
+        assert "scipy.special" in modules
+        assert heavy(modules, "scipy.signal", "scipy.stats", "networkx") == []
+
+
 class TestPrep:
     def test_prep_gdsii(self, gds_file, capsys):
         assert main(["prep", gds_file]) == 0
@@ -169,6 +219,18 @@ class TestLayoutInputs:
         # not allowed; both modes read it.
         path = tmp_path / "headless.gds"
         path.write_bytes(GDSII_CORPUS["strname_without_bgnstr"])
+        resident, streamed = self.prep_both_modes(path, tmp_path, capsys)
+        assert resident[:2] == streamed[:2] == (0, "")
+        assert resident[2] == streamed[2] and None not in resident[2]
+        assert read_job(tmp_path / "streamed.ebj").figure_count() == 1
+
+    def test_zero_area_polygon_from_a_foreign_file_preps_to_no_figure(
+        self, tmp_path, capsys
+    ):
+        # Our writers refuse such a record; another tool's file may hold
+        # one.  It is not an error and not a figure, in either mode.
+        path = tmp_path / "sliver.gds"
+        path.write_bytes(GDSII_CORPUS["zero_area_boundary"])
         resident, streamed = self.prep_both_modes(path, tmp_path, capsys)
         assert resident[:2] == streamed[:2] == (0, "")
         assert resident[2] == streamed[2] and None not in resident[2]

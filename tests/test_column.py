@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.machine.column import Column, FIELD_EMISSION, LAB6, TUNGSTEN
@@ -41,6 +42,14 @@ class TestSpotSize:
             math.sqrt(sum(c * c for c in contributions))
         )
 
+    def test_total_is_the_explicit_four_term_sum(self, column):
+        # One addition order on every Python (built-in sum() compensates
+        # float sums from CPython 3.12 on): exact, not approx.
+        for current, angle in [(1e-9, 5e-3), (3e-7, 1.3e-2), (1e-12, 2e-4)]:
+            g, s, c, d = column.spot_contributions(current, angle)
+            total = ((g * g + s * s) + c * c) + d * d
+            assert column.spot_size(current, angle) == math.sqrt(total)
+
     def test_gauss_term_dominates_at_small_aperture(self, column):
         d_g, d_s, d_c, d_d = column.spot_contributions(1e-8, 1e-3)
         assert d_g > d_s
@@ -55,7 +64,38 @@ class TestSpotSize:
         assert d_d < 2e-3  # a nanometre-scale term, far below the spot
 
 
+def scalar_optimal_half_angle(column, current):
+    """The definition ``optimal_half_angle`` vectorizes: two grid scans
+    of the scalar ``spot_size``, one call per grid point."""
+    angles = np.geomspace(1e-4, 5e-2, 400)
+    best = int(np.argmin([column.spot_size(current, a) for a in angles]))
+    lo = angles[max(best - 1, 0)]
+    hi = angles[min(best + 1, len(angles) - 1)]
+    fine = np.linspace(lo, hi, 200)
+    sizes = [column.spot_size(current, a) for a in fine]
+    return float(fine[int(np.argmin(sizes))])
+
+
 class TestOptimization:
+    @pytest.mark.parametrize(
+        "source", [TUNGSTEN, LAB6, FIELD_EMISSION], ids=lambda s: s.name
+    )
+    @pytest.mark.parametrize("energy_kev", [10.0, 20.0, 50.0])
+    def test_array_scan_equals_scalar_scan_exactly(self, source, energy_kev):
+        column = Column(source, energy_kev=energy_kev)
+        for current in np.geomspace(1e-13, 1e-4, 100):
+            expected = scalar_optimal_half_angle(column, float(current))
+            assert column.optimal_half_angle(float(current)) == expected
+
+    def test_max_current_pinned(self, column):
+        # Every write-time table and /jobs summary derives from these.
+        assert column.max_current_for_spot(0.5) == 2.1354458361704444e-06
+        assert column.max_current_for_spot(0.25) == 3.334761624088299e-07
+
+    def test_optimal_angle_validates_current(self, column):
+        with pytest.raises(ValueError):
+            column.optimal_half_angle(0.0)
+
     def test_optimal_angle_minimizes(self, column):
         best_angle = column.optimal_half_angle(1e-8)
         best = column.spot_size(1e-8, best_angle)

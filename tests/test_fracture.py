@@ -232,6 +232,31 @@ class TestShotFracturer:
             ShotFracturer(max_shot=0)
 
 
+class TestZeroAreaInput:
+    """A zero-area polygon (a foreign file's snapped sliver, a collinear
+    spike) yields no figure from any fracturer or kernel, and does not
+    disturb its neighbours."""
+
+    DEGENERATE = [
+        Polygon([(18.0, 20.0), (20.0, 20.0), (20.0, 20.0)]),
+        Polygon([(0, 0), (1, 0), (2, 0), (1, 0)]),
+    ]
+    FRACTURERS = [
+        TrapezoidFracturer(),
+        TrapezoidFracturer(kernel="exact"),
+        RectangleFracturer(),
+        ShotFracturer(),
+        ShotFracturer(kernel="exact"),
+    ]
+
+    @pytest.mark.parametrize("fracturer", FRACTURERS, ids=repr)
+    @pytest.mark.parametrize("degenerate", DEGENERATE, ids=["sliver", "spike"])
+    def test_no_figure(self, fracturer, degenerate):
+        assert fracturer.fracture([degenerate]) == []
+        square = Polygon.rectangle(30, 30, 31, 31)
+        assert fracturer.fracture([degenerate, square]) == fracturer.fracture([square])
+
+
 class TestQuality:
     def test_empty_report(self):
         report = analyze_figures([])

@@ -11,7 +11,13 @@ from layout_strategies import flat_perimeter
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
-from repro.layout.gdsii import dumps_gdsii, loads_gdsii, read_gdsii, write_gdsii
+from repro.layout.gdsii import (
+    GdsiiStreamWriter,
+    dumps_gdsii,
+    loads_gdsii,
+    read_gdsii,
+    write_gdsii,
+)
 from repro.layout.gdsii_records import (
     DataType,
     GdsiiError,
@@ -207,6 +213,41 @@ class TestMalformedStreams:
             loads_gdsii(b"\x00\x01\x02")
 
 
+class TestWriterRejectsCollapsedPolygons:
+    """One rule for every writer: a polygon with zero area on the
+    file's grid is an error, never a silently degenerate record."""
+
+    #: 4e-15 µm tall (random_logic's old edge-clipping artefact), a
+    #: repeated-point triangle, and a collinear "spike".
+    COLLAPSED = [
+        Polygon.rectangle(18.0, 20.0, 20.000000000000004, 20.000000000000004),
+        Polygon([(0, 0), (3, 0), (3, 0.0004)]),
+        Polygon([(0, 0), (1, 0), (2, 0), (1, 0)]),
+    ]
+
+    @pytest.mark.parametrize("poly", COLLAPSED)
+    def test_dumps_and_stream_writer_raise_alike(self, poly, tmp_path):
+        library = Library("T")
+        library.new_cell("A").add_polygon(poly)
+        with pytest.raises(GdsiiError, match="zero area on the database grid"):
+            dumps_gdsii(library)
+        with GdsiiStreamWriter(tmp_path / "out.gds") as writer:
+            writer.begin_cell("A")
+            with pytest.raises(GdsiiError, match="zero area on the database grid"):
+                writer.write_polygon(poly, (1, 0))
+
+    def test_one_grid_step_is_enough(self):
+        library = Library("T")
+        library.new_cell("A").add_rectangle(0.0, 0.0, 5.0, 0.001)
+        assert len(loads_gdsii(dumps_gdsii(library))["A"].polygons) == 1
+
+    def test_coarser_library_grid_collapses_sooner(self):
+        library = Library("T", precision=1e-8)  # 10 nm database unit
+        library.new_cell("A").add_rectangle(0.0, 0.0, 5.0, 0.004)
+        with pytest.raises(GdsiiError, match="zero area"):
+            dumps_gdsii(library)
+
+
 class TestWriteReadWriteProperty:
     """Hypothesis sweep: the writer is idempotent over its own output.
 
@@ -254,6 +295,8 @@ HEAD = (
 UNITS = pack_real8(RecordType.UNITS, [1e-3, 1e-9])
 SQUARE = [0, 0, 2000, 0, 2000, 1000, 0, 1000, 0, 0]
 LINE = [0, 0, 4000, 0]
+#: A foreign writer's sub-grid sliver: a rectangle snapped flat.
+SLIVER = [18000, 20000, 20000, 20000, 20000, 20000, 18000, 20000, 18000, 20000]
 
 
 def lib(*chunks, head=HEAD + UNITS, endlib=True):
@@ -331,6 +374,7 @@ GDSII_CORPUS = {
         )
     ),
     "text_skipped": lib(structure("A", TEXT, boundary())),
+    "zero_area_boundary": lib(structure("A", boundary(SLIVER), boundary())),
     "sref_with_transform": lib(
         CHILD,
         structure(
@@ -490,6 +534,17 @@ GDSII_EXPECTED = {
     ),
     "zero_width_path": (UNITS_UM, {"A": ([((2, 0), [SQUARE_UM])], [])}),
     "text_skipped": (UNITS_UM, {"A": ([((1, 0), [SQUARE_UM])], [])}),
+    # Read as written (readers do not judge geometry); the fracturers
+    # turn it into no figure, and our own writers refuse to re-emit it.
+    "zero_area_boundary": (
+        UNITS_UM,
+        {
+            "A": (
+                [((1, 0), [((18.0, 20.0), (20.0, 20.0), (20.0, 20.0)), SQUARE_UM])],
+                [],
+            )
+        },
+    ),
     "sref_with_transform": (
         UNITS_UM,
         {

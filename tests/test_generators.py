@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.layout import generators
+from repro.layout.layer import DEFAULT_LAYER
 from repro.layout.flatten import flat_area, flat_polygon_count, flatten_cell
+from repro.layout.gdsii import dumps_gdsii
 from repro.layout.stats import library_stats
 
 
@@ -67,6 +69,30 @@ class TestRandomLogic:
     def test_density_validation(self):
         with pytest.raises(ValueError):
             generators.random_logic(target_density=0.95)
+
+    @pytest.mark.parametrize(
+        "chip_size, seed",
+        [
+            (20.000000000000004, 0),  # track 4e-15 µm inside the chip edge
+            (20.004, 0),  # 4 nm: above the GDSII grid, below the CIF grid
+            (100.0, 1),  # track exactly on the right edge: zero width
+            (100.0, 2),  # ... and on the top edge
+        ],
+    )
+    def test_edge_clipping_leaves_no_sub_grid_feature(self, chip_size, seed):
+        lib = generators.random_logic(
+            chip_size=chip_size, target_density=0.25, seed=seed
+        )
+        for poly in flat(lib)[DEFAULT_LAYER]:
+            x0, y0, x1, y1 = poly.bounding_box()
+            assert min(x1 - x0, y1 - y0) >= generators.MIN_FEATURE
+            assert max(x1, y1) <= chip_size
+
+    def test_default_geometry_unchanged(self):
+        # The seed-0 chip is every logic golden's and bench's input.
+        lib = generators.random_logic()
+        assert flat_polygon_count(flat(lib)) == 90
+        assert flat_area(flat(lib)) == pytest.approx(2019.7667485629122)
 
 
 class TestMemoryArray:
@@ -142,3 +168,14 @@ class TestOtherWorkloads:
     def test_all_workloads_nonempty(self):
         for name, lib in generators.all_workloads():
             assert flat_area(flat(lib)) > 0, name
+
+    def test_all_workloads_is_the_table_built(self):
+        suite = generators.all_workloads()
+        assert [name for name, _ in suite] == list(generators.WORKLOADS)
+        for name, lib in suite:
+            assert dumps_gdsii(lib) == dumps_gdsii(generators.WORKLOADS[name]())
+
+    def test_all_workloads_seeds_the_logic_chip(self):
+        seeded = dict(generators.all_workloads(seed=5))["logic"]
+        assert dumps_gdsii(seeded) == dumps_gdsii(generators.random_logic(seed=5))
+        assert dumps_gdsii(seeded) != dumps_gdsii(generators.random_logic())

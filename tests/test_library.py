@@ -107,6 +107,81 @@ class TestHierarchy:
         lib = Library()
         lib.add(cells[0])
         graph = lib.hierarchy_graph()
-        assert graph.has_edge("CHAIN_0", "CHAIN_1")
-        assert graph.has_edge("CHAIN_1", "CHAIN_2")
-        assert not graph.has_edge("CHAIN_2", "CHAIN_0")
+        assert "CHAIN_1" in graph["CHAIN_0"]
+        assert "CHAIN_2" in graph["CHAIN_1"]
+        assert "CHAIN_0" not in graph["CHAIN_2"]
+
+    def test_cycle_report_is_a_closed_path_of_real_references(self):
+        cells = {name: Cell(name) for name in "ABCDE"}
+        lib = Library()
+        lib.add(*cells.values())
+        # E -> A -> B -> C -> D -> B: the cycle is B -> C -> D -> B, and
+        # it is entered from outside (A, E are not on it).
+        for parent, child in ["EA", "AB", "BC", "CD", "DB"]:
+            cells[parent].instantiate(cells[child], (0, 0))
+        with pytest.raises(ValueError) as info:
+            lib.check_acyclic()
+        prefix = "reference cycle in library: "
+        assert str(info.value).startswith(prefix)
+        path = str(info.value)[len(prefix) :].split(" -> ")
+        assert len(path) >= 4 and path[0] == path[-1]
+        for parent, child in zip(path, path[1:]):
+            assert child in {r.cell.name for r in cells[parent].references}
+        with pytest.raises(ValueError, match="cycle"):
+            lib.depth()
+
+    def test_self_reference_is_a_cycle(self):
+        a = Cell("A")
+        lib = Library()
+        lib.add(a)
+        a.instantiate(a, (0, 0))
+        with pytest.raises(ValueError, match="A -> A"):
+            lib.check_acyclic()
+        assert lib.top_cells() == []
+
+    def test_depth_of_diamond(self):
+        # TOP -> L -> LEAF and TOP -> R -> MID -> LEAF: longest chain 4.
+        top, left, right, mid, leaf = (
+            Cell(n) for n in ("TOP", "L", "R", "MID", "LEAF")
+        )
+        top.instantiate(left, (0, 0))
+        top.instantiate(right, (0, 0))
+        left.instantiate(leaf, (0, 0))
+        right.instantiate(mid, (0, 0))
+        mid.instantiate(leaf, (0, 0))
+        lib = Library()
+        lib.add(top)
+        lib.check_acyclic()
+        assert lib.depth() == 4
+        assert lib.top_cells() == [top]
+
+    def test_depth_empty(self):
+        assert Library().depth() == 0
+
+    def test_two_tops_in_insertion_order(self):
+        shared = Cell("SHARED")
+        first, second = Cell("Z_FIRST"), Cell("A_SECOND")
+        first.instantiate(shared, (0, 0))
+        second.instantiate(shared, (0, 0))
+        second.instantiate(shared, (5, 0))
+        lib = Library()
+        lib.add(first, include_descendants=False)
+        lib.add(shared, second)
+        assert [c.name for c in lib.top_cells()] == ["Z_FIRST", "A_SECOND"]
+        assert lib.depth() == 2
+
+    def test_reference_outside_library_is_a_leaf(self):
+        parent, outside = Cell("PARENT"), Cell("OUTSIDE")
+        parent.instantiate(outside, (0, 0))
+        lib = Library()
+        lib.add(parent, include_descendants=False)
+        assert lib.top_cells() == [parent]
+        assert lib.depth() == 2
+
+    def test_deep_chain_does_not_recurse(self):
+        cells = make_chain(2000)
+        lib = Library()
+        lib.add(cells[0])
+        lib.check_acyclic()
+        assert lib.depth() == 2000
+        assert lib.top_cell() is cells[0]

@@ -8,6 +8,7 @@ same job run through the CLI.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -534,6 +535,74 @@ class TestSchemas:
         assert view["attempts"] == 0
         assert view["cancel_requested"] is False
         assert "artifacts" not in view
+
+
+@pytest.fixture
+def server_sends(server, monkeypatch):
+    """Byte counts of every ``send``/``sendall`` made on the server's
+    side of a connection (its local port is the listening port), in
+    order — segments are counted at the socket, not timed."""
+    port = server.server_address[1]
+    sends = []
+
+    def counting(name):
+        original = getattr(socket.socket, name)
+
+        def call(sock, data, *args):
+            if sock.getsockname()[1] == port:
+                sends.append(len(data))
+            return original(sock, data, *args)
+
+        return call
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name, counting(name))
+    return sends
+
+
+class TestOneSegmentReplies:
+    """Headers and body leave in one write: two small segments cost a
+    keep-alive client ~40 ms per round trip (Nagle + delayed ACK)."""
+
+    def test_submit_status_and_result_are_one_send_each(self, client, server_sends):
+        job_id = client.submit({"workload": "grating"})
+        assert len(server_sends) == 1
+        client.wait(job_id)
+
+        del server_sends[:]
+        status, body, _ = client.request("GET", f"/jobs/{job_id}")
+        assert status == 200
+        assert len(server_sends) == 1 and server_sends[0] > len(body)
+
+        del server_sends[:]
+        status, body, headers = client.request("GET", f"/jobs/{job_id}/result")
+        assert status == 200
+        assert headers["Content-Length"] == str(len(body))
+        assert len(server_sends) == 1 and server_sends[0] > len(body)
+
+        del server_sends[:]
+        status, body, _ = client.request("GET", "/jobs/nope")
+        assert status == 404
+        assert len(server_sends) == 1
+
+    def test_large_artifact_still_streams_in_chunks(self, server, client, server_sends):
+        from repro.service.app import _CHUNK
+
+        job_id = client.submit({"workload": "grating"})
+        client.wait(job_id)
+        payload = bytes(range(256)) * 1024  # 256 KiB: four read chunks
+        with open(server.store.snapshot(job_id).job_path, "wb") as artifact:
+            artifact.write(payload)
+        del server_sends[:]
+        status, body, headers = client.request("GET", f"/jobs/{job_id}/result")
+        assert status == 200
+        assert body == payload
+        assert headers["Content-Length"] == str(len(payload))
+        # Streamed: several sends, none larger than one chunk, headers
+        # the only bytes beyond the artifact.
+        assert len(server_sends) >= len(payload) // _CHUNK
+        assert max(server_sends) <= _CHUNK
+        assert 0 < sum(server_sends) - len(payload) < 1024
 
 
 class TestLateFailureFraming:
