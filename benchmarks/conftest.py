@@ -5,17 +5,21 @@ evaluation (see DESIGN.md).  Result tables are printed to stdout and
 written to ``benchmarks/results/<experiment>.txt`` so that EXPERIMENTS.md
 can reference them; every saved table also writes a machine-readable
 ``benchmarks/results/BENCH_<experiment>.json`` sidecar (workload
-numbers, timings, peak RSS) so the performance trajectory is trackable
-across PRs without parsing text tables.
+numbers, timings, peak RSS, and the conditions they were measured
+under) so the performance trajectory is trackable across PRs without
+parsing text tables.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import resource
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -54,7 +58,8 @@ def save_table(request):
     table to ``results/<experiment_id>.txt`` and a JSON record to
     ``results/BENCH_<experiment_id>.json``.  ``data`` carries the
     experiment's structured numbers (workloads, times, speedups); the
-    table text and the process's peak RSS are always included.
+    table text, the host conditions (cores, Python and numpy versions)
+    and the process's peak RSS are always included.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     is_quick = request.config.getoption("--quick")
@@ -65,6 +70,11 @@ def save_table(request):
         record = {
             "experiment": experiment_id,
             "quick": is_quick,
+            "conditions": {
+                "cpu_count": os.cpu_count(),
+                "python": platform.python_version(),
+                "numpy": numpy.__version__,
+            },
             "peak_rss_kb": peak_rss_kb(),
             "table": text.splitlines(),
             "data": data,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -374,12 +374,13 @@ _SHARD_REPORT = struct.Struct(">dqddqddddq")
 #: y_bottom, y_top, x_bottom_left, x_bottom_right, x_top_left,
 #: x_top_right, dose — exact doubles.
 _SHARD_RECORD = struct.Struct(">ddddddd")
-#: fast-kernel fallback counters: coord_limit, rational_slab.
-_SHARD_FALLBACKS = struct.Struct(">qq")
+#: fast-kernel fallback counters, in ``KernelFallbacks`` field order:
+#: coord_limit, rational_slab, scalar_merge.
+_SHARD_FALLBACKS = struct.Struct(">qqq")
 #: v2: the kernel fallback counters joined the payload (between the
 #: report and the shot records) so warm runs report the same fast-path
-#: observability a cold run would.
-SHARD_PAYLOAD_VERSION = 2
+#: observability a cold run would.  v3: ``scalar_merge`` joined them.
+SHARD_PAYLOAD_VERSION = 3
 
 
 def dumps_shard_result(result) -> bytes:
@@ -409,10 +410,7 @@ def dumps_shard_result(result) -> bytes:
             report.area_error,
             report.rectangle_count,
         ),
-        _SHARD_FALLBACKS.pack(
-            result.kernel_fallbacks.coord_limit,
-            result.kernel_fallbacks.rational_slab,
-        ),
+        _SHARD_FALLBACKS.pack(*astuple(result.kernel_fallbacks)),
     ]
     for shot in result.shots:
         t = shot.trapezoid
@@ -473,7 +471,7 @@ def loads_shard_result(data: bytes):
         rectangle_count,
     ) = _SHARD_REPORT.unpack_from(data, offset)
     offset += _SHARD_REPORT.size
-    coord_fb, slab_fb = _SHARD_FALLBACKS.unpack_from(data, offset)
+    fallbacks = KernelFallbacks(*_SHARD_FALLBACKS.unpack_from(data, offset))
     offset += _SHARD_FALLBACKS.size
     shots: List[Shot] = []
     for _ in range(count):
@@ -498,5 +496,5 @@ def loads_shard_result(data: bytes):
         shots=shots,
         report=report,
         reference_area=reference_area,
-        kernel_fallbacks=KernelFallbacks(coord_fb, slab_fb),
+        kernel_fallbacks=fallbacks,
     )

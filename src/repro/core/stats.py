@@ -101,11 +101,14 @@ class ExecutionStats:
         kernel_fallbacks: total times the fast scanline kernel degraded
             to a slower exact path across all shards (0 means every
             sweep ran fully vectorized).  Split by reason into
-            ``kernel_coord_fallbacks`` and ``kernel_slab_fallbacks``.
+            ``kernel_coord_fallbacks``, ``kernel_slab_fallbacks`` and
+            ``kernel_merge_fallbacks``.
         kernel_coord_fallbacks: sweeps handed whole to the reference
             engine because a coordinate was beyond the kernel's exact
             range.
         kernel_slab_fallbacks: slabs swept by the scalar safety valve.
+        kernel_merge_fallbacks: sweeps whose trapezoids were merged
+            object by object because the array merge declined them.
         shard_retries: shard dispatches re-run after a transient fault
             (worker death, transient exception, hang-watchdog victim).
         shards_salvaged: completed shard results preserved across pool
@@ -185,6 +188,7 @@ class ExecutionStats:
     kernel_fallbacks: int = stat(0, source="KernelFallbacks.total")
     kernel_coord_fallbacks: int = stat(0, source="KernelFallbacks.coord_limit")
     kernel_slab_fallbacks: int = stat(0, source="KernelFallbacks.rational_slab")
+    kernel_merge_fallbacks: int = stat(0, source="KernelFallbacks.scalar_merge")
     shard_retries: int = stat(0, "faults", fault=True, totals="faults")
     shards_salvaged: int = stat(0, "faults", fault=True, totals="faults")
     pool_restarts: int = stat(0, "faults", scope="run", fault=True, totals="faults")
@@ -333,6 +337,7 @@ LINES = (
         lambda stats: stats.kernel_fallbacks,
         "  kernel:    {kernel_fallbacks} fast-path fallbacks "
         "({kernel_coord_fallbacks} coord-limit, "
-        "{kernel_slab_fallbacks} rational-slab)",
+        "{kernel_slab_fallbacks} rational-slab, "
+        "{kernel_merge_fallbacks} scalar-merge)",
     ),
 )

@@ -80,11 +80,72 @@ exact at any accepted magnitude.  The few survivors are evaluated with
 exact Python integers and deduplicated as reduced fractions — never as
 floats, so crossing ys that would collide after rounding stay
 distinct.
+
+Merging
+-------
+The sweep cuts every figure at every foreign vertex y; the vertical
+merge that undoes this (:func:`repro.geometry.scanline.merge_trapezoids`
+— paper-facing: figure count drives the write-time models) folds a
+40-zone plate's 74k rows into 4.7k figures.  :func:`merge_rows` does it
+on the ``(N, 6)`` row array *before* any :class:`Trapezoid` exists, so
+only merged figures become objects, and reproduces the scalar merge
+exactly: same floats, same order.
+
+*The join.*  The scalar merge pairs a lower figure with an upper one by
+the dict key ``round(y, 9)`` and ``abs(dx) <= tol`` on both corners,
+taking the first unconsumed candidate in input order.  On kernel output
+a real continuation is *exactly* equal — adjacent slabs share the same
+boundary float and the same rational x (``num_hi`` of slab k is
+``num_lo`` of slab k+1) — so the pairing is an exact join on the
+``(y, x_left, x_right)`` triple of every row's top edge against every
+row's bottom edge, read off one sort of the 2N edges.  Three guards,
+each a comparison of neighbours in that sort, make "within tolerance"
+mean "equal" and every candidate unique; if one trips,
+:func:`merge_rows` returns ``None``:
+
+a. two distinct boundary ys no more than :data:`_LEVEL_GAP` apart
+   (their rounded keys could collide);
+b. at one y, two distinct left xs no more than ``tol`` apart, or two
+   edges with the same left x whose distinct right xs are (the
+   reference's own ``<=``) — a corner could match a neighbour it does
+   not equal;
+c. one triple held by three or more edges (figures meeting at a shared
+   apex) — which lower meets which upper would depend on the
+   reference's first-in-input-order rule.  Two edges holding a triple
+   are either one lower and one upper, the candidate link, or nothing.
+
+*The links.*  A candidate link is taken iff both side slopes continue
+within ``tol`` — but ``_slopes_match`` compares the upper figure against
+the *merged-so-far* figure, so whether a link holds depends on where its
+chain started, and a reticle die has chains of over a thousand rows.
+Instead of growing chains a row per round, every link is first predicted
+from its two rows alone; each row's chain head then follows by pointer
+doubling (``head = head[head]`` until stable, log₂ of the longest run);
+and every link is re-evaluated against that head with the reference's
+own float expressions (numpy float64 ``-``, ``/``, ``abs`` are the same
+IEEE operations).  If the outcome equals the prediction it *is* the
+greedy result, by induction up each chain: the lowest link's head is
+trivially right, so its decision is right, so the next link's head is
+right.  Otherwise the outcome becomes the prediction and the step
+repeats — the lowest wrong link of every chain is corrected each time —
+up to :data:`_MERGE_PASSES` times, then ``None``.  Kernel output rarely
+needs a second pass; crossing-dense layouts, whose sub-grid slabs have
+slopes that are mostly rounding noise, have needed up to four.
+
+*The order.*  Chain heads, stably sorted by ``(y_bottom,
+x_bottom_left)``, are the order the reference visits them in; a merged
+row takes its bottom edge from the head and its top edge from the tail.
+
+*The hand-back.*  On ``None`` the sweep builds the objects and runs the
+scalar merge as before, and increments ``KernelFallbacks.scalar_merge``
+— slower, never different.  No shipped workload trips a guard; random
+self-intersecting polygons on a coarse grid, where many edges pass
+through one lattice point, do about once in a hundred sweeps (guard c).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -100,7 +161,12 @@ from repro.geometry.scanline import (
     nonzero,
 )
 from repro.geometry.trapezoid import Trapezoid
-from repro.geometry.vertex_array import snap_stacked, stack_polygons
+from repro.geometry.vertex_array import (
+    snap_stacked,
+    stack_polygons,
+    trapezoid_array,
+    trapezoids_from_array,
+)
 
 #: Largest |coordinate| (in database units) the fast kernel accepts.
 #: Beyond it ``q`` no longer fits the int64 sort key (and the snapped
@@ -139,6 +205,17 @@ _WORD_BITS = 54
 _MAX_FRACTION_WORDS = 8
 
 
+#: Two distinct boundary ys this close could share one of the scalar
+#: merge's ``round(y, 9)`` keys; twice the rounding step is a safe margin
+#: at every float magnitude.
+_LEVEL_GAP = 2e-9
+
+#: Passes over the link predictions :func:`merge_rows` tries before
+#: handing the sweep back to the scalar merge (the F12 crossing mesh, the
+#: most any kernel output has needed, takes four).
+_MERGE_PASSES = 8
+
+
 @dataclass
 class KernelFallbacks:
     """Counters for every way the fast kernel can degrade.
@@ -151,20 +228,26 @@ class KernelFallbacks:
             because their key needed more than
             :data:`_MAX_FRACTION_WORDS` digit words (one count per
             slab; unreachable by construction, see module docstring).
+        scalar_merge: sweeps whose rows were merged object by object by
+            :func:`repro.geometry.scanline.merge_trapezoids` because
+            :func:`merge_rows` declined them (one count per sweep; see
+            "Merging" in the module docstring).
     """
 
     coord_limit: int = 0
     rational_slab: int = 0
+    scalar_merge: int = 0
 
     def total(self) -> int:
-        return self.coord_limit + self.rational_slab
+        return sum(astuple(self))
 
     def copy(self) -> "KernelFallbacks":
-        return KernelFallbacks(self.coord_limit, self.rational_slab)
+        return replace(self)
 
     def add(self, other: "KernelFallbacks") -> None:
-        self.coord_limit += other.coord_limit
-        self.rational_slab += other.rational_slab
+        for counter in fields(self):
+            mine = getattr(self, counter.name)
+            setattr(self, counter.name, mine + getattr(other, counter.name))
 
 
 _SCALAR_PREDICATES: Dict[str, Callable[[bool, bool], bool]] = {
@@ -607,6 +690,131 @@ def _sweep_block(
     return t_slab, rows
 
 
+# ---------------------------------------------------------------------------
+# The vertical merge, on rows
+# ---------------------------------------------------------------------------
+
+
+def _order_by_pair(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """``np.lexsort((minor, major))`` as one stable sort on a complex key
+    (complex numbers order by real part, then imaginary part).
+
+    The sweep emits rows slab by slab and left to right, so what is
+    sorted here is already in order or two interleaved sorted runs; one
+    adaptive sort merges those in a single pass, where ``lexsort``'s
+    pass per key, least significant first, scrambles them (4 ms against
+    19 ms on the 148k edges of a 40-zone plate).  Shuffled input costs
+    the same either way.
+    """
+    key = np.empty(len(major), dtype=np.complex128)
+    key.real = major
+    key.imag = minor
+    return np.argsort(key, kind="stable")
+
+
+# Python floats overflow to inf, and turn inf - inf into nan, without a
+# word; the same operations must stay as quiet here.
+@np.errstate(over="ignore", invalid="ignore")
+def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
+    """Array form of :func:`repro.geometry.scanline.merge_trapezoids`.
+
+    ``rows`` is an ``(N, 6)`` float64 array in ``TRAP_COLUMNS`` order.
+    Returns the merged rows — the same floats in the same order the
+    scalar merge would produce from the same trapezoids — or ``None``
+    when it cannot promise that (a guard tripped, or the link
+    predictions did not settle within :data:`_MERGE_PASSES`); the caller
+    then runs the scalar merge.  See "Merging" in the module docstring.
+
+    Raises:
+        ValueError: the :class:`Trapezoid` constructor's own error for
+            the first row it would have refused.
+    """
+    n = len(rows)
+    if n == 0:
+        return rows
+    yb, yt, xbl, xbr, xtl, xtr = np.ascontiguousarray(rows.T)
+    invalid = (yt <= yb) | (xbr < xbl) | (xtr < xtl)
+    if invalid.any():
+        # Unmerged rows no longer pass through the constructor one by
+        # one; let it refuse the first bad one in its own words.
+        Trapezoid(*rows[int(invalid.argmax())])
+    if not (tol >= 0.0 and np.isfinite(rows).all()):
+        return None
+
+    # Join every row's top edge (as a lower) to every row's bottom edge
+    # (as an upper) on the exact (y, x_left, x_right) triple: sort the
+    # 2N edges by it, lowers listed first so that the stable sort puts a
+    # lower directly before the upper that continues it.
+    level = np.concatenate((yt, yb))
+    left = np.concatenate((xtl, xbl))
+    right = np.concatenate((xtr, xbr))
+    order = _order_by_pair(level, left)
+    d_level = np.diff(level[order])
+    d_left = np.diff(left[order])
+    same_level = d_level == 0.0
+    same_left = same_level & (d_left == 0.0)
+    run = np.concatenate(([0], np.cumsum(~same_left)))
+    order = order[_order_by_pair(run, right[order])]
+    d_right = np.diff(right[order])
+    same = same_left & (d_right == 0.0)
+    if (
+        ((d_level > 0.0) & (d_level <= _LEVEL_GAP)).any()
+        or (same_level & (d_left > 0.0) & (d_left <= tol)).any()
+        or (same_left & (d_right > 0.0) & (d_right <= tol)).any()
+        or (same[1:] & same[:-1]).any()
+    ):
+        return None
+    link = same & (order[:-1] < n) & (order[1:] >= n)
+    lower = order[:-1][link]
+    upper = order[1:][link] - n
+
+    top_y, top_left, top_right = yt[lower], xtl[lower], xtr[lower]
+    up_height = yt[upper] - yb[upper]
+    up_left = (xtl[upper] - xbl[upper]) / up_height
+    up_right = (xtr[upper] - xbr[upper]) / up_height
+
+    def continues(head: np.ndarray) -> np.ndarray:
+        """``_slopes_match(chain, upper)`` for the chains that start at
+        ``head`` and end at ``lower``, in the reference's own float
+        expressions."""
+        rise = top_y - yb[head]
+        off_left = np.abs((top_left - xbl[head]) / rise - up_left)
+        off_right = np.abs((top_right - xbr[head]) / rise - up_right)
+        return (off_left <= tol) & (off_right <= tol)
+
+    # Predict each link from its two rows alone, then check every link
+    # against the chain the predictions imply: a set of links that
+    # survives its own check is the greedy result.
+    taken = continues(lower)
+    own = np.arange(n)
+    for _ in range(_MERGE_PASSES):
+        head = own.copy()
+        head[upper[taken]] = lower[taken]
+        while True:
+            above = head[head]
+            if np.array_equal(above, head):
+                break
+            head = above
+        checked = continues(head[lower])
+        if np.array_equal(checked, taken):
+            break
+        taken = checked
+    else:
+        return None
+
+    is_tail = np.ones(n, dtype=bool)
+    is_tail[lower[taken]] = False
+    tails = np.flatnonzero(is_tail)
+    tail_of = np.empty(n, dtype=np.intp)
+    tail_of[head[tails]] = tails
+    heads = np.flatnonzero(head == own)
+    heads = heads[_order_by_pair(yb[heads], xbl[heads])]
+    tails = tail_of[heads]
+    return np.column_stack(
+        (yb[heads], yt[tails], xbl[heads], xbr[heads], xtl[tails], xtr[tails])
+    )
+
+
 def sweep_trapezoids_fast(
     polys_a: Sequence[Polygon],
     polys_b: Sequence[Polygon],
@@ -621,8 +829,10 @@ def sweep_trapezoids_fast(
     Returns ``None`` when the snapped coordinates exceed
     :data:`COORD_LIMIT` — the caller is expected to fall back to
     :func:`repro.geometry.scanline.sweep_trapezoids`.  When
-    ``fallbacks`` is given, every degradation (the ``None`` return, or
-    a slab swept by the scalar safety valve) increments its counters.
+    ``fallbacks`` is given, every degradation (the ``None`` return, a
+    slab swept by the scalar safety valve, or a merge that
+    :func:`merge_rows` handed back to the scalar one) increments its
+    counters.
     """
     polys_a = list(polys_a)
     polys_b = list(polys_b)
@@ -730,7 +940,6 @@ def sweep_trapezoids_fast(
         inc_slab = inc_slab[~rmask]
 
     blocks: List[Tuple[np.ndarray, np.ndarray]] = []
-    scalar_traps: Dict[int, List[Trapezoid]] = {}
 
     # -- integer-bounded slabs ---------------------------------------------
     if len(inc_edge):
@@ -816,6 +1025,8 @@ def sweep_trapezoids_fast(
             ends = np.concatenate((starts[1:], [len(sc_slab)]))
             if fallbacks is not None:
                 fallbacks.rational_slab += len(starts)
+            scalar_ids: List[int] = []
+            scalar_traps: List[Trapezoid] = []
             for a, b in zip(starts.tolist(), ends.tolist()):
                 si = int(sc_slab[a])
                 edges = [
@@ -825,7 +1036,7 @@ def sweep_trapezoids_fast(
                     )
                     for ed in sc_edge[a:b].tolist()
                 ]
-                scalar_traps[si] = _sweep_scalar_slab(
+                slab_traps = _sweep_scalar_slab(
                     edges,
                     Fraction(b_num[si], b_den[si]),
                     Fraction(b_num[si + 1], b_den[si + 1]),
@@ -833,32 +1044,27 @@ def sweep_trapezoids_fast(
                     rule,
                     grid,
                 )
+                scalar_ids.extend([si] * len(slab_traps))
+                scalar_traps.extend(slab_traps)
+            blocks.append(
+                (
+                    np.asarray(scalar_ids, dtype=np.int64),
+                    trapezoid_array(scalar_traps),
+                )
+            )
 
-    # -- assemble in slab order -------------------------------------------
-    if blocks:
+    # -- assemble in slab order, merge, and only then build objects -------
+    if not blocks:
+        return []
+    all_rows = np.concatenate([b[1] for b in blocks])
+    if len(blocks) > 1:
         all_ids = np.concatenate([b[0] for b in blocks])
-        all_rows = np.concatenate([b[1] for b in blocks])
-        if len(blocks) > 1:
-            order_out = np.argsort(all_ids, kind="stable")
-            all_ids = all_ids[order_out]
-            all_rows = all_rows[order_out]
-    else:
-        all_ids = np.empty(0, dtype=np.int64)
-        all_rows = np.empty((0, 6), dtype=np.float64)
-
-    result: List[Trapezoid] = []
-    if scalar_traps:
-        ids_list = all_ids.tolist()
-        rows_list = all_rows.tolist()
-        ptr = 0
-        for si in sorted(set(ids_list) | set(scalar_traps)):
-            if si in scalar_traps:
-                result.extend(scalar_traps[si])
-            while ptr < len(ids_list) and ids_list[ptr] == si:
-                result.append(Trapezoid(*rows_list[ptr]))
-                ptr += 1
-    else:
-        result = [Trapezoid(*row) for row in all_rows.tolist()]
+        all_rows = all_rows[np.argsort(all_ids, kind="stable")]
     if merge:
-        result = merge_trapezoids(result)
-    return result
+        merged = merge_rows(all_rows)
+        if merged is None:
+            if fallbacks is not None:
+                fallbacks.scalar_merge += 1
+            return merge_trapezoids(trapezoids_from_array(all_rows))
+        all_rows = merged
+    return trapezoids_from_array(all_rows)

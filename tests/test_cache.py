@@ -245,15 +245,16 @@ class TestShardPayload:
 
         result = self._result()
         result.kernel_fallbacks = KernelFallbacks(
-            coord_limit=3, rational_slab=17
+            coord_limit=3, rational_slab=17, scalar_merge=5
         )
         loaded = loads_shard_result(dumps_shard_result(result))
-        assert loaded.kernel_fallbacks == KernelFallbacks(3, 17)
+        assert loaded.kernel_fallbacks == KernelFallbacks(3, 17, 5)
         assert dumps_shard_result(loaded) == dumps_shard_result(result)
 
     def test_previous_payload_version_rejected(self):
-        # Pre-v2 payloads have no fallback counters; an old cache entry
-        # must read as a miss, not as garbage counters.
+        # Older payloads carry fewer fallback counters (none before v2,
+        # two in v2); an old cache entry must read as a miss, not as
+        # garbage counters.
         from repro.core import jobfile
 
         data = dumps_shard_result(self._result())
@@ -514,7 +515,9 @@ class TestKernelFallbackObservability:
         stats = result.stats
         assert stats.kernel_coord_fallbacks >= 1
         assert stats.kernel_fallbacks == (
-            stats.kernel_coord_fallbacks + stats.kernel_slab_fallbacks
+            stats.kernel_coord_fallbacks
+            + stats.kernel_slab_fallbacks
+            + stats.kernel_merge_fallbacks
         )
 
     def test_warm_cache_reports_cold_run_counters(self, tmp_path):
@@ -537,3 +540,24 @@ class TestKernelFallbackObservability:
             warm.stats.kernel_slab_fallbacks
             == cold.stats.kernel_slab_fallbacks
         )
+
+    def test_merge_hand_back_is_reported_cold_and_warm(self, tmp_path):
+        # Two triangles meeting a third at one apex: the array merge
+        # declines the sweep (three edges share a triple), the scalar
+        # merge runs instead, and the run says so — from the cache too.
+        apex = [
+            Polygon([(0, 0), (4, 0), (5, 5)]),
+            Polygon([(6, 0), (10, 0), (5, 5)]),
+            Polygon([(5, 5), (8, 10), (2, 10)]),
+        ]
+        executor = ShardedExecutor(TrapezoidFracturer(), field_size=20.0)
+        cache = ShardCache(tmp_path)
+        cold = executor.execute(apex, cache=cache)
+        warm = executor.execute(apex, cache=cache)
+        assert warm.stats.cache_hits == warm.stats.shard_count == 1
+        for stats in (cold.stats, warm.stats):
+            assert stats.kernel_merge_fallbacks == 1
+            assert stats.kernel_fallbacks == 1
+            assert stats.lines()[-1].endswith(
+                "(0 coord-limit, 0 rational-slab, 1 scalar-merge)"
+            )

@@ -703,9 +703,10 @@ _POPULATED = dict(
     cells_fractured=3,
     instances_reused=40,
     instances_fallback=2,
-    kernel_fallbacks=9,
+    kernel_fallbacks=10,
     kernel_coord_fallbacks=6,
     kernel_slab_fallbacks=3,
+    kernel_merge_fallbacks=1,
     shard_retries=13,
     shards_salvaged=14,
     pool_restarts=15,
@@ -749,9 +750,10 @@ _VIEW_COMMON = {
     "cache_enabled": True,
     "cache_hits": 7,
     "cache_misses": 5,
-    "kernel_fallbacks": 9,
+    "kernel_fallbacks": 10,
     "kernel_coord_fallbacks": 6,
     "kernel_slab_fallbacks": 3,
+    "kernel_merge_fallbacks": 1,
     "faults": {
         "shard_retries": 13,
         "shards_salvaged": 14,
@@ -807,7 +809,10 @@ _FAULTS = (
     "  faults:    13 shard retries, 14 salvaged, 15 pool restarts, "
     "16 timeouts, 17 cache write failures (cache degraded to read-only)"
 )
-_KERNEL = "  kernel:    9 fast-path fallbacks (6 coord-limit, 3 rational-slab)"
+_KERNEL = (
+    "  kernel:    10 fast-path fallbacks "
+    "(6 coord-limit, 3 rational-slab, 1 scalar-merge)"
+)
 _LINES = {
     "resident": [_SHARDS, _CACHE, _FAULTS, _KERNEL],
     "streamed": [

@@ -6,7 +6,10 @@ tests assert exactly that (``Trapezoid.__eq__`` compares exact float
 values) over generator-drawn layouts and over the degenerate inputs the
 sweep is most fragile on: collinear/shared edges, shared vertices,
 zero-height slab candidates, self-touching polygons and proper interior
-crossings (which exercise the rational-slab scalar path).
+crossings (which exercise the rational-slab scalar path).  The array
+merge (``merge_rows``) is held to the same standard against the scalar
+``merge_trapezoids``, on the kernel's own unmerged rows and on hand-built
+rows a sweep rarely produces.
 """
 
 import math
@@ -20,10 +23,11 @@ from hypothesis import strategies as st
 from repro.geometry import scanline_fast
 from repro.geometry.boolean import boolean_trapezoids
 from repro.geometry.polygon import Polygon
-from repro.geometry.scanline import snap_polygon
+from repro.geometry.scanline import merge_trapezoids, snap_polygon
 from repro.geometry.scanline_fast import (
     COORD_LIMIT,
     KernelFallbacks,
+    merge_rows,
     sweep_trapezoids_fast,
 )
 from repro.geometry.transform import Transform
@@ -36,6 +40,7 @@ from repro.geometry.vertex_array import (
     trapezoids_from_array,
 )
 from repro.core.hierarchical import transform_trapezoid
+from repro.layout import generators
 from repro.layout.flatten import flatten_cell
 
 from layout_strategies import (
@@ -191,14 +196,16 @@ class TestDegenerateInputs:
 
 
 def assert_fast_path(polys_a, polys_b=(), operation="or", **kwargs):
-    """Bit-identity AND zero degradation: the sweep must complete on
-    the vectorized path with every fallback counter untouched."""
+    """Bit-identity AND an undegraded sweep: every slab must be swept
+    on the vectorized path.  (The merge may hand a drawn input back —
+    ``TestMergeRows`` pins when, and that the result is unchanged.)"""
     fallbacks = KernelFallbacks()
     fast = sweep_trapezoids_fast(
         polys_a, polys_b, operation, fallbacks=fallbacks, **kwargs
     )
     assert fast is not None
-    assert fallbacks.total() == 0
+    assert fallbacks.coord_limit == 0
+    assert fallbacks.rational_slab == 0
     exact = boolean_trapezoids(
         polys_a, polys_b, operation, kernel="exact", **kwargs
     )
@@ -414,6 +421,184 @@ class TestWideCoordinateEquivalence:
     def test_large_coordinates_evenodd_and_unmerged(self, polys):
         assert_fast_path(polys, (), "or", grid=1.0, fill_rule="evenodd")
         assert_fast_path(polys, (), "or", grid=1.0, merge=False)
+
+
+def assert_merge_agrees(traps):
+    """``merge_rows`` either declines or reproduces the scalar merge row
+    for row — floats by ``==``, order included."""
+    merged = merge_rows(trapezoid_array(traps))
+    if merged is not None:
+        assert np.array_equal(
+            merged, trapezoid_array(merge_trapezoids(traps))
+        )
+    return merged
+
+
+def flat_polygons(library):
+    flat = flatten_cell(library.top_cell())
+    return [p for v in flat.values() for p in v]
+
+
+def unmerged_sweeps(polys_a, polys_b):
+    for operation in ("or", "and", "sub", "xor"):
+        for fill_rule in ("nonzero", "evenodd"):
+            yield sweep_trapezoids_fast(
+                polys_a, polys_b, operation, fill_rule=fill_rule, merge=False
+            )
+
+
+def stack(*rows):
+    return np.array(rows, dtype=np.float64)
+
+
+class TestMergeRows:
+    """The array merge against ``merge_trapezoids``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(generated_libraries(), generated_libraries())
+    def test_generated_layouts(self, lib_a, lib_b):
+        polys_a, polys_b = flat_polygons(lib_a), flat_polygons(lib_b)
+        for traps in unmerged_sweeps(polys_a, polys_b):
+            assert_merge_agrees(traps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(crossing_triangles(), crossing_triangles())
+    def test_random_overlapping_polygons(self, tris_a, tris_b):
+        for traps in unmerged_sweeps(tris_a, tris_b):
+            assert_merge_agrees(traps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                *[st.sampled_from([0.0, 1.0, 2.0, 3.0, 1.0 + 1e-9])] * 2,
+                *[st.sampled_from([0.0, 1.0, 2.0, 1.0 + 5e-10, 0.5])] * 4,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_arbitrary_rows(self, drawn):
+        # Not sweep output: duplicates, overlaps, near-coincident levels
+        # and corners in any order.  Whatever is not declined must match.
+        traps = [
+            Trapezoid(min(a, b), max(a, b), min(c, d), max(c, d),
+                      min(e, f), max(e, f))
+            for a, b, c, d, e, f in drawn
+            if a != b
+        ]
+        assert_merge_agrees(traps)
+
+    def test_shipped_workloads_never_hand_back(self):
+        for name, build in generators.WORKLOADS.items():
+            fallbacks = KernelFallbacks()
+            boolean_trapezoids(
+                flat_polygons(build()), [], "or", fallbacks=fallbacks
+            )
+            assert fallbacks.total() == 0, name
+
+    def test_drifting_chain_needs_the_fixed_point(self, monkeypatch):
+        # Four unit-height rows whose left slope grows 0.8e-9 a step:
+        # each neighbouring pair is within tol, but the scalar merge
+        # compares against the merged-so-far figure and stops after two.
+        slopes = [0.0, 0.8e-9, 1.6e-9, 2.4e-9]
+        rows, x_left = [], 0.0
+        for k, slope in enumerate(slopes):
+            rows.append(
+                [float(k), k + 1.0, x_left, 10.0, x_left + slope, 10.0]
+            )
+            x_left += slope
+        traps = trapezoids_from_array(stack(*rows))
+        assert len(merge_trapezoids(traps)) == 2
+        assert len(assert_merge_agrees(traps)) == 2
+        # The pairwise prediction (one figure) is corrected in passes;
+        # a budget too small for them is a hand-back, not a wrong answer.
+        monkeypatch.setattr(scanline_fast, "_MERGE_PASSES", 2)
+        assert merge_rows(stack(*rows)) is None
+
+    def test_straight_chain_merges_in_any_input_order(self):
+        rows = [
+            [float(k), k + 1.0, k * 0.5, 30.0, (k + 1) * 0.5, 30.0]
+            for k in range(40)
+        ]
+        merged = assert_merge_agrees(trapezoids_from_array(stack(*rows)))
+        assert merged.tolist() == [[0.0, 40.0, 0.0, 30.0, 20.0, 30.0]]
+        shuffled = stack(*rows[::3], *rows[1::3], *rows[2::3])
+        again = assert_merge_agrees(trapezoids_from_array(shuffled))
+        assert again.tolist() == merged.tolist()
+
+    def test_ties_keep_input_order(self):
+        wide = [0.0, 1.0, 0.0, 2.0, 0.0, 2.0]
+        tall = [0.0, 2.0, 0.0, 1.0, 0.0, 1.0]
+        for rows in (stack(wide, tall), stack(tall, wide)):
+            merged = assert_merge_agrees(trapezoids_from_array(rows))
+            assert merged.tolist() == rows.tolist()
+
+    #: rows each guard must decline, and polygons (with the grid that
+    #: keeps the near-coincidence) whose sweep produces such rows.
+    GUARDED = {
+        "levels 1e-9 apart": (
+            stack([0, 1, 0, 1, 0, 1], [1 + 1e-9, 2, 0, 1, 0, 1]),
+            [Polygon.rectangle(0, 0, 1, 1),
+             Polygon.rectangle(0, 1 + 1e-9, 1, 2)],
+            1e-9,
+        ),
+        "corners 5e-10 apart": (
+            stack([0, 1, 0, 1, 0, 1], [1, 2, 5e-10, 1, 5e-10, 1]),
+            [Polygon.rectangle(0, 0, 1, 1),
+             Polygon.rectangle(5e-10, 1, 1, 2)],
+            5e-10,
+        ),
+        "shared apex": (
+            stack([0, 5, 0, 4, 5, 5], [0, 5, 6, 10, 5, 5],
+                  [5, 10, 5, 5, 2, 8]),
+            [Polygon([(0, 0), (4, 0), (5, 5)]),
+             Polygon([(6, 0), (10, 0), (5, 5)]),
+             Polygon([(5, 5), (8, 10), (2, 10)])],
+            1e-3,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GUARDED))
+    def test_guard_declines_and_sweep_hands_back_counted(self, case):
+        rows, polys, grid = self.GUARDED[case]
+        assert merge_rows(rows) is None
+        fallbacks = KernelFallbacks()
+        fast = boolean_trapezoids(
+            polys, [], "or", grid=grid, kernel="fast", fallbacks=fallbacks
+        )
+        assert fast == boolean_trapezoids(
+            polys, [], "or", grid=grid, kernel="exact"
+        )
+        assert fallbacks.scalar_merge == 1
+        assert fallbacks.total() == 1
+
+    def test_unanswerable_inputs_are_declined(self):
+        row = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        assert merge_rows(stack(row), tol=-1.0) is None
+        assert merge_rows(stack(row[:5] + [math.inf])) is None
+        assert merge_rows(stack([0.0, math.nan] + row[2:])) is None
+
+    def test_invalid_row_raises_the_constructor_error(self):
+        good = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="y_top must exceed y_bottom"):
+            merge_rows(stack(good, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="right x must not be left"):
+            merge_rows(stack(good, [0.0, 1.0, 0.0, 1.0, 2.0, 1.0]))
+
+    def test_empty_input(self):
+        merged = merge_rows(np.empty((0, 6)))
+        assert merged is not None and merged.shape == (0, 6)
+
+    def test_unmerged_sweep_runs_no_merge(self, monkeypatch):
+        def _boom(*args, **kwargs):
+            raise AssertionError("merge reached")
+
+        monkeypatch.setattr(scanline_fast, "merge_rows", _boom)
+        monkeypatch.setattr(scanline_fast, "merge_trapezoids", _boom)
+        a = Polygon.rectangle(0, 0, 10, 10)
+        b = Polygon.rectangle(0, 5, 10, 15)
+        assert len(sweep_trapezoids_fast([a, b], [], "or", merge=False)) == 3
 
 
 class TestVertexArrayHelpers:

@@ -159,6 +159,7 @@ class TestSubmission:
         assert execution["kernel_fallbacks"] == 0
         assert execution["kernel_coord_fallbacks"] == 0
         assert execution["kernel_slab_fallbacks"] == 0
+        assert execution["kernel_merge_fallbacks"] == 0
 
     def test_rejects_bad_payloads(self, client):
         cases = [
