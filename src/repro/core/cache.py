@@ -33,15 +33,18 @@ import hashlib
 import os
 import struct
 import uuid
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.fracture.base import row_bytes
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import trapezoid_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.executor import Shard, ShardResult
@@ -60,9 +63,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: produce.  The fallback counters themselves stay OUT of the key: they
 #: are run observability (``CACHE_VOLATILE`` on ``Fracturer``), not
 #: configuration.
-CACHE_SCHEMA_VERSION = 4
+#: v5: program-segment keys cover the shard's ``(N, 7)`` shot block as
+#: bytes (:func:`repro.fracture.base.row_bytes`) instead of walking its
+#: ``Shot`` objects — a new key family; pre-v5 segment blobs would never
+#: be found again, so every family misses once and the old entries age
+#: out together.
+CACHE_SCHEMA_VERSION = 5
 
 _F64 = struct.Struct("!d")
+_TRAPEZOID = struct.Struct("!6d")
 
 #: Framing of machine-program segment blobs in the store.
 _BLOB_MAGIC = b"EBB1"
@@ -83,6 +92,62 @@ class CacheDegradedWarning(UserWarning):
     :class:`~repro.core.executor.ExecutionStats` — a degraded run never
     looks like a clean one.
     """
+
+
+@dataclass
+class ContainedStore:
+    """The one store-failure policy: cache entries, spill blobs and
+    machine-program segment blobs.
+
+    A computed result must never be lost to storage trouble: the first
+    store that raises ``OSError`` or reports a refused publish (ENOSPC,
+    read-only filesystem) degrades the *rest of the run* — ``degraded``
+    flips, ``warning`` is emitted once with the reason, and no further
+    store is attempted.  The caller keeps the result either way and
+    counts what the failure means to it.
+
+    ``stacklevel`` is the number of frames between ``warnings.warn``
+    and the pipeline call the warning should point at (this object's
+    own frame included).
+    """
+
+    warning: type
+    message: str
+    stacklevel: int
+    degraded: bool = False
+
+    @classmethod
+    def for_cache(cls, stacklevel: int) -> "ContainedStore":
+        """The policy of a store into the shard cache, whichever key
+        family it writes (shard results, program segments)."""
+        return cls(
+            CacheDegradedWarning,
+            "shard cache degraded to read-only for the rest of this run "
+            "({reason}); results are unaffected, but what was not stored "
+            "will be recomputed by later runs",
+            stacklevel,
+        )
+
+    def __call__(self, put, key: str, value) -> bool:
+        """``put(key, value)`` unless already degraded; True iff the
+        value was stored."""
+        if self.degraded:
+            return False
+        try:
+            stored = put(key, value)
+        except OSError as exc:
+            stored = False
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            reason = "the filesystem refused the store"
+        if not stored:
+            self.degraded = True
+            warnings.warn(
+                self.message.format(reason=reason),
+                self.warning,
+                stacklevel=self.stacklevel,
+            )
+        return bool(stored)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +201,7 @@ def _update(h, obj) -> None:
             h.update(_F64.pack(v.y))
     elif isinstance(obj, Trapezoid):
         h.update(b"Z")
-        h.update(_F64.pack(obj.y_bottom))
-        h.update(_F64.pack(obj.y_top))
-        h.update(_F64.pack(obj.x_bottom_left))
-        h.update(_F64.pack(obj.x_bottom_right))
-        h.update(_F64.pack(obj.x_top_left))
-        h.update(_F64.pack(obj.x_top_right))
+        h.update(_TRAPEZOID.pack(*trapezoid_fields(obj)))
     elif isinstance(obj, np.generic):
         # Numpy scalars carry their value outside attribute
         # introspection; hash the equivalent Python value (type-tagged
@@ -274,10 +334,11 @@ def program_segment_key(
 ) -> str:
     """Content address of one shard's lowered machine-program segment.
 
-    A segment is a pure function of the shard's corrected shots, the
-    machine spec (mode, address unit, record unit), the global address
-    grid origin and the base dose; the distinct type tag keeps this key
-    family from ever colliding with shard-result keys.
+    A segment is a pure function of the shard's corrected shots (their
+    exact block image), the machine spec (mode, address unit, record
+    unit), the global address grid origin and the base dose; the
+    distinct type tag keeps this key family from ever colliding with
+    shard-result keys.
     """
     h = hashlib.sha256()
     _update(h, ("repro-shard-program", salt))
@@ -285,7 +346,7 @@ def program_segment_key(
     _update(h, spec)
     _update(h, (origin[0], origin[1]))
     _update(h, base_dose)
-    _update(h, result.shots)
+    _update(h, row_bytes(result.rows))
     return h.hexdigest()
 
 

@@ -105,11 +105,13 @@ from typing import (
     Union,
 )
 
-from repro.core.cache import CacheDegradedWarning, ShardCache
+import numpy as np
+
+from repro.core.cache import ContainedStore, ShardCache
 from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex, field_index_of
 from repro.core.stats import ExecutionStats
-from repro.fracture.base import Fracturer, Shot
+from repro.fracture.base import Fracturer, Shot, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
@@ -171,6 +173,14 @@ class ShardResult:
     a property of the shard's geometry, so it is persisted with the
     cached payload (warm runs report the same counters as cold runs)
     but never enters the cache key.
+
+    ``shots`` is read-only once the result is built: :attr:`rows`, the
+    form every serializer and packer reads, is derived from it once.
+
+    A result has one serialized form — its ``EBC1`` payload
+    (:func:`repro.core.jobfile.dumps_shard_result`) — on every boundary
+    it crosses: the pool's return pickle (:meth:`__reduce__`), the cache
+    entry, the spill blob and the fleet commit.
     """
 
     index: FieldIndex
@@ -178,6 +188,19 @@ class ShardResult:
     report: FractureReport
     reference_area: float
     kernel_fallbacks: KernelFallbacks = field(default_factory=KernelFallbacks)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The shots as their ``(N, 7)`` block
+        (:func:`~repro.fracture.base.shot_rows`); a result read from a
+        payload is seeded with the block it was read from.  Not a
+        field: never part of equality."""
+        return shot_rows(self.shots)
+
+    def __reduce__(self):
+        from repro.core.jobfile import dumps_shard_result, loads_shard_result
+
+        return loads_shard_result, (dumps_shard_result(self),)
 
 
 @dataclass(frozen=True)
@@ -668,18 +691,17 @@ def _process_shard(
     else:
         shots = fracturer.fracture_to_shots(shard.polygons)
         fallbacks = fracturer.last_fallbacks.copy()
-    figures = [s.trapezoid for s in shots]
-    # The fracture is a disjoint cover, so its own area is the reference
-    # for downstream bookkeeping.
-    reference_area = sum(t.area() for t in figures)
-    report = analyze_figures(figures, reference_area=reference_area)
+    report = analyze_figures([s.trapezoid for s in shots])
     if corrector is not None and shots:
         shots = corrector.correct(shots, psf)
     return ShardResult(
         index=shard.index,
         shots=shots,
         report=report,
-        reference_area=reference_area,
+        # The fracture is a disjoint cover, so its own area — the
+        # report's one sum — is the reference for downstream
+        # bookkeeping.
+        reference_area=report.total_area,
         kernel_fallbacks=fallbacks,
     )
 
@@ -1206,49 +1228,6 @@ def _spooled_windows(polygons, field_size: Optional[float]):
             pass
 
 
-@dataclass
-class _ContainedStore:
-    """The one store-failure policy, for cache entries and spill blobs.
-
-    A computed result must never be lost to storage trouble: the first
-    store that raises ``OSError`` or reports a refused publish (ENOSPC,
-    read-only filesystem) degrades the *rest of the run* — ``degraded``
-    flips, ``warning`` is emitted once with the reason, and no further
-    store is attempted.  The caller keeps the result either way and
-    counts what the failure means to it.
-
-    ``stacklevel`` is the number of frames between ``warnings.warn``
-    and the pipeline call the warning should point at (this object's
-    own frame included).
-    """
-
-    warning: type
-    message: str
-    stacklevel: int
-    degraded: bool = False
-
-    def __call__(self, put, key: str, value) -> bool:
-        """``put(key, value)`` unless already degraded; True iff the
-        value was stored."""
-        if self.degraded:
-            return False
-        try:
-            stored = put(key, value)
-        except OSError as exc:
-            stored = False
-            reason = f"{type(exc).__name__}: {exc}"
-        else:
-            reason = "the filesystem refused the store"
-        if not stored:
-            self.degraded = True
-            warnings.warn(
-                self.message.format(reason=reason),
-                self.warning,
-                stacklevel=self.stacklevel,
-            )
-        return bool(stored)
-
-
 class _HeldResults:
     """The hold-and-merge sink: every result stays resident, grouped by
     owner in arrival (row-major) order, for :func:`merge_shard_results`.
@@ -1300,7 +1279,7 @@ class StreamingExecution:
         self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
         self._reports: List[FractureReport] = []
         self._reference = 0.0
-        self._store = _ContainedStore(
+        self._store = ContainedStore(
             SpillDegradedWarning,
             "shard-result spilling degraded to the in-memory merge for "
             "the rest of this run ({reason}); results are unaffected, but "
@@ -1662,13 +1641,7 @@ class ShardedExecutor:
             for figures in prefractured
         ]
         kernel = [KernelFallbacks() for _ in tallies]
-        store = _ContainedStore(
-            CacheDegradedWarning,
-            "shard cache degraded to read-only for the rest of this run "
-            "({reason}); results are unaffected, but uncached shards will "
-            "be recomputed by later runs",
-            stacklevel=4,
-        )
+        store = ContainedStore.for_cache(stacklevel=4)
         dispatched = 0
         for shards, owners, window_bytes in windows:
             keys: List[Optional[str]] = [None] * len(shards)

@@ -3,23 +3,40 @@
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import List, Optional, Sequence, Tuple
+import itertools
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.fracture.base import Shot
+import numpy as np
 
-_SHOT_PACK = struct.Struct("!7d")
+from repro.fracture.base import Shot, row_bytes, shot_rows
+from repro.geometry.vertex_array import (
+    sequential_sum,
+    trapezoid_areas,
+    trapezoid_bounds,
+)
+
+
+def _portable_digest(values: Iterable[float], sig_digits: int) -> str:
+    """SHA-256 over ``values`` rendered to ``sig_digits`` significant
+    digits, comma-terminated."""
+    fmt = f"%.{sig_digits}e,"
+    return hashlib.sha256(
+        "".join(fmt % value for value in values).encode()
+    ).hexdigest()
 
 
 class ShotFold:
-    """Everything a job reports about its shots, folded one at a time.
+    """Everything a job reports about its shots, folded block by block.
 
     The one place the exact digest packing, the bounding box, the
     exposure sums and the dose range are computed: a resident
-    :class:`MachineJob` folds its shot list once, the out-of-core
-    pipeline calls :meth:`add` as the shots stream past, and both get
-    bit-identical answers because every sum is the same left-to-right
-    loop over the same shot order.
+    :class:`MachineJob` folds its ``(N, 7)`` shot block once, the
+    out-of-core pipeline calls :meth:`add_rows` with each shard's block
+    as it streams past, and both get bit-identical answers because the
+    hash sees the same bytes in the same order and every sum is
+    continued strictly left to right
+    (:func:`~repro.geometry.vertex_array.sequential_sum`) over the same
+    shot order, however the shots are cut into blocks.
 
     Attributes:
         base_dose: physical dose [µC/cm²] the job is built with.
@@ -52,38 +69,39 @@ class ShotFold:
         self.bounding_box: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
         self.dose_range: Tuple[float, float] = (0.0, 0.0)
         self._hash = hashlib.sha256(
-            _SHOT_PACK.pack(self.base_dose, 0, 0, 0, 0, 0, 0)
+            row_bytes(np.array([self.base_dose] + [0.0] * 6))
         )
 
-    def add(self, shot: Shot) -> None:
-        """Fold one shot (call in the job's shot order)."""
-        t = shot.trapezoid
-        dose = shot.dose
-        self._hash.update(
-            _SHOT_PACK.pack(
-                t.y_bottom,
-                t.y_top,
-                t.x_bottom_left,
-                t.x_bottom_right,
-                t.x_top_left,
-                t.x_top_right,
-                dose,
-            )
-        )
-        box = t.bounding_box()
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Fold one ``(N, 7)`` block (call in the job's shot order)."""
+        if not len(rows):
+            return
+        self._hash.update(row_bytes(rows))
+        x0, y0, x1, y1 = trapezoid_bounds(rows)
+        dose = rows[:, 6]
+        box = (x0.min(), y0.min(), x1.max(), y1.max())
+        span = (dose.min(), dose.max())
         if self.count:
-            x0, y0, x1, y1 = self.bounding_box
-            box = (min(x0, box[0]), min(y0, box[1]), max(x1, box[2]), max(y1, box[3]))
+            bx0, by0, bx1, by1 = self.bounding_box
+            box = (
+                min(bx0, box[0]),
+                min(by0, box[1]),
+                max(bx1, box[2]),
+                max(by1, box[3]),
+            )
             low, high = self.dose_range
-            self.dose_range = (min(low, dose), max(high, dose))
-        else:
-            self.dose_range = (dose, dose)
-        self.bounding_box = box
-        self.count += 1
-        area = shot.area()
-        self.pattern_area += area
-        self.dose_weighted_area += dose * area
-        self.dose_weighted_count += dose
+            span = (min(low, span[0]), max(high, span[1]))
+        self.bounding_box = tuple(map(float, box))
+        self.dose_range = tuple(map(float, span))
+        self.count += len(rows)
+        area = trapezoid_areas(rows)
+        self.pattern_area = sequential_sum(area, self.pattern_area)
+        self.dose_weighted_area = sequential_sum(
+            dose * area, self.dose_weighted_area
+        )
+        self.dose_weighted_count = sequential_sum(
+            dose, self.dose_weighted_count
+        )
 
     def digest(self) -> str:
         """SHA-256 over the base dose and every shot folded so far."""
@@ -111,7 +129,7 @@ class MachineJob:
             the shot bounding box.
     """
 
-    __slots__ = ("name", "shots", "base_dose", "bounding_box", "_fold")
+    __slots__ = ("name", "shots", "base_dose", "bounding_box", "_fold", "_blocks")
 
     def __init__(
         self,
@@ -126,20 +144,49 @@ class MachineJob:
         self.base_dose = float(base_dose)
         self.name = name
         self._fold: Optional[ShotFold] = None
+        self._blocks: Optional[List[np.ndarray]] = None
         if bounding_box is None:
             bounding_box = self._folded().bounding_box
         self.bounding_box = bounding_box
 
+    @classmethod
+    def merged(cls, execution, base_dose: float = 1.0, name: str = "job"):
+        """The job of a merged execution
+        (:class:`~repro.core.executor.ExecutionResult`): its shots, with
+        the shard results' shot blocks as the job's — nothing walks the
+        shots a second time, and every consumer of :attr:`row_blocks`
+        works one shard's block at a time."""
+        job = cls([], base_dose, name, bounding_box=(0.0, 0.0, 0.0, 0.0))
+        job.shots = execution.shots
+        job._blocks = [result.rows for result in execution.shard_results]
+        job.bounding_box = job._folded().bounding_box
+        return job
+
+    @property
+    def row_blocks(self) -> List[np.ndarray]:
+        """The shots as ``(N, 7)`` blocks
+        (:func:`~repro.fracture.base.shot_rows`) that concatenate to the
+        shot list in order — what the fold, the digests and the job-file
+        writer read.  One block derived from ``shots`` on first use,
+        unless the job was :meth:`merged` from shard results."""
+        if self._blocks is None:
+            self._blocks = [shot_rows(self.shots)]
+        return self._blocks
+
     def _folded(self) -> ShotFold:
-        """The job's :class:`ShotFold` — one pass over the resident
-        shots on first use, or the fold an aggregate job was built
-        from."""
+        """The job's :class:`ShotFold` — its shot blocks folded on first
+        use, or the fold an aggregate job was built from."""
         if self._fold is None:
-            fold = ShotFold(self.base_dose)
-            for shot in self.shots:
-                fold.add(shot)
-            self._fold = fold
+            self._fold = ShotFold(self.base_dose)
+            for block in self.row_blocks:
+                self._fold.add_rows(block)
         return self._fold
+
+    def _values(self, columns=slice(None)) -> Iterable[float]:
+        """Every value of the given block columns, in shot order."""
+        return itertools.chain.from_iterable(
+            block[:, columns].ravel().tolist() for block in self.row_blocks
+        )
 
     @classmethod
     def synthetic(
@@ -233,36 +280,13 @@ class MachineJob:
         hashing makes the digest stable enough to commit as a golden
         reference while still pinning geometry and dose maps tightly.
         """
-        h = hashlib.sha256()
-        fmt = f"%.{sig_digits}e"
-
-        def feed(value: float) -> None:
-            h.update((fmt % value).encode())
-            h.update(b",")
-
-        feed(self.base_dose)
-        for s in self.shots:
-            t = s.trapezoid
-            for value in (
-                t.y_bottom,
-                t.y_top,
-                t.x_bottom_left,
-                t.x_bottom_right,
-                t.x_top_left,
-                t.x_top_right,
-                s.dose,
-            ):
-                feed(value)
-        return h.hexdigest()
+        return _portable_digest(
+            itertools.chain([self.base_dose], self._values()), sig_digits
+        )
 
     def dose_digest(self, sig_digits: int = 9) -> str:
         """Portable digest over the dose map alone (shot-order doses)."""
-        h = hashlib.sha256()
-        fmt = f"%.{sig_digits}e"
-        for s in self.shots:
-            h.update((fmt % s.dose).encode())
-            h.update(b",")
-        return h.hexdigest()
+        return _portable_digest(self._values(6), sig_digits)
 
     def dose_range(self) -> Tuple[float, float]:
         """(min, max) relative dose over all shots."""

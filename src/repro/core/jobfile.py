@@ -15,7 +15,7 @@ Header (32 bytes)::
     count   I    number of figure records
     pad     4x
 
-Figure record (20 bytes), coordinates as signed 32-bit counts::
+Figure record (22 bytes), coordinates as signed 32-bit counts::
 
     y_bottom, y_top            2 × i
     x_bottom_left, x_bottom_right  (stored as i at the record's scale)
@@ -24,6 +24,11 @@ Figure record (20 bytes), coordinates as signed 32-bit counts::
 
 The delta packing is exact for the slant range the fracturers produce
 (|Δx| < 32767 counts); the writer verifies and raises otherwise.
+
+Every writer here packs from the ``(N, 7)`` shot block
+(:func:`repro.fracture.base.shot_rows`): :func:`quantize_rows` owns the
+rounding rule and every range check of the tape formats, and the exact
+shard payload moves the block's bytes as they are.
 """
 
 from __future__ import annotations
@@ -34,17 +39,64 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import List, Tuple, Union
 
+import numpy as np
+
 from repro.core.job import MachineJob
-from repro.fracture.base import Shot
-from repro.geometry.trapezoid import Trapezoid
+from repro.fracture.base import row_bytes, shots_from_rows
 
 MAGIC = b"EBJ1"
 _HEADER = struct.Struct(">4sddI4x")
-_RECORD = struct.Struct(">iiiihhH")
+#: The figure record (packed, no padding).
+_RECORD = np.dtype(">i4,>i4,>i4,>i4,>i2,>i2,>u2")
 
 
 class JobFileError(ValueError):
     """Raised for malformed job files or unrepresentable jobs."""
+
+
+#: What each field of the record holds, for the writer's errors.
+_RECORD_FIELDS = ("coordinate count",) * 4 + ("slant delta",) * 2 + ("dose‰",)
+
+
+def quantize_rows(rows: np.ndarray, unit: float) -> np.ndarray:
+    """The integer record columns of an ``(N, 7)`` shot block.
+
+    The one quantizer of the tape formats (``.ebj`` records and the
+    ``.ebp`` shot records): coordinates are ``rint(v / unit)`` counts
+    (round-half-even, like ``round``), the top edge is stored as deltas
+    against the bottom edge, the dose as ``rint(dose × 1000)``.  Ranges
+    are checked on the rounded floats, before the integer cast, so an
+    unrepresentable shot raises instead of wrapping.
+
+    Returns:
+        ``(N, 7)`` int64, every column within the range of its field of
+        the figure record: four coordinate counts, the two top-edge
+        deltas, the dose in milli-units.
+
+    Raises:
+        JobFileError: a value (or a NaN) outside its field's range.
+    """
+    counts = np.rint(np.column_stack((rows[:, :6] / unit, rows[:, 6] * 1000.0)))
+    counts[:, 4:6] -= counts[:, 2:4]
+    for what, name, values in zip(_RECORD_FIELDS, _RECORD.names, counts.T):
+        limits = np.iinfo(_RECORD[name])
+        # NaN fails both comparisons and is rejected with the rest.
+        bad = ~((values >= limits.min) & (values <= limits.max))
+        if bad.any():
+            raise JobFileError(
+                f"{what} {values[bad][0]:g} out of the record's "
+                f"{limits.dtype} range at unit {unit:g}"
+            )
+    return counts.astype(np.int64)
+
+
+def pack_columns(dtype: np.dtype, columns: np.ndarray) -> bytes:
+    """Pack an ``(N, k)`` integer array as ``N`` records of the
+    ``k``-field ``dtype``, column ``i`` into field ``i``."""
+    records = np.empty(len(columns), dtype)
+    for name, column in zip(dtype.names, columns.T):
+        records[name] = column
+    return records.tobytes()
 
 
 def dumps_job(job: MachineJob, unit: float = 1e-3) -> bytes:
@@ -57,32 +109,10 @@ def dumps_job(job: MachineJob, unit: float = 1e-3) -> bytes:
     """
     if unit <= 0:
         raise JobFileError("unit must be positive")
-    chunks = [
-        _HEADER.pack(MAGIC, unit, job.base_dose, len(job.shots))
-    ]
-    for shot in job.shots:
-        chunks.append(_pack_shot(shot, unit))
+    chunks = [_HEADER.pack(MAGIC, unit, job.base_dose, len(job.shots))]
+    for block in job.row_blocks:
+        chunks.append(pack_columns(_RECORD, quantize_rows(block, unit)))
     return b"".join(chunks)
-
-
-def _pack_shot(shot: Shot, unit: float) -> bytes:
-    t = shot.trapezoid
-
-    def q(v: float) -> int:
-        return int(round(v / unit))
-
-    y0, y1 = q(t.y_bottom), q(t.y_top)
-    xbl, xbr = q(t.x_bottom_left), q(t.x_bottom_right)
-    dtl = q(t.x_top_left) - xbl
-    dtr = q(t.x_top_right) - xbr
-    if not (-32768 <= dtl <= 32767 and -32768 <= dtr <= 32767):
-        raise JobFileError(
-            f"slant delta out of int16 range: {dtl}, {dtr} counts"
-        )
-    dose_milli = int(round(shot.dose * 1000.0))
-    if not (0 <= dose_milli <= 0xFFFF):
-        raise JobFileError(f"dose {shot.dose} outside the representable range")
-    return _RECORD.pack(y0, y1, xbl, xbr, dtl, dtr, dose_milli)
 
 
 def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
@@ -96,37 +126,36 @@ def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
     magic, unit, base_dose, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise JobFileError(f"bad magic {magic!r}")
-    expected = _HEADER.size + count * _RECORD.size
+    expected = _HEADER.size + count * _RECORD.itemsize
     if len(data) < expected:
         raise JobFileError(
             f"truncated records: need {expected} bytes, have {len(data)}"
         )
-    shots: List[Shot] = []
-    offset = _HEADER.size
-    for _ in range(count):
-        y0, y1, xbl, xbr, dtl, dtr, dose_milli = _RECORD.unpack_from(
-            data, offset
-        )
-        offset += _RECORD.size
-        if y1 <= y0:
-            raise JobFileError("record with non-positive height")
-        trapezoid = Trapezoid(
-            y0 * unit,
-            y1 * unit,
-            xbl * unit,
-            xbr * unit,
-            (xbl + dtl) * unit,
-            (xbr + dtr) * unit,
-        )
-        shots.append(Shot(trapezoid, dose_milli / 1000.0))
-    return MachineJob(shots, base_dose=base_dose, name=name)
+    records = np.frombuffer(data, _RECORD, count, _HEADER.size)
+    counts = np.column_stack(
+        [records[name].astype(np.float64) for name in _RECORD.names]
+    )
+    counts[:, 4:6] += counts[:, 2:4]
+    rows = np.column_stack((counts[:, :6] * unit, counts[:, 6] / 1000.0))
+    return MachineJob(_read_shots(rows), base_dose=base_dose, name=name)
+
+
+def _read_shots(rows: np.ndarray):
+    """The shots of a block read from outside the program; a block that
+    is not a shot list is the reader's error, not the geometry's."""
+    try:
+        return shots_from_rows(rows)
+    except ValueError as exc:
+        raise JobFileError(f"bad figure record: {exc}") from exc
 
 
 def write_job(job: MachineJob, path: Union[str, Path], unit: float = 1e-3) -> int:
-    """Write a job file; returns the byte count."""
-    data = dumps_job(job, unit=unit)
-    Path(path).write_bytes(data)
-    return len(data)
+    """Write a job file — :class:`JobFileWriter` run to completion, so
+    it is staged and published atomically; returns the byte count."""
+    with JobFileWriter(path, len(job.shots), job.base_dose, unit) as writer:
+        for block in job.row_blocks:
+            writer.write_rows(block)
+    return writer.close()
 
 
 def read_job(path: Union[str, Path]) -> MachineJob:
@@ -136,7 +165,8 @@ def read_job(path: Union[str, Path]) -> MachineJob:
 
 
 class JobFileWriter:
-    """Incremental job-file writer: one shot at a time, bounded memory.
+    """Incremental job-file writer: one shot block at a time, bounded
+    memory.
 
     Emits bytes identical to :func:`write_job` of a job holding the same
     shots in the same order.  The header carries the shot count, so the
@@ -168,17 +198,17 @@ class JobFileWriter:
         self._written = 0
         self._closed = False
 
-    def write_shot(self, shot: Shot) -> None:
-        """Append one figure record."""
+    def write_rows(self, rows: np.ndarray) -> None:
+        """Append the figure records of one ``(N, 7)`` shot block."""
         if self._closed:
             raise JobFileError("job-file writer is closed")
-        if self._written >= self.count:
+        if self._written + len(rows) > self.count:
             raise JobFileError(
-                f"declared {self.count} shots but a {self._written + 1}th "
+                f"declared {self.count} shots but a {self.count + 1}th "
                 "arrived"
             )
-        self._fh.write(_pack_shot(shot, self.unit))
-        self._written += 1
+        self._fh.write(pack_columns(_RECORD, quantize_rows(rows, self.unit)))
+        self._written += len(rows)
 
     def close(self) -> int:
         """Publish the file; returns its byte count."""
@@ -212,7 +242,7 @@ class JobFileWriter:
 
 def job_file_bytes(figure_count: int) -> int:
     """Size of a job file with ``figure_count`` records."""
-    return _HEADER.size + figure_count * _RECORD.size
+    return _HEADER.size + figure_count * _RECORD.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +401,9 @@ SHARD_MAGIC = b"EBC1"
 _SHARD_HEADER = struct.Struct(">4sIIii")
 #: reference_area plus the nine FractureReport fields.
 _SHARD_REPORT = struct.Struct(">dqddqddddq")
-#: y_bottom, y_top, x_bottom_left, x_bottom_right, x_top_left,
-#: x_top_right, dose — exact doubles.
-_SHARD_RECORD = struct.Struct(">ddddddd")
+#: One row of the ``(N, 7)`` shot block as exact doubles
+#: (:func:`repro.fracture.base.row_bytes`).
+_SHARD_RECORD_BYTES = 7 * 8
 #: fast-kernel fallback counters, in ``KernelFallbacks`` field order:
 #: coord_limit, rational_slab, scalar_merge.
 _SHARD_FALLBACKS = struct.Struct(">qqq")
@@ -411,20 +441,8 @@ def dumps_shard_result(result) -> bytes:
             report.rectangle_count,
         ),
         _SHARD_FALLBACKS.pack(*astuple(result.kernel_fallbacks)),
+        row_bytes(result.rows),
     ]
-    for shot in result.shots:
-        t = shot.trapezoid
-        chunks.append(
-            _SHARD_RECORD.pack(
-                t.y_bottom,
-                t.y_top,
-                t.x_bottom_left,
-                t.x_bottom_right,
-                t.x_top_left,
-                t.x_top_right,
-                shot.dose,
-            )
-        )
     return b"".join(chunks)
 
 
@@ -432,8 +450,9 @@ def loads_shard_result(data: bytes):
     """Parse a shard-result payload written by :func:`dumps_shard_result`.
 
     Raises:
-        JobFileError: on bad magic, unknown version or truncation — the
-            cache treats these as misses and evicts the entry.
+        JobFileError: on bad magic, unknown version, truncation or a
+            record block that is not a shot list — the cache treats
+            these as misses and evicts the entry.
     """
     from repro.core.executor import ShardResult
     from repro.fracture.quality import FractureReport
@@ -450,7 +469,7 @@ def loads_shard_result(data: bytes):
         _SHARD_HEADER.size
         + _SHARD_REPORT.size
         + _SHARD_FALLBACKS.size
-        + count * _SHARD_RECORD.size
+        + count * _SHARD_RECORD_BYTES
     )
     if len(data) != expected:
         raise JobFileError(
@@ -473,13 +492,10 @@ def loads_shard_result(data: bytes):
     offset += _SHARD_REPORT.size
     fallbacks = KernelFallbacks(*_SHARD_FALLBACKS.unpack_from(data, offset))
     offset += _SHARD_FALLBACKS.size
-    shots: List[Shot] = []
-    for _ in range(count):
-        y0, y1, xbl, xbr, xtl, xtr, dose = _SHARD_RECORD.unpack_from(
-            data, offset
-        )
-        offset += _SHARD_RECORD.size
-        shots.append(Shot(Trapezoid(y0, y1, xbl, xbr, xtl, xtr), dose))
+    rows = (
+        np.frombuffer(data, ">f8", offset=offset).reshape(-1, 7).astype(np.float64)
+    )
+    shots = _read_shots(rows)
     report = FractureReport(
         figure_count=figure_count,
         total_area=total_area,
@@ -491,10 +507,12 @@ def loads_shard_result(data: bytes):
         area_error=area_error,
         rectangle_count=rectangle_count,
     )
-    return ShardResult(
+    result = ShardResult(
         index=(col, row),
         shots=shots,
         report=report,
         reference_area=reference_area,
         kernel_fallbacks=fallbacks,
     )
+    result.rows = rows
+    return result

@@ -588,8 +588,8 @@ class PreparationPipeline:
                 # hierarchy walk instead.
                 outcome.stats.fold(hier)
                 outcome.stats.fold(hier.kernel_fallbacks)
-            job = MachineJob(
-                outcome.shots,
+            job = MachineJob.merged(
+                outcome,
                 base_dose=self.base_dose,
                 name=names[i] if names is not None else inferred,
             )
@@ -690,6 +690,9 @@ class PreparationPipeline:
                 cache=self._resolve_program_cache(cache),
                 segment_count=segment_count,
             )
+            # A failed segment-blob store degrades the run like a failed
+            # shard store does.
+            result.execution.fold(result.machine_program)
         return result
 
     @staticmethod
@@ -713,12 +716,12 @@ class PreparationPipeline:
         """Assemble a streaming execution into a result, one shard at a
         time.
 
-        One pass over the spilled shard results feeds each shot, in the
-        merged shot order, to the same :class:`~repro.core.job.ShotFold`
-        a resident job folds its shot list with — so bounding box,
-        exposure aggregates, dose range and digest are bit-identical to
-        the materialized job's — and (with ``job_path``) streams the
-        ``.ebj`` records as it goes.
+        One pass over the spilled shard results feeds each result's
+        shot block, in the merged shot order, to the same
+        :class:`~repro.core.job.ShotFold` a resident job folds its
+        block with — so bounding box, exposure aggregates, dose range
+        and digest are bit-identical to the materialized job's — and
+        (with ``job_path``) streams the ``.ebj`` records as it goes.
         """
         fold = ShotFold(self.base_dose)
         writer = None
@@ -730,10 +733,9 @@ class PreparationPipeline:
             )
         try:
             for result in execution.iter_results():
-                for shot in result.shots:
-                    fold.add(shot)
-                    if writer is not None:
-                        writer.write_shot(shot)
+                fold.add_rows(result.rows)
+                if writer is not None:
+                    writer.write_rows(result.rows)
             job_bytes = writer.close() if writer is not None else 0
         except BaseException:
             if writer is not None:

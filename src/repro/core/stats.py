@@ -119,10 +119,11 @@ class ExecutionStats:
         shard_timeouts: shard dispatches abandoned by the hung-worker
             watchdog (see ``RetryPolicy.shard_timeout``).
         cache_write_failures: failed cache stores this run observed
-            before degrading to read-only.
-        cache_degraded: the run stopped storing cache entries after a
-            write failure (ENOSPC, read-only filesystem); lookups
-            continue.
+            before degrading to read-only — shard results in the shard
+            loop, segment blobs in the machine-program export.
+        cache_degraded: the run stopped storing cache entries (or the
+            export its segment blobs) after a write failure (ENOSPC,
+            read-only filesystem); lookups continue.
         cache_evictions: corrupt cache entries evicted by this run's
             own lookups (each also counts as a miss).
         dispatch: how shards were scheduled — ``"local"`` (this
@@ -193,8 +194,12 @@ class ExecutionStats:
     shards_salvaged: int = stat(0, "faults", fault=True, totals="faults")
     pool_restarts: int = stat(0, "faults", scope="run", fault=True, totals="faults")
     shard_timeouts: int = stat(0, "faults", fault=True, totals="faults")
-    cache_write_failures: int = stat(0, "faults", fault=True, totals="faults")
-    cache_degraded: bool = stat(False, "faults", scope="run", merge="any", fault=True)
+    cache_write_failures: int = stat(
+        0, "faults", fault=True, totals="faults", source="MachineProgram"
+    )
+    cache_degraded: bool = stat(
+        False, "faults", scope="run", merge="any", fault=True, source="MachineProgram"
+    )
     cache_evictions: int = stat(0, "faults", totals="faults")
     dispatch: str = stat("local", scope="run", merge="keep")
     dist_workers: int = _dist(
@@ -253,8 +258,8 @@ class ExecutionStats:
 
     def fold(self, record) -> None:
         """Fold one engine record (``DistRunStats``, ``KernelFallbacks``,
-        ``HierarchicalFractureResult``) into the fields that name it as
-        their ``source``, by their merge rule."""
+        ``HierarchicalFractureResult``, ``MachineProgram``) into the
+        fields that name it as their ``source``, by their merge rule."""
         kind = type(record).__name__
         for f in fields(self):
             source, _, attr = (f.metadata.get("source") or "").partition(".")

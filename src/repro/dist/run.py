@@ -98,6 +98,11 @@ def map_shards_distributed(
                 grace_deadline = None
             batch.progress.wait(policy.poll_interval)
             batch.progress.clear()
+            if waiter is not None:
+                # Each wake observes a cancel or an expired job budget
+                # (the waiter's check raises), whether or not any shard
+                # has committed; a zero wait sleeps for nothing.
+                waiter.wait(0.0)
         # Late commits that raced the loop's last pass.
         for position, payload in queue.take_new_commits():
             results[position] = loads_shard_result(payload)

@@ -1,13 +1,25 @@
-"""Fracturer interface and the Shot record."""
+"""Fracturer interface and the Shot record.
+
+A shot has two forms.  :class:`Shot` objects are the API type — what
+fracturers return and correctors rewrite.  Beneath them every consumer
+that walks a whole shot list (digests, the ``.ebj``/``.ebp`` packers,
+shard payloads, cache keys, PEC's field arrays) reads one ``(N, 7)``
+float64 block: the six :data:`~repro.geometry.vertex_array.TRAP_COLUMNS`
+plus the dose, one row per shot in shot order
+(:func:`shot_rows`/:func:`shots_from_rows`).
+"""
 
 from __future__ import annotations
 
 import abc
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import trapezoid_array, trapezoids_from_array
 
 
 class Shot:
@@ -37,6 +49,43 @@ class Shot:
 
     def __repr__(self) -> str:
         return f"Shot({self.trapezoid!r}, dose={self.dose:g})"
+
+
+def shot_rows(shots: Sequence[Shot]) -> np.ndarray:
+    """The ``(N, 7)`` float64 block of a shot list:
+    :func:`~repro.geometry.vertex_array.trapezoid_array` plus the dose
+    column."""
+    return np.column_stack(
+        (trapezoid_array(s.trapezoid for s in shots), [s.dose for s in shots])
+    )
+
+
+def shots_from_rows(rows: np.ndarray) -> List[Shot]:
+    """Rebuild the :class:`Shot` list of an ``(N, 7)`` block.
+
+    Raises:
+        ValueError: the block is not a shot list — a non-finite value
+            (checked here; nothing downstream rejects a NaN), or one of
+            the invariants :class:`Trapezoid` and :class:`Shot` enforce.
+            Readers of bytes from outside the program turn this into
+            their own error.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("non-finite coordinate or dose")
+    return [
+        Shot(trapezoid, dose)
+        for trapezoid, dose in zip(
+            trapezoids_from_array(rows[:, :6]), rows[:, 6].tolist()
+        )
+    ]
+
+
+def row_bytes(rows: np.ndarray) -> bytes:
+    """The block's exact image: every value as its big-endian IEEE-754
+    double, row by row.  This is what the job digest hashes, what a
+    shard payload stores and what a segment key covers, so equal bytes
+    mean shot-for-shot bit-identical."""
+    return rows.astype(">f8").tobytes()
 
 
 class Fracturer(abc.ABC):

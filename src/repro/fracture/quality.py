@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import (
+    sequential_sum,
+    trapezoid_array,
+    trapezoid_areas,
+)
 
 
 @dataclass
@@ -59,26 +66,28 @@ def analyze_figures(
         sliver_threshold: figures with any dimension below this count as
             slivers (layout units).
         reference_area: expected covered area for the area-error metric.
+
+    ``total_area`` is the figures' areas added left to right
+    (:func:`~repro.geometry.vertex_array.sequential_sum`), so it is the
+    same float on every interpreter and the number a shard records as
+    its own reference area.
     """
-    count = len(figures)
+    arr = trapezoid_array(figures)
+    count = len(arr)
     if count == 0:
         return FractureReport(0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0)
-    total = 0.0
-    rect_count = 0
-    sliver_count = 0
-    min_dim = float("inf")
-    for fig in figures:
-        total += fig.area()
-        if fig.is_rectangle(tol=1e-9):
-            rect_count += 1
-        dim = min(fig.min_width(), fig.height)
-        # A triangle tip legitimately has zero min edge width; measure the
-        # mean width instead so only true slivers are flagged.
-        mean_width = fig.area() / fig.height if fig.height > 0 else 0.0
-        dim = max(dim, min(mean_width, fig.height))
-        min_dim = min(min_dim, dim)
-        if dim < sliver_threshold:
-            sliver_count += 1
+    yb, yt, xbl, xbr, xtl, xtr = arr.T
+    area = trapezoid_areas(arr)
+    height = yt - yb
+    total = sequential_sum(area)
+    rectangle = (np.abs(xbl - xtl) <= 1e-9) & (np.abs(xbr - xtr) <= 1e-9)
+    rect_count = int(rectangle.sum())
+    # A triangle tip legitimately has zero min edge width; measure the
+    # mean width instead so only true slivers are flagged: the larger of
+    # the narrower edge and the mean width, capped by the height.
+    narrow_edge = np.minimum(xbr - xbl, xtr - xtl)
+    dim = np.minimum(np.maximum(narrow_edge, area / height), height)
+    sliver_count = int((dim < sliver_threshold).sum())
     error = 0.0
     if reference_area is not None and reference_area > 0:
         error = abs(total - reference_area) / reference_area
@@ -88,7 +97,7 @@ def analyze_figures(
         rectangle_fraction=rect_count / count,
         sliver_count=sliver_count,
         sliver_fraction=sliver_count / count,
-        min_dimension=min_dim,
+        min_dimension=float(dim.min()),
         mean_area=total / count,
         area_error=error,
         rectangle_count=rect_count,

@@ -15,6 +15,7 @@ results are bit-identical to the scalar code paths they accelerate.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -175,7 +176,8 @@ def transform_polygons(
 # Trapezoid batches
 # ---------------------------------------------------------------------------
 
-#: Column order of a stacked trapezoid array.
+#: Column order of a stacked trapezoid array — the one spelling of a
+#: figure's six coordinates; everything below reads them through it.
 TRAP_COLUMNS = (
     "y_bottom",
     "y_top",
@@ -185,27 +187,49 @@ TRAP_COLUMNS = (
     "x_top_right",
 )
 
+#: ``trapezoid_fields(t)`` is ``t``'s coordinates in column order.
+trapezoid_fields = operator.attrgetter(*TRAP_COLUMNS)
+
 
 def trapezoid_array(traps: Iterable[Trapezoid]) -> np.ndarray:
     """Stack trapezoids into an ``(N, 6)`` float64 array (TRAP_COLUMNS)."""
-    traps = list(traps)
-    arr = np.empty((len(traps), 6), dtype=np.float64)
-    for i, t in enumerate(traps):
-        arr[i, 0] = t.y_bottom
-        arr[i, 1] = t.y_top
-        arr[i, 2] = t.x_bottom_left
-        arr[i, 3] = t.x_bottom_right
-        arr[i, 4] = t.x_top_left
-        arr[i, 5] = t.x_top_right
-    return arr
+    fields = [trapezoid_fields(t) for t in traps]
+    return np.array(fields, dtype=np.float64).reshape(-1, 6)
 
 
 def trapezoids_from_array(arr: np.ndarray) -> List[Trapezoid]:
     """Rebuild :class:`Trapezoid` objects from an ``(N, 6)`` array."""
-    return [
-        Trapezoid(yb, yt, xbl, xbr, xtl, xtr)
-        for yb, yt, xbl, xbr, xtl, xtr in arr.tolist()
-    ]
+    return [Trapezoid(*row) for row in arr.tolist()]
+
+
+def trapezoid_bounds(arr: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per-row bounding boxes ``(x0, y0, x1, y1)`` of a trapezoid block
+    (its first six columns), as :meth:`Trapezoid.bounding_box`."""
+    return (
+        np.minimum(arr[:, 2], arr[:, 4]),
+        arr[:, 0],
+        np.maximum(arr[:, 3], arr[:, 5]),
+        arr[:, 1],
+    )
+
+
+def trapezoid_areas(arr: np.ndarray) -> np.ndarray:
+    """Per-row areas, bit-identical to :meth:`Trapezoid.area`."""
+    bottom = arr[:, 3] - arr[:, 2]
+    top = arr[:, 5] - arr[:, 4]
+    return 0.5 * (bottom + top) * (arr[:, 1] - arr[:, 0])
+
+
+def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """``start + values[0] + values[1] + …`` added strictly left to
+    right — the float a ``+=`` loop produces, continued from ``start``.
+
+    ``np.sum`` adds pairwise and the builtin ``sum`` compensates
+    (Neumaier, CPython ≥ 3.12); both move the last ulp, and the totals
+    folded here are compared bit for bit across resident, streamed and
+    cached runs.  ``np.add.accumulate`` has no such freedom.
+    """
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 def transform_trapezoid_array(arr: np.ndarray, t: Transform) -> np.ndarray:

@@ -48,12 +48,18 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
+from repro.core.cache import ContainedStore
 from repro.core.jobfile import (
     JobFileError,
     ProgramImage,
+    pack_columns,
     pack_program_header,
     pack_program_segment,
+    quantize_rows,
 )
+from repro.geometry.vertex_array import trapezoid_areas
 from repro.machine.base import Machine, WriteTimeBreakdown
 from repro.machine.datapath import (
     ChannelCheck,
@@ -81,11 +87,10 @@ _RASTER_PROLOGUE = struct.Struct(">iI")
 _RUN_COUNT = struct.Struct(">H")
 _RUN = struct.Struct(">HH")
 
-#: Shot/flash record: y_bottom, y_top, x_bottom_left, x_bottom_right as
-#: signed 32-bit coordinate counts, top-edge deltas as signed 16-bit,
-#: relative dose ×1000, beam-on time [ns].
-_SHOT_RECORD = struct.Struct(">iiiihhHI")
-SHOT_RECORD_BYTES = _SHOT_RECORD.size
+#: Shot/flash record: the job file's figure record
+#: (:func:`repro.core.jobfile.quantize_rows`) plus the beam-on time [ns].
+_SHOT_RECORD = np.dtype(">i4,>i4,>i4,>i4,>i2,>i2,>u2,>u4")
+SHOT_RECORD_BYTES = _SHOT_RECORD.itemsize
 
 
 class MachineProgramError(ValueError):
@@ -157,6 +162,9 @@ class MachineProgram:
         cache_write_failures: failed segment-blob stores before the
             export degraded to not storing (the program itself is
             unaffected — cache trouble never fails an export).
+        cache_degraded: the export stopped storing segment blobs after
+            a failed store.  Both fold onto the run's
+            :class:`~repro.core.stats.ExecutionStats`.
         peak_segment_bytes: largest single segment held in memory while
             streaming — the bounded-memory witness.
     """
@@ -179,6 +187,7 @@ class MachineProgram:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_write_failures: int = 0
+    cache_degraded: bool = False
     peak_segment_bytes: int = 0
 
 
@@ -223,56 +232,32 @@ def lower_raster_segment(
 
 
 def lower_shot_segment(
-    shots: Sequence,
+    rows: np.ndarray,
     unit: float,
     ns_per_dose: float,
     ns_per_dose_area: float = 0.0,
 ) -> bytes:
-    """Lower one shard's shots to dose/flash records.
+    """Lower one shard's ``(N, 7)`` shot block to dose/flash records.
 
     ``beam_ns = ns_per_dose · dose + ns_per_dose_area · dose · area`` —
     VSB flashes are size-independent (``ns_per_dose``), vector dwells
     scale with area (``ns_per_dose_area``).
     """
-    chunks: List[bytes] = []
-    for shot in shots:
-        t = shot.trapezoid
-
-        def q(v: float) -> int:
-            return int(round(v / unit))
-
-        y0, y1 = q(t.y_bottom), q(t.y_top)
-        xbl, xbr = q(t.x_bottom_left), q(t.x_bottom_right)
-        if not all(-(2**31) <= v <= 2**31 - 1 for v in (y0, y1, xbl, xbr)):
-            raise MachineProgramError(
-                f"coordinate count out of int32 range at unit {unit:g}; "
-                "increase the record unit"
-            )
-        dtl = q(t.x_top_left) - xbl
-        dtr = q(t.x_top_right) - xbr
-        if not (-32768 <= dtl <= 32767 and -32768 <= dtr <= 32767):
-            raise MachineProgramError(
-                f"slant delta out of int16 range: {dtl}, {dtr} counts"
-            )
-        dose_milli = int(round(shot.dose * 1000.0))
-        if not (0 <= dose_milli <= 0xFFFF):
-            raise MachineProgramError(
-                f"dose {shot.dose} outside the representable range"
-            )
-        beam_ns = int(
-            round(
-                ns_per_dose * shot.dose
-                + ns_per_dose_area * shot.dose * t.area()
-            )
+    try:
+        records = quantize_rows(rows, unit)
+    except JobFileError as exc:
+        raise MachineProgramError(str(exc)) from exc
+    dose = rows[:, 6]
+    beam_ns = np.rint(
+        ns_per_dose * dose + ns_per_dose_area * dose * trapezoid_areas(rows)
+    )
+    if not ((beam_ns >= 0) & (beam_ns <= 0xFFFFFFFF)).all():
+        raise MachineProgramError(
+            "beam-on time outside the 32-bit nanosecond range"
         )
-        if not (0 <= beam_ns <= 0xFFFFFFFF):
-            raise MachineProgramError(
-                f"beam-on time {beam_ns} ns outside the 32-bit range"
-            )
-        chunks.append(
-            _SHOT_RECORD.pack(y0, y1, xbl, xbr, dtl, dtr, dose_milli, beam_ns)
-        )
-    return b"".join(chunks)
+    return pack_columns(
+        _SHOT_RECORD, np.column_stack((records, beam_ns.astype(np.int64)))
+    )
 
 
 def _segment_counters(mode: str, payload: bytes) -> Tuple[int, int, int]:
@@ -343,8 +328,8 @@ def decode_shot_segment(payload: bytes) -> List[ShotRecord]:
     if len(payload) % SHOT_RECORD_BYTES:
         raise JobFileError("shot segment payload not record-aligned")
     return [
-        ShotRecord(*_SHOT_RECORD.unpack_from(payload, off))
-        for off in range(0, len(payload), SHOT_RECORD_BYTES)
+        ShotRecord(*record)
+        for record in np.frombuffer(payload, _SHOT_RECORD).tolist()
     ]
 
 
@@ -452,7 +437,7 @@ def export_program(
                     segment_count,
                 ),
             )
-            store_blobs = True
+            store = ContainedStore.for_cache(stacklevel=3)
             for result in occupied:
                 payload = None
                 key = None
@@ -466,22 +451,15 @@ def export_program(
                         )
                     else:
                         payload = lower_shot_segment(
-                            result.shots, spec.unit, flash_ns, dwell_ns_area
+                            result.rows, spec.unit, flash_ns, dwell_ns_area
                         )
                     program.cache_misses += 1
-                    if cache is not None and store_blobs:
-                        # Contain store faults exactly like the shard
-                        # cache: the first failed blob store (ENOSPC,
-                        # read-only tree) degrades the rest of this
-                        # export to not storing — never to a failed
-                        # program.
-                        try:
-                            stored = cache.put_blob(key, payload)
-                        except OSError:
-                            stored = False
-                        if stored is False:
-                            program.cache_write_failures += 1
-                            store_blobs = False
+                    if (
+                        cache is not None
+                        and not store.degraded
+                        and not store(cache.put_blob, key, payload)
+                    ):
+                        program.cache_write_failures += 1
                 else:
                     program.cache_hits += 1
                 if spec.mode == "raster":
@@ -518,6 +496,7 @@ def export_program(
         except OSError:
             pass
         raise
+    program.cache_degraded = store.degraded
     if cache is None:
         program.cache_hits = program.cache_misses = 0
     program.digest = digest.hexdigest()

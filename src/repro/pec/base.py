@@ -18,8 +18,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, shot_rows
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import trapezoid_areas, trapezoid_bounds
 from repro.physics.psf import DoubleGaussianPSF
 
 
@@ -88,33 +89,17 @@ def trapezoid_exposure(
 def _trap_field_arrays(
     shots: Sequence[Shot],
 ) -> Tuple[np.ndarray, ...]:
-    """The six trapezoid coordinate fields of a shot list, stacked.
-
-    One pass of attribute access builds a single ``(n, 6)`` array; every
-    geometric quantity downstream (sample points, bounding boxes, areas)
-    is then pure vectorized arithmetic on its columns.
+    """The six trapezoid coordinate fields of a shot list, as columns
+    of its ``(N, 7)`` block (:func:`~repro.fracture.base.shot_rows`):
+    every geometric quantity downstream (sample points, bounding boxes,
+    areas) is then pure vectorized arithmetic on them.
 
     Returns:
-        ``(y_bottom, y_top, x_bottom_left, x_bottom_right, x_top_left,
-        x_top_right)`` as length-n float arrays.
+        The block's coordinate columns in
+        :data:`~repro.geometry.vertex_array.TRAP_COLUMNS` order, as
+        length-n float arrays.
     """
-    if not shots:
-        empty = np.empty(0)
-        return (empty,) * 6
-    stacked = np.array(
-        [
-            (
-                t.y_bottom,
-                t.y_top,
-                t.x_bottom_left,
-                t.x_bottom_right,
-                t.x_top_left,
-                t.x_top_right,
-            )
-            for t in (shot.trapezoid for shot in shots)
-        ]
-    )
-    return tuple(stacked[:, k] for k in range(6))
+    return tuple(shot_rows(shots)[:, :6].T)
 
 
 def shot_sample_points(
@@ -201,11 +186,10 @@ def _shot_bbox_arrays(
     shots: Sequence[Shot],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-shot bounding boxes and area-ratio scales as flat arrays."""
-    yb, yt, xbl, xbr, xtl, xtr = _trap_field_arrays(shots)
-    x0 = np.minimum(xbl, xtl)
-    x1 = np.maximum(xbr, xtr)
+    rows = shot_rows(shots)
+    x0, yb, x1, yt = trapezoid_bounds(rows)
     bbox_area = (x1 - x0) * (yt - yb)
-    area = 0.5 * ((xbr - xbl) + (xtr - xtl)) * (yt - yb)
+    area = trapezoid_areas(rows)
     positive = bbox_area > 0
     scale = np.where(
         positive, area / np.where(positive, bbox_area, 1.0), 0.0

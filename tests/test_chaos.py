@@ -8,7 +8,10 @@ schedules are keyed by ``(position, attempt)`` with no wall-clock or
 RNG, so each scenario replays identically.
 """
 
+import filecmp
 import os
+import random
+import struct
 import threading
 import time
 
@@ -24,7 +27,7 @@ from repro.core.faults import (
     InjectedFaultError,
     TransientFaultError,
 )
-from repro.core.jobfile import dumps_job
+from repro.core.jobfile import dumps_job, write_job
 from repro.core.pipeline import PreparationPipeline
 from repro.layout import generators
 
@@ -243,6 +246,54 @@ class TestCacheFaultScenarios:
         # The evicted entry was recomputed and re-stored.
         assert len(cache_entry_paths(cache_dir)) == len(entries)
 
+    def test_entry_that_is_not_a_shot_list_is_an_evicted_miss(self, tmp_path):
+        """Same size, right magic, but a record whose ``y_top`` lies
+        below its ``y_bottom``: the reader must call that corruption
+        (an evicted miss), not let the geometry constructor raise
+        through the run."""
+        cache_dir = tmp_path / "cache"
+        clean = dumps_job(run_grating(workers=1, cache_dir=cache_dir).job)
+        entry = cache_entry_paths(cache_dir)[0]
+        data = bytearray(entry.read_bytes())
+        records = len(data) - 56 * struct.unpack_from(">I", data, 8)[0]
+        y_bottom, y_top = struct.unpack_from(">dd", data, records)
+        struct.pack_into(">d", data, records + 8, y_bottom - (y_top - y_bottom))
+        entry.write_bytes(data)
+        warm = run_grating(workers=1, cache_dir=cache_dir)
+        assert warm.execution.cache_evictions == 1
+        assert warm.execution.cache_misses == 1
+        assert dumps_job(warm.job) == clean
+
+    def test_any_single_byte_flip_is_a_hit_or_an_evicted_miss(self, tmp_path):
+        """Seeded sweep: one random bit flipped in every byte of one
+        entry, one byte at a time.  A flip the format cannot see (a
+        mantissa bit of a dose) reads as a hit; every other flip must be
+        evicted and recomputed — none may raise."""
+        cache_dir = tmp_path / "cache"
+        clean = dumps_job(run_grating(workers=1, cache_dir=cache_dir).job)
+        cache = ShardCache(cache_dir)
+        entry = cache_entry_paths(cache_dir)[0]
+        key = entry.parent.name + entry.stem
+        pristine = entry.read_bytes()
+        rng = random.Random(18)
+        evicted = 0
+        for offset in range(len(pristine)):
+            flipped = bytearray(pristine)
+            flipped[offset] ^= 1 << rng.randrange(8)
+            entry.write_bytes(flipped)
+            result, was_evicted = cache.lookup(key)
+            assert (result is None) == was_evicted
+            assert was_evicted != entry.exists()
+            evicted += was_evicted
+        # Header, counters and geometry invariants all catch flips; the
+        # sweep is not vacuous in either direction.
+        assert 0 < evicted < len(pristine)
+        # And a run over a flipped entry recomputes the clean bytes.
+        entry.write_bytes(bytes([pristine[0] ^ 0x01]) + pristine[1:])
+        warm = run_grating(workers=1, cache_dir=cache_dir)
+        assert warm.execution.cache_evictions == 1
+        assert dumps_job(warm.job) == clean
+
     def test_concurrent_eviction_is_not_charged_to_this_run(self, tmp_path):
         """The service shares one ShardCache between concurrent jobs: a
         corrupt entry another job evicts in the middle of this run's
@@ -278,6 +329,47 @@ class TestCacheFaultScenarios:
         assert dumps_job(result.job) == clean
         # Degraded means read-only: every later put was skipped too.
         assert cache_entry_paths(cache_dir) == []
+
+    def test_failed_segment_store_degrades_the_run_audibly(self, tmp_path):
+        """The store after the last shard result is the first
+        program-segment blob: its failure must warn, count and flag
+        exactly like a failed shard store — and leave the artifacts
+        untouched."""
+
+        def run(tag, cache_dir, faults=None):
+            pipeline = PreparationPipeline(
+                field_size=15.0, machine="vsb", cache_dir=cache_dir, faults=faults
+            )
+            result = pipeline.run(
+                fzp_library(), name="fzp", program_path=tmp_path / f"{tag}.ebp"
+            )
+            write_job(result.job, tmp_path / f"{tag}.ebj")
+            return result
+
+        clean = run("clean", tmp_path / "clean-cache")
+        shards = clean.execution.shard_count
+        assert shards > 1 and clean.execution.fault_events == 0
+        with pytest.warns(CacheDegradedWarning) as caught:
+            chaos = run(
+                "chaos",
+                tmp_path / "chaos-cache",
+                FaultPlan(enospc_puts=frozenset({shards})),
+            )
+        assert len(caught) == 1
+        assert chaos.machine_program.cache_write_failures == 1
+        assert chaos.machine_program.cache_degraded
+        stats = chaos.execution
+        assert stats.cache_write_failures == 1
+        assert stats.cache_degraded
+        assert stats.fault_events == 2
+        (faults_line,) = [line for line in stats.lines() if "faults:" in line]
+        assert "1 cache write failures (cache degraded to read-only)" in faults_line
+        for suffix in ("ebj", "ebp"):
+            clean_file = tmp_path / f"clean.{suffix}"
+            assert filecmp.cmp(clean_file, tmp_path / f"chaos.{suffix}", shallow=False)
+        # Degraded means the rest of the export stored nothing: the
+        # shard results are there, no segment blob is.
+        assert len(cache_entry_paths(tmp_path / "chaos-cache")) == shards
 
     def test_faulty_cache_counts_puts_across_entry_points(self, tmp_path):
         inner = ShardCache(tmp_path / "cache")

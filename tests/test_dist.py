@@ -16,13 +16,18 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import ShardCache
-from repro.core.executor import RetryPolicy, shutdown_worker_pool
+from repro.core.executor import (
+    BackoffWaiter,
+    RetryPolicy,
+    shutdown_worker_pool,
+)
 from repro.core.faults import FaultPlan
 from repro.core.jobfile import dumps_job
 from repro.core.pipeline import PreparationPipeline
@@ -742,6 +747,60 @@ class TestDistributedRuns:
                 thread.join(timeout=5.0)
         assert dumps_job(result.job) == expected
         assert result.execution.speculative_wins >= 1
+
+    def test_cancel_lands_while_the_fleet_stalls(self, endpoint, fleet):
+        """A fleet that heartbeats but never commits must not hide a
+        cancel (or an expired job budget) from the waiting coordinator:
+        every wake of the poll loop runs the waiter's check."""
+
+        class Cancelled(Exception):
+            pass
+
+        leased = threading.Event()
+        release = threading.Event()
+        cancel = threading.Event()
+        cancelled_at = []
+
+        def throttle(position, attempt):
+            leased.set()
+            release.wait(timeout=30.0)
+
+        def request_cancel():
+            leased.wait(timeout=30.0)
+            cancelled_at.append(time.monotonic())
+            cancel.set()
+
+        def check():
+            if cancel.is_set():
+                raise Cancelled
+
+        fleet(2, throttle=throttle)
+        policy = DistPolicy(
+            lease_deadline=60.0,  # stalled, not hung: no reclaim helps
+            heartbeat_interval=0.1,
+            heartbeat_timeout=5.0,
+            worker_grace=60.0,
+            speculate=False,
+        )
+        pipeline = PreparationPipeline(
+            field_size=FIELD_SIZE,
+            dispatch="distributed",
+            workers_endpoint=endpoint,
+            dist_policy=policy,
+            waiter=BackoffWaiter(check=check),
+        )
+        canceller = threading.Thread(target=request_cancel, daemon=True)
+        canceller.start()
+        try:
+            with pytest.raises(Cancelled):
+                pipeline.run(grating_library())
+            landed = time.monotonic() - cancelled_at[0]
+        finally:
+            release.set()
+            canceller.join(timeout=5.0)
+        assert landed < 1.0
+        # The abandoned batch is finished, not left for workers to pull.
+        assert coordinator_for(endpoint)._batches_in_order() == []
 
     def test_workers_populate_shared_cache(self, endpoint, fleet, tmp_path):
         cache_dir = tmp_path / "shard-cache"

@@ -6,6 +6,8 @@ segment cache, the bounded-memory streaming witness and the pipeline /
 CLI threading.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -350,14 +352,15 @@ class TestProgramCache:
         assert base != cache.program_key_for(
             shard, MachineSpec("raster"), (0.0, 0.0), 2.0
         )
-        original = result.shots[0].dose
-        result.shots[0].dose = original + 0.25
-        try:
-            assert base != cache.program_key_for(
-                shard, MachineSpec("raster"), (0.0, 0.0), 1.0
-            )
-        finally:
-            result.shots[0].dose = original
+        # A result's shots are read-only once built; a different dose
+        # is a different result.
+        first, *rest = shard.shots
+        redosed = dataclasses.replace(
+            shard, shots=[first.with_dose(first.dose + 0.25), *rest]
+        )
+        assert base != cache.program_key_for(
+            redosed, MachineSpec("raster"), (0.0, 0.0), 1.0
+        )
 
     def test_schema_version_bumped_for_programs(self):
         assert CACHE_SCHEMA_VERSION >= 3
@@ -434,9 +437,13 @@ class TestPipelineThreading:
         path = tmp_path / "g.ebp"
         export_program(result.shard_results, job, MachineSpec("vsb"), path)
         good = path.read_bytes()
-        result.shots[0].dose = 100.0  # dose‰ overflows the u16 record
+        first, *rest = result.shard_results[0].shots
+        overflowing = dataclasses.replace(
+            result.shard_results[0],
+            shots=[first.with_dose(100.0), *rest],  # dose‰ overflows u16
+        )
         with pytest.raises(MachineProgramError):
-            export_program(result.shard_results, job, MachineSpec("vsb"), path)
+            export_program([overflowing], job, MachineSpec("vsb"), path)
         # The previous good program survives and no staging file leaks.
         assert path.read_bytes() == good
         assert list(tmp_path.glob(".*.tmp-*")) == []

@@ -43,6 +43,7 @@ from repro.dist import (
     coordinator_for,
     shutdown_coordinators,
 )
+from repro.fracture.base import shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.layout import generators
 from repro.layout.cell import Cell
@@ -254,14 +255,16 @@ class TestJobFileWriter:
         job = MachineJob(shots, base_dose=1.5)
         write_job(job, tmp_path / "whole.ebj")
         with JobFileWriter(tmp_path / "inc.ebj", len(shots), base_dose=1.5) as writer:
-            for shot in shots:
-                writer.write_shot(shot)
+            # One block per shot, then the rest at once: the cut into
+            # blocks never shows in the bytes.
+            writer.write_rows(shot_rows(shots[:1]))
+            writer.write_rows(shot_rows(shots[1:]))
         assert filecmp.cmp(tmp_path / "whole.ebj", tmp_path / "inc.ebj", shallow=False)
 
     def test_undercount_raises_and_discards(self, tmp_path):
         shots = self._shots()
         writer = JobFileWriter(tmp_path / "short.ebj", len(shots))
-        writer.write_shot(shots[0])
+        writer.write_rows(shot_rows(shots[:1]))
         with pytest.raises(JobFileError, match="wrote 1"):
             writer.close()
         assert not (tmp_path / "short.ebj").exists()
@@ -270,9 +273,9 @@ class TestJobFileWriter:
     def test_overcount_raises_immediately(self, tmp_path):
         shots = self._shots()
         writer = JobFileWriter(tmp_path / "over.ebj", 1)
-        writer.write_shot(shots[0])
+        writer.write_rows(shot_rows(shots[:1]))
         with pytest.raises(JobFileError, match="declared 1"):
-            writer.write_shot(shots[1])
+            writer.write_rows(shot_rows(shots[1:2]))
         writer.abort()
         assert not list(tmp_path.iterdir())
 
@@ -280,7 +283,7 @@ class TestJobFileWriter:
         shots = self._shots()
         with pytest.raises(RuntimeError):
             with JobFileWriter(tmp_path / "boom.ebj", len(shots)) as writer:
-                writer.write_shot(shots[0])
+                writer.write_rows(shot_rows(shots[:1]))
                 raise RuntimeError("mid-stream failure")
         assert not list(tmp_path.iterdir())
 
