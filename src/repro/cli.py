@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import Table
-from repro.core.recipe import PrepRecipe
+from repro.core.recipe import PrepRecipe, number_complaint
 from repro.layout import generators
 from repro.layout.stats import library_stats
 from repro.layout.stream import open_layout_stream
@@ -42,8 +42,9 @@ def _worker_count(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    why = number_complaint(value)
+    if why:
+        raise argparse.ArgumentTypeError(why)
     return value
 
 

@@ -28,6 +28,12 @@ Sharding semantics
   shot partitioning).  Proximity correction becomes field-local (no
   cross-field dose coupling), the standard mosaic approximation when
   the field pitch is large against the backscatter range β.
+* The plan is a pure function of the items' bounding boxes, so one
+  planner (:func:`_plan_tiles`) reads them as one ``(N, 4)`` block for
+  resident polygons, pre-fractured figures and the streamed spool
+  alike; the overlap advisory below reads the same block.  A pitch
+  whose tile indices would not fit a shard header's int32 is a
+  ``ValueError`` at plan time, in every mode.
 
 Overlap semantics
 -----------------
@@ -76,6 +82,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import itertools
 import math
 import os
 import shutil
@@ -84,6 +91,7 @@ import tempfile
 import threading
 import time
 import warnings
+from array import array
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -109,13 +117,15 @@ import numpy as np
 
 from repro.core.cache import ContainedStore, ShardCache
 from repro.core.faults import FaultPlan
-from repro.core.fields import FieldIndex, field_index_of
+from repro.core.fields import FieldIndex, box_field_indices
+from repro.core.recipe import number_complaint
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import trapezoid_array, trapezoid_bounds
 from repro.pec.base import ProximityCorrector
 from repro.physics.psf import DoubleGaussianPSF
 
@@ -245,22 +255,15 @@ class RetryPolicy:
                 f"got {self.max_attempts!r}"
             )
         for name in ("backoff_base", "backoff_cap"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or value < 0
-            ):
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        timeout = self.shard_timeout
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or timeout <= 0
-        ):
-            raise ValueError(
-                f"shard_timeout must be positive or None, got {timeout!r}"
-            )
+            why = number_complaint(getattr(self, name), positive=False)
+            if why:
+                raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
+        if self.shard_timeout is not None:
+            why = number_complaint(self.shard_timeout)
+            if why:
+                raise ValueError(
+                    f"shard_timeout {why} or None, got {self.shard_timeout!r}"
+                )
 
     def backoff(self, retry_number: int) -> float:
         """Delay [s] before retry ``retry_number`` (1-based): a capped
@@ -380,19 +383,57 @@ class ExecutionResult:
     shard_results: List[ShardResult] = field(default_factory=list)
 
 
+def _plan_tiles(boxes: np.ndarray, field_size: float) -> tuple:
+    """The shard planner: a non-empty ``(N, 4)`` block of item bounding
+    boxes (``x0, y0, x1, y1``) → the mosaic tiles that hold them.
+
+    A plan is a pure function of the boxes: the mosaic is anchored at
+    the lower-left of the combined bounding box and every item goes
+    whole to the tile containing its box centre
+    (:func:`repro.core.fields.box_field_indices`, which also rejects a
+    pitch whose tile indices are not representable).  Resident polygon
+    and figure lists and the streamed spool all plan through here, so
+    they shard identically.
+
+    Returns ``(tiles, tile_of, origin)``: ``tiles`` lists ``(field
+    index, member positions)`` row-major (bottom row first, left to
+    right — the merge order) with positions in input order;
+    ``tile_of`` is every item's own ``(col, row)`` as an ``(N, 2)``
+    block and ``origin`` the mosaic anchor, for the overlap advisory.
+    """
+    why = number_complaint(field_size)
+    if why:
+        raise ValueError(f"field size {why}, got {field_size!r}")
+    origin = boxes[:, :2].min(axis=0)
+    tile_of = box_field_indices(boxes, *origin, field_size)
+    # lexsort is stable and its last key is primary: row-major tile
+    # order, input order inside a tile.
+    order = np.lexsort(tile_of.T)
+    ordered = tile_of[order]
+    starts = np.flatnonzero(
+        np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    )
+    tiles = [
+        (tuple(index), members.tolist())
+        for index, members in zip(
+            ordered[starts].tolist(), np.split(order, starts[1:])
+        )
+    ]
+    return tiles, tile_of, origin
+
+
 def plan_shards(
     polygons: Sequence[Polygon],
     field_size: Optional[float] = None,
-    origin: Optional[Tuple[float, float]] = None,
     overlap_policy: str = "warn",
 ) -> List[Shard]:
     """Partition a flattened polygon list into writing-field shards.
 
     Polygons are assigned whole to the tile containing their bounding-box
     centre (no polygon is split, so a shard's fracture is exact); the
-    mosaic is anchored at ``origin``, defaulting to the lower-left of the
-    combined bounding box.  Shards come back sorted row-major
-    (bottom row first, left to right) — the merge order.
+    mosaic is anchored at the lower-left of the combined bounding box.
+    Shards come back sorted row-major (bottom row first, left to right)
+    — the merge order.
 
     ``field_size=None`` returns one shard with everything.
 
@@ -411,27 +452,27 @@ def plan_shards(
         return []
     if field_size is None:
         return [Shard(index=(0, 0), polygons=tuple(polygons))]
-    if field_size <= 0:
-        raise ValueError("field size must be positive")
     if overlap_policy == "union" and len(polygons) > 1:
         from repro.geometry.boolean import union
 
         polygons = union(polygons)
-    buckets, origin = _bucket_row_major(polygons, field_size, origin)
+    boxes = np.array(
+        [poly.bounding_box() for poly in polygons], dtype=np.float64
+    )
+    tiles, tile_of, origin = _plan_tiles(boxes, field_size)
     if overlap_policy == "warn":
         _warn_on_cross_shard_overlap(
-            buckets, origin, field_size, lambda poly: poly
+            polygons, boxes, tile_of, origin, field_size, lambda poly: poly
         )
     return [
-        Shard(index=index, polygons=tuple(buckets[index]))
-        for index in sorted(buckets, key=lambda ij: (ij[1], ij[0]))
+        Shard(index=index, polygons=tuple(polygons[i] for i in members))
+        for index, members in tiles
     ]
 
 
 def plan_figure_shards(
     figures: Sequence[Trapezoid],
     field_size: Optional[float] = None,
-    origin: Optional[Tuple[float, float]] = None,
     overlap_policy: str = "warn",
 ) -> List[Shard]:
     """Partition pre-fractured machine figures into writing-field shards.
@@ -465,43 +506,16 @@ def plan_figure_shards(
         return []
     if field_size is None:
         return [Shard(index=(0, 0), polygons=(), figures=tuple(figures))]
-    buckets, origin = _bucket_row_major(figures, field_size, origin)
+    boxes = np.column_stack(trapezoid_bounds(trapezoid_array(figures)))
+    tiles, tile_of, origin = _plan_tiles(boxes, field_size)
     if overlap_policy == "warn":
         _warn_on_cross_shard_overlap(
-            buckets, origin, field_size, lambda trap: trap.to_polygon()
+            figures, boxes, tile_of, origin, field_size, Trapezoid.to_polygon
         )
     return [
-        Shard(index=index, polygons=(), figures=tuple(buckets[index]))
-        for index in sorted(buckets, key=lambda ij: (ij[1], ij[0]))
+        Shard(index, (), figures=tuple(figures[i] for i in members))
+        for index, members in tiles
     ]
-
-
-def _bucket_row_major(
-    items: Sequence,
-    field_size: float,
-    origin: Optional[Tuple[float, float]],
-) -> Tuple[dict, Tuple[float, float]]:
-    """Bucket geometry by bounding-box centre onto the field mosaic.
-
-    Shared by the polygon and figure planners so flat and cells runs
-    shard identically: mosaic anchored at ``origin`` (lower-left of the
-    combined bounding box by default), items assigned whole via
-    :func:`repro.core.fields.field_index_of`, input order preserved
-    within each bucket.
-    """
-    if field_size <= 0:
-        raise ValueError("field size must be positive")
-    boxes = [item.bounding_box() for item in items]
-    if origin is None:
-        origin = (min(b[0] for b in boxes), min(b[1] for b in boxes))
-    x0, y0 = origin
-    buckets: dict = {}
-    for item, (bx0, by0, bx1, by1) in zip(items, boxes):
-        index = field_index_of(
-            (bx0 + bx1) / 2.0, (by0 + by1) / 2.0, x0, y0, field_size
-        )
-        buckets.setdefault(index, []).append(item)
-    return buckets, origin
 
 
 def _window_edges(
@@ -589,87 +603,95 @@ def _interiors_overlap(
 
 
 def _warn_on_cross_shard_overlap(
-    buckets: dict,
-    origin: Tuple[float, float],
+    items: Sequence,
+    boxes: np.ndarray,
+    tile_of: np.ndarray,
+    origin: np.ndarray,
     field_size: float,
     as_polygon,
 ) -> None:
     """Emit :class:`ShardOverlapWarning` if items of different shards
     have positive-area interior overlap.
 
-    ``as_polygon`` converts a bucket item to a :class:`Polygon` for the
-    exact interior test (identity for polygon shards, ``to_polygon``
-    for pre-fractured figure shards).  An overlapping cross-shard pair
-    always involves at least one item whose bounding box escapes its
-    own tile, so the exact interior test runs only on bbox-overlapping
-    pairs with a boundary crosser in them — a sorted sweep keeps the
-    candidate set small for mosaic-friendly layouts, and fully
-    tile-contained layouts skip the sweep entirely.
+    Reads the block the plan was made from (``boxes`` and
+    :func:`_plan_tiles`' ``tile_of``/``origin``).  ``as_polygon``
+    converts an item to a :class:`Polygon` for the exact interior test
+    (identity for polygon shards, ``to_polygon`` for pre-fractured
+    figure shards).  Two items each contained in their own tile cannot
+    overlap, so every overlapping cross-shard pair involves a *crosser*
+    — an item whose bounding box escapes its tile — and the candidates
+    are enumerated from the crossers: each against the items of other
+    tiles whose boxes overlap its box with positive area, a
+    crosser–crosser pair visited once.  Fully tile-contained layouts
+    return before any pairing.
     """
-    x0, y0 = origin
-    entries: List[
-        Tuple[FieldIndex, Polygon, Tuple[float, float, float, float], bool]
-    ] = []
-    any_crosser = False
-    for index, items in buckets.items():
-        tile_x0 = x0 + index[0] * field_size
-        tile_y0 = y0 + index[1] * field_size
-        tile_x1 = tile_x0 + field_size
-        tile_y1 = tile_y0 + field_size
-        for item in items:
-            bb = item.bounding_box()
-            crosser = (
-                bb[0] < tile_x0
-                or bb[1] < tile_y0
-                or bb[2] > tile_x1
-                or bb[3] > tile_y1
-            )
-            any_crosser = any_crosser or crosser
-            entries.append((index, item, bb, crosser))
-    # Two polygons both contained in their own tiles cannot overlap, so
-    # every overlapping cross-shard pair involves a boundary crosser.
-    if not any_crosser:
+    lower, upper = boxes[:, :2], boxes[:, 2:]
+    tile_lower = origin + tile_of * field_size
+    crosser = (
+        (lower < tile_lower) | (upper > tile_lower + field_size)
+    ).any(axis=1)
+    if not crosser.any():
         return
-    entries.sort(key=lambda item: item[2][0])
-    active: List[
-        Tuple[FieldIndex, Polygon, Tuple[float, float, float, float], bool]
-    ] = []
+    # In x0 order, the boxes reaching past a crosser's left edge start
+    # at the first position whose running-max x1 exceeds that edge, and
+    # the boxes starting before its right edge end at that edge's
+    # insertion point: only this window is compared, as arrays.
+    order = np.argsort(boxes[:, 0], kind="stable")
+    positions = np.flatnonzero(crosser[order])
+    window_lo = np.searchsorted(
+        np.maximum.accumulate(upper[order, 0]),
+        lower[order[positions], 0],
+        "right",
+    )
+    window_hi = np.searchsorted(
+        lower[order, 0], upper[order[positions], 0], "left"
+    )
     checked = 0
-    for index, item, bb, crosser in entries:
-        active = [entry for entry in active if entry[2][2] > bb[0]]
-        for other_index, other_item, other_bb, other_crosser in active:
-            if other_index == index:
-                continue
-            if not (crosser or other_crosser):
-                continue
-            if min(bb[3], other_bb[3]) <= max(bb[1], other_bb[1]):
-                continue
+    for position, lo, hi in zip(
+        positions.tolist(), window_lo.tolist(), window_hi.tolist()
+    ):
+        a = order[position]
+        window = order[lo:hi]
+        partners = window[
+            # the two boxes intersect in positive width and height,
+            (
+                np.minimum(upper[window], upper[a])
+                > np.maximum(lower[window], lower[a])
+            ).all(axis=1)
+            # in different tiles,
+            & (tile_of[window] != tile_of[a]).any(axis=1)
+            # and no earlier crosser has already met this one.
+            & ~(crosser[window] & (np.arange(lo, hi) <= position))
+        ]
+        for b in partners.tolist():
             checked += 1
             if checked > _OVERLAP_CHECK_CAP:
-                warnings.warn(
+                trouble = (
                     "too many boundary-crossing polygon pairs to verify "
                     "exactly; layout may overlap across shards and "
-                    "double-count exposed area — pre-union the layout, "
-                    "pass overlap_policy='union', or run with "
-                    "field_size=None",
-                    ShardOverlapWarning,
-                    stacklevel=3,
+                    "double-count exposed area"
                 )
-                return
-            if _interiors_overlap(
-                as_polygon(item), as_polygon(other_item), bb, other_bb
+            elif _interiors_overlap(
+                as_polygon(items[a]),
+                as_polygon(items[b]),
+                tuple(boxes[a].tolist()),
+                tuple(boxes[b].tolist()),
             ):
-                warnings.warn(
-                    f"polygons of shards {other_index} and {index} "
-                    "overlap; their overlap area is exposed twice (and "
-                    "would be replayed from the shard cache) — "
-                    "pre-union the layout, pass overlap_policy='union', "
-                    "or run with field_size=None",
-                    ShardOverlapWarning,
-                    stacklevel=3,
+                trouble = (
+                    f"polygons of shards {tuple(tile_of[a].tolist())} and "
+                    f"{tuple(tile_of[b].tolist())} overlap; their overlap "
+                    "area is exposed twice (and would be replayed from "
+                    "the shard cache)"
                 )
-                return
-        active.append((index, item, bb, crosser))
+            else:
+                continue
+            warnings.warn(
+                f"{trouble} — pre-union the layout, pass "
+                "overlap_policy='union', or run with field_size=None",
+                ShardOverlapWarning,
+                stacklevel=3,
+            )
+            return
 
 
 def _process_shard(
@@ -1127,13 +1149,10 @@ def merge_shard_results(
 _SPOOL_COUNT = struct.Struct(">I")
 
 
-def _read_spooled(spool) -> Optional[Tuple[float, ...]]:
-    """The next spool record's ``x0, y0, x1, y1, …`` coordinates, or
-    ``None`` at the end of the spool."""
-    head = spool.read(_SPOOL_COUNT.size)
-    if not head:
-        return None
-    (count,) = _SPOOL_COUNT.unpack(head)
+def _read_spooled(spool) -> Tuple[float, ...]:
+    """The spool record at the current position, as its ``x0, y0, x1,
+    y1, …`` coordinates."""
+    (count,) = _SPOOL_COUNT.unpack(spool.read(_SPOOL_COUNT.size))
     return struct.unpack(f">{2 * count}d", spool.read(16 * count))
 
 
@@ -1145,22 +1164,23 @@ def _spooled_windows(polygons, field_size: Optional[float]):
     and yields ``(source_polygons, total_shards, windows)``:
 
     1. **Spool** — every polygon is written to a flat temp file as exact
-       doubles while the mosaic origin (min corner of the combined
-       bounding box) folds incrementally.
-    2. **Index** — the spool is re-read sequentially; each polygon's
-       field index is computed exactly as :func:`plan_shards` would
-       (bounding-box centre against the same origin), building a tiny
-       row → column → spool-offset index.
+       doubles; its bounding box and its record's offset (sizes are
+       known as they are written) are kept, 40 bytes a polygon.
+    2. **Plan** — the boxes go through :func:`_plan_tiles`, the planner
+       :func:`plan_shards` uses, so the spool shards as the resident
+       layout would.  The spool is not read for this.
     3. **Window** — ``windows`` yields one ``(shards, owners,
-       source_bytes)`` triple per shard row, bottom to top, re-reading
-       only that row's polygons; every shard belongs to owner 0.
+       source_bytes)`` triple per shard row, bottom to top, reading
+       only that row's polygons from their offsets; every shard belongs
+       to owner 0.
 
     The spool file is removed when the context exits, however it exits.
     """
     spool_fd, spool_path = tempfile.mkstemp(prefix="repro-spool-")
     try:
-        source_polygons = 0
-        min_x = min_y = math.inf
+        boxes = array("d")
+        offsets = array("q")
+        offset = 0
         with os.fdopen(spool_fd, "wb", buffering=1 << 20) as spool:
             for poly in polygons:
                 verts = poly.vertices
@@ -1171,56 +1191,37 @@ def _spooled_windows(polygons, field_size: Optional[float]):
                         *(c for v in verts for c in (v.x, v.y)),
                     )
                 )
-                source_polygons += 1
-                for v in verts:
-                    if v.x < min_x:
-                        min_x = v.x
-                    if v.y < min_y:
-                        min_y = v.y
-
-        rows: Dict[int, Dict[int, List[int]]] = {}
-        with open(spool_path, "rb", buffering=1 << 20) as spool:
-            offset = 0
-            while (values := _read_spooled(spool)) is not None:
-                if field_size is None:
-                    col, row = 0, 0
-                else:
-                    xs = values[0::2]
-                    ys = values[1::2]
-                    col, row = field_index_of(
-                        (min(xs) + max(xs)) / 2.0,
-                        (min(ys) + max(ys)) / 2.0,
-                        min_x,
-                        min_y,
-                        field_size,
-                    )
-                rows.setdefault(row, {}).setdefault(col, []).append(offset)
-                offset += _SPOOL_COUNT.size + 8 * len(values)
+                boxes.extend(poly.bounding_box())
+                offsets.append(offset)
+                offset += _SPOOL_COUNT.size + 16 * len(verts)
+        source_polygons = len(offsets)
+        if not source_polygons:
+            tiles = []
+        elif field_size is None:
+            tiles = [((0, 0), range(source_polygons))]
+        else:
+            tiles = _plan_tiles(
+                np.frombuffer(boxes).reshape(-1, 4), field_size
+            )[0]
 
         def windows(spool):
-            for row in sorted(rows):
+            for _, row in itertools.groupby(tiles, lambda tile: tile[0][1]):
                 shards: List[Shard] = []
                 source_bytes = 0
-                for col in sorted(rows[row]):
+                for index, members in row:
                     bucket: List[Polygon] = []
-                    for poly_offset in rows[row][col]:
-                        spool.seek(poly_offset)
+                    for i in members:
+                        spool.seek(offsets[i])
                         values = _read_spooled(spool)
                         bucket.append(
                             Polygon(list(zip(values[0::2], values[1::2])))
                         )
                         source_bytes += _SPOOL_COUNT.size + 8 * len(values)
-                    shards.append(
-                        Shard(index=(col, row), polygons=tuple(bucket))
-                    )
+                    shards.append(Shard(index=index, polygons=tuple(bucket)))
                 yield shards, [0] * len(shards), source_bytes
 
         with open(spool_path, "rb") as spool:
-            yield (
-                source_polygons,
-                sum(len(cols) for cols in rows.values()),
-                windows(spool),
-            )
+            yield source_polygons, len(tiles), windows(spool)
     finally:
         try:
             os.unlink(spool_path)
@@ -1765,13 +1766,19 @@ class ShardedExecutor:
         ``prefractured`` marks input sets that hold
         :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
         polygons (see :meth:`execute_figures`) — one flag for the whole
-        batch, or one per set for a mixed batch.
+        batch, or one per set for a mixed batch (a list of any other
+        length is a ``ValueError``).
         """
         workers, field_size, active_cache = self._resolve(
             workers, field_size, cache
         )
         if isinstance(prefractured, bool):
             prefractured = [prefractured] * len(polygon_sets)
+        if len(prefractured) != len(polygon_sets):
+            raise ValueError(
+                f"prefractured has {len(prefractured)} flags for "
+                f"{len(polygon_sets)} layouts"
+            )
         plans = [
             (plan_figure_shards if figures else plan_shards)(
                 geometry, field_size, overlap_policy=self.overlap_policy
@@ -1846,8 +1853,6 @@ class ShardedExecutor:
         workers, field_size, active_cache = self._resolve(
             workers, field_size, cache
         )
-        if field_size is not None and field_size <= 0:
-            raise ValueError("field size must be positive")
         execution = StreamingExecution(active_cache)
         try:
             with _spooled_windows(polygons, field_size) as spooled:

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.job import MachineJob
 from repro.fracture.base import Shot
 from repro.geometry.trapezoid import Trapezoid
@@ -40,6 +42,39 @@ def field_index_of(
     own field.
     """
     return (int((x - x0) / pitch), int((y - y0) / pitch))
+
+
+def box_field_indices(
+    boxes: np.ndarray, x0: float, y0: float, pitch: float
+) -> np.ndarray:
+    """:func:`field_index_of` of every box centre of an ``(N, 4)``
+    ``x0, y0, x1, y1`` block, as an ``(N, 2)`` int64 ``col, row`` block.
+
+    The same IEEE operations in the same order as the scalar form on
+    ``((bx0 + bx1) / 2.0, (by0 + by1) / 2.0)`` — centre, quotient,
+    truncation toward zero — so every index is bit-identical to it.
+
+    This is where a tile index is born, so it owns the range rule: an
+    index must be finite and fit the int32 a shard header stores
+    (:data:`repro.core.jobfile._SHARD_HEADER`), whatever mode the plan
+    later runs in.
+
+    Raises:
+        ValueError: when the pitch cannot tile the layout within that
+            range (naming the pitch and the layout extent).
+    """
+    with np.errstate(all="ignore"):
+        centres = (boxes[:, :2] + boxes[:, 2:]) / 2.0
+        quotients = np.trunc((centres - (x0, y0)) / pitch)
+        # NaN compares false, so one test covers non-finite quotients.
+        if not ((quotients >= -(2**31)) & (quotients < 2**31)).all():
+            width, height = boxes[:, 2:].max(axis=0) - boxes[:, :2].min(axis=0)
+            raise ValueError(
+                f"field size {pitch!r} cannot tile a "
+                f"{width:g} x {height:g} µm layout: a tile index would not "
+                "fit the int32 range shard headers store"
+            )
+    return quotients.astype(np.int64)
 
 
 def split_shot_x(shot: Shot, x_cut: float) -> List[Shot]:

@@ -16,6 +16,7 @@ recipe is hashable/comparable so callers can dedupe identical requests.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -25,6 +26,28 @@ PEC_MATRIX_MODES = ("dense", "sparse", "hybrid")
 HIERARCHY_MODES = ("flat", "cells")
 MACHINE_MODES = ("raster", "vsb", "vector")
 DISPATCH_MODES = ("local", "distributed")
+
+
+def number_complaint(value, positive: bool = True) -> Optional[str]:
+    """What is wrong with ``value`` as a numeric knob — ``"must be a
+    number"``, ``"must be finite"``, ``"must be positive"`` (or
+    ``"must be >= 0"`` with ``positive=False``) — or ``None`` when
+    nothing is.
+
+    The one rule every numeric knob is checked by (this recipe, the CLI
+    options, the service's ``timeout``, ``RetryPolicy``, ``DistPolicy``
+    and the shard planner's pitch): a real number, not a bool, not NaN
+    or ±inf, and on the right side of zero.  Callers put the knob's name
+    in front and raise their own error type.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    # NaN compares false; an int too large for a float fails here too.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        return "must be finite"
+    if value < 0 or (positive and value == 0):
+        return "must be positive" if positive else "must be >= 0"
+    return None
 
 
 @dataclass(frozen=True)
@@ -76,19 +99,14 @@ class PrepRecipe:
                 f"got {self.machine!r}"
             )
         for name in ("max_shot", "energy", "dose", "address_unit"):
+            why = number_complaint(getattr(self, name))
+            if why:
+                raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
+        for name in ("pec_grid_cell", "field_size", "shard_timeout"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        for name in ("pec_grid_cell", "field_size"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            why = None if value is None else number_complaint(value)
+            if why:
+                raise ValueError(f"{name} {why}, got {value!r}")
         if isinstance(self.workers, bool) or not isinstance(self.workers, int):
             raise ValueError(f"workers must be an int, got {self.workers!r}")
         if self.workers < 0:
@@ -108,17 +126,6 @@ class PrepRecipe:
             raise ValueError(
                 f"shard_retries must be >= 0, got {self.shard_retries!r}"
             )
-        if self.shard_timeout is not None:
-            if not isinstance(self.shard_timeout, (int, float)) or isinstance(
-                self.shard_timeout, bool
-            ):
-                raise ValueError(
-                    f"shard_timeout must be a number, got {self.shard_timeout!r}"
-                )
-            if self.shard_timeout <= 0:
-                raise ValueError(
-                    f"shard_timeout must be positive, got {self.shard_timeout!r}"
-                )
         if self.dispatch not in DISPATCH_MODES:
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_MODES}, "

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.executor import RetryPolicy
+from repro.core.recipe import number_complaint
 from repro.dist.protocol import ProtocolError, recv_frame, send_frame
 
 #: Environment variable carrying scheduling-policy overrides as JSON —
@@ -99,13 +100,9 @@ class DistPolicy:
             "poll_interval",
             "wait_hint",
         ):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or value < 0
-            ):
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            why = number_complaint(getattr(self, name), positive=False)
+            if why:
+                raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "DistPolicy":

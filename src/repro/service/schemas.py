@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.recipe import PrepRecipe
+from repro.core.recipe import PrepRecipe, number_complaint
 from repro.service.jobs import Job
 
 
@@ -101,11 +101,9 @@ def parse_job_spec(payload) -> JobSpec:
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"'name' must be a string, got {name!r}")
     timeout = payload.get("timeout")
-    if timeout is not None:
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-            raise SchemaError(f"'timeout' must be a number, got {timeout!r}")
-        if timeout <= 0:
-            raise SchemaError(f"'timeout' must be positive, got {timeout!r}")
+    why = None if timeout is None else number_complaint(timeout)
+    if why:
+        raise SchemaError(f"'timeout' {why}, got {timeout!r}")
     retries = payload.get("retries", 0)
     if isinstance(retries, bool) or not isinstance(retries, int):
         raise SchemaError(f"'retries' must be an integer, got {retries!r}")

@@ -508,10 +508,15 @@ class TestKernelFallbackObservability:
         assert shard_cache_key(shard, fracturer) == before
 
     def test_executor_aggregates_fallback_counters(self):
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=20.0)
+        # Two shards, (0, 0) and (1000, 1000): a 20 µm pitch over this
+        # extent would need tile indices no shard header can hold.
+        executor = ShardedExecutor(
+            TrapezoidFracturer(), field_size=self.FAR / 1000.0
+        )
         result = executor.execute(
             self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]
         )
+        assert result.stats.shard_count == 2
         stats = result.stats
         assert stats.kernel_coord_fallbacks >= 1
         assert stats.kernel_fallbacks == (

@@ -619,6 +619,42 @@ class TestDistributedRuns:
         assert stats.leases_granted >= stats.shard_count
         assert stats.dist_local_fallbacks == 0
 
+    def test_pitch_range_rule_holds_for_a_fleet(self, endpoint, fleet):
+        """The distributed leg of tests/test_shard_plan.py::TestPitchRange:
+        the last int32 column crosses the wire, one past it is the same
+        ValueError the local modes raise."""
+        from repro.geometry.polygon import Polygon
+
+        pitch = 2.0**-20
+
+        def layout(last_col):
+            return [
+                Polygon.rectangle(x0, 0.0, x0 + 0.25, 0.25)
+                for x0 in (0.0, (last_col + 0.5) * pitch - 0.125)
+            ]
+
+        def pipeline(**kwargs):
+            return PreparationPipeline(field_size=pitch, **kwargs)
+
+        distributed = dict(
+            dispatch="distributed",
+            workers_endpoint=endpoint,
+            dist_policy=FAST_POLICY,
+            retry=FAST_RETRY,
+        )
+        fleet(2)
+        inside = layout(2**31 - 1)
+        result = pipeline(**distributed).run_polygons(inside)
+        assert result.execution.dist_local_fallbacks == 0
+        assert dumps_job(result.job) == dumps_job(
+            pipeline().run_polygons(inside).job
+        )
+        with pytest.raises(ValueError, match="cannot tile") as local:
+            pipeline().run_polygons(layout(2**31))
+        with pytest.raises(ValueError, match="cannot tile") as remote:
+            pipeline(**distributed).run_polygons(layout(2**31))
+        assert str(remote.value) == str(local.value)
+
     def test_local_dispatch_reports_local(self):
         result = PreparationPipeline(field_size=FIELD_SIZE).run(
             grating_library()

@@ -1,0 +1,163 @@
+"""Every numeric knob goes through one rule
+(:func:`repro.core.recipe.number_complaint`): a real number, not a bool,
+not NaN or ±inf, on the right side of zero.
+
+The five front doors — CLI options, :class:`PrepRecipe`, the service's
+``timeout``, :class:`RetryPolicy` and :class:`DistPolicy` — used to
+hand-roll the test and shared its hole: non-finite values passed.
+(The HTTP 400 for a ``NaN`` timeout is pinned in ``tests/test_service``.)
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cli import main
+from repro.core.executor import RetryPolicy
+from repro.core.recipe import PrepRecipe, number_complaint
+from repro.dist import DistPolicy
+from repro.service.schemas import SchemaError, parse_job_spec
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+RECIPE_KNOBS = [
+    "max_shot",
+    "energy",
+    "dose",
+    "address_unit",
+    "pec_grid_cell",
+    "field_size",
+    "shard_timeout",
+]
+CLI_FLAGS = [
+    "--max-shot",
+    "--energy",
+    "--dose",
+    "--address-unit",
+    "--pec-grid-cell",
+    "--field-size",
+    "--shard-timeout",
+]
+RETRY_KNOBS = ["backoff_base", "backoff_cap", "shard_timeout"]
+DIST_KNOBS = [
+    "lease_deadline",
+    "heartbeat_interval",
+    "heartbeat_timeout",
+    "worker_grace",
+    "speculate_after",
+    "poll_interval",
+    "wait_hint",
+]
+
+
+class TestTheRule:
+    @pytest.mark.parametrize(
+        "value, positive, complaint",
+        [
+            (1.5, True, None),
+            (3, True, None),
+            (0, False, None),
+            (0.0, False, None),
+            (-0.0, False, None),
+            (0, True, "must be positive"),
+            (-2.0, True, "must be positive"),
+            (-2.0, False, "must be >= 0"),
+            (True, True, "must be a number"),
+            (False, False, "must be a number"),
+            ("1", True, "must be a number"),
+            (None, True, "must be a number"),
+            (1 + 0j, True, "must be a number"),
+            (float("nan"), True, "must be finite"),
+            (float("nan"), False, "must be finite"),
+            (float("inf"), True, "must be finite"),
+            (float("-inf"), False, "must be finite"),
+            (10**400, True, "must be finite"),  # no float can hold it
+        ],
+    )
+    def test_complaints(self, value, positive, complaint):
+        assert number_complaint(value, positive) == complaint
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+class TestNonFiniteIsRejectedAtEveryDoor:
+    @pytest.mark.parametrize("knob", RECIPE_KNOBS)
+    def test_recipe(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            PrepRecipe(**{knob: value})
+
+    @pytest.mark.parametrize("flag", CLI_FLAGS)
+    def test_cli(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "--workload", "grating", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite" in err
+        assert "Traceback" not in err
+
+    def test_service_timeout(self, value):
+        with pytest.raises(SchemaError, match="'timeout' must be finite"):
+            parse_job_spec({"workload": "grating", "timeout": value})
+
+    @pytest.mark.parametrize("knob", RETRY_KNOBS)
+    def test_retry_policy(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            RetryPolicy(**{knob: value})
+
+    @pytest.mark.parametrize("knob", DIST_KNOBS)
+    def test_dist_policy(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            DistPolicy(**{knob: value})
+
+
+class TestOrdinaryMessagesAreUnchanged:
+    """What each door said about an ordinary bad value before the rule
+    was shared, word for word."""
+
+    def raised(self, call, *args, **kwargs):
+        with pytest.raises(ValueError) as excinfo:
+            call(*args, **kwargs)
+        return str(excinfo.value)
+
+    def test_recipe(self):
+        assert self.raised(PrepRecipe, dose=-1.0) == (
+            "dose must be positive, got -1.0"
+        )
+        assert self.raised(PrepRecipe, dose="high") == (
+            "dose must be a number, got 'high'"
+        )
+        assert self.raised(PrepRecipe, field_size=0) == (
+            "field_size must be positive, got 0"
+        )
+        assert self.raised(PrepRecipe, shard_timeout=True) == (
+            "shard_timeout must be a number, got True"
+        )
+
+    def test_cli(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["demo", "--workload", "grating", "--field-size", "0"])
+        assert capsys.readouterr().err.endswith(
+            "error: argument --field-size: must be positive\n"
+        )
+
+    def test_service_timeout(self):
+        assert self.raised(
+            parse_job_spec, {"workload": "grating", "timeout": 0}
+        ) == "'timeout' must be positive, got 0"
+        assert self.raised(
+            parse_job_spec, {"workload": "grating", "timeout": "soon"}
+        ) == "'timeout' must be a number, got 'soon'"
+
+    def test_retry_policy(self):
+        assert self.raised(RetryPolicy, backoff_cap=-0.5) == (
+            "backoff_cap must be >= 0, got -0.5"
+        )
+        assert self.raised(RetryPolicy, shard_timeout=0) == (
+            "shard_timeout must be positive or None, got 0"
+        )
+        assert RetryPolicy(backoff_base=0, shard_timeout=None).backoff(1) == 0
+
+    def test_dist_policy(self):
+        assert self.raised(DistPolicy, lease_deadline=-1.0) == (
+            "lease_deadline must be >= 0, got -1.0"
+        )
+        assert DistPolicy(speculate_after=0).speculate_after == 0

@@ -178,6 +178,22 @@ class TestSubmission:
         status, listing = client.get_json("/jobs")
         assert listing["jobs"] == []
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("knob", ["timeout", "field_size", "dose"])
+    def test_rejects_non_finite_numbers(self, client, knob, literal):
+        # Python's json reads these literals; a NaN timeout used to be
+        # accepted and gave a job whose budget never expires.
+        body = '{"workload": "grating", "%s": %s}' % (knob, literal)
+        request = urllib.request.Request(
+            client.base + "/jobs", data=body.encode(), method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=_TIMEOUT)
+        assert excinfo.value.code == 400
+        assert "must be finite" in json.loads(excinfo.value.read())["error"]
+        assert client.get_json("/jobs")[1]["jobs"] == []
+
     def test_unknown_routes_and_jobs_are_404(self, client):
         assert client.request("GET", "/nope")[0] == 404
         assert client.request("GET", "/jobs/nope")[0] == 404
