@@ -1,15 +1,22 @@
 """F11 — Sparse/hybrid PEC engine scaling.
 
-The dense exposure matrix costs ``n_points × n_shots`` doubles and an
-O(N·M) assembly sweep, which dominates cold-run time and peak memory
-beyond a few thousand shots.  This experiment measures the three
-exposure-operator backends (:mod:`repro.pec.operator`) on a VSB-style
-grating whose shot count scales into the tens of thousands:
+The dense exposure matrix costs ``n_points × n_shots`` doubles, which
+dominates cold-run time and peak memory beyond a few thousand shots;
+its *assembly* does not — every backend is built by one sweep that
+evaluates only the within-cutoff pairs (:func:`repro.pec.base._kept_entries`),
+so what dense pays beyond sparse is storage and the full-width matvec.
+This experiment measures the three exposure-operator backends
+(:mod:`repro.pec.operator`) on a VSB-style grating whose shot count
+scales into the tens of thousands:
 
 * **speed** — full ``IterativeDoseCorrector.correct`` wall clock per
   backend;
 * **memory** — operator matrix storage (dense ndarray vs. CSR arrays
   vs. hybrid CSR + grid);
+* **work** — per exact backend, ``pairs`` (points × shots), ``kept``
+  (within-cutoff entries) and ``evaluated`` (elements handed to the erf
+  integral, per PSF term): the sweep must evaluate exactly what it
+  keeps;
 * **equivalence** — the sparse matrix must equal the dense one *bit for
   bit* (tolerance 0: same nonzero pattern, same values), sparse doses
   must match the dense doses' canonical 9-digit dose digest (matvec
@@ -19,9 +26,12 @@ grating whose shot count scales into the tens of thousands:
 
 In ``--quick`` mode (the CI perf-smoke job) the 5k-shot case must show
 sparse no slower than dense and sparse matrix memory at ≤ 1/20 of the
-dense baseline — the regression gate for the sparse engine.
+dense baseline; ``evaluated == kept`` is asserted for both exact modes
+in every case — a count that repeats exactly, where the timing floor
+alone would let the pruning rot on a fast runner.
 """
 
+import contextlib
 import time
 
 import numpy as np
@@ -32,6 +42,7 @@ from repro.fracture.shots import ShotFracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.rasterize import RasterFrame
+from repro.pec import base
 from repro.pec.base import shot_sample_points
 from repro.pec.dose_iter import IterativeDoseCorrector
 from repro.pec.operator import build_exposure_operator
@@ -68,6 +79,26 @@ def dose_digest(shots) -> str:
     return MachineJob(list(shots), name="f11").dose_digest()
 
 
+@contextlib.contextmanager
+def erf_elements():
+    """Count the elements handed to ``_rect_gauss_integral`` per PSF
+    term (``{"alpha": n, "beta": n}``) while the context is open."""
+    counts = {}
+    names = {PSF.alpha: "alpha", PSF.beta: "beta"}
+    integral = base._rect_gauss_integral
+
+    def counted(px, py, x0, x1, y0, y1, sigma):
+        size = np.broadcast(px, py, x0, x1, y0, y1).size
+        counts[names[sigma]] = counts.get(names[sigma], 0) + size
+        return integral(px, py, x0, x1, y0, y1, sigma)
+
+    base._rect_gauss_integral = counted
+    try:
+        yield counts
+    finally:
+        base._rect_gauss_integral = integral
+
+
 def run_scaling(quick: bool):
     table = Table(
         [
@@ -88,16 +119,26 @@ def run_scaling(quick: bool):
         times = {}
         nbytes = {}
         digests = {}
+        work = {}
         for mode in ("dense", "sparse", "hybrid"):
             corrector = IterativeDoseCorrector(matrix_mode=mode)
             start = time.perf_counter()
             corrected = corrector.correct(shots, PSF)
             times[mode] = time.perf_counter() - start
             digests[mode] = dose_digest(corrected)
-            operator = build_exposure_operator(
-                points, shots, PSF, mode=mode
-            )
+            with erf_elements() as evaluated:
+                operator = build_exposure_operator(
+                    points, shots, PSF, mode=mode
+                )
             nbytes[mode] = operator.matrix_nbytes
+            if mode != "hybrid":
+                work[mode] = {
+                    "pairs": operator.shape[0] * operator.shape[1],
+                    "kept": int(np.count_nonzero(operator.matrix))
+                    if mode == "dense"
+                    else int(operator.nnz),
+                    "evaluated": evaluated,
+                }
             if mode == "sparse" and case == "5k":
                 dense_ref = build_exposure_operator(
                     points, shots, PSF, mode="dense"
@@ -132,6 +173,7 @@ def run_scaling(quick: bool):
                     "matrix_bytes": nbytes[mode],
                     "memory_ratio_vs_dense": ratio,
                     "dose_digest": digests[mode],
+                    **work.get(mode, {}),
                 }
             )
         checks.setdefault("dose_digest_match", {})[case] = (
@@ -143,6 +185,9 @@ def run_scaling(quick: bool):
         checks.setdefault("memory_ratio", {})[case] = nbytes[
             "dense"
         ] / max(nbytes["sparse"], 1)
+        checks.setdefault("erf_on_kept_pairs_only", {})[case] = all(
+            set(w["evaluated"].values()) == {w["kept"]} for w in work.values()
+        )
     return table.render(), records, checks
 
 
@@ -258,6 +303,13 @@ def test_f11_pec_scaling(save_table, quick):
         assert ratio >= MEMORY_FLOOR, (
             f"{case}: sparse matrix memory only {ratio:.1f}x below dense "
             f"(floor {MEMORY_FLOOR}x)"
+        )
+    for case, exact in checks["erf_on_kept_pairs_only"].items():
+        # A count, so it repeats exactly on any runner: the sweep hands
+        # the erf integral the kept pairs and nothing else.
+        assert exact, (
+            f"{case}: an exact backend evaluated erf products it did not "
+            f"keep: {[r for r in records if 'kept' in r]}"
         )
     if quick:
         # CI perf-smoke gate: sparse must never regress behind dense.

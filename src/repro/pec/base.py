@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -197,6 +197,121 @@ def _shot_bbox_arrays(
     return x0, yb, x1, yt, scale
 
 
+class _PointBuckets:
+    """Uniform-grid spatial index over sample points, held as arrays.
+
+    Occupied cell ``k`` is ``(cell_ix[k], cell_iy[k])`` and holds the
+    point indices ``cells[k]``; the cells are sorted by ``(ix, iy)``,
+    the points of a cell by index.  The sweep uses it to restrict the
+    exact distance test to the rows that can possibly fall inside a
+    column block's cutoff.
+    """
+
+    def __init__(self, px: np.ndarray, py: np.ndarray, pitch: float) -> None:
+        self.pitch = pitch
+        self.origin = (float(px.min()), float(py.min()))
+        ix = np.floor((px - self.origin[0]) / pitch).astype(np.int64)
+        iy = np.floor((py - self.origin[1]) / pitch).astype(np.int64)
+        rows = np.lexsort((iy, ix))
+        ix = ix[rows]
+        iy = iy[rows]
+        new_cell = np.flatnonzero((np.diff(ix) != 0) | (np.diff(iy) != 0)) + 1
+        first = np.concatenate(([0], new_cell))
+        self.cells = np.split(rows, new_cell)
+        self.cell_ix = ix[first]
+        self.cell_iy = iy[first]
+
+    def rows_in(self, wx0: float, wx1: float, wy0: float, wy1: float) -> np.ndarray:
+        """Point indices whose cell intersects the window, cell by cell.
+        One mask over the occupied cells: the cost does not depend on
+        how many empty cells the window spans."""
+        ox, oy = self.origin
+        hit = np.flatnonzero(
+            (self.cell_ix >= math.floor((wx0 - ox) / self.pitch))
+            & (self.cell_ix <= math.floor((wx1 - ox) / self.pitch))
+            & (self.cell_iy >= math.floor((wy0 - oy) / self.pitch))
+            & (self.cell_iy <= math.floor((wy1 - oy) / self.pitch))
+        )
+        if hit.size == 0:
+            return np.empty(0, dtype=np.intp)
+        return np.concatenate([self.cells[k] for k in hit])
+
+
+def _kept_entries(
+    points: np.ndarray,
+    shots: Sequence[Shot],
+    psf: DoubleGaussianPSF,
+    cutoff_factor: float,
+    block: int = 64,
+    term: str = "full",
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The exposure matrix as its within-cutoff entries.
+
+    Yields 1-D ``(rows, cols, values)`` triplets with ``values[k]`` the
+    level at point ``rows[k]`` from shot ``cols[k]`` at unit dose, for
+    exactly the pairs within ``cutoff_factor · σ`` (plus the shot's half
+    diagonal) of each other — the far tail is treated as constant.  The
+    one sweep behind every backend: shots are visited in blocks of
+    ``block`` columns, the distance test runs only against the points a
+    bucket index places near the block, and the erf products only on
+    the pairs that test keeps.  Elementwise the arithmetic matches
+    :func:`trapezoid_exposure`.
+
+    ``term`` selects the PSF component: ``"full"`` is the double
+    Gaussian (σ = β); ``"forward"`` only the α term
+    ``scale · fwd / (1 + η)`` within ``cutoff_factor · α`` — the sharp
+    short-range part the hybrid operator keeps exact.
+
+    The emission order is part of the contract, because it fixes the
+    CSR layout and with it the summation order of every sparse matvec:
+    blocks in tile order, a block's candidate points in bucket order,
+    their entries in ``np.nonzero`` order.
+    """
+    if term not in ("full", "forward"):
+        raise ValueError(f"unknown PSF term {term!r}")
+    if len(points) == 0 or len(shots) == 0:
+        return
+    x0, y0, x1, y1, scale = _shot_bbox_arrays(shots)
+    cx = (x0 + x1) / 2.0
+    cy = (y0 + y1) / 2.0
+    half_diag = np.hypot(x1 - x0, y1 - y0) / 2.0
+    sigma = psf.beta if term == "full" else psf.alpha
+    reach = cutoff_factor * sigma + half_diag
+    px_all = points[:, 0]
+    py_all = points[:, 1]
+    norm = 1.0 + psf.eta
+    # Visit columns in 2-D tile order so each block is spatially compact
+    # and its candidate window stays small; fracture order alone is only
+    # y-coherent.
+    tile = max(cutoff_factor * psf.beta, 1e-9)
+    order = np.lexsort((cx, np.floor(cx / tile), np.floor(cy / tile)))
+    buckets = _PointBuckets(px_all, py_all, max(tile, float(reach.max())))
+    for j0 in range(0, len(shots), block):
+        cols = order[j0 : j0 + block]
+        col_x, col_y, col_reach = cx[cols], cy[cols], reach[cols]
+        cand = buckets.rows_in(
+            float((col_x - col_reach).min()),
+            float((col_x + col_reach).max()),
+            float((col_y - col_reach).min()),
+            float((col_y + col_reach).max()),
+        )
+        if cand.size == 0:
+            continue
+        near = (
+            np.hypot(px_all[cand][:, None] - col_x, py_all[cand][:, None] - col_y)
+            <= col_reach
+        )
+        r, c = np.nonzero(near)
+        r, c = cand[r], cols[c]
+        # The erf products are the expensive part; evaluate them only on
+        # the pairs the cutoff keeps.
+        pair = (px_all[r], py_all[r], x0[c], x1[c], y0[c], y1[c])
+        level = _rect_gauss_integral(*pair, psf.alpha)
+        if term == "full":
+            level = level + psf.eta * _rect_gauss_integral(*pair, psf.beta)
+        yield r, c, scale[c] * (level / norm)
+
+
 def _exposure_matrix(
     points: np.ndarray,
     shots: Sequence[Shot],
@@ -204,107 +319,27 @@ def _exposure_matrix(
     cutoff_factor: float,
     block: int = 64,
 ) -> np.ndarray:
-    """Vectorized exposure matrix ``K[p, j]`` = level at point p from
-    shot j at unit dose.
-
-    Columns are assembled in blocks with broadcast erf products (one
-    numpy expression per block instead of a Python loop per shot); the
-    distance cutoff zeroes entries beyond ``cutoff_factor · β`` from the
-    shot, treating the far tail as constant.  Elementwise the arithmetic
-    matches :func:`trapezoid_exposure`, so results are bit-identical to
-    the per-shot assembly it replaces.
-    """
-    n_points = len(points)
-    n_shots = len(shots)
-    matrix = np.zeros((n_points, n_shots))
-    if n_points == 0 or n_shots == 0:
-        return matrix
-    x0, y0, x1, y1, scale = _shot_bbox_arrays(shots)
-    cx = (x0 + x1) / 2.0
-    cy = (y0 + y1) / 2.0
-    half_diag = np.hypot(x1 - x0, y1 - y0) / 2.0
-    reach = cutoff_factor * psf.beta + half_diag
-    px_all = points[:, 0][:, None]
-    py_all = points[:, 1][:, None]
-    norm = 1.0 + psf.eta
-    # Visit columns in 2-D tile order so each block is spatially compact
-    # and its pruned row set (points inside some column's cutoff) stays
-    # small; fracture order alone is only y-coherent.
-    tile = max(cutoff_factor * psf.beta, 1e-9)
-    order = np.lexsort((cx, np.floor(cx / tile), np.floor(cy / tile)))
-    for j0 in range(0, n_shots, block):
-        cols = order[j0 : j0 + block]
-        near = (
-            np.hypot(px_all - cx[None, cols], py_all - cy[None, cols])
-            <= reach[None, cols]
-        )
-        # The erf products are the expensive part; evaluate them only on
-        # the rows the cutoff keeps.
-        rows = np.flatnonzero(near.any(axis=1))
-        if rows.size == 0:
-            continue
-        px = px_all[rows]
-        py = py_all[rows]
-        bx0, bx1 = x0[None, cols], x1[None, cols]
-        by0, by1 = y0[None, cols], y1[None, cols]
-        fwd = _rect_gauss_integral(px, py, bx0, bx1, by0, by1, psf.alpha)
-        back = _rect_gauss_integral(px, py, bx0, bx1, by0, by1, psf.beta)
-        levels = scale[None, cols] * ((fwd + psf.eta * back) / norm)
-        matrix[np.ix_(rows, cols)] = np.where(near[rows], levels, 0.0)
+    """Dense exposure matrix ``K[p, j]`` = level at point p from shot j
+    at unit dose: :func:`_kept_entries` scattered into zeros (each
+    column is in one block and each point in one bucket, so no pair
+    repeats).  Assembly scales with the kept entries; the storage is
+    ``n_points × n_shots`` doubles regardless."""
+    shape = (len(points), len(shots))
+    try:
+        matrix = np.zeros(shape)
+    except MemoryError:
+        raise ValueError(
+            f"the dense exposure matrix of one shard, {shape[0]} points x "
+            f"{shape[1]} shots, needs {shape[0] * shape[1] * 8 / 2**30:.1f} "
+            f"GiB and does not fit in memory: split the layout into smaller "
+            f"shards (--field-size) or store only the within-cutoff entries "
+            f"(--pec-matrix sparse)"
+        ) from None
+    for rows, cols, values in _kept_entries(
+        points, shots, psf, cutoff_factor, block
+    ):
+        matrix[rows, cols] = values
     return matrix
-
-
-def _bucket_points(
-    px: np.ndarray, py: np.ndarray, pitch: float
-) -> Tuple[dict, Tuple[float, float]]:
-    """Uniform-grid spatial index over sample points.
-
-    Returns a mapping ``(ix, iy) → row indices`` plus the grid origin;
-    the sparse sweep uses it to restrict the exact distance test to the
-    rows that can possibly fall inside a column block's cutoff.
-    """
-    origin = (float(px.min()), float(py.min()))
-    ix = np.floor((px - origin[0]) / pitch).astype(np.int64)
-    iy = np.floor((py - origin[1]) / pitch).astype(np.int64)
-    order = np.lexsort((iy, ix))
-    ix_sorted = ix[order]
-    iy_sorted = iy[order]
-    change = np.flatnonzero(
-        (np.diff(ix_sorted) != 0) | (np.diff(iy_sorted) != 0)
-    )
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [len(order)]))
-    buckets = {
-        (int(ix_sorted[s]), int(iy_sorted[s])): order[s:e]
-        for s, e in zip(starts, ends)
-    }
-    return buckets, origin
-
-
-def _candidate_rows(
-    buckets: dict,
-    origin: Tuple[float, float],
-    pitch: float,
-    window: Tuple[float, float, float, float],
-) -> np.ndarray:
-    """Row indices whose bucket intersects ``(x0, x1, y0, y1)``."""
-    wx0, wx1, wy0, wy1 = window
-    ix0 = int(math.floor((wx0 - origin[0]) / pitch))
-    ix1 = int(math.floor((wx1 - origin[0]) / pitch))
-    iy0 = int(math.floor((wy0 - origin[1]) / pitch))
-    iy1 = int(math.floor((wy1 - origin[1]) / pitch))
-    found = [
-        buckets[key]
-        for key in (
-            (ix, iy)
-            for ix in range(ix0, ix1 + 1)
-            for iy in range(iy0, iy1 + 1)
-        )
-        if key in buckets
-    ]
-    if not found:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(found)
 
 
 def _exposure_matrix_csr(
@@ -315,95 +350,20 @@ def _exposure_matrix_csr(
     block: int = 64,
     term: str = "full",
 ):
-    """CSR companion of :func:`_exposure_matrix`.
-
-    Runs the same tile-ordered block sweep but emits only the
-    within-cutoff entries, so memory scales with the interaction count
-    instead of ``n_points × n_shots``.  Every emitted value is computed
-    by the exact expression of the dense path on the exact same floats,
-    so ``csr.toarray()`` equals the dense matrix bit for bit; a spatial
-    bucket index over the sample points additionally prunes the distance
-    test itself to near-linear cost (the dense path must evaluate it for
-    every point × block pair regardless, since it writes full columns).
-
-    ``term`` selects the emitted PSF component: ``"full"`` is the double
-    Gaussian (matching the dense matrix); ``"forward"`` emits only the
-    α term ``scale · fwd / (1 + η)`` within ``cutoff_factor · α`` — the
-    sharp short-range part the hybrid operator keeps exact.
-    """
+    """CSR exposure matrix: :func:`_kept_entries` concatenated, so
+    memory scales with the interaction count instead of
+    ``n_points × n_shots`` and ``csr.toarray()`` equals
+    :func:`_exposure_matrix` bit for bit (``term="full"``)."""
     from scipy.sparse import csr_matrix
 
-    if term not in ("full", "forward"):
-        raise ValueError(f"unknown PSF term {term!r}")
-    n_points = len(points)
-    n_shots = len(shots)
-    if n_points == 0 or n_shots == 0:
-        return csr_matrix((n_points, n_shots))
-    x0, y0, x1, y1, scale = _shot_bbox_arrays(shots)
-    cx = (x0 + x1) / 2.0
-    cy = (y0 + y1) / 2.0
-    half_diag = np.hypot(x1 - x0, y1 - y0) / 2.0
-    sigma = psf.beta if term == "full" else psf.alpha
-    reach = cutoff_factor * sigma + half_diag
-    px_all = points[:, 0]
-    py_all = points[:, 1]
-    norm = 1.0 + psf.eta
-    # Identical tile order to the dense sweep: blocks stay spatially
-    # compact, so each block's candidate window is small.
-    tile = max(cutoff_factor * psf.beta, 1e-9)
-    order = np.lexsort((cx, np.floor(cx / tile), np.floor(cy / tile)))
-    pitch = max(tile, float(reach.max()), 1e-9)
-    buckets, origin = _bucket_points(px_all, py_all, pitch)
-    rows_out = []
-    cols_out = []
-    data_out = []
-    for j0 in range(0, n_shots, block):
-        cols = order[j0 : j0 + block]
-        col_reach = reach[cols]
-        window = (
-            float((cx[cols] - col_reach).min()),
-            float((cx[cols] + col_reach).max()),
-            float((cy[cols] - col_reach).min()),
-            float((cy[cols] + col_reach).max()),
-        )
-        cand = _candidate_rows(buckets, origin, pitch, window)
-        if cand.size == 0:
-            continue
-        px = px_all[cand][:, None]
-        py = py_all[cand][:, None]
-        near = (
-            np.hypot(px - cx[None, cols], py - cy[None, cols])
-            <= col_reach[None, :]
-        )
-        keep = near.any(axis=1)
-        if not keep.any():
-            continue
-        rows = cand[keep]
-        near = near[keep]
-        px = px[keep]
-        py = py[keep]
-        bx0, bx1 = x0[None, cols], x1[None, cols]
-        by0, by1 = y0[None, cols], y1[None, cols]
-        if term == "full":
-            fwd = _rect_gauss_integral(px, py, bx0, bx1, by0, by1, psf.alpha)
-            back = _rect_gauss_integral(px, py, bx0, bx1, by0, by1, psf.beta)
-            levels = scale[None, cols] * ((fwd + psf.eta * back) / norm)
-        else:
-            fwd = _rect_gauss_integral(px, py, bx0, bx1, by0, by1, psf.alpha)
-            levels = scale[None, cols] * (fwd / norm)
-        r_local, c_local = np.nonzero(near)
-        rows_out.append(rows[r_local])
-        cols_out.append(cols[c_local])
-        data_out.append(levels[r_local, c_local])
-    if not rows_out:
-        return csr_matrix((n_points, n_shots))
-    rows_cat = np.concatenate(rows_out)
-    cols_cat = np.concatenate(cols_out)
-    data_cat = np.concatenate(data_out)
-    matrix = csr_matrix(
-        (data_cat, (rows_cat, cols_cat)), shape=(n_points, n_shots)
+    shape = (len(points), len(shots))
+    entries = list(
+        _kept_entries(points, shots, psf, cutoff_factor, block, term)
     )
-    return matrix
+    if not entries:
+        return csr_matrix(shape)
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    return csr_matrix((values, (rows, cols)), shape=shape)
 
 
 def interaction_matrix_csr(

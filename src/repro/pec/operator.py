@@ -6,22 +6,22 @@ gives that map a common protocol, :class:`ExposureOperator`, with three
 interchangeable backends selected by a ``matrix_mode`` knob:
 
 ``dense``
-    The historical ``(n_points, n_shots)`` ndarray.  Bit-for-bit the
-    seed behaviour (it *is* the same matrix and the same BLAS matvec),
-    but memory and assembly scale as ``n_points × n_shots`` — a 50k-shot
-    shard with edge sampling costs ~40 GB.
+    The historical ``(n_points, n_shots)`` ndarray — the kept entries
+    scattered into zeros.  Bit-for-bit the seed behaviour (it *is* the
+    same matrix and the same BLAS matvec), but memory scales as
+    ``n_points × n_shots`` — a 50k-shot shard with edge sampling costs
+    ~40 GB, and a matrix that cannot be allocated is a ``ValueError``
+    naming the two ways out (smaller shards, ``sparse``).
 
 ``sparse``
     CSR storage of exactly the within-cutoff entries.  The
     ``cutoff_factor · β`` pruning already zeroes the vast majority of
     the dense matrix; storing only the survivors cuts memory to the
-    interaction count and assembly to near-linear (a spatial bucket
-    index prunes the distance test).  Entries are computed by the dense
-    path's exact arithmetic on the exact same floats, so
-    ``csr.toarray()`` equals the dense matrix bit for bit; only the
-    *summation order* of a matvec differs (CSR row sums vs. BLAS), i.e.
-    applied exposures agree to the last ulp and canonical 9-digit dose
-    digests are identical.
+    interaction count.  The entries are the ones the dense backend
+    scatters, so ``csr.toarray()`` equals the dense matrix bit for bit;
+    only the *summation order* of a matvec differs (CSR row sums vs.
+    BLAS), i.e. applied exposures agree to the last ulp and canonical
+    9-digit dose digests are identical.
 
 ``hybrid``
     The classic short-range/long-range split: the sharp forward-scatter
@@ -32,6 +32,13 @@ interchangeable backends selected by a ``matrix_mode`` knob:
     Gaussian by FFT, and gathered back bilinearly at the sample points.
     Memory and time become essentially independent of the backscatter
     interaction count; accuracy is set by the grid cell (default β/4).
+
+One sweep assembles the matrix of every backend (hybrid's is its
+forward term) — :func:`repro.pec.base._kept_entries`: shots in
+tile-ordered blocks, a bucket index over the sample points pruning the
+distance test, the erf products evaluated only on the pairs the cutoff
+keeps.  Assembly therefore scales with the interaction count in every
+mode; the backends differ in what they store and how they apply it.
 
 All three support ``operator @ doses`` (the iterative corrector's inner
 loop) and ``operator.solve(rhs)`` (the one-shot matrix corrector), and

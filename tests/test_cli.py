@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import subprocess
 import sys
 
@@ -109,6 +110,41 @@ class TestDemo:
         assert "Traceback" not in err
 
 
+class TestDenseMatrixThatDoesNotFit:
+    """numpy's ``_ArrayMemoryError`` out of the dense PEC matrix is an
+    unworkable option combination, so it ends like one: exit 2 and one
+    ``error:`` line naming the ways out."""
+
+    @staticmethod
+    def error_lines(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return [line for line in err.splitlines() if line]
+
+    def test_serial_run_is_one_error_line(self, dense_matrix_does_not_fit, capsys):
+        assert main(["demo", "--workload", "line_and_pad", "--pec"]) == 2
+        (line,) = self.error_lines(capsys)
+        assert line.startswith("error: the dense exposure matrix of one shard, ")
+        assert "--field-size" in line and "--pec-matrix sparse" in line
+        assert dense_matrix_does_not_fit() == {os.getpid()}
+
+    def test_pooled_run_carries_it_across_the_pickle_boundary(
+        self, dense_matrix_does_not_fit, capsys
+    ):
+        argv = ["demo", "--workload", "grating", "--pec", "--field-size", "10"]
+        assert main(argv + ["--workers", "2"]) == 2
+        (line,) = self.error_lines(capsys)
+        assert line.startswith("error: the dense exposure matrix of one shard, ")
+        pids = dense_matrix_does_not_fit()
+        assert pids and os.getpid() not in pids  # raised in pool workers
+
+    def test_the_other_backends_are_the_way_out(self, dense_matrix_does_not_fit):
+        argv = ["demo", "--workload", "line_and_pad", "--pec", "--pec-matrix"]
+        assert main(argv + ["sparse"]) == 0
+        assert main(argv + ["hybrid"]) == 0
+        assert dense_matrix_does_not_fit() == set()
+
+
 def loaded_modules(script):
     """Run ``script`` in a fresh interpreter; the ``sys.modules`` names
     it ends with (import cost is pinned by name, never by seconds)."""
@@ -153,7 +189,9 @@ class TestImportSurface:
         out = tmp_path / "out.ebj"
         modules = loaded_modules(self.DEMO.format(out=str(out), extra=", '--pec'"))
         assert "scipy.special" in modules
-        assert heavy(modules, "scipy.signal", "scipy.stats", "networkx") == []
+        # scipy.sparse belongs to the CSR builder; the dense one scatters.
+        unused = ("scipy.sparse", "scipy.signal", "scipy.stats", "networkx")
+        assert heavy(modules, *unused) == []
 
 
 class TestPrep:

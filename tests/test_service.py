@@ -410,6 +410,24 @@ class TestFailedJobs:
         assert stats["jobs"]["done"] == 1
 
 
+    def test_dense_matrix_that_does_not_fit_fails_the_job_with_the_ways_out(
+        self, client, dense_matrix_does_not_fit
+    ):
+        """Not transient — the same shard needs the same bytes on every
+        attempt — so ``retries`` are not spent on it."""
+        spec = {"workload": "line_and_pad", "pec": True, "retries": 2}
+        view = client.wait(client.submit(spec))
+        assert view["state"] == "failed"
+        assert view["error"].startswith(
+            "ValueError: the dense exposure matrix of one shard, "
+        )
+        assert "--field-size" in view["error"]
+        assert "--pec-matrix sparse" in view["error"]
+        assert view["attempts"] == 1
+        way_out = client.submit({**spec, "pec_matrix": "sparse"})
+        assert client.wait(way_out)["state"] == "done"
+
+
 class TestJobFaultKnobs:
     def test_job_timeout_fails_without_retry(self, server, client):
         """A job that blows its wall-clock budget fails at the next
