@@ -40,11 +40,11 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.fracture.base import row_bytes
+from repro.fracture.base import ShotView, row_bytes
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
-from repro.geometry.vertex_array import trapezoid_fields
+from repro.geometry.vertex_array import FigureView, trapezoid_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.executor import Shard, ShardResult
@@ -72,6 +72,7 @@ CACHE_SCHEMA_VERSION = 5
 
 _F64 = struct.Struct("!d")
 _TRAPEZOID = struct.Struct("!6d")
+
 
 #: Framing of machine-program segment blobs in the store.
 _BLOB_MAGIC = b"EBB1"
@@ -215,6 +216,14 @@ def _update(h, obj) -> None:
         h.update(b":")
         for item in obj:
             _update(h, item)
+    elif isinstance(obj, FigureView):
+        # The bytes of the equivalent list — per figure "Z" + _TRAPEZOID
+        # — as one buffer.
+        image = obj.rows.astype(">f8").view(np.uint8).reshape(len(obj), 48)
+        h.update(b"l%d:" % len(obj))
+        h.update(np.insert(image, 0, ord("Z"), axis=1).tobytes())
+    elif isinstance(obj, ShotView):
+        _update(h, list(obj))
     elif isinstance(obj, (set, frozenset)):
         h.update(b"e")
         digests = sorted(fingerprint(item) for item in obj)

@@ -120,12 +120,12 @@ from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex, box_field_indices
 from repro.core.recipe import number_complaint
 from repro.core.stats import ExecutionStats
-from repro.fracture.base import Fracturer, Shot, shot_rows
+from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
-from repro.geometry.vertex_array import trapezoid_array, trapezoid_bounds
+from repro.geometry.vertex_array import FigureView, trapezoid_array, trapezoid_bounds
 from repro.pec.base import ProximityCorrector
 from repro.physics.psf import DoubleGaussianPSF
 
@@ -166,12 +166,14 @@ class Shard:
             set by hierarchy-aware runs, where each cell was fractured
             once up front and the executor only applies proximity
             correction per shard.  When set, ``polygons`` is empty and
-            the fracturer is never invoked.
+            the fracturer is never invoked.  The planner sets a
+            :class:`~repro.geometry.vertex_array.FigureView` (one array
+            to pickle, compared by value); any figure sequence works.
     """
 
     index: FieldIndex
     polygons: Tuple[Polygon, ...]
-    figures: Optional[Tuple[Trapezoid, ...]] = None
+    figures: Optional[Sequence[Trapezoid]] = None
 
 
 @dataclass
@@ -184,8 +186,9 @@ class ShardResult:
     cached payload (warm runs report the same counters as cold runs)
     but never enters the cache key.
 
-    ``shots`` is read-only once the result is built: :attr:`rows`, the
-    form every serializer and packer reads, is derived from it once.
+    ``shots`` is a read-only :class:`~repro.fracture.base.ShotView`
+    (a plain shot list is stacked into one on construction); its block,
+    :attr:`rows`, is the form every serializer and packer reads.
 
     A result has one serialized form — its ``EBC1`` payload
     (:func:`repro.core.jobfile.dumps_shard_result`) — on every boundary
@@ -194,18 +197,19 @@ class ShardResult:
     """
 
     index: FieldIndex
-    shots: List[Shot]
+    shots: Sequence[Shot]
     report: FractureReport
     reference_area: float
     kernel_fallbacks: KernelFallbacks = field(default_factory=KernelFallbacks)
 
-    @functools.cached_property
+    def __post_init__(self) -> None:
+        if not isinstance(self.shots, ShotView):
+            self.shots = ShotView(shot_rows(self.shots))
+
+    @property
     def rows(self) -> np.ndarray:
-        """The shots as their ``(N, 7)`` block
-        (:func:`~repro.fracture.base.shot_rows`); a result read from a
-        payload is seeded with the block it was read from.  Not a
-        field: never part of equality."""
-        return shot_rows(self.shots)
+        """The shots' ``(N, 7)`` block."""
+        return self.shots.rows
 
     def __reduce__(self):
         from repro.core.jobfile import dumps_shard_result, loads_shard_result
@@ -368,13 +372,13 @@ class ShardRecovery:
 class ExecutionResult:
     """Merged output of all shards, in deterministic shard order.
 
-    ``shard_results`` keeps the per-shard results (plan order, shot
-    lists shared with ``shots`` by reference) so downstream consumers —
-    the machine-program exporter above all — can stream per shard
-    without re-partitioning the merged list.
+    ``shots`` is the shard results' blocks stacked in plan order;
+    ``shard_results`` keeps the per-shard results so downstream
+    consumers — the machine-program exporter above all — can stream per
+    shard without re-partitioning the merged list.
     """
 
-    shots: List[Shot] = field(default_factory=list)
+    shots: ShotView = field(default_factory=lambda: ShotView.concat([]))
     report: FractureReport = field(
         default_factory=lambda: analyze_figures([])
     )
@@ -501,19 +505,20 @@ def plan_figure_shards(
             f"overlap_policy must be 'warn', 'union' or 'ignore', "
             f"got {overlap_policy!r}"
         )
-    figures = list(figures)
-    if not figures:
+    block = trapezoid_array(figures)
+    if not len(block):
         return []
+    figures = FigureView(block)
     if field_size is None:
-        return [Shard(index=(0, 0), polygons=(), figures=tuple(figures))]
-    boxes = np.column_stack(trapezoid_bounds(trapezoid_array(figures)))
+        return [Shard(index=(0, 0), polygons=(), figures=figures)]
+    boxes = np.column_stack(trapezoid_bounds(block))
     tiles, tile_of, origin = _plan_tiles(boxes, field_size)
     if overlap_policy == "warn":
         _warn_on_cross_shard_overlap(
             figures, boxes, tile_of, origin, field_size, Trapezoid.to_polygon
         )
     return [
-        Shard(index, (), figures=tuple(figures[i] for i in members))
+        Shard(index, (), figures=figures.take(members))
         for index, members in tiles
     ]
 
@@ -708,12 +713,12 @@ def _process_shard(
     engine rests on it.
     """
     if shard.figures is not None:
-        shots = [Shot(t) for t in shard.figures]
+        shots = dosed(shard.figures)
         fallbacks = KernelFallbacks()
     else:
-        shots = fracturer.fracture_to_shots(shard.polygons)
+        shots = ShotView(shot_rows(fracturer.fracture_to_shots(shard.polygons)))
         fallbacks = fracturer.last_fallbacks.copy()
-    report = analyze_figures([s.trapezoid for s in shots])
+    report = analyze_figures(shots.figures)
     if corrector is not None and shots:
         shots = corrector.correct(shots, psf)
     return ShardResult(
@@ -1125,10 +1130,9 @@ def _map_shards(
 def merge_shard_results(
     results: Sequence[ShardResult], corrected: bool, stats: ExecutionStats
 ) -> ExecutionResult:
-    """Concatenate shard shots in shard order and merge the reports."""
-    shots: List[Shot] = []
-    for result in results:
-        shots.extend(result.shots)
+    """Stack the shard shot blocks in shard order and merge the
+    reports."""
+    shots = ShotView.concat([result.rows for result in results])
     reference = sum(r.reference_area for r in results)
     report = merge_reports(
         [r.report for r in results], reference_area=reference

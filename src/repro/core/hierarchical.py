@@ -6,13 +6,20 @@ The period machines instead fractured each cell *once* and replicated
 the resulting figures at machine-write time.  This module implements
 that optimization:
 
-* a cell's local geometry is fractured once per layer and cached;
+* a cell's local geometry is fractured once per layer and cached as
+  its ``(N, 6)`` figure block;
 * placements whose transform keeps horizontal edges horizontal
   (``c == 0`` in the affine matrix — translations, 180° rotations,
   mirrors, magnification; everything GDSII allows except 90°/270°
-  rotations) reuse the cached figures through
-  :func:`transform_trapezoid`;
+  rotations) reuse the cached block: the walk only records
+  ``(block, transform)`` in visit order, and all placements of one
+  cell are evaluated afterwards in one broadcast pass
+  (:func:`~repro.geometry.vertex_array.transform_trapezoid_array`,
+  bit-identical per figure to the scalar :func:`transform_trapezoid`);
 * other placements fall back to fracturing the transformed polygons.
+
+No :class:`Trapezoid` is built on the way: each layer's figures are one
+:class:`~repro.geometry.vertex_array.FigureView` in walk order.
 
 The speedup on array-dominated layouts is the figure-count ratio between
 flattened and stored geometry (see experiment T3's compaction column);
@@ -24,16 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.fracture.base import Fracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.transform import Transform
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
-    transform_polygons,
+    FigureView,
     transform_trapezoid_array,
+    sequential_sum,
+    transform_polygons,
+    trapezoid_areas,
     trapezoid_array,
-    trapezoids_from_array,
 )
 from repro.layout.cell import Cell
 from repro.layout.layer import Layer
@@ -83,8 +94,10 @@ class HierarchicalFractureResult:
     """Figures plus reuse statistics.
 
     Attributes:
-        figures: per-layer flat figure lists.  A ``merge_layers``
-            fracture stores all figures under the single key ``None``.
+        figures: per-layer flat figure lists, each one
+            :class:`~repro.geometry.vertex_array.FigureView` in walk
+            order.  A ``merge_layers`` fracture stores all figures
+            under the single key ``None``.
         cells_fractured: distinct (cell, layer) fracture computations.
         instances_reused: placements served from the cache.
         instances_fallback: placements that required re-fracturing
@@ -97,7 +110,7 @@ class HierarchicalFractureResult:
             reuse never re-runs the kernel, so never re-counts).
     """
 
-    figures: Dict[Layer, List[Trapezoid]] = field(default_factory=dict)
+    figures: Dict[Layer, FigureView] = field(default_factory=dict)
     cells_fractured: int = 0
     instances_reused: int = 0
     instances_fallback: int = 0
@@ -109,7 +122,8 @@ class HierarchicalFractureResult:
         return sum(len(v) for v in self.figures.values())
 
     def total_area(self) -> float:
-        return sum(t.area() for v in self.figures.values() for t in v)
+        blocks = [view.rows for view in self.figures.values()]
+        return sequential_sum(trapezoid_areas(FigureView.concat(blocks).rows))
 
 
 def fracture_hierarchical(
@@ -140,98 +154,74 @@ def fracture_hierarchical(
         fracturer = TrapezoidFracturer()
     top = source.top_cell() if isinstance(source, Library) else source
     result = HierarchicalFractureResult()
-    cache: Dict[Tuple[int, Optional[Layer]], List[Trapezoid]] = {}
-    _walk(
-        top, Transform.identity(), fracturer, cache, result, layers,
-        merge_layers, path=(),
-    )
+
+    def walk(cell: Cell, transform: Transform, path: Tuple[str, ...]):
+        """Yield ``(cell, layer key, polygons, transform)`` for every
+        cell/layer group of the hierarchy, depth first, counting the
+        source polygons on ``result``."""
+        if cell.name in path:
+            cycle = " -> ".join(path + (cell.name,))
+            raise ValueError(f"reference cycle while fracturing: {cycle}")
+        merged: List = []
+        for layer, polys in cell.polygons.items():
+            if not polys or (layers is not None and layer not in layers):
+                continue
+            result.source_polygons += len(polys)
+            result.source_polygons_by_layer[layer] = (
+                result.source_polygons_by_layer.get(layer, 0) + len(polys)
+            )
+            if merge_layers:
+                merged.extend(polys)
+            else:
+                yield cell, layer, polys, transform
+        if merged:
+            yield cell, None, merged, transform
+        for ref in cell.references:
+            for placement in ref.placements():
+                yield from walk(ref.cell, transform @ placement, path + (cell.name,))
+
+    blocks: Dict[Tuple[int, Optional[Layer]], np.ndarray] = {}
+    # Per layer key, the walk's (block, transform) placements in visit
+    # order; the transform is None for a block that is placed as it is.
+    placed: Dict[Optional[Layer], list] = {}
+    for cell, key_layer, polys, transform in walk(top, Transform.identity(), ()):
+        if preserves_horizontal(transform):
+            key = (id(cell), key_layer)
+            if key in blocks:
+                result.instances_reused += 1
+            else:
+                blocks[key] = trapezoid_array(fracturer.fracture(polys))
+                result.kernel_fallbacks.add(fracturer.last_fallbacks)
+                result.cells_fractured += 1
+            # An identity placement is the block itself, not 1.0 * it + 0.0.
+            placement = (blocks[key], None if transform.is_identity() else transform)
+        else:
+            result.instances_fallback += 1
+            moved = transform_polygons(polys, transform)
+            placement = (trapezoid_array(fracturer.fracture(moved)), None)
+            result.kernel_fallbacks.add(fracturer.last_fallbacks)
+        placed.setdefault(key_layer, []).append(placement)
+    for key_layer, placements in placed.items():
+        result.figures[key_layer] = FigureView(_evaluate(placements))
     return result
 
 
-def _replicate(
-    cell: Cell,
-    key_layer: Optional[Layer],
-    polys,
-    transform: Transform,
-    fracturer: Fracturer,
-    cache: Dict,
-    result: HierarchicalFractureResult,
-) -> None:
-    """Fracture-once-and-transform one cell/layer group into the result."""
-    bucket = result.figures.setdefault(key_layer, [])
-    if preserves_horizontal(transform):
-        key = (id(cell), key_layer)
-        if key not in cache:
-            cache[key] = fracturer.fracture(polys)
-            result.kernel_fallbacks.add(fracturer.last_fallbacks)
-            result.cells_fractured += 1
+def _evaluate(placements) -> np.ndarray:
+    """The figure block of one layer's placements, in visit order —
+    all transformed placements of one cached block in one pass."""
+    sizes = np.array([len(block) for block, _ in placements])
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((int(sizes.sum()), 6))
+    replicated: Dict[int, List[int]] = {}
+    for position, (block, transform) in enumerate(placements):
+        if transform is None:
+            out[starts[position] : starts[position] + len(block)] = block
         else:
-            result.instances_reused += 1
-        if transform.is_identity():
-            bucket.extend(cache[key])
-        elif len(cache[key]) > 8:
-            # Replicate through one vectorized affine pass over the
-            # stacked figure array (bit-identical to the scalar
-            # transform_trapezoid).
-            bucket.extend(
-                trapezoids_from_array(
-                    transform_trapezoid_array(
-                        trapezoid_array(cache[key]), transform
-                    )
-                )
-            )
-        else:
-            bucket.extend(
-                transform_trapezoid(t, transform) for t in cache[key]
-            )
-    else:
-        result.instances_fallback += 1
-        bucket.extend(
-            fracturer.fracture(transform_polygons(polys, transform))
+            replicated.setdefault(id(block), []).append(position)
+    for positions in replicated.values():
+        block = placements[positions[0]][0]
+        rows = starts[positions][:, None] + np.arange(len(block))
+        out[rows] = transform_trapezoid_array(
+            block, [placements[position][1] for position in positions]
         )
-        result.kernel_fallbacks.add(fracturer.last_fallbacks)
-
-
-def _walk(
-    cell: Cell,
-    transform: Transform,
-    fracturer: Fracturer,
-    cache: Dict,
-    result: HierarchicalFractureResult,
-    layers: Optional[Set[Layer]],
-    merge_layers: bool,
-    path: Tuple[str, ...],
-) -> None:
-    if cell.name in path:
-        cycle = " -> ".join(path + (cell.name,))
-        raise ValueError(f"reference cycle while fracturing: {cycle}")
-
-    merged: List = []
-    for layer, polys in cell.polygons.items():
-        if not polys or (layers is not None and layer not in layers):
-            continue
-        result.source_polygons += len(polys)
-        result.source_polygons_by_layer[layer] = (
-            result.source_polygons_by_layer.get(layer, 0) + len(polys)
-        )
-        if merge_layers:
-            merged.extend(polys)
-        else:
-            _replicate(
-                cell, layer, polys, transform, fracturer, cache, result
-            )
-    if merged:
-        _replicate(cell, None, merged, transform, fracturer, cache, result)
-
-    for ref in cell.references:
-        for placement in ref.placements():
-            _walk(
-                ref.cell,
-                transform @ placement,
-                fracturer,
-                cache,
-                result,
-                layers,
-                merge_layers,
-                path + (cell.name,),
-            )
+    return out

@@ -8,7 +8,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fracture.base import Shot, row_bytes, shot_rows
+from repro.fracture.base import Shot, ShotView, row_bytes, shot_rows
 from repro.geometry.vertex_array import (
     sequential_sum,
     trapezoid_areas,
@@ -121,9 +121,11 @@ class MachineJob:
 
     Attributes:
         name: job identifier.
-        shots: fractured, dose-assigned figures (treated as read-only
-            once the job is built: the accounting below is folded from
-            them once and cached).
+        shots: fractured, dose-assigned figures — a read-only
+            :class:`~repro.fracture.base.ShotView` over the job's block
+            (a plain shot list is stacked into one on construction).
+            Empty on an aggregate job (:meth:`synthetic`, a streamed
+            run's fold), whose ``len`` is still its figure count.
         base_dose: physical dose [µC/cm²] that relative dose 1.0 means.
         bounding_box: chip extent ``(x0, y0, x1, y1)`` [µm]; defaults to
             the shot bounding box.
@@ -140,7 +142,7 @@ class MachineJob:
     ) -> None:
         if base_dose <= 0:
             raise ValueError("base dose must be positive")
-        self.shots: List[Shot] = list(shots)
+        self.shots = ShotView(shot_rows(shots))
         self.base_dose = float(base_dose)
         self.name = name
         self._fold: Optional[ShotFold] = None
@@ -153,11 +155,9 @@ class MachineJob:
     def merged(cls, execution, base_dose: float = 1.0, name: str = "job"):
         """The job of a merged execution
         (:class:`~repro.core.executor.ExecutionResult`): its shots, with
-        the shard results' shot blocks as the job's — nothing walks the
-        shots a second time, and every consumer of :attr:`row_blocks`
-        works one shard's block at a time."""
-        job = cls([], base_dose, name, bounding_box=(0.0, 0.0, 0.0, 0.0))
-        job.shots = execution.shots
+        the shard results' shot blocks as the job's, so every consumer
+        of :attr:`row_blocks` works one shard's block at a time."""
+        job = cls(execution.shots, base_dose, name, bounding_box=(0.0,) * 4)
         job._blocks = [result.rows for result in execution.shard_results]
         job.bounding_box = job._folded().bounding_box
         return job
@@ -167,10 +167,10 @@ class MachineJob:
         """The shots as ``(N, 7)`` blocks
         (:func:`~repro.fracture.base.shot_rows`) that concatenate to the
         shot list in order — what the fold, the digests and the job-file
-        writer read.  One block derived from ``shots`` on first use,
-        unless the job was :meth:`merged` from shard results."""
+        writer read: the shots' own block, unless the job was
+        :meth:`merged` from shard results."""
         if self._blocks is None:
-            self._blocks = [shot_rows(self.shots)]
+            self._blocks = [self.shots.rows]
         return self._blocks
 
     def _folded(self) -> ShotFold:
@@ -293,11 +293,11 @@ class MachineJob:
         return self._folded().dose_range
 
     def __len__(self) -> int:
-        return len(self.shots)
+        return self.figure_count()
 
     def __repr__(self) -> str:
         return (
-            f"MachineJob({self.name!r}, figures={len(self.shots)}, "
+            f"MachineJob({self.name!r}, figures={self.figure_count()}, "
             f"density={self.pattern_density():.1%}, "
             f"dose={self.base_dose:g} µC/cm²)"
         )

@@ -106,13 +106,33 @@ def dumps_job(job: MachineJob, unit: float = 1e-3) -> bytes:
         job: the job (explicit shots required — aggregate jobs cannot be
             serialized).
         unit: coordinate quantum in layout units (1 nm for µm layouts).
+
+    Raises:
+        JobFileError: ``unit`` is not positive, a shot is not
+            representable, or the job is an aggregate.
     """
     if unit <= 0:
         raise JobFileError("unit must be positive")
-    chunks = [_HEADER.pack(MAGIC, unit, job.base_dose, len(job.shots))]
+    chunks = [_HEADER.pack(MAGIC, unit, job.base_dose, _resident_count(job))]
     for block in job.row_blocks:
         chunks.append(pack_columns(_RECORD, quantize_rows(block, unit)))
     return b"".join(chunks)
+
+
+def _resident_count(job: MachineJob) -> int:
+    """The job's figure count, once its row blocks are known to hold
+    that many rows: an aggregate job (``MachineJob.synthetic``, a
+    streamed run's fold) counts shots it does not carry, and writing it
+    would publish a valid, empty file."""
+    count = job.figure_count()
+    if sum(map(len, job.row_blocks)) != count:
+        raise JobFileError(
+            f"job {job.name!r} counts {count} figures but holds "
+            f"{len(job.shots)}: an aggregate job has no shots to write — a "
+            "streamed job is written as it runs (JobFileWriter, "
+            "`prep --stream --output`)"
+        )
+    return count
 
 
 def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
@@ -141,8 +161,9 @@ def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
 
 
 def _read_shots(rows: np.ndarray):
-    """The shots of a block read from outside the program; a block that
-    is not a shot list is the reader's error, not the geometry's."""
+    """The shot view of a block read from outside the program, checked
+    whole here and now; a block that is not a shot list is the reader's
+    error, not the geometry's."""
     try:
         return shots_from_rows(rows)
     except ValueError as exc:
@@ -152,7 +173,7 @@ def _read_shots(rows: np.ndarray):
 def write_job(job: MachineJob, path: Union[str, Path], unit: float = 1e-3) -> int:
     """Write a job file — :class:`JobFileWriter` run to completion, so
     it is staged and published atomically; returns the byte count."""
-    with JobFileWriter(path, len(job.shots), job.base_dose, unit) as writer:
+    with JobFileWriter(path, _resident_count(job), job.base_dose, unit) as writer:
         for block in job.row_blocks:
             writer.write_rows(block)
     return writer.close()
@@ -399,7 +420,7 @@ def read_program(path: Union[str, Path]) -> ProgramImage:
 SHARD_MAGIC = b"EBC1"
 #: header: magic, payload version, shot count, field index (col, row).
 _SHARD_HEADER = struct.Struct(">4sIIii")
-#: reference_area plus the nine FractureReport fields.
+#: reference_area plus the nine FractureReport fields, in field order.
 _SHARD_REPORT = struct.Struct(">dqddqddddq")
 #: One row of the ``(N, 7)`` shot block as exact doubles
 #: (:func:`repro.fracture.base.row_bytes`).
@@ -419,7 +440,6 @@ def dumps_shard_result(result) -> bytes:
 
     if not isinstance(result, ShardResult):
         raise JobFileError(f"expected a ShardResult, got {type(result)!r}")
-    report = result.report
     chunks = [
         _SHARD_HEADER.pack(
             SHARD_MAGIC,
@@ -428,18 +448,7 @@ def dumps_shard_result(result) -> bytes:
             result.index[0],
             result.index[1],
         ),
-        _SHARD_REPORT.pack(
-            result.reference_area,
-            report.figure_count,
-            report.total_area,
-            report.rectangle_fraction,
-            report.sliver_count,
-            report.sliver_fraction,
-            report.min_dimension,
-            report.mean_area,
-            report.area_error,
-            report.rectangle_count,
-        ),
+        _SHARD_REPORT.pack(result.reference_area, *astuple(result.report)),
         _SHARD_FALLBACKS.pack(*astuple(result.kernel_fallbacks)),
         row_bytes(result.rows),
     ]
@@ -477,42 +486,17 @@ def loads_shard_result(data: bytes):
             f"have {len(data)}"
         )
     offset = _SHARD_HEADER.size
-    (
-        reference_area,
-        figure_count,
-        total_area,
-        rectangle_fraction,
-        sliver_count,
-        sliver_fraction,
-        min_dimension,
-        mean_area,
-        area_error,
-        rectangle_count,
-    ) = _SHARD_REPORT.unpack_from(data, offset)
+    reference_area, *report = _SHARD_REPORT.unpack_from(data, offset)
     offset += _SHARD_REPORT.size
     fallbacks = KernelFallbacks(*_SHARD_FALLBACKS.unpack_from(data, offset))
     offset += _SHARD_FALLBACKS.size
     rows = (
         np.frombuffer(data, ">f8", offset=offset).reshape(-1, 7).astype(np.float64)
     )
-    shots = _read_shots(rows)
-    report = FractureReport(
-        figure_count=figure_count,
-        total_area=total_area,
-        rectangle_fraction=rectangle_fraction,
-        sliver_count=sliver_count,
-        sliver_fraction=sliver_fraction,
-        min_dimension=min_dimension,
-        mean_area=mean_area,
-        area_error=area_error,
-        rectangle_count=rectangle_count,
-    )
-    result = ShardResult(
+    return ShardResult(
         index=(col, row),
-        shots=shots,
-        report=report,
+        shots=_read_shots(rows),
+        report=FractureReport(*report),
         reference_area=reference_area,
         kernel_fallbacks=fallbacks,
     )
-    result.rows = rows
-    return result

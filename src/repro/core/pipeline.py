@@ -545,7 +545,11 @@ class PreparationPipeline:
             geometry = flatten_cell(cell, layers=selected)
             counts = {layer: len(polys) for layer, polys in geometry.items()}
         if not per_layer:
-            merged = [item for items in geometry.values() for item in items]
+            if hier is not None:
+                # One merged fracture per cell: one key, one view.
+                merged = geometry.get(None, [])
+            else:
+                merged = [item for items in geometry.values() for item in items]
             return [(None, merged, cell.name, sum(counts.values()), hier)]
         return [
             (

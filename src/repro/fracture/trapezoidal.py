@@ -16,6 +16,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.scanline import DEFAULT_GRID
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import FigureView, trapezoid_array
 
 
 class TrapezoidFracturer(Fracturer):
@@ -53,8 +54,10 @@ class TrapezoidFracturer(Fracturer):
         self.merge = merge
         self.kernel = kernel
 
-    def fracture(self, polygons: Iterable[Polygon]) -> List[Trapezoid]:
-        """Disjoint trapezoid cover of the union of ``polygons``."""
+    def fracture(self, polygons: Iterable[Polygon]) -> FigureView:
+        """Disjoint trapezoid cover of the union of ``polygons``: the
+        fast kernel's rows as they are; a reference-engine list, or
+        the object-based height slicing, stacked once."""
         fallbacks = KernelFallbacks()
         traps = boolean_trapezoids(
             polygons, [], "or",
@@ -62,9 +65,9 @@ class TrapezoidFracturer(Fracturer):
             fallbacks=fallbacks,
         )
         self.last_fallbacks = fallbacks
-        if self.max_height is None:
-            return traps
-        return slice_to_height(traps, self.max_height)
+        if self.max_height is not None:
+            traps = slice_to_height(traps, self.max_height)
+        return FigureView(trapezoid_array(traps))
 
 
 def slice_to_height(

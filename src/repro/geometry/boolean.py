@@ -83,7 +83,7 @@ def boolean_trapezoids(
     merge: bool = True,
     kernel: Optional[str] = None,
     fallbacks=None,
-) -> List[Trapezoid]:
+) -> Sequence[Trapezoid]:
     """Boolean combination of two polygon sets as horizontal trapezoids.
 
     Args:
@@ -104,7 +104,9 @@ def boolean_trapezoids(
             ``kernel="exact"`` (an explicit choice is not a fallback).
 
     Returns:
-        Disjoint trapezoids covering the result region.
+        Disjoint trapezoids covering the result region — the fast
+        kernel's as a :class:`~repro.geometry.vertex_array.FigureView`
+        over its rows, the reference engine's as the list it builds.
     """
     try:
         predicate = _PREDICATES[operation]

@@ -87,9 +87,10 @@ The sweep cuts every figure at every foreign vertex y; the vertical
 merge that undoes this (:func:`repro.geometry.scanline.merge_trapezoids`
 — paper-facing: figure count drives the write-time models) folds a
 40-zone plate's 74k rows into 4.7k figures.  :func:`merge_rows` does it
-on the ``(N, 6)`` row array *before* any :class:`Trapezoid` exists, so
-only merged figures become objects, and reproduces the scalar merge
-exactly: same floats, same order.
+on the ``(N, 6)`` row array and the merged rows leave the kernel as they
+are, inside a :class:`~repro.geometry.vertex_array.FigureView` — no
+:class:`Trapezoid` exists unless a caller asks the view for one — and
+reproduces the scalar merge exactly: same floats, same order.
 
 *The join.*  The scalar merge pairs a lower figure with an upper one by
 the dict key ``round(y, 9)`` and ``abs(dx) <= tol`` on both corners,
@@ -162,6 +163,7 @@ from repro.geometry.scanline import (
 )
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
+    FigureView,
     snap_stacked,
     stack_polygons,
     trapezoid_array,
@@ -823,10 +825,13 @@ def sweep_trapezoids_fast(
     grid: float = DEFAULT_GRID,
     merge: bool = True,
     fallbacks: Optional[KernelFallbacks] = None,
-) -> Optional[List[Trapezoid]]:
+) -> Optional[Sequence[Trapezoid]]:
     """Vectorized boolean sweep; bit-identical to the reference engine.
 
-    Returns ``None`` when the snapped coordinates exceed
+    The figures come back as a
+    :class:`~repro.geometry.vertex_array.FigureView` over the merged
+    rows — no :class:`Trapezoid` is built unless the merge is handed
+    back to the scalar one.  Returns ``None`` when the snapped coordinates exceed
     :data:`COORD_LIMIT` — the caller is expected to fall back to
     :func:`repro.geometry.scanline.sweep_trapezoids`.  When
     ``fallbacks`` is given, every degradation (the ``None`` return, a
@@ -1053,7 +1058,7 @@ def sweep_trapezoids_fast(
                 )
             )
 
-    # -- assemble in slab order, merge, and only then build objects -------
+    # -- assemble in slab order and merge, as rows ------------------------
     if not blocks:
         return []
     all_rows = np.concatenate([b[1] for b in blocks])
@@ -1067,4 +1072,4 @@ def sweep_trapezoids_fast(
                 fallbacks.scalar_merge += 1
             return merge_trapezoids(trapezoids_from_array(all_rows))
         all_rows = merged
-    return trapezoids_from_array(all_rows)
+    return FigureView(all_rows)

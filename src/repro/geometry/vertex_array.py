@@ -15,7 +15,9 @@ results are bit-identical to the scalar code paths they accelerate.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections.abc import Sequence as SequenceABC
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -191,8 +193,65 @@ TRAP_COLUMNS = (
 trapezoid_fields = operator.attrgetter(*TRAP_COLUMNS)
 
 
+class BlockView(SequenceABC):
+    """A read-only sequence of objects carried as the rows of one
+    float64 block.
+
+    ``len``, indexing, slicing/:meth:`take` (→ a view over the selected
+    rows), iteration and ``==`` against any sequence behave as the list
+    of objects would; an object is built only for an element that is
+    touched.  Subclasses name the row width (``WIDTH``), how a row's
+    values become an object (``_item``) and how a sequence of such
+    objects becomes a block (``_block_of``).  The constructor trusts
+    its block — producers inside the program hand over rows that are
+    valid by construction; a block read from outside goes through
+    :func:`repro.fracture.base.shots_from_rows`.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows = rows.view()
+        rows.flags.writeable = False
+
+    @classmethod
+    def concat(cls, blocks: Iterable[np.ndarray]) -> "BlockView":
+        """One view over ``blocks`` stacked in order (none → empty)."""
+        return cls(np.concatenate([np.empty((0, cls.WIDTH)), *blocks]))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        """The object at an integer ``index``; the view of the selected
+        rows for a slice or an index array."""
+        rows = self.rows[index]
+        return type(self)(rows) if rows.ndim == 2 else self._item(*rows.tolist())
+
+    take = __getitem__
+
+    def __iter__(self):
+        return itertools.starmap(self._item, self.rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        try:
+            return np.array_equal(self.rows, self._block_of(other))
+        except (AttributeError, TypeError, ValueError):
+            return False  # not a sequence of this view's objects
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
+
 def trapezoid_array(traps: Iterable[Trapezoid]) -> np.ndarray:
-    """Stack trapezoids into an ``(N, 6)`` float64 array (TRAP_COLUMNS)."""
+    """Stack trapezoids into an ``(N, 6)`` float64 array (TRAP_COLUMNS);
+    a :class:`FigureView` hands over the block it carries."""
+    if isinstance(traps, FigureView):
+        return traps.rows
     fields = [trapezoid_fields(t) for t in traps]
     return np.array(fields, dtype=np.float64).reshape(-1, 6)
 
@@ -200,6 +259,15 @@ def trapezoid_array(traps: Iterable[Trapezoid]) -> np.ndarray:
 def trapezoids_from_array(arr: np.ndarray) -> List[Trapezoid]:
     """Rebuild :class:`Trapezoid` objects from an ``(N, 6)`` array."""
     return [Trapezoid(*row) for row in arr.tolist()]
+
+
+class FigureView(BlockView):
+    """A figure list carried as its ``(N, 6)`` block (TRAP_COLUMNS)."""
+
+    __slots__ = ()
+    WIDTH = 6
+    _block_of = staticmethod(trapezoid_array)
+    _item = Trapezoid
 
 
 def trapezoid_bounds(arr: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -232,26 +300,34 @@ def sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
-def transform_trapezoid_array(arr: np.ndarray, t: Transform) -> np.ndarray:
+def transform_trapezoid_array(arr: np.ndarray, t) -> np.ndarray:
     """Vectorized horizontality-preserving transform of a trapezoid batch.
 
     Bit-identical to :func:`repro.core.hierarchical.transform_trapezoid`
     applied per row: the same products and sums in the same order, the
     same vertical-flip and left/right re-sorting rules.
 
+    ``t`` is a :class:`Transform`, or a sequence of ``K`` of them — every
+    placement of one block in one broadcast pass.  The result is then
+    ``(K, N, 6)`` and its ``[k]`` is the batch under ``t[k]`` bit for bit
+    (the arithmetic is elementwise, so batching cannot move it).
+
     Raises:
-        ValueError: if ``t`` would tilt the horizontal edges.
+        ValueError: if a transform would tilt the horizontal edges.
     """
-    if abs(t.c) > 1e-12:
+    many = not isinstance(t, Transform)
+    matrix = np.array([(u.a, u.b, u.c, u.d, u.e, u.f) for u in (t if many else [t])])
+    a, b, c, d, e, f = matrix.T[:, :, None]
+    if (np.abs(c) > 1e-12).any():
         raise ValueError("transform does not preserve horizontal edges")
     yb, yt = arr[:, 0], arr[:, 1]
     xbl, xbr, xtl, xtr = arr[:, 2], arr[:, 3], arr[:, 4], arr[:, 5]
-    y0 = t.d * yb + t.f
-    y1 = t.d * yt + t.f
-    bl = t.a * xbl + t.b * yb + t.e
-    br = t.a * xbr + t.b * yb + t.e
-    tl = t.a * xtl + t.b * yt + t.e
-    tr = t.a * xtr + t.b * yt + t.e
+    y0 = d * yb + f
+    y1 = d * yt + f
+    bl = a * xbl + b * yb + e
+    br = a * xbr + b * yb + e
+    tl = a * xtl + b * yt + e
+    tr = a * xtr + b * yt + e
     flip = y1 < y0
     y0_out = np.where(flip, y1, y0)
     y1_out = np.where(flip, y0, y1)
@@ -261,4 +337,5 @@ def transform_trapezoid_array(arr: np.ndarray, t: Transform) -> np.ndarray:
     bl, br = np.where(swap_b, br, bl), np.where(swap_b, bl, br)
     swap_t = tl > tr
     tl, tr = np.where(swap_t, tr, tl), np.where(swap_t, tl, tr)
-    return np.column_stack((y0_out, y1_out, bl, br, tl, tr))
+    out = np.stack((y0_out, y1_out, bl, br, tl, tr), axis=-1)
+    return out if many else out[0]

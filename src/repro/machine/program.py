@@ -43,7 +43,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -59,7 +58,7 @@ from repro.core.jobfile import (
     pack_program_segment,
     quantize_rows,
 )
-from repro.geometry.vertex_array import trapezoid_areas
+from repro.geometry.vertex_array import FigureView, trapezoid_areas
 from repro.machine.base import Machine, WriteTimeBreakdown
 from repro.machine.datapath import (
     ChannelCheck,
@@ -67,7 +66,14 @@ from repro.machine.datapath import (
     vector_channel_check,
 )
 from repro.machine.raster import RasterScanWriter
-from repro.machine.rle import BYTES_PER_LINE, BYTES_PER_RUN, Run, encode_figures
+from repro.machine.rle import (
+    BYTES_PER_LINE,
+    BYTES_PER_RUN,
+    Run,
+    encode_runs,
+    merge_runs,
+    runs_by_line,
+)
 from repro.machine.vector import VectorScanWriter
 from repro.machine.vsb import ShapedBeamWriter
 
@@ -197,38 +203,43 @@ class MachineProgram:
 
 
 def lower_raster_segment(
-    shots: Sequence,
+    rows: np.ndarray,
     origin: Tuple[float, float],
     address_unit: float,
 ) -> bytes:
-    """Lower one shard's figures to a raster RLE segment payload.
+    """Lower one shard's ``(N, 7)`` shot block to a raster RLE segment
+    payload, packed from the run arrays.
 
     The address grid is the *global* job grid anchored at ``origin``, so
     segments from different shards concatenate without re-addressing.
     """
-    figures = [s.trapezoid for s in shots]
-    pattern = encode_figures(figures, address_unit, origin=origin)
-    if not pattern.lines:
+    _, _, runs = encode_runs(FigureView(rows[:, :6]), address_unit, origin)
+    if not len(runs):
         return _RASTER_PROLOGUE.pack(0, 0)
-    line_first = min(pattern.lines)
-    line_last = max(pattern.lines) + 1
-    chunks = [_RASTER_PROLOGUE.pack(line_first, line_last - line_first)]
-    for j in range(line_first, line_last):
-        runs = pattern.lines.get(j, [])
-        if len(runs) > 0xFFFF:
-            raise MachineProgramError(
-                f"scanline {j} has {len(runs)} runs; the 16-bit count "
-                "word holds at most 65535"
-            )
-        chunks.append(_RUN_COUNT.pack(len(runs)))
-        for start, length in runs:
-            if start > 0xFFFF or length > 0xFFFF:
-                raise MachineProgramError(
-                    f"run ({start}, {length}) exceeds the 16-bit address "
-                    "range; increase the address unit or shard the job"
-                )
-            chunks.append(_RUN.pack(start, length))
-    return b"".join(chunks)
+    line, start, length = runs.T
+    line_first = int(line[0])
+    per_line = np.bincount(line - line_first)
+    # The first scanline the 16-bit words cannot hold fails the export:
+    # for its run count, else for its first oversized run.
+    crowded = per_line[line - line_first] > 0xFFFF
+    bad = np.flatnonzero(crowded | (start > 0xFFFF) | (length > 0xFFFF))
+    if bad.size and crowded[bad[0]]:
+        raise MachineProgramError(
+            f"scanline {line[bad[0]]} has {per_line[line[bad[0]] - line_first]} "
+            "runs; the 16-bit count word holds at most 65535"
+        )
+    if bad.size:
+        raise MachineProgramError(
+            f"run ({start[bad[0]]}, {length[bad[0]]}) exceeds the 16-bit "
+            "address range; increase the address unit or shard the job"
+        )
+    # Per scanline a run-count word, then its (start, length) words.
+    words = np.empty(len(per_line) + 2 * len(runs), dtype=">u2")
+    words[np.arange(len(per_line)) + 2 * (np.cumsum(per_line) - per_line)] = per_line
+    at = line - line_first + 1 + 2 * np.arange(len(runs))
+    words[at] = start
+    words[at + 1] = length
+    return _RASTER_PROLOGUE.pack(line_first, len(per_line)) + words.tobytes()
 
 
 def lower_shot_segment(
@@ -260,6 +271,25 @@ def lower_shot_segment(
     )
 
 
+def _raster_lines(payload: bytes) -> Tuple[int, List[Tuple[int, int]]]:
+    """The one walk over a raster segment payload: its first scanline
+    and, per scanline, ``(offset of its run words, run count)``."""
+    if len(payload) < _RASTER_PROLOGUE.size:
+        raise JobFileError("truncated raster segment prologue")
+    line_first, line_count = _RASTER_PROLOGUE.unpack_from(payload, 0)
+    offset = _RASTER_PROLOGUE.size
+    spans: List[Tuple[int, int]] = []
+    for _ in range(line_count):
+        if len(payload) < offset + _RUN_COUNT.size:
+            raise JobFileError("truncated raster segment line header")
+        (n,) = _RUN_COUNT.unpack_from(payload, offset)
+        spans.append((offset + _RUN_COUNT.size, n))
+        offset += _RUN_COUNT.size + n * _RUN.size
+    if offset != len(payload):
+        raise JobFileError("raster segment payload size mismatch")
+    return line_first, spans
+
+
 def _segment_counters(mode: str, payload: bytes) -> Tuple[int, int, int]:
     """``(record_count, stream_bytes, line_count)`` of one payload.
 
@@ -271,42 +301,18 @@ def _segment_counters(mode: str, payload: bytes) -> Tuple[int, int, int]:
             raise JobFileError("shot segment payload not record-aligned")
         records = len(payload) // SHOT_RECORD_BYTES
         return records, records * SHOT_RECORD_BYTES, 0
-    if len(payload) < _RASTER_PROLOGUE.size:
-        raise JobFileError("truncated raster segment prologue")
-    _, line_count = _RASTER_PROLOGUE.unpack_from(payload, 0)
-    offset = _RASTER_PROLOGUE.size
-    runs = 0
-    for _ in range(line_count):
-        if len(payload) < offset + _RUN_COUNT.size:
-            raise JobFileError("truncated raster segment line header")
-        (n,) = _RUN_COUNT.unpack_from(payload, offset)
-        offset += _RUN_COUNT.size + n * _RUN.size
-        runs += n
-    if offset != len(payload):
-        raise JobFileError("raster segment payload size mismatch")
-    return runs, runs * BYTES_PER_RUN + line_count * BYTES_PER_LINE, line_count
+    _, spans = _raster_lines(payload)
+    runs = sum(n for _, n in spans)
+    return runs, runs * BYTES_PER_RUN + len(spans) * BYTES_PER_LINE, len(spans)
 
 
 def decode_raster_segment(payload: bytes) -> Tuple[int, List[List[Run]]]:
     """``(first_line, runs_per_line)`` of a raster segment payload."""
-    if len(payload) < _RASTER_PROLOGUE.size:
-        raise JobFileError("truncated raster segment prologue")
-    line_first, line_count = _RASTER_PROLOGUE.unpack_from(payload, 0)
-    offset = _RASTER_PROLOGUE.size
-    lines: List[List[Run]] = []
-    for _ in range(line_count):
-        if len(payload) < offset + _RUN_COUNT.size:
-            raise JobFileError("truncated raster segment line header")
-        (n,) = _RUN_COUNT.unpack_from(payload, offset)
-        offset += _RUN_COUNT.size
-        if len(payload) < offset + n * _RUN.size:
-            raise JobFileError("truncated raster segment runs")
-        runs = [_RUN.unpack_from(payload, offset + k * _RUN.size) for k in range(n)]
-        offset += n * _RUN.size
-        lines.append([(s, length) for s, length in runs])
-    if offset != len(payload):
-        raise JobFileError("raster segment payload size mismatch")
-    return line_first, lines
+    line_first, spans = _raster_lines(payload)
+    return line_first, [
+        [_RUN.unpack_from(payload, at + k * _RUN.size) for k in range(n)]
+        for at, n in spans
+    ]
 
 
 @dataclass(frozen=True)
@@ -340,17 +346,14 @@ def raster_coverage_lines(image: ProgramImage) -> Dict[int, List[Run]]:
     for verification the runs are folded back per global line index
     (runs of different shards are disjoint by the shard contract).
     """
-    from repro.machine.rle import _merge_runs
-
     if image.mode != "raster":
         raise MachineProgramError(f"not a raster program (mode {image.mode!r})")
-    lines: Dict[int, List[Run]] = {}
+    runs: List[Tuple[int, int, int]] = []
     for seg in image.segments:
         first, seg_lines = decode_raster_segment(seg.payload)
-        for k, runs in enumerate(seg_lines):
-            if runs:
-                lines.setdefault(first + k, []).extend(runs)
-    return {j: _merge_runs(runs) for j, runs in lines.items()}
+        for k, line_runs in enumerate(seg_lines):
+            runs.extend((first + k, start, length) for start, length in line_runs)
+    return runs_by_line(merge_runs(np.array(runs, dtype=np.int64).reshape(-1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +416,10 @@ def export_program(
         digest.update(chunk)
         program.file_bytes += len(chunk)
 
-    # The per-figure size estimate accumulates segment by segment —
+    # The per-figure run estimate accumulates segment by segment —
     # integer math per figure, so it is exactly what the materialized
-    # rle_bytes_estimate / figure_stream_bytes would report.
+    # rle_bytes_estimate would report (shot modes: one record a figure).
     estimate_runs = 0
-    estimate_figures = 0
     emitted = 0
 
     # Stream into a staging file and publish atomically, so a lowering
@@ -447,7 +449,7 @@ def export_program(
                 if payload is None:
                     if spec.mode == "raster":
                         payload = lower_raster_segment(
-                            result.shots, origin, spec.address_unit
+                            result.rows, origin, spec.address_unit
                         )
                     else:
                         payload = lower_shot_segment(
@@ -463,13 +465,10 @@ def export_program(
                 else:
                     program.cache_hits += 1
                 if spec.mode == "raster":
-                    for shot in result.shots:
-                        estimate_runs += max(
-                            1,
-                            math.ceil(shot.trapezoid.height / spec.address_unit),
-                        )
-                else:
-                    estimate_figures += len(result.shots)
+                    heights = result.rows[:, 1] - result.rows[:, 0]
+                    estimate_runs += int(
+                        np.maximum(1.0, np.ceil(heights / spec.address_unit)).sum()
+                    )
                 records, stream_bytes, line_count = _segment_counters(
                     spec.mode, payload
                 )
@@ -506,7 +505,7 @@ def export_program(
         lines = math.ceil(max(y1 - y0, spec.address_unit) / spec.address_unit)
         program.estimate_bytes = estimate_runs * 4 + lines * 2
     else:
-        program.estimate_bytes = estimate_figures * SHOT_RECORD_BYTES
+        program.estimate_bytes = program.figure_count * SHOT_RECORD_BYTES
 
     breakdown = machine.write_time(job)
     program.channel = _channel_check(spec, machine, job, program, breakdown)

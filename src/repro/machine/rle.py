@@ -4,8 +4,11 @@ The EBES-class machines did not store bitmaps: the data path expanded a
 figure stream into per-scanline (start, length) runs on the fly and fed
 the blanker.  This module performs that expansion faithfully:
 
-* :func:`encode_figures` — trapezoid list → per-scanline runs on the
-  machine address grid, with overlapping runs merged.
+* :func:`encode_runs` — figure list → per-scanline runs on the machine
+  address grid, overlapping runs merged, as one ``(R, 3)`` array
+  (figure × scanline expanded and merged as arrays; what the raster
+  program segments are packed from); :func:`encode_figures` is the same
+  runs as an :class:`RlePattern`.
 * :func:`decode_to_coverage` — runs → binary address map (for
   verification against the rasterizer).
 * :func:`encoded_bytes` — the exact stream size in the 2-word-per-run
@@ -31,6 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import trapezoid_array, trapezoid_bounds
 
 #: One run costs two 16-bit words (start, length).
 BYTES_PER_RUN = 4
@@ -72,12 +76,12 @@ class RlePattern:
         return self.run_count() * BYTES_PER_RUN + self.line_count * BYTES_PER_LINE
 
 
-def encode_figures(
+def encode_runs(
     figures: Sequence[Trapezoid],
     address_unit: float,
     origin: Tuple[float, float] | None = None,
-) -> RlePattern:
-    """Expand a figure list into per-scanline runs.
+) -> Tuple[Tuple[float, float], int, np.ndarray]:
+    """Expand a figure list into per-scanline runs, as arrays.
 
     Args:
         figures: disjoint machine figures.
@@ -85,94 +89,118 @@ def encode_figures(
         origin: address-grid origin; defaults to the figure bbox corner.
 
     Returns:
-        The encoded pattern, with overlapping/adjacent runs merged per
-        scanline.
+        ``(origin, line_count, runs)``: ``runs`` is an ``(R, 3)`` int64
+        array of ``(scanline, start, length)`` rows sorted by scanline,
+        then start, overlapping/adjacent runs of a scanline merged;
+        ``line_count`` the scanlines spanned (including empty ones).
 
     Raises:
         ValueError: when an explicitly-passed ``origin`` sits above or
             right of a figure, so that a run would fall on a negative
             scanline or address — the grid cannot represent it, and
             silently clipping it would desynchronize ``encoded_bytes``/
-            ``line_count`` from ``lines``.
+            ``line_count`` from ``lines``; or when a run lies beyond
+            the 32-bit address range.
     """
     if address_unit <= 0:
         raise ValueError("address unit must be positive")
-    if not figures:
-        return RlePattern((0.0, 0.0), address_unit, {}, 0)
-    boxes = [f.bounding_box() for f in figures]
+    block = trapezoid_array(figures)
+    if not len(block):
+        return (0.0, 0.0), 0, np.empty((0, 3), dtype=np.int64)
+    bx0, by0, _, by1 = trapezoid_bounds(block)
     if origin is None:
-        origin = (min(b[0] for b in boxes), min(b[1] for b in boxes))
+        origin = (float(bx0.min()), float(by0.min()))
     x0, y0 = origin
-    y_max = max(b[3] for b in boxes)
-    line_count = max(1, int(np.ceil((y_max - y0) / address_unit)))
-
-    lines: Dict[int, List[Run]] = {}
-    for figure in figures:
-        _add_figure_runs(lines, figure, x0, y0, address_unit)
-
-    for index in lines:
-        lines[index] = _merge_runs(lines[index])
-    return RlePattern((x0, y0), address_unit, lines, line_count)
+    line_count = max(1, int(np.ceil((by1.max() - y0) / address_unit)))
+    runs = merge_runs(_figure_runs(block, x0, y0, address_unit))
+    return (x0, y0), line_count, runs
 
 
-def _add_figure_runs(
-    lines: Dict[int, List[Run]],
-    figure: Trapezoid,
-    x0: float,
-    y0: float,
-    a: float,
-) -> None:
+def encode_figures(
+    figures: Sequence[Trapezoid],
+    address_unit: float,
+    origin: Tuple[float, float] | None = None,
+) -> RlePattern:
+    """:func:`encode_runs` as an :class:`RlePattern` (same arguments,
+    same errors)."""
+    origin, line_count, runs = encode_runs(figures, address_unit, origin)
+    return RlePattern(origin, address_unit, runs_by_line(runs), line_count)
+
+
+def runs_by_line(runs: np.ndarray) -> Dict[int, List[Run]]:
+    """Scanline-sorted ``(scanline, start, length)`` rows as the
+    ``lines`` mapping of an :class:`RlePattern`."""
+    return {
+        int(chunk[0, 0]): [(start, length) for _, start, length in chunk.tolist()]
+        for chunk in np.split(runs, np.flatnonzero(np.diff(runs[:, 0])) + 1)
+        if len(chunk)
+    }
+
+
+def _figure_runs(block: np.ndarray, x0: float, y0: float, a: float) -> np.ndarray:
+    """Every figure × scanline run of an ``(N, 6)`` block, unmerged, as
+    ``(scanline, start, length)`` rows in figure order."""
+    yb, yt = block[:, 0], block[:, 1]
+    first = np.floor((yb - y0) / a)
     # Zero-height (degenerate) figures carry no area and no scanline can
-    # have its centre strictly inside them; skip instead of dividing by
-    # a zero height below.
-    if figure.height <= 0.0:
-        return
-    bbox = figure.bounding_box()
-    first = int(np.floor((bbox[1] - y0) / a))
-    last = int(np.ceil((bbox[3] - y0) / a))
-    for j in range(first, last):
-        y = y0 + (j + 0.5) * a
-        # Half-open membership: a shared horizontal edge exactly on a
-        # pixel-centre row belongs to the upper figure only.
-        if not (figure.y_bottom <= y < figure.y_top):
-            continue
-        t = (y - figure.y_bottom) / figure.height
-        left = figure.x_bottom_left + t * (figure.x_top_left - figure.x_bottom_left)
-        right = figure.x_bottom_right + t * (
-            figure.x_top_right - figure.x_bottom_right
+    # have its centre strictly inside them; they span no scanline
+    # instead of dividing by a zero height below.
+    span = np.where(yt - yb > 0.0, np.ceil((yt - y0) / a) - first, 0.0)
+    span = span.astype(np.int64)
+    figure = np.repeat(np.arange(len(block)), span)
+    within = np.arange(len(figure)) - np.repeat(np.cumsum(span) - span, span)
+    j = first[figure] + within
+    yb, yt, xbl, xbr, xtl, xtr = block[figure].T
+    y = y0 + (j + 0.5) * a
+    t = (y - yb) / (yt - yb)
+    left = xbl + t * (xtl - xbl)
+    right = xbr + t * (xtr - xbr)
+    # Addresses whose centres fall inside [left, right): the right
+    # edge is exclusive, mirroring the scanline convention, so a
+    # shared vertical edge exactly on a pixel centre belongs to the
+    # right-hand figure only (ceil - 1 drops an exactly-on-edge
+    # centre that floor would keep).
+    start = np.ceil((left - x0) / a - 0.5)
+    end = np.ceil((right - x0) / a - 0.5) - 1
+    # Half-open membership: a shared horizontal edge exactly on a
+    # pixel-centre row belongs to the upper figure only.
+    keep = (yb <= y) & (y < yt) & (end >= start)
+    outside = keep & ((j < 0) | (start < 0))
+    if outside.any():
+        culprit = Trapezoid(*block[figure[outside.argmax()]].tolist())
+        raise ValueError(
+            f"figure {culprit!r} extends below/left of the address-grid "
+            f"origin ({x0:g}, {y0:g}); pass an origin at or below the "
+            "figure bounding box"
         )
-        # Addresses whose centres fall inside [left, right): the right
-        # edge is exclusive, mirroring the scanline convention, so a
-        # shared vertical edge exactly on a pixel centre belongs to the
-        # right-hand figure only (ceil - 1 drops an exactly-on-edge
-        # centre that floor would keep).
-        start = int(np.ceil((left - x0) / a - 0.5))
-        end = int(np.ceil((right - x0) / a - 0.5)) - 1
-        if end < start:
-            continue
-        if j < 0 or start < 0:
-            raise ValueError(
-                f"figure {figure!r} extends below/left of the address-grid "
-                f"origin ({x0:g}, {y0:g}); pass an origin at or below the "
-                "figure bounding box"
-            )
-        lines.setdefault(j, []).append((start, end - start + 1))
+    runs = np.column_stack((j, start, end - start + 1))[keep]
+    if runs.size and runs.max() >= 2.0**31:
+        raise ValueError(
+            f"a run at {runs.max():g} lies beyond the 32-bit address range; "
+            "increase the address unit"
+        )
+    return runs.astype(np.int64)
 
 
-def _merge_runs(runs: List[Run]) -> List[Run]:
-    """Sort runs and merge overlaps/adjacencies."""
-    runs.sort()
-    merged: List[Run] = []
-    for start, length in runs:
-        if merged and start <= merged[-1][0] + merged[-1][1]:
-            prev_start, prev_len = merged[-1]
-            merged[-1] = (
-                prev_start,
-                max(prev_start + prev_len, start + length) - prev_start,
-            )
-        else:
-            merged.append((start, length))
-    return merged
+def merge_runs(runs: np.ndarray) -> np.ndarray:
+    """Sort ``(scanline, start, length)`` rows by scanline, then start,
+    and merge a scanline's overlaps/adjacencies."""
+    if not len(runs):
+        return runs
+    line, start, length = runs[np.lexsort((runs[:, 1], runs[:, 0]))].T
+    # A run opens a merged run when it starts a scanline or begins past
+    # everything before it on that scanline.  Ranking the scanlines and
+    # spacing them wider than any run reaches makes "before it on that
+    # scanline" a plain running maximum (addresses are non-negative and
+    # below 2**31, so the products fit int64).
+    rank = np.cumsum(np.r_[0, np.diff(line) != 0])
+    pitch = int((start + length).max()) + 1
+    reach = np.maximum.accumulate(rank * pitch + start + length)
+    opens = np.r_[True, rank[1:] * pitch + start[1:] > reach[:-1]]
+    first = np.flatnonzero(opens)
+    last = np.r_[first[1:], len(line)] - 1
+    merged_end = reach[last] - rank[last] * pitch
+    return np.column_stack((line[first], start[first], merged_end - start[first]))
 
 
 def decode_to_coverage(

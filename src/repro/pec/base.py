@@ -86,22 +86,6 @@ def trapezoid_exposure(
     )
 
 
-def _trap_field_arrays(
-    shots: Sequence[Shot],
-) -> Tuple[np.ndarray, ...]:
-    """The six trapezoid coordinate fields of a shot list, as columns
-    of its ``(N, 7)`` block (:func:`~repro.fracture.base.shot_rows`):
-    every geometric quantity downstream (sample points, bounding boxes,
-    areas) is then pure vectorized arithmetic on them.
-
-    Returns:
-        The block's coordinate columns in
-        :data:`~repro.geometry.vertex_array.TRAP_COLUMNS` order, as
-        length-n float arrays.
-    """
-    return tuple(shot_rows(shots)[:, :6].T)
-
-
 def shot_sample_points(
     shots: Sequence[Shot], mode: str = "centroid"
 ) -> np.ndarray:
@@ -121,7 +105,7 @@ def shot_sample_points(
     points = np.empty((len(shots), 2))
     if not shots:
         return points
-    yb, yt, xbl, xbr, xtl, xtr = _trap_field_arrays(shots)
+    yb, yt, xbl, xbr, xtl, xtr = shot_rows(shots)[:, :6].T
     if mode == "center":
         bx0 = np.minimum(xbl, xtl)
         bx1 = np.maximum(xbr, xtr)
@@ -146,7 +130,7 @@ def shot_sample_points(
     points[:, 0] = cx / (3.0 * safe)
     points[:, 1] = cy / (3.0 * safe)
     for i in np.flatnonzero(degenerate):
-        c = shots[i].trapezoid.centroid()
+        c = Trapezoid(yb[i], yt[i], xbl[i], xbr[i], xtl[i], xtr[i]).centroid()
         points[i] = (c.x, c.y)
     return points
 
@@ -170,7 +154,7 @@ def edge_sample_points(
     owners = np.repeat(np.arange(n, dtype=int), 2)
     if n == 0:
         return points, owners
-    yb, yt, xbl, xbr, xtl, xtr = _trap_field_arrays(shots)
+    yb, yt, xbl, xbr, xtl, xtr = shot_rows(shots)[:, :6].T
     y_mid = 0.5 * (yb + yt)
     left = 0.5 * (xbl + xtl)
     right = 0.5 * (xbr + xtr)
@@ -426,11 +410,10 @@ def exposure_at_points(
     """
     from repro.pec.operator import build_exposure_operator
 
-    doses = np.array([s.dose for s in shots], dtype=float)
     operator = build_exposure_operator(
         points, shots, psf, cutoff_factor=cutoff_factor, mode=matrix_mode
     )
-    return operator @ doses
+    return operator @ shot_rows(shots)[:, 6].copy()
 
 
 class ProximityCorrector(abc.ABC):

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, ShotView, shot_rows, with_doses
 from repro.pec.base import (
     ProximityCorrector,
     edge_sample_points,
@@ -110,11 +110,11 @@ class IterativeDoseCorrector(ProximityCorrector):
 
     def correct(
         self, shots: Sequence[Shot], psf: DoubleGaussianPSF
-    ) -> List[Shot]:
+    ) -> ShotView:
         """Return dose-corrected copies of ``shots``."""
         if not shots:
             self.last_trace = ConvergenceTrace(converged=True)
-            return []
+            return with_doses(shots, [])
         if self.sample_mode == "edge":
             points, owners = edge_sample_points(shots)
             target = self.target * 0.5
@@ -130,7 +130,7 @@ class IterativeDoseCorrector(ProximityCorrector):
             grid_cell=self.grid_cell,
         )
         n = len(shots)
-        doses = np.array([s.dose for s in shots], dtype=float)
+        doses = shot_rows(shots)[:, 6].copy()
         trace = ConvergenceTrace()
         lo, hi = self.dose_limits
         for _ in range(self.max_iterations):
@@ -150,4 +150,4 @@ class IterativeDoseCorrector(ProximityCorrector):
             doses = doses * update**self.relaxation
             np.clip(doses, lo, hi, out=doses)
         self.last_trace = trace
-        return [s.with_dose(float(d)) for s, d in zip(shots, doses)]
+        return with_doses(shots, doses)

@@ -15,11 +15,11 @@ The solver backend follows the operator's ``matrix_mode``: dense uses
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, ShotView, with_doses
 from repro.pec.base import ProximityCorrector, shot_sample_points
 from repro.pec.operator import build_exposure_operator, validate_matrix_mode
 from repro.physics.psf import DoubleGaussianPSF
@@ -61,10 +61,10 @@ class MatrixDoseCorrector(ProximityCorrector):
 
     def correct(
         self, shots: Sequence[Shot], psf: DoubleGaussianPSF
-    ) -> List[Shot]:
+    ) -> ShotView:
         """Solve for doses; clipped to the hardware range."""
         if not shots:
-            return []
+            return with_doses(shots, [])
         points = shot_sample_points(shots, self.sample_mode)
         operator = build_exposure_operator(
             points,
@@ -84,4 +84,4 @@ class MatrixDoseCorrector(ProximityCorrector):
             mean_level = exposure.mean()
             if mean_level > 0:
                 clipped = np.clip(clipped * self.target / mean_level, lo, hi)
-        return [s.with_dose(float(d)) for s, d in zip(shots, clipped)]
+        return with_doses(shots, clipped)

@@ -13,14 +13,15 @@ era explored.)
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, ShotView, dosed, shot_rows
 from repro.geometry.boolean import boolean_trapezoids
 from repro.geometry.polygon import Polygon
 from repro.geometry.rasterize import RasterFrame
+from repro.geometry.vertex_array import trapezoid_bounds
 from repro.pec.base import ProximityCorrector
 from repro.physics.exposure import ExposureSimulator, shot_dose_map
 from repro.physics.psf import DoubleGaussianPSF
@@ -44,29 +45,29 @@ class GhostCorrector(ProximityCorrector):
 
     def correct(
         self, shots: Sequence[Shot], psf: DoubleGaussianPSF
-    ) -> List[Shot]:
+    ) -> ShotView:
         """Pattern shots (unchanged) plus complement shots at ghost dose.
 
         The returned list is the pattern followed by the ghost shots; use
         :func:`split_ghost` or :class:`GhostExposure` to simulate the two
         passes with their different beam blurs.
         """
-        pattern = list(shots)
-        if not pattern:
-            return []
-        ghost_shots = self.ghost_shots(pattern, psf)
-        return pattern + ghost_shots
+        pattern = shot_rows(shots)
+        if not len(pattern):
+            return ShotView(pattern)
+        return ShotView.concat([pattern, self.ghost_shots(shots, psf).rows])
 
     def ghost_shots(
         self, shots: Sequence[Shot], psf: DoubleGaussianPSF
-    ) -> List[Shot]:
+    ) -> ShotView:
         """The complement figures at the ghost dose."""
-        boxes = [s.trapezoid.bounding_box() for s in shots]
-        x0 = min(b[0] for b in boxes) - self.margin
-        y0 = min(b[1] for b in boxes) - self.margin
-        x1 = max(b[2] for b in boxes) + self.margin
-        y1 = max(b[3] for b in boxes) + self.margin
-        window = Polygon.rectangle(x0, y0, x1, y1)
+        bx0, by0, bx1, by1 = trapezoid_bounds(shot_rows(shots))
+        window = Polygon.rectangle(
+            float(bx0.min()) - self.margin,
+            float(by0.min()) - self.margin,
+            float(bx1.max()) + self.margin,
+            float(by1.max()) + self.margin,
+        )
         pattern_polys = [s.trapezoid.to_polygon() for s in shots]
         complement = boolean_trapezoids([window], pattern_polys, "sub")
         dose = (
@@ -74,15 +75,14 @@ class GhostCorrector(ProximityCorrector):
             if self.dose_scale is not None
             else psf.eta / (1.0 + psf.eta)
         )
-        return [Shot(t, dose) for t in complement]
+        return dosed(complement, dose)
 
 
 def split_ghost(
     corrected: Sequence[Shot], original_count: int
-) -> Tuple[List[Shot], List[Shot]]:
+) -> Tuple[Sequence[Shot], Sequence[Shot]]:
     """Split a :meth:`GhostCorrector.correct` result into its two passes."""
-    shots = list(corrected)
-    return shots[:original_count], shots[original_count:]
+    return corrected[:original_count], corrected[original_count:]
 
 
 class GhostExposure:
@@ -137,21 +137,17 @@ class GhostExposure:
         ghost_psf = DoubleGaussianPSF(
             alpha=self.psf.beta, beta=self.psf.beta, eta=self.psf.eta
         )
-        doses = np.array([s.dose for s in pattern_shots], dtype=float)
         levels = (
             build_exposure_operator(
                 points, pattern_shots, self.psf, mode=matrix_mode
             )
-            @ doses
+            @ shot_rows(pattern_shots)[:, 6].copy()
         )
         if ghost_shots:
-            ghost_doses = np.array(
-                [s.dose for s in ghost_shots], dtype=float
-            )
             levels = levels + (
                 build_exposure_operator(
                     points, ghost_shots, ghost_psf, mode=matrix_mode
                 )
-                @ ghost_doses
+                @ shot_rows(ghost_shots)[:, 6].copy()
             )
         return levels

@@ -54,13 +54,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fracture.base import Shot
-from repro.pec.base import (
-    _exposure_matrix,
-    _exposure_matrix_csr,
-    _shot_bbox_arrays,
-    _trap_field_arrays,
-)
+from repro.fracture.base import Shot, shot_rows
+from repro.pec.base import _exposure_matrix, _exposure_matrix_csr, _shot_bbox_arrays
 from repro.physics.psf import DoubleGaussianPSF
 
 #: The supported exposure-operator backends.
@@ -334,7 +329,7 @@ class HybridExposureOperator(ExposureOperator):
             self._grid_shape = (0, 0)
             return
         x0, y0, x1, y1, _ = _shot_bbox_arrays(shots)
-        yb, yt, xbl, xbr, xtl, xtr = _trap_field_arrays(shots)
+        yb, yt, xbl, xbr, xtl, xtr = shot_rows(shots)[:, :6].T
         areas = 0.5 * ((xbr - xbl) + (xtr - xtl)) * (yt - yb)
         reach_factor = max(GRID_REACH_FACTOR, cutoff_factor)
         margin = reach_factor * psf.beta + 2.0 * cell

@@ -9,11 +9,11 @@ many classes are enough — is the ablation `bench_f2a` runs.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, ShotView, shot_rows, with_doses
 
 
 def dose_classes(
@@ -38,7 +38,7 @@ def dose_classes(
 
 def quantize_doses(
     shots: Sequence[Shot], classes: np.ndarray
-) -> Tuple[List[Shot], float]:
+) -> Tuple[ShotView, float]:
     """Snap every shot dose to the nearest available class.
 
     Returns:
@@ -48,12 +48,8 @@ def quantize_doses(
     classes = np.sort(np.asarray(classes, dtype=float))
     if classes.ndim != 1 or len(classes) < 1:
         raise ValueError("classes must be a non-empty 1-D array")
-    quantized: List[Shot] = []
-    worst = 0.0
-    for shot in shots:
-        index = int(np.argmin(np.abs(classes - shot.dose)))
-        new_dose = float(classes[index])
-        if shot.dose > 0:
-            worst = max(worst, abs(new_dose - shot.dose) / shot.dose)
-        quantized.append(shot.with_dose(new_dose))
-    return quantized, worst
+    doses = shot_rows(shots)[:, 6]
+    snapped = classes[np.abs(classes - doses[:, None]).argmin(axis=1)]
+    exposed = doses > 0
+    steps = np.abs(snapped - doses)[exposed] / doses[exposed]
+    return with_doses(shots, snapped), float(steps.max(initial=0.0))

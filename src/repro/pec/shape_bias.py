@@ -17,11 +17,12 @@ clamped so figures never invert.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
+import numpy as np
 
-from repro.fracture.base import Shot
-from repro.geometry.trapezoid import Trapezoid
+from repro.fracture.base import Shot, ShotView, shot_rows, shots_from_rows
+from repro.geometry.vertex_array import trapezoid_areas
 from repro.pec.base import ProximityCorrector, exposure_at_points, shot_sample_points
 from repro.physics.psf import DoubleGaussianPSF
 
@@ -53,10 +54,11 @@ class ShapeBiasCorrector(ProximityCorrector):
 
     def correct(
         self, shots: Sequence[Shot], psf: DoubleGaussianPSF
-    ) -> List[Shot]:
+    ) -> ShotView:
         """Return geometry-biased copies of ``shots`` (doses unchanged)."""
-        if not shots:
-            return []
+        rows = shot_rows(shots)
+        if not len(rows):
+            return ShotView(rows)
         points = shot_sample_points(shots, "centroid")
         # Sparse operator: entries are bit-identical to dense, but the
         # n × n matrix never materializes on large shot lists.
@@ -65,48 +67,42 @@ class ShapeBiasCorrector(ProximityCorrector):
         )
         # Edge slope of the forward Gaussian at a feature edge.
         edge_slope = 1.0 / (psf.alpha * math.sqrt(math.pi) * (1.0 + psf.eta))
-        corrected: List[Shot] = []
-        for shot, level in zip(shots, exposure):
-            excess = max(0.0, float(level) - self.reference_level)
-            bias = self.gain * excess / edge_slope
-            corrected.append(
-                Shot(
-                    _inset(shot.trapezoid, bias, self.max_bias_fraction),
-                    shot.dose,
-                )
-            )
-        return corrected
+        bias = self.gain * np.fmax(0.0, exposure - self.reference_level) / edge_slope
+        inset = _inset(rows[:, :6], bias, self.max_bias_fraction)
+        return shots_from_rows(np.column_stack((inset, rows[:, 6])))
 
 
-def _inset(trap: Trapezoid, bias: float, max_fraction: float) -> Trapezoid:
-    """Shrink a trapezoid by ``bias`` on every side, with inversion guard."""
-    if bias <= 0:
-        return trap
-    min_dim = min(
-        trap.height,
-        max(trap.min_width(), trap.area() / trap.height),
+def _inset(block: np.ndarray, bias: np.ndarray, max_fraction: float) -> np.ndarray:
+    """Shrink each trapezoid of an ``(N, 6)`` block by its ``bias`` on
+    every side, with inversion guard; rows without a positive bias are
+    kept as they are."""
+    yb, yt, xbl, xbr, xtl, xtr = block.T
+    height = yt - yb
+    narrow_edge = np.minimum(xbr - xbl, xtr - xtl)
+    min_dim = np.minimum(
+        height, np.maximum(narrow_edge, trapezoid_areas(block) / height)
     )
-    bias = min(bias, max_fraction * min_dim)
-    if bias <= 0:
-        return trap
-    y0 = trap.y_bottom + bias
-    y1 = trap.y_top - bias
-    if y1 <= y0:
-        mid = (trap.y_bottom + trap.y_top) / 2.0
-        y0, y1 = mid - 1e-9, mid + 1e-9
-    # Interpolate the side x positions at the new heights, then inset in x.
-    def x_at(xb: float, xt: float, y: float) -> float:
-        t = (y - trap.y_bottom) / trap.height
-        return xb + t * (xt - xb)
+    bias = np.minimum(bias, max_fraction * min_dim)
+    y0 = yb + bias
+    y1 = yt - bias
+    pinched = y1 <= y0
+    mid = (yb + yt) / 2.0
+    y0 = np.where(pinched, mid - 1e-9, y0)
+    y1 = np.where(pinched, mid + 1e-9, y1)
 
-    xl0 = x_at(trap.x_bottom_left, trap.x_top_left, y0) + bias
-    xl1 = x_at(trap.x_bottom_left, trap.x_top_left, y1) + bias
-    xr0 = x_at(trap.x_bottom_right, trap.x_top_right, y0) - bias
-    xr1 = x_at(trap.x_bottom_right, trap.x_top_right, y1) - bias
-    if xr0 < xl0:
-        mid = (xr0 + xl0) / 2.0
-        xl0 = xr0 = mid
-    if xr1 < xl1:
-        mid = (xr1 + xl1) / 2.0
-        xl1 = xr1 = mid
-    return Trapezoid(y0, y1, xl0, xr0, xl1, xr1)
+    # Interpolate the side x positions at the new heights, then inset in x.
+    def x_at(xb: np.ndarray, xt: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return xb + (y - yb) / height * (xt - xb)
+
+    sides = []
+    for y in (y0, y1):
+        left = x_at(xbl, xtl, y) + bias
+        right = x_at(xbr, xtr, y) - bias
+        crossed = right < left
+        centre = (right + left) / 2.0
+        sides += [
+            np.where(crossed, centre, left),
+            np.where(crossed, centre, right),
+        ]
+    inset = np.column_stack((y0, y1, *sides))
+    return np.where((bias > 0)[:, None], inset, block)

@@ -1,8 +1,10 @@
 """Tests for the binary machine job-file format."""
 
+import hashlib
+
 import pytest
 
-from repro.core.job import MachineJob
+from repro.core.job import MachineJob, ShotFold
 from repro.core.jobfile import (
     JobFileError,
     dumps_job,
@@ -11,7 +13,7 @@ from repro.core.jobfile import (
     read_job,
     write_job,
 )
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
@@ -100,3 +102,47 @@ class TestFailureModes:
         job = MachineJob([Shot(trapezoid)])
         with pytest.raises(JobFileError, match="slant"):
             dumps_job(job)
+
+
+class TestAggregateJobs:
+    """A job described only by its aggregates counts shots it does not
+    carry: it must say so and refuse to be written, not publish a
+    valid empty file."""
+
+    def aggregates(self):
+        fold = ShotFold(base_dose=5.0)
+        fold.add_rows(shot_rows(sample_job().shots))
+        return [
+            MachineJob.synthetic(1000, 10.0, (0, 0, 10, 10), name="synthetic"),
+            fold.job("streamed"),
+        ]
+
+    def test_len_and_repr_read_the_figure_count(self):
+        synthetic, streamed = self.aggregates()
+        assert len(synthetic) == synthetic.figure_count() == 1000
+        assert "figures=1000" in repr(synthetic)
+        assert len(streamed) == streamed.figure_count() == 3
+        assert "figures=3" in repr(streamed)
+        assert len(sample_job()) == 3 and "figures=3" in repr(sample_job())
+
+    def test_writing_one_is_an_error_naming_the_streamed_writer(self, tmp_path):
+        for job in self.aggregates():
+            with pytest.raises(JobFileError, match="JobFileWriter.*prep --stream"):
+                dumps_job(job)
+            with pytest.raises(JobFileError, match=job.name):
+                write_job(job, tmp_path / "aggregate.ebj")
+        assert list(tmp_path.iterdir()) == []  # nothing published or left staged
+
+    def test_resident_jobs_write_the_bytes_they_did(self, tmp_path):
+        # Literals computed at the commit before aggregate jobs were refused.
+        assert hashlib.sha256(dumps_job(sample_job())).hexdigest() == (
+            "c45f904536a5bd5bb2b04ebd58b0cdea597d98ea10b4f4cd51dd2b9bf8e6ba52"
+        )
+        empty = dumps_job(MachineJob([]))
+        assert len(empty) == job_file_bytes(0)
+        assert hashlib.sha256(empty).hexdigest() == (
+            "37449349112720829cc37ae505f82547833b58222a6a8f7bf21ab4c391417c2e"
+        )
+        for job in (sample_job(), MachineJob([])):
+            write_job(job, tmp_path / "resident.ebj")
+            assert (tmp_path / "resident.ebj").read_bytes() == dumps_job(job)

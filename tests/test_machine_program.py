@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ShardCache
-from repro.core.executor import ShardedExecutor
+from repro.core.executor import ShardedExecutor, merge_shard_results
 from repro.core.jobfile import (
     JobFileError,
     dumps_program,
@@ -21,6 +21,7 @@ from repro.core.jobfile import (
     read_program,
 )
 from repro.core.pipeline import PreparationPipeline
+from repro.fracture.base import with_doses
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
@@ -214,8 +215,12 @@ class TestShotExport:
     def _program(self, tmp_path, mode, base_dose=1.0, doses=None):
         result = executed(grating_polygons(lines=3))
         if doses is not None:
-            for shot, dose in zip(result.shots, doses):
-                shot.dose = dose
+            # Results are read-only: a different dose is a new result.
+            (shard,) = result.shard_results
+            dosed = dataclasses.replace(
+                shard, shots=with_doses(shard.shots, doses[: len(shard.shots)])
+            )
+            result = merge_shard_results([dosed], result.corrected, result.stats)
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, base_dose=base_dose, name="g")

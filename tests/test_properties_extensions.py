@@ -164,7 +164,8 @@ class TestFieldProperties:
     @given(rectangle_sets(max_size=4))
     @settings(max_examples=15, deadline=None)
     def test_ordering_is_permutation(self, polys):
-        shots = TrapezoidFracturer().fracture_to_shots(polys)
+        # Materialised once: the ids below are of these objects.
+        shots = list(TrapezoidFracturer().fracture_to_shots(polys))
         assume(len(shots) >= 2)
         for strategy in ("scanline", "nearest"):
             ordered = order_shots(shots, strategy)
