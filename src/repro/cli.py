@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from functools import partial
 from typing import List, Optional
 
 from repro.analysis.tables import Table
-from repro.core.recipe import PrepRecipe, number_complaint
+from repro.core.recipe import POSITIVE, PrepRecipe, flag_of, whole
 from repro.layout import generators
 from repro.layout.stats import library_stats
 from repro.layout.stream import open_layout_stream
@@ -31,60 +33,11 @@ from repro.layout.stream import open_layout_stream
 _LAYOUT_FILE_HELP = "input layout file: GDSII stream, or CIF when named *.cif"
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "must be >= 1 (or 0 for one worker per core)"
-        )
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    why = number_complaint(value)
-    if why:
-        raise argparse.ArgumentTypeError(why)
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _recipe_from_args(args: argparse.Namespace) -> PrepRecipe:
     """The CLI options as a :class:`~repro.core.recipe.PrepRecipe` —
     the same value object the prep service builds its pipelines from,
     so HTTP and CLI runs share one construction path."""
-    return PrepRecipe(
-        fracture=args.fracture,
-        max_shot=args.max_shot,
-        pec=args.pec,
-        pec_matrix=args.pec_matrix,
-        pec_grid_cell=args.pec_grid_cell,
-        energy=args.energy,
-        dose=args.dose,
-        workers=args.workers,
-        field_size=args.field_size,
-        hierarchy=args.hierarchy,
-        machine=args.machine,
-        address_unit=args.address_unit,
-        shard_retries=args.shard_retries,
-        shard_timeout=args.shard_timeout,
-        dispatch=args.dispatch,
-        workers_endpoint=args.workers_endpoint,
-        streaming=args.stream,
-    )
+    return PrepRecipe(**{f.name: getattr(args, f.name) for f in fields(PrepRecipe)})
 
 
 def _program_path(args: argparse.Namespace) -> Optional[str]:
@@ -256,122 +209,35 @@ def cmd_work(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    if args.workload == "full_reticle":
-        # The out-of-core showcase: a tiles×tiles zone-plate mosaic,
-        # sized by --tiles instead of baked into the workload table.
-        source = generators.full_reticle(tiles=args.tiles)
-    else:
-        factory = generators.WORKLOADS.get(args.workload)
-        if factory is None:
-            print(
-                f"unknown workload {args.workload!r}; choose from "
-                f"{sorted(generators.WORKLOADS) + ['full_reticle']}",
-                file=sys.stderr,
-            )
-            return 2
-        source = factory()
+    # full_reticle is the out-of-core showcase: a tiles×tiles zone-plate
+    # mosaic, sized by --tiles instead of baked into the workload table.
+    sized = {"full_reticle": partial(generators.full_reticle, tiles=args.tiles)}
+    source = generators.workload(args.workload, sized)()
     return _prepare_and_report(args, source, name=args.workload)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fracture", choices=["trapezoid", "vsb"], default="trapezoid",
-        help="fracturing strategy",
-    )
-    parser.add_argument(
-        "--max-shot", type=_positive_float, default=2.0,
-        help="VSB maximum shot [µm]",
-    )
-    parser.add_argument(
-        "--pec", action="store_true", help="apply iterative dose correction"
-    )
-    parser.add_argument(
-        "--pec-matrix", choices=["dense", "sparse", "hybrid"],
-        default="dense",
-        help="exposure-operator backend for --pec: dense (exact), "
-        "sparse (exact entries, CSR memory) or hybrid (exact forward "
-        "term + FFT backscatter grid)",
-    )
-    parser.add_argument(
-        "--pec-grid-cell", type=_positive_float, default=None, metavar="UM",
-        help="backscatter grid cell [µm] for --pec-matrix hybrid "
-        "(default: beta/4)",
-    )
-    parser.add_argument(
-        "--energy", type=_positive_float, default=20.0,
-        help="beam energy [keV]",
-    )
-    parser.add_argument(
-        "--dose", type=_positive_float, default=1.0,
-        help="base dose [µC/cm²]",
-    )
+    """The recipe's knobs, as declared, plus the four file options."""
+    for f in fields(PrepRecipe):
+        kind, meta = f.metadata["kind"], f.metadata
+        if kind.parse is None:
+            options = {"action": "store_true"}
+        else:
+            options = {
+                "type": kind.parse,
+                "choices": kind.choices,
+                "default": f.default,
+                "metavar": meta["metavar"],
+            }
+        parser.add_argument(flag_of(f), dest=f.name, help=meta["help"], **options)
     parser.add_argument(
         "--output", metavar="FILE",
         help="write the prepared job as a binary machine job file",
     )
     parser.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
-        help="worker processes for the sharded execution engine "
-        "(1 = serial, 0 = one per core; never changes the result)",
-    )
-    parser.add_argument(
-        "--field-size", type=_positive_float, default=None, metavar="UM",
-        help="writing-field pitch [µm] for layout sharding "
-        "(default: process the layout as one shard)",
-    )
-    parser.add_argument(
-        "--hierarchy", choices=["flat", "cells"], default="flat",
-        help="hierarchical-source handling: flat (expand every "
-        "placement, fracture per shard) or cells (fracture each cell "
-        "once, replicate figures per placement — the array-reuse fast "
-        "path)",
-    )
-    parser.add_argument(
-        "--machine", choices=["raster", "vsb", "vector"], default=None,
-        help="lower the prepared job into an on-disk machine program: "
-        "raster (per-scanline RLE runs, exact stream size), vsb or "
-        "vector (per-shot dose/flash records); prints the write-time "
-        "breakdown and channel check",
-    )
-    parser.add_argument(
-        "--address-unit", type=_positive_float, default=0.5, metavar="UM",
-        help="raster address (pixel) pitch [µm] for --machine raster",
-    )
-    parser.add_argument(
         "--machine-output", metavar="FILE", default=None,
         help="machine program file (default: derived from --output or "
         "the job name, extension .<mode>.ebp)",
-    )
-    parser.add_argument(
-        "--shard-retries", type=_nonneg_int, default=2, metavar="N",
-        help="re-dispatch attempts per shard after a transient worker "
-        "failure (crash, broken pool, OSError) before the run escalates "
-        "(default: 2; results stay byte-identical across retries)",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=_positive_float, default=None, metavar="SEC",
-        help="per-shard wall-clock budget; a shard exceeding it is "
-        "treated as hung, the worker pool is recycled and the victim "
-        "re-enqueued (default: wait forever)",
-    )
-    parser.add_argument(
-        "--dispatch", choices=["local", "distributed"], default="local",
-        help="shard scheduling: local (this process's pool) or "
-        "distributed (lease shards to worker daemons on "
-        "--workers-endpoint; byte-identical to local, with the local "
-        "pool as the fallback rung)",
-    )
-    parser.add_argument(
-        "--workers-endpoint", metavar="HOST:PORT", default=None,
-        help="lease-coordinator endpoint for --dispatch distributed "
-        "(workers connect with: repro-ebl work --connect HOST:PORT)",
-    )
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="run out of core: read the layout through a cursor, keep "
-        "only one shard window resident, spill shard results through "
-        "the cache's blob store and assemble artifacts one shard at a "
-        "time (byte-identical to the in-memory path)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -385,8 +251,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-ebl`` argument parser, subcommands and all."""
     parser = argparse.ArgumentParser(
         prog="repro-ebl",
         description="Electron-beam lithography data preparation toolchain",
@@ -409,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sized out-of-core mosaic, see --tiles)",
     )
     p_demo.add_argument(
-        "--tiles", type=_positive_int, default=10, metavar="N",
+        "--tiles", type=whole(1).parse, default=10, metavar="N",
         help="mosaic edge for --workload full_reticle: an N×N array of "
         "zone-plate dies (default 10 → 100 dies)",
     )
@@ -429,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(idempotent: same key, same bytes)",
     )
     p_work.add_argument(
-        "--idle-exit", type=_positive_float, default=None, metavar="SEC",
+        "--idle-exit", type=POSITIVE.parse, default=None, metavar="SEC",
         help="exit after this long without work (default: run forever)",
     )
     p_work.set_defaults(func=cmd_work)
@@ -462,7 +328,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="maximum jobs running at once",
     )
     p_serve.set_defaults(func=cmd_serve)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "machine_output", None) and not getattr(args, "machine", None):
         parser.error("--machine-output requires --machine")

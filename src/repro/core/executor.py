@@ -80,7 +80,6 @@ serial run.
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import itertools
 import math
@@ -118,7 +117,7 @@ import numpy as np
 from repro.core.cache import ContainedStore, ShardCache
 from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex, box_field_indices
-from repro.core.recipe import number_complaint
+from repro.core.recipe import check_knobs, choice, number_complaint, require
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
@@ -387,6 +386,10 @@ class ExecutionResult:
     shard_results: List[ShardResult] = field(default_factory=list)
 
 
+#: Cross-shard overlap handling: the planners' and the engine's rule.
+_OVERLAP_POLICY = choice(("warn", "union", "ignore"))
+
+
 def _plan_tiles(boxes: np.ndarray, field_size: float) -> tuple:
     """The shard planner: a non-empty ``(N, 4)`` block of item bounding
     boxes (``x0, y0, x1, y1``) → the mosaic tiles that hold them.
@@ -446,11 +449,7 @@ def plan_shards(
     :class:`ShardOverlapWarning`, ``"union"`` boolean-unions the layout
     before bucketing, ``"ignore"`` skips the check.
     """
-    if overlap_policy not in ("warn", "union", "ignore"):
-        raise ValueError(
-            f"overlap_policy must be 'warn', 'union' or 'ignore', "
-            f"got {overlap_policy!r}"
-        )
+    require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
     polygons = list(polygons)
     if not polygons:
         return []
@@ -493,17 +492,13 @@ def plan_figure_shards(
     which is what a pre-fractured run exists to avoid — run flat or
     choose ``"warn"``/``"ignore"`` instead.
     """
-    if overlap_policy not in ("warn", "ignore"):
-        if overlap_policy == "union":
-            raise ValueError(
-                "overlap_policy='union' is incompatible with "
-                "pre-fractured figure shards (it would re-fracture the "
-                "layout); use hierarchy='flat' or overlap_policy "
-                "'warn'/'ignore'"
-            )
+    require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
+    if overlap_policy == "union":
         raise ValueError(
-            f"overlap_policy must be 'warn', 'union' or 'ignore', "
-            f"got {overlap_policy!r}"
+            "overlap_policy='union' is incompatible with "
+            "pre-fractured figure shards (it would re-fracture the "
+            "layout); use hierarchy='flat' or overlap_policy "
+            "'warn'/'ignore'"
         )
     block = trapezoid_array(figures)
     if not len(block):
@@ -734,11 +729,9 @@ def _process_shard(
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1 (or None/0 for all cores)")
-    return workers
+    if workers is not None:
+        check_knobs(workers=workers)
+    return workers or os.cpu_count() or 1
 
 
 # The persistent worker pool, shared by every executor in the process.
@@ -1404,12 +1397,6 @@ class ShardedExecutor:
             input).
         overlap_policy: cross-shard overlap handling for the planner —
             ``"warn"`` (default), ``"union"`` or ``"ignore"``.
-        matrix_mode: override for the corrector's exposure-operator
-            backend (``"dense"``, ``"sparse"`` or ``"hybrid"``, see
-            :mod:`repro.pec.operator`).  Applied to the corrector
-            configuration, so it ships to pool workers with the shard
-            config and participates in shard cache keys — a dense-mode
-            result is never replayed for a hybrid-mode request.
         progress: optional per-shard completion callback
             ``progress(done, total)`` — invoked with ``done=0`` once the
             shard plan is known, then with the running completion count
@@ -1448,7 +1435,6 @@ class ShardedExecutor:
         field_size: Optional[float] = None,
         cache: Optional[ShardCache] = None,
         overlap_policy: str = "warn",
-        matrix_mode: Optional[str] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -1459,23 +1445,9 @@ class ShardedExecutor:
     ) -> None:
         if corrector is not None and psf is None:
             raise ValueError("a corrector requires a PSF")
-        if matrix_mode is not None:
-            from repro.pec.operator import validate_matrix_mode
-
-            validate_matrix_mode(matrix_mode)
-            if corrector is None:
-                raise ValueError("matrix_mode requires a corrector")
-            if not hasattr(corrector, "matrix_mode"):
-                raise ValueError(
-                    f"{type(corrector).__name__} does not support "
-                    "matrix_mode"
-                )
-            if corrector.matrix_mode != matrix_mode:
-                # Reconfigure a copy: the caller's corrector may be
-                # shared with other pipelines and must not change under
-                # them.
-                corrector = copy.copy(corrector)
-                corrector.matrix_mode = matrix_mode
+        _resolve_workers(workers)
+        check_knobs(field_size=field_size, dispatch=dispatch)
+        require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
         self.fracturer = fracturer
         self.corrector = corrector
         self.psf = psf
@@ -1483,15 +1455,9 @@ class ShardedExecutor:
         self.field_size = field_size
         self.cache = cache
         self.overlap_policy = overlap_policy
-        self.matrix_mode = matrix_mode
         self.progress = progress
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
-        if dispatch not in ("local", "distributed"):
-            raise ValueError(
-                f"dispatch must be 'local' or 'distributed', "
-                f"got {dispatch!r}"
-            )
         if dispatch == "distributed" and not endpoint:
             raise ValueError(
                 "distributed dispatch requires an endpoint (host:port)"
@@ -1583,6 +1549,7 @@ class ShardedExecutor:
             cache = self.cache
         elif cache is False:
             cache = None
+        check_knobs(field_size=field_size)
         return (
             _resolve_workers(self.workers if workers is None else workers),
             self.field_size if field_size is None else field_size,

@@ -63,12 +63,13 @@ Plans travel to CLI subprocesses and service jobs through the
 from __future__ import annotations
 
 import errno
-import json
 import os
 import signal
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import FrozenSet, Optional, Tuple
+
+from repro.core.recipe import COUNT, POSITIVE, from_mapping, json_object, require
 
 #: Environment variable carrying a JSON fault plan into CLI runs and
 #: service jobs (see :meth:`FaultPlan.from_env`).
@@ -111,6 +112,21 @@ def _pairs(value, kind: str) -> FrozenSet[Tuple[int, int]]:
     return frozenset(pairs)
 
 
+def _ordinals(value) -> FrozenSet[int]:
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ValueError(
+            "'enospc_puts' must be a list of non-negative store "
+            f"ordinals, got {value!r}"
+        )
+    ordinals = list(value)
+    if any(COUNT.rule(x) for x in ordinals):
+        raise ValueError(
+            "'enospc_puts' must be non-negative store ordinals, "
+            f"got {value!r}"
+        )
+    return frozenset(ordinals)
+
+
 def _schedule(family: str):
     """A ``(position, attempt)`` fault kind of ``family`` — ``"shard"``
     (fired by :meth:`FaultPlan.fire`) or ``"network"`` (consulted by the
@@ -151,7 +167,18 @@ class FaultPlan:
     late_heartbeat: FrozenSet[Tuple[int, int]] = _schedule("network")
     duplicate_commit: FrozenSet[Tuple[int, int]] = _schedule("network")
     hang_seconds: float = 60.0
-    coordinator_pid: Optional[int] = None
+    coordinator_pid: Optional[int] = field(
+        default=None, metadata={"internal": True}
+    )
+
+    def __post_init__(self) -> None:
+        # Both doors (keyword arguments, JSON lists) are normalised and
+        # checked here: schedules become frozensets of checked entries.
+        for kind in self._kinds():
+            object.__setattr__(self, kind, _pairs(getattr(self, kind), kind))
+        object.__setattr__(self, "enospc_puts", _ordinals(self.enospc_puts))
+        require(POSITIVE, "hang_seconds", self.hang_seconds)
+        object.__setattr__(self, "hang_seconds", float(self.hang_seconds))
 
     @classmethod
     def _kinds(cls, family: Optional[str] = None) -> Tuple[str, ...]:
@@ -159,7 +186,8 @@ class FaultPlan:
         return tuple(
             f.name
             for f in fields(cls)
-            if f.metadata and family in (None, f.metadata["family"])
+            if "family" in f.metadata
+            and family in (None, f.metadata["family"])
         )
 
     def arm(self) -> "FaultPlan":
@@ -222,57 +250,7 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         """Parse a plan from its JSON form (see module docstring)."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"fault plan is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"fault plan must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        known = {f.name for f in fields(cls)} - {"coordinator_pid"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown fault plan key(s): {', '.join(unknown)}; "
-                f"valid keys are {', '.join(sorted(known))}"
-            )
-        kwargs = {}
-        for kind in cls._kinds():
-            if kind in payload:
-                kwargs[kind] = _pairs(payload[kind], kind)
-        if "enospc_puts" in payload:
-            ordinals = payload["enospc_puts"]
-            if isinstance(ordinals, (str, bytes)) or not hasattr(
-                ordinals, "__iter__"
-            ):
-                raise ValueError(
-                    "'enospc_puts' must be a list of non-negative store "
-                    f"ordinals, got {ordinals!r}"
-                )
-            if not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                for x in ordinals
-            ):
-                raise ValueError(
-                    "'enospc_puts' must be non-negative store ordinals, "
-                    f"got {ordinals!r}"
-                )
-            kwargs["enospc_puts"] = frozenset(ordinals)
-        if "hang_seconds" in payload:
-            seconds = payload["hang_seconds"]
-            if (
-                isinstance(seconds, bool)
-                or not isinstance(seconds, (int, float))
-                or seconds <= 0
-            ):
-                raise ValueError(
-                    f"'hang_seconds' must be a positive number, "
-                    f"got {seconds!r}"
-                )
-            kwargs["hang_seconds"] = float(seconds)
-        return cls(**kwargs)
+        return from_mapping(cls, json_object(text, "fault plan"), "fault plan key")
 
     @classmethod
     def from_env(cls, environ=None) -> Optional["FaultPlan"]:

@@ -8,6 +8,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.recipe import POSITIVE, require
 from repro.fracture.base import Shot, ShotView, row_bytes, shot_rows
 from repro.geometry.vertex_array import (
     sequential_sum,
@@ -140,8 +141,7 @@ class MachineJob:
         name: str = "job",
         bounding_box: Optional[Tuple[float, float, float, float]] = None,
     ) -> None:
-        if base_dose <= 0:
-            raise ValueError("base dose must be positive")
+        require(POSITIVE, "base_dose", base_dose)
         self.shots = ShotView(shot_rows(shots))
         self.base_dose = float(base_dose)
         self.name = name

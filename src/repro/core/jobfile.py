@@ -42,6 +42,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from repro.core.job import MachineJob
+from repro.core.recipe import POSITIVE, require
 from repro.fracture.base import row_bytes, shots_from_rows
 
 MAGIC = b"EBJ1"
@@ -146,6 +147,7 @@ def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
     magic, unit, base_dose, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise JobFileError(f"bad magic {magic!r}")
+    require(POSITIVE, "header base dose", base_dose, JobFileError)
     expected = _HEADER.size + count * _RECORD.itemsize
     if len(data) < expected:
         raise JobFileError(

@@ -28,6 +28,7 @@ from repro.core.executor import ExecutionStats, RetryPolicy, ShardedExecutor
 from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import fracture_hierarchical
 from repro.core.job import MachineJob, ShotFold
+from repro.core.recipe import POSITIVE, check_knobs, require
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -47,26 +48,6 @@ from repro.physics.psf import DoubleGaussianPSF
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.machine.program import MachineProgram
-
-#: Valid machine-program modes (mirrors repro.machine.program, which is
-#: imported lazily to keep the machine package import-cycle free).
-_MACHINE_MODES = ("raster", "vsb", "vector")
-
-
-def _validate_hierarchy(hierarchy: str) -> None:
-    if hierarchy not in ("flat", "cells"):
-        raise ValueError(
-            f"hierarchy must be 'flat' or 'cells', got {hierarchy!r}"
-        )
-
-
-def _validate_machine(machine: Optional[str]) -> None:
-    if machine is not None and machine not in _MACHINE_MODES:
-        raise ValueError(
-            f"machine must be one of {_MACHINE_MODES} or None, "
-            f"got {machine!r}"
-        )
-
 
 def _program_slug(name: str) -> str:
     """A filesystem-safe stem for per-job program files."""
@@ -135,14 +116,6 @@ class PreparationPipeline:
         overlap_policy: cross-shard overlap handling when sharding —
             ``"warn"`` (default), ``"union"`` or ``"ignore"`` (see
             :mod:`repro.core.executor`).
-        matrix_mode: exposure-operator backend override for the
-            proximity corrector — ``"dense"`` (exact, the default),
-            ``"sparse"`` (exact entries in CSR storage; memory scales
-            with the interaction count) or ``"hybrid"`` (exact α term
-            plus FFT backscatter grid); see :mod:`repro.pec.operator`.
-            ``None`` keeps whatever the corrector was built with.  The
-            mode is part of the corrector configuration and therefore of
-            every shard cache key.
         hierarchy: how hierarchical sources are fractured —
             ``"flat"`` (default: expand every placement, fracture per
             shard) or ``"cells"`` (fracture each cell once, replicate
@@ -213,7 +186,6 @@ class PreparationPipeline:
         cache_dir: Optional[Union[str, Path]] = None,
         cache: Optional[ShardCache] = None,
         overlap_policy: str = "warn",
-        matrix_mode: Optional[str] = None,
         hierarchy: str = "flat",
         machine: Optional[str] = None,
         address_unit: float = 0.5,
@@ -226,12 +198,8 @@ class PreparationPipeline:
         dist_policy=None,
         waiter=None,
     ) -> None:
-        if corrector is not None and psf is None:
-            raise ValueError("a corrector requires a PSF")
-        _validate_hierarchy(hierarchy)
-        _validate_machine(machine)
-        if address_unit <= 0:
-            raise ValueError("address unit must be positive")
+        check_knobs(hierarchy=hierarchy, machine=machine, address_unit=address_unit)
+        require(POSITIVE, "base_dose", base_dose)
         self.fracturer = fracturer if fracturer is not None else TrapezoidFracturer()
         self.corrector = corrector
         self.psf = psf
@@ -250,25 +218,19 @@ class PreparationPipeline:
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self.overlap_policy = overlap_policy
-        self.matrix_mode = matrix_mode
         self.hierarchy = hierarchy
         self.machine = machine
         self.address_unit = address_unit
         self.program_dir = Path(program_dir) if program_dir is not None else None
         self.progress = progress
-        if dispatch not in ("local", "distributed"):
-            raise ValueError(
-                f"dispatch must be 'local' or 'distributed', "
-                f"got {dispatch!r}"
-            )
-        if dispatch == "distributed" and not workers_endpoint:
-            raise ValueError(
-                "distributed dispatch requires workers_endpoint (host:port)"
-            )
         self.dispatch = dispatch
         self.workers_endpoint = workers_endpoint
         self.dist_policy = dist_policy
         self.waiter = waiter
+        # The engine owns the rules for what it is handed (corrector and
+        # PSF, workers, field_size, overlap_policy, the dispatch pair):
+        # build it once here so they run at this door, not at first use.
+        self.executor
 
     @property
     def executor(self) -> ShardedExecutor:
@@ -283,7 +245,6 @@ class PreparationPipeline:
             field_size=self.field_size,
             cache=self.cache,
             overlap_policy=self.overlap_policy,
-            matrix_mode=self.matrix_mode,
             progress=self.progress,
             retry=self.retry,
             faults=self.faults,
@@ -327,6 +288,7 @@ class PreparationPipeline:
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
         """
+        self._check_overrides(workers, field_size, machine)
         items = self._work_items(
             source,
             None if layer is None else [layer],
@@ -415,6 +377,7 @@ class PreparationPipeline:
         Always runs flat — hierarchy ``"cells"`` prefracture is a
         materializing transform and is rejected by the streaming recipe.
         """
+        self._check_overrides(workers, field_size, machine)
         stream, owned = self._resolve_stream(source)
         try:
             if stream is not None:
@@ -470,6 +433,7 @@ class PreparationPipeline:
         Returns:
             Mapping layer → result, in layer sort order.
         """
+        self._check_overrides(workers, field_size, machine)
         items = self._work_items(
             source, layers, True, self._resolve_hierarchy(hierarchy)
         )
@@ -498,6 +462,7 @@ class PreparationPipeline:
         sources in the same batch still run flat, in the same
         interleaved shard list.
         """
+        self._check_overrides(workers, field_size, machine)
         hierarchy = self._resolve_hierarchy(hierarchy)
         layers = None if layer is None else [layer]
         items = [
@@ -618,10 +583,18 @@ class PreparationPipeline:
 
     # -- helpers ----------------------------------------------------------
 
+    def _check_overrides(self, workers, field_size, machine) -> None:
+        """Per-run overrides answer to the constructor's rules, before
+        any work is done on their behalf."""
+        check_knobs(field_size=field_size)
+        if workers is not None:
+            check_knobs(workers=workers)
+        self._resolve_machine(machine)
+
     def _resolve_hierarchy(self, hierarchy: Optional[str]) -> str:
         if hierarchy is None:
             return self.hierarchy
-        _validate_hierarchy(hierarchy)
+        check_knobs(hierarchy=hierarchy)
         return hierarchy
 
     def _resolve_machine(self, machine: Optional[str]) -> Optional[str]:
@@ -631,7 +604,7 @@ class PreparationPipeline:
             return self.machine
         if machine == "off":
             return None
-        _validate_machine(machine)
+        check_knobs(machine=machine)
         return machine
 
     def _resolve_program_cache(

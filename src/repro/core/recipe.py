@@ -12,20 +12,30 @@ A :class:`PrepRecipe` is a frozen dataclass: validation happens once at
 construction with clean ``ValueError`` messages (the CLI turns them
 into non-zero exits, the service into ``400`` responses), and the
 recipe is hashable/comparable so callers can dedupe identical requests.
+
+**The field list is the schema.**  Every field is declared through
+:func:`knob` with a :class:`Kind` — one value rule plus one text parser
+— and its CLI flag, metavar and help text.  Validation
+(:func:`validate`), the ``prep``/``demo`` options (``cli._add_common``),
+the service payload (:func:`from_mapping`), the checks at the
+pipeline's and the engine's Python doors (:func:`check_knobs`) and the
+README's option table are all read from the declarations: adding a
+prep option is one ``knob(...)`` line plus the line that uses it.
 """
 
 from __future__ import annotations
 
+import json
 import sys
-from dataclasses import dataclass, fields
+from argparse import ArgumentTypeError
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
-FRACTURE_MODES = ("trapezoid", "vsb")
-PEC_MATRIX_MODES = ("dense", "sparse", "hybrid")
-HIERARCHY_MODES = ("flat", "cells")
+from repro.pec.operator import MATRIX_MODES
+
+#: Machine-program architectures (``repro.machine`` re-exports this).
 MACHINE_MODES = ("raster", "vsb", "vector")
-DISPATCH_MODES = ("local", "distributed")
 
 
 def number_complaint(value, positive: bool = True) -> Optional[str]:
@@ -50,103 +60,245 @@ def number_complaint(value, positive: bool = True) -> Optional[str]:
     return None
 
 
+class Kind(NamedTuple):
+    """One sort of option value.
+
+    ``rule`` maps a value to what is wrong with it (``None`` when
+    nothing is); ``parse`` is the argparse ``type`` — text to a value
+    the rule accepts, else ``ArgumentTypeError`` carrying the rule's
+    complaint — and is ``None`` for an on/off flag; ``choices`` is the
+    value set of a choice kind.
+    """
+
+    rule: Callable[[object], Optional[str]]
+    parse: Optional[Callable[[str], object]] = None
+    choices: Optional[Tuple[str, ...]] = None
+
+
+def _parser(convert: Callable[[str], object], rule) -> Callable[[str], object]:
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text  # a str: the rule names the type it wanted
+        why = rule(value)
+        if why:
+            raise ArgumentTypeError(why)
+        return value
+
+    return parse
+
+
+def _or_none(kind: Kind) -> Kind:
+    return kind._replace(
+        rule=lambda value: None if value is None else kind.rule(value)
+    )
+
+
+def _instance(cls: type, noun: str) -> Callable[[object], Optional[str]]:
+    return lambda value: None if isinstance(value, cls) else f"must be {noun}"
+
+
+def whole(low: Optional[int] = None, below: Optional[str] = None) -> Kind:
+    """An integer kind: ``>= low`` when given (``below`` words that)."""
+
+    def rule(value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return "must be an integer"
+        if low is not None and value < low:
+            return below or f"must be >= {low}"
+        return None
+
+    return Kind(rule, _parser(int, rule))
+
+
+def choice(modes: Tuple[str, ...], optional: bool = False) -> Kind:
+    """One of ``modes`` (or ``None``); argparse checks the text itself."""
+    wanted = f"must be one of {modes}" + (" or None" if optional else "")
+
+    def rule(value):
+        if value in modes or (optional and value is None):
+            return None
+        return wanted
+
+    return Kind(rule, str, modes)
+
+
+POSITIVE = Kind(number_complaint, _parser(float, number_complaint))
+OPTIONAL_POSITIVE = _or_none(POSITIVE)
+INTEGER = whole()
+COUNT = whole(0)
+WORKER_COUNT = whole(0, "must be >= 1 (or 0 for one worker per core)")
+FLAG = Kind(_instance(bool, "a bool"))
+OPTIONAL_STRING = _or_none(Kind(_instance(str, "a string"), str))
+OPTIONAL_ENDPOINT = _or_none(Kind(_instance(str, "a host:port string"), str))
+
+
+def knob(
+    default,
+    kind: Kind,
+    *,
+    flag: Optional[str] = None,
+    metavar: Optional[str] = None,
+    help: str = "",
+):
+    """Declare one option: a dataclass field whose metadata is its
+    schema.  ``flag`` overrides the CLI spelling (default: ``--`` + the
+    field name with dashes)."""
+    return field(
+        default=default,
+        metadata={"kind": kind, "flag": flag, "metavar": metavar, "help": help},
+    )
+
+
+def flag_of(knob_field) -> str:
+    """The CLI flag of a :func:`knob` field."""
+    return knob_field.metadata["flag"] or "--" + knob_field.name.replace("_", "-")
+
+
+def require(kind: Kind, name: str, value, error=ValueError) -> None:
+    """Raise ``error("<name> <complaint>, got <value>")`` unless
+    ``value`` satisfies ``kind``'s rule."""
+    why = kind.rule(value)
+    if why:
+        raise error(f"{name} {why}, got {value!r}")
+
+
+def validate(obj, error=ValueError, quote: str = "") -> None:
+    """Check every :func:`knob` field of a dataclass instance."""
+    for f in fields(obj):
+        if "kind" in f.metadata:
+            name = quote + f.name + quote
+            require(f.metadata["kind"], name, getattr(obj, f.name), error)
+
+
+def json_object(text: str, what: str) -> dict:
+    """Decode the JSON object a ``what`` (an env-var policy, a fault
+    plan) is written as, or say why it is not one."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{what} must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def from_mapping(cls, payload, what: str):
+    """Build dataclass ``cls`` from a mapping, rejecting keys that are
+    not its fields — the strict door behind every JSON/dict
+    constructor (``what`` names a key in the error)."""
+    known = [f.name for f in fields(cls) if not f.metadata.get("internal")]
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {what}(s): {', '.join(map(str, unknown))}; "
+            f"valid {what}s are {', '.join(known)}"
+        )
+    return cls(**payload)
+
+
 @dataclass(frozen=True)
 class PrepRecipe:
     """Every pipeline knob of one preparation request.
 
-    Mirrors the ``prep``/``demo`` CLI options one-to-one; see
+    The ``prep``/``demo`` CLI options and the service payload keys are
+    generated from these declarations; see
     :class:`~repro.core.pipeline.PreparationPipeline` for the semantics
     of each knob.  All values are validated at construction.
     """
 
-    fracture: str = "trapezoid"
-    max_shot: float = 2.0
-    pec: bool = False
-    pec_matrix: str = "dense"
-    pec_grid_cell: Optional[float] = None
-    energy: float = 20.0
-    dose: float = 1.0
-    workers: int = 1
-    field_size: Optional[float] = None
-    hierarchy: str = "flat"
-    machine: Optional[str] = None
-    address_unit: float = 0.5
-    shard_retries: int = 2
-    shard_timeout: Optional[float] = None
-    dispatch: str = "local"
-    workers_endpoint: Optional[str] = None
-    streaming: bool = False
+    fracture: str = knob(
+        "trapezoid", choice(("trapezoid", "vsb")), help="fracturing strategy"
+    )
+    max_shot: float = knob(2.0, POSITIVE, help="VSB maximum shot [µm]")
+    pec: bool = knob(False, FLAG, help="apply iterative dose correction")
+    pec_matrix: str = knob(
+        "dense", choice(MATRIX_MODES),
+        help="exposure-operator backend for --pec: dense (exact), "
+        "sparse (exact entries, CSR memory) or hybrid (exact forward "
+        "term + FFT backscatter grid)",
+    )
+    pec_grid_cell: Optional[float] = knob(
+        None, OPTIONAL_POSITIVE, metavar="UM",
+        help="backscatter grid cell [µm] for --pec-matrix hybrid "
+        "(default: beta/4)",
+    )
+    energy: float = knob(20.0, POSITIVE, help="beam energy [keV]")
+    dose: float = knob(1.0, POSITIVE, help="base dose [µC/cm²]")
+    workers: int = knob(
+        1, WORKER_COUNT, metavar="N",
+        help="worker processes for the sharded execution engine "
+        "(1 = serial, 0 = one per core; never changes the result)",
+    )
+    field_size: Optional[float] = knob(
+        None, OPTIONAL_POSITIVE, metavar="UM",
+        help="writing-field pitch [µm] for layout sharding "
+        "(default: process the layout as one shard)",
+    )
+    hierarchy: str = knob(
+        "flat", choice(("flat", "cells")),
+        help="hierarchical-source handling: flat (expand every "
+        "placement, fracture per shard) or cells (fracture each cell "
+        "once, replicate figures per placement — the array-reuse fast "
+        "path)",
+    )
+    machine: Optional[str] = knob(
+        None, choice(MACHINE_MODES, optional=True),
+        help="lower the prepared job into an on-disk machine program: "
+        "raster (per-scanline RLE runs, exact stream size), vsb or "
+        "vector (per-shot dose/flash records); prints the write-time "
+        "breakdown and channel check",
+    )
+    address_unit: float = knob(
+        0.5, POSITIVE, metavar="UM",
+        help="raster address (pixel) pitch [µm] for --machine raster",
+    )
+    shard_retries: int = knob(
+        2, COUNT, metavar="N",
+        help="re-dispatch attempts per shard after a transient worker "
+        "failure (crash, broken pool, OSError) before the run escalates "
+        "(default: 2; results stay byte-identical across retries)",
+    )
+    shard_timeout: Optional[float] = knob(
+        None, OPTIONAL_POSITIVE, metavar="SEC",
+        help="per-shard wall-clock budget; a shard exceeding it is "
+        "treated as hung, the worker pool is recycled and the victim "
+        "re-enqueued (default: wait forever)",
+    )
+    dispatch: str = knob(
+        "local", choice(("local", "distributed")),
+        help="shard scheduling: local (this process's pool) or "
+        "distributed (lease shards to worker daemons on "
+        "--workers-endpoint; byte-identical to local, with the local "
+        "pool as the fallback rung)",
+    )
+    workers_endpoint: Optional[str] = knob(
+        None, OPTIONAL_ENDPOINT, metavar="HOST:PORT",
+        help="lease-coordinator endpoint for --dispatch distributed "
+        "(workers connect with: repro-ebl work --connect HOST:PORT)",
+    )
+    streaming: bool = knob(
+        False, FLAG, flag="--stream",
+        help="run out of core: read the layout through a cursor, keep "
+        "only one shard window resident, spill shard results through "
+        "the cache's blob store and assemble artifacts one shard at a "
+        "time (byte-identical to the in-memory path)",
+    )
 
     def __post_init__(self) -> None:
-        if self.fracture not in FRACTURE_MODES:
-            raise ValueError(
-                f"fracture must be one of {FRACTURE_MODES}, "
-                f"got {self.fracture!r}"
-            )
-        if self.pec_matrix not in PEC_MATRIX_MODES:
-            raise ValueError(
-                f"pec_matrix must be one of {PEC_MATRIX_MODES}, "
-                f"got {self.pec_matrix!r}"
-            )
-        if self.hierarchy not in HIERARCHY_MODES:
-            raise ValueError(
-                f"hierarchy must be one of {HIERARCHY_MODES}, "
-                f"got {self.hierarchy!r}"
-            )
-        if self.machine is not None and self.machine not in MACHINE_MODES:
-            raise ValueError(
-                f"machine must be one of {MACHINE_MODES} or None, "
-                f"got {self.machine!r}"
-            )
-        for name in ("max_shot", "energy", "dose", "address_unit"):
-            why = number_complaint(getattr(self, name))
-            if why:
-                raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
-        for name in ("pec_grid_cell", "field_size", "shard_timeout"):
-            value = getattr(self, name)
-            why = None if value is None else number_complaint(value)
-            if why:
-                raise ValueError(f"{name} {why}, got {value!r}")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError(f"workers must be an int, got {self.workers!r}")
-        if self.workers < 0:
-            raise ValueError(
-                "workers must be >= 1 (or 0 for one worker per core), "
-                f"got {self.workers!r}"
-            )
-        if not isinstance(self.pec, bool):
-            raise ValueError(f"pec must be a bool, got {self.pec!r}")
-        if isinstance(self.shard_retries, bool) or not isinstance(
-            self.shard_retries, int
-        ):
-            raise ValueError(
-                f"shard_retries must be an int, got {self.shard_retries!r}"
-            )
-        if self.shard_retries < 0:
-            raise ValueError(
-                f"shard_retries must be >= 0, got {self.shard_retries!r}"
-            )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, "
-                f"got {self.dispatch!r}"
-            )
+        validate(self)
         if self.workers_endpoint is not None:
             from repro.dist.protocol import parse_endpoint
 
-            if not isinstance(self.workers_endpoint, str):
-                raise ValueError(
-                    f"workers_endpoint must be a host:port string, "
-                    f"got {self.workers_endpoint!r}"
-                )
             parse_endpoint(self.workers_endpoint)
         if self.dispatch == "distributed" and self.workers_endpoint is None:
             raise ValueError(
                 "dispatch='distributed' requires a workers_endpoint "
                 "(host:port of the lease coordinator)"
             )
-        if not isinstance(self.streaming, bool):
-            raise ValueError(f"streaming must be a bool, got {self.streaming!r}")
         if self.streaming and self.hierarchy == "cells":
             raise ValueError(
                 "streaming=True requires hierarchy='flat': per-cell "
@@ -161,14 +313,7 @@ class PrepRecipe:
     @classmethod
     def from_dict(cls, payload: dict) -> "PrepRecipe":
         """Build a recipe from a mapping, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown recipe option(s): {', '.join(unknown)}; "
-                f"valid options are {', '.join(sorted(known))}"
-            )
-        return cls(**payload)
+        return from_mapping(cls, payload, "recipe option")
 
     def build_pipeline(
         self,
@@ -275,3 +420,14 @@ class PrepRecipe:
 
             result.job_bytes = write_job(result.job, job_path)
         return result
+
+
+_KINDS = {f.name: f.metadata["kind"] for f in fields(PrepRecipe)}
+
+
+def check_knobs(**values) -> None:
+    """Check keyword values against the recipe knobs of the same names
+    — the rule a Python door (the pipeline, the engine) applies to its
+    own arguments, with the recipe's message."""
+    for name, value in values.items():
+        require(_KINDS[name], name, value)

@@ -37,7 +37,6 @@ speaking :mod:`repro.dist.protocol`.
 
 from __future__ import annotations
 
-import json
 import os
 import socketserver
 import threading
@@ -48,7 +47,13 @@ from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.executor import RetryPolicy
-from repro.core.recipe import number_complaint
+from repro.core.recipe import (
+    FLAG,
+    from_mapping,
+    json_object,
+    number_complaint,
+    require,
+)
 from repro.dist.protocol import ProtocolError, recv_frame, send_frame
 
 #: Environment variable carrying scheduling-policy overrides as JSON —
@@ -103,31 +108,12 @@ class DistPolicy:
             why = number_complaint(getattr(self, name), positive=False)
             if why:
                 raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
+        require(FLAG, "speculate", self.speculate)
 
     @classmethod
     def from_json(cls, text: str) -> "DistPolicy":
         """Build a policy from a JSON object of knob overrides."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"dist policy is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(
-                "dist policy must be a JSON object of knob overrides, "
-                f"got {type(payload).__name__}"
-            )
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(payload) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown dist policy key(s): {', '.join(unknown)}; "
-                f"valid keys are {', '.join(known)}"
-            )
-        if "speculate" in payload and not isinstance(payload["speculate"], bool):
-            raise ValueError(
-                f"speculate must be a boolean, got {payload['speculate']!r}"
-            )
-        return cls(**payload)
+        return from_mapping(cls, json_object(text, "dist policy"), "dist policy key")
 
     @classmethod
     def from_env(

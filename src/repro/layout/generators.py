@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
@@ -409,6 +409,24 @@ WORKLOADS: Dict[str, Callable[..., Library]] = {
     "line_and_pad": isolated_line_with_pad,
     "checkerboard": checkerboard,
 }
+
+
+def workload(
+    name: str, extra: Optional[Mapping[str, Callable[..., Library]]] = None
+) -> Callable[..., Library]:
+    """The factory of built-in workload ``name`` — the one lookup every
+    front door uses (``extra`` adds a door's own entries, e.g. the
+    CLI's ``--tiles``-sized ``full_reticle``).
+
+    Raises:
+        ValueError: ``name`` is not a workload; the message lists them.
+    """
+    table = {**WORKLOADS, **(extra or {})}
+    if name not in table:
+        raise ValueError(
+            f"unknown workload {name!r}; choose from {sorted(table)}"
+        )
+    return table[name]
 
 
 def all_workloads(seed: int = 0) -> List[Tuple[str, Library]]:

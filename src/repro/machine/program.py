@@ -50,6 +50,7 @@ from typing import (
 import numpy as np
 
 from repro.core.cache import ContainedStore
+from repro.core.recipe import MACHINE_MODES, POSITIVE, choice, require
 from repro.core.jobfile import (
     JobFileError,
     ProgramImage,
@@ -82,8 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executor import ShardResult
     from repro.core.job import MachineJob
 
-#: Supported machine-program architectures.
-MACHINE_MODES = ("raster", "vsb", "vector")
 
 #: Raster segment prologue: first scanline index, scanline count.
 _RASTER_PROLOGUE = struct.Struct(">iI")
@@ -97,6 +96,9 @@ _RUN = struct.Struct(">HH")
 #: (:func:`repro.core.jobfile.quantize_rows`) plus the beam-on time [ns].
 _SHOT_RECORD = np.dtype(">i4,>i4,>i4,>i4,>i2,>i2,>u2,>u4")
 SHOT_RECORD_BYTES = _SHOT_RECORD.itemsize
+
+
+_MODE = choice(MACHINE_MODES)
 
 
 class MachineProgramError(ValueError):
@@ -122,15 +124,9 @@ class MachineSpec:
     unit: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.mode not in MACHINE_MODES:
-            raise MachineProgramError(
-                f"machine mode must be one of {MACHINE_MODES}, "
-                f"got {self.mode!r}"
-            )
-        if self.address_unit <= 0 or self.unit <= 0:
-            raise MachineProgramError("address unit and record unit must be positive")
-        if self.channel_rate <= 0:
-            raise MachineProgramError("channel rate must be positive")
+        require(_MODE, "machine mode", self.mode, MachineProgramError)
+        for name in ("address_unit", "unit", "channel_rate"):
+            require(POSITIVE, name, getattr(self, name), MachineProgramError)
 
     def machine(self) -> Machine:
         """A writer of this architecture, matched to the spec."""
@@ -422,9 +418,10 @@ def export_program(
     estimate_runs = 0
     emitted = 0
 
-    # Stream into a staging file and publish atomically, so a lowering
-    # error mid-export (or a concurrent reader) never sees a truncated
-    # program — and never destroys a previous good one.
+    # Stream into a staging file and publish atomically as the last
+    # step, after the accounting below: an export that fails anywhere
+    # (or a concurrent reader) never sees a truncated program under the
+    # final name — and never destroys a previous good one.
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = path.parent / f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}"
     try:
@@ -488,6 +485,27 @@ def export_program(
                     f"segment_count promised {segment_count} occupied "
                     f"shards but the cursor produced {emitted}"
                 )
+        program.cache_degraded = store.degraded
+        if cache is None:
+            program.cache_hits = program.cache_misses = 0
+        program.digest = digest.hexdigest()
+
+        x0, y0, x1, y1 = job.bounding_box
+        if spec.mode == "raster":
+            lines = math.ceil(max(y1 - y0, spec.address_unit) / spec.address_unit)
+            program.estimate_bytes = estimate_runs * 4 + lines * 2
+        else:
+            program.estimate_bytes = program.figure_count * SHOT_RECORD_BYTES
+
+        breakdown = machine.write_time(job)
+        program.channel = _channel_check(spec, machine, job, program, breakdown)
+        if program.channel.limited:
+            # The beam stalls while the channel catches up: exposure
+            # stretches by the slowdown factor.
+            breakdown.data_limited_extra = breakdown.exposure * (
+                program.channel.slowdown - 1.0
+            )
+        program.breakdown = breakdown
         os.replace(staging, path)
     except BaseException:
         try:
@@ -495,27 +513,6 @@ def export_program(
         except OSError:
             pass
         raise
-    program.cache_degraded = store.degraded
-    if cache is None:
-        program.cache_hits = program.cache_misses = 0
-    program.digest = digest.hexdigest()
-
-    x0, y0, x1, y1 = job.bounding_box
-    if spec.mode == "raster":
-        lines = math.ceil(max(y1 - y0, spec.address_unit) / spec.address_unit)
-        program.estimate_bytes = estimate_runs * 4 + lines * 2
-    else:
-        program.estimate_bytes = program.figure_count * SHOT_RECORD_BYTES
-
-    breakdown = machine.write_time(job)
-    program.channel = _channel_check(spec, machine, job, program, breakdown)
-    if program.channel.limited:
-        # The beam stalls while the channel catches up: exposure
-        # stretches by the slowdown factor.
-        breakdown.data_limited_extra = breakdown.exposure * (
-            program.channel.slowdown - 1.0
-        )
-    program.breakdown = breakdown
     return program
 
 

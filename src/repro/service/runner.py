@@ -57,13 +57,7 @@ class JobRunner:
         every run sees the identical deterministic geometry)."""
         from repro.layout import generators
 
-        factory = generators.WORKLOADS.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown workload {name!r}; choose from "
-                f"{sorted(generators.WORKLOADS)}"
-            )
-        return factory()
+        return generators.workload(name)()
 
     def job_dir(self, job_id: str) -> Path:
         return self.work_dir / "jobs" / job_id

@@ -1,8 +1,10 @@
 """The JSON wire schema of the prep service.
 
-One submission payload = one workload name + the CLI's pipeline knobs
-(flat, not nested — the knob names are exactly the ``repro.cli``
-option names with dashes as underscores) + scheduling fields::
+One submission payload = one workload name + the pipeline knobs (flat,
+not nested — the keys are the :class:`~repro.core.recipe.PrepRecipe`
+field names, from which the ``repro.cli`` flags are generated: dashes
+for underscores, and ``streaming`` is ``--stream``) + scheduling
+fields::
 
     {
         "workload": "fzp",
@@ -21,20 +23,24 @@ the same validated value object the CLI builds its pipeline from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from repro.core.recipe import PrepRecipe, number_complaint
+from repro.core.recipe import (
+    COUNT,
+    INTEGER,
+    OPTIONAL_POSITIVE,
+    OPTIONAL_STRING,
+    PrepRecipe,
+    knob,
+    validate,
+)
+from repro.layout import generators
 from repro.service.jobs import Job
 
 
 class SchemaError(ValueError):
     """A submission payload that cannot become a job (HTTP 400)."""
-
-
-#: Submission keys that are scheduling/naming concerns, not pipeline
-#: knobs (everything else in a payload must be a PrepRecipe field).
-_SPEC_KEYS = ("workload", "priority", "name", "timeout", "retries")
 
 
 @dataclass(frozen=True)
@@ -58,25 +64,23 @@ class JobSpec:
 
     workload: str
     recipe: PrepRecipe
-    priority: int = 0
-    name: Optional[str] = None
-    timeout: Optional[float] = None
-    retries: int = 0
+    priority: int = knob(0, INTEGER)
+    name: Optional[str] = knob(None, OPTIONAL_STRING)
+    timeout: Optional[float] = knob(None, OPTIONAL_POSITIVE)
+    retries: int = knob(0, COUNT)
+
+    def __post_init__(self) -> None:
+        validate(self, SchemaError, quote="'")
 
     @property
     def job_name(self) -> str:
         return self.name or self.workload
 
 
-def known_workloads() -> list:
-    """The submittable workload names, sorted."""
-    from repro.layout import generators
-
-    return sorted(generators.WORKLOADS)
-
-
 def parse_job_spec(payload) -> JobSpec:
-    """Validate a decoded JSON payload into a :class:`JobSpec`.
+    """Validate a decoded JSON payload into a :class:`JobSpec`: the
+    scheduling keys are :class:`JobSpec`'s own knobs, every other key
+    must be a :class:`~repro.core.recipe.PrepRecipe` field.
 
     Raises:
         SchemaError: non-object payload, missing/unknown workload,
@@ -86,42 +90,21 @@ def parse_job_spec(payload) -> JobSpec:
         raise SchemaError(
             f"job payload must be a JSON object, got {type(payload).__name__}"
         )
-    workload = payload.get("workload")
+    knobs = dict(payload)
+    workload = knobs.pop("workload", None)
     if not isinstance(workload, str) or not workload:
         raise SchemaError("'workload' is required and must be a string")
-    workloads = known_workloads()
-    if workload not in workloads:
-        raise SchemaError(
-            f"unknown workload {workload!r}; choose from {workloads}"
-        )
-    priority = payload.get("priority", 0)
-    if isinstance(priority, bool) or not isinstance(priority, int):
-        raise SchemaError(f"'priority' must be an integer, got {priority!r}")
-    name = payload.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError(f"'name' must be a string, got {name!r}")
-    timeout = payload.get("timeout")
-    why = None if timeout is None else number_complaint(timeout)
-    if why:
-        raise SchemaError(f"'timeout' {why}, got {timeout!r}")
-    retries = payload.get("retries", 0)
-    if isinstance(retries, bool) or not isinstance(retries, int):
-        raise SchemaError(f"'retries' must be an integer, got {retries!r}")
-    if retries < 0:
-        raise SchemaError(f"'retries' must be >= 0, got {retries!r}")
-    knobs = {k: v for k, v in payload.items() if k not in _SPEC_KEYS}
+    scheduling = {
+        f.name: knobs.pop(f.name)
+        for f in fields(JobSpec)
+        if "kind" in f.metadata and f.name in knobs
+    }
     try:
+        generators.workload(workload)
         recipe = PrepRecipe.from_dict(knobs)
     except (ValueError, TypeError) as exc:
         raise SchemaError(str(exc)) from exc
-    return JobSpec(
-        workload=workload,
-        recipe=recipe,
-        priority=priority,
-        name=name,
-        timeout=timeout,
-        retries=retries,
-    )
+    return JobSpec(workload=workload, recipe=recipe, **scheduling)
 
 
 def job_view(job: Job) -> dict:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import shard_cache_key
-from repro.core.executor import Shard, ShardedExecutor
+from repro.core.executor import Shard
 from repro.core.pipeline import PreparationPipeline
 from repro.fracture.base import Shot
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -311,30 +311,6 @@ class TestModeWiring:
         )
         assert a != b
 
-    def test_executor_threads_matrix_mode_to_corrector(self):
-        corrector = IterativeDoseCorrector()
-        executor = ShardedExecutor(
-            TrapezoidFracturer(),
-            corrector=corrector,
-            psf=PSF,
-            matrix_mode="sparse",
-        )
-        assert executor.corrector.matrix_mode == "sparse"
-        # The caller's corrector is never mutated — it may be shared
-        # with other pipelines.
-        assert corrector.matrix_mode == "dense"
-
-    def test_executor_rejects_mode_without_corrector(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(TrapezoidFracturer(), matrix_mode="sparse")
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                TrapezoidFracturer(),
-                corrector=GhostCorrector(),
-                psf=PSF,
-                matrix_mode="sparse",
-            )
-
     def test_pipeline_sparse_mode_digest_matches_dense(self):
         layout = [
             Polygon.rectangle(i * 2.0, 0, i * 2.0 + 1.0, 18.0)
@@ -343,9 +319,8 @@ class TestModeWiring:
         results = {}
         for mode in ("dense", "sparse"):
             pipe = PreparationPipeline(
-                corrector=IterativeDoseCorrector(),
+                corrector=IterativeDoseCorrector(matrix_mode=mode),
                 psf=PSF,
-                matrix_mode=mode,
             )
             results[mode] = pipe.run_polygons(layout)
         assert (

@@ -1,0 +1,306 @@
+"""A prep option is declared once: :class:`PrepRecipe`'s ``knob(...)``
+field list is the schema every front door is generated from.
+
+* the four doors — ``PrepRecipe(**d)``, ``PrepRecipe.from_dict(d)``,
+  the service's ``parse_job_spec`` and the CLI parser on the argv the
+  F16 benchmark's ``prep_argv`` rule builds — accept and reject the same
+  knob dicts and, when they accept, yield equal recipes (a property
+  over dicts drawn from the schema);
+* a bad CLI value is one ``error:`` line that names no private function;
+* the Python doors (pipeline, engine, machine spec, job) apply the
+  recipe's rules at construction and at the per-run overrides;
+* README's option table is the rendered schema.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import re
+import struct
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _recipe_from_args, build_parser, main
+from repro.core.executor import ShardedExecutor
+from repro.core.job import MachineJob
+from repro.core.jobfile import MAGIC, JobFileError, dumps_job, loads_job
+from repro.core.pipeline import PreparationPipeline
+from repro.core.recipe import PrepRecipe, flag_of
+from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.polygon import Polygon
+from repro.machine.program import MachineProgramError, MachineSpec
+from repro.machine.raster import RasterScanWriter
+from repro.service.schemas import parse_job_spec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark's own knob → argv rule (frozen under benchmarks/e2e).
+sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+try:
+    from workloads import prep_argv
+finally:
+    sys.path.pop(0)
+
+SCHEMA = dataclasses.fields(PrepRecipe)
+PARSER = build_parser()
+DEFAULTS = PrepRecipe().to_dict()
+NAN, INF = float("nan"), float("inf")
+
+#: Wrong-type, non-finite, out-of-range and unknown-choice values.  No
+#: string here reads as a number: text *is* the CLI's native type, so
+#: ``"1.5"`` legitimately means 1.5 there and a type error elsewhere.
+MUTANTS = [None, True, False, 0, 3, -1, 1.5, -2.0, NAN, INF, "abc", "10.0.0.1:9"]
+
+
+def valid_values(f):
+    """Values the schema says knob ``f`` accepts."""
+    kind = f.metadata["kind"]
+    pool = MUTANTS + list(kind.choices or ())
+    good = st.sampled_from([v for v in pool if kind.rule(v) is None])
+    if kind.rule(0.25) is None:  # a positive-number kind
+        good |= st.floats(min_value=1e-3, max_value=1e3)
+    return good
+
+
+valid_dicts = st.fixed_dictionaries(
+    {}, optional={f.name: valid_values(f) for f in SCHEMA}
+)
+mutations = st.one_of(
+    st.tuples(st.sampled_from([f.name for f in SCHEMA]), st.sampled_from(MUTANTS)),
+    st.just(("bogus_knob", 1)),
+)
+
+
+def cli_argv(knobs):
+    """``knobs`` as the benchmark would spell them, or ``None`` when
+    text cannot say them (a ``None``/``False`` that is not the default)."""
+    spoken = {}
+    for name, value in knobs.items():
+        if value is None or value is False:
+            if DEFAULTS.get(name, 1) is not value:
+                return None
+            continue  # the default: said by saying nothing
+        spoken[name] = value
+    return prep_argv(SimpleNamespace(knobs=spoken), Path("in.gds"), Path("out.ebj"))
+
+
+def recipes(knobs):
+    """What each door makes of ``knobs``: a recipe, or ``None`` for a
+    rejection."""
+
+    def attempt(build):
+        try:
+            return build()
+        except (ValueError, TypeError):  # TypeError: an unknown keyword
+            return None
+        except SystemExit as exc:
+            assert exc.code == 2
+            return None
+
+    made = {
+        "init": attempt(lambda: PrepRecipe(**knobs)),
+        "from_dict": attempt(lambda: PrepRecipe.from_dict(knobs)),
+        "service": attempt(
+            lambda: parse_job_spec({"workload": "grating", **knobs}).recipe
+        ),
+    }
+    argv = cli_argv(knobs)
+    if argv is not None:
+        made["cli"] = attempt(lambda: _recipe_from_args(PARSER.parse_args(argv)))
+    return made
+
+
+def assert_doors_agree(knobs):
+    made = recipes(knobs)
+    first = made["init"]
+    for door, recipe in made.items():
+        assert (recipe is None) == (first is None), (door, knobs, made)
+        if first is not None:
+            assert recipe == first and hash(recipe) == hash(first), (door, knobs)
+    return first
+
+
+class TestFrontDoorConformance:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_dicts)
+    def test_valid_dicts_mean_one_recipe_at_every_door(self, knobs):
+        recipe = assert_doors_agree(knobs)
+        if recipe is not None:
+            assert {**PrepRecipe().to_dict(), **knobs} == recipe.to_dict()
+        else:  # only one of the three rules after the per-knob loop says no
+            assert (
+                knobs.get("workers_endpoint") == "abc"  # not host:port
+                or knobs.get("dispatch") == "distributed"
+                and knobs.get("workers_endpoint") is None
+                or knobs.get("streaming")
+                and knobs.get("hierarchy") == "cells"
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_dicts, mutations)
+    def test_a_mutant_gets_one_verdict_at_every_door(self, knobs, mutation):
+        name, value = mutation
+        assert_doors_agree({**knobs, name: value})
+
+    @pytest.mark.parametrize("command", [["prep", "in.gds"], ["demo"]])
+    def test_no_flags_is_the_default_recipe(self, command):
+        assert _recipe_from_args(PARSER.parse_args(command)) == PrepRecipe()
+
+    def test_every_field_is_one_option_and_vice_versa(self):
+        own = {"command", "func", "gdsii", "output", "machine_output",
+               "cache_dir", "no_cache"}
+        parsed = vars(PARSER.parse_args(["prep", "in.gds"]))
+        assert sorted(set(parsed) - own) == sorted(f.name for f in SCHEMA)
+        for f in SCHEMA:  # the benchmark's rule, with its one exception
+            expected = "--" + f.name.replace("_", "-")
+            assert flag_of(f) == ("--stream" if f.name == "streaming" else expected)
+
+
+def run_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+BAD_CLI = [
+    ["demo", flag_of(f), text]
+    for f in SCHEMA
+    if f.metadata["kind"].parse is not None
+    for text in ("abc", "-1", "nan")
+] + [
+    ["demo", "--tiles", "x"],
+    ["demo", "--tiles", "0"],
+    ["demo", "--workload", "nope"],
+    ["work", "--connect", "10.0.0.1:9", "--idle-exit", "abc"],
+    ["work", "--connect", "10.0.0.1:9", "--idle-exit", "-1"],
+]
+
+
+class TestCliErrorsAreOneCleanLine:
+    @pytest.mark.parametrize("argv", BAD_CLI, ids=" ".join)
+    def test_bad_value(self, argv, capsys):
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        lines = err.splitlines()
+        assert [line for line in lines if "error: " in line] == lines[-1:]
+        assert "Traceback" not in err
+        # No private name (``_positive_float``) leaks into the message.
+        assert not re.search(r"(?<!\w)_[A-Za-z]", err)
+
+    def test_an_unknown_workload_keeps_the_error_prefix(self, capsys):
+        code, err = run_cli(["demo", "--workload", "nope"], capsys)
+        assert code == 2
+        assert err.startswith("error: unknown workload 'nope'; choose from [")
+        assert "'full_reticle'" in err and err.count("\n") == 1
+
+
+SQUARES = [Polygon.rectangle(3.0 * i, 0.0, 3.0 * i + 2.0, 2.0) for i in range(4)]
+
+
+class TestThePythonDoorAppliesTheRule:
+    @pytest.mark.parametrize(
+        "knob, value, complaint",
+        [
+            ("base_dose", NAN, "base_dose must be finite"),
+            ("base_dose", INF, "base_dose must be finite"),
+            ("base_dose", "high", "base_dose must be a number"),
+            ("address_unit", NAN, "address_unit must be finite"),
+            ("address_unit", INF, "address_unit must be finite"),
+            ("workers", 1.5, "workers must be an integer"),
+            ("workers", True, "workers must be an integer"),
+            ("workers", -3, "workers must be >= 1"),
+            ("field_size", NAN, "field_size must be finite"),
+            ("field_size", -1, "field_size must be positive"),
+            ("overlap_policy", "bogus", "overlap_policy must be one of"),
+            ("dispatch", "cloud", "dispatch must be one of"),
+            ("hierarchy", "deep", "hierarchy must be one of"),
+            ("machine", "ebes", "machine must be one of"),
+        ],
+    )
+    def test_at_construction(self, knob, value, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            PreparationPipeline(**{knob: value})
+        if knob in ("workers", "field_size", "overlap_policy", "dispatch"):
+            with pytest.raises(ValueError, match=re.escape(complaint)):
+                ShardedExecutor(TrapezoidFracturer(), **{knob: value})
+
+    @pytest.mark.parametrize(
+        "override, complaint",
+        [
+            ({"workers": 1.5}, "workers must be an integer"),
+            ({"workers": True}, "workers must be an integer"),
+            ({"workers": -3}, "workers must be >= 1"),
+            ({"field_size": NAN}, "field_size must be finite"),
+            ({"field_size": -1}, "field_size must be positive"),
+            ({"machine": "ebes"}, "machine must be one of"),
+        ],
+    )
+    def test_at_the_per_run_override(self, override, complaint, monkeypatch):
+        # Rejected before any work is done on the override's behalf.
+        monkeypatch.setattr(
+            TrapezoidFracturer, "fracture_to_shots",
+            lambda *a, **k: pytest.fail("the run started"),
+        )
+        pipe = PreparationPipeline()
+        for run in (pipe.run_polygons, pipe.run_streaming):
+            with pytest.raises(ValueError, match=re.escape(complaint)):
+                run(SQUARES, **override)
+        if "machine" not in override:
+            engine = ShardedExecutor(TrapezoidFracturer())
+            with pytest.raises(ValueError, match=re.escape(complaint)):
+                engine.execute(SQUARES, **override)
+
+    def test_none_still_means_one_worker_per_core(self):
+        assert PreparationPipeline(workers=None).run_polygons(SQUARES).job.shots
+
+    @pytest.mark.parametrize("base_dose", [NAN, INF, 0.0, True])
+    def test_a_job_needs_a_real_base_dose(self, base_dose):
+        with pytest.raises(ValueError, match="base_dose must be"):
+            MachineJob([], base_dose=base_dose)
+
+    @pytest.mark.parametrize("base_dose", [NAN, INF, -INF, 0.0])
+    def test_a_job_file_with_an_unreal_base_dose_is_malformed(self, base_dose):
+        data = bytearray(dumps_job(PreparationPipeline().run_polygons(SQUARES).job))
+        assert data[:4] == MAGIC
+        struct.pack_into(">d", data, 12, base_dose)  # header: magic, unit, dose
+        with pytest.raises(JobFileError, match="base dose must be"):
+            loads_job(bytes(data))
+
+    @pytest.mark.parametrize(
+        "field", ["address_unit", "unit", "channel_rate"]
+    )
+    @pytest.mark.parametrize("value", [NAN, INF, 0.0, -1.0, "fast"])
+    def test_a_machine_spec_needs_real_positive_numbers(self, field, value):
+        with pytest.raises(MachineProgramError, match=f"{field} must be"):
+            MachineSpec("raster", **{field: value})
+
+    def test_a_failed_export_leaves_nothing_under_the_final_name(
+        self, tmp_path, monkeypatch
+    ):
+        def broken(self, job):
+            raise RuntimeError("write-time model failed")
+
+        monkeypatch.setattr(RasterScanWriter, "write_time", broken)
+        pipe = PreparationPipeline(machine="raster", program_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="write-time model failed"):
+            pipe.run_polygons(SQUARES, name="squares")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_option_table_is_the_rendered_schema():
+    spec = importlib.util.spec_from_file_location(
+        "knob_table", ROOT / "tools" / "knob_table.py"
+    )
+    knob_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(knob_table)
+    table = knob_table.render()
+    assert table.count("\n") == len(SCHEMA) + 1
+    assert table in (ROOT / "README.md").read_text(encoding="utf-8")

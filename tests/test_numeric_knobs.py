@@ -2,42 +2,43 @@
 (:func:`repro.core.recipe.number_complaint`): a real number, not a bool,
 not NaN or ±inf, on the right side of zero.
 
-The five front doors — CLI options, :class:`PrepRecipe`, the service's
-``timeout``, :class:`RetryPolicy` and :class:`DistPolicy` — used to
-hand-roll the test and shared its hole: non-finite values passed.
+The six front doors — CLI options, :class:`PrepRecipe`, the pipeline's
+own constructor, the service's ``timeout``, :class:`RetryPolicy` and
+:class:`DistPolicy` — used to hand-roll the test and shared its hole:
+non-finite values passed.
 (The HTTP 400 for a ``NaN`` timeout is pinned in ``tests/test_service``.)
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cli import main
 from repro.core.executor import RetryPolicy
-from repro.core.recipe import PrepRecipe, number_complaint
+from repro.core.pipeline import PreparationPipeline
+from repro.core.recipe import (
+    OPTIONAL_POSITIVE,
+    POSITIVE,
+    PrepRecipe,
+    flag_of,
+    number_complaint,
+)
 from repro.dist import DistPolicy
 from repro.service.schemas import SchemaError, parse_job_spec
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
-RECIPE_KNOBS = [
-    "max_shot",
-    "energy",
-    "dose",
-    "address_unit",
-    "pec_grid_cell",
-    "field_size",
-    "shard_timeout",
+# The recipe's numeric knobs and their flags, as the schema declares them.
+NUMERIC = [
+    f
+    for f in fields(PrepRecipe)
+    if f.metadata["kind"] in (POSITIVE, OPTIONAL_POSITIVE)
 ]
-CLI_FLAGS = [
-    "--max-shot",
-    "--energy",
-    "--dose",
-    "--address-unit",
-    "--pec-grid-cell",
-    "--field-size",
-    "--shard-timeout",
-]
+RECIPE_KNOBS = [f.name for f in NUMERIC]
+CLI_FLAGS = [flag_of(f) for f in NUMERIC]
+PIPELINE_KNOBS = ["base_dose", "address_unit", "field_size"]
 RETRY_KNOBS = ["backoff_base", "backoff_cap", "shard_timeout"]
 DIST_KNOBS = [
     "lease_deadline",
@@ -93,6 +94,11 @@ class TestNonFiniteIsRejectedAtEveryDoor:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("knob", PIPELINE_KNOBS)
+    def test_pipeline(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            PreparationPipeline(**{knob: value})
 
     def test_service_timeout(self, value):
         with pytest.raises(SchemaError, match="'timeout' must be finite"):
