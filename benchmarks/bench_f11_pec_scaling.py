@@ -24,7 +24,7 @@ scales into the tens of thousands:
   printed CDs on the F1/F2-style workloads must stay within 0.5 % of
   the dense-corrected reference.
 
-In ``--quick`` mode (the CI perf-smoke job) the 5k-shot case must show
+In ``--quick`` mode (the CI bench-smoke job) the 5k-shot case must show
 sparse no slower than dense and sparse matrix memory at ≤ 1/20 of the
 dense baseline; ``evaluated == kept`` is asserted for both exact modes
 in every case — a count that repeats exactly, where the timing floor
@@ -312,7 +312,7 @@ def test_f11_pec_scaling(save_table, quick):
             f"keep: {[r for r in records if 'kept' in r]}"
         )
     if quick:
-        # CI perf-smoke gate: sparse must never regress behind dense.
+        # CI bench-smoke gate: sparse must never regress behind dense.
         assert checks["speedup"]["5k"] >= 1.0, (
             f"sparse slower than dense on the 5k case: "
             f"{checks['speedup']['5k']:.2f}x"

@@ -2,7 +2,8 @@
 
 Three sections, all against an in-process coordinator and worker
 daemons (the same code path ``python -m repro.cli work`` runs across
-real hosts — CI's dist-smoke job exercises the multi-process variant):
+real hosts — the conformance matrix, ``tools/conformance.py``, runs the
+multi-process variant):
 
 * **scaling** — the full preparation pipeline (fracture + iterative
   proximity correction) dispatched over 1/2/4 worker daemons, each run

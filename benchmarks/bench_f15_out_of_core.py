@@ -19,7 +19,7 @@ is what the out-of-core contract bounds; subprocess isolation is
 required because ``ru_maxrss`` is a per-process high-water mark that
 never goes down.
 
-Floors (asserted in quick mode too, gated again by CI's memory-smoke
+Floors (asserted in quick mode too, gated again by CI's bench-smoke
 job from the JSON sidecar):
 
 * the ``.ebj`` and ``.ebp`` artifacts are byte-identical across the

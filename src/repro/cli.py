@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address"
     )
     p_serve.add_argument(
-        "--port", type=int, default=8080,
+        "--port", type=whole(0, high=65535).parse, default=8080,
         help="bind port (0 picks a free port)",
     )
     p_serve.add_argument(
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve without a shared shard cache",
     )
     p_serve.add_argument(
-        "--concurrency", type=int, default=2, metavar="N",
+        "--concurrency", type=whole(1).parse, default=2, metavar="N",
         help="maximum jobs running at once",
     )
     p_serve.set_defaults(func=cmd_serve)

@@ -99,14 +99,20 @@ def _instance(cls: type, noun: str) -> Callable[[object], Optional[str]]:
     return lambda value: None if isinstance(value, cls) else f"must be {noun}"
 
 
-def whole(low: Optional[int] = None, below: Optional[str] = None) -> Kind:
-    """An integer kind: ``>= low`` when given (``below`` words that)."""
+def whole(
+    low: Optional[int] = None,
+    below: Optional[str] = None,
+    high: Optional[int] = None,
+) -> Kind:
+    """An integer kind: ``>= low`` and ``<= high`` where given
+    (``below`` words the complaint)."""
+    span = f">= {low}" if high is None else f"in {low}..{high}"
 
     def rule(value):
         if isinstance(value, bool) or not isinstance(value, int):
             return "must be an integer"
-        if low is not None and value < low:
-            return below or f"must be >= {low}"
+        if (low is not None and value < low) or (high is not None and value > high):
+            return below or f"must be {span}"
         return None
 
     return Kind(rule, _parser(int, rule))

@@ -38,6 +38,12 @@ from repro.service.runner import JobRunner
 from repro.service.schemas import SchemaError, job_view, parse_job_spec
 
 _CHUNK = 64 * 1024
+#: Largest request body read (job payloads are a few hundred bytes).
+_MAX_BODY = 1 << 20
+
+
+class BodyTooLarge(SchemaError):
+    """A declared request body over :data:`_MAX_BODY` (HTTP 413)."""
 
 
 class PrepServer(ThreadingHTTPServer):
@@ -137,7 +143,19 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # No trustworthy framing: whatever follows is not a request.
+            self.close_connection = True
+            raise SchemaError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
+        if length > _MAX_BODY:
+            self.close_connection = True  # the body stays unread
+            raise BodyTooLarge(
+                f"request body of {length} bytes exceeds the {_MAX_BODY}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SchemaError("request body is empty; send a JSON object")
@@ -155,7 +173,8 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
             handled = self._route(method, parts, query)
             self.wfile.flush()
         except SchemaError as exc:
-            self._send_error_json(400, str(exc))
+            status = 413 if isinstance(exc, BodyTooLarge) else 400
+            self._send_error_json(status, str(exc))
             return
         except BrokenPipeError:  # client went away mid-response
             self.close_connection = True

@@ -1,13 +1,40 @@
-"""Helpers for the deterministic chaos suite (:mod:`tests.test_chaos`).
+"""Helpers for the deterministic fault suites (:mod:`tests.test_chaos`,
+:mod:`tests.test_dist`).
 
-Everything here mutates *on-disk* state only — fault schedules
-themselves live in :class:`repro.core.faults.FaultPlan`, keyed by
+Fault schedules live in :class:`repro.core.faults.FaultPlan`, keyed by
 ``(position, attempt)``, with no wall-clock or RNG anywhere, so every
-chaos scenario replays identically run after run.
+scenario replays identically run after run.  :func:`faulted` runs one
+on a column of the conformance matrix (whose reference run is the clean
+run to compare with); the rest mutates *on-disk* cache state only.
 """
 
 from pathlib import Path
 from typing import List, Sequence
+
+from repro.core.executor import RetryPolicy
+from repro.core.faults import FaultyCache
+
+#: Zero backoff keeps retry scenarios fast; determinism is unaffected
+#: (backoff shapes wall-clock, never results).
+FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
+
+
+def faulted(
+    column, faults=None, retry=FAST_RETRY, program_path=None, policy=None, **execution
+):
+    """Run matrix column ``column`` under a fault plan, retry policy or
+    lease policy the matrix has no axis value for: its pipeline
+    (``Column.pipeline(**execution)``) with those put in.  The machine
+    program is written only when ``program_path`` says where."""
+    pipeline = column.pipeline(**execution)
+    pipeline.faults, pipeline.retry, pipeline.dist_policy = faults, retry, policy
+    if faults is not None and faults.enospc_puts and pipeline.cache is not None:
+        pipeline.cache = FaultyCache(pipeline.cache, faults)  # as its constructor does
+    return pipeline.run(
+        column.layout(),
+        machine=None if program_path else "off",
+        program_path=program_path,
+    )
 
 #: Bytes no cache reader accepts: wrong magic, wrong framing, too short
 #: to be a valid payload of either entry family.

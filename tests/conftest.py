@@ -5,7 +5,15 @@ suite (:mod:`tests.test_golden_jobs`) to re-snapshot the reference
 digests after an intentional behaviour change.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# ``import conformance`` (tools/conformance.py): the one cross-mode
+# matrix, its reference runs and its fleet, shared by every suite that
+# compares a run with "the same layout, run plainly".
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def pytest_addoption(parser):

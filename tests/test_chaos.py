@@ -6,9 +6,16 @@ to a clean run's, with the recovery visible in the stats counters —
 never silently absorbed, never altering a single output byte.  Fault
 schedules are keyed by ``(position, attempt)`` with no wall-clock or
 RNG, so each scenario replays identically.
+
+The clean run is not made here: scenarios run on columns of the
+conformance matrix (``tools/conformance.py``) and must equal that
+column's reference.  The matrix's own ``faults`` axis already holds a
+transient fault and a killed pool worker to it in every mode; what is
+left here is the counter arithmetic and the fault kinds the axis does
+not have (hangs, permanent faults, cache corruption, ENOSPC, and the
+two gauntlets that stack them).
 """
 
-import filecmp
 import os
 import random
 import struct
@@ -17,7 +24,8 @@ import time
 
 import pytest
 
-from chaos import cache_entry_paths, corrupt_entries
+import conformance
+from chaos import cache_entry_paths, corrupt_entries, faulted
 from repro.core.cache import CacheDegradedWarning, ShardCache
 from repro.core.executor import RetryPolicy, shutdown_worker_pool
 from repro.core.faults import (
@@ -27,16 +35,7 @@ from repro.core.faults import (
     InjectedFaultError,
     TransientFaultError,
 )
-from repro.core.jobfile import dumps_job, write_job
-from repro.core.pipeline import PreparationPipeline
-from repro.layout import generators
-
-FIELD_SIZE = 20.0
-
-#: Zero backoff keeps retry scenarios fast; determinism is unaffected
-#: (backoff shapes wall-clock, never results).
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
-
+from repro.core.jobfile import dumps_job
 
 @pytest.fixture(autouse=True)
 def fresh_pool():
@@ -47,23 +46,13 @@ def fresh_pool():
     shutdown_worker_pool()
 
 
-def grating_library():
-    return generators.grating(pitch=2.0, duty=0.5, lines=12, length=24.0)
+#: Three shards of Manhattan data, and six of PEC-corrected curves.
+GRATING = conformance.COLUMNS["grating-vsb-fracture"]
+FZP = conformance.COLUMNS["fzp-pec-vsb"]
 
 
-def fzp_library():
-    return generators.fresnel_zone_plate(zones=6, points_per_arc=24)
-
-
-def run_grating(workers=2, faults=None, retry=FAST_RETRY, cache_dir=None):
-    pipeline = PreparationPipeline(
-        workers=workers,
-        field_size=FIELD_SIZE,
-        cache_dir=cache_dir,
-        retry=retry,
-        faults=faults,
-    )
-    return pipeline.run(grating_library(), name="grating")
+def clean_job(column):
+    return conformance.reference(column).ebj
 
 
 class TestRetryPolicy:
@@ -178,71 +167,52 @@ class TestShardFaultScenarios:
     """Each fault kind against a real worker pool: identical bytes,
     the recovery visible in the counters."""
 
-    def _clean_bytes(self):
-        result = run_grating(workers=1)
-        assert result.execution.shard_count >= 2
-        assert result.execution.fault_events == 0
-        return dumps_job(result.job)
-
-    def test_transient_fault_retries_and_matches(self):
-        clean = self._clean_bytes()
-        plan = FaultPlan(transient=frozenset({(0, 0)}))
-        result = run_grating(workers=2, faults=plan)
-        stats = result.execution
+    def test_transient_fault_is_exactly_one_retry(self):
+        stats = faulted(
+            GRATING, FaultPlan(transient=frozenset({(0, 0)})), workers=2
+        ).execution
         assert stats.shard_retries == 1
         assert stats.pool_restarts == 0
         assert stats.shard_timeouts == 0
-        assert dumps_job(result.job) == clean
-
-    def test_killed_worker_salvages_and_matches(self):
-        clean = self._clean_bytes()
-        plan = FaultPlan(kill_worker=frozenset({(0, 0)}))
-        result = run_grating(workers=2, faults=plan)
-        stats = result.execution
-        assert stats.pool_restarts >= 1
-        assert stats.shard_retries >= 1
-        assert dumps_job(result.job) == clean
 
     def test_hung_worker_times_out_and_matches(self):
-        clean = self._clean_bytes()
         plan = FaultPlan(hang=frozenset({(0, 0)}), hang_seconds=30.0)
         retry = RetryPolicy(
             max_attempts=3, backoff_base=0.0, shard_timeout=0.75
         )
-        result = run_grating(workers=2, faults=plan, retry=retry)
+        result = faulted(GRATING, plan, retry, workers=2)
         stats = result.execution
         assert stats.shard_timeouts >= 1
         assert stats.pool_restarts >= 1
         assert stats.shard_retries >= 1
-        assert dumps_job(result.job) == clean
+        assert dumps_job(result.job) == clean_job(GRATING)
 
     def test_permanent_fault_fails_fast(self):
         plan = FaultPlan(permanent=frozenset({(0, 0)}))
         with pytest.raises(InjectedFaultError):
-            run_grating(workers=2, faults=plan)
+            faulted(GRATING, plan, workers=2)
 
     def test_exhausted_transient_raises(self):
         plan = FaultPlan(
             transient=frozenset({(0, 0), (0, 1), (0, 2)})
         )
         with pytest.raises(TransientFaultError):
-            run_grating(workers=2, faults=plan)
+            faulted(GRATING, plan, workers=2)
 
 
 class TestCacheFaultScenarios:
     def test_corrupt_entry_evicts_recomputes_and_matches(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold = run_grating(workers=1, cache_dir=cache_dir)
-        clean = dumps_job(cold.job)
+        cold = faulted(GRATING, cache_dir=cache_dir)
         entries = cache_entry_paths(cache_dir)
         assert len(entries) == cold.execution.shard_count
         assert corrupt_entries(entries[:1]) == 1
-        warm = run_grating(workers=1, cache_dir=cache_dir)
+        warm = faulted(GRATING, cache_dir=cache_dir)
         stats = warm.execution
         assert stats.cache_evictions == 1
         assert stats.cache_misses == 1
         assert stats.cache_hits == stats.shard_count - 1
-        assert dumps_job(warm.job) == clean
+        assert dumps_job(warm.job) == clean_job(GRATING)
         # The evicted entry was recomputed and re-stored.
         assert len(cache_entry_paths(cache_dir)) == len(entries)
 
@@ -252,17 +222,17 @@ class TestCacheFaultScenarios:
         (an evicted miss), not let the geometry constructor raise
         through the run."""
         cache_dir = tmp_path / "cache"
-        clean = dumps_job(run_grating(workers=1, cache_dir=cache_dir).job)
+        faulted(GRATING, cache_dir=cache_dir)
         entry = cache_entry_paths(cache_dir)[0]
         data = bytearray(entry.read_bytes())
         records = len(data) - 56 * struct.unpack_from(">I", data, 8)[0]
         y_bottom, y_top = struct.unpack_from(">dd", data, records)
         struct.pack_into(">d", data, records + 8, y_bottom - (y_top - y_bottom))
         entry.write_bytes(data)
-        warm = run_grating(workers=1, cache_dir=cache_dir)
+        warm = faulted(GRATING, cache_dir=cache_dir)
         assert warm.execution.cache_evictions == 1
         assert warm.execution.cache_misses == 1
-        assert dumps_job(warm.job) == clean
+        assert dumps_job(warm.job) == clean_job(GRATING)
 
     def test_any_single_byte_flip_is_a_hit_or_an_evicted_miss(self, tmp_path):
         """Seeded sweep: one random bit flipped in every byte of one
@@ -270,7 +240,7 @@ class TestCacheFaultScenarios:
         mantissa bit of a dose) reads as a hit; every other flip must be
         evicted and recomputed — none may raise."""
         cache_dir = tmp_path / "cache"
-        clean = dumps_job(run_grating(workers=1, cache_dir=cache_dir).job)
+        faulted(GRATING, cache_dir=cache_dir)
         cache = ShardCache(cache_dir)
         entry = cache_entry_paths(cache_dir)[0]
         key = entry.parent.name + entry.stem
@@ -290,9 +260,9 @@ class TestCacheFaultScenarios:
         assert 0 < evicted < len(pristine)
         # And a run over a flipped entry recomputes the clean bytes.
         entry.write_bytes(bytes([pristine[0] ^ 0x01]) + pristine[1:])
-        warm = run_grating(workers=1, cache_dir=cache_dir)
+        warm = faulted(GRATING, cache_dir=cache_dir)
         assert warm.execution.cache_evictions == 1
-        assert dumps_job(warm.job) == clean
+        assert dumps_job(warm.job) == clean_job(GRATING)
 
     def test_concurrent_eviction_is_not_charged_to_this_run(self, tmp_path):
         """The service shares one ShardCache between concurrent jobs: a
@@ -310,23 +280,23 @@ class TestCacheFaultScenarios:
         cache = SharedCache(tmp_path / "cache")
         cache.path_for(foreign_key).parent.mkdir(parents=True)
         cache.path_for(foreign_key).write_bytes(b"garbage")
-        pipeline = PreparationPipeline(field_size=FIELD_SIZE, cache=cache)
-        stats = pipeline.run(grating_library()).execution
+        pipeline = GRATING.pipeline()
+        pipeline.cache = cache
+        stats = pipeline.run(GRATING.layout(), machine="off").execution
         assert cache.stats.evictions == 1
         assert stats.cache_evictions == 0
         assert stats.cache_misses == stats.shard_count
 
     def test_enospc_degrades_to_read_only_with_one_warning(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        clean = dumps_job(run_grating(workers=1).job)
         plan = FaultPlan(enospc_puts=frozenset({0}))
         with pytest.warns(CacheDegradedWarning) as caught:
-            result = run_grating(workers=1, faults=plan, cache_dir=cache_dir)
+            result = faulted(GRATING, plan, cache_dir=cache_dir)
         assert len(caught) == 1
         stats = result.execution
         assert stats.cache_write_failures == 1
         assert stats.cache_degraded
-        assert dumps_job(result.job) == clean
+        assert dumps_job(result.job) == clean_job(GRATING)
         # Degraded means read-only: every later put was skipped too.
         assert cache_entry_paths(cache_dir) == []
 
@@ -335,25 +305,15 @@ class TestCacheFaultScenarios:
         program-segment blob: its failure must warn, count and flag
         exactly like a failed shard store — and leave the artifacts
         untouched."""
-
-        def run(tag, cache_dir, faults=None):
-            pipeline = PreparationPipeline(
-                field_size=15.0, machine="vsb", cache_dir=cache_dir, faults=faults
-            )
-            result = pipeline.run(
-                fzp_library(), name="fzp", program_path=tmp_path / f"{tag}.ebp"
-            )
-            write_job(result.job, tmp_path / f"{tag}.ebj")
-            return result
-
-        clean = run("clean", tmp_path / "clean-cache")
-        shards = clean.execution.shard_count
-        assert shards > 1 and clean.execution.fault_events == 0
+        clean = conformance.reference(FZP)
+        shards = clean.stats.shard_count
+        assert shards > 1
         with pytest.warns(CacheDegradedWarning) as caught:
-            chaos = run(
-                "chaos",
-                tmp_path / "chaos-cache",
+            chaos = faulted(
+                FZP,
                 FaultPlan(enospc_puts=frozenset({shards})),
+                program_path=tmp_path / "chaos.ebp",
+                cache_dir=tmp_path / "chaos-cache",
             )
         assert len(caught) == 1
         assert chaos.machine_program.cache_write_failures == 1
@@ -364,9 +324,8 @@ class TestCacheFaultScenarios:
         assert stats.fault_events == 2
         (faults_line,) = [line for line in stats.lines() if "faults:" in line]
         assert "1 cache write failures (cache degraded to read-only)" in faults_line
-        for suffix in ("ebj", "ebp"):
-            clean_file = tmp_path / f"clean.{suffix}"
-            assert filecmp.cmp(clean_file, tmp_path / f"chaos.{suffix}", shallow=False)
+        assert dumps_job(chaos.job) == clean.ebj
+        assert (tmp_path / "chaos.ebp").read_bytes() == clean.ebp
         # Degraded means the rest of the export stored nothing: the
         # shard results are there, no segment blob is.
         assert len(cache_entry_paths(tmp_path / "chaos-cache")) == shards
@@ -384,45 +343,19 @@ class TestCacheFaultScenarios:
 
 class TestFullGauntlet:
     """The acceptance gate: one FZP run through a SIGKILL, a transient
-    fault, two corrupt cache entries and an ENOSPC — byte-identical
-    ``.ebj`` and ``.ebp`` artifacts, every counter accounted for."""
+    fault, two corrupt cache entries and an ENOSPC — ``.ebj`` and
+    ``.ebp`` byte-identical to the column's reference, every counter
+    accounted for."""
 
-    #: Tighter mosaic than the grating scenarios: the gauntlet needs
-    #: enough shards that two corruptions still leave warm hits.
-    FZP_FIELD = 10.0
-
-    def _run_fzp(self, cache_dir, program_path, faults=None,
-                 retry=FAST_RETRY, workers=2):
-        pipeline = PreparationPipeline(
-            workers=workers,
-            field_size=self.FZP_FIELD,
-            cache_dir=cache_dir,
-            machine="raster",
-            retry=retry,
-            faults=faults,
-        )
-        return pipeline.run(
-            fzp_library(), name="fzp", program_path=program_path
-        )
-
-    def test_chaos_run_matches_clean_run_byte_for_byte(self, tmp_path):
-        from repro.core.jobfile import write_job
-
+    def test_chaos_run_matches_the_reference_byte_for_byte(self, tmp_path):
         cache_dir = tmp_path / "cache"
         # Learn which cache entries hold shard results (the program
         # export below adds segment blobs to the same store).
-        scout = PreparationPipeline(
-            workers=1, field_size=self.FZP_FIELD, cache_dir=cache_dir
-        ).run(fzp_library(), name="fzp")
+        scout = faulted(FZP, cache_dir=cache_dir)
         shard_entries = cache_entry_paths(cache_dir)
-        assert len(shard_entries) == scout.execution.shard_count
-        assert scout.execution.shard_count > 2
-
-        clean_ebp = tmp_path / "clean.ebp"
-        clean = self._run_fzp(cache_dir, clean_ebp, workers=1)
-        assert clean.execution.fault_events == 0
-        clean_ebj = tmp_path / "clean.ebj"
-        write_job(clean.job, clean_ebj)
+        assert len(shard_entries) == scout.execution.shard_count > 2
+        warm = faulted(FZP, cache_dir=cache_dir, program_path=tmp_path / "warm.ebp")
+        assert warm.execution.fault_events == 0
 
         # Two corrupt shard entries -> two evictions -> exactly two
         # recomputed shards, which the shard-fault schedule targets:
@@ -434,14 +367,17 @@ class TestFullGauntlet:
             kill_worker=frozenset({(1, 0)}),
             enospc_puts=frozenset({0}),
         )
-        chaos_ebp = tmp_path / "chaos.ebp"
         with pytest.warns(CacheDegradedWarning):
-            chaos = self._run_fzp(cache_dir, chaos_ebp, faults=plan)
-        chaos_ebj = tmp_path / "chaos.ebj"
-        write_job(chaos.job, chaos_ebj)
-
-        assert chaos_ebj.read_bytes() == clean_ebj.read_bytes()
-        assert chaos_ebp.read_bytes() == clean_ebp.read_bytes()
+            chaos = faulted(
+                FZP,
+                plan,
+                workers=2,
+                cache_dir=cache_dir,
+                program_path=tmp_path / "chaos.ebp",
+            )
+        clean = conformance.reference(FZP)
+        assert dumps_job(chaos.job) == clean.ebj
+        assert (tmp_path / "chaos.ebp").read_bytes() == clean.ebp
 
         stats = chaos.execution
         assert stats.cache_evictions == 2
@@ -454,9 +390,12 @@ class TestFullGauntlet:
         assert stats.fault_events > 0
 
     def test_clean_run_reports_zero_fault_counters(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        ebp = tmp_path / "clean.ebp"
-        result = self._run_fzp(cache_dir, ebp, workers=2)
+        result = faulted(
+            FZP,
+            workers=2,
+            cache_dir=tmp_path / "cache",
+            program_path=tmp_path / "clean.ebp",
+        )
         stats = result.execution
         assert stats.fault_events == 0
         assert stats.shard_retries == 0
@@ -572,15 +511,10 @@ class TestInterruptibleBackoff:
                 raise Cancelled()
 
         waiter = BackoffWaiter(check=check)
-        plan = FaultPlan(transient=frozenset({(0, 0), (0, 1)}))
-        slow_retry = RetryPolicy(max_attempts=3, backoff_base=30.0)
-        pipeline = PreparationPipeline(
-            workers=2,
-            field_size=FIELD_SIZE,
-            retry=slow_retry,
-            faults=plan,
-            waiter=waiter,
-        )
+        pipeline = GRATING.pipeline(workers=2)
+        pipeline.faults = FaultPlan(transient=frozenset({(0, 0), (0, 1)}))
+        pipeline.retry = RetryPolicy(max_attempts=3, backoff_base=30.0)
+        pipeline.waiter = waiter
         timer = threading.Timer(
             0.3, lambda: (cancel.set(), waiter.interrupt())
         )
@@ -588,7 +522,7 @@ class TestInterruptibleBackoff:
         timer.start()
         try:
             with pytest.raises(Cancelled):
-                pipeline.run(grating_library(), name="grating")
+                pipeline.run(GRATING.layout(), machine="off")
         finally:
             timer.cancel()
         assert time.monotonic() - start < 15.0
@@ -600,35 +534,9 @@ class TestDistributedGauntlet:
     all in one run — ``.ebj`` and ``.ebp`` byte-identical to serial,
     every degradation visible in the counters."""
 
-    #: Tighter than TestFullGauntlet's mosaic: the fault schedule
-    #: targets four distinct positions, so four shards must exist.
-    FZP_FIELD = 6.0
-
-    def _run_fzp(self, program_path, endpoint=None, faults=None,
-                 policy=None, throttled_fleet=None):
-        kwargs = {}
-        if endpoint is not None:
-            kwargs.update(
-                dispatch="distributed",
-                workers_endpoint=endpoint,
-                dist_policy=policy,
-            )
-        pipeline = PreparationPipeline(
-            workers=2,
-            field_size=self.FZP_FIELD,
-            machine="raster",
-            retry=RetryPolicy(max_attempts=5, backoff_base=0.0),
-            faults=faults,
-            **kwargs,
-        )
-        return pipeline.run(
-            fzp_library(), name="fzp", program_path=program_path
-        )
-
-    def test_distributed_gauntlet_matches_serial_byte_for_byte(
+    def test_distributed_gauntlet_matches_the_reference_byte_for_byte(
         self, tmp_path
     ):
-        from repro.core.jobfile import write_job
         from repro.dist import (
             WorkerDaemon,
             coordinator_for,
@@ -636,11 +544,9 @@ class TestDistributedGauntlet:
         )
         from repro.dist.coordinator import DistPolicy
 
-        clean_ebp = tmp_path / "clean.ebp"
-        clean = self._run_fzp(clean_ebp)
-        clean_ebj = tmp_path / "clean.ebj"
-        write_job(clean.job, clean_ebj)
-        assert clean.execution.shard_count >= 4
+        # The fault schedule targets four distinct positions.
+        clean = conformance.reference(FZP)
+        assert clean.stats.shard_count >= 4
 
         server = coordinator_for("127.0.0.1:0")
         host, port = server.server_address[:2]
@@ -694,8 +600,15 @@ class TestDistributedGauntlet:
         )
         chaos_ebp = tmp_path / "chaos.ebp"
         try:
-            chaos = self._run_fzp(
-                chaos_ebp, endpoint=endpoint, faults=plan, policy=policy
+            chaos = faulted(
+                FZP,
+                plan,
+                RetryPolicy(max_attempts=5, backoff_base=0.0),
+                chaos_ebp,
+                policy,
+                workers=2,
+                dispatch="distributed",
+                workers_endpoint=endpoint,
             )
         finally:
             release.set()
@@ -704,11 +617,8 @@ class TestDistributedGauntlet:
             for thread in threads:
                 thread.join(timeout=5.0)
             shutdown_coordinators()
-        chaos_ebj = tmp_path / "chaos.ebj"
-        write_job(chaos.job, chaos_ebj)
-
-        assert chaos_ebj.read_bytes() == clean_ebj.read_bytes()
-        assert chaos_ebp.read_bytes() == clean_ebp.read_bytes()
+        assert dumps_job(chaos.job) == clean.ebj
+        assert chaos_ebp.read_bytes() == clean.ebp
 
         stats = chaos.execution
         assert stats.dispatch == "distributed"

@@ -6,9 +6,10 @@ Three levels, cheapest first:
 * the :class:`~repro.dist.coordinator.LeaseQueue` state machine driven
   with simulated clocks — including hypothesis properties over random
   grant/commit/reclaim schedules;
-* full pipeline runs against in-process worker threads, asserting the
-  distributed path is byte-identical to the serial one under every
-  injected network fault.
+* full pipeline runs against in-process worker threads under every
+  injected network fault, each held to the reference run of the
+  conformance-matrix column it runs on (that a clean fleet run equals
+  it — in every other mode too — is the matrix's ``dispatch`` axis).
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
+import conformance
+from chaos import faulted
 from repro.core.cache import ShardCache
 from repro.core.executor import (
     BackoffWaiter,
@@ -49,9 +59,9 @@ from repro.dist.protocol import (
     request,
     send_frame,
 )
-from repro.layout import generators
 
-FIELD_SIZE = 4.0
+#: Sixteen one-square shards: every scenario's fault position exists.
+COLUMN = conformance.COLUMNS["checkerboard-sparse"]
 FAST_RETRY = RetryPolicy(max_attempts=4, backoff_base=0.0)
 FAST_POLICY = DistPolicy(
     lease_deadline=1.0,
@@ -102,27 +112,22 @@ def fleet(endpoint):
         thread.join(timeout=5.0)
 
 
-def grating_library():
-    return generators.grating(pitch=2.0, duty=0.5, lines=12, length=24.0)
-
-
-def serial_bytes(library):
-    result = PreparationPipeline(field_size=FIELD_SIZE).run(library)
-    return dumps_job(result.job)
-
-
-def run_distributed(endpoint, library, faults=None, retry=FAST_RETRY,
-                    policy=FAST_POLICY, cache_dir=None):
-    pipeline = PreparationPipeline(
-        field_size=FIELD_SIZE,
+def leased(endpoint, faults=None, policy=FAST_POLICY, cache_dir=None):
+    """``COLUMN`` on the fleet at ``endpoint``, under a network-fault
+    plan and a lease policy the matrix has no axis values for."""
+    return faulted(
+        COLUMN,
+        faults,
+        FAST_RETRY,
+        policy=policy,
+        cache_dir=cache_dir,
         dispatch="distributed",
         workers_endpoint=endpoint,
-        dist_policy=policy,
-        retry=retry,
-        faults=faults,
-        cache_dir=cache_dir,
     )
-    return pipeline.run(grating_library() if library is None else library)
+
+
+def reference_job():
+    return conformance.reference(COLUMN).ebj
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ class TestLeaseQueue:
 
 
 # ---------------------------------------------------------------------------
-# Property tests: random schedules against the state machine
+# Property tests: arbitrary schedules against the state machine
 # ---------------------------------------------------------------------------
 
 
@@ -440,115 +445,206 @@ def payload_for(position: int) -> bytes:
     return b"result-%d" % position
 
 
-OPS = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["grant", "commit", "drop", "fail", "advance", "scan"]
-        ),
-        st.integers(min_value=0, max_value=3),  # worker index
-    ),
-    min_size=1,
-    max_size=60,
-)
+class LeaseQueueMachine(RuleBasedStateMachine):
+    """Any interleaving of grants, heartbeats, contacts, honest, duplicate
+    and late commits, transient and permanent failures, clock jumps,
+    scans and an abandon keeps the queue's promises: a position is
+    delivered at most once, a committed position is never pending or
+    leased again, attempt budgets hold, honest commits never poison the
+    batch, and a finished batch has every position delivered exactly
+    once or spent."""
 
-
-@settings(max_examples=120, deadline=None)
-@given(ops=OPS, n=st.integers(min_value=1, max_value=5))
-def test_lease_queue_random_schedules_stay_consistent(ops, n):
-    """Any interleaving of grants, commits, drops, failures and clock
-    jumps keeps the invariants: no position is ever pending twice, no
-    committed position is re-granted, attempt budgets hold, and the
-    batch never poisons (every commit carries the honest bytes)."""
-    retry = RetryPolicy(max_attempts=3, backoff_base=0.0)
-    policy = DistPolicy(
+    # Small on purpose — two attempts, three shards, three workers — so
+    # budgets run out and leases collide within a few steps.
+    RETRY = RetryPolicy(max_attempts=2, backoff_base=0.0)
+    POLICY = DistPolicy(
         lease_deadline=10.0,
         heartbeat_interval=1.0,
         heartbeat_timeout=5.0,
         speculate_after=2.0,
     )
-    queue = LeaseQueue(n, retry=retry, policy=policy)
-    clock = 0.0
-    held = []  # leases a simulated worker is sitting on
-    delivered = {}
+    workers = st.sampled_from(["w0", "w1", "w2"])
 
-    for op, worker in ops:
-        name = f"w{worker}"
-        if op == "grant":
-            lease = queue.grant(name, now=clock)
-            if lease is not None:
-                held.append(lease)
-        elif op == "commit" and held:
-            lease = held.pop(0)
-            outcome = queue.commit(
-                lease.lease_id,
-                lease.worker,
-                lease.position,
-                payload_for(lease.position),
-                now=clock,
-            )
-            assert outcome in ("accepted", "duplicate")
-        elif op == "drop" and held:
-            held.pop(0)  # worker silently walks away from the lease
-        elif op == "fail" and held:
-            lease = held.pop(0)
-            queue.fail(
-                lease.lease_id,
-                lease.worker,
-                lease.position,
-                True,
-                "transient",
-                now=clock,
-            )
-        elif op == "advance":
-            clock += 3.0
-        elif op == "scan":
-            queue.scan(now=clock)
+    @initialize(n=st.integers(min_value=1, max_value=3))
+    def batch(self, n):
+        self.queue = LeaseQueue(n, retry=self.RETRY, policy=self.POLICY)
+        self.clock = 0.0
+        self.held = []  # leases some worker still believes it holds
+        self.committed = []  # leases whose honest commit was sent
+        self.delivered = {}
+        self.poisoned = False  # a permanent failure was reported
+        self.steps = 0
 
-        # Invariants, checked after every step.
-        assert queue.error is None
-        with queue._lock:
-            pending_positions = [entry[0] for entry in queue._pending]
-            assert len(pending_positions) == len(set(pending_positions))
-            for position in pending_positions:
-                assert position not in queue._committed
-                assert position not in queue._spent
-            for used in queue._attempts_used:
-                assert used <= retry.max_attempts
+    def _take(self, data):
+        return self.held.pop(data.draw(st.integers(0, len(self.held) - 1)))
 
-        for position, payload in queue.take_new_commits():
-            assert position not in delivered
-            delivered[position] = payload
-
-    # Drain: one diligent worker finishes whatever is left.
-    for _ in range(10 * n * (retry.max_attempts + 1)):
-        if queue.state(clock).finished:
-            break
-        lease = queue.grant("closer", now=clock)
+    @rule(worker=workers)
+    def grant(self, worker):
+        with self.queue._lock:
+            leased = {lease.position for lease in self.queue._leases.values()}
+            done = set(self.queue._committed)
+        lease = self.queue.grant(worker, now=self.clock)
         if lease is None:
-            clock += 11.0  # expire in-flight leases from dropped workers
-            queue.scan(now=clock)
-            continue
-        queue.commit(
+            return
+        assert not self.poisoned and lease.position not in done
+        assert lease.attempt < self.RETRY.max_attempts
+        # Twice in flight only as a speculative duplicate of a straggler.
+        assert lease.speculative == (lease.position in leased)
+        self.held.append(lease)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def heartbeat(self, data):
+        lease = data.draw(st.sampled_from(self.held))
+        live = self.queue.heartbeat(lease.worker, lease.lease_id, now=self.clock)
+        with self.queue._lock:
+            assert live == (lease.lease_id in self.queue._leases)
+
+    @rule(worker=workers)
+    def touch_worker(self, worker):
+        self.queue.touch_worker(worker, now=self.clock)
+
+    def _reclaimed(self):
+        with self.queue._lock:
+            return [x for x in self.held if x.lease_id not in self.queue._leases]
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def commit(self, data):
+        self._commit(self._take(data))
+
+    @precondition(lambda self: self._reclaimed())
+    @rule(data=st.data())
+    def commit_after_reclaim(self, data):
+        # At-least-once delivery: the lease is gone, the bytes arrive.
+        lease = data.draw(st.sampled_from(self._reclaimed()))
+        self.held.remove(lease)
+        self._commit(lease)
+
+    def _commit(self, lease):
+        outcome = self.queue.commit(
             lease.lease_id,
-            "closer",
+            lease.worker,
             lease.position,
             payload_for(lease.position),
-            now=clock,
+            now=self.clock,
         )
-    for position, payload in queue.take_new_commits():
-        assert position not in delivered
-        delivered[position] = payload
+        first = lease.position not in {done.position for done in self.committed}
+        assert outcome == ("accepted" if first else "duplicate")
+        self.committed.append(lease)
 
-    state = queue.state(clock)
-    assert state.finished and state.error is None
-    spent = set(queue.spent_positions())
-    # Every position either carries its honest bytes or went to the
-    # local ladder — and was handed to the caller exactly once.
-    for position in range(n):
-        if position in spent:
-            assert position not in delivered
-        else:
-            assert delivered[position] == payload_for(position)
+    @precondition(lambda self: self.committed)
+    @rule(data=st.data())
+    def commit_again(self, data):
+        lease = data.draw(st.sampled_from(self.committed))
+        before = self.queue.stats.duplicate_commits
+        outcome = self.queue.commit(
+            lease.lease_id,
+            lease.worker,
+            lease.position,
+            payload_for(lease.position),
+            now=self.clock,
+        )
+        assert outcome == "duplicate"
+        assert self.queue.stats.duplicate_commits == before + 1
+
+    # The two rules that end a batch wait until it has had a life.
+    ENDGAME = 15
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def fail_transiently(self, data):
+        self._fail(self._take(data), transient=True)
+
+    @precondition(lambda self: self.held and self.steps >= self.ENDGAME)
+    @rule(data=st.data())
+    def fail_permanently(self, data):
+        self._fail(self._take(data), transient=False)
+
+    def _fail(self, lease, transient):
+        with self.queue._lock:
+            moot = lease.position in self.queue._committed
+        self.queue.fail(
+            lease.lease_id,
+            lease.worker,
+            lease.position,
+            transient,
+            "the shard raised",
+            now=self.clock,
+        )
+        self.poisoned |= not transient and not moot
+
+    @rule(seconds=st.sampled_from([3.0, 6.0, 11.0]), scans=st.integers(0, 2))
+    def advance(self, seconds, scans):
+        # Past speculate_after, heartbeat_timeout and lease_deadline in
+        # turn; the run loop scans on every wake, sometimes twice.
+        self.clock += seconds
+        for _ in range(scans):
+            self.queue.scan(now=self.clock)
+
+    @rule()
+    def scan(self):
+        self.queue.scan(now=self.clock)
+
+    @precondition(lambda self: self.steps >= self.ENDGAME)
+    @rule()
+    def abandon_remaining(self):
+        self.queue.abandon_remaining()
+
+    def _deliver(self):
+        for position, payload in self.queue.take_new_commits():
+            assert position not in self.delivered
+            assert payload == payload_for(position)
+            self.delivered[position] = payload
+
+    @invariant()
+    def promises_hold(self):
+        self.steps += 1
+        assert (self.queue.error is not None) == self.poisoned
+        with self.queue._lock:
+            pending = [position for position, _ in self.queue._pending]
+            leased = {lease.position for lease in self.queue._leases.values()}
+            assert len(pending) == len(set(pending))
+            for position in self.queue._committed:
+                assert position not in pending and position not in leased
+            for position in pending:
+                assert position not in self.queue._spent
+            assert max(self.queue._attempts_used) <= self.RETRY.max_attempts
+        self._deliver()
+
+    def teardown(self):
+        # One diligent worker finishes whatever an open batch has left.
+        n = self.queue.n
+        for _ in range(10 * n * (self.RETRY.max_attempts + 1)):
+            if self.queue.state(self.clock).finished:
+                break
+            lease = self.queue.grant("closer", now=self.clock)
+            if lease is None:
+                self.clock += 11.0  # expire what walked-away workers hold
+                self.queue.scan(now=self.clock)
+                continue
+            self.queue.commit(
+                lease.lease_id,
+                "closer",
+                lease.position,
+                payload_for(lease.position),
+                now=self.clock,
+            )
+        self._deliver()
+        state = self.queue.state(self.clock)
+        assert state.finished and (state.error is not None) == self.poisoned
+        if not self.poisoned:
+            # Every position carries its honest bytes or went to the
+            # local ladder — never both, never neither.
+            spent = set(self.queue.spent_positions())
+            assert spent.isdisjoint(self.delivered)
+            assert spent | set(self.delivered) == set(range(n))
+
+
+TestLeaseQueueMachine = LeaseQueueMachine.TestCase
+TestLeaseQueueMachine.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -578,47 +674,12 @@ def test_lease_queue_detects_any_nondeterministic_commit(wrong, n):
     assert "determinism" in queue.error
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    reclaims=st.integers(min_value=1, max_value=3),
-    scans=st.integers(min_value=1, max_value=4),
-)
-def test_reclaimed_lease_reenters_queue_exactly_once(reclaims, scans):
-    """However many times a lease expires and however many redundant
-    scans observe it, each reclaim produces exactly one requeue."""
-    retry = RetryPolicy(max_attempts=reclaims + 1, backoff_base=0.0)
-    queue = LeaseQueue(1, retry=retry, policy=DistPolicy(lease_deadline=5.0))
-    clock = 0.0
-    for attempt in range(reclaims):
-        lease = queue.grant("w0", now=clock)
-        assert lease is not None and lease.attempt == attempt
-        clock += 6.0
-        for _ in range(scans):
-            queue.scan(now=clock)
-        assert queue.stats.leases_reclaimed == attempt + 1
-    final = queue.grant("w0", now=clock)
-    assert final is not None and final.attempt == reclaims
-    assert queue.grant("w1", now=clock) is None
-
-
 # ---------------------------------------------------------------------------
 # Fleet integration: in-process worker threads against a real server
 # ---------------------------------------------------------------------------
 
 
 class TestDistributedRuns:
-    def test_two_workers_byte_identical_to_serial(self, endpoint, fleet):
-        library = grating_library()
-        expected = serial_bytes(library)
-        fleet(2)
-        result = run_distributed(endpoint, library)
-        assert dumps_job(result.job) == expected
-        stats = result.execution
-        assert stats.dispatch == "distributed"
-        assert 1 <= stats.dist_workers <= 2
-        assert stats.leases_granted >= stats.shard_count
-        assert stats.dist_local_fallbacks == 0
-
     def test_pitch_range_rule_holds_for_a_fleet(self, endpoint, fleet):
         """The distributed leg of tests/test_shard_plan.py::TestPitchRange:
         the last int32 column crosses the wire, one past it is the same
@@ -655,19 +716,10 @@ class TestDistributedRuns:
             pipeline(**distributed).run_polygons(layout(2**31))
         assert str(remote.value) == str(local.value)
 
-    def test_local_dispatch_reports_local(self):
-        result = PreparationPipeline(field_size=FIELD_SIZE).run(
-            grating_library()
-        )
-        assert result.execution.dispatch == "local"
-        assert result.execution.dist_workers == 0
-
     def test_no_workers_falls_back_to_local_ladder(self, endpoint):
-        library = grating_library()
-        expected = serial_bytes(library)
         policy = DistPolicy(worker_grace=0.3)
-        result = run_distributed(endpoint, library, policy=policy)
-        assert dumps_job(result.job) == expected
+        result = leased(endpoint, policy=policy)
+        assert dumps_job(result.job) == reference_job()
         stats = result.execution
         assert stats.dist_local_fallbacks == stats.shard_count
         assert stats.dist_workers == 0
@@ -675,8 +727,6 @@ class TestDistributedRuns:
     def test_dead_worker_is_reclaimed_and_byte_identical(
         self, endpoint, fleet
     ):
-        library = grating_library()
-        expected = serial_bytes(library)
         fleet(2)
         faults = FaultPlan(dead_worker=frozenset({(0, 0)}))
         # Speculation off so the recovery must come from death
@@ -688,17 +738,31 @@ class TestDistributedRuns:
             worker_grace=3.0,
             speculate=False,
         )
-        result = run_distributed(
-            endpoint, library, faults=faults, policy=policy
-        )
-        assert dumps_job(result.job) == expected
+        result = leased(endpoint, faults=faults, policy=policy)
+        assert dumps_job(result.job) == reference_job()
         stats = result.execution
         assert stats.leases_reclaimed >= 1
         assert stats.worker_deaths >= 1
 
+    def test_a_work_process_that_exits_mid_lease_is_reclaimed(self, tmp_path):
+        # The one death a thread cannot die: a real ``work`` daemon
+        # meets ``dead_worker`` with ``os._exit``.  Its sibling finishes.
+        faults = FaultPlan(dead_worker=frozenset({(0, 0)}))
+        policy = DistPolicy(
+            lease_deadline=10.0,
+            heartbeat_interval=0.1,
+            heartbeat_timeout=0.5,
+            worker_grace=5.0,
+            speculate=False,
+        )
+        with conformance.Fleet(tmp_path) as processes:
+            result = leased(processes.endpoint, faults=faults, policy=policy)
+        assert dumps_job(result.job) == reference_job()
+        stats = result.execution
+        assert stats.worker_deaths >= 1 and stats.leases_reclaimed >= 1
+        assert stats.dist_local_fallbacks == 0
+
     def test_dropped_commit_connection_recovers(self, endpoint, fleet):
-        library = grating_library()
-        expected = serial_bytes(library)
         fleet(2)
         faults = FaultPlan(drop_conn=frozenset({(1, 0)}))
         # Speculation off: the lost commit must surface as a lease
@@ -710,28 +774,22 @@ class TestDistributedRuns:
             worker_grace=3.0,
             speculate=False,
         )
-        result = run_distributed(
-            endpoint, library, faults=faults, policy=policy
-        )
-        assert dumps_job(result.job) == expected
+        result = leased(endpoint, faults=faults, policy=policy)
+        assert dumps_job(result.job) == reference_job()
         assert result.execution.leases_reclaimed >= 1
 
     def test_duplicate_commit_discarded(self, endpoint, fleet):
-        library = grating_library()
-        expected = serial_bytes(library)
         fleet(2)
         faults = FaultPlan(duplicate_commit=frozenset({(2, 0)}))
-        result = run_distributed(endpoint, library, faults=faults)
-        assert dumps_job(result.job) == expected
+        result = leased(endpoint, faults=faults)
+        assert dumps_job(result.job) == reference_job()
         assert result.execution.duplicate_commits >= 1
 
     def test_late_heartbeat_counted_and_recovered(self, endpoint, fleet):
-        library = grating_library()
-        expected = serial_bytes(library)
         fleet(2)
         faults = FaultPlan(late_heartbeat=frozenset({(3, 0)}))
-        result = run_distributed(endpoint, library, faults=faults)
-        assert dumps_job(result.job) == expected
+        result = leased(endpoint, faults=faults)
+        assert dumps_job(result.job) == reference_job()
         # The silent shard is either reclaimed (slow) or its commit
         # lands first (fast) — both end byte-identical; degraded runs
         # surface in the counters when the reclaim happened.
@@ -739,8 +797,6 @@ class TestDistributedRuns:
         assert stats.heartbeats_missed + stats.leases_reclaimed >= 0
 
     def test_straggler_speculation_wins(self, endpoint):
-        library = grating_library()
-        expected = serial_bytes(library)
         stalled = threading.Event()
         release = threading.Event()
 
@@ -774,14 +830,14 @@ class TestDistributedRuns:
             speculate_after=0.2,
         )
         try:
-            result = run_distributed(endpoint, library, policy=policy)
+            result = leased(endpoint, policy=policy)
         finally:
             release.set()
             slow.stop()
             fast.stop()
             for thread in threads:
                 thread.join(timeout=5.0)
-        assert dumps_job(result.job) == expected
+        assert dumps_job(result.job) == reference_job()
         assert result.execution.speculative_wins >= 1
 
     def test_cancel_lands_while_the_fleet_stalls(self, endpoint, fleet):
@@ -818,18 +874,14 @@ class TestDistributedRuns:
             worker_grace=60.0,
             speculate=False,
         )
-        pipeline = PreparationPipeline(
-            field_size=FIELD_SIZE,
-            dispatch="distributed",
-            workers_endpoint=endpoint,
-            dist_policy=policy,
-            waiter=BackoffWaiter(check=check),
-        )
+        pipeline = COLUMN.pipeline(dispatch="distributed", workers_endpoint=endpoint)
+        pipeline.dist_policy = policy
+        pipeline.waiter = BackoffWaiter(check=check)
         canceller = threading.Thread(target=request_cancel, daemon=True)
         canceller.start()
         try:
             with pytest.raises(Cancelled):
-                pipeline.run(grating_library())
+                pipeline.run(COLUMN.layout(), machine="off")
             landed = time.monotonic() - cancelled_at[0]
         finally:
             release.set()
@@ -841,25 +893,12 @@ class TestDistributedRuns:
     def test_workers_populate_shared_cache(self, endpoint, fleet, tmp_path):
         cache_dir = tmp_path / "shard-cache"
         fleet(2, cache=ShardCache(cache_dir))
-        library = grating_library()
-        first = run_distributed(endpoint, library, cache_dir=cache_dir)
+        first = leased(endpoint, cache_dir=cache_dir)
         assert first.execution.cache_misses > 0
         # Workers stored every computed shard, so a local re-run hits.
-        second = PreparationPipeline(
-            field_size=FIELD_SIZE, cache_dir=cache_dir
-        ).run(library)
+        second = faulted(COLUMN, cache_dir=cache_dir)
         assert second.execution.cache_hits == second.execution.shard_count
         assert dumps_job(first.job) == dumps_job(second.job)
-
-    def test_shard_level_faults_still_fire_remotely(self, endpoint, fleet):
-        # The existing shard-fault kinds ride the same config blob and
-        # fire inside the worker daemon's _process_shard_task call.
-        library = grating_library()
-        expected = serial_bytes(library)
-        fleet(2)
-        faults = FaultPlan(transient=frozenset({(0, 0), (2, 0)}))
-        result = run_distributed(endpoint, library, faults=faults)
-        assert dumps_job(result.job) == expected
 
     def test_coordinator_registry_reuses_and_resolves_port_zero(self):
         server = coordinator_for("127.0.0.1:0")
@@ -873,14 +912,12 @@ class TestDistributedRuns:
 
     def test_concurrent_batches_share_one_fleet(self, endpoint, fleet):
         fleet(2)
-        library = grating_library()
-        expected = serial_bytes(library)
         results = [None, None]
         errors = []
 
         def go(slot):
             try:
-                results[slot] = run_distributed(endpoint, library)
+                results[slot] = leased(endpoint)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -894,7 +931,7 @@ class TestDistributedRuns:
         assert not errors
         for result in results:
             assert result is not None
-            assert dumps_job(result.job) == expected
+            assert dumps_job(result.job) == reference_job()
 
 
 class TestRecipeAndServerPlumbing:
@@ -956,8 +993,6 @@ class TestRecipeAndServerPlumbing:
         # batch of the same sequential id — silently running B's shards
         # with A's fault plan (and pipeline config).  The worker must
         # see B's dead_worker schedule and die.
-        library = grating_library()
-        expected = serial_bytes(library)
         server = coordinator_for("127.0.0.1:0")
         host, port = server.server_address[:2]
         endpoint = f"{host}:{port}"
@@ -965,8 +1000,8 @@ class TestRecipeAndServerPlumbing:
         thread = threading.Thread(target=daemon.run, daemon=True)
         thread.start()
         try:
-            clean = run_distributed(endpoint, library)
-            assert dumps_job(clean.job) == expected
+            clean = leased(endpoint)
+            assert dumps_job(clean.job) == reference_job()
             # Coordinator dies; its successor binds the same port, so
             # the worker reconnects to a server whose batch numbering
             # restarts at 1.
@@ -980,10 +1015,8 @@ class TestRecipeAndServerPlumbing:
                 worker_grace=2.0,
                 speculate=False,
             )
-            result = run_distributed(
-                endpoint, library, faults=faults, policy=policy
-            )
-            assert dumps_job(result.job) == expected
+            result = leased(endpoint, faults=faults, policy=policy)
+            assert dumps_job(result.job) == reference_job()
             assert result.execution.worker_deaths >= 1
         finally:
             daemon.stop()

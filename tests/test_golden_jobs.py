@@ -1,11 +1,13 @@
 """Golden-job regression suite.
 
 Snapshots the fully prepared :class:`~repro.core.job.MachineJob` (shot
-list + dose map digests) for three small canonical layouts and pins
-every execution path to it: a cold run, a warm-cache re-run and a
-``workers=2`` run must all reproduce the stored digests.  Any change to
-fracture order, PEC dosing, shard planning or the cache payload that
-alters the prepared job — intentionally or not — fails here first.
+list + dose map digests) and both machine programs for three small
+canonical layouts.  Any change to fracture order, PEC dosing, shard
+planning or the program container that alters the prepared job —
+intentionally or not — fails here first.  The pin is on the plain run;
+that a warm cache, a pool, a fleet or a fault reproduce it byte for byte
+is the conformance matrix's ``golden-*`` columns
+(``tools/conformance.py``, whose layouts and pipeline these are).
 
 After an intentional change, refresh the snapshots with::
 
@@ -13,8 +15,7 @@ After an intentional change, refresh the snapshots with::
 
 Digests are ``portable_digest`` values (9 significant digits) so they
 survive last-ulp drift in transcendental library routines across
-platforms, while the cross-path comparisons within one run use the
-exact bit-level digest.
+platforms.
 """
 
 import json
@@ -22,40 +23,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import PreparationPipeline
-from repro.layout import generators
-from repro.pec.dose_iter import IterativeDoseCorrector
-from repro.physics.psf import DoubleGaussianPSF
+from conformance import COLUMNS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-PSF = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
-FIELD_SIZE = 20.0
 
 #: The three canonical layouts: a line/space grating (machine-friendly
 #: Manhattan data), a Fresnel zone-plate ring (curved, fracture-hostile)
 #: and a pseudo-random logic cell (overlap-heavy wiring, pre-unioned by
-#: the ``union`` overlap policy).
+#: the ``union`` overlap policy) — the matrix's ``golden-*`` columns.
 CANONICAL_LAYOUTS = {
-    "grating": lambda: generators.grating(
-        pitch=2.0, duty=0.5, lines=12, length=24.0
-    ),
-    "fzp_ring": lambda: generators.fresnel_zone_plate(
-        zones=6, points_per_arc=24
-    ),
-    "logic_cell": lambda: generators.random_logic(
-        chip_size=40.0, wire_width=1.0, target_density=0.15, seed=7
-    ),
+    name.removeprefix("golden-"): column
+    for name, column in COLUMNS.items()
+    if name.startswith("golden-")
 }
-
-
-def build_pipeline(cache_dir=None):
-    return PreparationPipeline(
-        corrector=IterativeDoseCorrector(),
-        psf=PSF,
-        field_size=FIELD_SIZE,
-        cache_dir=cache_dir,
-        overlap_policy="union",
-    )
 
 
 def snapshot_of(result):
@@ -96,24 +76,9 @@ def load_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_LAYOUTS))
-def test_prepared_job_matches_golden(name, update_golden, tmp_path):
-    """Cold, warm-cache and workers=2 runs all reproduce the snapshot."""
-    layout = CANONICAL_LAYOUTS[name]()
-    pipe = build_pipeline(cache_dir=tmp_path / "cache")
-
-    cold = pipe.run(layout)
-    warm = pipe.run(layout)
-    parallel = pipe.run(layout, workers=2, cache=False)
-
-    # Within one session the three paths must be bit-identical, not just
-    # digit-identical — the engine's determinism contract.
-    assert cold.job.digest() == warm.job.digest() == parallel.job.digest()
-    assert warm.execution.cache_hits == warm.execution.shard_count
-    assert warm.execution.cache_misses == 0
-
-    record = snapshot_of(cold)
-    assert record == snapshot_of(warm)
-    assert record == snapshot_of(parallel)
+def test_prepared_job_matches_golden(name, update_golden):
+    column = CANONICAL_LAYOUTS[name]
+    record = snapshot_of(column.pipeline().run(column.layout(), machine="off"))
 
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -132,40 +97,24 @@ def test_prepared_job_matches_golden(name, update_golden, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_LAYOUTS))
 def test_machine_programs_match_golden(name, update_golden, tmp_path):
-    """Raster and VSB machine programs are deterministic and pinned.
-
-    Cold, warm-cache and ``workers=2`` exports must be byte-identical on
-    disk, and their stream digests must match the committed snapshots —
-    any change to fracture order, dosing, shard planning, RLE encoding
-    or the program container fails here.
-    """
-    layout = CANONICAL_LAYOUTS[name]()
-    pipe = build_pipeline(cache_dir=tmp_path / "cache")
+    """Raster and VSB machine-program stream digests are pinned: any
+    change to fracture order, dosing, shard planning, RLE encoding or
+    the program container fails here."""
+    column = CANONICAL_LAYOUTS[name]
+    pipe = column.pipeline(cache_dir=tmp_path / "cache")
 
     record = {}
     for mode in ("raster", "vsb"):
-        paths = {
-            which: tmp_path / f"{which}.{mode}.ebp"
-            for which in ("cold", "warm", "parallel")
-        }
-        cold = pipe.run(layout, machine=mode, program_path=paths["cold"])
-        warm = pipe.run(layout, machine=mode, program_path=paths["warm"])
-        parallel = pipe.run(
-            layout,
-            workers=2,
-            cache=False,
-            machine=mode,
-            program_path=paths["parallel"],
+        cold, warm = (
+            pipe.run(
+                column.layout(), machine=mode, program_path=tmp_path / f"{mode}.ebp"
+            ).machine_program
+            for _ in range(2)
         )
-        cold_bytes = paths["cold"].read_bytes()
-        assert cold_bytes == paths["warm"].read_bytes()
-        assert cold_bytes == paths["parallel"].read_bytes()
+        assert cold.stream_bytes > 0
         # The warm export answers every segment from the program cache.
-        assert warm.machine_program.cache_hits == warm.machine_program.segment_count
-        assert warm.machine_program.cache_misses == 0
-        assert cold.machine_program.stream_bytes > 0
-        assert parallel.machine_program.digest == cold.machine_program.digest
-        record[f"{mode}_program_digest"] = cold.machine_program.digest
+        assert (warm.cache_hits, warm.cache_misses) == (warm.segment_count, 0)
+        record[f"{mode}_program_digest"] = cold.digest
 
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)

@@ -199,19 +199,6 @@ class TestCellsModeParity:
 
 
 class TestFigureShardCache:
-    def test_warm_run_full_hit_and_identical(self, memory_lib, tmp_path):
-        pipe = PreparationPipeline(
-            cache_dir=tmp_path, field_size=20.0, hierarchy="cells"
-        )
-        cold = pipe.run(memory_lib)
-        warm = pipe.run(memory_lib)
-        assert cold.execution.cache_misses > 0
-        assert warm.execution.cache_misses == 0
-        assert warm.execution.cache_hits == warm.execution.shard_count
-        assert warm.job.digest() == cold.job.digest()
-        # Reuse statistics still reported on a fully warm run.
-        assert warm.execution.instances_reused > 0
-
     def test_flat_and_figure_keys_never_collide(self, memory_lib, tmp_path):
         pipe = PreparationPipeline(cache_dir=tmp_path, field_size=20.0)
         pipe.run(memory_lib, hierarchy="cells")

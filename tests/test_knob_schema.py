@@ -181,6 +181,10 @@ BAD_CLI = [
     ["demo", "--workload", "nope"],
     ["work", "--connect", "10.0.0.1:9", "--idle-exit", "abc"],
     ["work", "--connect", "10.0.0.1:9", "--idle-exit", "-1"],
+    ["serve", "--port", "99999"],
+    ["serve", "--port", "-5"],
+    ["serve", "--concurrency", "0"],
+    ["serve", "--concurrency", "two"],
 ]
 
 

@@ -37,10 +37,6 @@ from repro.machine.program import (
 )
 from repro.machine.rle import decode_to_coverage, encode_figures
 from repro.machine.vsb import ShapedBeamWriter
-from repro.pec.dose_iter import IterativeDoseCorrector
-from repro.physics.psf import DoubleGaussianPSF
-
-PSF = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
 
 
 def grating_polygons(lines=8):
@@ -50,13 +46,9 @@ def grating_polygons(lines=8):
     ]
 
 
-def executed(polygons, field_size=None, workers=1, cache=None):
-    executor = ShardedExecutor(
-        TrapezoidFracturer(),
-        field_size=field_size,
-        cache=cache,
-    )
-    return executor.execute(polygons, workers=workers)
+def fractured(polygons, field_size=None):
+    executor = ShardedExecutor(TrapezoidFracturer(), field_size=field_size)
+    return executor.execute(polygons)
 
 
 class TestMachineSpec:
@@ -76,7 +68,7 @@ class TestMachineSpec:
 
 class TestRasterExport:
     def test_roundtrip_matches_direct_encode(self, tmp_path):
-        result = executed(grating_polygons())
+        result = fractured(grating_polygons())
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -99,8 +91,8 @@ class TestRasterExport:
 
     def test_sharded_coverage_equals_unsharded(self, tmp_path):
         polys = grating_polygons()
-        single = executed(polys)
-        sharded = executed(polys, field_size=5.0)
+        single = fractured(polys)
+        sharded = fractured(polys, field_size=5.0)
         from repro.core.job import MachineJob
 
         spec = MachineSpec("raster", address_unit=0.5)
@@ -127,7 +119,7 @@ class TestRasterExport:
         assert p2.line_count >= p1.line_count
 
     def test_exact_bytes_bounded_by_estimate_single_shard(self, tmp_path):
-        result = executed(grating_polygons())
+        result = fractured(grating_polygons())
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -140,7 +132,7 @@ class TestRasterExport:
         assert 0 < program.stream_bytes <= program.estimate_bytes
 
     def test_bounded_memory_witness(self, tmp_path):
-        result = executed(grating_polygons(), field_size=5.0)
+        result = fractured(grating_polygons(), field_size=5.0)
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -166,8 +158,8 @@ class TestRasterExport:
             Polygon.rectangle(0.5, 0.0, 11.0, 3.0),
             Polygon.rectangle(11.0, 0.0, 19.5, 3.0),
         ]
-        sharded = executed(polys, field_size=10.0)
-        single = executed(polys)
+        sharded = fractured(polys, field_size=10.0)
+        single = fractured(polys)
         spec = MachineSpec("raster", address_unit=1.0)
         p_sharded = export_program(
             sharded.shard_results,
@@ -213,7 +205,7 @@ class TestRasterExport:
 
 class TestShotExport:
     def _program(self, tmp_path, mode, base_dose=1.0, doses=None):
-        result = executed(grating_polygons(lines=3))
+        result = fractured(grating_polygons(lines=3))
         if doses is not None:
             # Results are read-only: a different dose is a new result.
             (shard,) = result.shard_results
@@ -273,7 +265,7 @@ class TestShotExport:
 
 class TestContainer:
     def test_dumps_is_loads_inverse(self, tmp_path):
-        result = executed(grating_polygons(), field_size=5.0)
+        result = fractured(grating_polygons(), field_size=5.0)
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -289,7 +281,7 @@ class TestContainer:
     def test_bad_magic_and_truncation(self, tmp_path):
         with pytest.raises(JobFileError):
             loads_program(b"NOPE" + b"\x00" * 64)
-        result = executed(grating_polygons(lines=2))
+        result = fractured(grating_polygons(lines=2))
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -305,7 +297,7 @@ class TestContainer:
 class TestProgramCache:
     def test_second_export_hits_every_segment(self, tmp_path):
         cache = ShardCache(tmp_path / "cache")
-        result = executed(grating_polygons(), field_size=5.0)
+        result = fractured(grating_polygons(), field_size=5.0)
         from repro.core.job import MachineJob
 
         job = MachineJob(result.shots, name="g")
@@ -339,7 +331,7 @@ class TestProgramCache:
 
     def test_key_sensitivity(self, tmp_path):
         cache = ShardCache(tmp_path / "cache")
-        result = executed(grating_polygons(lines=2))
+        result = fractured(grating_polygons(lines=2))
         shard = result.shard_results[0]
         base = cache.program_key_for(shard, MachineSpec("raster"), (0.0, 0.0), 1.0)
         assert base == cache.program_key_for(
@@ -387,33 +379,6 @@ class TestPipelineThreading:
         assert program.breakdown.total > 0
         assert program.channel.channel_rate > 0
 
-    def test_workers_and_cache_byte_identical(self, tmp_path):
-        def build(cache_dir):
-            return PreparationPipeline(
-                corrector=IterativeDoseCorrector(),
-                psf=PSF,
-                machine="vsb",
-                program_dir=tmp_path,
-                field_size=6.0,
-                cache_dir=cache_dir,
-            )
-
-        polys = grating_polygons()
-        pipe = build(tmp_path / "cache")
-        cold = pipe.run_polygons(polys, name="a", program_path=tmp_path / "cold.ebp")
-        warm = pipe.run_polygons(polys, name="a", program_path=tmp_path / "warm.ebp")
-        parallel = build(None).run_polygons(
-            polys,
-            name="a",
-            workers=2,
-            program_path=tmp_path / "par.ebp",
-        )
-        cold_bytes = (tmp_path / "cold.ebp").read_bytes()
-        assert cold_bytes == (tmp_path / "warm.ebp").read_bytes()
-        assert cold_bytes == (tmp_path / "par.ebp").read_bytes()
-        assert warm.machine_program.cache_hits == warm.execution.shard_count
-        assert cold.machine_program.digest == parallel.machine_program.digest
-
     def test_per_run_override_and_off(self, tmp_path):
         pipe = PreparationPipeline(program_dir=tmp_path)
         none = pipe.run_polygons(grating_polygons(lines=2), name="n")
@@ -437,7 +402,7 @@ class TestPipelineThreading:
     def test_failed_export_preserves_existing_program(self, tmp_path):
         from repro.core.job import MachineJob
 
-        result = executed(grating_polygons(lines=2))
+        result = fractured(grating_polygons(lines=2))
         job = MachineJob(result.shots, name="g")
         path = tmp_path / "g.ebp"
         export_program(result.shard_results, job, MachineSpec("vsb"), path)

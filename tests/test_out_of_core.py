@@ -1,21 +1,19 @@
-"""Out-of-core preparation: streaming readers, spilling executor, and
-end-to-end byte identity.
+"""Out-of-core preparation: streaming readers, the incremental writers,
+the spilling executor's witnesses and its failure paths.
 
-The contract under test is *bit identity*: the streaming path — cursor
-readers, windowed execution with spilled shard results, incremental
-job/program assembly — must produce artifacts byte-identical to the
-materialized path for any worker count, cold or warm cache, and local
-or distributed dispatch.  Reader equivalence is swept with hypothesis
-over the full generator parameter space; pipeline identity is asserted
-on the artifacts themselves with ``filecmp``.
+That a streamed run writes the bytes a resident one does — for any
+worker count, cold or warm cache, local or leased, from a library or a
+file, from Python, the CLI or the service — is the conformance matrix's
+``streaming`` axis (``tests/test_conformance.py``).  Here: reader
+equivalence, swept with hypothesis over the generator parameter space;
+the job-file writer against ``write_job``; the sources the matrix has
+no axis value for (raw iterables, mixed batches); what a streamed run
+reports and how it degrades.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import filecmp
 import tempfile
-import threading
 import warnings
 from pathlib import Path
 
@@ -23,26 +21,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.core.executor import (
-    ExecutionStats,
     RetryPolicy,
     ShardedExecutor,
     SpillDegradedWarning,
     shutdown_worker_pool,
 )
 from repro.core.faults import FaultPlan
-from repro.core.jobfile import (
-    JobFileError,
-    JobFileWriter,
-    write_job,
-)
+from repro.core.jobfile import JobFileError, JobFileWriter, dumps_job, write_job
 from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
-from repro.dist import (
-    DistPolicy,
-    WorkerDaemon,
-    coordinator_for,
-    shutdown_coordinators,
-)
 from repro.fracture.base import shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.layout import generators
@@ -252,14 +239,14 @@ class TestJobFileWriter:
         from repro.core.job import MachineJob
 
         shots = self._shots()
-        job = MachineJob(shots, base_dose=1.5)
-        write_job(job, tmp_path / "whole.ebj")
+        write_job(MachineJob(shots, base_dose=1.5), tmp_path / "whole.ebj")
         with JobFileWriter(tmp_path / "inc.ebj", len(shots), base_dose=1.5) as writer:
             # One block per shot, then the rest at once: the cut into
             # blocks never shows in the bytes.
             writer.write_rows(shot_rows(shots[:1]))
             writer.write_rows(shot_rows(shots[1:]))
-        assert filecmp.cmp(tmp_path / "whole.ebj", tmp_path / "inc.ebj", shallow=False)
+        whole, incremental = tmp_path / "whole.ebj", tmp_path / "inc.ebj"
+        assert incremental.read_bytes() == whole.read_bytes()
 
     def test_undercount_raises_and_discards(self, tmp_path):
         shots = self._shots()
@@ -293,41 +280,6 @@ class TestJobFileWriter:
 # ---------------------------------------------------------------------------
 
 
-def _materialized_artifacts(pipe, library, tmp_path, **kwargs):
-    result = pipe.run(library, program_path=tmp_path / "mat.ebp", **kwargs)
-    write_job(result.job, tmp_path / "mat.ebj")
-    return result
-
-
-#: ExecutionStats fields that legitimately differ between a resident and
-#: a streamed run of the same layout: the streaming witness counters,
-#: ``parallel`` (one-shard windows never reach the pool) and the program
-#: record (same bytes, different path).
-_MODE_FIELDS = {
-    "streamed",
-    "stream_windows",
-    "peak_window_bytes",
-    "shards_spilled",
-    "spill_bytes",
-    "spill_fallbacks",
-    "parallel",
-    "program",
-}
-
-
-def _assert_mode_parity(mat, res, tmp_path):
-    """Every mode-independent counter equal, artifacts ``cmp``-equal."""
-    for f in dataclasses.fields(ExecutionStats):
-        if f.name not in _MODE_FIELDS:
-            assert getattr(res.execution, f.name) == getattr(
-                mat.execution, f.name
-            ), f.name
-    assert res.execution.streamed and not mat.execution.streamed
-    write_job(mat.job, tmp_path / "mat.ebj")
-    assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "st.ebj", shallow=False)
-    assert filecmp.cmp(tmp_path / "mat.ebp", tmp_path / "st.ebp", shallow=False)
-
-
 class _FailingFracturer(TrapezoidFracturer):
     """Raises on its ``fail_at``-th shard (in-process runs only)."""
 
@@ -348,34 +300,6 @@ class TestStreamingPipeline:
     def _clean_pool(self):
         yield
         shutdown_worker_pool()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_byte_identity_cold_and_warm(self, tmp_path, workers):
-        library = generators.fresnel_zone_plate()
-        pipe = PreparationPipeline(
-            field_size=FIELD_SIZE,
-            cache_dir=tmp_path / "cache",
-            machine="vsb",
-        )
-        mat = _materialized_artifacts(pipe, library, tmp_path, workers=workers)
-        for run in ("cold", "warm"):
-            res = pipe.run_streaming(
-                library,
-                workers=workers,
-                program_path=tmp_path / f"{run}.ebp",
-                job_path=tmp_path / f"{run}.ebj",
-            )
-            assert filecmp.cmp(
-                tmp_path / "mat.ebj", tmp_path / f"{run}.ebj", shallow=False
-            ), run
-            assert filecmp.cmp(
-                tmp_path / "mat.ebp", tmp_path / f"{run}.ebp", shallow=False
-            ), run
-            assert res.job.digest() == mat.job.digest()
-            assert res.job_bytes == (tmp_path / f"{run}.ebj").stat().st_size
-        # The warm run answered every window from the cache.
-        assert res.execution.cache_hits > 0
-        assert res.execution.cache_misses == 0
 
     def test_corrected_aggregates_match(self, tmp_path):
         library = generators.fresnel_zone_plate(zones=8)
@@ -409,26 +333,12 @@ class TestStreamingPipeline:
         assert stats.spill_bytes > 0
         assert stats.spill_fallbacks == 0
 
-    def test_file_source_streams_identically(self, tmp_path):
-        library = generators.fresnel_zone_plate()
-        path = tmp_path / "fzp.gds"
-        write_gdsii(library, path)
-        pipe = PreparationPipeline(field_size=FIELD_SIZE, machine="raster")
-        mat = _materialized_artifacts(pipe, loads_gdsii(path.read_bytes()), tmp_path)
-        res = pipe.run_streaming(
-            path, program_path=tmp_path / "st.ebp", job_path=tmp_path / "st.ebj"
-        )
-        assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "st.ebj", shallow=False)
-        assert filecmp.cmp(tmp_path / "mat.ebp", tmp_path / "st.ebp", shallow=False)
-        assert res.job.name == mat.job.name
-
     def test_raw_polygon_iterable_source(self, tmp_path):
         polys = _flat_sequence(generators.grating(lines=6))
         pipe = PreparationPipeline(field_size=4.0)
         mat = pipe.run_polygons(polys)
         res = pipe.run_streaming(iter(polys), job_path=tmp_path / "raw.ebj")
-        write_job(mat.job, tmp_path / "mat.ebj")
-        assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "raw.ebj", shallow=False)
+        assert (tmp_path / "raw.ebj").read_bytes() == dumps_job(mat.job)
         assert res.source_polygons == len(polys)
 
     def test_union_overlap_policy_rejected(self):
@@ -436,45 +346,7 @@ class TestStreamingPipeline:
         with pytest.raises(ValueError, match="union"):
             pipe.run_streaming(generators.fresnel_zone_plate())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
-    def test_stats_parity_with_resident_run(self, tmp_path, cache_state, workers):
-        library = generators.fresnel_zone_plate()
-
-        def pipe(cache_name):
-            cache_dir = None if cache_state == "none" else tmp_path / cache_name
-            return PreparationPipeline(
-                field_size=FIELD_SIZE,
-                machine="vsb",
-                workers=workers,
-                cache_dir=cache_dir,
-            )
-
-        if cache_state == "warm":
-            pipe("shared").run(library, machine="off")
-        # Cold runs each need an empty cache of their own; warm runs
-        # share the primed one.
-        shared = cache_state == "warm"
-        mat = pipe("shared" if shared else "resident").run(
-            library, program_path=tmp_path / "mat.ebp"
-        )
-        res = pipe("shared" if shared else "streamed").run_streaming(
-            library,
-            program_path=tmp_path / "st.ebp",
-            job_path=tmp_path / "st.ebj",
-        )
-        assert mat.execution.shard_count > 1
-        assert res.execution.stream_windows > 1
-        if cache_state != "none":
-            lookups = mat.execution.shard_count
-            expected = (lookups, 0) if shared else (0, lookups)
-            assert (
-                mat.execution.cache_hits,
-                mat.execution.cache_misses,
-            ) == expected
-        _assert_mode_parity(mat, res, tmp_path)
-
-    def test_stats_parity_under_transient_fault(self, tmp_path):
+    def test_fault_positions_are_run_global_across_windows(self):
         # Fault positions index the run's dispatched work list, so the
         # (0, 0) fault fires once however many windows the run takes.
         one_row = generators.grating(pitch=2.0, duty=0.5, lines=12, length=3.0)
@@ -483,26 +355,16 @@ class TestStreamingPipeline:
             (one_row, 4.0, 1),
             (multi_row, FIELD_SIZE, 4),
         ):
-            out = tmp_path / f"windows-{windows}"
-            out.mkdir()
-            clean = PreparationPipeline(field_size=field_size).run(library)
-            write_job(clean.job, out / "clean.ebj")
             pipe = PreparationPipeline(
                 field_size=field_size,
-                machine="vsb",
                 faults=FaultPlan(transient=frozenset({(0, 0)})),
                 retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             )
-            mat = pipe.run(library, program_path=out / "mat.ebp")
-            res = pipe.run_streaming(
-                library, program_path=out / "st.ebp", job_path=out / "st.ebj"
-            )
-            assert mat.execution.shard_count > 1
-            assert res.execution.stream_windows == windows
-            assert mat.execution.shard_retries == 1
-            assert mat.execution.fault_events == res.execution.fault_events == 1
-            _assert_mode_parity(mat, res, out)
-            assert filecmp.cmp(out / "clean.ebj", out / "st.ebj", shallow=False)
+            mat = pipe.run(library).execution
+            res = pipe.run_streaming(library).execution
+            assert mat.shard_count > 1 and res.stream_windows == windows
+            assert mat.shard_retries == res.shard_retries == 1
+            assert mat.fault_events == res.fault_events == 1
 
     def test_run_many_mixed_batch_matches_single_runs(self, tmp_path):
         library = generators.memory_array(blocks=(2, 2))
@@ -522,17 +384,10 @@ class TestStreamingPipeline:
             single = pipe.run(
                 source, name=name, program_path=tmp_path / f"{name}.ebp"
             )
-            write_job(result.job, tmp_path / f"{name}.batch.ebj")
-            write_job(single.job, tmp_path / f"{name}.single.ebj")
-            assert filecmp.cmp(
-                tmp_path / f"{name}.batch.ebj",
-                tmp_path / f"{name}.single.ebj",
-                shallow=False,
-            )
-            assert filecmp.cmp(
-                result.machine_program.path,
-                tmp_path / f"{name}.ebp",
-                shallow=False,
+            assert dumps_job(result.job) == dumps_job(single.job)
+            assert (
+                result.machine_program.path.read_bytes()
+                == (tmp_path / f"{name}.ebp").read_bytes()
             )
             assert result.source_polygons == single.source_polygons
             assert result.execution.shard_count == single.execution.shard_count
@@ -580,7 +435,6 @@ class TestSpillDegradation:
     def test_enospc_spill_degrades_to_resident(self, tmp_path):
         library = generators.fresnel_zone_plate()
         mat = PreparationPipeline(field_size=FIELD_SIZE).run(library)
-        write_job(mat.job, tmp_path / "mat.ebj")
         plan = FaultPlan(enospc_puts=tuple(range(64)))
         pipe = PreparationPipeline(
             field_size=FIELD_SIZE, cache_dir=tmp_path / "cache", faults=plan
@@ -595,57 +449,7 @@ class TestSpillDegradation:
         stats = res.execution
         assert stats.shards_spilled == 0
         assert stats.spill_fallbacks >= stats.occupied_shards > 0
-        assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "deg.ebj", shallow=False)
-
-
-# ---------------------------------------------------------------------------
-# Distributed dispatch: streaming is byte-identical on a worker fleet
-# ---------------------------------------------------------------------------
-
-
-class TestDistributedStreaming:
-    def test_fleet_run_matches_serial(self, tmp_path):
-        library = generators.grating(pitch=2.0, duty=0.5, lines=12, length=24.0)
-        serial = PreparationPipeline(field_size=4.0).run(library)
-        write_job(serial.job, tmp_path / "serial.ebj")
-
-        server = coordinator_for("127.0.0.1:0")
-        host, port = server.server_address[:2]
-        endpoint = f"{host}:{port}"
-        daemons, threads = [], []
-        try:
-            for i in range(2):
-                daemon = WorkerDaemon(endpoint, worker_id=f"w{i}")
-                daemons.append(daemon)
-                thread = threading.Thread(target=daemon.run, daemon=True)
-                thread.start()
-                threads.append(thread)
-            pipe = PreparationPipeline(
-                field_size=4.0,
-                dispatch="distributed",
-                workers_endpoint=endpoint,
-                dist_policy=DistPolicy(
-                    lease_deadline=1.0,
-                    heartbeat_interval=0.1,
-                    heartbeat_timeout=0.5,
-                    worker_grace=2.0,
-                    speculate_after=0.3,
-                ),
-                retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
-            )
-            res = pipe.run_streaming(library, job_path=tmp_path / "dist.ebj")
-        finally:
-            for daemon in daemons:
-                daemon.stop()
-            for thread in threads:
-                thread.join(timeout=5.0)
-            shutdown_coordinators()
-            shutdown_worker_pool()
-        assert filecmp.cmp(
-            tmp_path / "serial.ebj", tmp_path / "dist.ebj", shallow=False
-        )
-        assert res.execution.streamed
-        assert res.execution.dispatch == "distributed"
+        assert (tmp_path / "deg.ebj").read_bytes() == dumps_job(mat.job)
 
 
 # ---------------------------------------------------------------------------
@@ -666,54 +470,20 @@ class TestStreamingWiring:
         with pytest.raises(ValueError, match="streaming"):
             PrepRecipe(streaming="yes")
 
-    def test_service_runner_streams_byte_identically(self, tmp_path):
+    def test_service_runner_reports_the_memory_group(self, tmp_path):
         from repro.service.jobs import JobStore
         from repro.service.runner import JobRunner
         from repro.service.schemas import JobSpec
 
         store = JobStore()
         assert "spill_fallbacks" in store.FAULT_KEYS
-        paths = {}
-        for streaming, sub in ((False, "mat"), (True, "stream")):
-            recipe = PrepRecipe(field_size=20.0, machine="vsb", streaming=streaming)
-            job = store.create(JobSpec(workload="fzp", recipe=recipe))
-            JobRunner(store, tmp_path / sub, cache=None)(job)
-            record = store.get(job.id)
-            assert record.state == "done", record.error
-            paths[sub] = record
-            if streaming:
-                memory = record.result["execution"]["memory"]
-                assert memory["streamed"]
-                assert memory["stream_windows"] > 0
-                assert memory["peak_window_bytes"] > 0
-                assert (
-                    record.result["job_bytes"]
-                    == Path(record.job_path).stat().st_size
-                )
-        assert filecmp.cmp(
-            paths["mat"].job_path, paths["stream"].job_path, shallow=False
-        )
-        assert filecmp.cmp(
-            paths["mat"].program_path,
-            paths["stream"].program_path,
-            shallow=False,
-        )
-
-    def test_cli_stream_prep_byte_identical(self, tmp_path, capsys):
-        from repro.cli import main
-
-        library = generators.fresnel_zone_plate()
-        gds = tmp_path / "fzp.gds"
-        write_gdsii(library, gds)
-        base = [
-            "prep", str(gds), "--field-size", "15", "--machine", "vsb",
-        ]
-        assert main(base + ["--output", str(tmp_path / "mat.ebj")]) == 0
-        assert main(base + ["--stream", "--output", str(tmp_path / "st.ebj")]) == 0
-        out = capsys.readouterr().out
-        assert "memory:" in out
-        assert "streamed in" in out
-        assert filecmp.cmp(tmp_path / "mat.ebj", tmp_path / "st.ebj", shallow=False)
-        assert filecmp.cmp(
-            tmp_path / "mat.vsb.ebp", tmp_path / "st.vsb.ebp", shallow=False
-        )
+        recipe = PrepRecipe(field_size=20.0, machine="vsb", streaming=True)
+        job = store.create(JobSpec(workload="fzp", recipe=recipe))
+        JobRunner(store, tmp_path, cache=None)(job)
+        record = store.get(job.id)
+        assert record.state == "done", record.error
+        memory = record.result["execution"]["memory"]
+        assert memory["streamed"]
+        assert memory["stream_windows"] > 0
+        assert memory["peak_window_bytes"] > 0
+        assert record.result["job_bytes"] == Path(record.job_path).stat().st_size

@@ -6,7 +6,6 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
 from repro.fracture.shots import ShotFracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
-from repro.layout import generators
 
 
 class TestValidation:
@@ -98,13 +97,3 @@ class TestBuildPipeline:
         pipeline = PrepRecipe().build_pipeline(cache_dir=tmp_path / "c")
         assert pipeline.cache is not None
         assert pipeline.cache.root == tmp_path / "c"
-
-    def test_recipe_run_matches_direct_pipeline(self):
-        recipe = PrepRecipe(field_size=15.0)
-        via_recipe = recipe.build_pipeline().run(
-            generators.fresnel_zone_plate(), name="fzp"
-        )
-        direct = PreparationPipeline(field_size=15.0).run(
-            generators.fresnel_zone_plate(), name="fzp"
-        )
-        assert via_recipe.job.digest() == direct.job.digest()
