@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional
 from repro.fracture.base import Fracturer
 from repro.geometry.boolean import boolean_trapezoids
 from repro.geometry.polygon import Polygon
-from repro.geometry.scanline import DEFAULT_GRID
+from repro.geometry.scanline import DEFAULT_GRID, require_positive
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView, trapezoid_array
@@ -43,8 +43,9 @@ class TrapezoidFracturer(Fracturer):
         merge: bool = True,
         kernel: str = "fast",
     ) -> None:
-        if max_height is not None and max_height <= 0:
-            raise ValueError("max_height must be positive")
+        require_positive("grid", grid)
+        if max_height is not None:
+            require_positive("max_height", max_height)
         if kernel not in ("exact", "fast"):
             raise ValueError(
                 f"kernel must be 'exact' or 'fast', got {kernel!r}"

@@ -44,6 +44,7 @@ from repro.geometry.scanline import (
     edges_from_rings,
     evenodd,
     nonzero,
+    require_positive,
     snap_polygon,
     sweep_trapezoids,
 )
@@ -126,6 +127,7 @@ def boolean_trapezoids(
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
         )
+    require_positive("grid", grid)
     polys_a = list(polys_a)
     polys_b = list(polys_b)
     if kernel == "fast":

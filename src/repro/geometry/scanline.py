@@ -21,6 +21,7 @@ external dependencies.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,17 @@ IntPoint = Tuple[int, int]
 
 #: Default database unit in layout units (1 nm when layout units are µm).
 DEFAULT_GRID = 1e-3
+
+
+def require_positive(name: str, value: float) -> None:
+    """Refuse a grid or figure height that is not a positive finite
+    number: ``ValueError`` in the words of
+    :func:`repro.core.recipe.number_complaint`, which this package
+    cannot import."""
+    if not -math.inf < value < math.inf:  # NaN compares false
+        raise ValueError(f"{name} must be finite")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 class ScanEdge:

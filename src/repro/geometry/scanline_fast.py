@@ -81,6 +81,53 @@ exact Python integers and deduplicated as reduced fractions — never as
 floats, so crossing ys that would collide after rounding stay
 distinct.
 
+Ordering
+--------
+The sweep walks the (slab, edge) incidences in the lexicographic order
+of ``(s,) + keys_lo + keys_hi``, fully equal rows (edges collinear
+through the slab) in input order — what ``np.lexsort`` over those
+arrays returns.  ``lexsort`` makes one stable pass per key array, least
+significant first, and its passes over ``keys_hi`` almost never decide
+anything: two edges share a slab *and* their x at its lower boundary
+only where they meet at a vertex or coincide.  :func:`_sweep_order`
+instead sorts once, stably, on ``(s, c)`` for a coarse double ``c`` of
+the lower x (:func:`_order_by_pair`), then re-sorts only the rows whose
+``(s, c)`` ties with a neighbour's: one ``lexsort`` of that subset on
+``(s, c)`` and then the exact keys, which keeps every run of tied rows
+where it is and orders it inside.
+
+*The coarse key* has to be **weakly monotone** in the exact ``keys_lo``
+order — ``x < x'`` implies ``c <= c'``; a tie is allowed, an inversion
+is not.  Float-key regime: ``c = float64(q) + f``.  ``|q| <= 2**24 + 1``
+and ``f`` in [0, 1) are exact doubles, so ``c`` is the real number ``q +
+f`` rounded once, and rounding is monotone (``(2**24, 1 - 2**-53)`` and
+``(2**24 + 1, 0.0)`` tie; nothing inverts).  Int64-word and big-integer
+regimes: ``c = float64(q)`` — ``q`` is the most significant key and its
+conversion is one rounding even at ``|q| = 2**53 + 1``.  A fraction word
+is not added there: that is a second rounding (of the word, then of the
+sum) at a magnitude where doubles are two apart, it would need its own
+argument, and the ties ``float64(q)`` leaves are few.
+
+*Why the result is ``lexsort``'s, stability included.*  Rows with
+different ``(s, c)`` are ordered by the first sort as ``lexsort`` orders
+them (monotonicity).  Rows with equal ``(s, c)`` are contiguous after
+the first sort and hold the same positions in ``lexsort``'s order (a row
+between two of them would have an ``(s, c)`` between two equal values),
+so permuting them among those positions is all that is left.  The first
+sort is stable, so a run is in input order; ``lexsort`` is stable, so
+sorting the run by the exact keys leaves fully equal rows in input
+order — ``lexsort``'s own tie-break.  A first sort that is not stable,
+or a coarse key that inverts once, breaks this; the oracle test in
+``tests/test_scanline_fast.py`` compares permutations, not sortedness.
+
+*Measured.*  Rows re-sorted, of rows ordered: 20-zone plate (the F16
+die) 0 of 37,444; 8x8 memory array 0 of 49,152; 2,000 slanted triangles
+in one band 4,000 of 8,000 (the two lower edges of each meet at its
+lowest vertex), the same at ``|coord| ~ 2**31``; the 1,000-cluster
+crossing mesh 3,060 of 23,576 (integer slabs) and 12,036 of 601,342
+(rational slabs).  The ordering step of the die: 9–13 ms as a five-key
+``lexsort``, 1–2 ms now.
+
 Merging
 -------
 The sweep cuts every figure at every foreign vertex y; the vertical
@@ -532,7 +579,7 @@ def _keys_object(
 
     ``q`` and every digit word fit int64 (``|q| <= COORD_LIMIT + 1``,
     ``w < 2**54``), so the emitted key arrays are plain int64 and the
-    downstream lexsort never touches an object."""
+    downstream sort never touches an object."""
     q = num // den
     r = num - q * den
     k_words = -(-2 * den_bits // _WORD_BITS)
@@ -583,6 +630,50 @@ def _div_rows(
 # ---------------------------------------------------------------------------
 
 
+def _order_by_pair(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """``np.lexsort((minor, major))`` as one stable sort on a complex key
+    (complex numbers order by real part, then imaginary part).
+
+    :func:`merge_rows` sorts what the sweep emitted slab by slab and left
+    to right — already in order, or two interleaved sorted runs; one
+    adaptive sort merges those in a single pass, where ``lexsort``'s
+    pass per key, least significant first, scrambles them (4 ms against
+    19 ms on the 148k edges of a 40-zone plate).  :func:`_sweep_order`
+    sorts incidences that are grouped by edge, not by slab: there the
+    gain is one pass instead of one per key.  Shuffled input costs the
+    same either way.
+    """
+    key = np.empty(len(major), dtype=np.complex128)
+    key.real = major
+    key.imag = minor
+    return np.argsort(key, kind="stable")
+
+
+def _sweep_order(
+    s: np.ndarray,
+    keys_lo: Tuple[np.ndarray, ...],
+    keys_hi: Tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """``np.lexsort(reversed(keys_hi) + reversed(keys_lo) + (s,))`` — the
+    same permutation, fully equal rows in input order included — as one
+    stable sort on ``(slab, coarse x_lo)`` plus an exact re-sort of the
+    rows that sort left tied.  See "Ordering" in the module docstring.
+    """
+    coarse = keys_lo[0].astype(np.float64)
+    if keys_lo[1].dtype == np.float64:
+        # Float-key regime: q and f are exact doubles, q + f rounds once.
+        coarse += keys_lo[1]
+    order = _order_by_pair(s, coarse)
+    s, coarse = s[order], coarse[order]
+    same = (s[1:] == s[:-1]) & (coarse[1:] == coarse[:-1])
+    if same.any():
+        tied = np.concatenate(([False], same)) | np.concatenate((same, [False]))
+        rows = order[tied]
+        exact = tuple(k[rows] for k in reversed(keys_lo + keys_hi))
+        order[tied] = rows[np.lexsort(exact + (coarse[tied], s[tied]))]
+    return order
+
+
 def _sweep_block(
     e: np.ndarray,
     s: np.ndarray,
@@ -608,9 +699,7 @@ def _sweep_block(
     for emission.  Returns ``(slab_ids, rows)`` with one ``(6,)``
     float64 trapezoid row per kept interior interval, in slab order.
     """
-    order = np.lexsort(
-        tuple(reversed(keys_hi)) + tuple(reversed(keys_lo)) + (s,)
-    )
+    order = _sweep_order(s, keys_lo, keys_hi)
     e = e[order]
     s = s[order]
     keys_lo = tuple(k[order] for k in keys_lo)
@@ -695,23 +784,6 @@ def _sweep_block(
 # ---------------------------------------------------------------------------
 # The vertical merge, on rows
 # ---------------------------------------------------------------------------
-
-
-def _order_by_pair(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """``np.lexsort((minor, major))`` as one stable sort on a complex key
-    (complex numbers order by real part, then imaginary part).
-
-    The sweep emits rows slab by slab and left to right, so what is
-    sorted here is already in order or two interleaved sorted runs; one
-    adaptive sort merges those in a single pass, where ``lexsort``'s
-    pass per key, least significant first, scrambles them (4 ms against
-    19 ms on the 148k edges of a 40-zone plate).  Shuffled input costs
-    the same either way.
-    """
-    key = np.empty(len(major), dtype=np.complex128)
-    key.real = major
-    key.imag = minor
-    return np.argsort(key, kind="stable")
 
 
 # Python floats overflow to inf, and turn inf - inf into nan, without a

@@ -7,6 +7,9 @@ own constructor, the service's ``timeout``, :class:`RetryPolicy` and
 :class:`DistPolicy` — used to hand-roll the test and shared its hole:
 non-finite values passed.
 (The HTTP 400 for a ``NaN`` timeout is pinned in ``tests/test_service``.)
+The geometry doors (``boolean_trapezoids``' ``grid``, the trapezoid
+fracturer's ``grid`` and ``max_height``) sit below ``repro.core`` and
+cannot import the rule; they are held to its words here.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from repro.core.recipe import (
     number_complaint,
 )
 from repro.dist import DistPolicy
+from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.boolean import boolean_trapezoids
+from repro.geometry.polygon import Polygon
 from repro.service.schemas import SchemaError, parse_job_spec
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -40,6 +46,9 @@ RECIPE_KNOBS = [f.name for f in NUMERIC]
 CLI_FLAGS = [flag_of(f) for f in NUMERIC]
 PIPELINE_KNOBS = ["base_dose", "address_unit", "field_size"]
 RETRY_KNOBS = ["backoff_base", "backoff_cap", "shard_timeout"]
+FRACTURER_KNOBS = ["grid", "max_height"]
+KERNELS = ["fast", "exact"]
+SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DIST_KNOBS = [
     "lease_deadline",
     "heartbeat_interval",
@@ -113,6 +122,40 @@ class TestNonFiniteIsRejectedAtEveryDoor:
     def test_dist_policy(self, knob, value):
         with pytest.raises(ValueError, match=f"{knob} must be finite"):
             DistPolicy(**{knob: value})
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_boolean_grid(self, kernel, value):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            boolean_trapezoids([SQUARE], [], "or", grid=value, kernel=kernel)
+
+    @pytest.mark.parametrize("knob", FRACTURER_KNOBS)
+    def test_fracturer(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            TrapezoidFracturer(**{knob: value})
+
+
+class TestGeometryDoorsSayWhatTheRuleSays:
+    """A zero grid used to be a ``ZeroDivisionError`` and a negative one
+    an empty figure list, from both kernels."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("value", [0, 0.0, -0.001])
+    def test_boolean_grid(self, value, kernel):
+        with pytest.raises(ValueError) as excinfo:
+            boolean_trapezoids([SQUARE], [], "or", grid=value, kernel=kernel)
+        assert str(excinfo.value) == f"grid {number_complaint(value)}"
+
+    @pytest.mark.parametrize("knob", FRACTURER_KNOBS)
+    @pytest.mark.parametrize("value", [0, -0.001])
+    def test_fracturer(self, value, knob):
+        with pytest.raises(ValueError) as excinfo:
+            TrapezoidFracturer(**{knob: value})
+        assert str(excinfo.value) == f"{knob} {number_complaint(value)}"
+
+    def test_good_values_pass(self):
+        fracturer = TrapezoidFracturer(grid=0.5, max_height=0.25)
+        assert len(fracturer.fracture([SQUARE])) == 4
+        assert TrapezoidFracturer(max_height=None).max_height is None
 
 
 class TestOrdinaryMessagesAreUnchanged:

@@ -451,6 +451,194 @@ def stack(*rows):
     return np.array(rows, dtype=np.float64)
 
 
+def lexsort_order(s, keys_lo, keys_hi):
+    """The order ``_sweep_block`` used to compute, kept as the oracle."""
+    return np.lexsort(
+        tuple(reversed(keys_hi)) + tuple(reversed(keys_lo)) + (s,)
+    )
+
+
+def assert_same_order(s, keys_lo, keys_hi):
+    """The same permutation — not merely some sorted arrangement."""
+    assert np.array_equal(
+        scanline_fast._sweep_order(s, keys_lo, keys_hi),
+        lexsort_order(s, keys_lo, keys_hi),
+    )
+
+
+def key_block(rows, fraction_dtype=np.int64):
+    """``(s, keys_lo, keys_hi)`` arrays from ``(slab, x_lo, x_hi)`` rows,
+    each x a ``(q, word, ...)`` tuple; dtypes as the kernel builds them
+    (int64 throughout, the float regime's fraction float64)."""
+
+    def columns(xs):
+        width = len(xs[0])
+        dtypes = (np.int64,) + (fraction_dtype,) * (width - 1)
+        return tuple(
+            np.array([x[k] for x in xs], dtype=dtypes[k])
+            for k in range(width)
+        )
+
+    s = np.array([row[0] for row in rows], dtype=np.int64)
+    lo, hi = ([row[side] for row in rows] for side in (1, 2))
+    return s, columns(lo), columns(hi)
+
+
+def first_rows(block, n):
+    s, keys_lo, keys_hi = block
+    return s[:n], tuple(k[:n] for k in keys_lo), tuple(k[:n] for k in keys_hi)
+
+
+_ONE_ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _words(bits, count):
+    top = (1 << bits) - 1
+    word = st.sampled_from([0, 1, top]) | st.integers(0, top)
+    return st.tuples(*[word] * count)
+
+
+@st.composite
+def sweep_key_rows(draw):
+    """Incidence rows in one of the three key shapes the kernel builds,
+    drawn from a handful of x values so that ties of every sort —
+    same ``lo`` under different ``hi``, whole rows repeated, ``lo`` keys
+    that differ only below the coarse key's resolution — are the rule,
+    not the exception."""
+    shape = draw(st.sampled_from(["float", "int64", "object"]))
+    if shape == "float":
+        limit = (1 << 24) + 1
+        tail = st.tuples(
+            st.sampled_from(
+                [0.0, 0.5, math.nextafter(0.5, 1.0), _ONE_ULP_BELOW_ONE]
+            )
+            | st.floats(0.0, 1.0, exclude_max=True)
+        )
+    elif shape == "int64":
+        limit = 1 << 31
+        tail = _words(31, 3)
+    else:
+        limit = (1 << 53) + 1
+        tail = _words(54, draw(st.integers(1, 7)))
+    whole = st.sampled_from(
+        [-limit, 1 - limit, -1, 0, limit - 2, limit - 1, limit]
+    ) | st.integers(-limit, limit)
+    xs = draw(
+        st.lists(
+            st.builds(lambda q, rest: (q,) + rest, whole, tail),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    x = st.sampled_from(xs)
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), x, x), max_size=60))
+    fraction_dtype = np.float64 if shape == "float" else np.int64
+    if not rows:
+        return first_rows(key_block([(0, xs[0], xs[0])], fraction_dtype), 0)
+    return key_block(rows, fraction_dtype)
+
+
+class TestSweepOrder:
+    """``_sweep_order`` is ``lexsort``'s permutation, tie-breaks and all
+    ("Ordering" in the kernel's module docstring)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_key_rows())
+    def test_equals_lexsort_on_every_key_shape(self, block):
+        assert_same_order(*block)
+
+    def test_hi_keys_decide_where_lo_keys_tie(self):
+        # Two edges leaving one vertex (a local minimum): same x at the
+        # bottom of the slab, told apart only by x at the top.
+        apex = (7, 0.25)
+        rows = [(0, apex, (9, 0.5)), (0, apex, (3, 0.0)), (0, apex, (3, 0.5))]
+        block = key_block(rows, np.float64)
+        assert_same_order(*block)
+        assert scanline_fast._sweep_order(*block).tolist() == [1, 2, 0]
+
+    def test_repeated_rows_stay_in_input_order(self):
+        # Enough rows, few enough values, that any unstable first sort
+        # shows: equal rows must come out by ascending input index.
+        rng = np.random.default_rng(24)
+        xs = [(3, 0.5), (3, math.nextafter(0.5, 1.0)), (4, 0.0)]
+        rows = [
+            (int(slab), xs[lo], xs[hi])
+            for slab, lo, hi in rng.integers(0, 3, size=(2000, 3))
+        ]
+        block = key_block(rows, np.float64)
+        assert_same_order(*block)
+        order = scanline_fast._sweep_order(*block)
+        image = np.array([rows.index(rows[i]) for i in order])
+        same = image[1:] == image[:-1]
+        assert same.any() and (order[1:][same] > order[:-1][same]).all()
+
+    def test_fractions_one_ulp_apart(self):
+        f, hi = 0.3, (5, 0.0)
+        rows = [(0, (5, math.nextafter(f, 1.0)), hi), (0, (5, f), hi)]
+        block = key_block(rows, np.float64)
+        assert 5 + math.nextafter(f, 1.0) == 5 + f  # one coarse key
+        assert scanline_fast._sweep_order(*block).tolist() == [1, 0]
+        # q + f rounds up to the next integer: a coarse tie across two qs.
+        top = 1 << 24
+        assert float(top) + _ONE_ULP_BELOW_ONE == float(top + 1)
+        rows = [(0, (top + 1, 0.0), hi), (0, (top, _ONE_ULP_BELOW_ONE), hi)]
+        block = key_block(rows, np.float64)
+        assert scanline_fast._sweep_order(*block).tolist() == [1, 0]
+
+    def test_integer_parts_that_round_to_one_double(self):
+        big = 1 << 53
+        assert float(big + 1) == float(big)
+        for q_first, q_second in ((big + 1, big), (-big, -big - 1)):
+            rows = [(1, (q_first, 9), (0, 0)), (1, (q_second, 5), (0, 0))]
+            block = key_block(rows)
+            assert scanline_fast._sweep_order(*block).tolist() == [1, 0]
+            assert_same_order(*block)
+
+    @pytest.mark.parametrize("fraction_dtype", [np.float64, np.int64])
+    def test_empty_and_one_row_blocks(self, fraction_dtype):
+        one = key_block([(4, (1, 0), (2, 0))], fraction_dtype)
+        assert scanline_fast._sweep_order(*one).tolist() == [0]
+        assert scanline_fast._sweep_order(*first_rows(one, 0)).tolist() == []
+
+    def test_lexsort_sees_only_rows_the_coarse_key_ties(self, monkeypatch):
+        """The gate against sliding back: a sweep hands ``lexsort`` the
+        rows that tie on ``(slab, q_lo + f_lo)`` and no others — none at
+        all on the F16 die."""
+        handed, tied = [], []
+        lexsort, sweep_order = np.lexsort, scanline_fast._sweep_order
+
+        def counting_lexsort(keys):
+            handed.append(len(keys[-1]))
+            return lexsort(keys)
+
+        def watching_order(s, keys_lo, keys_hi):
+            coarse = keys_lo[0] + keys_lo[1]  # both layouts: float keys
+            _, counts = np.unique(
+                np.stack((s, coarse)), axis=1, return_counts=True
+            )
+            tied.append(int(counts[counts > 1].sum()))
+            return sweep_order(s, keys_lo, keys_hi)
+
+        monkeypatch.setattr(scanline_fast.np, "lexsort", counting_lexsort)
+        monkeypatch.setattr(scanline_fast, "_sweep_order", watching_order)
+        die = flat_polygons(generators.fresnel_zone_plate())
+        sweep_trapezoids_fast(die, (), "or")
+        assert tied == [0] and handed == []
+        memory = flat_polygons(generators.memory_array(blocks=(2, 2)))
+        sweep_trapezoids_fast(memory, (), "or")
+        assert sum(handed) <= sum(tied)
+        # Where rows do tie — the two lower edges of every triangle leave
+        # one vertex — those rows, and only those, are re-sorted.
+        band = [
+            Polygon([(30 * i, 0), (30 * i + 20, 1), (30 * i + 10, 100)])
+            for i in range(50)
+        ]
+        handed.clear()
+        tied.clear()
+        sweep_trapezoids_fast(band, (), "or", grid=1.0)
+        assert handed == tied == [100]
+
+
 class TestMergeRows:
     """The array merge against ``merge_trapezoids``."""
 
