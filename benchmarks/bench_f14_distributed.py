@@ -169,9 +169,9 @@ def run_worker_death(endpoint, table, records):
         PreparationPipeline(field_size=FAULT_FIELD_SIZE).run(library).job
     )
     # Speculation off: survival must come from heartbeat-silence death
-    # detection and lease reclaim, the slow path worth benchmarking.
+    # detection and lease reclaim, the slow path worth benchmarking.  The
+    # shard timeout is only a hang watchdog behind it.
     policy = DistPolicy(
-        lease_deadline=8.0,
         heartbeat_interval=0.1,
         heartbeat_timeout=0.8,
         worker_grace=10.0,
@@ -185,7 +185,7 @@ def run_worker_death(endpoint, table, records):
             dispatch="distributed",
             workers_endpoint=endpoint,
             dist_policy=policy,
-            retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.0, shard_timeout=8.0),
             faults=FaultPlan(dead_worker=frozenset({(0, 0)})),
         ).run(library)
         elapsed = time.perf_counter() - start
@@ -237,8 +237,8 @@ def run_straggler(endpoint, table, records):
 
     timings = {}
     for speculate in (False, True):
+        # No shard timeout: the straggler is slow, not hung.
         policy = DistPolicy(
-            lease_deadline=60.0,
             heartbeat_interval=0.1,
             heartbeat_timeout=5.0,
             worker_grace=10.0,

@@ -80,6 +80,7 @@ serial run.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import itertools
 import math
@@ -287,41 +288,72 @@ class RetryPolicy:
         return isinstance(exc, (BrokenExecutor, OSError))
 
 
-class BackoffWaiter:
-    """An interruptible stand-in for ``time.sleep`` in retry backoff.
+class Deadline:
+    """A run's time budget, narrowed as it is handed down.
 
-    The engine's deterministic capped backoff must never hold its
-    caller hostage: a service's cooperative cancel or an expiring job
-    budget should abort a *pending* backoff immediately instead of
-    waiting it out.  ``wait`` runs ``check`` (which raises to abort —
-    e.g. the service's ``JobCancelled``/``JobTimeoutError``) before and
-    after sleeping on an event that :meth:`interrupt` sets, and never
-    sleeps past ``deadline`` — so both cancellation and timeout cut a
-    backoff short at the moment they land, not at its scheduled end.
+    One object carries "how long may this still take" from the job
+    through the run to each shard attempt and lease: ``at`` is an
+    absolute :func:`time.monotonic` instant (``None`` = unbounded, the
+    default), ``check`` an optional cooperative-cancel hook that raises
+    to abort (a service's ``JobCancelled``), and ``error`` builds the
+    exception an expired budget raises (``TimeoutError`` by default; a
+    service's ``JobTimeoutError``).
+
+    * :meth:`check` raises the cancel or the expiry, whichever landed;
+    * :meth:`wait` is the engine's interruptible sleep — it checks
+      before and after, never sleeps past ``at``, and wakes at once
+      when :meth:`interrupt` fires;
+    * :meth:`narrowed` returns the earlier of this deadline and one
+      ``seconds`` from now (a shard attempt's watchdog), sharing the
+      cancel hook and the interrupt.
     """
 
     def __init__(
         self,
+        seconds: Optional[float] = None,
         check: Optional[Callable[[], None]] = None,
-        deadline: Optional[float] = None,
+        error: Optional[Callable[[], BaseException]] = None,
     ) -> None:
+        self.at = None if seconds is None else time.monotonic() + seconds
+        self._check = check
+        self.error = error or (lambda: TimeoutError("the run's time budget ran out"))
         self._event = threading.Event()
-        self.check = check
-        self.deadline = deadline
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left (never negative); ``None`` when unbounded."""
+        return None if self.at is None else max(0.0, self.at - time.monotonic())
+
+    def expired(self) -> bool:
+        return self.remaining() == 0.0
+
+    def check(self) -> None:
+        if self._check is not None:
+            self._check()
+        if self.expired():
+            raise self.error()
 
     def interrupt(self) -> None:
         """Wake every pending (and future) :meth:`wait` immediately."""
         self._event.set()
 
     def wait(self, delay: float) -> None:
-        if self.check is not None:
-            self.check()
-        if self.deadline is not None:
-            delay = min(delay, self.deadline - time.monotonic())
-        if delay > 0:
-            self._event.wait(delay)
-        if self.check is not None:
-            self.check()
+        self.check()
+        remaining = self.remaining()
+        self._event.wait(delay if remaining is None else min(delay, remaining))
+        self.check()
+
+    def narrowed(self, seconds: Optional[float], now: Optional[float] = None):
+        """The earlier of this deadline and ``seconds`` after ``now``
+        (default: the present; ``None`` seconds = no narrower budget:
+        this very deadline)."""
+        if seconds is None:
+            return self
+        at = (time.monotonic() if now is None else now) + seconds
+        if self.at is not None and self.at <= at:
+            return self
+        child = copy.copy(self)
+        child.at = at
+        return child
 
 
 @dataclass
@@ -912,131 +944,116 @@ def _process_shard_task(
     return _process_shard(shard, *config)
 
 
-def _map_shards(
-    shards: List[Shard],
-    config: tuple,
-    workers: int,
-    tick: Optional[Callable[[], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    waiter: Optional[BackoffWaiter] = None,
-) -> Tuple[List[ShardResult], bool, ShardRecovery]:
-    """Run shards through ``config = (fracturer, corrector, psf)`` on
-    the shared persistent process pool when it pays off, surviving
-    worker deaths, hangs and transient failures.
+@dataclass
+class _Ladder:
+    """One map call's recovery state and the two local rungs over it.
 
-    Returns ``(results, pooled, recovery)``: results in shard order,
-    whether any result actually came off a pool, and the recovery log
-    (all-zero on a clean run).
-
-    The recovery ladder, governed by ``retry``:
-
-    * a broken pool (worker death) keeps every *completed* result and
-      re-enqueues only unfinished shards on a fresh pool;
-    * when nothing completes within ``retry.shard_timeout``, the
-      in-flight shards count as hung — the pool is recycled with its
-      workers killed and the victims re-enqueued;
-    * transient shard exceptions (``retry.is_transient``) re-dispatch
-      up to ``retry.max_attempts`` total attempts with deterministic
-      capped backoff, then raise; deterministic exceptions raise
-      immediately (retrying a pure function cannot change its outcome);
-    * shards whose pool dispatches infrastructure keeps eating (pool
-      refused to spawn, shut down externally, or broken at every
-      attempt) escalate to the in-process serial rung — the last rung,
-      where only the shard's own exceptions remain.
-
-    ``tick`` is invoked once per completed shard (in completion order,
-    which is nondeterministic on a pool) — it feeds progress reporting
-    only and must never influence results.  Exceptions it raises (a
-    service's cooperative cancellation) propagate after cleanup.
+    ``results`` and ``attempts`` are indexed by work-list position,
+    ``recovery`` is the log the caller attributes and ``pooled`` says
+    whether any result came off a pool.  :meth:`pool_rounds` dispatches
+    the unfinished shards to the shared pool round after round;
+    :meth:`serial` runs one shard in-process — the last rung, where only
+    the shard's own exceptions remain.
     """
-    if retry is None:
-        retry = RetryPolicy()
-    n = len(shards)
-    results: List[Optional[ShardResult]] = [None] * n
-    attempts = [0] * n
-    recovery = ShardRecovery()
-    bound = functools.partial(_process_shard_task, config, faults)
 
-    def backoff_sleep(retry_number: int) -> None:
-        delay = retry.backoff(retry_number)
-        if waiter is not None:
-            # Interruptible: a cancel or expired job budget aborts the
-            # pending backoff instead of waiting it out.
-            waiter.wait(delay)
-        elif delay > 0:
-            time.sleep(delay)
+    shards: List[Shard]
+    task: Callable[[tuple], ShardResult]
+    retry: RetryPolicy
+    deadline: Deadline
+    tick: Optional[Callable[[], None]]
 
-    def run_serial(position: int) -> None:
+    def __post_init__(self) -> None:
+        self.results: List[Optional[ShardResult]] = [None] * len(self.shards)
+        self.attempts = [0] * len(self.shards)
+        self.recovery = ShardRecovery()
+        self.pooled = False
+
+    def _spent(self, position: int) -> bool:
+        return self.attempts[position] >= self.retry.max_attempts
+
+    def _start(self, position: int) -> tuple:
+        """Count one more attempt at ``position``; its work item."""
+        attempt = self.attempts[position]
+        self.attempts[position] = attempt + 1
+        if attempt > 0:
+            self.recovery.retries[position] = self.recovery.retries.get(position, 0) + 1
+        return position, attempt, self.shards[position]
+
+    def _finish(self, position: int, result: ShardResult) -> None:
+        self.results[position] = result
+        if self.tick is not None:
+            self.tick()
+
+    def _backoff(self, retry_number: int) -> None:
+        """The deterministic backoff before retry ``retry_number`` (none
+        before the first try), cut short by a cancel or the deadline."""
+        self.deadline.wait(self.retry.backoff(retry_number) if retry_number else 0.0)
+
+    def serial(self, position: int) -> None:
+        """Run one shard in-process, retrying its own transient
+        exceptions under the attempt budget.  The deadline is observed
+        between attempts, never inside one."""
         while True:
-            attempt = attempts[position]
-            attempts[position] = attempt + 1
-            if attempt > 0:
-                recovery.retries[position] = (
-                    recovery.retries.get(position, 0) + 1
-                )
-                backoff_sleep(attempt)
+            item = self._start(position)
+            self._backoff(item[1])
             try:
-                results[position] = bound(
-                    (position, attempt, shards[position])
-                )
+                result = self.task(item)
             except Exception as exc:
-                if (
-                    retry.is_transient(exc)
-                    and attempts[position] < retry.max_attempts
-                ):
+                if self.retry.is_transient(exc) and not self._spent(position):
                     continue
                 raise
-            if tick is not None:
-                tick()
+            self._finish(position, result)
             return
 
-    if workers <= 1 or n <= 1:
-        for position in range(n):
-            run_serial(position)
-        return results, False, recovery
+    def pool_rounds(self, workers: int) -> List[int]:
+        """Pool rounds until every shard is done or the serial rung
+        must take over; returns the positions still unfinished."""
+        pending = list(range(len(self.shards)))
+        round_no = 0
+        while pending:
+            self._backoff(round_no)
+            round_no += 1
+            try:
+                # Sized by the workers setting, not the shard count, so
+                # consecutive runs with the same setting reuse it.
+                pool = _lease_pool(workers)
+            except (OSError, PermissionError, BrokenExecutor):
+                # The platform refuses to spawn workers (restricted
+                # sandboxes): straight to the serial rung.
+                _reset_pool_if_unleased()
+                break
+            to_serial = self._pool_round(pool, pending)
+            pending = [p for p in pending if self.results[p] is None]
+            if to_serial:
+                break
+        return pending
 
-    # The pool is sized by the workers setting, not the shard count, so
-    # consecutive runs with the same setting always reuse it.
-    pooled = False
-    pending = list(range(n))
-    round_no = 0
-    while pending:
-        round_no += 1
-        if round_no > 1:
-            backoff_sleep(round_no - 1)
-        try:
-            pool = _lease_pool(workers)
-        except (OSError, PermissionError, BrokenExecutor):
-            # The platform refuses to spawn workers (restricted
-            # sandboxes): straight to the serial rung.
-            _reset_pool_if_unleased()
-            break
+    def _pool_round(self, pool, pending: List[int]) -> bool:
+        """Dispatch ``pending`` to ``pool`` once and harvest; returns
+        whether the rest must go to the serial rung.
+
+        A broken pool keeps every completed result and is recycled.
+        Each wait is bounded by the deadline narrowed by
+        ``retry.shard_timeout``: when nothing completes in time, the
+        in-flight shards are hung and the pool is recycled with its
+        workers killed — the victims re-enqueue when the shard watchdog
+        fired, the job's own error is raised when its budget ran out.
+        """
         futures: Dict = {}
-        rebuild = False
-        kill_workers = False
-        to_serial = False
+        rebuild = kill_workers = to_serial = False
         failure: Optional[BaseException] = None
         try:
             try:
                 for position in pending:
-                    attempt = attempts[position]
-                    if attempt >= retry.max_attempts:
+                    if self._spent(position):
                         # Infrastructure kept eating this shard's pool
                         # dispatches (the shard itself never raised).
                         # Escalate to the serial rung instead of
                         # spinning pool rounds forever.
                         to_serial = True
                         continue
-                    attempts[position] = attempt + 1
-                    if attempt > 0:
-                        recovery.retries[position] = (
-                            recovery.retries.get(position, 0) + 1
-                        )
-                    future = pool.submit(
-                        bound, (position, attempt, shards[position])
-                    )
-                    futures[future] = position
+                    item = self._start(position)
+                    futures[pool.submit(self.task, item)] = position
             except BrokenExecutor:
                 rebuild = True
             except (CancelledError, RuntimeError):
@@ -1049,30 +1066,17 @@ def _map_shards(
                 to_serial = True
             outstanding = set(futures)
             while outstanding and failure is None:
+                watchdog = self.deadline.narrowed(self.retry.shard_timeout)
                 done, outstanding = futures_wait(
-                    outstanding,
-                    timeout=retry.shard_timeout,
-                    return_when=FIRST_COMPLETED,
+                    outstanding, watchdog.remaining(), FIRST_COMPLETED
                 )
                 if not done:
-                    # Nothing in the whole pool completed within the
-                    # shard timeout: the workers holding these shards
-                    # are hung.  Count every in-flight shard a victim,
-                    # kill the workers, re-enqueue.
-                    for future in outstanding:
-                        victim = futures[future]
-                        recovery.timeouts[victim] = (
-                            recovery.timeouts.get(victim, 0) + 1
-                        )
-                        future.cancel()
-                        if attempts[victim] >= retry.max_attempts:
-                            failure = TimeoutError(
-                                f"shard {victim} timed out on all "
-                                f"{attempts[victim]} attempts "
-                                f"({retry.shard_timeout:g} s each)"
-                            )
-                    rebuild = True
-                    kill_workers = True
+                    rebuild = kill_workers = True
+                    failure = (
+                        self.deadline.error()
+                        if self.deadline.expired()
+                        else self._hung(futures, outstanding)
+                    )
                     break
                 for future in done:
                     position = futures[future]
@@ -1081,10 +1085,8 @@ def _map_shards(
                     except CancelledError as cancelled:
                         exc = cancelled
                     if exc is None:
-                        results[position] = future.result()
-                        pooled = True
-                        if tick is not None:
-                            tick()
+                        self.pooled = True
+                        self._finish(position, future.result())
                     elif isinstance(exc, BrokenExecutor):
                         # A worker died; completed siblings keep their
                         # results, this shard re-enqueues on the fresh
@@ -1092,32 +1094,92 @@ def _map_shards(
                         rebuild = True
                     elif isinstance(exc, CancelledError):
                         to_serial = True
-                    elif retry.is_transient(exc):
-                        if attempts[position] >= retry.max_attempts:
-                            failure = exc
-                    else:
+                    elif not self.retry.is_transient(exc) or self._spent(position):
                         failure = exc
         finally:
             for future in futures:
                 future.cancel()
             _release_pool()
-        if rebuild:
-            recovery.pool_restarts += 1
-            recovery.salvaged.update(
-                position
-                for position in range(n)
-                if results[position] is not None
-            )
-            _recycle_pool(pool, kill_workers=kill_workers)
+            if self.deadline.expired() and not all(f.done() for f in futures):
+                # The budget is spent (however the run is leaving) with
+                # shards of it still running: no worker may keep them.
+                rebuild = kill_workers = True
+            if rebuild:
+                self.recovery.pool_restarts += 1
+                self.recovery.salvaged.update(
+                    position
+                    for position, result in enumerate(self.results)
+                    if result is not None
+                )
+                _recycle_pool(pool, kill_workers=kill_workers)
         if failure is not None:
             raise failure
-        pending = [p for p in pending if results[p] is None]
-        if to_serial:
-            break
-    for position in pending:
-        if results[position] is None:
-            run_serial(position)
-    return results, pooled, recovery
+        return to_serial
+
+    def _hung(self, futures: Dict, outstanding) -> Optional[TimeoutError]:
+        """Nothing in the pool completed within the shard timeout: count
+        every in-flight shard a victim; the error when a victim has no
+        attempt left."""
+        failure = None
+        for future in outstanding:
+            victim = futures[future]
+            self.recovery.timeouts[victim] = self.recovery.timeouts.get(victim, 0) + 1
+            if self._spent(victim):
+                failure = TimeoutError(
+                    f"shard {victim} timed out on all "
+                    f"{self.attempts[victim]} attempts "
+                    f"({self.retry.shard_timeout:g} s each)"
+                )
+        return failure
+
+
+def _map_shards(
+    shards: List[Shard],
+    config: tuple,
+    workers: int,
+    tick: Optional[Callable[[], None]] = None,
+    retry: Optional[RetryPolicy] = None,
+    faults: Optional[FaultPlan] = None,
+    deadline: Optional[Deadline] = None,
+) -> Tuple[List[ShardResult], bool, ShardRecovery]:
+    """Run shards through ``config = (fracturer, corrector, psf)`` on
+    the shared persistent process pool when it pays off, surviving
+    worker deaths, hangs and transient failures.
+
+    Returns ``(results, pooled, recovery)``: results in shard order,
+    whether any result actually came off a pool, and the recovery log
+    (all-zero on a clean run).
+
+    The local recovery ladder (:class:`_Ladder`), governed by ``retry``
+    and bounded by ``deadline`` (unbounded by default):
+
+    * a broken pool (worker death) keeps every *completed* result and
+      re-enqueues only unfinished shards on a fresh pool;
+    * when nothing completes within ``retry.shard_timeout``, the
+      in-flight shards count as hung — the pool is recycled with its
+      workers killed and the victims re-enqueued;
+    * when the ``deadline`` runs out first, the pool is recycled the
+      same way and the deadline's own error raises;
+    * transient shard exceptions (``retry.is_transient``) re-dispatch
+      up to ``retry.max_attempts`` total attempts with deterministic
+      capped backoff, then raise; deterministic exceptions raise
+      immediately (retrying a pure function cannot change its outcome);
+    * shards whose pool dispatches infrastructure keeps eating (pool
+      refused to spawn, shut down externally, or broken at every
+      attempt) escalate to the in-process serial rung — the last rung,
+      which observes the deadline only between shards.
+
+    ``tick`` is invoked once per completed shard (in completion order,
+    which is nondeterministic on a pool) — it feeds progress reporting
+    only and must never influence results.  Exceptions it raises (a
+    service's cooperative cancellation) propagate after cleanup.
+    """
+    task = functools.partial(_process_shard_task, config, faults)
+    ladder = _Ladder(shards, task, retry or RetryPolicy(), deadline or Deadline(), tick)
+    local = workers <= 1 or len(shards) <= 1
+    for position in range(len(shards)) if local else ladder.pool_rounds(workers):
+        ladder.serial(position)
+    return ladder.results, ladder.pooled, ladder.recovery
 
 
 def merge_shard_results(
@@ -1419,11 +1481,11 @@ class ShardedExecutor:
             runs — distributed output is byte-identical to serial.
         endpoint: coordinator ``host:port`` for distributed dispatch.
         dist_policy: :class:`~repro.dist.coordinator.DistPolicy`
-            scheduling knobs for distributed dispatch (lease deadlines,
-            heartbeats, speculation); defaults apply when ``None``.
-        waiter: optional :class:`BackoffWaiter` making retry backoffs
-            interruptible (a service's cancel/timeout path); ``None``
-            falls back to plain sleeps.
+            scheduling knobs for distributed dispatch (heartbeats,
+            speculation); defaults apply when ``None``.
+        deadline: the run's :class:`Deadline` — its time budget and
+            cooperative cancel, handed down to every backoff, pool wait
+            and lease (a service's job budget); unbounded when ``None``.
     """
 
     def __init__(
@@ -1441,7 +1503,7 @@ class ShardedExecutor:
         dispatch: str = "local",
         endpoint: Optional[str] = None,
         dist_policy=None,
-        waiter: Optional[BackoffWaiter] = None,
+        deadline: Optional[Deadline] = None,
     ) -> None:
         if corrector is not None and psf is None:
             raise ValueError("a corrector requires a PSF")
@@ -1465,7 +1527,7 @@ class ShardedExecutor:
         self.dispatch = dispatch
         self.endpoint = endpoint
         self.dist_policy = dist_policy
-        self.waiter = waiter
+        self.deadline = deadline if deadline is not None else Deadline()
 
     def _map(
         self,
@@ -1495,7 +1557,7 @@ class ShardedExecutor:
                 faults=faults,
                 policy=self.dist_policy,
                 cache_keys=cache_keys,
-                waiter=self.waiter,
+                deadline=self.deadline,
             )
         results, pooled, recovery = _map_shards(
             shards,
@@ -1504,7 +1566,7 @@ class ShardedExecutor:
             tick=tick,
             retry=self.retry,
             faults=faults,
-            waiter=self.waiter,
+            deadline=self.deadline,
         )
         return results, pooled, recovery, None
 

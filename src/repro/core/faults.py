@@ -39,7 +39,8 @@ lease coordinator, never the shard computation itself:
   heartbeating and abandon every connection, which is indistinguishable
   to the coordinator).
 * ``drop_conn`` — the worker's commit connection drops mid-frame; the
-  result never lands and the lease must be reclaimed by deadline.
+  result never lands, and the lease, no longer heartbeated, is
+  reclaimed after ``heartbeat_timeout``.
 * ``late_heartbeat`` — the worker skips every heartbeat while executing
   this shard, so the coordinator presumes it dead and reclaims; the
   worker's late commit is then discarded by cache idempotency.

@@ -161,9 +161,9 @@ class PreparationPipeline:
         dist_policy: optional
             :class:`~repro.dist.coordinator.DistPolicy` scheduling
             knobs for distributed dispatch.
-        waiter: optional :class:`~repro.core.executor.BackoffWaiter`
-            making the engine's retry backoffs interruptible (the
-            service's cancel/timeout path).
+        deadline: optional :class:`~repro.core.executor.Deadline` —
+            the run's time budget and cooperative cancel (the service's
+            job budget); unbounded when ``None``.
 
     Example:
         >>> from repro.layout import generators
@@ -196,7 +196,7 @@ class PreparationPipeline:
         dispatch: str = "local",
         workers_endpoint: Optional[str] = None,
         dist_policy=None,
-        waiter=None,
+        deadline=None,
     ) -> None:
         check_knobs(hierarchy=hierarchy, machine=machine, address_unit=address_unit)
         require(POSITIVE, "base_dose", base_dose)
@@ -226,7 +226,7 @@ class PreparationPipeline:
         self.dispatch = dispatch
         self.workers_endpoint = workers_endpoint
         self.dist_policy = dist_policy
-        self.waiter = waiter
+        self.deadline = deadline
         # The engine owns the rules for what it is handed (corrector and
         # PSF, workers, field_size, overlap_policy, the dispatch pair):
         # build it once here so they run at this door, not at first use.
@@ -251,7 +251,7 @@ class PreparationPipeline:
             dispatch=self.dispatch,
             endpoint=self.workers_endpoint,
             dist_policy=self.dist_policy,
-            waiter=self.waiter,
+            deadline=self.deadline,
         )
 
     # -- entry points --------------------------------------------------------

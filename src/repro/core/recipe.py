@@ -327,7 +327,7 @@ class PrepRecipe:
         cache_dir: Optional[Union[str, Path]] = None,
         program_dir: Optional[Union[str, Path]] = None,
         progress=None,
-        waiter=None,
+        deadline=None,
     ):
         """Construct the pipeline this recipe describes.
 
@@ -335,9 +335,9 @@ class PrepRecipe:
         e.g. the service's shared one) wins over ``cache_dir``;
         ``progress`` is the per-shard completion callback threaded into
         the execution engine (see :mod:`repro.core.executor`);
-        ``waiter`` is an optional
-        :class:`~repro.core.executor.BackoffWaiter` making retry
-        backoffs interruptible (the service's cancel/timeout path).
+        ``deadline`` is the run's optional
+        :class:`~repro.core.executor.Deadline` (the service's job
+        budget and cancel).
         """
         from repro.core.executor import RetryPolicy
         from repro.core.faults import FaultPlan
@@ -388,7 +388,7 @@ class PrepRecipe:
             faults=FaultPlan.from_env(),
             dispatch=self.dispatch,
             workers_endpoint=self.workers_endpoint,
-            waiter=waiter,
+            deadline=deadline,
         )
 
     def prepare(

@@ -134,8 +134,9 @@ class ExecutionStats:
             coordinator during this run (the most any window saw).
         leases_granted: shard leases handed to workers (including
             re-grants after reclaims and speculative duplicates).
-        leases_reclaimed: leases taken back from dead workers or
-            past-deadline (hung) shards and re-queued.
+        leases_reclaimed: leases taken back when no longer heartbeated
+            (dead workers, dropped commits) or past their deadline (hung
+            shards) and re-queued.
         worker_deaths: workers that went silent while holding leases.
         heartbeats_missed: silence episodes past two heartbeat
             intervals from a lease-holding worker.

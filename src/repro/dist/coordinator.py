@@ -2,7 +2,7 @@
 
 One :class:`CoordinatorServer` listens on a TCP endpoint and schedules
 *batches* of shards (one batch per ``execute_many`` call).  Workers pull
-**leases** — ``(position, attempt, lease_id, deadline)`` — execute the
+**leases** — ``(position, attempt, lease_id)`` — execute the
 shard, and commit the serialized result back.  The scheduling rules are
 the network mirror of the single-host recovery ladder in
 :mod:`repro.core.executor`:
@@ -10,8 +10,12 @@ the network mirror of the single-host recovery ladder in
 * a worker that stops contacting the coordinator (death, partition) has
   its leases **reclaimed** and re-queued under the batch's
   :class:`~repro.core.executor.RetryPolicy` attempt budget;
-* a lease that outlives its deadline (hung shard) is reclaimed the same
-  way — the remote analogue of the hung-worker watchdog;
+* a lease its holder stops heartbeating (a dropped commit, a silenced
+  lease) is reclaimed the same way, even while the worker keeps polling;
+* a lease that outlives its deadline (the run's
+  :class:`~repro.core.executor.Deadline` narrowed by
+  ``RetryPolicy.shard_timeout``; none when neither bounds it) is
+  reclaimed too — the remote analogue of the hung-worker watchdog;
 * when the queue runs dry but leases are still in flight, the
   coordinator grants **speculative** duplicate leases for the oldest
   stragglers; the first committed result wins and the loser's commit is
@@ -46,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.executor import RetryPolicy
+from repro.core.executor import Deadline, RetryPolicy
 from repro.core.recipe import (
     FLAG,
     from_mapping,
@@ -67,14 +71,15 @@ DIST_ENV_VAR = "REPRO_DIST"
 class DistPolicy:
     """Scheduling knobs of the distributed layer.
 
+    A lease's hang watchdog is not one of them: it is the run's
+    deadline narrowed by ``RetryPolicy.shard_timeout``, as on the pool.
+
     Attributes:
-        lease_deadline: per-attempt wall-clock budget [s] for a leased
-            shard when the batch's ``RetryPolicy`` has no
-            ``shard_timeout``; past it the lease is reclaimed.
         heartbeat_interval: how often workers heartbeat while executing
             a lease [s].
-        heartbeat_timeout: a lease-holding worker silent this long [s]
-            counts as dead and its leases are reclaimed.
+        heartbeat_timeout: a lease not heartbeated this long [s] is
+            reclaimed; a lease-holding worker silent this long counts
+            as dead.
         worker_grace: how long the coordinator waits with work pending
             but no live workers [s] before handing the remainder to the
             local execution ladder.
@@ -86,7 +91,6 @@ class DistPolicy:
             polling again [s].
     """
 
-    lease_deadline: float = 30.0
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.5
     worker_grace: float = 5.0
@@ -96,15 +100,7 @@ class DistPolicy:
     wait_hint: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in (
-            "lease_deadline",
-            "heartbeat_interval",
-            "heartbeat_timeout",
-            "worker_grace",
-            "speculate_after",
-            "poll_interval",
-            "wait_hint",
-        ):
+        for name in (f.name for f in fields(self) if f.name != "speculate"):
             why = number_complaint(getattr(self, name), positive=False)
             if why:
                 raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
@@ -162,7 +158,8 @@ class _Lease:
     attempt: int
     worker: str
     granted_at: float
-    deadline: float
+    deadline: Optional[float]
+    last_beat: float
     speculative: bool = False
 
 
@@ -198,12 +195,14 @@ class LeaseQueue:
         n: int,
         retry: Optional[RetryPolicy] = None,
         policy: Optional[DistPolicy] = None,
+        deadline: Optional[Deadline] = None,
     ) -> None:
         if n < 0:
             raise ValueError(f"shard count must be >= 0, got {n}")
         self.n = n
         self.retry = retry if retry is not None else RetryPolicy()
         self.policy = policy if policy is not None else DistPolicy()
+        self.deadline = deadline if deadline is not None else Deadline()
         self.stats = DistRunStats()
         self._lock = threading.Lock()
         self._pending: Deque[Tuple[int, int]] = deque(
@@ -221,11 +220,6 @@ class LeaseQueue:
         self._lease_seq = 0
 
     # -- scheduling --------------------------------------------------------
-
-    def _lease_budget(self) -> float:
-        if self.retry.shard_timeout is not None:
-            return self.retry.shard_timeout
-        return self.policy.lease_deadline
 
     def _touch_locked(self, worker: str, now: float) -> None:
         state = self._workers.get(worker)
@@ -302,7 +296,8 @@ class LeaseQueue:
             attempt=attempt,
             worker=worker,
             granted_at=now,
-            deadline=now + self._lease_budget(),
+            deadline=self.deadline.narrowed(self.retry.shard_timeout, now).at,
+            last_beat=now,
             speculative=speculative,
         )
         self._leases[lease.lease_id] = lease
@@ -318,7 +313,10 @@ class LeaseQueue:
         worker may as well stop — its commit would be redundant)."""
         with self._lock:
             self._touch_locked(worker, now)
-            return lease_id in self._leases
+            lease = self._leases.get(lease_id)
+            if lease is not None:
+                lease.last_beat = now
+            return lease is not None
 
     def _requeue_locked(self, position: int) -> None:
         """Put ``position`` back in line exactly once, or mark it spent.
@@ -424,33 +422,30 @@ class LeaseQueue:
         return True
 
     def scan(self, now: float) -> None:
-        """Reclaim leases from dead workers and past-deadline shards."""
+        """Count silent and dead workers, then reclaim every lease not
+        heartbeated for ``heartbeat_timeout`` or past its deadline.
+
+        A dead worker's leases are silent too (a heartbeat is contact),
+        so one pass over the leases reclaims them all."""
         with self._lock:
-            held: Dict[str, List[int]] = {}
-            for lease in self._leases.values():
-                held.setdefault(lease.worker, []).append(lease.lease_id)
+            holders = {lease.worker for lease in self._leases.values()}
             for worker, state in list(self._workers.items()):
                 age = now - state.last_contact
-                holding = held.get(worker, [])
                 if age > self.policy.heartbeat_timeout:
-                    if holding:
+                    if worker in holders:
                         self.stats.worker_deaths += 1
-                        for lease_id in holding:
-                            lease = self._leases.pop(lease_id, None)
-                            if lease is None:
-                                continue
-                            self.stats.leases_reclaimed += 1
-                            self._requeue_locked(lease.position)
                     del self._workers[worker]
                 elif (
-                    holding
+                    worker in holders
                     and age > 2.0 * self.policy.heartbeat_interval
                     and not state.silent_flagged
                 ):
                     self.stats.heartbeats_missed += 1
                     state.silent_flagged = True
             for lease_id, lease in list(self._leases.items()):
-                if lease.deadline < now:
+                if now - lease.last_beat > self.policy.heartbeat_timeout or (
+                    lease.deadline is not None and lease.deadline < now
+                ):
                     del self._leases[lease_id]
                     self.stats.leases_reclaimed += 1
                     self._requeue_locked(lease.position)
@@ -584,6 +579,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         retry: Optional[RetryPolicy] = None,
         policy: Optional[DistPolicy] = None,
         cache_keys: Optional[List[str]] = None,
+        deadline: Optional[Deadline] = None,
     ) -> _Batch:
         """Register a batch of shards for workers to pull."""
         if cache_keys is not None and len(cache_keys) != len(shard_blobs):
@@ -593,7 +589,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             batch = _Batch(
                 id=f"{self._batch_nonce}-{self._batch_seq}",
                 seq=self._batch_seq,
-                queue=LeaseQueue(len(shard_blobs), retry=retry, policy=policy),
+                queue=LeaseQueue(
+                    len(shard_blobs), retry=retry, policy=policy, deadline=deadline
+                ),
                 config_blob=config_blob,
                 shard_blobs=shard_blobs,
                 cache_keys=cache_keys,
@@ -687,7 +685,6 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                     "lease": lease.lease_id,
                     "position": lease.position,
                     "attempt": lease.attempt,
-                    "deadline": lease.deadline - now,
                     "heartbeat": batch.queue.policy.heartbeat_interval,
                     "cache_key": cache_key,
                     "speculative": lease.speculative,

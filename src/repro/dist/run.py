@@ -18,6 +18,7 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.executor import (
+    Deadline,
     RetryPolicy,
     Shard,
     ShardRecovery,
@@ -43,7 +44,7 @@ def map_shards_distributed(
     faults: Optional[FaultPlan] = None,
     policy: Optional[DistPolicy] = None,
     cache_keys: Optional[List[str]] = None,
-    waiter=None,
+    deadline: Optional[Deadline] = None,
 ) -> Tuple[List[ShardResult], bool, ShardRecovery, DistRunStats]:
     """Run ``shards`` across the worker fleet on ``endpoint``.
 
@@ -51,10 +52,12 @@ def map_shards_distributed(
     run: workers execute the exact per-shard entry point, commits are
     idempotent, and the merge ignores arrival order.  ``cache_keys``
     (parallel to ``shards``) ride the leases so workers with a shared
-    cache can store results at the source.
+    cache can store results at the source.  ``deadline`` (unbounded by
+    default) bounds the wait and every lease, and is handed on to the
+    local ladder with the leftovers.
     """
-    if retry is None:
-        retry = RetryPolicy()
+    retry = retry or RetryPolicy()
+    deadline = deadline or Deadline()
     if policy is None:
         # REPRO_DIST overrides scheduling knobs the same way
         # REPRO_FAULTS injects faults; an explicit policy wins.
@@ -73,6 +76,7 @@ def map_shards_distributed(
         retry=retry,
         policy=policy,
         cache_keys=cache_keys,
+        deadline=deadline,
     )
     queue = batch.queue
     try:
@@ -98,11 +102,9 @@ def map_shards_distributed(
                 grace_deadline = None
             batch.progress.wait(policy.poll_interval)
             batch.progress.clear()
-            if waiter is not None:
-                # Each wake observes a cancel or an expired job budget
-                # (the waiter's check raises), whether or not any shard
-                # has committed; a zero wait sleeps for nothing.
-                waiter.wait(0.0)
+            # Each wake observes a cancel or an expired budget, whether
+            # or not any shard has committed.
+            deadline.check()
         # Late commits that raced the loop's last pass.
         for position, payload in queue.take_new_commits():
             results[position] = loads_shard_result(payload)
@@ -125,7 +127,7 @@ def map_shards_distributed(
             tick=tick,
             retry=retry,
             faults=faults,
-            waiter=waiter,
+            deadline=deadline,
         )
         for position, result in zip(leftover, local_results):
             results[position] = result

@@ -18,7 +18,7 @@ the computation:
   simulates death by silencing its heartbeats and abandoning the lease
   uncommitted, which is indistinguishable on the wire.
 * ``drop_conn`` — the commit connection is cut mid-frame; the result
-  never lands and the lease expires into a reclaim.
+  never lands and the lease, no longer heartbeated, is reclaimed.
 * ``late_heartbeat`` — no heartbeats are sent for this shard, so the
   coordinator presumes the worker dead and reclaims the lease; the
   (late) commit is then accepted idempotently or discarded.

@@ -57,7 +57,7 @@ class Job:
             (> 1 after per-job retries).
         interrupt: runner-registered callable that wakes the run's
             pending backoff waits immediately (see
-            :class:`~repro.core.executor.BackoffWaiter`) — invoked by
+            :meth:`~repro.core.executor.Deadline.interrupt`) — invoked by
             :meth:`JobStore.request_running_cancel` so a cancel never
             waits out a sleeping retry backoff.
     """

@@ -16,12 +16,11 @@ so HTTP and CLI runs of the same recipe are byte-identical.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.cache import ShardCache
-from repro.core.executor import BackoffWaiter, RetryPolicy
+from repro.core.executor import Deadline, RetryPolicy
 from repro.service.jobs import Job, JobStore
 
 
@@ -66,8 +65,9 @@ class JobRunner:
         """Run ``job`` to completion, honouring its spec's fault knobs.
 
         Cooperative cancellation (``DELETE`` on a running job) and the
-        per-job wall-clock ``timeout`` are observed at shard
-        boundaries via the progress callback.  A cancelled run lands
+        per-job wall-clock ``timeout`` travel down as one
+        :class:`~repro.core.executor.Deadline`: observed at every shard
+        completion, backoff, pool wait and lease.  A cancelled run lands
         the job in ``cancelled`` here; a timed-out run raises (never
         retried) and the queue worker records the failure.  Any other
         exception is put to the engine's one classifier
@@ -106,29 +106,29 @@ class JobRunner:
         library = self.workload_library(spec.workload)
         job_dir = self.job_dir(job.id)
         job_dir.mkdir(parents=True, exist_ok=True)
-        deadline = (
-            time.monotonic() + spec.timeout if spec.timeout is not None else None
-        )
 
-        def check() -> None:
+        def cancelled() -> None:
             if self.store.cancel_requested(job.id):
                 raise JobCancelled(f"job {job.id} cancelled while running")
-            if deadline is not None and time.monotonic() > deadline:
-                raise JobTimeoutError(
-                    f"job {job.id} exceeded its {spec.timeout:g} s budget"
-                )
+
+        # The job's budget and cancel, handed down to every shard
+        # boundary, backoff, pool wait and lease; a cancel (via the
+        # store's interrupt hook) cuts a pending backoff short too.
+        deadline = Deadline(
+            spec.timeout,
+            check=cancelled,
+            error=lambda: JobTimeoutError(
+                f"job {job.id} exceeded its {spec.timeout:g} s budget"
+            ),
+        )
+        self.store.attach_interrupt(job.id, deadline.interrupt)
 
         def progress(done: int, total: int) -> None:
             self.store.update_progress(job.id, done, total)
-            check()
+            deadline.check()
 
-        # The waiter makes retry backoffs interruptible: a cancel (via
-        # the store's interrupt hook) or the job deadline cuts a pending
-        # backoff sleep short, and ``check`` raises on the way out.
-        waiter = BackoffWaiter(check=check, deadline=deadline)
-        self.store.attach_interrupt(job.id, waiter.interrupt)
         pipeline = spec.recipe.build_pipeline(
-            cache=self.cache, progress=progress, waiter=waiter
+            cache=self.cache, progress=progress, deadline=deadline
         )
         program_path = None
         if spec.recipe.machine is not None:

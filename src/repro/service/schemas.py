@@ -56,8 +56,10 @@ class JobSpec:
         name: job name; defaults to the workload name, matching
             ``repro.cli demo`` (artifact bytes never depend on it).
         timeout: per-job wall-clock budget in seconds; a run exceeding
-            it is stopped at the next shard boundary and the job fails
-            (``None`` = no limit).
+            it is stopped when the budget runs out — a pool wait, a
+            backoff or the fleet's wait is cut short, the in-process
+            serial rung stops at its next shard boundary — and the job
+            fails (``None`` = no limit).
         retries: whole-job re-run attempts after an unexpected failure
             (timeouts and cancellations are never retried); default 0.
     """

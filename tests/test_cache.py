@@ -5,6 +5,12 @@ an input changes (hypothesis-swept), payload round-trips are exact, and
 cached execution is byte-identical to cold serial execution.
 """
 
+import os
+import random
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,6 +336,88 @@ class TestShardCache:
         key = a.key_for(shard, fracturer)
         a.put(key, _process_shard(shard, fracturer, None, None))
         assert b.get(b.key_for(shard, fracturer)) is None
+
+
+class TestConcurrentStore:
+    def test_every_hit_is_a_whole_published_payload(self, tmp_path):
+        """More writer threads than cores, a one-microsecond switch
+        interval and a ``clear()`` loop racing them for about a second:
+        every hit ``lookup``/``get_blob`` returns is byte-equal to a
+        payload some writer published under that key — never torn,
+        never half-evicted."""
+        cache = ShardCache(tmp_path)
+        fracturer = TrapezoidFracturer()
+        # Two differently sized payloads per key, so a read stitched
+        # from two publishes cannot pass for either.
+        small = Shard(index=(0, 0), polygons=(Polygon.rectangle(0, 0, 2, 2),))
+        large = Shard(
+            index=(0, 0),
+            polygons=tuple(
+                Polygon.rectangle(x, y, x + 0.5, y + 0.5)
+                for x in range(6)
+                for y in range(6)
+            ),
+        )
+        shard_payloads = {
+            f"{n:02x}" + "a" * 62: [
+                dumps_shard_result(_process_shard(s, fracturer, None, None))
+                for s in (small, large)
+            ]
+            for n in range(3)
+        }
+        blob_payloads = {
+            f"{n:02x}" + "b" * 62: [bytes([n]) * 64, bytes([n + 1]) * 40_000]
+            for n in range(3)
+        }
+        results = {
+            key: [loads_shard_result(p) for p in payloads]
+            for key, payloads in shard_payloads.items()
+        }
+        stop = threading.Event()
+        torn, hits = [], [0]
+
+        def writer(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                key = rng.choice(sorted(shard_payloads))
+                cache.put(key, rng.choice(results[key]))
+                found, _ = cache.lookup(key)
+                if found is not None:
+                    hits[0] += 1
+                    if dumps_shard_result(found) not in shard_payloads[key]:
+                        torn.append(key)
+                key = rng.choice(sorted(blob_payloads))
+                cache.put_blob(key, rng.choice(blob_payloads[key]))
+                found = cache.get_blob(key)
+                if found is not None:
+                    hits[0] += 1
+                    if found not in blob_payloads[key]:
+                        torn.append(key)
+
+        def clearer():
+            while not stop.is_set():
+                cache.clear()
+
+        threads = [
+            threading.Thread(target=writer, args=(seed,))
+            for seed in range((os.cpu_count() or 1) + 4)
+        ]
+        threads.append(threading.Thread(target=clearer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        assert hits[0] > 0  # the race was run, not starved
+        assert cache.stats.evictions == 0  # no reader ever saw a partial entry
 
 
 # -- cached execution: byte-identical, incremental --------------------------

@@ -27,7 +27,7 @@ import pytest
 import conformance
 from chaos import cache_entry_paths, corrupt_entries, faulted
 from repro.core.cache import CacheDegradedWarning, ShardCache
-from repro.core.executor import RetryPolicy, shutdown_worker_pool
+from repro.core.executor import Deadline, RetryPolicy, shutdown_worker_pool
 from repro.core.faults import (
     FAULTS_ENV_VAR,
     FaultPlan,
@@ -451,27 +451,24 @@ class TestMalformedFaultPlans:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestInterruptibleBackoff:
-    """Satellite regression: retry backoff sleeps on an interruptible
-    event, so a cooperative cancel or job deadline aborts a *pending*
-    backoff instead of waiting it out."""
+class TestDeadline:
+    """One deadline bounds a run: retry backoff sleeps on an
+    interruptible event, so a cooperative cancel or an expired budget
+    aborts a *pending* backoff instead of waiting it out, and the same
+    budget, narrowed, bounds every pool wait."""
 
-    def test_waiter_interrupt_wakes_wait_early(self):
-        from repro.core.executor import BackoffWaiter
-
-        waiter = BackoffWaiter()
-        timer = threading.Timer(0.1, waiter.interrupt)
+    def test_interrupt_wakes_wait_early(self):
+        deadline = Deadline()
+        timer = threading.Timer(0.1, deadline.interrupt)
         start = time.monotonic()
         timer.start()
         try:
-            waiter.wait(30.0)
+            deadline.wait(30.0)
         finally:
             timer.cancel()
         assert time.monotonic() - start < 5.0
 
-    def test_waiter_check_raises_before_and_after_sleep(self):
-        from repro.core.executor import BackoffWaiter
-
+    def test_check_raises_before_and_after_sleep(self):
         class Cancelled(Exception):
             pass
 
@@ -482,25 +479,37 @@ class TestInterruptibleBackoff:
             if len(calls) > 1:
                 raise Cancelled()
 
-        waiter = BackoffWaiter(check=check)
-        waiter.interrupt()  # no actual sleeping in this test
+        deadline = Deadline(check=check)
+        deadline.interrupt()  # no actual sleeping in this test
         with pytest.raises(Cancelled):
-            waiter.wait(30.0)
+            deadline.wait(30.0)
         assert len(calls) == 2
 
-    def test_waiter_never_sleeps_past_deadline(self):
-        from repro.core.executor import BackoffWaiter
-
-        waiter = BackoffWaiter(deadline=time.monotonic() + 0.05)
+    def test_wait_never_sleeps_past_the_budget_then_raises(self):
+        deadline = Deadline(0.05)
         start = time.monotonic()
-        waiter.wait(30.0)
+        with pytest.raises(TimeoutError):
+            deadline.wait(30.0)
         assert time.monotonic() - start < 5.0
+
+    def test_narrowed_is_the_earlier_of_the_two(self):
+        unbounded = Deadline()
+        assert unbounded.remaining() is None
+        assert unbounded.narrowed(None) is unbounded
+        assert 0 < unbounded.narrowed(5.0).remaining() <= 5.0
+        job = Deadline(2.0)
+        assert job.narrowed(60.0) is job  # the job's budget is tighter
+        shard = job.narrowed(0.5)
+        assert shard.at < job.at
+        # A narrower child shares the parent's interrupt.
+        job.interrupt()
+        start = time.monotonic()
+        shard.wait(30.0)
+        assert time.monotonic() - start < 0.4
 
     def test_cancel_mid_backoff_aborts_the_run_promptly(self):
         """A run whose shard is waiting out a 30 s backoff must abort
         within moments of the cancel, not at the backoff's end."""
-        from repro.core.executor import BackoffWaiter
-
         class Cancelled(Exception):
             pass
 
@@ -510,13 +519,13 @@ class TestInterruptibleBackoff:
             if cancel.is_set():
                 raise Cancelled()
 
-        waiter = BackoffWaiter(check=check)
+        deadline = Deadline(check=check)
         pipeline = GRATING.pipeline(workers=2)
         pipeline.faults = FaultPlan(transient=frozenset({(0, 0), (0, 1)}))
         pipeline.retry = RetryPolicy(max_attempts=3, backoff_base=30.0)
-        pipeline.waiter = waiter
+        pipeline.deadline = deadline
         timer = threading.Timer(
-            0.3, lambda: (cancel.set(), waiter.interrupt())
+            0.3, lambda: (cancel.set(), deadline.interrupt())
         )
         start = time.monotonic()
         timer.start()
@@ -526,6 +535,41 @@ class TestInterruptibleBackoff:
         finally:
             timer.cancel()
         assert time.monotonic() - start < 15.0
+
+
+    def test_job_budget_bounds_a_hung_pool_shard(self, tmp_path, monkeypatch):
+        """No ``shard_timeout``, a 1 s job budget, a pool shard hung for
+        30 s: the job fails with its own timeout within the budget (the
+        pool wait is bounded by the job's deadline, not only by the shard
+        watchdog), and the hung worker is killed so the next job on the
+        shared pool completes with the clean bytes."""
+        from repro.service.jobs import JobStore
+        from repro.service.runner import JobRunner, JobTimeoutError
+        from repro.service.schemas import parse_job_spec
+
+        column = conformance.COLUMNS["grating-raster"]
+        knobs = {"workload": column.workload, **dict(column.knobs), "workers": 2}
+        store = JobStore()
+        runner = JobRunner(store, tmp_path)
+        monkeypatch.setenv(
+            FAULTS_ENV_VAR, '{"hang": [[0, 0]], "hang_seconds": 30}'
+        )
+        hung = store.create(parse_job_spec({**knobs, "timeout": 1}))
+        start = time.monotonic()
+        with pytest.raises(JobTimeoutError):
+            runner(hung)
+        assert time.monotonic() - start < 1.0 + 2.0
+        assert store.totals("faults")["job_timeouts"] == 1
+
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        clean = store.create(parse_job_spec(knobs))
+        runner(clean)
+        job = store.get(clean.id)
+        assert job.state == "done"
+        assert job.result["execution"]["faults"]["pool_restarts"] == 0
+        assert (runner.job_dir(clean.id) / "job.ebj").read_bytes() == clean_job(
+            column
+        )
 
 
 class TestDistributedGauntlet:
@@ -592,7 +636,6 @@ class TestDistributedGauntlet:
             late_heartbeat=frozenset({(1, 1)}),
         )
         policy = DistPolicy(
-            lease_deadline=2.0,
             heartbeat_interval=0.1,
             heartbeat_timeout=1.0,
             worker_grace=5.0,

@@ -34,7 +34,7 @@ import conformance
 from chaos import faulted
 from repro.core.cache import ShardCache
 from repro.core.executor import (
-    BackoffWaiter,
+    Deadline,
     RetryPolicy,
     shutdown_worker_pool,
 )
@@ -64,7 +64,6 @@ from repro.dist.protocol import (
 COLUMN = conformance.COLUMNS["checkerboard-sparse"]
 FAST_RETRY = RetryPolicy(max_attempts=4, backoff_base=0.0)
 FAST_POLICY = DistPolicy(
-    lease_deadline=1.0,
     heartbeat_interval=0.1,
     heartbeat_timeout=0.5,
     worker_grace=2.0,
@@ -210,13 +209,11 @@ class TestProtocol:
 class TestDistPolicy:
     def test_rejects_negative_knobs(self):
         with pytest.raises(ValueError):
-            DistPolicy(lease_deadline=-1.0)
-        with pytest.raises(ValueError):
             DistPolicy(heartbeat_timeout=-0.1)
 
     def test_defaults_are_valid(self):
         policy = DistPolicy()
-        assert policy.lease_deadline > 0
+        assert policy.heartbeat_timeout > policy.heartbeat_interval > 0
         assert policy.speculate
 
     def test_from_env_unset_returns_none(self):
@@ -231,11 +228,14 @@ class TestDistPolicy:
         assert policy.speculate is False
         assert policy.heartbeat_timeout == 1.5
         # Untouched knobs keep their defaults.
-        assert policy.lease_deadline == DistPolicy().lease_deadline
+        assert policy.worker_grace == DistPolicy().worker_grace
 
-    def test_from_json_names_unknown_key(self):
-        with pytest.raises(ValueError, match="lease_deadlin"):
-            DistPolicy.from_json('{"lease_deadlin": 5}')
+    @pytest.mark.parametrize("key", ["lease_deadlin", "lease_deadline"])
+    def test_from_json_names_unknown_key(self, key):
+        # The retired lease watchdog knob is unknown too: a lease's
+        # watchdog is the run's deadline narrowed by shard_timeout.
+        with pytest.raises(ValueError, match=key):
+            DistPolicy.from_json('{"%s": 5}' % key)
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
@@ -256,15 +256,18 @@ class TestDistPolicy:
 
 
 class TestLeaseQueue:
-    def make(self, n=4, max_attempts=3, **policy_kwargs):
+    def make(self, n=4, max_attempts=3, shard_timeout=10.0, **policy_kwargs):
         policy = DistPolicy(
-            lease_deadline=10.0,
             heartbeat_interval=1.0,
             heartbeat_timeout=5.0,
             speculate_after=2.0,
             **policy_kwargs,
         )
-        retry = RetryPolicy(max_attempts=max_attempts, backoff_base=0.0)
+        retry = RetryPolicy(
+            max_attempts=max_attempts,
+            backoff_base=0.0,
+            shard_timeout=shard_timeout,
+        )
         return LeaseQueue(n, retry=retry, policy=policy)
 
     def test_grants_positions_in_order_with_deadlines(self):
@@ -318,7 +321,7 @@ class TestLeaseQueue:
         # as correct as the retry's.
         queue = self.make(n=1)
         lease = queue.grant("w0", now=0.0)
-        queue.scan(now=11.0)  # past the lease deadline → reclaimed
+        queue.scan(now=11.0)  # silent and past its deadline → reclaimed
         assert queue.stats.leases_reclaimed == 1
         assert queue.commit(lease.lease_id, "w0", 0, b"r", now=11.5) == (
             "accepted"
@@ -361,8 +364,8 @@ class TestLeaseQueue:
         queue = self.make(n=3)
         queue.grant("dying", now=0.0)
         queue.grant("dying", now=0.0)
-        queue.grant("healthy", now=0.0)
-        queue.touch_worker("healthy", now=6.0)
+        kept = queue.grant("healthy", now=0.0)
+        assert queue.heartbeat("healthy", kept.lease_id, now=6.0)
         queue.scan(now=6.0)  # "dying" silent past heartbeat_timeout
         assert queue.stats.worker_deaths == 1
         assert queue.stats.leases_reclaimed == 2
@@ -380,6 +383,53 @@ class TestLeaseQueue:
         queue.touch_worker("w0", now=4.0)  # contact clears the flag
         queue.scan(now=7.0)
         assert queue.stats.heartbeats_missed == 2
+
+    def test_silent_lease_of_a_polling_worker_is_reclaimed_once(self):
+        # A dropped commit: the worker lives on and keeps polling, but
+        # the lease it walked away from is never heartbeated again.  No
+        # shard_timeout: silence is the only rule that can reclaim it.
+        queue = self.make(n=1, max_attempts=2, shard_timeout=None, speculate=False)
+        lease = queue.grant("w0", now=0.0)
+        assert lease.deadline is None
+        for now in (1.0, 2.0, 3.0, 4.0, 5.0):
+            assert queue.grant("w0", now=now) is None  # alive, queue dry
+            queue.scan(now=now)
+        assert queue.stats.leases_reclaimed == 0  # silent, not yet > 5 s
+        queue.grant("w0", now=5.5)
+        queue.scan(now=5.5)
+        queue.scan(now=5.6)
+        assert queue.stats.leases_reclaimed == 1
+        assert queue.stats.worker_deaths == 0  # the worker never went quiet
+        assert not queue.heartbeat("w0", lease.lease_id, now=5.7)
+        retry = queue.grant("w0", now=5.7)
+        assert (retry.position, retry.attempt) == (0, 1)
+        # The retry falls silent too: the attempt budget is spent and
+        # the local ladder gets the position.
+        queue.touch_worker("w0", now=11.0)
+        queue.scan(now=11.0)
+        assert queue.stats.leases_reclaimed == 2
+        assert queue.grant("w0", now=11.0) is None
+        assert queue.spent_positions() == [0]
+        assert queue.state(now=11.0).finished
+
+    def test_heartbeated_lease_has_no_watchdog_without_a_budget(self):
+        # No shard_timeout and no job deadline: a lease its worker keeps
+        # heartbeating is never reclaimed, however long it runs.
+        queue = self.make(n=1, shard_timeout=None, speculate=False)
+        lease = queue.grant("w0", now=0.0)
+        for now in range(1, 101):
+            assert queue.heartbeat("w0", lease.lease_id, now=float(now))
+            queue.scan(now=float(now))
+        assert queue.stats.leases_reclaimed == 0
+
+    def test_lease_watchdog_is_the_run_deadline_narrowed(self):
+        now = time.monotonic()
+        retry = RetryPolicy(shard_timeout=10.0)
+        job = Deadline(3.0)
+        queue = LeaseQueue(2, retry=retry, deadline=job)
+        assert queue.grant("w0", now=now).deadline == job.at  # job first
+        queue = LeaseQueue(2, retry=retry, deadline=Deadline(60.0))
+        assert queue.grant("w0", now=now).deadline == now + 10.0
 
     def test_heartbeat_reports_reclaimed_lease_dead(self):
         queue = self.make(n=1)
@@ -456,9 +506,8 @@ class LeaseQueueMachine(RuleBasedStateMachine):
 
     # Small on purpose — two attempts, three shards, three workers — so
     # budgets run out and leases collide within a few steps.
-    RETRY = RetryPolicy(max_attempts=2, backoff_base=0.0)
+    RETRY = RetryPolicy(max_attempts=2, backoff_base=0.0, shard_timeout=10.0)
     POLICY = DistPolicy(
-        lease_deadline=10.0,
         heartbeat_interval=1.0,
         heartbeat_timeout=5.0,
         speculate_after=2.0,
@@ -576,8 +625,9 @@ class LeaseQueueMachine(RuleBasedStateMachine):
 
     @rule(seconds=st.sampled_from([3.0, 6.0, 11.0]), scans=st.integers(0, 2))
     def advance(self, seconds, scans):
-        # Past speculate_after, heartbeat_timeout and lease_deadline in
-        # turn; the run loop scans on every wake, sometimes twice.
+        # Past speculate_after, heartbeat_timeout (a lease nobody
+        # heartbeats) and the shard timeout (one heartbeated throughout)
+        # in turn; the run loop scans on every wake, sometimes twice.
         self.clock += seconds
         for _ in range(scans):
             self.queue.scan(now=self.clock)
@@ -620,7 +670,7 @@ class LeaseQueueMachine(RuleBasedStateMachine):
                 break
             lease = self.queue.grant("closer", now=self.clock)
             if lease is None:
-                self.clock += 11.0  # expire what walked-away workers hold
+                self.clock += 11.0  # silence what walked-away workers hold
                 self.queue.scan(now=self.clock)
                 continue
             self.queue.commit(
@@ -732,7 +782,6 @@ class TestDistributedRuns:
         # Speculation off so the recovery must come from death
         # detection + lease reclaim, not a speculative duplicate.
         policy = DistPolicy(
-            lease_deadline=5.0,
             heartbeat_interval=0.1,
             heartbeat_timeout=0.5,
             worker_grace=3.0,
@@ -749,7 +798,6 @@ class TestDistributedRuns:
         # meets ``dead_worker`` with ``os._exit``.  Its sibling finishes.
         faults = FaultPlan(dead_worker=frozenset({(0, 0)}))
         policy = DistPolicy(
-            lease_deadline=10.0,
             heartbeat_interval=0.1,
             heartbeat_timeout=0.5,
             worker_grace=5.0,
@@ -765,18 +813,19 @@ class TestDistributedRuns:
     def test_dropped_commit_connection_recovers(self, endpoint, fleet):
         fleet(2)
         faults = FaultPlan(drop_conn=frozenset({(1, 0)}))
-        # Speculation off: the lost commit must surface as a lease
-        # deadline expiry and a reclaimed retry.
+        # Speculation off and no shard timeout: the lost commit must
+        # surface as a lease nobody heartbeats any more (its worker
+        # keeps polling) and a reclaimed retry.
         policy = DistPolicy(
-            lease_deadline=1.0,
             heartbeat_interval=0.1,
-            heartbeat_timeout=2.0,
+            heartbeat_timeout=1.0,
             worker_grace=3.0,
             speculate=False,
         )
         result = leased(endpoint, faults=faults, policy=policy)
         assert dumps_job(result.job) == reference_job()
         assert result.execution.leases_reclaimed >= 1
+        assert result.execution.dist_local_fallbacks == 0
 
     def test_duplicate_commit_discarded(self, endpoint, fleet):
         fleet(2)
@@ -822,8 +871,8 @@ class TestDistributedRuns:
         ]
         for thread in threads:
             thread.start()
+        # No shard timeout: the straggler is *slow*, not hung.
         policy = DistPolicy(
-            lease_deadline=60.0,  # the straggler is *slow*, not hung
             heartbeat_interval=0.1,
             heartbeat_timeout=5.0,
             worker_grace=10.0,
@@ -843,7 +892,7 @@ class TestDistributedRuns:
     def test_cancel_lands_while_the_fleet_stalls(self, endpoint, fleet):
         """A fleet that heartbeats but never commits must not hide a
         cancel (or an expired job budget) from the waiting coordinator:
-        every wake of the poll loop runs the waiter's check."""
+        every wake of the poll loop runs the deadline's check."""
 
         class Cancelled(Exception):
             pass
@@ -867,8 +916,8 @@ class TestDistributedRuns:
                 raise Cancelled
 
         fleet(2, throttle=throttle)
+        # No shard timeout: stalled, not hung — no reclaim helps.
         policy = DistPolicy(
-            lease_deadline=60.0,  # stalled, not hung: no reclaim helps
             heartbeat_interval=0.1,
             heartbeat_timeout=5.0,
             worker_grace=60.0,
@@ -876,7 +925,7 @@ class TestDistributedRuns:
         )
         pipeline = COLUMN.pipeline(dispatch="distributed", workers_endpoint=endpoint)
         pipeline.dist_policy = policy
-        pipeline.waiter = BackoffWaiter(check=check)
+        pipeline.deadline = Deadline(check=check)
         canceller = threading.Thread(target=request_cancel, daemon=True)
         canceller.start()
         try:
@@ -1009,7 +1058,6 @@ class TestRecipeAndServerPlumbing:
             coordinator_for(endpoint)
             faults = FaultPlan(dead_worker=frozenset({(0, 0)}))
             policy = DistPolicy(
-                lease_deadline=5.0,
                 heartbeat_interval=0.1,
                 heartbeat_timeout=0.5,
                 worker_grace=2.0,

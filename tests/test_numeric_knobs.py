@@ -14,6 +14,7 @@ cannot import the rule; they are held to its words here.
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -50,7 +51,6 @@ FRACTURER_KNOBS = ["grid", "max_height"]
 KERNELS = ["fast", "exact"]
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DIST_KNOBS = [
-    "lease_deadline",
     "heartbeat_interval",
     "heartbeat_timeout",
     "worker_grace",
@@ -206,7 +206,19 @@ class TestOrdinaryMessagesAreUnchanged:
         assert RetryPolicy(backoff_base=0, shard_timeout=None).backoff(1) == 0
 
     def test_dist_policy(self):
-        assert self.raised(DistPolicy, lease_deadline=-1.0) == (
-            "lease_deadline must be >= 0, got -1.0"
+        assert self.raised(DistPolicy, heartbeat_timeout=-1.0) == (
+            "heartbeat_timeout must be >= 0, got -1.0"
         )
         assert DistPolicy(speculate_after=0).speculate_after == 0
+
+    # A retired key (the lease watchdog is now the run's deadline
+    # narrowed by shard_timeout) is an unknown key like any other.
+    @pytest.mark.parametrize("key", ["lease_deadline"])
+    def test_retired_dist_key_is_a_one_line_cli_error(self, key, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_DIST", json.dumps({key: 30.0}))
+        argv = ["demo", "--workload", "grating", "--field-size", "25"]
+        endpoint = ["--dispatch", "distributed", "--workers-endpoint", "127.0.0.1:1"]
+        assert main(argv + endpoint) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert len(err.strip().splitlines()) == 1
