@@ -1,6 +1,6 @@
 """Deterministic fault injection for the execution layer.
 
-The fault-tolerance machinery of :mod:`repro.core.executor` (per-shard
+The fault-tolerance machinery of :mod:`repro.core.ladder` (per-shard
 retry, pool recycling, hung-worker timeouts, cache degradation) is only
 trustworthy if every failure mode can be reproduced on demand.  This
 module is that harness: a :class:`FaultPlan` describes *exactly* which
@@ -18,7 +18,7 @@ Fault kinds
 * ``kill_worker`` — the worker process SIGKILLs itself mid-shard (the
   pool observes :class:`~concurrent.futures.process.BrokenProcessPool`).
 * ``transient`` — the shard raises :class:`TransientFaultError` (an
-  ``OSError``, so the default :class:`~repro.core.executor.RetryPolicy`
+  ``OSError``, so the default :class:`~repro.core.ladder.RetryPolicy`
   classifies it as retryable infrastructure trouble).
 * ``hang`` — the shard sleeps ``hang_seconds`` (far past any sane
   per-shard timeout), exercising the hung-worker watchdog.

@@ -1,8 +1,9 @@
 """The data-preparation pipeline.
 
-Thin orchestration over :mod:`repro.core.executor`: gather polygons from
-the source, hand them to the field-sharded execution engine (fracture →
-proximity correction → merge), wrap the merged shots in a
+Thin orchestration over :mod:`repro.core.executor`: resolve a run's
+overrides into one engine, gather polygons from the source, hand them
+to the field-sharded execution engine (fracture → proximity correction
+→ merge), wrap the merged shots in a
 :class:`~repro.core.job.MachineJob` and estimate writing time per
 machine.  Batch entry points (:meth:`PreparationPipeline.run_layers`,
 :meth:`PreparationPipeline.run_many`) sweep several layers or sources
@@ -24,9 +25,10 @@ from typing import (
 )
 
 from repro.core.cache import ShardCache
-from repro.core.executor import ExecutionStats, RetryPolicy, ShardedExecutor
+from repro.core.executor import ExecutionStats, ShardedExecutor
 from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import fracture_hierarchical
+from repro.core.ladder import RetryPolicy
 from repro.core.job import MachineJob, ShotFold
 from repro.core.recipe import POSITIVE, check_knobs, require
 from repro.fracture.base import Fracturer
@@ -115,7 +117,7 @@ class PreparationPipeline:
             instead of building one from ``cache_dir``.
         overlap_policy: cross-shard overlap handling when sharding —
             ``"warn"`` (default), ``"union"`` or ``"ignore"`` (see
-            :mod:`repro.core.executor`).
+            :mod:`repro.core.plan`).
         hierarchy: how hierarchical sources are fractured —
             ``"flat"`` (default: expand every placement, fracture per
             shard) or ``"cells"`` (fracture each cell once, replicate
@@ -141,7 +143,7 @@ class PreparationPipeline:
             engine — how a long-running front-end (the prep service's
             job status endpoint) observes a run advancing.  Never
             influences results.
-        retry: the engine's :class:`~repro.core.executor.RetryPolicy`
+        retry: the engine's :class:`~repro.core.ladder.RetryPolicy`
             (per-shard retries, deterministic backoff, hang watchdog);
             defaults to ``RetryPolicy()``.  Never changes results, only
             what survives: a run that finishes under faults is
@@ -155,13 +157,14 @@ class PreparationPipeline:
         dispatch: shard scheduling — ``"local"`` (default) or
             ``"distributed"`` (lease shards to the worker fleet on
             ``workers_endpoint`` via :mod:`repro.dist`; byte-identical
-            to local, with the local ladder as the last rung).
+            to local; the fleet is the recovery ladder's top rung, its
+            pool and serial rungs finish what the fleet cannot).
         workers_endpoint: coordinator ``host:port`` for distributed
             dispatch.
         dist_policy: optional
             :class:`~repro.dist.coordinator.DistPolicy` scheduling
             knobs for distributed dispatch.
-        deadline: optional :class:`~repro.core.executor.Deadline` —
+        deadline: optional :class:`~repro.core.ladder.Deadline` —
             the run's time budget and cooperative cancel (the service's
             job budget); unbounded when ``None``.
 
@@ -230,20 +233,39 @@ class PreparationPipeline:
         # The engine owns the rules for what it is handed (corrector and
         # PSF, workers, field_size, overlap_policy, the dispatch pair):
         # build it once here so they run at this door, not at first use.
-        self.executor
+        self.executor()
 
-    @property
-    def executor(self) -> ShardedExecutor:
-        """The execution engine, bound to the pipeline's current
+    def executor(
+        self,
+        workers: Optional[int] = None,
+        field_size: Optional[float] = None,
+        cache: Union[ShardCache, bool, None] = None,
+    ) -> ShardedExecutor:
+        """The execution engine for one run: the pipeline's current
         configuration (rebinding ``fracturer``/``corrector``/``psf`` on
-        the pipeline takes effect on the next run)."""
+        the pipeline takes effect on the next run) with the run's
+        overrides applied, each checked by the engine before any work
+        is done on its behalf.
+
+        ``workers``/``field_size``: ``None`` inherits the pipeline's
+        setting.  ``cache``: ``None`` inherits the configured cache,
+        ``False`` runs uncached, ``True`` requires the configured cache,
+        an explicit :class:`~repro.core.cache.ShardCache` replaces it.
+        The engine's cache is also the run's program-segment cache.
+        """
+        if cache is True and self.cache is None:
+            raise ValueError("cache=True requested but no cache is configured")
+        if cache is None or cache is True:
+            cache = self.cache
+        elif cache is False:
+            cache = None
         return ShardedExecutor(
             self.fracturer,
             corrector=self.corrector,
             psf=self.psf,
-            workers=self.workers,
-            field_size=self.field_size,
-            cache=self.cache,
+            workers=self.workers if workers is None else workers,
+            field_size=self.field_size if field_size is None else field_size,
+            cache=cache,
             overlap_policy=self.overlap_policy,
             progress=self.progress,
             retry=self.retry,
@@ -288,7 +310,7 @@ class PreparationPipeline:
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
         """
-        self._check_overrides(workers, field_size, machine)
+        engine = self._engine(workers, field_size, cache, machine)
         items = self._work_items(
             source,
             None if layer is None else [layer],
@@ -296,13 +318,7 @@ class PreparationPipeline:
             self._resolve_hierarchy(hierarchy),
         )
         return self._run_batch(
-            items,
-            [name] if name else None,
-            workers,
-            field_size,
-            cache,
-            machine,
-            program_path,
+            engine, items, [name] if name else None, machine, program_path
         )[0]
 
     def run_polygons(
@@ -377,7 +393,7 @@ class PreparationPipeline:
         Always runs flat — hierarchy ``"cells"`` prefracture is a
         materializing transform and is rejected by the streaming recipe.
         """
-        self._check_overrides(workers, field_size, machine)
+        engine = self._engine(workers, field_size, cache, machine)
         stream, owned = self._resolve_stream(source)
         try:
             if stream is not None:
@@ -388,9 +404,7 @@ class PreparationPipeline:
             else:
                 inferred = "job"
                 polygons = iter(source)  # type: ignore[arg-type]
-            execution = self.executor.execute_stream(
-                polygons, workers=workers, field_size=field_size, cache=cache
-            )
+            execution = engine.execute_stream(polygons)
         finally:
             if owned and stream is not None:
                 stream.close()
@@ -400,7 +414,7 @@ class PreparationPipeline:
                 execution.iter_results(),
                 machine,
                 program_path,
-                cache,
+                engine.cache,
                 segment_count=execution.stats.occupied_shards,
             )
 
@@ -433,13 +447,11 @@ class PreparationPipeline:
         Returns:
             Mapping layer → result, in layer sort order.
         """
-        self._check_overrides(workers, field_size, machine)
+        engine = self._engine(workers, field_size, cache, machine)
         items = self._work_items(
             source, layers, True, self._resolve_hierarchy(hierarchy)
         )
-        results = self._run_batch(
-            items, None, workers, field_size, cache, machine
-        )
+        results = self._run_batch(engine, items, None, machine)
         return {layer: result for (layer, *_), result in zip(items, results)}
 
     def run_many(
@@ -462,7 +474,7 @@ class PreparationPipeline:
         sources in the same batch still run flat, in the same
         interleaved shard list.
         """
-        self._check_overrides(workers, field_size, machine)
+        engine = self._engine(workers, field_size, cache, machine)
         hierarchy = self._resolve_hierarchy(hierarchy)
         layers = None if layer is None else [layer]
         items = [
@@ -470,9 +482,7 @@ class PreparationPipeline:
             for source in sources
             for item in self._work_items(source, layers, False, hierarchy)
         ]
-        return self._run_batch(
-            items, names, workers, field_size, cache, machine
-        )
+        return self._run_batch(engine, items, names, machine)
 
     def _work_items(
         self,
@@ -529,22 +539,18 @@ class PreparationPipeline:
 
     def _run_batch(
         self,
+        engine: ShardedExecutor,
         items: List[tuple],
         names: Optional[Sequence[str]],
-        workers: Optional[int],
-        field_size: Optional[float],
-        cache: Union[ShardCache, bool, None],
         machine: Optional[str],
         program_path: Optional[Union[str, Path]] = None,
     ) -> List[PipelineResult]:
-        """Execute :meth:`_work_items` jobs as one interleaved shard
-        list and finish each into a result (``names`` override the
-        inferred job names; ``program_path`` is for one-job batches)."""
-        outcomes = self.executor.execute_many(
+        """Execute :meth:`_work_items` jobs on ``engine`` as one
+        interleaved shard list and finish each into a result (``names``
+        override the inferred job names; ``program_path`` is for one-job
+        batches)."""
+        outcomes = engine.execute_many(
             [geometry for _, geometry, *_ in items],
-            workers=workers,
-            field_size=field_size,
-            cache=cache,
             prefractured=[hier is not None for *_, hier in items],
         )
         program_seen: Dict[tuple, int] = {}
@@ -575,7 +581,7 @@ class PreparationPipeline:
                     outcome.shard_results,
                     machine,
                     program_path,
-                    cache,
+                    engine.cache,
                     program_seen,
                 )
             )
@@ -583,13 +589,13 @@ class PreparationPipeline:
 
     # -- helpers ----------------------------------------------------------
 
-    def _check_overrides(self, workers, field_size, machine) -> None:
-        """Per-run overrides answer to the constructor's rules, before
-        any work is done on their behalf."""
-        check_knobs(field_size=field_size)
-        if workers is not None:
-            check_knobs(workers=workers)
+    def _engine(self, workers, field_size, cache, machine) -> ShardedExecutor:
+        """The run's engine (:meth:`executor`), with every per-run
+        override — the machine mode too — checked before any work is
+        done on its behalf."""
+        engine = self.executor(workers, field_size, cache)
         self._resolve_machine(machine)
+        return engine
 
     def _resolve_hierarchy(self, hierarchy: Optional[str]) -> str:
         if hierarchy is None:
@@ -606,17 +612,6 @@ class PreparationPipeline:
             return None
         check_knobs(machine=machine)
         return machine
-
-    def _resolve_program_cache(
-        self, cache: Union[ShardCache, bool, None]
-    ) -> Optional[ShardCache]:
-        """The cache program segments go through, honouring the same
-        per-run override semantics as the executor's shard cache."""
-        if cache is None or cache is True:
-            return self.cache
-        if cache is False:
-            return None
-        return cache
 
     def _default_program_path(
         self, name: str, mode: str, seen: Optional[Dict[tuple, int]]
@@ -640,14 +635,15 @@ class PreparationPipeline:
         shard_results,
         machine: Optional[str],
         program_path: Optional[Union[str, Path]],
-        cache: Union[ShardCache, bool, None],
+        cache: Optional[ShardCache],
         program_seen: Optional[Dict[tuple, int]] = None,
         segment_count: Optional[int] = None,
     ) -> PipelineResult:
         """The tail every run shares: estimate write times on the
         result's job and (with a machine mode) export the machine
         program from ``shard_results`` — a resident list, or a spill
-        cursor with its occupied ``segment_count``."""
+        cursor with its occupied ``segment_count`` — through the run's
+        ``cache``."""
         job = result.job
         for writer in self.machines:
             result.write_times[writer.name] = writer.write_time(job)
@@ -664,7 +660,7 @@ class PreparationPipeline:
                 job,
                 MachineSpec(mode=mode, address_unit=self.address_unit),
                 program_path,
-                cache=self._resolve_program_cache(cache),
+                cache=cache,
                 segment_count=segment_count,
             )
             # A failed segment-blob store degrades the run like a failed

@@ -336,10 +336,10 @@ class PrepRecipe:
         ``progress`` is the per-shard completion callback threaded into
         the execution engine (see :mod:`repro.core.executor`);
         ``deadline`` is the run's optional
-        :class:`~repro.core.executor.Deadline` (the service's job
+        :class:`~repro.core.ladder.Deadline` (the service's job
         budget and cancel).
         """
-        from repro.core.executor import RetryPolicy
+        from repro.core.ladder import RetryPolicy
         from repro.core.faults import FaultPlan
         from repro.core.pipeline import PreparationPipeline
         from repro.fracture.shots import ShotFracturer

@@ -146,9 +146,10 @@ class ExecutionStats:
             first (the duplicate's work was discarded).
         duplicate_commits: byte-identical re-commits discarded by the
             coordinator (at-least-once delivery made visible).
-        dist_local_fallbacks: shards the fleet could not finish
-            (attempt budget spent, no live workers) that the local
-            pool → serial ladder completed instead.
+        dist_local_fallbacks: shards the fleet — the recovery
+            ladder's top rung — could not finish (attempt budget spent,
+            no live workers) that the same ladder's pool and serial
+            rungs completed instead.
         streamed: the run used the out-of-core field-window path
             (:meth:`~repro.core.executor.ShardedExecutor.execute_stream`)
             — source polygons were spooled to disk and only one shard

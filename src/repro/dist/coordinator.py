@@ -1,19 +1,21 @@
 """The lease coordinator: a shard work queue remote workers pull from.
 
 One :class:`CoordinatorServer` listens on a TCP endpoint and schedules
-*batches* of shards (one batch per ``execute_many`` call).  Workers pull
-**leases** — ``(position, attempt, lease_id)`` — execute the
-shard, and commit the serialized result back.  The scheduling rules are
-the network mirror of the single-host recovery ladder in
-:mod:`repro.core.executor`:
+*batches* of shards.  A batch is one shard-loop window's cache misses:
+a resident run submits one, a streamed run one per shard row.  Workers
+pull **leases** — ``(position, attempt, lease_id)`` — execute the
+shard, and commit the serialized result back.  The batch is the top
+rung of the recovery ladder (:func:`repro.dist.run.fleet_rung`), and
+its scheduling rules are the network mirror of the ladder's local
+rungs in :mod:`repro.core.ladder`:
 
 * a worker that stops contacting the coordinator (death, partition) has
   its leases **reclaimed** and re-queued under the batch's
-  :class:`~repro.core.executor.RetryPolicy` attempt budget;
+  :class:`~repro.core.ladder.RetryPolicy` attempt budget;
 * a lease its holder stops heartbeating (a dropped commit, a silenced
   lease) is reclaimed the same way, even while the worker keeps polling;
 * a lease that outlives its deadline (the run's
-  :class:`~repro.core.executor.Deadline` narrowed by
+  :class:`~repro.core.ladder.Deadline` narrowed by
   ``RetryPolicy.shard_timeout``; none when neither bounds it) is
   reclaimed too — the remote analogue of the hung-worker watchdog;
 * when the queue runs dry but leases are still in flight, the
@@ -22,8 +24,8 @@ the network mirror of the single-host recovery ladder in
   discarded (results are byte-deterministic, so both carry identical
   bytes — the race has no observable outcome besides wall-clock);
 * a position whose remote attempt budget is exhausted is marked
-  *spent* and handed back to the caller, whose local pool → serial
-  ladder finishes it — a run never fails because every worker died.
+  *spent* and handed back to the ladder, whose pool and serial rungs
+  finish it — a run never fails because every worker died.
 
 Commits are accepted **idempotently**: a commit for an uncommitted
 position is taken even if its lease was already reclaimed (the bytes
@@ -50,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.executor import Deadline, RetryPolicy
+from repro.core.ladder import Deadline, RetryPolicy
 from repro.core.recipe import (
     FLAG,
     from_mapping,
@@ -82,7 +84,7 @@ class DistPolicy:
             as dead.
         worker_grace: how long the coordinator waits with work pending
             but no live workers [s] before handing the remainder to the
-            local execution ladder.
+            ladder's pool and serial rungs.
         speculate: grant end-of-queue duplicate leases for stragglers.
         speculate_after: minimum lease age [s] before it is eligible
             for speculative duplication.
@@ -523,7 +525,8 @@ class LeaseQueue:
 
 @dataclass
 class _Batch:
-    """One ``execute_many`` call's work, as the server schedules it."""
+    """One batch — a shard-loop window's cache misses — as the server
+    schedules it."""
 
     id: str
     seq: int

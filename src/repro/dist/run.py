@@ -1,93 +1,73 @@
-"""Drive one batch of shards through the lease coordinator.
+"""The fleet: the recovery ladder's top rung.
 
-:func:`map_shards_distributed` is the distributed counterpart of
-:func:`repro.core.executor._map_shards` — same inputs, same
-``(results, pooled, recovery)`` contract plus the batch's
-:class:`~repro.dist.coordinator.DistRunStats`.  It publishes the batch
-on the endpoint's coordinator, folds committed results in as workers
-deliver them, and finishes whatever the fleet could not (exhausted
-attempt budgets, no live workers) on the local pool → serial ladder —
-the top rung of the recovery ladder, so a distributed run never fails
-for scheduling reasons the single-host engine would have survived.
+:func:`fleet_rung` is the distributed rung of
+:class:`repro.core.ladder._Ladder`.  It publishes the ladder's shards as
+one batch on the endpoint's coordinator, lands committed results in the
+ladder as workers deliver them, and hands back the positions the fleet
+could not finish (exhausted attempt budgets, no live workers) — the
+same ladder's pool and serial rungs then finish them, so a distributed
+run never fails for scheduling reasons the single-host engine would
+have survived.  Positions are the batch's on every rung, so one fault
+plan names the same shard remote and local.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.executor import (
-    Deadline,
-    RetryPolicy,
-    Shard,
-    ShardRecovery,
-    ShardResult,
-    _map_shards,
-)
 from repro.core.faults import FaultPlan
 from repro.core.jobfile import loads_shard_result
-from repro.dist.coordinator import (
-    DistPolicy,
-    DistRunStats,
-    coordinator_for,
-)
+from repro.core.ladder import _Ladder
+from repro.dist.coordinator import DistPolicy, coordinator_for
 
 
-def map_shards_distributed(
-    shards: List[Shard],
+def fleet_rung(
+    ladder: _Ladder,
     config: tuple,
-    workers: int,
+    faults: Optional[FaultPlan],
     endpoint: str,
-    tick: Optional[Callable[[], None]] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
     policy: Optional[DistPolicy] = None,
     cache_keys: Optional[List[str]] = None,
-    deadline: Optional[Deadline] = None,
-) -> Tuple[List[ShardResult], bool, ShardRecovery, DistRunStats]:
-    """Run ``shards`` across the worker fleet on ``endpoint``.
+) -> List[int]:
+    """Run ``ladder.shards`` across the worker fleet on ``endpoint``;
+    returns the positions left unfinished, sorted.
 
-    Results come back in shard order and are byte-identical to a serial
-    run: workers execute the exact per-shard entry point, commits are
-    idempotent, and the merge ignores arrival order.  ``cache_keys``
-    (parallel to ``shards``) ride the leases so workers with a shared
-    cache can store results at the source.  ``deadline`` (unbounded by
-    default) bounds the wait and every lease, and is handed on to the
-    local ladder with the leftovers.
+    Results are byte-identical to a serial run: workers execute the
+    exact per-shard entry point, commits are idempotent, and every
+    commit lands through :meth:`~repro.core.ladder._Ladder.finish` at
+    its own position (one progress tick each).  ``cache_keys``
+    (parallel to the shards) ride the leases so workers with a shared
+    cache can store results at the source.  The ladder's deadline
+    bounds the wait and every lease; its retry policy is the fleet's
+    attempt budget.  The batch's counters land on ``ladder.dist``.
     """
-    retry = retry or RetryPolicy()
-    deadline = deadline or Deadline()
     if policy is None:
         # REPRO_DIST overrides scheduling knobs the same way
         # REPRO_FAULTS injects faults; an explicit policy wins.
         policy = DistPolicy.from_env() or DistPolicy()
-    n = len(shards)
-    results: List[Optional[ShardResult]] = [None] * n
-    recovery = ShardRecovery()
-    stats = DistRunStats()
-    if n == 0:
-        return [], False, recovery, stats
-
     server = coordinator_for(endpoint)
     batch = server.submit_batch(
-        [pickle.dumps(shard) for shard in shards],
+        [pickle.dumps(shard) for shard in ladder.shards],
         pickle.dumps((config, faults)),
-        retry=retry,
+        retry=ladder.retry,
         policy=policy,
         cache_keys=cache_keys,
-        deadline=deadline,
+        deadline=ladder.deadline,
     )
     queue = batch.queue
+
+    def land_commits() -> None:
+        for position, payload in queue.take_new_commits():
+            ladder.finish(position, loads_shard_result(payload))
+
     try:
         grace_deadline: Optional[float] = None
         while True:
             now = time.monotonic()
             queue.scan(now)
-            for position, payload in queue.take_new_commits():
-                results[position] = loads_shard_result(payload)
-                if tick is not None:
-                    tick()
+            land_commits()
             state = queue.state(now)
             if state.error is not None:
                 raise ValueError(state.error)
@@ -104,32 +84,13 @@ def map_shards_distributed(
             batch.progress.clear()
             # Each wake observes a cancel or an expired budget, whether
             # or not any shard has committed.
-            deadline.check()
+            ladder.deadline.check()
         # Late commits that raced the loop's last pass.
-        for position, payload in queue.take_new_commits():
-            results[position] = loads_shard_result(payload)
-            if tick is not None:
-                tick()
-        stats = queue.stats.copy()
+        land_commits()
+        ladder.dist = queue.stats.copy()
     finally:
         server.finish_batch(batch.id)
-
-    leftover = [
-        position for position in range(n) if results[position] is None
-    ]
-    pooled = False
-    if leftover:
-        stats.local_fallbacks = len(leftover)
-        local_results, pooled, local_recovery = _map_shards(
-            [shards[position] for position in leftover],
-            config,
-            workers,
-            tick=tick,
-            retry=retry,
-            faults=faults,
-            deadline=deadline,
-        )
-        for position, result in zip(leftover, local_results):
-            results[position] = result
-        recovery = local_recovery.rekeyed(leftover)
-    return results, pooled or stats.remote_commits > 0, recovery, stats
+    leftover = [p for p, result in enumerate(ladder.results) if result is None]
+    ladder.dist.local_fallbacks = len(leftover)
+    ladder.pooled = ladder.dist.remote_commits > 0
+    return leftover

@@ -3,11 +3,12 @@
 ``python -m repro.cli work --connect host:port`` runs one of these per
 process; tests run them as in-process threads.  The execution path is
 *exactly* the single-host one — the daemon calls
-:func:`repro.core.executor._process_shard_task` with the pickled
-``(config, faults)`` it fetched once per batch, so every injected shard
-fault (kill, hang, transient, permanent) fires with identical
-``(position, attempt)`` semantics whether the shard runs on the local
-pool or across the network.
+:func:`repro.core.executor._process_shard_task`, the entry point of
+every rung of the recovery ladder, with the pickled ``(config,
+faults)`` it fetched once per batch, so every injected shard fault
+(kill, hang, transient, permanent) fires with identical ``(position,
+attempt)`` semantics — positions are the batch's — whether the shard
+runs on the fleet or on the ladder's local pool or serial rung.
 
 Network fault kinds from the same :class:`~repro.core.faults.FaultPlan`
 are consulted *here*, corrupting the scheduling conversation instead of
@@ -40,7 +41,8 @@ import time
 from typing import Callable, Optional, Tuple
 
 from repro.core.cache import ShardCache
-from repro.core.executor import RetryPolicy, _process_shard_task
+from repro.core.executor import _process_shard_task
+from repro.core.ladder import RetryPolicy
 from repro.core.jobfile import dumps_shard_result
 from repro.dist.protocol import parse_endpoint, request
 

@@ -80,7 +80,7 @@ class PrepServer(ThreadingHTTPServer):
 
     def stats_snapshot(self) -> dict:
         """The ``GET /stats`` body."""
-        from repro.core.executor import worker_pool_status
+        from repro.core.ladder import worker_pool_status
 
         cache_stats = {"enabled": self.cache is not None}
         if self.cache is not None:

@@ -57,7 +57,7 @@ class Job:
             (> 1 after per-job retries).
         interrupt: runner-registered callable that wakes the run's
             pending backoff waits immediately (see
-            :meth:`~repro.core.executor.Deadline.interrupt`) — invoked by
+            :meth:`~repro.core.ladder.Deadline.interrupt`) — invoked by
             :meth:`JobStore.request_running_cancel` so a cancel never
             waits out a sleeping retry backoff.
     """

@@ -3,7 +3,7 @@
 Jobs are drained by a fixed pool of worker threads — the service's
 concurrency limit.  Each worker runs one job at a time through the
 runner; the heavy lifting inside a job still lands on the persistent
-*process* pool of :mod:`repro.core.executor` (when the job's recipe
+*process* pool of :mod:`repro.core.ladder` (when the job's recipe
 asks for workers), so the thread here is an orchestrator, not a
 compute unit.
 

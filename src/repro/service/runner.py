@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.cache import ShardCache
-from repro.core.executor import Deadline, RetryPolicy
+from repro.core.ladder import Deadline, RetryPolicy
 from repro.service.jobs import Job, JobStore
 
 
@@ -66,12 +66,12 @@ class JobRunner:
 
         Cooperative cancellation (``DELETE`` on a running job) and the
         per-job wall-clock ``timeout`` travel down as one
-        :class:`~repro.core.executor.Deadline`: observed at every shard
+        :class:`~repro.core.ladder.Deadline`: observed at every shard
         completion, backoff, pool wait and lease.  A cancelled run lands
         the job in ``cancelled`` here; a timed-out run raises (never
         retried) and the queue worker records the failure.  Any other
         exception is put to the engine's one classifier
-        (:meth:`~repro.core.executor.RetryPolicy.is_transient`): an
+        (:meth:`~repro.core.ladder.RetryPolicy.is_transient`): an
         infrastructure fault re-runs the job up to ``spec.retries``
         extra times before propagating; a deterministic failure (bad
         shard data, an injected permanent fault) cannot change on a

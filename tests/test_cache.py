@@ -463,19 +463,19 @@ class TestCachedExecution:
         with pytest.raises(ValueError):
             pipe.run_polygons(grid_of_squares(2, 2), cache=True)
 
-    def test_executor_explicit_cache_override(self, tmp_path):
+    def test_explicit_cache_override(self, tmp_path):
         polys = grid_of_squares(3, 3)
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=20.0)
+        pipe = PreparationPipeline(field_size=20.0)
         override = ShardCache(tmp_path / "explicit")
-        first = executor.execute(polys, cache=override)
-        second = executor.execute(polys, cache=override)
-        assert first.stats.cache_misses == first.stats.shard_count
-        assert second.stats.cache_hits == second.stats.shard_count
+        first = pipe.run_polygons(polys, cache=override).execution
+        second = pipe.run_polygons(polys, cache=override).execution
+        assert first.cache_misses == first.shard_count
+        assert second.cache_hits == second.shard_count
 
     def test_run_many_shares_cache_across_sources(self, tmp_path):
         pipe = self.pipeline(tmp_path)
         polys = grid_of_squares(4, 4)
-        results = pipe.executor.execute_many([polys, polys])
+        results = pipe.executor().execute_many([polys, polys])
         # The second copy of the same layout hits on every shard the
         # first copy stored... unless both were looked up before either
         # stored, which is the documented single-pass behaviour: lookups
@@ -483,7 +483,7 @@ class TestCachedExecution:
         assert [s.dose for s in results[0].shots] == [
             s.dose for s in results[1].shots
         ]
-        warm = pipe.executor.execute_many([polys, polys])
+        warm = pipe.executor().execute_many([polys, polys])
         for outcome in warm:
             assert outcome.stats.cache_hits == outcome.stats.shard_count
 
@@ -581,8 +581,8 @@ class TestKernelFallbackObservability:
         executor = ShardedExecutor(
             TrapezoidFracturer(), field_size=self.FAR / 1000.0
         )
-        result = executor.execute(
-            self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]
+        (result,) = executor.execute_many(
+            [self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]]
         )
         assert result.stats.shard_count == 2
         stats = result.stats
@@ -597,11 +597,12 @@ class TestKernelFallbackObservability:
         # The counters describe the shard's geometry, so a cache hit
         # must replay them — a warm run may not pretend the kernel
         # never degraded.
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=20.0)
-        cache = ShardCache(tmp_path)
+        executor = ShardedExecutor(
+            TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
+        )
         polys = self._far_polygons()
-        cold = executor.execute(polys, cache=cache)
-        warm = executor.execute(polys, cache=cache)
+        (cold,) = executor.execute_many([polys])
+        (warm,) = executor.execute_many([polys])
         assert warm.stats.cache_hits == warm.stats.shard_count
         assert cold.stats.kernel_coord_fallbacks >= 1
         assert warm.stats.kernel_fallbacks == cold.stats.kernel_fallbacks
@@ -623,10 +624,11 @@ class TestKernelFallbackObservability:
             Polygon([(6, 0), (10, 0), (5, 5)]),
             Polygon([(5, 5), (8, 10), (2, 10)]),
         ]
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=20.0)
-        cache = ShardCache(tmp_path)
-        cold = executor.execute(apex, cache=cache)
-        warm = executor.execute(apex, cache=cache)
+        executor = ShardedExecutor(
+            TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
+        )
+        (cold,) = executor.execute_many([apex])
+        (warm,) = executor.execute_many([apex])
         assert warm.stats.cache_hits == warm.stats.shard_count == 1
         for stats in (cold.stats, warm.stats):
             assert stats.kernel_merge_fallbacks == 1

@@ -15,9 +15,11 @@ Three levels, cheapest first:
 from __future__ import annotations
 
 import json
+import pickle
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -773,6 +775,51 @@ class TestDistributedRuns:
         stats = result.execution
         assert stats.dist_local_fallbacks == stats.shard_count
         assert stats.dist_workers == 0
+
+    def test_fleet_leftovers_keep_their_fault_positions(self, monkeypatch):
+        """The fleet is the ladder's top rung: what it leaves unfinished
+        goes down the same ladder at its batch position, so a fault plan
+        names the same shard remote and local."""
+        from repro.core.executor import _process_shard
+        from repro.core.jobfile import dumps_shard_result
+        from repro.dist import run
+
+        k = 5
+
+        class StubCoordinator:
+            """Commits every position but ``k`` at once; ``k`` is spent."""
+
+            def submit_batch(self, shard_blobs, config_blob, **kwargs):
+                config, _ = pickle.loads(config_blob)
+                queue = LeaseQueue(
+                    len(shard_blobs), kwargs["retry"], kwargs["policy"]
+                )
+                for position, blob in enumerate(shard_blobs):
+                    if position != k:
+                        result = _process_shard(pickle.loads(blob), *config)
+                        payload = dumps_shard_result(result)
+                        queue.commit(0, "stub", position, payload, time.monotonic())
+                queue.abandon_remaining()
+                return SimpleNamespace(
+                    id="stub", queue=queue, progress=threading.Event()
+                )
+
+            def finish_batch(self, batch_id):
+                pass
+
+        monkeypatch.setattr(run, "coordinator_for", lambda endpoint: StubCoordinator())
+        result = faulted(
+            COLUMN,
+            FaultPlan(transient={(k, 0)}),
+            RetryPolicy(max_attempts=2, backoff_base=0),
+            dispatch="distributed",
+            workers_endpoint="127.0.0.1:1",
+        )
+        assert dumps_job(result.job) == reference_job()
+        stats = result.execution
+        assert stats.dist_local_fallbacks == 1
+        # The local rung met the plan's (k, 0) on shard k and retried it.
+        assert stats.shard_retries == 1
 
     def test_dead_worker_is_reclaimed_and_byte_identical(
         self, endpoint, fleet

@@ -1,5 +1,6 @@
 """Tests for the parallel field-sharded execution engine."""
 
+import contextlib
 import dataclasses
 import re
 import warnings
@@ -296,7 +297,7 @@ class TestExecutorClass:
             )
 
     def test_execute_empty(self):
-        outcome = ShardedExecutor(TrapezoidFracturer()).execute([])
+        (outcome,) = ShardedExecutor(TrapezoidFracturer()).execute_many([[]])
         assert outcome.shots == []
         assert outcome.report.figure_count == 0
         assert outcome.corrected is False
@@ -305,10 +306,10 @@ class TestExecutorClass:
 class TestProgressCallback:
     """Per-shard progress reporting (the service's job status feed)."""
 
-    def _run(self, executor, polygons, **kwargs):
+    def _run(self, executor, polygons):
         events = []
         executor.progress = lambda done, total: events.append((done, total))
-        result = executor.execute(polygons, **kwargs)
+        (result,) = executor.execute_many([polygons])
         return result, events
 
     def test_serial_progress_counts_every_shard(self):
@@ -322,7 +323,7 @@ class TestProgressCallback:
     def test_progress_never_changes_results(self):
         executor = ShardedExecutor(TrapezoidFracturer(), field_size=10.0)
         polygons = grid_of_squares(3, 3)
-        silent = executor.execute(polygons)
+        (silent,) = executor.execute_many([polygons])
         result, events = self._run(executor, polygons)
         assert [shot_key(s) for s in result.shots] == [
             shot_key(s) for s in silent.shots
@@ -337,7 +338,7 @@ class TestProgressCallback:
             TrapezoidFracturer(), field_size=10.0, cache=cache
         )
         polygons = grid_of_squares(2, 2)
-        executor.execute(polygons)  # cold: fill the cache
+        executor.execute_many([polygons])  # cold: fill the cache
         result, events = self._run(executor, polygons)  # warm: all hits
         total = result.stats.shard_count
         assert result.stats.cache_hits == total
@@ -376,6 +377,25 @@ class TestProgressCallback:
         assert all(t == total for _, t in events)
 
 
+def lend(monkeypatch, *pools):
+    """Make the shared pool's lease hand out ``pools`` in turn; returns
+    the list every returned lease is appended to."""
+    from repro.core import ladder
+
+    returned = []
+
+    @contextlib.contextmanager
+    def lease(size):
+        pool = pools[min(len(returned), len(pools) - 1)]
+        try:
+            yield pool
+        finally:
+            returned.append(pool)
+
+    monkeypatch.setattr(ladder._shared_pool, "lease", lease)
+    return returned
+
+
 class TestSharedPoolLifecycle:
     """The shared pool under concurrent use: leases and cancellation.
 
@@ -388,25 +408,23 @@ class TestSharedPoolLifecycle:
     """
 
     def test_resize_request_reuses_pool_while_leased(self):
-        from repro.core import executor as ex
+        from repro.core.ladder import _shared_pool, worker_pool_status
 
-        ex.shutdown_worker_pool()
+        _shared_pool.shutdown()
         try:
-            first = ex._lease_pool(2)
-            # A concurrent run asking for a different size must not
-            # shut the leased pool down — it reuses the live one.
-            assert ex._lease_pool(3) is first
-            assert ex.worker_pool_status() == {"size": 2, "alive": True}
-            ex._release_pool()
-            ex._release_pool()
+            with _shared_pool.lease(2) as first:
+                # A concurrent run asking for a different size must not
+                # shut the leased pool down — it reuses the live one.
+                with _shared_pool.lease(3) as second:
+                    assert second is first
+                    assert worker_pool_status() == {"size": 2, "alive": True}
             # With every lease returned, a new size rebuilds the pool.
-            rebuilt = ex._lease_pool(3)
-            assert rebuilt is not first
-            assert ex.worker_pool_status() == {"size": 3, "alive": True}
-            ex._release_pool()
+            with _shared_pool.lease(3) as rebuilt:
+                assert rebuilt is not first
+                assert worker_pool_status() == {"size": 3, "alive": True}
         finally:
-            ex.shutdown_worker_pool()
-        assert ex.worker_pool_status() == {"size": 0, "alive": False}
+            _shared_pool.shutdown()
+        assert worker_pool_status() == {"size": 0, "alive": False}
 
     @pytest.mark.parametrize("with_tick", [False, True])
     def test_cancelled_mid_map_falls_back_to_serial(
@@ -423,22 +441,18 @@ class TestSharedPoolLifecycle:
             def submit(self, *args, **kwargs):
                 raise CancelledError()
 
-        released = []
-        monkeypatch.setattr(ex, "_lease_pool", lambda n: CancellingPool())
-        monkeypatch.setattr(ex, "_release_pool", lambda: released.append(1))
+        returned = lend(monkeypatch, CancellingPool())
         shards = plan_shards(grid_of_squares(4, 2), field_size=10.0)
         config = (TrapezoidFracturer(), None, None)
         ticks = []
         tick = (lambda: ticks.append(1)) if with_tick else None
-        results, pooled, recovery = ex._map_shards(
-            shards, config, workers=2, tick=tick
-        )
-        assert not pooled
-        assert released == [1]
-        assert recovery.pool_restarts == 0
+        ladder = ex._map_shards(shards, config, workers=2, tick=tick)
+        assert not ladder.pooled
+        assert len(returned) == 1
+        assert ladder.recovery.pool_restarts == 0
         expected = [_process_shard(s, *config) for s in shards]
         assert [
-            [shot_key(shot) for shot in r.shots] for r in results
+            [shot_key(shot) for shot in r.shots] for r in ladder.results
         ] == [[shot_key(shot) for shot in r.shots] for r in expected]
         if with_tick:
             assert len(ticks) == len(shards)
@@ -468,7 +482,7 @@ class TestFaultRecovery:
         from concurrent.futures import BrokenExecutor, Future
 
         from repro.core import executor as ex
-        from repro.core.executor import RetryPolicy
+        from repro.core import ladder
 
         shards, config = self._shards_and_config()
         n = len(shards)
@@ -493,26 +507,21 @@ class TestFaultRecovery:
                 return super().submit(fn, task)
 
         pools = [BreakingPool(), InlinePool()]
-        leased = []
         recycled = []
+        lend(monkeypatch, *pools)
         monkeypatch.setattr(
-            ex,
-            "_lease_pool",
-            lambda workers: leased.append(pools[len(leased)]) or leased[-1],
-        )
-        monkeypatch.setattr(ex, "_release_pool", lambda: None)
-        monkeypatch.setattr(
-            ex,
-            "_recycle_pool",
+            ladder._shared_pool,
+            "recycle",
             lambda pool, kill_workers=False: recycled.append(pool),
         )
-        results, pooled, recovery = ex._map_shards(
+        outcome = ex._map_shards(
             shards,
             config,
             workers=2,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=ex.RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
-        assert pooled
+        recovery = outcome.recovery
+        assert outcome.pooled
         assert recycled == [pools[0]]
         assert recovery.pool_restarts == 1
         assert recovery.salvaged == set(range(k))
@@ -522,13 +531,12 @@ class TestFaultRecovery:
         assert pools[0].computed == k
         assert pools[1].computed == n - k
         expected = [_process_shard(s, *config) for s in shards]
-        assert self._keys(results) == self._keys(expected)
+        assert self._keys(outcome.results) == self._keys(expected)
 
     def test_transient_fault_is_one_retry_of_that_shard(self, monkeypatch):
         from concurrent.futures import Future
 
         from repro.core import executor as ex
-        from repro.core.executor import RetryPolicy
         from repro.core.faults import FaultPlan
 
         shards, config = self._shards_and_config()
@@ -542,23 +550,21 @@ class TestFaultRecovery:
                     future.set_exception(exc)
                 return future
 
-        monkeypatch.setattr(ex, "_lease_pool", lambda workers: InlinePool())
-        monkeypatch.setattr(ex, "_release_pool", lambda: None)
+        lend(monkeypatch, InlinePool())
         plan = FaultPlan(transient=frozenset({(2, 0)})).arm()
-        results, pooled, recovery = ex._map_shards(
+        outcome = ex._map_shards(
             shards,
             config,
             workers=2,
             faults=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=ex.RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
-        assert pooled and len(results) == len(shards)
-        assert recovery.retries == {2: 1}
-        assert recovery.pool_restarts == 0
+        assert outcome.pooled and len(outcome.results) == len(shards)
+        assert outcome.recovery.retries == {2: 1}
+        assert outcome.recovery.pool_restarts == 0
 
     def test_permanent_fault_fails_fast(self):
         from repro.core import executor as ex
-        from repro.core.executor import RetryPolicy
         from repro.core.faults import FaultPlan, InjectedFaultError
 
         shards, config = self._shards_and_config()
@@ -569,12 +575,11 @@ class TestFaultRecovery:
                 config,
                 workers=1,
                 faults=plan,
-                retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+                retry=ex.RetryPolicy(max_attempts=3, backoff_base=0.0),
             )
 
     def test_exhausted_transient_raises(self):
         from repro.core import executor as ex
-        from repro.core.executor import RetryPolicy
         from repro.core.faults import FaultPlan, TransientFaultError
 
         shards, config = self._shards_and_config()
@@ -587,70 +592,60 @@ class TestFaultRecovery:
                 config,
                 workers=1,
                 faults=plan,
-                retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+                retry=ex.RetryPolicy(max_attempts=2, backoff_base=0.0),
             )
 
 
 class TestWarmPoolFailureConsistency:
-    """warm_worker_pool's failure paths must leave the shared-pool
-    globals in a consistent state: released exactly once, reset unless
-    a concurrent tenant still holds a lease."""
+    """warm_worker_pool's failure paths must leave the shared pool in a
+    consistent state: every lease returned, the pool reset unless a
+    concurrent tenant still holds a lease."""
 
-    def test_warm_failure_releases_and_resets(self, monkeypatch):
+    def _dead_map(self, *args, **kwargs):
         from concurrent.futures import CancelledError
 
-        from repro.core import executor as ex
+        raise CancelledError()
 
-        ex.shutdown_worker_pool()
+    def test_warm_failure_releases_and_resets(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
 
-        class DeadPool:
-            def map(self, *args, **kwargs):
-                raise CancelledError()
+        from repro.core import ladder
 
-        released = []
-        monkeypatch.setattr(ex, "_lease_pool", lambda n: DeadPool())
-        monkeypatch.setattr(ex, "_release_pool", lambda: released.append(1))
-        assert ex.warm_worker_pool(2) == 0
-        assert released == [1]
-        assert ex.worker_pool_status() == {"size": 0, "alive": False}
+        ladder.shutdown_worker_pool()
+        monkeypatch.setattr(ProcessPoolExecutor, "map", self._dead_map)
+        assert ladder.warm_worker_pool(2) == 0
+        assert ladder._shared_pool._leases == 0
+        assert ladder.worker_pool_status() == {"size": 0, "alive": False}
 
     def test_warm_lease_failure_returns_zero(self, monkeypatch):
         from concurrent.futures import BrokenExecutor
 
-        from repro.core import executor as ex
+        from repro.core import ladder
 
-        ex.shutdown_worker_pool()
+        ladder.shutdown_worker_pool()
 
-        def refuse(workers):
+        def refuse(max_workers):
             raise BrokenExecutor("platform refuses to spawn")
 
-        monkeypatch.setattr(ex, "_lease_pool", refuse)
-        assert ex.warm_worker_pool(2) == 0
-        assert ex.worker_pool_status() == {"size": 0, "alive": False}
+        monkeypatch.setattr(ladder, "ProcessPoolExecutor", refuse)
+        assert ladder.warm_worker_pool(2) == 0
+        assert ladder._shared_pool._leases == 0
+        assert ladder.worker_pool_status() == {"size": 0, "alive": False}
 
     def test_warm_failure_spares_leased_tenant(self, monkeypatch):
-        from concurrent.futures import CancelledError
+        from repro.core import ladder
 
-        from repro.core import executor as ex
-
-        ex.shutdown_worker_pool()
+        ladder.shutdown_worker_pool()
         try:
-            tenant = ex._lease_pool(2)  # a concurrent run's live lease
-            assert tenant is not None
-
-            class DeadPool:
-                def map(self, *args, **kwargs):
-                    raise CancelledError()
-
-            monkeypatch.setattr(ex, "_lease_pool", lambda n: DeadPool())
-            monkeypatch.setattr(ex, "_release_pool", lambda: None)
-            assert ex.warm_worker_pool(2) == 0
-            # The tenant's pool must survive the warm-up failure.
-            assert ex.worker_pool_status() == {"size": 2, "alive": True}
+            # A concurrent run's live lease on the pool warm-up will use.
+            with ladder._shared_pool.lease(2) as tenant:
+                monkeypatch.setattr(tenant, "map", self._dead_map)
+                assert ladder.warm_worker_pool(2) == 0
+                # The tenant's pool must survive the warm-up failure.
+                assert ladder.worker_pool_status() == {"size": 2, "alive": True}
+            assert ladder._shared_pool._leases == 0
         finally:
-            monkeypatch.undo()
-            ex._release_pool()
-            ex.shutdown_worker_pool()
+            ladder.shutdown_worker_pool()
 
 
 # ---------------------------------------------------------------------------

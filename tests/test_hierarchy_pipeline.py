@@ -244,17 +244,20 @@ class TestExecutorFigures:
         for x in range(6)
     ]
 
-    def test_execute_figures_shots(self):
+    def test_prefractured_shots(self):
         executor = ShardedExecutor(TrapezoidFracturer())
-        result = executor.execute_figures(self.FIGS)
+        (result,) = executor.execute_many([self.FIGS], prefractured=True)
         assert [s.trapezoid for s in result.shots] == self.FIGS
         assert all(s.dose == 1.0 for s in result.shots)
         assert not result.corrected
 
     def test_sharded_equals_unsharded(self):
-        executor = ShardedExecutor(TrapezoidFracturer())
-        one = executor.execute_figures(self.FIGS)
-        sharded = executor.execute_figures(self.FIGS, field_size=10.0)
+        (one,) = ShardedExecutor(TrapezoidFracturer()).execute_many(
+            [self.FIGS], prefractured=True
+        )
+        (sharded,) = ShardedExecutor(
+            TrapezoidFracturer(), field_size=10.0
+        ).execute_many([self.FIGS], prefractured=True)
         assert sharded.stats.shard_count == 6
         assert [s.trapezoid for s in sharded.shots] == [
             s.trapezoid for s in one.shots
@@ -266,7 +269,7 @@ class TestExecutorFigures:
             corrector=IterativeDoseCorrector(),
             psf=PSF,
         )
-        result = executor.execute_figures(self.FIGS)
+        (result,) = executor.execute_many([self.FIGS], prefractured=True)
         assert result.corrected
         assert len(result.shots) == len(self.FIGS)
         assert any(s.dose != 1.0 for s in result.shots)

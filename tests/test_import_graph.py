@@ -1,0 +1,77 @@
+"""What other code imports from ``repro`` keeps resolving.
+
+Two frozen surfaces, checked without running them:
+
+* the F16 benchmark under ``benchmarks/e2e/`` is never edited with the
+  engine, so every ``from repro… import name`` it spells (at any depth)
+  must still name something;
+* ``import repro.cli`` — every CLI op's start-up — loads the whole
+  package except the distributed and service layers, which stay lazy
+  (``--dispatch distributed`` and ``serve`` import them on use); a
+  module that starts loading more, or a split that introduces a cycle,
+  shows here.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+E2E = sorted((ROOT / "benchmarks" / "e2e").glob("*.py"))
+
+#: The packages ``import repro.cli`` must not load.
+LAZY = ("repro.dist", "repro.service")
+
+
+def repro_imports(path: Path):
+    """``(module, name)`` for every ``from repro… import name`` in
+    ``path``, nested imports included."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and module.partition(".")[0] == "repro":
+            for alias in node.names:
+                yield module, alias.name
+
+
+@pytest.mark.parametrize("path", E2E, ids=lambda path: path.name)
+def test_every_benchmark_import_resolves(path):
+    for module, name in repro_imports(path):
+        imported = importlib.import_module(module)
+        found = hasattr(imported, name) or importlib.util.find_spec(f"{module}.{name}")
+        assert found, f"{path.name}: from {module} import {name} no longer resolves"
+
+
+def test_the_benchmark_imports_something_from_repro():
+    assert sum(1 for path in E2E for _ in repro_imports(path)) > 10
+
+
+def test_cli_import_loads_the_package_but_the_lazy_layers():
+    modules = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    expected = {name for name in modules if not name.startswith(LAZY)}
+    assert {"repro.core.plan", "repro.core.ladder"} <= expected
+    probe = (
+        "import sys, repro.cli; "
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert set(out.split()) == expected

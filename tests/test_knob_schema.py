@@ -34,6 +34,7 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe, flag_of
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
+from repro.layout.cell import Cell
 from repro.machine.program import MachineProgramError, MachineSpec
 from repro.machine.raster import RasterScanWriter
 from repro.service.schemas import parse_job_spec
@@ -248,19 +249,24 @@ class TestThePythonDoorAppliesTheRule:
         ],
     )
     def test_at_the_per_run_override(self, override, complaint, monkeypatch):
-        # Rejected before any work is done on the override's behalf.
+        # Rejected before any work is done on the override's behalf, at
+        # every door of the pipeline (the engine takes no overrides).
         monkeypatch.setattr(
             TrapezoidFracturer, "fracture_to_shots",
             lambda *a, **k: pytest.fail("the run started"),
         )
         pipe = PreparationPipeline()
-        for run in (pipe.run_polygons, pipe.run_streaming):
+        cell = Cell("SQUARES").add_polygons(SQUARES)
+        doors = (
+            lambda **o: pipe.run(SQUARES, **o),
+            lambda **o: pipe.run_polygons(SQUARES, **o),
+            lambda **o: pipe.run_streaming(SQUARES, **o),
+            lambda **o: pipe.run_many([SQUARES], **o),
+            lambda **o: pipe.run_layers(cell, **o),
+        )
+        for run in doors:
             with pytest.raises(ValueError, match=re.escape(complaint)):
-                run(SQUARES, **override)
-        if "machine" not in override:
-            engine = ShardedExecutor(TrapezoidFracturer())
-            with pytest.raises(ValueError, match=re.escape(complaint)):
-                engine.execute(SQUARES, **override)
+                run(**override)
 
     def test_none_still_means_one_worker_per_core(self):
         assert PreparationPipeline(workers=None).run_polygons(SQUARES).job.shots

@@ -48,7 +48,7 @@ def grating_polygons(lines=8):
 
 def fractured(polygons, field_size=None):
     executor = ShardedExecutor(TrapezoidFracturer(), field_size=field_size)
-    return executor.execute(polygons)
+    return executor.execute_many([polygons])[0]
 
 
 class TestMachineSpec:

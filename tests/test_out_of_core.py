@@ -232,7 +232,7 @@ class TestFullReticle:
 class TestJobFileWriter:
     def _shots(self):
         polys = _flat_sequence(generators.grating(lines=4))
-        shards = ShardedExecutor(TrapezoidFracturer()).execute(polys)
+        (shards,) = ShardedExecutor(TrapezoidFracturer()).execute_many([polys])
         return shards.shots
 
     def test_byte_identical_to_write_job(self, tmp_path):

@@ -1,6 +1,6 @@
 """The shard planner against oracles written here.
 
-One planner (:func:`repro.core.executor._plan_tiles`) turns an ``(N, 4)``
+One planner (:func:`repro.core.plan._plan_tiles`) turns an ``(N, 4)``
 block of bounding boxes into the tiles every mode runs; these tests pin
 it — and its three callers and the overlap advisory that reads the same
 block — against scalar, object-by-object references:
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import executor
+from repro.core import executor, plan
 from repro.core.executor import (
     ShardedExecutor,
     ShardOverlapWarning,
@@ -116,7 +116,7 @@ def record_exact_test(monkeypatch, verdict=False):
         calls.append(frozenset((bb_a, bb_b)))
         return verdict
 
-    monkeypatch.setattr(executor, "_interiors_overlap", stub)
+    monkeypatch.setattr(plan, "_interiors_overlap", stub)
     return calls
 
 
@@ -449,15 +449,15 @@ class TestOverlapCandidates:
         polygons = self.many_crossers()
         assert len(oracle_pairs(polygons, 20.0)) == 9
         calls = record_exact_test(monkeypatch)
-        monkeypatch.setattr(executor, "_OVERLAP_CHECK_CAP", 4)
+        monkeypatch.setattr(plan, "_OVERLAP_CHECK_CAP", 4)
         with pytest.warns(ShardOverlapWarning, match="too many"):
-            plan = plan_shards(polygons, 20.0)
+            shards = plan_shards(polygons, 20.0)
         assert len(calls) == 4  # the budget, then the warning
-        assert [len(s.polygons) for s in plan] == [3, 3]
+        assert [len(s.polygons) for s in shards] == [3, 3]
 
     def test_a_budget_that_covers_every_pair_stays_silent(self, monkeypatch):
         calls = record_exact_test(monkeypatch)
-        monkeypatch.setattr(executor, "_OVERLAP_CHECK_CAP", 9)
+        monkeypatch.setattr(plan, "_OVERLAP_CHECK_CAP", 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShardOverlapWarning)
             plan_shards(self.many_crossers(), 20.0)
@@ -484,7 +484,7 @@ class TestOverlapCandidates:
         def forbidden(*args):
             raise AssertionError("exact overlap machinery ran")
 
-        monkeypatch.setattr(executor, "_interiors_overlap", forbidden)
+        monkeypatch.setattr(plan, "_interiors_overlap", forbidden)
         monkeypatch.setattr(Trapezoid, "to_polygon", forbidden)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShardOverlapWarning)
