@@ -14,9 +14,11 @@ scales into the tens of thousands:
 * **memory** — operator matrix storage (dense ndarray vs. CSR arrays
   vs. hybrid CSR + grid);
 * **work** — per exact backend, ``pairs`` (points × shots), ``kept``
-  (within-cutoff entries) and ``evaluated`` (elements handed to the erf
-  integral, per PSF term): the sweep must evaluate exactly what it
-  keeps;
+  (within-cutoff entries), ``alpha_unsettled`` (kept pairs whose α erf
+  arguments are not saturated enough to fix the product) and
+  ``evaluated`` (elements handed to the erf integral, per PSF term):
+  the sweep must evaluate β on exactly the kept pairs and α on exactly
+  the unsettled ones;
 * **equivalence** — the sparse matrix must equal the dense one *bit for
   bit* (tolerance 0: same nonzero pattern, same values), sparse doses
   must match the dense doses' canonical 9-digit dose digest (matvec
@@ -26,9 +28,10 @@ scales into the tens of thousands:
 
 In ``--quick`` mode (the CI bench-smoke job) the 5k-shot case must show
 sparse no slower than dense and sparse matrix memory at ≤ 1/20 of the
-dense baseline; ``evaluated == kept`` is asserted for both exact modes
-in every case — a count that repeats exactly, where the timing floor
-alone would let the pruning rot on a fast runner.
+dense baseline; ``evaluated["beta"] == kept`` and
+``evaluated["alpha"] == alpha_unsettled <= kept`` are asserted for both
+exact modes in every case — counts that repeat exactly, where the timing
+floor alone would let the pruning rot on a fast runner.
 """
 
 import contextlib
@@ -99,6 +102,21 @@ def erf_elements():
         base._rect_gauss_integral = integral
 
 
+def unsettled_alpha_pairs(points, shots, rows, cols) -> int:
+    """Kept pairs ``(rows[k], cols[k])`` whose α product saturation
+    leaves open: neither axis has both arguments ``(edge − p)/α`` past
+    :data:`~repro.pec.base.ERF_SATURATION` on one side (a factor 0.0),
+    and not all four are past it (each factor 1.0)."""
+    x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
+    px, py = points[rows, 0], points[rows, 1]
+    ux1, ux0 = (x1[cols] - px) / PSF.alpha, (x0[cols] - px) / PSF.alpha
+    uy1, uy0 = (y1[cols] - py) / PSF.alpha, (y0[cols] - py) / PSF.alpha
+    s = base.ERF_SATURATION
+    flat = (ux0 >= s) | (ux1 <= -s) | (uy0 >= s) | (uy1 <= -s)
+    across = (ux1 >= s) & (ux0 <= -s) & (uy1 >= s) & (uy0 <= -s)
+    return int(np.count_nonzero(~flat & ~across))
+
+
 def run_scaling(quick: bool):
     table = Table(
         [
@@ -132,11 +150,17 @@ def run_scaling(quick: bool):
                 )
             nbytes[mode] = operator.matrix_nbytes
             if mode != "hybrid":
+                if mode == "dense":
+                    rows, cols = np.nonzero(operator.matrix)
+                else:
+                    stored = operator.matrix.tocoo()
+                    rows, cols = stored.row, stored.col
                 work[mode] = {
                     "pairs": operator.shape[0] * operator.shape[1],
-                    "kept": int(np.count_nonzero(operator.matrix))
-                    if mode == "dense"
-                    else int(operator.nnz),
+                    "kept": len(rows),
+                    "alpha_unsettled": unsettled_alpha_pairs(
+                        points, shots, rows, cols
+                    ),
                     "evaluated": evaluated,
                 }
             if mode == "sparse" and case == "5k":
@@ -185,8 +209,10 @@ def run_scaling(quick: bool):
         checks.setdefault("memory_ratio", {})[case] = nbytes[
             "dense"
         ] / max(nbytes["sparse"], 1)
-        checks.setdefault("erf_on_kept_pairs_only", {})[case] = all(
-            set(w["evaluated"].values()) == {w["kept"]} for w in work.values()
+        checks.setdefault("erf_per_term", {})[case] = all(
+            w["evaluated"]["beta"] == w["kept"]
+            and w["evaluated"]["alpha"] == w["alpha_unsettled"] <= w["kept"]
+            for w in work.values()
         )
     return table.render(), records, checks
 
@@ -304,12 +330,14 @@ def test_f11_pec_scaling(save_table, quick):
             f"{case}: sparse matrix memory only {ratio:.1f}x below dense "
             f"(floor {MEMORY_FLOOR}x)"
         )
-    for case, exact in checks["erf_on_kept_pairs_only"].items():
-        # A count, so it repeats exactly on any runner: the sweep hands
-        # the erf integral the kept pairs and nothing else.
+    for case, exact in checks["erf_per_term"].items():
+        # Counts, so they repeat exactly on any runner: the sweep hands
+        # the β integral the kept pairs and the α integral the kept
+        # pairs saturation leaves open, and nothing else.
         assert exact, (
-            f"{case}: an exact backend evaluated erf products it did not "
-            f"keep: {[r for r in records if 'kept' in r]}"
+            f"{case}: an exact backend evaluated erf products beyond the "
+            f"kept (β) or unsettled (α) pairs: "
+            f"{[r for r in records if 'kept' in r]}"
         )
     if quick:
         # CI bench-smoke gate: sparse must never regress behind dense.

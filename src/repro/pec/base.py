@@ -13,7 +13,6 @@ measured by the test suite against the FFT exposure engine).
 from __future__ import annotations
 
 import abc
-import math
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -181,44 +180,36 @@ def _shot_bbox_arrays(
     return x0, yb, x1, yt, scale
 
 
-class _PointBuckets:
-    """Uniform-grid spatial index over sample points, held as arrays.
+#: |u| from which scipy's ``erf(u)`` is exactly ±1.0: erfc(6) ≈ 2e−17 is
+#: below half an ulp of 1.0.  ``tests/test_exposure_sweep.py`` pins it
+#: on the installed scipy, so a scipy that moves it fails there first.
+ERF_SATURATION = 6.0
 
-    Occupied cell ``k`` is ``(cell_ix[k], cell_iy[k])`` and holds the
-    point indices ``cells[k]``; the cells are sorted by ``(ix, iy)``,
-    the points of a cell by index.  The sweep uses it to restrict the
-    exact distance test to the rows that can possibly fall inside a
-    column block's cutoff.
+
+def _alpha_integral(px, py, x0, x1, y0, y1, alpha: float) -> np.ndarray:
+    """``_rect_gauss_integral(…, alpha)`` bit for bit, with the erf calls
+    made only on the pairs whose product is not known without them.
+
+    Where both arguments ``(edge − p)/α`` of one axis saturate on the
+    same side, that factor is ``0.5 · (±1 − ±1)`` = 0.0 and so is the
+    product (the other factor is ≥ 0); where both axes' arguments
+    saturate on opposite sides, each factor is 1.0.  With α far below
+    the shot pitch that leaves the pairs near an edge of their shot.
     """
+    s = ERF_SATURATION
+    ux1, ux0 = (x1 - px) / alpha, (x0 - px) / alpha
+    uy1, uy0 = (y1 - py) / alpha, (y0 - py) / alpha
+    inside = (ux1 >= s) & (ux0 <= -s) & (uy1 >= s) & (uy0 <= -s)
+    outside = (ux0 >= s) | (ux1 <= -s) | (uy0 >= s) | (uy1 <= -s)
+    level = inside.astype(float)
+    k = np.flatnonzero(~(inside | outside))
+    level[k] = _rect_gauss_integral(px[k], py[k], x0[k], x1[k], y0[k], y1[k], alpha)
+    return level
 
-    def __init__(self, px: np.ndarray, py: np.ndarray, pitch: float) -> None:
-        self.pitch = pitch
-        self.origin = (float(px.min()), float(py.min()))
-        ix = np.floor((px - self.origin[0]) / pitch).astype(np.int64)
-        iy = np.floor((py - self.origin[1]) / pitch).astype(np.int64)
-        rows = np.lexsort((iy, ix))
-        ix = ix[rows]
-        iy = iy[rows]
-        new_cell = np.flatnonzero((np.diff(ix) != 0) | (np.diff(iy) != 0)) + 1
-        first = np.concatenate(([0], new_cell))
-        self.cells = np.split(rows, new_cell)
-        self.cell_ix = ix[first]
-        self.cell_iy = iy[first]
 
-    def rows_in(self, wx0: float, wx1: float, wy0: float, wy1: float) -> np.ndarray:
-        """Point indices whose cell intersects the window, cell by cell.
-        One mask over the occupied cells: the cost does not depend on
-        how many empty cells the window spans."""
-        ox, oy = self.origin
-        hit = np.flatnonzero(
-            (self.cell_ix >= math.floor((wx0 - ox) / self.pitch))
-            & (self.cell_ix <= math.floor((wx1 - ox) / self.pitch))
-            & (self.cell_iy >= math.floor((wy0 - oy) / self.pitch))
-            & (self.cell_iy <= math.floor((wy1 - oy) / self.pitch))
-        )
-        if hit.size == 0:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate([self.cells[k] for k in hit])
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``0 … counts[i] − 1`` for every ``i``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _kept_entries(
@@ -235,21 +226,24 @@ def _kept_entries(
     level at point ``rows[k]`` from shot ``cols[k]`` at unit dose, for
     exactly the pairs within ``cutoff_factor · σ`` (plus the shot's half
     diagonal) of each other — the far tail is treated as constant.  The
-    one sweep behind every backend: shots are visited in blocks of
-    ``block`` columns, the distance test runs only against the points a
-    bucket index places near the block, and the erf products only on
-    the pairs that test keeps.  Elementwise the arithmetic matches
-    :func:`trapezoid_exposure`.
+    one sweep behind every backend, a neighbour join: the shot centres
+    are sorted once under a row-major cell key (a cell is a third of the
+    longest reach), and each block of ``block`` sample points takes its
+    candidate shots as one key range per cell row its window spans.  The
+    distance test runs on those candidates only, the β erf products on
+    exactly the pairs it keeps, the α products on the kept pairs
+    :func:`_alpha_integral` cannot settle without erf.  Elementwise the
+    arithmetic matches :func:`trapezoid_exposure`.
 
     ``term`` selects the PSF component: ``"full"`` is the double
     Gaussian (σ = β); ``"forward"`` only the α term
     ``scale · fwd / (1 + η)`` within ``cutoff_factor · α`` — the sharp
     short-range part the hybrid operator keeps exact.
 
-    The emission order is part of the contract, because it fixes the
-    CSR layout and with it the summation order of every sparse matvec:
-    blocks in tile order, a block's candidate points in bucket order,
-    their entries in ``np.nonzero`` order.
+    Each pair is emitted once, and the order is not part of the
+    contract: the dense sink scatters, and ``csr_matrix((v, (r, c)))``
+    sorts the column indices of every row, so the CSR layout (and every
+    sparse row sum) is the same for any emission order.
     """
     if term not in ("full", "forward"):
         raise ValueError(f"unknown PSF term {term!r}")
@@ -264,36 +258,44 @@ def _kept_entries(
     px_all = points[:, 0]
     py_all = points[:, 1]
     norm = 1.0 + psf.eta
-    # Visit columns in 2-D tile order so each block is spatially compact
-    # and its candidate window stays small; fracture order alone is only
-    # y-coherent.
-    tile = max(cutoff_factor * psf.beta, 1e-9)
-    order = np.lexsort((cx, np.floor(cx / tile), np.floor(cy / tile)))
-    buckets = _PointBuckets(px_all, py_all, max(tile, float(reach.max())))
-    for j0 in range(0, len(shots), block):
-        cols = order[j0 : j0 + block]
-        col_x, col_y, col_reach = cx[cols], cy[cols], reach[cols]
-        cand = buckets.rows_in(
-            float((col_x - col_reach).min()),
-            float((col_x + col_reach).max()),
-            float((col_y - col_reach).min()),
-            float((col_y + col_reach).max()),
-        )
-        if cand.size == 0:
-            continue
-        near = (
-            np.hypot(px_all[cand][:, None] - col_x, py_all[cand][:, None] - col_y)
-            <= col_reach
-        )
-        r, c = np.nonzero(near)
-        r, c = cand[r], cols[c]
-        # The erf products are the expensive part; evaluate them only on
-        # the pairs the cutoff keeps.
-        pair = (px_all[r], py_all[r], x0[c], x1[c], y0[c], y1[c])
-        level = _rect_gauss_integral(*pair, psf.alpha)
+    far = float(reach.max())
+    ox, oy = float(cx.min()), float(cy.min())
+    # No cell so small that a key (< 2**61) could leave int64.
+    span = max(float(cx.max()) - ox, float(cy.max()) - oy)
+    cell = max(far / 3.0, span / 2.0**30, 1e-9)
+
+    def cell_of(v, origin, n):
+        # Monotone in v, so a window edge never passes a centre it covers.
+        return np.clip(np.floor((v - origin) / cell), -1, n).astype(np.int64)
+
+    sx, sy = cell_of(cx, ox, 2**31), cell_of(cy, oy, 2**31)
+    nx, ny = int(sx.max()) + 1, int(sy.max()) + 1
+    keys = sy * nx + sx
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # A few ulps of slack: the exact test measures rounded differences,
+    # and the window's own arithmetic rounds too.
+    pad = far + 4.0 * np.finfo(float).eps * (far + float(np.abs(points).max()))
+    for i0 in range(0, len(points), block):
+        px, py = px_all[i0 : i0 + block], py_all[i0 : i0 + block]
+        x_lo = np.maximum(cell_of(px - pad, ox, nx), 0)
+        x_hi = np.minimum(cell_of(px + pad, ox, nx), nx - 1)
+        y_lo = np.maximum(cell_of(py - pad, oy, ny), 0)
+        y_hi = np.minimum(cell_of(py + pad, oy, ny), ny - 1)
+        spans = np.where(x_lo <= x_hi, np.maximum(y_hi - y_lo + 1, 0), 0)
+        who = np.repeat(np.arange(len(px)), spans)
+        row = (y_lo[who] + _ragged_arange(spans)) * nx
+        first = np.searchsorted(keys, row + x_lo[who], "left")
+        counts = np.searchsorted(keys, row + x_hi[who], "right") - first
+        r = np.repeat(who, counts)
+        c = order[np.repeat(first, counts) + _ragged_arange(counts)]
+        near = np.hypot(px[r] - cx[c], py[r] - cy[c]) <= reach[c]
+        r, c = r[near], c[near]
+        pair = (px[r], py[r], x0[c], x1[c], y0[c], y1[c])
+        level = _alpha_integral(*pair, psf.alpha)
         if term == "full":
             level = level + psf.eta * _rect_gauss_integral(*pair, psf.beta)
-        yield r, c, scale[c] * (level / norm)
+        yield r + i0, c, scale[c] * (level / norm)
 
 
 def _exposure_matrix(
@@ -305,7 +307,7 @@ def _exposure_matrix(
 ) -> np.ndarray:
     """Dense exposure matrix ``K[p, j]`` = level at point p from shot j
     at unit dose: :func:`_kept_entries` scattered into zeros (each
-    column is in one block and each point in one bucket, so no pair
+    point is in one block and meets each shot at most once, so no pair
     repeats).  Assembly scales with the kept entries; the storage is
     ``n_points × n_shots`` doubles regardless."""
     shape = (len(points), len(shots))

@@ -34,11 +34,16 @@ interchangeable backends selected by a ``matrix_mode`` knob:
     interaction count; accuracy is set by the grid cell (default β/4).
 
 One sweep assembles the matrix of every backend (hybrid's is its
-forward term) — :func:`repro.pec.base._kept_entries`: shots in
-tile-ordered blocks, a bucket index over the sample points pruning the
-distance test, the erf products evaluated only on the pairs the cutoff
-keeps.  Assembly therefore scales with the interaction count in every
-mode; the backends differ in what they store and how they apply it.
+forward term) — :func:`repro.pec.base._kept_entries`: sample points in
+blocks, each point's candidate shots read off a sorted cell index over
+the shot centres, the distance test on those candidates only, the β erf
+products on exactly the pairs the cutoff keeps and the α ones only where
+their arguments are not saturated.  Assembly therefore scales with the
+interaction count in every mode; the backends differ in what they store
+and how they apply it.  The order the sweep emits entries in does not
+matter: ``csr_matrix((v, (r, c)))`` sorts each row's column indices, so
+the CSR layout, and with it every sparse row sum, is fixed by the
+entries alone.
 
 All three support ``operator @ doses`` (the iterative corrector's inner
 loop) and ``operator.solve(rhs)`` (the one-shot matrix corrector), and

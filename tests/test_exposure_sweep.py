@@ -3,11 +3,12 @@
 The dense and CSR builders share :func:`repro.pec.base._kept_entries`,
 so "CSR equals dense" no longer checks the sweep itself.  Here both are
 compared, bit for bit, with an all-pairs reference written below (the
-full ``(P, S)`` broadcast of the same expressions, no blocks, no bucket
-index), on layouts that cross block boundaries and exercise the tile
-order; and the work the sweep does is counted — erf products on the
-kept pairs only, the distance test on the bucket candidates only, a
-bucket lookup whose cost ignores empty space.
+full ``(P, S)`` broadcast of the same expressions, every erf evaluated,
+no blocks, no cell index), on layouts that cross block boundaries, hold
+a reach outlier or sit far from the origin; and the work the sweep does
+is counted — β erf products on the kept pairs only, α erf products only
+where an argument is unsaturated, the distance test on a few times the
+kept pairs, whatever the empty space between them.
 """
 
 import numpy as np
@@ -45,13 +46,13 @@ def all_pairs_reference(points, shots, psf, cutoff, term="full"):
     return near, np.where(near, scale * (level / (1.0 + psf.eta)), 0.0)
 
 
-def scattered_shots(count, extent, seed):
+def scattered_shots(count, extent, seed, offset=0.0):
     """``count`` trapezoids (rectangles, skewed ones, triangles) in
-    clusters of ~40 spread over an ``extent`` µm square: dense enough
-    inside a cluster to interact, far enough apart to leave the bucket
-    grid mostly empty."""
+    clusters of ~40 spread over an ``extent`` µm square whose corner is
+    at ``(offset, offset)``: dense enough inside a cluster to interact,
+    far enough apart to leave most cells of the index empty."""
     rng = np.random.default_rng(seed)
-    centres = rng.uniform(0.0, extent, (max(1, count // 40), 2))
+    centres = offset + rng.uniform(0.0, extent, (max(1, count // 40), 2))
     spread = min(extent, 30.0) / 2.0
     shots = []
     for k in range(count):
@@ -79,8 +80,12 @@ def assert_builders_match(points, shots, cutoff, block, terms=("full", "forward"
         sparse = base._exposure_matrix_csr(
             points, shots, PSF, cutoff, block=block, term=term
         )
-        assert sparse.nnz == near.sum()
-        assert sparse.toarray().tobytes() == expected.tobytes()
+        # The stored entries themselves, not toarray(): summing into
+        # zeros would turn a stored −0.0 into +0.0.
+        rows = np.repeat(np.arange(len(points)), np.diff(sparse.indptr))
+        assert np.array_equal(rows, np.nonzero(near)[0])
+        assert np.array_equal(sparse.indices, np.nonzero(near)[1])
+        assert sparse.data.tobytes() == expected[near].tobytes()
         if term == "full":
             dense = base._exposure_matrix(points, shots, PSF, cutoff, block=block)
             assert dense.tobytes() == expected.tobytes()
@@ -109,11 +114,52 @@ class TestAgainstAllPairsOracle:
         assert_builders_match(points, shots, 4.0, 7)
 
     def test_candidates_without_a_kept_pair(self):
-        # Both points share the shot's bucket window and miss its cutoff.
+        # Both points fall in the shot's cell window and miss its cutoff.
         shots = [Shot(Trapezoid(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 1.0)]
         points = np.array([[9.5, 0.5], [0.5, 9.6]])
         assert_builders_match(points, shots, 4.0, 64)
         assert base._exposure_matrix_csr(points, shots, PSF, 4.0).nnz == 0
+
+    @pytest.mark.parametrize("sampling", ["centroid", "edge"])
+    def test_a_reach_outlier(self, sampling):
+        # One 200 µm pad among 2 µm shots: its half diagonal sets the
+        # longest reach, and with it the cell of the whole index.
+        pad = Shot(Trapezoid(0.0, 200.0, 0.0, 200.0, 0.0, 200.0), 1.0)
+        small = [
+            Shot(Trapezoid(y, y + 2.0, x, x + 2.0, x, x + 2.0), 1.0)
+            for x in np.arange(-20.0, 224.0, 8.0)
+            for y in (-10.0, 99.0, 205.0)
+        ]
+        shots = small[:40] + [pad] + small[40:]
+        assert_builders_match(sample_points(shots, sampling), shots, 4.0, 7)
+
+    @pytest.mark.parametrize("sampling", ["centroid", "edge"])
+    def test_a_layout_far_from_the_origin(self, sampling):
+        # 1e5 µm from the origin: cell keys are taken relative to the
+        # layout's corner, and the window slack covers the rounding of
+        # coordinates this large.
+        shots = scattered_shots(150, 60.0, seed=5, offset=1e5)
+        assert_builders_match(sample_points(shots, sampling), shots, 4.0, 64)
+
+    @pytest.mark.parametrize("offset", [2.5, 8.5, 1e5])
+    def test_points_on_the_cutoff_circle(self, offset):
+        # Points a few ulps either side of each shot's reach along the
+        # axes: the exact test keeps some and drops the others, and the
+        # cell window may not lose one to its own rounding.
+        rng = np.random.default_rng(int(offset))
+        centres = offset + rng.uniform(0.0, 40.0, (6, 2)).round(3)
+        shots = [
+            Shot(Trapezoid(y, y + 0.5, x, x + 0.5, x, x + 0.5), 1.0)
+            for x, y in centres
+        ]
+        x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
+        reach = 4.0 * PSF.beta + np.hypot(x1 - x0, y1 - y0) / 2.0
+        rims = []
+        for cx, cy, r in zip((x0 + x1) / 2.0, (y0 + y1) / 2.0, reach):
+            for step in np.array([(1, 0), (-1, 0), (0, 1), (0, -1)]):
+                rim = np.array([cx, cy]) + step * r
+                rims += [rim + k * step * np.spacing(rim) for k in range(-3, 4)]
+        assert_builders_match(np.array(rims), shots, 4.0, 64, terms=("full",))
 
     def test_unknown_term(self):
         shots = scattered_shots(2, 5.0, seed=0)
@@ -125,19 +171,19 @@ class TestAgainstAllPairsOracle:
 
 @pytest.fixture(scope="module")
 def grating_shots():
-    """1,500 two-micron VSB shots: 24 blocks of 64 columns."""
+    """1,500 two-micron VSB shots: 24 blocks of 64 sample points."""
     lines = [Polygon.rectangle(i * 2.0, 0.0, i * 2.0 + 1.0, 100.0) for i in range(30)]
     return ShotFracturer(max_shot=2.0).fracture_to_shots(lines)
 
 
 class SweepCounters:
-    """Elements handed to the erf integral per PSF range, and pairs put
-    to the distance test (the 2-D ``hypot`` calls; the 1-D one is the
+    """Elements handed to the erf integral per PSF range, and elements
+    of every ``hypot`` call (a sweep's distance tests plus one for the
     shots' half diagonals)."""
 
     def __init__(self, monkeypatch):
         self.erf_elements = {}
-        self.distance_pairs = 0
+        self.hypot_elements = 0
         integral, hypot = base._rect_gauss_integral, np.hypot
 
         def counted_integral(px, py, x0, x1, y0, y1, sigma):
@@ -147,37 +193,113 @@ class SweepCounters:
 
         def counted_hypot(a, b):
             out = hypot(a, b)
-            if out.ndim == 2:
-                self.distance_pairs += out.size
+            self.hypot_elements += out.size
             return out
 
         monkeypatch.setattr(base, "_rect_gauss_integral", counted_integral)
         monkeypatch.setattr(np, "hypot", counted_hypot)
 
+    def distance_pairs(self, shots):
+        """Pairs one sweep over ``shots`` put to the distance test."""
+        return self.hypot_elements - len(shots)
+
+
+def unsettled_alpha_pairs(points, shots, near):
+    """How many ``near`` pairs have an α product that saturation leaves
+    open: neither axis has both arguments ``(edge − p)/α`` saturated
+    with one sign (a factor 0.0), and not all four are saturated (each
+    factor then 1.0)."""
+    x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
+    px, py = points[:, :1], points[:, 1:]
+    ux1, ux0, uy1, uy0 = (
+        (edge - p) / PSF.alpha for edge, p in ((x1, px), (x0, px), (y1, py), (y0, py))
+    )
+
+    def saturated(u):
+        return np.abs(u) >= base.ERF_SATURATION
+
+    flat_x = saturated(ux1) & saturated(ux0) & (np.sign(ux1) == np.sign(ux0))
+    flat_y = saturated(uy1) & saturated(uy0) & (np.sign(uy1) == np.sign(uy0))
+    across = saturated(ux1) & saturated(ux0) & saturated(uy1) & saturated(uy0)
+    return int((near & ~flat_x & ~flat_y & ~across).sum())
+
+
+class TestErfSaturation:
+    def test_erf_is_exactly_one_from_the_threshold_on(self):
+        # The α term skips erf where every argument of a factor is
+        # saturated; that is exact only while this holds.
+        from scipy.special import erf
+
+        u = np.linspace(base.ERF_SATURATION, 40.0, 1_000_001)
+        assert np.all(erf(u) == 1.0)
+        assert np.all(erf(-u) == -1.0)
+        # ... and not vacuous: just below the threshold erf is not 1.0.
+        assert base.ERF_SATURATION == 6.0
+        assert erf(5.9) != 1.0
+
 
 class TestWorkDone:
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_erf_runs_on_the_kept_pairs_only(self, grating_shots, mode, monkeypatch):
+    def test_erf_runs_only_where_it_can_matter(self, grating_shots, mode, monkeypatch):
         points = sample_points(grating_shots, "centroid")
         near, _ = all_pairs_reference(points, grating_shots, PSF, 4.0)
+        kept = int(near.sum())
+        unsettled = unsettled_alpha_pairs(points, grating_shots, near)
         counters = SweepCounters(monkeypatch)
         operator = build_exposure_operator(points, grating_shots, PSF, mode=mode)
         matrix = operator.matrix if mode == "dense" else operator.matrix.toarray()
-        assert np.count_nonzero(matrix) == near.sum()
-        assert counters.erf_elements == {
-            PSF.alpha: near.sum(),
-            PSF.beta: near.sum(),
-        }
-        assert 0 < counters.distance_pairs < near.size / 2
+        assert np.count_nonzero(matrix) == kept
+        assert counters.erf_elements == {PSF.alpha: unsettled, PSF.beta: kept}
+        assert 0 < unsettled < kept / 10
+        assert kept <= counters.distance_pairs(grating_shots) <= 3 * kept
+
+    def test_alpha_erf_skips_points_deep_inside_their_shot(self, monkeypatch):
+        # Shots up to 12 µm wide: a centroid more than 6α from every edge
+        # of its own shot has an α product of exactly 1.0.
+        shots = scattered_shots(150, 60.0, seed=11)
+        points = sample_points(shots, "centroid")
+        near, _ = all_pairs_reference(points, shots, PSF, 4.0)
+        counters = SweepCounters(monkeypatch)
+        base._exposure_matrix_csr(points, shots, PSF, 4.0)
+        unsettled = unsettled_alpha_pairs(points, shots, near)
+        assert counters.erf_elements[PSF.alpha] == unsettled
 
     def test_forward_term_evaluates_alpha_only(self, grating_shots, monkeypatch):
         points = sample_points(grating_shots, "centroid")
         near, _ = all_pairs_reference(points, grating_shots, PSF, 4.0, "forward")
+        kept = int(near.sum())
         counters = SweepCounters(monkeypatch)
         forward = HybridExposureOperator(points, grating_shots, PSF).forward
-        assert forward.nnz == near.sum()
-        assert counters.erf_elements == {PSF.alpha: near.sum()}
-        assert counters.distance_pairs < near.size / 2
+        assert forward.nnz == kept
+        assert counters.erf_elements == {
+            PSF.alpha: unsettled_alpha_pairs(points, grating_shots, near)
+        }
+        # Only a shot's own point is within 4α of it, and its neighbours
+        # sit just outside: a few candidates per kept pair, and a tiny
+        # share of all pairs.
+        assert kept <= counters.distance_pairs(grating_shots) < near.size / 100
+
+
+class TestEmissionOrder:
+    def test_csr_layout_does_not_depend_on_it(self):
+        # csr_matrix((v, (r, c))) sorts the column indices of each row,
+        # so any order of the same triplets gives the same bytes.
+        from scipy.sparse import csr_matrix
+
+        shots = scattered_shots(220, 60.0, seed=9)
+        points = sample_points(shots, "edge")
+        rows, cols, values = (
+            np.concatenate(part)
+            for part in zip(*base._kept_entries(points, shots, PSF, 4.0))
+        )
+        built = base._exposure_matrix_csr(points, shots, PSF, 4.0)
+        shuffled = np.random.default_rng(0).permutation(len(values))
+        for order in (shuffled, shuffled[::-1], np.lexsort((rows, cols))):
+            csr = csr_matrix(
+                (values[order], (rows[order], cols[order])), shape=built.shape
+            )
+            for part in ("indptr", "indices", "data"):
+                assert getattr(csr, part).tobytes() == getattr(built, part).tobytes()
 
 
 def alignment_marks(gap):
@@ -190,28 +312,29 @@ def alignment_marks(gap):
     ]
 
 
+def distance_tests(shots):
+    """Pairs the full-term sweep puts to the distance test."""
+    with pytest.MonkeyPatch.context() as patch:
+        counters = SweepCounters(patch)
+        base._exposure_matrix_csr(sample_points(shots, "center"), shots, PSF, 4.0)
+        return counters.distance_pairs(shots)
+
+
 class TestSparseLayouts:
-    """The bucket probe used to visit every grid cell of a block's
-    window — 11.9 M dictionary probes for two marks 30 mm apart."""
+    """Candidates come from sorted key ranges of occupied cells, so the
+    empty space between marks costs nothing however wide it is — at 1e12
+    µm the cell grows past a third of the reach to keep the keys in
+    int64."""
 
-    @pytest.mark.parametrize("gap", [30e3, 100e3])
-    def test_bucket_lookup_examines_occupied_cells_only(self, gap, monkeypatch):
+    @pytest.mark.parametrize("gap", [100e3, 1e12])
+    def test_empty_space_costs_no_distance_tests(self, gap):
         shots = alignment_marks(gap)
-        points = sample_points(shots, "centroid")
-        examined = []
-        rows_in = base._PointBuckets.rows_in
-
-        def spy(buckets, *window):
-            examined.append((len(buckets.cells), buckets.cell_ix.size))
-            return rows_in(buckets, *window)
-
-        monkeypatch.setattr(base._PointBuckets, "rows_in", spy)
+        assert distance_tests(shots) <= distance_tests(alignment_marks(30e3))
+        # Bounding-box centres: a shoelace centroid at 1e12 µm is noise.
+        points = sample_points(shots, "center")
         dense = build_exposure_operator(points, shots, PSF, mode="dense")
         sparse = build_exposure_operator(points, shots, PSF, mode="sparse")
         forward = base._exposure_matrix_csr(points, shots, PSF, 4.0, term="forward")
-        # One lookup per 64-column block, each a mask over the three
-        # occupied cells — not over the (gap / pitch)² the window spans.
-        assert examined == [(3, 3)] * 3
         expected = all_pairs_reference(points, shots, PSF, 4.0)[1]
         assert dense.matrix.tobytes() == expected.tobytes()
         assert sparse.matrix.toarray().tobytes() == expected.tobytes()
