@@ -64,25 +64,29 @@ def edit_one_polygon(polygons):
 
 def run_incremental(quick: bool, cache_dir):
     psf = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
-    pipe = PreparationPipeline(
-        corrector=IterativeDoseCorrector(),
-        psf=psf,
-        field_size=FIELD_SIZE,
-        cache_dir=cache_dir,
-    )
+
+    def pipeline(cache_dir):
+        return PreparationPipeline(
+            corrector=IterativeDoseCorrector(),
+            psf=psf,
+            field_size=FIELD_SIZE,
+            cache_dir=cache_dir,
+        )
+
+    cached = pipeline(cache_dir)
     polygons = fzp_polygons(quick)
 
-    def timed(polys, **kwargs):
+    def timed(polys, pipe=cached):
         start = time.perf_counter()
-        result = pipe.run_polygons(polys, **kwargs)
+        result = pipe.run(polys)
         return result, time.perf_counter() - start
 
     cold, cold_time = timed(polygons)
     warm, warm_time = timed(polygons)
     edited_polys = edit_one_polygon(polygons)
     edited, edited_time = timed(edited_polys)
-    # Reference for the edited geometry, bypassing the cache.
-    edited_ref, edited_ref_time = timed(edited_polys, cache=False)
+    # Reference for the edited geometry, from an uncached pipeline.
+    edited_ref, edited_ref_time = timed(edited_polys, pipeline(None))
 
     rows = [
         ("cold", cold, cold_time),

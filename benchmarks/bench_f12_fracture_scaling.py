@@ -248,21 +248,22 @@ def run_hierarchy_reuse(quick):
         "(reference kernel isolates reuse; fast-kernel columns for "
         "the shipping configuration)",
     )
-    exact_pipe = PreparationPipeline(
-        fracturer=TrapezoidFracturer(kernel="exact")
-    )
-    fast_pipe = PreparationPipeline()
+    exact = TrapezoidFracturer(kernel="exact")
+    exact_flat = PreparationPipeline(fracturer=exact)
+    exact_cells = PreparationPipeline(fracturer=exact, hierarchy="cells")
+    fast_flat_pipe = PreparationPipeline()
+    fast_cells_pipe = PreparationPipeline(hierarchy="cells")
     rows = []
     for blocks in hierarchy_cases(quick):
         lib = generators.memory_array(words=8, bits=8, blocks=blocks)
         t0 = time.perf_counter()
-        flat = exact_pipe.run(lib, hierarchy="flat")
+        flat = exact_flat.run(lib)
         t1 = time.perf_counter()
-        cells = exact_pipe.run(lib, hierarchy="cells")
+        cells = exact_cells.run(lib)
         t2 = time.perf_counter()
-        fast_flat = fast_pipe.run(lib, hierarchy="flat")
+        fast_flat = fast_flat_pipe.run(lib)
         t3 = time.perf_counter()
-        fast_cells = fast_pipe.run(lib, hierarchy="cells")
+        fast_cells = fast_cells_pipe.run(lib)
         t4 = time.perf_counter()
         assert cells.job.figure_count() == flat.job.figure_count()
         assert fast_cells.job.figure_count() == flat.job.figure_count()

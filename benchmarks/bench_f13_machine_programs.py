@@ -54,25 +54,22 @@ def workloads(quick: bool):
 
 
 def export_case(library, name, tmp_path, mode="raster"):
-    sharded = PreparationPipeline(
-        field_size=FIELD_SIZE,
-        address_unit=ADDRESS_UNIT,
-        cache_dir=tmp_path / "cache",
-        overlap_policy="ignore",
-    )
-    # field_size=None on run() inherits the pipeline default, so the
-    # unsharded reference needs its own pipeline.
-    unsharded = PreparationPipeline(address_unit=ADDRESS_UNIT, overlap_policy="ignore")
+    def pipeline(**knobs):
+        return PreparationPipeline(
+            address_unit=ADDRESS_UNIT, overlap_policy="ignore", machine=mode, **knobs
+        )
+
+    sharded = pipeline(field_size=FIELD_SIZE, cache_dir=tmp_path / "cache")
     runs = {}
-    for which, pipe, kwargs in (
-        ("single", unsharded, {}),
-        ("cold", sharded, {}),
-        ("warm", sharded, {}),
-        ("workers2", sharded, dict(workers=2, cache=False)),
+    for which, pipe in (
+        ("single", pipeline()),
+        ("cold", sharded),
+        ("warm", sharded),
+        ("workers2", pipeline(field_size=FIELD_SIZE, workers=2)),
     ):
         path = tmp_path / f"{name}.{which}.{mode}.ebp"
         start = time.perf_counter()
-        result = pipe.run(library, machine=mode, program_path=path, **kwargs)
+        result = pipe.run(library, program_path=path)
         elapsed = time.perf_counter() - start
         runs[which] = (result.machine_program, elapsed, path)
     return runs

@@ -58,7 +58,7 @@ def run_experiment() -> str:
             machines=[machine],
             base_dose=5.0,
         )
-        result = pipe.run_polygons(polys, name="fzp")
+        result = pipe.run(polys, name="fzp")
         fidelity = fidelity_report(
             result.job, polys, PSF, pixel=0.15, margin=4.0
         )
@@ -89,7 +89,7 @@ def test_f7_fidelity_reasonable(benchmark, save_table):
         corrector=IterativeDoseCorrector(max_iterations=10),
         psf=PSF,
     )
-    result = pipe.run_polygons(polys)
+    result = pipe.run(polys)
     fidelity = fidelity_report(result.job, polys, PSF, pixel=0.15, margin=4.0)
     assert fidelity.error_fraction < 0.35
     assert 0.7 < fidelity.area_ratio < 1.3

@@ -114,9 +114,6 @@ def shot_key(shot):
 
 def run_scaling(quick: bool):
     psf = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
-    pipe = PreparationPipeline(
-        corrector=IterativeDoseCorrector(), psf=psf
-    )
     cores = effective_cores()
     table = Table(
         ["workload", "shots", "shards", "workers", "time [s]", "speedup"],
@@ -133,10 +130,14 @@ def run_scaling(quick: bool):
         for workers in WORKER_COUNTS:
             if workers > 1:
                 warm_worker_pool(workers)
-            start = time.perf_counter()
-            result = pipe.run(
-                lib, workers=workers, field_size=field_size
+            pipe = PreparationPipeline(
+                corrector=IterativeDoseCorrector(),
+                psf=psf,
+                workers=workers,
+                field_size=field_size,
             )
+            start = time.perf_counter()
+            result = pipe.run(lib)
             elapsed = time.perf_counter() - start
             keys = [shot_key(s) for s in result.job.shots]
             if workers == 1:
@@ -196,10 +197,9 @@ def test_f9_determinism_smoke(quick):
     """Cheap standalone guard: parallel == serial on a small workload."""
     from repro.layout import generators
 
-    pipe = PreparationPipeline()
     lib = generators.grating(lines=20, length=30.0)
-    serial = pipe.run(lib, workers=1, field_size=10.0)
-    parallel = pipe.run(lib, workers=2, field_size=10.0)
+    serial = PreparationPipeline(workers=1, field_size=10.0).run(lib)
+    parallel = PreparationPipeline(workers=2, field_size=10.0).run(lib)
     assert [shot_key(s) for s in serial.job.shots] == [
         shot_key(s) for s in parallel.job.shots
     ]

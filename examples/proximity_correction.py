@@ -89,14 +89,12 @@ def main() -> None:
             corrected, ghost_shots = split_ghost(corrected, len(shots))
         else:
             corrected = corrector.correct(shots, psf)
-        report = correction_report(
-            corrected + (ghost_shots or []), psf
-        )
+        # Correctors return shot views: concatenate as lists.
+        exposed = [*corrected, *(ghost_shots or [])]
+        report = correction_report(exposed, psf)
         # Exposure cost relative to the uncorrected pattern pass.
         base_exposure = sum(s.area() for s in shots)
-        scheme_exposure = sum(
-            s.dose * s.area() for s in corrected + (ghost_shots or [])
-        )
+        scheme_exposure = sum(s.dose * s.area() for s in exposed)
         extra = scheme_exposure / base_exposure - 1.0
         near, far = printed_widths(corrected, psf, ghost_shots)
         delta = (

@@ -75,7 +75,7 @@ def main() -> None:
             machines=[machine],
             base_dose=5.0,
         )
-        result = pipeline.run_polygons(polygons, name="fzp")
+        result = pipeline.run(polygons, name="fzp")
         fidelity = fidelity_report(
             result.job, polygons, psf, pixel=0.15, margin=4.0
         )

@@ -530,9 +530,9 @@ class ShardedExecutor:
       (:class:`StreamingExecution`) spills each result and keeps only
       its blob key.
 
-    An executor is one run's configuration: per-run overrides are the
-    caller's to resolve before it is built
-    (:meth:`~repro.core.pipeline.PreparationPipeline.executor`).
+    An executor is one run's configuration, as is the pipeline that
+    builds it (:meth:`~repro.core.pipeline.PreparationPipeline.executor`):
+    a different configuration is a second executor.
 
     Args:
         fracturer: fracturing strategy applied per shard.

@@ -1,11 +1,14 @@
 """The data-preparation pipeline.
 
-Thin orchestration over :mod:`repro.core.executor`: resolve a run's
-overrides into one engine, gather polygons from the source, hand them
-to the field-sharded execution engine (fracture → proximity correction
-→ merge), wrap the merged shots in a
+Thin orchestration over :mod:`repro.core.executor`: gather polygons
+from the source, hand them to the field-sharded execution engine
+(fracture → proximity correction → merge), wrap the merged shots in a
 :class:`~repro.core.job.MachineJob` and estimate writing time per
-machine.  Batch entry points (:meth:`PreparationPipeline.run_layers`,
+machine.  A pipeline is one run's configuration: every knob is set in
+its constructor, and the entry points take only what a run reads and
+writes (source, layer, names, output paths); a different configuration
+is a second pipeline.  Batch entry points
+(:meth:`PreparationPipeline.run_layers`,
 :meth:`PreparationPipeline.run_many`) sweep several layers or sources
 through one shared worker pool.
 """
@@ -70,8 +73,8 @@ class PipelineResult:
         source_polygons: flattened polygon count before fracture.
         corrected: True if proximity correction ran.
         execution: how the sharded engine ran (shards, workers, pool).
-        machine_program: the exported machine data stream (also on
-            ``execution.program``) when the run had a ``machine`` mode.
+        machine_program: the exported machine data stream when the
+            run had a ``machine`` mode.
         job_bytes: size of the ``.ebj`` job file written with the run
             (0 when none was requested) — streamed by a ``job_path``
             streaming run, or written from the materialized job by
@@ -102,11 +105,11 @@ class PreparationPipeline:
         psf: exposure PSF used by the corrector (required with one).
         machines: machines to estimate writing time on.
         base_dose: physical base dose [µC/cm²].
-        workers: default worker-pool size for the execution engine;
+        workers: worker-pool size for the execution engine;
             1 = serial, ``None``/0 = one per core.  The worker count
             never changes the result, only the wall-clock (see
             :mod:`repro.core.executor`).
-        field_size: default writing-field pitch [µm] for layout
+        field_size: writing-field pitch [µm] for layout
             sharding; ``None`` processes the layout as one shard.
         cache_dir: directory for the content-addressed shard cache;
             ``None`` disables caching.  Editing one field of a cached
@@ -114,7 +117,8 @@ class PreparationPipeline:
             re-run skips fracture and PEC entirely and is byte-identical
             to a cold serial run.
         cache: an explicit :class:`~repro.core.cache.ShardCache` to use
-            instead of building one from ``cache_dir``.
+            instead of building one from ``cache_dir`` — how two
+            pipelines share one cache.
         overlap_policy: cross-shard overlap handling when sharding —
             ``"warn"`` (default), ``"union"`` or ``"ignore"`` (see
             :mod:`repro.core.plan`).
@@ -235,37 +239,19 @@ class PreparationPipeline:
         # build it once here so they run at this door, not at first use.
         self.executor()
 
-    def executor(
-        self,
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-    ) -> ShardedExecutor:
-        """The execution engine for one run: the pipeline's current
-        configuration (rebinding ``fracturer``/``corrector``/``psf`` on
-        the pipeline takes effect on the next run) with the run's
-        overrides applied, each checked by the engine before any work
-        is done on its behalf.
-
-        ``workers``/``field_size``: ``None`` inherits the pipeline's
-        setting.  ``cache``: ``None`` inherits the configured cache,
-        ``False`` runs uncached, ``True`` requires the configured cache,
-        an explicit :class:`~repro.core.cache.ShardCache` replaces it.
-        The engine's cache is also the run's program-segment cache.
-        """
-        if cache is True and self.cache is None:
-            raise ValueError("cache=True requested but no cache is configured")
-        if cache is None or cache is True:
-            cache = self.cache
-        elif cache is False:
-            cache = None
+    def executor(self) -> ShardedExecutor:
+        """The execution engine for one run, built from the pipeline's
+        current configuration (rebinding ``fracturer``/``corrector``/
+        ``psf`` on the pipeline takes effect on the next run) and
+        checked by the engine before any work is done on its behalf.
+        The engine's cache is also the run's program-segment cache."""
         return ShardedExecutor(
             self.fracturer,
             corrector=self.corrector,
             psf=self.psf,
-            workers=self.workers if workers is None else workers,
-            field_size=self.field_size if field_size is None else field_size,
-            cache=cache,
+            workers=self.workers,
+            field_size=self.field_size,
+            cache=self.cache,
             overlap_policy=self.overlap_policy,
             progress=self.progress,
             retry=self.retry,
@@ -283,74 +269,27 @@ class PreparationPipeline:
         source: Union[Library, Cell, Iterable[Polygon]],
         layer: Optional[Layer] = None,
         name: Optional[str] = None,
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        hierarchy: Optional[str] = None,
-        machine: Optional[str] = None,
         program_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
         """Run the full pipeline on a library, cell or raw polygon list.
 
         Args:
             source: the pattern source; libraries use their unique top
-                cell, cells are flattened with descendants.
+                cell, cells are flattened with descendants, raw polygons
+                are one job named ``"job"``.
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the cell/library name).
-            workers: worker-pool size override for this run.
-            field_size: writing-field pitch override for this run.
-            cache: cache override for this run — ``False`` bypasses the
-                configured cache, an explicit
-                :class:`~repro.core.cache.ShardCache` replaces it.
-            hierarchy: per-run override of the pipeline's hierarchy
-                mode (``"flat"`` or ``"cells"``).
-            machine: per-run override of the machine-program mode
-                (``"raster"``/``"vsb"``/``"vector"``; ``"off"`` disables
-                export for this run).
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
         """
-        engine = self._engine(workers, field_size, cache, machine)
-        items = self._work_items(
-            source,
-            None if layer is None else [layer],
-            False,
-            self._resolve_hierarchy(hierarchy),
-        )
-        return self._run_batch(
-            engine, items, [name] if name else None, machine, program_path
-        )[0]
-
-    def run_polygons(
-        self,
-        polygons: Sequence[Polygon],
-        name: str = "job",
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        machine: Optional[str] = None,
-        program_path: Optional[Union[str, Path]] = None,
-    ) -> PipelineResult:
-        """Run fracture → correction → job build → write-time estimation."""
-        return self.run(
-            list(polygons),
-            name=name,
-            workers=workers,
-            field_size=field_size,
-            cache=cache,
-            machine=machine,
-            program_path=program_path,
-        )
+        items = self._work_items(source, None if layer is None else [layer], False)
+        return self._run_batch(items, [name] if name else None, program_path)[0]
 
     def run_streaming(
         self,
         source: Union[LayoutStream, Library, Cell, str, Path, Iterable[Polygon]],
         layer: Optional[Layer] = None,
         name: Optional[str] = None,
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        machine: Optional[str] = None,
         program_path: Optional[Union[str, Path]] = None,
         job_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
@@ -362,9 +301,10 @@ class PreparationPipeline:
         library/cell is wrapped in a
         :class:`~repro.layout.stream.MemoryStream`), the execution
         engine spills per-shard results through the cache's blob store
-        instead of accumulating them, and job assembly folds the
-        aggregates, digest and — with ``job_path`` — the ``.ebj`` bytes
-        one shard at a time.
+        (without a cache, a private temp spill store) instead of
+        accumulating them, and job assembly folds the aggregates,
+        digest and — with ``job_path`` — the ``.ebj`` bytes one shard
+        at a time.
 
         Byte-identity contract: the ``.ebj`` file (``job_path``) and the
         machine program (``machine``/``program_path``) are byte-identical
@@ -381,11 +321,6 @@ class PreparationPipeline:
                 library/cell, or a raw polygon iterable (consumed once).
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the top cell's name).
-            workers: worker-pool size override for this run.
-            field_size: writing-field pitch override for this run.
-            cache: cache override for this run (also hosts the spill
-                blobs; without one a private temp spill store is used).
-            machine: per-run machine-program mode override.
             program_path: explicit program file path.
             job_path: write the job's ``.ebj`` file here while
                 streaming (:class:`~repro.core.jobfile.JobFileWriter`).
@@ -393,7 +328,7 @@ class PreparationPipeline:
         Always runs flat — hierarchy ``"cells"`` prefracture is a
         materializing transform and is rejected by the streaming recipe.
         """
-        engine = self._engine(workers, field_size, cache, machine)
+        engine = self.executor()
         stream, owned = self._resolve_stream(source)
         try:
             if stream is not None:
@@ -412,9 +347,7 @@ class PreparationPipeline:
             return self._finish(
                 self._assemble_streaming(execution, name or inferred, job_path),
                 execution.iter_results(),
-                machine,
                 program_path,
-                engine.cache,
                 segment_count=execution.stats.occupied_shards,
             )
 
@@ -422,36 +355,24 @@ class PreparationPipeline:
         self,
         source: Union[Library, Cell],
         layers: Optional[Sequence[Layer]] = None,
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        hierarchy: Optional[str] = None,
-        machine: Optional[str] = None,
     ) -> Dict[Layer, PipelineResult]:
         """Prepare each layer of a cell as its own job, batched.
 
         All layers' shards share one worker pool, so a many-layer sweep
-        parallelizes even when individual layers are small.
+        parallelizes even when individual layers are small.  With
+        hierarchy ``"cells"`` every cell is fractured once for the
+        whole sweep (the reuse statistics on each layer's
+        ``ExecutionStats`` describe the whole source).
 
         Args:
             source: library (top cell used) or cell.
             layers: layers to prepare (defaults to every populated one).
-            workers: worker-pool size override.
-            field_size: writing-field pitch override.
-            cache: cache override (``False`` = off for this run).
-            hierarchy: per-run override of the hierarchy mode; with
-                ``"cells"`` every cell is fractured once for the whole
-                sweep (the reuse statistics on each layer's
-                ``ExecutionStats`` describe the whole source).
 
         Returns:
             Mapping layer → result, in layer sort order.
         """
-        engine = self._engine(workers, field_size, cache, machine)
-        items = self._work_items(
-            source, layers, True, self._resolve_hierarchy(hierarchy)
-        )
-        results = self._run_batch(engine, items, None, machine)
+        items = self._work_items(source, layers, True)
+        results = self._run_batch(items, None)
         return {layer: result for (layer, *_), result in zip(items, results)}
 
     def run_many(
@@ -459,37 +380,29 @@ class PreparationPipeline:
         sources: Sequence[Union[Library, Cell, Iterable[Polygon]]],
         names: Optional[Sequence[str]] = None,
         layer: Optional[Layer] = None,
-        workers: Optional[int] = None,
-        field_size: Optional[float] = None,
-        cache: Union[ShardCache, bool, None] = None,
-        hierarchy: Optional[str] = None,
-        machine: Optional[str] = None,
     ) -> List[PipelineResult]:
         """Prepare several sources through one shared worker pool.
 
         The batch equivalent of :meth:`run` — one call sweeps a whole
         scenario matrix (many workloads × this pipeline's machines).
-        With ``hierarchy="cells"`` every Library/Cell source goes
+        With hierarchy ``"cells"`` every Library/Cell source goes
         through per-cell fracture + figure replication; raw polygon
         sources in the same batch still run flat, in the same
         interleaved shard list.
         """
-        engine = self._engine(workers, field_size, cache, machine)
-        hierarchy = self._resolve_hierarchy(hierarchy)
         layers = None if layer is None else [layer]
         items = [
             item
             for source in sources
-            for item in self._work_items(source, layers, False, hierarchy)
+            for item in self._work_items(source, layers, False)
         ]
-        return self._run_batch(engine, items, names, machine)
+        return self._run_batch(items, names)
 
     def _work_items(
         self,
         source: Union[Library, Cell, Iterable[Polygon]],
         layers: Optional[Sequence[Layer]],
         per_layer: bool,
-        hierarchy: str,
     ) -> List[tuple]:
         """The jobs one source contributes to a batch.
 
@@ -498,7 +411,7 @@ class PreparationPipeline:
         with ``per_layer`` one job per layer in the order given (layer
         sort order by default).  ``hier`` is the per-cell fracture the
         geometry came from when it holds pre-fractured figures
-        (``hierarchy="cells"`` on a library/cell), else ``None`` and
+        (hierarchy ``"cells"`` on a library/cell), else ``None`` and
         the geometry is polygons; raw polygon sources carry no
         hierarchy and always run flat.
         """
@@ -507,7 +420,7 @@ class PreparationPipeline:
             return [(None, polygons, "job", len(polygons), None)]
         cell = source.top_cell() if isinstance(source, Library) else source
         selected = set(layers) if layers is not None else None
-        if hierarchy == "cells":
+        if self.hierarchy == "cells":
             # A merged job fractures each cell's selected layers as one
             # union, mirroring the flat path, which fractures the union
             # of every requested layer's polygons in one pass.
@@ -539,17 +452,14 @@ class PreparationPipeline:
 
     def _run_batch(
         self,
-        engine: ShardedExecutor,
         items: List[tuple],
         names: Optional[Sequence[str]],
-        machine: Optional[str],
         program_path: Optional[Union[str, Path]] = None,
     ) -> List[PipelineResult]:
-        """Execute :meth:`_work_items` jobs on ``engine`` as one
-        interleaved shard list and finish each into a result (``names``
-        override the inferred job names; ``program_path`` is for one-job
-        batches)."""
-        outcomes = engine.execute_many(
+        """Execute :meth:`_work_items` jobs as one interleaved shard
+        list and finish each into a result (``names`` override the
+        inferred job names; ``program_path`` is for one-job batches)."""
+        outcomes = self.executor().execute_many(
             [geometry for _, geometry, *_ in items],
             prefractured=[hier is not None for *_, hier in items],
         )
@@ -576,42 +486,11 @@ class PreparationPipeline:
                 execution=outcome.stats,
             )
             out.append(
-                self._finish(
-                    result,
-                    outcome.shard_results,
-                    machine,
-                    program_path,
-                    engine.cache,
-                    program_seen,
-                )
+                self._finish(result, outcome.shard_results, program_path, program_seen)
             )
         return out
 
     # -- helpers ----------------------------------------------------------
-
-    def _engine(self, workers, field_size, cache, machine) -> ShardedExecutor:
-        """The run's engine (:meth:`executor`), with every per-run
-        override — the machine mode too — checked before any work is
-        done on its behalf."""
-        engine = self.executor(workers, field_size, cache)
-        self._resolve_machine(machine)
-        return engine
-
-    def _resolve_hierarchy(self, hierarchy: Optional[str]) -> str:
-        if hierarchy is None:
-            return self.hierarchy
-        check_knobs(hierarchy=hierarchy)
-        return hierarchy
-
-    def _resolve_machine(self, machine: Optional[str]) -> Optional[str]:
-        """Per-run machine override: ``None`` inherits the pipeline's
-        mode, ``"off"`` disables export for this run."""
-        if machine is None:
-            return self.machine
-        if machine == "off":
-            return None
-        check_knobs(machine=machine)
-        return machine
 
     def _default_program_path(
         self, name: str, mode: str, seen: Optional[Dict[tuple, int]]
@@ -633,21 +512,19 @@ class PreparationPipeline:
         self,
         result: PipelineResult,
         shard_results,
-        machine: Optional[str],
         program_path: Optional[Union[str, Path]],
-        cache: Optional[ShardCache],
         program_seen: Optional[Dict[tuple, int]] = None,
         segment_count: Optional[int] = None,
     ) -> PipelineResult:
         """The tail every run shares: estimate write times on the
         result's job and (with a machine mode) export the machine
         program from ``shard_results`` — a resident list, or a spill
-        cursor with its occupied ``segment_count`` — through the run's
-        ``cache``."""
+        cursor with its occupied ``segment_count`` — through the
+        pipeline's cache."""
         job = result.job
         for writer in self.machines:
             result.write_times[writer.name] = writer.write_time(job)
-        mode = self._resolve_machine(machine)
+        mode = self.machine
         if mode is not None:
             from repro.machine.program import MachineSpec, export_program
 
@@ -655,12 +532,12 @@ class PreparationPipeline:
                 program_path = self._default_program_path(
                     job.name, mode, program_seen
                 )
-            result.machine_program = result.execution.program = export_program(
+            result.machine_program = export_program(
                 shard_results,
                 job,
                 MachineSpec(mode=mode, address_unit=self.address_unit),
                 program_path,
-                cache=cache,
+                cache=self.cache,
                 segment_count=segment_count,
             )
             # A failed segment-blob store degrades the run like a failed

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.machine.program import MachineProgram
+from typing import Dict, List, Optional
 
 #: JSON groups in view order: name → (nested under its own key, the
 #: condition under which the group is reported at all).
@@ -169,11 +166,6 @@ class ExecutionStats:
             degrades to an in-memory merge for those shards with one
             :class:`~repro.core.executor.SpillDegradedWarning`, never a
             crash.
-        program: the exported machine program for this run, when the
-            pipeline ran with a ``machine`` mode — carries the
-            write-time breakdown, exact stream bytes and channel check
-            (see :mod:`repro.machine.program`).  Not a statistic: it is
-            outside the schema, so no merge, view or line touches it.
     """
 
     shard_count: int = stat(1)
@@ -223,7 +215,6 @@ class ExecutionStats:
     shards_spilled: int = stat(0, "memory")
     spill_bytes: int = stat(0, "memory")
     spill_fallbacks: int = stat(0, "memory", fault=True, totals="faults")
-    program: Optional["MachineProgram"] = None
 
     def select(self, key: str, value, aliased: bool = False) -> Dict[str, object]:
         """``{name: value}`` of the fields whose schema entry has
@@ -233,7 +224,7 @@ class ExecutionStats:
         return {
             (aliased and f.metadata["alias"]) or f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.metadata.get(key) == value
+            if f.metadata[key] == value
         }
 
     @property
@@ -253,7 +244,7 @@ class ExecutionStats:
         default folds everything (the service's cross-job totals).
         """
         for f in fields(self):
-            if f.metadata and scope in (None, f.metadata["scope"]):
+            if scope in (None, f.metadata["scope"]):
                 rule = _MERGE[f.metadata["merge"]]
                 mine, theirs = getattr(self, f.name), getattr(other, f.name)
                 setattr(self, f.name, rule(mine, theirs))
@@ -264,7 +255,7 @@ class ExecutionStats:
         fields that name it as their ``source``, by their merge rule."""
         kind = type(record).__name__
         for f in fields(self):
-            source, _, attr = (f.metadata.get("source") or "").partition(".")
+            source, _, attr = (f.metadata["source"] or "").partition(".")
             if source == kind:
                 value = getattr(record, attr or f.name)
                 if callable(value):

@@ -624,6 +624,13 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             return {"type": "pong"}, b""
         if kind == "lease":
             return self._handle_lease(header, now)
+        # The queue pops a lease before it looks at the position: a
+        # malformed id would drop the lease and orphan its shard.
+        ids = ("lease",) if kind == "heartbeat" else ("lease", "position")
+        if kind in ("heartbeat", "commit", "fail") and any(
+            type(header.get(key)) is not int for key in ids
+        ):
+            return {"type": "error", "message": f"{kind} needs integer {ids}"}, b""
         if kind == "config":
             batch = self._batch(header.get("batch"))
             if batch is None:
@@ -634,7 +641,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             alive = False
             if batch is not None:
                 alive = batch.queue.heartbeat(
-                    str(header.get("worker")), header.get("lease"), now
+                    str(header.get("worker")), header["lease"], now
                 )
             return {"type": "ok", "live": alive}, b""
         if kind == "commit":
@@ -642,9 +649,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             if batch is None:
                 return {"type": "gone"}, b""
             outcome = batch.queue.commit(
-                header.get("lease"),
+                header["lease"],
                 str(header.get("worker")),
-                header.get("position", -1),
+                header["position"],
                 payload,
                 now,
             )
@@ -654,9 +661,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             batch = self._batch(header.get("batch"))
             if batch is not None:
                 batch.queue.fail(
-                    header.get("lease"),
+                    header["lease"],
                     str(header.get("worker")),
-                    header.get("position", -1),
+                    header["position"],
                     bool(header.get("transient")),
                     str(header.get("error", "worker reported a failure")),
                     now,

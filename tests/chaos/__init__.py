@@ -30,11 +30,9 @@ def faulted(
     pipeline.faults, pipeline.retry, pipeline.dist_policy = faults, retry, policy
     if faults is not None and faults.enospc_puts and pipeline.cache is not None:
         pipeline.cache = FaultyCache(pipeline.cache, faults)  # as its constructor does
-    return pipeline.run(
-        column.layout(),
-        machine=None if program_path else "off",
-        program_path=program_path,
-    )
+    if not program_path:
+        pipeline.machine = None
+    return pipeline.run(column.layout(), program_path=program_path)
 
 #: Bytes no cache reader accepts: wrong magic, wrong framing, too short
 #: to be a valid payload of either entry family.

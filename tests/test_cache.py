@@ -424,53 +424,46 @@ class TestConcurrentStore:
 
 
 class TestCachedExecution:
-    def pipeline(self, tmp_path, **kwargs):
+    def pipeline(self, tmp_path=None):
+        """The PEC pipeline under test; cached in ``tmp_path`` if given."""
         return PreparationPipeline(
             corrector=IterativeDoseCorrector(),
             psf=PSF,
             field_size=20.0,
-            cache_dir=tmp_path / "shard-cache",
-            **kwargs,
+            cache_dir=tmp_path / "shard-cache" if tmp_path is not None else None,
         )
 
     def test_one_field_edit_recomputes_one_shard(self, tmp_path):
         polys = grid_of_squares(4, 4, pitch=10.0, side=4.0)
         pipe = self.pipeline(tmp_path)
-        cold = pipe.run_polygons(polys)
+        cold = pipe.run(polys)
         shard_count = cold.execution.shard_count
         edited = list(polys)
         edited[0] = Polygon.rectangle(1.0, 1.0, 4.0, 4.0)  # same field
-        rerun = pipe.run_polygons(edited)
+        rerun = pipe.run(edited)
         assert rerun.execution.cache_misses == 1
         assert rerun.execution.cache_hits == shard_count - 1
-        reference = pipe.run_polygons(edited, cache=False)
+        reference = self.pipeline().run(edited)
         assert rerun.job.digest() == reference.job.digest()
 
-    def test_cache_disabled_reports_no_lookups(self, tmp_path):
-        pipe = self.pipeline(tmp_path)
-        result = pipe.run_polygons(grid_of_squares(2, 2), cache=False)
+    def test_cache_disabled_reports_no_lookups(self):
+        result = self.pipeline().run(grid_of_squares(2, 2))
         assert result.execution.cache_enabled is False
         assert result.execution.cache_hits == 0
         assert result.execution.cache_misses == 0
 
     def test_uncached_pipeline_never_touches_disk(self):
         pipe = PreparationPipeline(field_size=20.0)
-        result = pipe.run_polygons(grid_of_squares(3, 3))
+        result = pipe.run(grid_of_squares(3, 3))
         assert result.execution.cache_enabled is False
 
-    def test_cache_true_without_cache_raises(self):
-        pipe = PreparationPipeline(field_size=20.0)
-        with pytest.raises(ValueError):
-            pipe.run_polygons(grid_of_squares(2, 2), cache=True)
-
-    def test_explicit_cache_override(self, tmp_path):
+    def test_two_pipelines_share_one_cache(self, tmp_path):
         polys = grid_of_squares(3, 3)
-        pipe = PreparationPipeline(field_size=20.0)
-        override = ShardCache(tmp_path / "explicit")
-        first = pipe.run_polygons(polys, cache=override).execution
-        second = pipe.run_polygons(polys, cache=override).execution
-        assert first.cache_misses == first.shard_count
-        assert second.cache_hits == second.shard_count
+        shared = ShardCache(tmp_path / "explicit")
+        first = PreparationPipeline(field_size=20.0, cache=shared).run(polys)
+        second = PreparationPipeline(field_size=20.0, cache=shared).run(polys)
+        assert first.execution.cache_misses == first.execution.shard_count
+        assert second.execution.cache_hits == second.execution.shard_count
 
     def test_run_many_shares_cache_across_sources(self, tmp_path):
         pipe = self.pipeline(tmp_path)

@@ -281,8 +281,8 @@ class TestCacheFaultScenarios:
         cache.path_for(foreign_key).parent.mkdir(parents=True)
         cache.path_for(foreign_key).write_bytes(b"garbage")
         pipeline = GRATING.pipeline()
-        pipeline.cache = cache
-        stats = pipeline.run(GRATING.layout(), machine="off").execution
+        pipeline.cache, pipeline.machine = cache, None
+        stats = pipeline.run(GRATING.layout()).execution
         assert cache.stats.evictions == 1
         assert stats.cache_evictions == 0
         assert stats.cache_misses == stats.shard_count
@@ -524,6 +524,7 @@ class TestDeadline:
         pipeline.faults = FaultPlan(transient=frozenset({(0, 0), (0, 1)}))
         pipeline.retry = RetryPolicy(max_attempts=3, backoff_base=30.0)
         pipeline.deadline = deadline
+        pipeline.machine = None
         timer = threading.Timer(
             0.3, lambda: (cancel.set(), deadline.interrupt())
         )
@@ -531,7 +532,7 @@ class TestDeadline:
         timer.start()
         try:
             with pytest.raises(Cancelled):
-                pipeline.run(GRATING.layout(), machine="off")
+                pipeline.run(GRATING.layout())
         finally:
             timer.cancel()
         assert time.monotonic() - start < 15.0

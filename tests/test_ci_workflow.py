@@ -37,7 +37,9 @@ def test_every_path_a_step_names_exists():
     named = {
         path
         for _, _, script in run_steps()
-        for path in re.findall(r"\b(?:tests|tools|benchmarks)/[\w./-]*\w", script)
+        for path in re.findall(
+            r"\b(?:tests|tools|benchmarks|examples)/[\w./-]*\w", script
+        )
     }
     assert "tools/conformance.py" in named and len(named) > 5
     # BENCH_*.json sidecars are written by the benchmark step before.

@@ -355,16 +355,14 @@ class TestKernelFallbackLine:
         from repro.geometry.polygon import Polygon
 
         pipe = PreparationPipeline(field_size=20.0)
-        clean = pipe.run_polygons([Polygon.rectangle(0, 0, 5, 5)])
+        clean = pipe.run([Polygon.rectangle(0, 0, 5, 5)])
         _print_result(clean)
         assert "kernel:" not in capsys.readouterr().out
 
         # Beyond 2**53 dbu the fast kernel hands the sweep to the
         # reference engine; the CLI must say so.
         far = (1 << 53) * 1e-3 * 2.0
-        degraded = pipe.run_polygons(
-            [Polygon.rectangle(far, far, far + 5.0, far + 5.0)]
-        )
+        degraded = pipe.run([Polygon.rectangle(far, far, far + 5.0, far + 5.0)])
         _print_result(degraded)
         out = capsys.readouterr().out
         assert "kernel:    1 fast-path fallbacks (1 coord-limit" in out

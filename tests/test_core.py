@@ -239,10 +239,10 @@ class TestFidelity:
             assert dense is not None and iso is not None
             return abs(dense - iso)
 
-        raw = PreparationPipeline().run_polygons(polys)
+        raw = PreparationPipeline().run(polys)
         pec = PreparationPipeline(
             corrector=IterativeDoseCorrector(), psf=psf
-        ).run_polygons(polys)
+        ).run(polys)
         assert measure(pec.job) < measure(raw.job)
 
 

@@ -757,15 +757,15 @@ class TestDistributedRuns:
         )
         fleet(2)
         inside = layout(2**31 - 1)
-        result = pipeline(**distributed).run_polygons(inside)
+        result = pipeline(**distributed).run(inside)
         assert result.execution.dist_local_fallbacks == 0
         assert dumps_job(result.job) == dumps_job(
-            pipeline().run_polygons(inside).job
+            pipeline().run(inside).job
         )
         with pytest.raises(ValueError, match="cannot tile") as local:
-            pipeline().run_polygons(layout(2**31))
+            pipeline().run(layout(2**31))
         with pytest.raises(ValueError, match="cannot tile") as remote:
-            pipeline(**distributed).run_polygons(layout(2**31))
+            pipeline(**distributed).run(layout(2**31))
         assert str(remote.value) == str(local.value)
 
     def test_no_workers_falls_back_to_local_ladder(self, endpoint):
@@ -972,12 +972,12 @@ class TestDistributedRuns:
         )
         pipeline = COLUMN.pipeline(dispatch="distributed", workers_endpoint=endpoint)
         pipeline.dist_policy = policy
-        pipeline.deadline = Deadline(check=check)
+        pipeline.deadline, pipeline.machine = Deadline(check=check), None
         canceller = threading.Thread(target=request_cancel, daemon=True)
         canceller.start()
         try:
             with pytest.raises(Cancelled):
-                pipeline.run(COLUMN.layout(), machine="off")
+                pipeline.run(COLUMN.layout())
             landed = time.monotonic() - cancelled_at[0]
         finally:
             release.set()
@@ -1068,6 +1068,34 @@ class TestRecipeAndServerPlumbing:
         server.stop()
         with pytest.raises(OSError):
             request((host, port), {"type": "ping"}, timeout=0.5)
+
+    def test_malformed_frame_keeps_its_lease(self):
+        # Regression: a commit whose position was not an int popped its
+        # lease, then raised — the shard was orphaned and the batch never
+        # finished.  The frame is refused before the queue is touched.
+        server = CoordinatorServer(("127.0.0.1", 0))
+        try:
+            batch = server.submit_batch([b"a", b"b"], b"cfg")
+            first, second = (
+                server.dispatch({"type": "lease", "worker": "w"}, b"")[0]
+                for _ in range(2)
+            )
+            def commit(task, **header):
+                frame = {"type": "commit", "batch": batch.id, "worker": "w"}
+                frame.update(lease=task["lease"], position=task["position"])
+                return server.dispatch({**frame, **header}, b"shots")[0]
+
+            assert commit(first)["outcome"] == "accepted"
+            for bad in ("0", 3.0, [1], True, None):
+                assert commit(second, position=bad)["type"] == "error"
+                assert commit(second, type="fail", position=bad)["type"] == "error"
+                assert commit(second, type="heartbeat", lease=bad)["type"] == "error"
+            state = batch.queue.state(time.monotonic())
+            assert (state.finished, state.outstanding, state.error) == (False, 1, None)
+            assert commit(second)["outcome"] == "accepted"
+            assert batch.queue.state(time.monotonic()).finished
+        finally:
+            server.server_close()
 
     def test_batch_ids_unique_across_server_instances(self):
         # Sequential numbering restarts in every coordinator process; a

@@ -83,9 +83,7 @@ class TestDeterminism:
     def test_worker_count_never_changes_plan(self):
         polys = grid_of_squares(5, 5)
         for workers in (1, 2, 5):
-            result = PreparationPipeline().run_polygons(
-                polys, workers=workers, field_size=25.0
-            )
+            result = PreparationPipeline(workers=workers, field_size=25.0).run(polys)
             assert result.execution.shard_count == 4
 
 
@@ -105,9 +103,8 @@ class TestShardMerge:
 
     def test_merged_report_matches_unsharded_totals(self):
         polys = grid_of_squares(4, 4)
-        pipe = PreparationPipeline()
-        whole = pipe.run_polygons(polys)
-        sharded = pipe.run_polygons(polys, field_size=20.0)
+        whole = PreparationPipeline().run(polys)
+        sharded = PreparationPipeline(field_size=20.0).run(polys)
         assert (
             sharded.fracture_report.figure_count
             == whole.fracture_report.figure_count
@@ -128,23 +125,19 @@ class TestShardMerge:
 class TestWorkersFallback:
     def test_workers_one_never_uses_pool(self):
         polys = grid_of_squares(4, 4)
-        result = PreparationPipeline().run_polygons(
-            polys, workers=1, field_size=20.0
-        )
+        result = PreparationPipeline(workers=1, field_size=20.0).run(polys)
         assert result.execution.parallel is False
         assert result.execution.workers == 1
 
     def test_single_shard_never_uses_pool(self):
         polys = grid_of_squares(3, 3)
-        result = PreparationPipeline().run_polygons(polys, workers=4)
+        result = PreparationPipeline(workers=4).run(polys)
         assert result.execution.shard_count == 1
         assert result.execution.parallel is False
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            PreparationPipeline().run_polygons(
-                grid_of_squares(2, 2), workers=-2
-            )
+            PreparationPipeline(workers=-2)
 
     def test_default_run_is_single_shard_serial(self):
         result = PreparationPipeline().run(generators.grating(lines=5))
@@ -155,12 +148,10 @@ class TestWorkersFallback:
 
 class TestBatchAPIs:
     def test_run_many_matches_individual_runs(self):
-        pipe = PreparationPipeline()
         sources = [generators.grating(lines=4), generators.grating(lines=7)]
-        batch = pipe.run_many(sources, workers=2, field_size=15.0)
-        singles = [
-            pipe.run(s, workers=1, field_size=15.0) for s in sources
-        ]
+        batch = PreparationPipeline(workers=2, field_size=15.0).run_many(sources)
+        serial = PreparationPipeline(workers=1, field_size=15.0)
+        singles = [serial.run(s) for s in sources]
         assert len(batch) == 2
         for b, s in zip(batch, singles):
             assert [shot_key(x) for x in b.job.shots] == [
@@ -180,7 +171,7 @@ class TestBatchAPIs:
         cell = Cell("TWO_LAYERS")
         cell.add_rectangle(0, 0, 5, 5, Layer(1))
         cell.add_rectangle(10, 0, 15, 5, Layer(2))
-        results = PreparationPipeline().run_layers(cell, workers=2)
+        results = PreparationPipeline(workers=2).run_layers(cell)
         assert set(results) == {Layer(1), Layer(2)}
         for layer, result in results.items():
             assert result.job.figure_count() == 1
@@ -220,27 +211,25 @@ class TestOverlapPolicy:
 
     def test_pipeline_run_surfaces_the_warning(self):
         with pytest.warns(ShardOverlapWarning):
-            PreparationPipeline(field_size=20.0).run_polygons(
-                self.overlapping_layout()
-            )
+            PreparationPipeline(field_size=20.0).run(self.overlapping_layout())
 
     def test_union_policy_removes_double_count(self):
         polys = self.overlapping_layout()
-        whole = PreparationPipeline().run_polygons(polys)
+        whole = PreparationPipeline().run(polys)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShardOverlapWarning)
             sharded = PreparationPipeline(
                 field_size=20.0, overlap_policy="union"
-            ).run_polygons(polys)
+            ).run(polys)
         assert sharded.fracture_report.total_area == pytest.approx(
             whole.fracture_report.total_area
         )
 
     def test_warn_policy_double_counts_as_documented(self):
         polys = self.overlapping_layout()
-        whole = PreparationPipeline().run_polygons(polys)
+        whole = PreparationPipeline().run(polys)
         with pytest.warns(ShardOverlapWarning):
-            sharded = PreparationPipeline(field_size=20.0).run_polygons(polys)
+            sharded = PreparationPipeline(field_size=20.0).run(polys)
         overlap_area = 4.0 * 6.0  # x in [14, 18], y in [0, 6]
         assert sharded.fracture_report.total_area == pytest.approx(
             whole.fracture_report.total_area + overlap_area
@@ -283,7 +272,7 @@ class TestOverlapPolicy:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShardOverlapWarning)
-            result = PreparationPipeline(field_size=50.0).run_polygons(polys)
+            result = PreparationPipeline(field_size=50.0).run(polys)
         assert result.fracture_report.total_area == pytest.approx(
             10.0 * 6.0
         )
@@ -857,6 +846,4 @@ class TestStatsSchema:
         )
         for f in dataclasses.fields(ExecutionStats):
             assert f.name in documented, f"{f.name} has no Attributes: entry"
-            if f.name != "program":
-                assert f.metadata.get("group"), f"{f.name} is outside the schema"
-        assert not ExecutionStats.__dataclass_fields__["program"].metadata
+            assert f.metadata.get("group"), f"{f.name} is outside the schema"

@@ -322,7 +322,7 @@ class TestModeWiring:
                 corrector=IterativeDoseCorrector(matrix_mode=mode),
                 psf=PSF,
             )
-            results[mode] = pipe.run_polygons(layout)
+            results[mode] = pipe.run(layout)
         assert (
             results["sparse"].job.dose_digest()
             == results["dense"].job.dose_digest()

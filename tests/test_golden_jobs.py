@@ -78,7 +78,9 @@ def load_golden(name):
 @pytest.mark.parametrize("name", sorted(CANONICAL_LAYOUTS))
 def test_prepared_job_matches_golden(name, update_golden):
     column = CANONICAL_LAYOUTS[name]
-    record = snapshot_of(column.pipeline().run(column.layout(), machine="off"))
+    pipe = column.pipeline()
+    pipe.machine = None
+    record = snapshot_of(pipe.run(column.layout()))
 
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -105,10 +107,9 @@ def test_machine_programs_match_golden(name, update_golden, tmp_path):
 
     record = {}
     for mode in ("raster", "vsb"):
+        pipe.machine, path = mode, tmp_path / f"{mode}.ebp"
         cold, warm = (
-            pipe.run(
-                column.layout(), machine=mode, program_path=tmp_path / f"{mode}.ebp"
-            ).machine_program
+            pipe.run(column.layout(), program_path=path).machine_program
             for _ in range(2)
         )
         assert cold.stream_bytes > 0

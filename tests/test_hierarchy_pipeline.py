@@ -11,7 +11,7 @@ families, warm-run determinism and the CLI surface.
 import pytest
 
 from repro.cli import main
-from repro.core.cache import shard_cache_key
+from repro.core.cache import ShardCache, shard_cache_key
 from repro.core.executor import (
     Shard,
     ShardedExecutor,
@@ -92,9 +92,8 @@ class TestPlanFigureShards:
 
 class TestCellsModeParity:
     def test_figure_parity_with_flat(self, memory_lib):
-        pipe = PreparationPipeline()
-        flat = pipe.run(memory_lib)
-        cells = pipe.run(memory_lib, hierarchy="cells")
+        flat = PreparationPipeline().run(memory_lib)
+        cells = PreparationPipeline(hierarchy="cells").run(memory_lib)
         assert cells.job.figure_count() == flat.job.figure_count()
         assert cells.fracture_report.total_area == pytest.approx(
             flat.fracture_report.total_area
@@ -131,13 +130,10 @@ class TestCellsModeParity:
     def test_invalid_hierarchy_rejected(self, memory_lib):
         with pytest.raises(ValueError):
             PreparationPipeline(hierarchy="deep")
-        with pytest.raises(ValueError):
-            PreparationPipeline().run(memory_lib, hierarchy="nested")
 
     def test_run_layers_cells(self, memory_lib):
-        pipe = PreparationPipeline()
-        flat = pipe.run_layers(memory_lib)
-        cells = pipe.run_layers(memory_lib, hierarchy="cells")
+        flat = PreparationPipeline().run_layers(memory_lib)
+        cells = PreparationPipeline(hierarchy="cells").run_layers(memory_lib)
         assert set(flat) == set(cells)
         for layer in flat:
             assert (
@@ -157,8 +153,8 @@ class TestCellsModeParity:
             .polygons.values()
             for p in v
         ]
-        results = PreparationPipeline().run_many(
-            [memory_lib, polys, memory_lib], hierarchy="cells"
+        results = PreparationPipeline(hierarchy="cells").run_many(
+            [memory_lib, polys, memory_lib]
         )
         assert [r.execution.hierarchy for r in results] == [
             "cells",
@@ -177,9 +173,8 @@ class TestCellsModeParity:
         cell = Cell("DOUBLE")
         cell.add_rectangle(0, 0, 1, 1, layer=1)
         cell.add_rectangle(0, 0, 1, 1, layer=2)
-        pipe = PreparationPipeline()
-        flat = pipe.run(cell)
-        cells = pipe.run(cell, hierarchy="cells")
+        flat = PreparationPipeline().run(cell)
+        cells = PreparationPipeline(hierarchy="cells").run(cell)
         assert flat.job.figure_count() == 1
         assert cells.job.figure_count() == 1
         assert cells.fracture_report.total_area == pytest.approx(1.0)
@@ -200,13 +195,15 @@ class TestCellsModeParity:
 
 class TestFigureShardCache:
     def test_flat_and_figure_keys_never_collide(self, memory_lib, tmp_path):
-        pipe = PreparationPipeline(cache_dir=tmp_path, field_size=20.0)
-        pipe.run(memory_lib, hierarchy="cells")
+        shared = ShardCache(tmp_path)
+        PreparationPipeline(cache=shared, field_size=20.0, hierarchy="cells").run(
+            memory_lib
+        )
         # The flat expansion of the memory array has polygons straddling
         # the 20 µm tile boundaries — the planner is expected to flag
         # them (the cells run buckets per-cell figures and stays quiet).
         with pytest.warns(ShardOverlapWarning):
-            flat = pipe.run(memory_lib, hierarchy="flat")
+            flat = PreparationPipeline(cache=shared, field_size=20.0).run(memory_lib)
         # Same geometry, different key family: all flat shards miss.
         assert flat.execution.cache_hits == 0
 

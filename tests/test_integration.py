@@ -72,7 +72,7 @@ class TestEndToEnd:
             psf=PSF,
             machines=[ShapedBeamWriter(max_shot=2.5)],
         )
-        result = pipe.run_polygons(polys)
+        result = pipe.run(polys)
         assert result.corrected
         report = fidelity_report(result.job, polys, PSF, pixel=0.1)
         assert report.error_fraction < 0.35
@@ -148,10 +148,10 @@ class TestEndToEnd:
         flat = flatten_cell(lib.top_cell())
         polys = [p for v in flat.values() for p in v]
         vsb = ShapedBeamWriter()
-        raw = PreparationPipeline(machines=[vsb]).run_polygons(polys)
+        raw = PreparationPipeline(machines=[vsb]).run(polys)
         pec = PreparationPipeline(
             corrector=IterativeDoseCorrector(), psf=PSF, machines=[vsb]
-        ).run_polygons(polys)
+        ).run(polys)
         assert (
             pec.write_times["shaped-beam"].exposure
             > raw.write_times["shaped-beam"].exposure

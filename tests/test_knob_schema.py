@@ -8,7 +8,8 @@ field list is the schema every front door is generated from.
   over dicts drawn from the schema);
 * a bad CLI value is one ``error:`` line that names no private function;
 * the Python doors (pipeline, engine, machine spec, job) apply the
-  recipe's rules at construction and at the per-run overrides;
+  recipe's rules at construction, the only place a pipeline takes a
+  knob;
 * README's option table is the rendered schema.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import inspect
 import re
 import struct
 import sys
@@ -34,7 +36,6 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe, flag_of
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
-from repro.layout.cell import Cell
 from repro.machine.program import MachineProgramError, MachineSpec
 from repro.machine.raster import RasterScanWriter
 from repro.service.schemas import parse_job_spec
@@ -237,39 +238,20 @@ class TestThePythonDoorAppliesTheRule:
             with pytest.raises(ValueError, match=re.escape(complaint)):
                 ShardedExecutor(TrapezoidFracturer(), **{knob: value})
 
-    @pytest.mark.parametrize(
-        "override, complaint",
-        [
-            ({"workers": 1.5}, "workers must be an integer"),
-            ({"workers": True}, "workers must be an integer"),
-            ({"workers": -3}, "workers must be >= 1"),
-            ({"field_size": NAN}, "field_size must be finite"),
-            ({"field_size": -1}, "field_size must be positive"),
-            ({"machine": "ebes"}, "machine must be one of"),
-        ],
-    )
-    def test_at_the_per_run_override(self, override, complaint, monkeypatch):
-        # Rejected before any work is done on the override's behalf, at
-        # every door of the pipeline (the engine takes no overrides).
-        monkeypatch.setattr(
-            TrapezoidFracturer, "fracture_to_shots",
-            lambda *a, **k: pytest.fail("the run started"),
-        )
-        pipe = PreparationPipeline()
-        cell = Cell("SQUARES").add_polygons(SQUARES)
-        doors = (
-            lambda **o: pipe.run(SQUARES, **o),
-            lambda **o: pipe.run_polygons(SQUARES, **o),
-            lambda **o: pipe.run_streaming(SQUARES, **o),
-            lambda **o: pipe.run_many([SQUARES], **o),
-            lambda **o: pipe.run_layers(cell, **o),
-        )
-        for run in doors:
-            with pytest.raises(ValueError, match=re.escape(complaint)):
-                run(**override)
+    def test_no_door_takes_a_constructor_knob(self):
+        # A pipeline is one run's configuration: a knob a door also took
+        # would be a second place to set it.
+        knobs = set(inspect.signature(PreparationPipeline).parameters)
+        for door in ("run", "run_streaming", "run_layers", "run_many"):
+            taken = knobs & set(
+                inspect.signature(getattr(PreparationPipeline, door)).parameters
+            )
+            assert not taken, f"{door} also takes {sorted(taken)}"
+        executor = inspect.signature(PreparationPipeline.executor)
+        assert list(executor.parameters) == ["self"]
 
     def test_none_still_means_one_worker_per_core(self):
-        assert PreparationPipeline(workers=None).run_polygons(SQUARES).job.shots
+        assert PreparationPipeline(workers=None).run(SQUARES).job.shots
 
     @pytest.mark.parametrize("base_dose", [NAN, INF, 0.0, True])
     def test_a_job_needs_a_real_base_dose(self, base_dose):
@@ -278,7 +260,7 @@ class TestThePythonDoorAppliesTheRule:
 
     @pytest.mark.parametrize("base_dose", [NAN, INF, -INF, 0.0])
     def test_a_job_file_with_an_unreal_base_dose_is_malformed(self, base_dose):
-        data = bytearray(dumps_job(PreparationPipeline().run_polygons(SQUARES).job))
+        data = bytearray(dumps_job(PreparationPipeline().run(SQUARES).job))
         assert data[:4] == MAGIC
         struct.pack_into(">d", data, 12, base_dose)  # header: magic, unit, dose
         with pytest.raises(JobFileError, match="base dose must be"):
@@ -301,7 +283,7 @@ class TestThePythonDoorAppliesTheRule:
         monkeypatch.setattr(RasterScanWriter, "write_time", broken)
         pipe = PreparationPipeline(machine="raster", program_dir=tmp_path)
         with pytest.raises(RuntimeError, match="write-time model failed"):
-            pipe.run_polygons(SQUARES, name="squares")
+            pipe.run(SQUARES, name="squares")
         assert list(tmp_path.iterdir()) == []
 
 

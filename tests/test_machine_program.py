@@ -368,10 +368,9 @@ class TestPipelineThreading:
         pipe = PreparationPipeline(
             machine="raster", program_dir=tmp_path, field_size=6.0
         )
-        result = pipe.run_polygons(grating_polygons(), name="grating job")
+        result = pipe.run(grating_polygons(), name="grating job")
         program = result.machine_program
         assert program is not None
-        assert result.execution.program is program
         assert program.path.exists()
         assert program.path.parent == tmp_path
         assert program.mode == "raster"
@@ -379,16 +378,14 @@ class TestPipelineThreading:
         assert program.breakdown.total > 0
         assert program.channel.channel_rate > 0
 
-    def test_per_run_override_and_off(self, tmp_path):
-        pipe = PreparationPipeline(program_dir=tmp_path)
-        none = pipe.run_polygons(grating_polygons(lines=2), name="n")
+    def test_machine_mode_is_the_pipelines(self, tmp_path):
+        polys = grating_polygons(lines=2)
+        none = PreparationPipeline(program_dir=tmp_path).run(polys, name="n")
         assert none.machine_program is None
-        on = pipe.run_polygons(grating_polygons(lines=2), name="n", machine="vector")
-        assert on.machine_program.mode == "vector"
-        off = PreparationPipeline(
-            machine="raster", program_dir=tmp_path
-        ).run_polygons(grating_polygons(lines=2), name="n", machine="off")
-        assert off.machine_program is None
+        pipe = PreparationPipeline(machine="vector", program_dir=tmp_path)
+        assert pipe.run(polys, name="n").machine_program.mode == "vector"
+        pipe.machine = None  # a rebound knob takes effect on the next run
+        assert pipe.run(polys, name="n").machine_program is None
 
     def test_program_dir_created_on_demand(self, tmp_path):
         # The documented program_dir usage must work even when the
@@ -396,7 +393,7 @@ class TestPipelineThreading:
         pipe = PreparationPipeline(
             machine="raster", program_dir=tmp_path / "programs" / "nested"
         )
-        result = pipe.run_polygons(grating_polygons(lines=2), name="n")
+        result = pipe.run(grating_polygons(lines=2), name="n")
         assert result.machine_program.path.exists()
 
     def test_failed_export_preserves_existing_program(self, tmp_path):
@@ -421,9 +418,6 @@ class TestPipelineThreading:
     def test_invalid_machine_rejected(self):
         with pytest.raises(ValueError, match="machine"):
             PreparationPipeline(machine="ebes")
-        pipe = PreparationPipeline()
-        with pytest.raises(ValueError, match="machine"):
-            pipe.run_polygons(grating_polygons(lines=1), machine="ebes")
 
     def test_run_layers_per_layer_programs(self, tmp_path):
         lib = generators.memory_array(words=2, bits=2, blocks=(2, 2))

@@ -336,7 +336,7 @@ class TestStreamingPipeline:
     def test_raw_polygon_iterable_source(self, tmp_path):
         polys = _flat_sequence(generators.grating(lines=6))
         pipe = PreparationPipeline(field_size=4.0)
-        mat = pipe.run_polygons(polys)
+        mat = pipe.run(polys)
         res = pipe.run_streaming(iter(polys), job_path=tmp_path / "raw.ebj")
         assert (tmp_path / "raw.ebj").read_bytes() == dumps_job(mat.job)
         assert res.source_polygons == len(polys)

@@ -526,7 +526,7 @@ def run_modes(tmp_path):
     def resident(**kwargs):
         return lambda polygons, pitch: PreparationPipeline(
             field_size=pitch, **kwargs
-        ).run_polygons(polygons).job
+        ).run(polygons).job
 
     return {
         "serial": resident(),

@@ -604,7 +604,7 @@ def reference(column: Column) -> Outcome:
 
 # -- reading a door's statistics back ---------------------------------------
 
-_STAT_TYPES = {f.name: type(f.default) for f in fields(ExecutionStats) if f.metadata}
+_STAT_TYPES = {f.name: type(f.default) for f in fields(ExecutionStats)}
 _DIST_ORDER = list(ExecutionStats().select("group", "dist"))
 #: The CLI block's derived texts (``ExecutionStats.lines``), as patterns.
 _DERIVED = {
@@ -671,12 +671,11 @@ def stats_from_json(view: dict) -> ExecutionStats:
     object (:meth:`ExecutionStats.to_json`, inverted by the schema)."""
     stats = ExecutionStats()
     for f in fields(ExecutionStats):
-        if f.metadata:
-            group = f.metadata["group"]
-            scope = view.get(group, {}) if GROUPS[group][0] else view
-            key = f.metadata["alias"] or f.name
-            if key in scope:
-                setattr(stats, f.name, scope[key])
+        group = f.metadata["group"]
+        scope = view.get(group, {}) if GROUPS[group][0] else view
+        key = f.metadata["alias"] or f.name
+        if key in scope:
+            setattr(stats, f.name, scope[key])
     return stats
 
 
@@ -690,8 +689,7 @@ _EXECUTION_WITNESSES = {
 PARITY = tuple(
     f.name
     for f in fields(ExecutionStats)
-    if f.metadata
-    and f.metadata["group"] in ("run", "cells")
+    if f.metadata["group"] in ("run", "cells")
     and f.name not in _EXECUTION_WITNESSES
 )
 
