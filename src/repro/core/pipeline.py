@@ -205,7 +205,6 @@ class PreparationPipeline:
         dist_policy=None,
         deadline=None,
     ) -> None:
-        check_knobs(hierarchy=hierarchy, machine=machine, address_unit=address_unit)
         require(POSITIVE, "base_dose", base_dose)
         self.fracturer = fracturer if fracturer is not None else TrapezoidFracturer()
         self.corrector = corrector
@@ -241,10 +240,16 @@ class PreparationPipeline:
 
     def executor(self) -> ShardedExecutor:
         """The execution engine for one run, built from the pipeline's
-        current configuration (rebinding ``fracturer``/``corrector``/
-        ``psf`` on the pipeline takes effect on the next run) and
-        checked by the engine before any work is done on its behalf.
-        The engine's cache is also the run's program-segment cache."""
+        current configuration (a knob rebound on the pipeline takes
+        effect on the next run) and checked — the pipeline's own knobs
+        here, the rest by the engine — before any work is done on its
+        behalf.  The engine's cache is also the run's program-segment
+        cache."""
+        check_knobs(
+            hierarchy=self.hierarchy,
+            machine=self.machine,
+            address_unit=self.address_unit,
+        )
         return ShardedExecutor(
             self.fracturer,
             corrector=self.corrector,
@@ -282,8 +287,10 @@ class PreparationPipeline:
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
         """
+        engine = self.executor()
         items = self._work_items(source, None if layer is None else [layer], False)
-        return self._run_batch(items, [name] if name else None, program_path)[0]
+        names = [name] if name else None
+        return self._run_batch(engine, items, names, program_path)[0]
 
     def run_streaming(
         self,
@@ -371,8 +378,9 @@ class PreparationPipeline:
         Returns:
             Mapping layer → result, in layer sort order.
         """
+        engine = self.executor()
         items = self._work_items(source, layers, True)
-        results = self._run_batch(items, None)
+        results = self._run_batch(engine, items, None)
         return {layer: result for (layer, *_), result in zip(items, results)}
 
     def run_many(
@@ -390,13 +398,14 @@ class PreparationPipeline:
         sources in the same batch still run flat, in the same
         interleaved shard list.
         """
+        engine = self.executor()
         layers = None if layer is None else [layer]
         items = [
             item
             for source in sources
             for item in self._work_items(source, layers, False)
         ]
-        return self._run_batch(items, names)
+        return self._run_batch(engine, items, names)
 
     def _work_items(
         self,
@@ -452,14 +461,16 @@ class PreparationPipeline:
 
     def _run_batch(
         self,
+        engine: ShardedExecutor,
         items: List[tuple],
         names: Optional[Sequence[str]],
         program_path: Optional[Union[str, Path]] = None,
     ) -> List[PipelineResult]:
-        """Execute :meth:`_work_items` jobs as one interleaved shard
-        list and finish each into a result (``names`` override the
-        inferred job names; ``program_path`` is for one-job batches)."""
-        outcomes = self.executor().execute_many(
+        """Execute :meth:`_work_items` jobs on ``engine`` as one
+        interleaved shard list and finish each into a result (``names``
+        override the inferred job names; ``program_path`` is for one-job
+        batches)."""
+        outcomes = engine.execute_many(
             [geometry for _, geometry, *_ in items],
             prefractured=[hier is not None for *_, hier in items],
         )

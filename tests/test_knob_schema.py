@@ -9,7 +9,7 @@ field list is the schema every front door is generated from.
 * a bad CLI value is one ``error:`` line that names no private function;
 * the Python doors (pipeline, engine, machine spec, job) apply the
   recipe's rules at construction, the only place a pipeline takes a
-  knob;
+  knob, and again at the next run for a knob rebound on a pipeline;
 * README's option table is the rendered schema.
 """
 
@@ -36,6 +36,7 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe, flag_of
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
+from repro.layout.cell import Cell
 from repro.machine.program import MachineProgramError, MachineSpec
 from repro.machine.raster import RasterScanWriter
 from repro.service.schemas import parse_job_spec
@@ -249,6 +250,41 @@ class TestThePythonDoorAppliesTheRule:
             assert not taken, f"{door} also takes {sorted(taken)}"
         executor = inspect.signature(PreparationPipeline.executor)
         assert list(executor.parameters) == ["self"]
+
+    @pytest.mark.parametrize(
+        "override, complaint",
+        [
+            ({"workers": 1.5}, "workers must be an integer"),
+            ({"workers": True}, "workers must be an integer"),
+            ({"workers": -3}, "workers must be >= 1"),
+            ({"field_size": NAN}, "field_size must be finite"),
+            ({"field_size": -1}, "field_size must be positive"),
+            ({"machine": "ebes"}, "machine must be one of"),
+        ],
+    )
+    def test_at_the_per_run_override(self, override, complaint, monkeypatch):
+        # The one per-run override left is a knob rebound on the pipeline
+        # between runs: it is rejected before any work is done on its
+        # behalf, at every door, even when the pipeline would fracture
+        # its cells before sharding.
+        for method in ("fracture", "fracture_to_shots"):
+            monkeypatch.setattr(
+                TrapezoidFracturer, method,
+                lambda *a, **k: pytest.fail("the run started"),
+            )
+        pipe = PreparationPipeline(hierarchy="cells")
+        for knob, value in override.items():
+            setattr(pipe, knob, value)
+        cell = Cell("SQUARES").add_polygons(SQUARES)
+        doors = (
+            lambda: pipe.run(cell),
+            lambda: pipe.run_streaming(SQUARES),
+            lambda: pipe.run_many([cell, SQUARES]),
+            lambda: pipe.run_layers(cell),
+        )
+        for run in doors:
+            with pytest.raises(ValueError, match=re.escape(complaint)):
+                run()
 
     def test_none_still_means_one_worker_per_core(self):
         assert PreparationPipeline(workers=None).run(SQUARES).job.shots
