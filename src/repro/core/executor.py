@@ -30,11 +30,13 @@ Both entry points of :class:`ShardedExecutor` run the same loop
 shards, the loop does cache lookup → dispatch → store → recovery
 attribution per window, and a *sink* receives each result in row-major
 order.  Resident sequences (:meth:`~ShardedExecutor.execute_many`) are
-one window whose results are held for the merge; a one-shot polygon
-cursor (:meth:`~ShardedExecutor.execute_stream`) is spooled to disk and
-arrives as one window per shard row whose results are spilled
-(:class:`StreamingExecution`).  Which pair runs follows from the input,
-never from a knob, and both produce the same bytes and counters.
+one window whose results are held; a one-shot polygon cursor
+(:meth:`~ShardedExecutor.execute_stream`) is spooled to disk and
+arrives as one window per shard row whose results are spilled.  Both
+land in one sink class, :class:`ExecutionResult`, which merges the
+reports and re-reads what it spilled.  Which source runs, and whether
+its sink holds or spills, follows from the input, never from a knob,
+and both produce the same bytes and counters.
 
 Caching
 -------
@@ -61,6 +63,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -92,6 +95,7 @@ from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
+from repro.geometry.vertex_array import sequential_sum
 from repro.pec.base import ProximityCorrector
 from repro.physics.psf import DoubleGaussianPSF
 
@@ -156,23 +160,158 @@ class ShardResult:
         return loads_shard_result, (dumps_shard_result(self),)
 
 
-@dataclass
 class ExecutionResult:
-    """Merged output of all shards, in deterministic shard order.
+    """One layout's shard results in row-major shard order — the sink
+    both doors of :class:`ShardedExecutor` end in.
 
-    ``shots`` is the shard results' blocks stacked in plan order;
-    ``shard_results`` keeps the per-shard results so downstream
-    consumers — the machine-program exporter above all — can stream per
-    shard without re-partitioning the merged list.
+    The shard loop hands it every result through :meth:`add`.  A
+    resident run (:meth:`~ShardedExecutor.execute_many`, one per layout)
+    holds each result; a streamed run
+    (:meth:`~ShardedExecutor.execute_stream`) spills it to the cache's
+    content-addressed blob family (:meth:`~repro.core.cache.ShardCache.
+    spill_key_for`; a private spill directory when no cache is
+    configured) and keeps only the blob key.  A failed spill store
+    degrades that shard (and the rest of the run) to being held, with
+    one :class:`SpillDegradedWarning` — never a crash.
+
+    Either way it answers the same questions, once: the merged
+    :attr:`report`, :attr:`corrected`, :attr:`total_shots`, the
+    :attr:`stats` and :meth:`results`, a re-iterable row-major cursor
+    that re-reads spilled results one at a time, so assembling a
+    streamed job never holds more than one shard's shots.
+
+    Use as a context manager (or call :meth:`close`) so a streamed run
+    without a configured cache removes its private spill directory.
     """
 
-    shots: ShotView = field(default_factory=lambda: ShotView.concat([]))
-    report: FractureReport = field(
-        default_factory=lambda: analyze_figures([])
-    )
-    corrected: bool = False
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-    shard_results: List[ShardResult] = field(default_factory=list)
+    def __init__(
+        self,
+        correcting: bool = False,
+        stats: Optional[ExecutionStats] = None,
+        spill: bool = False,
+        cache: Optional[ShardCache] = None,
+    ) -> None:
+        self.stats = stats if stats is not None else ExecutionStats()
+        #: Polygons the streamed door's spool read (set by the pipeline
+        #: for a resident run).
+        self.source_polygons = 0
+        self.total_shots = 0
+        self._correcting = correcting
+        self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
+        self._reports: List[FractureReport] = []
+        self._areas: List[float] = []
+        self._closed = False
+        self._spill_dir = None
+        self._spill: Optional[ShardCache] = None
+        if spill:
+            if cache is None:
+                self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
+                cache = ShardCache(self._spill_dir)
+            self._spill = cache
+            self._store = ContainedStore(
+                SpillDegradedWarning,
+                "shard-result spilling degraded to the in-memory merge for "
+                "the rest of this run ({reason}); results are unaffected, but "
+                "memory is no longer bounded by one shard row",
+                stacklevel=5,
+            )
+
+    @property
+    def streamed(self) -> bool:
+        """Results are spilled, not held."""
+        return self._spill is not None
+
+    def add(self, key: Optional[str], result: ShardResult) -> int:
+        """Take the next result (engine-facing); returns its serialized
+        size when spilled — its share of the window's resident bytes —
+        else 0."""
+        self._reports.append(result.report)
+        self._areas.append(result.reference_area)
+        self.total_shots += len(result.shots)
+        if self._spill is None:
+            self._entries.append((None, result))
+            return 0
+        from repro.core.jobfile import dumps_shard_result
+
+        payload = dumps_shard_result(result)
+        blob_key = self._spill.spill_key_for(
+            key or f"stream-position:{len(self._entries)}"
+        )
+        if self._store(self._spill.put_blob, blob_key, payload):
+            self.stats.shards_spilled += 1
+            self.stats.spill_bytes += len(payload)
+            self._entries.append((blob_key, None))
+        else:
+            self.stats.spill_fallbacks += 1
+            self._entries.append((None, result))
+        return len(payload)
+
+    @property
+    def report(self) -> FractureReport:
+        """The shard reports merged, against the shards' reference
+        areas added left to right."""
+        return merge_reports(
+            self._reports, reference_area=sequential_sum(self._areas)
+        )
+
+    @property
+    def corrected(self) -> bool:
+        """Proximity correction ran on at least one shot."""
+        return self._correcting and self.total_shots > 0
+
+    def results(self) -> Iterator[ShardResult]:
+        """Yield every :class:`ShardResult` in row-major shard order.
+
+        Held results are yielded directly; spilled ones are re-read from
+        the blob store one at a time (without touching the cache's
+        hit/miss accounting).  The cursor is re-iterable — job assembly
+        and the machine-program export each take their own pass.
+        """
+        from repro.core.jobfile import loads_shard_result
+
+        for key, held in self._entries:
+            if held is not None:
+                yield held
+                continue
+            if self._closed:
+                raise RuntimeError(
+                    "execution is closed; its spilled shard results are "
+                    "no longer readable"
+                )
+            payload = self._spill.get_blob(key, record=False)
+            if payload is None:
+                raise RuntimeError(
+                    f"spilled shard result {key} vanished from the cache "
+                    "before job assembly (cache pruned concurrently?)"
+                )
+            yield loads_shard_result(payload)
+
+    @property
+    def shard_results(self) -> List[ShardResult]:
+        """Every result, resident."""
+        return list(self.results())
+
+    @property
+    def shots(self) -> ShotView:
+        """Every result's shots, stacked in shard order."""
+        return ShotView.concat([result.rows for result in self.results()])
+
+    def close(self) -> None:
+        """Release the private spill directory (idempotent).
+
+        Spills into a caller-configured :class:`ShardCache` are left in
+        place: they are content-addressed blobs a concurrent run may
+        share, and ordinary cache maintenance prunes them.
+        """
+        self._closed = True
+        if self._spill_dir is not None:
+            shutil.rmtree(self._spill_dir, ignore_errors=True)
+
+    def __enter__(self) -> "ExecutionResult":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _process_shard(
@@ -215,8 +354,8 @@ def _process_shard_task(
     """Every rung's entry point for one ``(position, attempt, shard)``
     work item — pool, serial and remote worker alike: fire any scheduled
     injection fault, then process the shard.  ``config``/``faults`` are
-    bound via ``functools.partial`` so they pickle once per submission
-    batch, not once per shard."""
+    bound via ``functools.partial``, which a pool pickles with every
+    submission — one shard's task carries its whole configuration."""
     position, attempt, shard = task
     if faults is not None:
         faults.fire(position, attempt)
@@ -269,20 +408,11 @@ def _map_shards(
 def merge_shard_results(
     results: Sequence[ShardResult], corrected: bool, stats: ExecutionStats
 ) -> ExecutionResult:
-    """Stack the shard shot blocks in shard order and merge the
-    reports."""
-    shots = ShotView.concat([result.rows for result in results])
-    reference = sum(r.reference_area for r in results)
-    report = merge_reports(
-        [r.report for r in results], reference_area=reference
-    )
-    return ExecutionResult(
-        shots=shots,
-        report=report,
-        corrected=corrected,
-        stats=stats,
-        shard_results=list(results),
-    )
+    """Hold ``results`` (in shard order) as one layout's execution."""
+    merged = ExecutionResult(corrected, stats)
+    for result in results:
+        merged.add(None, result)
+    return merged
 
 
 #: Spool record framing: a big-endian vertex count followed by that many
@@ -371,164 +501,21 @@ def _spooled_windows(polygons, field_size: Optional[float]):
             pass
 
 
-class _HeldResults:
-    """The hold-and-merge sink: every result stays resident, grouped by
-    owner in arrival (row-major) order, for :func:`merge_shard_results`.
-    Touches neither the spool nor any spill store."""
-
-    streamed = False
-
-    def __init__(self, owners: int) -> None:
-        self.grouped: List[List[ShardResult]] = [[] for _ in range(owners)]
-
-    def add(self, owner, key, result: ShardResult, stats) -> int:
-        self.grouped[owner].append(result)
-        return 0
-
-
-class StreamingExecution:
-    """Handle on one out-of-core execution — the spill-and-iterate sink.
-
-    While :meth:`ShardedExecutor.execute_stream` runs, the shard loop
-    hands every result to :meth:`add`, which spills it to the cache's
-    content-addressed blob family (:meth:`~repro.core.cache.ShardCache.
-    spill_key_for`; a private spill directory when no cache is
-    configured) and keeps only the blob key.  Afterwards the handle
-    carries the merged :class:`~repro.fracture.quality.FractureReport`,
-    the :class:`ExecutionStats` (streaming witness counters live) and a
-    *re-iterable* row-major cursor over the shard results —
-    :meth:`iter_results` re-reads each spilled result one at a time, so
-    job assembly never holds more than one shard's shots resident.
-
-    A failed spill store degrades that shard (and the rest of the run)
-    to being held resident, with one :class:`SpillDegradedWarning` —
-    never a crash.
-
-    Use as a context manager (or call :meth:`close`) so a run without a
-    configured cache can remove its private spill directory;
-    ``execute_stream`` closes the handle itself when it does not return
-    one.
-    """
-
-    streamed = True
-
-    def __init__(self, cache: Optional[ShardCache] = None) -> None:
-        # Set by execute_stream once the loop has drained into the sink.
-        self.stats: Optional[ExecutionStats] = None
-        self.report: Optional[FractureReport] = None
-        self.corrected = False
-        self.source_polygons = 0
-        self.total_shots = 0
-        self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
-        self._reports: List[FractureReport] = []
-        self._reference = 0.0
-        self._store = ContainedStore(
-            SpillDegradedWarning,
-            "shard-result spilling degraded to the in-memory merge for "
-            "the rest of this run ({reason}); results are unaffected, but "
-            "memory is no longer bounded by one shard row",
-            stacklevel=5,
-        )
-        self._closed = False
-        self._spill_dir = (
-            tempfile.mkdtemp(prefix="repro-spill-") if cache is None else None
-        )
-        self._spill_cache = (
-            ShardCache(self._spill_dir) if cache is None else cache
-        )
-
-    def add(
-        self,
-        owner: int,
-        key: Optional[str],
-        result: ShardResult,
-        stats: ExecutionStats,
-    ) -> int:
-        """Spill one result (engine-facing); returns its serialized
-        size, the result's share of the window's resident bytes."""
-        from repro.core.jobfile import dumps_shard_result
-
-        self._reports.append(result.report)
-        self._reference += result.reference_area
-        self.total_shots += len(result.shots)
-        payload = dumps_shard_result(result)
-        blob_key = self._spill_cache.spill_key_for(
-            key or f"stream-position:{len(self._entries)}"
-        )
-        if self._store(self._spill_cache.put_blob, blob_key, payload):
-            stats.shards_spilled += 1
-            stats.spill_bytes += len(payload)
-            self._entries.append((blob_key, None))
-        else:
-            stats.spill_fallbacks += 1
-            self._entries.append((None, result))
-        return len(payload)
-
-    def iter_results(self):
-        """Yield every :class:`ShardResult` in row-major shard order.
-
-        Spilled results are re-read from the blob store one at a time
-        (without touching the cache's hit/miss accounting); results that
-        degraded to the in-memory fallback are yielded directly.  The
-        cursor is re-iterable — the machine-program exporter and the job
-        writer each take their own pass.
-        """
-        from repro.core.jobfile import loads_shard_result
-
-        for key, resident in self._entries:
-            if resident is not None:
-                yield resident
-                continue
-            if self._closed:
-                raise RuntimeError(
-                    "streaming execution is closed; its spilled shard "
-                    "results are no longer readable"
-                )
-            payload = self._spill_cache.get_blob(key, record=False)
-            if payload is None:
-                raise RuntimeError(
-                    f"spilled shard result {key} vanished from the cache "
-                    "before job assembly (cache pruned concurrently?)"
-                )
-            yield loads_shard_result(payload)
-
-    def close(self) -> None:
-        """Release the private spill directory (idempotent).
-
-        Spills into a caller-configured :class:`ShardCache` are left in
-        place: they are content-addressed blobs a concurrent run may
-        share, and ordinary cache maintenance prunes them.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-
-    def __enter__(self) -> "StreamingExecution":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-
 class ShardedExecutor:
     """Runs fracture + proximity correction over a field-shard plan.
 
     One engine, :meth:`_run_shards`, serves both doors: a *source*
     supplies windows of shards, the loop does cache lookup → dispatch →
-    store → recovery attribution per window, and a *sink* receives each
-    result in row-major order.
+    store → recovery attribution per window, and each layout's
+    :class:`ExecutionResult` receives its results in row-major order.
 
     * :meth:`execute_many` takes resident sequences: the source is one
       window holding every layout's shards (with an owner index per
-      shard), the sink holds results for the per-owner merge.  Nothing
-      touches disk.
+      shard), and each layout's result holds its shards' results.
+      Nothing touches disk.
     * :meth:`execute_stream` takes a one-shot cursor: the source spools
-      it and yields one window per shard row, the sink
-      (:class:`StreamingExecution`) spills each result and keeps only
-      its blob key.
+      it and yields one window per shard row, and the one result spills
+      each shard's result and keeps only its blob key.
 
     An executor is one run's configuration, as is the pipeline that
     builds it (:meth:`~repro.core.pipeline.PreparationPipeline.executor`):
@@ -647,9 +634,9 @@ class ShardedExecutor:
         self,
         windows,
         total: int,
-        sink,
+        sinks: Sequence[ExecutionResult],
         prefractured: Sequence[bool],
-    ) -> List[ExecutionStats]:
+    ) -> None:
         """The one shard loop: lookup → dispatch → store → attribute.
 
         ``windows`` yields ``(shards, owners, source_bytes)`` triples
@@ -659,15 +646,15 @@ class ShardedExecutor:
         progress callback up front.  Each window's shards are looked up
         in the cache, the misses sent down one ladder (:func:`_map_shards`,
         with the fleet as its top rung on a distributed executor) and
-        stored, and every ``(owner, key, result)`` handed to
-        ``sink.add`` in window order — row-major per owner.
+        stored, and every ``(key, result)`` handed to its owner's
+        ``sinks[owner].add`` in window order — row-major per owner.
 
-        Returns one :class:`ExecutionStats` per owner
+        Each sink gets its :class:`ExecutionStats`
         (``prefractured[owner]`` says whether its shards carry figures).
         Per-shard counters land on the owning layout by plain
         arithmetic; each window's run-level values (pool restarts,
         cache degradation, every distributed counter, the window
-        witness of a streamed sink) are gathered on one record and
+        witness of a streamed run) are gathered on one record and
         merged onto every owner by the schema's rules
         (:meth:`~repro.core.stats.ExecutionStats.merge`).
 
@@ -680,8 +667,9 @@ class ShardedExecutor:
         cache = self.cache
         faults = self.faults.arm() if self.faults is not None else None
         tick = self._progress_tick(total)
-        tallies = [
-            ExecutionStats(
+        streamed = any(sink.streamed for sink in sinks)
+        for sink, figures in zip(sinks, prefractured):
+            sink.stats = ExecutionStats(
                 shard_count=0,
                 occupied_shards=0,
                 workers=self.workers,
@@ -692,10 +680,9 @@ class ShardedExecutor:
                 # nothing to map remotely — an all-hit run on a
                 # distributed executor is still a distributed run.
                 dispatch=self.dispatch,
-                streamed=sink.streamed,
+                streamed=streamed,
             )
-            for figures in prefractured
-        ]
+        tallies = [sink.stats for sink in sinks]
         kernel = [KernelFallbacks() for _ in tallies]
         store = ContainedStore.for_cache(stacklevel=4)
         dispatched = 0
@@ -760,12 +747,12 @@ class ShardedExecutor:
                 if result.shots:
                     stats.occupied_shards += 1
                 kernel[owner].add(result.kernel_fallbacks)
-                window_bytes += sink.add(owner, key, result, stats)
+                window_bytes += sinks[owner].add(key, result)
             window = ExecutionStats(
                 parallel=ladder.pooled,
                 pool_restarts=recovery.pool_restarts,
                 cache_degraded=store.degraded,
-                stream_windows=int(sink.streamed),
+                stream_windows=int(streamed),
                 peak_window_bytes=window_bytes,
             )
             if ladder.dist is not None:
@@ -774,7 +761,6 @@ class ShardedExecutor:
                 stats.merge(window, scope="run")
         for stats, fallbacks in zip(tallies, kernel):
             stats.fold(fallbacks)
-        return tallies
 
     # -- the two doors ----------------------------------------------------
 
@@ -788,8 +774,9 @@ class ShardedExecutor:
 
         Shards from all layouts are interleaved into a single window of
         the shard loop (:meth:`_run_shards`), so a batch of small layers
-        keeps every worker busy; results are held and come back per
-        input layout, each merged in its own shard order.  With a cache,
+        keeps every worker busy; results are held and come back as one
+        :class:`ExecutionResult` per input layout, in its own shard
+        order.  With a cache,
         shards whose content address is already stored skip the work
         list entirely.
 
@@ -816,21 +803,11 @@ class ShardedExecutor:
         ]
         shards = [shard for plan in plans for shard in plan]
         owners = [which for which, plan in enumerate(plans) for _ in plan]
-        held = _HeldResults(len(plans))
-        corrected = self.corrector is not None
-        tallies = self._run_shards(
-            [(shards, owners, 0)], len(shards), held, prefractured
-        )
-        return [
-            merge_shard_results(
-                results,
-                corrected=corrected and stats.occupied_shards > 0,
-                stats=stats,
-            )
-            for results, stats in zip(held.grouped, tallies)
-        ]
+        held = [ExecutionResult(self.corrector is not None) for _ in plans]
+        self._run_shards([(shards, owners, 0)], len(shards), held, prefractured)
+        return held
 
-    def execute_stream(self, polygons) -> StreamingExecution:
+    def execute_stream(self, polygons) -> ExecutionResult:
         """Shard, process and spill one layout in bounded memory.
 
         The out-of-core counterpart of :meth:`execute_many`:
@@ -838,8 +815,8 @@ class ShardedExecutor:
         :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
         all) and is consumed exactly once by the spool source
         (:func:`_spooled_windows`); the same shard loop
-        (:meth:`_run_shards`) then runs one shard row at a time and the
-        returned :class:`StreamingExecution` is its sink.
+        (:meth:`_run_shards`) then runs one shard row at a time into the
+        returned, spilling :class:`ExecutionResult`.
 
         Because shards, their order and every per-shard computation are
         identical to the resident plan, a streamed run is byte-identical
@@ -856,9 +833,9 @@ class ShardedExecutor:
           content-addressed blob family (and stay there — concurrent
           identical runs may share them); without one a private spill
           directory is used and removed by
-          :meth:`StreamingExecution.close` — or here, on every exit
-          that does not return the handle (a failing shard, a service
-          cancel or timeout raised through the progress tick).
+          :meth:`ExecutionResult.close` — or here, on every exit that
+          does not return the result (a failing shard, a service cancel
+          or timeout raised through the progress tick).
         """
         if self.overlap_policy == "union":
             raise ValueError(
@@ -866,20 +843,14 @@ class ShardedExecutor:
                 "execution (the global union needs the whole layout "
                 "resident); pre-union the layout or use 'warn'/'ignore'"
             )
-        execution = StreamingExecution(self.cache)
+        execution = ExecutionResult(
+            self.corrector is not None, spill=True, cache=self.cache
+        )
         try:
             with _spooled_windows(polygons, self.field_size) as spooled:
                 execution.source_polygons, total_shards, windows = spooled
-                (execution.stats,) = self._run_shards(
-                    windows, total_shards, execution, [False]
-                )
+                self._run_shards(windows, total_shards, [execution], [False])
         except BaseException:
             execution.close()
             raise
-        execution.report = merge_reports(
-            execution._reports, reference_area=execution._reference
-        )
-        execution.corrected = (
-            self.corrector is not None and execution.total_shots > 0
-        )
         return execution

@@ -128,11 +128,10 @@ def _ordinals(value) -> FrozenSet[int]:
     return frozenset(ordinals)
 
 
-def _schedule(family: str):
-    """A ``(position, attempt)`` fault kind of ``family`` — ``"shard"``
-    (fired by :meth:`FaultPlan.fire`) or ``"network"`` (consulted by the
-    worker daemon).  The field list is the only list of kinds."""
-    return field(default=frozenset(), metadata={"family": family})
+def _schedule():
+    """A ``(position, attempt)`` fault kind.  The field list is the only
+    list of kinds."""
+    return field(default=frozenset(), metadata={"schedule": True})
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,15 @@ class FaultPlan:
             same schedule complete instead of killing the run.
     """
 
-    kill_worker: FrozenSet[Tuple[int, int]] = _schedule("shard")
-    transient: FrozenSet[Tuple[int, int]] = _schedule("shard")
-    hang: FrozenSet[Tuple[int, int]] = _schedule("shard")
-    permanent: FrozenSet[Tuple[int, int]] = _schedule("shard")
+    kill_worker: FrozenSet[Tuple[int, int]] = _schedule()
+    transient: FrozenSet[Tuple[int, int]] = _schedule()
+    hang: FrozenSet[Tuple[int, int]] = _schedule()
+    permanent: FrozenSet[Tuple[int, int]] = _schedule()
     enospc_puts: FrozenSet[int] = frozenset()
-    dead_worker: FrozenSet[Tuple[int, int]] = _schedule("network")
-    drop_conn: FrozenSet[Tuple[int, int]] = _schedule("network")
-    late_heartbeat: FrozenSet[Tuple[int, int]] = _schedule("network")
-    duplicate_commit: FrozenSet[Tuple[int, int]] = _schedule("network")
+    dead_worker: FrozenSet[Tuple[int, int]] = _schedule()
+    drop_conn: FrozenSet[Tuple[int, int]] = _schedule()
+    late_heartbeat: FrozenSet[Tuple[int, int]] = _schedule()
+    duplicate_commit: FrozenSet[Tuple[int, int]] = _schedule()
     hang_seconds: float = 60.0
     coordinator_pid: Optional[int] = field(
         default=None, metadata={"internal": True}
@@ -182,14 +181,9 @@ class FaultPlan:
         object.__setattr__(self, "hang_seconds", float(self.hang_seconds))
 
     @classmethod
-    def _kinds(cls, family: Optional[str] = None) -> Tuple[str, ...]:
-        """The ``(position, attempt)`` kinds (of one family, or all)."""
-        return tuple(
-            f.name
-            for f in fields(cls)
-            if "family" in f.metadata
-            and family in (None, f.metadata["family"])
-        )
+    def _kinds(cls) -> Tuple[str, ...]:
+        """The ``(position, attempt)`` kinds."""
+        return tuple(f.name for f in fields(cls) if "schedule" in f.metadata)
 
     def arm(self) -> "FaultPlan":
         """Bind the plan to the current process as the coordinator."""
@@ -212,14 +206,6 @@ class FaultPlan:
                 for kind in self._kinds()
             },
         )
-
-    @property
-    def any_shard_faults(self) -> bool:
-        return any(getattr(self, kind) for kind in self._kinds("shard"))
-
-    @property
-    def any_network_faults(self) -> bool:
-        return any(getattr(self, kind) for kind in self._kinds("network"))
 
     def fire(self, position: int, attempt: int) -> None:
         """Raise/kill/hang if the schedule names this shard attempt.

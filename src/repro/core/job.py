@@ -108,12 +108,19 @@ class ShotFold:
         """SHA-256 over the base dose and every shot folded so far."""
         return self._hash.hexdigest()
 
-    def job(self, name: str = "job") -> "MachineJob":
-        """The aggregate job of the folded shots (no resident shot list)."""
+    def job(
+        self, name: str = "job", blocks: Optional[List[np.ndarray]] = None
+    ) -> "MachineJob":
+        """The job of the folded shots: ``blocks`` — the blocks folded,
+        in order — are kept as its shots (its :attr:`~MachineJob.
+        row_blocks`, so every consumer works one block at a time);
+        without them it is the aggregate job (no resident shot list)."""
+        shots = [] if blocks is None else ShotView.concat(blocks)
         job = MachineJob(
-            [], base_dose=self.base_dose, name=name, bounding_box=self.bounding_box
+            shots, base_dose=self.base_dose, name=name, bounding_box=self.bounding_box
         )
         job._fold = self
+        job._blocks = blocks
         return job
 
 
@@ -151,24 +158,13 @@ class MachineJob:
             bounding_box = self._folded().bounding_box
         self.bounding_box = bounding_box
 
-    @classmethod
-    def merged(cls, execution, base_dose: float = 1.0, name: str = "job"):
-        """The job of a merged execution
-        (:class:`~repro.core.executor.ExecutionResult`): its shots, with
-        the shard results' shot blocks as the job's, so every consumer
-        of :attr:`row_blocks` works one shard's block at a time."""
-        job = cls(execution.shots, base_dose, name, bounding_box=(0.0,) * 4)
-        job._blocks = [result.rows for result in execution.shard_results]
-        job.bounding_box = job._folded().bounding_box
-        return job
-
     @property
     def row_blocks(self) -> List[np.ndarray]:
         """The shots as ``(N, 7)`` blocks
         (:func:`~repro.fracture.base.shot_rows`) that concatenate to the
         shot list in order — what the fold, the digests and the job-file
-        writer read: the shots' own block, unless the job was
-        :meth:`merged` from shard results."""
+        writer read: the shots' own block, unless the job was built by
+        :meth:`ShotFold.job` from a run's per-shard blocks."""
         if self._blocks is None:
             self._blocks = [self.shots.rows]
         return self._blocks

@@ -234,9 +234,9 @@ class _SharedPool:
     Spawning a pool costs a fork+import per worker — dominant on small
     workloads — so the pool outlives individual runs and is only rebuilt
     when a different size is requested.  Shard-processing configuration
-    is bound per map call (pickled once per chunk, not per shard), so
-    the same warm pool serves runs with different fracturer/corrector/
-    PSF configurations.
+    travels with the work: it is bound into the task per map call and
+    pickled with every submission, so the same warm pool serves runs
+    with different fracturer/corrector/PSF configurations.
 
     Concurrent runs (a job server's worker threads) share the pool too:
     every run holds a :meth:`lease` for the duration of its pool round,

@@ -2,9 +2,11 @@
 
 Thin orchestration over :mod:`repro.core.executor`: gather polygons
 from the source, hand them to the field-sharded execution engine
-(fracture → proximity correction → merge), wrap the merged shots in a
-:class:`~repro.core.job.MachineJob` and estimate writing time per
-machine.  A pipeline is one run's configuration: every knob is set in
+(fracture → proximity correction), then assemble every run — resident
+or streamed — in one pass over its shard results: the
+:class:`~repro.core.job.MachineJob`, the ``.ebj`` job file, the
+write-time estimates and the machine program.  A pipeline is one run's
+configuration: every knob is set in
 its constructor, and the entry points take only what a run reads and
 writes (source, layer, names, output paths); a different configuration
 is a second pipeline.  Batch entry points
@@ -15,6 +17,7 @@ through one shared worker pool.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -28,7 +31,7 @@ from typing import (
 )
 
 from repro.core.cache import ShardCache
-from repro.core.executor import ExecutionStats, ShardedExecutor
+from repro.core.executor import ExecutionResult, ExecutionStats, ShardedExecutor
 from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import fracture_hierarchical
 from repro.core.ladder import RetryPolicy
@@ -75,11 +78,9 @@ class PipelineResult:
         execution: how the sharded engine ran (shards, workers, pool).
         machine_program: the exported machine data stream when the
             run had a ``machine`` mode.
-        job_bytes: size of the ``.ebj`` job file written with the run
-            (0 when none was requested) — streamed by a ``job_path``
-            streaming run, or written from the materialized job by
-            :meth:`~repro.core.recipe.PrepRecipe.prepare`; the bytes
-            are identical either way.
+        job_bytes: size of the ``.ebj`` job file the run wrote to its
+            ``job_path`` (0 when none was requested), resident and
+            streamed alike.
     """
 
     job: MachineJob
@@ -271,26 +272,33 @@ class PreparationPipeline:
 
     def run(
         self,
-        source: Union[Library, Cell, Iterable[Polygon]],
+        source: Union[Library, Cell, str, Path, Iterable[Polygon]],
         layer: Optional[Layer] = None,
         name: Optional[str] = None,
         program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
-        """Run the full pipeline on a library, cell or raw polygon list.
+        """Run the full pipeline on a library, cell, layout file or raw
+        polygon list.
 
         Args:
             source: the pattern source; libraries use their unique top
-                cell, cells are flattened with descendants, raw polygons
-                are one job named ``"job"``.
+                cell, cells are flattened with descendants, a layout
+                file path (``.gds``/``.cif``) is read to completion,
+                raw polygons are one job named ``"job"``.
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the cell/library name).
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
+            job_path: write the job's ``.ebj`` file here.
         """
         engine = self.executor()
+        if isinstance(source, (str, Path)):
+            with open_layout_stream(source) as stream:
+                source = stream.materialize()
         items = self._work_items(source, None if layer is None else [layer], False)
         names = [name] if name else None
-        return self._run_batch(engine, items, names, program_path)[0]
+        return self._run_batch(engine, items, names, program_path, job_path)[0]
 
     def run_streaming(
         self,
@@ -309,16 +317,15 @@ class PreparationPipeline:
         :class:`~repro.layout.stream.MemoryStream`), the execution
         engine spills per-shard results through the cache's blob store
         (without a cache, a private temp spill store) instead of
-        accumulating them, and job assembly folds the aggregates,
-        digest and — with ``job_path`` — the ``.ebj`` bytes one shard
-        at a time.
+        holding them, and the same assembly pass as :meth:`run` folds
+        the aggregates, digest and — with ``job_path`` — the ``.ebj``
+        bytes one shard at a time.
 
         Byte-identity contract: the ``.ebj`` file (``job_path``) and the
         machine program (``machine``/``program_path``) are byte-identical
         to the materialized :meth:`run` path for any worker count,
         cold or warm cache, and local or distributed dispatch.  The
-        resulting :class:`PipelineResult` carries an aggregate
-        (:meth:`~repro.core.job.MachineJob.synthetic`) job whose
+        resulting :class:`PipelineResult` carries an aggregate job whose
         accounting, digest and dose range match the materialized job
         exactly; only the resident shot list is absent.
 
@@ -329,8 +336,7 @@ class PreparationPipeline:
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the top cell's name).
             program_path: explicit program file path.
-            job_path: write the job's ``.ebj`` file here while
-                streaming (:class:`~repro.core.jobfile.JobFileWriter`).
+            job_path: write the job's ``.ebj`` file here.
 
         Always runs flat — hierarchy ``"cells"`` prefracture is a
         materializing transform and is rejected by the streaming recipe.
@@ -350,13 +356,7 @@ class PreparationPipeline:
         finally:
             if owned and stream is not None:
                 stream.close()
-        with execution:
-            return self._finish(
-                self._assemble_streaming(execution, name or inferred, job_path),
-                execution.iter_results(),
-                program_path,
-                segment_count=execution.stats.occupied_shards,
-            )
+        return self._assemble(execution, name or inferred, program_path, job_path)
 
     def run_layers(
         self,
@@ -465,11 +465,12 @@ class PreparationPipeline:
         items: List[tuple],
         names: Optional[Sequence[str]],
         program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
     ) -> List[PipelineResult]:
         """Execute :meth:`_work_items` jobs on ``engine`` as one
-        interleaved shard list and finish each into a result (``names``
-        override the inferred job names; ``program_path`` is for one-job
-        batches)."""
+        interleaved shard list and assemble each into a result
+        (``names`` override the inferred job names; ``program_path`` and
+        ``job_path`` are for one-job batches)."""
         outcomes = engine.execute_many(
             [geometry for _, geometry, *_ in items],
             prefractured=[hier is not None for *_, hier in items],
@@ -478,26 +479,16 @@ class PreparationPipeline:
         out: List[PipelineResult] = []
         for i, (item, outcome) in enumerate(zip(items, outcomes)):
             _, _, inferred, source_polygons, hier = item
+            outcome.source_polygons = source_polygons
             if hier is not None:
                 # Cells-mode shards are prefractured, so their per-shard
                 # kernel counters are zero; the kernel ran during the
                 # hierarchy walk instead.
                 outcome.stats.fold(hier)
                 outcome.stats.fold(hier.kernel_fallbacks)
-            job = MachineJob.merged(
-                outcome,
-                base_dose=self.base_dose,
-                name=names[i] if names is not None else inferred,
-            )
-            result = PipelineResult(
-                job=job,
-                fracture_report=outcome.report,
-                source_polygons=source_polygons,
-                corrected=outcome.corrected,
-                execution=outcome.stats,
-            )
+            name = names[i] if names is not None else inferred
             out.append(
-                self._finish(result, outcome.shard_results, program_path, program_seen)
+                self._assemble(outcome, name, program_path, job_path, program_seen)
             )
         return out
 
@@ -519,41 +510,73 @@ class PreparationPipeline:
                 slug = f"{slug}-{count + 1}"
         return base / f"{slug}.{mode}.ebp"
 
-    def _finish(
+    def _assemble(
         self,
-        result: PipelineResult,
-        shard_results,
-        program_path: Optional[Union[str, Path]],
+        execution: ExecutionResult,
+        name: str,
+        program_path: Optional[Union[str, Path]] = None,
+        job_path: Optional[Union[str, Path]] = None,
         program_seen: Optional[Dict[tuple, int]] = None,
-        segment_count: Optional[int] = None,
     ) -> PipelineResult:
-        """The tail every run shares: estimate write times on the
-        result's job and (with a machine mode) export the machine
-        program from ``shard_results`` — a resident list, or a spill
-        cursor with its occupied ``segment_count`` — through the
-        pipeline's cache."""
-        job = result.job
-        for writer in self.machines:
-            result.write_times[writer.name] = writer.write_time(job)
-        mode = self.machine
-        if mode is not None:
-            from repro.machine.program import MachineSpec, export_program
+        """Assemble one execution into a result — the tail of every run.
 
-            if program_path is None:
-                program_path = self._default_program_path(
-                    job.name, mode, program_seen
+        One pass over its results folds each shard's shot block, in the
+        merged shot order, into a :class:`~repro.core.job.ShotFold`
+        (bounding box, exposure sums, dose range, digest) and, with
+        ``job_path``, writes its ``.ebj`` records.  A resident run keeps
+        the blocks as its job's shots; a streamed run gets the aggregate
+        job, so it never holds more than one shard's shots.  Write times
+        are then estimated on the job and, with a machine mode, the
+        program is exported from a second pass (the run's occupied
+        shards are its segments) through the pipeline's cache.  The
+        execution is closed on the way out.
+        """
+        with execution:
+            fold = ShotFold(self.base_dose)
+            blocks = None if execution.streamed else []
+            writer = None
+            if job_path is not None:
+                from repro.core.jobfile import JobFileWriter
+
+                writer = JobFileWriter(
+                    job_path, execution.total_shots, base_dose=self.base_dose
                 )
-            result.machine_program = export_program(
-                shard_results,
-                job,
-                MachineSpec(mode=mode, address_unit=self.address_unit),
-                program_path,
-                cache=self.cache,
-                segment_count=segment_count,
+            with writer or contextlib.nullcontext():
+                for shard in execution.results():
+                    fold.add_rows(shard.rows)
+                    if blocks is not None:
+                        blocks.append(shard.rows)
+                    if writer is not None:
+                        writer.write_rows(shard.rows)
+            job = fold.job(name, blocks)
+            result = PipelineResult(
+                job=job,
+                fracture_report=execution.report,
+                write_times={m.name: m.write_time(job) for m in self.machines},
+                source_polygons=execution.source_polygons,
+                corrected=execution.corrected,
+                execution=execution.stats,
+                job_bytes=writer.close() if writer is not None else 0,
             )
-            # A failed segment-blob store degrades the run like a failed
-            # shard store does.
-            result.execution.fold(result.machine_program)
+            mode = self.machine
+            if mode is not None:
+                from repro.machine.program import MachineSpec, export_program
+
+                if program_path is None:
+                    program_path = self._default_program_path(
+                        name, mode, program_seen
+                    )
+                result.machine_program = export_program(
+                    execution.results(),
+                    job,
+                    MachineSpec(mode=mode, address_unit=self.address_unit),
+                    program_path,
+                    cache=self.cache,
+                    segment_count=execution.stats.occupied_shards,
+                )
+                # A failed segment-blob store degrades the run like a
+                # failed shard store does.
+                result.execution.fold(result.machine_program)
         return result
 
     @staticmethod
@@ -567,46 +590,3 @@ class PreparationPipeline:
         if isinstance(source, (Library, Cell)):
             return MemoryStream(source), True
         return None, False
-
-    def _assemble_streaming(
-        self,
-        execution,
-        name: str,
-        job_path: Optional[Union[str, Path]],
-    ) -> PipelineResult:
-        """Assemble a streaming execution into a result, one shard at a
-        time.
-
-        One pass over the spilled shard results feeds each result's
-        shot block, in the merged shot order, to the same
-        :class:`~repro.core.job.ShotFold` a resident job folds its
-        block with — so bounding box, exposure aggregates, dose range
-        and digest are bit-identical to the materialized job's — and
-        (with ``job_path``) streams the ``.ebj`` records as it goes.
-        """
-        fold = ShotFold(self.base_dose)
-        writer = None
-        if job_path is not None:
-            from repro.core.jobfile import JobFileWriter
-
-            writer = JobFileWriter(
-                job_path, execution.total_shots, base_dose=self.base_dose
-            )
-        try:
-            for result in execution.iter_results():
-                fold.add_rows(result.rows)
-                if writer is not None:
-                    writer.write_rows(result.rows)
-            job_bytes = writer.close() if writer is not None else 0
-        except BaseException:
-            if writer is not None:
-                writer.abort()
-            raise
-        return PipelineResult(
-            job=fold.job(name),
-            fracture_report=execution.report,
-            source_polygons=execution.source_polygons,
-            corrected=execution.corrected,
-            execution=execution.stats,
-            job_bytes=job_bytes,
-        )

@@ -402,30 +402,13 @@ class PrepRecipe:
         """Run ``source`` through ``pipeline`` the way this recipe
         selects, writing the ``.ebj`` job file to ``job_path`` if given.
 
-        The one place the ``streaming`` flag picks a path for the CLI
-        and the service alike: a streaming recipe runs out of core
-        (``run_streaming`` reads a layout file through the cursor and
-        streams the job file itself); otherwise a layout file path
-        (``.gds`` or ``.cif``) is read to completion through the same
-        cursor, the run is resident and the job file is written from
-        the materialized job.  Both produce the same bytes;
-        ``result.job_bytes`` is the job file's size either way.
+        The one place the ``streaming`` flag picks a door for the CLI
+        and the service alike: ``run_streaming`` (out of core) or
+        ``run`` (resident).  Both take the same sources and outputs and
+        produce the same bytes.
         """
-        if self.streaming:
-            return pipeline.run_streaming(
-                source, name=name, program_path=program_path, job_path=job_path
-            )
-        if isinstance(source, (str, Path)):
-            from repro.layout.stream import open_layout_stream
-
-            with open_layout_stream(source) as stream:
-                source = stream.materialize()
-        result = pipeline.run(source, name=name, program_path=program_path)
-        if job_path is not None:
-            from repro.core.jobfile import write_job
-
-            result.job_bytes = write_job(result.job, job_path)
-        return result
+        door = pipeline.run_streaming if self.streaming else pipeline.run
+        return door(source, name=name, program_path=program_path, job_path=job_path)
 
 
 _KINDS = {f.name: f.metadata["kind"] for f in fields(PrepRecipe)}

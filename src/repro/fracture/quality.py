@@ -114,12 +114,16 @@ def merge_reports(
     combined counts; the minimum dimension is the minimum over shards.
     ``area_error`` is recomputed against ``reference_area`` when given
     (per-shard errors cannot be combined without their references).
+    Areas add left to right
+    (:func:`~repro.geometry.vertex_array.sequential_sum`), like the
+    reference a caller sums, so the merge is the same float on every
+    interpreter.
     """
     populated = [r for r in reports if r.figure_count > 0]
     if not populated:
         return FractureReport(0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0.0)
     count = sum(r.figure_count for r in populated)
-    total = sum(r.total_area for r in populated)
+    total = sequential_sum([r.total_area for r in populated])
     # Reports from analyze_figures carry the integer count; fall back to
     # the fraction for hand-built reports that left it defaulted.
     rect_count = sum(

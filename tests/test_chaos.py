@@ -104,7 +104,6 @@ class TestFaultPlan:
         assert plan.enospc_puts == frozenset({0, 3})
         assert plan.hang_seconds == 2.5
         assert plan.coordinator_pid is None
-        assert plan.any_shard_faults
 
     def test_rebased_shifts_every_pair_kind(self):
         plan = FaultPlan(
@@ -436,8 +435,6 @@ class TestMalformedFaultPlans:
         assert plan.drop_conn == frozenset({(1, 0)})
         assert plan.late_heartbeat == frozenset({(2, 0)})
         assert plan.duplicate_commit == frozenset({(3, 1)})
-        assert plan.any_network_faults
-        assert not plan.any_shard_faults
 
     def test_cli_exits_2_with_one_line_error(self, monkeypatch, capsys):
         from repro.cli import main

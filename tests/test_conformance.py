@@ -120,6 +120,18 @@ class TestTheTable:
             Cell(COLUMNS["fzp-pec-vsb"], door="service")
         )
 
+    def test_a_drifted_fracture_report_is_red(self):
+        # Same bytes and counters, one report field off: the verdict
+        # names the field.
+        cell = Cell(COLUMNS["grating-raster"])
+        want = conformance.reference(cell.column)
+        drifted = want.report.area_error + 1e-14
+        outcome = want._replace(
+            report=dataclasses.replace(want.report, area_error=drifted)
+        )
+        (problem,) = conformance.verdict(cell, outcome)
+        assert problem.startswith(f"fracture_report.area_error is {drifted!r}")
+
     def test_readme_shows_the_rendered_matrix(self):
         assert conformance.render() in (ROOT / "README.md").read_text()
 

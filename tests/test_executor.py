@@ -21,6 +21,7 @@ from repro.fracture.quality import analyze_figures, merge_reports
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
+from repro.layout.flatten import flatten_library
 from repro.layout.layer import Layer
 from repro.pec.dose_iter import IterativeDoseCorrector
 
@@ -112,6 +113,29 @@ class TestShardMerge:
         assert sharded.fracture_report.total_area == pytest.approx(
             whole.fracture_report.total_area
         )
+
+    def test_merge_reports_adds_left_to_right(self):
+        # A compensated sum (builtin ``sum`` on CPython >= 3.12) gives
+        # 1.0000000000000002 here; left to right it is 1.0 everywhere.
+        empty = analyze_figures([])
+        reports = [
+            dataclasses.replace(empty, figure_count=1, total_area=area)
+            for area in (1.0, 1e-16, 1e-16)
+        ]
+        assert merge_reports(reports).total_area == 1.0
+
+    def test_resident_and_streamed_reports_are_equal(self):
+        # One sink merges both doors' reports, against one reference sum.
+        polys = [
+            poly
+            for polys in flatten_library(generators.fresnel_zone_plate()).values()
+            for poly in polys
+        ]
+        pipe = PreparationPipeline(field_size=5.0)
+        resident = pipe.run(polys)
+        streamed = pipe.run_streaming(iter(polys))
+        assert resident.execution.shard_count > 1
+        assert streamed.fracture_report == resident.fracture_report
 
     def test_merge_reports_empty(self):
         report = merge_reports([])

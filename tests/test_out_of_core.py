@@ -341,6 +341,18 @@ class TestStreamingPipeline:
         assert (tmp_path / "raw.ebj").read_bytes() == dumps_job(mat.job)
         assert res.source_polygons == len(polys)
 
+    def test_both_doors_take_a_layout_file_and_a_job_path(self, tmp_path):
+        path = tmp_path / "fzp.gds"
+        write_gdsii(generators.fresnel_zone_plate(), path)
+        pipe = PreparationPipeline(field_size=FIELD_SIZE)
+        resident = pipe.run(path, job_path=tmp_path / "run.ebj")
+        streamed = pipe.run_streaming(path, job_path=tmp_path / "stream.ebj")
+        ebj = (tmp_path / "run.ebj").read_bytes()
+        assert ebj == (tmp_path / "stream.ebj").read_bytes()
+        assert resident.job_bytes == streamed.job_bytes == len(ebj)
+        assert resident.job.name == streamed.job.name
+        assert dumps_job(resident.job) == ebj
+
     def test_union_overlap_policy_rejected(self):
         pipe = PreparationPipeline(field_size=FIELD_SIZE, overlap_policy="union")
         with pytest.raises(ValueError, match="union"):
@@ -423,7 +435,7 @@ class TestStreamingPipeline:
         execution = executor.execute_stream(polys)
         execution.close()
         with pytest.raises(RuntimeError, match="closed"):
-            list(execution.iter_results())
+            list(execution.results())
 
 
 # ---------------------------------------------------------------------------

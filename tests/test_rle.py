@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -233,14 +233,21 @@ class TestPropertyOracle:
         st.lists(quantized_trapezoids(), min_size=1, max_size=4),
         st.sampled_from([0.25, 0.5]),
     )
+    # A pair that overlaps at a 4 µm band pitch, narrower than a
+    # figure's y extent.
+    @example(
+        [Trapezoid(3.75, 4.25, 0, 0, 0, 0.5), Trapezoid(0, 0.25, 0, 0, 0, 2)],
+        0.5,
+    )
     def test_encode_consistent_with_rasterizer(self, figs, address_unit):
         # One figure per y-band: encode_figures' contract is *disjoint*
         # figures, and the rasterizer's additive-then-clipped coverage
-        # would count overlapping duplicates twice.
+        # would count overlapping duplicates twice.  quantized_trapezoids
+        # spans y in [0, 8], so 10 µm bands never meet.
         figs = [
             Trapezoid(
-                t.y_bottom + i * 4.0,
-                t.y_top + i * 4.0,
+                t.y_bottom + i * 10.0,
+                t.y_top + i * 10.0,
                 t.x_bottom_left,
                 t.x_bottom_right,
                 t.x_top_left,

@@ -341,16 +341,20 @@ def test_block_fold_equals_the_per_shot_fold(shots, cuts):
     for lo, hi in zip(edges, edges[1:]):
         fold.add_rows(shot_rows(shots[lo:hi]))
     job = MachineJob(shots, base_dose=1.5)
-    # The same shots as shard results cut at the same places: the merged
-    # job reads the results' blocks and never walks the shot list.
-    merged = MachineJob.merged(
-        merge_shard_results(
-            [_result(shots[lo:hi]) for lo, hi in zip(edges, edges[1:])],
-            corrected=False,
-            stats=ExecutionStats(),
-        ),
-        base_dose=1.5,
+    # The same shots as shard results cut at the same places, assembled
+    # the way a resident run is: each result's block folded and kept as
+    # the job's shots, so the job never walks the shot list.
+    execution = merge_shard_results(
+        [_result(shots[lo:hi]) for lo, hi in zip(edges, edges[1:])],
+        corrected=False,
+        stats=ExecutionStats(),
     )
+    assembled = ShotFold(1.5)
+    blocks = []
+    for result in execution.results():
+        assembled.add_rows(result.rows)
+        blocks.append(result.rows)
+    merged = assembled.job(blocks=blocks)
     assert merged.shots == list(shots) and merged.bounding_box == job.bounding_box
     for folded in (fold, job._folded(), merged._folded()):
         assert folded.digest() == oracle.hash.hexdigest()

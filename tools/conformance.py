@@ -17,7 +17,8 @@ This module owns the three things that sentence needs and nothing else:
    digest, the run's :class:`~repro.core.stats.ExecutionStats`).
 3. :func:`verdict` — ``cmp``-equality of both artifacts (and of the
    job's exact-double digest) with the column's reference, equality of
-   every run counter that is not an execution witness, and each axis
+   every run counter that is not an execution witness, of every field of
+   a python-door cell's fracture report, and each axis
    value's *honesty witness* (a warm run hit every shard, a faulted run
    retried, a leased run was leased).
 
@@ -58,6 +59,7 @@ from repro.core.faults import FAULTS_ENV_VAR
 from repro.core.recipe import PrepRecipe, flag_of
 from repro.core.stats import GROUPS, LINES, ExecutionStats
 from repro.dist import shutdown_coordinators
+from repro.fracture.quality import FractureReport
 from repro.layout import generators
 from repro.layout.cell import Cell as LayoutCell
 from repro.layout.cif import CifError, dumps_cif, loads_cif
@@ -426,12 +428,14 @@ def render() -> str:
 class Outcome(NamedTuple):
     """What a door hands back: both artifacts, the job's exact-double
     digest (artifacts store doses in milli-units; the digest sees the
-    last ulp) and the run's statistics."""
+    last ulp), the run's statistics and — through the python door, the
+    only one that returns it whole — the fracture report."""
 
     ebj: bytes
     ebp: bytes
     digest: str
     stats: ExecutionStats
+    report: Optional[FractureReport] = None
 
 
 @contextlib.contextmanager
@@ -474,7 +478,11 @@ def _run_python(cell: Cell, workdir: Path, cache_dir, endpoint) -> Outcome:
         job_path=ebj,
     )
     return Outcome(
-        ebj.read_bytes(), ebp.read_bytes(), result.job.digest(), result.execution
+        ebj.read_bytes(),
+        ebp.read_bytes(),
+        result.job.digest(),
+        result.execution,
+        result.fracture_report,
     )
 
 
@@ -787,6 +795,13 @@ def verdict(cell: Cell, outcome: Outcome) -> List[str]:
         got, expected = getattr(outcome.stats, name), getattr(want.stats, name)
         if got != expected:
             problems.append(f"{name} is {got!r}, the reference's is {expected!r}")
+    if outcome.report is not None:
+        for f in fields(FractureReport):
+            got, expected = getattr(outcome.report, f.name), getattr(want.report, f.name)
+            if got != expected:
+                problems.append(
+                    f"fracture_report.{f.name} is {got!r}, the reference's is {expected!r}"
+                )
     for claim, applies, holds in WITNESSES:
         if applies(cell) and not holds(outcome.stats):
             problems.append(f"not honest: {claim} ({outcome.stats.to_json()})")
