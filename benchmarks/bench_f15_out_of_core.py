@@ -8,8 +8,7 @@ prepared twice in *separate subprocesses*:
   the whole flat layout and every shot resident;
 * **streaming** — :meth:`PreparationPipeline.run_streaming` over a
   cursor on the same file: one shard row resident, shard results
-  spilled through the cache blob store, artifacts assembled shard by
-  shard.
+  spilled to a temp spool, artifacts assembled shard by shard.
 
 Each subprocess reports its own ``ru_maxrss`` twice: once right after
 imports + pipeline construction (the *baseline* — interpreter, numpy,

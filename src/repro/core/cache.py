@@ -97,8 +97,8 @@ class CacheDegradedWarning(UserWarning):
 
 @dataclass
 class ContainedStore:
-    """The one store-failure policy: cache entries, spill blobs and
-    machine-program segment blobs.
+    """The one store-failure policy: cache entries, spilled shard
+    results and machine-program segment blobs.
 
     A computed result must never be lost to storage trouble: the first
     store that raises ``OSError`` or reports a refused publish (ENOSPC,
@@ -129,13 +129,13 @@ class ContainedStore:
             stacklevel,
         )
 
-    def __call__(self, put, key: str, value) -> bool:
-        """``put(key, value)`` unless already degraded; True iff the
-        value was stored."""
+    def __call__(self, put, *args) -> bool:
+        """``put(*args)`` unless already degraded; True iff the value
+        was stored."""
         if self.degraded:
             return False
         try:
-            stored = put(key, value)
+            stored = put(*args)
         except OSError as exc:
             stored = False
             reason = f"{type(exc).__name__}: {exc}"
@@ -443,19 +443,6 @@ class ShardCache:
             salt=(CACHE_SCHEMA_VERSION, self.salt),
         )
 
-    def spill_key_for(self, key: str) -> str:
-        """Blob key for a streaming-merge spill of the shard keyed ``key``.
-
-        Out-of-core runs spill completed shard results as content-addressed
-        blobs so the merge can re-read them row-major instead of holding
-        them all; the distinct type tag keeps the spill family from ever
-        colliding with shard-result or program-segment entries.
-        """
-        h = hashlib.sha256()
-        _update(h, ("repro-shard-spill", (CACHE_SCHEMA_VERSION, self.salt)))
-        _update(h, key)
-        return h.hexdigest()
-
     def path_for(self, key: str) -> Path:
         """On-disk location of ``key`` (existing or not)."""
         return self.root / key[:2] / (key[2:] + self.SUFFIX)
@@ -534,31 +521,26 @@ class ShardCache:
 
     # -- machine-program segment blobs ------------------------------------
 
-    def get_blob(self, key: str, record: bool = True) -> Optional[bytes]:
+    def get_blob(self, key: str) -> Optional[bytes]:
         """Return the raw segment payload stored under ``key``, if any.
 
         Blobs are framed (magic + length) so truncated or foreign
         entries read as misses and are evicted, exactly like shard
-        payloads.  ``record=False`` skips hit/miss accounting — for
-        spill re-reads, which are guaranteed-present by construction
-        and would otherwise inflate the cache hit rate.
+        payloads.
         """
         path = self.path_for(key)
         try:
             data = path.read_bytes()
         except OSError:
-            if record:
-                self.stats.misses += 1
+            self.stats.misses += 1
             return None
         if len(data) >= _BLOB_HEADER.size:
             magic, length = _BLOB_HEADER.unpack_from(data, 0)
             if magic == _BLOB_MAGIC and len(data) == _BLOB_HEADER.size + length:
-                if record:
-                    self.stats.hits += 1
+                self.stats.hits += 1
                 return data[_BLOB_HEADER.size :]
-        if record:
-            self.stats.misses += 1
-            self.stats.evictions += 1
+        self.stats.misses += 1
+        self.stats.evictions += 1
         try:
             path.unlink()
         except OSError:

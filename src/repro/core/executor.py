@@ -34,9 +34,11 @@ one window whose results are held; a one-shot polygon cursor
 (:meth:`~ShardedExecutor.execute_stream`) is spooled to disk and
 arrives as one window per shard row whose results are spilled.  Both
 land in one sink class, :class:`ExecutionResult`, which merges the
-reports and re-reads what it spilled.  Which source runs, and whether
-its sink holds or spills, follows from the input, never from a knob,
-and both produce the same bytes and counters.
+reports and re-reads what it spilled.  What a streamed run puts on disk
+— source polygons and spilled results alike — goes through one
+:class:`_Spool`.  Which source runs, and whether its sink holds or
+spills, follows from the input, never from a knob, and both produce
+the same bytes and counters.
 
 Caching
 -------
@@ -55,7 +57,6 @@ import contextlib
 import functools
 import itertools
 import os
-import shutil
 import struct
 import tempfile
 import threading
@@ -63,11 +64,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -111,7 +112,7 @@ class SpillDegradedWarning(UserWarning):
     """A streamed run stopped spilling shard results after a store failure.
 
     Emitted once per run by :meth:`ShardedExecutor.execute_stream` when a
-    spill ``put_blob`` fails (ENOSPC, read-only filesystem): the run
+    spill append fails (ENOSPC, read-only filesystem): the run
     continues with the affected shard results held in memory — results
     are unaffected, only the bounded-memory guarantee degrades.  Degraded
     runs also count ``spill_fallbacks`` on their :class:`ExecutionStats`,
@@ -136,7 +137,7 @@ class ShardResult:
     A result has one serialized form — its ``EBC1`` payload
     (:func:`repro.core.jobfile.dumps_shard_result`) — on every boundary
     it crosses: the pool's return pickle (:meth:`__reduce__`), the cache
-    entry, the spill blob and the fleet commit.
+    entry, the spill record and the fleet commit.
     """
 
     index: FieldIndex
@@ -160,6 +161,58 @@ class ShardResult:
         return loads_shard_result, (dumps_shard_result(self),)
 
 
+class _Spool:
+    """An append-only temp file of byte records, read back by index —
+    what a streamed run puts on disk: the source polygons
+    (:func:`_spooled_windows`) and the spilled shard results
+    (:class:`ExecutionResult`).
+
+    No descriptor outlives a call: the shared pool is forked lazily
+    inside a pool round, so a spool open across dispatch would be
+    inherited by every worker and held, unlinked, for the pool's
+    lifetime.  :meth:`append` and :meth:`read` each open the file once
+    and close it; :meth:`close` removes it.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        fd, self.path = tempfile.mkstemp(prefix=prefix)
+        os.close(fd)
+        #: Record ``i`` spans bytes ``[ends[i], ends[i + 1])``.
+        self._ends = array("q", [0])
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def append(self, records: Iterable[bytes]) -> bool:
+        """Write ``records`` after the last complete one; True, as a
+        :class:`~repro.core.cache.ContainedStore` store returns.  A
+        write that raises leaves the record count as it was."""
+        ends = array("q")
+        end = self._ends[-1]
+        with open(self.path, "r+b", buffering=1 << 20) as spool:
+            spool.seek(end)
+            for record in records:
+                spool.write(record)
+                end += len(record)
+                ends.append(end)
+        self._ends.extend(ends)
+        return True
+
+    def read(self, indices: Iterable[int]) -> List[bytes]:
+        """The records at ``indices``, in that order."""
+        with open(self.path, "rb") as spool:
+            records = []
+            for i in indices:
+                spool.seek(self._ends[i])
+                records.append(spool.read(self._ends[i + 1] - self._ends[i]))
+            return records
+
+    def close(self) -> None:
+        """Remove the file (idempotent)."""
+        with contextlib.suppress(OSError):
+            os.unlink(self.path)
+
+
 class ExecutionResult:
     """One layout's shard results in row-major shard order — the sink
     both doors of :class:`ShardedExecutor` end in.
@@ -167,12 +220,11 @@ class ExecutionResult:
     The shard loop hands it every result through :meth:`add`.  A
     resident run (:meth:`~ShardedExecutor.execute_many`, one per layout)
     holds each result; a streamed run
-    (:meth:`~ShardedExecutor.execute_stream`) spills it to the cache's
-    content-addressed blob family (:meth:`~repro.core.cache.ShardCache.
-    spill_key_for`; a private spill directory when no cache is
-    configured) and keeps only the blob key.  A failed spill store
-    degrades that shard (and the rest of the run) to being held, with
-    one :class:`SpillDegradedWarning` — never a crash.
+    (:meth:`~ShardedExecutor.execute_stream`) spills its ``EBC1``
+    payload to a private :class:`_Spool` and keeps only the record
+    index.  A failed spill append degrades that shard (and the rest of
+    the run) to being held, with one :class:`SpillDegradedWarning` —
+    never a crash.
 
     Either way it answers the same questions, once: the merged
     :attr:`report`, :attr:`corrected`, :attr:`total_shots`, the
@@ -181,7 +233,7 @@ class ExecutionResult:
     streamed job never holds more than one shard's shots.
 
     Use as a context manager (or call :meth:`close`) so a streamed run
-    without a configured cache removes its private spill directory.
+    removes its spool.
     """
 
     def __init__(
@@ -189,7 +241,6 @@ class ExecutionResult:
         correcting: bool = False,
         stats: Optional[ExecutionStats] = None,
         spill: bool = False,
-        cache: Optional[ShardCache] = None,
     ) -> None:
         self.stats = stats if stats is not None else ExecutionStats()
         #: Polygons the streamed door's spool read (set by the pipeline
@@ -197,17 +248,14 @@ class ExecutionResult:
         self.source_polygons = 0
         self.total_shots = 0
         self._correcting = correcting
-        self._entries: List[Tuple[Optional[str], Optional[ShardResult]]] = []
+        #: A held result, or the spool index of a spilled one.
+        self._entries: List[Union[ShardResult, int]] = []
         self._reports: List[FractureReport] = []
         self._areas: List[float] = []
         self._closed = False
-        self._spill_dir = None
-        self._spill: Optional[ShardCache] = None
+        self._spool: Optional[_Spool] = None
         if spill:
-            if cache is None:
-                self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-                cache = ShardCache(self._spill_dir)
-            self._spill = cache
+            self._spool = _Spool("repro-spill-")
             self._store = ContainedStore(
                 SpillDegradedWarning,
                 "shard-result spilling degraded to the in-memory merge for "
@@ -219,31 +267,28 @@ class ExecutionResult:
     @property
     def streamed(self) -> bool:
         """Results are spilled, not held."""
-        return self._spill is not None
+        return self._spool is not None
 
-    def add(self, key: Optional[str], result: ShardResult) -> int:
+    def add(self, result: ShardResult) -> int:
         """Take the next result (engine-facing); returns its serialized
         size when spilled — its share of the window's resident bytes —
         else 0."""
         self._reports.append(result.report)
         self._areas.append(result.reference_area)
         self.total_shots += len(result.shots)
-        if self._spill is None:
-            self._entries.append((None, result))
+        if self._spool is None:
+            self._entries.append(result)
             return 0
         from repro.core.jobfile import dumps_shard_result
 
         payload = dumps_shard_result(result)
-        blob_key = self._spill.spill_key_for(
-            key or f"stream-position:{len(self._entries)}"
-        )
-        if self._store(self._spill.put_blob, blob_key, payload):
+        if self._store(self._spool.append, [payload]):
             self.stats.shards_spilled += 1
             self.stats.spill_bytes += len(payload)
-            self._entries.append((blob_key, None))
+            self._entries.append(len(self._spool) - 1)
         else:
             self.stats.spill_fallbacks += 1
-            self._entries.append((None, result))
+            self._entries.append(result)
         return len(payload)
 
     @property
@@ -263,28 +308,22 @@ class ExecutionResult:
         """Yield every :class:`ShardResult` in row-major shard order.
 
         Held results are yielded directly; spilled ones are re-read from
-        the blob store one at a time (without touching the cache's
-        hit/miss accounting).  The cursor is re-iterable — job assembly
-        and the machine-program export each take their own pass.
+        the spool one at a time.  The cursor is re-iterable — job
+        assembly and the machine-program export each take their own
+        pass.
         """
         from repro.core.jobfile import loads_shard_result
 
-        for key, held in self._entries:
-            if held is not None:
-                yield held
+        for entry in self._entries:
+            if isinstance(entry, ShardResult):
+                yield entry
                 continue
             if self._closed:
                 raise RuntimeError(
                     "execution is closed; its spilled shard results are "
                     "no longer readable"
                 )
-            payload = self._spill.get_blob(key, record=False)
-            if payload is None:
-                raise RuntimeError(
-                    f"spilled shard result {key} vanished from the cache "
-                    "before job assembly (cache pruned concurrently?)"
-                )
-            yield loads_shard_result(payload)
+            yield loads_shard_result(self._spool.read([entry])[0])
 
     @property
     def shard_results(self) -> List[ShardResult]:
@@ -297,15 +336,10 @@ class ExecutionResult:
         return ShotView.concat([result.rows for result in self.results()])
 
     def close(self) -> None:
-        """Release the private spill directory (idempotent).
-
-        Spills into a caller-configured :class:`ShardCache` are left in
-        place: they are content-addressed blobs a concurrent run may
-        share, and ordinary cache maintenance prunes them.
-        """
+        """Remove the spool (idempotent)."""
         self._closed = True
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
+        if self._spool is not None:
+            self._spool.close()
 
     def __enter__(self) -> "ExecutionResult":
         return self
@@ -411,21 +445,8 @@ def merge_shard_results(
     """Hold ``results`` (in shard order) as one layout's execution."""
     merged = ExecutionResult(corrected, stats)
     for result in results:
-        merged.add(None, result)
+        merged.add(result)
     return merged
-
-
-#: Spool record framing: a big-endian vertex count followed by that many
-#: ``(x, y)`` float64 pairs.  Doubles round-trip exactly, so a polygon
-#: re-read from the spool is vertex-identical to the one spooled.
-_SPOOL_COUNT = struct.Struct(">I")
-
-
-def _read_spooled(spool) -> Tuple[float, ...]:
-    """The spool record at the current position, as its ``x0, y0, x1,
-    y1, …`` coordinates."""
-    (count,) = _SPOOL_COUNT.unpack(spool.read(_SPOOL_COUNT.size))
-    return struct.unpack(f">{2 * count}d", spool.read(16 * count))
 
 
 @contextlib.contextmanager
@@ -435,38 +456,34 @@ def _spooled_windows(polygons, field_size: Optional[float]):
     Consumes ``polygons`` exactly once without materializing the layout
     and yields ``(source_polygons, total_shards, windows)``:
 
-    1. **Spool** — every polygon is written to a flat temp file as exact
-       doubles; its bounding box and its record's offset (sizes are
-       known as they are written) are kept, 40 bytes a polygon.
+    1. **Spool** — every polygon is one :class:`_Spool` record, its
+       ``(x, y)`` vertices as big-endian doubles (which round-trip
+       exactly, so a re-read polygon is vertex-identical to the one
+       spooled); its bounding box is kept, 32 bytes a polygon beside
+       the spool's 8-byte span.
     2. **Plan** — the boxes go through :func:`_plan_tiles`, the planner
        :func:`plan_shards` uses, so the spool shards as the resident
        layout would.  The spool is not read for this.
     3. **Window** — ``windows`` yields one ``(shards, owners,
        source_bytes)`` triple per shard row, bottom to top, reading
-       only that row's polygons from their offsets; every shard belongs
-       to owner 0.
+       only that row's records, in one read; every shard belongs to
+       owner 0.
 
-    The spool file is removed when the context exits, however it exits.
+    The spool is removed when the context exits, however it exits.
     """
-    spool_fd, spool_path = tempfile.mkstemp(prefix="repro-spool-")
-    try:
-        boxes = array("d")
-        offsets = array("q")
-        offset = 0
-        with os.fdopen(spool_fd, "wb", buffering=1 << 20) as spool:
-            for poly in polygons:
-                verts = poly.vertices
-                spool.write(_SPOOL_COUNT.pack(len(verts)))
-                spool.write(
-                    struct.pack(
-                        f">{2 * len(verts)}d",
-                        *(c for v in verts for c in (v.x, v.y)),
-                    )
-                )
-                boxes.extend(poly.bounding_box())
-                offsets.append(offset)
-                offset += _SPOOL_COUNT.size + 16 * len(verts)
-        source_polygons = len(offsets)
+    boxes = array("d")
+
+    def encoded():
+        for poly in polygons:
+            boxes.extend(poly.bounding_box())
+            yield struct.pack(
+                f">{2 * len(poly.vertices)}d",
+                *(c for v in poly.vertices for c in (v.x, v.y)),
+            )
+
+    with contextlib.closing(_Spool("repro-spool-")) as spool:
+        spool.append(encoded())
+        source_polygons = len(spool)
         if not source_polygons:
             tiles = []
         elif field_size is None:
@@ -476,29 +493,22 @@ def _spooled_windows(polygons, field_size: Optional[float]):
                 np.frombuffer(boxes).reshape(-1, 4), field_size
             )[0]
 
-        def windows(spool):
+        def windows():
             for _, row in itertools.groupby(tiles, lambda tile: tile[0][1]):
-                shards: List[Shard] = []
-                source_bytes = 0
-                for index, members in row:
-                    bucket: List[Polygon] = []
-                    for i in members:
-                        spool.seek(offsets[i])
-                        values = _read_spooled(spool)
-                        bucket.append(
-                            Polygon(list(zip(values[0::2], values[1::2])))
-                        )
-                        source_bytes += _SPOOL_COUNT.size + 8 * len(values)
-                    shards.append(Shard(index=index, polygons=tuple(bucket)))
-                yield shards, [0] * len(shards), source_bytes
+                row = list(row)
+                records = spool.read(i for _, members in row for i in members)
+                values = (struct.unpack(f">{len(r) // 8}d", r) for r in records)
+                rebuilt = (Polygon(list(zip(v[0::2], v[1::2]))) for v in values)
+                shards = [
+                    Shard(
+                        index=index,
+                        polygons=tuple(itertools.islice(rebuilt, len(members))),
+                    )
+                    for index, members in row
+                ]
+                yield shards, [0] * len(shards), sum(map(len, records))
 
-        with open(spool_path, "rb") as spool:
-            yield source_polygons, len(tiles), windows(spool)
-    finally:
-        try:
-            os.unlink(spool_path)
-        except OSError:
-            pass
+        yield source_polygons, len(tiles), windows()
 
 
 class ShardedExecutor:
@@ -515,7 +525,7 @@ class ShardedExecutor:
       Nothing touches disk.
     * :meth:`execute_stream` takes a one-shot cursor: the source spools
       it and yields one window per shard row, and the one result spills
-      each shard's result and keeps only its blob key.
+      each shard's result and keeps only its spool index.
 
     An executor is one run's configuration, as is the pipeline that
     builds it (:meth:`~repro.core.pipeline.PreparationPipeline.executor`):
@@ -646,7 +656,7 @@ class ShardedExecutor:
         progress callback up front.  Each window's shards are looked up
         in the cache, the misses sent down one ladder (:func:`_map_shards`,
         with the fleet as its top rung on a distributed executor) and
-        stored, and every ``(key, result)`` handed to its owner's
+        stored, and every result handed to its owner's
         ``sinks[owner].add`` in window order — row-major per owner.
 
         Each sink gets its :class:`ExecutionStats`
@@ -741,13 +751,13 @@ class ShardedExecutor:
                 owner_of[p].shard_timeouts += count
             for p in recovery.salvaged:
                 owner_of[p].shards_salvaged += 1
-            for owner, key, result in zip(owners, keys, results):
+            for owner, result in zip(owners, results):
                 stats = tallies[owner]
                 stats.shard_count += 1
                 if result.shots:
                     stats.occupied_shards += 1
                 kernel[owner].add(result.kernel_fallbacks)
-                window_bytes += sinks[owner].add(key, result)
+                window_bytes += sinks[owner].add(result)
             window = ExecutionStats(
                 parallel=ladder.pooled,
                 pool_restarts=recovery.pool_restarts,
@@ -756,7 +766,7 @@ class ShardedExecutor:
                 peak_window_bytes=window_bytes,
             )
             if ladder.dist is not None:
-                window.fold(ladder.dist)
+                window.merge(ladder.dist, scope="run")
             for stats in tallies:
                 stats.merge(window, scope="run")
         for stats, fallbacks in zip(tallies, kernel):
@@ -829,13 +839,12 @@ class ShardedExecutor:
           union needs the whole layout resident.  The ``"warn"``
           advisory check is skipped (it is pairwise across shards and
           purely advisory; it never changes bytes).
-        * Results are spilled: with a configured cache they land in its
-          content-addressed blob family (and stay there — concurrent
-          identical runs may share them); without one a private spill
-          directory is used and removed by
-          :meth:`ExecutionResult.close` — or here, on every exit that
-          does not return the result (a failing shard, a service cancel
-          or timeout raised through the progress tick).
+        * Results are spilled to the result's own spool, never to the
+          cache (which holds exactly the resident run's entries), and
+          the spool is removed by :meth:`ExecutionResult.close` — or
+          here, on every exit that does not return the result (a
+          failing shard, a service cancel or timeout raised through the
+          progress tick).
         """
         if self.overlap_policy == "union":
             raise ValueError(
@@ -843,9 +852,7 @@ class ShardedExecutor:
                 "execution (the global union needs the whole layout "
                 "resident); pre-union the layout or use 'warn'/'ignore'"
             )
-        execution = ExecutionResult(
-            self.corrector is not None, spill=True, cache=self.cache
-        )
+        execution = ExecutionResult(self.corrector is not None, spill=True)
         try:
             with _spooled_windows(polygons, self.field_size) as spooled:
                 execution.source_polygons, total_shards, windows = spooled

@@ -381,9 +381,9 @@ class _Ladder:
     ``results`` and ``attempts`` are indexed by work-list position,
     ``recovery`` is the log the caller attributes, ``pooled`` says
     whether any result came off a pool or a remote worker, and ``dist``
-    holds the fleet rung's
-    :class:`~repro.dist.coordinator.DistRunStats` (``None`` when the
-    map had no fleet rung).  :meth:`finish` is how every rung lands a
+    holds the fleet rung's counters, the ``dist`` group of an
+    :class:`~repro.core.stats.ExecutionStats` (``None`` when the map
+    had no fleet rung).  :meth:`finish` is how every rung lands a
     result; :meth:`pool_rounds` dispatches unfinished shards to the
     shared pool round after round; :meth:`serial` runs one shard
     in-process.

@@ -315,8 +315,7 @@ class PreparationPipeline:
         :class:`~repro.layout.stream.LayoutStream`, a resident
         library/cell is wrapped in a
         :class:`~repro.layout.stream.MemoryStream`), the execution
-        engine spills per-shard results through the cache's blob store
-        (without a cache, a private temp spill store) instead of
+        engine spills per-shard results to a temp spool instead of
         holding them, and the same assembly pass as :meth:`run` folds
         the aggregates, digest and — with ``job_path`` — the ``.ebj``
         bytes one shard at a time.

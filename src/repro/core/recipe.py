@@ -289,9 +289,9 @@ class PrepRecipe:
     streaming: bool = knob(
         False, FLAG, flag="--stream",
         help="run out of core: read the layout through a cursor, keep "
-        "only one shard window resident, spill shard results through "
-        "the cache's blob store and assemble artifacts one shard at a "
-        "time (byte-identical to the in-memory path)",
+        "only one shard window resident, spill shard results to a temp "
+        "spool and assemble artifacts one shard at a time "
+        "(byte-identical to the in-memory path)",
     )
 
     def __post_init__(self) -> None:

@@ -40,8 +40,8 @@ SCHEMA_DEFAULTS = {
     "fault": False,
     # The ``GET /stats`` section ("faults"/"dist") summing it across jobs.
     "totals": None,
-    # The engine record it is folded from: "DistRunStats.workers", or a
-    # bare record name when the attribute has the field's own name.
+    # The engine record it is folded from: "KernelFallbacks.total", or
+    # a bare record name when the attribute has the field's own name.
     "source": None,
 }
 
@@ -67,9 +67,7 @@ def stat(default, group: str = "run", **entry):
 _cells = functools.partial(
     stat, 0, "cells", scope="run", source="HierarchicalFractureResult"
 )
-_dist = functools.partial(
-    stat, 0, "dist", scope="run", totals="dist", source="DistRunStats"
-)
+_dist = functools.partial(stat, 0, "dist", scope="run", totals="dist")
 
 
 @dataclass
@@ -158,8 +156,8 @@ class ExecutionStats:
             plus its serialized shard results) — the streamed
             counterpart of the machine-program writer's
             ``peak_segment_bytes`` witness.
-        shards_spilled: completed shard results spilled to the cache's
-            blob family instead of being held for the merge.
+        shards_spilled: completed shard results spilled to the run's
+            spool instead of being held for the merge.
         spill_bytes: total serialized bytes spilled.
         spill_fallbacks: shard results held in memory because a spill
             store failed (ENOSPC, read-only filesystem) — the run
@@ -196,9 +194,7 @@ class ExecutionStats:
     )
     cache_evictions: int = stat(0, "faults", totals="faults")
     dispatch: str = stat("local", scope="run", merge="keep")
-    dist_workers: int = _dist(
-        merge="max", alias="workers", totals=None, source="DistRunStats.workers"
-    )
+    dist_workers: int = _dist(merge="max", alias="workers", totals=None)
     leases_granted: int = _dist()
     leases_reclaimed: int = _dist(fault=True)
     worker_deaths: int = _dist(fault=True)
@@ -206,9 +202,7 @@ class ExecutionStats:
     speculative_wins: int = _dist()
     speculative_losses: int = _dist()
     duplicate_commits: int = _dist()
-    dist_local_fallbacks: int = _dist(
-        alias="local_fallbacks", source="DistRunStats.local_fallbacks"
-    )
+    dist_local_fallbacks: int = _dist(alias="local_fallbacks")
     streamed: bool = stat(False, "memory", scope="run", merge="keep")
     stream_windows: int = stat(0, "memory", scope="run")
     peak_window_bytes: int = stat(0, "memory", scope="run", merge="max")
@@ -250,7 +244,7 @@ class ExecutionStats:
                 setattr(self, f.name, rule(mine, theirs))
 
     def fold(self, record) -> None:
-        """Fold one engine record (``DistRunStats``, ``KernelFallbacks``,
+        """Fold one engine record (``KernelFallbacks``,
         ``HierarchicalFractureResult``, ``MachineProgram``) into the
         fields that name it as their ``source``, by their merge rule."""
         kind = type(record).__name__

@@ -17,10 +17,8 @@ serial one.
 """
 
 from repro.dist.coordinator import (
-    DIST_ENV_VAR,
     CoordinatorServer,
     DistPolicy,
-    DistRunStats,
     LeaseQueue,
     coordinator_for,
     shutdown_coordinators,
@@ -29,10 +27,8 @@ from repro.dist.protocol import ProtocolError, parse_endpoint
 from repro.dist.worker import WorkerDaemon
 
 __all__ = [
-    "DIST_ENV_VAR",
     "CoordinatorServer",
     "DistPolicy",
-    "DistRunStats",
     "LeaseQueue",
     "ProtocolError",
     "WorkerDaemon",

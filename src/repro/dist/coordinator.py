@@ -43,7 +43,6 @@ speaking :mod:`repro.dist.protocol`.
 
 from __future__ import annotations
 
-import os
 import socketserver
 import threading
 import time
@@ -53,20 +52,12 @@ from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.ladder import Deadline, RetryPolicy
-from repro.core.recipe import (
-    FLAG,
-    from_mapping,
-    json_object,
-    number_complaint,
-    require,
-)
+from repro.core.recipe import FLAG, number_complaint, require
+from repro.core.stats import ExecutionStats
 from repro.dist.protocol import ProtocolError, recv_frame, send_frame
 
-#: Environment variable carrying scheduling-policy overrides as JSON —
-#: the :class:`DistPolicy` counterpart of ``REPRO_FAULTS``, so smoke
-#: scripts and CI tune heartbeat/speculation timings without new CLI
-#: flags: ``REPRO_DIST='{"speculate": false, "heartbeat_timeout": 1.0}'``.
-DIST_ENV_VAR = "REPRO_DIST"
+#: The fleet's wait granularity and the idle worker's wait hint [s].
+POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,9 +79,6 @@ class DistPolicy:
         speculate: grant end-of-queue duplicate leases for stragglers.
         speculate_after: minimum lease age [s] before it is eligible
             for speculative duplication.
-        poll_interval: the run loop's wait granularity [s].
-        wait_hint: how long an idle worker is told to sleep before
-            polling again [s].
     """
 
     heartbeat_interval: float = 0.5
@@ -98,8 +86,6 @@ class DistPolicy:
     worker_grace: float = 5.0
     speculate: bool = True
     speculate_after: float = 1.0
-    poll_interval: float = 0.05
-    wait_hint: float = 0.05
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self) if f.name != "speculate"):
@@ -107,50 +93,6 @@ class DistPolicy:
             if why:
                 raise ValueError(f"{name} {why}, got {getattr(self, name)!r}")
         require(FLAG, "speculate", self.speculate)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistPolicy":
-        """Build a policy from a JSON object of knob overrides."""
-        return from_mapping(cls, json_object(text, "dist policy"), "dist policy key")
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Dict[str, str]] = None
-    ) -> Optional["DistPolicy"]:
-        """Read overrides from ``REPRO_DIST``; None when unset/empty."""
-        source = os.environ if environ is None else environ
-        text = source.get(DIST_ENV_VAR, "").strip()
-        if not text:
-            return None
-        return cls.from_json(text)
-
-
-@dataclass
-class DistRunStats:
-    """One batch's distributed-scheduling counters.
-
-    All-zero except ``workers`` / ``leases_granted`` /
-    ``remote_commits`` on a clean run — reclaims, deaths, missed
-    heartbeats and duplicates are the network layer's "a degraded run
-    can never look like a clean one" witnesses.
-    """
-
-    workers: int = 0
-    leases_granted: int = 0
-    leases_reclaimed: int = 0
-    worker_deaths: int = 0
-    heartbeats_missed: int = 0
-    speculative_leases: int = 0
-    speculative_wins: int = 0
-    speculative_losses: int = 0
-    duplicate_commits: int = 0
-    remote_commits: int = 0
-    local_fallbacks: int = 0
-
-    def copy(self) -> "DistRunStats":
-        return DistRunStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
 
 
 @dataclass
@@ -190,6 +132,12 @@ class LeaseQueue:
     end up either *committed* (result bytes held) or *spent* (remote
     attempt budget exhausted or the batch abandoned) — the caller
     finishes spent positions on the local ladder.
+
+    ``stats`` is an :class:`~repro.core.stats.ExecutionStats` whose
+    ``dist`` group the queue increments: all-zero except
+    ``dist_workers`` / ``leases_granted`` on a clean run — reclaims,
+    deaths, missed heartbeats and duplicates are the network layer's
+    "a degraded run can never look like a clean one" witnesses.
     """
 
     def __init__(
@@ -205,7 +153,7 @@ class LeaseQueue:
         self.retry = retry if retry is not None else RetryPolicy()
         self.policy = policy if policy is not None else DistPolicy()
         self.deadline = deadline if deadline is not None else Deadline()
-        self.stats = DistRunStats()
+        self.stats = ExecutionStats()
         self._lock = threading.Lock()
         self._pending: Deque[Tuple[int, int]] = deque(
             (position, 0) for position in range(n)
@@ -229,7 +177,7 @@ class LeaseQueue:
             self._workers[worker] = _Worker(last_contact=now)
             if worker not in self._workers_seen:
                 self._workers_seen.add(worker)
-                self.stats.workers = len(self._workers_seen)
+                self.stats.dist_workers = len(self._workers_seen)
         else:
             state.last_contact = now
             state.silent_flagged = False
@@ -278,7 +226,6 @@ class LeaseQueue:
             straggler = min(candidates, key=lambda lease: lease.granted_at)
             position = straggler.position
             attempt = self._attempts_used[position]
-            self.stats.speculative_leases += 1
             return self._grant_locked(
                 worker, position, attempt, now, speculative=True
             )
@@ -383,7 +330,6 @@ class LeaseQueue:
             self._pending = deque(
                 entry for entry in self._pending if entry[0] != position
             )
-            self.stats.remote_commits += 1
             if lease is not None and lease.speculative:
                 self.stats.speculative_wins += 1
             for other_id, other in list(self._leases.items()):
@@ -677,11 +623,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
 
     def _handle_lease(self, header: dict, now: float) -> Tuple[dict, bytes]:
         worker = str(header.get("worker"))
-        hint = DistPolicy().wait_hint
         for batch in self._batches_in_order():
             batch.queue.scan(now)
             lease = batch.queue.grant(worker, now)
-            hint = batch.queue.policy.wait_hint
             if lease is None:
                 continue
             batch.progress.set()
@@ -701,7 +645,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                 },
                 batch.shard_blobs[lease.position],
             )
-        return {"type": "wait", "hint": hint}, b""
+        return {"type": "wait", "hint": POLL_INTERVAL}, b""
 
     # -- serving -----------------------------------------------------------
 

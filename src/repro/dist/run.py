@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import pickle
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.faults import FaultPlan
 from repro.core.jobfile import loads_shard_result
 from repro.core.ladder import _Ladder
-from repro.dist.coordinator import DistPolicy, coordinator_for
+from repro.dist.coordinator import POLL_INTERVAL, DistPolicy, coordinator_for
 
 
 def fleet_rung(
@@ -41,12 +42,9 @@ def fleet_rung(
     (parallel to the shards) ride the leases so workers with a shared
     cache can store results at the source.  The ladder's deadline
     bounds the wait and every lease; its retry policy is the fleet's
-    attempt budget.  The batch's counters land on ``ladder.dist``.
+    attempt budget.  The batch's counters — the ``dist`` group of an
+    :class:`~repro.core.stats.ExecutionStats` — land on ``ladder.dist``.
     """
-    if policy is None:
-        # REPRO_DIST overrides scheduling knobs the same way
-        # REPRO_FAULTS injects faults; an explicit policy wins.
-        policy = DistPolicy.from_env() or DistPolicy()
     server = coordinator_for(endpoint)
     batch = server.submit_batch(
         [pickle.dumps(shard) for shard in ladder.shards],
@@ -60,6 +58,7 @@ def fleet_rung(
 
     def land_commits() -> None:
         for position, payload in queue.take_new_commits():
+            ladder.pooled = True
             ladder.finish(position, loads_shard_result(payload))
 
     try:
@@ -75,22 +74,21 @@ def fleet_rung(
                 break
             if state.live_workers == 0:
                 if grace_deadline is None:
-                    grace_deadline = now + policy.worker_grace
+                    grace_deadline = now + queue.policy.worker_grace
                 elif now > grace_deadline:
                     queue.abandon_remaining()
             else:
                 grace_deadline = None
-            batch.progress.wait(policy.poll_interval)
+            batch.progress.wait(POLL_INTERVAL)
             batch.progress.clear()
             # Each wake observes a cancel or an expired budget, whether
             # or not any shard has committed.
             ladder.deadline.check()
         # Late commits that raced the loop's last pass.
         land_commits()
-        ladder.dist = queue.stats.copy()
+        ladder.dist = replace(queue.stats)
     finally:
         server.finish_batch(batch.id)
     leftover = [p for p, result in enumerate(ladder.results) if result is None]
-    ladder.dist.local_fallbacks = len(leftover)
-    ladder.pooled = ladder.dist.remote_commits > 0
+    ladder.dist.dist_local_fallbacks = len(leftover)
     return leftover

@@ -44,6 +44,7 @@ from repro.core.cache import ShardCache
 from repro.core.executor import _process_shard_task
 from repro.core.ladder import RetryPolicy
 from repro.core.jobfile import dumps_shard_result
+from repro.dist.coordinator import POLL_INTERVAL
 from repro.dist.protocol import parse_endpoint, request
 
 
@@ -191,7 +192,7 @@ class WorkerDaemon:
             else:
                 if self._idle_expired(last_work):
                     break
-                hint = reply.get("hint", 0.05)
+                hint = reply.get("hint", POLL_INTERVAL)
                 if self.stop_event.wait(max(0.01, float(hint))):
                     break
         return self.leases_executed

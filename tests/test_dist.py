@@ -38,13 +38,14 @@ from repro.core.cache import ShardCache
 from repro.core.executor import (
     Deadline,
     RetryPolicy,
+    _process_shard,
     shutdown_worker_pool,
 )
 from repro.core.faults import FaultPlan
-from repro.core.jobfile import dumps_job
+from repro.core.jobfile import dumps_job, dumps_shard_result
 from repro.core.pipeline import PreparationPipeline
+from repro.core.stats import ExecutionStats
 from repro.dist import (
-    DIST_ENV_VAR,
     CoordinatorServer,
     DistPolicy,
     LeaseQueue,
@@ -54,6 +55,7 @@ from repro.dist import (
     parse_endpoint,
     shutdown_coordinators,
 )
+from repro.dist.coordinator import POLL_INTERVAL
 from repro.dist.protocol import (
     _FRAME,
     MAX_PART,
@@ -129,6 +131,29 @@ def leased(endpoint, faults=None, policy=FAST_POLICY, cache_dir=None):
 
 def reference_job():
     return conformance.reference(COLUMN).ebj
+
+
+class StubCoordinator:
+    """A coordinator whose batch is decided at submission: every
+    position ``commits(position)`` admits is computed and committed at
+    once, the rest are spent for the local ladder."""
+
+    def __init__(self, commits):
+        self.commits = commits
+
+    def submit_batch(self, shard_blobs, config_blob, **kwargs):
+        config, _ = pickle.loads(config_blob)
+        queue = LeaseQueue(len(shard_blobs), kwargs["retry"], kwargs["policy"])
+        for position, blob in enumerate(shard_blobs):
+            if self.commits(position):
+                result = _process_shard(pickle.loads(blob), *config)
+                payload = dumps_shard_result(result)
+                queue.commit(0, "stub", position, payload, time.monotonic())
+        queue.abandon_remaining()
+        return SimpleNamespace(id="stub", queue=queue, progress=threading.Event())
+
+    def finish_batch(self, batch_id):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +232,14 @@ class TestProtocol:
         assert reply["type"] == "error"
         assert "gossip" in reply["message"]
 
+    def test_an_idle_worker_is_told_to_wait_one_poll(self, endpoint):
+        # No batch to lease from: the hint is the fleet's own wait.
+        reply, payload = request(
+            parse_endpoint(endpoint), {"type": "lease", "worker": "idle"}
+        )
+        assert reply == {"type": "wait", "hint": POLL_INTERVAL}
+        assert payload == b""
+
 
 class TestDistPolicy:
     def test_rejects_negative_knobs(self):
@@ -218,38 +251,11 @@ class TestDistPolicy:
         assert policy.heartbeat_timeout > policy.heartbeat_interval > 0
         assert policy.speculate
 
-    def test_from_env_unset_returns_none(self):
-        assert DistPolicy.from_env({}) is None
-        assert DistPolicy.from_env({DIST_ENV_VAR: "   "}) is None
-
-    def test_from_env_overrides_knobs(self):
-        policy = DistPolicy.from_env(
-            {DIST_ENV_VAR: '{"speculate": false, "heartbeat_timeout": 1.5}'}
-        )
-        assert policy is not None
-        assert policy.speculate is False
-        assert policy.heartbeat_timeout == 1.5
-        # Untouched knobs keep their defaults.
-        assert policy.worker_grace == DistPolicy().worker_grace
-
-    @pytest.mark.parametrize("key", ["lease_deadlin", "lease_deadline"])
-    def test_from_json_names_unknown_key(self, key):
-        # The retired lease watchdog knob is unknown too: a lease's
-        # watchdog is the run's deadline narrowed by shard_timeout.
-        with pytest.raises(ValueError, match=key):
-            DistPolicy.from_json('{"%s": 5}' % key)
-
-    def test_from_json_rejects_non_object(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            DistPolicy.from_json("[1, 2]")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            DistPolicy.from_json("{nope")
-
-    def test_from_json_rejects_bad_values(self):
+    def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="speculate"):
-            DistPolicy.from_json('{"speculate": "yes"}')
+            DistPolicy(speculate="yes")
         with pytest.raises(ValueError, match="heartbeat_timeout"):
-            DistPolicy.from_json('{"heartbeat_timeout": -2}')
+            DistPolicy(heartbeat_timeout=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +286,25 @@ class TestLeaseQueue:
         assert all(lease.deadline == 10.0 for lease in leases)
         assert queue.grant("w0", now=0.0) is None  # dry, too young to spec
         assert queue.stats.leases_granted == 3
+
+    def test_counters_are_an_execution_record_dist_group(self):
+        queue = self.make(n=2)
+        a = queue.grant("w0", now=0.0)
+        b = queue.grant("w1", now=0.0)
+        queue.commit(a.lease_id, "w0", a.position, b"ra", now=1.0)
+        queue.commit(b.lease_id, "w1", b.position, b"rb", now=1.0)
+        stats = queue.stats
+        assert isinstance(stats, ExecutionStats)
+        # A clean batch moves its workers and grants, nothing else.
+        fresh = ExecutionStats()
+        moved = {
+            name: value
+            for name, value in vars(stats).items()
+            if value != getattr(fresh, name)
+        }
+        assert moved == {"dist_workers": 2, "leases_granted": 2}
+        assert set(moved) <= set(stats.select("group", "dist"))
+        assert stats.fault_events == 0
 
     def test_commit_finishes_the_batch(self):
         queue = self.make(n=2)
@@ -449,7 +474,6 @@ class TestLeaseQueue:
         spec = queue.grant("w2", now=2.5)
         assert spec is not None and spec.speculative
         assert spec.position == slow.position
-        assert queue.stats.speculative_leases == 1
         # Only one duplicate per position (and position 1 is too young).
         assert queue.grant("w3", now=2.6) is None
 
@@ -780,34 +804,12 @@ class TestDistributedRuns:
         """The fleet is the ladder's top rung: what it leaves unfinished
         goes down the same ladder at its batch position, so a fault plan
         names the same shard remote and local."""
-        from repro.core.executor import _process_shard
-        from repro.core.jobfile import dumps_shard_result
         from repro.dist import run
 
         k = 5
-
-        class StubCoordinator:
-            """Commits every position but ``k`` at once; ``k`` is spent."""
-
-            def submit_batch(self, shard_blobs, config_blob, **kwargs):
-                config, _ = pickle.loads(config_blob)
-                queue = LeaseQueue(
-                    len(shard_blobs), kwargs["retry"], kwargs["policy"]
-                )
-                for position, blob in enumerate(shard_blobs):
-                    if position != k:
-                        result = _process_shard(pickle.loads(blob), *config)
-                        payload = dumps_shard_result(result)
-                        queue.commit(0, "stub", position, payload, time.monotonic())
-                queue.abandon_remaining()
-                return SimpleNamespace(
-                    id="stub", queue=queue, progress=threading.Event()
-                )
-
-            def finish_batch(self, batch_id):
-                pass
-
-        monkeypatch.setattr(run, "coordinator_for", lambda endpoint: StubCoordinator())
+        # Every position but ``k`` commits at once; ``k`` is spent.
+        stub = StubCoordinator(lambda position: position != k)
+        monkeypatch.setattr(run, "coordinator_for", lambda endpoint: stub)
         result = faulted(
             COLUMN,
             FaultPlan(transient={(k, 0)}),
@@ -820,6 +822,22 @@ class TestDistributedRuns:
         assert stats.dist_local_fallbacks == 1
         # The local rung met the plan's (k, 0) on shard k and retried it.
         assert stats.shard_retries == 1
+
+    @pytest.mark.parametrize("remote", [0, 3])
+    def test_only_a_landed_commit_makes_the_run_parallel(self, monkeypatch, remote):
+        # The first ``remote`` positions commit on the fleet; the serial
+        # local rung (workers=1) finishes the rest.
+        from repro.dist import run
+
+        stub = StubCoordinator(lambda position: position < remote)
+        monkeypatch.setattr(run, "coordinator_for", lambda endpoint: stub)
+        result = faulted(
+            COLUMN, dispatch="distributed", workers_endpoint="127.0.0.1:1"
+        )
+        assert dumps_job(result.job) == reference_job()
+        stats = result.execution
+        assert stats.parallel == (remote > 0)
+        assert stats.dist_local_fallbacks == stats.shard_count - remote
 
     def test_dead_worker_is_reclaimed_and_byte_identical(
         self, endpoint, fleet

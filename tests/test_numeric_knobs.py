@@ -14,7 +14,6 @@ cannot import the rule; they are held to its words here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 
 import pytest
@@ -55,8 +54,6 @@ DIST_KNOBS = [
     "heartbeat_timeout",
     "worker_grace",
     "speculate_after",
-    "poll_interval",
-    "wait_hint",
 ]
 
 
@@ -210,15 +207,3 @@ class TestOrdinaryMessagesAreUnchanged:
             "heartbeat_timeout must be >= 0, got -1.0"
         )
         assert DistPolicy(speculate_after=0).speculate_after == 0
-
-    # A retired key (the lease watchdog is now the run's deadline
-    # narrowed by shard_timeout) is an unknown key like any other.
-    @pytest.mark.parametrize("key", ["lease_deadline"])
-    def test_retired_dist_key_is_a_one_line_cli_error(self, key, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_DIST", json.dumps({key: 30.0}))
-        argv = ["demo", "--workload", "grating", "--field-size", "25"]
-        endpoint = ["--dispatch", "distributed", "--workers-endpoint", "127.0.0.1:1"]
-        assert main(argv + endpoint) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err
-        assert len(err.strip().splitlines()) == 1

@@ -13,6 +13,9 @@ reports and how it degrades.
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,14 +23,23 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
+from repro.core import ladder
 from repro.core.executor import (
+    ExecutionResult,
     RetryPolicy,
     ShardedExecutor,
     SpillDegradedWarning,
+    _Spool,
     shutdown_worker_pool,
 )
 from repro.core.faults import FaultPlan
-from repro.core.jobfile import JobFileError, JobFileWriter, dumps_job, write_job
+from repro.core.jobfile import (
+    JobFileError,
+    JobFileWriter,
+    dumps_job,
+    dumps_shard_result,
+    write_job,
+)
 from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
 from repro.fracture.base import shot_rows
@@ -62,6 +74,20 @@ def _flat_sequence(library):
 
 def _vertices(polys):
     return [tuple(v.as_tuple() for v in p.vertices) for p in polys]
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="needs /proc"
+)
+
+
+def _open_paths(pid="self"):
+    """The paths process ``pid`` holds a descriptor on (Linux /proc)."""
+    held = []
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        with contextlib.suppress(OSError):
+            held.append(os.readlink(fd))
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +454,44 @@ class TestStreamingPipeline:
         with pytest.raises(expected):
             executor.execute_stream(polys)
         assert list(tmp_path.iterdir()) == []
+        # A run that succeeds removes both spools once it is assembled.
+        PreparationPipeline(field_size=FIELD_SIZE).run_streaming(polys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cached_run_leaves_one_entry_per_shard(self, tmp_path):
+        # Regression: spills used to land in the cache as a second key
+        # family and stay there, doubling what a resident run leaves.
+        pipe = PreparationPipeline(field_size=20.0, cache_dir=tmp_path / "cache")
+        stats = pipe.run_streaming(generators.fresnel_zone_plate()).execution
+        assert stats.shards_spilled == stats.shard_count > 1
+        assert pipe.cache.entry_count() == stats.shard_count
+
+    def test_the_doors_share_one_cache(self, tmp_path):
+        # The spill keeps out of the cache, so what one door stores is
+        # exactly what the other looks up.
+        library = generators.fresnel_zone_plate()
+        pipe = PreparationPipeline(field_size=20.0, cache_dir=tmp_path / "cache")
+        cold = pipe.run_streaming(library).execution
+        warm = pipe.run(library).execution
+        assert cold.cache_hits == 0 and cold.cache_misses > 0
+        assert warm.cache_hits == cold.cache_misses and warm.cache_misses == 0
+        assert pipe.cache.entry_count() == warm.shard_count
+
+    @needs_proc
+    def test_pool_workers_hold_no_spool(self):
+        # Regression: a pool forked during a streamed run inherited the
+        # open input spool and kept it, unlinked, for its lifetime.
+        shutdown_worker_pool()  # cold: the pool forks inside the run
+        pipe = PreparationPipeline(field_size=100.0, workers=2)
+        stats = pipe.run_streaming(generators.full_reticle(tiles=4)).execution
+        assert stats.parallel
+        held = [
+            path
+            for pid in ladder._shared_pool._pool._processes
+            for path in _open_paths(pid)
+        ]
+        assert held
+        assert not [p for p in held if "repro-spool-" in p or "repro-spill-" in p]
 
     def test_closed_execution_refuses_reads(self):
         executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
@@ -439,18 +503,134 @@ class TestStreamingPipeline:
 
 
 # ---------------------------------------------------------------------------
+# The spool: the one on-disk record file of a streamed run
+# ---------------------------------------------------------------------------
+
+
+def _held_results():
+    """The FZP's shard results, held, in row-major order."""
+    polys = _flat_sequence(generators.fresnel_zone_plate())
+    executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
+    (held,) = executor.execute_many([polys])
+    return held.shard_results
+
+
+class TestSpool:
+    @pytest.fixture
+    def spool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spool = _Spool("repro-test-")
+        yield spool
+        spool.close()
+
+    def test_records_read_back_by_index(self, spool):
+        records = [b"alpha", b"", b"gamma", b"delta"]
+        assert spool.append(records[:3])
+        assert spool.append(iter(records[3:]))
+        assert len(spool) == 4
+        order = [3, 0, 1, 2, 0]
+        assert spool.read(order) == [records[i] for i in order]
+        assert spool.read([]) == []
+
+    def test_an_empty_append_adds_no_record(self, spool):
+        assert spool.append([]) and len(spool) == 0
+        assert spool.read([]) == []
+        spool.append([b"first"])
+        assert spool.read([0]) == [b"first"]
+
+    def test_a_failed_append_keeps_the_record_count(self, spool):
+        spool.append([b"kept"])
+
+        def torn():
+            yield b"written, then lost"
+            raise OSError(errno.ENOSPC, "injected ENOSPC")
+
+        with pytest.raises(OSError):
+            spool.append(torn())
+        assert len(spool) == 1
+        # The next append writes over what the torn one left behind.
+        spool.append([b"next"])
+        assert spool.read([0, 1]) == [b"kept", b"next"]
+
+    @needs_proc
+    def test_no_descriptor_outlives_a_call(self, spool):
+        path = os.path.realpath(spool.path)
+        assert path not in _open_paths()
+        spool.append([b"record"])
+        assert path not in _open_paths()
+        assert spool.read([0]) == [b"record"]
+        assert path not in _open_paths()
+
+    def test_close_removes_the_file(self, spool, tmp_path):
+        spool.append([b"record"])
+        (entry,) = tmp_path.iterdir()
+        assert entry.name.startswith("repro-test-")
+        spool.close()
+        spool.close()  # idempotent
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spilled_results_read_back_as_held(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        held = _held_results()
+        payloads = [dumps_shard_result(result) for result in held]
+        with ExecutionResult(spill=True) as spilled:
+            sizes = [spilled.add(result) for result in held]
+            assert spilled.streamed
+            assert sizes == [len(payload) for payload in payloads]
+            assert spilled.stats.shards_spilled == len(held) > 1
+            assert spilled.stats.spill_bytes == sum(sizes)
+            for _ in range(2):  # the cursor is re-iterable
+                assert list(map(dumps_shard_result, spilled.results())) == payloads
+            assert spilled.total_shots == sum(len(r.shots) for r in held)
+        assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # Spill degradation: ENOSPC during spill never kills the run
 # ---------------------------------------------------------------------------
 
 
 class TestSpillDegradation:
-    def test_enospc_spill_degrades_to_resident(self, tmp_path):
+    @pytest.mark.parametrize("fail_at", [0, 2])
+    def test_a_failed_spill_holds_the_rest_of_the_run(self, monkeypatch, fail_at):
+        held = _held_results()
+        append, calls = _Spool.append, []
+
+        def filling(spool, records):
+            calls.append(spool.path)
+            if len(calls) > fail_at:
+                raise OSError(errno.ENOSPC, "injected ENOSPC on the spill")
+            return append(spool, records)
+
+        monkeypatch.setattr(_Spool, "append", filling)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ExecutionResult(spill=True) as spilled:
+                for result in held:
+                    spilled.add(result)
+                stats = spilled.stats
+                assert stats.shards_spilled == fail_at
+                assert stats.spill_fallbacks == len(held) - fail_at
+                # Spilled and held results interleave in shard order.
+                assert list(map(dumps_shard_result, spilled.results())) == [
+                    dumps_shard_result(result) for result in held
+                ]
+        # No append is tried after the first that fails.
+        assert len(calls) == fail_at + 1
+        assert [w.category for w in caught] == [SpillDegradedWarning]
+
+    def test_enospc_spill_degrades_to_resident(self, tmp_path, monkeypatch):
         library = generators.fresnel_zone_plate()
-        mat = PreparationPipeline(field_size=FIELD_SIZE).run(library)
-        plan = FaultPlan(enospc_puts=tuple(range(64)))
-        pipe = PreparationPipeline(
-            field_size=FIELD_SIZE, cache_dir=tmp_path / "cache", faults=plan
-        )
+        pipe = PreparationPipeline(field_size=FIELD_SIZE)
+        mat = pipe.run(library)
+        append = _Spool.append
+
+        def full_spill(spool, records):
+            if "repro-spill-" in spool.path:
+                raise OSError(errno.ENOSPC, "injected ENOSPC on the spill")
+            return append(spool, records)
+
+        monkeypatch.setattr(_Spool, "append", full_spill)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = pipe.run_streaming(library, job_path=tmp_path / "deg.ebj")

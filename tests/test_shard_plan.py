@@ -367,7 +367,7 @@ class TestSpooledWindows:
         for shards, owners, source_bytes in windows:
             assert owners == [0] * len(shards)
             assert source_bytes == sum(
-                4 + 16 * len(p.vertices) for s in shards for p in s.polygons
+                16 * len(p.vertices) for s in shards for p in s.polygons
             )
 
     def test_unsharded_and_empty_streams(self):
@@ -385,7 +385,9 @@ class TestSpooledWindows:
         assert spooled([], 10.0) == (0, 0, [])
         assert spooled([], None) == (0, 0, [])
 
-    def test_the_spool_is_opened_for_reading_once(self, monkeypatch):
+    def test_each_window_opens_the_spool_once(self, monkeypatch):
+        # One open writes the spool and one reads each window, just
+        # before the window is handed out.
         opened = []
 
         def counting_open(path, mode="r", *args, **kwargs):
@@ -393,11 +395,16 @@ class TestSpooledWindows:
             return open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(executor, "open", counting_open, raising=False)
-        polygons, pitch = generators.grating(lines=12).top_cell(), 4.0
-        flat = [p for polys in polygons.polygons.values() for p in polys]
-        _, total, windows = spooled(flat, pitch)
-        assert total > 1 and len(windows) >= 1
-        assert opened == ["rb"]
+        grid = [
+            Polygon.rectangle(x, y, x + 1.0, y + 1.0)
+            for y in (0.0, 10.0, 20.0)
+            for x in (0.0, 10.0, 20.0)
+        ]
+        with _spooled_windows(iter(grid), 10.0) as (_, total, windows):
+            assert opened == ["r+b"]
+            for n, (shards, _, _) in enumerate(windows, 1):
+                assert len(shards) == 3 and opened == ["r+b"] + ["rb"] * n
+            assert (total, n) == (9, 3)
 
 
 # ---------------------------------------------------------------------------
