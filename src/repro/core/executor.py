@@ -29,8 +29,8 @@ Both entry points of :class:`ShardedExecutor` run the same loop
 (:meth:`ShardedExecutor._run_shards`): a *source* supplies windows of
 shards, the loop does cache lookup → dispatch → store → recovery
 attribution per window, and a *sink* receives each result in row-major
-order.  Resident sequences (:meth:`~ShardedExecutor.execute_many`) are
-one window whose results are held; a one-shot polygon cursor
+order.  A resident layout (:meth:`~ShardedExecutor.execute`) is one
+window whose results are held; a one-shot polygon cursor
 (:meth:`~ShardedExecutor.execute_stream`) is spooled to disk and
 arrives as one window per shard row whose results are spilled.  Both
 land in one sink class, :class:`ExecutionResult`, which merges the
@@ -218,11 +218,10 @@ class ExecutionResult:
     both doors of :class:`ShardedExecutor` end in.
 
     The shard loop hands it every result through :meth:`add`.  A
-    resident run (:meth:`~ShardedExecutor.execute_many`, one per layout)
-    holds each result; a streamed run
-    (:meth:`~ShardedExecutor.execute_stream`) spills its ``EBC1``
-    payload to a private :class:`_Spool` and keeps only the record
-    index.  A failed spill append degrades that shard (and the rest of
+    resident run (:meth:`~ShardedExecutor.execute`) holds each result;
+    a streamed run (:meth:`~ShardedExecutor.execute_stream`) spills its
+    ``EBC1`` payload to a private :class:`_Spool` and keeps only the
+    record index.  A failed spill append degrades that shard (and the rest of
     the run) to being held, with one :class:`SpillDegradedWarning` —
     never a crash.
 
@@ -464,10 +463,9 @@ def _spooled_windows(polygons, field_size: Optional[float]):
     2. **Plan** — the boxes go through :func:`_plan_tiles`, the planner
        :func:`plan_shards` uses, so the spool shards as the resident
        layout would.  The spool is not read for this.
-    3. **Window** — ``windows`` yields one ``(shards, owners,
-       source_bytes)`` triple per shard row, bottom to top, reading
-       only that row's records, in one read; every shard belongs to
-       owner 0.
+    3. **Window** — ``windows`` yields one ``(shards, source_bytes)``
+       pair per shard row, bottom to top, reading only that row's
+       records, in one read.
 
     The spool is removed when the context exits, however it exits.
     """
@@ -506,7 +504,7 @@ def _spooled_windows(polygons, field_size: Optional[float]):
                     )
                     for index, members in row
                 ]
-                yield shards, [0] * len(shards), sum(map(len, records))
+                yield shards, sum(map(len, records))
 
         yield source_polygons, len(tiles), windows()
 
@@ -515,13 +513,13 @@ class ShardedExecutor:
     """Runs fracture + proximity correction over a field-shard plan.
 
     One engine, :meth:`_run_shards`, serves both doors: a *source*
-    supplies windows of shards, the loop does cache lookup → dispatch →
-    store → recovery attribution per window, and each layout's
-    :class:`ExecutionResult` receives its results in row-major order.
+    supplies windows of one layout's shards, the loop does cache lookup
+    → dispatch → store → recovery attribution per window, and the
+    layout's :class:`ExecutionResult` receives its results in row-major
+    order.
 
-    * :meth:`execute_many` takes resident sequences: the source is one
-      window holding every layout's shards (with an owner index per
-      shard), and each layout's result holds its shards' results.
+    * :meth:`execute` takes a resident sequence: the source is one
+      window holding every shard, and the result holds their results.
       Nothing touches disk.
     * :meth:`execute_stream` takes a one-shot cursor: the source spools
       it and yields one window per shard row, and the one result spills
@@ -641,31 +639,25 @@ class ShardedExecutor:
     # -- the shard loop ---------------------------------------------------
 
     def _run_shards(
-        self,
-        windows,
-        total: int,
-        sinks: Sequence[ExecutionResult],
-        prefractured: Sequence[bool],
+        self, windows, total: int, sink: ExecutionResult, prefractured: bool
     ) -> None:
         """The one shard loop: lookup → dispatch → store → attribute.
 
-        ``windows`` yields ``(shards, owners, source_bytes)`` triples
-        (``owners[i]`` is the layout shard ``i`` belongs to;
-        ``source_bytes`` what the source re-read to build the window);
-        ``total`` is the shard count over all windows, announced to the
-        progress callback up front.  Each window's shards are looked up
-        in the cache, the misses sent down one ladder (:func:`_map_shards`,
-        with the fleet as its top rung on a distributed executor) and
-        stored, and every result handed to its owner's
-        ``sinks[owner].add`` in window order — row-major per owner.
+        ``windows`` yields ``(shards, source_bytes)`` pairs
+        (``source_bytes`` is what the source re-read to build the
+        window); ``total`` is the shard count over all windows,
+        announced to the progress callback up front.  Each window's
+        shards are looked up in the cache, the misses sent down one
+        ladder (:func:`_map_shards`, with the fleet as its top rung on a
+        distributed executor) and stored, and every result handed to
+        ``sink.add`` in window order — row-major.
 
-        Each sink gets its :class:`ExecutionStats`
-        (``prefractured[owner]`` says whether its shards carry figures).
-        Per-shard counters land on the owning layout by plain
-        arithmetic; each window's run-level values (pool restarts,
-        cache degradation, every distributed counter, the window
-        witness of a streamed run) are gathered on one record and
-        merged onto every owner by the schema's rules
+        The sink gets its :class:`ExecutionStats` (``prefractured`` says
+        whether the shards carry figures).  Per-shard counters land on
+        it by plain arithmetic; each window's recovery log, pool
+        restarts, cache degradation, distributed counters and streamed
+        witness are gathered on one record, its shard counters zero, and
+        merged by the schema's rules
         (:meth:`~repro.core.stats.ExecutionStats.merge`).
 
         Injected fault schedules key positions into the run's
@@ -677,26 +669,23 @@ class ShardedExecutor:
         cache = self.cache
         faults = self.faults.arm() if self.faults is not None else None
         tick = self._progress_tick(total)
-        streamed = any(sink.streamed for sink in sinks)
-        for sink, figures in zip(sinks, prefractured):
-            sink.stats = ExecutionStats(
-                shard_count=0,
-                occupied_shards=0,
-                workers=self.workers,
-                field_size=self.field_size,
-                cache_enabled=cache is not None,
-                hierarchy="cells" if figures else "flat",
-                # The configured mode even when a warm cache left
-                # nothing to map remotely — an all-hit run on a
-                # distributed executor is still a distributed run.
-                dispatch=self.dispatch,
-                streamed=streamed,
-            )
-        tallies = [sink.stats for sink in sinks]
-        kernel = [KernelFallbacks() for _ in tallies]
+        stats = sink.stats = ExecutionStats(
+            shard_count=0,
+            occupied_shards=0,
+            workers=self.workers,
+            field_size=self.field_size,
+            cache_enabled=cache is not None,
+            hierarchy="cells" if prefractured else "flat",
+            # The configured mode even when a warm cache left nothing to
+            # map remotely — an all-hit run on a distributed executor is
+            # still a distributed run.
+            dispatch=self.dispatch,
+            streamed=sink.streamed,
+        )
+        kernel = KernelFallbacks()
         store = ContainedStore.for_cache(stacklevel=4)
         dispatched = 0
-        for shards, owners, window_bytes in windows:
+        for shards, window_bytes in windows:
             keys: List[Optional[str]] = [None] * len(shards)
             results: List[Optional[ShardResult]] = [None] * len(shards)
             if cache is not None:
@@ -705,7 +694,6 @@ class ShardedExecutor:
                 # hit/miss decisions never depend on execution order.
                 keys = [cache.key_for(shard, *config) for shard in shards]
                 for i, key in enumerate(keys):
-                    stats = tallies[owners[i]]
                     results[i], evicted = cache.lookup(key)
                     stats.cache_evictions += evicted
                     if results[i] is not None:
@@ -738,89 +726,63 @@ class ShardedExecutor:
                 results[i] = result
                 if cache is None:
                     continue
-                stats = tallies[owners[i]]
                 stats.cache_misses += 1
                 if not store.degraded and not store(cache.put, keys[i], result):
                     stats.cache_write_failures += 1
-            # The recovery log indexes the dispatched sub-list.
-            recovery = ladder.recovery
-            owner_of = [tallies[owners[i]] for i in pending]
-            for p, count in recovery.retries.items():
-                owner_of[p].shard_retries += count
-            for p, count in recovery.timeouts.items():
-                owner_of[p].shard_timeouts += count
-            for p in recovery.salvaged:
-                owner_of[p].shards_salvaged += 1
-            for owner, result in zip(owners, results):
-                stats = tallies[owner]
+            for result in results:
                 stats.shard_count += 1
                 if result.shots:
                     stats.occupied_shards += 1
-                kernel[owner].add(result.kernel_fallbacks)
-                window_bytes += sinks[owner].add(result)
+                kernel.add(result.kernel_fallbacks)
+                window_bytes += sink.add(result)
+            recovery = ladder.recovery
             window = ExecutionStats(
+                shard_count=0,
+                occupied_shards=0,
                 parallel=ladder.pooled,
+                shard_retries=sum(recovery.retries.values()),
+                shard_timeouts=sum(recovery.timeouts.values()),
+                shards_salvaged=len(recovery.salvaged),
                 pool_restarts=recovery.pool_restarts,
                 cache_degraded=store.degraded,
-                stream_windows=int(streamed),
+                stream_windows=int(sink.streamed),
                 peak_window_bytes=window_bytes,
             )
             if ladder.dist is not None:
-                window.merge(ladder.dist, scope="run")
-            for stats in tallies:
-                stats.merge(window, scope="run")
-        for stats, fallbacks in zip(tallies, kernel):
-            stats.fold(fallbacks)
+                window.merge(ladder.dist)
+            stats.merge(window)
+        stats.fold(kernel)
 
     # -- the two doors ----------------------------------------------------
 
-    def execute_many(
-        self,
-        polygon_sets: Sequence[Sequence[Polygon]],
-        prefractured: Union[bool, Sequence[bool]] = False,
-    ) -> List[ExecutionResult]:
-        """Shard, process (serially, on a pool or on the fleet) and
-        merge resident layouts through one shared loop.
+    def execute(
+        self, geometry: Sequence, prefractured: bool = False
+    ) -> ExecutionResult:
+        """Shard, process (serially, on a pool or on the fleet) and hold
+        one resident layout.
 
-        Shards from all layouts are interleaved into a single window of
-        the shard loop (:meth:`_run_shards`), so a batch of small layers
-        keeps every worker busy; results are held and come back as one
-        :class:`ExecutionResult` per input layout, in its own shard
-        order.  With a cache,
-        shards whose content address is already stored skip the work
-        list entirely.
+        The layout's shards are one window of the shard loop
+        (:meth:`_run_shards`); results are held and come back as one
+        :class:`ExecutionResult` in shard order.  With a cache, shards
+        whose content address is already stored skip the work list
+        entirely.
 
-        ``prefractured`` marks input sets that hold
+        ``prefractured`` marks ``geometry`` as
         :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
-        polygons — the hierarchy-aware runs, where fracture already
+        polygons — a hierarchy-aware run, where fracture already
         happened once per cell, so shards carry figures and only
-        proximity correction runs per shard.  One flag for the whole
-        batch, or one per set for a mixed batch (a list of any other
-        length is a ``ValueError``).
+        proximity correction runs per shard.
         """
-        if isinstance(prefractured, bool):
-            prefractured = [prefractured] * len(polygon_sets)
-        if len(prefractured) != len(polygon_sets):
-            raise ValueError(
-                f"prefractured has {len(prefractured)} flags for "
-                f"{len(polygon_sets)} layouts"
-            )
-        plans = [
-            (plan_figure_shards if figures else plan_shards)(
-                geometry, self.field_size, overlap_policy=self.overlap_policy
-            )
-            for geometry, figures in zip(polygon_sets, prefractured)
-        ]
-        shards = [shard for plan in plans for shard in plan]
-        owners = [which for which, plan in enumerate(plans) for _ in plan]
-        held = [ExecutionResult(self.corrector is not None) for _ in plans]
-        self._run_shards([(shards, owners, 0)], len(shards), held, prefractured)
+        planner = plan_figure_shards if prefractured else plan_shards
+        shards = planner(geometry, self.field_size, overlap_policy=self.overlap_policy)
+        held = ExecutionResult(self.corrector is not None)
+        self._run_shards([(shards, 0)], len(shards), held, prefractured)
         return held
 
     def execute_stream(self, polygons) -> ExecutionResult:
         """Shard, process and spill one layout in bounded memory.
 
-        The out-of-core counterpart of :meth:`execute_many`:
+        The out-of-core counterpart of :meth:`execute`:
         ``polygons`` may be any iterable (a
         :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
         all) and is consumed exactly once by the spool source
@@ -856,7 +818,7 @@ class ShardedExecutor:
         try:
             with _spooled_windows(polygons, self.field_size) as spooled:
                 execution.source_polygons, total_shards, windows = spooled
-                self._run_shards(windows, total_shards, [execution], [False])
+                self._run_shards(windows, total_shards, execution, False)
         except BaseException:
             execution.close()
             raise

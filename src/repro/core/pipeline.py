@@ -8,11 +8,10 @@ or streamed — in one pass over its shard results: the
 write-time estimates and the machine program.  A pipeline is one run's
 configuration: every knob is set in
 its constructor, and the entry points take only what a run reads and
-writes (source, layer, names, output paths); a different configuration
-is a second pipeline.  Batch entry points
-(:meth:`PreparationPipeline.run_layers`,
-:meth:`PreparationPipeline.run_many`) sweep several layers or sources
-through one shared worker pool.
+writes (source, layer, name, output paths); a different configuration
+is a second pipeline.  A run prepares one layout into one job; a
+per-layer sweep is one :meth:`PreparationPipeline.run` per layer, all
+on the one shared worker pool.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    List,
     Optional,
     Sequence,
     Union,
@@ -296,9 +294,16 @@ class PreparationPipeline:
         if isinstance(source, (str, Path)):
             with open_layout_stream(source) as stream:
                 source = stream.materialize()
-        items = self._work_items(source, None if layer is None else [layer], False)
-        names = [name] if name else None
-        return self._run_batch(engine, items, names, program_path, job_path)[0]
+        geometry, inferred, source_polygons, hier = self._work_item(source, layer)
+        execution = engine.execute(geometry, prefractured=hier is not None)
+        execution.source_polygons = source_polygons
+        if hier is not None:
+            # Cells-mode shards are prefractured, so their per-shard
+            # kernel counters are zero; the kernel ran during the
+            # hierarchy walk instead.
+            execution.stats.fold(hier)
+            execution.stats.fold(hier.kernel_fallbacks)
+        return self._assemble(execution, name or inferred, program_path, job_path)
 
     def run_streaming(
         self,
@@ -357,157 +362,41 @@ class PreparationPipeline:
                 stream.close()
         return self._assemble(execution, name or inferred, program_path, job_path)
 
-    def run_layers(
-        self,
-        source: Union[Library, Cell],
-        layers: Optional[Sequence[Layer]] = None,
-    ) -> Dict[Layer, PipelineResult]:
-        """Prepare each layer of a cell as its own job, batched.
+    def _work_item(
+        self, source: Union[Library, Cell, Iterable[Polygon]], layer: Optional[Layer]
+    ) -> tuple:
+        """The one job a resident source makes.
 
-        All layers' shards share one worker pool, so a many-layer sweep
-        parallelizes even when individual layers are small.  With
-        hierarchy ``"cells"`` every cell is fractured once for the
-        whole sweep (the reuse statistics on each layer's
-        ``ExecutionStats`` describe the whole source).
-
-        Args:
-            source: library (top cell used) or cell.
-            layers: layers to prepare (defaults to every populated one).
-
-        Returns:
-            Mapping layer → result, in layer sort order.
-        """
-        engine = self.executor()
-        items = self._work_items(source, layers, True)
-        results = self._run_batch(engine, items, None)
-        return {layer: result for (layer, *_), result in zip(items, results)}
-
-    def run_many(
-        self,
-        sources: Sequence[Union[Library, Cell, Iterable[Polygon]]],
-        names: Optional[Sequence[str]] = None,
-        layer: Optional[Layer] = None,
-    ) -> List[PipelineResult]:
-        """Prepare several sources through one shared worker pool.
-
-        The batch equivalent of :meth:`run` — one call sweeps a whole
-        scenario matrix (many workloads × this pipeline's machines).
-        With hierarchy ``"cells"`` every Library/Cell source goes
-        through per-cell fracture + figure replication; raw polygon
-        sources in the same batch still run flat, in the same
-        interleaved shard list.
-        """
-        engine = self.executor()
-        layers = None if layer is None else [layer]
-        items = [
-            item
-            for source in sources
-            for item in self._work_items(source, layers, False)
-        ]
-        return self._run_batch(engine, items, names)
-
-    def _work_items(
-        self,
-        source: Union[Library, Cell, Iterable[Polygon]],
-        layers: Optional[Sequence[Layer]],
-        per_layer: bool,
-    ) -> List[tuple]:
-        """The jobs one source contributes to a batch.
-
-        ``(layer, geometry, name, source_polygons, hier)`` tuples: one
-        job merging the selected ``layers`` (``layer`` is ``None``), or
-        with ``per_layer`` one job per layer in the order given (layer
-        sort order by default).  ``hier`` is the per-cell fracture the
-        geometry came from when it holds pre-fractured figures
-        (hierarchy ``"cells"`` on a library/cell), else ``None`` and
-        the geometry is polygons; raw polygon sources carry no
-        hierarchy and always run flat.
+        ``(geometry, name, source_polygons, hier)``: the selected layer's
+        geometry (every layer merged when ``layer`` is ``None``).
+        ``hier`` is the per-cell fracture the geometry came from when it
+        holds pre-fractured figures (hierarchy ``"cells"`` on a
+        library/cell), else ``None`` and the geometry is polygons; raw
+        polygon sources carry no hierarchy and always run flat.
         """
         if not isinstance(source, (Library, Cell)):
             polygons = list(source)
-            return [(None, polygons, "job", len(polygons), None)]
+            return polygons, "job", len(polygons), None
         cell = source.top_cell() if isinstance(source, Library) else source
-        selected = set(layers) if layers is not None else None
+        selected = {layer} if layer is not None else None
         if self.hierarchy == "cells":
-            # A merged job fractures each cell's selected layers as one
-            # union, mirroring the flat path, which fractures the union
-            # of every requested layer's polygons in one pass.
+            # Each cell's selected layers are fractured as one union,
+            # mirroring the flat path, which fractures the union of
+            # every requested layer's polygons in one pass.
             hier = fracture_hierarchical(
-                cell, self.fracturer, layers=selected, merge_layers=not per_layer
+                cell, self.fracturer, layers=selected, merge_layers=True
             )
-            geometry, counts = hier.figures, hier.source_polygons_by_layer
-        else:
-            hier = None
-            geometry = flatten_cell(cell, layers=selected)
-            counts = {layer: len(polys) for layer, polys in geometry.items()}
-        if not per_layer:
-            if hier is not None:
-                # One merged fracture per cell: one key, one view.
-                merged = geometry.get(None, [])
-            else:
-                merged = [item for items in geometry.values() for item in items]
-            return [(None, merged, cell.name, sum(counts.values()), hier)]
-        return [
-            (
-                layer,
-                geometry.get(layer, []),
-                f"{cell.name}:{layer}",
-                counts.get(layer, 0),
-                hier,
-            )
-            for layer in (sorted(geometry) if layers is None else layers)
-        ]
-
-    def _run_batch(
-        self,
-        engine: ShardedExecutor,
-        items: List[tuple],
-        names: Optional[Sequence[str]],
-        program_path: Optional[Union[str, Path]] = None,
-        job_path: Optional[Union[str, Path]] = None,
-    ) -> List[PipelineResult]:
-        """Execute :meth:`_work_items` jobs on ``engine`` as one
-        interleaved shard list and assemble each into a result
-        (``names`` override the inferred job names; ``program_path`` and
-        ``job_path`` are for one-job batches)."""
-        outcomes = engine.execute_many(
-            [geometry for _, geometry, *_ in items],
-            prefractured=[hier is not None for *_, hier in items],
-        )
-        program_seen: Dict[tuple, int] = {}
-        out: List[PipelineResult] = []
-        for i, (item, outcome) in enumerate(zip(items, outcomes)):
-            _, _, inferred, source_polygons, hier = item
-            outcome.source_polygons = source_polygons
-            if hier is not None:
-                # Cells-mode shards are prefractured, so their per-shard
-                # kernel counters are zero; the kernel ran during the
-                # hierarchy walk instead.
-                outcome.stats.fold(hier)
-                outcome.stats.fold(hier.kernel_fallbacks)
-            name = names[i] if names is not None else inferred
-            out.append(
-                self._assemble(outcome, name, program_path, job_path, program_seen)
-            )
-        return out
+            return hier.figures.get(None, []), cell.name, hier.source_polygons, hier
+        flat = flatten_cell(cell, layers=selected)
+        merged = [poly for polys in flat.values() for poly in polys]
+        return merged, cell.name, len(merged), None
 
     # -- helpers ----------------------------------------------------------
 
-    def _default_program_path(
-        self, name: str, mode: str, seen: Optional[Dict[tuple, int]]
-    ) -> Path:
-        """``<program_dir>/<slug>.<mode>.ebp``, disambiguated within a
-        batch: two jobs of one ``run_layers``/``run_many`` call whose
-        names slug identically get distinct files (``slug-2``, …)
-        instead of silently overwriting each other's program."""
+    def _default_program_path(self, name: str, mode: str) -> Path:
+        """``<program_dir>/<slug>.<mode>.ebp``."""
         base = self.program_dir if self.program_dir is not None else Path(".")
-        slug = _program_slug(name)
-        if seen is not None:
-            count = seen.get((slug, mode), 0)
-            seen[(slug, mode)] = count + 1
-            if count:
-                slug = f"{slug}-{count + 1}"
-        return base / f"{slug}.{mode}.ebp"
+        return base / f"{_program_slug(name)}.{mode}.ebp"
 
     def _assemble(
         self,
@@ -515,7 +404,6 @@ class PreparationPipeline:
         name: str,
         program_path: Optional[Union[str, Path]] = None,
         job_path: Optional[Union[str, Path]] = None,
-        program_seen: Optional[Dict[tuple, int]] = None,
     ) -> PipelineResult:
         """Assemble one execution into a result — the tail of every run.
 
@@ -562,9 +450,7 @@ class PreparationPipeline:
                 from repro.machine.program import MachineSpec, export_program
 
                 if program_path is None:
-                    program_path = self._default_program_path(
-                        name, mode, program_seen
-                    )
+                    program_path = self._default_program_path(name, mode)
                 result.machine_program = export_program(
                     execution.results(),
                     job,

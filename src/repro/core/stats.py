@@ -28,9 +28,6 @@ GROUPS = {
 
 #: What a field's schema entry may say beyond its group, with defaults.
 SCHEMA_DEFAULTS = {
-    # "shard": attributed to the layout owning the shard; "run":
-    # describes the whole run, replicated onto every layout of a batch.
-    "scope": "shard",
     # How two records combine: "sum", "max", "any", or "keep" (the
     # record's own value stands).
     "merge": "sum",
@@ -64,10 +61,8 @@ def stat(default, group: str = "run", **entry):
 #: The two families whose members share everything but a flag: the
 #: per-cell reuse counters of a ``"cells"`` run, and the lease
 #: coordinator's counters (run-level sums, summed again in ``/stats``).
-_cells = functools.partial(
-    stat, 0, "cells", scope="run", source="HierarchicalFractureResult"
-)
-_dist = functools.partial(stat, 0, "dist", scope="run", totals="dist")
+_cells = functools.partial(stat, 0, "cells", source="HierarchicalFractureResult")
+_dist = functools.partial(stat, 0, "dist", totals="dist")
 
 
 @dataclass
@@ -168,13 +163,13 @@ class ExecutionStats:
 
     shard_count: int = stat(1)
     occupied_shards: int = stat(1)
-    workers: int = stat(1, scope="run", merge="keep")
-    parallel: bool = stat(False, scope="run", merge="any")
-    field_size: Optional[float] = stat(None, scope="run", merge="keep")
-    cache_enabled: bool = stat(False, scope="run", merge="keep")
+    workers: int = stat(1, merge="keep")
+    parallel: bool = stat(False, merge="any")
+    field_size: Optional[float] = stat(None, merge="keep")
+    cache_enabled: bool = stat(False, merge="keep")
     cache_hits: int = stat(0)
     cache_misses: int = stat(0)
-    hierarchy: str = stat("flat", scope="run", merge="keep")
+    hierarchy: str = stat("flat", merge="keep")
     cells_fractured: int = _cells()
     instances_reused: int = _cells()
     instances_fallback: int = _cells()
@@ -184,16 +179,16 @@ class ExecutionStats:
     kernel_merge_fallbacks: int = stat(0, source="KernelFallbacks.scalar_merge")
     shard_retries: int = stat(0, "faults", fault=True, totals="faults")
     shards_salvaged: int = stat(0, "faults", fault=True, totals="faults")
-    pool_restarts: int = stat(0, "faults", scope="run", fault=True, totals="faults")
+    pool_restarts: int = stat(0, "faults", fault=True, totals="faults")
     shard_timeouts: int = stat(0, "faults", fault=True, totals="faults")
     cache_write_failures: int = stat(
         0, "faults", fault=True, totals="faults", source="MachineProgram"
     )
     cache_degraded: bool = stat(
-        False, "faults", scope="run", merge="any", fault=True, source="MachineProgram"
+        False, "faults", merge="any", fault=True, source="MachineProgram"
     )
     cache_evictions: int = stat(0, "faults", totals="faults")
-    dispatch: str = stat("local", scope="run", merge="keep")
+    dispatch: str = stat("local", merge="keep")
     dist_workers: int = _dist(merge="max", alias="workers", totals=None)
     leases_granted: int = _dist()
     leases_reclaimed: int = _dist(fault=True)
@@ -203,9 +198,9 @@ class ExecutionStats:
     speculative_losses: int = _dist()
     duplicate_commits: int = _dist()
     dist_local_fallbacks: int = _dist(alias="local_fallbacks")
-    streamed: bool = stat(False, "memory", scope="run", merge="keep")
-    stream_windows: int = stat(0, "memory", scope="run")
-    peak_window_bytes: int = stat(0, "memory", scope="run", merge="max")
+    streamed: bool = stat(False, "memory", merge="keep")
+    stream_windows: int = stat(0, "memory")
+    peak_window_bytes: int = stat(0, "memory", merge="max")
     shards_spilled: int = stat(0, "memory")
     spill_bytes: int = stat(0, "memory")
     spill_fallbacks: int = stat(0, "memory", fault=True, totals="faults")
@@ -230,18 +225,14 @@ class ExecutionStats:
         and missed heartbeats are degradation and count."""
         return sum(int(count) for count in self.select("fault", True).values())
 
-    def merge(self, other: "ExecutionStats", scope: Optional[str] = None) -> None:
-        """Fold ``other`` into this record by each field's merge rule.
-
-        ``scope="run"`` folds only the run-level fields (the shard
-        loop's per-window fold onto every layout of a batch); the
-        default folds everything (the service's cross-job totals).
-        """
+    def merge(self, other: "ExecutionStats") -> None:
+        """Fold ``other`` into this record by each field's merge rule —
+        the shard loop's per-window record, the service's cross-job
+        totals."""
         for f in fields(self):
-            if scope in (None, f.metadata["scope"]):
-                rule = _MERGE[f.metadata["merge"]]
-                mine, theirs = getattr(self, f.name), getattr(other, f.name)
-                setattr(self, f.name, rule(mine, theirs))
+            rule = _MERGE[f.metadata["merge"]]
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, rule(mine, theirs))
 
     def fold(self, record) -> None:
         """Fold one engine record (``KernelFallbacks``,

@@ -137,7 +137,8 @@ class LeaseQueue:
     ``dist`` group the queue increments: all-zero except
     ``dist_workers`` / ``leases_granted`` on a clean run — reclaims,
     deaths, missed heartbeats and duplicates are the network layer's
-    "a degraded run can never look like a clean one" witnesses.
+    "a degraded run can never look like a clean one" witnesses.  It
+    counts no shards, so the shard loop merges it whole.
     """
 
     def __init__(
@@ -153,7 +154,7 @@ class LeaseQueue:
         self.retry = retry if retry is not None else RetryPolicy()
         self.policy = policy if policy is not None else DistPolicy()
         self.deadline = deadline if deadline is not None else Deadline()
-        self.stats = ExecutionStats()
+        self.stats = ExecutionStats(shard_count=0, occupied_shards=0)
         self._lock = threading.Lock()
         self._pending: Deque[Tuple[int, int]] = deque(
             (position, 0) for position in range(n)

@@ -41,10 +41,11 @@ from repro.layout.cell import Cell
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 
-#: Geometry of the most recently walked cell is memoized up to this many
-#: polygons, so array references expand in O(parse once); larger cells
-#: fall back to one re-scan per layer, keeping residency bounded.
-GEOM_CACHE_MAX_POLYGONS = 65536
+#: Geometry of the most recently walked cell placed more than once is
+#: memoized up to this many coordinate bytes (16 per vertex), so array
+#: references expand in O(parse once); a cell placed once, or a larger
+#: one, is re-read once per layer, keeping residency bounded.
+GEOM_CACHE_MAX_BYTES = 1 << 22
 
 
 class LayoutStream:
@@ -213,6 +214,29 @@ class _FileGeometryCache:
         self.cell_name: Optional[str] = None
         self.geometry: Optional[Dict[Layer, List[Polygon]]] = None
         self.uncacheable: Set[str] = set()
+        #: Cells placed more than once under the current walk's top —
+        #: the only ones worth memoizing.
+        self.repeated: Set[str] = set()
+
+
+def _repeated_cells(top: Cell) -> Set[str]:
+    """Names of the cells placed more than once under ``top``, array
+    elements and parent placements multiplied out."""
+    seen: Set[str] = set()
+    repeated: Set[str] = set()
+
+    def visit(cell: Cell, many: bool) -> None:
+        if cell.name in repeated:
+            return
+        if many or cell.name in seen:
+            repeated.add(cell.name)
+            many = True
+        seen.add(cell.name)
+        for ref in cell.references:
+            visit(ref.cell, many or ref.placement_count() > 1)
+
+    visit(top, False)
+    return repeated
 
 
 class FileStream(LayoutStream):
@@ -261,6 +285,17 @@ class FileStream(LayoutStream):
             return list(cell.polygons)
         return self._layer_order.get(cell.name, [])
 
+    def iter_flat(
+        self,
+        top: Union[None, str, Cell] = None,
+        layers: Optional[Set[Layer]] = None,
+    ) -> Iterator[Polygon]:
+        """:meth:`LayoutStream.iter_flat`, memoizing only the cells
+        placed more than once under ``top``."""
+        cell = self._resolve_top(top)
+        self._geom.repeated = _repeated_cells(cell)
+        return super().iter_flat(cell, layers)
+
     def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
         if self._materialized:
             yield from cell.polygons.get(layer, ())
@@ -274,16 +309,17 @@ class FileStream(LayoutStream):
                 yield poly
 
     def _cell_geometry(self, name: str) -> Optional[Dict[Layer, List[Polygon]]]:
-        """The memoized geometry of ``name`` (None when over the cap)."""
+        """The memoized geometry of ``name`` (None when it is placed
+        once or over the cap)."""
         if self._geom.cell_name == name:
             return self._geom.geometry
-        if name in self._geom.uncacheable:
+        if name in self._geom.uncacheable or name not in self._geom.repeated:
             return None
         geometry: Dict[Layer, List[Polygon]] = {}
-        count = 0
+        size = 0
         for layer, poly in self._iter_cell_geometry(name):
-            count += 1
-            if count > GEOM_CACHE_MAX_POLYGONS:
+            size += 16 * len(poly.vertices)
+            if size > GEOM_CACHE_MAX_BYTES:
                 self._geom.uncacheable.add(name)
                 return None
             geometry.setdefault(layer, []).append(poly)

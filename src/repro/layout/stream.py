@@ -28,14 +28,14 @@ from typing import Union
 
 from repro.layout.cif import CifStream
 from repro.layout.cursor import (
-    GEOM_CACHE_MAX_POLYGONS,
+    GEOM_CACHE_MAX_BYTES,
     LayoutStream,
     MemoryStream,
 )
 from repro.layout.gdsii import GdsiiStream, GdsiiStreamWriter
 
 __all__ = [
-    "GEOM_CACHE_MAX_POLYGONS",
+    "GEOM_CACHE_MAX_BYTES",
     "LayoutStream",
     "MemoryStream",
     "GdsiiStream",

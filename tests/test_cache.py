@@ -465,20 +465,14 @@ class TestCachedExecution:
         assert first.execution.cache_misses == first.execution.shard_count
         assert second.execution.cache_hits == second.execution.shard_count
 
-    def test_run_many_shares_cache_across_sources(self, tmp_path):
+    def test_two_executions_share_one_cache(self, tmp_path):
         pipe = self.pipeline(tmp_path)
         polys = grid_of_squares(4, 4)
-        results = pipe.executor().execute_many([polys, polys])
-        # The second copy of the same layout hits on every shard the
-        # first copy stored... unless both were looked up before either
-        # stored, which is the documented single-pass behaviour: lookups
-        # happen before processing.  Both layouts must agree regardless.
-        assert [s.dose for s in results[0].shots] == [
-            s.dose for s in results[1].shots
-        ]
-        warm = pipe.executor().execute_many([polys, polys])
-        for outcome in warm:
-            assert outcome.stats.cache_hits == outcome.stats.shard_count
+        cold = pipe.executor().execute(polys)
+        warm = pipe.executor().execute(polys)
+        assert cold.stats.cache_misses == cold.stats.shard_count
+        assert warm.stats.cache_hits == warm.stats.shard_count
+        assert [s.dose for s in warm.shots] == [s.dose for s in cold.shots]
 
 
 class TestReviewRegressions:
@@ -574,8 +568,8 @@ class TestKernelFallbackObservability:
         executor = ShardedExecutor(
             TrapezoidFracturer(), field_size=self.FAR / 1000.0
         )
-        (result,) = executor.execute_many(
-            [self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]]
+        result = executor.execute(
+            self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]
         )
         assert result.stats.shard_count == 2
         stats = result.stats
@@ -594,8 +588,8 @@ class TestKernelFallbackObservability:
             TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
         )
         polys = self._far_polygons()
-        (cold,) = executor.execute_many([polys])
-        (warm,) = executor.execute_many([polys])
+        cold = executor.execute(polys)
+        warm = executor.execute(polys)
         assert warm.stats.cache_hits == warm.stats.shard_count
         assert cold.stats.kernel_coord_fallbacks >= 1
         assert warm.stats.kernel_fallbacks == cold.stats.kernel_fallbacks
@@ -620,8 +614,8 @@ class TestKernelFallbackObservability:
         executor = ShardedExecutor(
             TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
         )
-        (cold,) = executor.execute_many([apex])
-        (warm,) = executor.execute_many([apex])
+        cold = executor.execute(apex)
+        warm = executor.execute(apex)
         assert warm.stats.cache_hits == warm.stats.shard_count == 1
         for stats in (cold.stats, warm.stats):
             assert stats.kernel_merge_fallbacks == 1

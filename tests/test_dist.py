@@ -295,8 +295,9 @@ class TestLeaseQueue:
         queue.commit(b.lease_id, "w1", b.position, b"rb", now=1.0)
         stats = queue.stats
         assert isinstance(stats, ExecutionStats)
-        # A clean batch moves its workers and grants, nothing else.
-        fresh = ExecutionStats()
+        # A clean batch moves its workers and grants, nothing else; the
+        # record counts no shards, so the shard loop can merge it whole.
+        fresh = ExecutionStats(shard_count=0, occupied_shards=0)
         moved = {
             name: value
             for name, value in vars(stats).items()
@@ -1151,9 +1152,9 @@ class TestRecipeAndServerPlumbing:
             coordinator_for(endpoint)
             faults = FaultPlan(dead_worker=frozenset({(0, 0)}))
             policy = DistPolicy(
-                heartbeat_interval=0.1,
-                heartbeat_timeout=0.5,
-                worker_grace=2.0,
+                heartbeat_interval=0.02,
+                heartbeat_timeout=0.1,
+                worker_grace=0.2,
                 speculate=False,
             )
             result = leased(endpoint, faults=faults, policy=policy)

@@ -170,45 +170,32 @@ class TestWorkersFallback:
         assert result.job.figure_count() == 5
 
 
-class TestBatchAPIs:
-    def test_run_many_matches_individual_runs(self):
+class TestPerRunSources:
+    def test_pooled_runs_match_serial_runs(self):
         sources = [generators.grating(lines=4), generators.grating(lines=7)]
-        batch = PreparationPipeline(workers=2, field_size=15.0).run_many(sources)
+        pooled = PreparationPipeline(workers=2, field_size=15.0)
         serial = PreparationPipeline(workers=1, field_size=15.0)
-        singles = [serial.run(s) for s in sources]
-        assert len(batch) == 2
-        for b, s in zip(batch, singles):
-            assert [shot_key(x) for x in b.job.shots] == [
-                shot_key(x) for x in s.job.shots
+        for source in sources:
+            assert [shot_key(x) for x in pooled.run(source).job.shots] == [
+                shot_key(x) for x in serial.run(source).job.shots
             ]
 
-    def test_run_many_names(self):
-        pipe = PreparationPipeline()
-        results = pipe.run_many(
-            [generators.grating(lines=3)], names=["custom"]
-        )
-        assert results[0].job.name == "custom"
+    def test_run_takes_a_name(self):
+        result = PreparationPipeline().run(generators.grating(lines=3), name="custom")
+        assert result.job.name == "custom"
 
-    def test_run_layers_prepares_each_layer(self):
+    def test_one_run_per_layer_prepares_each_layer(self):
         from repro.layout.cell import Cell
 
         cell = Cell("TWO_LAYERS")
         cell.add_rectangle(0, 0, 5, 5, Layer(1))
-        cell.add_rectangle(10, 0, 15, 5, Layer(2))
-        results = PreparationPipeline(workers=2).run_layers(cell)
-        assert set(results) == {Layer(1), Layer(2)}
-        for layer, result in results.items():
+        cell.add_rectangle(10, 0, 25, 5, Layer(2))
+        pipe = PreparationPipeline(workers=2)
+        for layer, area in ((Layer(1), 25.0), (Layer(2), 75.0)):
+            result = pipe.run(cell, layer=layer, name=f"TWO_LAYERS:{layer}")
             assert result.job.figure_count() == 1
             assert result.job.name == f"TWO_LAYERS:{layer}"
-
-    def test_run_layers_subset(self):
-        from repro.layout.cell import Cell
-
-        cell = Cell("TWO_LAYERS")
-        cell.add_rectangle(0, 0, 5, 5, Layer(1))
-        cell.add_rectangle(10, 0, 15, 5, Layer(2))
-        results = PreparationPipeline().run_layers(cell, layers=[Layer(2)])
-        assert list(results) == [Layer(2)]
+            assert result.fracture_report.total_area == area
 
 
 class TestOverlapPolicy:
@@ -310,7 +297,7 @@ class TestExecutorClass:
             )
 
     def test_execute_empty(self):
-        (outcome,) = ShardedExecutor(TrapezoidFracturer()).execute_many([[]])
+        outcome = ShardedExecutor(TrapezoidFracturer()).execute([])
         assert outcome.shots == []
         assert outcome.report.figure_count == 0
         assert outcome.corrected is False
@@ -322,7 +309,7 @@ class TestProgressCallback:
     def _run(self, executor, polygons):
         events = []
         executor.progress = lambda done, total: events.append((done, total))
-        (result,) = executor.execute_many([polygons])
+        result = executor.execute(polygons)
         return result, events
 
     def test_serial_progress_counts_every_shard(self):
@@ -336,7 +323,7 @@ class TestProgressCallback:
     def test_progress_never_changes_results(self):
         executor = ShardedExecutor(TrapezoidFracturer(), field_size=10.0)
         polygons = grid_of_squares(3, 3)
-        (silent,) = executor.execute_many([polygons])
+        silent = executor.execute(polygons)
         result, events = self._run(executor, polygons)
         assert [shot_key(s) for s in result.shots] == [
             shot_key(s) for s in silent.shots
@@ -351,7 +338,7 @@ class TestProgressCallback:
             TrapezoidFracturer(), field_size=10.0, cache=cache
         )
         polygons = grid_of_squares(2, 2)
-        executor.execute_many([polygons])  # cold: fill the cache
+        executor.execute(polygons)  # cold: fill the cache
         result, events = self._run(executor, polygons)  # warm: all hits
         total = result.stats.shard_count
         assert result.stats.cache_hits == total
@@ -854,15 +841,6 @@ class TestStatsSchema:
     def test_clean_unsharded_run_prints_nothing(self):
         assert ExecutionStats().lines() == []
         assert ExecutionStats().fault_events == 0
-
-    def test_run_scope_merge_leaves_shard_counters(self):
-        tally = ExecutionStats(shard_count=4, cache_hits=2, stream_windows=1)
-        window = ExecutionStats(
-            shard_count=9, cache_hits=9, stream_windows=1, parallel=True
-        )
-        tally.merge(window, scope="run")
-        assert (tally.shard_count, tally.cache_hits) == (4, 2)
-        assert (tally.stream_windows, tally.parallel) == (2, True)
 
     def test_every_field_is_declared_and_documented(self):
         documented = set(

@@ -22,6 +22,7 @@ from repro.core.pipeline import PreparationPipeline
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.trapezoid import Trapezoid
 from repro.layout import generators
+from repro.layout.flatten import flatten_cell
 from repro.pec.dose_iter import IterativeDoseCorrector
 from repro.physics.psf import DoubleGaussianPSF
 
@@ -131,21 +132,19 @@ class TestCellsModeParity:
         with pytest.raises(ValueError):
             PreparationPipeline(hierarchy="deep")
 
-    def test_run_layers_cells(self, memory_lib):
-        flat = PreparationPipeline().run_layers(memory_lib)
-        cells = PreparationPipeline(hierarchy="cells").run_layers(memory_lib)
-        assert set(flat) == set(cells)
-        for layer in flat:
-            assert (
-                cells[layer].job.figure_count()
-                == flat[layer].job.figure_count()
-            )
-            assert cells[layer].execution.hierarchy == "cells"
-            assert (
-                cells[layer].source_polygons == flat[layer].source_polygons
-            )
+    def test_per_layer_runs_cells(self, memory_lib):
+        flat = PreparationPipeline()
+        cells = PreparationPipeline(hierarchy="cells")
+        layers = sorted(flatten_cell(memory_lib.top_cell()))
+        assert layers
+        for layer in layers:
+            one_flat = flat.run(memory_lib, layer=layer)
+            one_cells = cells.run(memory_lib, layer=layer)
+            assert one_cells.job.figure_count() == one_flat.job.figure_count()
+            assert one_cells.execution.hierarchy == "cells"
+            assert one_cells.source_polygons == one_flat.source_polygons
 
-    def test_run_many_mixed_sources(self, memory_lib):
+    def test_one_pipeline_runs_library_and_raw_sources(self, memory_lib):
         polys = [
             p
             for v in generators.grating(lines=3)
@@ -153,9 +152,8 @@ class TestCellsModeParity:
             .polygons.values()
             for p in v
         ]
-        results = PreparationPipeline(hierarchy="cells").run_many(
-            [memory_lib, polys, memory_lib]
-        )
+        pipe = PreparationPipeline(hierarchy="cells")
+        results = [pipe.run(source) for source in (memory_lib, polys, memory_lib)]
         assert [r.execution.hierarchy for r in results] == [
             "cells",
             "flat",
@@ -243,18 +241,18 @@ class TestExecutorFigures:
 
     def test_prefractured_shots(self):
         executor = ShardedExecutor(TrapezoidFracturer())
-        (result,) = executor.execute_many([self.FIGS], prefractured=True)
+        result = executor.execute(self.FIGS, prefractured=True)
         assert [s.trapezoid for s in result.shots] == self.FIGS
         assert all(s.dose == 1.0 for s in result.shots)
         assert not result.corrected
 
     def test_sharded_equals_unsharded(self):
-        (one,) = ShardedExecutor(TrapezoidFracturer()).execute_many(
-            [self.FIGS], prefractured=True
+        one = ShardedExecutor(TrapezoidFracturer()).execute(
+            self.FIGS, prefractured=True
         )
-        (sharded,) = ShardedExecutor(
-            TrapezoidFracturer(), field_size=10.0
-        ).execute_many([self.FIGS], prefractured=True)
+        sharded = ShardedExecutor(TrapezoidFracturer(), field_size=10.0).execute(
+            self.FIGS, prefractured=True
+        )
         assert sharded.stats.shard_count == 6
         assert [s.trapezoid for s in sharded.shots] == [
             s.trapezoid for s in one.shots
@@ -266,7 +264,7 @@ class TestExecutorFigures:
             corrector=IterativeDoseCorrector(),
             psf=PSF,
         )
-        (result,) = executor.execute_many([self.FIGS], prefractured=True)
+        result = executor.execute(self.FIGS, prefractured=True)
         assert result.corrected
         assert len(result.shots) == len(self.FIGS)
         assert any(s.dose != 1.0 for s in result.shots)

@@ -243,7 +243,7 @@ class TestThePythonDoorAppliesTheRule:
         # A pipeline is one run's configuration: a knob a door also took
         # would be a second place to set it.
         knobs = set(inspect.signature(PreparationPipeline).parameters)
-        for door in ("run", "run_streaming", "run_layers", "run_many"):
+        for door in ("run", "run_streaming"):
             taken = knobs & set(
                 inspect.signature(getattr(PreparationPipeline, door)).parameters
             )
@@ -278,9 +278,8 @@ class TestThePythonDoorAppliesTheRule:
         cell = Cell("SQUARES").add_polygons(SQUARES)
         doors = (
             lambda: pipe.run(cell),
+            lambda: pipe.run(SQUARES),
             lambda: pipe.run_streaming(SQUARES),
-            lambda: pipe.run_many([cell, SQUARES]),
-            lambda: pipe.run_layers(cell),
         )
         for run in doors:
             with pytest.raises(ValueError, match=re.escape(complaint)):

@@ -25,6 +25,8 @@ from repro.fracture.base import with_doses
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
+from repro.layout.cell import Cell
+from repro.layout.layer import Layer
 from repro.machine.datapath import BYTES_PER_FIGURE
 from repro.machine.program import (
     MachineProgramError,
@@ -48,7 +50,7 @@ def grating_polygons(lines=8):
 
 def fractured(polygons, field_size=None):
     executor = ShardedExecutor(TrapezoidFracturer(), field_size=field_size)
-    return executor.execute_many([polygons])[0]
+    return executor.execute(polygons)
 
 
 class TestMachineSpec:
@@ -419,32 +421,20 @@ class TestPipelineThreading:
         with pytest.raises(ValueError, match="machine"):
             PreparationPipeline(machine="ebes")
 
-    def test_run_layers_per_layer_programs(self, tmp_path):
-        lib = generators.memory_array(words=2, bits=2, blocks=(2, 2))
-        pipe = PreparationPipeline(
-            machine="raster", program_dir=tmp_path, overlap_policy="ignore"
-        )
-        results = pipe.run_layers(lib)
-        assert results
-        paths = {r.machine_program.path for r in results.values()}
-        assert len(paths) == len(results)
-        for r in results.values():
-            assert r.machine_program.path.exists()
-
-    def test_run_many_colliding_names_get_distinct_programs(self, tmp_path):
-        # Two raw polygon sources both infer the name "job"; their
-        # default program paths must not overwrite each other.
+    def test_one_program_per_layer_run(self, tmp_path):
+        cell = Cell("TWO_LAYERS")
+        cell.add_rectangle(0, 0, 5, 5, Layer(1))
+        cell.add_rectangle(10, 0, 15, 5, Layer(2))
         pipe = PreparationPipeline(machine="raster", program_dir=tmp_path)
-        a = grating_polygons(lines=2)
-        b = [Polygon.rectangle(0, 0, 3, 7)]
-        results = pipe.run_many([a, b])
-        paths = [r.machine_program.path for r in results]
-        assert len(set(paths)) == 2
+        results = [
+            pipe.run(cell, layer=layer, name=f"TWO_LAYERS:{layer}")
+            for layer in (Layer(1), Layer(2))
+        ]
+        paths = {r.machine_program.path for r in results}
+        assert len(paths) == 2
         for r in results:
-            import hashlib
-
-            on_disk = hashlib.sha256(r.machine_program.path.read_bytes())
-            assert on_disk.hexdigest() == r.machine_program.digest
+            assert r.machine_program.path.parent == tmp_path
+            assert r.machine_program.path.exists()
 
     def test_library_source_with_machine(self, tmp_path):
         lib = generators.grating(lines=4)

@@ -7,7 +7,7 @@ file, from Python, the CLI or the service — is the conformance matrix's
 ``streaming`` axis (``tests/test_conformance.py``).  Here: reader
 equivalence, swept with hypothesis over the generator parameter space;
 the job-file writer against ``write_job``; the sources the matrix has
-no axis value for (raw iterables, mixed batches); what a streamed run
+no axis value for (raw iterables, a cells/raw pair); what a streamed run
 reports and how it degrades.
 """
 
@@ -46,7 +46,9 @@ from repro.fracture.base import shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.layout import generators
 from repro.layout.cell import Cell
+from repro.layout import cursor
 from repro.layout.cif import dumps_cif, loads_cif
+from repro.layout.cursor import _repeated_cells
 from repro.layout.flatten import flatten_cell, flatten_library
 from repro.layout.gdsii import dumps_gdsii, loads_gdsii, write_gdsii
 from repro.layout.library import Library
@@ -164,6 +166,68 @@ class TestStreamingReaders:
         flat = flatten_cell(loads_gdsii(path.read_bytes()).top_cell())
         assert _vertices(only) == _vertices(flat[Layer(2, 0)])
 
+    @pytest.mark.parametrize("reader", [GdsiiStream, CifStream])
+    def test_only_a_repeated_cell_is_memoized(self, reader):
+        # A cell walked once is re-read from the file, never held: the
+        # cursor over a flat layout must not keep the layout resident.
+        dumps = {GdsiiStream: dumps_gdsii, CifStream: dumps_cif}[reader]
+        flat = generators.fresnel_zone_plate()
+        arrayed = generators.memory_array(words=2, bits=2, blocks=(2, 2))
+        for library, memoized in ((flat, None), (arrayed, "BIT")):
+            data = dumps(library)
+            with reader(data if isinstance(data, bytes) else data.encode()) as stream:
+                walked = sum(1 for _ in stream.iter_flat())
+                assert walked == len(_flat_sequence(library))
+                assert stream._geom.cell_name == memoized
+                assert (stream._geom.geometry is None) == (memoized is None)
+
+    @pytest.mark.parametrize(
+        "shape, repeated",
+        [
+            ("flat", set()),
+            ("chain", set()),
+            ("two_placements", {"LEAF"}),
+            ("one_array", {"LEAF"}),
+            ("parent_twice", {"MID", "LEAF"}),
+        ],
+    )
+    def test_placement_count_multiplies_arrays_and_parents(self, shape, repeated):
+        leaf = Cell("LEAF").add_rectangle(0, 0, 1, 1)
+        mid = Cell("MID").add_rectangle(0, 0, 3, 3)
+        top = Cell("TOP").add_rectangle(0, 0, 9, 9)
+        if shape == "chain":
+            mid.instantiate(leaf)
+            top.instantiate(mid)
+        elif shape == "two_placements":
+            top.instantiate(leaf).instantiate(leaf, origin=(5.0, 0.0))
+        elif shape == "one_array":
+            top.instantiate_array(leaf, 2, 1, 2.0, 2.0)
+        elif shape == "parent_twice":
+            mid.instantiate(leaf)
+            top.instantiate(mid).instantiate(mid, origin=(5.0, 0.0))
+        assert _repeated_cells(top) == repeated
+
+    @pytest.mark.parametrize("reader", [GdsiiStream, CifStream])
+    def test_memo_is_bounded_in_coordinate_bytes(self, reader, monkeypatch):
+        library = generators.memory_array(words=2, bits=2, blocks=(2, 2))
+        bit = library.cells["BIT"]
+        bit_bytes = sum(
+            16 * len(p.vertices) for polys in bit.polygons.values() for p in polys
+        )
+        dumps, loads = {
+            GdsiiStream: (dumps_gdsii, loads_gdsii),
+            CifStream: (dumps_cif, loads_cif),
+        }[reader]
+        data = dumps(library)
+        expected = _vertices(_flat_sequence(loads(data)))
+        data = data if isinstance(data, bytes) else data.encode()
+        for cap, kept in ((bit_bytes, True), (bit_bytes - 1, False)):
+            monkeypatch.setattr(cursor, "GEOM_CACHE_MAX_BYTES", cap)
+            with reader(data) as stream:
+                assert _vertices(stream.iter_flat()) == expected
+                assert ("BIT" in stream._geom.uncacheable) is not kept
+                assert (stream._geom.cell_name == "BIT") is kept
+
 
 # ---------------------------------------------------------------------------
 # Incremental GDSII writer
@@ -258,8 +322,7 @@ class TestFullReticle:
 class TestJobFileWriter:
     def _shots(self):
         polys = _flat_sequence(generators.grating(lines=4))
-        (shards,) = ShardedExecutor(TrapezoidFracturer()).execute_many([polys])
-        return shards.shots
+        return ShardedExecutor(TrapezoidFracturer()).execute(polys).shots
 
     def test_byte_identical_to_write_job(self, tmp_path):
         from repro.core.job import MachineJob
@@ -404,22 +467,29 @@ class TestStreamingPipeline:
             assert mat.shard_retries == res.shard_retries == 1
             assert mat.fault_events == res.fault_events == 1
 
-    def test_run_many_mixed_batch_matches_single_runs(self, tmp_path):
+    def test_mixed_cells_and_raw_runs_match_single_runs(self, tmp_path):
         library = generators.memory_array(blocks=(2, 2))
         polygons = _flat_sequence(generators.grating(lines=6))
-        pipe = PreparationPipeline(
-            field_size=FIELD_SIZE,
-            hierarchy="cells",
-            machine="vsb",
-            program_dir=tmp_path / "batch",
-        )
-        (tmp_path / "batch").mkdir()
-        batch = pipe.run_many([library, polygons], names=["cells", "raw"])
-        assert [r.execution.hierarchy for r in batch] == ["cells", "flat"]
-        assert batch[0].execution.cells_fractured > 0
-        for result, source in zip(batch, (library, polygons)):
+
+        def pipeline():
+            return PreparationPipeline(
+                field_size=FIELD_SIZE,
+                hierarchy="cells",
+                machine="vsb",
+                program_dir=tmp_path / "pair",
+            )
+
+        (tmp_path / "pair").mkdir()
+        shared = pipeline()
+        pair = [
+            shared.run(source, name=name)
+            for source, name in ((library, "cells"), (polygons, "raw"))
+        ]
+        assert [r.execution.hierarchy for r in pair] == ["cells", "flat"]
+        assert pair[0].execution.cells_fractured > 0
+        for result, source in zip(pair, (library, polygons)):
             name = result.job.name
-            single = pipe.run(
+            single = pipeline().run(
                 source, name=name, program_path=tmp_path / f"{name}.ebp"
             )
             assert dumps_job(result.job) == dumps_job(single.job)
@@ -511,7 +581,7 @@ def _held_results():
     """The FZP's shard results, held, in row-major order."""
     polys = _flat_sequence(generators.fresnel_zone_plate())
     executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
-    (held,) = executor.execute_many([polys])
+    held = executor.execute(polys)
     return held.shard_results
 
 

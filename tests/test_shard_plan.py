@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import executor, plan
 from repro.core.executor import (
-    ShardedExecutor,
     ShardOverlapWarning,
     _spooled_windows,
     plan_figure_shards,
@@ -352,20 +351,19 @@ class TestSpooledWindows:
         count, total, windows = spooled(polygons, pitch)
         assert count == len(polygons)
         assert total == len(resident)
-        streamed = [shard for shards, _, _ in windows for shard in shards]
+        streamed = [shard for shards, _ in windows for shard in shards]
         assert [s.index for s in streamed] == [s.index for s in resident]
         for mine, theirs in zip(streamed, resident):
             assert [vertices(p) for p in mine.polygons] == [
                 vertices(p) for p in theirs.polygons
             ]
-        # One window per shard row, bottom to top, all owned by layout 0,
-        # charged exactly the records it re-read.
-        rows = [sorted({s.index[1] for s in shards}) for shards, _, _ in windows]
+        # One window per shard row, bottom to top, charged exactly the
+        # records it re-read.
+        rows = [sorted({s.index[1] for s in shards}) for shards, _ in windows]
         assert all(len(row) == 1 for row in rows)
         assert rows == sorted(rows)
         assert len({row[0] for row in rows}) == len(rows)
-        for shards, owners, source_bytes in windows:
-            assert owners == [0] * len(shards)
+        for shards, source_bytes in windows:
             assert source_bytes == sum(
                 16 * len(p.vertices) for s in shards for p in s.polygons
             )
@@ -402,7 +400,7 @@ class TestSpooledWindows:
         ]
         with _spooled_windows(iter(grid), 10.0) as (_, total, windows):
             assert opened == ["r+b"]
-            for n, (shards, _, _) in enumerate(windows, 1):
+            for n, (shards, _) in enumerate(windows, 1):
                 assert len(shards) == 3 and opened == ["r+b"] + ["rb"] * n
             assert (total, n) == (9, 3)
 
@@ -597,26 +595,3 @@ class TestPitchRange:
         assert captured.err.startswith(f"error: field size {pitch} cannot tile")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
-
-
-# ---------------------------------------------------------------------------
-# execute_many's per-layout flags
-# ---------------------------------------------------------------------------
-
-
-class TestExecuteMany:
-    LAYOUTS = [
-        [Polygon.rectangle(0.0, 0.0, 4.0, 4.0)],
-        [Polygon.rectangle(10.0, 0.0, 14.0, 4.0)],
-    ]
-
-    @pytest.mark.parametrize("flags", [[False], [False, False, False], []])
-    def test_a_flag_list_of_the_wrong_length_is_rejected(self, flags):
-        engine = ShardedExecutor(TrapezoidFracturer())
-        with pytest.raises(ValueError, match=f"{len(flags)} flags for 2 layouts"):
-            engine.execute_many(self.LAYOUTS, prefractured=flags)
-
-    def test_matching_flags_and_the_single_flag_still_run(self):
-        engine = ShardedExecutor(TrapezoidFracturer())
-        assert len(engine.execute_many(self.LAYOUTS, prefractured=[False, False])) == 2
-        assert len(engine.execute_many(self.LAYOUTS)) == 2
