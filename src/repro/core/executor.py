@@ -90,7 +90,7 @@ from repro.core.plan import (
     plan_figure_shards,
     plan_shards,
 )
-from repro.core.recipe import check_knobs, require
+from repro.core.recipe import FixedKnobs, check_knobs, require
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
@@ -509,7 +509,7 @@ def _spooled_windows(polygons, field_size: Optional[float]):
         yield source_polygons, len(tiles), windows()
 
 
-class ShardedExecutor:
+class ShardedExecutor(FixedKnobs):
     """Runs fracture + proximity correction over a field-shard plan.
 
     One engine, :meth:`_run_shards`, serves both doors: a *source*
@@ -526,8 +526,9 @@ class ShardedExecutor:
       each shard's result and keeps only its spool index.
 
     An executor is one run's configuration, as is the pipeline that
-    builds it (:meth:`~repro.core.pipeline.PreparationPipeline.executor`):
-    a different configuration is a second executor.
+    builds it (:attr:`~repro.core.pipeline.PreparationPipeline.engine`):
+    its knobs are read-only after construction, and a different
+    configuration is a second executor.
 
     Args:
         fracturer: fracturing strategy applied per shard.
@@ -612,6 +613,7 @@ class ShardedExecutor:
         self.endpoint = endpoint
         self.dist_policy = dist_policy
         self.deadline = deadline if deadline is not None else Deadline()
+        self._fixed = True
 
     def _progress_tick(self, total: int) -> Optional[Callable[[], None]]:
         """A thread-safe per-shard tick feeding ``self.progress``.

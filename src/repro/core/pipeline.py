@@ -6,12 +6,12 @@ from the source, hand them to the field-sharded execution engine
 or streamed — in one pass over its shard results: the
 :class:`~repro.core.job.MachineJob`, the ``.ebj`` job file, the
 write-time estimates and the machine program.  A pipeline is one run's
-configuration: every knob is set in
-its constructor, and the entry points take only what a run reads and
-writes (source, layer, name, output paths); a different configuration
-is a second pipeline.  A run prepares one layout into one job; a
-per-layer sweep is one :meth:`PreparationPipeline.run` per layer, all
-on the one shared worker pool.
+configuration: every knob is set in its constructor and read-only after
+it, the engine is built there once, and the entry points take only what
+a run reads and writes (source, layer, name, output paths); a different
+configuration is a second pipeline.  A run prepares one layout into one
+job; a per-layer sweep is one :meth:`PreparationPipeline.run` per layer,
+all on the one shared worker pool.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.faults import FaultPlan, FaultyCache
 from repro.core.hierarchical import fracture_hierarchical
 from repro.core.ladder import RetryPolicy
 from repro.core.job import MachineJob, ShotFold
-from repro.core.recipe import POSITIVE, check_knobs, require
+from repro.core.recipe import POSITIVE, FixedKnobs, check_knobs, require
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -95,8 +95,14 @@ class PipelineResult:
         return self.write_times[machine_name].total
 
 
-class PreparationPipeline:
+class PreparationPipeline(FixedKnobs):
     """Layout → fractured, corrected, timed machine job.
+
+    Every argument is checked here, and the knobs are read-only
+    afterwards (assigning one raises ``AttributeError``): to run under a
+    different configuration, build a second pipeline — passing one
+    :class:`~repro.core.cache.ShardCache` to both when they must share a
+    cache.  The execution engine is :attr:`engine`, built once.
 
     Args:
         fracturer: fracturing strategy (trapezoids by default).
@@ -205,13 +211,7 @@ class PreparationPipeline:
         deadline=None,
     ) -> None:
         require(POSITIVE, "base_dose", base_dose)
-        self.fracturer = fracturer if fracturer is not None else TrapezoidFracturer()
-        self.corrector = corrector
-        self.psf = psf
-        self.machines = list(machines)
-        self.base_dose = base_dose
-        self.workers = workers
-        self.field_size = field_size
+        check_knobs(hierarchy=hierarchy, machine=machine, address_unit=address_unit)
         if cache is None and cache_dir is not None:
             cache = ShardCache(cache_dir)
         if faults is not None and faults.enospc_puts and cache is not None:
@@ -219,52 +219,36 @@ class PreparationPipeline:
             # makes — shard results and program segment blobs share one
             # put-ordinal counter, so a schedule can target either.
             cache = FaultyCache(cache, faults)
+        self.fracturer = fracturer if fracturer is not None else TrapezoidFracturer()
+        self.corrector = corrector
+        self.psf = psf
         self.cache = cache
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        self.overlap_policy = overlap_policy
+        self.machines = list(machines)
+        self.base_dose = base_dose
         self.hierarchy = hierarchy
         self.machine = machine
         self.address_unit = address_unit
         self.program_dir = Path(program_dir) if program_dir is not None else None
-        self.progress = progress
-        self.dispatch = dispatch
-        self.workers_endpoint = workers_endpoint
-        self.dist_policy = dist_policy
-        self.deadline = deadline
-        # The engine owns the rules for what it is handed (corrector and
-        # PSF, workers, field_size, overlap_policy, the dispatch pair):
-        # build it once here so they run at this door, not at first use.
-        self.executor()
-
-    def executor(self) -> ShardedExecutor:
-        """The execution engine for one run, built from the pipeline's
-        current configuration (a knob rebound on the pipeline takes
-        effect on the next run) and checked — the pipeline's own knobs
-        here, the rest by the engine — before any work is done on its
-        behalf.  The engine's cache is also the run's program-segment
-        cache."""
-        check_knobs(
-            hierarchy=self.hierarchy,
-            machine=self.machine,
-            address_unit=self.address_unit,
-        )
-        return ShardedExecutor(
+        #: The run's execution engine, built (and its knobs checked) once,
+        #: here; every door runs on it.  Its cache is also the run's
+        #: program-segment cache.
+        self.engine = ShardedExecutor(
             self.fracturer,
-            corrector=self.corrector,
-            psf=self.psf,
-            workers=self.workers,
-            field_size=self.field_size,
-            cache=self.cache,
-            overlap_policy=self.overlap_policy,
-            progress=self.progress,
-            retry=self.retry,
-            faults=self.faults,
-            dispatch=self.dispatch,
-            endpoint=self.workers_endpoint,
-            dist_policy=self.dist_policy,
-            deadline=self.deadline,
+            corrector=corrector,
+            psf=psf,
+            workers=workers,
+            field_size=field_size,
+            cache=cache,
+            overlap_policy=overlap_policy,
+            progress=progress,
+            retry=retry,
+            faults=faults,
+            dispatch=dispatch,
+            endpoint=workers_endpoint,
+            dist_policy=dist_policy,
+            deadline=deadline,
         )
+        self._fixed = True
 
     # -- entry points --------------------------------------------------------
 
@@ -290,12 +274,11 @@ class PreparationPipeline:
                 ``<program_dir>/<job-name>.<mode>.ebp``).
             job_path: write the job's ``.ebj`` file here.
         """
-        engine = self.executor()
         if isinstance(source, (str, Path)):
             with open_layout_stream(source) as stream:
                 source = stream.materialize()
         geometry, inferred, source_polygons, hier = self._work_item(source, layer)
-        execution = engine.execute(geometry, prefractured=hier is not None)
+        execution = self.engine.execute(geometry, prefractured=hier is not None)
         execution.source_polygons = source_polygons
         if hier is not None:
             # Cells-mode shards are prefractured, so their per-shard
@@ -345,7 +328,6 @@ class PreparationPipeline:
         Always runs flat — hierarchy ``"cells"`` prefracture is a
         materializing transform and is rejected by the streaming recipe.
         """
-        engine = self.executor()
         stream, owned = self._resolve_stream(source)
         try:
             if stream is not None:
@@ -356,7 +338,7 @@ class PreparationPipeline:
             else:
                 inferred = "job"
                 polygons = iter(source)  # type: ignore[arg-type]
-            execution = engine.execute_stream(polygons)
+            execution = self.engine.execute_stream(polygons)
         finally:
             if owned and stream is not None:
                 stream.close()

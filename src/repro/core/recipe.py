@@ -18,7 +18,7 @@ recipe is hashable/comparable so callers can dedupe identical requests.
 — and its CLI flag, metavar and help text.  Validation
 (:func:`validate`), the ``prep``/``demo`` options (``cli._add_common``),
 the service payload (:func:`from_mapping`), the checks at the
-pipeline's and the engine's Python doors (:func:`check_knobs`) and the
+pipeline's and the engine's constructors (:func:`check_knobs`) and the
 README's option table are all read from the declarations: adding a
 prep option is one ``knob(...)`` line plus the line that uses it.
 """
@@ -321,23 +321,18 @@ class PrepRecipe:
         """Build a recipe from a mapping, rejecting unknown keys."""
         return from_mapping(cls, payload, "recipe option")
 
-    def build_pipeline(
-        self,
-        cache=None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        program_dir: Optional[Union[str, Path]] = None,
-        progress=None,
-        deadline=None,
-    ):
+    def build_pipeline(self, **arguments):
         """Construct the pipeline this recipe describes.
 
-        ``cache`` (an existing :class:`~repro.core.cache.ShardCache`,
-        e.g. the service's shared one) wins over ``cache_dir``;
-        ``progress`` is the per-shard completion callback threaded into
-        the execution engine (see :mod:`repro.core.executor`);
-        ``deadline`` is the run's optional
-        :class:`~repro.core.ladder.Deadline` (the service's job
-        budget and cancel).
+        ``arguments`` are further
+        :class:`~repro.core.pipeline.PreparationPipeline` keywords, each
+        winning over the recipe's own: what a front-end sets around a
+        recipe (``cache``/``cache_dir`` — an explicit cache, e.g. the
+        service's shared one, wins over a directory — ``program_dir``,
+        the ``progress`` callback, the run's ``deadline``) and what no
+        recipe says (a custom ``psf``, ``overlap_policy``, a fault plan,
+        ``machine=None`` for no program).  A pipeline's knobs are fixed
+        at construction, so this is where they are all given.
         """
         from repro.core.ladder import RetryPolicy
         from repro.core.faults import FaultPlan
@@ -366,7 +361,7 @@ class PrepRecipe:
             corrector = IterativeDoseCorrector(
                 matrix_mode=self.pec_matrix, grid_cell=self.pec_grid_cell
             )
-        return PreparationPipeline(
+        described = dict(
             fracturer=fracturer,
             corrector=corrector,
             psf=psf,
@@ -374,13 +369,9 @@ class PrepRecipe:
             base_dose=self.dose,
             workers=self.workers,
             field_size=self.field_size,
-            cache=cache,
-            cache_dir=None if cache is not None else cache_dir,
             hierarchy=self.hierarchy,
             machine=self.machine,
             address_unit=self.address_unit,
-            program_dir=program_dir,
-            progress=progress,
             retry=RetryPolicy(
                 max_attempts=self.shard_retries + 1,
                 shard_timeout=self.shard_timeout,
@@ -388,8 +379,8 @@ class PrepRecipe:
             faults=FaultPlan.from_env(),
             dispatch=self.dispatch,
             workers_endpoint=self.workers_endpoint,
-            deadline=deadline,
         )
+        return PreparationPipeline(**{**described, **arguments})
 
     def prepare(
         self,
@@ -420,3 +411,20 @@ def check_knobs(**values) -> None:
     own arguments, with the recipe's message."""
     for name, value in values.items():
         require(_KINDS[name], name, value)
+
+
+class FixedKnobs:
+    """Knobs set in ``__init__`` and read-only after it — the pipeline's
+    and the engine's: a different configuration is a second object,
+    never a rebound attribute.  ``__init__`` sets ``_fixed`` last."""
+
+    _fixed = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._fixed:
+            kind = type(self).__name__
+            raise AttributeError(
+                f"{kind}.{name} is fixed at construction; build a second "
+                f"{kind} for a different value"
+            )
+        object.__setattr__(self, name, value)

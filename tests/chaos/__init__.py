@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import List, Sequence
 
 from repro.core.executor import RetryPolicy
-from repro.core.faults import FaultyCache
 
 #: Zero backoff keeps retry scenarios fast; determinism is unaffected
 #: (backoff shapes wall-clock, never results).
@@ -24,14 +23,13 @@ def faulted(
 ):
     """Run matrix column ``column`` under a fault plan, retry policy or
     lease policy the matrix has no axis value for: its pipeline
-    (``Column.pipeline(**execution)``) with those put in.  The machine
+    (``Column.pipeline(**execution)``) built with those.  The machine
     program is written only when ``program_path`` says where."""
-    pipeline = column.pipeline(**execution)
-    pipeline.faults, pipeline.retry, pipeline.dist_policy = faults, retry, policy
-    if faults is not None and faults.enospc_puts and pipeline.cache is not None:
-        pipeline.cache = FaultyCache(pipeline.cache, faults)  # as its constructor does
     if not program_path:
-        pipeline.machine = None
+        execution["machine"] = None
+    pipeline = column.pipeline(
+        faults=faults, retry=retry, dist_policy=policy, **execution
+    )
     return pipeline.run(column.layout(), program_path=program_path)
 
 #: Bytes no cache reader accepts: wrong magic, wrong framing, too short

@@ -468,8 +468,8 @@ class TestCachedExecution:
     def test_two_executions_share_one_cache(self, tmp_path):
         pipe = self.pipeline(tmp_path)
         polys = grid_of_squares(4, 4)
-        cold = pipe.executor().execute(polys)
-        warm = pipe.executor().execute(polys)
+        cold = pipe.engine.execute(polys)
+        warm = pipe.engine.execute(polys)
         assert cold.stats.cache_misses == cold.stats.shard_count
         assert warm.stats.cache_hits == warm.stats.shard_count
         assert [s.dose for s in warm.shots] == [s.dose for s in cold.shots]

@@ -279,8 +279,7 @@ class TestCacheFaultScenarios:
         cache = SharedCache(tmp_path / "cache")
         cache.path_for(foreign_key).parent.mkdir(parents=True)
         cache.path_for(foreign_key).write_bytes(b"garbage")
-        pipeline = GRATING.pipeline()
-        pipeline.cache, pipeline.machine = cache, None
+        pipeline = GRATING.pipeline(cache=cache, machine=None)
         stats = pipeline.run(GRATING.layout()).execution
         assert cache.stats.evictions == 1
         assert stats.cache_evictions == 0
@@ -517,11 +516,13 @@ class TestDeadline:
                 raise Cancelled()
 
         deadline = Deadline(check=check)
-        pipeline = GRATING.pipeline(workers=2)
-        pipeline.faults = FaultPlan(transient=frozenset({(0, 0), (0, 1)}))
-        pipeline.retry = RetryPolicy(max_attempts=3, backoff_base=30.0)
-        pipeline.deadline = deadline
-        pipeline.machine = None
+        pipeline = GRATING.pipeline(
+            workers=2,
+            faults=FaultPlan(transient=frozenset({(0, 0), (0, 1)})),
+            retry=RetryPolicy(max_attempts=3, backoff_base=30.0),
+            deadline=deadline,
+            machine=None,
+        )
         timer = threading.Timer(
             0.3, lambda: (cancel.set(), deadline.interrupt())
         )

@@ -989,9 +989,13 @@ class TestDistributedRuns:
             worker_grace=60.0,
             speculate=False,
         )
-        pipeline = COLUMN.pipeline(dispatch="distributed", workers_endpoint=endpoint)
-        pipeline.dist_policy = policy
-        pipeline.deadline, pipeline.machine = Deadline(check=check), None
+        pipeline = COLUMN.pipeline(
+            dispatch="distributed",
+            workers_endpoint=endpoint,
+            dist_policy=policy,
+            deadline=Deadline(check=check),
+            machine=None,
+        )
         canceller = threading.Thread(target=request_cancel, daemon=True)
         canceller.start()
         try:

@@ -306,25 +306,27 @@ class TestExecutorClass:
 class TestProgressCallback:
     """Per-shard progress reporting (the service's job status feed)."""
 
-    def _run(self, executor, polygons):
+    def _run(self, polygons, **knobs):
         events = []
-        executor.progress = lambda done, total: events.append((done, total))
-        result = executor.execute(polygons)
-        return result, events
+        executor = ShardedExecutor(
+            TrapezoidFracturer(),
+            progress=lambda done, total: events.append((done, total)),
+            **knobs,
+        )
+        return executor.execute(polygons), events
 
     def test_serial_progress_counts_every_shard(self):
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=10.0)
-        polygons = grid_of_squares(3, 2)
-        result, events = self._run(executor, polygons)
+        result, events = self._run(grid_of_squares(3, 2), field_size=10.0)
         total = result.stats.shard_count
         assert events[0] == (0, total)
         assert events[1:] == [(i + 1, total) for i in range(total)]
 
     def test_progress_never_changes_results(self):
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=10.0)
         polygons = grid_of_squares(3, 3)
-        silent = executor.execute(polygons)
-        result, events = self._run(executor, polygons)
+        silent = ShardedExecutor(TrapezoidFracturer(), field_size=10.0).execute(
+            polygons
+        )
+        result, events = self._run(polygons, field_size=10.0)
         assert [shot_key(s) for s in result.shots] == [
             shot_key(s) for s in silent.shots
         ]
@@ -334,12 +336,9 @@ class TestProgressCallback:
         from repro.core.cache import ShardCache
 
         cache = ShardCache(tmp_path / "cache")
-        executor = ShardedExecutor(
-            TrapezoidFracturer(), field_size=10.0, cache=cache
-        )
         polygons = grid_of_squares(2, 2)
-        executor.execute(polygons)  # cold: fill the cache
-        result, events = self._run(executor, polygons)  # warm: all hits
+        self._run(polygons, field_size=10.0, cache=cache)  # cold: fill the cache
+        result, events = self._run(polygons, field_size=10.0, cache=cache)  # warm
         total = result.stats.shard_count
         assert result.stats.cache_hits == total
         assert events == [(0, total)] + [
@@ -347,8 +346,7 @@ class TestProgressCallback:
         ]
 
     def test_single_shard_still_reports(self):
-        executor = ShardedExecutor(TrapezoidFracturer())
-        _, events = self._run(executor, grid_of_squares(2, 1))
+        _, events = self._run(grid_of_squares(2, 1))
         assert events == [(0, 1), (1, 1)]
 
     def test_pipeline_threads_progress_through(self):
@@ -364,11 +362,7 @@ class TestProgressCallback:
         assert len(events) == total + 1
 
     def test_pooled_progress_reports_every_shard(self):
-        executor = ShardedExecutor(
-            TrapezoidFracturer(), field_size=10.0, workers=2
-        )
-        polygons = grid_of_squares(4, 2)
-        result, events = self._run(executor, polygons)
+        result, events = self._run(grid_of_squares(4, 2), field_size=10.0, workers=2)
         total = result.stats.shard_count
         # Pool completion order is nondeterministic, but the running
         # count is: one tick per shard, monotonically increasing.

@@ -78,9 +78,7 @@ def load_golden(name):
 @pytest.mark.parametrize("name", sorted(CANONICAL_LAYOUTS))
 def test_prepared_job_matches_golden(name, update_golden):
     column = CANONICAL_LAYOUTS[name]
-    pipe = column.pipeline()
-    pipe.machine = None
-    record = snapshot_of(pipe.run(column.layout()))
+    record = snapshot_of(column.pipeline(machine=None).run(column.layout()))
 
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -103,11 +101,10 @@ def test_machine_programs_match_golden(name, update_golden, tmp_path):
     change to fracture order, dosing, shard planning, RLE encoding or
     the program container fails here."""
     column = CANONICAL_LAYOUTS[name]
-    pipe = column.pipeline(cache_dir=tmp_path / "cache")
-
     record = {}
     for mode in ("raster", "vsb"):
-        pipe.machine, path = mode, tmp_path / f"{mode}.ebp"
+        pipe = column.pipeline(cache_dir=tmp_path / "cache", machine=mode)
+        path = tmp_path / f"{mode}.ebp"
         cold, warm = (
             pipe.run(column.layout(), program_path=path).machine_program
             for _ in range(2)

@@ -386,8 +386,9 @@ class TestPipelineThreading:
         assert none.machine_program is None
         pipe = PreparationPipeline(machine="vector", program_dir=tmp_path)
         assert pipe.run(polys, name="n").machine_program.mode == "vector"
-        pipe.machine = None  # a rebound knob takes effect on the next run
-        assert pipe.run(polys, name="n").machine_program is None
+        with pytest.raises(AttributeError, match="fixed at construction"):
+            pipe.machine = None
+        assert pipe.run(polys, name="n").machine_program.mode == "vector"
 
     def test_program_dir_created_on_demand(self, tmp_path):
         # The documented program_dir usage must work even when the

@@ -6,6 +6,7 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
 from repro.fracture.shots import ShotFracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.physics.psf import DoubleGaussianPSF
 
 
 class TestValidation:
@@ -92,6 +93,16 @@ class TestBuildPipeline:
             cache=cache, cache_dir=tmp_path / "b"
         )
         assert pipeline.cache is cache
+
+    def test_arguments_win_over_the_recipe(self):
+        # What no recipe says is given at construction, never rebound.
+        psf = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
+        pipeline = PrepRecipe(pec=True, machine="raster").build_pipeline(
+            psf=psf, machine=None, overlap_policy="union"
+        )
+        assert (pipeline.psf, pipeline.machine) == (psf, None)
+        assert pipeline.engine.psf is psf
+        assert pipeline.engine.overlap_policy == "union"
 
     def test_cache_dir_builds_cache(self, tmp_path):
         pipeline = PrepRecipe().build_pipeline(cache_dir=tmp_path / "c")

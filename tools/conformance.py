@@ -110,11 +110,11 @@ def _snapped(library: Library) -> Library:
     return loads_gdsii(dumps_gdsii(library))
 
 
-def _golden_pipeline(pipeline) -> None:
-    """The ``tests/golden`` pipeline: its own PSF and pre-unioned
-    overlaps, neither of which a recipe can say."""
-    pipeline.psf = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
-    pipeline.overlap_policy = "union"
+#: The ``tests/golden`` pipeline's own PSF and pre-unioned overlaps,
+#: neither of which a recipe can say.
+_GOLDEN = dict(
+    psf=DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74), overlap_policy="union"
+)
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,14 @@ class Column:
 
     ``workload`` is a built-in workload name (every door can name it) or
     a factory (the cli door then reads it from a file, the service
-    cannot); ``adapt`` finishes a pipeline no recipe describes, which
-    confines the column to the python door.
+    cannot); ``arguments`` are pipeline constructor keywords no recipe
+    describes, which confine the column to the python door.
     """
 
     name: str
     workload: object
     knobs: tuple
-    adapt: Optional[Callable] = None
+    arguments: tuple = ()
 
     @property
     def builtin(self) -> bool:
@@ -144,18 +144,26 @@ class Column:
     def recipe(self, **execution) -> PrepRecipe:
         return PrepRecipe(**dict(self.knobs), **execution)
 
-    def pipeline(self, cache_dir=None, **execution):
-        """The column's pipeline under ``execution`` knobs — the python
-        door's first half, also what fault-scenario tests start from."""
-        pipeline = self.recipe(**execution).build_pipeline(cache_dir=cache_dir)
-        if self.adapt is not None:
-            self.adapt(pipeline)
-        return pipeline
+    def pipeline(self, **settings):
+        """The column's pipeline — the python door's first half, also
+        what fault-scenario tests start from.  ``settings`` named in
+        :data:`EXECUTION` are recipe knobs; the rest are further
+        pipeline constructor keywords (``cache_dir``, a fault plan,
+        ``machine=None``) on top of the column's ``arguments``."""
+        execution = {k: settings.pop(k) for k in EXECUTION if k in settings}
+        return self.recipe(**execution).build_pipeline(
+            **{**dict(self.arguments), **settings}
+        )
 
 
-def _column(name, workload, adapt=None, **knobs) -> Column:
+def _column(name, workload, arguments=(), **knobs) -> Column:
     assert set(knobs) <= set(CONTENT), sorted(set(knobs) - set(CONTENT))
-    return Column(name, workload, tuple(sorted(knobs.items())), adapt)
+    return Column(
+        name,
+        workload,
+        tuple(sorted(knobs.items())),
+        tuple(sorted(dict(arguments).items())),
+    )
 
 
 def _golden_grating():
@@ -211,15 +219,15 @@ COLUMNS: Dict[str, Column] = {
             fracture="vsb", max_shot=1.5, field_size=10.0, machine="vsb",
         ),
         _column(
-            "golden-grating", _golden_grating, _golden_pipeline,
+            "golden-grating", _golden_grating, _GOLDEN,
             pec=True, field_size=20.0, machine="raster",
         ),
         _column(
-            "golden-fzp_ring", _golden_fzp_ring, _golden_pipeline,
+            "golden-fzp_ring", _golden_fzp_ring, _GOLDEN,
             pec=True, field_size=20.0, machine="vsb",
         ),
         _column(
-            "golden-logic_cell", _golden_logic_cell, _golden_pipeline,
+            "golden-logic_cell", _golden_logic_cell, _GOLDEN,
             pec=True, field_size=20.0, machine="raster",
         ),
     )
@@ -293,12 +301,12 @@ def _file_complaint(column: Column, source: str) -> Optional[str]:
 #: and the like are the recipe's own ``ValueError``.)
 _RULES: Tuple[Tuple[Callable[[Cell], bool], str], ...] = (
     (
-        lambda c: c.column.adapt is not None and c.door != "python",
+        lambda c: bool(c.column.arguments) and c.door != "python",
         "overlap_policy='union' and a custom PSF are python-door arguments, "
         "not recipe options",
     ),
     (
-        lambda c: c.column.adapt is not None and c.streaming,
+        lambda c: bool(c.column.arguments) and c.streaming,
         "overlap_policy='union' cannot be spooled",
     ),
     (
@@ -468,7 +476,9 @@ def _source(cell: Cell, workdir: Path):
 
 def _run_python(cell: Cell, workdir: Path, cache_dir, endpoint) -> Outcome:
     with _environ(FAULTS_ENV_VAR, FAULTS[cell.faults]):
-        pipeline = cell.column.pipeline(cache_dir, **cell.execution(endpoint))
+        pipeline = cell.column.pipeline(
+            cache_dir=cache_dir, **cell.execution(endpoint)
+        )
     ebj, ebp = workdir / "out.ebj", workdir / "out.ebp"
     result = cell.recipe(endpoint).prepare(
         pipeline,
