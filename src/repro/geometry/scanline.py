@@ -36,10 +36,10 @@ DEFAULT_GRID = 1e-3
 
 
 def require_positive(name: str, value: float) -> None:
-    """Refuse a grid or figure height that is not a positive finite
-    number: ``ValueError`` in the words of
-    :func:`repro.core.recipe.number_complaint`, which this package
-    cannot import."""
+    """Refuse a grid, figure height or machine figure (spot, current,
+    energy, …) that is not a positive finite number: ``ValueError`` in
+    the words of :func:`repro.core.recipe.number_complaint`, which the
+    geometry and machine packages cannot import."""
     if not -math.inf < value < math.inf:  # NaN compares false
         raise ValueError(f"{name} must be finite")
     if value <= 0:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from repro.geometry.scanline import require_positive
 from repro.physics.constants import relativistic_wavelength_nm
 
 
@@ -42,8 +43,7 @@ class ElectronSource:
 
     def brightness_at(self, energy_kev: float) -> float:
         """Brightness scaled linearly with accelerating voltage."""
-        if energy_kev <= 0:
-            raise ValueError("energy must be positive")
+        require_positive("energy", energy_kev)
         return self.brightness * energy_kev / 20.0
 
 
@@ -59,16 +59,39 @@ FIELD_EMISSION = ElectronSource(
 )
 
 
-def _sum_of_squares(d_gauss, d_sphere, d_chromatic, d_diffraction):
-    """``d²`` of the quadrature budget, added in one fixed order.
+def _add_squares(gauss_sq, sphere_sq, chromatic_sq, diffraction_sq):
+    """``d²`` of the quadrature budget from its four squares, added in
+    one fixed order.
 
-    Written out (not ``sum()``, which CPython ≥ 3.12 compensates for
-    floats) so the scalar :meth:`Column.spot_size` and the array scan in
-    :meth:`Column.optimal_half_angle` round identically on every Python.
+    One left-to-right expression (not ``sum()``, which CPython ≥ 3.12
+    compensates for floats) so the scalar :meth:`Column.spot_size` and
+    the array :class:`_AngleScan` round identically on every Python.
     """
-    total = d_gauss * d_gauss + d_sphere * d_sphere
-    total = total + d_chromatic * d_chromatic
-    return total + d_diffraction * d_diffraction
+    return gauss_sq + sphere_sq + chromatic_sq + diffraction_sq
+
+
+class _AngleScan:
+    """One grid of half-angles with the budget's current-independent
+    squares computed up front.
+
+    Only ``d_gauss = k / α`` depends on the current (through ``k``, see
+    :meth:`Column._gauss_coefficient`), so scanning the grid at another
+    current costs one divide, the adds of :func:`_add_squares`, a
+    ``sqrt`` and an ``argmin``.  Each element is the float the scalar
+    :meth:`Column.spot_size` returns for that angle: ``α³`` comes from
+    the scalar ``pow``, point by point, and every other operation is a
+    correctly rounded IEEE elementary, identical in both forms.
+    """
+
+    def __init__(self, column: "Column", angles: np.ndarray) -> None:
+        self.angles = angles
+        cubes = np.array([a**3 for a in angles])
+        self.fixed = [t * t for t in column._contributions(angles, cubes)]
+
+    def best(self, gauss_coefficient: float) -> int:
+        """Index of the grid angle with the smallest spot."""
+        d_gauss = gauss_coefficient / self.angles
+        return int(np.sqrt(_add_squares(d_gauss * d_gauss, *self.fixed)).argmin())
 
 
 class Column:
@@ -88,10 +111,9 @@ class Column:
         spherical_aberration_mm: float = 50.0,
         chromatic_aberration_mm: float = 20.0,
     ) -> None:
-        if energy_kev <= 0:
-            raise ValueError("energy must be positive")
-        if spherical_aberration_mm <= 0 or chromatic_aberration_mm <= 0:
-            raise ValueError("aberration coefficients must be positive")
+        require_positive("energy", energy_kev)
+        require_positive("spherical aberration", spherical_aberration_mm)
+        require_positive("chromatic aberration", chromatic_aberration_mm)
         self.source = source
         self.energy_kev = energy_kev
         self.cs_um = spherical_aberration_mm * 1e3
@@ -101,56 +123,69 @@ class Column:
 
     def spot_size(self, current_a: float, half_angle_rad: float) -> float:
         """Total spot diameter [µm] at ``current_a`` and aperture ``α``."""
-        if current_a <= 0 or half_angle_rad <= 0:
-            raise ValueError("current and half-angle must be positive")
+        require_positive("current", current_a)
+        require_positive("half-angle", half_angle_rad)
         contributions = self.spot_contributions(current_a, half_angle_rad)
-        return math.sqrt(_sum_of_squares(*contributions))
+        return math.sqrt(_add_squares(*(d * d for d in contributions)))
 
     def spot_contributions(
         self, current_a: float, half_angle_rad: float
     ) -> Tuple[float, float, float, float]:
         """``(d_gauss, d_sphere, d_chromatic, d_diffraction)`` in µm."""
-        return self._contributions(current_a, half_angle_rad, half_angle_rad**3)
+        d_gauss = self._gauss_coefficient(current_a) / half_angle_rad
+        return (d_gauss, *self._contributions(half_angle_rad, half_angle_rad**3))
 
-    def _contributions(self, current_a: float, alpha, alpha_cubed):
-        """The four budget terms for one ``α`` or, elementwise, an array.
+    def _gauss_coefficient(self, current_a: float) -> float:
+        """``k = d_gauss · α``: the one term of the budget that depends
+        on the current."""
+        # A/cm²/sr → A/µm²/sr
+        brightness_um = self.source.brightness_at(self.energy_kev) / 1e8
+        return (2.0 / math.pi) * math.sqrt(current_a / brightness_um)
+
+    def _contributions(self, alpha, alpha_cubed):
+        """``(d_sphere, d_chromatic, d_diffraction)`` for one ``α`` or,
+        elementwise, an array: the terms the current does not change.
 
         ``α³`` is passed in because numpy's array ``pow`` may round
-        differently from the scalar one; every other operation here is
-        a correctly rounded IEEE elementary, identical in both forms.
+        differently from the scalar one.
         """
-        brightness = self.source.brightness_at(self.energy_kev)  # A/cm²/sr
-        brightness_um = brightness / 1e8  # A/µm²/sr
-        d_gauss = (2.0 / math.pi) * math.sqrt(current_a / brightness_um) / alpha
         d_sphere = 0.5 * self.cs_um * alpha_cubed
         delta_e = self.source.energy_spread_ev / (self.energy_kev * 1e3)
         d_chromatic = self.cc_um * delta_e * alpha
         wavelength_um = relativistic_wavelength_nm(self.energy_kev) * 1e-3
         d_diffraction = 0.61 * wavelength_um / alpha
-        return (d_gauss, d_sphere, d_chromatic, d_diffraction)
+        return (d_sphere, d_chromatic, d_diffraction)
 
-    def _best_on_grid(self, current_a: float, angles: np.ndarray) -> int:
-        """Index of the grid angle with the smallest :meth:`spot_size`.
+    def _angle_search(self) -> Callable[[float], float]:
+        """A fresh ``current → optimal α`` for one search over currents.
 
-        One array evaluation instead of ``len(angles)`` scalar calls;
-        each element is the float ``spot_size`` returns for that angle
-        (``α³`` comes from the scalar ``pow``, point by point).
+        The coarse grid's scan is built here and a fine grid's the first
+        time its coarse index comes up (the fine grid is a function of
+        that index alone), so a bisection over 62 currents pays for the
+        fixed terms of about ten grids instead of 124.  Both live only
+        as long as the returned function: invariants hoisted out of a
+        loop, not a cache.
         """
-        cubes = np.array([a**3 for a in angles])
-        contributions = self._contributions(current_a, angles, cubes)
-        return int(np.argmin(np.sqrt(_sum_of_squares(*contributions))))
+        coarse = _AngleScan(self, np.geomspace(1e-4, 5e-2, 400))
+        fine: Dict[int, _AngleScan] = {}
+
+        def optimal_half_angle(current_a: float) -> float:
+            k = self._gauss_coefficient(current_a)
+            best = coarse.best(k)
+            if best not in fine:
+                # Refine once around the coarse optimum.
+                lo = coarse.angles[max(best - 1, 0)]
+                hi = coarse.angles[min(best + 1, len(coarse.angles) - 1)]
+                fine[best] = _AngleScan(self, np.linspace(lo, hi, 200))
+            scan = fine[best]
+            return float(scan.angles[scan.best(k)])
+
+        return optimal_half_angle
 
     def optimal_half_angle(self, current_a: float) -> float:
         """Aperture α minimizing spot size at ``current_a`` [rad]."""
-        if current_a <= 0:
-            raise ValueError("current must be positive")
-        angles = np.geomspace(1e-4, 5e-2, 400)
-        best = self._best_on_grid(current_a, angles)
-        # Refine once around the coarse optimum.
-        lo = angles[max(best - 1, 0)]
-        hi = angles[min(best + 1, len(angles) - 1)]
-        fine = np.linspace(lo, hi, 200)
-        return float(fine[self._best_on_grid(current_a, fine)])
+        require_positive("current", current_a)
+        return self._angle_search()(current_a)
 
     def best_spot_size(self, current_a: float) -> float:
         """Minimum achievable spot diameter [µm] at ``current_a``."""
@@ -159,26 +194,31 @@ class Column:
     def max_current_for_spot(self, spot_um: float) -> float:
         """Largest current [A] that still fits in a ``spot_um`` spot.
 
-        Solved by bisection on the monotone ``best_spot_size`` curve.
+        Solved by bisection on the monotone ``best_spot_size`` curve,
+        every step through one :meth:`_angle_search`.
 
         Raises:
             ValueError: if the spot is unachievable even at zero current.
         """
-        if spot_um <= 0:
-            raise ValueError("spot size must be positive")
+        require_positive("spot size", spot_um)
+        optimal = self._angle_search()
+
+        def best_spot_size(current_a: float) -> float:
+            return self.spot_size(current_a, optimal(current_a))
+
         lo, hi = 1e-13, 1e-4
-        if self.best_spot_size(lo) > spot_um:
+        floor = best_spot_size(lo)
+        if floor > spot_um:
             raise ValueError(
-                f"spot {spot_um} µm unachievable (aberration floor "
-                f"{self.best_spot_size(lo):.4f} µm)"
+                f"spot {spot_um} µm unachievable (aberration floor {floor:.4f} µm)"
             )
-        while self.best_spot_size(hi) < spot_um:
+        while best_spot_size(hi) < spot_um:
             hi *= 4.0
             if hi > 1.0:
                 break
         for _ in range(60):
             mid = math.sqrt(lo * hi)
-            if self.best_spot_size(mid) < spot_um:
+            if best_spot_size(mid) < spot_um:
                 lo = mid
             else:
                 hi = mid

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.geometry.scanline import require_positive
 from repro.machine.base import Machine, WriteTimeBreakdown
 from repro.machine.column import Column, LAB6
 from repro.machine.stage import Stage
@@ -52,8 +53,8 @@ class RasterScanWriter(Machine):
         stage: Optional[Stage] = None,
         calibration_time: float = 10.0,
     ) -> None:
-        if address_unit <= 0 or pixel_rate <= 0:
-            raise ValueError("address unit and pixel rate must be positive")
+        require_positive("address unit", address_unit)
+        require_positive("pixel rate", pixel_rate)
         if stripe_addresses < 1:
             raise ValueError("stripe must be at least one address")
         self.address_unit = address_unit

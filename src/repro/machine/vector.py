@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.geometry.scanline import require_positive
 from repro.machine.base import Machine, WriteTimeBreakdown
 from repro.machine.column import Column, LAB6
 from repro.machine.stage import Stage
@@ -46,8 +47,8 @@ class VectorScanWriter(Machine):
         field_calibration: float = 0.2,
         current_derating: float = 0.5,
     ) -> None:
-        if spot_size <= 0 or field_size <= 0:
-            raise ValueError("spot and field sizes must be positive")
+        require_positive("spot size", spot_size)
+        require_positive("field size", field_size)
         if not (0.0 < current_derating <= 1.0):
             raise ValueError("current derating must be in (0, 1]")
         self.spot_size = spot_size

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.geometry.scanline import require_positive
 from repro.machine.base import Machine, WriteTimeBreakdown
 from repro.machine.stage import Stage
 
@@ -43,8 +44,8 @@ class ShapedBeamWriter(Machine):
         field_size: float = 2000.0,
         field_calibration: float = 0.2,
     ) -> None:
-        if max_shot <= 0 or current_density <= 0:
-            raise ValueError("shot size and current density must be positive")
+        require_positive("shot size", max_shot)
+        require_positive("current density", current_density)
         self.max_shot = max_shot
         self.current_density = current_density
         self.shot_settle = shot_settle

@@ -1,5 +1,7 @@
 """Tests for the three machine writer models and the datapath."""
 
+import math
+
 import pytest
 
 from repro.core.job import MachineJob
@@ -89,6 +91,12 @@ class TestRasterWriter:
         with pytest.raises(ValueError):
             RasterScanWriter(stripe_addresses=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", ["address_unit", "pixel_rate"])
+    def test_validation_refuses_non_finite(self, knob, value):
+        with pytest.raises(ValueError, match="must be"):
+            RasterScanWriter(**{knob: value})
+
 
 class TestVectorWriter:
     def test_time_proportional_to_density(self):
@@ -134,6 +142,12 @@ class TestVectorWriter:
         with pytest.raises(ValueError):
             VectorScanWriter(current_derating=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", ["spot_size", "field_size"])
+    def test_validation_refuses_non_finite(self, knob, value):
+        with pytest.raises(ValueError, match="must be"):
+            VectorScanWriter(**{knob: value})
+
 
 class TestShapedBeamWriter:
     def test_flash_time_size_independent(self):
@@ -159,6 +173,12 @@ class TestShapedBeamWriter:
             ShapedBeamWriter(max_shot=0)
         with pytest.raises(ValueError):
             ShapedBeamWriter(current_density=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("knob", ["max_shot", "current_density"])
+    def test_validation_refuses_non_finite(self, knob, value):
+        with pytest.raises(ValueError, match="must be"):
+            ShapedBeamWriter(**{knob: value})
 
 
 class TestDatapath:
