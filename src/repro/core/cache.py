@@ -40,9 +40,8 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.jobfile import dumps_ring
 from repro.fracture.base import ShotView, row_bytes
-from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView, trapezoid_fields
 
@@ -160,7 +159,7 @@ def _update(h, obj) -> None:
     """Feed ``obj`` into hash ``h`` as a canonical type-tagged stream.
 
     Covers the primitives configuration objects are built from plus the
-    geometry types, and falls back to public-attribute introspection for
+    figure types, and falls back to public-attribute introspection for
     strategy objects (fracturers, correctors).  Attributes whose name
     starts with ``_`` or appears in the class's ``CACHE_VOLATILE`` set
     are runtime state, not configuration, and are skipped.
@@ -189,17 +188,6 @@ def _update(h, obj) -> None:
         h.update(str(len(obj)).encode())
         h.update(b":")
         h.update(obj)
-    elif isinstance(obj, Point):
-        h.update(b"P")
-        h.update(_F64.pack(obj.x))
-        h.update(_F64.pack(obj.y))
-    elif isinstance(obj, Polygon):
-        h.update(b"G")
-        h.update(str(len(obj.vertices)).encode())
-        h.update(b":")
-        for v in obj.vertices:
-            h.update(_F64.pack(v.x))
-            h.update(_F64.pack(v.y))
     elif isinstance(obj, Trapezoid):
         h.update(b"Z")
         h.update(_TRAPEZOID.pack(*trapezoid_fields(obj)))
@@ -309,9 +297,10 @@ def shard_cache_key(
     """Content address of one shard's preparation result.
 
     The key is a SHA-256 over the canonical serialization of the shard
-    polygons, the field index, the fracturer configuration, the
-    proximity-corrector configuration (or ``None``), the PSF parameters
-    (or ``None``), and a version salt.
+    polygons (each ring's ``EBS1`` record,
+    :func:`repro.core.jobfile.dumps_ring`), the field index, the
+    fracturer configuration, the proximity-corrector configuration (or
+    ``None``), the PSF parameters (or ``None``), and a version salt.
 
     Pre-fractured shards (hierarchy-aware runs, ``shard.figures`` set)
     are keyed by their figures instead of polygons + fracturer: the
@@ -327,7 +316,12 @@ def shard_cache_key(
     else:
         _update(h, ("repro-shard", salt))
         _update(h, shard.index)
-        _update(h, shard.polygons)
+        # The stream every stored key was made from, so caches filled
+        # before the rings had one serialized form still hit: "l{P}:",
+        # then per ring "G{n}:" and the ring's record.
+        h.update(b"l%d:" % len(shard.polygons))
+        for polygon in shard.polygons:
+            h.update(b"G%d:%s" % (len(polygon.vertices), dumps_ring(polygon)))
         _update(h, fracturer)
     _update(h, corrector)
     _update(h, psf)

@@ -57,7 +57,6 @@ import contextlib
 import functools
 import itertools
 import os
-import struct
 import tempfile
 import threading
 from array import array
@@ -77,6 +76,8 @@ import numpy as np
 from repro.core.cache import ContainedStore, ShardCache
 from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex
+from repro.core.jobfile import dumps_ring, dumps_shard_result
+from repro.core.jobfile import loads_ring, loads_shard_result
 from repro.core.ladder import (
     Deadline,
     RetryPolicy,
@@ -94,7 +95,6 @@ from repro.core.recipe import FixedKnobs, check_knobs, require
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
-from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.vertex_array import sequential_sum
 from repro.pec.base import ProximityCorrector
@@ -156,8 +156,6 @@ class ShardResult:
         return self.shots.rows
 
     def __reduce__(self):
-        from repro.core.jobfile import dumps_shard_result, loads_shard_result
-
         return loads_shard_result, (dumps_shard_result(self),)
 
 
@@ -278,8 +276,6 @@ class ExecutionResult:
         if self._spool is None:
             self._entries.append(result)
             return 0
-        from repro.core.jobfile import dumps_shard_result
-
         payload = dumps_shard_result(result)
         if self._store(self._spool.append, [payload]):
             self.stats.shards_spilled += 1
@@ -311,8 +307,6 @@ class ExecutionResult:
         assembly and the machine-program export each take their own
         pass.
         """
-        from repro.core.jobfile import loads_shard_result
-
         for entry in self._entries:
             if isinstance(entry, ShardResult):
                 yield entry
@@ -456,10 +450,10 @@ def _spooled_windows(polygons, field_size: Optional[float]):
     and yields ``(source_polygons, total_shards, windows)``:
 
     1. **Spool** — every polygon is one :class:`_Spool` record, its
-       ``(x, y)`` vertices as big-endian doubles (which round-trip
-       exactly, so a re-read polygon is vertex-identical to the one
-       spooled); its bounding box is kept, 32 bytes a polygon beside
-       the spool's 8-byte span.
+       ``EBS1`` ring (:func:`~repro.core.jobfile.dumps_ring`, exact
+       doubles, re-read vertex for vertex, so a re-read polygon is the
+       one spooled); its bounding box is kept, 32 bytes a polygon
+       beside the spool's 8-byte span.
     2. **Plan** — the boxes go through :func:`_plan_tiles`, the planner
        :func:`plan_shards` uses, so the spool shards as the resident
        layout would.  The spool is not read for this.
@@ -474,10 +468,7 @@ def _spooled_windows(polygons, field_size: Optional[float]):
     def encoded():
         for poly in polygons:
             boxes.extend(poly.bounding_box())
-            yield struct.pack(
-                f">{2 * len(poly.vertices)}d",
-                *(c for v in poly.vertices for c in (v.x, v.y)),
-            )
+            yield dumps_ring(poly)
 
     with contextlib.closing(_Spool("repro-spool-")) as spool:
         spool.append(encoded())
@@ -495,8 +486,7 @@ def _spooled_windows(polygons, field_size: Optional[float]):
             for _, row in itertools.groupby(tiles, lambda tile: tile[0][1]):
                 row = list(row)
                 records = spool.read(i for _, members in row for i in members)
-                values = (struct.unpack(f">{len(r) // 8}d", r) for r in records)
-                rebuilt = (Polygon(list(zip(v[0::2], v[1::2]))) for v in values)
+                rebuilt = map(loads_ring, records)
                 shards = [
                     Shard(
                         index=index,

@@ -4,8 +4,10 @@ Pattern generators consumed a flat binary stream of dosed figures.  This
 module defines a compact period-flavoured format and a reader/writer,
 the machine-program container streamed by
 :mod:`repro.machine.program` (header + per-shard segments), plus the
-exact (full double precision) shard-result serialization the
-content-addressed cache stores (:mod:`repro.core.cache`):
+two exact (full double precision) shard serializations: the input
+shard's ``EBS1`` (what the pool, the fleet and the spool carry) and the
+shard result's ``EBC1`` (what the content-addressed cache stores,
+:mod:`repro.core.cache`):
 
 Header (32 bytes)::
 
@@ -42,8 +44,12 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from repro.core.job import MachineJob
+from repro.core.plan import Shard
 from repro.core.recipe import POSITIVE, require
 from repro.fracture.base import row_bytes, shots_from_rows
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.vertex_array import FigureView, trapezoid_array
 
 MAGIC = b"EBJ1"
 _HEADER = struct.Struct(">4sddI4x")
@@ -502,3 +508,95 @@ def loads_shard_result(data: bytes):
         reference_area=reference_area,
         kernel_fallbacks=fallbacks,
     )
+
+
+# ---------------------------------------------------------------------------
+# Input-shard payloads (pool, fleet, spool)
+# ---------------------------------------------------------------------------
+#
+# A shard's geometry has one serialized form wherever it leaves the
+# process or its memory: the pool's task pickle (``Shard.__reduce__``),
+# the fleet's lease payload and — one ring per record — the streamed
+# door's spool.  Every coordinate is its exact IEEE-754 double, and a
+# ring is rebuilt exactly as it was stored, so a decoded shard is the
+# shard it was.  After the header comes either the rings — their vertex
+# counts (``>u4``), then each ring's record (:func:`dumps_ring`) — or
+# the ``(N, 6)`` figure block of a pre-fractured shard.
+
+INPUT_MAGIC = b"EBS1"
+#: header: magic, payload version, field index (col, row), figures
+#: flag, item count (rings or figures).
+_INPUT_HEADER = struct.Struct(">4sIii?I")
+INPUT_VERSION = 1
+
+
+def dumps_ring(polygon: Polygon) -> bytes:
+    """One ring's record: the polygon's ``(x, y)`` vertices as
+    big-endian doubles — a spool record, and the bytes a shard's cache
+    key hashes for the polygon."""
+    coords = [c for v in polygon.vertices for c in (v.x, v.y)]
+    return struct.pack(f">{len(coords)}d", *coords)
+
+
+def loads_ring(data: bytes) -> Polygon:
+    """The polygon of one :func:`dumps_ring` record, vertex for vertex.
+
+    Never through the normalising constructor: a stored ring that still
+    closes on its first vertex (``Polygon`` drops one closing duplicate,
+    not two) comes back as it was, not shorter.
+
+    Raises:
+        JobFileError: the record is not whole ``(x, y)`` pairs, or
+            holds fewer than three.
+    """
+    if len(data) < 48 or len(data) % 16:
+        raise JobFileError(f"a ring needs 3 or more (x, y) pairs: {len(data)} bytes")
+    values = struct.unpack(f">{len(data) // 8}d", data)
+    polygon = Polygon.__new__(Polygon)
+    polygon.vertices = list(map(Point, values[0::2], values[1::2]))
+    return polygon
+
+
+def dumps_shard(shard: Shard) -> bytes:
+    """Serialize a :class:`~repro.core.plan.Shard` exactly (``EBS1``)."""
+    figures = shard.figures is not None
+    if figures:
+        block = trapezoid_array(shard.figures)
+        count, body = len(block), [block.astype(">f8").tobytes()]
+    else:
+        count, body = len(shard.polygons), list(map(dumps_ring, shard.polygons))
+        body.insert(0, struct.pack(f">{count}I", *(len(r) // 16 for r in body)))
+    head = _INPUT_HEADER.pack(INPUT_MAGIC, INPUT_VERSION, *shard.index, figures, count)
+    return head + b"".join(body)
+
+
+def loads_shard(data: bytes) -> Shard:
+    """Parse an input-shard payload written by :func:`dumps_shard`.
+
+    Raises:
+        JobFileError: on bad magic, unknown version, truncation,
+            trailing bytes or a ring of fewer than three vertices — a
+            lease payload is input from outside the program.
+    """
+    if len(data) < _INPUT_HEADER.size:
+        raise JobFileError("truncated input-shard header")
+    magic, version, col, row, figures, count = _INPUT_HEADER.unpack_from(data, 0)
+    if magic != INPUT_MAGIC:
+        raise JobFileError(f"bad input-shard magic {magic!r}")
+    if version != INPUT_VERSION:
+        raise JobFileError(f"unknown input-shard payload version {version}")
+    start, sizes = _INPUT_HEADER.size, ()
+    if not figures:
+        if len(data) < start + 4 * count:
+            raise JobFileError("truncated ring counts")
+        sizes = struct.unpack_from(f">{count}I", data, start)
+        start += 4 * count
+    expected = start + 8 * (6 * count if figures else 2 * sum(sizes))
+    if len(data) != expected:
+        raise JobFileError(f"input-shard size {len(data)}, expected {expected}")
+    if figures:
+        block = np.frombuffer(data, ">f8", 6 * count, start).reshape(-1, 6)
+        return Shard((col, row), (), figures=FigureView(block.astype(np.float64)))
+    ends = np.cumsum([start, *(16 * n for n in sizes)]).tolist()
+    rings = (loads_ring(data[a:b]) for a, b in zip(ends, ends[1:]))
+    return Shard((col, row), tuple(rings))

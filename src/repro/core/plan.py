@@ -79,13 +79,24 @@ class Shard:
             once up front and the executor only applies proximity
             correction per shard.  When set, ``polygons`` is empty and
             the fracturer is never invoked.  The planner sets a
-            :class:`~repro.geometry.vertex_array.FigureView` (one array
-            to pickle, compared by value); any figure sequence works.
+            :class:`~repro.geometry.vertex_array.FigureView` (one block,
+            compared by value); any figure sequence works.
+
+    A shard has one serialized form — its ``EBS1`` payload
+    (:func:`repro.core.jobfile.dumps_shard`) — on every boundary it
+    crosses: the pool's task pickle (:meth:`__reduce__`), the fleet's
+    lease and, one ring per record, the streamed door's spool.  The
+    cache key hashes the same ring records.
     """
 
     index: FieldIndex
     polygons: Tuple[Polygon, ...]
     figures: Optional[Sequence[Trapezoid]] = None
+
+    def __reduce__(self):
+        from repro.core.jobfile import dumps_shard, loads_shard
+
+        return loads_shard, (dumps_shard(self),)
 
 
 #: Cross-shard overlap handling: the planners' and the engine's rule.

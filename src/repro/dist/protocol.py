@@ -8,14 +8,17 @@ One frame per message, both directions::
 
 Both length fields are big-endian.  The header is a small JSON object
 (``{"type": "lease", ...}``) carrying the scheduling conversation; the
-payload is opaque bytes — pickled shard/config blobs on the way out,
-serialized shard results on the way back.  Every connection carries
-exactly one request frame and one reply frame (HTTP/1.0 style): the
-coordinator is a :class:`socketserver.ThreadingTCPServer` and one-shot
-connections keep its state machine trivially free of per-connection
-bookkeeping.
+payload is opaque bytes — a shard's ``EBS1`` payload
+(:func:`repro.core.jobfile.dumps_shard`) or the batch's pickled
+``(config, faults)`` on the way out, a shard result's ``EBC1`` payload
+on the way back.  Every connection carries exactly one request frame
+and one reply frame (HTTP/1.0 style): the coordinator is a
+:class:`socketserver.ThreadingTCPServer` and one-shot connections keep
+its state machine trivially free of per-connection bookkeeping.
 
-Security model: pickled payloads are executed on receipt, so this
+Security model: shards and results travel in the two checked binary
+formats, but the batch configuration (fracturer, corrector, PSF, fault
+plan) is still pickled, and a pickle is executed on receipt — so this
 protocol is for a *trusted* cluster segment (localhost or a private
 LAN), exactly like the process pool it extends — never expose the
 coordinator port to untrusted peers.

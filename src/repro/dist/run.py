@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.faults import FaultPlan
-from repro.core.jobfile import loads_shard_result
+from repro.core.jobfile import dumps_shard, loads_shard_result
 from repro.core.ladder import _Ladder
 from repro.dist.coordinator import POLL_INTERVAL, DistPolicy, coordinator_for
 
@@ -44,10 +44,14 @@ def fleet_rung(
     bounds the wait and every lease; its retry policy is the fleet's
     attempt budget.  The batch's counters — the ``dist`` group of an
     :class:`~repro.core.stats.ExecutionStats` — land on ``ladder.dist``.
+
+    Each shard is published as its ``EBS1`` payload
+    (:func:`~repro.core.jobfile.dumps_shard`); only the batch's
+    ``(config, faults)`` is pickled.
     """
     server = coordinator_for(endpoint)
     batch = server.submit_batch(
-        [pickle.dumps(shard) for shard in ladder.shards],
+        [dumps_shard(shard) for shard in ladder.shards],
         pickle.dumps((config, faults)),
         retry=ladder.retry,
         policy=policy,

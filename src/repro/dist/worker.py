@@ -4,7 +4,8 @@
 process; tests run them as in-process threads.  The execution path is
 *exactly* the single-host one — the daemon calls
 :func:`repro.core.executor._process_shard_task`, the entry point of
-every rung of the recovery ladder, with the pickled ``(config,
+every rung of the recovery ladder, on the lease's ``EBS1`` shard
+(:func:`repro.core.jobfile.loads_shard`) with the pickled ``(config,
 faults)`` it fetched once per batch, so every injected shard fault
 (kill, hang, transient, permanent) fires with identical ``(position,
 attempt)`` semantics — positions are the batch's — whether the shard
@@ -33,6 +34,7 @@ shard and *how often* — never what the batch merges.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import socket
@@ -43,7 +45,7 @@ from typing import Callable, Optional, Tuple
 from repro.core.cache import ShardCache
 from repro.core.executor import _process_shard_task
 from repro.core.ladder import RetryPolicy
-from repro.core.jobfile import dumps_shard_result
+from repro.core.jobfile import dumps_shard_result, loads_shard
 from repro.dist.coordinator import POLL_INTERVAL
 from repro.dist.protocol import parse_endpoint, request
 
@@ -134,6 +136,23 @@ class WorkerDaemon:
                 # The lease was reclaimed — stop advertising it.
                 return
 
+    def _fail(self, lease: dict, exc: Exception) -> None:
+        """Report that ``lease``'s shard raised ``exc``: a transient
+        fault re-enters the queue, anything else — a payload this daemon
+        cannot decode included — fails the batch, and the daemon keeps
+        serving either way."""
+        with contextlib.suppress(OSError):
+            self._request(
+                {
+                    "type": "fail",
+                    "batch": lease["batch"],
+                    "lease": lease["lease"],
+                    "position": lease["position"],
+                    "transient": RetryPolicy.is_transient(exc),
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            )
+
     # -- fault-injection helpers ------------------------------------------
 
     def _die(self, faults) -> None:
@@ -208,7 +227,11 @@ class WorkerDaemon:
         lease_id = lease["lease"]
         position = lease["position"]
         attempt = lease["attempt"]
-        bundle = self._config_for(batch)
+        try:
+            bundle = self._config_for(batch)
+        except Exception as exc:
+            self._fail(lease, exc)
+            return
         if bundle is None:
             return
         config, faults = bundle
@@ -231,28 +254,15 @@ class WorkerDaemon:
             )
             beat.start()
         try:
-            shard = pickle.loads(shard_blob)
             if self.throttle is not None:
                 self.throttle(position, attempt)
             try:
+                shard = loads_shard(shard_blob)
                 result = _process_shard_task(
                     config, faults, (position, attempt, shard)
                 )
             except Exception as exc:
-                retry = RetryPolicy()
-                try:
-                    self._request(
-                        {
-                            "type": "fail",
-                            "batch": batch,
-                            "lease": lease_id,
-                            "position": position,
-                            "transient": retry.is_transient(exc),
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                except OSError:
-                    pass
+                self._fail(lease, exc)
                 return
             self.leases_executed += 1
             if faults is not None and key in faults.dead_worker:

@@ -34,8 +34,11 @@ class Point:
 
     def __reduce__(self) -> Tuple:
         # The immutability guard above breaks the default slots-based
-        # unpickling path; rebuild through the constructor instead (the
-        # parallel executor ships geometry across process boundaries).
+        # unpickling path; rebuild through the constructor instead.  The
+        # engine's shards cross process boundaries as EBS1 payloads
+        # (repro.core.jobfile.dumps_shard), not as pickled points; this
+        # keeps user code's pickles of geometry (polygons, libraries)
+        # working.
         return (Point, (self.x, self.y))
 
     # -- conversions -------------------------------------------------

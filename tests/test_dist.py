@@ -42,8 +42,14 @@ from repro.core.executor import (
     shutdown_worker_pool,
 )
 from repro.core.faults import FaultPlan
-from repro.core.jobfile import dumps_job, dumps_shard_result
+from repro.core.jobfile import (
+    dumps_job,
+    dumps_shard,
+    dumps_shard_result,
+    loads_shard,
+)
 from repro.core.pipeline import PreparationPipeline
+from repro.core.plan import Shard
 from repro.core.stats import ExecutionStats
 from repro.dist import (
     CoordinatorServer,
@@ -63,6 +69,8 @@ from repro.dist.protocol import (
     request,
     send_frame,
 )
+from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.polygon import Polygon
 
 #: Sixteen one-square shards: every scenario's fault position exists.
 COLUMN = conformance.COLUMNS["checkerboard-sparse"]
@@ -146,7 +154,7 @@ class StubCoordinator:
         queue = LeaseQueue(len(shard_blobs), kwargs["retry"], kwargs["policy"])
         for position, blob in enumerate(shard_blobs):
             if self.commits(position):
-                result = _process_shard(pickle.loads(blob), *config)
+                result = _process_shard(loads_shard(blob), *config)
                 payload = dumps_shard_result(result)
                 queue.commit(0, "stub", position, payload, time.monotonic())
         queue.abandon_remaining()
@@ -1119,6 +1127,41 @@ class TestRecipeAndServerPlumbing:
             assert batch.queue.state(time.monotonic()).finished
         finally:
             server.server_close()
+
+    def test_a_payload_the_worker_cannot_decode_fails_its_batch(self):
+        # Regression: a lease blob (or batch config) the daemon could
+        # not decode raised out of its loop — no ``fail`` was sent, the
+        # daemon died and the batch waited on a reclaim.  It is reported
+        # as permanent (the batch is poisoned), and the daemon serves on.
+        server = CoordinatorServer(("127.0.0.1", 0))
+        server.start()
+        host, port = server.server_address[:2]
+        daemon = WorkerDaemon(f"{host}:{port}", worker_id="w")
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        shard = Shard((0, 0), (Polygon.rectangle(0, 0, 2, 1),))
+        config = pickle.dumps(((TrapezoidFracturer(), None, None), None))
+
+        def outcome(shard_blob, config_blob):
+            batch = server.submit_batch([shard_blob], config_blob)
+            wait_until = time.monotonic() + 10.0
+            while not batch.queue.state(time.monotonic()).finished:
+                assert time.monotonic() < wait_until, "batch never finished"
+                time.sleep(0.01)
+            return batch.queue.error, batch.queue.take_new_commits()
+
+        try:
+            thread.start()
+            error, _ = outcome(dumps_shard(shard)[:-1], config)
+            assert error.startswith("JobFileError: input-shard size")
+            error, _ = outcome(dumps_shard(shard), b"not a pickle")
+            assert error.startswith("UnpicklingError")
+            error, commits = outcome(dumps_shard(shard), config)
+            assert error is None and [p for p, _ in commits] == [0]
+            assert thread.is_alive() and daemon.leases_executed == 1
+        finally:
+            daemon.stop()
+            thread.join(timeout=5.0)
+            server.stop()
 
     def test_batch_ids_unique_across_server_instances(self):
         # Sequential numbering restarts in every coordinator process; a

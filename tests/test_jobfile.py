@@ -1,22 +1,38 @@
-"""Tests for the binary machine job-file format."""
+"""Tests for the binary machine job-file format and the exact input-
+shard payload (``EBS1``)."""
 
 import hashlib
+import pickle
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.cache import CACHE_SCHEMA_VERSION, _update, shard_cache_key
 from repro.core.job import MachineJob, ShotFold
 from repro.core.jobfile import (
     JobFileError,
     dumps_job,
+    dumps_ring,
+    dumps_shard,
     job_file_bytes,
     loads_job,
+    loads_ring,
+    loads_shard,
     read_job,
     write_job,
 )
+from repro.core.plan import Shard, plan_shards
 from repro.fracture.base import Shot, shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
+from repro.geometry.vertex_array import FigureView
+from repro.layout.flatten import flatten_cell
+
+from layout_strategies import flat_libraries
 
 
 def sample_job():
@@ -146,3 +162,124 @@ class TestAggregateJobs:
         for job in (sample_job(), MachineJob([])):
             write_job(job, tmp_path / "resident.ebj")
             assert (tmp_path / "resident.ebj").read_bytes() == dumps_job(job)
+
+
+# ---------------------------------------------------------------------------
+# Input-shard payloads (EBS1)
+# ---------------------------------------------------------------------------
+
+#: Held as (10, 0), (11, 0), (10, 0): the constructor drops one closing
+#: duplicate, and a second pass through it would drop another.
+CLOSING_TWICE = Polygon([(10, 0), (11, 0), (10, 0), (10, 0)])
+
+#: Any double but NaN, ``-0.0`` included.
+coordinates = st.floats(allow_nan=False, width=64)
+indices = st.tuples(
+    st.integers(-(2**31), 2**31 - 1), st.integers(-(2**31), 2**31 - 1)
+)
+
+
+@st.composite
+def ring_shards(draw):
+    rings = st.lists(st.tuples(coordinates, coordinates), min_size=4, max_size=9)
+    polygons = [Polygon(ring) for ring in draw(st.lists(rings, max_size=5))]
+    return Shard(draw(indices), tuple(polygons))
+
+
+@st.composite
+def figure_shards(draw):
+    rows = draw(st.lists(st.lists(coordinates, min_size=6, max_size=6), max_size=6))
+    block = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return Shard(draw(indices), (), figures=FigureView(block))
+
+
+def bits(shard):
+    """Everything a shard carries, as bytes compared bit for bit (so a
+    ``-0.0`` that came back as ``0.0`` differs)."""
+    rings = [
+        b"".join(struct.pack(">dd", v.x, v.y) for v in polygon.vertices)
+        for polygon in shard.polygons
+    ]
+    figures = None if shard.figures is None else shard.figures.rows.tobytes()
+    return shard.index, rings, figures
+
+
+def small_payloads():
+    """A polygon shard with the degenerate ring and a figure shard."""
+    polygons = (Polygon.rectangle(-1, 0, 2, 1), CLOSING_TWICE)
+    block = np.array([[0.0, 1.0, -0.0, 2.0, 0.5, 1.5]])
+    return [
+        dumps_shard(Shard((3, -4), polygons)),
+        dumps_shard(Shard((0, 0), (), figures=FigureView(block))),
+    ]
+
+
+class TestInputShardPayload:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(ring_shards(), figure_shards()))
+    @example(Shard((0, 0), (CLOSING_TWICE, Polygon([(-0.0, 0), (1, 0), (0, 1)]))))
+    @example(Shard((1, 2), ()))
+    def test_round_trips_bit_for_bit(self, shard):
+        data = dumps_shard(shard)
+        assert bits(loads_shard(data)) == bits(shard)
+        # The pool carries the payload and names no geometry class.
+        pickled = pickle.dumps(shard)
+        assert data in pickled and b"repro.geometry" not in pickled
+        assert bits(pickle.loads(pickled)) == bits(shard)
+
+    @settings(max_examples=10, deadline=None)
+    @given(flat_libraries())
+    def test_planned_shards_round_trip(self, library):
+        flat = flatten_cell(library.top_cell())
+        polygons = [p for polys in flat.values() for p in polys]
+        for shard in plan_shards(polygons, 10.0, overlap_policy="ignore"):
+            assert bits(loads_shard(dumps_shard(shard))) == bits(shard)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_shards())
+    @example(Shard((0, 0), (CLOSING_TWICE, Polygon([(-0.0, 0), (1, 0), (0, 1)]))))
+    def test_cache_key_hashes_what_the_vertex_stream_did(self, shard):
+        # The key's polygon part is the stream the per-vertex hash of a
+        # polygon list wrote: "l{P}:", then per ring "G{n}:" and each
+        # vertex's x, y as big-endian doubles.
+        h = hashlib.sha256()
+        _update(h, ("repro-shard", CACHE_SCHEMA_VERSION))
+        _update(h, shard.index)
+        h.update(b"l%d:" % len(shard.polygons))
+        for polygon in shard.polygons:
+            h.update(b"G%d:" % len(polygon.vertices))
+            for v in polygon.vertices:
+                h.update(struct.pack("!d", v.x) + struct.pack("!d", v.y))
+        for part in (TrapezoidFracturer(), None, None):
+            _update(h, part)
+        assert shard_cache_key(shard, TrapezoidFracturer()) == h.hexdigest()
+
+    def test_every_truncated_prefix_is_refused(self):
+        for data in small_payloads():
+            for end in range(len(data)):
+                with pytest.raises(JobFileError):
+                    loads_shard(data[:end])
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: b"EBC1" + d[4:], "magic"),
+            (lambda d: d[:4] + struct.pack(">I", 2) + d[8:], "version"),
+            (lambda d: d + b"\0", "size"),
+        ],
+    )
+    def test_corrupt_headers_and_trailing_bytes_are_refused(self, corrupt, message):
+        for data in small_payloads():
+            with pytest.raises(JobFileError, match=message):
+                loads_shard(corrupt(data))
+
+    def test_a_ring_of_fewer_than_three_vertices_is_refused(self):
+        data = dumps_shard(Shard((0, 0), (Polygon([(0, 0), (1, 0), (0, 1)]),)))
+        # The same payload with its one ring declared and cut to two
+        # vertices: every size agrees, only the ring is short.
+        header, body = data[:21], data[25:]
+        short = header + struct.pack(">I", 2) + body[:32]
+        with pytest.raises(JobFileError, match="3 or more"):
+            loads_shard(short)
+        with pytest.raises(JobFileError, match="3 or more"):
+            loads_ring(dumps_ring(CLOSING_TWICE)[:32])

@@ -44,6 +44,7 @@ from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe
 from repro.fracture.base import shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.polygon import Polygon
 from repro.layout import generators
 from repro.layout.cell import Cell
 from repro.layout import cursor
@@ -441,6 +442,26 @@ class TestStreamingPipeline:
         assert resident.job_bytes == streamed.job_bytes == len(ebj)
         assert resident.job.name == streamed.job.name
         assert dumps_job(resident.job) == ebj
+
+    def test_a_ring_closing_twice_runs_through_every_door(self):
+        # Regression: ``Polygon`` drops one closing duplicate, so this
+        # ring is held as (10, 0), (11, 0), (10, 0).  The resident door
+        # ran it; the spool rebuilt it through the constructor, which
+        # dropped a second one and raised.  Two shards, so ``workers=2``
+        # sends both through the pool's decode too.
+        sliver = Polygon([(10, 0), (11, 0), (10, 0), (10, 0)])
+        assert len(sliver.vertices) == 3
+        top = Cell("TOP").add_rectangle(0, 0, 4, 4).add_polygon(sliver)
+        library = Library("SLIVER").add(top)
+        digests = set()
+        for workers in (1, 2):
+            pipe = PreparationPipeline(field_size=5.0, workers=workers)
+            resident = pipe.run(library)
+            streamed = pipe.run_streaming(library)
+            assert resident.execution.shard_count == 2
+            assert resident.execution.parallel == (workers == 2)
+            digests |= {resident.job.digest(), streamed.job.digest()}
+        assert len(digests) == 1
 
     def test_union_overlap_policy_rejected(self):
         pipe = PreparationPipeline(field_size=FIELD_SIZE, overlap_policy="union")
