@@ -203,9 +203,7 @@ def cmd_work(args: argparse.Namespace) -> int:
     from repro.dist.worker import run_worker
 
     parse_endpoint(args.connect)
-    return run_worker(
-        args.connect, cache_dir=args.cache_dir, idle_exit=args.idle_exit
-    )
+    return run_worker(args.connect, idle_exit=args.idle_exit)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -288,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
         help="lease-coordinator endpoint to pull shard work from",
-    )
-    p_work.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="shared shard-cache directory to store results in "
-        "(idempotent: same key, same bytes)",
     )
     p_work.add_argument(
         "--idle-exit", type=POSITIVE.parse, default=None, metavar="SEC",

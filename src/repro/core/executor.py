@@ -250,6 +250,9 @@ class ExecutionResult:
         self._reports: List[FractureReport] = []
         self._areas: List[float] = []
         self._closed = False
+        #: The run's one cache-store policy: the shard loop's stores and
+        #: the machine-program export's segment blobs degrade together.
+        self.cache_store = ContainedStore.for_cache(stacklevel=4)
         self._spool: Optional[_Spool] = None
         if spill:
             self._spool = _Spool("repro-spill-")
@@ -675,7 +678,7 @@ class ShardedExecutor(FixedKnobs):
             streamed=sink.streamed,
         )
         kernel = KernelFallbacks()
-        store = ContainedStore.for_cache(stacklevel=4)
+        store = sink.cache_store
         dispatched = 0
         for shards, window_bytes in windows:
             keys: List[Optional[str]] = [None] * len(shards)
@@ -701,7 +704,6 @@ class ShardedExecutor(FixedKnobs):
                     fleet_rung,
                     endpoint=self.endpoint,
                     policy=self.dist_policy,
-                    cache_keys=None if cache is None else [keys[i] for i in pending],
                 )
             ladder = _map_shards(
                 [shards[i] for i in pending],

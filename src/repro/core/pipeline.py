@@ -440,6 +440,7 @@ class PreparationPipeline(FixedKnobs):
                     program_path,
                     cache=self.cache,
                     segment_count=execution.stats.occupied_shards,
+                    store=execution.cache_store,
                 )
                 # A failed segment-blob store degrades the run like a
                 # failed shard store does.

@@ -96,7 +96,9 @@ class ExecutionStats:
         kernel_coord_fallbacks: sweeps handed whole to the reference
             engine because a coordinate was beyond the kernel's exact
             range.
-        kernel_slab_fallbacks: slabs swept by the scalar safety valve.
+        kernel_slab_fallbacks: sweeps handed whole to the reference
+            engine because a rational-slab key needed more digit words
+            than the kernel's bound (unreachable by construction).
         kernel_merge_fallbacks: sweeps whose trapezoids were merged
             object by object because the array merge declined them.
         shard_retries: shard dispatches re-run after a transient fault
@@ -111,9 +113,10 @@ class ExecutionStats:
         cache_write_failures: failed cache stores this run observed
             before degrading to read-only — shard results in the shard
             loop, segment blobs in the machine-program export.
-        cache_degraded: the run stopped storing cache entries (or the
-            export its segment blobs) after a write failure (ENOSPC,
-            read-only filesystem); lookups continue.
+        cache_degraded: the run stopped storing cache entries after a
+            write failure (ENOSPC, read-only filesystem) — shard results
+            and the export's segment blobs alike, since one store policy
+            covers the whole run; lookups continue.
         cache_evictions: corrupt cache entries evicted by this run's
             own lookups (each also counts as a miss).
         dispatch: how shards were scheduled — ``"local"`` (this

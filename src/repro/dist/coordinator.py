@@ -480,7 +480,6 @@ class _Batch:
     queue: LeaseQueue
     config_blob: bytes
     shard_blobs: List[bytes]
-    cache_keys: Optional[List[str]]
     progress: threading.Event = field(default_factory=threading.Event)
 
 
@@ -528,12 +527,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         config_blob: bytes,
         retry: Optional[RetryPolicy] = None,
         policy: Optional[DistPolicy] = None,
-        cache_keys: Optional[List[str]] = None,
         deadline: Optional[Deadline] = None,
     ) -> _Batch:
         """Register a batch of shards for workers to pull."""
-        if cache_keys is not None and len(cache_keys) != len(shard_blobs):
-            raise ValueError("cache_keys must match shard_blobs in length")
         with self._lock:
             self._batch_seq += 1
             batch = _Batch(
@@ -544,7 +540,6 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                 ),
                 config_blob=config_blob,
                 shard_blobs=shard_blobs,
-                cache_keys=cache_keys,
             )
             self._batches[batch.id] = batch
             return batch
@@ -630,9 +625,6 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             if lease is None:
                 continue
             batch.progress.set()
-            cache_key = None
-            if batch.cache_keys is not None:
-                cache_key = batch.cache_keys[lease.position]
             return (
                 {
                     "type": "task",
@@ -641,7 +633,6 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                     "position": lease.position,
                     "attempt": lease.attempt,
                     "heartbeat": batch.queue.policy.heartbeat_interval,
-                    "cache_key": cache_key,
                     "speculative": lease.speculative,
                 },
                 batch.shard_blobs[lease.position],

@@ -30,7 +30,6 @@ def fleet_rung(
     faults: Optional[FaultPlan],
     endpoint: str,
     policy: Optional[DistPolicy] = None,
-    cache_keys: Optional[List[str]] = None,
 ) -> List[int]:
     """Run ``ladder.shards`` across the worker fleet on ``endpoint``;
     returns the positions left unfinished, sorted.
@@ -38,11 +37,11 @@ def fleet_rung(
     Results are byte-identical to a serial run: workers execute the
     exact per-shard entry point, commits are idempotent, and every
     commit lands through :meth:`~repro.core.ladder._Ladder.finish` at
-    its own position (one progress tick each).  ``cache_keys``
-    (parallel to the shards) ride the leases so workers with a shared
-    cache can store results at the source.  The ladder's deadline
-    bounds the wait and every lease; its retry policy is the fleet's
-    attempt budget.  The batch's counters — the ``dist`` group of an
+    its own position (one progress tick each).  The fleet only
+    computes: the preparing process stores every result in its cache,
+    fleet results included.  The ladder's deadline bounds the wait and
+    every lease; its retry policy is the fleet's attempt budget.  The
+    batch's counters — the ``dist`` group of an
     :class:`~repro.core.stats.ExecutionStats` — land on ``ladder.dist``.
 
     Each shard is published as its ``EBS1`` payload
@@ -55,7 +54,6 @@ def fleet_rung(
         pickle.dumps((config, faults)),
         retry=ladder.retry,
         policy=policy,
-        cache_keys=cache_keys,
         deadline=ladder.deadline,
     )
     queue = batch.queue

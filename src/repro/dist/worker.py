@@ -11,6 +11,10 @@ faults)`` it fetched once per batch, so every injected shard fault
 attempt)`` semantics — positions are the batch's — whether the shard
 runs on the fleet or on the ladder's local pool or serial rung.
 
+The daemon only computes — an ``EBS1`` lease in, an ``EBC1`` commit out.
+It holds no shard cache: the preparing process stores every result it
+lands, fleet results included, under one store policy.
+
 Network fault kinds from the same :class:`~repro.core.faults.FaultPlan`
 are consulted *here*, corrupting the scheduling conversation instead of
 the computation:
@@ -42,7 +46,6 @@ import threading
 import time
 from typing import Callable, Optional, Tuple
 
-from repro.core.cache import ShardCache
 from repro.core.executor import _process_shard_task
 from repro.core.ladder import RetryPolicy
 from repro.core.jobfile import dumps_shard_result, loads_shard
@@ -55,10 +58,6 @@ class WorkerDaemon:
 
     Args:
         endpoint: coordinator ``host:port``.
-        cache: optional shared :class:`~repro.core.cache.ShardCache`;
-            when the lease carries the shard's cache key the result is
-            also stored here, so later runs hit without recomputing
-            (idempotent: same key → same bytes).
         idle_exit: exit after this many seconds without being granted a
             lease (``None`` = run until stopped) — lets smoke scripts
             start workers before the coordinator exists and have them
@@ -74,7 +73,6 @@ class WorkerDaemon:
     def __init__(
         self,
         endpoint: str,
-        cache: Optional[ShardCache] = None,
         idle_exit: Optional[float] = None,
         reconnect_delay: float = 0.2,
         stop_event: Optional[threading.Event] = None,
@@ -82,7 +80,6 @@ class WorkerDaemon:
         worker_id: Optional[str] = None,
     ) -> None:
         self.address = parse_endpoint(endpoint)
-        self.cache = cache
         self.idle_exit = idle_exit
         self.reconnect_delay = reconnect_delay
         self.stop_event = stop_event if stop_event is not None else threading.Event()
@@ -269,12 +266,6 @@ class WorkerDaemon:
                 self._die(faults)
                 return
             payload = dumps_shard_result(result)
-            cache_key = lease.get("cache_key")
-            if self.cache is not None and cache_key:
-                try:
-                    self.cache.put(cache_key, result)
-                except OSError:
-                    pass
             header = {
                 "type": "commit",
                 "batch": batch,
@@ -308,14 +299,9 @@ class WorkerDaemon:
         self.stop_event.set()
 
 
-def run_worker(
-    endpoint: str,
-    cache_dir: Optional[str] = None,
-    idle_exit: Optional[float] = None,
-) -> int:
+def run_worker(endpoint: str, idle_exit: Optional[float] = None) -> int:
     """CLI entry: run one worker daemon until stopped/idle-expired."""
-    cache = ShardCache(cache_dir) if cache_dir else None
-    daemon = WorkerDaemon(endpoint, cache=cache, idle_exit=idle_exit)
+    daemon = WorkerDaemon(endpoint, idle_exit=idle_exit)
     try:
         executed = daemon.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive only

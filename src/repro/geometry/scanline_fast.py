@@ -67,9 +67,10 @@ the lexicographic order by (x at bottom, x at top), and edges that
 compare equal are collinear through the whole slab — the reference's
 fold-equal-x transition semantics carry over unchanged.  Slabs bounded
 by rational crossing ys go through the *same* vectorized sweep with
-big-integer keys; the scalar ``ScanEdge`` + ``Fraction`` path survives
-only as the unreachable safety valve above, and running it increments
-``KernelFallbacks.rational_slab``.
+big-integer keys.  A key that would need more than
+:data:`_MAX_FRACTION_WORDS` digit words (unreachable, see above) hands
+the whole sweep back to the reference engine, as :data:`COORD_LIMIT`
+does, and increments ``KernelFallbacks.rational_slab``.
 
 Edge/edge crossings are *detected* with vectorized cross products
 (bbox-pruned, strictly interior crossings only — crossings at edge
@@ -200,20 +201,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.polygon import Polygon
-from repro.geometry.scanline import (
-    DEFAULT_GRID,
-    ScanEdge,
-    _emit,
-    evenodd,
-    merge_trapezoids,
-    nonzero,
-)
+from repro.geometry.scanline import DEFAULT_GRID, merge_trapezoids
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
     FigureView,
     snap_stacked,
     stack_polygons,
-    trapezoid_array,
     trapezoids_from_array,
 )
 
@@ -248,9 +241,9 @@ _SNAP_SAFE_LIMIT = float(1 << 62)
 _WORD_BITS = 54
 
 #: Safety valve: if a rational-slab key would need more digit words
-#: than this, that slab family is swept by the scalar reference loop
-#: (and counted as ``rational_slab`` fallbacks).  Unreachable by the
-#: bound in the module docstring (K <= 7).
+#: than this, the sweep returns ``None`` and the caller runs the
+#: reference engine (counted as a ``rational_slab`` fallback).
+#: Unreachable by the bound in the module docstring (K <= 7).
 _MAX_FRACTION_WORDS = 8
 
 
@@ -273,10 +266,11 @@ class KernelFallbacks:
         coord_limit: sweeps abandoned to the reference engine because a
             coordinate exceeded :data:`COORD_LIMIT` (one count per
             abandoned sweep).
-        rational_slab: slabs swept by the scalar ``Fraction`` loop
-            because their key needed more than
+        rational_slab: sweeps handed back to the reference engine
+            because a rational-slab key needed more than
             :data:`_MAX_FRACTION_WORDS` digit words (one count per
-            slab; unreachable by construction, see module docstring).
+            sweep handed back; unreachable by construction, see module
+            docstring).
         scalar_merge: sweeps whose rows were merged object by object by
             :func:`repro.geometry.scanline.merge_trapezoids` because
             :func:`merge_rows` declined them (one count per sweep; see
@@ -298,13 +292,6 @@ class KernelFallbacks:
             mine = getattr(self, counter.name)
             setattr(self, counter.name, mine + getattr(other, counter.name))
 
-
-_SCALAR_PREDICATES: Dict[str, Callable[[bool, bool], bool]] = {
-    "or": lambda a, b: a or b,
-    "and": lambda a, b: a and b,
-    "sub": lambda a, b: a and not b,
-    "xor": lambda a, b: a != b,
-}
 
 _VECTOR_PREDICATES: Dict[str, Callable] = {
     "or": lambda a, b: a | b,
@@ -495,52 +482,6 @@ def _strict_crossings(
                 jj = slant_pos[jj]
             process(ii, jj)
     return rational, np.asarray(integral, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Scalar safety valve for slabs whose keys would not fit
-# ---------------------------------------------------------------------------
-
-
-def _sweep_scalar_slab(
-    edges: List[ScanEdge],
-    y_lo,
-    y_hi,
-    predicate: Callable[[bool, bool], bool],
-    fill_rule: Callable[[int], bool],
-    grid: float,
-) -> List[Trapezoid]:
-    """Reference inner loop for one slab (exact Fraction arithmetic)."""
-    y_mid = (Fraction(y_lo) + Fraction(y_hi)) / 2
-    keyed = sorted(((e.x_at(y_mid), e) for e in edges), key=lambda t: t[0])
-    out: List[Trapezoid] = []
-    winding_a = 0
-    winding_b = 0
-    inside = False
-    open_edge: Optional[ScanEdge] = None
-    k = 0
-    n = len(keyed)
-    while k < n:
-        x_here = keyed[k][0]
-        first_edge = keyed[k][1]
-        while k < n and keyed[k][0] == x_here:
-            e = keyed[k][1]
-            if e.group == 0:
-                winding_a += e.winding
-            else:
-                winding_b += e.winding
-            k += 1
-        now_inside = predicate(fill_rule(winding_a), fill_rule(winding_b))
-        if now_inside and not inside:
-            open_edge = first_edge
-        elif not now_inside and inside:
-            close_edge = keyed[k - 1][1]
-            trap = _emit(open_edge, close_edge, Fraction(y_lo), Fraction(y_hi), grid)
-            if trap is not None:
-                out.append(trap)
-            open_edge = None
-        inside = now_inside
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -904,12 +845,12 @@ def sweep_trapezoids_fast(
     :class:`~repro.geometry.vertex_array.FigureView` over the merged
     rows — no :class:`Trapezoid` is built unless the merge is handed
     back to the scalar one.  Returns ``None`` when the snapped coordinates exceed
-    :data:`COORD_LIMIT` — the caller is expected to fall back to
+    :data:`COORD_LIMIT` or a rational-slab key would exceed
+    :data:`_MAX_FRACTION_WORDS` — the caller is expected to fall back to
     :func:`repro.geometry.scanline.sweep_trapezoids`.  When
-    ``fallbacks`` is given, every degradation (the ``None`` return, a
-    slab swept by the scalar safety valve, or a merge that
-    :func:`merge_rows` handed back to the scalar one) increments its
-    counters.
+    ``fallbacks`` is given, every degradation (either ``None`` return,
+    or a merge that :func:`merge_rows` handed back to the scalar one)
+    increments its counters.
     """
     polys_a = list(polys_a)
     polys_b = list(polys_b)
@@ -1077,58 +1018,21 @@ def sweep_trapezoids_fast(
         den_lo = dy_o * bd_lo
         den_hi = dy_o * bd_hi
         bits = int(max(den_lo.max(), den_hi.max())).bit_length()
-        words = -(-2 * bits // _WORD_BITS)
-        if words <= _MAX_FRACTION_WORDS:
-            keys_lo = _keys_object(num_lo, den_lo, bits)
-            keys_hi = _keys_object(num_hi, den_hi, bits)
-            blocks.append(
-                _sweep_block(
-                    e, s, winding, group, operation, fill_rule, grid,
-                    keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
-                    b_float, True,
-                )
-            )
-        else:
-            # Safety valve (unreachable by the docstring bound): sweep
-            # these slabs with the reference scalar loop, counted.
-            predicate = _SCALAR_PREDICATES[operation]
-            rule = nonzero if fill_rule == "nonzero" else evenodd
-            order_sc = np.argsort(s, kind="stable")
-            sc_edge = e[order_sc]
-            sc_slab = s[order_sc]
-            starts = np.nonzero(
-                np.concatenate(([True], sc_slab[1:] != sc_slab[:-1]))
-            )[0]
-            ends = np.concatenate((starts[1:], [len(sc_slab)]))
+        if -(-2 * bits // _WORD_BITS) > _MAX_FRACTION_WORDS:
+            # Safety valve (unreachable by the docstring bound): hand the
+            # whole sweep back to the reference engine, counted.
             if fallbacks is not None:
-                fallbacks.rational_slab += len(starts)
-            scalar_ids: List[int] = []
-            scalar_traps: List[Trapezoid] = []
-            for a, b in zip(starts.tolist(), ends.tolist()):
-                si = int(sc_slab[a])
-                edges = [
-                    ScanEdge(
-                        int(x0[ed]), int(y0[ed]), int(x1[ed]), int(y1[ed]),
-                        int(winding[ed]), int(group[ed]),
-                    )
-                    for ed in sc_edge[a:b].tolist()
-                ]
-                slab_traps = _sweep_scalar_slab(
-                    edges,
-                    Fraction(b_num[si], b_den[si]),
-                    Fraction(b_num[si + 1], b_den[si + 1]),
-                    predicate,
-                    rule,
-                    grid,
-                )
-                scalar_ids.extend([si] * len(slab_traps))
-                scalar_traps.extend(slab_traps)
-            blocks.append(
-                (
-                    np.asarray(scalar_ids, dtype=np.int64),
-                    trapezoid_array(scalar_traps),
-                )
+                fallbacks.rational_slab += 1
+            return None
+        keys_lo = _keys_object(num_lo, den_lo, bits)
+        keys_hi = _keys_object(num_hi, den_hi, bits)
+        blocks.append(
+            _sweep_block(
+                e, s, winding, group, operation, fill_rule, grid,
+                keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
+                b_float, True,
             )
+        )
 
     # -- assemble in slab order and merge, as rows ------------------------
     if not blocks:

@@ -364,6 +364,7 @@ def export_program(
     path: Union[str, Path],
     cache: Optional["ShardCache"] = None,
     segment_count: Optional[int] = None,
+    store: Optional[ContainedStore] = None,
 ) -> MachineProgram:
     """Lower a job's shard results into an on-disk machine program.
 
@@ -379,6 +380,10 @@ def export_program(
     out-of-core path, where results arrive off a spill cursor.  The
     emitted bytes are identical either way; a ``segment_count`` that
     does not match the cursor raises before the program is published.
+
+    ``store`` is the run's cache-store policy (a pipeline passes its
+    execution's, so a run degraded in the shard loop stores no segment
+    blob either); without one the export gets its own.
     """
     path = Path(path)
     origin = (job.bounding_box[0], job.bounding_box[1])
@@ -436,7 +441,8 @@ def export_program(
                     segment_count,
                 ),
             )
-            store = ContainedStore.for_cache(stacklevel=3)
+            if store is None:
+                store = ContainedStore.for_cache(stacklevel=3)
             for result in occupied:
                 payload = None
                 key = None

@@ -298,6 +298,29 @@ class TestCacheFaultScenarios:
         # Degraded means read-only: every later put was skipped too.
         assert cache_entry_paths(cache_dir) == []
 
+    def test_degraded_run_exports_no_segment_blob(self, tmp_path):
+        """A run that degraded in its shard loop stays read-only through
+        the machine-program export: one warning, one failure, and not a
+        single entry of either family on disk."""
+        clean = conformance.reference(GRATING)
+        cache_dir = tmp_path / "cache"
+        with pytest.warns(CacheDegradedWarning) as caught:
+            result = faulted(
+                GRATING,
+                FaultPlan(enospc_puts=frozenset({0})),
+                program_path=tmp_path / "chaos.ebp",
+                cache_dir=cache_dir,
+            )
+        assert len(caught) == 1
+        stats = result.execution
+        assert stats.cache_write_failures == 1
+        assert stats.cache_degraded
+        assert result.machine_program.cache_write_failures == 0
+        assert result.machine_program.cache_degraded
+        assert cache_entry_paths(cache_dir) == []
+        assert dumps_job(result.job) == clean.ebj
+        assert (tmp_path / "chaos.ebp").read_bytes() == clean.ebp
+
     def test_failed_segment_store_degrades_the_run_audibly(self, tmp_path):
         """The store after the last shard result is the first
         program-segment blob: its failure must warn, count and flag

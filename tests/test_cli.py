@@ -375,6 +375,24 @@ class TestDistributedCli:
         assert err.startswith("error:")
         assert "host:port" in err
 
+    def test_work_takes_no_cache(self, capsys):
+        # The preparing process stores every result; a worker only
+        # computes, so the flag is gone rather than ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "work",
+                    "--connect",
+                    "127.0.0.1:1",
+                    "--idle-exit",
+                    "0.1",
+                    "--cache-dir",
+                    "x",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
     def test_demo_distributed_requires_endpoint(self, capsys):
         assert main(["demo", "--dispatch", "distributed"]) == 2
         err = capsys.readouterr().err

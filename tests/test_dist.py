@@ -34,7 +34,6 @@ from hypothesis.stateful import (
 
 import conformance
 from chaos import faulted
-from repro.core.cache import ShardCache
 from repro.core.executor import (
     Deadline,
     RetryPolicy,
@@ -1017,12 +1016,16 @@ class TestDistributedRuns:
         # The abandoned batch is finished, not left for workers to pull.
         assert coordinator_for(endpoint)._batches_in_order() == []
 
-    def test_workers_populate_shared_cache(self, endpoint, fleet, tmp_path):
+    def test_cacheless_fleet_results_fill_the_preparing_cache(
+        self, endpoint, fleet, tmp_path
+    ):
         cache_dir = tmp_path / "shard-cache"
-        fleet(2, cache=ShardCache(cache_dir))
+        fleet(2)
         first = leased(endpoint, cache_dir=cache_dir)
-        assert first.execution.cache_misses > 0
-        # Workers stored every computed shard, so a local re-run hits.
+        assert first.execution.cache_misses == first.execution.shard_count
+        assert first.execution.dist_local_fallbacks == 0
+        # The workers hold no cache: the preparing process stored every
+        # shard the fleet computed, so a local re-run hits them all.
         second = faulted(COLUMN, cache_dir=cache_dir)
         assert second.execution.cache_hits == second.execution.shard_count
         assert dumps_job(first.job) == dumps_job(second.job)

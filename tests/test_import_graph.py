@@ -10,6 +10,10 @@ Two frozen surfaces, checked without running them:
   (``--dispatch distributed`` and ``serve`` import them on use); a
   module that starts loading more, or a split that introduces a cycle,
   shows here.
+
+One boundary is checked the same way: nothing under ``repro.dist``
+imports ``repro.core.cache`` — the fleet computes, and the preparing
+process alone stores results.
 """
 
 from __future__ import annotations
@@ -75,3 +79,26 @@ def test_cli_import_loads_the_package_but_the_lazy_layers():
         timeout=60,
     ).stdout
     assert set(out.split()) == expected
+
+
+def imported_modules(path: Path):
+    """Every module ``path`` imports, at any depth: ``import a.b`` gives
+    ``a.b``; ``from a import b`` gives ``a`` and ``a.b``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((SRC / "repro" / "dist").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_the_fleet_holds_no_cache(path):
+    # Workers only compute (an EBS1 lease in, an EBC1 commit out); the
+    # preparing process is the one writer of the shard cache.
+    imported = set(imported_modules(path))
+    assert "repro.core.cache" not in imported

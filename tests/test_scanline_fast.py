@@ -6,7 +6,7 @@ tests assert exactly that (``Trapezoid.__eq__`` compares exact float
 values) over generator-drawn layouts and over the degenerate inputs the
 sweep is most fragile on: collinear/shared edges, shared vertices,
 zero-height slab candidates, self-touching polygons and proper interior
-crossings (which exercise the rational-slab scalar path).  The array
+crossings (which exercise the rational-slab big-integer keys).  The array
 merge (``merge_rows``) is held to the same standard against the scalar
 ``merge_trapezoids``, on the kernel's own unmerged rows and on hand-built
 rows a sweep rarely produces.
@@ -354,14 +354,10 @@ class TestExactCrossingArithmetic:
 
 
 class TestRationalSlabVectorization:
-    def test_crossing_rich_sweep_never_hits_scalar_loop(self, monkeypatch):
-        # The scalar ScanEdge+Fraction slab loop must be dead code for
-        # every reachable input: make it explode and sweep a
-        # crossing-dense layout through all operations.
-        def _boom(*args, **kwargs):
-            raise AssertionError("scalar slab path reached")
-
-        monkeypatch.setattr(scanline_fast, "_sweep_scalar_slab", _boom)
+    def test_crossing_rich_sweep_never_hits_scalar_loop(self):
+        # The rational-slab safety valve must be dead for every reachable
+        # input: a crossing-dense layout through all operations stays on
+        # the vectorized path (assert_fast_path: no None, no count).
         tris = [
             Polygon([(i * 3, (i * 7) % 11), (i * 3 + 40, (i * 5) % 13 + 2),
                      (i * 3 + 15, 35 + (i * 3) % 7)])
@@ -376,23 +372,32 @@ class TestRationalSlabVectorization:
         ]
         assert_fast_path(wide[:6], wide[6:], "xor", grid=1.0)
 
-    def test_safety_valve_is_counted_and_still_exact(self, monkeypatch):
-        # Force every rational slab through the (normally unreachable)
-        # scalar valve: the result must stay bit-identical and every
-        # degraded slab must be counted.
+    @pytest.mark.parametrize("merge", [True, False])
+    @pytest.mark.parametrize("fill_rule", ["nonzero", "evenodd"])
+    @pytest.mark.parametrize("operation", ["or", "and", "sub", "xor"])
+    def test_safety_valve_is_counted_and_still_exact(
+        self, monkeypatch, operation, fill_rule, merge
+    ):
+        # Force the (normally unreachable) valve: the sweep hands itself
+        # back to the reference engine once, counted, and the public
+        # entry point's result stays bit-identical.
         monkeypatch.setattr(scanline_fast, "_MAX_FRACTION_WORDS", 0)
         tri1 = Polygon([(0, 0), (10, 1), (5, 9)])
         tri2 = Polygon([(1, 5), (9, 0), (8, 8)])
+        kwargs = dict(grid=1.0, fill_rule=fill_rule, merge=merge)
         fallbacks = KernelFallbacks()
         fast = sweep_trapezoids_fast(
-            [tri1], [tri2], "or", grid=1.0, fallbacks=fallbacks
+            [tri1], [tri2], operation, fallbacks=fallbacks, **kwargs
         )
-        exact = boolean_trapezoids(
-            [tri1], [tri2], "or", grid=1.0, kernel="exact"
+        assert fast is None
+        assert fallbacks == KernelFallbacks(rational_slab=1)
+        fallbacks = KernelFallbacks()
+        handed_back = boolean_trapezoids(
+            [tri1], [tri2], operation, fallbacks=fallbacks, **kwargs
         )
-        assert fast == exact
-        assert fallbacks.rational_slab > 0
-        assert fallbacks.coord_limit == 0
+        exact = boolean_trapezoids([tri1], [tri2], operation, kernel="exact", **kwargs)
+        assert list(handed_back) == list(exact)
+        assert fallbacks == KernelFallbacks(rational_slab=1)
 
 
 class TestWideCoordinateEquivalence:
