@@ -9,13 +9,15 @@ shard's ``EBS1`` (what the pool, the fleet and the spool carry) and the
 shard result's ``EBC1`` (what the content-addressed cache stores,
 :mod:`repro.core.cache`):
 
-Header (32 bytes)::
+Header (28 bytes)::
 
     magic   4s   b"EBJ1"
     unit    d    layout units per count (e.g. 1e-3 µm)
     dose    d    base dose [µC/cm²]
     count   I    number of figure records
     pad     4x
+
+then exactly ``count`` figure records and nothing after them.
 
 Figure record (22 bytes), coordinates as signed 32-bit counts::
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
+import uuid
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import List, Tuple, Union
@@ -146,7 +149,8 @@ def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
     """Parse job-file bytes back into a :class:`MachineJob`.
 
     Raises:
-        JobFileError: on bad magic, truncation, or inconsistent counts.
+        JobFileError: on bad magic, truncation, or trailing bytes after
+            the last record.
     """
     if len(data) < _HEADER.size:
         raise JobFileError("truncated header")
@@ -158,6 +162,10 @@ def loads_job(data: bytes, name: str = "jobfile") -> MachineJob:
     if len(data) < expected:
         raise JobFileError(
             f"truncated records: need {expected} bytes, have {len(data)}"
+        )
+    if len(data) > expected:
+        raise JobFileError(
+            f"trailing bytes after the last record: {len(data) - expected}"
         )
     records = np.frombuffer(data, _RECORD, count, _HEADER.size)
     counts = np.column_stack(
@@ -187,6 +195,13 @@ def write_job(job: MachineJob, path: Union[str, Path], unit: float = 1e-3) -> in
     return writer.close()
 
 
+def staging_path(path: Path) -> Path:
+    """A unique hidden sibling of ``path`` to write in before publishing
+    with :func:`os.replace`, so concurrent writers of one path never
+    share a file (``.gitignore`` knows the pattern)."""
+    return path.with_name(f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}")
+
+
 def read_job(path: Union[str, Path]) -> MachineJob:
     """Read a job file."""
     p = Path(path)
@@ -204,7 +219,9 @@ class JobFileWriter:
     and discards the staging file.  The file is staged next to ``path``
     and published atomically on a successful close, so a crashed
     streaming run never leaves a truncated job file under the final
-    name.
+    name.  The staging file is the writer's own (:func:`staging_path`),
+    so two writers of one path each publish a whole file, and the last
+    to close wins.
     """
 
     def __init__(
@@ -221,7 +238,7 @@ class JobFileWriter:
         self.path = Path(path)
         self.unit = unit
         self.count = int(count)
-        self._staging = self.path.with_name(self.path.name + ".staging")
+        self._staging = staging_path(self.path)
         self._fh = open(self._staging, "wb")
         self._fh.write(_HEADER.pack(MAGIC, unit, base_dose, self.count))
         self._written = 0

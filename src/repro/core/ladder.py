@@ -127,35 +127,38 @@ class RetryPolicy:
 
 
 class Deadline:
-    """A run's time budget, narrowed as it is handed down.
+    """A run's time budget and its cancel, narrowed as it is handed down.
 
-    One object carries "how long may this still take" from the job
-    through the run to each shard attempt and lease: ``at`` is an
-    absolute :func:`time.monotonic` instant (``None`` = unbounded, the
-    default), ``check`` an optional cooperative-cancel hook that raises
-    to abort (a service's ``JobCancelled``), and ``error`` builds the
+    One object carries "how long may this still take, and is it still
+    wanted" from the job through the run to each shard attempt and
+    lease: ``at`` is an absolute :func:`time.monotonic` instant
+    (``None`` = unbounded, the default), and ``error`` builds the
     exception an expired budget raises (``TimeoutError`` by default; a
     service's ``JobTimeoutError``).
 
+    * :meth:`cancel` aborts the run from any thread: every later
+      :meth:`check` raises the cancel's error (a service's
+      ``JobCancelled``), and every pending or future :meth:`wait`
+      wakes at once;
     * :meth:`check` raises the cancel or the expiry, whichever landed;
     * :meth:`wait` is the engine's interruptible sleep — it checks
-      before and after, never sleeps past ``at``, and wakes at once
-      when :meth:`interrupt` fires;
+      before and after and never sleeps past ``at``;
     * :meth:`narrowed` returns the earlier of this deadline and one
       ``seconds`` from now (a shard attempt's watchdog), sharing the
-      cancel hook and the interrupt.
+      cancel with its parent, whichever is cancelled and whenever.
     """
 
     def __init__(
         self,
         seconds: Optional[float] = None,
-        check: Optional[Callable[[], None]] = None,
         error: Optional[Callable[[], BaseException]] = None,
     ) -> None:
         self.at = None if seconds is None else time.monotonic() + seconds
-        self._check = check
         self.error = error or (lambda: TimeoutError("the run's time budget ran out"))
         self._event = threading.Event()
+        # The cancel's error builder, shared (like the event) by every
+        # narrowed copy.
+        self._cancelled: List[Callable[[], BaseException]] = []
 
     def remaining(self) -> Optional[float]:
         """Seconds left (never negative); ``None`` when unbounded."""
@@ -165,13 +168,15 @@ class Deadline:
         return self.remaining() == 0.0
 
     def check(self) -> None:
-        if self._check is not None:
-            self._check()
+        if self._cancelled:
+            raise self._cancelled[0]()
         if self.expired():
             raise self.error()
 
-    def interrupt(self) -> None:
-        """Wake every pending (and future) :meth:`wait` immediately."""
+    def cancel(self, error: Callable[[], BaseException]) -> None:
+        """Abort the run: later checks raise ``error()`` (the first
+        cancel's), and every wait wakes now."""
+        self._cancelled.append(error)
         self._event.set()
 
     def wait(self, delay: float) -> None:

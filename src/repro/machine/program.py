@@ -34,7 +34,6 @@ import hashlib
 import math
 import os
 import struct
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -58,6 +57,7 @@ from repro.core.jobfile import (
     pack_program_header,
     pack_program_segment,
     quantize_rows,
+    staging_path,
 )
 from repro.geometry.vertex_array import FigureView, trapezoid_areas
 from repro.machine.base import Machine, WriteTimeBreakdown
@@ -428,7 +428,7 @@ def export_program(
     # (or a concurrent reader) never sees a truncated program under the
     # final name — and never destroys a previous good one.
     path.parent.mkdir(parents=True, exist_ok=True)
-    staging = path.parent / f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}"
+    staging = staging_path(path)
     try:
         with open(staging, "wb") as handle:
             emit(

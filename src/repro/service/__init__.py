@@ -9,8 +9,9 @@ against one preparation flow and one machine:
   into a :class:`~repro.core.recipe.PrepRecipe` (the exact knob set the
   CLI exposes, built through the same code path).
 * :mod:`repro.service.jobs` — the thread-safe in-memory job store and
-  the job state machine (``queued → running → done | failed``, with
-  ``cancelled`` for jobs pulled before they ran).
+  the job state machine (``queued → running → done | failed``, or
+  ``cancelled`` by a ``DELETE``: at once while queued, at the run's next
+  deadline check while running).
 * :mod:`repro.service.queue` — the priority job queue with a
   concurrency limit, draining onto the persistent worker pool.
 * :mod:`repro.service.runner` — runs one job through the pipeline with

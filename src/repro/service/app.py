@@ -7,8 +7,10 @@ Endpoints::
     GET    /jobs/{id}            job state machine + progress + stats
     GET    /jobs/{id}/result     artifact bytes (?artifact=job|program)
     DELETE /jobs/{id}            cancel a job: queued → 200 (gone now),
-                                 running → 202 (stops at the next shard
-                                 boundary), terminal → 409
+                                 running → 202 (its deadline is cancelled:
+                                 it stops at the next shard boundary,
+                                 backoff, pool wait or lease),
+                                 terminal → 409
     GET    /healthz              liveness
     GET    /readyz               readiness (503 when not ready)
     GET    /stats                queue depth, pool state, cache hit rate
@@ -227,7 +229,7 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
     def _job_routes(self, method: str, parts: list, query: dict) -> bool:
         job_id = parts[1]
         # snapshot(), not get(): handlers render the record, and a live
-        # record racing a worker's to_done() could be seen half-written
+        # record racing a worker's move to done could be seen half-written
         # (state "done" with result/job_path still None).
         job = self.server.store.snapshot(job_id)
         if job is None:
@@ -246,8 +248,9 @@ class PrepRequestHandler(BaseHTTPRequestHandler):
                     200, job_view(self.server.store.snapshot(job_id))
                 )
             elif disposition == "cancelling":
-                # Accepted: the runner observes the flag at the next
-                # shard boundary and lands the job in ``cancelled``.
+                # Accepted: the run's deadline is cancelled, so it stops
+                # at its next check and the runner lands the job in
+                # ``cancelled``.
                 self._send_json(
                     202, job_view(self.server.store.snapshot(job_id))
                 )

@@ -1,14 +1,17 @@
 """The job store: every submission's state machine, thread-safe.
 
-A job moves ``queued → running → done | failed``; a queued job can be
-``cancelled`` immediately, and a running job can request cooperative
-cancellation (the runner observes the flag at the next shard boundary
-and lands the job in ``cancelled``).  All transitions go through the
-store
-under one lock, so the HTTP threads, the queue workers and the
-progress callbacks from the execution engine can never observe a torn
-job record.  Terminal states are final: a finished job's record (and
-its artifacts on disk) stay addressable until the server goes away.
+A job moves ``queued → running → done | failed``.  A ``DELETE`` lands a
+queued job in ``cancelled`` at once; on a running job it cancels the
+run's :class:`~repro.core.ladder.Deadline` — the one channel that also
+carries the job's ``timeout`` — so the run raises :class:`JobCancelled`
+at its next shard boundary, backoff, pool wait or lease, and the runner
+lands the job in ``cancelled``.
+
+Every state change is one :meth:`JobStore.move` under the store's one
+lock, so the HTTP threads, the queue workers and the progress callbacks
+from the execution engine can never observe a torn job record.
+Terminal states are final: a finished job's record (and its artifacts
+on disk) stay addressable until the server goes away.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from repro.core.ladder import Deadline
 from repro.core.stats import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,6 +34,21 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: The states each state may be entered from (:meth:`JobStore.move`):
+#: the queue starts a queued job, a ``DELETE`` cancels a queued one and
+#: the runner a running one; a runner called on a job outside the queue
+#: finishes it from ``queued``.
+MOVES = {
+    "running": ("queued",),
+    "cancelled": ("queued", "running"),
+    "done": ("queued", "running"),
+    "failed": ("queued", "running"),
+}
+
+
+class JobCancelled(Exception):
+    """Raised inside a run when a ``DELETE`` cancels its deadline."""
 
 
 @dataclass
@@ -51,15 +70,12 @@ class Job:
             cache hits/misses, stream stats).
         job_path / program_path: on-disk artifacts of a done job.
         cancel_requested: a ``DELETE`` arrived while the job was
-            running; the runner's progress callback observes the flag
-            and stops cooperatively at the next shard boundary.
+            running; the run's deadline is cancelled and the run stops
+            at the next shard boundary, backoff, pool wait or lease.
         attempts: how many times the runner has started this job
             (> 1 after per-job retries).
-        interrupt: runner-registered callable that wakes the run's
-            pending backoff waits immediately (see
-            :meth:`~repro.core.ladder.Deadline.interrupt`) — invoked by
-            :meth:`JobStore.request_running_cancel` so a cancel never
-            waits out a sleeping retry backoff.
+        deadline: the current attempt's deadline (:meth:`JobStore.attach`)
+            — what :meth:`JobStore.cancel` cancels.
     """
 
     id: str
@@ -77,7 +93,7 @@ class Job:
     program_path: Optional[str] = None
     cancel_requested: bool = False
     attempts: int = 0
-    interrupt: Optional[Callable[[], None]] = None
+    deadline: Optional[Deadline] = None
 
     @property
     def priority(self) -> int:
@@ -168,100 +184,59 @@ class JobStore:
 
     # -- state machine -----------------------------------------------------
 
-    def to_running(self, job_id: str) -> bool:
-        """``queued → running``; False if the job left the queue first
-        (cancelled between scheduling and pickup)."""
-        with self._lock:
-            job = self._jobs[job_id]
-            if job.state != "queued":
-                return False
-            job.state = "running"
-            job.started_at = time.time()
-            return True
+    def move(
+        self, job_id: str, state: str, frm: Union[str, Tuple[str, ...]], **values
+    ) -> bool:
+        """The one transition: ``frm → state``, setting ``values`` and
+        the state's timestamp (``started_at`` for ``running``, else
+        ``finished_at``) under one lock.  False, with nothing changed,
+        when the job is missing or not in ``frm``.
 
-    def to_cancelled(self, job_id: str) -> bool:
-        """``queued → cancelled``; False from any other state — a
-        running job needs :meth:`request_running_cancel` instead (its
-        shards are already on the pool) and terminal states are final."""
+        Raises:
+            ValueError: ``frm`` names a state :data:`MOVES` does not
+                allow into ``state``.
+        """
+        frm = (frm,) if isinstance(frm, str) else frm
+        if not set(frm) <= set(MOVES.get(state, ())):
+            raise ValueError(f"no job moves from {frm} to {state!r}")
+        stamp = "started_at" if state == "running" else "finished_at"
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None or job.state != "queued":
+            if job is None or job.state not in frm:
                 return False
-            job.state = "cancelled"
-            job.finished_at = time.time()
+            for name, value in {**values, "state": state, stamp: time.time()}.items():
+                setattr(job, name, value)
             return True
 
-    def request_running_cancel(self, job_id: str) -> bool:
-        """Flag a *running* job for cooperative cancellation; False
-        from any other state.  The runner's progress callback polls
-        the flag and lands the job in ``cancelled`` at the next shard
-        boundary (idempotent: re-requesting stays True).  A registered
-        backoff interrupt fires too, so a run sleeping in a retry
-        backoff aborts immediately instead of waiting the delay out."""
+    def cancel(self, job_id: str) -> str:
+        """A ``DELETE``; returns the job's disposition: ``"cancelled"``
+        (was queued — gone immediately), ``"cancelling"`` (running —
+        its deadline is cancelled and the run stops at its next check),
+        ``"finished"`` (already terminal) or ``"missing"``."""
+        if self.move(job_id, "cancelled", "queued"):
+            return "cancelled"
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None or job.state != "running":
-                return False
+            if job is None:
+                return "missing"
+            if job.state != "running":
+                return "finished"
             job.cancel_requested = True
-            interrupt = job.interrupt
-        if interrupt is not None:
-            interrupt()
-        return True
+            if job.deadline is not None:
+                job.deadline.cancel(_cancelled(job_id))
+            return "cancelling"
 
-    def attach_interrupt(
-        self, job_id: str, interrupt: Callable[[], None]
-    ) -> None:
-        """Register the run's backoff-wakeup hook (runner, at start)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                job.interrupt = interrupt
-
-    def cancel_requested(self, job_id: str) -> bool:
-        """Whether a cooperative cancel is pending on this job."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            return job is not None and job.cancel_requested
-
-    def to_cancelled_running(self, job_id: str) -> bool:
-        """``running → cancelled`` — the runner honoured a cooperative
-        cancel request; False from any other state."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.state != "running":
-                return False
-            job.state = "cancelled"
-            job.finished_at = time.time()
-            return True
-
-    def note_attempt(self, job_id: str) -> int:
-        """Count one runner attempt on the job; returns the new total."""
+    def attach(self, job_id: str, deadline: Deadline) -> int:
+        """Start one runner attempt under ``deadline``: count it and
+        make the deadline the one :meth:`cancel` cancels (at once, when
+        a cancel already landed).  Returns the attempt's number."""
         with self._lock:
             job = self._jobs[job_id]
             job.attempts += 1
+            job.deadline = deadline
+            if job.cancel_requested:
+                deadline.cancel(_cancelled(job_id))
             return job.attempts
-
-    def to_done(
-        self,
-        job_id: str,
-        result: dict,
-        job_path: Optional[str] = None,
-        program_path: Optional[str] = None,
-    ) -> None:
-        with self._lock:
-            job = self._jobs[job_id]
-            job.state = "done"
-            job.result = result
-            job.job_path = job_path
-            job.program_path = program_path
-            job.finished_at = time.time()
-
-    def to_failed(self, job_id: str, error: str) -> None:
-        with self._lock:
-            job = self._jobs[job_id]
-            job.state = "failed"
-            job.error = error
-            job.finished_at = time.time()
 
     # -- fault accounting --------------------------------------------------
 
@@ -293,3 +268,7 @@ class JobStore:
             job = self._jobs[job_id]
             job.shards_total = max(job.shards_total, total)
             job.shards_done = max(job.shards_done, done)
+
+
+def _cancelled(job_id: str):
+    return lambda: JobCancelled(f"job {job_id} cancelled while running")

@@ -96,26 +96,17 @@ class JobQueue:
             self._cv.notify()
 
     def cancel(self, job_id: str) -> str:
-        """Try to cancel; returns the job's resulting disposition:
-        ``"cancelled"`` (was queued — gone immediately),
-        ``"cancelling"`` (running — the runner stops cooperatively at
-        the next shard boundary), ``"finished"`` (already terminal) or
-        ``"missing"``."""
-        job = self.store.get(job_id)
-        if job is None:
-            return "missing"
-        if self.store.to_cancelled(job_id):
-            # Purge the heap entry and wake every waiter so
-            # ``wait_idle()`` observes the emptied queue right away
-            # instead of blocking until an unrelated submission.
+        """:meth:`JobStore.cancel` the job (its disposition is returned),
+        purging a cancelled job's heap entry and waking every waiter so
+        ``wait_idle()`` observes the emptied queue right away instead of
+        blocking until an unrelated submission."""
+        disposition = self.store.cancel(job_id)
+        if disposition == "cancelled":
             with self._cv:
                 self._heap = [e for e in self._heap if e[2] != job_id]
                 heapq.heapify(self._heap)
                 self._cv.notify_all()
-            return "cancelled"
-        if self.store.request_running_cancel(job_id):
-            return "cancelling"
-        return "finished"
+        return disposition
 
     # -- introspection -----------------------------------------------------
 
@@ -155,7 +146,7 @@ class JobQueue:
             while True:
                 while self._heap and not self._stopping:
                     _, _, job_id = heapq.heappop(self._heap)
-                    if self.store.to_running(job_id):
+                    if self.store.move(job_id, "running", "queued"):
                         job = self.store.get(job_id)
                         self._running.add(job_id)
                         return job
@@ -180,7 +171,8 @@ class JobQueue:
                 # the engine must fail the one job, not kill the worker
                 # thread (which would silently shrink concurrency and
                 # flip /readyz to 503 forever).
-                self.store.to_failed(job.id, f"{type(exc).__name__}: {exc}")
+                error = f"{type(exc).__name__}: {exc}"
+                self.store.move(job.id, "failed", ("queued", "running"), error=error)
             finally:
                 with self._cv:
                     self._running.discard(job.id)

@@ -21,11 +21,7 @@ from typing import Optional, Union
 
 from repro.core.cache import ShardCache
 from repro.core.ladder import Deadline, RetryPolicy
-from repro.service.jobs import Job, JobStore
-
-
-class JobCancelled(Exception):
-    """Raised inside a run when a cooperative cancel request lands."""
+from repro.service.jobs import Job, JobCancelled, JobStore
 
 
 class JobTimeoutError(Exception):
@@ -64,13 +60,15 @@ class JobRunner:
     def __call__(self, job: Job) -> None:
         """Run ``job`` to completion, honouring its spec's fault knobs.
 
-        Cooperative cancellation (``DELETE`` on a running job) and the
-        per-job wall-clock ``timeout`` travel down as one
-        :class:`~repro.core.ladder.Deadline`: observed at every shard
-        completion, backoff, pool wait and lease.  A cancelled run lands
-        the job in ``cancelled`` here; a timed-out run raises (never
-        retried) and the queue worker records the failure.  Any other
-        exception is put to the engine's one classifier
+        Each attempt runs under its own
+        :class:`~repro.core.ladder.Deadline`, attached to the job in the
+        store: it carries the per-job wall-clock ``timeout`` and the
+        cancel a ``DELETE`` sends down (:meth:`JobStore.cancel`), both
+        observed at every shard completion, backoff, pool wait and
+        lease.  A cancelled run lands the job in ``cancelled`` here; a
+        timed-out run raises (never retried) and the queue worker
+        records the failure.  Any other exception is put to the
+        engine's one classifier
         (:meth:`~repro.core.ladder.RetryPolicy.is_transient`): an
         infrastructure fault re-runs the job up to ``spec.retries``
         extra times before propagating; a deterministic failure (bad
@@ -79,12 +77,18 @@ class JobRunner:
         """
         spec = job.spec
         while True:
-            attempt = self.store.note_attempt(job.id)
+            deadline = Deadline(
+                spec.timeout,
+                error=lambda: JobTimeoutError(
+                    f"job {job.id} exceeded its {spec.timeout:g} s budget"
+                ),
+            )
+            attempt = self.store.attach(job.id, deadline)
             try:
-                self._run_once(job)
+                self._run_once(job, deadline)
                 return
             except JobCancelled:
-                self.store.to_cancelled_running(job.id)
+                self.store.move(job.id, "cancelled", "running")
                 self.store.count("faults", "cancelled_while_running")
                 return
             except JobTimeoutError:
@@ -95,8 +99,9 @@ class JobRunner:
                     raise
                 self.store.count("faults", "jobs_retried")
 
-    def _run_once(self, job: Job) -> None:
-        """One attempt: run the pipeline and mark the job done.
+    def _run_once(self, job: Job, deadline: Deadline) -> None:
+        """One attempt under ``deadline``: run the pipeline and mark the
+        job done.
 
         Exceptions propagate to :meth:`__call__` (retries) and then the
         queue worker (failure record) — this method only handles the
@@ -106,22 +111,6 @@ class JobRunner:
         library = self.workload_library(spec.workload)
         job_dir = self.job_dir(job.id)
         job_dir.mkdir(parents=True, exist_ok=True)
-
-        def cancelled() -> None:
-            if self.store.cancel_requested(job.id):
-                raise JobCancelled(f"job {job.id} cancelled while running")
-
-        # The job's budget and cancel, handed down to every shard
-        # boundary, backoff, pool wait and lease; a cancel (via the
-        # store's interrupt hook) cuts a pending backoff short too.
-        deadline = Deadline(
-            spec.timeout,
-            check=cancelled,
-            error=lambda: JobTimeoutError(
-                f"job {job.id} exceeded its {spec.timeout:g} s budget"
-            ),
-        )
-        self.store.attach_interrupt(job.id, deadline.interrupt)
 
         def progress(done: int, total: int) -> None:
             self.store.update_progress(job.id, done, total)
@@ -165,9 +154,11 @@ class JobRunner:
                 "cache_hits": program.cache_hits,
                 "cache_misses": program.cache_misses,
             }
-        self.store.to_done(
+        self.store.move(
             job.id,
-            summary,
+            "done",
+            ("queued", "running"),
+            result=summary,
             job_path=str(job_path),
             program_path=str(program_path) if program_path else None,
         )

@@ -476,33 +476,40 @@ class TestDeadline:
     aborts a *pending* backoff instead of waiting it out, and the same
     budget, narrowed, bounds every pool wait."""
 
-    def test_interrupt_wakes_wait_early(self):
+    def test_cancel_wakes_wait_early(self):
+        class Cancelled(Exception):
+            pass
+
         deadline = Deadline()
-        timer = threading.Timer(0.1, deadline.interrupt)
+        timer = threading.Timer(0.1, deadline.cancel, (Cancelled,))
         start = time.monotonic()
         timer.start()
         try:
-            deadline.wait(30.0)
+            with pytest.raises(Cancelled):
+                deadline.wait(30.0)
         finally:
             timer.cancel()
         assert time.monotonic() - start < 5.0
 
-    def test_check_raises_before_and_after_sleep(self):
+    def test_cancel_raises_at_every_later_check(self):
         class Cancelled(Exception):
             pass
 
-        calls = []
+        class Later(Exception):
+            pass
 
-        def check():
-            calls.append(1)
-            if len(calls) > 1:
-                raise Cancelled()
-
-        deadline = Deadline(check=check)
-        deadline.interrupt()  # no actual sleeping in this test
+        deadline = Deadline(0.0)
+        with pytest.raises(TimeoutError):
+            deadline.check()
+        deadline.cancel(Cancelled)
+        deadline.cancel(Later)  # the first cancel's error stands
+        for _ in range(2):
+            with pytest.raises(Cancelled):
+                deadline.check()
+        start = time.monotonic()
         with pytest.raises(Cancelled):
             deadline.wait(30.0)
-        assert len(calls) == 2
+        assert time.monotonic() - start < 1.0
 
     def test_wait_never_sleeps_past_the_budget_then_raises(self):
         deadline = Deadline(0.05)
@@ -520,11 +527,30 @@ class TestDeadline:
         assert job.narrowed(60.0) is job  # the job's budget is tighter
         shard = job.narrowed(0.5)
         assert shard.at < job.at
-        # A narrower child shares the parent's interrupt.
-        job.interrupt()
+
+    def test_narrowed_copies_share_the_cancel(self):
+        """A narrowed deadline made before the cancel, and one made
+        after it, both raise it — and the parent does too."""
+        class Cancelled(Exception):
+            pass
+
+        job = Deadline(60.0)
+        before = job.narrowed(30.0)
+        job.cancel(Cancelled)
+        after = job.narrowed(30.0)
+        assert before is not job and after is not job
         start = time.monotonic()
-        shard.wait(30.0)
-        assert time.monotonic() - start < 0.4
+        for deadline in (job, before, after):
+            with pytest.raises(Cancelled):
+                deadline.check()
+            with pytest.raises(Cancelled):
+                deadline.wait(30.0)
+        assert time.monotonic() - start < 1.0
+        # A child's cancel reaches its parent as well.
+        other = Deadline()
+        other.narrowed(5.0).cancel(Cancelled)
+        with pytest.raises(Cancelled):
+            other.check()
 
     def test_cancel_mid_backoff_aborts_the_run_promptly(self):
         """A run whose shard is waiting out a 30 s backoff must abort
@@ -532,13 +558,7 @@ class TestDeadline:
         class Cancelled(Exception):
             pass
 
-        cancel = threading.Event()
-
-        def check():
-            if cancel.is_set():
-                raise Cancelled()
-
-        deadline = Deadline(check=check)
+        deadline = Deadline()
         pipeline = GRATING.pipeline(
             workers=2,
             faults=FaultPlan(transient=frozenset({(0, 0), (0, 1)})),
@@ -546,9 +566,7 @@ class TestDeadline:
             deadline=deadline,
             machine=None,
         )
-        timer = threading.Timer(
-            0.3, lambda: (cancel.set(), deadline.interrupt())
-        )
+        timer = threading.Timer(0.3, deadline.cancel, (Cancelled,))
         start = time.monotonic()
         timer.start()
         try:

@@ -965,14 +965,15 @@ class TestDistributedRuns:
     def test_cancel_lands_while_the_fleet_stalls(self, endpoint, fleet):
         """A fleet that heartbeats but never commits must not hide a
         cancel (or an expired job budget) from the waiting coordinator:
-        every wake of the poll loop runs the deadline's check."""
+        the poll loop waits on the batch's event, not the deadline's,
+        so it is every wake's ``check()`` that sees the cancel."""
 
         class Cancelled(Exception):
             pass
 
         leased = threading.Event()
         release = threading.Event()
-        cancel = threading.Event()
+        deadline = Deadline()
         cancelled_at = []
 
         def throttle(position, attempt):
@@ -982,11 +983,7 @@ class TestDistributedRuns:
         def request_cancel():
             leased.wait(timeout=30.0)
             cancelled_at.append(time.monotonic())
-            cancel.set()
-
-        def check():
-            if cancel.is_set():
-                raise Cancelled
+            deadline.cancel(Cancelled)
 
         fleet(2, throttle=throttle)
         # No shard timeout: stalled, not hung — no reclaim helps.
@@ -1000,7 +997,7 @@ class TestDistributedRuns:
             dispatch="distributed",
             workers_endpoint=endpoint,
             dist_policy=policy,
-            deadline=Deadline(check=check),
+            deadline=deadline,
             machine=None,
         )
         canceller = threading.Thread(target=request_cancel, daemon=True)

@@ -102,6 +102,16 @@ class TestFailureModes:
         with pytest.raises(JobFileError, match="truncated records"):
             loads_job(data[:-4])
 
+    @pytest.mark.parametrize("tail", ["junk", "record"])
+    def test_trailing_bytes(self, tail):
+        """Bytes after the last declared record — junk, or a whole
+        duplicated record — are refused, as EBP1/EBC1/EBS1 refuse them."""
+        data = dumps_job(sample_job())
+        record = job_file_bytes(1) - job_file_bytes(0)
+        extra = b"\x00" * 7 if tail == "junk" else data[-record:]
+        with pytest.raises(JobFileError, match=f"trailing bytes.*{len(extra)}"):
+            loads_job(data + extra)
+
     def test_unit_validation(self):
         with pytest.raises(JobFileError):
             dumps_job(sample_job(), unit=0.0)

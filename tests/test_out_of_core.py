@@ -38,6 +38,7 @@ from repro.core.jobfile import (
     JobFileWriter,
     dumps_job,
     dumps_shard_result,
+    job_file_bytes,
     write_job,
 )
 from repro.core.pipeline import PreparationPipeline
@@ -355,6 +356,26 @@ class TestJobFileWriter:
             writer.write_rows(shot_rows(shots[1:2]))
         writer.abort()
         assert not list(tmp_path.iterdir())
+
+    def test_two_writers_of_one_path_each_publish_a_whole_file(self, tmp_path):
+        """Two writers of one path stage in files of their own: each
+        close publishes a whole, readable job, the last close wins, and
+        no staging file is left behind."""
+        from repro.core.jobfile import read_job
+
+        shots = self._shots()
+        path = tmp_path / "shared.ebj"
+        first = JobFileWriter(path, 3, base_dose=1.0)
+        second = JobFileWriter(path, 2, base_dose=2.0)
+        first.write_rows(shot_rows(shots[:3]))
+        second.write_rows(shot_rows(shots[:2]))
+        assert second.close() == job_file_bytes(2)
+        job = read_job(path)
+        assert (job.figure_count(), job.base_dose) == (2, 2.0)
+        assert first.close() == job_file_bytes(3)
+        job = read_job(path)
+        assert (job.figure_count(), job.base_dose) == (3, 1.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.ebj"]
 
     def test_exception_aborts_staging(self, tmp_path):
         shots = self._shots()

@@ -435,11 +435,11 @@ class TestJobFaultKnobs:
         calls = []
         original = server.runner._run_once
 
-        def flaky_run_once(job):
+        def flaky_run_once(job, deadline):
             calls.append(job.id)
             if len(calls) == 1:
                 raise OSError("synthetic infrastructure failure")
-            original(job)
+            original(job, deadline)
 
         server.runner._run_once = flaky_run_once
         job_id = client.submit({"workload": "grating", "retries": 2})
@@ -453,7 +453,7 @@ class TestJobFaultKnobs:
     def test_retries_exhausted_marks_failed(self, server, client):
         original = server.runner._run_once
 
-        def doomed_run_once(job):
+        def doomed_run_once(job, deadline):
             raise OSError("always down")
 
         server.runner._run_once = doomed_run_once
@@ -729,29 +729,76 @@ class TestDistributedService:
         assert "workers_endpoint" in body["error"]
 
 
-class TestCancelInterruptsBackoff:
-    def test_running_cancel_fires_attached_interrupt(self):
-        """The store must invoke the runner's registered backoff
-        interrupt when a running job is cancelled — this is what stops
-        a cancel from waiting out a sleeping retry backoff."""
+class TestCancelCancelsTheDeadline:
+    """A ``DELETE`` on a running job travels down the attempt's one
+    :class:`Deadline` — the same object that carries its timeout — so a
+    pending backoff wakes at once, whichever of the cancel and the
+    runner's attach lands first."""
+
+    @staticmethod
+    def running_job(store):
+        job = store.create(parse_job_spec({"workload": "grating"}))
+        assert store.move(job.id, "running", "queued")
+        return job
+
+    @pytest.mark.parametrize("cancel_first", [False, True])
+    def test_cancel_and_attach_in_either_order(self, cancel_first):
+        from repro.core.ladder import Deadline
+        from repro.service.jobs import JobCancelled, JobStore
+
+        store = JobStore()
+        job = self.running_job(store)
+        deadline = Deadline()
+        woke = []
+
+        def sleeper():
+            try:
+                deadline.wait(30.0)
+            except JobCancelled:
+                woke.append(time.monotonic())
+
+        thread = threading.Thread(target=sleeper, daemon=True)
+        thread.start()
+        if cancel_first:
+            assert store.cancel(job.id) == "cancelling"
+            deadline.check()  # not attached yet: nothing to cancel
+            assert store.attach(job.id, deadline) == 1
+        else:
+            assert store.attach(job.id, deadline) == 1
+            assert store.cancel(job.id) == "cancelling"
+        landed = time.monotonic()
+        thread.join(timeout=5.0)
+        assert woke and woke[0] - landed < 1.0
+        with pytest.raises(JobCancelled, match=job.id):
+            deadline.check()
+        view = store.snapshot(job.id)
+        assert view.state == "running"
+        assert (view.cancel_requested, view.attempts) == (True, 1)
+
+    def test_a_retry_attempt_inherits_the_cancel(self):
+        from repro.core.ladder import Deadline
+        from repro.service.jobs import JobCancelled, JobStore
+
+        store = JobStore()
+        job = self.running_job(store)
+        first, second = Deadline(), Deadline()
+        assert store.attach(job.id, first) == 1
+        assert store.cancel(job.id) == "cancelling"
+        assert store.attach(job.id, second) == 2
+        for deadline in (first, second):
+            with pytest.raises(JobCancelled):
+                deadline.check()
+
+    def test_cancel_of_queued_or_finished_job_leaves_the_deadline(self):
+        from repro.core.ladder import Deadline
         from repro.service.jobs import JobStore
 
         store = JobStore()
-        job = store.create(parse_job_spec({"workload": "grating"}))
-        assert store.to_running(job.id)
-        fired = []
-        store.attach_interrupt(job.id, lambda: fired.append(1))
-        assert store.request_running_cancel(job.id)
-        assert fired == [1]
-        assert store.cancel_requested(job.id)
-
-    def test_cancel_of_queued_job_never_calls_interrupt(self):
-        from repro.service.jobs import JobStore
-
-        store = JobStore()
-        job = store.create(parse_job_spec({"workload": "grating"}))
-        fired = []
-        store.attach_interrupt(job.id, lambda: fired.append(1))
-        assert not store.request_running_cancel(job.id)  # still queued
-        assert store.to_cancelled(job.id)
-        assert fired == []
+        queued = store.create(parse_job_spec({"workload": "grating"}))
+        deadline = Deadline()
+        store.attach(queued.id, deadline)
+        assert store.cancel(queued.id) == "cancelled"
+        assert store.cancel(queued.id) == "finished"
+        assert store.cancel("nope") == "missing"
+        deadline.check()
+        assert not store.snapshot(queued.id).cancel_requested

@@ -5,12 +5,13 @@ controllable fake runners (events instead of real pipeline runs), so
 every scheduling property is asserted deterministically.
 """
 
+import copy
 import threading
 
 import pytest
 
 from repro.core.recipe import PrepRecipe
-from repro.service.jobs import JobStore
+from repro.service.jobs import JOB_STATES, MOVES, TERMINAL_STATES, JobStore
 from repro.service.queue import JobQueue
 from repro.service.schemas import JobSpec
 
@@ -35,7 +36,7 @@ class RecordingRunner:
         self.started.release()
         if self.gate is not None:
             assert self.gate.wait(_TIMEOUT)
-        self.store.to_done(job.id, {"ok": True})
+        assert self.store.move(job.id, "done", "running", result={"ok": True})
 
 
 @pytest.fixture
@@ -130,8 +131,8 @@ class TestCancellation:
     def test_cancel_running_job_requests_cooperative_stop(self, store):
         """Cancelling a *running* job flags it for cooperative stop:
         the queue answers "cancelling" and sets the store flag; it's
-        the runner's duty to observe the flag at a shard boundary (this
-        fake runner never looks, so the job still lands done)."""
+        the run's deadline that carries the cancel (this fake runner
+        attaches none, so the job still lands done)."""
         gate = threading.Event()
         runner = RecordingRunner(store, gate=gate)
         queue = JobQueue(store, runner, concurrency=1)
@@ -141,7 +142,7 @@ class TestCancellation:
         assert runner.started.acquire(timeout=_TIMEOUT)
         assert queue.cancel(job.id) == "cancelling"
         assert store.get(job.id).state == "running"
-        assert store.cancel_requested(job.id)
+        assert store.get(job.id).cancel_requested
         gate.set()
         drain(queue)
         assert store.get(job.id).state == "done"
@@ -165,7 +166,7 @@ class TestFailureCapture:
             calls.append(job.id)
             if len(calls) == 1:
                 raise RuntimeError("shard exploded")
-            store.to_done(job.id, {"ok": True})
+            store.move(job.id, "done", "running", result={"ok": True})
 
         queue = JobQueue(store, runner, concurrency=1)
         bad = store.create(make_spec())
@@ -189,11 +190,51 @@ class TestJobStore:
 
     def test_state_machine_guards(self, store):
         job = store.create(make_spec())
-        assert store.to_running(job.id)
-        assert not store.to_running(job.id)
-        assert not store.to_cancelled(job.id)
-        store.to_done(job.id, {"ok": True})
+        assert store.move(job.id, "running", "queued")
+        assert not store.move(job.id, "running", "queued")
+        assert store.cancel(job.id) == "cancelling"
+        assert store.move(job.id, "done", "running", result={"ok": True})
         assert store.get(job.id).state == "done"
+        assert not store.move("nope", "running", "queued")
+
+    @pytest.mark.parametrize("current", JOB_STATES)
+    @pytest.mark.parametrize(
+        "target, frm",
+        [
+            (target, frm)
+            for target, sources in MOVES.items()
+            for frm in (*sources, sources)
+        ],
+    )
+    def test_every_move(self, store, current, target, frm):
+        """An allowed move sets the state, its timestamp and the fields;
+        a refused one returns False and leaves the record as it was.
+        No move leaves a terminal state."""
+        job = store.create(make_spec())
+        job.state = current
+        before = copy.copy(job)
+        moved = store.move(job.id, target, frm, error="E", result={"ok": 1})
+        sources = (frm,) if isinstance(frm, str) else frm
+        assert moved == (current in sources)
+        if current in TERMINAL_STATES:
+            assert not moved
+        if not moved:
+            assert store.get(job.id) == before
+            return
+        stamp = "started_at" if target == "running" else "finished_at"
+        after = store.get(job.id)
+        assert (after.state, after.error, after.result) == (target, "E", {"ok": 1})
+        assert getattr(after, stamp) is not None
+
+    @pytest.mark.parametrize(
+        "target, frm",
+        [("queued", "running"), ("running", "running"), ("done", ("queued", "done"))],
+    )
+    def test_undeclared_moves_raise(self, store, target, frm):
+        job = store.create(make_spec())
+        with pytest.raises(ValueError, match="no job moves"):
+            store.move(job.id, target, frm)
+        assert store.get(job.id).state == "queued"
 
     def test_progress_is_monotonic(self, store):
         job = store.create(make_spec())
@@ -272,7 +313,7 @@ class TestCancellationErrorCapture:
             calls.append(job.id)
             if len(calls) == 1:
                 raise CancelledError("pool torn down mid-map")
-            store.to_done(job.id, {"ok": True})
+            store.move(job.id, "done", "running", result={"ok": True})
 
         queue = JobQueue(store, runner, concurrency=1)
         bad = store.create(make_spec())
@@ -292,8 +333,10 @@ class TestStoreSnapshots:
     def test_snapshot_is_a_point_in_time_copy(self, store):
         job = store.create(make_spec())
         snap = store.snapshot(job.id)
-        assert store.to_running(job.id)
-        store.to_done(job.id, {"ok": True}, job_path="/tmp/x.ebj")
+        assert store.move(job.id, "running", "queued")
+        store.move(
+            job.id, "done", "running", result={"ok": True}, job_path="/tmp/x.ebj"
+        )
         assert snap.state == "queued"
         assert snap.result is None
         done = store.snapshot(job.id)
@@ -305,5 +348,5 @@ class TestStoreSnapshots:
     def test_list_returns_copies(self, store):
         job = store.create(make_spec())
         listed = store.list()[0]
-        assert store.to_running(job.id)
+        assert store.move(job.id, "running", "queued")
         assert listed.state == "queued"
