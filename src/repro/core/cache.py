@@ -321,7 +321,7 @@ def shard_cache_key(
         # then per ring "G{n}:" and the ring's record.
         h.update(b"l%d:" % len(shard.polygons))
         for polygon in shard.polygons:
-            h.update(b"G%d:%s" % (len(polygon.vertices), dumps_ring(polygon)))
+            h.update(b"G%d:%s" % (len(polygon), dumps_ring(polygon)))
         _update(h, fracturer)
     _update(h, corrector)
     _update(h, psf)

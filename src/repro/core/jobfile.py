@@ -50,7 +50,6 @@ from repro.core.job import MachineJob
 from repro.core.plan import Shard
 from repro.core.recipe import POSITIVE, require
 from repro.fracture.base import row_bytes, shots_from_rows
-from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.vertex_array import FigureView, trapezoid_array
 
@@ -550,15 +549,21 @@ INPUT_VERSION = 1
 def dumps_ring(polygon: Polygon) -> bytes:
     """One ring's record: the polygon's ``(x, y)`` vertices as
     big-endian doubles — a spool record, and the bytes a shard's cache
-    key hashes for the polygon."""
+    key hashes for the polygon.  Either form of the polygon writes the
+    same bytes: an array-backed ring in one copy, a points-backed one
+    through ``struct``."""
+    ring = polygon.ring
+    if ring is not None:
+        return ring.astype(">f8").tobytes()
     coords = [c for v in polygon.vertices for c in (v.x, v.y)]
     return struct.pack(f">{len(coords)}d", *coords)
 
 
 def loads_ring(data: bytes) -> Polygon:
-    """The polygon of one :func:`dumps_ring` record, vertex for vertex.
+    """The array-backed polygon of one :func:`dumps_ring` record,
+    vertex for vertex.
 
-    Never through the normalising constructor: a stored ring that still
+    Never through the normalising rule: a stored ring that still
     closes on its first vertex (``Polygon`` drops one closing duplicate,
     not two) comes back as it was, not shorter.
 
@@ -568,10 +573,15 @@ def loads_ring(data: bytes) -> Polygon:
     """
     if len(data) < 48 or len(data) % 16:
         raise JobFileError(f"a ring needs 3 or more (x, y) pairs: {len(data)} bytes")
-    values = struct.unpack(f">{len(data) // 8}d", data)
-    polygon = Polygon.__new__(Polygon)
-    polygon.vertices = list(map(Point, values[0::2], values[1::2]))
-    return polygon
+    return Polygon.from_array(_native_pairs(data), as_stored=True)
+
+
+def _native_pairs(data: bytes, offset: int = 0) -> np.ndarray:
+    """Big-endian doubles from ``offset`` on as a native ``(n, 2)``
+    float64 array (a copy, read-only like the bytes it came from)."""
+    pairs = np.frombuffer(data, ">f8", offset=offset).astype(np.float64)
+    pairs.flags.writeable = False
+    return pairs.reshape(-1, 2)
 
 
 def dumps_shard(shard: Shard) -> bytes:
@@ -614,6 +624,9 @@ def loads_shard(data: bytes) -> Shard:
     if figures:
         block = np.frombuffer(data, ">f8", 6 * count, start).reshape(-1, 6)
         return Shard((col, row), (), figures=FigureView(block.astype(np.float64)))
-    ends = np.cumsum([start, *(16 * n for n in sizes)]).tolist()
-    rings = (loads_ring(data[a:b]) for a, b in zip(ends, ends[1:]))
-    return Shard((col, row), tuple(rings))
+    if min(sizes, default=3) < 3:
+        raise JobFileError(f"a ring needs 3 or more (x, y) pairs, got {min(sizes)}")
+    rings = np.split(_native_pairs(data, start), np.cumsum(sizes)[:-1]) if count else ()
+    return Shard(
+        (col, row), tuple(Polygon.from_array(r, as_stored=True) for r in rings)
+    )

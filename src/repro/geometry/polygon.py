@@ -23,6 +23,22 @@ class Polygon:
     Vertices may wind in either direction; :meth:`orientation` reports the
     winding and :meth:`normalized` re-winds counter-clockwise.
 
+    A polygon holds its ring in one of two forms, never both:
+
+    * **points** — ``vertices``, a list of :class:`Point`; what the
+      constructor and every geometric operation build;
+    * **array** — ``ring``, one float64 ``(n, 2)`` array; what a ring
+      read from bytes (a GDSII ``XY`` record, an ``EBS1`` ring record)
+      or moved by :func:`~repro.geometry.vertex_array.transform_polygons`
+      carries (:meth:`from_array`).
+
+    The first read of ``vertices`` on an array-backed polygon builds the
+    points from the array's doubles and drops the array, so the list is
+    the one source of truth from then on (in-place edits stick).
+    ``ring`` is ``None`` on a points-backed polygon.  ``len``,
+    :meth:`bounding_box` and the stacking/serializing hot path read the
+    array without building points.
+
     >>> unit = Polygon.rectangle(0, 0, 1, 1)
     >>> unit.area()
     1.0
@@ -30,7 +46,9 @@ class Polygon:
     True
     """
 
-    __slots__ = ("vertices",)
+    # ``_ring`` is runtime state, not configuration, to the cache's
+    # fingerprint: a polygon hashes as its ``vertices`` in either form.
+    __slots__ = ("vertices", "_ring")
 
     def __init__(self, vertices: Iterable[Coordinate]) -> None:
         pts = [Point.of(v) for v in vertices]
@@ -39,8 +57,53 @@ class Polygon:
         if len(pts) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(pts)}")
         self.vertices: List[Point] = pts
+        self._ring = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``_ring`` on a polygon from an
+        # older pickle, or ``vertices`` on an array-backed one.
+        if name == "_ring":
+            return None
+        ring = self._ring
+        if name != "vertices" or ring is None:
+            raise AttributeError(name)
+        xs, ys = ring.T.tolist()
+        self.vertices = list(map(Point, xs, ys))
+        self._ring = None
+        return self.vertices
+
+    def __getstate__(self):
+        # The form the polygon is in, without building points: a
+        # points-backed polygon pickles as it always has.
+        if self._ring is not None:
+            return None, {"_ring": self._ring}
+        return None, {"vertices": self.vertices}
+
+    @property
+    def ring(self):
+        """The float64 ``(n, 2)`` vertex array of an array-backed
+        polygon, ``None`` on a points-backed one.  Read-only."""
+        return self._ring
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def from_array(cls, ring, as_stored: bool = False) -> "Polygon":
+        """Array-backed polygon over a float64 ``(n, 2)`` vertex ring.
+
+        By the constructor's rule, one closing duplicate is dropped
+        (exact ``==``) and at least three vertices must remain;
+        ``as_stored`` keeps the ring exactly as given (a decoded ring
+        record, validated by its reader).  The array is held, not copied.
+        """
+        if not as_stored:
+            if len(ring) >= 2 and (ring[0] == ring[-1]).all():
+                ring = ring[:-1]
+            if len(ring) < 3:
+                raise ValueError(f"polygon needs at least 3 vertices, got {len(ring)}")
+        polygon = cls.__new__(cls)
+        polygon._ring = ring
+        return polygon
 
     @classmethod
     def rectangle(cls, x0: float, y0: float, x1: float, y1: float) -> "Polygon":
@@ -204,6 +267,10 @@ class Polygon:
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` of the vertex ring."""
+        ring = self._ring
+        if ring is not None:
+            (x0, y0), (x1, y1) = ring.min(0).tolist(), ring.max(0).tolist()
+            return (x0, y0, x1, y1)
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
@@ -383,7 +450,7 @@ class Polygon:
     # -- dunder -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.vertices if self._ring is None else self._ring)
 
     def __iter__(self):
         return iter(self.vertices)

@@ -33,15 +33,26 @@ def stack_polygons(polygons: Sequence[Polygon]) -> StackedRings:
     """Stack polygon vertex rings into ``(coords (N,2), offsets (P+1,))``.
 
     ``coords[offsets[i]:offsets[i+1]]`` is polygon ``i``'s vertex ring.
+    When every polygon is array-backed (``Polygon.ring``) the rings are
+    concatenated in one call; otherwise they are copied in turn, a
+    points-backed one vertex by vertex.  No
+    :class:`~repro.geometry.point.Point` is built either way.
     """
     counts = np.empty(len(polygons) + 1, dtype=np.int64)
     counts[0] = 0
     for i, p in enumerate(polygons):
-        counts[i + 1] = len(p.vertices)
+        counts[i + 1] = len(p)
     offsets = np.cumsum(counts)
+    rings = [p.ring for p in polygons]
+    if rings and not any(ring is None for ring in rings):
+        return np.concatenate(rings), offsets
     coords = np.empty((int(offsets[-1]), 2), dtype=np.float64)
     pos = 0
-    for p in polygons:
+    for p, ring in zip(polygons, rings):
+        if ring is not None:
+            coords[pos : pos + len(ring)] = ring
+            pos += len(ring)
+            continue
         for v in p.vertices:
             coords[pos, 0] = v.x
             coords[pos, 1] = v.y
@@ -168,9 +179,7 @@ def transform_polygons(
     out: List[Polygon] = []
     for i in range(len(polygons)):
         ring = moved[offsets[i] : offsets[i + 1]]
-        if reverse:
-            ring = ring[::-1]
-        out.append(Polygon([(x, y) for x, y in ring.tolist()]))
+        out.append(Polygon.from_array(ring[::-1] if reverse else ring))
     return out
 
 

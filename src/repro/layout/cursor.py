@@ -318,7 +318,7 @@ class FileStream(LayoutStream):
         geometry: Dict[Layer, List[Polygon]] = {}
         size = 0
         for layer, poly in self._iter_cell_geometry(name):
-            size += 16 * len(poly.vertices)
+            size += 16 * len(poly)
             if size > GEOM_CACHE_MAX_BYTES:
                 self._geom.uncacheable.add(name)
                 return None

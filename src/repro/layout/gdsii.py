@@ -21,6 +21,8 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import ring_collapses
@@ -391,8 +393,10 @@ class GdsiiStream(FileStream):
         field, decode, first = spec
         if field == "xy" and element["kind"] in _GEOMETRY_KINDS:
             element["xy_count"] = int32_count(length - 4)
-            if not geometry:
-                return
+            if geometry:
+                # Decoded as one array by _build_shape.
+                element["xy"] = self._payload(length)
+            return
         value = decode(self._payload(length))
         if first:
             if not value:
@@ -518,7 +522,6 @@ def _build_shape(
     if boundary:
         if count < 8 or count % 2:
             raise GdsiiError("BOUNDARY without a valid XY record")
-        count -= 2  # GDSII closes the ring explicitly; drop the repeat.
     else:
         if count < 4 or count % 2:
             raise GdsiiError("PATH without a valid XY record")
@@ -530,10 +533,16 @@ def _build_shape(
     xy = element.get("xy")
     if xy is None:
         return layer, None
-    pts = [(xy[i] * grid, xy[i + 1] * grid) for i in range(0, count, 2)]
+    # Each int32 times the grid: the one IEEE multiply ``xy[i] * grid``
+    # is, for every coordinate at once.
+    ring = np.frombuffer(xy, ">i4").reshape(-1, 2) * grid
     if boundary:
-        return layer, Polygon(pts)
-    return layer, Polygon.from_path(pts, width)
+        # GDSII closes the ring explicitly: drop the repeat, and only a
+        # repeat; from_array then applies the constructor's own rule.
+        if (ring[0] == ring[-1]).all():
+            ring = ring[:-1]
+        return layer, Polygon.from_array(ring)
+    return layer, Polygon.from_path(ring.tolist(), width)
 
 
 def _build_reference(target: Cell, spec: dict, grid: float) -> CellReference:

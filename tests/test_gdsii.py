@@ -297,6 +297,9 @@ SQUARE = [0, 0, 2000, 0, 2000, 1000, 0, 1000, 0, 0]
 LINE = [0, 0, 4000, 0]
 #: A foreign writer's sub-grid sliver: a rectangle snapped flat.
 SLIVER = [18000, 20000, 20000, 20000, 20000, 20000, 18000, 20000, 18000, 20000]
+#: A foreign writer's BOUNDARY that does not repeat its first pair: the
+#: last pair is a real vertex (a square with a peak on its top edge).
+UNCLOSED = [0, 0, 10000, 0, 10000, 10000, 0, 10000, 5000, 15000]
 
 
 def lib(*chunks, head=HEAD + UNITS, endlib=True):
@@ -375,6 +378,7 @@ GDSII_CORPUS = {
     ),
     "text_skipped": lib(structure("A", TEXT, boundary())),
     "zero_area_boundary": lib(structure("A", boundary(SLIVER), boundary())),
+    "unclosed_boundary": lib(structure("A", boundary(UNCLOSED))),
     "sref_with_transform": lib(
         CHILD,
         structure(
@@ -521,6 +525,7 @@ GDSII_CORPUS = {
 
 UNITS_UM = ("T", 1e-06, 1e-09)
 SQUARE_UM = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+UNCLOSED_UM = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (5.0, 15.0))
 
 #: What reading each corpus entry answers (``layout_doors.describe`` of
 #: the library, or the error).  The literals are the parent commit's
@@ -545,6 +550,7 @@ GDSII_EXPECTED = {
             )
         },
     ),
+    "unclosed_boundary": (UNITS_UM, {"A": ([((1, 0), [UNCLOSED_UM])], [])}),
     "sref_with_transform": (
         UNITS_UM,
         {
@@ -653,6 +659,7 @@ GDSII_CHANGED = {
     "sref_xy_one_int": "IndexError",
     "path_odd_xy": "IndexError",
     "boundary_odd_xy": "read, ignoring the unpaired int",
+    "unclosed_boundary": "read as the square, its last real vertex dropped",
     "strname_inside_element": "polygon read into B (streamed: dropped)",
     "non_ascii_strname": "UnicodeDecodeError",
     "empty_layer": "IndexError",

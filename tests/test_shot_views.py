@@ -7,9 +7,11 @@ Four things are pinned here:
 * the array validation of a block from outside accepts and rejects
   exactly what building the objects row by row would — lazily built
   objects must not make the check lazy;
-* a resident preparation constructs **no** ``Trapezoid`` or ``Shot``
-  (an object count is exactly what a warmed cache from an earlier test
-  can hide: CI also runs this file alone, in a cold process);
+* a resident preparation constructs **no** ``Trapezoid`` or ``Shot``,
+  and a reticle read from its GDSII file — resident, streamed to a
+  pool, or through an ``EBS1`` shard payload — **no** ``Point`` (an
+  object count is exactly what a warmed cache from an earlier test can
+  hide: CI also runs this file alone, in a cold process);
 * shard and segment keys are the bytes the object lists hashed to
   (literals computed at the commit before the views existed).
 """
@@ -35,9 +37,11 @@ from repro.core.hierarchical import fracture_hierarchical
 from repro.core.jobfile import (
     JobFileError,
     dumps_job,
+    dumps_shard,
     dumps_shard_result,
     job_file_bytes,
     loads_job,
+    loads_shard,
     loads_shard_result,
     write_job,
 )
@@ -51,6 +55,7 @@ from repro.fracture.base import (
     with_doses,
 )
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
@@ -245,8 +250,9 @@ def _job_of(shots):
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts of ``Trapezoid``/``Shot`` constructions in this process."""
-    counts = {Trapezoid: 0, Shot: 0}
+    """Counts of ``Trapezoid``/``Shot``/``Point`` constructions in this
+    process."""
+    counts = {Trapezoid: 0, Shot: 0, Point: 0}
     for cls in counts:
         original = cls.__init__
 
@@ -263,9 +269,13 @@ def mini_memory():
 
 
 def mini_reticle(tmp_path):
+    return read_gdsii(mini_reticle_file(tmp_path))
+
+
+def mini_reticle_file(tmp_path):
     path = tmp_path / "reticle.gds"
     generators.write_full_reticle(path, tiles=2)
-    return read_gdsii(path)
+    return path
 
 
 MEMORY = dict(
@@ -284,11 +294,15 @@ def prepare(recipe, source, out, cache_dir=None):
     return result
 
 
+def figures_built(constructed):
+    return constructed[Trapezoid], constructed[Shot]
+
+
 def assert_materialises_what_the_rows_say(job, constructed):
-    assert constructed == {Trapezoid: 0, Shot: 0}
+    assert figures_built(constructed) == (0, 0)
     rows = np.concatenate(job.row_blocks)
     shots = list(job.shots)
-    assert constructed == {Trapezoid: len(rows), Shot: len(rows)}
+    assert figures_built(constructed) == (len(rows), len(rows))
     assert len(shots) == job.figure_count() == len(rows) > 0
     assert [shot_fields(s) for s in shots] == [tuple(r) for r in rows.tolist()]
 
@@ -299,7 +313,7 @@ class TestNoObjectOnThePrepPath:
         library = mini_memory()
         cold = prepare(recipe, library, tmp_path, tmp_path / "cache")
         assert cold.execution.cache_misses == cold.execution.shard_count > 1
-        assert constructed == {Trapezoid: 0, Shot: 0}
+        assert figures_built(constructed) == (0, 0)
         artifacts = [(tmp_path / n).read_bytes() for n in ("out.ebj", "out.ebp")]
         warm = prepare(recipe, library, tmp_path, tmp_path / "cache")
         assert warm.execution.cache_hits == warm.execution.shard_count
@@ -329,6 +343,49 @@ class TestNoObjectOnThePrepPath:
         assert (tmp_path / "out.ebj").read_bytes() == expected
         assert pooled.job.digest() == serial.job.digest()
         assert_materialises_what_the_rows_say(pooled.job, constructed)
+
+    def test_reticle_file_resident_builds_no_point(self, tmp_path, constructed):
+        path = mini_reticle_file(tmp_path)
+        constructed[Point] = 0  # the generator's own, writing the file
+        result = prepare(PrepRecipe(**RETICLE), read_gdsii(path), tmp_path)
+        assert result.execution.shard_count == 4
+        assert constructed[Point] == 0
+
+    def test_reticle_file_streamed_to_a_pool_builds_no_point(
+        self, tmp_path, constructed
+    ):
+        path = mini_reticle_file(tmp_path)
+        prepare(PrepRecipe(**RETICLE), read_gdsii(path), tmp_path)
+        artifacts = [(tmp_path / n).read_bytes() for n in ("out.ebj", "out.ebp")]
+        constructed[Point] = 0
+        shutdown_worker_pool()  # fork after the counters are in place
+        recipe = PrepRecipe(streaming=True, workers=2, **RETICLE)
+        try:
+            # Not prepare(): a streamed job is written as it runs.
+            streamed = recipe.prepare(
+                recipe.build_pipeline(),
+                path,
+                program_path=tmp_path / "out.ebp",
+                job_path=tmp_path / "out.ebj",
+            )
+        finally:
+            shutdown_worker_pool()
+        assert streamed.execution.parallel
+        assert artifacts == [
+            (tmp_path / n).read_bytes() for n in ("out.ebj", "out.ebp")
+        ]
+        assert constructed[Point] == 0
+
+    def test_ebs1_round_trip_builds_no_point(self, tmp_path, constructed):
+        path = mini_reticle_file(tmp_path)
+        points_backed = Shard((1, 2), (Polygon.rectangle(0, 0, 1, 1),) * 2)
+        constructed[Point] = 0
+        flat = flatten_cell(read_gdsii(path).top_cell())
+        polygons = [p for polys in flat.values() for p in polys]
+        for shard in (*plan_shards(polygons, RETICLE["field_size"]), points_backed):
+            again = loads_shard(dumps_shard(shard))
+            assert dumps_shard(again) == dumps_shard(shard)
+        assert constructed[Point] == 0
 
 
 # -- keys pinned to the bytes the object lists hashed to ---------------------
