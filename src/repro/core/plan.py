@@ -25,9 +25,12 @@ shard, so overlaps *between polygons of different shards* would be
 exposed twice (their area double-counts).  The shard planner therefore
 enforces an ``overlap_policy``:
 
-* ``"warn"`` (default) — detect polygons whose interiors overlap across
-  shard boundaries and emit a :class:`ShardOverlapWarning`; the plan is
-  kept as-is (the historical behaviour, now audible).
+* ``"warn"`` (default) — detect polygons of different shards that
+  share positive area on the database grid (the area fracturing both
+  would expose twice; the boolean engine that fractures them decides)
+  and emit a :class:`ShardOverlapWarning`; the plan is kept as-is (the
+  historical behaviour, now audible).  Abutting and corner-touching
+  polygons — the normal mosaic case — share no area.
 * ``"union"`` — boolean-union the layout before bucketing, which makes
   sharding exact for arbitrary overlap-heavy data at the cost of one
   global union pass.
@@ -40,7 +43,6 @@ shard would be double-counted on every warm run as well.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -49,6 +51,7 @@ import numpy as np
 
 from repro.core.fields import FieldIndex, box_field_indices
 from repro.core.recipe import choice, number_complaint, require
+from repro.geometry.boolean import boolean_trapezoids, union
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView, trapezoid_array, trapezoid_bounds
@@ -61,9 +64,6 @@ class ShardOverlapWarning(UserWarning):
 #: Pairwise interior-overlap checks budgeted per plan; beyond this the
 #: planner warns conservatively instead of scaling quadratically.
 _OVERLAP_CHECK_CAP = 20000
-#: Penetration depth [µm] below which edges count as tangent, not
-#: crossing — 1 pm, far under the 1 nm database grid.
-_TANGENT_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,6 @@ def plan_shards(
     if field_size is None:
         return [Shard(index=(0, 0), polygons=tuple(polygons))]
     if overlap_policy == "union" and len(polygons) > 1:
-        from repro.geometry.boolean import union
-
         polygons = union(polygons)
     boxes = np.array(
         [poly.bounding_box() for poly in polygons], dtype=np.float64
@@ -231,88 +229,15 @@ def plan_figure_shards(
     ]
 
 
-def _window_edges(
-    poly: Polygon, window: Tuple[float, float, float, float]
-) -> List[Tuple[float, float, float, float]]:
-    """Edges of ``poly`` whose bounding box meets the window, as
-    ``(x1, y1, x2, y2)`` tuples — two overlapping polygons can only
-    interact inside the intersection of their bounding boxes."""
-    wx0, wy0, wx1, wy1 = window
-    verts = poly.vertices
-    edges = []
-    for i, a in enumerate(verts):
-        b = verts[(i + 1) % len(verts)]
-        if (
-            max(a.x, b.x) >= wx0
-            and min(a.x, b.x) <= wx1
-            and max(a.y, b.y) >= wy0
-            and min(a.y, b.y) <= wy1
-        ):
-            edges.append((a.x, a.y, b.x, b.y))
-    return edges
+def _interiors_overlap(a: Polygon, b: Polygon) -> bool:
+    """True iff the two polygons share positive area on the database
+    grid — the area fracturing both would expose twice.
 
-
-def _interiors_overlap(
-    a: Polygon,
-    b: Polygon,
-    bb_a: Tuple[float, float, float, float],
-    bb_b: Tuple[float, float, float, float],
-) -> bool:
-    """True iff the interiors of two simple polygons share positive area.
-
-    Two simple polygons overlap with positive area iff an edge of one
-    properly crosses an edge of the other, or a boundary point of one
-    lies strictly inside the other (containment without crossings).
-    Both tests are strict with a sub-nanometre tolerance — well under
-    the 1 nm database grid — so abutting or corner-touching polygons
-    (the normal mosaic case, including nearly-collinear shared edges
-    with last-ulp trigonometric jitter) are not flagged.  Much cheaper
-    than a boolean intersection: edges are pruned to the shared
-    bounding-box window first.
+    The boolean engine that fractures the shards answers it: their
+    intersection is non-empty.  Exact on the grid, so abutting or
+    corner-touching polygons (the normal mosaic case) are not flagged.
     """
-    window = (
-        max(bb_a[0], bb_b[0]),
-        max(bb_a[1], bb_b[1]),
-        min(bb_a[2], bb_b[2]),
-        min(bb_a[3], bb_b[3]),
-    )
-    edges_a = _window_edges(a, window)
-    edges_b = _window_edges(b, window)
-
-    def cross(ox, oy, px, py, qx, qy):
-        return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
-
-    # A crossing is "proper" only if each segment's endpoints sit on
-    # strictly opposite sides of the other segment's line by more than
-    # _TANGENT_EPS (the cross products below are point-to-line distances
-    # scaled by the segment length).
-    for ax1, ay1, ax2, ay2 in edges_a:
-        len_a = math.hypot(ax2 - ax1, ay2 - ay1)
-        tol_a = _TANGENT_EPS * len_a
-        for bx1, by1, bx2, by2 in edges_b:
-            d1 = cross(ax1, ay1, ax2, ay2, bx1, by1)
-            d2 = cross(ax1, ay1, ax2, ay2, bx2, by2)
-            if not (
-                (d1 > tol_a and d2 < -tol_a)
-                or (d1 < -tol_a and d2 > tol_a)
-            ):
-                continue
-            tol_b = _TANGENT_EPS * math.hypot(bx2 - bx1, by2 - by1)
-            d3 = cross(bx1, by1, bx2, by2, ax1, ay1)
-            d4 = cross(bx1, by1, bx2, by2, ax2, ay2)
-            if (d3 > tol_b and d4 < -tol_b) or (
-                d3 < -tol_b and d4 > tol_b
-            ):
-                return True
-
-    for edges, other in ((edges_a, b), (edges_b, a)):
-        for x1, y1, x2, y2 in edges:
-            if other.contains_point((x1, y1), include_boundary=False):
-                return True
-            mid = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-            if other.contains_point(mid, include_boundary=False):
-                return True
-    return False
+    return len(boolean_trapezoids([a], [b], "and")) > 0
 
 
 def _warn_on_cross_shard_overlap(
@@ -324,19 +249,21 @@ def _warn_on_cross_shard_overlap(
     as_polygon,
 ) -> None:
     """Emit :class:`ShardOverlapWarning` if items of different shards
-    have positive-area interior overlap.
+    share positive area on the database grid.
 
     Reads the block the plan was made from (``boxes`` and
     :func:`_plan_tiles`' ``tile_of``/``origin``).  ``as_polygon``
-    converts an item to a :class:`Polygon` for the exact interior test
-    (identity for polygon shards, ``to_polygon`` for pre-fractured
-    figure shards).  Two items each contained in their own tile cannot
-    overlap, so every overlapping cross-shard pair involves a *crosser*
-    — an item whose bounding box escapes its tile — and the candidates
-    are enumerated from the crossers: each against the items of other
-    tiles whose boxes overlap its box with positive area, a
-    crosser–crosser pair visited once.  Fully tile-contained layouts
-    return before any pairing.
+    converts an item to a :class:`Polygon` for the exact check,
+    :func:`_interiors_overlap` (identity for polygon shards,
+    ``to_polygon`` for pre-fractured figure shards); each check is one
+    boolean-engine call, at most :data:`_OVERLAP_CHECK_CAP` per plan,
+    and the first positive ends the enumeration.  Two items each
+    contained in their own tile cannot overlap, so every overlapping
+    cross-shard pair involves a *crosser* — an item whose bounding box
+    escapes its tile — and the candidates are enumerated from the
+    crossers: each against the items of other tiles whose boxes overlap
+    its box with positive area, a crosser–crosser pair visited once.
+    Fully tile-contained layouts return before any pairing.
     """
     lower, upper = boxes[:, :2], boxes[:, 2:]
     tile_lower = origin + tile_of * field_size
@@ -384,12 +311,7 @@ def _warn_on_cross_shard_overlap(
                     "exactly; layout may overlap across shards and "
                     "double-count exposed area"
                 )
-            elif _interiors_overlap(
-                as_polygon(items[a]),
-                as_polygon(items[b]),
-                tuple(boxes[a].tolist()),
-                tuple(boxes[b].tolist()),
-            ):
+            elif _interiors_overlap(as_polygon(items[a]), as_polygon(items[b])):
                 trouble = (
                     f"polygons of shards {tuple(tile_of[a].tolist())} and "
                     f"{tuple(tile_of[b].tolist())} overlap; their overlap "

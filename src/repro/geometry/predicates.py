@@ -10,6 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.geometry.polygon import Polygon
+
 IntPoint = Tuple[int, int]
 
 
@@ -135,18 +139,30 @@ def ring_collapses(xy: Sequence[int]) -> bool:
     """True if the integer ring ``[x0, y0, x1, y1, …]`` encloses no area.
 
     The layout writers' one degeneracy rule: a polygon whose vertices,
-    snapped to the file's grid, have zero shoelace area (a sub-grid
-    sliver, repeated or collinear points) is not a figure, and a record
-    for it need not survive a read → write round trip byte for byte —
-    the writers reject it instead of emitting it.  Exact: Python
-    integers do not overflow.  The ring may or may not repeat its first
-    point at the end.
+    snapped to the file's grid, fill nothing under the boolean engine's
+    nonzero rule (a sub-grid sliver, repeated or collinear points) is
+    not a figure, and a record for it need not survive a read → write
+    round trip byte for byte — the writers reject it instead of
+    emitting it.  A non-zero signed shoelace area settles it at once;
+    a zero one may still be a self-intersecting ring whose lobes cancel
+    (a bow-tie), so only then is the engine asked, on the ring's own
+    integer grid.  Exact: Python integers do not overflow, and the
+    engine holds every coordinate within ±2⁵³ (any GDSII record) as is.
+    The ring may or may not repeat its first point at the end.
     """
     xs, ys = xy[0::2], xy[1::2]
     doubled = xs[-1] * ys[0] - xs[0] * ys[-1]
     for i in range(len(xs) - 1):
         doubled += xs[i] * ys[i + 1] - xs[i + 1] * ys[i]
-    return doubled == 0
+    if doubled != 0:
+        return False
+    # Imported here: the engine's scanline imports this module.
+    from repro.geometry.boolean import boolean_trapezoids
+
+    ring = Polygon.from_array(
+        np.array(xy, dtype=np.float64).reshape(-1, 2), as_stored=True
+    )
+    return not len(boolean_trapezoids([ring], [], "or", grid=1.0))
 
 
 def bounding_boxes_overlap(

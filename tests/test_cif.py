@@ -70,6 +70,16 @@ class TestWriter:
         with pytest.raises(CifError, match="zero area on the centimicron grid"):
             dumps_cif(lib)
 
+    def test_a_bow_tie_whose_lobes_cancel_is_a_figure(self):
+        # Zero signed area: the GDSII writers' bow-tie, on CIF's grid.
+        bow_tie = Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
+        lib = Library("T")
+        lib.new_cell("TOP").add_polygon(bow_tie)
+        text = dumps_cif(lib)
+        assert "P 0 0 200 200 200 0 0 200;" in text
+        ((polygon,),) = flatten_cell(loads_cif(text).top_cell()).values()
+        assert polygon.vertices == bow_tie.vertices
+
     def test_one_centimicron_is_enough(self):
         lib = Library("T")
         lib.new_cell("TOP").add_rectangle(0.0, 0.0, 5.0, 0.01)

@@ -236,6 +236,20 @@ class TestWriterRejectsCollapsedPolygons:
             with pytest.raises(GdsiiError, match="zero area on the database grid"):
                 writer.write_polygon(poly, (1, 0))
 
+    def test_a_bow_tie_whose_lobes_cancel_is_a_figure(self, tmp_path):
+        # Zero signed area, yet the fracturer fills both 1 µm² lobes.
+        bow_tie = Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
+        library = Library("T")
+        library.new_cell("A").add_polygon(bow_tie)
+        with GdsiiStreamWriter(tmp_path / "out.gds", name="T") as writer:
+            writer.begin_cell("A")
+            writer.write_polygon(bow_tie, (0, 0))
+            writer.end_cell()
+        data = dumps_gdsii(library)
+        assert (tmp_path / "out.gds").read_bytes() == data
+        ((polygon,),) = flatten_cell(loads_gdsii(data).top_cell()).values()
+        assert polygon.vertices == bow_tie.vertices
+
     def test_one_grid_step_is_enough(self):
         library = Library("T")
         library.new_cell("A").add_rectangle(0.0, 0.0, 5.0, 0.001)

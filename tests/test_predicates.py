@@ -9,6 +9,7 @@ from repro.geometry.predicates import (
     on_segment,
     orientation,
     point_in_polygon,
+    ring_collapses,
     segment_intersection_ys,
     segments_intersect,
     snap,
@@ -124,3 +125,17 @@ class TestBBoxOverlap:
 
     def test_disjoint(self):
         assert not bounding_boxes_overlap((0, 0), (1, 1), (2, 2), (3, 3))
+
+
+class TestRingCollapses:
+    @pytest.mark.parametrize(
+        "xy, collapses",
+        [
+            ([0, 0, 2, 2, 2, 0, 0, 2], False),  # a bow-tie: both lobes fill
+            ([0, 0, 2, 2, 2, 0, 0, 2, 0, 0], False),  # the same, closed
+            # a box, then the same box reversed: winding 0 everywhere
+            ([0, 0, 2, 0, 2, 1, 0, 1, 0, 0, 0, 1, 2, 1, 2, 0], True),
+        ],
+    )
+    def test_zero_signed_area_asks_the_fill_rule(self, xy, collapses):
+        assert ring_collapses(xy) == collapses

@@ -8,7 +8,8 @@ block — against scalar, object-by-object references:
 * the array index routine against :func:`field_index_of`;
 * ``plan_shards``/``plan_figure_shards`` against dict bucketing;
 * the streamed spool's windows against the resident plan;
-* the advisory's candidate pairs against an O(n²) enumeration;
+* the advisory's candidate pairs against an O(n²) enumeration, and its
+  exact check against box intersections and the reference engine;
 * the pitch range rule in every execution mode.
 """
 
@@ -36,6 +37,7 @@ from repro.core.hierarchical import fracture_hierarchical
 from repro.core.jobfile import dumps_job
 from repro.core.pipeline import PreparationPipeline
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.boolean import boolean_trapezoids
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView
@@ -110,9 +112,8 @@ def record_exact_test(monkeypatch, verdict=False):
     was handed."""
     calls = []
 
-    def stub(a, b, bb_a, bb_b):
-        assert bb_a == a.bounding_box() and bb_b == b.bounding_box()
-        calls.append(frozenset((bb_a, bb_b)))
+    def stub(a, b):
+        calls.append(frozenset((a.bounding_box(), b.bounding_box())))
         return verdict
 
     monkeypatch.setattr(plan, "_interiors_overlap", stub)
@@ -496,6 +497,68 @@ class TestOverlapCandidates:
             shards = plan_figure_shards(figures, 100.0)
         assert len(shards) == 9
         assert sum(len(s.figures) for s in shards) == len(figures) == 16384
+
+
+#: Rectangle edges in nm: a 0.5 µm lattice nudged by at most 1 nm, so
+#: overlap, abutment and a one-grid-step overlap or gap are all common.
+EDGES_NM = st.builds(
+    lambda k, nudge: 500 * k + nudge, st.integers(-4, 4), st.integers(-1, 1)
+)
+
+
+@st.composite
+def nm_rectangles(draw):
+    x0, x1 = sorted(draw(st.lists(EDGES_NM, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(EDGES_NM, min_size=2, max_size=2, unique=True)))
+    return x0, y0, x1, y1
+
+
+@st.composite
+def convex_polygons(draw):
+    """A regular polygon near the origin, its vertices on the 1 nm grid
+    or off it."""
+    polygon = Polygon.regular(
+        (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+        draw(st.floats(0.01, 2.0)),
+        draw(st.integers(3, 9)),
+        draw(st.floats(0.0, 6.3)),
+    )
+    if draw(st.booleans()):
+        polygon = Polygon([(round(v.x, 3), round(v.y, 3)) for v in polygon.vertices])
+    return polygon
+
+
+class TestExactOverlapCheck:
+    """``_interiors_overlap`` against answers it does not compute:
+    positive area on the 1 nm database grid."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(nm_rectangles(), nm_rectangles())
+    def test_rectangles_overlap_iff_their_box_intersection_has_area(self, a, b):
+        width = min(a[2], b[2]) - max(a[0], b[0])
+        height = min(a[3], b[3]) - max(a[1], b[1])
+        polygons = [Polygon.rectangle(*(c / 1000.0 for c in box)) for box in (a, b)]
+        assert plan._interiors_overlap(*polygons) == (width > 0 and height > 0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(convex_polygons(), convex_polygons())
+    def test_convex_pairs_agree_with_the_reference_intersection(self, a, b):
+        reference = boolean_trapezoids([a], [b], "and", kernel="exact")
+        assert plan._interiors_overlap(a, b) == (len(reference) > 0)
+
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            Polygon.rectangle(0.0, 0.0, 2.0, 1.0),
+            Polygon([(0.0, 0.0), (3.0, 0.5), (1.0, 4.0)]),
+        ],
+    )
+    def test_coincident_polygons_overlap(self, polygon):
+        # Every edge lies on the other's boundary: no edge crosses one
+        # of the other's, no boundary point is strictly inside it, and
+        # all of the area is shared.
+        twin = Polygon(polygon.vertices)
+        assert plan._interiors_overlap(polygon, twin)
 
 
 # ---------------------------------------------------------------------------

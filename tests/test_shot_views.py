@@ -9,7 +9,8 @@ Four things are pinned here:
   objects must not make the check lazy;
 * a resident preparation constructs **no** ``Trapezoid`` or ``Shot``,
   and a reticle read from its GDSII file — resident, streamed to a
-  pool, or through an ``EBS1`` shard payload — **no** ``Point`` (an
+  pool, or through an ``EBS1`` shard payload — **no** ``Point``, nor
+  does the overlap advisory planning a zone plate read from one (an
   object count is exactly what a warmed cache from an earlier test can
   hide: CI also runs this file alone, in a cold process);
 * shard and segment keys are the bytes the object lists hashed to
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import plan
 from repro.core.cache import fingerprint, program_segment_key, shard_cache_key
 from repro.core.executor import (
     Shard,
@@ -65,7 +67,7 @@ from repro.geometry.vertex_array import (
 )
 from repro.layout import generators
 from repro.layout.flatten import flatten_cell
-from repro.layout.gdsii import read_gdsii
+from repro.layout.gdsii import read_gdsii, write_gdsii
 from repro.machine.program import MachineSpec
 
 FIGURES = [
@@ -386,6 +388,26 @@ class TestNoObjectOnThePrepPath:
             again = loads_shard(dumps_shard(shard))
             assert dumps_shard(again) == dumps_shard(shard)
         assert constructed[Point] == 0
+
+    def test_overlap_advisory_on_curves_builds_no_point(
+        self, tmp_path, constructed, monkeypatch
+    ):
+        path = tmp_path / "fzp.gds"
+        write_gdsii(generators.fresnel_zone_plate(), path)
+        checked = []
+        real = plan._interiors_overlap
+
+        def counting(*pair):
+            checked.append(pair)
+            return real(*pair)
+
+        monkeypatch.setattr(plan, "_interiors_overlap", counting)
+        constructed[Point] = 0  # the generator's own
+        flat = flatten_cell(read_gdsii(path).top_cell())
+        shards = plan_shards([p for polys in flat.values() for p in polys], 10.0)
+        assert len(checked) > 0  # the exact check ran
+        assert constructed[Point] == 0
+        assert all(p.ring is not None for s in shards for p in s.polygons)
 
 
 # -- keys pinned to the bytes the object lists hashed to ---------------------
