@@ -6,19 +6,28 @@ The period machines instead fractured each cell *once* and replicated
 the resulting figures at machine-write time.  This module implements
 that optimization:
 
+* the hierarchy is expanded per reference edge, not per placement: a
+  count of the groups each cell's subtree emits fixes every instance's
+  position in the depth-first walk order, and each edge (parent cell →
+  reference), visited once parents-first, carries all of its instances
+  as one ``(n, 6)`` array of affine rows
+  (:meth:`~repro.layout.reference.CellReference.placement_matrix`
+  composed by :func:`~repro.geometry.transform.compose`, bit for bit
+  the :class:`Transform` products the walk took);
 * a cell's local geometry is fractured once per layer and cached as
   its ``(N, 6)`` figure block;
 * placements whose transform keeps horizontal edges horizontal
   (``c == 0`` in the affine matrix — translations, 180° rotations,
   mirrors, magnification; everything GDSII allows except 90°/270°
-  rotations) reuse the cached block: the walk only records
-  ``(block, transform)`` in visit order, and all placements of one
-  cell are evaluated afterwards in one broadcast pass
+  rotations) reuse the cached block: all placements of one block are
+  evaluated in one broadcast pass
   (:func:`~repro.geometry.vertex_array.transform_trapezoid_array`,
   bit-identical per figure to the scalar :func:`transform_trapezoid`);
-* other placements fall back to fracturing the transformed polygons.
+* other placements fall back to fracturing the transformed polygons,
+  one by one in walk order.
 
-No :class:`Trapezoid` is built on the way: each layer's figures are one
+No :class:`Trapezoid`, and no :class:`Transform` or ``Point`` per
+placement, is built on the way: each layer's figures are one
 :class:`~repro.geometry.vertex_array.FigureView` in walk order.
 
 The speedup on array-dominated layouts is the figure-count ratio between
@@ -36,7 +45,7 @@ import numpy as np
 from repro.fracture.base import Fracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.scanline_fast import KernelFallbacks
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Transform, compose
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
     FigureView,
@@ -84,9 +93,11 @@ def transform_trapezoid(trap: Trapezoid, t: Transform) -> Trapezoid:
     return Trapezoid(y0, y1, bl, br, tl, tr)
 
 
-def preserves_horizontal(t: Transform, tol: float = 1e-12) -> bool:
-    """True if ``t`` maps horizontal trapezoids to horizontal trapezoids."""
-    return abs(t.c) <= tol and abs(t.d) > tol
+def preserves_horizontal(t: "Transform | np.ndarray", tol: float = 1e-12):
+    """True if ``t`` maps horizontal trapezoids to horizontal trapezoids;
+    for an array of affine rows ``(a, b, c, d, e, f)``, that per row."""
+    c, d = (t[..., 2], t[..., 3]) if isinstance(t, np.ndarray) else (t.c, t.d)
+    return (abs(c) <= tol) & (abs(d) > tol)
 
 
 @dataclass
@@ -154,74 +165,105 @@ def fracture_hierarchical(
         fracturer = TrapezoidFracturer()
     top = source.top_cell() if isinstance(source, Library) else source
     result = HierarchicalFractureResult()
+    groups: Dict[int, list] = {}  # per cell, the (layer key, polygons) it emits
+    emissions: Dict[int, int] = {}  # per cell, the groups of its subtree
+    cells: List[Cell] = []  # in first-completion order: children first
 
-    def walk(cell: Cell, transform: Transform, path: Tuple[str, ...]):
-        """Yield ``(cell, layer key, polygons, transform)`` for every
-        cell/layer group of the hierarchy, depth first, counting the
-        source polygons on ``result``."""
+    def count(cell: Cell, path: Tuple[str, ...]):
+        """``(groups emitted, source polygons by layer)`` of one
+        instance of ``cell``, subtree included, under the depth-first
+        walk's cycle check (so once per path, not per placement)."""
         if cell.name in path:
             cycle = " -> ".join(path + (cell.name,))
             raise ValueError(f"reference cycle while fracturing: {cycle}")
-        merged: List = []
-        for layer, polys in cell.polygons.items():
-            if not polys or (layers is not None and layer not in layers):
-                continue
-            result.source_polygons += len(polys)
-            result.source_polygons_by_layer[layer] = (
-                result.source_polygons_by_layer.get(layer, 0) + len(polys)
-            )
-            if merge_layers:
-                merged.extend(polys)
-            else:
-                yield cell, layer, polys, transform
-        if merged:
-            yield cell, None, merged, transform
+        own = [
+            (layer, polys)
+            for layer, polys in cell.polygons.items()
+            if polys and (layers is None or layer in layers)
+        ]
+        by_layer = {layer: len(polys) for layer, polys in own}
+        if merge_layers and own:
+            own = [(None, [poly for _, polys in own for poly in polys])]
+        groups[id(cell)] = own
+        emitted = len(own)
         for ref in cell.references:
-            for placement in ref.placements():
-                yield from walk(ref.cell, transform @ placement, path + (cell.name,))
+            n = ref.placement_count()
+            below, child_layers = count(ref.cell, path + (cell.name,))
+            emitted += n * below
+            for layer, polygons in child_layers.items():
+                by_layer[layer] = by_layer.get(layer, 0) + n * polygons
+        if id(cell) not in emissions:
+            cells.append(cell)
+        emissions[id(cell)] = emitted
+        return emitted, by_layer
 
-    blocks: Dict[Tuple[int, Optional[Layer]], np.ndarray] = {}
-    # Per layer key, the walk's (block, transform) placements in visit
-    # order; the transform is None for a block that is placed as it is.
-    placed: Dict[Optional[Layer], list] = {}
-    for cell, key_layer, polys, transform in walk(top, Transform.identity(), ()):
-        if preserves_horizontal(transform):
-            key = (id(cell), key_layer)
-            if key in blocks:
-                result.instances_reused += 1
-            else:
-                blocks[key] = trapezoid_array(fracturer.fracture(polys))
-                result.kernel_fallbacks.add(fracturer.last_fallbacks)
+    _, result.source_polygons_by_layer = count(top, ())
+    result.source_polygons = sum(result.source_polygons_by_layer.values())
+    # Per cell, the (affine rows, walk positions) of its instances from
+    # every parent edge; a position is that of the instance's first group.
+    arrivals = {id(top): [(_IDENTITY, np.zeros(1, np.int64))]}
+    fractures: Dict[int, tuple] = {}  # walk position -> (polygons, row)
+    # Layer keys in the walk's order of first emission.
+    keys = [None] if merge_layers else result.source_polygons_by_layer
+    placed = {key: [] for key in keys if result.source_polygons}
+    for cell in reversed(cells):
+        rows, positions = map(np.concatenate, zip(*arrivals.pop(id(cell))))
+        order = np.argsort(positions)
+        rows, positions = rows[order], positions[order]
+        keep = preserves_horizontal(rows)
+        kept = rows[keep]
+        moved = ~np.all(np.abs(kept - _IDENTITY) <= 1e-12, axis=1)
+        for offset, (key, polys) in enumerate(groups[id(cell)]):
+            at = positions + offset
+            if len(kept):
+                first = int(at[keep][0])
+                fractures[first] = (polys, None)
                 result.cells_fractured += 1
-            # An identity placement is the block itself, not 1.0 * it + 0.0.
-            placement = (blocks[key], None if transform.is_identity() else transform)
-        else:
-            result.instances_fallback += 1
-            moved = transform_polygons(polys, transform)
-            placement = (trapezoid_array(fracturer.fracture(moved)), None)
-            result.kernel_fallbacks.add(fracturer.last_fallbacks)
-        placed.setdefault(key_layer, []).append(placement)
-    for key_layer, placements in placed.items():
-        result.figures[key_layer] = FigureView(_evaluate(placements))
+                result.instances_reused += len(kept) - 1
+                # An identity placement is the block itself, not 1.0 * it + 0.0.
+                placed[key].append((at[keep][~moved], first, None))
+                placed[key].append((at[keep][moved], first, kept[moved]))
+            for position, row in zip(at[~keep].tolist(), rows[~keep].tolist()):
+                result.instances_fallback += 1
+                fractures[position] = (polys, row)
+                placed[key].append((np.array([position]), position, None))
+        offset = len(groups[id(cell)])
+        for ref in cell.references:
+            span, matrix = emissions[id(ref.cell)], ref.placement_matrix()
+            child = compose(rows[:, None], matrix[None]).reshape(-1, 6)
+            at = positions[:, None] + offset + span * np.arange(len(matrix))
+            arrivals.setdefault(id(ref.cell), []).append((child, at.ravel()))
+            offset += span * len(matrix)
+    blocks: Dict[int, np.ndarray] = {}
+    for position in sorted(fractures):  # the walk's order
+        polys, row = fractures[position]
+        if row is not None:
+            polys = transform_polygons(polys, Transform(*row))
+        blocks[position] = trapezoid_array(fracturer.fracture(polys))
+        result.kernel_fallbacks.add(fracturer.last_fallbacks)
+    for key, pieces in placed.items():
+        result.figures[key] = FigureView(_evaluate(pieces, blocks))
     return result
 
 
-def _evaluate(placements) -> np.ndarray:
-    """The figure block of one layer's placements, in visit order —
-    all transformed placements of one cached block in one pass."""
-    sizes = np.array([len(block) for block, _ in placements])
-    starts = np.cumsum(sizes) - sizes
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+
+
+def _evaluate(pieces, blocks: Dict[int, np.ndarray]) -> np.ndarray:
+    """The figure block of one layer key in walk order.  Each piece is
+    ``(positions, fracture position, rows)``: one fractured block placed
+    at those walk positions, as it is or under ``rows`` in one pass."""
+    pieces = [piece for piece in pieces if len(piece[0])]
+    positions = np.concatenate([at for at, _, _ in pieces])
+    sizes = np.concatenate([np.full(len(at), len(blocks[b])) for at, b, _ in pieces])
+    order = np.argsort(positions)
+    starts = np.empty_like(sizes)
+    starts[order] = np.cumsum(sizes[order]) - sizes[order]
     out = np.empty((int(sizes.sum()), 6))
-    replicated: Dict[int, List[int]] = {}
-    for position, (block, transform) in enumerate(placements):
-        if transform is None:
-            out[starts[position] : starts[position] + len(block)] = block
-        else:
-            replicated.setdefault(id(block), []).append(position)
-    for positions in replicated.values():
-        block = placements[positions[0]][0]
-        rows = starts[positions][:, None] + np.arange(len(block))
-        out[rows] = transform_trapezoid_array(
-            block, [placements[position][1] for position in positions]
-        )
+    done = 0
+    for at, b, rows in pieces:
+        block = blocks[b]
+        where = starts[done : done + len(at), None] + np.arange(len(block))
+        done += len(at)
+        out[where] = block if rows is None else transform_trapezoid_array(block, rows)
     return out

@@ -892,7 +892,9 @@ def sweep_trapezoids_fast(
     )
 
     # -- slab boundaries ---------------------------------------------------
-    int_b = np.unique(np.concatenate([y0, y1, int_cross]))
+    # Sorted distinct ys (not np.unique: on numpy >= 2.3 it imports numpy.ma).
+    ys = np.sort(np.concatenate([y0, y1, int_cross]))
+    int_b = ys[np.append(True, ys[1:] != ys[:-1])]
     rats = sorted(set(rational_ys))
     n_int = len(int_b)
     n_rat = len(rats)

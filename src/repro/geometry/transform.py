@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 
 
@@ -232,3 +234,27 @@ class Transform:
             f"Transform(a={self.a}, b={self.b}, c={self.c}, "
             f"d={self.d}, e={self.e}, f={self.f})"
         )
+
+
+def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Row-wise ``outer @ inner`` over arrays of affine rows.
+
+    ``outer`` and ``inner`` hold rows ``(a, b, c, d, e, f)`` along their
+    last axis and broadcast against each other.  Each result row is
+    ``Transform(*outer_row) @ Transform(*inner_row)`` bit for bit: the
+    same products and sums in the same order as
+    :meth:`Transform.__matmul__`.
+    """
+    a, b, c, d, e, f = np.moveaxis(outer, -1, 0)
+    p, q, r, s, t, u = np.moveaxis(inner, -1, 0)
+    return np.stack(
+        (
+            a * p + b * r,
+            a * q + b * s,
+            c * p + d * r,
+            c * q + d * s,
+            a * t + b * u + e,
+            c * t + d * u + f,
+        ),
+        axis=-1,
+    )

@@ -316,16 +316,17 @@ def transform_trapezoid_array(arr: np.ndarray, t) -> np.ndarray:
     applied per row: the same products and sums in the same order, the
     same vertical-flip and left/right re-sorting rules.
 
-    ``t`` is a :class:`Transform`, or a sequence of ``K`` of them — every
-    placement of one block in one broadcast pass.  The result is then
-    ``(K, N, 6)`` and its ``[k]`` is the batch under ``t[k]`` bit for bit
-    (the arithmetic is elementwise, so batching cannot move it).
+    ``t`` is a :class:`Transform`, or a ``(K, 6)`` array of affine rows
+    ``(a, b, c, d, e, f)`` — every placement of one block in one
+    broadcast pass.  The result is then ``(K, N, 6)`` and its ``[k]`` is
+    the batch under ``Transform(*t[k])`` bit for bit (the arithmetic is
+    elementwise, so batching cannot move it).
 
     Raises:
         ValueError: if a transform would tilt the horizontal edges.
     """
     many = not isinstance(t, Transform)
-    matrix = np.array([(u.a, u.b, u.c, u.d, u.e, u.f) for u in (t if many else [t])])
+    matrix = t if many else np.array([(t.a, t.b, t.c, t.d, t.e, t.f)])
     a, b, c, d, e, f = matrix.T[:, :, None]
     if (np.abs(c) > 1e-12).any():
         raise ValueError("transform does not preserve horizontal edges")

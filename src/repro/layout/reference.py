@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Transform, compose
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.layout.cell import Cell
@@ -45,9 +47,16 @@ class CellReference:
             x_reflection=self.x_reflection,
         )
 
+    def placement_matrix(self) -> np.ndarray:
+        """Every placement as one ``(n, 6)`` array of affine rows
+        ``(a, b, c, d, e, f)``, in :meth:`placements` order."""
+        t = self.transform()
+        return np.array([(t.a, t.b, t.c, t.d, t.e, t.f)])
+
     def placements(self) -> Iterator[Transform]:
         """Iterate over all placements (a single one for ``CellReference``)."""
-        yield self.transform()
+        for row in self.placement_matrix():
+            yield Transform(*row)
 
     def placement_count(self) -> int:
         """Number of child instances this reference expands into."""
@@ -91,13 +100,17 @@ class CellArray(CellReference):
         self.column_vector = Point.of(column_vector)
         self.row_vector = Point.of(row_vector)
 
-    def placements(self) -> Iterator[Transform]:
-        """Iterate the transform of every array element."""
-        base = self.transform()
-        for row in range(self.rows):
-            for col in range(self.columns):
-                offset = self.column_vector * col + self.row_vector * row
-                yield Transform.translation(offset.x, offset.y) @ base
+    def placement_matrix(self) -> np.ndarray:
+        """Every array element, row-major: ``translation(column_vector *
+        col + row_vector * row) @ transform()``, bit for bit the
+        :class:`Point`/:class:`Transform` arithmetic per element."""
+        col = np.tile(np.arange(self.columns, dtype=float), self.rows)
+        row = np.repeat(np.arange(self.rows, dtype=float), self.columns)
+        shifts = np.zeros((len(col), 6))
+        shifts[:, 0] = shifts[:, 3] = 1.0
+        shifts[:, 4] = self.column_vector.x * col + self.row_vector.x * row
+        shifts[:, 5] = self.column_vector.y * col + self.row_vector.y * row
+        return compose(shifts, super().placement_matrix())
 
     def placement_count(self) -> int:
         """Total instances in the array."""

@@ -185,6 +185,13 @@ class TestImportSurface:
         assert heavy(modules, "scipy", "networkx") == []
         assert out.stat().st_size > 0
 
+    def test_prep_without_pec_never_imports_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on numpy >= 2.3; the kernel sorts.
+        out = tmp_path / "out.ebj"
+        modules = loaded_modules(self.DEMO.format(out=str(out), extra=""))
+        assert heavy(modules, "numpy.ma") == []
+        assert out.stat().st_size > 0
+
     def test_dense_pec_imports_scipy_special_only(self, tmp_path):
         out = tmp_path / "out.ebj"
         modules = loaded_modules(self.DEMO.format(out=str(out), extra=", '--pec'"))

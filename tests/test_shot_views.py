@@ -8,11 +8,13 @@ Four things are pinned here:
   exactly what building the objects row by row would — lazily built
   objects must not make the check lazy;
 * a resident preparation constructs **no** ``Trapezoid`` or ``Shot``,
-  and a reticle read from its GDSII file — resident, streamed to a
-  pool, or through an ``EBS1`` shard payload — **no** ``Point``, nor
-  does the overlap advisory planning a zone plate read from one (an
-  object count is exactly what a warmed cache from an earlier test can
-  hide: CI also runs this file alone, in a cold process);
+  a ``hierarchy="cells"`` one no ``Transform`` or ``Point`` per cell
+  placement, and a reticle read from its GDSII file — resident,
+  streamed to a pool, or through an ``EBS1`` shard payload — **no**
+  ``Point``, nor does the overlap advisory planning a zone plate read
+  from one (an object count is exactly what a warmed cache from an
+  earlier test can hide: CI also runs this file alone, in a cold
+  process);
 * shard and segment keys are the bytes the object lists hashed to
   (literals computed at the commit before the views existed).
 """
@@ -59,6 +61,7 @@ from repro.fracture.base import (
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.transform import Transform
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
     FigureView,
@@ -252,9 +255,9 @@ def _job_of(shots):
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts of ``Trapezoid``/``Shot``/``Point`` constructions in this
-    process."""
-    counts = {Trapezoid: 0, Shot: 0, Point: 0}
+    """Counts of ``Trapezoid``/``Shot``/``Point``/``Transform``
+    constructions in this process."""
+    counts = {Trapezoid: 0, Shot: 0, Point: 0, Transform: 0}
     for cls in counts:
         original = cls.__init__
 
@@ -325,6 +328,21 @@ class TestNoObjectOnThePrepPath:
         ]
         assert (tmp_path / "again.ebj").read_bytes() == artifacts[0]
         assert_materialises_what_the_rows_say(warm.job, constructed)
+
+    def test_cells_hierarchy_builds_no_object_per_placement(
+        self, tmp_path, constructed
+    ):
+        # 1 and 16 blocks of 256 bit cells: the expansion carries the
+        # placements as arrays, so the counts must not grow with them.
+        built = []
+        for blocks in ((1, 1), (4, 4)):
+            path = tmp_path / f"memory{blocks[0]}.gds"
+            write_gdsii(generators.memory_array(blocks=blocks), path)
+            library = read_gdsii(path)
+            before = dict(constructed)
+            prepare(PrepRecipe(**dict(MEMORY, pec=False)), library, tmp_path)
+            built.append([constructed[c] - before[c] for c in (Transform, Point)])
+        assert built[0] == built[1]
 
     def test_flat_reticle_vsb(self, tmp_path, constructed):
         result = prepare(PrepRecipe(**RETICLE), mini_reticle(tmp_path), tmp_path)
