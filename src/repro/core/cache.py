@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.jobfile import dumps_ring
 from repro.fracture.base import ShotView, row_bytes
+from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView, trapezoid_fields
 
@@ -71,6 +72,12 @@ CACHE_SCHEMA_VERSION = 5
 
 _F64 = struct.Struct("!d")
 _TRAPEZOID = struct.Struct("!6d")
+#: A polygon hashes as the object it was when its one public slot,
+#: ``vertices``, held a list of ``Point`` objects (``_update_object``'s
+#: stream), so digests made then still match: ``_POLYGON`` around one
+#: ``_POINT`` per vertex, each ``%s`` one ``_F64`` double.
+_POLYGON = b"orepro.geometry.polygon.Polygon{s8:vertices=l%d:%s}"
+_POINT = b"orepro.geometry.point.Point{s1:x=f%ss1:y=f%s}"
 
 
 #: Framing of machine-program segment blobs in the store.
@@ -191,6 +198,11 @@ def _update(h, obj) -> None:
     elif isinstance(obj, Trapezoid):
         h.update(b"Z")
         h.update(_TRAPEZOID.pack(*trapezoid_fields(obj)))
+    elif isinstance(obj, Polygon):
+        points = b"".join(
+            _POINT % (_F64.pack(x), _F64.pack(y)) for x, y in obj.ring.tolist()
+        )
+        h.update(_POLYGON % (len(obj), points))
     elif isinstance(obj, np.generic):
         # Numpy scalars carry their value outside attribute
         # introspection; hash the equivalent Python value (type-tagged

@@ -549,19 +549,12 @@ INPUT_VERSION = 1
 def dumps_ring(polygon: Polygon) -> bytes:
     """One ring's record: the polygon's ``(x, y)`` vertices as
     big-endian doubles — a spool record, and the bytes a shard's cache
-    key hashes for the polygon.  Either form of the polygon writes the
-    same bytes: an array-backed ring in one copy, a points-backed one
-    through ``struct``."""
-    ring = polygon.ring
-    if ring is not None:
-        return ring.astype(">f8").tobytes()
-    coords = [c for v in polygon.vertices for c in (v.x, v.y)]
-    return struct.pack(f">{len(coords)}d", *coords)
+    key hashes for the polygon."""
+    return polygon.ring.astype(">f8").tobytes()
 
 
 def loads_ring(data: bytes) -> Polygon:
-    """The array-backed polygon of one :func:`dumps_ring` record,
-    vertex for vertex.
+    """The polygon of one :func:`dumps_ring` record, vertex for vertex.
 
     Never through the normalising rule: a stored ring that still
     closes on its first vertex (``Polygon`` drops one closing duplicate,

@@ -54,7 +54,12 @@ from repro.core.recipe import choice, number_complaint, require
 from repro.geometry.boolean import boolean_trapezoids, union
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
-from repro.geometry.vertex_array import FigureView, trapezoid_array, trapezoid_bounds
+from repro.geometry.vertex_array import (
+    FigureView,
+    stack_polygons,
+    trapezoid_array,
+    trapezoid_bounds,
+)
 
 
 class ShardOverlapWarning(UserWarning):
@@ -170,8 +175,10 @@ def plan_shards(
         return [Shard(index=(0, 0), polygons=tuple(polygons))]
     if overlap_policy == "union" and len(polygons) > 1:
         polygons = union(polygons)
-    boxes = np.array(
-        [poly.bounding_box() for poly in polygons], dtype=np.float64
+    coords, offsets = stack_polygons(polygons)
+    first = offsets[:-1]
+    boxes = np.hstack(
+        (np.minimum.reduceat(coords, first), np.maximum.reduceat(coords, first))
     )
     tiles, tile_of, origin = _plan_tiles(boxes, field_size)
     if overlap_policy == "warn":

@@ -1,9 +1,9 @@
 """Simple polygon type used throughout the toolchain.
 
-A :class:`Polygon` is an ordered list of vertices with implicit closure.
-Self-intersecting inputs are tolerated by the boolean engine (which
-interprets them with a fill rule), but the predicates on this class assume a
-simple polygon.
+A :class:`Polygon` is a ring of vertices with implicit closure, held as
+one read-only float64 ``(n, 2)`` array.  Self-intersecting inputs are
+tolerated by the boolean engine (which interprets them with a fill
+rule), but the predicates on this class assume a simple polygon.
 """
 
 from __future__ import annotations
@@ -11,10 +11,33 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.transform import Transform
 
 Coordinate = "Point | Tuple[float, float]"
+
+
+def _held(ring: np.ndarray, as_stored: bool = False) -> np.ndarray:
+    """``ring`` by the constructor's rule, made read-only: one closing
+    duplicate is dropped (exact ``==``) and at least three vertices must
+    remain.  ``as_stored`` keeps the ring as given."""
+    if not as_stored:
+        if len(ring) >= 2 and ring[0].tolist() == ring[-1].tolist():
+            ring = ring[:-1]
+        if len(ring) < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {len(ring)}")
+    ring.flags.writeable = False
+    return ring
+
+
+def _unit(dx: float, dy: float) -> Tuple[float, float]:
+    """``Point(dx, dy).unit()`` as a pair of floats."""
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        raise ZeroDivisionError("cannot normalize the zero vector")
+    return dx / norm, dy / norm
 
 
 class Polygon:
@@ -23,21 +46,12 @@ class Polygon:
     Vertices may wind in either direction; :meth:`orientation` reports the
     winding and :meth:`normalized` re-winds counter-clockwise.
 
-    A polygon holds its ring in one of two forms, never both:
-
-    * **points** — ``vertices``, a list of :class:`Point`; what the
-      constructor and every geometric operation build;
-    * **array** — ``ring``, one float64 ``(n, 2)`` array; what a ring
-      read from bytes (a GDSII ``XY`` record, an ``EBS1`` ring record)
-      or moved by :func:`~repro.geometry.vertex_array.transform_polygons`
-      carries (:meth:`from_array`).
-
-    The first read of ``vertices`` on an array-backed polygon builds the
-    points from the array's doubles and drops the array, so the list is
-    the one source of truth from then on (in-place edits stick).
-    ``ring`` is ``None`` on a points-backed polygon.  ``len``,
-    :meth:`bounding_box` and the stacking/serializing hot path read the
-    array without building points.
+    The ring is stored once, as :attr:`ring`: a read-only float64
+    ``(n, 2)`` array, whether the polygon was built from points or pairs,
+    read from bytes (a GDSII ``XY`` record, an ``EBS1`` ring record) or
+    moved by a transform.  :attr:`vertices` is the same ring as a tuple
+    of :class:`Point`, built on each read; the stacking, serializing and
+    transforming hot paths read the array and build no point.
 
     >>> unit = Polygon.rectangle(0, 0, 1, 1)
     >>> unit.area()
@@ -46,63 +60,43 @@ class Polygon:
     True
     """
 
-    # ``_ring`` is runtime state, not configuration, to the cache's
-    # fingerprint: a polygon hashes as its ``vertices`` in either form.
-    __slots__ = ("vertices", "_ring")
+    __slots__ = ("_ring",)
 
     def __init__(self, vertices: Iterable[Coordinate]) -> None:
-        pts = [Point.of(v) for v in vertices]
-        if len(pts) >= 2 and pts[0] == pts[-1]:
-            pts = pts[:-1]
-        if len(pts) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(pts)}")
-        self.vertices: List[Point] = pts
-        self._ring = None
+        pairs = [(v.x, v.y) if isinstance(v, Point) else v for v in vertices]
+        self._ring = _held(np.array(pairs, dtype=np.float64).reshape(len(pairs), 2))
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: ``_ring`` on a polygon from an
-        # older pickle, or ``vertices`` on an array-backed one.
-        if name == "_ring":
-            return None
-        ring = self._ring
-        if name != "vertices" or ring is None:
-            raise AttributeError(name)
-        xs, ys = ring.T.tolist()
-        self.vertices = list(map(Point, xs, ys))
-        self._ring = None
-        return self.vertices
-
-    def __getstate__(self):
-        # The form the polygon is in, without building points: a
-        # points-backed polygon pickles as it always has.
-        if self._ring is not None:
-            return None, {"_ring": self._ring}
-        return None, {"vertices": self.vertices}
+    def __setstate__(self, state) -> None:
+        # ``(None, {"_ring": ring})``; a pickle made before polygons held
+        # an array carries ``{"vertices": [Point, ...]}`` instead.
+        slots = state[1]
+        if "vertices" in slots:
+            self._ring = Polygon(slots["vertices"])._ring
+        else:
+            self._ring = _held(slots["_ring"], as_stored=True)
 
     @property
-    def ring(self):
-        """The float64 ``(n, 2)`` vertex array of an array-backed
-        polygon, ``None`` on a points-backed one.  Read-only."""
+    def ring(self) -> np.ndarray:
+        """The float64 ``(n, 2)`` vertex array.  Read-only."""
         return self._ring
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        """The vertex ring as :class:`Point` s, built from the array on
+        each read (read it once per use)."""
+        xs, ys = self._ring.T.tolist()
+        return tuple(map(Point, xs, ys))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_array(cls, ring, as_stored: bool = False) -> "Polygon":
-        """Array-backed polygon over a float64 ``(n, 2)`` vertex ring.
-
-        By the constructor's rule, one closing duplicate is dropped
-        (exact ``==``) and at least three vertices must remain;
-        ``as_stored`` keeps the ring exactly as given (a decoded ring
-        record, validated by its reader).  The array is held, not copied.
-        """
-        if not as_stored:
-            if len(ring) >= 2 and (ring[0] == ring[-1]).all():
-                ring = ring[:-1]
-            if len(ring) < 3:
-                raise ValueError(f"polygon needs at least 3 vertices, got {len(ring)}")
+    def from_array(cls, ring: np.ndarray, as_stored: bool = False) -> "Polygon":
+        """Polygon over a float64 ``(n, 2)`` vertex ring, by the
+        constructor's rule; ``as_stored`` keeps the ring exactly as given
+        (a decoded ring record, validated by its reader).  The array is
+        held as a read-only view, not copied."""
         polygon = cls.__new__(cls)
-        polygon._ring = ring
+        polygon._ring = _held(ring.view(), as_stored)
         return polygon
 
     @classmethod
@@ -110,7 +104,8 @@ class Polygon:
         """Axis-aligned rectangle spanning the two corners."""
         xa, xb = sorted((x0, x1))
         ya, yb = sorted((y0, y1))
-        return cls([(xa, ya), (xb, ya), (xb, yb), (xa, yb)])
+        corners = ((xa, ya), (xb, ya), (xb, yb), (xa, yb))
+        return cls.from_array(np.array(corners, dtype=np.float64))
 
     @classmethod
     def square(cls, center: Coordinate, side: float) -> "Polygon":
@@ -178,56 +173,47 @@ class Polygon:
         """Expand an open centre-line path into a constant-width polygon.
 
         Uses mitred joins; suitable for Manhattan and gently turning wires.
+        The arithmetic is :class:`Point`'s, on plain floats.
         """
-        pts = [Point.of(p) for p in points]
+        pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 2:
             raise ValueError("a path needs at least 2 points")
         if width <= 0:
             raise ValueError("path width must be positive")
         half = width / 2.0
-        left: List[Point] = []
-        right: List[Point] = []
+        left: List[Tuple[float, float]] = []
+        right: List[Tuple[float, float]] = []
         n = len(pts)
-        for i in range(n):
-            if i == 0:
-                d = (pts[1] - pts[0]).unit()
-                normal = d.perpendicular()
-                left.append(pts[0] + normal * half)
-                right.append(pts[0] - normal * half)
-            elif i == n - 1:
-                d = (pts[-1] - pts[-2]).unit()
-                normal = d.perpendicular()
-                left.append(pts[-1] + normal * half)
-                right.append(pts[-1] - normal * half)
-            else:
-                d_in = (pts[i] - pts[i - 1]).unit()
-                d_out = (pts[i + 1] - pts[i]).unit()
-                bisector = d_in + d_out
-                if bisector.norm() < 1e-12:
+        for i, (x, y) in enumerate(pts):
+            (ax, ay), (bx, by) = pts[max(i - 1, 0)], pts[min(i + 1, n - 1)]
+            scale = half
+            if 0 < i < n - 1:
+                ix, iy = _unit(x - ax, y - ay)
+                ox, oy = _unit(bx - x, by - y)
+                ux, uy = ix + ox, iy + oy
+                if math.hypot(ux, uy) < 1e-12:
                     # U-turn: fall back to the incoming normal.
-                    normal = d_in.perpendicular()
-                    left.append(pts[i] + normal * half)
-                    right.append(pts[i] - normal * half)
-                    continue
-                bisector = bisector.unit()
-                miter_normal = bisector.perpendicular()
-                cos_half = d_in.dot(bisector)
-                scale = half / max(cos_half, 0.1)
-                left.append(pts[i] + miter_normal * scale)
-                right.append(pts[i] - miter_normal * scale)
-        return cls(left + list(reversed(right)))
+                    ux, uy = ix, iy
+                else:
+                    ux, uy = _unit(ux, uy)
+                    scale = half / max(ix * ux + iy * uy, 0.1)
+            else:
+                ux, uy = _unit(bx - ax, by - ay)
+            nx, ny = -uy, ux
+            left.append((x + nx * scale, y + ny * scale))
+            right.append((x - nx * scale, y - ny * scale))
+        return cls(left + right[::-1])
 
     # -- basic measures ---------------------------------------------------
 
     def signed_area(self) -> float:
         """Shoelace signed area (positive for counter-clockwise winding)."""
         total = 0.0
-        verts = self.vertices
-        n = len(verts)
+        xs, ys = self._ring.T.tolist()
+        n = len(xs)
         for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            total += a.x * b.y - b.x * a.y
+            j = (i + 1) % n
+            total += xs[i] * ys[j] - xs[j] * ys[i]
         return total / 2.0
 
     def area(self) -> float:
@@ -267,12 +253,7 @@ class Polygon:
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` of the vertex ring."""
-        ring = self._ring
-        if ring is not None:
-            (x0, y0), (x1, y1) = ring.min(0).tolist(), ring.max(0).tolist()
-            return (x0, y0, x1, y1)
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
+        xs, ys = self._ring.T.tolist()
         return (min(xs), min(ys), max(xs), max(ys))
 
     # -- predicates --------------------------------------------------------
@@ -370,30 +351,40 @@ class Polygon:
         return Polygon(keep)
 
     def transformed(self, transform: Transform) -> "Polygon":
-        """Apply an affine transform; re-winds if the transform mirrors."""
-        verts = transform.apply_many(self.vertices)
+        """Apply an affine transform; re-winds if the transform mirrors.
+
+        The arithmetic of :meth:`Transform.apply` and
+        :func:`~repro.geometry.vertex_array.transform_coords`, on the
+        ring's doubles as floats (cheaper than array operations on a
+        few rows).
+        """
+        t = transform
+        moved = [
+            (t.a * x + t.b * y + t.e, t.c * x + t.d * y + t.f)
+            for x, y in self._ring.tolist()
+        ]
         if not transform.is_orientation_preserving():
-            verts = list(reversed(verts))
-        return Polygon(verts)
+            moved.reverse()
+        return Polygon.from_array(np.array(moved))
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         """Copy shifted by ``(dx, dy)``."""
-        return Polygon([Point(v.x + dx, v.y + dy) for v in self.vertices])
+        return Polygon.from_array(self._ring + (dx, dy))
 
     def scaled(self, factor: float, about: Coordinate = (0.0, 0.0)) -> "Polygon":
         """Copy scaled isotropically about ``about``."""
-        c = Point.of(about)
-        return Polygon(
-            [
-                Point(c.x + (v.x - c.x) * factor, c.y + (v.y - c.y) * factor)
-                for v in self.vertices
-            ]
-        )
+        c = np.array(Point.of(about).as_tuple())
+        return Polygon.from_array(c + (self._ring - c) * factor)
 
     def rotated(self, angle_rad: float, about: Coordinate = (0.0, 0.0)) -> "Polygon":
-        """Copy rotated counter-clockwise about ``about``."""
-        c = Point.of(about)
-        return Polygon([v.rotated(angle_rad, c) for v in self.vertices])
+        """Copy rotated counter-clockwise about ``about``
+        (:meth:`Point.rotated`'s arithmetic)."""
+        cos, sin = math.cos(angle_rad), math.sin(angle_rad)
+        ox, oy = Point.of(about).as_tuple()
+        dx, dy = (self._ring - (ox, oy)).T
+        return Polygon.from_array(
+            np.column_stack((ox + cos * dx - sin * dy, oy + sin * dx + cos * dy))
+        )
 
     def clip_half_plane(
         self, anchor: Coordinate, normal: Coordinate
@@ -450,7 +441,7 @@ class Polygon:
     # -- dunder -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.vertices if self._ring is None else self._ring)
+        return len(self._ring)
 
     def __iter__(self):
         return iter(self.vertices)
@@ -458,9 +449,9 @@ class Polygon:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):
             return NotImplemented
-        return self.vertices == other.vertices
+        return np.array_equal(self._ring, other._ring)
 
     def __repr__(self) -> str:
-        head = ", ".join(f"({v.x:g}, {v.y:g})" for v in self.vertices[:4])
-        tail = ", ..." if len(self.vertices) > 4 else ""
-        return f"Polygon([{head}{tail}], n={len(self.vertices)})"
+        head = ", ".join(f"({x:g}, {y:g})" for x, y in self._ring[:4].tolist())
+        tail = ", ..." if len(self) > 4 else ""
+        return f"Polygon([{head}{tail}], n={len(self)})"

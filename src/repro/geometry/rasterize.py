@@ -143,8 +143,7 @@ def rasterize_polygons(
     """
     total = np.zeros((frame.ny, frame.nx), dtype=np.float64)
     for poly in polygons:
-        verts = np.array([(v.x, v.y) for v in poly.vertices], dtype=np.float64)
-        total += _scanline_coverage_rows(verts, frame, supersample)
+        total += _scanline_coverage_rows(poly.ring, frame, supersample)
     np.clip(total, 0.0, 1.0, out=total)
     return total
 

@@ -84,8 +84,8 @@ def snap_polygon(polygon: Polygon, grid: float) -> List[IntPoint]:
     Consecutive duplicates created by the snap are dropped.
     """
     pts: List[IntPoint] = []
-    for v in polygon.vertices:
-        p = (snap(v.x, grid), snap(v.y, grid))
+    for x, y in polygon.ring.tolist():
+        p = (snap(x, grid), snap(y, grid))
         if not pts or p != pts[-1]:
             pts.append(p)
     if len(pts) >= 2 and pts[0] == pts[-1]:

@@ -91,7 +91,7 @@ def _to_cu(value: float) -> int:
 
 
 def _dump_polygon(poly: Polygon) -> str:
-    xy = [_to_cu(c) for v in poly.vertices for c in (v.x, v.y)]
+    xy = [_to_cu(c) for c in poly.ring.ravel().tolist()]
     if ring_collapses(xy):
         raise CifError(
             f"polygon with bounding box {poly.bounding_box()} has zero area "

@@ -112,15 +112,11 @@ def _dump_cell(cell: Cell, scale: float) -> bytes:
 
 
 def _dump_boundary(poly: Polygon, layer: Layer, scale: float) -> bytes:
-    verts = poly.vertices
-    if len(verts) + 1 > _MAX_BOUNDARY_VERTICES:
+    if len(poly) + 1 > _MAX_BOUNDARY_VERTICES:
         raise GdsiiError(
-            f"polygon with {len(verts)} vertices exceeds GDSII record capacity"
+            f"polygon with {len(poly)} vertices exceeds GDSII record capacity"
         )
-    xy: List[int] = []
-    for v in verts:
-        xy.append(int(round(v.x * scale)))
-        xy.append(int(round(v.y * scale)))
+    xy = [int(round(c * scale)) for c in poly.ring.ravel().tolist()]
     if ring_collapses(xy):
         raise GdsiiError(
             f"polygon with bounding box {poly.bounding_box()} has zero area "

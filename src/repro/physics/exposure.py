@@ -72,9 +72,7 @@ def _add_trapezoid(
         frame.nx,
         row1 - row0,
     )
-    poly = trap.to_polygon()
-    verts = np.array([(v.x, v.y) for v in poly.vertices], dtype=np.float64)
-    cover = _scanline_coverage_rows(verts, sub, supersample)
+    cover = _scanline_coverage_rows(trap.to_polygon().ring, sub, supersample)
     target[row0:row1, :] += weight * cover
 
 

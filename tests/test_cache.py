@@ -187,6 +187,23 @@ class TestCacheKeys:
         assert fingerprint("1") != fingerprint(1)
         assert fingerprint((1, 2)) != fingerprint([1, [2]])
 
+    def test_polygon_digests_are_the_points_lists(self):
+        # Digests computed when a polygon's one public slot was its
+        # ``vertices`` list of points: a polygon must not hash as its
+        # class name alone, and old caches must keep hitting.
+        triangle = Polygon([(0, 0), (1.5, -0.0), (2.25, 3e9)])
+        square = Polygon.rectangle(0, 0, 2, 2)
+        assert fingerprint(triangle) == (
+            "ee7c89421803bd455bbe45fa8144553567ce2558144df165b3d58f03be632b79"
+        )
+        assert fingerprint([square, triangle]) == (
+            "b0de97f753e686e4c10aa43991206dfe3297fbb5cfffd8c7c4fa1474506dddd0"
+        )
+        shard = Shard((2, -3), (triangle, square))
+        assert shard_cache_key(shard, TrapezoidFracturer()) == (
+            "d0cad39cce4f18619922b7ac252dd384d7db67b2751e31b7ae1da9d28e025bf4"
+        )
+
 
 def _config_of(fracturer):
     if isinstance(fracturer, TrapezoidFracturer):

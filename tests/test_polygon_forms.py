@@ -1,16 +1,19 @@
-"""The two forms of a :class:`Polygon`: points-backed and array-backed.
+"""The one form of a :class:`Polygon`: a read-only float64 ring array.
 
-A polygon read from bytes holds its ring as one float64 array until
-someone reads ``vertices``.  Pinned here:
+Pinned here:
 
-* both forms of one ring agree on everything a caller can observe —
-  ``vertices``, ``len``, ``==``, ``repr``, ``bounding_box``, ``area``,
-  the ``EBS1`` ring record, stacking, batch transforms, the shard
-  cache key and the geometry fingerprint — and the array form follows
-  the constructor's rule;
-* one source of truth: once ``vertices`` is read, in-place edits of
-  the list are what the hot path sees;
-* pickles of polygons made before the array form existed still load.
+* the constructor's rule — one closing duplicate dropped by exact
+  ``==``, at least three vertices, the refusal text — for pairs,
+  points and :meth:`Polygon.from_array` alike, and ``vertices`` is the
+  ring's doubles as points;
+* the ``EBS1`` ring record round-trips bit for bit, a stored ring that
+  still closes on itself included, and stacking is the rings
+  concatenated;
+* ``transformed`` and ``transform_polygons`` are the scalar
+  :meth:`Transform.apply` per vertex, bit for bit (``-0.0`` included),
+  reversed for mirrors, then the constructor's rule;
+* ``vertices`` and ``ring`` are read-only;
+* pickles made before the array form, and of the array form, load.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import fingerprint, shard_cache_key
 from repro.core.jobfile import dumps_ring, loads_ring
-from repro.core.plan import Shard
-from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.transform import Transform
@@ -50,17 +50,14 @@ def rings(draw):
     return ring
 
 
-def constructible(ring):
-    try:
-        Polygon(ring)
-    except ValueError:
-        return False
-    return True
-
-
-def arrayed(ring):
-    """A fresh array-backed polygon of ``ring`` (the constructor's rule)."""
-    return Polygon.from_array(np.array(ring, dtype=np.float64).reshape(-1, 2))
+def ruled(pairs):
+    """The constructor's rule on plain pairs: the kept pairs, or the
+    refusal text."""
+    if len(pairs) >= 2 and pairs[0] == pairs[-1]:
+        pairs = pairs[:-1]
+    if len(pairs) < 3:
+        return f"polygon needs at least 3 vertices, got {len(pairs)}"
+    return bits(pairs)
 
 
 def bits(coords):
@@ -68,12 +65,11 @@ def bits(coords):
     return np.ascontiguousarray(coords, dtype=np.float64).view(np.int64).tolist()
 
 
-def outcome(transform, *args):
-    """The ring records of the polygons ``transform(*args)`` returns, or
-    the message it is refused with (a ring that still closes on itself
-    after the constructor's rule can collapse below three vertices)."""
+def outcome(build, *args):
+    """The ring bits of the polygons ``build(*args)`` returns, or the
+    message it is refused with."""
     try:
-        return [dumps_ring(p) for p in transform(*args)]
+        return [bits(p.ring) for p in build(*args)]
     except ValueError as refused:
         return str(refused)
 
@@ -86,97 +82,88 @@ TRANSFORMS = (
 CLOSING_TWICE = [(10, 0), (11, 0), (10, 0), (10, 0)]
 
 
-class TestBothFormsAgree:
+def scalar_moved(polygon, t):
+    """The oracle: ``Transform.apply`` per vertex, reversed for a
+    mirror, through the constructor."""
+    moved = [t.apply(v) for v in polygon.vertices]
+    if not t.is_orientation_preserving():
+        moved.reverse()
+    return [Polygon(moved)]
+
+
+class TestOneForm:
     @settings(max_examples=80, deadline=None)
     @given(rings())
     @example([(-0.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 0.0)])
     @example(CLOSING_TWICE)
     @example([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
-    def test_one_ring(self, ring):
-        try:
-            built = Polygon(ring)
-        except ValueError as refused:
-            with pytest.raises(ValueError, match=str(refused)):
-                arrayed(ring)
+    def test_the_constructor_rule(self, ring):
+        expected = ruled(ring)
+        array = np.array(ring, dtype=np.float64)
+        for build in (
+            lambda: Polygon(ring),
+            lambda: Polygon([Point(x, y) for x, y in ring]),
+            lambda: Polygon.from_array(array),
+        ):
+            got = outcome(lambda: [build()])
+            assert got == (expected if isinstance(expected, str) else [expected])
+        if isinstance(expected, str):
             return
-        # What the hot path reads, each on a fresh array-backed polygon
-        # (reading ``vertices`` would turn it into points).
-        assert arrayed(ring).ring is not None
-        assert len(arrayed(ring)) == len(built)
-        assert arrayed(ring).bounding_box() == built.bounding_box()
-        assert dumps_ring(arrayed(ring)) == dumps_ring(built)
-        fracturer = TrapezoidFracturer()
-        assert shard_cache_key(
-            Shard((2, -3), (arrayed(ring),)), fracturer
-        ) == shard_cache_key(Shard((2, -3), (built,)), fracturer)
+        polygon = Polygon(ring)
+        assert polygon.ring.dtype == np.float64 and len(polygon) == len(expected)
+        assert bits([(v.x, v.y) for v in polygon.vertices]) == expected
+        assert polygon.bounding_box() == (*polygon.ring.min(0), *polygon.ring.max(0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rings())
+    @example([(-0.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 0.0)])
+    @example(CLOSING_TWICE)
+    def test_transforms_are_the_scalar_apply_per_vertex(self, ring):
+        try:
+            polygon = Polygon(ring)
+        except ValueError:
+            return
         for t in TRANSFORMS:
-            moved = outcome(transform_polygons, [arrayed(ring)], t)
-            assert moved == outcome(transform_polygons, [built], t)
-            assert moved == outcome(lambda: [built.transformed(t)])
-        # Then what a caller reads through the points.
-        assert fingerprint(arrayed(ring)) == fingerprint(built)
-        polygon = arrayed(ring)
-        assert repr(polygon) == repr(built)
-        assert polygon.area() == built.area()
-        assert polygon == built and built == polygon
-        assert polygon.vertices == built.vertices
-        assert polygon.ring is None
+            expected = outcome(scalar_moved, polygon, t)
+            assert outcome(lambda: [polygon.transformed(t)]) == expected
+            assert outcome(transform_polygons, [polygon], t) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(rings().filter(constructible), st.booleans()),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_stacking_mixed_lists(self, drawn):
-        built = [Polygon(ring) for ring, _ in drawn]
-        mixed = [arrayed(r) if as_array else Polygon(r) for r, as_array in drawn]
-        coords, offsets = stack_polygons(built)
-        for polygons in (mixed, [arrayed(ring) for ring, _ in drawn]):
-            got, got_offsets = stack_polygons(polygons)
-            assert bits(got) == bits(coords)
-            assert got_offsets.tolist() == offsets.tolist()
-        assert all(p.ring is not None for p, (_, a) in zip(mixed, drawn) if a)
-
-    def test_a_moved_ring_stays_an_array(self):
-        triangle = [(0, 0), (1, 0), (3, 4)]
-        for polygon in (Polygon(triangle), arrayed(triangle)):
-            moved = transform_polygons([polygon], TRANSFORMS[1])
-            assert moved[0].ring is not None
-
-    def test_a_stored_ring_keeps_its_second_closing_vertex(self):
+    def test_ring_records_round_trip(self):
+        ring = [(0.0, -0.0), (1.5, 2.0), (-3e9, 4.0)]
+        polygon = Polygon(ring)
+        again = loads_ring(dumps_ring(polygon))
+        assert bits(again.ring) == bits(ring) and again == polygon
+        # A stored ring that still closes on itself comes back as stored.
         stored = dumps_ring(Polygon(CLOSING_TWICE))
         assert len(Polygon(CLOSING_TWICE)) == 3
-        polygon = loads_ring(stored)
-        assert len(polygon) == 3 and dumps_ring(polygon) == stored
-        assert len(arrayed(CLOSING_TWICE)) == 3
+        closing = loads_ring(stored)
+        assert len(closing) == 3 and dumps_ring(closing) == stored
+        assert len(Polygon.from_array(np.array(CLOSING_TWICE, float))) == 3
+
+    def test_stacking_is_the_rings_concatenated(self):
+        polygons = [Polygon(CLOSING_TWICE), Polygon.rectangle(-0.0, 0, 2, 1)]
+        coords, offsets = stack_polygons(polygons)
+        assert bits(coords) == bits(np.concatenate([p.ring for p in polygons]))
+        assert offsets.tolist() == [0, 3, 7]
+        empty, offsets = stack_polygons([])
+        assert empty.shape == (0, 2) and offsets.tolist() == [0]
 
 
-class TestOneSourceOfTruth:
-    def test_edits_to_the_read_vertices_are_what_the_hot_path_sees(self):
-        polygon = arrayed([(0, 0), (4, 0), (4, 3)])
-        vertices = polygon.vertices
-        assert polygon.ring is None
-        vertices[1] = Point(5.0, -1.0)
-        vertices.append(Point(0.0, 3.0))
-        edited = Polygon([(0, 0), (5, -1), (4, 3), (0, 3)])
-        assert len(polygon) == 4
-        assert polygon.bounding_box() == (0.0, -1.0, 5.0, 3.0)
-        assert dumps_ring(polygon) == dumps_ring(edited)
-        assert bits(stack_polygons([polygon])[0]) == bits(
-            stack_polygons([edited])[0]
-        )
-        assert polygon.vertices is vertices
-
-    def test_an_unset_ring_or_vertices_is_an_attribute_error(self):
-        blank = Polygon.__new__(Polygon)
-        assert blank.ring is None
+class TestReadOnly:
+    def test_vertices_and_ring_cannot_be_edited(self):
+        polygon = Polygon([(0, 0), (4, 0), (4, 3)])
+        with pytest.raises(TypeError):
+            polygon.vertices[1] = Point(5.0, -1.0)
         with pytest.raises(AttributeError):
-            blank.vertices
-        with pytest.raises(AttributeError):
-            blank.perimeter_cache
+            polygon.vertices = [Point(0.0, 0.0)] * 3
+        with pytest.raises(ValueError):
+            polygon.ring[1, 0] = 5.0
+        assert polygon == Polygon([(0, 0), (4, 0), (4, 3)])
+
+    def test_from_array_leaves_the_callers_array_writeable(self):
+        ring = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)])
+        Polygon.from_array(ring)
+        ring[0, 0] = 1.0  # still the caller's to write
 
 
 #: ``pickle.dumps(Polygon([(0, 0), (1.5, -0.0), (2.25, 3e9)]))`` made
@@ -190,22 +177,33 @@ PARENT_PICKLE = (
     b"\x00\x00\x00\x00\x00\x00GA\xe6Z\x0b\xc0\x00\x00\x00\x86\x94R\x94es\x86\x94b."
 )
 
+#: The same polygon array-backed (``Polygon.from_array``), pickled at
+#: the commit before the array became the only form.
+ARRAY_PICKLE = (
+    b"\x80\x04\x95\xf2\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.geometry.polygon"
+    b"\x94\x8c\x07Polygon\x94\x93\x94)\x81\x94N}\x94\x8c\x05_ring\x94\x8c\x16"
+    b"numpy._core.multiarray\x94\x8c\x0c_reconstruct\x94\x93\x94\x8c\x05numpy"
+    b"\x94\x8c\x07ndarray\x94\x93\x94K\x00\x85\x94C\x01b\x94\x87\x94R\x94(K\x01"
+    b"K\x03K\x02\x86\x94h\t\x8c\x05dtype\x94\x93\x94\x8c\x02f8\x94\x89\x88\x87"
+    b"\x94R\x94(K\x03\x8c\x01<\x94NNNJ\xff\xff\xff\xffJ\xff\xff\xff\xffK\x00t\x94"
+    b"b\x89C0\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00\x00\xf8?\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00"
+    b"\x00\x00\x02@\x00\x00\x00\xc0\x0bZ\xe6A\x94t\x94bs\x86\x94b."
+)
+
 
 class TestPickles:
-    def test_a_pickle_from_before_the_array_form_still_loads(self):
+    @pytest.mark.parametrize(
+        "made", [PARENT_PICKLE, ARRAY_PICKLE], ids=["points", "array"]
+    )
+    def test_older_pickles_load(self, made):
         expected = Polygon([(0, 0), (1.5, -0.0), (2.25, 3e9)])
-        loaded = pickle.loads(PARENT_PICKLE)
-        assert loaded.ring is None
-        assert loaded == expected and len(loaded) == 3
-        assert dumps_ring(loaded) == dumps_ring(expected)
-        stacked = [stack_polygons([p])[0] for p in (loaded, expected)]
-        assert bits(stacked[0]) == bits(stacked[1])
+        loaded = pickle.loads(made)
+        assert bits(loaded.ring) == bits(expected.ring) and len(loaded) == 3
+        assert not loaded.ring.flags.writeable
 
-    @pytest.mark.parametrize("form", ["array", "points"])
-    def test_both_forms_round_trip(self, form):
-        ring = [(0.0, -0.0), (1.5, 2.0), (-3e9, 4.0)]
-        polygon = arrayed(ring) if form == "array" else Polygon(ring)
+    def test_round_trip(self):
+        polygon = Polygon([(0.0, -0.0), (1.5, 2.0), (-3e9, 4.0)])
         again = pickle.loads(pickle.dumps(polygon))
-        assert (again.ring is not None) == (form == "array")
-        assert dumps_ring(again) == dumps_ring(Polygon(ring))
-        assert again == Polygon(ring)
+        assert bits(again.ring) == bits(polygon.ring)
+        assert not again.ring.flags.writeable

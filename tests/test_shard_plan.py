@@ -294,22 +294,29 @@ class TestResidentPlanners:
             )
             assert all(shard.polygons == () for shard in shards)
 
-    def test_bounding_box_is_asked_once_per_item(self, monkeypatch):
-        asked = []
-        real = Polygon.bounding_box
+    def test_boxes_are_one_reduction_over_the_stacked_rings(self, monkeypatch):
+        stacked, planned = [], []
+        real_stack, real_tiles = plan.stack_polygons, plan._plan_tiles
 
-        def counting(self):
-            asked.append(id(self))
-            return real(self)
+        def stacking(polygons):
+            stacked.append(list(polygons))
+            return real_stack(polygons)
 
-        monkeypatch.setattr(Polygon, "bounding_box", counting)
+        def tiling(boxes, field_size):
+            planned.append(boxes)
+            return real_tiles(boxes, field_size)
+
+        monkeypatch.setattr(plan, "stack_polygons", stacking)
+        monkeypatch.setattr(plan, "_plan_tiles", tiling)
         polygons = [
             Polygon.rectangle(0.0, 0.0, 18.0, 6.0),
-            Polygon.rectangle(19.0, 0.0, 30.0, 6.0),
-            Polygon.rectangle(0.0, 30.0, 4.0, 34.0),
+            Polygon([(19.0, -0.0), (30.0, 0.5), (25.0, 6.0), (19.5, 3.0)]),
+            Polygon.regular((2.0, 32.0), 2.0, 7),
         ]
         plan_shards(polygons, 20.0)
-        assert sorted(asked) == sorted(id(p) for p in polygons)
+        assert len(stacked) == 1 and stacked[0] == polygons
+        expected = np.array([p.bounding_box() for p in polygons])
+        assert planned[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("planner", [plan_shards, plan_figure_shards])
     @pytest.mark.parametrize(

@@ -12,9 +12,10 @@ Four things are pinned here:
   placement, and a reticle read from its GDSII file — resident,
   streamed to a pool, or through an ``EBS1`` shard payload — **no**
   ``Point``, nor does the overlap advisory planning a zone plate read
-  from one (an object count is exactly what a warmed cache from an
-  earlier test can hide: CI also runs this file alone, in a cold
-  process);
+  from one; neither does a generator-built ``demo`` nor a layout read
+  back from CIF build one per ring (an object count is exactly what a
+  warmed cache from an earlier test can hide: CI also runs this file
+  alone, in a cold process);
 * shard and segment keys are the bytes the object lists hashed to
   (literals computed at the commit before the views existed).
 """
@@ -68,7 +69,9 @@ from repro.geometry.vertex_array import (
     trapezoid_array,
     trapezoid_fields,
 )
+from repro.cli import main
 from repro.layout import generators
+from repro.layout.cif import read_cif, write_cif
 from repro.layout.flatten import flatten_cell
 from repro.layout.gdsii import read_gdsii, write_gdsii
 from repro.machine.program import MachineSpec
@@ -422,10 +425,26 @@ class TestNoObjectOnThePrepPath:
         monkeypatch.setattr(plan, "_interiors_overlap", counting)
         constructed[Point] = 0  # the generator's own
         flat = flatten_cell(read_gdsii(path).top_cell())
-        shards = plan_shards([p for polys in flat.values() for p in polys], 10.0)
+        plan_shards([p for polys in flat.values() for p in polys], 10.0)
         assert len(checked) > 0  # the exact check ran
         assert constructed[Point] == 0
-        assert all(p.ring is not None for s in shards for p in s.polygons)
+
+    def test_demo_logic_builds_no_point(self, tmp_path, constructed):
+        # The generator's rectangles, from the build to the job file.
+        argv = ["demo", "--workload", "logic", "--output", str(tmp_path / "a.ebj")]
+        assert main(argv) == 0
+        assert constructed[Point] == 0
+
+    def test_cif_round_trip_builds_no_point_per_ring(self, tmp_path, constructed):
+        path = tmp_path / "logic.cif"
+        write_cif(generators.random_logic(), path)
+        assert constructed[Point] == 0
+        library = read_cif(path)
+        # The one point is the origin of the top-symbol call the writer
+        # emits; the rings are read as arrays.
+        assert constructed[Point] == 1
+        prepare(PrepRecipe(), library, tmp_path)
+        assert constructed[Point] == 1
 
 
 # -- keys pinned to the bytes the object lists hashed to ---------------------
