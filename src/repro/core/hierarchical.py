@@ -6,14 +6,12 @@ The period machines instead fractured each cell *once* and replicated
 the resulting figures at machine-write time.  This module implements
 that optimization:
 
-* the hierarchy is expanded per reference edge, not per placement: a
-  count of the groups each cell's subtree emits fixes every instance's
-  position in the depth-first walk order, and each edge (parent cell →
-  reference), visited once parents-first, carries all of its instances
-  as one ``(n, 6)`` array of affine rows
-  (:meth:`~repro.layout.reference.CellReference.placement_matrix`
-  composed by :func:`~repro.geometry.transform.compose`, bit for bit
-  the :class:`Transform` products the walk took);
+* the hierarchy is read through
+  :func:`~repro.layout.flatten.expand`, the expansion every door
+  shares: per cell, parents first, its instances' composed ``(n, 6)``
+  affine rows and their depth-first ranks — no :class:`Transform` or
+  ``Point`` per placement.  An instance emits at most one group per
+  layer key, so a key's figures sorted by rank are in walk order;
 * a cell's local geometry is fractured once per layer and cached as
   its ``(N, 6)`` figure block;
 * placements whose transform keeps horizontal edges horizontal
@@ -26,9 +24,8 @@ that optimization:
 * other placements fall back to fracturing the transformed polygons,
   one by one in walk order.
 
-No :class:`Trapezoid`, and no :class:`Transform` or ``Point`` per
-placement, is built on the way: each layer's figures are one
-:class:`~repro.geometry.vertex_array.FigureView` in walk order.
+No :class:`Trapezoid` is built on the way: each layer's figures are
+one :class:`~repro.geometry.vertex_array.FigureView` in walk order.
 
 The speedup on array-dominated layouts is the figure-count ratio between
 flattened and stored geometry (see experiment T3's compaction column);
@@ -38,14 +35,14 @@ the F8 bench family measures it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.fracture.base import Fracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.scanline_fast import KernelFallbacks
-from repro.geometry.transform import Transform, compose
+from repro.geometry.transform import Transform, identity_rows
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
     FigureView,
@@ -56,6 +53,7 @@ from repro.geometry.vertex_array import (
     trapezoid_array,
 )
 from repro.layout.cell import Cell
+from repro.layout.flatten import expand, layer_order
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 
@@ -165,94 +163,63 @@ def fracture_hierarchical(
         fracturer = TrapezoidFracturer()
     top = source.top_cell() if isinstance(source, Library) else source
     result = HierarchicalFractureResult()
-    groups: Dict[int, list] = {}  # per cell, the (layer key, polygons) it emits
-    emissions: Dict[int, int] = {}  # per cell, the groups of its subtree
-    cells: List[Cell] = []  # in first-completion order: children first
 
-    def count(cell: Cell, path: Tuple[str, ...]):
-        """``(groups emitted, source polygons by layer)`` of one
-        instance of ``cell``, subtree included, under the depth-first
-        walk's cycle check (so once per path, not per placement)."""
-        if cell.name in path:
-            cycle = " -> ".join(path + (cell.name,))
-            raise ValueError(f"reference cycle while fracturing: {cycle}")
-        own = [
+    def own(cell: Cell) -> list:
+        """The ``(layer, polygons)`` groups ``cell`` emits per instance."""
+        return [
             (layer, polys)
             for layer, polys in cell.polygons.items()
             if polys and (layers is None or layer in layers)
         ]
-        by_layer = {layer: len(polys) for layer, polys in own}
-        if merge_layers and own:
-            own = [(None, [poly for _, polys in own for poly in polys])]
-        groups[id(cell)] = own
-        emitted = len(own)
-        for ref in cell.references:
-            n = ref.placement_count()
-            below, child_layers = count(ref.cell, path + (cell.name,))
-            emitted += n * below
-            for layer, polygons in child_layers.items():
-                by_layer[layer] = by_layer.get(layer, 0) + n * polygons
-        if id(cell) not in emissions:
-            cells.append(cell)
-        emissions[id(cell)] = emitted
-        return emitted, by_layer
 
-    _, result.source_polygons_by_layer = count(top, ())
-    result.source_polygons = sum(result.source_polygons_by_layer.values())
-    # Per cell, the (affine rows, walk positions) of its instances from
-    # every parent edge; a position is that of the instance's first group.
-    arrivals = {id(top): [(_IDENTITY, np.zeros(1, np.int64))]}
-    fractures: Dict[int, tuple] = {}  # walk position -> (polygons, row)
-    # Layer keys in the walk's order of first emission.
-    keys = [None] if merge_layers else result.source_polygons_by_layer
-    placed = {key: [] for key in keys if result.source_polygons}
-    for cell in reversed(cells):
-        rows, positions = map(np.concatenate, zip(*arrivals.pop(id(cell))))
-        order = np.argsort(positions)
-        rows, positions = rows[order], positions[order]
+    placed = [entry for entry in expand(top) if own(entry[0])]
+    counts: Dict[Layer, int] = {}
+    for cell, rows, _ in placed:
+        for layer, polys in own(cell):
+            counts[layer] = counts.get(layer, 0) + len(rows) * len(polys)
+    order = layer_order(placed, lambda cell: [layer for layer, _ in own(cell)])
+    result.source_polygons_by_layer = {layer: counts[layer] for layer in order}
+    result.source_polygons = sum(counts.values())
+    # Per layer key, the figure pieces; per (rank, group), a fracture.
+    keys = [None] if merge_layers and placed else order
+    pieces: Dict[Optional[Layer], list] = {key: [] for key in keys}
+    fractures: Dict[Tuple[int, int], tuple] = {}
+    for cell, rows, ranks in placed:
+        groups = own(cell)
+        if merge_layers:
+            groups = [(None, [poly for _, polys in groups for poly in polys])]
         keep = preserves_horizontal(rows)
         kept = rows[keep]
-        moved = ~np.all(np.abs(kept - _IDENTITY) <= 1e-12, axis=1)
-        for offset, (key, polys) in enumerate(groups[id(cell)]):
-            at = positions + offset
+        moved = ~identity_rows(kept)
+        for group, (key, polys) in enumerate(groups):
             if len(kept):
-                first = int(at[keep][0])
+                first = (int(ranks[keep][0]), group)
                 fractures[first] = (polys, None)
                 result.cells_fractured += 1
                 result.instances_reused += len(kept) - 1
                 # An identity placement is the block itself, not 1.0 * it + 0.0.
-                placed[key].append((at[keep][~moved], first, None))
-                placed[key].append((at[keep][moved], first, kept[moved]))
-            for position, row in zip(at[~keep].tolist(), rows[~keep].tolist()):
+                pieces[key].append((ranks[keep][~moved], first, None))
+                pieces[key].append((ranks[keep][moved], first, kept[moved]))
+            for rank, row in zip(ranks[~keep].tolist(), rows[~keep]):
                 result.instances_fallback += 1
-                fractures[position] = (polys, row)
-                placed[key].append((np.array([position]), position, None))
-        offset = len(groups[id(cell)])
-        for ref in cell.references:
-            span, matrix = emissions[id(ref.cell)], ref.placement_matrix()
-            child = compose(rows[:, None], matrix[None]).reshape(-1, 6)
-            at = positions[:, None] + offset + span * np.arange(len(matrix))
-            arrivals.setdefault(id(ref.cell), []).append((child, at.ravel()))
-            offset += span * len(matrix)
-    blocks: Dict[int, np.ndarray] = {}
-    for position in sorted(fractures):  # the walk's order
-        polys, row = fractures[position]
+                fractures[rank, group] = (polys, row[None])
+                pieces[key].append((np.array([rank]), (rank, group), None))
+    blocks: Dict[Tuple[int, int], np.ndarray] = {}
+    for at in sorted(fractures):  # the walk's order
+        polys, row = fractures[at]
         if row is not None:
-            polys = transform_polygons(polys, Transform(*row))
-        blocks[position] = trapezoid_array(fracturer.fracture(polys))
+            polys = list(transform_polygons(polys, row))
+        blocks[at] = trapezoid_array(fracturer.fracture(polys))
         result.kernel_fallbacks.add(fracturer.last_fallbacks)
-    for key, pieces in placed.items():
-        result.figures[key] = FigureView(_evaluate(pieces, blocks))
+    for key, placements in pieces.items():
+        result.figures[key] = FigureView(_evaluate(placements, blocks))
     return result
 
 
-_IDENTITY = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
-
-
-def _evaluate(pieces, blocks: Dict[int, np.ndarray]) -> np.ndarray:
+def _evaluate(pieces, blocks: Dict[Tuple[int, int], np.ndarray]) -> np.ndarray:
     """The figure block of one layer key in walk order.  Each piece is
-    ``(positions, fracture position, rows)``: one fractured block placed
-    at those walk positions, as it is or under ``rows`` in one pass."""
+    ``(ranks, fracture, rows)``: one fractured block placed at those
+    instance ranks, as it is or under ``rows`` in one pass."""
     pieces = [piece for piece in pieces if len(piece[0])]
     positions = np.concatenate([at for at, _, _ in pieces])
     sizes = np.concatenate([np.full(len(at), len(blocks[b])) for at, b, _ in pieces])

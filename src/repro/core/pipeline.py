@@ -40,7 +40,6 @@ from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
-from repro.layout.flatten import flatten_cell
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 from repro.layout.stream import (
@@ -369,8 +368,7 @@ class PreparationPipeline(FixedKnobs):
                 cell, self.fracturer, layers=selected, merge_layers=True
             )
             return hier.figures.get(None, []), cell.name, hier.source_polygons, hier
-        flat = flatten_cell(cell, layers=selected)
-        merged = [poly for polys in flat.values() for poly in polys]
+        merged = list(MemoryStream(cell).iter_flat(layers=selected))
         return merged, cell.name, len(merged), None
 
     # -- helpers ----------------------------------------------------------

@@ -354,7 +354,7 @@ class Polygon:
         """Apply an affine transform; re-winds if the transform mirrors.
 
         The arithmetic of :meth:`Transform.apply` and
-        :func:`~repro.geometry.vertex_array.transform_coords`, on the
+        :func:`~repro.geometry.vertex_array.transform_polygons`, on the
         ring's doubles as floats (cheaper than array operations on a
         few rows).
         """

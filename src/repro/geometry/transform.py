@@ -247,14 +247,17 @@ def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """
     a, b, c, d, e, f = np.moveaxis(outer, -1, 0)
     p, q, r, s, t, u = np.moveaxis(inner, -1, 0)
-    return np.stack(
-        (
-            a * p + b * r,
-            a * q + b * s,
-            c * p + d * r,
-            c * q + d * s,
-            a * t + b * u + e,
-            c * t + d * u + f,
-        ),
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(outer.shape, inner.shape))
+    out[..., 0] = a * p + b * r  # one column at a time: no stacked temporaries
+    out[..., 1] = a * q + b * s
+    out[..., 2] = c * p + d * r
+    out[..., 3] = c * q + d * s
+    out[..., 4] = a * t + b * u + e
+    out[..., 5] = c * t + d * u + f
+    return out
+
+
+def identity_rows(rows: np.ndarray) -> np.ndarray:
+    """Per affine row ``(a, b, c, d, e, f)`` along the last axis,
+    :meth:`Transform.is_identity`'s test at its default tolerance."""
+    return (np.abs(rows - (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)) <= 1e-12).all(axis=-1)

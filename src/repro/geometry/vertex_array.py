@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence as SequenceABC
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.polygon import Polygon
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Transform, identity_rows
 from repro.geometry.trapezoid import Trapezoid
 
 StackedRings = Tuple[np.ndarray, np.ndarray]
@@ -128,38 +128,47 @@ def snap_stacked(
 # ---------------------------------------------------------------------------
 
 
-def transform_coords(coords: np.ndarray, t: Transform) -> np.ndarray:
-    """Apply an affine transform to an ``(N, 2)`` coordinate array.
-
-    Bit-identical to :meth:`Transform.apply` per point (same operation
-    order: ``a*x + b*y + e``).
-    """
-    xs = coords[:, 0]
-    ys = coords[:, 1]
-    out = np.empty_like(coords)
-    out[:, 0] = t.a * xs + t.b * ys + t.e
-    out[:, 1] = t.c * xs + t.d * ys + t.f
-    return out
-
-
 def transform_polygons(
-    polygons: Sequence[Polygon], t: Transform
-) -> List[Polygon]:
-    """Batch equivalent of ``[p.transformed(t) for p in polygons]``.
+    polygons: Sequence[Polygon], rows: np.ndarray
+) -> Iterator[Polygon]:
+    """``p.transformed(Transform(*row))`` for each of the ``(k, 6)``
+    affine ``rows``, for each polygon, lazily.
 
-    One vectorized affine pass over the stacked vertex array; winding is
-    reversed for mirroring transforms exactly as the scalar method does.
+    One broadcast of :meth:`Transform.apply`'s arithmetic (``a*x + b*y
+    + e``, in that order) over the stacked rings and all rows, bit for
+    bit the scalar method; a ring is reversed under a row with
+    ``a·d − b·c ≤ 0`` as the scalar method does, and becomes a polygon
+    by the constructor's rule.  An identity row
+    (:meth:`Transform.is_identity`'s tolerance) hands back the polygons
+    themselves — ``1·x + 0·y + 0`` would turn −0.0 into 0.0 — and rows
+    that are all identity stack nothing.
     """
-    if not polygons:
-        return []
+    identity = identity_rows(rows).tolist()
+    if all(identity):
+        return itertools.chain.from_iterable(itertools.repeat(polygons, len(rows)))
+    return _transformed(polygons, rows, identity)
+
+
+def _transformed(
+    polygons: Sequence[Polygon], rows: np.ndarray, identity: List[bool]
+) -> Iterator[Polygon]:
+    """The broadcast half of :func:`transform_polygons`."""
     coords, offsets = stack_polygons(polygons)
-    moved = transform_coords(coords, t)
-    reverse = not t.is_orientation_preserving()
-    out: List[Polygon] = []
-    for i in range(len(polygons)):
-        ring = moved[offsets[i] : offsets[i + 1]]
-        out.append(Polygon.from_array(ring[::-1] if reverse else ring))
-    return out
+    a, b, c, d, e, f = rows.T[..., None]
+    moved = np.empty((len(rows), len(coords), 2))
+    for out, (p, q, r) in zip(np.moveaxis(moved, -1, 0), ((a, b, e), (c, d, f))):
+        np.multiply(p, coords[:, 0], out=out)
+        out += q * coords[:, 1]
+        out += r
+    mirrored = (~(a * d - b * c > 0.0))[:, 0].tolist()
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    for block, same, reverse in zip(moved, identity, mirrored):
+        if same:
+            yield from polygons
+            continue
+        for lo, hi in spans:
+            ring = block[lo:hi]
+            yield Polygon.from_array(ring[::-1] if reverse else ring)
 
 
 # ---------------------------------------------------------------------------

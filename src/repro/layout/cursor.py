@@ -3,10 +3,13 @@
 :class:`LayoutStream` is what the pipeline reads a layout through.  A
 stream exposes a :class:`~repro.layout.library.Library` of cells with
 their references and hands out each cell's own polygons on demand;
-:meth:`LayoutStream.iter_flat` walks the hierarchy exactly like
-:func:`repro.layout.flatten.flatten_cell` and yields the flattened
-polygons one at a time, in the identical order and with bit-identical
-coordinates, without ever holding more than one cell's geometry.
+:meth:`LayoutStream.iter_flat` reads the hierarchy through
+:func:`repro.layout.flatten.expand`, the expansion every door shares,
+and yields the flattened polygons lazily, in
+:func:`~repro.layout.flatten.flatten_cell`'s order and with
+bit-identical coordinates.  It holds the placement index (one affine
+row and one rank per instance, 56 bytes) and at most one cell's
+geometry plus one bounded chunk of its placed rings.
 
 * :class:`MemoryStream` — the cursor interface over an
   already-materialized library or cell, so pipeline code can treat every
@@ -24,27 +27,35 @@ coordinates, without ever holding more than one cell's geometry.
 from __future__ import annotations
 
 import io
+import itertools
 from pathlib import Path
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
 )
 
+import numpy as np
+
 from repro.geometry.polygon import Polygon
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Transform, identity_rows
+from repro.geometry.vertex_array import transform_polygons
 from repro.layout.cell import Cell
+from repro.layout.flatten import expand, layer_order
 from repro.layout.layer import Layer
 from repro.layout.library import Library
 
 #: Geometry of the most recently walked cell placed more than once is
-#: memoized up to this many coordinate bytes (16 per vertex), so array
-#: references expand in O(parse once); a cell placed once, or a larger
-#: one, is re-read once per layer, keeping residency bounded.
+#: memoized up to this many coordinate bytes (16 per vertex), and its
+#: placed rings are moved in chunks of as many bytes; a cell placed
+#: once, or a larger one, is re-read once per layer and instance,
+#: keeping residency bounded.
 GEOM_CACHE_MAX_BYTES = 1 << 22
 
 
@@ -53,9 +64,10 @@ class LayoutStream:
 
     Subclasses expose a skeleton :class:`Library` (cells with references
     but, for file-backed streams, no resident polygons) and lazy per-cell
-    geometry.  The flattening walk here replicates
-    :func:`~repro.layout.flatten.flatten_cell` — same traversal order,
-    same transform composition, same cycle detection — so its output is
+    geometry.  The flattening walk here reads
+    :func:`~repro.layout.flatten.expand` — the rows are
+    :func:`~repro.layout.flatten.flatten_cell`'s transform products, the
+    ranks its order, the cycle check its text — so its output is
     float-identical to materializing and flattening.
     """
 
@@ -65,6 +77,14 @@ class LayoutStream:
 
     def _cell_layer_list(self, cell: Cell) -> List[Layer]:
         """Layers of ``cell``'s own geometry, in first-encounter order."""
+        raise NotImplementedError
+
+    def _held_layer(
+        self, cell: Cell, layer: Layer, repeated: bool
+    ) -> Optional[Sequence[Polygon]]:
+        """The cell's own polygons on ``layer`` when the walk may hold
+        them whole (``repeated``: the cell has more than one instance);
+        ``None`` streams them through :meth:`_iter_cell_layer`."""
         raise NotImplementedError
 
     def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
@@ -103,35 +123,6 @@ class LayoutStream:
             return self.library[top]
         return self.top_cell()
 
-    def flat_layer_order(self, top: Union[None, str, Cell] = None) -> List[Layer]:
-        """Layers in the order the flatten walk first encounters them.
-
-        This is exactly the key order of
-        :func:`~repro.layout.flatten.flatten_cell`'s result dict, which
-        downstream code relies on for deterministic polygon ordering.
-        """
-        cell = self._resolve_top(top)
-        memo: Dict[str, Tuple[Layer, ...]] = {}
-
-        def subtree(c: Cell, path: Tuple[str, ...]) -> Tuple[Layer, ...]:
-            if c.name in path:
-                cycle = " -> ".join(path + (c.name,))
-                raise ValueError(f"reference cycle while flattening: {cycle}")
-            cached = memo.get(c.name)
-            if cached is not None:
-                return cached
-            local: Dict[Layer, None] = {}
-            for layer in self._cell_layer_list(c):
-                local.setdefault(layer)
-            for ref in c.references:
-                for layer in subtree(ref.cell, path + (c.name,)):
-                    local.setdefault(layer)
-            result = tuple(local)
-            memo[c.name] = result
-            return result
-
-        return list(subtree(cell, ()))
-
     def iter_flat(
         self,
         top: Union[None, str, Cell] = None,
@@ -142,35 +133,60 @@ class LayoutStream:
         Order and coordinates match concatenating the per-layer lists of
         :func:`~repro.layout.flatten.flatten_cell` in dict order — the
         exact sequence the materialized pipeline feeds to fracturing.
+        Per layer, each run of consecutive instances of one cell is
+        placed by :func:`~repro.geometry.vertex_array.transform_polygons`
+        in chunks of at most :data:`GEOM_CACHE_MAX_BYTES` of
+        coordinates; a cell the stream does not hold whole is streamed
+        polygon by polygon through :meth:`Polygon.transformed`.
         """
-        cell = self._resolve_top(top)
-        for layer in self.flat_layer_order(cell):
+        return itertools.chain.from_iterable(self._placed_runs(top, layers))
+
+    def _placed_runs(
+        self, top: Union[None, str, Cell], layers: Optional[Set[Layer]]
+    ) -> Iterator[Iterable[Polygon]]:
+        """Per layer in walk order, each run of consecutive instances of
+        one cell, placed.  :meth:`iter_flat` chains them rather than
+        re-yielding, so a run that is all identity rows (a flat file's
+        top) hands over its stored polygons through no Python frame."""
+        placed = list(expand(self._resolve_top(top)))
+        for layer in layer_order(placed, self._cell_layer_list):
             if layers is not None and layer not in layers:
                 continue
-            yield from self._walk_layer(cell, Transform.identity(), layer, ())
+            having = [p for p in placed if layer in self._cell_layer_list(p[0])]
+            walk = np.concatenate([ranks for _, _, ranks in having])
+            walk.sort()
+            runs = []  # (first place in the layer's walk, cell, rows, repeated)
+            for cell, rows, ranks in having:
+                at = np.searchsorted(walk, ranks)  # each instance's place in it
+                cuts = (np.flatnonzero(at[1:] - at[:-1] > 1) + 1).tolist()
+                for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+                    runs.append((int(at[lo]), cell, rows[lo:hi], len(rows) > 1))
+            for _, cell, batch, repeated in sorted(runs, key=lambda run: run[0]):
+                yield self._place(cell, layer, batch, repeated)
 
-    def _walk_layer(
-        self,
-        cell: Cell,
-        transform: Transform,
-        layer: Layer,
-        path: Tuple[str, ...],
+    def _place(
+        self, cell: Cell, layer: Layer, rows: np.ndarray, repeated: bool
+    ) -> Iterable[Polygon]:
+        """The cell's own polygons on ``layer`` under each of ``rows``."""
+        held = self._held_layer(cell, layer, repeated)
+        if held is None:
+            return self._streamed(cell, layer, rows)
+        step = len(rows)  # a single row is one chunk, whatever the cell's size
+        if step > 1:
+            step = max(1, GEOM_CACHE_MAX_BYTES // max(1, 16 * sum(map(len, held))))
+        return itertools.chain.from_iterable(
+            transform_polygons(held, rows[start : start + step])
+            for start in range(0, len(rows), step)
+        )
+
+    def _streamed(
+        self, cell: Cell, layer: Layer, rows: np.ndarray
     ) -> Iterator[Polygon]:
-        if cell.name in path:
-            cycle = " -> ".join(path + (cell.name,))
-            raise ValueError(f"reference cycle while flattening: {cycle}")
-        identity = transform.is_identity()
-        if layer in self._cell_layer_list(cell):
+        """:meth:`_place` for a cell not held whole: re-read per row."""
+        for row, identity in zip(rows.tolist(), identity_rows(rows).tolist()):
+            t = Transform(*row)
             for poly in self._iter_cell_layer(cell, layer):
-                yield poly if identity else poly.transformed(transform)
-        for ref in cell.references:
-            for placement in ref.placements():
-                yield from self._walk_layer(
-                    ref.cell,
-                    transform @ placement,
-                    layer,
-                    path + (cell.name,),
-                )
+                yield poly if identity else poly.transformed(t)
 
 
 class MemoryStream(LayoutStream):
@@ -197,8 +213,8 @@ class MemoryStream(LayoutStream):
     def _cell_layer_list(self, cell: Cell) -> List[Layer]:
         return list(cell.polygons)
 
-    def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
-        return iter(cell.polygons.get(layer, ()))
+    def _held_layer(self, cell: Cell, layer: Layer, repeated: bool) -> List[Polygon]:
+        return cell.polygons.get(layer, [])
 
     def materialize(self) -> Library:
         if self.library is not None:
@@ -214,29 +230,6 @@ class _FileGeometryCache:
         self.cell_name: Optional[str] = None
         self.geometry: Optional[Dict[Layer, List[Polygon]]] = None
         self.uncacheable: Set[str] = set()
-        #: Cells placed more than once under the current walk's top —
-        #: the only ones worth memoizing.
-        self.repeated: Set[str] = set()
-
-
-def _repeated_cells(top: Cell) -> Set[str]:
-    """Names of the cells placed more than once under ``top``, array
-    elements and parent placements multiplied out."""
-    seen: Set[str] = set()
-    repeated: Set[str] = set()
-
-    def visit(cell: Cell, many: bool) -> None:
-        if cell.name in repeated:
-            return
-        if many or cell.name in seen:
-            repeated.add(cell.name)
-            many = True
-        seen.add(cell.name)
-        for ref in cell.references:
-            visit(ref.cell, many or ref.placement_count() > 1)
-
-    visit(top, False)
-    return repeated
 
 
 class FileStream(LayoutStream):
@@ -285,35 +278,27 @@ class FileStream(LayoutStream):
             return list(cell.polygons)
         return self._layer_order.get(cell.name, [])
 
-    def iter_flat(
-        self,
-        top: Union[None, str, Cell] = None,
-        layers: Optional[Set[Layer]] = None,
-    ) -> Iterator[Polygon]:
-        """:meth:`LayoutStream.iter_flat`, memoizing only the cells
-        placed more than once under ``top``."""
-        cell = self._resolve_top(top)
-        self._geom.repeated = _repeated_cells(cell)
-        return super().iter_flat(cell, layers)
+    def _held_layer(
+        self, cell: Cell, layer: Layer, repeated: bool
+    ) -> Optional[List[Polygon]]:
+        if self._materialized:
+            return cell.polygons.get(layer, [])
+        geometry = self._cell_geometry(cell.name, repeated)
+        return None if geometry is None else geometry.get(layer, [])
 
     def _iter_cell_layer(self, cell: Cell, layer: Layer) -> Iterator[Polygon]:
-        if self._materialized:
-            yield from cell.polygons.get(layer, ())
-            return
-        geometry = self._cell_geometry(cell.name)
-        if geometry is not None:
-            yield from geometry.get(layer, ())
-            return
         for found, poly in self._iter_cell_geometry(cell.name):
             if found == layer:
                 yield poly
 
-    def _cell_geometry(self, name: str) -> Optional[Dict[Layer, List[Polygon]]]:
+    def _cell_geometry(
+        self, name: str, repeated: bool
+    ) -> Optional[Dict[Layer, List[Polygon]]]:
         """The memoized geometry of ``name`` (None when it is placed
         once or over the cap)."""
         if self._geom.cell_name == name:
             return self._geom.geometry
-        if name in self._geom.uncacheable or name not in self._geom.repeated:
+        if name in self._geom.uncacheable or not repeated:
             return None
         geometry: Dict[Layer, List[Polygon]] = {}
         size = 0

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.layout.cell import Cell
-from repro.layout.flatten import flatten_cell
+from repro.layout.flatten import expand
 from repro.layout.library import Library
 
 
@@ -44,33 +42,21 @@ class HierarchyStats:
 
 
 def library_stats(library: Library) -> HierarchyStats:
-    """Compute :class:`HierarchyStats` for a library's unique top cell."""
-    top = library.top_cell()
-    flat = flatten_cell(top)
-    hier_polys = sum(c.polygon_count() for c in library)
-    hier_verts = sum(c.vertex_count() for c in library)
-    ref_count = sum(c.reference_count() for c in library)
-
-    instance_total = _count_instances(top, {})
-
+    """Compute :class:`HierarchyStats` for a library's unique top cell,
+    the flat counts from the hierarchy's expansion (each cell's own
+    counts times its instances)."""
+    instances = flat_polygons = flat_vertices = 0
+    for cell, rows, _ in expand(library.top_cell()):
+        instances += len(rows)
+        flat_polygons += len(rows) * cell.polygon_count()
+        flat_vertices += len(rows) * cell.vertex_count()
     return HierarchyStats(
         cell_count=len(library),
-        reference_count=ref_count,
-        instance_count=instance_total,
-        hierarchical_polygons=hier_polys,
-        flat_polygons=sum(len(v) for v in flat.values()),
-        hierarchical_vertices=hier_verts,
-        flat_vertices=sum(len(p) for v in flat.values() for p in v),
+        reference_count=sum(c.reference_count() for c in library),
+        instance_count=instances,
+        hierarchical_polygons=sum(c.polygon_count() for c in library),
+        flat_polygons=flat_polygons,
+        hierarchical_vertices=sum(c.vertex_count() for c in library),
+        flat_vertices=flat_vertices,
         depth=library.depth(),
     )
-
-
-def _count_instances(cell: Cell, memo: Dict[str, int]) -> int:
-    """Total expanded instances under ``cell`` (including itself)."""
-    if cell.name in memo:
-        return memo[cell.name]
-    total = 1
-    for ref in cell.references:
-        total += ref.placement_count() * _count_instances(ref.cell, memo)
-    memo[cell.name] = total
-    return total

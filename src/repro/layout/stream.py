@@ -7,7 +7,7 @@ library (cells, references, units — no polygons) plus per-cell byte
 spans; geometry is re-read lazily from those spans, so
 :meth:`~repro.layout.cursor.LayoutStream.iter_flat` yields the
 flattened polygons in :func:`~repro.layout.flatten.flatten_cell` order
-while holding at most one cell's geometry.  The resident read
+while holding the placement index and at most one cell's geometry.  The resident read
 (``read_gdsii``/``loads_gdsii``/``read_cif``/``loads_cif``, or
 :meth:`~repro.layout.cursor.LayoutStream.materialize` on an open
 stream) is the same cursor run to completion — not a second parser —

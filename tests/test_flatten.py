@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.geometry.transform import Transform
 from repro.layout.cell import Cell
 from repro.layout.flatten import (
     flat_area,
@@ -51,22 +50,9 @@ class TestFlattening:
         # Rotated placement: rectangle rotated 90° about (0, 10).
         assert any(b == pytest.approx((-1, 10, 0, 12)) for b in boxes)
 
-    def test_root_transform(self, two_level):
-        flat = flatten_cell(two_level, transform=Transform.translation(100, 0))
-        boxes = [p.bounding_box() for p in flat[Layer(1)]]
-        assert any(b == pytest.approx((110, 0, 112, 1)) for b in boxes)
-
     def test_layer_filter(self, two_level):
         flat = flatten_cell(two_level, layers={Layer(2)})
         assert list(flat) == [Layer(2)]
-
-    def test_max_depth_zero_keeps_only_own_polygons(self, two_level):
-        flat = flatten_cell(two_level, max_depth=0)
-        assert flat_polygon_count(flat) == 1
-
-    def test_max_depth_one(self, two_level):
-        flat = flatten_cell(two_level, max_depth=1)
-        assert flat_polygon_count(flat) == 5
 
     def test_cycle_detection(self):
         a, b = Cell("A"), Cell("B")

@@ -95,6 +95,38 @@ class TestRandomLogic:
         assert flat_area(flat(lib)) == pytest.approx(2019.7667485629122)
 
 
+#: ``(instance_count, flat_polygons, flat_vertices, compaction_ratio)``
+#: per library, as the per-placement walk counted them.
+STATS = {
+    "grating": (1, 50, 200, 1.0),
+    "contacts": (1, 1024, 4096, 1.0),
+    "logic": (1, 90, 360, 1.0),
+    "memory": (4113, 12288, 49152, 4096.0),
+    "fzp": (1, 20, 2560, 1.0),
+    "serpentine": (1, 1, 84, 1.0),
+    "density_ladder": (1, 50, 200, 1.0),
+    "line_and_pad": (1, 2, 8, 1.0),
+    "checkerboard": (1, 32, 128, 1.0),
+    "memory_4x4": (4113, 12288, 49152, 4096.0),
+    "contacts_hierarchical": (1025, 1024, 4096, 1024.0),
+}
+
+
+def stats_inputs():
+    yield from generators.all_workloads()
+    yield "memory_4x4", generators.memory_array(blocks=(4, 4))
+    yield "contacts_hierarchical", generators.contact_array(hierarchical=True)
+
+
+@pytest.mark.parametrize(
+    "lib, expected", [pytest.param(lib, STATS[n], id=n) for n, lib in stats_inputs()]
+)
+def test_library_stats_counts_the_expansion(lib, expected):
+    stats = library_stats(lib)
+    counted = (stats.instance_count, stats.flat_polygons, stats.flat_vertices)
+    assert (*counted, stats.compaction_ratio) == expected
+
+
 class TestMemoryArray:
     def test_hierarchy_shape(self):
         lib = generators.memory_array(words=4, bits=4, blocks=(2, 3))

@@ -12,6 +12,7 @@ from repro.core.hierarchical import (
     preserves_horizontal,
     transform_trapezoid,
 )
+from repro.core.pipeline import PreparationPipeline
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
@@ -20,8 +21,11 @@ from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import trapezoid_array
 from repro.layout import generators
 from repro.layout.cell import Cell
+from repro.layout.cursor import MemoryStream
 from repro.layout.flatten import flatten_cell
+from repro.layout.gdsii import GdsiiStream, dumps_gdsii, loads_gdsii
 from repro.layout.layer import Layer
+from repro.layout.library import Library
 from repro.layout.reference import CellArray, CellReference
 
 
@@ -231,6 +235,22 @@ def hierarchies(draw):
     return top
 
 
+RESIDENT = PreparationPipeline()
+
+
+def flat_list(top, layers=None):
+    return [poly for polys in flatten_cell(top, layers).values() for poly in polys]
+
+
+def flat_outcome(build):
+    """The ring bytes of the polygons ``build()`` gives, in order, or
+    the text it is refused with."""
+    try:
+        return [p.ring.tobytes() for p in build()]
+    except ValueError as refused:
+        return str(refused)
+
+
 def walked(top, layers, merge_layers):
     """The per-placement walk: ``placements()``, ``Transform @`` and
     the scalar :func:`transform_trapezoid`, figure by figure."""
@@ -292,6 +312,32 @@ class TestExpansionIsTheWalk:
         assert result.source_polygons == sum(by_layer.values())
         assert result.kernel_fallbacks == fallbacks
         assert result.instances_fallback > 0 and result.instances_reused > 0
+
+    @given(hierarchies(), st.booleans(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_every_flat_door_is_flatten_cell(self, top, filtered, cyclic):
+        # Each door against flatten_cell's concatenated lists, ring bytes
+        # in order (-0.0 included), or the same cycle text.
+        layers = {Layer(2)} if filtered else None
+        layer = Layer(2) if filtered else None
+        data = dumps_gdsii(Library("L").add(top))
+        with GdsiiStream(data) as stream:
+            tops = [top, stream.library["TOP"], loads_gdsii(data)["TOP"]]
+            if cyclic:  # A places TOP: "TOP -> ... -> A -> TOP"
+                for cell in tops:
+                    refs = cell.references
+                    next(r.cell for r in refs if r.cell.name == "A").instantiate(cell)
+            expected = flat_outcome(lambda: flat_list(top, layers))
+            streamed = MemoryStream(top).iter_flat(layers=layers)
+            assert flat_outcome(lambda: streamed) == expected
+            resident = RESIDENT._work_item
+            assert flat_outcome(lambda: resident(top, layer)[0]) == expected
+            assert flat_outcome(lambda: stream.iter_flat("TOP", layers)) == (
+                flat_outcome(lambda: flat_list(tops[2], layers))
+            )
+        if cyclic:
+            assert expected.startswith("reference cycle while flattening: TOP -> ")
+            assert flat_outcome(lambda: fracture_hierarchical(top).figures) == expected
 
     @given(st.lists(finite, min_size=12, max_size=12))
     @settings(max_examples=60, deadline=None)

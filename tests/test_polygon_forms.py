@@ -126,7 +126,8 @@ class TestOneForm:
         for t in TRANSFORMS:
             expected = outcome(scalar_moved, polygon, t)
             assert outcome(lambda: [polygon.transformed(t)]) == expected
-            assert outcome(transform_polygons, [polygon], t) == expected
+            row = np.array([[t.a, t.b, t.c, t.d, t.e, t.f]])
+            assert outcome(transform_polygons, [polygon], row) == expected
 
     def test_ring_records_round_trip(self):
         ring = [(0.0, -0.0), (1.5, 2.0), (-3e9, 4.0)]

@@ -819,7 +819,8 @@ class TestVertexArrayHelpers:
             origin=(3.25, -7.5), rotation_deg=180.0,
             magnification=1.5, x_reflection=True,
         )
-        batch = transform_polygons(polys, t)
+        row = np.array([[t.a, t.b, t.c, t.d, t.e, t.f]])
+        batch = list(transform_polygons(polys, row))
         scalar = [p.transformed(t) for p in polys]
         assert batch == scalar  # Polygon equality is exact Point equality
 

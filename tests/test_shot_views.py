@@ -332,18 +332,43 @@ class TestNoObjectOnThePrepPath:
         assert (tmp_path / "again.ebj").read_bytes() == artifacts[0]
         assert_materialises_what_the_rows_say(warm.job, constructed)
 
+    @pytest.mark.parametrize(
+        "door",
+        [
+            dict(hierarchy="cells"),
+            dict(hierarchy="flat"),
+            dict(hierarchy="flat", streaming=True),
+        ],
+        ids=["cells", "flat", "flat-streamed"],
+    )
     def test_cells_hierarchy_builds_no_object_per_placement(
-        self, tmp_path, constructed
+        self, tmp_path, constructed, door
     ):
-        # 1 and 16 blocks of 256 bit cells: the expansion carries the
-        # placements as arrays, so the counts must not grow with them.
+        # 1 and 16 blocks of 256 bit cells: every door reads the one
+        # expansion, which carries the placements as arrays, so the
+        # counts must not grow with them.  The streamed door reads the
+        # file; the resident ones a library read from it.
         built = []
         for blocks in ((1, 1), (4, 4)):
             path = tmp_path / f"memory{blocks[0]}.gds"
             write_gdsii(generators.memory_array(blocks=blocks), path)
-            library = read_gdsii(path)
+            recipe = PrepRecipe(**dict(MEMORY, pec=False, **door))
             before = dict(constructed)
-            prepare(PrepRecipe(**dict(MEMORY, pec=False)), library, tmp_path)
+            if door["hierarchy"] == "cells":
+                prepare(recipe, read_gdsii(path), tmp_path)
+            else:
+                # The flat bit cells overlap, and the advisory that says
+                # so builds a figure per overlap: it is not counted here.
+                pipeline = recipe.build_pipeline(overlap_policy="ignore")
+                streaming = door.get("streaming", False)
+                result = recipe.prepare(
+                    pipeline,
+                    path if streaming else read_gdsii(path),
+                    program_path=tmp_path / "out.ebp",
+                    job_path=tmp_path / "out.ebj",
+                )
+                if not streaming:  # a streamed job holds no shot list
+                    write_job(result.job, tmp_path / "again.ebj")
             built.append([constructed[c] - before[c] for c in (Transform, Point)])
         assert built[0] == built[1]
 
