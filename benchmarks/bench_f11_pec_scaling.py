@@ -15,10 +15,14 @@ scales into the tens of thousands:
   vs. hybrid CSR + grid);
 * **work** — per exact backend, ``pairs`` (points × shots), ``kept``
   (within-cutoff entries), ``alpha_unsettled`` (kept pairs whose α erf
-  arguments are not saturated enough to fix the product) and
-  ``evaluated`` (elements handed to the erf integral, per PSF term):
-  the sweep must evaluate β on exactly the kept pairs and α on exactly
-  the unsettled ones;
+  arguments are not saturated enough to fix the product),
+  ``beta_arguments`` (the β erf arguments the kept pairs imply: per
+  block of 256 sample points and per axis, the edge table of each
+  point's window of distinct shot edges where it holds fewer than
+  ``EDGE_TABLE_SHARE`` of the two arguments per kept pair, those
+  otherwise) and ``evaluated`` (arguments handed to erf, per PSF term):
+  the sweep must evaluate β on exactly ``beta_arguments``, fewer than
+  the kept pairs' own four, and α on the four of each unsettled pair;
 * **equivalence** — the sparse matrix must equal the dense one *bit for
   bit* (tolerance 0: same nonzero pattern, same values), sparse doses
   must match the dense doses' canonical 9-digit dose digest (matvec
@@ -28,10 +32,10 @@ scales into the tens of thousands:
 
 In ``--quick`` mode (the CI bench-smoke job) the 5k-shot case must show
 sparse no slower than dense and sparse matrix memory at ≤ 1/20 of the
-dense baseline; ``evaluated["beta"] == kept`` and
-``evaluated["alpha"] == alpha_unsettled <= kept`` are asserted for both
-exact modes in every case — counts that repeat exactly, where the timing
-floor alone would let the pruning rot on a fast runner.
+dense baseline; ``evaluated["beta"] == beta_arguments < 4 * kept`` and
+``evaluated["alpha"] == 4 * alpha_unsettled <= 4 * kept`` are asserted
+for both exact modes in every case — counts that repeat exactly, where
+the timing floor alone would let the pruning rot on a fast runner.
 """
 
 import contextlib
@@ -84,22 +88,50 @@ def dose_digest(shots) -> str:
 
 @contextlib.contextmanager
 def erf_elements():
-    """Count the elements handed to ``_rect_gauss_integral`` per PSF
-    term (``{"alpha": n, "beta": n}``) while the context is open."""
+    """Count the arguments handed to erf per PSF term
+    (``{"alpha": n, "beta": n}``) while the context is open, at
+    ``_erf_of``, the one erf call of the sweep."""
     counts = {}
     names = {PSF.alpha: "alpha", PSF.beta: "beta"}
-    integral = base._rect_gauss_integral
+    erf_of = base._erf_of
 
-    def counted(px, py, x0, x1, y0, y1, sigma):
-        size = np.broadcast(px, py, x0, x1, y0, y1).size
+    def counted(edge, p, sigma):
+        size = np.broadcast(edge, p).size
         counts[names[sigma]] = counts.get(names[sigma], 0) + size
-        return integral(px, py, x0, x1, y0, y1, sigma)
+        return erf_of(edge, p, sigma)
 
-    base._rect_gauss_integral = counted
+    base._erf_of = counted
     try:
         yield counts
     finally:
-        base._rect_gauss_integral = integral
+        base._erf_of = erf_of
+
+
+def beta_arguments(n_points, shots, rows, cols, block=256) -> int:
+    """β erf arguments the kept pairs ``(rows[k], cols[k])`` imply for a
+    sweep in blocks of ``block`` points: per block and axis, the edge
+    table (per point, every distinct shot edge from the lowest to the
+    highest its pairs touch; −0.0 apart from 0.0) if it holds fewer than
+    ``EDGE_TABLE_SHARE`` of the two arguments per pair, those if not."""
+    x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
+    total = 0
+    for lo, hi in ((x0, x1), (y0, y1)):
+        both = np.concatenate((lo, hi))
+        bits = both.view(np.int64)
+        order = np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
+        distinct, rank = np.unique(order, return_inverse=True)
+        rank_lo, rank_hi = rank[: len(lo)][cols], rank[len(lo) :][cols]
+        first = np.full(n_points, len(distinct))
+        last = np.full(n_points, -1)
+        np.minimum.at(first, rows, np.minimum(rank_lo, rank_hi))
+        np.maximum.at(last, rows, np.maximum(rank_lo, rank_hi))
+        width = np.where(last >= 0, last - first + 1, 0)
+        starts = np.arange(0, n_points, block)
+        table = np.add.reduceat(width, starts)
+        direct = 2 * np.bincount(rows // block, minlength=len(starts))
+        guarded = table < base.EDGE_TABLE_SHARE * direct
+        total += int(np.where(guarded, table, direct).sum())
+    return total
 
 
 def unsettled_alpha_pairs(points, shots, rows, cols) -> int:
@@ -161,6 +193,9 @@ def run_scaling(quick: bool):
                     "alpha_unsettled": unsettled_alpha_pairs(
                         points, shots, rows, cols
                     ),
+                    "beta_arguments": beta_arguments(
+                        len(points), shots, rows, cols
+                    ),
                     "evaluated": evaluated,
                 }
             if mode == "sparse" and case == "5k":
@@ -210,8 +245,8 @@ def run_scaling(quick: bool):
             "dense"
         ] / max(nbytes["sparse"], 1)
         checks.setdefault("erf_per_term", {})[case] = all(
-            w["evaluated"]["beta"] == w["kept"]
-            and w["evaluated"]["alpha"] == w["alpha_unsettled"] <= w["kept"]
+            w["evaluated"]["beta"] == w["beta_arguments"] < 4 * w["kept"]
+            and w["evaluated"]["alpha"] == 4 * w["alpha_unsettled"] <= 4 * w["kept"]
             for w in work.values()
         )
     return table.render(), records, checks
@@ -332,11 +367,12 @@ def test_f11_pec_scaling(save_table, quick):
         )
     for case, exact in checks["erf_per_term"].items():
         # Counts, so they repeat exactly on any runner: the sweep hands
-        # the β integral the kept pairs and the α integral the kept
-        # pairs saturation leaves open, and nothing else.
+        # erf the β arguments its kept pairs and guarded edge tables
+        # imply, the four α arguments of each pair saturation leaves
+        # open, and nothing else.
         assert exact, (
-            f"{case}: an exact backend evaluated erf products beyond the "
-            f"kept (β) or unsettled (α) pairs: "
+            f"{case}: an exact backend evaluated erf beyond the β "
+            f"arguments of its kept pairs or the unsettled α pairs: "
             f"{[r for r in records if 'kept' in r]}"
         )
     if quick:

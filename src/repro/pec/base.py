@@ -37,12 +37,19 @@ def _rect_gauss_integral(
     ``g(r) = exp(−r²/σ²) / (π σ²)`` (the PSF term normalization), so the
     integral over the whole plane is 1.
     """
+    ax = 0.5 * (_erf_of(x1, px, sigma) - _erf_of(x0, px, sigma))
+    ay = 0.5 * (_erf_of(y1, py, sigma) - _erf_of(y0, py, sigma))
+    return ax * ay
+
+
+def _erf_of(edge, p, sigma: float) -> np.ndarray:
+    """``erf((edge − p) / sigma)``: the one erf call of the exposure
+    sweep and of :func:`_rect_gauss_integral`, so the elements it is
+    handed are the erf work a matrix costs."""
     # Call-time import: only a PEC run pays for scipy.special (~0.3 s).
     from scipy.special import erf
 
-    ax = 0.5 * (erf((x1 - px) / sigma) - erf((x0 - px) / sigma))
-    ay = 0.5 * (erf((y1 - py) / sigma) - erf((y0 - py) / sigma))
-    return ax * ay
+    return erf((edge - p) / sigma)
 
 
 def rectangle_exposure(
@@ -207,9 +214,72 @@ def _alpha_integral(px, py, x0, x1, y0, y1, alpha: float) -> np.ndarray:
     return level
 
 
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """``0 … counts[i] − 1`` for every ``i``, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``start[i] … start[i] + counts[i] − 1`` for every ``i``, concatenated."""
+    offset = start - np.cumsum(counts) + counts
+    return np.arange(counts.sum()) + np.repeat(offset, counts)
+
+
+#: The β edge table of a block's axis runs when it holds fewer than
+#: this share of the per-pair arguments (two per kept pair): a table
+#: entry costs one erf, a pair's lookup two gathers, so a table only a
+#: little smaller than the pairs' arguments does not pay.
+EDGE_TABLE_SHARE = 0.5
+
+
+def _edge_ranks(lo: np.ndarray, hi: np.ndarray):
+    """``(edges, rank_lo, rank_hi)``: the distinct values of ``lo`` and
+    ``hi`` ascending, and each element's index into them.  Values are
+    told apart by their bits in IEEE total order, so −0.0 sorts before
+    0.0 and keeps its own entry (``erf`` keeps the sign of a zero)."""
+    values = np.concatenate((lo, hi))
+    bits = values.view(np.int64)
+    key = bits ^ ((bits >> 63) & np.int64(2**63 - 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    rank = np.empty(len(key), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return values[order[new]], rank[: len(lo)], rank[len(lo) :]
+
+
+def _beta_axis(p, lo, hi, c, heads, runs, axis, beta: float) -> np.ndarray:
+    """``0.5 · (erf((hi − p)/β) − erf((lo − p)/β))`` for a block's kept
+    pairs, the axis factor of ``_rect_gauss_integral(…, beta)`` bit for
+    bit: ``p``, ``lo``, ``hi`` are the pairs' point coordinates and shot
+    edges, ``c`` their shots, ``heads`` and ``runs`` the first pair and
+    the pair count of each point (pairs come grouped by point) and
+    ``axis`` the shard's :func:`_edge_ranks` of the shots' edges.
+
+    A point's window is the run of distinct edges from the lowest to the
+    highest its kept pairs touch; each window is one row of a table of
+    ``erf((edge − p)/β)``, and a pair gathers its two entries from its
+    point's row — the same floats into erf, so the same out.  The table
+    is taken only while it is smaller than :data:`EDGE_TABLE_SHARE` of
+    the pairs' two arguments each: scattered shots leave many edges of
+    other shots inside a window, and then the pairs' own arguments are
+    evaluated directly.
+    """
+    edges, rank_lo, rank_hi = axis
+    e0, e1 = rank_lo[c], rank_hi[c]
+    # Both ranks of each pair: a shot with lo = 0.0 and hi = −0.0 has
+    # its ranks the wrong way round.
+    first = np.minimum.reduceat(np.minimum(e0, e1), heads)
+    width = np.maximum.reduceat(np.maximum(e0, e1), heads) - first + 1
+    size = int(width.sum())
+    if size >= EDGE_TABLE_SHARE * 2 * len(c):
+        return 0.5 * (_erf_of(hi, p, beta) - _erf_of(lo, p, beta))
+    # Edge j of a point's window sits at table slot shift + j.
+    shift = np.cumsum(width) - width - first
+    table = _erf_of(
+        edges[np.arange(size) - np.repeat(shift, width)],
+        np.repeat(p[heads], width),
+        beta,
+    )
+    slot = np.repeat(shift, runs)
+    return 0.5 * (table[slot + e1] - table[slot + e0])
 
 
 def _kept_entries(
@@ -217,7 +287,7 @@ def _kept_entries(
     shots: Sequence[Shot],
     psf: DoubleGaussianPSF,
     cutoff_factor: float,
-    block: int = 64,
+    block: int = 256,
     term: str = "full",
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The exposure matrix as its within-cutoff entries.
@@ -230,10 +300,14 @@ def _kept_entries(
     are sorted once under a row-major cell key (a cell is a third of the
     longest reach), and each block of ``block`` sample points takes its
     candidate shots as one key range per cell row its window spans.  The
-    distance test runs on those candidates only, the β erf products on
-    exactly the pairs it keeps, the α products on the kept pairs
-    :func:`_alpha_integral` cannot settle without erf.  Elementwise the
-    arithmetic matches :func:`trapezoid_exposure`.
+    distance test runs on those candidates only, and the α products on
+    the kept pairs :func:`_alpha_integral` cannot settle without erf.
+    The β factors come per axis from :func:`_beta_axis`: one erf per
+    sample point and distinct shot edge in the point's window, where
+    that table is well below the kept pairs' own arguments, and the
+    pairs' arguments otherwise.  Every erf goes through :func:`_erf_of`
+    on the same floats either way, so elementwise the arithmetic matches
+    :func:`trapezoid_exposure`.
 
     ``term`` selects the PSF component: ``"full"`` is the double
     Gaussian (σ = β); ``"forward"`` only the α term
@@ -273,9 +347,12 @@ def _kept_entries(
     keys = sy * nx + sx
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    cx_key, cy_key, reach_key = cx[order], cy[order], reach[order]
     # A few ulps of slack: the exact test measures rounded differences,
     # and the window's own arithmetic rounds too.
     pad = far + 4.0 * np.finfo(float).eps * (far + float(np.abs(points).max()))
+    if term == "full":
+        x_axis, y_axis = _edge_ranks(x0, x1), _edge_ranks(y0, y1)
     for i0 in range(0, len(points), block):
         px, py = px_all[i0 : i0 + block], py_all[i0 : i0 + block]
         x_lo = np.maximum(cell_of(px - pad, ox, nx), 0)
@@ -284,17 +361,22 @@ def _kept_entries(
         y_hi = np.minimum(cell_of(py + pad, oy, ny), ny - 1)
         spans = np.where(x_lo <= x_hi, np.maximum(y_hi - y_lo + 1, 0), 0)
         who = np.repeat(np.arange(len(px)), spans)
-        row = (y_lo[who] + _ragged_arange(spans)) * nx
+        row = _ranges(y_lo, spans) * nx
         first = np.searchsorted(keys, row + x_lo[who], "left")
         counts = np.searchsorted(keys, row + x_hi[who], "right") - first
         r = np.repeat(who, counts)
-        c = order[np.repeat(first, counts) + _ragged_arange(counts)]
-        near = np.hypot(px[r] - cx[c], py[r] - cy[c]) <= reach[c]
-        r, c = r[near], c[near]
+        k = _ranges(first, counts)
+        near = np.hypot(px[r] - cx_key[k], py[r] - cy_key[k]) <= reach_key[k]
+        r, c = r[near], order[k[near]]
         pair = (px[r], py[r], x0[c], x1[c], y0[c], y1[c])
         level = _alpha_integral(*pair, psf.alpha)
         if term == "full":
-            level = level + psf.eta * _rect_gauss_integral(*pair, psf.beta)
+            runs = np.bincount(r, minlength=len(px))
+            runs = runs[runs > 0]
+            heads = np.cumsum(runs) - runs
+            ax = _beta_axis(pair[0], pair[2], pair[3], c, heads, runs, x_axis, psf.beta)
+            ay = _beta_axis(pair[1], pair[4], pair[5], c, heads, runs, y_axis, psf.beta)
+            level = level + psf.eta * (ax * ay)
         yield r + i0, c, scale[c] * (level / norm)
 
 
@@ -303,7 +385,7 @@ def _exposure_matrix(
     shots: Sequence[Shot],
     psf: DoubleGaussianPSF,
     cutoff_factor: float,
-    block: int = 64,
+    block: int = 256,
 ) -> np.ndarray:
     """Dense exposure matrix ``K[p, j]`` = level at point p from shot j
     at unit dose: :func:`_kept_entries` scattered into zeros (each
@@ -324,7 +406,7 @@ def _exposure_matrix(
     for rows, cols, values in _kept_entries(
         points, shots, psf, cutoff_factor, block
     ):
-        matrix[rows, cols] = values
+        matrix.reshape(-1)[rows * shape[1] + cols] = values
     return matrix
 
 
@@ -333,7 +415,7 @@ def _exposure_matrix_csr(
     shots: Sequence[Shot],
     psf: DoubleGaussianPSF,
     cutoff_factor: float,
-    block: int = 64,
+    block: int = 256,
     term: str = "full",
 ):
     """CSR exposure matrix: :func:`_kept_entries` concatenated, so

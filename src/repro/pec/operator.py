@@ -35,11 +35,13 @@ interchangeable backends selected by a ``matrix_mode`` knob:
 
 One sweep assembles the matrix of every backend (hybrid's is its
 forward term) — :func:`repro.pec.base._kept_entries`: sample points in
-blocks, each point's candidate shots read off a sorted cell index over
-the shot centres, the distance test on those candidates only, the β erf
-products on exactly the pairs the cutoff keeps and the α ones only where
-their arguments are not saturated.  Assembly therefore scales with the
-interaction count in every mode; the backends differ in what they store
+blocks of 256, each point's candidate shots read off a sorted cell index
+over the shot centres, the distance test on those candidates only, the
+α erf products only on kept pairs whose arguments are not saturated,
+and the β factors from one erf per point and distinct shot edge in its
+window where that table is well below the kept pairs' own arguments
+(from those arguments where it is not).  Assembly therefore scales with
+the interaction count in every mode; the backends differ in what they store
 and how they apply it.  The order the sweep emits entries in does not
 matter: ``csr_matrix((v, (r, c)))`` sorts each row's column indices, so
 the CSR layout, and with it every sparse row sum, is fixed by the

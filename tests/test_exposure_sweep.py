@@ -5,10 +5,13 @@ so "CSR equals dense" no longer checks the sweep itself.  Here both are
 compared, bit for bit, with an all-pairs reference written below (the
 full ``(P, S)`` broadcast of the same expressions, every erf evaluated,
 no blocks, no cell index), on layouts that cross block boundaries, hold
-a reach outlier or sit far from the origin; and the work the sweep does
-is counted — β erf products on the kept pairs only, α erf products only
-where an argument is unsaturated, the distance test on a few times the
-kept pairs, whatever the empty space between them.
+a reach outlier, sit far from the origin, or send a block's β factors
+through the edge table, the per-pair form or one of each; and the work
+the sweep does is counted in erf arguments — for β exactly what the
+kept pairs and the path each block and axis takes imply (recomputed
+here from the oracle's kept pairs), for α four per pair whose
+arguments are not all saturated, and the distance test on a few times
+the kept pairs, whatever the empty space between them.
 """
 
 import numpy as np
@@ -91,6 +94,80 @@ def assert_builders_match(points, shots, cutoff, block, terms=("full", "forward"
             assert dense.tobytes() == expected.tobytes()
 
 
+#: The sweep's default block of sample points.
+BLOCK = 256
+
+
+def total_order(values):
+    """IEEE total-order keys: −0.0 sorts just below, and apart from, 0.0."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    return np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
+
+
+def beta_paths(points, shots, near, block=BLOCK):
+    """Per block of ``block`` points, per axis, ``(table, direct)``: the
+    β erf arguments of an edge table (every distinct shot edge from the
+    lowest to the highest one a point's kept pairs touch, per point) and
+    of the per-pair form (two per kept pair)."""
+    x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
+    rows, cols = np.nonzero(near)
+    starts = np.arange(0, len(points), block)
+    axes = []
+    for lo, hi in ((x0, x1), (y0, y1)):
+        distinct = np.unique(total_order(np.concatenate((lo, hi))))
+        rank_lo = np.searchsorted(distinct, total_order(lo))[cols]
+        rank_hi = np.searchsorted(distinct, total_order(hi))[cols]
+        first = np.full(len(points), len(distinct))
+        last = np.full(len(points), -1)
+        np.minimum.at(first, rows, np.minimum(rank_lo, rank_hi))
+        np.maximum.at(last, rows, np.maximum(rank_lo, rank_hi))
+        width = np.where(last >= 0, last - first + 1, 0)
+        table = np.add.reduceat(width, starts)
+        direct = 2 * np.bincount(rows // block, minlength=len(starts))
+        axes.append(list(zip(table.tolist(), direct.tolist())))
+    return list(zip(*axes))
+
+
+def taken(paths):
+    """The path of each block and axis: the table where it holds fewer
+    than ``EDGE_TABLE_SHARE`` of the per-pair arguments."""
+    return [
+        tuple("table" if t < base.EDGE_TABLE_SHARE * d else "pairs" for t, d in axes)
+        for axes in paths
+    ]
+
+
+def beta_arguments(paths):
+    """β erf arguments a sweep evaluates over the blocks of ``paths``."""
+    return sum(
+        t if path == "table" else d
+        for axes, kinds in zip(paths, taken(paths))
+        for (t, d), path in zip(axes, kinds)
+    )
+
+
+def assert_sweep(points, shots, paths_taken):
+    """The oracle holds on every path, the blocks and axes take
+    ``paths_taken`` (a set of ``(x, y)`` paths), and one sweep hands erf
+    exactly the arguments those paths imply."""
+    assert_builders_match(points, shots, 4.0, BLOCK, terms=("full",))
+    near, _ = all_pairs_reference(points, shots, PSF, 4.0)
+    paths = beta_paths(points, shots, near)
+    assert set(taken(paths)) == paths_taken
+    with pytest.MonkeyPatch.context() as patch:
+        counters = SweepCounters(patch)
+        base._exposure_matrix_csr(points, shots, PSF, 4.0)
+    assert counters.erf_arguments[PSF.beta] == beta_arguments(paths)
+
+
+def square_shots(xs, ys, side):
+    return [
+        Shot(Trapezoid(y, y + side, x, x + side, x, x + side), 1.0)
+        for x in xs
+        for y in ys
+    ]
+
+
 class TestAgainstAllPairsOracle:
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 129, 220])
@@ -105,7 +182,7 @@ class TestAgainstAllPairsOracle:
     def test_across_extents_sampling_and_cutoffs(self, extent, sampling, cutoff):
         shots = scattered_shots(150, extent, seed=int(extent) + int(cutoff))
         points = sample_points(shots, sampling)
-        assert_builders_match(points, shots, cutoff, 64)
+        assert_builders_match(points, shots, cutoff, BLOCK)
 
     def test_points_that_are_not_the_shots_own(self):
         # exposure_at_points evaluates a shot list at foreign points.
@@ -161,6 +238,59 @@ class TestAgainstAllPairsOracle:
                 rims += [rim + k * step * np.spacing(rim) for k in range(-3, 4)]
         assert_builders_match(np.array(rims), shots, 4.0, 64, terms=("full",))
 
+    def test_a_regular_array_takes_the_table(self):
+        shots = square_shots(np.arange(0.0, 40.0, 2.0), np.arange(0.0, 40.0, 2.0), 1.0)
+        points = sample_points(shots, "centroid")
+        assert_sweep(points, shots, {("table", "table")})
+
+    def test_scattered_shots_take_the_pair_arguments(self):
+        shots = scattered_shots(300, 300.0, seed=21)
+        points = sample_points(shots, "edge")
+        assert_sweep(points, shots, {("pairs", "pairs")})
+
+    def test_the_two_axes_of_a_block_take_different_paths(self):
+        # Columns on a 1 µm grid, rows anywhere: few distinct x-edges in
+        # a window, a y-edge for almost every shot.
+        rng = np.random.default_rng(22)
+        shots = [
+            Shot(Trapezoid(y, y + 0.5, x, x + 0.5, x, x + 0.5), 1.0)
+            for x in np.arange(0.0, 40.0)
+            for y in rng.uniform(0.0, 40.0, 12).round(4)
+        ]
+        points = sample_points(shots, "centroid")
+        assert_sweep(points, shots, {("table", "pairs")})
+
+    def test_edges_at_minus_and_plus_zero(self):
+        # A shot from 0.0 to −0.0 wide, sampled at x = 0.0: its β and α
+        # x-factors are 0.5 · (erf(−0.0) − erf(0.0)) = −0.0, and so is
+        # its entry; a table that merged the two zeros would store +0.0.
+        shots = square_shots(
+            np.arange(-10.0, 10.0, 2.0), np.arange(0.0, 20.0, 2.0), 1.0
+        )
+        shots += [
+            Shot(Trapezoid(0.0, 1.0, 0.0, -0.0, 0.0, -0.0), 1.0),
+            Shot(Trapezoid(2.0, 3.0, -1.0, -0.0, -1.0, -0.0), 1.0),
+            Shot(Trapezoid(2.0, 3.0, 0.0, 1.0, 0.0, 1.0), 1.0),
+        ]
+        x0, _, x1, _, _ = base._shot_bbox_arrays(shots)
+        edges = np.concatenate((x0, x1))
+        assert np.signbit(edges[edges == 0.0]).any()
+        assert not np.signbit(edges[edges == 0.0]).all()
+        points = np.vstack([sample_points(shots, "center"), [[0.0, 0.5]]])
+        assert_sweep(points, shots, {("table", "table")})
+        entry = base._exposure_matrix(points, shots, PSF, 4.0)[-1, -3]
+        assert entry == 0.0 and np.signbit(entry)
+
+    def test_a_point_with_a_single_kept_pair(self):
+        # The last point meets one shot, far from the array: its window
+        # is that shot's two edges.
+        shots = square_shots(np.arange(0.0, 20.0, 2.0), np.arange(0.0, 20.0, 2.0), 1.0)
+        shots += square_shots([500.0], [500.0], 1.0)
+        points = sample_points(shots, "centroid")
+        near, _ = all_pairs_reference(points, shots, PSF, 4.0)
+        assert near[-1].sum() == 1
+        assert_sweep(points, shots, {("table", "table")})
+
     def test_unknown_term(self):
         shots = scattered_shots(2, 5.0, seed=0)
         with pytest.raises(ValueError, match="unknown PSF term"):
@@ -171,32 +301,40 @@ class TestAgainstAllPairsOracle:
 
 @pytest.fixture(scope="module")
 def grating_shots():
-    """1,500 two-micron VSB shots: 24 blocks of 64 sample points."""
+    """1,500 two-micron VSB shots: 6 blocks of 256 sample points."""
     lines = [Polygon.rectangle(i * 2.0, 0.0, i * 2.0 + 1.0, 100.0) for i in range(30)]
     return ShotFracturer(max_shot=2.0).fracture_to_shots(lines)
 
 
+@pytest.fixture(scope="module")
+def grating_near(grating_shots):
+    """The grating's centroid sample points and the oracle's kept pairs."""
+    points = sample_points(grating_shots, "centroid")
+    return points, all_pairs_reference(points, grating_shots, PSF, 4.0)[0]
+
+
 class SweepCounters:
-    """Elements handed to the erf integral per PSF range, and elements
-    of every ``hypot`` call (a sweep's distance tests plus one for the
-    shots' half diagonals)."""
+    """Arguments handed to erf per PSF range (at ``_erf_of``, the one
+    call every erf of the sweep goes through), and elements of every
+    ``hypot`` call (a sweep's distance tests plus one for the shots'
+    half diagonals)."""
 
     def __init__(self, monkeypatch):
-        self.erf_elements = {}
+        self.erf_arguments = {}
         self.hypot_elements = 0
-        integral, hypot = base._rect_gauss_integral, np.hypot
+        erf_of, hypot = base._erf_of, np.hypot
 
-        def counted_integral(px, py, x0, x1, y0, y1, sigma):
-            size = np.broadcast(px, py, x0, x1, y0, y1).size
-            self.erf_elements[sigma] = self.erf_elements.get(sigma, 0) + size
-            return integral(px, py, x0, x1, y0, y1, sigma)
+        def counted_erf_of(edge, p, sigma):
+            size = np.broadcast(edge, p).size
+            self.erf_arguments[sigma] = self.erf_arguments.get(sigma, 0) + size
+            return erf_of(edge, p, sigma)
 
         def counted_hypot(a, b):
             out = hypot(a, b)
             self.hypot_elements += out.size
             return out
 
-        monkeypatch.setattr(base, "_rect_gauss_integral", counted_integral)
+        monkeypatch.setattr(base, "_erf_of", counted_erf_of)
         monkeypatch.setattr(np, "hypot", counted_hypot)
 
     def distance_pairs(self, shots):
@@ -240,16 +378,23 @@ class TestErfSaturation:
 
 class TestWorkDone:
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
-    def test_erf_runs_only_where_it_can_matter(self, grating_shots, mode, monkeypatch):
-        points = sample_points(grating_shots, "centroid")
-        near, _ = all_pairs_reference(points, grating_shots, PSF, 4.0)
+    def test_erf_runs_only_where_it_can_matter(
+        self, grating_shots, grating_near, mode, monkeypatch
+    ):
+        points, near = grating_near
         kept = int(near.sum())
         unsettled = unsettled_alpha_pairs(points, grating_shots, near)
         counters = SweepCounters(monkeypatch)
         operator = build_exposure_operator(points, grating_shots, PSF, mode=mode)
         matrix = operator.matrix if mode == "dense" else operator.matrix.toarray()
         assert np.count_nonzero(matrix) == kept
-        assert counters.erf_elements == {PSF.alpha: unsettled, PSF.beta: kept}
+        paths = beta_paths(points, grating_shots, near)
+        assert counters.erf_arguments == {
+            PSF.alpha: 4 * unsettled,
+            PSF.beta: beta_arguments(paths),
+        }
+        assert set(taken(paths)) == {("table", "table")}
+        assert beta_arguments(paths) < 4 * kept
         assert 0 < unsettled < kept / 10
         assert kept <= counters.distance_pairs(grating_shots) <= 3 * kept
 
@@ -262,7 +407,7 @@ class TestWorkDone:
         counters = SweepCounters(monkeypatch)
         base._exposure_matrix_csr(points, shots, PSF, 4.0)
         unsettled = unsettled_alpha_pairs(points, shots, near)
-        assert counters.erf_elements[PSF.alpha] == unsettled
+        assert counters.erf_arguments[PSF.alpha] == 4 * unsettled
 
     def test_forward_term_evaluates_alpha_only(self, grating_shots, monkeypatch):
         points = sample_points(grating_shots, "centroid")
@@ -271,8 +416,8 @@ class TestWorkDone:
         counters = SweepCounters(monkeypatch)
         forward = HybridExposureOperator(points, grating_shots, PSF).forward
         assert forward.nnz == kept
-        assert counters.erf_elements == {
-            PSF.alpha: unsettled_alpha_pairs(points, grating_shots, near)
+        assert counters.erf_arguments == {
+            PSF.alpha: 4 * unsettled_alpha_pairs(points, grating_shots, near)
         }
         # Only a shot's own point is within 4α of it, and its neighbours
         # sit just outside: a few candidates per kept pair, and a tiny
