@@ -56,7 +56,9 @@ from repro.core.recipe import FLAG, number_complaint, require
 from repro.core.stats import ExecutionStats
 from repro.dist.protocol import ProtocolError, recv_frame, send_frame
 
-#: The fleet's wait granularity and the idle worker's wait hint [s].
+#: The fleet's one interval [s]: the coordinator's wait granularity and
+#: every worker daemon's retry, after a ``wait`` reply and after a
+#: refused connection alike.
 POLL_INTERVAL = 0.05
 
 
@@ -637,7 +639,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                 },
                 batch.shard_blobs[lease.position],
             )
-        return {"type": "wait", "hint": POLL_INTERVAL}, b""
+        return {"type": "wait"}, b""
 
     # -- serving -----------------------------------------------------------
 
@@ -646,7 +648,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(
                 target=self.serve_forever,
-                kwargs={"poll_interval": 0.05},
+                kwargs={"poll_interval": POLL_INTERVAL},
                 daemon=True,
                 name="repro-dist-coordinator",
             )

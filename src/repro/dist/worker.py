@@ -62,8 +62,6 @@ class WorkerDaemon:
             lease (``None`` = run until stopped) — lets smoke scripts
             start workers before the coordinator exists and have them
             drain away afterwards.
-        reconnect_delay: sleep between connection attempts while the
-            coordinator is unreachable.
         stop_event: external stop switch (in-process workers).
         throttle: optional ``throttle(position, attempt)`` hook invoked
             before executing a shard — how straggler tests and
@@ -74,14 +72,12 @@ class WorkerDaemon:
         self,
         endpoint: str,
         idle_exit: Optional[float] = None,
-        reconnect_delay: float = 0.2,
         stop_event: Optional[threading.Event] = None,
         throttle: Optional[Callable[[int, int], None]] = None,
         worker_id: Optional[str] = None,
     ) -> None:
         self.address = parse_endpoint(endpoint)
         self.idle_exit = idle_exit
-        self.reconnect_delay = reconnect_delay
         self.stop_event = stop_event if stop_event is not None else threading.Event()
         self.throttle = throttle
         self.worker_id = (
@@ -190,27 +186,24 @@ class WorkerDaemon:
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> int:
-        """Pull and execute leases until stopped; returns leases executed."""
+        """Pull and execute leases until stopped; returns leases executed.
+
+        Without a lease to run — no coordinator yet, or nothing to
+        lease — the daemon asks again after the fleet's one interval,
+        ``POLL_INTERVAL``, so a fresh coordinator meets its fleet within
+        one poll.
+        """
         last_work = time.monotonic()
         while not self.stop_event.is_set():
             try:
                 reply, payload = self._request({"type": "lease"})
             except OSError:
-                if self._idle_expired(last_work):
-                    break
-                if self.stop_event.wait(self.reconnect_delay):
-                    break
-                continue
-            kind = reply.get("type")
-            if kind == "task":
+                reply, payload = {}, b""
+            if reply.get("type") == "task":
                 self._execute(reply, payload)
                 last_work = time.monotonic()
-            else:
-                if self._idle_expired(last_work):
-                    break
-                hint = reply.get("hint", POLL_INTERVAL)
-                if self.stop_event.wait(max(0.01, float(hint))):
-                    break
+            elif self._idle_expired(last_work) or self.stop_event.wait(POLL_INTERVAL):
+                break
         return self.leases_executed
 
     def _idle_expired(self, last_work: float) -> bool:

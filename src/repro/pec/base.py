@@ -198,16 +198,19 @@ def _alpha_integral(px, py, x0, x1, y0, y1, alpha: float) -> np.ndarray:
     made only on the pairs whose product is not known without them.
 
     Where both arguments ``(edge − p)/α`` of one axis saturate on the
-    same side, that factor is ``0.5 · (±1 − ±1)`` = 0.0 and so is the
-    product (the other factor is ≥ 0); where both axes' arguments
-    saturate on opposite sides, each factor is 1.0.  With α far below
-    the shot pitch that leaves the pairs near an edge of their shot.
+    same side, that factor is ``0.5 · (±1 − ±1)`` = +0.0 and so is the
+    product, unless the other factor is −0.0: ``erf(−0.0) − erf(0.0)``,
+    both of its arguments zero, so such a pair is left to erf.  Where
+    both axes' arguments saturate on opposite sides, each factor is
+    1.0.  With α far below the shot pitch that leaves the pairs near an
+    edge of their shot.
     """
     s = ERF_SATURATION
     ux1, ux0 = (x1 - px) / alpha, (x0 - px) / alpha
     uy1, uy0 = (y1 - py) / alpha, (y0 - py) / alpha
     inside = (ux1 >= s) & (ux0 <= -s) & (uy1 >= s) & (uy0 <= -s)
     outside = (ux0 >= s) | (ux1 <= -s) | (uy0 >= s) | (uy1 <= -s)
+    outside &= ((ux1 != 0) | (ux0 != 0)) & ((uy1 != 0) | (uy0 != 0))
     level = inside.astype(float)
     k = np.flatnonzero(~(inside | outside))
     level[k] = _rect_gauss_integral(px[k], py[k], x0[k], x1[k], y0[k], y1[k], alpha)

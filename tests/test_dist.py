@@ -14,6 +14,7 @@ Three levels, cheapest first:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
 import socket
@@ -163,6 +164,62 @@ class StubCoordinator:
         pass
 
 
+class RecordingStop:
+    """A daemon's ``stop_event`` that records each ``wait(timeout)``
+    without sleeping and is set after ``waits`` of them."""
+
+    def __init__(self, waits):
+        self.waits = waits
+        self.timeouts = []
+
+    def is_set(self):
+        return len(self.timeouts) >= self.waits
+
+    def wait(self, timeout):
+        self.timeouts.append(timeout)
+        return self.is_set()
+
+
+@contextlib.contextmanager
+def stand_in_coordinator(reply, connections=None):
+    """Yield ``(endpoint, served)``: a listener that answers every
+    request with the header ``reply`` and appends the request's header
+    to ``served``, closing after ``connections`` requests (``None``:
+    when the block exits).  ``reply=None`` yields a closed port, which
+    refuses every connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()[:2]
+    served = []
+    if reply is None:
+        listener.close()
+        yield f"{host}:{port}", served
+        return
+    done = threading.Event()
+
+    def serve():
+        with listener:
+            listener.settimeout(0.05)
+            while not done.is_set() and len(served) != connections:
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    conn.settimeout(5.0)
+                    header, _ = recv_frame(conn)
+                    send_frame(conn, reply)
+                    served.append(header)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"{host}:{port}", served
+    finally:
+        done.set()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol
 # ---------------------------------------------------------------------------
@@ -240,12 +297,33 @@ class TestProtocol:
         assert "gossip" in reply["message"]
 
     def test_an_idle_worker_is_told_to_wait_one_poll(self, endpoint):
-        # No batch to lease from: the hint is the fleet's own wait.
+        # No batch to lease from: the reply names no interval, the
+        # daemon waits the fleet's own.
         reply, payload = request(
             parse_endpoint(endpoint), {"type": "lease", "worker": "idle"}
         )
-        assert reply == {"type": "wait", "hint": POLL_INTERVAL}
+        assert reply == {"type": "wait"}
         assert payload == b""
+
+    @pytest.mark.parametrize(
+        "reply", [None, {"type": "wait"}, {"type": "wait", "hint": 1e9}]
+    )
+    def test_a_daemon_without_a_lease_waits_one_poll(self, reply):
+        # Refused (no coordinator yet) or told to wait, a daemon asks
+        # again after POLL_INTERVAL, whatever a reply's hint says.
+        stop = RecordingStop(waits=3)
+        with stand_in_coordinator(reply) as (endpoint, _):
+            daemon = WorkerDaemon(endpoint, stop_event=stop)
+            assert daemon.run() == 0
+        assert stop.timeouts == [POLL_INTERVAL] * 3
+
+    def test_a_malformed_wait_reply_does_not_kill_the_daemon(self):
+        with stand_in_coordinator(
+            {"type": "wait", "hint": "soon"}, connections=1
+        ) as (endpoint, served):
+            daemon = WorkerDaemon(endpoint, idle_exit=0.2)
+            assert daemon.run() == 0
+        assert [header["type"] for header in served] == ["lease"]
 
 
 class TestDistPolicy:

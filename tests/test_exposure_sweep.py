@@ -276,10 +276,16 @@ class TestAgainstAllPairsOracle:
         edges = np.concatenate((x0, x1))
         assert np.signbit(edges[edges == 0.0]).any()
         assert not np.signbit(edges[edges == 0.0]).all()
-        points = np.vstack([sample_points(shots, "center"), [[0.0, 0.5]]])
+        # (0.0, 2.5) is beyond the shot's α reach in y: a y-factor of
+        # +0.0 known without erf, times the x-factor −0.0.
+        points = np.vstack([sample_points(shots, "center"), [[0.0, 0.5], [0.0, 2.5]]])
         assert_sweep(points, shots, {("table", "table")})
-        entry = base._exposure_matrix(points, shots, PSF, 4.0)[-1, -3]
-        assert entry == 0.0 and np.signbit(entry)
+        matrix = base._exposure_matrix(points, shots, PSF, 4.0)
+        _, reference = all_pairs_reference(points, shots, PSF, 4.0)
+        for row in (-2, -1):
+            entry = matrix[row, -3]
+            assert entry == 0.0 and np.signbit(entry)
+            assert entry.tobytes() == reference[row, -3].tobytes()
 
     def test_a_point_with_a_single_kept_pair(self):
         # The last point meets one shot, far from the array: its window
@@ -345,7 +351,8 @@ class SweepCounters:
 def unsettled_alpha_pairs(points, shots, near):
     """How many ``near`` pairs have an α product that saturation leaves
     open: neither axis has both arguments ``(edge − p)/α`` saturated
-    with one sign (a factor 0.0), and not all four are saturated (each
+    with one sign (a factor 0.0) or the other axis has both at zero (a
+    factor that may be −0.0), and not all four are saturated (each
     factor then 1.0)."""
     x0, y0, x1, y1, _ = base._shot_bbox_arrays(shots)
     px, py = points[:, :1], points[:, 1:]
@@ -359,7 +366,10 @@ def unsettled_alpha_pairs(points, shots, near):
     flat_x = saturated(ux1) & saturated(ux0) & (np.sign(ux1) == np.sign(ux0))
     flat_y = saturated(uy1) & saturated(uy0) & (np.sign(uy1) == np.sign(uy0))
     across = saturated(ux1) & saturated(ux0) & saturated(uy1) & saturated(uy0)
-    return int((near & ~flat_x & ~flat_y & ~across).sum())
+    # A factor 0.0 settles nothing against a factor that may be −0.0.
+    at_zero = ((ux1 == 0) & (ux0 == 0)) | ((uy1 == 0) & (uy0 == 0))
+    settled = ((flat_x | flat_y) & ~at_zero) | across
+    return int((near & ~settled).sum())
 
 
 class TestErfSaturation:
