@@ -101,7 +101,6 @@ from repro.pec.base import ProximityCorrector
 from repro.physics.psf import DoubleGaussianPSF
 
 # Re-exported: the engine's names callers have always imported from here.
-from repro.core.ladder import ShardRecovery as ShardRecovery
 from repro.core.ladder import shutdown_worker_pool as shutdown_worker_pool
 from repro.core.ladder import warm_worker_pool as warm_worker_pool
 from repro.core.ladder import worker_pool_status as worker_pool_status
@@ -289,6 +288,13 @@ class ExecutionResult:
             self._entries.append(result)
         return len(payload)
 
+    def read_cache_store(self) -> None:
+        """Count the run's cache degradation off its one store: the
+        store stops at its first failure, so a degraded run failed
+        exactly one store, whichever key family it wrote."""
+        self.stats.cache_degraded = self.cache_store.degraded
+        self.stats.cache_write_failures = int(self.cache_store.degraded)
+
     @property
     def report(self) -> FractureReport:
         """The shard reports merged, against the shards' reference
@@ -413,9 +419,10 @@ def _map_shards(
     the in-process serial rung for the rest.  ``faults`` positions are
     the work list's on every rung.
 
-    Returns the ladder: ``results`` in shard order, ``pooled`` (some
-    result came off a pool or a remote worker), the ``recovery`` log
-    (all-zero on a clean run) and the fleet's ``dist`` counters.
+    Returns the ladder: ``results`` in shard order, ``attempts`` per
+    position and ``stats``, the map's counters — ``parallel`` (some
+    result came off a pool or a remote worker), the recovery events
+    (all-zero on a clean run) and the fleet's ``dist`` group.
 
     ``tick`` is invoked once per completed shard (in completion order,
     which is nondeterministic on a pool or a fleet) — it feeds progress
@@ -647,13 +654,15 @@ class ShardedExecutor(FixedKnobs):
         distributed executor) and stored, and every result handed to
         ``sink.add`` in window order — row-major.
 
-        The sink gets its :class:`ExecutionStats` (``prefractured`` says
-        whether the shards carry figures).  Per-shard counters land on
-        it by plain arithmetic; each window's recovery log, pool
-        restarts, cache degradation, distributed counters and streamed
-        witness are gathered on one record, its shard counters zero, and
-        merged by the schema's rules
-        (:meth:`~repro.core.stats.ExecutionStats.merge`).
+        The sink gets the run's one :class:`ExecutionStats`
+        (``prefractured`` says whether the shards carry figures).
+        Per-shard counters land on it by plain arithmetic, each result's
+        kernel counters by :meth:`~repro.core.stats.ExecutionStats.fold`;
+        each window's ladder counts its recovery events and fleet
+        counters onto its own record, merged here by the schema's rules
+        (:meth:`~repro.core.stats.ExecutionStats.merge`); the cache
+        degradation is read off the run's one store
+        (:meth:`ExecutionResult.read_cache_store`).
 
         Injected fault schedules key positions into the run's
         dispatched work list: each window sees the plan rebased by the
@@ -677,8 +686,13 @@ class ShardedExecutor(FixedKnobs):
             dispatch=self.dispatch,
             streamed=sink.streamed,
         )
-        kernel = KernelFallbacks()
-        store = sink.cache_store
+        fleet = None
+        if self.dispatch == "distributed":
+            from repro.dist.run import fleet_rung
+
+            fleet = functools.partial(
+                fleet_rung, endpoint=self.endpoint, policy=self.dist_policy
+            )
         dispatched = 0
         for shards, window_bytes in windows:
             keys: List[Optional[str]] = [None] * len(shards)
@@ -696,15 +710,6 @@ class ShardedExecutor(FixedKnobs):
                         if tick is not None:
                             tick()
             pending = [i for i, hit in enumerate(results) if hit is None]
-            fleet = None
-            if self.dispatch == "distributed":
-                from repro.dist.run import fleet_rung
-
-                fleet = functools.partial(
-                    fleet_rung,
-                    endpoint=self.endpoint,
-                    policy=self.dist_policy,
-                )
             ladder = _map_shards(
                 [shards[i] for i in pending],
                 config,
@@ -716,36 +721,21 @@ class ShardedExecutor(FixedKnobs):
                 fleet,
             )
             dispatched += len(pending)
+            stats.merge(ladder.stats)
             for i, result in zip(pending, ladder.results):
                 results[i] = result
-                if cache is None:
-                    continue
-                stats.cache_misses += 1
-                if not store.degraded and not store(cache.put, keys[i], result):
-                    stats.cache_write_failures += 1
+                if cache is not None:
+                    stats.cache_misses += 1
+                    sink.cache_store(cache.put, keys[i], result)
             for result in results:
                 stats.shard_count += 1
                 if result.shots:
                     stats.occupied_shards += 1
-                kernel.add(result.kernel_fallbacks)
+                stats.fold(result.kernel_fallbacks)
                 window_bytes += sink.add(result)
-            recovery = ladder.recovery
-            window = ExecutionStats(
-                shard_count=0,
-                occupied_shards=0,
-                parallel=ladder.pooled,
-                shard_retries=sum(recovery.retries.values()),
-                shard_timeouts=sum(recovery.timeouts.values()),
-                shards_salvaged=len(recovery.salvaged),
-                pool_restarts=recovery.pool_restarts,
-                cache_degraded=store.degraded,
-                stream_windows=int(sink.streamed),
-                peak_window_bytes=window_bytes,
-            )
-            if ladder.dist is not None:
-                window.merge(ladder.dist)
-            stats.merge(window)
-        stats.fold(kernel)
+            stats.stream_windows += int(sink.streamed)
+            stats.peak_window_bytes = max(stats.peak_window_bytes, window_bytes)
+        sink.read_cache_store()
 
     # -- the two doors ----------------------------------------------------
 

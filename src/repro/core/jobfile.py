@@ -242,6 +242,7 @@ class JobFileWriter:
         self._fh.write(_HEADER.pack(MAGIC, unit, base_dose, self.count))
         self._written = 0
         self._closed = False
+        self._published = False
 
     def write_rows(self, rows: np.ndarray) -> None:
         """Append the figure records of one ``(N, 7)`` shot block."""
@@ -256,15 +257,21 @@ class JobFileWriter:
         self._written += len(rows)
 
     def close(self) -> int:
-        """Publish the file; returns its byte count."""
-        if self._closed:
-            return job_file_bytes(self.count)
-        self._closed = True
-        self._fh.close()
-        if self._written != self.count:
-            self._staging.unlink(missing_ok=True)
-            raise JobFileError(f"declared {self.count} shots but wrote {self._written}")
-        os.replace(self._staging, self.path)
+        """Publish the file; returns its byte count.  Closing again
+        returns it again, but only for a file this writer published: a
+        writer that was aborted or failed its shot count raises."""
+        if not self._closed:
+            self._closed = True
+            self._fh.close()
+            if self._written != self.count:
+                self._staging.unlink(missing_ok=True)
+                raise JobFileError(
+                    f"declared {self.count} shots but wrote {self._written}"
+                )
+            os.replace(self._staging, self.path)
+            self._published = True
+        if not self._published:
+            raise JobFileError("job-file writer closed without publishing")
         return job_file_bytes(self.count)
 
     def abort(self) -> None:

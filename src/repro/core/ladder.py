@@ -24,8 +24,9 @@ re-dispatch up to ``retry.max_attempts`` total attempts with
 deterministic capped backoff, then raise; deterministic exceptions
 raise immediately (retrying a pure function cannot change its outcome).
 Every rung writes the same ``results``, ticks the same progress
-callback once per shard and logs into the same :class:`ShardRecovery`,
-keyed by the shard's position in the map's work list — so an injected
+callback once per shard and counts its recovery events onto the same
+:class:`~repro.core.stats.ExecutionStats` (``_Ladder.stats``); shards
+are keyed by their position in the map's work list — so an injected
 fault plan names the same shard on every rung.
 
 The shard task is injected (``_Ladder(task=…)``): this module knows how
@@ -48,11 +49,12 @@ from concurrent.futures import (
 from concurrent.futures import (
     wait as futures_wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.plan import Shard
 from repro.core.recipe import check_knobs, number_complaint
+from repro.core.stats import ExecutionStats
 
 
 @dataclass(frozen=True)
@@ -197,29 +199,6 @@ class Deadline:
         child = copy.copy(self)
         child.at = at
         return child
-
-
-@dataclass
-class ShardRecovery:
-    """One map call's recovery log, keyed by work-list position.
-
-    All-zero/empty on a clean run — the counters behind the
-    "a degraded run can never look like a clean one" contract.
-
-    ``timeouts`` counts hang-watchdog victims per shard, including
-    shards that were merely queued behind a hung worker when the
-    watchdog fired (a conservative overcount: every re-enqueued
-    in-flight shard is a victim).
-    """
-
-    retries: Dict[int, int] = field(default_factory=dict)
-    salvaged: Set[int] = field(default_factory=set)
-    timeouts: Dict[int, int] = field(default_factory=dict)
-    pool_restarts: int = 0
-
-    @property
-    def retry_total(self) -> int:
-        return sum(self.retries.values())
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -383,15 +362,21 @@ def _noop(value):
 class _Ladder:
     """One map call's recovery state and the local rungs over it.
 
-    ``results`` and ``attempts`` are indexed by work-list position,
-    ``recovery`` is the log the caller attributes, ``pooled`` says
-    whether any result came off a pool or a remote worker, and ``dist``
-    holds the fleet rung's counters, the ``dist`` group of an
-    :class:`~repro.core.stats.ExecutionStats` (``None`` when the map
-    had no fleet rung).  :meth:`finish` is how every rung lands a
-    result; :meth:`pool_rounds` dispatches unfinished shards to the
-    shared pool round after round; :meth:`serial` runs one shard
-    in-process.
+    ``results`` and ``attempts`` are indexed by work-list position;
+    ``stats`` is the map's :class:`~repro.core.stats.ExecutionStats`,
+    its shard counts zero, onto which every rung counts what it saw:
+    retries, pool restarts, salvaged shards (each position once),
+    hang-watchdog victims, ``parallel`` once a pooled or leased result
+    lands, and the fleet rung's ``dist`` counters.  All-zero on a clean
+    run — a degraded run can never look like a clean one.
+    :meth:`finish` is how every rung lands a result; :meth:`pool_rounds`
+    dispatches unfinished shards to the shared pool round after round;
+    :meth:`serial` runs one shard in-process.
+
+    ``shard_timeouts`` counts every in-flight shard when the watchdog
+    fires, including shards merely queued behind a hung worker (a
+    conservative overcount: every re-enqueued in-flight shard is a
+    victim).
     """
 
     shards: List[Shard]
@@ -403,9 +388,8 @@ class _Ladder:
     def __post_init__(self) -> None:
         self.results: List = [None] * len(self.shards)
         self.attempts = [0] * len(self.shards)
-        self.recovery = ShardRecovery()
-        self.pooled = False
-        self.dist = None
+        self.stats = ExecutionStats(shard_count=0, occupied_shards=0)
+        self._salvaged: Set[int] = set()
 
     def _spent(self, position: int) -> bool:
         return self.attempts[position] >= self.retry.max_attempts
@@ -415,7 +399,7 @@ class _Ladder:
         attempt = self.attempts[position]
         self.attempts[position] = attempt + 1
         if attempt > 0:
-            self.recovery.retries[position] = self.recovery.retries.get(position, 0) + 1
+            self.stats.shard_retries += 1
         return position, attempt, self.shards[position]
 
     def finish(self, position: int, result) -> None:
@@ -523,7 +507,7 @@ class _Ladder:
                     except CancelledError as cancelled:
                         exc = cancelled
                     if exc is None:
-                        self.pooled = True
+                        self.stats.parallel = True
                         self.finish(position, future.result())
                     elif isinstance(exc, BrokenExecutor):
                         # A worker died; completed siblings keep their
@@ -542,12 +526,13 @@ class _Ladder:
                 # shards of it still running: no worker may keep them.
                 rebuild = kill_workers = True
             if rebuild:
-                self.recovery.pool_restarts += 1
-                self.recovery.salvaged.update(
+                self.stats.pool_restarts += 1
+                self._salvaged.update(
                     position
                     for position, result in enumerate(self.results)
                     if result is not None
                 )
+                self.stats.shards_salvaged = len(self._salvaged)
                 _shared_pool.recycle(pool, kill_workers=kill_workers)
         return to_serial, failure
 
@@ -558,7 +543,7 @@ class _Ladder:
         failure = None
         for future in outstanding:
             victim = futures[future]
-            self.recovery.timeouts[victim] = self.recovery.timeouts.get(victim, 0) + 1
+            self.stats.shard_timeouts += 1
             if self._spent(victim):
                 failure = TimeoutError(
                     f"shard {victim} timed out on all "

@@ -442,7 +442,7 @@ class PreparationPipeline(FixedKnobs):
                 )
                 # A failed segment-blob store degrades the run like a
                 # failed shard store does.
-                result.execution.fold(result.machine_program)
+                execution.read_cache_store()
         return result
 
     @staticmethod

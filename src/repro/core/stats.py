@@ -112,7 +112,9 @@ class ExecutionStats:
             watchdog (see ``RetryPolicy.shard_timeout``).
         cache_write_failures: failed cache stores this run observed
             before degrading to read-only — shard results in the shard
-            loop, segment blobs in the machine-program export.
+            loop, segment blobs in the machine-program export.  The
+            run's one store stops at its first failure, so this is
+            ``int(cache_degraded)``.
         cache_degraded: the run stopped storing cache entries after a
             write failure (ENOSPC, read-only filesystem) — shard results
             and the export's segment blobs alike, since one store policy
@@ -184,12 +186,8 @@ class ExecutionStats:
     shards_salvaged: int = stat(0, "faults", fault=True, totals="faults")
     pool_restarts: int = stat(0, "faults", fault=True, totals="faults")
     shard_timeouts: int = stat(0, "faults", fault=True, totals="faults")
-    cache_write_failures: int = stat(
-        0, "faults", fault=True, totals="faults", source="MachineProgram"
-    )
-    cache_degraded: bool = stat(
-        False, "faults", merge="any", fault=True, source="MachineProgram"
-    )
+    cache_write_failures: int = stat(0, "faults", fault=True, totals="faults")
+    cache_degraded: bool = stat(False, "faults", merge="any", fault=True)
     cache_evictions: int = stat(0, "faults", totals="faults")
     dispatch: str = stat("local", merge="keep")
     dist_workers: int = _dist(merge="max", alias="workers", totals=None)
@@ -230,7 +228,7 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold ``other`` into this record by each field's merge rule —
-        the shard loop's per-window record, the service's cross-job
+        a ladder's record, a fleet batch's, the service's cross-job
         totals."""
         for f in fields(self):
             rule = _MERGE[f.metadata["merge"]]
@@ -239,8 +237,8 @@ class ExecutionStats:
 
     def fold(self, record) -> None:
         """Fold one engine record (``KernelFallbacks``,
-        ``HierarchicalFractureResult``, ``MachineProgram``) into the
-        fields that name it as their ``source``, by their merge rule."""
+        ``HierarchicalFractureResult``) into the fields that name it as
+        their ``source``, by their merge rule."""
         kind = type(record).__name__
         for f in fields(self):
             source, _, attr = (f.metadata["source"] or "").partition(".")

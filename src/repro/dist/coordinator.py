@@ -551,6 +551,10 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             self._batches.pop(batch_id, None)
 
     def _batch(self, batch_id) -> Optional[_Batch]:
+        """The live batch ``batch_id`` names; ``None`` for an unknown
+        id, and for an id that is not a string (no batch has one)."""
+        if not isinstance(batch_id, str):
+            return None
         with self._lock:
             return self._batches.get(batch_id)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.faults import FaultPlan
@@ -41,8 +40,8 @@ def fleet_rung(
     computes: the preparing process stores every result in its cache,
     fleet results included.  The ladder's deadline bounds the wait and
     every lease; its retry policy is the fleet's attempt budget.  The
-    batch's counters — the ``dist`` group of an
-    :class:`~repro.core.stats.ExecutionStats` — land on ``ladder.dist``.
+    batch's counters — the ``dist`` group, with ``dist_local_fallbacks``
+    the positions handed back — are merged into ``ladder.stats``.
 
     Each shard is published as its ``EBS1`` payload
     (:func:`~repro.core.jobfile.dumps_shard`); only the batch's
@@ -60,7 +59,7 @@ def fleet_rung(
 
     def land_commits() -> None:
         for position, payload in queue.take_new_commits():
-            ladder.pooled = True
+            ladder.stats.parallel = True
             ladder.finish(position, loads_shard_result(payload))
 
     try:
@@ -88,9 +87,9 @@ def fleet_rung(
             ladder.deadline.check()
         # Late commits that raced the loop's last pass.
         land_commits()
-        ladder.dist = replace(queue.stats)
+        ladder.stats.merge(queue.stats)
     finally:
         server.finish_batch(batch.id)
     leftover = [p for p, result in enumerate(ladder.results) if result is None]
-    ladder.dist.dist_local_fallbacks = len(leftover)
+    ladder.stats.dist_local_fallbacks = len(leftover)
     return leftover

@@ -160,13 +160,10 @@ class MachineProgram:
         breakdown: write-time breakdown on the spec's machine, including
             ``data_limited_extra`` when the channel cannot keep up.
         channel: channel-rate check of the stream against the writer.
-        cache_hits / cache_misses: segment-cache accounting.
-        cache_write_failures: failed segment-blob stores before the
-            export degraded to not storing (the program itself is
-            unaffected — cache trouble never fails an export).
-        cache_degraded: the export stopped storing segment blobs after
-            a failed store.  Both fold onto the run's
-            :class:`~repro.core.stats.ExecutionStats`.
+        cache_hits / cache_misses: segment-cache accounting.  A failed
+            segment-blob store is the store policy's to count (the
+            ``store`` :func:`export_program` was given), never the
+            program's: cache trouble never fails an export.
         peak_segment_bytes: largest single segment held in memory while
             streaming — the bounded-memory witness.
     """
@@ -188,8 +185,6 @@ class MachineProgram:
     channel: ChannelCheck = field(default_factory=lambda: ChannelCheck(0.0, 1.0))
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_write_failures: int = 0
-    cache_degraded: bool = False
     peak_segment_bytes: int = 0
 
 
@@ -383,7 +378,9 @@ def export_program(
 
     ``store`` is the run's cache-store policy (a pipeline passes its
     execution's, so a run degraded in the shard loop stores no segment
-    blob either); without one the export gets its own.
+    blob either, and reads the degradation off it once, after the
+    export); without one the export gets its own, whose warning is the
+    only trace of a failed store.
     """
     path = Path(path)
     origin = (job.bounding_box[0], job.bounding_box[1])
@@ -459,12 +456,8 @@ def export_program(
                             result.rows, spec.unit, flash_ns, dwell_ns_area
                         )
                     program.cache_misses += 1
-                    if (
-                        cache is not None
-                        and not store.degraded
-                        and not store(cache.put_blob, key, payload)
-                    ):
-                        program.cache_write_failures += 1
+                    if cache is not None:
+                        store(cache.put_blob, key, payload)
                 else:
                     program.cache_hits += 1
                 if spec.mode == "raster":
@@ -491,7 +484,6 @@ def export_program(
                     f"segment_count promised {segment_count} occupied "
                     f"shards but the cursor produced {emitted}"
                 )
-        program.cache_degraded = store.degraded
         if cache is None:
             program.cache_hits = program.cache_misses = 0
         program.digest = digest.hexdigest()

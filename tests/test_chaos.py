@@ -25,7 +25,7 @@ import time
 import pytest
 
 import conformance
-from chaos import cache_entry_paths, corrupt_entries, faulted
+from chaos import FAST_RETRY, cache_entry_paths, corrupt_entries, faulted
 from repro.core.cache import CacheDegradedWarning, ShardCache
 from repro.core.executor import Deadline, RetryPolicy, shutdown_worker_pool
 from repro.core.faults import (
@@ -294,6 +294,7 @@ class TestCacheFaultScenarios:
         stats = result.execution
         assert stats.cache_write_failures == 1
         assert stats.cache_degraded
+        assert stats.cache_write_failures == int(stats.cache_degraded)
         assert dumps_job(result.job) == clean_job(GRATING)
         # Degraded means read-only: every later put was skipped too.
         assert cache_entry_paths(cache_dir) == []
@@ -304,19 +305,25 @@ class TestCacheFaultScenarios:
         single entry of either family on disk."""
         clean = conformance.reference(GRATING)
         cache_dir = tmp_path / "cache"
+        inner = ShardCache(cache_dir)
+        pipeline = GRATING.pipeline(
+            faults=FaultPlan(enospc_puts=frozenset({0})),
+            retry=FAST_RETRY,
+            cache=inner,
+        )
         with pytest.warns(CacheDegradedWarning) as caught:
-            result = faulted(
-                GRATING,
-                FaultPlan(enospc_puts=frozenset({0})),
-                program_path=tmp_path / "chaos.ebp",
-                cache_dir=cache_dir,
-            )
+            result = pipeline.run(GRATING.layout(), program_path=tmp_path / "chaos.ebp")
         assert len(caught) == 1
         stats = result.execution
         assert stats.cache_write_failures == 1
         assert stats.cache_degraded
-        assert result.machine_program.cache_write_failures == 0
-        assert result.machine_program.cache_degraded
+        assert stats.cache_write_failures == int(stats.cache_degraded)
+        # The first shard store was the only store attempted: no later
+        # shard result and no segment blob reached the cache.
+        assert pipeline.cache.puts_seen == 1
+        assert inner.stats.stores == 0
+        program = result.machine_program
+        assert program.cache_misses == program.segment_count > 0
         assert cache_entry_paths(cache_dir) == []
         assert dumps_job(result.job) == clean.ebj
         assert (tmp_path / "chaos.ebp").read_bytes() == clean.ebp
@@ -329,19 +336,25 @@ class TestCacheFaultScenarios:
         clean = conformance.reference(FZP)
         shards = clean.stats.shard_count
         assert shards > 1
+        inner = ShardCache(tmp_path / "chaos-cache")
+        pipeline = FZP.pipeline(
+            faults=FaultPlan(enospc_puts=frozenset({shards})),
+            retry=FAST_RETRY,
+            cache=inner,
+        )
         with pytest.warns(CacheDegradedWarning) as caught:
-            chaos = faulted(
-                FZP,
-                FaultPlan(enospc_puts=frozenset({shards})),
-                program_path=tmp_path / "chaos.ebp",
-                cache_dir=tmp_path / "chaos-cache",
-            )
+            chaos = pipeline.run(FZP.layout(), program_path=tmp_path / "chaos.ebp")
         assert len(caught) == 1
-        assert chaos.machine_program.cache_write_failures == 1
-        assert chaos.machine_program.cache_degraded
+        # Every shard result was stored; the store that failed is the
+        # one after them — the export's first segment blob — and it was
+        # the last one attempted.
+        assert inner.stats.stores == shards
+        assert pipeline.cache.puts_seen == shards + 1
         stats = chaos.execution
+        assert stats.cache_misses == shards
         assert stats.cache_write_failures == 1
         assert stats.cache_degraded
+        assert stats.cache_write_failures == int(stats.cache_degraded)
         assert stats.fault_events == 2
         (faults_line,) = [line for line in stats.lines() if "faults:" in line]
         assert "1 cache write failures (cache degraded to read-only)" in faults_line
@@ -406,6 +419,7 @@ class TestFullGauntlet:
         assert stats.cache_hits == stats.shard_count - 2
         assert stats.cache_write_failures == 1
         assert stats.cache_degraded
+        assert stats.cache_write_failures == int(stats.cache_degraded)
         assert stats.shard_retries >= 1
         assert stats.pool_restarts >= 1
         assert stats.fault_events > 0

@@ -1206,6 +1206,33 @@ class TestRecipeAndServerPlumbing:
         finally:
             server.server_close()
 
+    def test_a_batch_id_that_is_not_a_string_names_no_batch(self):
+        # Regression: a JSON array or object as ``batch`` made the batch
+        # lookup raise ``TypeError: unhashable type`` in the handler
+        # thread — a traceback, and the connection closed unanswered.
+        # It is an unknown batch: each kind gets its usual reply.
+        server = CoordinatorServer(("127.0.0.1", 0))
+        errors = []
+        server.handle_error = lambda request, address: errors.append(address)
+        server.start()
+        address = server.server_address[:2]
+        replies = {
+            "config": {"type": "gone"},
+            "heartbeat": {"type": "ok", "live": False},
+            "commit": {"type": "gone"},
+            "fail": {"type": "ok"},
+        }
+        try:
+            server.submit_batch([b"a"], b"cfg")
+            for batch in ([1], {}, [], {"id": 1}):
+                for kind, reply in replies.items():
+                    frame = {"type": kind, "batch": batch, "worker": "w"}
+                    frame.update(lease=1, position=0)
+                    assert request(address, frame)[0] == reply, (kind, batch)
+            assert errors == []
+        finally:
+            server.stop()
+
     def test_a_payload_the_worker_cannot_decode_fails_its_batch(self):
         # Regression: a lease blob (or batch config) the daemon could
         # not decode raised out of its loop — no ``fail`` was sent, the

@@ -441,9 +441,9 @@ class TestSharedPoolLifecycle:
         ticks = []
         tick = (lambda: ticks.append(1)) if with_tick else None
         ladder = ex._map_shards(shards, config, workers=2, tick=tick)
-        assert not ladder.pooled
+        assert not ladder.stats.parallel
         assert len(returned) == 1
-        assert ladder.recovery.pool_restarts == 0
+        assert ladder.stats.pool_restarts == 0
         expected = [_process_shard(s, *config) for s in shards]
         assert [
             [shot_key(shot) for shot in r.shots] for r in ladder.results
@@ -514,16 +514,18 @@ class TestFaultRecovery:
             workers=2,
             retry=ex.RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
-        recovery = outcome.recovery
-        assert outcome.pooled
+        stats = outcome.stats
+        assert stats.parallel
         assert recycled == [pools[0]]
-        assert recovery.pool_restarts == 1
-        assert recovery.salvaged == set(range(k))
-        assert recovery.retry_total == 1  # only the shard whose submit broke
+        assert stats.pool_restarts == 1
         # Salvage contract: completed shards keep their results; only
         # the unfinished remainder lands on the fresh pool.
+        assert stats.shards_salvaged == k
         assert pools[0].computed == k
         assert pools[1].computed == n - k
+        # Only the shard whose submit broke was dispatched twice.
+        assert stats.shard_retries == 1
+        assert outcome.attempts == [1] * k + [2] + [1] * (n - k - 1)
         expected = [_process_shard(s, *config) for s in shards]
         assert self._keys(outcome.results) == self._keys(expected)
 
@@ -553,9 +555,11 @@ class TestFaultRecovery:
             faults=plan,
             retry=ex.RetryPolicy(max_attempts=3, backoff_base=0.0),
         )
-        assert outcome.pooled and len(outcome.results) == len(shards)
-        assert outcome.recovery.retries == {2: 1}
-        assert outcome.recovery.pool_restarts == 0
+        assert outcome.stats.parallel and len(outcome.results) == len(shards)
+        assert outcome.attempts[2] == 2
+        assert outcome.attempts[:2] + outcome.attempts[3:] == [1] * (len(shards) - 1)
+        assert outcome.stats.shard_retries == 1
+        assert outcome.stats.pool_restarts == 0
 
     def test_permanent_fault_fails_fast(self):
         from repro.core import executor as ex

@@ -11,9 +11,12 @@ Two frozen surfaces, checked without running them:
   module that starts loading more, or a split that introduces a cycle,
   shows here.
 
-One boundary is checked the same way: nothing under ``repro.dist``
+Two boundaries are checked the same way: nothing under ``repro.dist``
 imports ``repro.core.cache`` — the fleet computes, and the preparing
-process alone stores results.
+process alone stores results; and ``repro.core.ladder`` imports nothing
+from the executor, the pipeline or ``repro.dist`` — its shard task and
+its fleet rung are injected, and it counts onto the leaf
+``repro.core.stats``.
 """
 
 from __future__ import annotations
@@ -102,3 +105,10 @@ def test_the_fleet_holds_no_cache(path):
     # preparing process is the one writer of the shard cache.
     imported = set(imported_modules(path))
     assert "repro.core.cache" not in imported
+
+
+def test_the_ladder_knows_no_caller():
+    imported = set(imported_modules(SRC / "repro" / "core" / "ladder.py"))
+    above = ("repro.core.executor", "repro.core.pipeline", "repro.dist")
+    assert not {name for name in imported if name.startswith(above)}
+    assert "repro.core.stats" in imported

@@ -14,6 +14,7 @@ from repro.core.cache import CACHE_SCHEMA_VERSION, _update, shard_cache_key
 from repro.core.job import MachineJob, ShotFold
 from repro.core.jobfile import (
     JobFileError,
+    JobFileWriter,
     dumps_job,
     dumps_ring,
     dumps_shard,
@@ -128,6 +129,30 @@ class TestFailureModes:
         job = MachineJob([Shot(trapezoid)])
         with pytest.raises(JobFileError, match="slant"):
             dumps_job(job)
+
+    def test_writer_reports_a_size_only_for_a_file_it_published(self, tmp_path):
+        """A second ``close()`` returns the size again only when the
+        first published the file: after ``abort()``, or after a close
+        that refused a short shot count, nothing is at the path and
+        ``close()`` raises instead of reporting bytes."""
+        rows = shot_rows(sample_job().shots)[:2]
+        aborted = JobFileWriter(tmp_path / "aborted.ebj", 2)
+        aborted.write_rows(rows)
+        aborted.abort()
+        with pytest.raises(JobFileError, match="without publishing"):
+            aborted.close()
+        short = JobFileWriter(tmp_path / "short.ebj", 2)
+        short.write_rows(rows[:1])
+        with pytest.raises(JobFileError, match="declared 2 shots but wrote 1"):
+            short.close()
+        with pytest.raises(JobFileError, match="without publishing"):
+            short.close()
+        assert not (tmp_path / "aborted.ebj").exists()
+        assert not (tmp_path / "short.ebj").exists()
+        published = JobFileWriter(tmp_path / "job.ebj", 2)
+        published.write_rows(rows)
+        assert published.close() == published.close() == job_file_bytes(2)
+        assert (tmp_path / "job.ebj").stat().st_size == job_file_bytes(2)
 
 
 class TestAggregateJobs:
