@@ -74,11 +74,11 @@ def run_experiment() -> str:
     return table.render()
 
 
-def test_f7_fzp_case_study(benchmark, save_table):
+def test_f7_fzp_case_study(benchmark, save_table, cold_sweep):
     text = run_experiment()
     save_table("f7_fzp_case_study", text)
     polys = fzp_polygons()
-    benchmark(TrapezoidFracturer().fracture, polys)
+    benchmark(cold_sweep(TrapezoidFracturer().fracture), polys)
 
 
 def test_f7_fidelity_reasonable(benchmark, save_table):

@@ -93,25 +93,25 @@ def run_grid_ablation() -> str:
     return table.render()
 
 
-def test_t2_fracture_quality(benchmark, save_table):
+def test_t2_fracture_quality(benchmark, save_table, cold_sweep):
     save_table("t2_fracture_quality", run_experiment())
     lib = generators.fresnel_zone_plate(zones=12)
     flat = flatten_cell(lib.top_cell())
     polys = [p for v in flat.values() for p in v]
-    benchmark(TrapezoidFracturer().fracture, polys)
+    benchmark(cold_sweep(TrapezoidFracturer().fracture), polys)
 
 
-def test_t2_merge_ablation(benchmark, save_table):
+def test_t2_merge_ablation(benchmark, save_table, cold_sweep):
     save_table("t2a_merge_ablation", run_merge_ablation())
     lib = generators.checkerboard(cells=8)
     flat = flatten_cell(lib.top_cell())
     polys = [p for v in flat.values() for p in v]
-    benchmark(TrapezoidFracturer(merge=False).fracture, polys)
+    benchmark(cold_sweep(TrapezoidFracturer(merge=False).fracture), polys)
 
 
-def test_t2_grid_ablation(benchmark, save_table):
+def test_t2_grid_ablation(benchmark, save_table, cold_sweep):
     save_table("t2b_grid_ablation", run_grid_ablation())
     lib = generators.grating(lines=30)
     flat = flatten_cell(lib.top_cell())
     polys = [p for v in flat.values() for p in v]
-    benchmark(RectangleFracturer(address_unit=0.25).fracture, polys)
+    benchmark(cold_sweep(RectangleFracturer(address_unit=0.25).fracture), polys)

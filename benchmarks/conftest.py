@@ -41,6 +41,26 @@ def quick(request):
     return request.config.getoption("--quick")
 
 
+@pytest.fixture(scope="session")
+def cold_sweep():
+    """``cold_sweep(fn)``: ``fn`` with the fast kernel's kept sweep
+    forgotten before every call.  A bench that times one input over and
+    over would otherwise time the re-emission of a kept sweep, not the
+    kernel (:func:`repro.geometry.scanline_fast.clear_sweep_slot`)."""
+    # Imported here: ``benchmarks/e2e`` runs its tests without ``src``
+    # on the path and must not import the program under test.
+    from repro.geometry.scanline_fast import clear_sweep_slot
+
+    def wrap(fn):
+        def call(*args, **kwargs):
+            clear_sweep_slot()
+            return fn(*args, **kwargs)
+
+        return call
+
+    return wrap
+
+
 def peak_rss_kb() -> int:
     """Peak resident set size of this process so far [KiB]."""
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -12,17 +12,20 @@ Why exactness survives vectorization
 All coordinates are snapped to an int64 grid and bounded by
 :data:`COORD_LIMIT` (= 2**53 database units — checked up front, with a
 *counted* fallback to the reference engine beyond it; see
-:class:`KernelFallbacks`).  Every x coordinate of an edge at a slab
-boundary ``y = bn/bd`` (integer boundaries have ``bd = 1``; boundaries
-created by edge/edge crossings are rational) is the rational ::
+:class:`KernelFallbacks`).  The sweep itself runs on the snapped rings
+moved so their minimum corner is the origin (see "Translated copies"
+below), so in this section ``B`` is the largest *moved* coordinate,
+``0 <= coord <= B <= 2 * COORD_LIMIT``.  Every x coordinate of an edge
+at a slab boundary ``y = bn/bd`` (integer boundaries have ``bd = 1``;
+boundaries created by edge/edge crossings are rational) is the
+rational ::
 
     x = num / den
     num = x0*dy*bd + (bn - y0*bd)*dx
     den = dy*bd            (dy > 0, bd > 0)
 
 and the sweep orders, folds and emits edges purely by that rational,
-through one of three exact order embeddings chosen by the coordinate
-magnitude ``B = max |coord|``:
+through one of three exact order embeddings chosen by ``B``:
 
 * **Float key** (``B <= 2**24``, integer-bounded slabs).  Here ``num =
   x0*dy + (y - y0)*dx`` satisfies ``|num| <= 2*B**2 < 2**53`` (x at an
@@ -45,21 +48,25 @@ magnitude ``B = max |coord|``:
   fractional bits exceed ``2 * bits(dy)``: two distinct fractions with
   denominators below 2**32 differ by more than 2**-64 > 2**-93, so
   truncation to 93 bits preserves both order and distinctness.
-* **Big-integer key** (``B <= 2**53`` integer-bounded slabs, and *all*
+* **Big-integer key** (larger ``B`` on integer-bounded slabs, and *all*
   rational-bounded slabs).  ``num``/``den`` are computed in
   object-dtype arrays of Python ints — exact at any size.  The key is
   ``q`` (fits int64: ``|q| <= B + 1``) plus K adaptive
   :data:`_WORD_BITS`-bit digit words, with K chosen so that ``54*K >=
-  2 * bits(max den)``; the same truncation argument applies.  Crossing
-  denominators are bounded by ``8*B**2`` (a difference of two products
-  of coordinate deltas) and ``dy`` by ``2*B``, so ``bits(den) <= 164``
-  and ``K <= 7`` always; :data:`_MAX_FRACTION_WORDS` (= 8) is a
-  *counted* safety valve, not a reachable limit.
+  2 * bits(max den)``; the same truncation argument applies.  Every
+  coordinate delta is at most ``B``, so crossing denominators (a
+  difference of two products of deltas) are at most ``2*B**2`` and
+  ``dy`` at most ``B``: ``bits(den) <= 164`` and ``K <= 7`` always;
+  :data:`_MAX_FRACTION_WORDS` (= 8) is a *counted* safety valve, not a
+  reachable limit.
 
-Emitted coordinates are correctly rounded in every regime: the float
-key regime divides exactly representable float64 operands; the wider
-regimes divide Python ints (CPython's ``int / int`` is correctly
-rounded) — both match ``float(Fraction(num, den))`` bit for bit.
+The sweep's output is exact: per candidate row its slab, the slab's
+boundary ys ``bn/bd`` and four corner xs ``num/den``, all integers.
+Emitted coordinates are those rationals moved back and correctly
+rounded (:func:`_quotient`): where the moved values allow it, float64
+division of exactly representable operands, else Python ints (CPython's
+``int / int`` is correctly rounded) — both match
+``float(Fraction(num, den))`` bit for bit.
 
 Within a slab no two active edges cross (that is what slab boundaries
 are for), so the reference order "by x at the slab's midline" equals
@@ -104,7 +111,7 @@ and ``f`` in [0, 1) are exact doubles, so ``c`` is the real number ``q +
 f`` rounded once, and rounding is monotone (``(2**24, 1 - 2**-53)`` and
 ``(2**24 + 1, 0.0)`` tie; nothing inverts).  Int64-word and big-integer
 regimes: ``c = float64(q)`` — ``q`` is the most significant key and its
-conversion is one rounding even at ``|q| = 2**53 + 1``.  A fraction word
+conversion is one rounding even at ``|q| = 2**54 + 1``.  A fraction word
 is not added there: that is a second rounding (of the word, then of the
 sum) at a magnitude where doubles are two apart, it would need its own
 argument, and the ties ``float64(q)`` leaves are few.
@@ -190,13 +197,44 @@ scalar merge as before, and increments ``KernelFallbacks.scalar_merge``
 — slower, never different.  No shipped workload trips a guard; random
 self-intersecting polygons on a coarse grid, where many edges pass
 through one lattice point, do about once in a hundred sweeps (guard c).
+
+Translated copies
+-----------------
+A mask is one die stepped at a pitch, and a shard plan whose pitch is
+the die's hands the kernel the same rings again and again, each time
+moved by whole database units.  So the call is two steps.  The exact
+sweep (:func:`_exact_sweep`) runs on the snapped rings moved by ``k`` =
+their own minimum corner and yields its candidate rows as exact
+integers (:class:`_Candidates`); every decision in it — crossings,
+order, winding, which intervals are inside — is a comparison of exact
+rationals and so does not change under a whole-dbu move.  The emission
+(:func:`_emit`) divides ``(num + k*den)/den`` correctly rounded for the
+call's own ``k``, scales by the grid, drops rows whose rendered height
+is zero (a float test, so it is made per call) and hands the rows to
+:func:`merge_rows`.  A float is never shifted: the rows of every call
+are the ones a sweep of its own coordinates would give, bit for bit.
+
+The process keeps one slot: the last exact sweep and its key (the moved
+rings' bytes, the ring offsets, the number of group-A rings, the
+operation and the fill rule — compared byte for byte).  A call whose
+key matches skips the sweep; a miss sweeps and replaces the slot, so at
+most one kept sweep and the one being built are alive.  The lookup
+comes after the :data:`COORD_LIMIT` checks and a sweep that fell back is
+never kept, so every :class:`KernelFallbacks` counter reads what a fresh
+call counts.  The slot is module state, not content: nothing pickled,
+fingerprinted or cache-keyed refers to it, its arrays are read-only, and
+a forked pool worker or a ``work`` daemon keeps its own.  Two threads
+may both miss and sweep; the slot is one reference, swapped whole.
+On the F16 die (20 zones, 2,560 vertices) a kept sweep re-emits in
+≈ 5 ms against ≈ 15–18 ms for a sweep, nearly all of it
+:func:`merge_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,10 +249,11 @@ from repro.geometry.vertex_array import (
 )
 
 #: Largest |coordinate| (in database units) the fast kernel accepts.
-#: Beyond it ``q`` no longer fits the int64 sort key (and the snapped
-#: value itself stops being exactly representable as float64, which the
-#: emitted trapezoids rely on), so the caller falls back to the
-#: Fraction-based reference engine — a counted event, not a silent one.
+#: Beyond it a snapped value stops being exactly representable as
+#: float64, which the emitted trapezoids rely on (below it the moved
+#: coordinates the sweep keys on stay under 2**54, so ``q`` fits the
+#: int64 sort key), so the caller falls back to the Fraction-based
+#: reference engine — a counted event, not a silent one.
 COORD_LIMIT = 1 << 53
 
 #: Largest |coordinate| for the single-float fractional key (the
@@ -438,7 +477,7 @@ def _strict_crossings(
         px = sx0[jj] - sx0[ii]
         py = sy0[jj] - sy0[ii]
         if wide:
-            # Deltas are exact in int64 (|delta| <= 2B <= 2**54); the
+            # Deltas are exact in int64 (|delta| <= B <= 2**54); the
             # cross products below are not — promote to Python ints.
             d1x, d1y = d1x.astype(object), d1y.astype(object)
             d2x, d2y = d2x.astype(object), d2y.astype(object)
@@ -518,7 +557,7 @@ def _keys_object(
     """``(q, w1, .., wK)`` over Python-int arrays, K adaptive so that
     ``54*K >= 2 * den_bits`` — exact for denominators of any size.
 
-    ``q`` and every digit word fit int64 (``|q| <= COORD_LIMIT + 1``,
+    ``q`` and every digit word fit int64 (``|q| <= 2*COORD_LIMIT + 1``,
     ``w < 2**54``), so the emitted key arrays are plain int64 and the
     downstream sort never touches an object."""
     q = num // den
@@ -547,23 +586,25 @@ def _lex_compare(
     return lt, eq
 
 
-def _div_rows(
-    num: np.ndarray, den: np.ndarray, idx: np.ndarray, exact: bool
+def _quotient(
+    num: np.ndarray, den: np.ndarray, k: int, coord_max: int
 ) -> np.ndarray:
-    """Correctly rounded ``num[idx] / den[idx]`` as float64.
+    """Correctly rounded ``(num + k*den) / den`` as float64: a local-frame
+    rational moved back by the whole-dbu shift ``k``.
 
-    ``exact=False`` divides float64 operands (valid when both are
-    exactly representable); ``exact=True`` divides Python ints, whose
-    true division is correctly rounded at any magnitude."""
-    n = num[idx]
-    d = den[idx]
-    if not exact:
-        return n.astype(np.float64) / d.astype(np.float64)
-    if n.dtype != object:
-        n = n.astype(object)
-    if d.dtype != object:
-        d = d.astype(object)
-    return (n / d).astype(np.float64)
+    ``coord_max`` bounds the moved coordinates.  Up to
+    :data:`_INT64_KEY_LIMIT` the moved numerator is exact in int64
+    (``|num + k*den| = |x|*dy <= 2*B**2 < 2**63``); up to
+    :data:`_FLOAT_KEY_LIMIT` it and ``den`` are also exact doubles, so a
+    float64 division is the correctly rounded one.  Otherwise Python
+    ints divide, correctly rounded at any magnitude."""
+    if num.dtype != object and coord_max <= _INT64_KEY_LIMIT:
+        moved = num + k * den
+        if coord_max <= _FLOAT_KEY_LIMIT:
+            return moved.astype(np.float64) / den.astype(np.float64)
+    else:
+        moved = num.astype(object) + k * den.astype(object)
+    return (moved.astype(object) / den.astype(object)).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +663,22 @@ def _sweep_block(
     group: np.ndarray,
     operation: str,
     fill_rule: str,
-    grid: float,
     keys_lo: Tuple[np.ndarray, ...],
     keys_hi: Tuple[np.ndarray, ...],
     num_lo: np.ndarray,
     den_lo: np.ndarray,
     num_hi: np.ndarray,
     den_hi: np.ndarray,
-    b_float: np.ndarray,
-    exact_div: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
     """Sweep one family of slabs given exact per-boundary order keys.
 
     ``(e, s)`` are the (edge, slab) incidence rows of the family;
     ``keys_lo``/``keys_hi`` are the order-embedding key arrays for x at
-    the lower/upper boundary and ``num/den`` the exact rational x used
-    for emission.  Returns ``(slab_ids, rows)`` with one ``(6,)``
-    float64 trapezoid row per kept interior interval, in slab order.
+    the lower/upper boundary and ``num/den`` the exact rational x.
+    Returns ``(slab_ids, x_num, x_den)``: one candidate row per interior
+    interval with width at one boundary at least, in slab order, its
+    four corner xs (``TRAP_COLUMNS`` order) as exact numerators and
+    denominators.
     """
     order = _sweep_order(s, keys_lo, keys_hi)
     e = e[order]
@@ -686,40 +726,19 @@ def _sweep_block(
     right = g_end[closes]
     if len(left) != len(right):  # pragma: no cover - invariant guard
         raise AssertionError("unbalanced interior transitions")
-    if not len(left):
-        return np.empty(0, dtype=np.int64), np.empty((0, 6), dtype=np.float64)
 
     # Exact per-boundary comparisons right-vs-left via the order keys.
     lt0, eq0 = _lex_compare(keys_lo, right, left)
     lt1, eq1 = _lex_compare(keys_hi, right, left)
-    drop = (lt0 | eq0) & (lt1 | eq1)
-
-    xl0 = _div_rows(num_lo, den_lo, left, exact_div)
-    xl1 = _div_rows(num_hi, den_hi, left, exact_div)
-    xr0 = _div_rows(num_lo, den_lo, right, exact_div)
-    xr1 = _div_rows(num_hi, den_hi, right, exact_div)
-    # Guard against coincident-edge inversions, as the reference does
-    # (exact max, applied to the floats).
-    xr0 = np.where(lt0, xl0, xr0)
-    xr1 = np.where(lt1, xl1, xr1)
-    t_all = s[left]
-    ylo_f = b_float[t_all] * grid
-    yhi_f = b_float[t_all + 1] * grid
-    # A slab of sub-ulp exact height renders as zero height in layout
-    # units and carries no area — drop it, as the reference does.
-    keep = ~drop & (yhi_f > ylo_f)
-    t_slab = t_all[keep]
-    rows = np.column_stack(
-        (
-            ylo_f[keep],
-            yhi_f[keep],
-            xl0[keep] * grid,
-            xr0[keep] * grid,
-            xl1[keep] * grid,
-            xr1[keep] * grid,
-        )
-    )
-    return t_slab, rows
+    kept = ~((lt0 | eq0) & (lt1 | eq1))
+    left, right, lt0, lt1 = left[kept], right[kept], lt0[kept], lt1[kept]
+    # Guard against coincident-edge inversions, as the reference does:
+    # a right x left of the left one takes the left one (exact max).
+    x_num, x_den = [], []  # xl0, xr0, xl1, xr1
+    for num, den, lt in ((num_lo, den_lo, lt0), (num_hi, den_hi, lt1)):
+        x_num += [num[left], np.where(lt, num[left], num[right])]
+        x_den += [den[left], np.where(lt, den[left], den[right])]
+    return s[left], tuple(x_num), tuple(x_den)
 
 
 # ---------------------------------------------------------------------------
@@ -830,62 +849,61 @@ def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
     )
 
 
-def sweep_trapezoids_fast(
-    polys_a: Sequence[Polygon],
-    polys_b: Sequence[Polygon],
-    operation: str,
-    fill_rule: str = "nonzero",
-    grid: float = DEFAULT_GRID,
-    merge: bool = True,
-    fallbacks: Optional[KernelFallbacks] = None,
-) -> Optional[Sequence[Trapezoid]]:
-    """Vectorized boolean sweep; bit-identical to the reference engine.
+# ---------------------------------------------------------------------------
+# The exact sweep, its one kept copy, and the emission
+# ---------------------------------------------------------------------------
 
-    The figures come back as a
-    :class:`~repro.geometry.vertex_array.FigureView` over the merged
-    rows — no :class:`Trapezoid` is built unless the merge is handed
-    back to the scalar one.  Returns ``None`` when the snapped coordinates exceed
-    :data:`COORD_LIMIT` or a rational-slab key would exceed
-    :data:`_MAX_FRACTION_WORDS` — the caller is expected to fall back to
-    :func:`repro.geometry.scanline.sweep_trapezoids`.  When
-    ``fallbacks`` is given, every degradation (either ``None`` return,
-    or a merge that :func:`merge_rows` handed back to the scalar one)
-    increments its counters.
-    """
-    polys_a = list(polys_a)
-    polys_b = list(polys_b)
-    coords_a, off_a = stack_polygons(polys_a)
-    coords_b, off_b = stack_polygons(polys_b)
-    peak = 0.0
-    if coords_a.size:
-        peak = float(np.abs(coords_a).max())
-    if coords_b.size:
-        peak = max(peak, float(np.abs(coords_b).max()))
-    if not (peak / grid < _SNAP_SAFE_LIMIT):
-        # Snapping would cast out-of-range floats to int64 (undefined);
-        # such inputs are far beyond COORD_LIMIT regardless.  The check
-        # also catches non-finite coordinates.
-        if fallbacks is not None:
-            fallbacks.coord_limit += 1
-        return None
-    ints_a, off_a = snap_stacked(coords_a, off_a, grid)
-    ints_b, off_b = snap_stacked(coords_b, off_b, grid)
-    ints = np.concatenate([ints_a, ints_b])
-    coord_max = int(np.abs(ints).max()) if len(ints) else 0
-    if coord_max > COORD_LIMIT:
-        if fallbacks is not None:
-            fallbacks.coord_limit += 1
-        return None
-    offsets = np.concatenate([off_a, off_a[-1] + off_b[1:]])
-    groups = np.concatenate(
-        [
-            np.zeros(len(off_a) - 1, dtype=np.int64),
-            np.ones(len(off_b) - 1, dtype=np.int64),
-        ]
-    )
+
+class _Candidates(NamedTuple):
+    """One slab family's candidate rows, exact, in the local frame (the
+    snapped rings moved to their own minimum corner), in slab order: the
+    slab id; the y of the slab's lower and upper boundary as ``y_num /
+    y_den`` (``y_den`` is ``None`` where every boundary is an integer);
+    and the four corner xs as ``x_num / x_den``."""
+
+    slab: np.ndarray
+    y_num: Tuple[np.ndarray, np.ndarray]
+    y_den: Optional[Tuple[np.ndarray, np.ndarray]]
+    x_num: Tuple[np.ndarray, ...]
+    x_den: Tuple[np.ndarray, ...]
+
+
+#: The last sweep that did not fall back, as ``(key, candidates)``; see
+#: "Translated copies" in the module docstring.
+_slot: Optional[Tuple[Optional[tuple], List[_Candidates]]] = None
+
+
+def clear_sweep_slot() -> None:
+    """Make the next call sweep anew; benches that time one input
+    over and over call this before each repetition.
+
+    The kept arrays stay until that sweep replaces them.  Freed here,
+    they would be the top of the heap: the allocator would hand the
+    sweep's freed working memory back to the system with them, and the
+    next sweep would fault it all in again (≈ 2,900 page faults a sweep
+    of the F16 die, against ≈ 170 this way)."""
+    global _slot
+    if _slot is not None:
+        _slot = (None, _slot[1])
+
+
+def _exact_sweep(
+    ints: np.ndarray,
+    offsets: np.ndarray,
+    rings_a: int,
+    operation: str,
+    fill_rule: str,
+) -> Optional[List[_Candidates]]:
+    """Sweep stacked snapped rings whose coordinates are all ``>= 0``
+    (the first ``rings_a`` rings are group A, the rest group B) into
+    exact candidate rows, one :class:`_Candidates` per slab family.
+    Returns ``None`` when a rational-slab key would need more than
+    :data:`_MAX_FRACTION_WORDS` digit words."""
+    groups = (np.arange(len(offsets) - 1) >= rings_a).astype(np.int64)
     x0, y0, x1, y1, winding, group = _edge_table(ints, offsets, groups)
     if len(x0) == 0:
         return []
+    coord_max = int(ints.max())
 
     rational_ys, int_cross = _strict_crossings(
         x0, y0, x1, y1, wide=coord_max > _CROSS_INT64_LIMIT
@@ -913,12 +931,9 @@ def sweep_trapezoids_fast(
         b_isint = np.zeros(n_bounds, dtype=bool)
         b_val[pos_int] = int_b
         b_isint[pos_int] = True
-        # Exact rational value bn/bd of every boundary, plus its
-        # correctly rounded float (== float(Fraction(bn, bd))).
+        # Exact rational value bn/bd of every boundary.
         b_num = np.empty(n_bounds, dtype=object)
         b_den = np.empty(n_bounds, dtype=object)
-        b_float = np.empty(n_bounds, dtype=np.float64)
-        b_float[pos_int] = int_b.astype(np.float64)
         for k in range(n_int):
             i = pos_int[k]
             b_num[i] = int(int_b[k])
@@ -927,13 +942,11 @@ def sweep_trapezoids_fast(
             i = pos_rat[k]
             b_num[i] = rats[k].numerator
             b_den[i] = rats[k].denominator
-            b_float[i] = rats[k].numerator / rats[k].denominator
     else:
         pos_int = np.arange(n_int)
         b_val = int_b
         b_isint = np.ones(n_bounds, dtype=bool)
         b_num = b_den = None
-        b_float = int_b.astype(np.float64)
 
     # Edge -> slab range: spans slabs [index(y0), index(y1)).
     s0 = pos_int[np.searchsorted(int_b, y0)]
@@ -959,7 +972,7 @@ def sweep_trapezoids_fast(
         inc_edge = inc_edge[~rmask]
         inc_slab = inc_slab[~rmask]
 
-    blocks: List[Tuple[np.ndarray, np.ndarray]] = []
+    families: List[_Candidates] = []
 
     # -- integer-bounded slabs ---------------------------------------------
     if len(inc_edge):
@@ -978,11 +991,9 @@ def sweep_trapezoids_fast(
             if coord_max <= _FLOAT_KEY_LIMIT:
                 keys_lo = _keys_float(num_lo, dy)
                 keys_hi = _keys_float(num_hi, dy)
-                exact_div = False
             else:
                 keys_lo = _keys_int64(num_lo, dy)
                 keys_hi = _keys_int64(num_hi, dy)
-                exact_div = True
             den_lo = den_hi = dy
         else:
             dy_o = dy.astype(object)
@@ -994,13 +1005,12 @@ def sweep_trapezoids_fast(
             bits = int(dy.max()).bit_length()
             keys_lo = _keys_object(num_lo, dy_o, bits)
             keys_hi = _keys_object(num_hi, dy_o, bits)
-            exact_div = True
-        blocks.append(
-            _sweep_block(
-                e, s, winding, group, operation, fill_rule, grid,
-                keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
-                b_float, exact_div,
-            )
+        t, x_num, x_den = _sweep_block(
+            e, s, winding, group, operation, fill_rule,
+            keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
+        )
+        families.append(
+            _Candidates(t, (b_val[t], b_val[t + 1]), None, x_num, x_den)
         )
 
     # -- rational-bounded slabs --------------------------------------------
@@ -1023,22 +1033,124 @@ def sweep_trapezoids_fast(
         if -(-2 * bits // _WORD_BITS) > _MAX_FRACTION_WORDS:
             # Safety valve (unreachable by the docstring bound): hand the
             # whole sweep back to the reference engine, counted.
-            if fallbacks is not None:
-                fallbacks.rational_slab += 1
             return None
         keys_lo = _keys_object(num_lo, den_lo, bits)
         keys_hi = _keys_object(num_hi, den_hi, bits)
-        blocks.append(
-            _sweep_block(
-                e, s, winding, group, operation, fill_rule, grid,
-                keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
-                b_float, True,
+        t, x_num, x_den = _sweep_block(
+            e, s, winding, group, operation, fill_rule,
+            keys_lo, keys_hi, num_lo, den_lo, num_hi, den_hi,
+        )
+        families.append(
+            _Candidates(
+                t, (b_num[t], b_num[t + 1]), (b_den[t], b_den[t + 1]),
+                x_num, x_den,
             )
         )
 
-    # -- assemble in slab order and merge, as rows ------------------------
-    if not blocks:
+    for family in families:
+        for array in (family.slab, *family.y_num, *(family.y_den or ()),
+                      *family.x_num, *family.x_den):
+            array.flags.writeable = False
+    return families
+
+
+def _emit(
+    family: _Candidates, kx: int, ky: int, coord_max: int, grid: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``family``'s candidate rows moved back by the whole-dbu shift
+    ``(kx, ky)`` and scaled by ``grid``: ``(slab_ids, rows)`` of the rows
+    kept, one ``(6,)`` float64 trapezoid row each.  ``coord_max`` bounds
+    the moved coordinates (see :func:`_quotient`)."""
+    if family.y_den is None:
+        # Integer boundaries: int64 is exact, and so is the double of a
+        # moved y (|y| <= COORD_LIMIT).
+        y_lo, y_hi = ((y + ky).astype(np.float64) * grid for y in family.y_num)
+    else:
+        y_lo, y_hi = (
+            _quotient(n, d, ky, coord_max) * grid
+            for n, d in zip(family.y_num, family.y_den)
+        )
+    # A slab of sub-ulp exact height renders as zero height in layout
+    # units and carries no area — drop it, as the reference does.
+    keep = y_hi > y_lo
+    xs = [
+        _quotient(n[keep], d[keep], kx, coord_max) * grid
+        for n, d in zip(family.x_num, family.x_den)
+    ]
+    return family.slab[keep], np.column_stack((y_lo[keep], y_hi[keep], *xs))
+
+
+def sweep_trapezoids_fast(
+    polys_a: Sequence[Polygon],
+    polys_b: Sequence[Polygon],
+    operation: str,
+    fill_rule: str = "nonzero",
+    grid: float = DEFAULT_GRID,
+    merge: bool = True,
+    fallbacks: Optional[KernelFallbacks] = None,
+) -> Optional[Sequence[Trapezoid]]:
+    """Vectorized boolean sweep; bit-identical to the reference engine.
+
+    The figures come back as a
+    :class:`~repro.geometry.vertex_array.FigureView` over the merged
+    rows — no :class:`Trapezoid` is built unless the merge is handed
+    back to the scalar one.  Returns ``None`` when the snapped coordinates exceed
+    :data:`COORD_LIMIT` or a rational-slab key would exceed
+    :data:`_MAX_FRACTION_WORDS` — the caller is expected to fall back to
+    :func:`repro.geometry.scanline.sweep_trapezoids`.  When
+    ``fallbacks`` is given, every degradation (either ``None`` return,
+    or a merge that :func:`merge_rows` handed back to the scalar one)
+    increments its counters.  A whole-dbu translation of the previous
+    call's rings re-emits that call's kept sweep instead of sweeping
+    again (see "Translated copies" in the module docstring): the same
+    rows, the same counts.
+    """
+    global _slot
+    polys_a = list(polys_a)
+    polys_b = list(polys_b)
+    coords_a, off_a = stack_polygons(polys_a)
+    coords_b, off_b = stack_polygons(polys_b)
+    peak = 0.0
+    if coords_a.size:
+        peak = float(np.abs(coords_a).max())
+    if coords_b.size:
+        peak = max(peak, float(np.abs(coords_b).max()))
+    if not (peak / grid < _SNAP_SAFE_LIMIT):
+        # Snapping would cast out-of-range floats to int64 (undefined);
+        # such inputs are far beyond COORD_LIMIT regardless.  The check
+        # also catches non-finite coordinates.
+        if fallbacks is not None:
+            fallbacks.coord_limit += 1
+        return None
+    ints_a, off_a = snap_stacked(coords_a, off_a, grid)
+    ints_b, off_b = snap_stacked(coords_b, off_b, grid)
+    ints = np.concatenate([ints_a, ints_b])
+    coord_max = int(np.abs(ints).max()) if len(ints) else 0
+    if coord_max > COORD_LIMIT:
+        if fallbacks is not None:
+            fallbacks.coord_limit += 1
+        return None
+    offsets = np.concatenate([off_a, off_a[-1] + off_b[1:]])
+    corner = ints.min(axis=0) if len(ints) else np.zeros(2, dtype=np.int64)
+    local = ints - corner
+    rings_a = len(off_a) - 1
+    key = (local.tobytes(), offsets.tobytes(), rings_a, operation, fill_rule)
+    kept = _slot
+    if kept is not None and kept[0] == key:
+        families = kept[1]
+    else:
+        families = _exact_sweep(local, offsets, rings_a, operation, fill_rule)
+        if families is None:
+            if fallbacks is not None:
+                fallbacks.rational_slab += 1
+            return None
+        _slot = (key, families)
+    if not families:
         return []
+
+    # -- emit in slab order and merge, as rows ----------------------------
+    kx, ky = (int(v) for v in corner)
+    blocks = [_emit(family, kx, ky, coord_max, grid) for family in families]
     all_rows = np.concatenate([b[1] for b in blocks])
     if len(blocks) > 1:
         all_ids = np.concatenate([b[0] for b in blocks])

@@ -132,13 +132,16 @@ def generated_libraries():
 # ---------------------------------------------------------------------------
 
 #: Offsets that put geometry in each of the kernel's order-embedding
-#: regimes: at/above the old 2**24 fall-back boundary, the int64-key
-#: range (<= 2**31 - 1), and the big-integer range up to the new
-#: 2**53 limit.  Values are database units (tests pass ``grid=1.0``).
+#: regimes: at/above the old 2**24 fall-back boundary, the wide-crossing
+#: limit (2**29), the int64-key range (<= 2**31 - 1), and the
+#: big-integer range up to the 2**53 limit (an extent of up to 2**54
+#: with the mirrored group of :func:`large_coordinate_polygons`).
+#: Values are database units (tests pass ``grid=1.0``).
 LARGE_COORD_OFFSETS = (
     (1 << 24) - 100,
     (1 << 24) + 1,
     1 << 26,
+    (1 << 29) + 1,
     (1 << 31) - 1000,
     (1 << 31) + 1,
     1 << 40,
@@ -171,7 +174,10 @@ def large_coordinate_polygons(draw):
     Draws an offset from :data:`LARGE_COORD_OFFSETS` — every regime
     boundary of the order embedding — with random signs per axis, so
     the fast kernel must stay exact where the old 2**24 embedding gave
-    up.
+    up.  The kernel sweeps the rings moved to their minimum corner, so
+    its regime follows the layout's extent: every other triangle stays
+    at the origin or goes to the mirrored offset, which makes the
+    extent about ``off`` or ``2 * off``.
     """
     off = draw(st.sampled_from(LARGE_COORD_OFFSETS))
     sx = draw(st.sampled_from((-1, 1)))
@@ -179,9 +185,11 @@ def large_coordinate_polygons(draw):
     polys = draw(_triangle_batch(span=120, count=draw(
         st.integers(min_value=2, max_value=12)
     )))
+    other = draw(st.sampled_from((0, -1)))
     return [
-        Polygon([(v.x + sx * off, v.y + sy * off) for v in p.vertices])
-        for p in polys
+        Polygon([(v.x + m * sx * off, v.y + m * sy * off) for v in p.vertices])
+        for i, p in enumerate(polys)
+        for m in [other if i % 2 else 1]
     ]
 
 

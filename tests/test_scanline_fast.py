@@ -253,35 +253,91 @@ class TestCoordinateLimitFallback:
         assert sweep_trapezoids_fast([a], [], "or") is not None
 
 
+def regimes_taken(polys_a, polys_b, operation):
+    """One cold fast call with the order-embedding helpers counted: how
+    many key arrays each regime built (two per slab family: the lower
+    and the upper boundary) and the ``wide`` flag of the crossing
+    search, beside the bit-identity and undegraded-sweep checks."""
+    seen = {"float": 0, "int64": 0, "object": 0, "wide": []}
+    with pytest.MonkeyPatch.context() as patch:
+        for regime in ("float", "int64", "object"):
+            real = getattr(scanline_fast, f"_keys_{regime}")
+
+            def counted(*args, _real=real, _regime=regime):
+                seen[_regime] += 1
+                return _real(*args)
+
+            patch.setattr(scanline_fast, f"_keys_{regime}", counted)
+        real_crossings = scanline_fast._strict_crossings
+
+        def crossings(*args, wide=False):
+            seen["wide"].append(wide)
+            return real_crossings(*args, wide=wide)
+
+        patch.setattr(scanline_fast, "_strict_crossings", crossings)
+        scanline_fast.clear_sweep_slot()
+        assert_fast_path(polys_a, polys_b, operation, grid=1.0)
+    return seen
+
+
+def two_clusters(off):
+    """The triangle cluster at the origin and again at ``(off, -off)``,
+    in both groups: the sweep's extent is ``off + 80`` dbu."""
+    return (
+        shifted_triangles(0, 0) + shifted_triangles(off, -off),
+        shifted_triangles(13, -7) + shifted_triangles(off + 13, -off - 7),
+    )
+
+
+#: ``regimes_taken`` of a sweep with integer-bounded and rational-bounded
+#: slabs, by the extent's regime.  Rational slabs always key on Python
+#: ints; integer slabs take the float, int64 or object keys.
+FLOAT_KEYS = {"float": 2, "int64": 0, "object": 2, "wide": [False]}
+INT64_KEYS = {"float": 0, "int64": 2, "object": 2, "wide": [False]}
+INT64_KEYS_WIDE = {"float": 0, "int64": 2, "object": 2, "wide": [True]}
+OBJECT_KEYS_WIDE = {"float": 0, "int64": 0, "object": 4, "wide": [True]}
+
+
 class TestOrderEmbeddingBoundaries:
     """Pins at every regime boundary of the widened order embedding
-    (grid=1.0 so layout units are database units verbatim)."""
+    (grid=1.0 so layout units are database units verbatim).  The sweep
+    runs on the rings moved to their minimum corner, so the regime
+    follows the layout's extent: each case spans the limit it pins, and
+    checks the regime it lands in."""
 
     def test_old_float_key_boundary_stays_fast(self):
         # 2**24 was the old kernel's hard fallback limit; both sides of
         # it must now run vectorized and bit-identical.
-        for off in ((1 << 24) - 100, 1 << 24, (1 << 24) + 1):
-            assert_fast_path(
-                shifted_triangles(off, off),
-                shifted_triangles(off + 13, off - 7),
-                "xor",
-                grid=1.0,
-            )
+        for off, regime in (
+            ((1 << 24) - 100, FLOAT_KEYS),
+            (1 << 24, INT64_KEYS),
+            ((1 << 24) + 1, INT64_KEYS),
+        ):
+            assert regimes_taken(*two_clusters(off), "xor") == regime
+
+    def test_wide_crossing_boundary_stays_fast(self):
+        # Beyond 2**29 the crossing search's cross products leave int64.
+        for off, regime in (
+            ((1 << 29) - 100, INT64_KEYS),
+            ((1 << 29) + 1, INT64_KEYS_WIDE),
+        ):
+            assert regimes_taken(*two_clusters(off), "xor") == regime
 
     def test_int64_key_boundary_stays_fast(self):
         # 2**31 - 1 separates the pure-int64 keys from the big-integer
         # digit-word keys; both regimes must agree with the oracle.
-        for off in ((1 << 31) - 1000, (1 << 31) + 1):
-            assert_fast_path(
-                shifted_triangles(off, -off),
-                shifted_triangles(off - 29, -off + 11),
-                "or",
-                grid=1.0,
-            )
+        for off, regime in (
+            ((1 << 31) - 1000, INT64_KEYS_WIDE),
+            ((1 << 31) + 1, OBJECT_KEYS_WIDE),
+        ):
+            assert regimes_taken(*two_clusters(off), "or") == regime
 
     def test_full_range_up_to_2_53_stays_fast(self):
         # The docstring proof covers |coord| <= 2**53 inclusive: a
-        # vertex exactly at the limit must still take the fast path.
+        # vertex exactly at the limit must still take the fast path, and
+        # a layout from -2**53 to 2**53 (extent 2**54, the largest the
+        # moved frame sees) whose two long triangles cross mid-span,
+        # where the crossing's cross products exceed int64.
         lim = 1 << 53
         polys = [
             Polygon([(lim - 80, lim - 90), (lim, lim - 25), (lim - 55, lim)]),
@@ -289,6 +345,15 @@ class TestOrderEmbeddingBoundaries:
                      (lim - 30, lim - 5)]),
         ]
         assert_fast_path(polys, (), "or", grid=1.0)
+        span = [
+            Polygon([(-lim, -lim), (lim, lim - 30), (lim - 30, lim)]),
+            Polygon([(-lim, lim), (lim - 30, -lim), (lim, -lim + 30)]),
+        ]
+        far = shifted_triangles(-lim + 20, -lim + 17)
+        for operation in ("or", "xor"):
+            assert regimes_taken(
+                polys + far, span, operation
+            ) == OBJECT_KEYS_WIDE
 
     def test_just_beyond_2_53_falls_back_counted(self):
         # lim + 2, not lim + 1: odd integers above 2**53 are not float64
@@ -365,12 +430,14 @@ class TestRationalSlabVectorization:
         ]
         for operation in ("or", "and", "sub", "xor"):
             assert_fast_path(tris[:6], tris[6:], operation, grid=1.0)
-        # ... including at coordinates that force the big-integer keys.
+        # ... including at an extent that forces the big-integer keys.
         wide = [
             Polygon([(v.x + (1 << 40), v.y - (1 << 40)) for v in p.vertices])
             for p in tris
-        ]
-        assert_fast_path(wide[:6], wide[6:], "xor", grid=1.0)
+        ] + tris
+        assert regimes_taken(
+            wide[:6] + wide[12:18], wide[6:12] + wide[18:], "xor"
+        ) == OBJECT_KEYS_WIDE
 
     @pytest.mark.parametrize("merge", [True, False])
     @pytest.mark.parametrize("fill_rule", ["nonzero", "evenodd"])
@@ -382,6 +449,7 @@ class TestRationalSlabVectorization:
         # back to the reference engine once, counted, and the public
         # entry point's result stays bit-identical.
         monkeypatch.setattr(scanline_fast, "_MAX_FRACTION_WORDS", 0)
+        scanline_fast.clear_sweep_slot()  # a kept sweep would skip the valve
         tri1 = Polygon([(0, 0), (10, 1), (5, 9)])
         tri2 = Polygon([(1, 5), (9, 0), (8, 8)])
         kwargs = dict(grid=1.0, fill_rule=fill_rule, merge=merge)
@@ -626,6 +694,7 @@ class TestSweepOrder:
 
         monkeypatch.setattr(scanline_fast.np, "lexsort", counting_lexsort)
         monkeypatch.setattr(scanline_fast, "_sweep_order", watching_order)
+        scanline_fast.clear_sweep_slot()  # the die must be swept, not kept
         die = flat_polygons(generators.fresnel_zone_plate())
         sweep_trapezoids_fast(die, (), "or")
         assert tied == [0] and handed == []
