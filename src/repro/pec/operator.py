@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.fracture.base import Shot, shot_rows
 from repro.pec.base import _exposure_matrix, _exposure_matrix_csr, _shot_bbox_arrays
-from repro.physics.psf import DoubleGaussianPSF
+from repro.physics.psf import DoubleGaussianPSF, convolve_same
 
 #: The supported exposure-operator backends.
 MATRIX_MODES = ("dense", "sparse", "hybrid")
@@ -408,9 +408,7 @@ class HybridExposureOperator(ExposureOperator):
         self._coeff = psf.eta / (1.0 + psf.eta) / cell**2
 
     def _convolve(self, image: np.ndarray) -> np.ndarray:
-        from scipy.signal import fftconvolve
-
-        return fftconvolve(image, self._kernel, mode="same")
+        return convolve_same(image, self._kernel)
 
     def apply(self, doses: np.ndarray) -> np.ndarray:
         exposure = self.forward @ doses

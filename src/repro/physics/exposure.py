@@ -20,7 +20,7 @@ import numpy as np
 from repro.fracture.base import Shot
 from repro.geometry.rasterize import RasterFrame, _scanline_coverage_rows
 from repro.geometry.trapezoid import Trapezoid
-from repro.physics.psf import DoubleGaussianPSF
+from repro.physics.psf import DoubleGaussianPSF, convolve_same
 
 
 def shot_dose_map(
@@ -99,10 +99,7 @@ class ExposureSimulator:
                 f"dose map shape {dose_map.shape} does not match frame "
                 f"({self.frame.ny}, {self.frame.nx})"
             )
-        # Call-time import: scipy.signal costs ~1.15 s at start-up.
-        from scipy.signal import fftconvolve
-
-        return fftconvolve(dose_map, self._kernel, mode="same")
+        return convolve_same(dose_map, self._kernel)
 
     def expose_shots(
         self, shots: Iterable[Shot], supersample: int = 4

@@ -116,6 +116,39 @@ class DoubleGaussianPSF:
         )
 
 
+def convolve_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """SciPy's ``fftconvolve(image, kernel, mode="same")``, bit for bit,
+    on ``scipy.fft`` alone (non-empty inputs of equal rank).
+
+    It takes fftconvolve's own steps: an axis where either input has
+    length 1 is not transformed (the product broadcasts), every other
+    axis is padded to ``next_fast_len(n, True)`` with ``n`` the full
+    ``s1 + s2 − 1``, and the full convolution is cut to the image's
+    shape, centred by ``(full − s1) // 2``, and copied.  Importing the
+    signal package instead would load ``scipy.stats``, ``scipy.linalg``,
+    ``scipy.ndimage`` and five more (0.4–0.75 s, ≈ 45 MiB) for one
+    function; ``tests/test_psf.py`` keeps fftconvolve as the oracle.
+    """
+    s1, s2 = image.shape, kernel.shape
+    axes = [a for a in range(image.ndim) if s1[a] != 1 and s2[a] != 1]
+    full = [
+        s1[a] + s2[a] - 1 if a in axes else max(s1[a], s2[a])
+        for a in range(image.ndim)
+    ]
+    if not axes:
+        out = image * kernel
+    else:
+        # rfftn reads integer and bool inputs as float64, as
+        # fftconvolve's own cast of integer inputs does.
+        from scipy.fft import irfftn, next_fast_len, rfftn
+
+        fshape = [next_fast_len(full[a], True) for a in axes]
+        spectrum = rfftn(image, fshape, axes=axes) * rfftn(kernel, fshape, axes=axes)
+        out = irfftn(spectrum, fshape, axes=axes)
+    start = [(n - s) // 2 for n, s in zip(full, s1)]
+    return out[tuple(slice(b, b + s) for b, s in zip(start, s1))].copy()
+
+
 def backscatter_range(energy_kev: float, substrate: Material = SILICON) -> float:
     """Empirical backscatter range β(E) [µm].
 

@@ -170,34 +170,52 @@ class TestImportSurface:
     DEMO = (
         "import sys\n"
         "from repro.cli import main\n"
-        "assert main(['demo', '--workload', 'fzp', '--field-size', '15',"
+        "assert main(['demo', '--workload', {workload!r}, '--field-size', '15',"
         " '--machine', 'vsb', '--output', {out!r}{extra}]) == 0"
     )
+
+    def demo_modules(self, tmp_path, extra="", workload="fzp"):
+        out = tmp_path / "out.ebj"
+        script = self.DEMO.format(workload=workload, out=str(out), extra=extra)
+        modules = loaded_modules(script)
+        assert out.stat().st_size > 0
+        return modules
 
     def test_importing_the_cli_loads_no_scipy_or_networkx(self):
         modules = loaded_modules("import sys\nimport repro.cli")
         assert "repro.pec.base" in modules  # the eager package did load
         assert heavy(modules, "scipy", "networkx") == []
 
-    def test_prep_without_pec_never_imports_scipy(self, tmp_path):
-        out = tmp_path / "out.ebj"
-        modules = loaded_modules(self.DEMO.format(out=str(out), extra=""))
+    def test_prep_without_pec_never_imports_scipy_or_numpy_ma(self, tmp_path):
+        modules = self.demo_modules(tmp_path)
         assert heavy(modules, "scipy", "networkx") == []
-        assert out.stat().st_size > 0
-
-    def test_prep_without_pec_never_imports_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma on numpy >= 2.3; the kernel sorts.
-        out = tmp_path / "out.ebj"
-        modules = loaded_modules(self.DEMO.format(out=str(out), extra=""))
         assert heavy(modules, "numpy.ma") == []
-        assert out.stat().st_size > 0
 
     def test_dense_pec_imports_scipy_special_only(self, tmp_path):
-        out = tmp_path / "out.ebj"
-        modules = loaded_modules(self.DEMO.format(out=str(out), extra=", '--pec'"))
+        modules = self.demo_modules(tmp_path, ", '--pec'")
         assert "scipy.special" in modules
         # scipy.sparse belongs to the CSR builder; the dense one scatters.
         unused = ("scipy.sparse", "scipy.signal", "scipy.stats", "networkx")
+        assert heavy(modules, *unused) == []
+
+    def test_hybrid_pec_imports_fft_and_sparse_not_signal(self, tmp_path):
+        modules = self.demo_modules(
+            tmp_path, ", '--pec', '--pec-matrix', 'hybrid'", workload="grating"
+        )
+        assert {"scipy.fft", "scipy.sparse"} <= modules
+        # The β-grid convolution is psf.convolve_same on scipy.fft; the
+        # signal package would drag in the other seven.
+        unused = (
+            "scipy.signal",
+            "scipy.stats",
+            "scipy.spatial",
+            "scipy.linalg",
+            "scipy.ndimage",
+            "scipy.optimize",
+            "scipy.interpolate",
+            "scipy.integrate",
+        )
         assert heavy(modules, *unused) == []
 
 

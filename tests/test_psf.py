@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.fracture.base import Shot
+from repro.geometry.rasterize import RasterFrame
+from repro.geometry.trapezoid import Trapezoid
+from repro.pec.operator import HybridExposureOperator
+from repro.physics.exposure import ExposureSimulator, shot_dose_map
 from repro.physics.materials import GAAS, SILICON
 from repro.physics.psf import (
     DoubleGaussianPSF,
     backscatter_coefficient,
     backscatter_range,
+    convolve_same,
     forward_range,
     psf_for,
 )
@@ -129,3 +135,68 @@ class TestEmpiricalParameters:
             backscatter_range(0.0)
         with pytest.raises(ValueError):
             forward_range(-1.0)
+
+
+def random_pair(image_shape, kernel_shape, dtype=np.float64, seed=0):
+    rng = np.random.default_rng(seed)
+    image = (rng.random(image_shape) * 7.0).astype(dtype)
+    return image, rng.random(kernel_shape)
+
+
+def pad_shots():
+    return [
+        Shot(Trapezoid.from_rectangle(0.0, 0.0, 6.0, 4.0), dose=1.3),
+        Shot(Trapezoid.from_rectangle(7.0, 1.0, 7.5, 9.0)),
+    ]
+
+
+def hybrid_grid_pair():
+    """The β grid and kernel a real hybrid operator convolves."""
+    shots = pad_shots()
+    points = np.array([[3.0, 2.0], [7.25, 5.0], [12.0, -3.0]])
+    psf = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
+    op = HybridExposureOperator(points, shots, psf)
+    grid = (op._scatter @ np.array([1.1, 0.9])).reshape(op._grid_shape)
+    return grid, op._kernel
+
+
+def exposure_dose_pair():
+    """The dose map and kernel of a real exposure frame."""
+    frame = RasterFrame.around((0.0, 0.0, 9.0, 9.0), 0.25, margin=3.0)
+    sim = ExposureSimulator(DoubleGaussianPSF(0.1, 1.5, 0.74), frame)
+    return shot_dose_map(pad_shots(), frame), sim._kernel
+
+
+CONVOLUTION_CASES = {
+    "odd": lambda: random_pair((31, 47), (7, 9)),
+    "even": lambda: random_pair((32, 48), (6, 8)),
+    "kernel-wider-on-one-axis": lambda: random_pair((5, 40), (11, 3)),
+    "kernel-larger-on-both": lambda: random_pair((4, 6), (9, 13)),
+    "image-length-1-axis": lambda: random_pair((1, 30), (5, 5)),
+    "kernel-length-1-axis": lambda: random_pair((20, 17), (1, 7)),
+    "no-transformed-axis": lambda: random_pair((1, 9), (6, 1)),
+    "int64-image": lambda: random_pair((13, 22), (5, 7), np.int64),
+    "bool-image": lambda: random_pair((18, 14), (7, 7), bool),
+    "float32-image": lambda: random_pair((21, 24), (9, 5), np.float32),
+    "hybrid-grid": hybrid_grid_pair,
+    "exposure-frame": exposure_dose_pair,
+}
+
+
+class TestConvolveSame:
+    """The one FFT convolution both the hybrid PEC backend and the
+    exposure simulator call is SciPy's ``fftconvolve(mode="same")`` to
+    the byte, dtype and shape included."""
+
+    @pytest.mark.parametrize("case", CONVOLUTION_CASES)
+    def test_matches_fftconvolve_bit_for_bit(self, case):
+        # Imported here, not at collection: the tests that run before
+        # this one, and the workers they fork, do without its ≈ 400
+        # modules.
+        from scipy.signal import fftconvolve
+
+        image, kernel = CONVOLUTION_CASES[case]()
+        got = convolve_same(image, kernel)
+        want = fftconvolve(image, kernel, mode="same")
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
