@@ -1,7 +1,7 @@
 """F11 — Sparse/hybrid PEC engine scaling.
 
-The dense exposure matrix costs ``n_points × n_shots`` doubles, which
-dominates cold-run time and peak memory beyond a few thousand shots;
+The dense exposure matrix is ``n_points × n_shots`` doubles, and its
+full-width matvec dominates cold-run time beyond a few thousand shots;
 its *assembly* does not — every backend is built by one sweep that
 evaluates only the within-cutoff pairs (:func:`repro.pec.base._kept_entries`),
 so what dense pays beyond sparse is storage and the full-width matvec.
@@ -11,8 +11,11 @@ scales into the tens of thousands:
 
 * **speed** — full ``IterativeDoseCorrector.correct`` wall clock per
   backend;
-* **memory** — operator matrix storage (dense ndarray vs. CSR arrays
-  vs. hybrid CSR + grid);
+* **memory** — operator matrix storage, ``matrix_nbytes`` (dense
+  ndarray vs. CSR arrays vs. hybrid CSR + grid).  The dense figure is
+  the logical ``n_points × n_shots × 8`` bytes: the matrix is an
+  anonymous mapping, so only the pages its entries are written to are
+  resident, and the matvec reads the rest as the kernel's zero page;
 * **work** — per exact backend, ``pairs`` (points × shots), ``kept``
   (within-cutoff entries), ``alpha_unsettled`` (kept pairs whose α erf
   arguments are not saturated enough to fix the product),
@@ -32,10 +35,11 @@ scales into the tens of thousands:
 
 In ``--quick`` mode (the CI bench-smoke job) the 5k-shot case must show
 sparse no slower than dense and sparse matrix memory at ≤ 1/20 of the
-dense baseline; ``evaluated["beta"] == beta_arguments < 4 * kept`` and
-``evaluated["alpha"] == 4 * alpha_unsettled <= 4 * kept`` are asserted
-for both exact modes in every case — counts that repeat exactly, where
-the timing floor alone would let the pruning rot on a fast runner.
+dense baseline's logical size; ``evaluated["beta"] == beta_arguments <
+4 * kept`` and ``evaluated["alpha"] == 4 * alpha_unsettled <= 4 * kept``
+are asserted for both exact modes in every case — counts that repeat
+exactly, where the timing floor alone would let the pruning rot on a
+fast runner.
 """
 
 import contextlib

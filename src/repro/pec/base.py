@@ -13,6 +13,8 @@ measured by the test suite against the FFT exposure engine).
 from __future__ import annotations
 
 import abc
+import errno
+import mmap
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -393,19 +395,34 @@ def _exposure_matrix(
     """Dense exposure matrix ``K[p, j]`` = level at point p from shot j
     at unit dose: :func:`_kept_entries` scattered into zeros (each
     point is in one block and meets each shot at most once, so no pair
-    repeats).  Assembly scales with the kept entries; the storage is
+    repeats).  The zeros are one private anonymous mapping advised off
+    huge pages, so only the 4 KiB pages the scatter writes are backed
+    and every other page reads as the kernel's zero page.  Assembly and
+    resident memory scale with the kept entries; the logical size (what
+    ``matrix_nbytes`` reports) and the full-width matvec are
     ``n_points × n_shots`` doubles regardless."""
     shape = (len(points), len(shots))
+    size = shape[0] * shape[1]
+    if size == 0:
+        return np.zeros(shape)  # mmap refuses length 0
     try:
-        matrix = np.zeros(shape)
-    except MemoryError:
+        pages = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as error:
+        if error.errno != errno.ENOMEM:
+            raise
         raise ValueError(
             f"the dense exposure matrix of one shard, {shape[0]} points x "
-            f"{shape[1]} shots, needs {shape[0] * shape[1] * 8 / 2**30:.1f} "
+            f"{shape[1]} shots, needs {size * 8 / 2**30:.1f} "
             f"GiB and does not fit in memory: split the layout into smaller "
             f"shards (--field-size) or store only the within-cutoff entries "
             f"(--pec-matrix sparse)"
         ) from None
+    try:
+        # A huge page is backed whole on its first write.
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    except OSError:
+        pass  # EINVAL: a kernel without transparent huge pages
+    matrix = np.frombuffer(pages, dtype=float, count=size).reshape(shape)
     for rows, cols, values in _kept_entries(
         points, shots, psf, cutoff_factor, block
     ):

@@ -33,15 +33,16 @@ def update_golden(request):
 
 @pytest.fixture
 def dense_matrix_does_not_fit(monkeypatch, tmp_path):
-    """Fail the dense exposure matrix's allocation — the one 2-D
-    ``np.zeros`` in :mod:`repro.pec.base` — the way numpy fails a
-    58,300-shot shard's 25 GiB.  The worker pool is re-forked around
-    the patch so pooled shards meet it too (and later tests do not);
-    yields a function returning the pids of the processes that tried.
+    """Fail the dense exposure matrix's allocation — the one anonymous
+    ``mmap`` in :mod:`repro.pec.base` — the way the kernel refuses a
+    58,300-shot shard's 25 GiB mapping: ``OSError(ENOMEM)``.  The worker
+    pool is re-forked around the patch so pooled shards meet it too (and
+    later tests do not); yields a function returning the pids of the
+    processes that tried.
     """
+    import errno
+    import mmap
     import os
-
-    import numpy as np
 
     from repro.core.executor import shutdown_worker_pool
     from repro.pec import base
@@ -49,19 +50,17 @@ def dense_matrix_does_not_fit(monkeypatch, tmp_path):
     attempts = tmp_path / "dense-allocation.pids"
     attempts.touch()
 
-    class NumpyWithoutRoom:
+    class MmapWithoutRoom:
         def __getattr__(self, name):
-            return getattr(np, name)
+            return getattr(mmap, name)
 
         @staticmethod
-        def zeros(shape, *args, **kwargs):
-            if np.ndim(shape) == 1 and len(shape) == 2:
-                with attempts.open("a") as log:
-                    log.write(f"{os.getpid()}\n")
-                raise MemoryError(f"Unable to allocate an array with shape {shape}")
-            return np.zeros(shape, *args, **kwargs)
+        def mmap(fileno, length, *args, **kwargs):
+            with attempts.open("a") as log:
+                log.write(f"{os.getpid()}\n")
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
     shutdown_worker_pool()
-    monkeypatch.setattr(base, "np", NumpyWithoutRoom())
+    monkeypatch.setattr(base, "mmap", MmapWithoutRoom())
     yield lambda: {int(pid) for pid in attempts.read_text().split()}
     shutdown_worker_pool()

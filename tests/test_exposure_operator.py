@@ -9,6 +9,8 @@ track the dense reference within a small absolute error.  The
 the CLI.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from hypothesis import strategies as st
 from repro.core.cache import shard_cache_key
 from repro.core.executor import Shard
 from repro.core.pipeline import PreparationPipeline
-from repro.fracture.base import Shot
+from repro.fracture.base import Shot, shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
+from repro.pec import operator as operator_module
 from repro.pec.base import (
+    _kept_entries,
     edge_sample_points,
     exposure_at_points,
     interaction_matrix_at_points,
@@ -38,6 +42,13 @@ from repro.pec.operator import (
     validate_matrix_mode,
 )
 from repro.physics.psf import DoubleGaussianPSF
+from test_exposure_sweep import (
+    alignment_marks,
+    minus_zero_layout,
+    sample_points,
+    scattered_shots,
+    square_shots,
+)
 
 PSF = DoubleGaussianPSF(alpha=0.2, beta=2.0, eta=0.74)
 
@@ -118,6 +129,12 @@ class TestSparseEquivalence:
         assert interaction_matrix_csr(empty, [], PSF).shape == (0, 0)
         op = build_exposure_operator(empty, [], PSF, mode="sparse")
         assert (op @ np.empty(0)).shape == (0,)
+        # No points, no shots or neither: a dense matrix of no bytes,
+        # which no mapping can hold.
+        row = square_shots([0.0, 2.0, 4.0], [0.0], 0.5)
+        for points, shots in ((empty, row), (np.zeros((4, 2)), []), (empty, [])):
+            shape = (len(points), len(shots))
+            assert interaction_matrix_at_points(points, shots, PSF).shape == shape
 
     @settings(max_examples=25, deadline=None)
     @given(shots=shot_lists())
@@ -424,3 +441,81 @@ class TestExposureAtPoints:
                 exposure._pattern_sim.sample(image, x, y) for x, y in points
             ]
             np.testing.assert_allclose(levels, sampled, atol=0.06)
+
+
+# -- the dense matrix's page-backed storage ------------------------------
+
+
+def zeros_backed_matrix(points, shots, psf, cutoff_factor=4.0):
+    """The dense sink on ``np.zeros``: the sweep's entries scattered
+    into memory numpy allocated, as the dense backend once did."""
+    matrix = np.zeros((len(points), len(shots)))
+    for rows, cols, values in _kept_entries(points, shots, psf, cutoff_factor):
+        matrix.reshape(-1)[rows * len(shots) + cols] = values
+    return matrix
+
+
+#: Layouts of ``test_exposure_sweep``.
+SWEEP_LAYOUTS = {
+    "scattered": lambda: scattered_shots(150, 60.0, seed=5),
+    "far_from_origin": lambda: scattered_shots(150, 60.0, seed=5, offset=1e5),
+    "alignment_marks": lambda: alignment_marks(30e3),
+    "regular_array": lambda: square_shots(
+        np.arange(0.0, 40.0, 2.0), np.arange(0.0, 40.0, 2.0), 1.0
+    ),
+}
+
+
+def four_mib_array():
+    """512 squares whose edge-sampled 1,024 × 512 matrix is 4 MiB, the
+    size from which numpy asks for huge pages."""
+    return square_shots(np.arange(0.0, 64.0, 2.0), np.arange(0.0, 32.0, 2.0), 1.0)
+
+
+class TestPageBackedDenseMatrix:
+    """The dense matrix lives in an anonymous mapping whose unwritten
+    pages read as the kernel's zero page; its bytes, its matvec and the
+    doses solved through it are those of the ``np.zeros`` matrix."""
+
+    @staticmethod
+    def assert_same_operator(points, shots):
+        operator = build_exposure_operator(points, shots, PSF, mode="dense")
+        expected = zeros_backed_matrix(points, shots, PSF)
+        owner = operator.matrix
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner.obj, mmap.mmap)  # through frombuffer's view
+        assert operator.matrix.flags.c_contiguous
+        assert operator.matrix.tobytes() == expected.tobytes()
+        rng = np.random.default_rng(len(shots))
+        for doses in (
+            np.ones(len(shots)),
+            shot_rows(shots)[:, 6].copy(),
+            rng.uniform(0.1, 4.0, len(shots)),
+        ):
+            assert (operator @ doses).tobytes() == (expected @ doses).tobytes()
+        return operator
+
+    @pytest.mark.parametrize("sampling", ["centroid", "edge"])
+    @pytest.mark.parametrize("layout", sorted(SWEEP_LAYOUTS))
+    def test_matrix_and_matvec_bytes(self, layout, sampling):
+        shots = SWEEP_LAYOUTS[layout]()
+        self.assert_same_operator(sample_points(shots, sampling), shots)
+
+    def test_a_matrix_numpy_would_put_on_huge_pages(self):
+        shots = four_mib_array()
+        operator = self.assert_same_operator(sample_points(shots, "edge"), shots)
+        assert operator.matrix_nbytes >= 4 * 2**20
+
+    def test_minus_zero_entries(self):
+        points, shots = minus_zero_layout()
+        operator = self.assert_same_operator(points, shots)
+        assert np.signbit(operator.matrix[-2:, -3]).all()
+
+    def test_iterative_doses(self, monkeypatch):
+        shots = SWEEP_LAYOUTS["scattered"]()
+        corrector = IterativeDoseCorrector(sample_mode="edge", matrix_mode="dense")
+        doses = shot_rows(corrector.correct(shots, PSF))[:, 6].copy()
+        monkeypatch.setattr(operator_module, "_exposure_matrix", zeros_backed_matrix)
+        expected = shot_rows(corrector.correct(shots, PSF))[:, 6].copy()
+        assert doses.tobytes() == expected.tobytes()

@@ -168,6 +168,24 @@ def square_shots(xs, ys, side):
     ]
 
 
+def minus_zero_layout():
+    """``(points, shots)``: a square array, a shot from 0.0 to −0.0 wide
+    and two more, sampled at the shot centres and at (0.0, 0.5) and
+    (0.0, 2.5).  At x = 0.0 that shot's β and α x-factors are
+    0.5 · (erf(−0.0) − erf(0.0)) = −0.0, and so are its entries in the
+    last two rows; a table that merged the two zeros would store +0.0.
+    (0.0, 2.5) is beyond the shot's α reach in y: a y-factor of +0.0
+    known without erf, times the x-factor −0.0."""
+    shots = square_shots(np.arange(-10.0, 10.0, 2.0), np.arange(0.0, 20.0, 2.0), 1.0)
+    shots += [
+        Shot(Trapezoid(0.0, 1.0, 0.0, -0.0, 0.0, -0.0), 1.0),
+        Shot(Trapezoid(2.0, 3.0, -1.0, -0.0, -1.0, -0.0), 1.0),
+        Shot(Trapezoid(2.0, 3.0, 0.0, 1.0, 0.0, 1.0), 1.0),
+    ]
+    points = np.vstack([sample_points(shots, "center"), [[0.0, 0.5], [0.0, 2.5]]])
+    return points, shots
+
+
 class TestAgainstAllPairsOracle:
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 129, 220])
@@ -261,24 +279,11 @@ class TestAgainstAllPairsOracle:
         assert_sweep(points, shots, {("table", "pairs")})
 
     def test_edges_at_minus_and_plus_zero(self):
-        # A shot from 0.0 to −0.0 wide, sampled at x = 0.0: its β and α
-        # x-factors are 0.5 · (erf(−0.0) − erf(0.0)) = −0.0, and so is
-        # its entry; a table that merged the two zeros would store +0.0.
-        shots = square_shots(
-            np.arange(-10.0, 10.0, 2.0), np.arange(0.0, 20.0, 2.0), 1.0
-        )
-        shots += [
-            Shot(Trapezoid(0.0, 1.0, 0.0, -0.0, 0.0, -0.0), 1.0),
-            Shot(Trapezoid(2.0, 3.0, -1.0, -0.0, -1.0, -0.0), 1.0),
-            Shot(Trapezoid(2.0, 3.0, 0.0, 1.0, 0.0, 1.0), 1.0),
-        ]
+        points, shots = minus_zero_layout()
         x0, _, x1, _, _ = base._shot_bbox_arrays(shots)
         edges = np.concatenate((x0, x1))
         assert np.signbit(edges[edges == 0.0]).any()
         assert not np.signbit(edges[edges == 0.0]).all()
-        # (0.0, 2.5) is beyond the shot's α reach in y: a y-factor of
-        # +0.0 known without erf, times the x-factor −0.0.
-        points = np.vstack([sample_points(shots, "center"), [[0.0, 0.5], [0.0, 2.5]]])
         assert_sweep(points, shots, {("table", "table")})
         matrix = base._exposure_matrix(points, shots, PSF, 4.0)
         _, reference = all_pairs_reference(points, shots, PSF, 4.0)
