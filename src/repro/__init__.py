@@ -23,85 +23,50 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reconstructed evaluation.
 """
 
-from repro.geometry import Point, Polygon, Region, Transform, Trapezoid
-from repro.layout import Cell, CellArray, CellReference, Layer, Library
-from repro.fracture import (
-    RectangleFracturer,
-    Shot,
-    ShotFracturer,
-    TrapezoidFracturer,
-)
-from repro.physics import (
-    DoubleGaussianPSF,
-    ExposureSimulator,
-    MonteCarloSimulator,
-    Resist,
-    psf_for,
-)
-from repro.machine import (
-    Column,
-    DeflectionField,
-    RasterScanWriter,
-    ShapedBeamWriter,
-    Stage,
-    StitchingModel,
-    VectorScanWriter,
-)
-from repro.pec import (
-    GhostCorrector,
-    IterativeDoseCorrector,
-    MatrixDoseCorrector,
-    ShapeBiasCorrector,
-)
-from repro.core import (
-    FidelityReport,
-    MachineJob,
-    PipelineResult,
-    PreparationPipeline,
-    compare_machines,
-    fidelity_report,
-)
-from repro.analysis import ThroughputModel
+from repro._facade import facade
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Point",
-    "Polygon",
-    "Region",
-    "Transform",
-    "Trapezoid",
-    "Cell",
-    "CellArray",
-    "CellReference",
-    "Layer",
-    "Library",
-    "Shot",
-    "TrapezoidFracturer",
-    "RectangleFracturer",
-    "ShotFracturer",
-    "DoubleGaussianPSF",
-    "psf_for",
-    "ExposureSimulator",
-    "MonteCarloSimulator",
-    "Resist",
-    "Column",
-    "Stage",
-    "DeflectionField",
-    "StitchingModel",
-    "RasterScanWriter",
-    "VectorScanWriter",
-    "ShapedBeamWriter",
-    "IterativeDoseCorrector",
-    "MatrixDoseCorrector",
-    "ShapeBiasCorrector",
-    "GhostCorrector",
-    "MachineJob",
-    "PreparationPipeline",
-    "PipelineResult",
-    "FidelityReport",
-    "fidelity_report",
-    "compare_machines",
-    "ThroughputModel",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "Point": "geometry.point",
+        "Polygon": "geometry.polygon",
+        "Region": "geometry.region",
+        "Transform": "geometry.transform",
+        "Trapezoid": "geometry.trapezoid",
+        "Cell": "layout.cell",
+        "CellArray": "layout.reference",
+        "CellReference": "layout.reference",
+        "Layer": "layout.layer",
+        "Library": "layout.library",
+        "Shot": "fracture.base",
+        "TrapezoidFracturer": "fracture.trapezoidal",
+        "RectangleFracturer": "fracture.rectangles",
+        "ShotFracturer": "fracture.shots",
+        "DoubleGaussianPSF": "physics.psf",
+        "psf_for": "physics.psf",
+        "ExposureSimulator": "physics.exposure",
+        "MonteCarloSimulator": "physics.montecarlo",
+        "Resist": "physics.resist",
+        "Column": "machine.column",
+        "Stage": "machine.stage",
+        "DeflectionField": "machine.deflection",
+        "StitchingModel": "machine.stitching",
+        "RasterScanWriter": "machine.raster",
+        "VectorScanWriter": "machine.vector",
+        "ShapedBeamWriter": "machine.vsb",
+        "IterativeDoseCorrector": "pec.dose_iter",
+        "MatrixDoseCorrector": "pec.dose_matrix",
+        "ShapeBiasCorrector": "pec.shape_bias",
+        "GhostCorrector": "pec.ghost",
+        "MachineJob": "core.job",
+        "PreparationPipeline": "core.pipeline",
+        "PipelineResult": "core.pipeline",
+        "FidelityReport": "core.metrics",
+        "fidelity_report": "core.metrics",
+        "compare_machines": "core.compare",
+        "ThroughputModel": "analysis.throughput",
+    },
+)
+__all__.append("__version__")

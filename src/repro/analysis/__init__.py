@@ -1,19 +1,16 @@
 """Wafer-level throughput analysis and report tables."""
 
-from repro.analysis.throughput import ThroughputModel, ThroughputReport
-from repro.analysis.tables import format_table, Table
-from repro.analysis.verify import (
-    DefectSite,
-    VerificationReport,
-    verify_patterns,
-)
+from repro._facade import facade
 
-__all__ = [
-    "ThroughputModel",
-    "ThroughputReport",
-    "format_table",
-    "Table",
-    "DefectSite",
-    "VerificationReport",
-    "verify_patterns",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "ThroughputModel": "throughput",
+        "ThroughputReport": "throughput",
+        "format_table": "tables",
+        "Table": "tables",
+        "DefectSite": "verify",
+        "VerificationReport": "verify",
+        "verify_patterns": "verify",
+    },
+)

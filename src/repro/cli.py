@@ -18,6 +18,7 @@ traceback — so smoke scripts and CI fail loudly and readably.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import fields
 from functools import partial
@@ -25,12 +26,28 @@ from typing import List, Optional
 
 from repro.analysis.tables import Table
 from repro.core.recipe import POSITIVE, PrepRecipe, flag_of, whole
-from repro.layout import generators
-from repro.layout.stats import library_stats
 from repro.layout.stream import open_layout_stream
 
 
 _LAYOUT_FILE_HELP = "input layout file: GDSII stream, or CIF when named *.cif"
+
+#: What a prep imports beyond this module, by its roots.  The long-lived
+#: ``serve`` and ``work`` import it at start: their first job is timed
+#: like the rest, and a pool they fork inherits it (README "Fork note").
+_PREP_PATH = (
+    "repro.core.pipeline",
+    "repro.fracture.shots",
+    "repro.machine.program",
+    "repro.machine.raster",
+    "repro.machine.vector",
+    "repro.machine.vsb",
+    "repro.pec.dose_iter",
+)
+
+
+def _load_prep_path() -> None:
+    for name in _PREP_PATH:
+        importlib.import_module(name)
 
 
 def _recipe_from_args(args: argparse.Namespace) -> PrepRecipe:
@@ -145,6 +162,8 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from repro.layout.stats import library_stats
+
     with open_layout_stream(args.gdsii) as stream:
         library = stream.materialize()
     stats = library_stats(library)
@@ -164,6 +183,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import create_server
 
+    _load_prep_path()
     work_dir = Path(args.work_dir)
     if args.no_cache:
         cache_dir = None
@@ -202,11 +222,14 @@ def cmd_work(args: argparse.Namespace) -> int:
     from repro.dist.protocol import parse_endpoint
     from repro.dist.worker import run_worker
 
+    _load_prep_path()
     parse_endpoint(args.connect)
     return run_worker(args.connect, idle_exit=args.idle_exit)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.layout import generators
+
     # full_reticle is the out-of-core showcase: a tiles×tiles zone-plate
     # mosaic, sized by --tiles instead of baked into the workload table.
     sized = {"full_reticle": partial(generators.full_reticle, tiles=args.tiles)}

@@ -13,80 +13,45 @@ flow that connects all the substrates:
    (:mod:`repro.core.metrics`).
 """
 
-from repro.core.cache import (
-    CacheDegradedWarning,
-    CacheStats,
-    ShardCache,
-    fingerprint,
-    shard_cache_key,
-)
-from repro.core.executor import (
-    ExecutionResult,
-    ExecutionStats,
-    RetryPolicy,
-    Shard,
-    ShardedExecutor,
-    ShardOverlapWarning,
-    plan_shards,
-    shutdown_worker_pool,
-    warm_worker_pool,
-)
-from repro.core.faults import (
-    FaultPlan,
-    FaultyCache,
-    InjectedFaultError,
-    TransientFaultError,
-)
-from repro.core.job import MachineJob
-from repro.core.pipeline import PreparationPipeline, PipelineResult
-from repro.core.metrics import FidelityReport, fidelity_report
-from repro.core.compare import compare_machines, MachineComparison
-from repro.core.fields import (
-    FieldedJob,
-    deflection_travel,
-    order_shots,
-    partition_fields,
-)
-from repro.core.jobfile import read_job, write_job, dumps_job, loads_job
-from repro.core.hierarchical import (
-    HierarchicalFractureResult,
-    fracture_hierarchical,
-)
+from repro._facade import facade
 
-__all__ = [
-    "CacheDegradedWarning",
-    "CacheStats",
-    "ExecutionResult",
-    "ExecutionStats",
-    "FaultPlan",
-    "FaultyCache",
-    "HierarchicalFractureResult",
-    "InjectedFaultError",
-    "RetryPolicy",
-    "Shard",
-    "TransientFaultError",
-    "ShardCache",
-    "ShardOverlapWarning",
-    "ShardedExecutor",
-    "fingerprint",
-    "fracture_hierarchical",
-    "plan_shards",
-    "shard_cache_key",
-    "shutdown_worker_pool",
-    "warm_worker_pool",
-    "MachineJob",
-    "PreparationPipeline",
-    "PipelineResult",
-    "FidelityReport",
-    "fidelity_report",
-    "compare_machines",
-    "MachineComparison",
-    "FieldedJob",
-    "partition_fields",
-    "order_shots",
-    "deflection_travel",
-    "read_job",
-    "write_job",
-    "dumps_job",
-    "loads_job",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "CacheDegradedWarning": "cache",
+        "CacheStats": "cache",
+        "ExecutionResult": "executor",
+        "ExecutionStats": "stats",
+        "FaultPlan": "faults",
+        "FaultyCache": "faults",
+        "HierarchicalFractureResult": "hierarchical",
+        "InjectedFaultError": "faults",
+        "RetryPolicy": "ladder",
+        "Shard": "plan",
+        "TransientFaultError": "faults",
+        "ShardCache": "cache",
+        "ShardOverlapWarning": "plan",
+        "ShardedExecutor": "executor",
+        "fingerprint": "cache",
+        "fracture_hierarchical": "hierarchical",
+        "plan_shards": "plan",
+        "shard_cache_key": "cache",
+        "shutdown_worker_pool": "ladder",
+        "warm_worker_pool": "ladder",
+        "MachineJob": "job",
+        "PreparationPipeline": "pipeline",
+        "PipelineResult": "pipeline",
+        "FidelityReport": "metrics",
+        "fidelity_report": "metrics",
+        "compare_machines": "compare",
+        "MachineComparison": "compare",
+        "FieldedJob": "fields",
+        "partition_fields": "fields",
+        "order_shots": "fields",
+        "deflection_travel": "fields",
+        "read_job": "jobfile",
+        "write_job": "jobfile",
+        "dumps_job": "jobfile",
+        "loads_job": "jobfile",
+    },
+)

@@ -62,6 +62,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Iterable,
     Iterator,
@@ -97,14 +98,16 @@ from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.vertex_array import sequential_sum
-from repro.pec.base import ProximityCorrector
-from repro.physics.psf import DoubleGaussianPSF
 
 # Re-exported: the engine's names callers have always imported from here.
 from repro.core.ladder import shutdown_worker_pool as shutdown_worker_pool
 from repro.core.ladder import warm_worker_pool as warm_worker_pool
 from repro.core.ladder import worker_pool_status as worker_pool_status
 from repro.core.plan import ShardOverlapWarning as ShardOverlapWarning
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pec.base import ProximityCorrector
+    from repro.physics.psf import DoubleGaussianPSF
 
 
 class SpillDegradedWarning(UserWarning):

@@ -48,11 +48,11 @@ from repro.layout.stream import (
     open_layout_stream,
 )
 from repro.machine.base import Machine, WriteTimeBreakdown
-from repro.pec.base import ProximityCorrector
-from repro.physics.psf import DoubleGaussianPSF
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.machine.program import MachineProgram
+    from repro.pec.base import ProximityCorrector
+    from repro.physics.psf import DoubleGaussianPSF
 
 def _program_slug(name: str) -> str:
     """A filesystem-safe stem for per-job program files."""

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
-from repro.pec.operator import MATRIX_MODES
-
 #: Machine-program architectures (``repro.machine`` re-exports this).
 MACHINE_MODES = ("raster", "vsb", "vector")
+
+#: Exposure-operator backends (``repro.pec`` re-exports this).
+MATRIX_MODES = ("dense", "sparse", "hybrid")
 
 
 def number_complaint(value, positive: bool = True) -> Optional[str]:
@@ -337,13 +338,9 @@ class PrepRecipe:
         from repro.core.ladder import RetryPolicy
         from repro.core.faults import FaultPlan
         from repro.core.pipeline import PreparationPipeline
-        from repro.fracture.shots import ShotFracturer
-        from repro.fracture.trapezoidal import TrapezoidFracturer
         from repro.machine.raster import RasterScanWriter
         from repro.machine.vector import VectorScanWriter
         from repro.machine.vsb import ShapedBeamWriter
-        from repro.pec.dose_iter import IterativeDoseCorrector
-        from repro.physics.psf import psf_for
 
         machines = [
             RasterScanWriter(),
@@ -351,12 +348,19 @@ class PrepRecipe:
             ShapedBeamWriter(),
         ]
         if self.fracture == "vsb":
+            from repro.fracture.shots import ShotFracturer
+
             fracturer = ShotFracturer(max_shot=self.max_shot)
         else:
+            from repro.fracture.trapezoidal import TrapezoidFracturer
+
             fracturer = TrapezoidFracturer()
         corrector = None
         psf = None
         if self.pec:
+            from repro.pec.dose_iter import IterativeDoseCorrector
+            from repro.physics.psf import psf_for
+
             psf = psf_for(self.energy)
             corrector = IterativeDoseCorrector(
                 matrix_mode=self.pec_matrix, grid_cell=self.pec_grid_cell

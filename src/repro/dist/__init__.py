@@ -16,23 +16,18 @@ changing the output — the distributed run stays byte-identical to a
 serial one.
 """
 
-from repro.dist.coordinator import (
-    CoordinatorServer,
-    DistPolicy,
-    LeaseQueue,
-    coordinator_for,
-    shutdown_coordinators,
-)
-from repro.dist.protocol import ProtocolError, parse_endpoint
-from repro.dist.worker import WorkerDaemon
+from repro._facade import facade
 
-__all__ = [
-    "CoordinatorServer",
-    "DistPolicy",
-    "LeaseQueue",
-    "ProtocolError",
-    "WorkerDaemon",
-    "coordinator_for",
-    "parse_endpoint",
-    "shutdown_coordinators",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "CoordinatorServer": "coordinator",
+        "DistPolicy": "coordinator",
+        "LeaseQueue": "coordinator",
+        "ProtocolError": "protocol",
+        "WorkerDaemon": "worker",
+        "coordinator_for": "coordinator",
+        "parse_endpoint": "protocol",
+        "shutdown_coordinators": "coordinator",
+    },
+)

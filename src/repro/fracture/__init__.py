@@ -15,18 +15,17 @@ sets into three such vocabularies:
 area fidelity — the fracture-quality axes of experiment T2.
 """
 
-from repro.fracture.base import Fracturer, Shot
-from repro.fracture.trapezoidal import TrapezoidFracturer
-from repro.fracture.rectangles import RectangleFracturer
-from repro.fracture.shots import ShotFracturer
-from repro.fracture.quality import FractureReport, analyze_figures
+from repro._facade import facade
 
-__all__ = [
-    "Fracturer",
-    "Shot",
-    "TrapezoidFracturer",
-    "RectangleFracturer",
-    "ShotFracturer",
-    "FractureReport",
-    "analyze_figures",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "Fracturer": "base",
+        "Shot": "base",
+        "TrapezoidFracturer": "trapezoidal",
+        "RectangleFracturer": "rectangles",
+        "ShotFracturer": "shots",
+        "FractureReport": "quality",
+        "analyze_figures": "quality",
+    },
+)

@@ -23,35 +23,24 @@ All boolean computation is carried out on an integer database-unit grid
 of GDSII and of the 1970s pattern generators this library models.
 """
 
-from repro.geometry.point import Point
-from repro.geometry.transform import Transform
-from repro.geometry.polygon import Polygon
-from repro.geometry.trapezoid import Trapezoid
-from repro.geometry.boolean import (
-    boolean_trapezoids,
-    boolean_polygons,
-    union,
-    intersection,
-    difference,
-    symmetric_difference,
-)
-from repro.geometry.region import Region
-from repro.geometry.rasterize import rasterize_polygons, rasterize_trapezoids
-from repro.geometry.offset import offset
+from repro._facade import facade
 
-__all__ = [
-    "offset",
-    "Point",
-    "Transform",
-    "Polygon",
-    "Trapezoid",
-    "Region",
-    "boolean_trapezoids",
-    "boolean_polygons",
-    "union",
-    "intersection",
-    "difference",
-    "symmetric_difference",
-    "rasterize_polygons",
-    "rasterize_trapezoids",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "offset": "offset",
+        "Point": "point",
+        "Transform": "transform",
+        "Polygon": "polygon",
+        "Trapezoid": "trapezoid",
+        "Region": "region",
+        "boolean_trapezoids": "boolean",
+        "boolean_polygons": "boolean",
+        "union": "boolean",
+        "intersection": "boolean",
+        "difference": "boolean",
+        "symmetric_difference": "boolean",
+        "rasterize_polygons": "rasterize",
+        "rasterize_trapezoids": "rasterize",
+    },
+)

@@ -27,34 +27,24 @@ The layout package provides the pattern-source side of the pipeline:
   the reconstructed evaluation.
 """
 
-from repro.layout.layer import Layer
-from repro.layout.cell import Cell
-from repro.layout.reference import CellReference, CellArray
-from repro.layout.library import Library
-from repro.layout.flatten import flatten_cell, flatten_library
-from repro.layout.stream import (
-    CifStream,
-    GdsiiStream,
-    GdsiiStreamWriter,
-    LayoutStream,
-    MemoryStream,
-    open_layout_stream,
-)
-from repro.layout import generators
+from repro._facade import facade
 
-__all__ = [
-    "Layer",
-    "Cell",
-    "CellReference",
-    "CellArray",
-    "Library",
-    "flatten_cell",
-    "flatten_library",
-    "LayoutStream",
-    "GdsiiStream",
-    "CifStream",
-    "MemoryStream",
-    "GdsiiStreamWriter",
-    "open_layout_stream",
-    "generators",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "Layer": "layer",
+        "Cell": "cell",
+        "CellReference": "reference",
+        "CellArray": "reference",
+        "Library": "library",
+        "flatten_cell": "flatten",
+        "flatten_library": "flatten",
+        "LayoutStream": "cursor",
+        "GdsiiStream": "gdsii",
+        "CifStream": "cif",
+        "MemoryStream": "cursor",
+        "GdsiiStreamWriter": "gdsii",
+        "open_layout_stream": "stream",
+        "generators": None,
+    },
+)

@@ -24,57 +24,38 @@ shared subsystems:
   shards lowered to the RLE / shot-list streams a writer consumes.
 """
 
-from repro.machine.base import Machine, WriteTimeBreakdown
-from repro.machine.column import Column, ElectronSource, LAB6, TUNGSTEN, FIELD_EMISSION
-from repro.machine.stage import Stage
-from repro.machine.deflection import DeflectionField, CalibrationResult
-from repro.machine.raster import RasterScanWriter
-from repro.machine.vector import VectorScanWriter
-from repro.machine.vsb import ShapedBeamWriter
-from repro.machine.stitching import StitchingModel, ButtingReport
-from repro.machine.rle import RlePattern, encode_figures, decode_to_coverage
-from repro.machine.program import (
-    MACHINE_MODES,
-    MachineProgram,
-    MachineProgramError,
-    MachineSpec,
-    export_program,
-)
-from repro.machine.registration import (
-    RegistrationFit,
-    detect_edge,
-    detect_mark_center,
-    fit_registration,
-    mark_signal,
-)
+from repro._facade import facade
 
-__all__ = [
-    "Machine",
-    "WriteTimeBreakdown",
-    "Column",
-    "ElectronSource",
-    "LAB6",
-    "TUNGSTEN",
-    "FIELD_EMISSION",
-    "Stage",
-    "DeflectionField",
-    "CalibrationResult",
-    "RasterScanWriter",
-    "VectorScanWriter",
-    "ShapedBeamWriter",
-    "StitchingModel",
-    "ButtingReport",
-    "RlePattern",
-    "encode_figures",
-    "decode_to_coverage",
-    "MACHINE_MODES",
-    "MachineProgram",
-    "MachineProgramError",
-    "MachineSpec",
-    "export_program",
-    "RegistrationFit",
-    "detect_edge",
-    "detect_mark_center",
-    "fit_registration",
-    "mark_signal",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "Machine": "base",
+        "WriteTimeBreakdown": "base",
+        "Column": "column",
+        "ElectronSource": "column",
+        "LAB6": "column",
+        "TUNGSTEN": "column",
+        "FIELD_EMISSION": "column",
+        "Stage": "stage",
+        "DeflectionField": "deflection",
+        "CalibrationResult": "deflection",
+        "RasterScanWriter": "raster",
+        "VectorScanWriter": "vector",
+        "ShapedBeamWriter": "vsb",
+        "StitchingModel": "stitching",
+        "ButtingReport": "stitching",
+        "RlePattern": "rle",
+        "encode_figures": "rle",
+        "decode_to_coverage": "rle",
+        "MACHINE_MODES": "program",
+        "MachineProgram": "program",
+        "MachineProgramError": "program",
+        "MachineSpec": "program",
+        "export_program": "program",
+        "RegistrationFit": "registration",
+        "detect_edge": "registration",
+        "detect_mark_center": "registration",
+        "fit_registration": "registration",
+        "mark_signal": "registration",
+    },
+)

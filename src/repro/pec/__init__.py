@@ -18,50 +18,32 @@ lists; the exposure model is shared through
 :mod:`~repro.pec.base`'s analytic Gaussian-rectangle interaction.
 """
 
-from repro.pec.base import (
-    ProximityCorrector,
-    edge_sample_points,
-    exposure_at_points,
-    interaction_matrix_at_points,
-    interaction_matrix_csr,
-    shot_interaction_matrix,
-)
-from repro.pec.operator import (
-    MATRIX_MODES,
-    DenseExposureOperator,
-    ExposureOperator,
-    HybridExposureOperator,
-    SparseExposureOperator,
-    build_exposure_operator,
-)
-from repro.pec.dose_iter import IterativeDoseCorrector, ConvergenceTrace
-from repro.pec.dose_matrix import MatrixDoseCorrector
-from repro.pec.shape_bias import ShapeBiasCorrector
-from repro.pec.ghost import GhostCorrector, GhostExposure
-from repro.pec.quantize import dose_classes, quantize_doses
-from repro.pec.report import correction_report, CorrectionReport
+from repro._facade import facade
 
-__all__ = [
-    "ProximityCorrector",
-    "shot_interaction_matrix",
-    "interaction_matrix_at_points",
-    "interaction_matrix_csr",
-    "edge_sample_points",
-    "exposure_at_points",
-    "MATRIX_MODES",
-    "ExposureOperator",
-    "DenseExposureOperator",
-    "SparseExposureOperator",
-    "HybridExposureOperator",
-    "build_exposure_operator",
-    "IterativeDoseCorrector",
-    "ConvergenceTrace",
-    "MatrixDoseCorrector",
-    "ShapeBiasCorrector",
-    "GhostCorrector",
-    "GhostExposure",
-    "dose_classes",
-    "quantize_doses",
-    "correction_report",
-    "CorrectionReport",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "ProximityCorrector": "base",
+        "shot_interaction_matrix": "base",
+        "interaction_matrix_at_points": "base",
+        "interaction_matrix_csr": "base",
+        "edge_sample_points": "base",
+        "exposure_at_points": "base",
+        "MATRIX_MODES": "operator",
+        "ExposureOperator": "operator",
+        "DenseExposureOperator": "operator",
+        "SparseExposureOperator": "operator",
+        "HybridExposureOperator": "operator",
+        "build_exposure_operator": "operator",
+        "IterativeDoseCorrector": "dose_iter",
+        "ConvergenceTrace": "dose_iter",
+        "MatrixDoseCorrector": "dose_matrix",
+        "ShapeBiasCorrector": "shape_bias",
+        "GhostCorrector": "ghost",
+        "GhostExposure": "ghost",
+        "dose_classes": "quantize",
+        "quantize_doses": "quantize",
+        "correction_report": "report",
+        "CorrectionReport": "report",
+    },
+)

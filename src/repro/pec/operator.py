@@ -61,12 +61,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.recipe import MATRIX_MODES
 from repro.fracture.base import Shot, shot_rows
 from repro.pec.base import _exposure_matrix, _exposure_matrix_csr, _shot_bbox_arrays
 from repro.physics.psf import DoubleGaussianPSF, convolve_same
-
-#: The supported exposure-operator backends.
-MATRIX_MODES = ("dense", "sparse", "hybrid")
 
 #: Forward-term cutoff of the hybrid split, in units of α.  erf products
 #: decay like exp(−(r/α)²), so 4 α keeps the neglected tail below 1e−6.

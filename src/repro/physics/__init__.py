@@ -19,27 +19,22 @@ preparation.  This package models it end to end:
   placement error and dose-latitude measurements on simulated images.
 """
 
-from repro.physics.psf import DoubleGaussianPSF, psf_for
-from repro.physics.exposure import ExposureSimulator
-from repro.physics.resist import Resist, PMMA, PBS, COP
-from repro.physics.montecarlo import MonteCarloSimulator, fit_double_gaussian
-from repro.physics.metrology import (
-    measure_linewidth,
-    edge_positions,
-    dose_latitude,
-)
+from repro._facade import facade
 
-__all__ = [
-    "DoubleGaussianPSF",
-    "psf_for",
-    "ExposureSimulator",
-    "Resist",
-    "PMMA",
-    "PBS",
-    "COP",
-    "MonteCarloSimulator",
-    "fit_double_gaussian",
-    "measure_linewidth",
-    "edge_positions",
-    "dose_latitude",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "DoubleGaussianPSF": "psf",
+        "psf_for": "psf",
+        "ExposureSimulator": "exposure",
+        "Resist": "resist",
+        "PMMA": "resist",
+        "PBS": "resist",
+        "COP": "resist",
+        "MonteCarloSimulator": "montecarlo",
+        "fit_double_gaussian": "montecarlo",
+        "measure_linewidth": "metrology",
+        "edge_positions": "metrology",
+        "dose_latitude": "metrology",
+    },
+)

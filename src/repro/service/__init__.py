@@ -28,19 +28,18 @@ CLI — both front-ends build their pipeline from one
 embeds names, paths or timestamps.
 """
 
-from repro.service.app import PrepServer, create_server
-from repro.service.jobs import Job, JobStore
-from repro.service.queue import JobQueue
-from repro.service.runner import JobRunner
-from repro.service.schemas import SchemaError, parse_job_spec
+from repro._facade import facade
 
-__all__ = [
-    "PrepServer",
-    "create_server",
-    "Job",
-    "JobStore",
-    "JobQueue",
-    "JobRunner",
-    "SchemaError",
-    "parse_job_spec",
-]
+__getattr__, __dir__, __all__ = facade(
+    __name__,
+    {
+        "PrepServer": "app",
+        "create_server": "app",
+        "Job": "jobs",
+        "JobStore": "jobs",
+        "JobQueue": "queue",
+        "JobRunner": "runner",
+        "SchemaError": "schemas",
+        "parse_job_spec": "schemas",
+    },
+)

@@ -5,11 +5,14 @@ Two frozen surfaces, checked without running them:
 * the F16 benchmark under ``benchmarks/e2e/`` is never edited with the
   engine, so every ``from repro… import name`` it spells (at any depth)
   must still name something;
-* ``import repro.cli`` — every CLI op's start-up — loads the whole
-  package except the distributed and service layers, which stay lazy
-  (``--dispatch distributed`` and ``serve`` import them on use); a
-  module that starts loading more, or a split that introduces a cycle,
-  shows here.
+* each CLI op loads exactly the ``repro`` modules it runs: the package
+  facades resolve their names on first use, so ``import repro.cli``
+  loads the parser, the recipe and the layout readers, a flat prep adds
+  the engine, fracture and machine models, and a PEC prep the PEC
+  layer; the distributed and service layers load only for
+  ``--dispatch distributed``, ``work`` and ``serve``.  A module that
+  starts loading more shows here, and so does a fork that leaves a
+  pool worker something to import.
 
 Two boundaries are checked the same way: nothing under ``repro.dist``
 imports ``repro.core.cache`` — the fleet computes, and the preparing
@@ -30,6 +33,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.layout import generators
+from repro.layout.gdsii import write_gdsii
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -61,27 +67,192 @@ def test_the_benchmark_imports_something_from_repro():
     assert sum(1 for path in E2E for _ in repro_imports(path)) > 10
 
 
-def test_cli_import_loads_the_package_but_the_lazy_layers():
-    modules = set()
-    for path in (SRC / "repro").rglob("*.py"):
-        parts = path.relative_to(SRC).with_suffix("").parts
-        modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
-    expected = {name for name in modules if not name.startswith(LAZY)}
-    assert {"repro.core.plan", "repro.core.ladder"} <= expected
-    probe = (
-        "import sys, repro.cli; "
-        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
+#: ``import repro.cli``: every CLI op's start-up.
+CLI_IMPORT = {
+    "repro",
+    "repro._facade",
+    "repro.analysis",
+    "repro.analysis.tables",
+    "repro.cli",
+    "repro.core",
+    "repro.core.recipe",
+    "repro.geometry",
+    "repro.geometry.point",
+    "repro.geometry.polygon",
+    "repro.geometry.predicates",
+    "repro.geometry.transform",
+    "repro.geometry.trapezoid",
+    "repro.geometry.vertex_array",
+    "repro.layout",
+    "repro.layout.cell",
+    "repro.layout.cif",
+    "repro.layout.cursor",
+    "repro.layout.flatten",
+    "repro.layout.gdsii",
+    "repro.layout.gdsii_records",
+    "repro.layout.layer",
+    "repro.layout.library",
+    "repro.layout.reference",
+    "repro.layout.stream",
+}
+
+#: What a flat prep without PEC adds: engine, fracture, machine models
+#: and program export.
+FLAT_PREP = {
+    "repro.core.cache",
+    "repro.core.executor",
+    "repro.core.faults",
+    "repro.core.fields",
+    "repro.core.hierarchical",
+    "repro.core.job",
+    "repro.core.jobfile",
+    "repro.core.ladder",
+    "repro.core.pipeline",
+    "repro.core.plan",
+    "repro.core.stats",
+    "repro.fracture",
+    "repro.fracture.base",
+    "repro.fracture.quality",
+    "repro.fracture.trapezoidal",
+    "repro.geometry.boolean",
+    "repro.geometry.scanline",
+    "repro.geometry.scanline_fast",
+    "repro.machine",
+    "repro.machine.base",
+    "repro.machine.column",
+    "repro.machine.datapath",
+    "repro.machine.program",
+    "repro.machine.raster",
+    "repro.machine.rle",
+    "repro.machine.stage",
+    "repro.machine.vector",
+    "repro.machine.vsb",
+    "repro.physics",
+    "repro.physics.constants",
+}
+
+#: What a dense-PEC prep adds to that.
+DENSE_PEC = {
+    "repro.pec",
+    "repro.pec.base",
+    "repro.pec.dose_iter",
+    "repro.pec.operator",
+    "repro.physics.materials",
+    "repro.physics.psf",
+}
+
+STEPS = """
+import sys
+from repro.cli import _load_prep_path, main
+
+def loaded():
+    print("loaded:", *sorted(m for m in sys.modules if m.startswith("repro")))
+
+loaded()
+flat = ["--field-size", "15", "--machine", "vsb"]
+dense_pec = ["--pec", "--hierarchy", "cells", "--machine", "raster"]
+for options in (flat, dense_pec):
+    assert main(["prep", "in.gds", *options]) == 0
+    loaded()
+_load_prep_path()
+loaded()
+"""
+
+
+def run_on_a_grating(tmp_path, script: str, **grating) -> str:
+    """``script``'s stdout, run in a fresh interpreter in ``tmp_path``
+    beside ``in.gds``, a small grating."""
+    write_gdsii(generators.grating(**grating), tmp_path / "in.gds")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     ).stdout
-    assert set(out.split()) == expected
+
+
+def test_each_cli_op_loads_only_the_modules_it_runs(tmp_path):
+    out = run_on_a_grating(tmp_path, STEPS, lines=5)
+    steps = [
+        set(line.split()[1:]) for line in out.splitlines() if line.startswith("loaded:")
+    ]
+    assert steps[0] == CLI_IMPORT
+    assert steps[1] == CLI_IMPORT | FLAT_PREP
+    assert steps[2] == CLI_IMPORT | FLAT_PREP | DENSE_PEC
+    # What serve and work import before their first job: every run's
+    # modules, and the vsb fracturer.
+    assert steps[3] == steps[2] | {"repro.fracture.shots"}
+    assert not {name for name in steps[3] if name.startswith(LAZY)}
+
+
+WITNESS = """
+import os, sys
+from repro.cli import main
+
+parent = os.getpid()
+
+class Witness:
+    # Fork copies this finder into every pool worker, and the import
+    # system asks it only for modules not imported yet.
+    def find_spec(self, name, path=None, target=None):
+        if os.getpid() != parent and name.startswith("repro"):
+            with open("first-imports.txt", "a") as stream:
+                stream.write(name + "\\n")
+        return None
+
+sys.meta_path.insert(0, Witness())
+assert main(["prep", "in.gds", "--field-size", "15", "--workers", "2"]) == 0
+"""
+
+
+def test_pool_workers_first_import_no_repro_module(tmp_path):
+    # README "Fork note": the parent loads every module a shard needs
+    # before the pool forks.
+    out = run_on_a_grating(tmp_path, WITNESS, lines=10)
+    assert "2 workers, parallel" in out
+    assert not (tmp_path / "first-imports.txt").exists()
+
+
+def facade_table(package: str) -> dict:
+    """The ``{public name: leaf module}`` literal ``package``'s
+    ``__init__`` hands to ``facade``, as written."""
+    init = SRC.joinpath(*package.split("."), "__init__.py")
+    (call,) = [
+        node
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "facade"
+    ]
+    names = [key.value for key in call.args[1].keys]
+    assert len(names) == len(set(names)), f"{package}: a name listed twice"
+    return ast.literal_eval(call.args[1])
+
+
+FACADES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in (SRC / "repro").glob("**/__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", FACADES)
+def test_facade_resolves_each_name_to_its_leaf(package):
+    table = facade_table(package)
+    module = importlib.import_module(package)
+    assert set(module.__all__) - {"__version__"} == set(table)
+    for name, leaf in table.items():
+        # The leaf first: a submodule the import system binds onto its
+        # package (geometry's ``offset``) must not hide the name.
+        own = importlib.import_module(f"{package}.{leaf or name}")
+        assert getattr(module, name) is (own if leaf is None else getattr(own, name))
+    assert set(module.__all__) <= set(dir(module))
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+    message = f"module '{package}' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{message}$"):
+        module.no_such_name
 
 
 def imported_modules(path: Path):
