@@ -232,7 +232,7 @@ On the F16 die (20 zones, 2,560 vertices) a kept sweep re-emits in
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -321,7 +321,7 @@ class KernelFallbacks:
     scalar_merge: int = 0
 
     def total(self) -> int:
-        return sum(astuple(self))
+        return self.coord_limit + self.rational_slab + self.scalar_merge
 
     def copy(self) -> "KernelFallbacks":
         return replace(self)

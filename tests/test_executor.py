@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import operator
 import re
 import warnings
 
@@ -15,11 +16,13 @@ from repro.core.executor import (
     plan_shards,
     _process_shard,
 )
+from repro.core.hierarchical import HierarchicalFractureResult
 from repro.core.pipeline import PreparationPipeline
 from repro.core.stats import stat
 from repro.fracture.quality import analyze_figures, merge_reports
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
+from repro.geometry.scanline_fast import KernelFallbacks
 from repro.layout import generators
 from repro.layout.flatten import flatten_library
 from repro.layout.layer import Layer
@@ -706,6 +709,32 @@ _MODES = {
     "distributed": {"dispatch": "distributed"},
 }
 
+#: The per-field loops ``merge`` and ``fold`` ran before the schema was
+#: compiled: every field's metadata, read on every call.
+_RULES = {
+    "sum": operator.add,
+    "max": max,
+    "any": lambda mine, theirs: mine or theirs,
+    "keep": lambda mine, theirs: mine,
+}
+
+
+def _merge_oracle(stats, other):
+    for f in dataclasses.fields(stats):
+        rule = _RULES[f.metadata["merge"]]
+        setattr(stats, f.name, rule(getattr(stats, f.name), getattr(other, f.name)))
+
+
+def _fold_oracle(stats, record):
+    for f in dataclasses.fields(stats):
+        source, _, attr = (f.metadata["source"] or "").partition(".")
+        if source == type(record).__name__:
+            value = getattr(record, attr or f.name)
+            value = value() if callable(value) else value
+            rule = _RULES[f.metadata["merge"]]
+            setattr(stats, f.name, rule(getattr(stats, f.name), value))
+
+
 #: Frozen contract: the service's ``execution`` view as the hand-written
 #: ``_stats_view`` produced it before the schema generated it.  The part
 #: every record has, then what each mode adds.
@@ -839,6 +868,51 @@ class TestStatsSchema:
     def test_clean_unsharded_run_prints_nothing(self):
         assert ExecutionStats().lines() == []
         assert ExecutionStats().fault_events == 0
+
+    @pytest.mark.parametrize("kind", [*sorted(_MODES), "widget"])
+    def test_merge_and_fold_equal_the_per_field_loop(self, kind):
+        cls = _WithWidget if kind == "widget" else ExecutionStats
+        mine = dict(_POPULATED, **_MODES.get(kind, {}))
+        # Every count tripled and every flag left at its default, so each
+        # rule — ``keep`` and ``max`` included — picks a side that shows.
+        theirs = {
+            name: value * 3 for name, value in mine.items() if type(value) is int
+        }
+        if kind == "widget":
+            mine["widget_faults"], theirs["widget_faults"] = 2, 5
+        for a, b in ((mine, theirs), (theirs, mine)):
+            got, want = cls(**a), cls(**a)
+            got.merge(cls(**b))
+            _merge_oracle(want, cls(**b))
+            assert got == want
+        records = (
+            KernelFallbacks(coord_limit=6, rational_slab=3, scalar_merge=1),
+            HierarchicalFractureResult(
+                cells_fractured=3, instances_reused=40, instances_fallback=2
+            ),
+        )
+        got, want = cls(**mine), cls(**mine)
+        for record in records:
+            got.fold(record)
+            _fold_oracle(want, record)
+        assert got == want != cls(**mine)
+
+    def test_observed_fields_are_not_content(self):
+        base = ExecutionStats(
+            **_POPULATED, streamed=True, hierarchy="cells", dispatch="distributed"
+        )
+        content = base.select("observed", False)
+        # The fields reruns of one fleet scenario were seen to move.
+        assert list(base.select("observed", True)) == ["dist_workers"]
+        moved = dataclasses.replace(base, dist_workers=1)
+        assert moved != base and moved.select("observed", False) == content
+        defaults = ExecutionStats()
+        for name in content:
+            changed = dataclasses.replace(base, **{name: getattr(defaults, name)})
+            assert changed.select("observed", False) != content, name
+        assert stat(0, observed=True).metadata["observed"] is True
+        with pytest.raises(TypeError):
+            stat(0, observable=True)
 
     def test_every_field_is_declared_and_documented(self):
         documented = set(

@@ -57,7 +57,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.core.executor import shutdown_worker_pool
 from repro.core.faults import FAULTS_ENV_VAR
 from repro.core.recipe import PrepRecipe, flag_of
-from repro.core.stats import GROUPS, LINES, ExecutionStats
+from repro.core.stats import GROUPS, LINES, ExecutionStats, schema
 from repro.dist import shutdown_coordinators
 from repro.fracture.quality import FractureReport
 from repro.layout import generators
@@ -687,14 +687,11 @@ def stats_from_lines(text: str) -> ExecutionStats:
 def stats_from_json(view: dict) -> ExecutionStats:
     """The :class:`ExecutionStats` behind a service job's ``execution``
     object (:meth:`ExecutionStats.to_json`, inverted by the schema)."""
-    stats = ExecutionStats()
-    for f in fields(ExecutionStats):
-        group = f.metadata["group"]
+    found = {}
+    for group, layout in schema(ExecutionStats).json.items():
         scope = view.get(group, {}) if GROUPS[group][0] else view
-        key = f.metadata["alias"] or f.name
-        if key in scope:
-            setattr(stats, f.name, scope[key])
-    return stats
+        found.update((name, scope[key]) for name, key in layout if key in scope)
+    return ExecutionStats(**found)
 
 
 # -- the verdict -------------------------------------------------------------
@@ -705,10 +702,10 @@ _EXECUTION_WITNESSES = {
     "workers", "parallel", "cache_enabled", "cache_hits", "cache_misses", "dispatch",
 }  # fmt: skip
 PARITY = tuple(
-    f.name
-    for f in fields(ExecutionStats)
-    if f.metadata["group"] in ("run", "cells")
-    and f.name not in _EXECUTION_WITNESSES
+    name
+    for group in ("run", "cells")
+    for name in ExecutionStats().select("group", group)
+    if name not in _EXECUTION_WITNESSES
 )
 
 #: Honesty witnesses: ``(claim, applies(cell), holds(stats))`` — a mode
