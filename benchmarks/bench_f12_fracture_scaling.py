@@ -25,6 +25,13 @@ Two effects introduced by the vectorized geometry kernel PR:
   kernel fixed (the Fraction reference, where fracture dominates —
   the F8c setting); in full mode the 8x8 array must clear a 10x floor.
   The fast-kernel pipeline numbers are reported alongside.
+
+* **A stepped die** (F12b) — the F16 reticle's die
+  (``fresnel_zone_plate()``) fractured three times, moved by whole
+  database units each time, as a reticle's shards arrive: the sweep, the
+  re-emission that builds the kept sweep's merge plan, and a copy the
+  plan serves.  Each must be bitwise the cold call on the same copy; the
+  served copy must be faster than the re-emission before it.
 """
 
 import time
@@ -33,7 +40,9 @@ from repro.analysis.tables import Table
 from repro.core.pipeline import PreparationPipeline
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.boolean import boolean_trapezoids
+from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks, clear_sweep_slot
+from repro.geometry.vertex_array import trapezoid_array
 from repro.layout import generators
 from repro.layout.flatten import flatten_cell
 
@@ -237,6 +246,49 @@ def run_kernel_scaling(quick):
     return table.render(), rows
 
 
+def run_die_copies(quick):
+    """The F16 die's sweep, its plan-building re-emission and a served
+    copy, each the best of ``repeats`` runs of the three in order (the
+    slot cleared before each run), each bitwise the cold call."""
+    repeats = 3 if quick else 9
+    die = _flat_polygons(generators.fresnel_zone_plate())
+    copies = [
+        [Polygon(p.ring + (100.0 * k, 0.0)) for p in die] for k in (1, 2, 3)
+    ]
+
+    def fracture(polys):
+        return trapezoid_array(boolean_trapezoids(polys, [], "or")).tobytes()
+
+    cold = []
+    for polys in copies:
+        clear_sweep_slot()
+        cold.append(fracture(polys))
+    best = [float("inf")] * 3
+    for _ in range(repeats):
+        clear_sweep_slot()
+        for k, polys in enumerate(copies):
+            start = time.perf_counter()
+            got = fracture(polys)
+            best[k] = min(best[k], time.perf_counter() - start)
+            assert got == cold[k], f"copy {k} differs from its cold call"
+    figures = len(cold[0]) // (6 * 8)
+    table = Table(
+        ["call", "figures", "fast [s]", "vs sweep"],
+        title="F12b: one die stepped by whole database units — sweep, "
+        "plan-building re-emission, served copy (each bitwise the cold "
+        "call)",
+    )
+    rows = []
+    for name, seconds in zip(("sweep", "plan hit", "served copy"), best):
+        rows.append({"call": name, "figures": figures, "fast_s": seconds})
+        table.add_row([name, figures, seconds, f"{seconds / best[0]:.2f}x"])
+    assert best[2] < best[1], (
+        f"a served copy ({best[2]:.4f} s) is not faster than the "
+        f"re-emission that built its plan ({best[1]:.4f} s)"
+    )
+    return table.render(), rows
+
+
 def hierarchy_cases(quick):
     if quick:
         return [(2, 2)]
@@ -324,3 +376,14 @@ def test_f12a_hierarchy_reuse(quick, save_table, benchmark):
     lib = generators.memory_array(words=8, bits=8, blocks=(2, 2))
     pipe = PreparationPipeline(hierarchy="cells")
     benchmark(pipe.run, lib)
+
+
+def test_f12b_die_copies(quick, save_table, benchmark):
+    text, rows = run_die_copies(quick)
+    save_table("f12b_die_copies", text, data={"rows": rows})
+    die = _flat_polygons(generators.fresnel_zone_plate())
+    clear_sweep_slot()
+    for k in (1, 2):  # the sweep, then the re-emission that plans
+        boolean_trapezoids([Polygon(p.ring + (100.0 * k, 0.0)) for p in die],
+                           [], "or")
+    benchmark(boolean_trapezoids, die, [], "or")

@@ -225,9 +225,103 @@ call counts.  The slot is module state, not content: nothing pickled,
 fingerprinted or cache-keyed refers to it, its arrays are read-only, and
 a forked pool worker or a ``work`` daemon keeps its own.  Two threads
 may both miss and sweep; the slot is one reference, swapped whole.
-On the F16 die (20 zones, 2,560 vertices) a kept sweep re-emits in
-≈ 5 ms against ≈ 15–18 ms for a sweep, nearly all of it
-:func:`merge_rows`.
+On the F16 die (20 zones, 2,560 vertices) a kept sweep re-emits and
+merges in ≈ 4 ms against ≈ 12–15 ms for a sweep, ≈ 3 ms of it
+:func:`merge_rows`; a copy its plan serves (below) takes ≈ 1 ms, half
+of it stacking and snapping the rings and building the key.
+
+Merged copies
+-------------
+Every copy would still merge its rows — the F16 die's 18,722 into the
+same 2,332 — and the merge decides on the copy's floats.  So the slot
+holds a third entry, a *plan*, built on the first hit (never on a
+sweep: a process that re-emits nothing pays nothing).  That call emits
+and merges as any other — the *reference copy* — and the plan is read
+off its merge's own internals (:class:`_Links`): the chain heads and
+tails in output order, the join's margins and a reach per link.  A copy
+the plan serves (:func:`_serve`) emits only the merged rows' ends —
+``yb, xbl, xbr`` of each head and ``yt, xtl, xtr`` of its tail, through
+:func:`_quotient` as :func:`_emit` would — and nothing else; any other
+copy emits and merges as before.
+
+*When a plan is kept.*  The reference merge settled on its first check;
+no row was dropped for zero height; the sweep is one family of
+integer-bounded slabs with int64 candidates (so emitted row ``r`` is
+candidate ``r``); and every two neighbours of the merge's edge order
+with equal floats hold equal rationals — exact levels, and for the xs
+the same fraction (one edge through a boundary) or else equal order
+keys (:func:`_keys_float`/:func:`_keys_int64`).  Equal rationals round
+alike in every copy; this makes equal floats mean the same.
+
+*The error bound.*  A copy's *magnitude* ``M`` is its largest
+``|coordinate|`` times the grid.  An emitted coordinate is its exact
+value (a rational times the grid) rounded twice, the quotient and the
+product, so it is within ``e(M) = 2**-51 * M`` of it — twice the
+``(2u + u**2) * M`` of the two roundings, ``u = 2**-53``, as long as
+every coordinate is zero or a normal float (a plan needs ``grid >=
+2**-960``).  Every margin and bound below is shifted by a relative
+``2**-40`` in the safe direction, far more than its own float
+arithmetic errs by.
+
+*The join carries over.*  Apart from the slopes, :func:`merge_rows`
+tests floats in one place: the sort of the 2N edges by level, left x
+and right x, the guards on neighbouring gaps, and the links where all
+three are equal.  Two distinct exact values at an exact distance ``G``
+read ``d <= (G + 2 e_ref)(1 + u)`` apart in the reference copy and at
+least ``(G - 2 e)(1 - u)`` apart in the copy.  So where the smallest
+positive gap of each kind — between levels; between left xs at one
+level; between right xs at one level and left x — exceeds its guard's
+threshold (:data:`_LEVEL_GAP`, ``tol``) by more than ``2 (e_ref + e)``,
+the copy keeps every distinct pair apart, in order and past the guard,
+and every equal pair equal.  Its sort is the same permutation, no
+guard trips, its candidate links are the same pairs, every row keeps a
+positive height (none is dropped), and its chain heads sort by ``(yb,
+xbl)`` in the same order.  The largest ``M`` for which this holds is the
+plan's ``reach``.
+
+*Certified links keep their decisions.*  A slope ``s = D/R`` whose
+coordinates are each within ``e`` of exact, with ``e <= R * 2**-20``
+(:data:`_RISE_SHARE`), is within ``2 (1 + |s|) e / R + 3u|s|`` of ``D/R``
+exact, up to a factor ``1 + 2**-15``; a residual ``|s_chain - s_up|``
+moves by the two slopes' errors and its own rounding.  Put in the
+reference copy's floats (``P = 1 + |chain slope|``, ``Q = 1 + |upper
+slope|``), the residual of any copy is within ``2.001 (P / rise + Q /
+height) e + 9u (P + Q)`` of the exact one.  A test whose reference
+residual is farther from ``tol`` than the two copies' bounds together
+therefore comes out the same in both.  Each link has two tests, the
+prediction (its two rows alone) and the final check (its chain from the
+settled head), on two sides; a taken link needs both sides within
+``tol``, a refused one one side certainly beyond.  The largest ``M`` at
+which all of this holds is the link's reach; the plan keeps the reaches
+sorted.
+
+*Uncertified links are re-evaluated.*  For a copy of magnitude ``M``,
+``searchsorted(link_reach, M)`` names the links whose reach does not
+cover it.  Their head, lower and upper rows are emitted, and both tests
+are made on them by :func:`_chain_slopes`, :func:`_up_slopes` and
+:func:`_continues` — :func:`merge_rows`'s own float expressions, on
+the copy's own floats.  If every decision agrees, ``M`` is below the
+plan's ``reach`` and the copy is on the plan's grid (the slot's key
+holds snapped integers, not the grid, and every margin above is in
+layout units), the plan serves the copy; otherwise the copy is emitted
+and merged.
+
+*So the result is the copy's own.*  On a served copy, the prediction
+:func:`merge_rows` would make is the reference's ``taken``, link for
+link (certified, or re-evaluated); so its heads are the reference's; so
+its first check, the same decisions again, agrees, and it stops after
+one pass with the same links.  By the induction in "Merging" that is
+the greedy result of the copy's own rows; the rows it would gather are
+the ends the plan names, emitted as the same floats.  Bytes and
+:class:`KernelFallbacks` (none) are what a cold call gives.
+
+*Measured* on the F16 die: links 18,682; at the reticle's magnitudes
+(140–540 µm) 20–220 of them are re-evaluated, and every copy is served.
+The plan is 654 kB, 35 B a candidate row beside the kept sweep's 88 B;
+building it costs ≈ 5 ms once, on top of the reference copy's ≈ 4 ms
+(F12b: sweep 11.8 ms, plan-building re-emission 9.8 ms, served copy
+0.9 ms).  A sweep with rational-bounded slabs, or with int64-overflowing
+candidates (an extent beyond ``2**31 - 1`` dbu), keeps no plan.
 """
 
 from __future__ import annotations
@@ -746,10 +840,85 @@ def _sweep_block(
 # ---------------------------------------------------------------------------
 
 
+class _Links(NamedTuple):
+    """What :func:`merge_rows` settled on before it gathers.
+
+    ``columns``: the rows' columns (``TRAP_COLUMNS`` order).  ``order``:
+    the sorted order of the 2N edges it joined (row ``r``'s top edge is
+    ``r``, its bottom edge ``N + r``), and ``gaps`` the differences of
+    neighbouring levels, left xs and right xs in it.  Each candidate
+    link's ``lower`` and ``upper`` row, the upper row's slopes (``up``),
+    the slopes of its two rows alone (``first``) and of its chain at the
+    final heads (``last``), and whether it is ``taken``.  Every row's
+    chain ``head``, the ``tol`` compared against, and whether the first
+    check agreed with the prediction (``settled``)."""
+
+    columns: np.ndarray
+    order: np.ndarray
+    gaps: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    lower: np.ndarray
+    upper: np.ndarray
+    up: Tuple[np.ndarray, ...]
+    first: Tuple[np.ndarray, ...]
+    last: Tuple[np.ndarray, ...]
+    taken: np.ndarray
+    head: np.ndarray
+    tol: float
+    settled: bool
+
+
+def _up_slopes(columns: Sequence[np.ndarray], upper: np.ndarray):
+    """``(height, left slope, right slope)`` of the upper rows."""
+    yb, yt, xbl, xbr, xtl, xtr = columns
+    height = yt[upper] - yb[upper]
+    return (
+        height,
+        (xtl[upper] - xbl[upper]) / height,
+        (xtr[upper] - xbr[upper]) / height,
+    )
+
+
+def _chain_slopes(
+    columns: Sequence[np.ndarray], head: np.ndarray, lower: np.ndarray
+):
+    """``(rise, left slope, right slope)`` of the chains that start at
+    ``head`` and end at ``lower``."""
+    yb, yt, xbl, xbr, xtl, xtr = columns
+    rise = yt[lower] - yb[head]
+    return (
+        rise,
+        (xtl[lower] - xbl[head]) / rise,
+        (xtr[lower] - xbr[head]) / rise,
+    )
+
+
+def _continues(chain, up, tol: float) -> np.ndarray:
+    """``_slopes_match(chain, upper)`` in the reference's own float
+    expressions (numpy float64 ``-``, ``/``, ``abs`` are the same IEEE
+    operations): both sides' slopes within ``tol``."""
+    return (np.abs(chain[1] - up[1]) <= tol) & (np.abs(chain[2] - up[2]) <= tol)
+
+
+def _ends(links: _Links) -> Tuple[np.ndarray, np.ndarray]:
+    """The merged rows' chain heads, in output order, and their tails."""
+    n = len(links.head)
+    yb, _, xbl = links.columns[:3]
+    is_tail = np.ones(n, dtype=bool)
+    is_tail[links.lower[links.taken]] = False
+    tails = np.flatnonzero(is_tail)
+    tail_of = np.empty(n, dtype=np.intp)
+    tail_of[links.head[tails]] = tails
+    heads = np.flatnonzero(links.head == np.arange(n))
+    heads = heads[_order_by_pair(yb[heads], xbl[heads])]
+    return heads, tail_of[heads]
+
+
 # Python floats overflow to inf, and turn inf - inf into nan, without a
 # word; the same operations must stay as quiet here.
 @np.errstate(over="ignore", invalid="ignore")
-def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
+def merge_rows(
+    rows: np.ndarray, tol: float = 1e-9, found: Optional[list] = None
+) -> Optional[np.ndarray]:
     """Array form of :func:`repro.geometry.scanline.merge_trapezoids`.
 
     ``rows`` is an ``(N, 6)`` float64 array in ``TRAP_COLUMNS`` order.
@@ -758,15 +927,34 @@ def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
     when it cannot promise that (a guard tripped, or the link
     predictions did not settle within :data:`_MERGE_PASSES`); the caller
     then runs the scalar merge.  See "Merging" in the module docstring.
+    When ``found`` is given, the :class:`_Links` of a merge that did not
+    decline are appended to it (a kept sweep's plan is built from them;
+    see "Merged copies").
 
     Raises:
         ValueError: the :class:`Trapezoid` constructor's own error for
             the first row it would have refused.
     """
-    n = len(rows)
-    if n == 0:
+    if len(rows) == 0:
         return rows
-    yb, yt, xbl, xbr, xtl, xtr = np.ascontiguousarray(rows.T)
+    links = _find_links(rows, tol)
+    if links is None:
+        return None
+    if found is not None:
+        found.append(links)
+    heads, tails = _ends(links)
+    yb, yt, xbl, xbr, xtl, xtr = links.columns
+    return np.column_stack(
+        (yb[heads], yt[tails], xbl[heads], xbr[heads], xtl[tails], xtr[tails])
+    )
+
+
+def _find_links(rows: np.ndarray, tol: float) -> Optional[_Links]:
+    """The link-finding step of :func:`merge_rows`: its join, guards and
+    passes over a non-empty row array; ``None`` where it declines."""
+    n = len(rows)
+    columns = np.ascontiguousarray(rows.T)
+    yb, yt, xbl, xbr, xtl, xtr = columns
     invalid = (yt <= yb) | (xbr < xbl) | (xtr < xtl)
     if invalid.any():
         # Unmerged rows no longer pass through the constructor one by
@@ -802,26 +990,14 @@ def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
     lower = order[:-1][link]
     upper = order[1:][link] - n
 
-    top_y, top_left, top_right = yt[lower], xtl[lower], xtr[lower]
-    up_height = yt[upper] - yb[upper]
-    up_left = (xtl[upper] - xbl[upper]) / up_height
-    up_right = (xtr[upper] - xbr[upper]) / up_height
-
-    def continues(head: np.ndarray) -> np.ndarray:
-        """``_slopes_match(chain, upper)`` for the chains that start at
-        ``head`` and end at ``lower``, in the reference's own float
-        expressions."""
-        rise = top_y - yb[head]
-        off_left = np.abs((top_left - xbl[head]) / rise - up_left)
-        off_right = np.abs((top_right - xbr[head]) / rise - up_right)
-        return (off_left <= tol) & (off_right <= tol)
-
     # Predict each link from its two rows alone, then check every link
     # against the chain the predictions imply: a set of links that
     # survives its own check is the greedy result.
-    taken = continues(lower)
+    up = _up_slopes(columns, upper)
+    first = _chain_slopes(columns, lower, lower)
+    taken = _continues(first, up, tol)
     own = np.arange(n)
-    for _ in range(_MERGE_PASSES):
+    for passes in range(_MERGE_PASSES):
         head = own.copy()
         head[upper[taken]] = lower[taken]
         while True:
@@ -829,23 +1005,16 @@ def merge_rows(rows: np.ndarray, tol: float = 1e-9) -> Optional[np.ndarray]:
             if np.array_equal(above, head):
                 break
             head = above
-        checked = continues(head[lower])
+        last = _chain_slopes(columns, head[lower], lower)
+        checked = _continues(last, up, tol)
         if np.array_equal(checked, taken):
             break
         taken = checked
     else:
         return None
-
-    is_tail = np.ones(n, dtype=bool)
-    is_tail[lower[taken]] = False
-    tails = np.flatnonzero(is_tail)
-    tail_of = np.empty(n, dtype=np.intp)
-    tail_of[head[tails]] = tails
-    heads = np.flatnonzero(head == own)
-    heads = heads[_order_by_pair(yb[heads], xbl[heads])]
-    tails = tail_of[heads]
-    return np.column_stack(
-        (yb[heads], yt[tails], xbl[heads], xbr[heads], xtl[tails], xtr[tails])
+    return _Links(
+        columns, order, (d_level, d_left, d_right), lower, upper, up, first,
+        last, taken, head, tol, passes == 0,
     )
 
 
@@ -868,23 +1037,46 @@ class _Candidates(NamedTuple):
     x_den: Tuple[np.ndarray, ...]
 
 
-#: The last sweep that did not fall back, as ``(key, candidates)``; see
-#: "Translated copies" in the module docstring.
-_slot: Optional[Tuple[Optional[tuple], List[_Candidates]]] = None
+class _Plan(NamedTuple):
+    """How a kept sweep's rows merge, and how far that carries (see
+    "Merged copies" in the module docstring).  ``heads``/``tails``: the
+    candidate rows whose bottom/top edge each merged row takes, in
+    output order.  ``reach``: the magnitude (largest ``|coordinate|``
+    times ``grid``) below which the join and its guards are certain.
+    ``link_reach``: per link, ascending, the magnitude below which its
+    slope decisions are; ``spot`` (chain head, lower, upper row) and
+    ``taken`` are in the same order."""
+
+    grid: float
+    tol: float
+    reach: float
+    heads: np.ndarray
+    tails: np.ndarray
+    link_reach: np.ndarray
+    spot: np.ndarray
+    taken: np.ndarray
+
+
+#: The last sweep that did not fall back, as ``(key, candidates,
+#: plan)``; the plan is ``None`` until one is built.  See "Translated
+#: copies" and "Merged copies" in the module docstring.
+_slot: Optional[
+    Tuple[Optional[tuple], List[_Candidates], Optional[_Plan]]
+] = None
 
 
 def clear_sweep_slot() -> None:
     """Make the next call sweep anew; benches that time one input
     over and over call this before each repetition.
 
-    The kept arrays stay until that sweep replaces them.  Freed here,
-    they would be the top of the heap: the allocator would hand the
-    sweep's freed working memory back to the system with them, and the
-    next sweep would fault it all in again (≈ 2,900 page faults a sweep
-    of the F16 die, against ≈ 170 this way)."""
+    The plan goes; the kept arrays stay until that sweep replaces them.
+    Freed here, they would be the top of the heap: the allocator would
+    hand the sweep's freed working memory back to the system with them,
+    and the next sweep would fault it all in again (≈ 2,900 page faults
+    a sweep of the F16 die, against ≈ 170 this way)."""
     global _slot
     if _slot is not None:
-        _slot = (None, _slot[1])
+        _slot = (None, _slot[1], None)
 
 
 def _exact_sweep(
@@ -1054,30 +1246,246 @@ def _exact_sweep(
     return families
 
 
+def _column(
+    family: _Candidates,
+    column: int,
+    at: Optional[np.ndarray],
+    kx: int,
+    ky: int,
+    coord_max: int,
+    grid: float,
+) -> np.ndarray:
+    """Column ``column`` (``TRAP_COLUMNS`` order) of ``family``'s
+    candidate rows ``at`` (all of them for ``None``), moved back by the
+    whole-dbu shift ``(kx, ky)`` and scaled by ``grid``.  ``coord_max``
+    bounds the moved coordinates (see :func:`_quotient`)."""
+    if column < 2:
+        num, k = family.y_num[column], ky
+        den = None if family.y_den is None else family.y_den[column]
+    else:
+        num, den, k = family.x_num[column - 2], family.x_den[column - 2], kx
+    if at is not None:
+        num = num[at]
+        den = None if den is None else den[at]
+    if den is None:
+        # Integer boundaries: int64 is exact, and so is the double of a
+        # moved y (|y| <= COORD_LIMIT).
+        return (num + k).astype(np.float64) * grid
+    return _quotient(num, den, k, coord_max) * grid
+
+
 def _emit(
     family: _Candidates, kx: int, ky: int, coord_max: int, grid: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``family``'s candidate rows moved back by the whole-dbu shift
     ``(kx, ky)`` and scaled by ``grid``: ``(slab_ids, rows)`` of the rows
-    kept, one ``(6,)`` float64 trapezoid row each.  ``coord_max`` bounds
-    the moved coordinates (see :func:`_quotient`)."""
-    if family.y_den is None:
-        # Integer boundaries: int64 is exact, and so is the double of a
-        # moved y (|y| <= COORD_LIMIT).
-        y_lo, y_hi = ((y + ky).astype(np.float64) * grid for y in family.y_num)
-    else:
-        y_lo, y_hi = (
-            _quotient(n, d, ky, coord_max) * grid
-            for n, d in zip(family.y_num, family.y_den)
-        )
+    kept, one ``(6,)`` float64 trapezoid row each."""
+    y_lo, y_hi = (_column(family, c, None, kx, ky, coord_max, grid) for c in (0, 1))
     # A slab of sub-ulp exact height renders as zero height in layout
     # units and carries no area — drop it, as the reference does.
-    keep = y_hi > y_lo
-    xs = [
-        _quotient(n[keep], d[keep], kx, coord_max) * grid
-        for n, d in zip(family.x_num, family.x_den)
-    ]
+    keep = np.flatnonzero(y_hi > y_lo)
+    xs = [_column(family, c, keep, kx, ky, coord_max, grid) for c in range(2, 6)]
     return family.slab[keep], np.column_stack((y_lo[keep], y_hi[keep], *xs))
+
+
+# ---------------------------------------------------------------------------
+# The merge plan of a kept sweep
+# ---------------------------------------------------------------------------
+
+
+#: An emitted coordinate is within this share of the copy's magnitude of
+#: its exact value (twice the two roundings' ``2**-52``; "Merged copies").
+_COORD_ERROR = 2.0**-51
+
+#: A slope test is certified only while the coordinate error is at most
+#: this share of both its rows' heights, where the bound is linear.
+_RISE_SHARE = 2.0**-20
+
+#: Relative slack on every margin and bound a plan is built from: far
+#: above the few units of ``2**-53`` its own float arithmetic errs by.
+_SLACK = 2.0**-40
+
+
+def _gap_reach(gaps: np.ndarray, threshold: float, err: float) -> float:
+    """Largest coordinate error of a copy that keeps every one of
+    ``gaps`` (distinct neighbours of the reference copy, ``err`` its own
+    coordinate error) above ``threshold``."""
+    if not len(gaps):
+        return np.inf
+    gap = float(gaps.min())
+    return (gap * (1 - _SLACK) - threshold * (1 + _SLACK)) / 2 - err * (1 + _SLACK)
+
+
+def _decision_reach(chains, up, taken: np.ndarray, tol: float, err: float):
+    """Per link, the largest coordinate error of a copy on which every
+    slope test of ``chains`` against ``up`` (the reference copy's own
+    slopes, ``err`` its coordinate error) still comes out ``taken``."""
+    height = up[0]
+    # Per side, a test within tol by ``gap`` holds while
+    # 2.001 * (P / rise + Q / height) * (err + err') + 18u * (P + Q) < gap,
+    # P = 1 + |chain slope| and Q = 1 + |upper slope|.
+    q = [1.0 + np.abs(up[side]) for side in (1, 2)]
+    q_height = [qs / height for qs in q]
+    scale = (1 - _SLACK) / (2.001 * (1 + _SLACK))
+    rounding = 18 * 2.0**-53 * (1 + _SLACK)
+    err = err * (1 + _SLACK)
+    out = None
+    for chain in chains:
+        rise = chain[0]
+        reach, inside = [], []
+        for side in (0, 1):
+            p = 1.0 + np.abs(chain[side + 1])
+            off = np.abs(chain[side + 1] - up[side + 1])
+            gap = np.abs(off - tol) * scale - (p + q[side]) * rounding
+            reach.append(gap / (p / rise + q_height[side]) - err)
+            inside.append(off <= tol)
+        # A taken link needs both sides within tol; a refused one, one
+        # side certainly beyond it.
+        refused = np.maximum(
+            np.where(inside[0], -np.inf, reach[0]),
+            np.where(inside[1], -np.inf, reach[1]),
+        )
+        decision = np.where(taken, np.minimum(*reach), refused)
+        linear = np.minimum(rise, height) * _RISE_SHARE
+        decision = np.where(err <= linear, np.minimum(decision, linear), -np.inf)
+        out = decision if out is None else np.minimum(out, decision)
+    return out
+
+
+def _equal_rationals(
+    order: np.ndarray,
+    pairs: np.ndarray,
+    num: np.ndarray,
+    den: Optional[np.ndarray],
+    keys: Callable,
+) -> bool:
+    """Whether the neighbours ``pairs`` of ``order`` each hold one
+    rational ``num / den`` (integers where ``den`` is ``None``)."""
+    num = num[order]
+    same = num[1:] == num[:-1]
+    if den is not None:
+        # Mostly one edge continuing through a boundary: the same fraction.
+        den = den[order]
+        same &= den[1:] == den[:-1]
+        rest = np.flatnonzero(pairs & ~same)
+        if len(rest):
+            below = keys(num[rest], den[rest])
+            above = keys(num[rest + 1], den[rest + 1])
+            same[rest] = np.logical_and.reduce(
+                [a == b for a, b in zip(below, above)]
+            )
+    return bool(same[pairs].all())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _plan(
+    links: _Links,
+    families: List[_Candidates],
+    local_max: int,
+    coord_max: int,
+    grid: float,
+) -> Optional[_Plan]:
+    """The plan of a kept sweep from the :class:`_Links` of one copy's
+    merge (the reference copy: ``coord_max`` its largest ``|coordinate|``),
+    or ``None`` where "Merged copies" promises nothing."""
+    family = families[0]
+    if not (
+        links.settled
+        and len(families) == 1
+        and len(links.head) == len(family.slab)  # row r is candidate r
+        and family.y_den is None
+        and family.x_num[0].dtype != object
+        # Every emitted coordinate is zero or a normal float (a nonzero
+        # one is at least 2**-32 dbu), as the error bound assumes.
+        and grid >= 2.0**-960
+    ):
+        return None
+    order, tol = links.order, links.tol
+    err = coord_max * grid * _COORD_ERROR
+    d_level, d_left, d_right = links.gaps
+    same_level = d_level == 0.0
+    same_left = same_level & (d_left == 0.0)
+    same = same_left & (d_right == 0.0)
+
+    # Equal floats of the reference copy are equal rationals: exact
+    # levels, and the sweep's own order keys for the xs.
+    keys = _keys_float if local_max <= _FLOAT_KEY_LIMIT else _keys_int64
+    num, den = family.x_num, family.x_den
+    if not (
+        _equal_rationals(
+            order, same_level, np.concatenate(family.y_num[::-1]), None, keys
+        )
+        and _equal_rationals(
+            order, same_left, np.concatenate((num[2], num[0])),
+            np.concatenate((den[2], den[0])), keys,
+        )
+        and _equal_rationals(
+            order, same, np.concatenate((num[3], num[1])),
+            np.concatenate((den[3], den[1])), keys,
+        )
+    ):
+        return None
+    joins = min(
+        _gap_reach(d_level[d_level > 0.0], _LEVEL_GAP, err),
+        _gap_reach(d_left[same_level & (d_left > 0.0)], tol, err),
+        _gap_reach(d_right[same_left & (d_right > 0.0)], tol, err),
+    )
+    if not joins > err:
+        return None
+
+    taken = links.taken
+    reach = _decision_reach((links.first, links.last), links.up, taken, tol, err)
+    # Links of equal reach are doubted together, so any sort will do.
+    by_reach = np.argsort(reach)
+    heads, tails = _ends(links)
+    to_magnitude = (1 - _SLACK) / _COORD_ERROR
+    spot = np.column_stack((links.head[links.lower], links.lower, links.upper))
+    plan = _Plan(
+        grid,
+        tol,
+        joins * to_magnitude,
+        heads,
+        tails,
+        np.maximum(reach[by_reach] * to_magnitude, 0.0),
+        spot[by_reach],
+        taken[by_reach],
+    )
+    for array in plan[3:]:
+        array.flags.writeable = False
+    return plan
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _serve(
+    plan: _Plan,
+    family: _Candidates,
+    kx: int,
+    ky: int,
+    coord_max: int,
+    grid: float,
+) -> Optional[np.ndarray]:
+    """The merged rows of the copy at ``(kx, ky)`` from ``plan``, or
+    ``None`` where the plan cannot promise them (see "Merged copies")."""
+    magnitude = coord_max * grid
+    if grid != plan.grid or not magnitude < plan.reach:
+        return None
+    doubt = int(np.searchsorted(plan.link_reach, magnitude, side="right"))
+    if doubt:
+        # The links the bound leaves open: their three rows, emitted, and
+        # both slope tests made on them as merge_rows makes them.
+        rows = plan.spot[:doubt].ravel()
+        columns = [_column(family, c, rows, kx, ky, coord_max, grid) for c in range(6)]
+        head, lower, upper = np.arange(3 * doubt).reshape(doubt, 3).T
+        up = _up_slopes(columns, upper)
+        taken = plan.taken[:doubt]
+        for start in (lower, head):
+            chain = _chain_slopes(columns, start, lower)
+            if not np.array_equal(_continues(chain, up, plan.tol), taken):
+                return None
+    ends = (plan.heads, plan.tails, plan.heads, plan.heads, plan.tails, plan.tails)
+    return np.column_stack(
+        [_column(family, c, ends[c], kx, ky, coord_max, grid) for c in range(6)]
+    )
 
 
 def sweep_trapezoids_fast(
@@ -1136,30 +1544,42 @@ def sweep_trapezoids_fast(
     rings_a = len(off_a) - 1
     key = (local.tobytes(), offsets.tobytes(), rings_a, operation, fill_rule)
     kept = _slot
-    if kept is not None and kept[0] == key:
-        families = kept[1]
+    hit = kept is not None and kept[0] == key
+    if hit:
+        families, plan = kept[1], kept[2]
     else:
         families = _exact_sweep(local, offsets, rings_a, operation, fill_rule)
         if families is None:
             if fallbacks is not None:
                 fallbacks.rational_slab += 1
             return None
-        _slot = (key, families)
+        plan = None
+        _slot = (key, families, None)
     if not families:
         return []
 
     # -- emit in slab order and merge, as rows ----------------------------
     kx, ky = (int(v) for v in corner)
+    if merge and plan is not None:
+        served = _serve(plan, families[0], kx, ky, coord_max, grid)
+        if served is not None:
+            return FigureView(served)
     blocks = [_emit(family, kx, ky, coord_max, grid) for family in families]
     all_rows = np.concatenate([b[1] for b in blocks])
     if len(blocks) > 1:
         all_ids = np.concatenate([b[0] for b in blocks])
         all_rows = all_rows[np.argsort(all_ids, kind="stable")]
     if merge:
-        merged = merge_rows(all_rows)
+        # The first re-emission of a kept sweep plans its merge.
+        found = [] if hit and plan is None else None
+        merged = merge_rows(all_rows, found=found)
         if merged is None:
             if fallbacks is not None:
                 fallbacks.scalar_merge += 1
             return merge_trapezoids(trapezoids_from_array(all_rows))
+        if found and _slot is kept:
+            plan = _plan(found[0], families, int(local.max()), coord_max, grid)
+            if plan is not None:
+                _slot = (key, families, plan)
         all_rows = merged
     return FigureView(all_rows)

@@ -615,7 +615,7 @@ class TestSweepOrder:
     """``_sweep_order`` is ``lexsort``'s permutation, tie-breaks and all
     ("Ordering" in the kernel's module docstring)."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(sweep_key_rows())
     def test_equals_lexsort_on_every_key_shape(self, block):
         assert_same_order(*block)
