@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = facade(
     {
         "Point": "geometry.point",
         "Polygon": "geometry.polygon",
-        "Region": "geometry.region",
         "Transform": "geometry.transform",
         "Trapezoid": "geometry.trapezoid",
         "Cell": "layout.cell",
@@ -65,7 +64,6 @@ __getattr__, __dir__, __all__ = facade(
         "PipelineResult": "core.pipeline",
         "FidelityReport": "core.metrics",
         "fidelity_report": "core.metrics",
-        "compare_machines": "core.compare",
         "ThroughputModel": "analysis.throughput",
     },
 )

@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = facade(
     {
         "ThroughputModel": "throughput",
         "ThroughputReport": "throughput",
-        "format_table": "tables",
         "Table": "tables",
         "DefectSite": "verify",
         "VerificationReport": "verify",

@@ -61,13 +61,3 @@ def _format(cell: Cell) -> str:
             return f"{cell:.3e}"
         return f"{cell:.4g}"
     return str(cell)
-
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Iterable[Cell]], title: str = ""
-) -> str:
-    """One-call table rendering."""
-    table = Table(headers, title=title)
-    for row in rows:
-        table.add_row(row)
-    return table.render()

@@ -4,15 +4,15 @@ Experiment F5 reproduces the tutorial-era throughput argument: raster
 machines are chip-area limited but resist-insensitive up to the current
 ceiling; vector/VSB machines win on sparse levels and fast resists but
 collapse on dense ones.  The model composes a per-chip write time with
-wafer-level overheads (load, global alignment, stage stepping) and sweeps
-resist sensitivity and beam current.
+wafer-level overheads (load, global alignment, stage stepping); the F5
+bench sweeps resist sensitivity and beam current through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.job import MachineJob
 from repro.machine.base import Machine
@@ -109,23 +109,3 @@ class ThroughputModel:
             wafers_per_hour=3600.0 / wafer_time,
             exposure_fraction=chips * breakdown.exposure / wafer_time,
         )
-
-    def sensitivity_sweep(
-        self,
-        machine_factory,
-        job_factory,
-        sensitivities,
-    ) -> Dict[float, ThroughputReport]:
-        """Throughput vs. resist sensitivity [µC/cm²].
-
-        Args:
-            machine_factory: callable() → Machine (fresh per point).
-            job_factory: callable(dose) → MachineJob at that base dose.
-            sensitivities: doses to sweep.
-        """
-        results: Dict[float, ThroughputReport] = {}
-        for dose in sensitivities:
-            machine = machine_factory()
-            job = job_factory(dose)
-            results[dose] = self.report(machine, job)
-        return results

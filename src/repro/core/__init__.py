@@ -43,8 +43,6 @@ __getattr__, __dir__, __all__ = facade(
         "PipelineResult": "pipeline",
         "FidelityReport": "metrics",
         "fidelity_report": "metrics",
-        "compare_machines": "compare",
-        "MachineComparison": "compare",
         "FieldedJob": "fields",
         "partition_fields": "fields",
         "order_shots": "fields",

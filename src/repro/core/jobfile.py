@@ -417,27 +417,6 @@ def loads_program(data: bytes) -> ProgramImage:
     )
 
 
-def dumps_program(image: ProgramImage) -> bytes:
-    """Serialize a :class:`ProgramImage` (the round-trip inverse)."""
-    chunks = [
-        pack_program_header(
-            image.mode,
-            image.address_unit,
-            image.origin,
-            image.base_dose,
-            len(image.segments),
-        )
-    ]
-    for seg in image.segments:
-        chunks.append(pack_program_segment(seg.index, seg.record_count, seg.payload))
-    return b"".join(chunks)
-
-
-def read_program(path: Union[str, Path]) -> ProgramImage:
-    """Read and parse a machine-program file."""
-    return loads_program(Path(path).read_bytes())
-
-
 # ---------------------------------------------------------------------------
 # Shard-result payloads (cache storage)
 # ---------------------------------------------------------------------------

@@ -185,11 +185,6 @@ class LeaseQueue:
             state.last_contact = now
             state.silent_flagged = False
 
-    def touch_worker(self, worker: str, now: float) -> None:
-        """Record any contact from ``worker`` (poll, heartbeat, commit)."""
-        with self._lock:
-            self._touch_locked(worker, now)
-
     def grant(self, worker: str, now: float) -> Optional[_Lease]:
         """Hand ``worker`` a lease, or ``None`` when nothing is grantable.
 
@@ -461,15 +456,6 @@ class LeaseQueue:
     def error(self) -> Optional[str]:
         with self._lock:
             return self._error
-
-    def spent_positions(self) -> List[int]:
-        """Positions the caller must finish locally, sorted."""
-        with self._lock:
-            return sorted(
-                position
-                for position in self._spent
-                if position not in self._committed
-            )
 
 
 @dataclass

@@ -52,10 +52,6 @@ class Shot:
         """Figure area."""
         return self.trapezoid.area()
 
-    def with_dose(self, dose: float) -> "Shot":
-        """Copy with a new dose factor."""
-        return Shot(self.trapezoid, dose)
-
     def __repr__(self) -> str:
         return f"Shot({self.trapezoid!r}, dose={self.dose:g})"
 

@@ -7,14 +7,12 @@ lithography CAD work:
 * :class:`~repro.geometry.transform.Transform` — affine transforms
   (translation, rotation, scaling, mirroring) in the GDSII convention.
 * :class:`~repro.geometry.polygon.Polygon` — simple polygon with the usual
-  predicates (area, orientation, containment, convexity) and operations
-  (clipping against a half-plane or box, simplification).
+  measures (area, orientation, centroid, bounding box) and operations
+  (normalisation, simplification, transformation).
 * :mod:`~repro.geometry.boolean` — scanline boolean engine over polygon sets
   (union / intersection / difference / XOR with nonzero or even-odd fill).
 * :class:`~repro.geometry.trapezoid.Trapezoid` — the machine primitive
   emitted by the scanline engine and consumed by the fracturers.
-* :class:`~repro.geometry.region.Region` — polygon-set algebra wrapper with
-  operator overloading (``a | b``, ``a & b``, ``a - b``, ``a ^ b``).
 * :mod:`~repro.geometry.rasterize` — area-coverage rasterization used by the
   exposure simulator.
 
@@ -33,14 +31,9 @@ __getattr__, __dir__, __all__ = facade(
         "Transform": "transform",
         "Polygon": "polygon",
         "Trapezoid": "trapezoid",
-        "Region": "region",
         "boolean_trapezoids": "boolean",
         "boolean_polygons": "boolean",
         "union": "boolean",
-        "intersection": "boolean",
-        "difference": "boolean",
-        "symmetric_difference": "boolean",
         "rasterize_polygons": "rasterize",
-        "rasterize_trapezoids": "rasterize",
     },
 )

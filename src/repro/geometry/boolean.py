@@ -4,8 +4,7 @@ All operations accept two iterables of :class:`~repro.geometry.polygon.Polygon`
 and return either trapezoids (:func:`boolean_trapezoids` — the native machine
 representation) or reassembled polygons (:func:`boolean_polygons`).
 
-Supported operations, matching the operators of
-:class:`~repro.geometry.region.Region`:
+Supported operations:
 
 ========= =========================================
 ``"or"``   union, A ∪ B
@@ -170,27 +169,6 @@ def boolean_polygons(
 def union(polys: Iterable[Polygon], grid: float = DEFAULT_GRID) -> List[Polygon]:
     """Union of one polygon set (merges overlaps, resolves self-windings)."""
     return boolean_polygons(polys, [], "or", grid=grid)
-
-
-def intersection(
-    polys_a: Iterable[Polygon], polys_b: Iterable[Polygon], grid: float = DEFAULT_GRID
-) -> List[Polygon]:
-    """A ∩ B as polygons."""
-    return boolean_polygons(polys_a, polys_b, "and", grid=grid)
-
-
-def difference(
-    polys_a: Iterable[Polygon], polys_b: Iterable[Polygon], grid: float = DEFAULT_GRID
-) -> List[Polygon]:
-    """A \\ B as polygons."""
-    return boolean_polygons(polys_a, polys_b, "sub", grid=grid)
-
-
-def symmetric_difference(
-    polys_a: Iterable[Polygon], polys_b: Iterable[Polygon], grid: float = DEFAULT_GRID
-) -> List[Polygon]:
-    """A ⊕ B as polygons."""
-    return boolean_polygons(polys_a, polys_b, "xor", grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ pre-bias, overlap generation.  The implementation is the *boundary-band*
 
 Joins are *square* (the vertex cap), which is exact for rectilinear
 geometry and overshoots a true round join at non-axis corners by at most
-``r·(√2−1)``.  :func:`offset_ring` additionally provides the classic
-mitred ring displacement for callers that want mitred joins on convex
-geometry.
+``r·(√2−1)``.
 """
 
 from __future__ import annotations
@@ -28,52 +26,6 @@ from repro.geometry.boolean import boolean_polygons
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline import DEFAULT_GRID
-
-#: Corners sharper than this (miter length in units of |delta|) are
-#: bevelled instead of mitred by :func:`offset_ring`.
-MITER_LIMIT = 4.0
-
-
-def offset_ring(polygon: Polygon, delta: float) -> List[Point]:
-    """Raw mitred displacement of one vertex ring.
-
-    The ring's own winding defines its inside: positive ``delta``
-    displaces every edge along the right-of-travel normal, which grows
-    the solid for counter-clockwise outer rings **and** shrinks the void
-    for clockwise hole rings.
-
-    Returns the displaced ring.  May self-intersect or invert when the
-    displacement exceeds the ring's inradius — the band-based
-    :func:`offset` does not have this failure mode and should be
-    preferred for production sizing.
-    """
-    verts = _clean_vertices(polygon)
-    n = len(verts)
-    if n < 3:
-        return []
-    out: List[Point] = []
-    for i in range(n):
-        prev_pt = verts[(i - 1) % n]
-        here = verts[i]
-        next_pt = verts[(i + 1) % n]
-        d_in = (here - prev_pt).unit()
-        d_out = (next_pt - here).unit()
-        n_in = Point(d_in.y, -d_in.x)
-        n_out = Point(d_out.y, -d_out.x)
-        bisector = n_in + n_out
-        blen = bisector.norm()
-        if blen < 1e-12:
-            out.append(here + n_in * delta)
-            out.append(here + n_out * delta)
-            continue
-        bisector = bisector / blen
-        cos_half = bisector.dot(n_in)
-        if cos_half <= 1e-9 or 1.0 / cos_half > MITER_LIMIT:
-            out.append(here + n_in * delta)
-            out.append(here + n_out * delta)
-        else:
-            out.append(here + bisector * (delta / cos_half))
-    return out
 
 
 def _clean_vertices(polygon: Polygon) -> List[Point]:

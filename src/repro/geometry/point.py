@@ -94,11 +94,6 @@ class Point:
 
     # -- geometry ----------------------------------------------------
 
-    def dot(self, other: "Point | Tuple[float, float]") -> float:
-        """Scalar (dot) product."""
-        other = Point.of(other)
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Point | Tuple[float, float]") -> float:
         """Z-component of the 2-D cross product (signed parallelogram area)."""
         other = Point.of(other)
@@ -107,10 +102,6 @@ class Point:
     def norm(self) -> float:
         """Euclidean length."""
         return math.hypot(self.x, self.y)
-
-    def norm_squared(self) -> float:
-        """Squared Euclidean length (avoids the sqrt)."""
-        return self.x * self.x + self.y * self.y
 
     def distance(self, other: "Point | Tuple[float, float]") -> float:
         """Euclidean distance to ``other``."""
@@ -127,10 +118,6 @@ class Point:
         if n == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
         return Point(self.x / n, self.y / n)
-
-    def perpendicular(self) -> "Point":
-        """The vector rotated +90 degrees."""
-        return Point(-self.y, self.x)
 
     def rotated(self, angle_rad: float, about: "Point | None" = None) -> "Point":
         """Rotate counter-clockwise by ``angle_rad`` about ``about`` (origin)."""

@@ -115,25 +115,6 @@ class Polygon:
         return cls.rectangle(c.x - h, c.y - h, c.x + h, c.y + h)
 
     @classmethod
-    def regular(
-        cls, center: Coordinate, radius: float, sides: int, phase_rad: float = 0.0
-    ) -> "Polygon":
-        """Regular polygon with ``sides`` vertices on a circle of ``radius``."""
-        if sides < 3:
-            raise ValueError("a regular polygon needs at least 3 sides")
-        c = Point.of(center)
-        step = 2.0 * math.pi / sides
-        return cls(
-            [
-                (
-                    c.x + radius * math.cos(phase_rad + i * step),
-                    c.y + radius * math.sin(phase_rad + i * step),
-                )
-                for i in range(sides)
-            ]
-        )
-
-    @classmethod
     def annulus_sector(
         cls,
         center: Coordinate,
@@ -220,12 +201,6 @@ class Polygon:
         """Absolute enclosed area."""
         return abs(self.signed_area())
 
-    def perimeter(self) -> float:
-        """Total boundary length."""
-        verts = self.vertices
-        n = len(verts)
-        return sum(verts[i].distance(verts[(i + 1) % n]) for i in range(n))
-
     def centroid(self) -> Point:
         """Area centroid (assumes a simple polygon)."""
         a2 = 0.0
@@ -282,36 +257,6 @@ class Polygon:
                 if b.y <= p.y and cross < 0:
                     winding -= 1
         return winding != 0
-
-    def is_convex(self) -> bool:
-        """True if all turns share one sign (collinear runs allowed)."""
-        verts = self.vertices
-        n = len(verts)
-        sign = 0
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            c = verts[(i + 2) % n]
-            cross = (b - a).cross(c - b)
-            if abs(cross) < 1e-12:
-                continue
-            s = 1 if cross > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
-
-    def is_rectilinear(self, tol: float = 1e-9) -> bool:
-        """True if every edge is axis-parallel (Manhattan geometry)."""
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            if abs(a.x - b.x) > tol and abs(a.y - b.y) > tol:
-                return False
-        return True
 
     # -- operations ----------------------------------------------------------
 
@@ -385,58 +330,6 @@ class Polygon:
         return Polygon.from_array(
             np.column_stack((ox + cos * dx - sin * dy, oy + sin * dx + cos * dy))
         )
-
-    def clip_half_plane(
-        self, anchor: Coordinate, normal: Coordinate
-    ) -> "Polygon | None":
-        """Sutherland–Hodgman clip against ``dot(p - anchor, normal) >= 0``.
-
-        Returns ``None`` if the polygon lies entirely outside.
-        """
-        a = Point.of(anchor)
-        n = Point.of(normal)
-        output: List[Point] = []
-        verts = self.vertices
-        count = len(verts)
-        for i in range(count):
-            current = verts[i]
-            nxt = verts[(i + 1) % count]
-            cur_in = (current - a).dot(n) >= 0
-            nxt_in = (nxt - a).dot(n) >= 0
-            if cur_in:
-                output.append(current)
-            if cur_in != nxt_in:
-                denom = (nxt - current).dot(n)
-                if abs(denom) > 1e-300:
-                    t = (a - current).dot(n) / denom
-                    output.append(current + (nxt - current) * t)
-        cleaned: List[Point] = []
-        for v in output:
-            if not cleaned or not v.almost_equals(cleaned[-1], tol=1e-12):
-                cleaned.append(v)
-        if len(cleaned) >= 2 and cleaned[0].almost_equals(cleaned[-1], tol=1e-12):
-            cleaned.pop()
-        if len(cleaned) < 3:
-            return None
-        return Polygon(cleaned)
-
-    def clip_box(
-        self, x0: float, y0: float, x1: float, y1: float
-    ) -> "Polygon | None":
-        """Clip against an axis-aligned box (four half-plane clips)."""
-        xa, xb = sorted((x0, x1))
-        ya, yb = sorted((y0, y1))
-        poly: "Polygon | None" = self
-        for anchor, normal in (
-            ((xa, ya), (1.0, 0.0)),
-            ((xb, yb), (-1.0, 0.0)),
-            ((xa, ya), (0.0, 1.0)),
-            ((xb, yb), (0.0, -1.0)),
-        ):
-            if poly is None:
-                return None
-            poly = poly.clip_half_plane(anchor, normal)
-        return poly
 
     # -- dunder -----------------------------------------------------------
 

@@ -31,35 +31,6 @@ def orientation(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
     return 0
 
 
-def on_segment(p: IntPoint, q: IntPoint, r: IntPoint) -> bool:
-    """True if collinear point ``q`` lies on the closed segment ``p r``."""
-    return (
-        min(p[0], r[0]) <= q[0] <= max(p[0], r[0])
-        and min(p[1], r[1]) <= q[1] <= max(p[1], r[1])
-    )
-
-
-def segments_intersect(
-    p1: IntPoint, p2: IntPoint, q1: IntPoint, q2: IntPoint
-) -> bool:
-    """True if closed segments ``p1 p2`` and ``q1 q2`` share any point."""
-    o1 = orientation(p1, p2, q1)
-    o2 = orientation(p1, p2, q2)
-    o3 = orientation(q1, q2, p1)
-    o4 = orientation(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(p1, q1, p2):
-        return True
-    if o2 == 0 and on_segment(p1, q2, p2):
-        return True
-    if o3 == 0 and on_segment(q1, p1, q2):
-        return True
-    if o4 == 0 and on_segment(q1, p2, q2):
-        return True
-    return False
-
-
 def segment_intersection_ys(
     p1: IntPoint, p2: IntPoint, q1: IntPoint, q2: IntPoint
 ) -> List[Fraction]:
@@ -91,42 +62,6 @@ def segment_intersection_ys(
         y = Fraction(p1[1]) + t * d1y
         return [y]
     return []
-
-
-def x_at_y(p1: IntPoint, p2: IntPoint, y: Fraction) -> Fraction:
-    """Exact x coordinate of the (non-horizontal) segment ``p1 p2`` at ``y``."""
-    dy = p2[1] - p1[1]
-    if dy == 0:
-        raise ValueError("x_at_y on a horizontal segment")
-    t = (y - p1[1]) / dy
-    return Fraction(p1[0]) + t * (p2[0] - p1[0])
-
-
-def point_in_polygon(point: IntPoint, vertices: List[IntPoint]) -> int:
-    """Winding classification of ``point`` against a closed polygon.
-
-    Returns ``1`` for strictly inside (nonzero winding), ``0`` for strictly
-    outside, ``-1`` for on the boundary.
-    """
-    px, py = point
-    winding = 0
-    n = len(vertices)
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        if (ax, ay) == (px, py) or (bx, by) == (px, py):
-            return -1
-        if orientation((ax, ay), (bx, by), (px, py)) == 0 and on_segment(
-            (ax, ay), (px, py), (bx, by)
-        ):
-            return -1
-        if ay <= py:
-            if by > py and orientation((ax, ay), (bx, by), (px, py)) > 0:
-                winding += 1
-        else:
-            if by <= py and orientation((ax, ay), (bx, by), (px, py)) < 0:
-                winding -= 1
-    return 1 if winding != 0 else 0
 
 
 def snap(value: float, grid: float) -> int:
@@ -163,15 +98,3 @@ def ring_collapses(xy: Sequence[int]) -> bool:
         np.array(xy, dtype=np.float64).reshape(-1, 2), as_stored=True
     )
     return not len(boolean_trapezoids([ring], [], "or", grid=1.0))
-
-
-def bounding_boxes_overlap(
-    a_min: IntPoint, a_max: IntPoint, b_min: IntPoint, b_max: IntPoint
-) -> bool:
-    """True if two closed axis-aligned boxes intersect."""
-    return (
-        a_min[0] <= b_max[0]
-        and b_min[0] <= a_max[0]
-        and a_min[1] <= b_max[1]
-        and b_min[1] <= a_max[1]
-    )

@@ -9,12 +9,11 @@ default supersampling.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.geometry.polygon import Polygon
-from repro.geometry.trapezoid import Trapezoid
 
 
 class RasterFrame:
@@ -56,10 +55,6 @@ class RasterFrame:
     def x_centers(self) -> np.ndarray:
         """Pixel-centre x coordinates (length ``nx``)."""
         return self.x0 + (np.arange(self.nx) + 0.5) * self.pixel
-
-    def y_centers(self) -> np.ndarray:
-        """Pixel-centre y coordinates (length ``ny``)."""
-        return self.y0 + (np.arange(self.ny) + 0.5) * self.pixel
 
     def extent(self) -> Tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` of the frame window."""
@@ -146,17 +141,3 @@ def rasterize_polygons(
         total += _scanline_coverage_rows(poly.ring, frame, supersample)
     np.clip(total, 0.0, 1.0, out=total)
     return total
-
-
-def rasterize_trapezoids(
-    traps: Sequence[Trapezoid],
-    frame: RasterFrame,
-    supersample: int = 4,
-) -> np.ndarray:
-    """Rasterize a trapezoid set (converted per-figure to polygons)."""
-    return rasterize_polygons((t.to_polygon() for t in traps), frame, supersample)
-
-
-def coverage_area(cover: np.ndarray, frame: RasterFrame) -> float:
-    """Total covered area implied by a coverage raster."""
-    return float(cover.sum()) * frame.pixel * frame.pixel

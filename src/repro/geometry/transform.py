@@ -15,7 +15,7 @@ parameterization used by :class:`repro.layout.reference.CellReference`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class Transform:
         return cls(1.0, 0.0, 0.0, -1.0, 0.0, 0.0)
 
     @classmethod
-    def mirror_y(cls) -> "Transform":
-        """Reflection about the y axis."""
-        return cls(-1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-    @classmethod
     def gdsii(
         cls,
         origin: Point | Tuple[float, float] = (0.0, 0.0),
@@ -139,11 +134,6 @@ class Transform:
         """Transform an iterable of points."""
         return [self.apply(p) for p in points]
 
-    def apply_vector(self, vector: Point | Tuple[float, float]) -> Point:
-        """Transform a free vector (ignores translation)."""
-        v = Point.of(vector)
-        return Point(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
     # -- composition -----------------------------------------------------
 
     def __matmul__(self, other: "Transform") -> "Transform":
@@ -165,23 +155,6 @@ class Transform:
         """True if the transform keeps polygon winding direction."""
         return self.determinant() > 0.0
 
-    def inverse(self) -> "Transform":
-        """The inverse transform.
-
-        Raises:
-            ZeroDivisionError: if the transform is singular.
-        """
-        det = self.determinant()
-        if det == 0.0:
-            raise ZeroDivisionError("transform is singular")
-        ia = self.d / det
-        ib = -self.b / det
-        ic = -self.c / det
-        id_ = self.a / det
-        ie = -(ia * self.e + ib * self.f)
-        if_ = -(ic * self.e + id_ * self.f)
-        return Transform(ia, ib, ic, id_, ie, if_)
-
     # -- introspection ---------------------------------------------------
 
     def is_identity(self, tol: float = 1e-12) -> bool:
@@ -195,24 +168,9 @@ class Transform:
             and abs(self.f) <= tol
         )
 
-    def is_axis_aligned(self, tol: float = 1e-12) -> bool:
-        """True for transforms that map axis-parallel edges to axis-parallel
-        edges (rotations by multiples of 90 degrees, mirrors, scalings)."""
-        return (abs(self.b) <= tol and abs(self.c) <= tol) or (
-            abs(self.a) <= tol and abs(self.d) <= tol
-        )
-
     def magnification(self) -> float:
         """Isotropic magnification ``sqrt(|det|)``."""
         return math.sqrt(abs(self.determinant()))
-
-    def as_matrix(self) -> Sequence[Sequence[float]]:
-        """Return the transform as a 3x3 nested-sequence matrix."""
-        return (
-            (self.a, self.b, self.e),
-            (self.c, self.d, self.f),
-            (0.0, 0.0, 1.0),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Transform):

@@ -104,22 +104,6 @@ class Trapezoid:
         """True if the trapezoid has (near-)zero area."""
         return self.area() <= tol
 
-    def width_at(self, y: float) -> float:
-        """Horizontal width at height ``y`` (linear interpolation)."""
-        if not (self.y_bottom <= y <= self.y_top):
-            return 0.0
-        t = (y - self.y_bottom) / self.height
-        left = self.x_bottom_left + t * (self.x_top_left - self.x_bottom_left)
-        right = self.x_bottom_right + t * (self.x_top_right - self.x_bottom_right)
-        return right - left
-
-    def min_width(self) -> float:
-        """Smaller of the two parallel-edge widths (sliver detector)."""
-        return min(
-            self.x_bottom_right - self.x_bottom_left,
-            self.x_top_right - self.x_top_left,
-        )
-
     # -- conversions --------------------------------------------------------
 
     def to_polygon(self) -> Polygon:

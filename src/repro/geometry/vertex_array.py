@@ -54,26 +54,18 @@ def snap_coords(coords: np.ndarray, grid: float) -> np.ndarray:
     return snapped.astype(np.int64)
 
 
-def snap_rings(polygons: Sequence[Polygon], grid: float) -> StackedRings:
-    """Snap many polygons to the integer grid in one vectorized pass.
-
-    Equivalent to ``[snap_polygon(p, grid) for p in polygons]`` (same
-    snapping, same consecutive-duplicate and closing-duplicate removal)
-    but returned as stacked int64 arrays.
-    """
-    coords, offsets = stack_polygons(polygons)
-    return snap_stacked(coords, offsets, grid)
-
-
 def snap_stacked(
     coords: np.ndarray, offsets: np.ndarray, grid: float
 ) -> StackedRings:
     """Snap already-stacked rings to the integer grid.
 
-    Same contract as :func:`snap_rings` but takes the raw stacked
-    ``(coords, offsets)`` pair, so callers that need to inspect the raw
-    float coordinates first (e.g. the fast kernel's overflow pre-check,
-    which must reject magnitudes where the float->int64 cast would be
+    Each ring is snapped like
+    :func:`~repro.geometry.scanline.snap_polygon` (same snapping, same
+    consecutive-duplicate and closing-duplicate removal), as stacked
+    int64 arrays.  The rings come as the raw stacked ``(coords,
+    offsets)`` pair, so callers that need to inspect the raw float
+    coordinates first (e.g. the fast kernel's overflow pre-check, which
+    must reject magnitudes where the float->int64 cast would be
     undefined) can stack once and snap afterwards.
     """
     snapped = snap_coords(coords, grid)

@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = facade(
         "CellArray": "reference",
         "Library": "library",
         "flatten_cell": "flatten",
-        "flatten_library": "flatten",
         "LayoutStream": "cursor",
         "GdsiiStream": "gdsii",
         "CifStream": "cif",

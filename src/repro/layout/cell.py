@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.geometry.polygon import Polygon
 from repro.layout.layer import DEFAULT_LAYER, Layer
@@ -39,16 +39,6 @@ class Cell:
         """Add one polygon on ``layer``; returns self for chaining."""
         key = Layer.of(layer)
         self.polygons.setdefault(key, []).append(polygon)
-        return self
-
-    def add_polygons(
-        self,
-        polygons: Iterable[Polygon],
-        layer: "Layer | int | Tuple[int, int]" = DEFAULT_LAYER,
-    ) -> "Cell":
-        """Add many polygons on ``layer``; returns self for chaining."""
-        key = Layer.of(layer)
-        self.polygons.setdefault(key, []).extend(polygons)
         return self
 
     def add_rectangle(
@@ -128,27 +118,6 @@ class Cell:
         seen: Dict[str, Cell] = {}
         for ref in self.references:
             seen.setdefault(ref.cell.name, ref.cell)
-        return list(seen.values())
-
-    def descendants(self) -> List["Cell"]:
-        """All distinct cells reachable from this one (excluding self).
-
-        Raises:
-            ValueError: if the hierarchy contains a reference cycle.
-        """
-        seen: Dict[str, Cell] = {}
-        stack: List[Tuple[Cell, Tuple[str, ...]]] = [
-            (c, (self.name,)) for c in self.children()
-        ]
-        while stack:
-            cell, path = stack.pop()
-            if cell.name in path:
-                cycle = " -> ".join(path + (cell.name,))
-                raise ValueError(f"reference cycle in hierarchy: {cycle}")
-            if cell.name in seen:
-                continue
-            seen[cell.name] = cell
-            stack.extend((c, path + (cell.name,)) for c in cell.children())
         return list(seen.values())
 
     def bounding_box(self) -> Optional[Tuple[float, float, float, float]]:

@@ -20,7 +20,6 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.transform import Transform, compose
 from repro.layout.cell import Cell
 from repro.layout.layer import Layer
-from repro.layout.library import Library
 
 FlatLayers = Dict[Layer, List[Polygon]]
 
@@ -136,26 +135,6 @@ def _flatten_into(
             _flatten_into(
                 ref.cell, transform @ placement, result, layers, path + (cell.name,)
             )
-
-
-def flatten_library(
-    library: Library,
-    top: Optional[str] = None,
-    layers: Optional[Set[Layer]] = None,
-) -> FlatLayers:
-    """Flatten a library from its (named or unique) top cell."""
-    cell = library[top] if top is not None else library.top_cell()
-    return flatten_cell(cell, layers=layers)
-
-
-def flat_polygon_count(flat: FlatLayers) -> int:
-    """Total polygons in a flattened result."""
-    return sum(len(v) for v in flat.values())
-
-
-def flat_vertex_count(flat: FlatLayers) -> int:
-    """Total vertices in a flattened result."""
-    return sum(len(p) for v in flat.values() for p in v)
 
 
 def flat_area(flat: FlatLayers, layer: Optional[Layer] = None) -> float:

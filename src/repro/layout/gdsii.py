@@ -185,10 +185,9 @@ class GdsiiStreamWriter:
     incremental writer cannot do is check the full hierarchy for cycles
     up front; callers stream cells they know to be acyclic.
 
-    Cells can be written whole (:meth:`write_cell`) or opened with
-    :meth:`begin_cell` and filled incrementally — the caller is then
-    responsible for the canonical order (polygons sorted by layer, then
-    references) if byte identity with the materialized writer matters.
+    Cells are opened with :meth:`begin_cell` and filled incrementally —
+    the caller is responsible for the canonical order (polygons sorted
+    by layer) if byte identity with the materialized writer matters.
     """
 
     def __init__(
@@ -219,12 +218,6 @@ class GdsiiStreamWriter:
         self._fh.write(data)
         self.bytes_written += len(data)
 
-    def write_cell(self, cell: Cell) -> None:
-        """Emit one whole cell (canonical record order, like dumps)."""
-        if self._in_cell:
-            raise ValueError("finish the open cell before writing another")
-        self._write(_dump_cell(cell, self._scale))
-
     def begin_cell(self, name: str) -> None:
         """Open a structure for incremental geometry/reference writes."""
         if self._in_cell:
@@ -237,12 +230,6 @@ class GdsiiStreamWriter:
         if not self._in_cell:
             raise ValueError("no open cell to write a polygon into")
         self._write(_dump_boundary(polygon, Layer.of(layer), self._scale))
-
-    def write_reference(self, reference) -> None:
-        """Emit one SREF/AREF into the open structure."""
-        if not self._in_cell:
-            raise ValueError("no open cell to write a reference into")
-        self._write(_dump_reference(reference, self._scale))
 
     def end_cell(self) -> None:
         """Close the structure opened by :meth:`begin_cell`."""

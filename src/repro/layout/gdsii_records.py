@@ -13,7 +13,6 @@ format of the IBM System/360 (GDSII predates IEEE 754).
 
 from __future__ import annotations
 
-import io
 import struct
 from typing import List, Optional
 
@@ -181,17 +180,6 @@ def iter_record_headers(fh, total: int, start: int = 0, end: Optional[int] = Non
         offset += length
         if fh.tell() != offset:
             fh.seek(offset)
-
-
-def iter_records(stream: bytes):
-    """Yield ``(record_type, data_type, payload)`` tuples from a stream.
-
-    Raises:
-        GdsiiError: on truncated or malformed records.
-    """
-    fh = io.BytesIO(stream)
-    for _, length, record_type, data_type in iter_record_headers(fh, len(stream)):
-        yield record_type, data_type, fh.read(length - 4)
 
 
 def unpack_int16(payload: bytes) -> List[int]:

@@ -59,12 +59,6 @@ class Library:
                 )
         return self
 
-    def new_cell(self, name: str) -> Cell:
-        """Create, register and return an empty cell."""
-        cell = Cell(name)
-        self.add(cell)
-        return cell
-
     def __getitem__(self, name: str) -> Cell:
         return self.cells[name]
 

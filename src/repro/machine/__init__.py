@@ -44,18 +44,13 @@ __getattr__, __dir__, __all__ = facade(
         "ShapedBeamWriter": "vsb",
         "StitchingModel": "stitching",
         "ButtingReport": "stitching",
-        "RlePattern": "rle",
-        "encode_figures": "rle",
         "decode_to_coverage": "rle",
         "MACHINE_MODES": "program",
         "MachineProgram": "program",
         "MachineProgramError": "program",
         "MachineSpec": "program",
         "export_program": "program",
-        "RegistrationFit": "registration",
         "detect_edge": "registration",
-        "detect_mark_center": "registration",
-        "fit_registration": "registration",
         "mark_signal": "registration",
     },
 )

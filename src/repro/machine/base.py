@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.job import MachineJob
@@ -41,17 +41,6 @@ class WriteTimeBreakdown:
             + self.calibration
             + self.data_limited_extra
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Breakdown as a plain dict (for tables and JSON)."""
-        return {
-            "exposure": self.exposure,
-            "figure_overhead": self.figure_overhead,
-            "stage": self.stage,
-            "calibration": self.calibration,
-            "data_limited_extra": self.data_limited_extra,
-            "total": self.total,
-        }
 
     def __add__(self, other: "WriteTimeBreakdown") -> "WriteTimeBreakdown":
         return WriteTimeBreakdown(

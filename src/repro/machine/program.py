@@ -87,8 +87,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Raster segment prologue: first scanline index, scanline count.
 _RASTER_PROLOGUE = struct.Struct(">iI")
 #: Per-scanline run-count word and (start, length) run words — the
-#: 16-bit format whose size :func:`repro.machine.rle.encoded_bytes`
-#: accounts for.
+#: 16-bit format whose size :data:`repro.machine.rle.BYTES_PER_RUN` and
+#: :data:`~repro.machine.rle.BYTES_PER_LINE` account for.
 _RUN_COUNT = struct.Struct(">H")
 _RUN = struct.Struct(">HH")
 

@@ -1,24 +1,21 @@
-"""Registration: mark detection and alignment-transform fitting.
+"""Registration: mark detection and its error model.
 
 Before writing each field (or chip), the machine scans the beam across
 fiducial marks, detects their positions from the backscattered-electron
 signal, and fits an alignment transform.  This module simulates the
-chain:
+detection:
 
 * :func:`mark_signal` — BSE line-scan across an edge mark: an error-
   function edge of finite beam size plus shot/amplifier noise.
 * :func:`detect_edge` — threshold-crossing estimator with sub-sample
-  interpolation; :func:`detect_mark_center` for two-edge marks.
-* :class:`RegistrationFit` / :func:`fit_registration` — least-squares
-  affine alignment from measured mark offsets, with residuals.
+  interpolation.
 * :func:`detection_error_model` — Monte-Carlo σ of the detector vs. SNR,
   the curve that feeds the overlay budget of experiment F4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -75,30 +72,6 @@ def detect_edge(
     return float(np.median(crossings))
 
 
-def detect_mark_center(
-    positions: np.ndarray,
-    signal: np.ndarray,
-) -> float:
-    """Centre of a two-edge (line) mark: midpoint of rising and falling
-    edges, estimated from the derivative extrema neighbourhoods."""
-    threshold = 0.5 * (float(signal.min()) + float(signal.max()))
-    above = signal >= threshold
-    rising = None
-    falling = None
-    for i in range(len(signal) - 1):
-        if not above[i] and above[i + 1] and rising is None:
-            v0, v1 = signal[i], signal[i + 1]
-            t = (threshold - v0) / (v1 - v0)
-            rising = positions[i] + t * (positions[i + 1] - positions[i])
-        if above[i] and not above[i + 1]:
-            v0, v1 = signal[i], signal[i + 1]
-            t = (threshold - v0) / (v1 - v0)
-            falling = positions[i] + t * (positions[i + 1] - positions[i])
-    if rising is None or falling is None:
-        raise ValueError("mark needs both a rising and a falling edge")
-    return 0.5 * (rising + falling)
-
-
 def detection_error_model(
     beam_size: float,
     noise: float,
@@ -133,95 +106,3 @@ def detection_error_model(
     if not errors:
         return float("inf")
     return float(np.std(errors))
-
-
-# ---------------------------------------------------------------------------
-# Alignment-transform fitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegistrationFit:
-    """A fitted affine alignment.
-
-    The model is ``measured = nominal + (tx, ty) + M·nominal`` with M a
-    small 2x2 linear correction (scale/rotation/shear).
-
-    Attributes:
-        translation: ``(tx, ty)`` [µm].
-        matrix: the 2x2 linear correction.
-        residual_rms: RMS mark residual after the fit [µm].
-        residual_max: worst mark residual [µm].
-        marks: marks used.
-    """
-
-    translation: Tuple[float, float]
-    matrix: Tuple[Tuple[float, float], Tuple[float, float]]
-    residual_rms: float
-    residual_max: float
-    marks: int
-
-    def rotation_urad(self) -> float:
-        """Rotation component of the linear correction [µrad]."""
-        return 0.5 * (self.matrix[1][0] - self.matrix[0][1]) * 1e6
-
-    def scale_ppm(self) -> float:
-        """Isotropic scale component [ppm]."""
-        return 0.5 * (self.matrix[0][0] + self.matrix[1][1]) * 1e6
-
-    def apply(self, x: float, y: float) -> Tuple[float, float]:
-        """Map a nominal position through the fitted alignment."""
-        mx = self.matrix
-        return (
-            x + self.translation[0] + mx[0][0] * x + mx[0][1] * y,
-            y + self.translation[1] + mx[1][0] * x + mx[1][1] * y,
-        )
-
-
-def fit_registration(
-    nominal: Sequence[Tuple[float, float]],
-    measured: Sequence[Tuple[float, float]],
-    linear: bool = True,
-) -> RegistrationFit:
-    """Least-squares alignment fit from mark positions.
-
-    Args:
-        nominal: designed mark positions.
-        measured: detected mark positions (same order).
-        linear: fit the 2x2 linear term (needs ≥3 marks); otherwise fit
-            translation only.
-
-    Raises:
-        ValueError: on mismatched or insufficient mark counts.
-    """
-    if len(nominal) != len(measured):
-        raise ValueError("nominal and measured mark counts differ")
-    n = len(nominal)
-    if n < 1 or (linear and n < 3):
-        raise ValueError("not enough marks for the requested model")
-    nom = np.asarray(nominal, dtype=float)
-    mea = np.asarray(measured, dtype=float)
-    delta = mea - nom
-
-    if linear:
-        # Per-axis design matrix: [1, x, y].
-        design = np.column_stack([np.ones(n), nom[:, 0], nom[:, 1]])
-        cx, *_ = np.linalg.lstsq(design, delta[:, 0], rcond=None)
-        cy, *_ = np.linalg.lstsq(design, delta[:, 1], rcond=None)
-        translation = (float(cx[0]), float(cy[0]))
-        matrix = ((float(cx[1]), float(cx[2])), (float(cy[1]), float(cy[2])))
-        predicted = np.column_stack([design @ cx, design @ cy])
-    else:
-        translation = (float(delta[:, 0].mean()), float(delta[:, 1].mean()))
-        matrix = ((0.0, 0.0), (0.0, 0.0))
-        predicted = np.tile(translation, (n, 1))
-
-    residuals = delta - predicted
-    magnitude = np.hypot(residuals[:, 0], residuals[:, 1])
-    return RegistrationFit(
-        translation=translation,
-        matrix=matrix,
-        residual_rms=float(np.sqrt(np.mean(magnitude**2))),
-        residual_max=float(magnitude.max()),
-        marks=n,
-    )

@@ -7,12 +7,13 @@ the blanker.  This module performs that expansion faithfully:
 * :func:`encode_runs` — figure list → per-scanline runs on the machine
   address grid, overlapping runs merged, as one ``(R, 3)`` array
   (figure × scanline expanded and merged as arrays; what the raster
-  program segments are packed from); :func:`encode_figures` is the same
-  runs as an :class:`RlePattern`.
+  program segments are packed from); :func:`runs_by_line` groups them
+  per scanline.
 * :func:`decode_to_coverage` — runs → binary address map (for
   verification against the rasterizer).
-* :func:`encoded_bytes` — the exact stream size in the 2-word-per-run
-  format (replacing the estimate in :mod:`repro.machine.datapath`).
+* :data:`BYTES_PER_RUN`, :data:`BYTES_PER_LINE` — the exact stream size
+  in the 2-word-per-run format (replacing the estimate in
+  :mod:`repro.machine.datapath`).
 
 Runs use the pixel-centre convention: address ``i`` on scanline ``j`` is
 written when the point ``(x0 + (i + 0.5)·a, y0 + (j + 0.5)·a)`` lies in
@@ -28,7 +29,6 @@ exact stream is bounded by the per-figure estimate of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -43,37 +43,6 @@ BYTES_PER_RUN = 4
 BYTES_PER_LINE = 2
 
 Run = Tuple[int, int]  # (start_address, length)
-
-
-@dataclass
-class RlePattern:
-    """A run-length encoded pattern.
-
-    Attributes:
-        origin: ``(x0, y0)`` of address (0, 0) in layout units.
-        address_unit: address pitch [µm].
-        lines: scanline index → sorted, disjoint runs.
-        line_count: total scanlines spanned (including empty ones).
-    """
-
-    origin: Tuple[float, float]
-    address_unit: float
-    lines: Dict[int, List[Run]]
-    line_count: int
-
-    def run_count(self) -> int:
-        """Total number of runs."""
-        return sum(len(runs) for runs in self.lines.values())
-
-    def written_addresses(self) -> int:
-        """Total addresses written (beam-on address count)."""
-        return sum(
-            length for runs in self.lines.values() for _, length in runs
-        )
-
-    def encoded_bytes(self) -> int:
-        """Exact stream size: run words plus per-line count words."""
-        return self.run_count() * BYTES_PER_RUN + self.line_count * BYTES_PER_LINE
 
 
 def encode_runs(
@@ -98,9 +67,9 @@ def encode_runs(
         ValueError: when an explicitly-passed ``origin`` sits above or
             right of a figure, so that a run would fall on a negative
             scanline or address — the grid cannot represent it, and
-            silently clipping it would desynchronize ``encoded_bytes``/
-            ``line_count`` from ``lines``; or when a run lies beyond
-            the 32-bit address range.
+            silently clipping it would desynchronize the stream size and
+            ``line_count`` from the runs; or when a run lies beyond the
+            32-bit address range.
     """
     if address_unit <= 0:
         raise ValueError("address unit must be positive")
@@ -116,20 +85,9 @@ def encode_runs(
     return (x0, y0), line_count, runs
 
 
-def encode_figures(
-    figures: Sequence[Trapezoid],
-    address_unit: float,
-    origin: Tuple[float, float] | None = None,
-) -> RlePattern:
-    """:func:`encode_runs` as an :class:`RlePattern` (same arguments,
-    same errors)."""
-    origin, line_count, runs = encode_runs(figures, address_unit, origin)
-    return RlePattern(origin, address_unit, runs_by_line(runs), line_count)
-
-
 def runs_by_line(runs: np.ndarray) -> Dict[int, List[Run]]:
-    """Scanline-sorted ``(scanline, start, length)`` rows as the
-    ``lines`` mapping of an :class:`RlePattern`."""
+    """Scanline-sorted ``(scanline, start, length)`` rows as a mapping
+    scanline → that line's ``(start, length)`` runs."""
     return {
         int(chunk[0, 0]): [(start, length) for _, start, length in chunk.tolist()]
         for chunk in np.split(runs, np.flatnonzero(np.diff(runs[:, 0])) + 1)
@@ -204,32 +162,14 @@ def merge_runs(runs: np.ndarray) -> np.ndarray:
 
 
 def decode_to_coverage(
-    pattern: RlePattern, width_addresses: int
+    lines: Dict[int, List[Run]], line_count: int, width_addresses: int
 ) -> np.ndarray:
-    """Expand runs back into a binary address map (verification aid)."""
-    grid = np.zeros((pattern.line_count, width_addresses), dtype=bool)
-    for j, runs in pattern.lines.items():
-        if not (0 <= j < pattern.line_count):
+    """Expand per-scanline runs (:func:`runs_by_line`) back into a
+    binary address map (verification aid)."""
+    grid = np.zeros((line_count, width_addresses), dtype=bool)
+    for j, runs in lines.items():
+        if not (0 <= j < line_count):
             continue
         for start, length in runs:
             grid[j, start : min(start + length, width_addresses)] = True
     return grid
-
-
-def stream_rate_required(
-    pattern: RlePattern, pixel_rate: float, width_addresses: int
-) -> float:
-    """Bytes/s the channel must sustain to keep the raster beam fed.
-
-    The scan consumes addresses at ``pixel_rate``; the stream must
-    deliver each scanline's runs within that line's scan time.
-    """
-    if pixel_rate <= 0 or width_addresses <= 0:
-        raise ValueError("pixel rate and width must be positive")
-    line_time = width_addresses / pixel_rate
-    worst_line_bytes = max(
-        (len(runs) * BYTES_PER_RUN + BYTES_PER_LINE
-         for runs in pattern.lines.values()),
-        default=BYTES_PER_LINE,
-    )
-    return worst_line_bytes / line_time

@@ -24,9 +24,7 @@ __getattr__, __dir__, __all__ = facade(
     __name__,
     {
         "ProximityCorrector": "base",
-        "shot_interaction_matrix": "base",
         "interaction_matrix_at_points": "base",
-        "interaction_matrix_csr": "base",
         "edge_sample_points": "base",
         "exposure_at_points": "base",
         "MATRIX_MODES": "operator",

@@ -454,18 +454,6 @@ def _exposure_matrix_csr(
     return csr_matrix((values, (rows, cols)), shape=shape)
 
 
-def interaction_matrix_csr(
-    points: np.ndarray,
-    shots: Sequence[Shot],
-    psf: DoubleGaussianPSF,
-    cutoff_factor: float = 4.0,
-):
-    """Sparse (CSR) exposure matrix — bit-identical entries to
-    :func:`interaction_matrix_at_points`, only the within-cutoff entries
-    stored."""
-    return _exposure_matrix_csr(points, shots, psf, cutoff_factor)
-
-
 def interaction_matrix_at_points(
     points: np.ndarray,
     shots: Sequence[Shot],
@@ -473,25 +461,7 @@ def interaction_matrix_at_points(
     cutoff_factor: float = 4.0,
 ) -> np.ndarray:
     """Exposure matrix K with ``K[p, j]`` = level at point p from shot j
-    at unit dose (distance-cutoff pruned like
-    :func:`shot_interaction_matrix`)."""
-    return _exposure_matrix(points, shots, psf, cutoff_factor)
-
-
-def shot_interaction_matrix(
-    shots: Sequence[Shot],
-    psf: DoubleGaussianPSF,
-    sample_mode: str = "centroid",
-    cutoff_factor: float = 4.0,
-) -> np.ndarray:
-    """Interaction matrix K with ``K[i, j]`` = exposure at shot i's sample
-    point from shot j at unit dose.
-
-    Entries beyond ``cutoff_factor · β`` are treated as the constant far
-    tail (effectively zero), keeping the matrix cheap without the sparse
-    machinery the originals could not afford either.
-    """
-    points = shot_sample_points(shots, sample_mode)
+    at unit dose, entries beyond ``cutoff_factor · β`` pruned."""
     return _exposure_matrix(points, shots, psf, cutoff_factor)
 
 

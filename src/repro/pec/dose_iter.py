@@ -36,19 +36,15 @@ class ConvergenceTrace:
     """Convergence record of an iterative correction.
 
     Attributes:
-        max_errors: max |E_i − E_target| / E_target per iteration.
+        max_errors: max |E_i − E_target| / E_target, one entry per
+            iteration executed.
         rms_errors: RMS relative exposure error per iteration.
-        iterations: iterations actually executed.
         converged: True if the tolerance was met.
     """
 
     max_errors: List[float] = field(default_factory=list)
     rms_errors: List[float] = field(default_factory=list)
     converged: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.max_errors)
 
 
 class IterativeDoseCorrector(ProximityCorrector):

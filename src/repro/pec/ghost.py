@@ -115,39 +115,3 @@ class GhostExposure:
                 shot_dose_map(ghost_shots, self.frame, supersample)
             )
         return image
-
-    def absorbed_at_points(
-        self,
-        pattern_shots: Sequence[Shot],
-        ghost_shots: Sequence[Shot],
-        points: np.ndarray,
-        matrix_mode: str = "dense",
-    ) -> np.ndarray:
-        """Two-pass absorbed level at arbitrary points, matrix-free.
-
-        The exposure-operator twin of :meth:`absorbed`: each pass is one
-        :class:`~repro.pec.operator.ExposureOperator` application (the
-        correction pass under the defocused PSF), so GHOST uniformity can
-        be probed at exact sample points without rasterizing a full
-        frame.  ``matrix_mode`` selects the operator backend; ``"sparse"``
-        keeps large complement shot lists affordable.
-        """
-        from repro.pec.operator import build_exposure_operator
-
-        ghost_psf = DoubleGaussianPSF(
-            alpha=self.psf.beta, beta=self.psf.beta, eta=self.psf.eta
-        )
-        levels = (
-            build_exposure_operator(
-                points, pattern_shots, self.psf, mode=matrix_mode
-            )
-            @ shot_rows(pattern_shots)[:, 6].copy()
-        )
-        if ghost_shots:
-            levels = levels + (
-                build_exposure_operator(
-                    points, ghost_shots, ghost_psf, mode=matrix_mode
-                )
-                @ shot_rows(ghost_shots)[:, 6].copy()
-            )
-        return levels

@@ -203,10 +203,6 @@ class SparseExposureOperator(ExposureOperator):
         m = self.matrix
         return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
 
 def _bilinear_stencil(
     x: np.ndarray,

@@ -13,7 +13,7 @@ literature uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,19 +37,6 @@ def shot_dose_map(
     for shot in shots:
         _add_trapezoid(dose, frame, shot.trapezoid, shot.dose, supersample)
     return dose
-
-
-def pattern_coverage(
-    figures: Sequence[Trapezoid],
-    frame: RasterFrame,
-    supersample: int = 4,
-) -> np.ndarray:
-    """Coverage raster of a figure list at uniform unit dose."""
-    cover = np.zeros((frame.ny, frame.nx), dtype=np.float64)
-    for figure in figures:
-        _add_trapezoid(cover, frame, figure, 1.0, supersample)
-    np.clip(cover, 0.0, 1.0, out=cover)
-    return cover
 
 
 def _add_trapezoid(
@@ -107,17 +94,6 @@ class ExposureSimulator:
         """Dose-map + convolution convenience for a shot list."""
         dose = shot_dose_map(shots, self.frame, supersample)
         return self.absorbed_energy(dose)
-
-    def expose_figures(
-        self,
-        figures: Sequence[Trapezoid],
-        dose: float = 1.0,
-        supersample: int = 4,
-    ) -> np.ndarray:
-        """Expose plain figures at a uniform dose."""
-        return self.absorbed_energy(
-            pattern_coverage(figures, self.frame, supersample) * dose
-        )
 
     def sample(
         self, image: np.ndarray, x: float, y: float

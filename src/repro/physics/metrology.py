@@ -1,8 +1,7 @@
 """Metrology on simulated exposure images.
 
 Provides the observables the reconstructed evaluation reports: developed
-linewidth (CD) with sub-pixel threshold interpolation, edge placement
-error against design edges, and dose latitude.
+linewidth (CD) with sub-pixel threshold interpolation, and dose latitude.
 """
 
 from __future__ import annotations
@@ -30,19 +29,6 @@ def profile_along_x(
     row1 = int(np.clip(row + 1, 0, frame.ny - 1))
     values = image[row0, :] * (1.0 - frac) + image[row1, :] * frac
     return frame.x_centers(), values
-
-
-def profile_along_y(
-    image: np.ndarray, frame: RasterFrame, x: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Extract a vertical cut of ``image`` at position ``x``."""
-    fx = (x - frame.x0) / frame.pixel - 0.5
-    col = int(np.floor(fx))
-    frac = fx - col
-    col0 = int(np.clip(col, 0, frame.nx - 1))
-    col1 = int(np.clip(col + 1, 0, frame.nx - 1))
-    values = image[:, col0] * (1.0 - frac) + image[:, col1] * frac
-    return frame.y_centers(), values
 
 
 def edge_positions(
@@ -109,30 +95,6 @@ def measure_linewidth(
     else:
         best = min(spans, key=lambda s: abs((s[0] + s[1]) / 2.0 - near_x))
     return best[1] - best[0]
-
-
-def edge_placement_error(
-    image: np.ndarray,
-    frame: RasterFrame,
-    threshold: float,
-    cut_y: float,
-    design_edges: Sequence[float],
-) -> List[float]:
-    """Signed distance of each printed edge from its design position.
-
-    Each design edge is matched to the nearest printed crossing on the
-    cut; positive values mean the printed edge lies at larger x.
-    """
-    xs, values = profile_along_x(image, frame, cut_y)
-    crossings = edge_positions(xs, values, threshold)
-    errors: List[float] = []
-    for design in design_edges:
-        if not crossings:
-            errors.append(float("nan"))
-            continue
-        nearest = min(crossings, key=lambda c: abs(c - design))
-        errors.append(nearest - design)
-    return errors
 
 
 def dose_latitude(

@@ -55,14 +55,6 @@ class DoubleGaussianPSF:
             return float(value)
         return value
 
-    def encircled_energy(self, r: float) -> float:
-        """Fraction of deposited energy within radius ``r``."""
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        forward = 1.0 - math.exp(-(r / self.alpha) ** 2)
-        back = 1.0 - math.exp(-(r / self.beta) ** 2)
-        return (forward + self.eta * back) / (1.0 + self.eta)
-
     def kernel(self, pixel: float, radius_factor: float = 3.5) -> np.ndarray:
         """Pixel-integrated convolution kernel on a square grid.
 
@@ -101,19 +93,6 @@ class DoubleGaussianPSF:
         """Fractional exposure a point inside a large pad receives from
         backscatter: ``η / (1 + η)`` of total deposited energy."""
         return self.eta / (1.0 + self.eta)
-
-    def proximity_ratio(self) -> float:
-        """Dose ratio between a large-pad interior and an isolated fine
-        line, ``(1 + η) : 1`` — the quantity PEC must equalize."""
-        return 1.0 + self.eta
-
-    def with_blur(self, blur: float) -> "DoubleGaussianPSF":
-        """Return a PSF with beam blur added in quadrature to ``alpha``."""
-        if blur < 0:
-            raise ValueError("blur must be non-negative")
-        return DoubleGaussianPSF(
-            math.hypot(self.alpha, blur), self.beta, self.eta
-        )
 
 
 def convolve_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -74,12 +74,6 @@ class Resist:
         return t
 
     @property
-    def saturation_dose(self) -> float:
-        """Dose where the film is fully retained (negative) / cleared
-        (positive): ``D₀ · 10^(1/γ)``."""
-        return self.sensitivity * 10.0 ** (1.0 / self.contrast)
-
-    @property
     def threshold_dose(self) -> float:
         """Dose giving 50 % remaining thickness — the print threshold."""
         if self.tone == "negative":
@@ -87,27 +81,6 @@ class Resist:
         return self.sensitivity * 10.0 ** (0.5 / self.contrast)
 
     # -- development -----------------------------------------------------
-
-    def develop(self, absorbed: np.ndarray, base_dose: float) -> np.ndarray:
-        """Binary developed image from a normalized absorbed-energy map.
-
-        Args:
-            absorbed: output of the exposure simulator (1.0 = large-area
-                level at relative dose 1).
-            base_dose: physical base dose [µC/cm²] that relative dose 1.0
-                corresponds to.
-
-        Returns:
-            Boolean array: True where resist remains after development.
-        """
-        thickness = self.remaining_thickness(absorbed * base_dose)
-        return np.asarray(thickness) >= 0.5
-
-    def prints(self, absorbed_level: float, base_dose: float) -> bool:
-        """True if a point at ``absorbed_level`` × ``base_dose`` prints
-        (retains ≥ 50 % thickness for negative; clears for positive)."""
-        t = float(self.remaining_thickness(absorbed_level * base_dose))
-        return t >= 0.5 if self.tone == "negative" else t < 0.5
 
     def exposure_latitude(self) -> float:
         """Fractional dose window between 10 % and 90 % thickness response.

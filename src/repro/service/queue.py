@@ -9,9 +9,8 @@ compute unit.
 
 Ordering: highest priority first, FIFO within a priority class
 (ties broken by submission sequence).  Cancellation purges the job's
-heap entry eagerly and wakes every waiter, so ``wait_idle()`` and
-``depth()`` agree immediately — a heap never holds entries for jobs
-that will not run.
+heap entry eagerly, so ``depth()`` drops at once — a heap never holds
+entries for jobs that will not run.
 
 A job that raises does not take a worker thread down: the exception is
 captured on the job record (``"ExcType: message"``) and the worker
@@ -97,15 +96,12 @@ class JobQueue:
 
     def cancel(self, job_id: str) -> str:
         """:meth:`JobStore.cancel` the job (its disposition is returned),
-        purging a cancelled job's heap entry and waking every waiter so
-        ``wait_idle()`` observes the emptied queue right away instead of
-        blocking until an unrelated submission."""
+        purging a cancelled job's heap entry."""
         disposition = self.store.cancel(job_id)
         if disposition == "cancelled":
             with self._cv:
                 self._heap = [e for e in self._heap if e[2] != job_id]
                 heapq.heapify(self._heap)
-                self._cv.notify_all()
         return disposition
 
     # -- introspection -----------------------------------------------------
@@ -128,13 +124,6 @@ class JobQueue:
     def workers_alive(self) -> int:
         return sum(1 for t in self._threads if t.is_alive())
 
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until nothing is queued or running (tests, drains)."""
-        with self._cv:
-            return self._cv.wait_for(
-                lambda: not self._heap and not self._running, timeout=timeout
-            )
-
     # -- the worker loop ---------------------------------------------------
 
     def _next_job(self) -> Optional[Job]:
@@ -150,9 +139,7 @@ class JobQueue:
                         job = self.store.get(job_id)
                         self._running.add(job_id)
                         return job
-                    # Cancelled while queued — skip, and wake any
-                    # wait_idle() caller in case this emptied the heap.
-                    self._cv.notify_all()
+                    # Cancelled while queued — skip.
                 if self._stopping:
                     return None
                 self._cv.wait()
@@ -176,4 +163,3 @@ class JobQueue:
             finally:
                 with self._cv:
                     self._running.discard(job.id)
-                    self._cv.notify_all()

@@ -12,6 +12,7 @@ file must never surface as ``IndexError``/``ZeroDivisionError``.
 
 import random
 
+from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.layout.library import Library
 from repro.layout.reference import CellArray
@@ -22,9 +23,11 @@ def small_hierarchy():
     """The library the mutation sweeps write and then damage: two cells,
     three layers, a transformed SREF and an AREF."""
     library = Library("T")
-    child = library.new_cell("CHILD")
+    child = Cell("CHILD")
+    library.add(child)
     child.add_rectangle(0, 0, 1, 1, 3).add_rectangle(2, 2, 3, 3, (1, 2))
-    top = library.new_cell("TOP")
+    top = Cell("TOP")
+    library.add(top)
     top.add_rectangle(0, 0, 5, 1, 1)
     top.instantiate(child, (3, 4), rotation_deg=90.0, x_reflection=True)
     top.instantiate_array(child, 2, 3, 5.0, 6.0, origin=(1, 1))

@@ -10,6 +10,7 @@ round-trips are exercised on realistic hierarchies, AREFs and curved
 data rather than toy rectangles.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.geometry.polygon import Polygon
@@ -21,7 +22,11 @@ def flat_perimeter(cell):
     """Total perimeter of a cell's flattened polygons — the scale factor
     for quantization-induced area drift in format round-trip tests."""
     flat = flatten_cell(cell)
-    return sum(p.perimeter() for v in flat.values() for p in v)
+    return sum(
+        float(np.hypot(*(np.roll(p.ring, -1, axis=0) - p.ring).T).sum())
+        for v in flat.values()
+        for p in v
+    )
 
 
 def grid_of_squares(cols, rows, pitch=10.0, side=4.0):

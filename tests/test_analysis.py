@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import Table, format_table
+from repro.analysis.tables import Table
 from repro.analysis.throughput import ThroughputModel
 from repro.core.job import MachineJob
 from repro.fracture.base import Shot
@@ -60,16 +60,6 @@ class TestThroughputModel:
         # Exposure dominates at these densities; chip time ~ doubles.
         assert d2.chip_time > d1.chip_time * 1.5
 
-    def test_sensitivity_sweep(self):
-        model = ThroughputModel()
-        results = model.sensitivity_sweep(
-            machine_factory=lambda: RasterScanWriter(),
-            job_factory=lambda dose: simple_job(dose=dose),
-            sensitivities=[1.0, 10.0, 100.0],
-        )
-        assert len(results) == 3
-        assert results[1.0].wafers_per_hour >= results[100.0].wafers_per_hour
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ThroughputModel(wafer_diameter=0)
@@ -101,6 +91,27 @@ class TestTables:
         assert "1.000e-05" in text
         assert "yes" in text
 
-    def test_format_table_helper(self):
-        text = format_table(["a", "b"], [[1, 2], [3, 4]])
-        assert "3" in text and "4" in text
+    def test_long_cell_widens_its_column(self):
+        table = Table(["n"])
+        table.add_row(["a-long-name"])
+        header, rule, row = table.render().splitlines()
+        assert len(header) == len(rule) == len(row) == len("a-long-name")
+
+    def test_numbers_right_aligned(self):
+        table = Table(["value"])
+        table.add_row([7])
+        assert table.render().splitlines()[-1] == "    7"
+
+    def test_str_is_render(self):
+        table = Table(["a", "b"], title="t")
+        table.add_row(["x", 0.5])
+        assert str(table) == table.render()
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [(-2.5, "-2.5"), (123.456, "123.5"), (False, "no"), (-7, "-7"), ("s", "s")],
+    )
+    def test_cell_format(self, cell, text):
+        table = Table(["c"])
+        table.add_row([cell])
+        assert table.render().splitlines()[-1].strip() == text

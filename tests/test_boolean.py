@@ -2,14 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.geometry.boolean import (
     boolean_polygons,
     boolean_trapezoids,
-    difference,
-    intersection,
-    symmetric_difference,
     trapezoids_to_polygons,
     union,
 )
@@ -86,7 +84,8 @@ class TestNonRectilinear:
         )
 
     def test_circle_approx_minus_half_plane_box(self):
-        circle = Polygon.regular((0, 0), 5, 128)
+        angles = [2 * math.pi * i / 128 for i in range(128)]
+        circle = Polygon([(5 * math.cos(t), 5 * math.sin(t)) for t in angles])
         box = Polygon.rectangle(-6, 0, 6, 6)
         top = area_of(boolean_trapezoids([circle], [box], "and"))
         assert top == pytest.approx(circle.area() / 2, rel=1e-3)
@@ -193,14 +192,121 @@ class TestConvenienceWrappers:
         polys = union([a, b])
         assert sum(p.signed_area() for p in polys) == pytest.approx(175.0)
 
-    def test_intersection_wrapper(self, a, b):
-        polys = intersection([a], [b])
-        assert sum(p.signed_area() for p in polys) == pytest.approx(25.0)
 
-    def test_difference_wrapper(self, a, b):
-        polys = difference([a], [b])
-        assert sum(p.signed_area() for p in polys) == pytest.approx(75.0)
+RING_AREA = {"or": 175.0, "and": 25.0, "sub": 75.0, "xor": 150.0}
 
-    def test_symmetric_difference_wrapper(self, a, b):
-        polys = symmetric_difference([a], [b])
-        assert sum(p.signed_area() for p in polys) == pytest.approx(150.0)
+
+def ring_area(polys):
+    return sum(p.signed_area() for p in polys)
+
+
+class TestPolygonResult:
+    """``boolean_polygons`` reassembles the engine's trapezoids into
+    rings: outer rings counter-clockwise, holes clockwise."""
+
+    @pytest.mark.parametrize("kernel", ["fast", "exact"])
+    @pytest.mark.parametrize("operation", sorted(RING_AREA))
+    def test_ring_area_per_operation(self, a, b, operation, kernel):
+        polys = boolean_polygons([a], [b], operation, kernel=kernel)
+        assert ring_area(polys) == pytest.approx(RING_AREA[operation])
+
+    def test_chained_operations(self, a, b):
+        both = boolean_polygons([a], [b], "and")
+        ring = boolean_polygons(union([a, b]), both, "sub")
+        assert ring_area(ring) == pytest.approx(150.0)
+
+    def test_or_with_empty_operand_keeps_first(self, a):
+        assert ring_area(boolean_polygons([a], [], "or")) == pytest.approx(100.0)
+
+    def test_and_with_empty_operand_is_empty(self, a):
+        assert boolean_polygons([a], [], "and") == []
+
+    def test_empty_operands_give_no_ring(self):
+        assert boolean_polygons([], [], "xor") == []
+
+    def test_identical_pair_counts_once(self, a):
+        assert ring_area(union([a, a])) == pytest.approx(100.0)
+
+    def test_overlap_resolved_into_one_ring(self):
+        p = Polygon.rectangle(0, 0, 10, 10)
+        q = Polygon.rectangle(5, 0, 15, 10)
+        polys = union([p, q])
+        assert len(polys) == 1
+        assert polys[0].area() == pytest.approx(150.0)
+        assert polys[0].bounding_box() == pytest.approx((0, 0, 15, 10))
+
+    def test_union_bounding_box(self, a, b):
+        (ring,) = union([a, b])
+        assert ring.bounding_box() == pytest.approx((0, 0, 15, 15))
+
+    def test_union_ring_contains_both_operands(self, a, b):
+        (ring,) = union([a, b])
+        assert ring.contains_point((2, 2))
+        assert ring.contains_point((12, 12))
+        assert not ring.contains_point((12, 2))
+
+    def test_disjoint_union_keeps_two_rings(self):
+        polys = union(
+            [Polygon.rectangle(0, 0, 1, 1), Polygon.rectangle(2, 2, 3, 3)]
+        )
+        assert len(polys) == 2
+        assert ring_area(polys) == pytest.approx(2.0)
+
+    def test_hole_is_a_clockwise_ring(self, a):
+        polys = boolean_polygons([a], [Polygon.rectangle(3, 3, 7, 7)], "sub")
+        areas = sorted(p.signed_area() for p in polys)
+        assert areas == pytest.approx([-16.0, 100.0])
+
+    def test_operands_are_not_mutated(self, a, b):
+        before = (a.ring.copy(), b.ring.copy())
+        boolean_polygons([a], [b], "xor")
+        assert np.array_equal(a.ring, before[0])
+        assert np.array_equal(b.ring, before[1])
+
+    def test_rotated_operand_keeps_area(self, a):
+        polys = union([a.rotated(math.radians(45))])
+        assert ring_area(polys) == pytest.approx(100.0, rel=1e-4)
+
+    def test_translating_operands_translates_result(self, a, b):
+        here = boolean_polygons([a], [b], "and")
+        there = boolean_polygons(
+            [a.translated(100, -40)], [b.translated(100, -40)], "and"
+        )
+        assert there[0].bounding_box() == pytest.approx(
+            tuple(v + d for v, d in zip(here[0].bounding_box(), (100, -40, 100, -40)))
+        )
+
+
+class TestClipToWindow:
+    """Clipping a polygon to a window is an ``"and"`` with the window."""
+
+    def test_triangle_clipped_inside_window(self):
+        triangle = Polygon([(0, 0), (4, 0), (0, 3)])
+        clipped = boolean_polygons(
+            [triangle], [Polygon.rectangle(0, 0, 2, 2)], "and"
+        )
+        assert 0 < ring_area(clipped) < triangle.area()
+        for poly in clipped:
+            x0, y0, x1, y1 = poly.bounding_box()
+            assert x0 >= -1e-9 and y0 >= -1e-9
+            assert x1 <= 2 + 1e-9 and y1 <= 2 + 1e-9
+
+    def test_window_beyond_polygon_is_empty(self):
+        unit = Polygon.rectangle(0, 0, 1, 1)
+        far = Polygon.rectangle(10, 10, 20, 20)
+        assert boolean_polygons([unit], [far], "and") == []
+
+    def test_window_around_polygon_keeps_it(self):
+        unit = Polygon.rectangle(0, 0, 1, 1)
+        clipped = boolean_polygons([unit], [Polygon.rectangle(-1, -1, 2, 2)], "and")
+        assert ring_area(clipped) == pytest.approx(1.0)
+
+    def test_half_plane_keeps_inside_half(self):
+        unit = Polygon.rectangle(0, 0, 1, 1)
+        right = Polygon.rectangle(0.5, -100, 100, 100)
+        assert ring_area(boolean_polygons([unit], [right], "and")) == pytest.approx(0.5)
+
+    def test_half_plane_beyond_polygon_is_empty(self):
+        unit = Polygon.rectangle(0, 0, 1, 1)
+        right = Polygon.rectangle(5, -100, 100, 100)
+        assert boolean_polygons([unit], [right], "and") == []

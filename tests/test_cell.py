@@ -25,15 +25,6 @@ class TestBuilding:
         assert result is cell
         assert cell.polygon_count() == 1
 
-    def test_add_polygons_on_layer(self):
-        cell = Cell("A")
-        cell.add_polygons(
-            [Polygon.rectangle(0, 0, 1, 1), Polygon.rectangle(2, 0, 3, 1)],
-            layer=(8, 1),
-        )
-        assert cell.layers() == [Layer(8, 1)]
-        assert cell.polygon_count() == 2
-
     def test_layer_coercion(self):
         cell = Cell("A")
         cell.add_rectangle(0, 0, 1, 1, layer=3)
@@ -61,22 +52,6 @@ class TestQueries:
         top.instantiate(leaf, (0, 0))
         top.instantiate(leaf, (5, 0))
         assert len(top.children()) == 1
-
-    def test_descendants_two_levels(self, leaf):
-        mid = Cell("MID")
-        mid.instantiate(leaf, (0, 0))
-        top = Cell("TOP")
-        top.instantiate(mid, (0, 0))
-        names = sorted(c.name for c in top.descendants())
-        assert names == ["LEAF", "MID"]
-
-    def test_descendants_detects_cycle(self):
-        a = Cell("A")
-        b = Cell("B")
-        a.instantiate(b, (0, 0))
-        b.instantiate(a, (0, 0))
-        with pytest.raises(ValueError, match="cycle"):
-            a.descendants()
 
     def test_area_by_layer(self):
         cell = Cell("A")

@@ -12,6 +12,7 @@ from layout_doors import mutants, read_through_all_doors, rejected, small_hierar
 from layout_strategies import flat_perimeter
 from repro.geometry.polygon import Polygon
 from repro.layout.cif import CifError, dumps_cif, loads_cif, read_cif, write_cif
+from repro.layout.cell import Cell
 from repro.layout.flatten import flatten_cell
 from repro.layout.library import Library
 from repro.layout.stream import open_layout_stream
@@ -36,7 +37,7 @@ def flat_vertices(cell):
 class TestWriter:
     def test_contains_symbol_definitions(self):
         lib = Library("T")
-        lib.new_cell("TOP").add_rectangle(0, 0, 1, 1)
+        lib.add(Cell("TOP").add_rectangle(0, 0, 1, 1))
         text = dumps_cif(lib)
         assert "DS 1 1 1;" in text
         assert "9 TOP;" in text
@@ -44,14 +45,16 @@ class TestWriter:
 
     def test_layer_commands(self):
         lib = Library("T")
-        lib.new_cell("TOP").add_rectangle(0, 0, 1, 1, layer=(8, 2))
+        lib.add(Cell("TOP").add_rectangle(0, 0, 1, 1, layer=(8, 2)))
         assert "L L8D2;" in dumps_cif(lib)
 
     def test_magnified_reference_rejected(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 1, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (0, 0), magnification=2.0)
         with pytest.raises(CifError, match="magnification"):
             dumps_cif(lib)
@@ -66,7 +69,7 @@ class TestWriter:
     def test_polygon_collapsing_on_the_centimicron_grid_rejected(self, box):
         # The GDSII writers' rule (tests/test_gdsii.py), on CIF's grid.
         lib = Library("T")
-        lib.new_cell("TOP").add_rectangle(*box)
+        lib.add(Cell("TOP").add_rectangle(*box))
         with pytest.raises(CifError, match="zero area on the centimicron grid"):
             dumps_cif(lib)
 
@@ -74,7 +77,7 @@ class TestWriter:
         # Zero signed area: the GDSII writers' bow-tie, on CIF's grid.
         bow_tie = Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
         lib = Library("T")
-        lib.new_cell("TOP").add_polygon(bow_tie)
+        lib.add(Cell("TOP").add_polygon(bow_tie))
         text = dumps_cif(lib)
         assert "P 0 0 200 200 200 0 0 200;" in text
         ((polygon,),) = flatten_cell(loads_cif(text).top_cell()).values()
@@ -82,7 +85,7 @@ class TestWriter:
 
     def test_one_centimicron_is_enough(self):
         lib = Library("T")
-        lib.new_cell("TOP").add_rectangle(0.0, 0.0, 5.0, 0.01)
+        lib.add(Cell("TOP").add_rectangle(0.0, 0.0, 5.0, 0.01))
         assert "P 0 0 500 0 500 1 0 1;" in dumps_cif(lib)
 
     def test_array_expanded_to_calls(self):
@@ -94,39 +97,46 @@ class TestWriter:
 class TestRoundTrip:
     def test_polygon_roundtrip(self):
         lib = Library("T")
-        lib.new_cell("TOP").add_polygon(Polygon([(0, 0), (10, 0), (5, 8)]))
+        triangle = Polygon([(0, 0), (10, 0), (5, 8)])
+        lib.add(Cell("TOP").add_polygon(triangle))
         lib2 = loads_cif(dumps_cif(lib))
         assert flat_area(lib2.top_cell()) == pytest.approx(40.0, abs=1e-3)
 
     def test_cell_names_preserved(self):
         lib = Library("T")
-        lib.new_cell("MYCELL").add_rectangle(0, 0, 1, 1)
+        lib.add(Cell("MYCELL").add_rectangle(0, 0, 1, 1))
         lib2 = loads_cif(dumps_cif(lib))
         assert "MYCELL" in lib2
 
     def test_reference_with_rotation(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 2, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (5, 5), rotation_deg=90)
         lib2 = loads_cif(dumps_cif(lib))
         assert flat_vertices(lib2.top_cell()) == flat_vertices(top)
 
     def test_reference_with_mirror(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 2, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (3, -2), x_reflection=True)
         lib2 = loads_cif(dumps_cif(lib))
         assert flat_vertices(lib2.top_cell()) == flat_vertices(top)
 
     def test_mirror_plus_rotation(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 2, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (1, 2), rotation_deg=270, x_reflection=True)
         lib2 = loads_cif(dumps_cif(lib))
         assert flat_vertices(lib2.top_cell()) == flat_vertices(top)
@@ -479,7 +489,7 @@ class TestReaderCorpus:
 
     def test_non_ascii_names_survive_the_file_round_trip(self, tmp_path):
         library = Library("T")
-        library.new_cell("café").add_rectangle(0, 0, 1, 1)
+        library.add(Cell("café").add_rectangle(0, 0, 1, 1))
         path = tmp_path / "names.cif"
         assert write_cif(library, path) == path.stat().st_size
         assert [cell.name for cell in read_cif(path)] == ["café"]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.compare import compare_machines
 from repro.core.job import MachineJob, ShotFold
 from repro.core.metrics import fidelity_report
 from repro.core.pipeline import PreparationPipeline
@@ -244,33 +243,6 @@ class TestFidelity:
             corrector=IterativeDoseCorrector(), psf=psf
         ).run(polys)
         assert measure(pec.job) < measure(raw.job)
-
-
-class TestCompare:
-    def test_rows_cover_workloads_and_machines(self):
-        machines = [RasterScanWriter(), VectorScanWriter(), ShapedBeamWriter()]
-        rows = compare_machines(
-            [("grating", generators.grating(lines=10))], machines
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        assert set(row.times) == {"raster", "vector", "shaped-beam"}
-        assert row.winner in row.times
-        assert 0 < row.density <= 1
-
-    def test_vsb_gets_matched_fracturer(self):
-        machines = [ShapedBeamWriter(max_shot=1.0)]
-        rows = compare_machines(
-            [("grating", generators.grating(lines=3, length=10.0))], machines
-        )
-        # 1x10 µm lines at max_shot=1: at least 10 shots per line.
-        assert rows[0].figure_counts["shaped-beam"] >= 30
-
-    def test_row_renders(self):
-        rows = compare_machines(
-            [("grating", generators.grating(lines=3))], [RasterScanWriter()]
-        )
-        assert "grating" in rows[0].row()
 
 
 class TestJobDigests:

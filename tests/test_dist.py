@@ -460,8 +460,8 @@ class TestLeaseQueue:
         queue.grant("w0", now=11.0)
         queue.scan(now=22.0)
         assert queue.grant("w0", now=22.0) is None
-        assert queue.spent_positions() == [0]
         assert queue.state(now=22.0).finished
+        assert queue.take_new_commits() == []  # position 0 goes local
 
     def test_transient_failure_requeues_permanent_poisons(self):
         queue = self.make(n=2)
@@ -489,11 +489,11 @@ class TestLeaseQueue:
 
     def test_missed_heartbeat_flagged_once_per_silence(self):
         queue = self.make(n=1)
-        queue.grant("w0", now=0.0)
+        lease = queue.grant("w0", now=0.0)
         queue.scan(now=3.0)  # silent > 2×interval, < timeout
         queue.scan(now=3.5)
         assert queue.stats.heartbeats_missed == 1
-        queue.touch_worker("w0", now=4.0)  # contact clears the flag
+        assert queue.heartbeat("w0", lease.lease_id, now=4.0)  # contact clears the flag
         queue.scan(now=7.0)
         assert queue.stats.heartbeats_missed == 2
 
@@ -518,12 +518,12 @@ class TestLeaseQueue:
         assert (retry.position, retry.attempt) == (0, 1)
         # The retry falls silent too: the attempt budget is spent and
         # the local ladder gets the position.
-        queue.touch_worker("w0", now=11.0)
+        assert queue.grant("w0", now=11.0) is None  # still polling
         queue.scan(now=11.0)
         assert queue.stats.leases_reclaimed == 2
         assert queue.grant("w0", now=11.0) is None
-        assert queue.spent_positions() == [0]
         assert queue.state(now=11.0).finished
+        assert queue.take_new_commits() == []  # position 0 goes local
 
     def test_heartbeated_lease_has_no_watchdog_without_a_budget(self):
         # No shard_timeout and no job deadline: a lease its worker keeps
@@ -588,8 +588,9 @@ class TestLeaseQueue:
         lease = queue.grant("w0", now=0.0)
         queue.commit(lease.lease_id, "w0", lease.position, b"r", now=0.5)
         queue.abandon_remaining()
-        assert queue.spent_positions() == [1, 2]
         assert queue.state(now=1.0).finished
+        # Positions 1 and 2 go to the local ladder.
+        assert [position for position, _ in queue.take_new_commits()] == [0]
         assert queue.grant("w1", now=1.0) is None
 
     def test_rejects_negative_count(self):
@@ -660,10 +661,6 @@ class LeaseQueueMachine(RuleBasedStateMachine):
         live = self.queue.heartbeat(lease.worker, lease.lease_id, now=self.clock)
         with self.queue._lock:
             assert live == (lease.lease_id in self.queue._leases)
-
-    @rule(worker=workers)
-    def touch_worker(self, worker):
-        self.queue.touch_worker(worker, now=self.clock)
 
     def _reclaimed(self):
         with self.queue._lock:
@@ -798,7 +795,8 @@ class LeaseQueueMachine(RuleBasedStateMachine):
         if not self.poisoned:
             # Every position carries its honest bytes or went to the
             # local ladder — never both, never neither.
-            spent = set(self.queue.spent_positions())
+            with self.queue._lock:
+                spent = self.queue._spent - self.queue._committed.keys()
             assert spent.isdisjoint(self.delivered)
             assert spent | set(self.delivered) == set(range(n))
 

@@ -24,7 +24,7 @@ from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.layout import generators
-from repro.layout.flatten import flatten_library
+from repro.layout.flatten import flatten_cell
 from repro.layout.layer import Layer
 from repro.pec.dose_iter import IterativeDoseCorrector
 
@@ -129,11 +129,8 @@ class TestShardMerge:
 
     def test_resident_and_streamed_reports_are_equal(self):
         # One sink merges both doors' reports, against one reference sum.
-        polys = [
-            poly
-            for polys in flatten_library(generators.fresnel_zone_plate()).values()
-            for poly in polys
-        ]
+        die = generators.fresnel_zone_plate().top_cell()
+        polys = [poly for polys in flatten_cell(die).values() for poly in polys]
         pipe = PreparationPipeline(field_size=5.0)
         resident = pipe.run(polys)
         streamed = pipe.run_streaming(iter(polys))

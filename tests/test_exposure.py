@@ -6,11 +6,7 @@ import pytest
 from repro.fracture.base import Shot
 from repro.geometry.rasterize import RasterFrame
 from repro.geometry.trapezoid import Trapezoid
-from repro.physics.exposure import (
-    ExposureSimulator,
-    pattern_coverage,
-    shot_dose_map,
-)
+from repro.physics.exposure import ExposureSimulator, shot_dose_map
 from repro.physics.psf import DoubleGaussianPSF
 
 
@@ -41,12 +37,6 @@ class TestDoseMap:
         dose = shot_dose_map([Shot(t, 1.0), Shot(t, 0.5)], frame)
         assert dose.max() == pytest.approx(1.5, rel=0.01)
 
-    def test_pattern_coverage_clips(self):
-        frame = RasterFrame(0, 0, 0.5, 20, 20)
-        t = Trapezoid.from_rectangle(0, 0, 10, 10)
-        cover = pattern_coverage([t, t], frame)
-        assert cover.max() == pytest.approx(1.0)
-
 
 class TestExposure:
     def test_large_pad_interior_level_is_one(self, psf):
@@ -67,7 +57,7 @@ class TestExposure:
     def test_isolated_small_feature_below_one(self, psf):
         frame = RasterFrame.around((0, 0, 1, 1), 0.1, margin=8.0)
         sim = ExposureSimulator(psf, frame)
-        image = sim.expose_figures([Trapezoid.from_rectangle(0, 0, 0.5, 0.5)])
+        image = sim.expose_shots([Shot(Trapezoid.from_rectangle(0, 0, 0.5, 0.5))])
         peak = sim.sample(image, 0.25, 0.25)
         # A feature smaller than beta misses nearly all backscatter.
         assert peak < 1.0 / (1.0 + psf.eta) + 0.1
@@ -75,9 +65,9 @@ class TestExposure:
     def test_dose_scales_linearly(self, psf):
         frame = RasterFrame.around((0, 0, 10, 10), 0.5, margin=6.0)
         sim = ExposureSimulator(psf, frame)
-        figs = [Trapezoid.from_rectangle(0, 0, 10, 10)]
-        one = sim.expose_figures(figs, dose=1.0)
-        two = sim.expose_figures(figs, dose=2.0)
+        pad = Trapezoid.from_rectangle(0, 0, 10, 10)
+        one = sim.expose_shots([Shot(pad, 1.0)])
+        two = sim.expose_shots([Shot(pad, 2.0)])
         assert np.allclose(two, 2.0 * one, atol=1e-9)
 
     def test_shape_mismatch_raises(self, psf):

@@ -29,13 +29,11 @@ from repro.pec.base import (
     edge_sample_points,
     exposure_at_points,
     interaction_matrix_at_points,
-    interaction_matrix_csr,
     shot_sample_points,
     trapezoid_exposure,
 )
 from repro.pec.dose_iter import IterativeDoseCorrector
 from repro.pec.dose_matrix import MatrixDoseCorrector
-from repro.pec.ghost import GhostCorrector, GhostExposure, split_ghost
 from repro.pec.operator import (
     MATRIX_MODES,
     build_exposure_operator,
@@ -106,7 +104,7 @@ class TestSparseEquivalence:
     def test_csr_equals_dense_bitwise(self, shots):
         points = shot_sample_points(shots, "centroid")
         dense = interaction_matrix_at_points(points, shots, PSF)
-        sparse = interaction_matrix_csr(points, shots, PSF)
+        sparse = build_exposure_operator(points, shots, PSF, mode="sparse").matrix
         assert sparse.shape == dense.shape
         full = sparse.toarray()
         assert np.array_equal(full, dense)
@@ -119,15 +117,15 @@ class TestSparseEquivalence:
         dense = interaction_matrix_at_points(
             points, shots, PSF, cutoff_factor=factor
         )
-        sparse = interaction_matrix_csr(
-            points, shots, PSF, cutoff_factor=factor
-        )
+        sparse = build_exposure_operator(
+            points, shots, PSF, cutoff_factor=factor, mode="sparse"
+        ).matrix
         assert np.array_equal(sparse.toarray(), dense)
 
     def test_empty_inputs(self):
         empty = np.empty((0, 2))
-        assert interaction_matrix_csr(empty, [], PSF).shape == (0, 0)
         op = build_exposure_operator(empty, [], PSF, mode="sparse")
+        assert op.matrix.shape == (0, 0)
         assert (op @ np.empty(0)).shape == (0,)
         # No points, no shots or neither: a dense matrix of no bytes,
         # which no mapping can hold.
@@ -419,28 +417,6 @@ class TestExposureAtPoints:
         for mode in ("dense", "sparse"):
             levels = exposure_at_points(points, shots, PSF, matrix_mode=mode)
             np.testing.assert_allclose(levels, legacy, rtol=1e-6, atol=1e-6)
-
-    def test_ghost_absorbed_at_points(self):
-        from repro.geometry.rasterize import RasterFrame
-
-        shots = TrapezoidFracturer().fracture_to_shots(
-            [Polygon.rectangle(0, 0, 10, 10)]
-        )
-        ghost = GhostCorrector(margin=5.0)
-        corrected = ghost.correct(shots, PSF)
-        pattern, ghost_shots = split_ghost(corrected, len(shots))
-        frame = RasterFrame.around((0, 0, 10, 10), 0.1, margin=6.0)
-        exposure = GhostExposure(PSF, frame)
-        points = np.array([[5.0, 5.0], [0.0, 5.0], [-3.0, 5.0]])
-        for mode in ("dense", "sparse"):
-            levels = exposure.absorbed_at_points(
-                pattern, ghost_shots, points, matrix_mode=mode
-            )
-            image = exposure.absorbed(pattern, ghost_shots)
-            sampled = [
-                exposure._pattern_sim.sample(image, x, y) for x, y in points
-            ]
-            np.testing.assert_allclose(levels, sampled, atol=0.06)
 
 
 # -- the dense matrix's page-backed storage ------------------------------

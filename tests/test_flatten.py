@@ -3,15 +3,8 @@
 import pytest
 
 from repro.layout.cell import Cell
-from repro.layout.flatten import (
-    flat_area,
-    flat_polygon_count,
-    flat_vertex_count,
-    flatten_cell,
-    flatten_library,
-)
+from repro.layout.flatten import flat_area, flatten_cell
 from repro.layout.layer import Layer
-from repro.layout.library import Library
 
 
 @pytest.fixture
@@ -29,8 +22,8 @@ def two_level():
 class TestFlattening:
     def test_counts(self, two_level):
         flat = flatten_cell(two_level)
-        assert flat_polygon_count(flat) == 5
-        assert flat_vertex_count(flat) == 20
+        assert sum(map(len, flat.values())) == 5
+        assert sum(len(p) for polys in flat.values() for p in polys) == 20
 
     def test_layers_preserved(self, two_level):
         flat = flatten_cell(two_level)
@@ -69,18 +62,4 @@ class TestFlattening:
         top = Cell("TOP")
         top.instantiate_array(mid, 1, 4, 10.0, 10.0)
         flat = flatten_cell(top)
-        assert flat_polygon_count(flat) == 12
-
-
-class TestFlattenLibrary:
-    def test_uses_top_cell(self, two_level):
-        lib = Library("T")
-        lib.add(two_level)
-        flat = flatten_library(lib)
-        assert flat_polygon_count(flat) == 5
-
-    def test_named_top(self, two_level):
-        lib = Library("T")
-        lib.add(two_level)
-        flat = flatten_library(lib, top="LEAF")
-        assert flat_polygon_count(flat) == 2
+        assert sum(map(len, flat.values())) == 12

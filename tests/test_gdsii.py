@@ -1,5 +1,7 @@
 """Tests for the GDSII stream reader/writer, including failure injection."""
 
+import io
+import math
 import struct
 
 import pytest
@@ -24,7 +26,7 @@ from repro.layout.gdsii_records import (
     RecordType,
     decode_real8,
     encode_real8,
-    iter_records,
+    iter_record_headers,
     pack_ascii,
     pack_int16,
     pack_int32,
@@ -76,9 +78,9 @@ class TestRecords:
         data = pack_int16(RecordType.HEADER, [600]) + pack_record(
             RecordType.ENDLIB, DataType.NONE
         )
-        records = list(iter_records(data))
-        assert records[0][0] == RecordType.HEADER
-        assert records[1][0] == RecordType.ENDLIB
+        records = list(iter_record_headers(io.BytesIO(data), len(data)))
+        assert records[0][2] == RecordType.HEADER
+        assert records[1][2] == RecordType.ENDLIB
 
     def test_odd_payload_rejected(self):
         with pytest.raises(GdsiiError):
@@ -90,22 +92,23 @@ class TestRecords:
 
     def test_truncated_header_raises(self):
         with pytest.raises(GdsiiError, match="truncated"):
-            list(iter_records(b"\x00\x08\x00"))
+            list(iter_record_headers(io.BytesIO(b"\x00\x08\x00"), 3))
 
     def test_truncated_payload_raises(self):
         bad = struct.pack(">HBB", 100, 0x02, 6) + b"xy"
         with pytest.raises(GdsiiError, match="truncated"):
-            list(iter_records(bad))
+            list(iter_record_headers(io.BytesIO(bad), len(bad)))
 
     def test_zero_padding_tail_tolerated(self):
         data = pack_int16(RecordType.HEADER, [600]) + b"\x00\x00\x00\x00"
-        assert len(list(iter_records(data))) == 1
+        assert len(list(iter_record_headers(io.BytesIO(data), len(data)))) == 1
 
 
 class TestRoundTrip:
     def test_simple_polygon(self):
         lib = Library("T")
-        cell = lib.new_cell("TOP")
+        cell = Cell("TOP")
+        lib.add(cell)
         cell.add_polygon(Polygon([(0, 0), (10, 0), (5, 8)]), layer=(3, 1))
         lib2 = loads_gdsii(dumps_gdsii(lib))
         assert lib2.name == "T"
@@ -115,25 +118,29 @@ class TestRoundTrip:
 
     def test_units_roundtrip(self):
         lib = Library("U", unit=1e-6, precision=1e-9)
-        lib.new_cell("TOP").add_rectangle(0, 0, 1, 1)
+        lib.add(Cell("TOP").add_rectangle(0, 0, 1, 1))
         lib2 = loads_gdsii(dumps_gdsii(lib))
         assert lib2.unit == pytest.approx(1e-6)
         assert lib2.precision == pytest.approx(1e-9)
 
     def test_sref_with_transform(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 2, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (5, 5), rotation_deg=90, x_reflection=True)
         lib2 = loads_gdsii(dumps_gdsii(lib))
         assert flat_vertices(lib2.top_cell()) == flat_vertices(top)
 
     def test_sref_with_magnification(self):
         lib = Library("T")
-        child = lib.new_cell("CHILD")
+        child = Cell("CHILD")
+        lib.add(child)
         child.add_rectangle(0, 0, 2, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (0, 0), magnification=3.0)
         lib2 = loads_gdsii(dumps_gdsii(lib))
         assert flat_area(lib2.top_cell()) == pytest.approx(18.0, abs=1e-6)
@@ -157,7 +164,7 @@ class TestRoundTrip:
 
     def test_coordinates_snap_to_precision(self):
         lib = Library("T", unit=1e-6, precision=1e-9)
-        lib.new_cell("TOP").add_rectangle(0, 0, 1.0000004, 1)
+        lib.add(Cell("TOP").add_rectangle(0, 0, 1.0000004, 1))
         lib2 = loads_gdsii(dumps_gdsii(lib))
         box = lib2.top_cell().bounding_box()
         assert box[2] == pytest.approx(1.0, abs=1e-9)
@@ -166,7 +173,7 @@ class TestRoundTrip:
 class TestMalformedStreams:
     def test_missing_header(self):
         lib = Library("T")
-        lib.new_cell("TOP").add_rectangle(0, 0, 1, 1)
+        lib.add(Cell("TOP").add_rectangle(0, 0, 1, 1))
         data = dumps_gdsii(lib)
         # Strip the HEADER record (6 bytes).
         with pytest.raises(GdsiiError, match="HEADER"):
@@ -194,7 +201,8 @@ class TestMalformedStreams:
         lib = Library("T")
         child = Cell("CHILD")
         child.add_rectangle(0, 0, 1, 1)
-        top = lib.new_cell("TOP")
+        top = Cell("TOP")
+        lib.add(top)
         top.instantiate(child, (0, 0))
         # CHILD was never registered, so it is absent from the stream.
         data = dumps_gdsii(lib)
@@ -203,8 +211,9 @@ class TestMalformedStreams:
 
     def test_oversized_polygon_rejected_on_write(self):
         lib = Library("T")
-        big = Polygon.regular((0, 0), 10, 700)
-        lib.new_cell("TOP").add_polygon(big)
+        angles = [2 * math.pi * i / 700 for i in range(700)]
+        big = Polygon([(10 * math.cos(t), 10 * math.sin(t)) for t in angles])
+        lib.add(Cell("TOP").add_polygon(big))
         with pytest.raises(GdsiiError, match="exceeds"):
             dumps_gdsii(lib)
 
@@ -228,7 +237,7 @@ class TestWriterRejectsCollapsedPolygons:
     @pytest.mark.parametrize("poly", COLLAPSED)
     def test_dumps_and_stream_writer_raise_alike(self, poly, tmp_path):
         library = Library("T")
-        library.new_cell("A").add_polygon(poly)
+        library.add(Cell("A").add_polygon(poly))
         with pytest.raises(GdsiiError, match="zero area on the database grid"):
             dumps_gdsii(library)
         with GdsiiStreamWriter(tmp_path / "out.gds") as writer:
@@ -240,7 +249,7 @@ class TestWriterRejectsCollapsedPolygons:
         # Zero signed area, yet the fracturer fills both 1 µm² lobes.
         bow_tie = Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
         library = Library("T")
-        library.new_cell("A").add_polygon(bow_tie)
+        library.add(Cell("A").add_polygon(bow_tie))
         with GdsiiStreamWriter(tmp_path / "out.gds", name="T") as writer:
             writer.begin_cell("A")
             writer.write_polygon(bow_tie, (0, 0))
@@ -252,12 +261,12 @@ class TestWriterRejectsCollapsedPolygons:
 
     def test_one_grid_step_is_enough(self):
         library = Library("T")
-        library.new_cell("A").add_rectangle(0.0, 0.0, 5.0, 0.001)
+        library.add(Cell("A").add_rectangle(0.0, 0.0, 5.0, 0.001))
         assert len(loads_gdsii(dumps_gdsii(library))["A"].polygons) == 1
 
     def test_coarser_library_grid_collapses_sooner(self):
         library = Library("T", precision=1e-8)  # 10 nm database unit
-        library.new_cell("A").add_rectangle(0.0, 0.0, 5.0, 0.004)
+        library.add(Cell("A").add_rectangle(0.0, 0.0, 5.0, 0.004))
         with pytest.raises(GdsiiError, match="zero area"):
             dumps_gdsii(library)
 

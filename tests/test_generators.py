@@ -6,7 +6,7 @@ import pytest
 
 from repro.layout import generators
 from repro.layout.layer import DEFAULT_LAYER
-from repro.layout.flatten import flat_area, flat_polygon_count, flatten_cell
+from repro.layout.flatten import flat_area, flatten_cell
 from repro.layout.gdsii import dumps_gdsii
 from repro.layout.stats import library_stats
 
@@ -19,7 +19,7 @@ class TestGrating:
     def test_line_count_and_area(self):
         lib = generators.grating(pitch=2.0, duty=0.5, lines=10, length=20.0)
         f = flat(lib)
-        assert flat_polygon_count(f) == 10
+        assert sum(map(len, f.values())) == 10
         assert flat_area(f) == pytest.approx(10 * 1.0 * 20.0)
 
     def test_duty_validation(self):
@@ -34,7 +34,7 @@ class TestGrating:
 class TestContactArray:
     def test_flat_count(self):
         lib = generators.contact_array(columns=8, rows=4)
-        assert flat_polygon_count(flat(lib)) == 32
+        assert sum(map(len, flat(lib).values())) == 32
 
     def test_hierarchical_variant_same_flat_geometry(self):
         flat_lib = generators.contact_array(columns=8, rows=4)
@@ -91,7 +91,7 @@ class TestRandomLogic:
     def test_default_geometry_unchanged(self):
         # The seed-0 chip is every logic golden's and bench's input.
         lib = generators.random_logic()
-        assert flat_polygon_count(flat(lib)) == 90
+        assert sum(map(len, flat(lib).values())) == 90
         assert flat_area(flat(lib)) == pytest.approx(2019.7667485629122)
 
 
@@ -156,7 +156,7 @@ class TestFresnelZonePlate:
     def test_alternate_zones_only(self):
         lib = generators.fresnel_zone_plate(zones=8)
         # 4 opaque zones, each as two half-annuli.
-        assert flat_polygon_count(flat(lib)) == 8
+        assert sum(map(len, flat(lib).values())) == 8
 
     def test_needs_two_zones(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestFresnelZonePlate:
 class TestOtherWorkloads:
     def test_serpentine_is_single_polygon(self):
         lib = generators.serpentine(turns=6)
-        assert flat_polygon_count(flat(lib)) == 1
+        assert sum(map(len, flat(lib).values())) == 1
 
     def test_serpentine_pitch_validation(self):
         with pytest.raises(ValueError):
@@ -190,12 +190,12 @@ class TestOtherWorkloads:
             line_width=0.5, line_length=30.0, pad_size=20.0
         )
         f = flat(lib)
-        assert flat_polygon_count(f) == 2
+        assert sum(map(len, f.values())) == 2
         assert flat_area(f) == pytest.approx(400.0 + 15.0)
 
     def test_checkerboard_count(self):
         lib = generators.checkerboard(cells=4)
-        assert flat_polygon_count(flat(lib)) == 8
+        assert sum(map(len, flat(lib).values())) == 8
 
     def test_all_workloads_nonempty(self):
         for name, lib in generators.all_workloads():

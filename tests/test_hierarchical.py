@@ -47,7 +47,7 @@ class TestTransformTrapezoid:
         assert t.area() == pytest.approx(self.TRAP.area())
 
     def test_mirror_y_flips_horizontally(self):
-        t = transform_trapezoid(self.TRAP, Transform.mirror_y())
+        t = transform_trapezoid(self.TRAP, Transform.scaling(-1.0, 1.0))
         assert t.x_bottom_left == -10
         assert t.x_bottom_right == 0
         assert t.area() == pytest.approx(self.TRAP.area())

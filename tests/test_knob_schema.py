@@ -272,7 +272,10 @@ class TestThePythonDoorAppliesTheRule:
         for owner in owners:
             with pytest.raises(AttributeError, match="fixed at construction"):
                 setattr(owner, knob, value)
-        stats = pipe.run(Cell("SQUARES").add_polygons(SQUARES)).execution
+        cell = Cell("SQUARES")
+        for square in SQUARES:
+            cell.add_polygon(square)
+        stats = pipe.run(cell).execution
         assert (stats.workers, stats.field_size, stats.hierarchy) == (1, None, "cells")
         assert not list(tmp_path.iterdir())  # machine is still None
 

@@ -50,11 +50,6 @@ class TestCellManagement:
         lib.add(cell)
         assert len(lib) == 1
 
-    def test_new_cell(self):
-        lib = Library()
-        cell = lib.new_cell("FRESH")
-        assert lib["FRESH"] is cell
-
     def test_getitem_missing_raises(self):
         with pytest.raises(KeyError):
             Library()["NOPE"]

@@ -14,14 +14,9 @@ import pytest
 from repro.cli import main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ShardCache
 from repro.core.executor import ShardedExecutor, merge_shard_results
-from repro.core.jobfile import (
-    JobFileError,
-    dumps_program,
-    loads_program,
-    read_program,
-)
+from repro.core.jobfile import JobFileError, loads_program
 from repro.core.pipeline import PreparationPipeline
-from repro.fracture.base import with_doses
+from repro.fracture.base import Shot, with_doses
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
@@ -37,7 +32,13 @@ from repro.machine.program import (
     export_program,
     raster_coverage_lines,
 )
-from repro.machine.rle import decode_to_coverage, encode_figures
+from repro.machine.rle import (
+    BYTES_PER_LINE,
+    BYTES_PER_RUN,
+    decode_to_coverage,
+    encode_runs,
+    runs_by_line,
+)
 from repro.machine.vsb import ShapedBeamWriter
 
 
@@ -76,18 +77,20 @@ class TestRasterExport:
         job = MachineJob(result.shots, name="g")
         spec = MachineSpec("raster", address_unit=0.5)
         program = export_program(result.shard_results, job, spec, tmp_path / "g.ebp")
-        image = read_program(tmp_path / "g.ebp")
+        image = loads_program((tmp_path / "g.ebp").read_bytes())
         assert image.mode == "raster"
         assert image.address_unit == 0.5
         assert image.origin == (job.bounding_box[0], job.bounding_box[1])
 
         # The program's merged scanlines equal a direct global encode.
-        direct = encode_figures(
+        _, line_count, runs = encode_runs(
             [s.trapezoid for s in result.shots], 0.5, origin=image.origin
         )
-        assert raster_coverage_lines(image) == direct.lines
-        assert program.run_count == direct.run_count()
-        assert program.stream_bytes == direct.encoded_bytes()
+        assert raster_coverage_lines(image) == runs_by_line(runs)
+        assert program.run_count == len(runs)
+        assert program.stream_bytes == (
+            len(runs) * BYTES_PER_RUN + line_count * BYTES_PER_LINE
+        )
         assert program.digest
         assert program.file_bytes == (tmp_path / "g.ebp").stat().st_size
 
@@ -110,8 +113,8 @@ class TestRasterExport:
             spec,
             tmp_path / "many.ebp",
         )
-        img1 = read_program(tmp_path / "one.ebp")
-        img2 = read_program(tmp_path / "many.ebp")
+        img1 = loads_program((tmp_path / "one.ebp").read_bytes())
+        img2 = loads_program((tmp_path / "many.ebp").read_bytes())
         lines1 = raster_coverage_lines(img1)
         lines2 = raster_coverage_lines(img2)
         assert lines1 == lines2
@@ -176,7 +179,7 @@ class TestRasterExport:
             tmp_path / "single.ebp",
         )
         assert p_sharded.segment_count == 2
-        image = read_program(tmp_path / "sharded.ebp")
+        image = loads_program((tmp_path / "sharded.ebp").read_bytes())
         per_line: dict = {}
         for seg in image.segments:
             first, seg_lines = decode_raster_segment(seg.payload)
@@ -191,7 +194,8 @@ class TestRasterExport:
                     cells |= span
         # And the sharded stream writes exactly the unsharded addresses.
         total = sum(len(cells) for cells in per_line.values())
-        single_lines = raster_coverage_lines(read_program(tmp_path / "single.ebp"))
+        unsharded = loads_program((tmp_path / "single.ebp").read_bytes())
+        single_lines = raster_coverage_lines(unsharded)
         single_total = sum(
             length for runs in single_lines.values() for _, length in runs
         )
@@ -222,7 +226,7 @@ class TestShotExport:
         program = export_program(
             result.shard_results, job, spec, tmp_path / f"g.{mode}.ebp"
         )
-        return program, read_program(tmp_path / f"g.{mode}.ebp"), job
+        return program, loads_program((tmp_path / f"g.{mode}.ebp").read_bytes()), job
 
     def test_vsb_records_roundtrip(self, tmp_path):
         program, image, job = self._program(tmp_path, "vsb")
@@ -266,20 +270,6 @@ class TestShotExport:
 
 
 class TestContainer:
-    def test_dumps_is_loads_inverse(self, tmp_path):
-        result = fractured(grating_polygons(), field_size=5.0)
-        from repro.core.job import MachineJob
-
-        job = MachineJob(result.shots, name="g")
-        export_program(
-            result.shard_results,
-            job,
-            MachineSpec("raster"),
-            tmp_path / "g.ebp",
-        )
-        data = (tmp_path / "g.ebp").read_bytes()
-        assert dumps_program(loads_program(data)) == data
-
     def test_bad_magic_and_truncation(self, tmp_path):
         with pytest.raises(JobFileError):
             loads_program(b"NOPE" + b"\x00" * 64)
@@ -355,7 +345,7 @@ class TestProgramCache:
         # is a different result.
         first, *rest = shard.shots
         redosed = dataclasses.replace(
-            shard, shots=[first.with_dose(first.dose + 0.25), *rest]
+            shard, shots=[Shot(first.trapezoid, first.dose + 0.25), *rest]
         )
         assert base != cache.program_key_for(
             redosed, MachineSpec("raster"), (0.0, 0.0), 1.0
@@ -410,7 +400,7 @@ class TestPipelineThreading:
         first, *rest = result.shard_results[0].shots
         overflowing = dataclasses.replace(
             result.shard_results[0],
-            shots=[first.with_dose(100.0), *rest],  # dose‰ overflows u16
+            shots=[Shot(first.trapezoid, 100.0), *rest],  # dose‰ overflows u16
         )
         with pytest.raises(MachineProgramError):
             export_program([overflowing], job, MachineSpec("vsb"), path)
@@ -441,7 +431,7 @@ class TestPipelineThreading:
         lib = generators.grating(lines=4)
         pipe = PreparationPipeline(machine="raster", program_dir=tmp_path)
         result = pipe.run(lib)
-        image = read_program(result.machine_program.path)
+        image = loads_program(result.machine_program.path.read_bytes())
         merged = raster_coverage_lines(image)
         width = max(
             start + length
@@ -452,12 +442,13 @@ class TestPipelineThreading:
         for j, runs in merged.items():
             for start, length in runs:
                 grid[j, start : start + length] = True
-        direct = encode_figures(
+        _, line_count, runs = encode_runs(
             [s.trapezoid for s in result.job.shots],
             0.5,
             origin=image.origin,
         )
-        assert (grid == decode_to_coverage(direct, width)[: grid.shape[0]]).all()
+        direct = decode_to_coverage(runs_by_line(runs), line_count, width)
+        assert (grid == direct[: grid.shape[0]]).all()
 
 
 class TestCli:
@@ -483,7 +474,7 @@ class TestCli:
         assert "channel:" in out
         assert "write:" in out
         assert out_path.exists()
-        assert read_program(out_path).mode == "raster"
+        assert loads_program(out_path.read_bytes()).mode == "raster"
 
     def test_demo_machine_default_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -541,5 +532,5 @@ class TestCli:
                 )
                 == 0
             )
-        assert read_program(fine).address_unit == 0.25
+        assert loads_program(fine.read_bytes()).address_unit == 0.25
         assert fine.stat().st_size > coarse.stat().st_size

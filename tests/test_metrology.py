@@ -6,11 +6,9 @@ import pytest
 from repro.geometry.rasterize import RasterFrame
 from repro.physics.metrology import (
     dose_latitude,
-    edge_placement_error,
     edge_positions,
     measure_linewidth,
     profile_along_x,
-    profile_along_y,
 )
 
 
@@ -44,12 +42,6 @@ class TestProfiles:
         # Halfway between rows 10 and 11.
         _, v_half = profile_along_x(image, frame, y=(11.0) * frame.pixel)
         assert v_half[0] == pytest.approx(0.5)
-
-    def test_profile_along_y(self, frame):
-        image = np.zeros((frame.ny, frame.nx))
-        image[:, 20] = 1.0
-        ys, values = profile_along_y(image, frame, x=(20 + 0.5) * frame.pixel)
-        assert values[0] == pytest.approx(1.0)
 
 
 class TestEdgePositions:
@@ -102,23 +94,6 @@ class TestLinewidth:
         )
 
 
-class TestEdgePlacement:
-    def test_signed_errors(self, frame):
-        image = synthetic_line_image(frame, 8.1, 12.2, blur=0.5)
-        errors = edge_placement_error(
-            image, frame, 0.5, cut_y=2.5, design_edges=[8.0, 12.0]
-        )
-        assert errors[0] == pytest.approx(0.1, abs=0.03)
-        assert errors[1] == pytest.approx(0.2, abs=0.03)
-
-    def test_nan_when_nothing_printed(self, frame):
-        image = np.zeros((frame.ny, frame.nx))
-        errors = edge_placement_error(
-            image, frame, 0.5, cut_y=2.5, design_edges=[8.0]
-        )
-        assert np.isnan(errors[0])
-
-
 class TestDoseLatitude:
     def test_window(self):
         doses = [0.8, 0.9, 1.0, 1.1, 1.2, 1.3]
@@ -135,3 +110,30 @@ class TestDoseLatitude:
             [0.5, 1.0, 1.5], [None, 1.0, None], target_cd=1.0
         )
         assert latitude == pytest.approx(0.0)
+
+
+class TestCutsAndEdges:
+    def test_profile_on_a_row_centre_is_that_row(self, frame):
+        image = np.random.default_rng(1).random((frame.ny, frame.nx))
+        _, values = profile_along_x(image, frame, y=(7 + 0.5) * frame.pixel)
+        assert np.array_equal(values, image[7])
+
+    def test_profile_below_the_frame_clamps_to_first_row(self, frame):
+        image = np.random.default_rng(2).random((frame.ny, frame.nx))
+        _, values = profile_along_x(image, frame, y=-5.0)
+        assert np.allclose(values, image[0])
+
+    def test_falling_edge_found(self):
+        xs = np.arange(6, dtype=float)
+        values = np.array([1.0, 1.0, 0.8, 0.2, 0.0, 0.0])
+        assert edge_positions(xs, values, 0.5) == pytest.approx([2.5])
+
+    def test_line_edges_straddle_its_centre(self, frame):
+        image = synthetic_line_image(frame, 6.0, 10.0, blur=0.4)
+        xs, values = profile_along_x(image, frame, 2.5)
+        left, right = edge_positions(xs, values, 0.5)
+        assert (left + right) / 2 == pytest.approx(8.0, abs=0.01)
+
+    def test_threshold_above_peak_prints_nothing(self, frame):
+        image = synthetic_line_image(frame, 8.0, 12.0, blur=0.5)
+        assert measure_linewidth(image, frame, threshold=1.5, cut_y=2.5) is None

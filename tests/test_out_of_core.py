@@ -50,7 +50,7 @@ from repro.layout import generators
 from repro.layout.cell import Cell
 from repro.layout import cursor
 from repro.layout.cif import dumps_cif, loads_cif
-from repro.layout.flatten import expand, flatten_cell, flatten_library
+from repro.layout.flatten import expand, flatten_cell
 from repro.layout.gdsii import dumps_gdsii, loads_gdsii, write_gdsii
 from repro.layout.library import Library
 from repro.layout.stream import (
@@ -237,22 +237,8 @@ class TestStreamingReaders:
 
 
 class TestStreamWriter:
-    @given(library=generated_libraries())
-    @settings(max_examples=25, deadline=None)
-    def test_write_cell_matches_dumps(self, library, tmp_path_factory):
-        path = tmp_path_factory.mktemp("out") / "lib.gds"
-        with GdsiiStreamWriter(
-            path,
-            name=library.name,
-            unit=library.unit,
-            precision=library.precision,
-        ) as writer:
-            for cell in library:
-                writer.write_cell(cell)
-        assert path.read_bytes() == dumps_gdsii(library)
-
     def test_incremental_cell_matches_dumps(self, tmp_path):
-        library = generators.contact_array(columns=2, rows=2, hierarchical=True)
+        library = generators.contact_array(columns=2, rows=2)
         path = tmp_path / "inc.gds"
         with GdsiiStreamWriter(path, name=library.name) as writer:
             for cell in library:
@@ -260,8 +246,6 @@ class TestStreamWriter:
                 for layer in sorted(cell.polygons):
                     for poly in cell.polygons[layer]:
                         writer.write_polygon(poly, layer)
-                for ref in cell.references:
-                    writer.write_reference(ref)
                 writer.end_cell()
         assert path.read_bytes() == dumps_gdsii(library)
 
@@ -290,24 +274,22 @@ class TestStreamWriter:
 
 class TestFullReticle:
     def test_default_is_100x_the_single_die(self):
-        die_polys = sum(
-            len(v)
-            for v in flatten_library(generators.fresnel_zone_plate()).values()
-        )
+        die = generators.fresnel_zone_plate().top_cell()
+        die_polys = sum(len(v) for v in flatten_cell(die).values())
         reticle = generators.full_reticle()
-        flat = sum(len(v) for v in flatten_library(reticle).values())
+        flat = sum(len(v) for v in flatten_cell(reticle.top_cell()).values())
         assert die_polys == 20
         assert flat == 100 * die_polys
 
     def test_size_is_a_parameter(self):
-        flat = flatten_library(generators.full_reticle(tiles=3))
+        flat = flatten_cell(generators.full_reticle(tiles=3).top_cell())
         assert sum(len(v) for v in flat.values()) == 9 * 20
 
     def test_hierarchical_file_round_trips(self, tmp_path):
         path = tmp_path / "h.gds"
         generators.write_full_reticle(path, tiles=2, flat=False)
         back = loads_gdsii(path.read_bytes())
-        assert sum(len(v) for v in flatten_library(back).values()) == 4 * 20
+        assert sum(len(v) for v in flatten_cell(back.top_cell()).values()) == 4 * 20
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

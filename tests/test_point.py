@@ -58,16 +58,12 @@ class TestArithmetic:
 
 
 class TestGeometry:
-    def test_dot(self):
-        assert Point(1, 2).dot(Point(3, 4)) == 11.0
-
     def test_cross_sign(self):
         assert Point(1, 0).cross(Point(0, 1)) == 1.0
         assert Point(0, 1).cross(Point(1, 0)) == -1.0
 
     def test_norm(self):
         assert Point(3, 4).norm() == 5.0
-        assert Point(3, 4).norm_squared() == 25.0
 
     def test_distance(self):
         assert Point(0, 0).distance(Point(3, 4)) == 5.0
@@ -79,9 +75,6 @@ class TestGeometry:
     def test_unit_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             ORIGIN.unit()
-
-    def test_perpendicular_is_90_ccw(self):
-        assert Point(1, 0).perpendicular() == Point(0, 1)
 
     def test_rotated_quarter_turn(self):
         r = Point(1, 0).rotated(math.pi / 2)
@@ -105,3 +98,21 @@ class TestEquality:
     def test_almost_equals_tolerance(self):
         assert Point(1, 2).almost_equals(Point(1 + 1e-12, 2), tol=1e-9)
         assert not Point(1, 2).almost_equals(Point(1.1, 2), tol=1e-9)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("angle", [0.0, 0.4, math.pi / 3, -2.5])
+    def test_rotation_keeps_norm_and_turns_angle(self, angle):
+        p = Point(3, 4)
+        r = p.rotated(angle)
+        assert math.isclose(r.norm(), 5.0)
+        assert math.isclose(p.cross(r), 25.0 * math.sin(angle), abs_tol=1e-12)
+
+    def test_cross_is_antisymmetric(self):
+        p, q = Point(1.5, -2), Point(0.25, 3)
+        assert p.cross(q) == -q.cross(p)
+        assert p.cross(p) == 0.0
+
+    def test_distance_is_symmetric(self):
+        p, q = Point(1.5, -2), Point(0.25, 3)
+        assert p.distance(q) == q.distance(p) == (p - q).norm()

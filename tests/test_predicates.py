@@ -5,15 +5,10 @@ from fractions import Fraction
 import pytest
 
 from repro.geometry.predicates import (
-    bounding_boxes_overlap,
-    on_segment,
     orientation,
-    point_in_polygon,
     ring_collapses,
     segment_intersection_ys,
-    segments_intersect,
     snap,
-    x_at_y,
 )
 
 
@@ -33,27 +28,6 @@ class TestOrientation:
         assert orientation((0, 0), (big, 1), (2 * big, 3)) == 1
 
 
-class TestSegments:
-    def test_proper_crossing(self):
-        assert segments_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-
-    def test_disjoint(self):
-        assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-
-    def test_shared_endpoint(self):
-        assert segments_intersect((0, 0), (1, 1), (1, 1), (2, 0))
-
-    def test_collinear_overlap(self):
-        assert segments_intersect((0, 0), (4, 0), (2, 0), (6, 0))
-
-    def test_collinear_disjoint(self):
-        assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
-
-    def test_on_segment(self):
-        assert on_segment((0, 0), (1, 1), (2, 2))
-        assert not on_segment((0, 0), (3, 3), (2, 2))
-
-
 class TestIntersectionYs:
     def test_proper_crossing_midpoint(self):
         ys = segment_intersection_ys((0, 0), (2, 2), (0, 2), (2, 0))
@@ -71,38 +45,6 @@ class TestIntersectionYs:
         assert ys == [Fraction(2), Fraction(4)]
 
 
-class TestXAtY:
-    def test_interpolation(self):
-        assert x_at_y((0, 0), (4, 2), Fraction(1)) == Fraction(2)
-
-    def test_exact_fraction(self):
-        assert x_at_y((0, 0), (1, 3), Fraction(1)) == Fraction(1, 3)
-
-    def test_horizontal_raises(self):
-        with pytest.raises(ValueError):
-            x_at_y((0, 0), (4, 0), Fraction(0))
-
-
-class TestPointInPolygon:
-    SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]
-
-    def test_inside(self):
-        assert point_in_polygon((5, 5), self.SQUARE) == 1
-
-    def test_outside(self):
-        assert point_in_polygon((15, 5), self.SQUARE) == 0
-
-    def test_on_edge(self):
-        assert point_in_polygon((5, 0), self.SQUARE) == -1
-
-    def test_on_vertex(self):
-        assert point_in_polygon((0, 0), self.SQUARE) == -1
-
-    def test_cw_polygon_nonzero(self):
-        cw = list(reversed(self.SQUARE))
-        assert point_in_polygon((5, 5), cw) == 1
-
-
 class TestSnap:
     def test_rounds_half_up(self):
         assert snap(0.5, 1.0) == 1
@@ -114,17 +56,6 @@ class TestSnap:
 
     def test_nanometre_grid(self):
         assert snap(1.2345678, 1e-3) == 1235
-
-
-class TestBBoxOverlap:
-    def test_overlapping(self):
-        assert bounding_boxes_overlap((0, 0), (2, 2), (1, 1), (3, 3))
-
-    def test_touching_edges_count(self):
-        assert bounding_boxes_overlap((0, 0), (1, 1), (1, 0), (2, 1))
-
-    def test_disjoint(self):
-        assert not bounding_boxes_overlap((0, 0), (1, 1), (2, 2), (3, 3))
 
 
 class TestRingCollapses:
@@ -139,3 +70,36 @@ class TestRingCollapses:
     )
     def test_zero_signed_area_asks_the_fill_rule(self, xy, collapses):
         assert ring_collapses(xy) == collapses
+
+
+class TestIntersectionYsCases:
+    def test_shared_endpoint(self):
+        assert segment_intersection_ys((0, 0), (1, 1), (1, 1), (2, 0)) == [
+            Fraction(1)
+        ]
+
+    def test_t_junction_on_interior(self):
+        assert segment_intersection_ys((0, 0), (4, 0), (2, 0), (2, 5)) == [
+            Fraction(0)
+        ]
+
+    def test_collinear_disjoint_is_empty(self):
+        assert segment_intersection_ys((0, 0), (1, 1), (2, 2), (3, 3)) == []
+
+    def test_parallel_is_empty(self):
+        assert segment_intersection_ys((0, 0), (2, 2), (0, 1), (2, 3)) == []
+
+    def test_lines_crossing_beyond_the_segments_is_empty(self):
+        assert segment_intersection_ys((0, 0), (1, 1), (3, 0), (2, 1)) == []
+
+    def test_order_of_operands_does_not_matter(self):
+        p1, p2, q1, q2 = (0, 0), (7, 3), (1, 5), (6, -2)
+        assert segment_intersection_ys(p1, p2, q1, q2) == segment_intersection_ys(
+            q1, q2, p1, p2
+        )
+
+    def test_exact_for_huge_coordinates(self):
+        big = 10**15
+        ys = segment_intersection_ys((0, 0), (2 * big, 2 * big + 2), (0, 2), (2, 0))
+        # x + y = 2 meets the long segment at t = 1 / (2·big + 1).
+        assert ys == [Fraction(2 * big + 2, 2 * big + 1)]

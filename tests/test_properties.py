@@ -15,9 +15,9 @@ from repro.fracture.rectangles import RectangleFracturer
 from repro.fracture.shots import ShotFracturer
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.boolean import boolean_trapezoids, trapezoids_to_polygons
-from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.transform import Transform
+from repro.layout.cell import Cell
 from repro.layout.gdsii import dumps_gdsii, loads_gdsii
 from repro.layout.gdsii_records import decode_real8, encode_real8
 from repro.layout.library import Library
@@ -190,26 +190,6 @@ class TestFractureProperties:
 
 
 class TestTransformProperties:
-    @given(
-        st.floats(-100, 100),
-        st.floats(-100, 100),
-        st.floats(0, 360),
-        st.floats(0.1, 10),
-        st.booleans(),
-        st.floats(-20, 20),
-        st.floats(-20, 20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_roundtrip(self, dx, dy, rot, mag, mirror, px, py):
-        t = Transform.gdsii(
-            origin=(dx, dy),
-            rotation_deg=rot,
-            magnification=mag,
-            x_reflection=mirror,
-        )
-        p = Point(px, py)
-        assert t.inverse()(t(p)).almost_equals(p, tol=1e-6)
-
     @given(st.floats(0, 360), st.floats(0.5, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_area_scales_with_det(self, rot, mag):
@@ -239,7 +219,8 @@ class TestFormatProperties:
     @settings(max_examples=20, deadline=None)
     def test_gdsii_roundtrip_vertices(self, polys):
         lib = Library("P")
-        cell = lib.new_cell("TOP")
+        cell = Cell("TOP")
+        lib.add(cell)
         for p in polys:
             cell.add_polygon(p)
         lib2 = loads_gdsii(dumps_gdsii(lib))
@@ -272,18 +253,6 @@ class TestPhysicsProperties:
         kernel = psf.kernel(pixel=beta / 8.0)
         assert kernel.sum() == pytest.approx(1.0, abs=5e-3)
         assert (kernel >= 0).all()
-
-    @given(
-        st.floats(min_value=0.01, max_value=1.0),
-        st.floats(min_value=1.0, max_value=10.0),
-        st.floats(min_value=0.0, max_value=2.0),
-        st.floats(min_value=0.0, max_value=20.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_encircled_energy_bounded(self, alpha, beta, eta, radius):
-        psf = DoubleGaussianPSF(alpha=alpha, beta=beta, eta=eta)
-        value = psf.encircled_energy(radius)
-        assert 0.0 <= value <= 1.0
 
 
 # -- PEC -----------------------------------------------------------------------

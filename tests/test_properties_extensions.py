@@ -22,7 +22,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.transform import Transform
 from repro.geometry.trapezoid import Trapezoid
 from repro.layout.cell import Cell
-from repro.machine.rle import encode_figures
+from repro.machine.rle import encode_runs, runs_by_line
 
 coords = st.integers(min_value=-40, max_value=40)
 
@@ -97,8 +97,8 @@ class TestRleProperties:
     def test_written_addresses_approximate_area(self, polys, unit):
         figures = TrapezoidFracturer().fracture(polys)
         assume(figures)
-        pattern = encode_figures(figures, address_unit=unit)
-        area = pattern.written_addresses() * unit * unit
+        _, _, runs = encode_runs(figures, address_unit=unit)
+        area = runs[:, 2].sum() * unit * unit
         expected = sum(f.area() for f in figures)
         perimeter_slack = sum(
             2 * ((f.bounding_box()[2] - f.bounding_box()[0])
@@ -112,9 +112,9 @@ class TestRleProperties:
     def test_runs_sorted_and_disjoint(self, polys):
         figures = TrapezoidFracturer().fracture(polys)
         assume(figures)
-        pattern = encode_figures(figures, address_unit=0.5)
-        for runs in pattern.lines.values():
-            for (s0, l0), (s1, _) in zip(runs, runs[1:]):
+        _, _, runs = encode_runs(figures, address_unit=0.5)
+        for line_runs in runs_by_line(runs).values():
+            for (s0, l0), (s1, _) in zip(line_runs, line_runs[1:]):
                 assert s0 + l0 < s1  # disjoint with a gap
 
 

@@ -1,7 +1,5 @@
 """Tests for the double-Gaussian PSF model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -65,29 +63,8 @@ class TestNormalization:
 
 
 class TestDerivedQuantities:
-    def test_encircled_energy_limits(self, psf):
-        assert psf.encircled_energy(0.0) == pytest.approx(0.0)
-        assert psf.encircled_energy(100.0) == pytest.approx(1.0)
-
-    def test_encircled_energy_monotone(self, psf):
-        radii = np.linspace(0.01, 10, 50)
-        values = [psf.encircled_energy(r) for r in radii]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_encircled_validates(self, psf):
-        with pytest.raises(ValueError):
-            psf.encircled_energy(-1.0)
-
     def test_background_level(self, psf):
         assert psf.background_level() == pytest.approx(0.74 / 1.74)
-
-    def test_proximity_ratio(self, psf):
-        assert psf.proximity_ratio() == pytest.approx(1.74)
-
-    def test_with_blur_quadrature(self, psf):
-        blurred = psf.with_blur(0.1)
-        assert blurred.alpha == pytest.approx(math.hypot(0.1, 0.1))
-        assert blurred.beta == psf.beta
 
     def test_scalar_and_array_radial(self, psf):
         scalar = psf.radial(1.0)
@@ -200,3 +177,46 @@ class TestConvolveSame:
         want = fftconvolve(image, kernel, mode="same")
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+
+def enclosed_energy(psf, radius, samples=40000):
+    """∫₀ᴿ f(r) 2πr dr by the trapezoid rule."""
+    r = np.linspace(0.0, radius, samples)
+    return np.trapezoid(psf.radial(r) * 2 * np.pi * r, r)
+
+
+class TestRadialShape:
+    def test_single_gaussian_encloses_analytic_energy(self):
+        psf = DoubleGaussianPSF(alpha=0.5, beta=2.0, eta=0.0)
+        for radius in (0.25, 0.5, 1.0):
+            assert enclosed_energy(psf, radius) == pytest.approx(
+                1.0 - np.exp(-(radius**2) / 0.25), abs=1e-6
+            )
+
+    def test_forward_peak_holds_its_share(self, psf):
+        # Within 5α nearly all forward energy and little backscatter lie.
+        inner = enclosed_energy(psf, 5 * psf.alpha)
+        back_inside = 1.0 - np.exp(-((5 * psf.alpha) ** 2) / psf.beta**2)
+        want = (1.0 + psf.eta * back_inside) / (1.0 + psf.eta)
+        assert inner == pytest.approx(want, abs=1e-4)
+
+    def test_enclosed_energy_grows_to_one(self, psf):
+        radii = [0.05, 0.2, 1.0, 3.0, 10.0]
+        energies = [enclosed_energy(psf, r) for r in radii]
+        assert energies == sorted(energies)
+        assert 0.0 < energies[0] and energies[-1] == pytest.approx(1.0, abs=1e-4)
+
+    def test_radial_decreases_outward(self, psf):
+        values = psf.radial(np.linspace(0.0, 8.0, 200))
+        assert np.all(np.diff(values) < 0)
+
+    def test_peak_value(self, psf):
+        want = (1 / psf.alpha**2 + psf.eta / psf.beta**2) / (np.pi * (1 + psf.eta))
+        assert psf.radial(0.0) == pytest.approx(want)
+
+    def test_wider_forward_range_lowers_kernel_peak(self):
+        sharp = DoubleGaussianPSF(alpha=0.1, beta=2.0, eta=0.74).kernel(pixel=0.1)
+        blurred = DoubleGaussianPSF(alpha=0.3, beta=2.0, eta=0.74).kernel(pixel=0.1)
+        centre = sharp.shape[0] // 2
+        assert blurred[centre, centre] < sharp[centre, centre]
+        assert blurred.sum() == pytest.approx(sharp.sum(), abs=1e-9)

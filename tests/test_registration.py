@@ -1,16 +1,9 @@
-"""Tests for mark detection and registration fitting."""
-
+"""Tests for mark detection and its error model."""
 
 import numpy as np
 import pytest
 
-from repro.machine.registration import (
-    detect_edge,
-    detect_mark_center,
-    detection_error_model,
-    fit_registration,
-    mark_signal,
-)
+from repro.machine.registration import detect_edge, detection_error_model, mark_signal
 
 
 class TestMarkSignal:
@@ -50,19 +43,6 @@ class TestDetection:
         signal = mark_signal(x, -0.2, beam_size=0.1, noise=0.03, rng=rng)
         assert detect_edge(x, signal) == pytest.approx(-0.2, abs=0.05)
 
-    def test_mark_center_two_edges(self):
-        x = np.linspace(-3, 3, 1200)
-        rising = mark_signal(x, -1.0, 0.1)
-        falling = 1.0 - mark_signal(x, 1.2, 0.1)
-        line_mark = rising * falling
-        assert detect_mark_center(x, line_mark) == pytest.approx(0.1, abs=0.01)
-
-    def test_mark_center_needs_both_edges(self):
-        x = np.linspace(-2, 2, 400)
-        signal = mark_signal(x, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            detect_mark_center(x, signal)
-
 
 class TestErrorModel:
     def test_error_grows_with_noise(self):
@@ -80,56 +60,41 @@ class TestErrorModel:
         assert sigma < 1e-6
 
 
-class TestRegistrationFit:
-    NOMINAL = [(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0)]
+class TestDetectorGeometry:
+    @pytest.mark.parametrize("edge", [-0.55, 0.0, 0.37, 0.9])
+    def test_clean_edge_found_anywhere_in_the_scan(self, edge):
+        x = np.linspace(-2, 2, 800)
+        signal = mark_signal(x, edge, beam_size=0.1)
+        assert detect_edge(x, signal) == pytest.approx(edge, abs=1e-3)
 
-    def test_recovers_translation(self):
-        measured = [(x + 0.3, y - 0.1) for x, y in self.NOMINAL]
-        fit = fit_registration(self.NOMINAL, measured)
-        assert fit.translation[0] == pytest.approx(0.3, abs=1e-9)
-        assert fit.translation[1] == pytest.approx(-0.1, abs=1e-9)
-        assert fit.residual_rms < 1e-9
+    def test_explicit_threshold_moves_the_crossing(self):
+        from scipy.special import erfinv
 
-    def test_recovers_rotation(self):
-        theta = 50e-6  # 50 µrad
-        measured = [
-            (x - theta * y, y + theta * x) for x, y in self.NOMINAL
-        ]
-        fit = fit_registration(self.NOMINAL, measured)
-        assert fit.rotation_urad() == pytest.approx(50.0, rel=1e-6)
-        assert fit.residual_rms < 1e-9
+        x = np.linspace(-2, 2, 4001)
+        signal = mark_signal(x, 0.0, beam_size=0.2)
+        # 0.5·(1 + erf(x/σ)) = 0.25 at x = σ·erfinv(−0.5).
+        assert detect_edge(x, signal, threshold=0.25) == pytest.approx(
+            0.2 * erfinv(-0.5), abs=1e-4
+        )
 
-    def test_recovers_scale(self):
-        scale = 20e-6  # 20 ppm
-        measured = [(x * (1 + scale), y * (1 + scale)) for x, y in self.NOMINAL]
-        fit = fit_registration(self.NOMINAL, measured)
-        assert fit.scale_ppm() == pytest.approx(20.0, rel=1e-6)
+    def test_falling_edge_detected(self):
+        x = np.linspace(-2, 2, 800)
+        signal = 1.0 - mark_signal(x, 0.4, beam_size=0.1)
+        assert detect_edge(x, signal) == pytest.approx(0.4, abs=1e-3)
 
-    def test_apply_matches_measured(self):
-        measured = [(x + 0.2 + 1e-5 * x, y - 0.1) for x, y in self.NOMINAL]
-        fit = fit_registration(self.NOMINAL, measured)
-        for (nx, ny), (mx, my) in zip(self.NOMINAL, measured):
-            ax, ay = fit.apply(nx, ny)
-            assert ax == pytest.approx(mx, abs=1e-9)
-            assert ay == pytest.approx(my, abs=1e-9)
+    def test_contrast_scales_the_step(self):
+        x = np.linspace(-1, 1, 101)
+        unit = mark_signal(x, 0.1, beam_size=0.2)
+        assert np.allclose(mark_signal(x, 0.1, beam_size=0.2, contrast=3.0), 3 * unit)
 
-    def test_translation_only_mode(self):
-        measured = [(x + 0.5, y + 0.5) for x, y in self.NOMINAL]
-        fit = fit_registration(self.NOMINAL, measured, linear=False)
-        assert fit.matrix == ((0.0, 0.0), (0.0, 0.0))
-        assert fit.translation == pytest.approx((0.5, 0.5))
 
-    def test_noise_appears_in_residual(self):
-        rng = np.random.default_rng(1)
-        measured = [
-            (x + rng.normal(0, 0.05), y + rng.normal(0, 0.05))
-            for x, y in self.NOMINAL
-        ]
-        fit = fit_registration(self.NOMINAL, measured)
-        assert 0.0 < fit.residual_rms < 0.2
+class TestErrorModelReproducible:
+    def test_same_seed_same_sigma(self):
+        first = detection_error_model(beam_size=0.1, noise=0.05, scans=30, seed=4)
+        again = detection_error_model(beam_size=0.1, noise=0.05, scans=30, seed=4)
+        assert first == again
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_registration([(0, 0)], [(0, 0), (1, 1)])
-        with pytest.raises(ValueError):
-            fit_registration([(0, 0), (1, 1)], [(0, 0), (1, 1)], linear=True)
+    def test_other_seed_other_sigma(self):
+        first = detection_error_model(beam_size=0.1, noise=0.05, scans=30, seed=4)
+        other = detection_error_model(beam_size=0.1, noise=0.05, scans=30, seed=5)
+        assert first != other

@@ -30,9 +30,9 @@ class TestNegativeResist:
         assert self.resist.remaining_thickness(1.0) == pytest.approx(0.0)
 
     def test_saturation(self):
-        assert self.resist.remaining_thickness(
-            self.resist.saturation_dose
-        ) == pytest.approx(1.0)
+        # Fully retained at D₀ · 10^(1/γ).
+        saturation = 1.0 * 10.0 ** (1.0 / 2.0)
+        assert self.resist.remaining_thickness(saturation) == pytest.approx(1.0)
         assert self.resist.remaining_thickness(100.0) == 1.0
 
     def test_monotone_increasing(self):
@@ -58,36 +58,14 @@ class TestPositiveResist:
         assert self.resist.remaining_thickness(1.0) == 1.0
 
     def test_fully_cleared(self):
-        assert self.resist.remaining_thickness(
-            self.resist.saturation_dose
-        ) == pytest.approx(0.0)
+        # Fully cleared at D₀ · 10^(1/γ).
+        saturation = 10.0 * 10.0 ** (1.0 / 2.0)
+        assert self.resist.remaining_thickness(saturation) == pytest.approx(0.0)
 
     def test_monotone_decreasing(self):
         doses = np.geomspace(1, 1000, 50)
         t = self.resist.remaining_thickness(doses)
         assert np.all(np.diff(t) <= 0)
-
-
-class TestDevelopment:
-    def test_negative_develop_keeps_exposed(self):
-        resist = Resist("neg", tone="negative", sensitivity=1.0, contrast=2.0)
-        absorbed = np.array([[0.1, 2.0], [0.5, 3.0]])
-        developed = resist.develop(absorbed, base_dose=1.0)
-        assert developed.tolist() == [[False, True], [False, True]]
-
-    def test_prints_respects_tone(self):
-        neg = Resist("neg", tone="negative", sensitivity=1.0, contrast=2.0)
-        pos = Resist("pos", tone="positive", sensitivity=1.0, contrast=2.0)
-        assert neg.prints(2.0, base_dose=1.0)
-        assert not neg.prints(0.5, base_dose=1.0)
-        assert pos.prints(2.0, base_dose=1.0)  # clears
-        assert not pos.prints(0.5, base_dose=1.0)
-
-    def test_base_dose_scales(self):
-        resist = Resist("neg", tone="negative", sensitivity=10.0, contrast=2.0)
-        absorbed = np.array([1.0])
-        assert not resist.develop(absorbed, base_dose=1.0)[0]
-        assert resist.develop(absorbed, base_dose=100.0)[0]
 
 
 class TestStandardResists:
@@ -104,3 +82,33 @@ class TestStandardResists:
         array = PMMA.remaining_thickness(np.array([10.0, 20.0]))
         assert isinstance(scalar, float)
         assert array.shape == (2,)
+
+
+STANDARD = {"PMMA": PMMA, "PBS": PBS, "COP": COP}
+
+
+class TestContrastCurve:
+    @pytest.mark.parametrize("name", STANDARD)
+    def test_threshold_dose_prints_half_thickness(self, name):
+        resist = STANDARD[name]
+        assert resist.remaining_thickness(resist.threshold_dose) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", STANDARD)
+    def test_exposure_latitude_from_the_contrast_alone(self, name):
+        gamma = STANDARD[name].contrast
+        want = (10 ** (0.9 / gamma) - 10 ** (0.1 / gamma)) / 10 ** (0.5 / gamma)
+        assert STANDARD[name].exposure_latitude() == pytest.approx(want)
+
+    @pytest.mark.parametrize("name", STANDARD)
+    def test_full_response_one_decade_over_gamma_past_onset(self, name):
+        resist = STANDARD[name]
+        full = resist.sensitivity * 10 ** (1 / resist.contrast)
+        want = 1.0 if resist.tone == "negative" else 0.0
+        assert resist.remaining_thickness(full) == pytest.approx(want)
+        assert resist.remaining_thickness(2 * full) == pytest.approx(want)
+
+    def test_image_shape_is_kept(self):
+        dose = np.linspace(0.0, 200.0, 12).reshape(3, 4)
+        thickness = PMMA.remaining_thickness(dose)
+        assert thickness.shape == (3, 4)
+        assert thickness[0, 0] == 1.0

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
-from repro.geometry.rasterize import RasterFrame, rasterize_trapezoids
+from repro.geometry.rasterize import RasterFrame, rasterize_polygons
 from repro.geometry.trapezoid import Trapezoid
 from repro.machine.rle import (
-    RlePattern,
     decode_to_coverage,
-    encode_figures,
-    stream_rate_required,
+    encode_runs,
+    merge_runs,
+    runs_by_line,
 )
 
 
@@ -46,9 +46,9 @@ def reference_coverage(figures, address_unit, origin, width, line_count):
     return grid
 
 
-def pattern_width(figures, pattern):
+def pattern_width(figures, origin, address_unit):
     x_max = max(f.bounding_box()[2] for f in figures)
-    return max(1, int(math.ceil((x_max - pattern.origin[0]) / pattern.address_unit)))
+    return max(1, int(math.ceil((x_max - origin[0]) / address_unit)))
 
 
 #: Quarter-unit grid coordinates so figure edges frequently land exactly
@@ -70,54 +70,47 @@ def quantized_trapezoids(draw):
 
 class TestEncoding:
     def test_empty(self):
-        pattern = encode_figures([], 0.5)
-        assert pattern.run_count() == 0
-        assert pattern.encoded_bytes() == 0
+        _, line_count, runs = encode_runs([], 0.5)
+        assert (line_count, len(runs)) == (0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            encode_figures([Trapezoid.from_rectangle(0, 0, 1, 1)], 0.0)
+            encode_runs([Trapezoid.from_rectangle(0, 0, 1, 1)], 0.0)
 
     def test_single_rectangle_runs(self):
         rect = Trapezoid.from_rectangle(0, 0, 4, 2)
-        pattern = encode_figures([rect], address_unit=0.5)
+        _, line_count, runs = encode_runs([rect], address_unit=0.5)
         # 4 scanlines of one 8-address run each.
-        assert pattern.line_count == 4
-        assert pattern.run_count() == 4
-        for runs in pattern.lines.values():
-            assert runs == [(0, 8)]
+        assert line_count == 4
+        assert len(runs) == 4
+        for line_runs in runs_by_line(runs).values():
+            assert line_runs == [(0, 8)]
 
     def test_written_addresses_match_area(self):
         rect = Trapezoid.from_rectangle(0, 0, 10, 6)
-        pattern = encode_figures([rect], address_unit=0.5)
-        assert pattern.written_addresses() == (10 / 0.5) * (6 / 0.5)
+        _, _, runs = encode_runs([rect], address_unit=0.5)
+        assert runs[:, 2].sum() == (10 / 0.5) * (6 / 0.5)
 
     def test_adjacent_figures_merge_runs(self):
         left = Trapezoid.from_rectangle(0, 0, 2, 1)
         right = Trapezoid.from_rectangle(2, 0, 4, 1)
-        pattern = encode_figures([left, right], address_unit=0.5)
-        for runs in pattern.lines.values():
-            assert len(runs) == 1
+        _, _, runs = encode_runs([left, right], address_unit=0.5)
+        for line_runs in runs_by_line(runs).values():
+            assert len(line_runs) == 1
 
     def test_disjoint_figures_keep_separate_runs(self):
         a = Trapezoid.from_rectangle(0, 0, 1, 1)
         b = Trapezoid.from_rectangle(5, 0, 6, 1)
-        pattern = encode_figures([a, b], address_unit=0.5)
-        for runs in pattern.lines.values():
-            assert len(runs) == 2
+        _, _, runs = encode_runs([a, b], address_unit=0.5)
+        for line_runs in runs_by_line(runs).values():
+            assert len(line_runs) == 2
 
     def test_triangle_runs_shrink_with_height(self):
         tri = Trapezoid(0, 4, 0, 8, 4, 4)  # triangle tip at top
-        pattern = encode_figures([tri], address_unit=0.5)
-        lengths = [
-            sum(l for _, l in pattern.lines[j]) for j in sorted(pattern.lines)
-        ]
+        _, _, runs = encode_runs([tri], address_unit=0.5)
+        lines = runs_by_line(runs)
+        lengths = [sum(l for _, l in lines[j]) for j in sorted(lines)]
         assert all(b <= a for a, b in zip(lengths, lengths[1:]))
-
-    def test_encoded_bytes_accounting(self):
-        rect = Trapezoid.from_rectangle(0, 0, 4, 2)
-        pattern = encode_figures([rect], address_unit=0.5)
-        assert pattern.encoded_bytes() == 4 * 4 + 4 * 2
 
 
 class _DegenerateFigure:
@@ -139,43 +132,42 @@ class TestDegenerateAndOrigin:
     def test_zero_height_figure_is_skipped(self):
         # Regression: ``t = (y - y_bottom) / height`` used to raise
         # ZeroDivisionError for degenerate figures.
-        pattern = encode_figures([_DegenerateFigure()], 0.5)
-        assert pattern.run_count() == 0
+        _, _, runs = encode_runs([_DegenerateFigure()], 0.5)
+        assert len(runs) == 0
 
     def test_zero_height_figure_among_real_ones(self):
         rect = Trapezoid.from_rectangle(0, 0, 2, 1)
-        pattern = encode_figures([rect, _DegenerateFigure()], 0.5)
-        only = encode_figures([rect], 0.5, origin=pattern.origin)
-        assert pattern.lines == only.lines
+        origin, _, runs = encode_runs([rect, _DegenerateFigure()], 0.5)
+        _, _, only = encode_runs([rect], 0.5, origin=origin)
+        assert runs.tobytes() == only.tobytes()
 
     def test_explicit_origin_above_figure_raises(self):
         rect = Trapezoid.from_rectangle(0, 0, 2, 2)
         with pytest.raises(ValueError, match="origin"):
-            encode_figures([rect], 0.5, origin=(0.0, 1.0))
+            encode_runs([rect], 0.5, origin=(0.0, 1.0))
 
     def test_explicit_origin_right_of_figure_raises(self):
         rect = Trapezoid.from_rectangle(0, 0, 2, 2)
         with pytest.raises(ValueError, match="origin"):
-            encode_figures([rect], 0.5, origin=(1.0, 0.0))
+            encode_runs([rect], 0.5, origin=(1.0, 0.0))
 
     def test_explicit_origin_below_extends_grid(self):
         rect = Trapezoid.from_rectangle(0, 0, 2, 1)
-        base = encode_figures([rect], 0.5, origin=(0.0, 0.0))
-        shifted = encode_figures([rect], 0.5, origin=(-1.0, -1.0))
-        assert shifted.line_count == base.line_count + 2
-        for j, runs in base.lines.items():
-            assert shifted.lines[j + 2] == [
-                (start + 2, length) for start, length in runs
-            ]
+        _, base_count, base = encode_runs([rect], 0.5, origin=(0.0, 0.0))
+        _, shifted_count, shifted = encode_runs([rect], 0.5, origin=(-1.0, -1.0))
+        assert shifted_count == base_count + 2
+        assert shifted.tolist() == [
+            [line + 2, start + 2, length] for line, start, length in base.tolist()
+        ]
 
     def test_runs_stay_within_line_count(self):
         figs = [
             Trapezoid.from_rectangle(0, 0, 3, 1.3),
             Trapezoid(1.3, 2.9, 0.1, 2.7, 1.0, 1.9),
         ]
-        pattern = encode_figures(figs, 0.5, origin=(-2.0, -1.5))
-        assert pattern.lines
-        assert all(0 <= j < pattern.line_count for j in pattern.lines)
+        _, line_count, runs = encode_runs(figs, 0.5, origin=(-2.0, -1.5))
+        assert len(runs)
+        assert ((0 <= runs[:, 0]) & (runs[:, 0] < line_count)).all()
 
 
 class TestHalfOpenConvention:
@@ -184,8 +176,8 @@ class TestHalfOpenConvention:
         # address units: the inclusive convention wrote three scanlines
         # (> ceil(h/a)); half-open writes exactly ceil(h/a).
         f = Trapezoid.from_rectangle(0, 0.5, 3, 2.5)
-        pattern = encode_figures([f], 1.0, origin=(0.0, 0.0))
-        assert pattern.run_count() == 2
+        _, _, runs = encode_runs([f], 1.0, origin=(0.0, 0.0))
+        assert len(runs) == 2
 
     def test_abutting_edge_on_centre_column_written_once(self):
         # Shared vertical edge at x = 1.5, exactly the centre of column
@@ -194,23 +186,24 @@ class TestHalfOpenConvention:
         # in different machine-program shards) nothing double-writes.
         left = Trapezoid.from_rectangle(0, 0, 1.5, 1)
         right = Trapezoid.from_rectangle(1.5, 0, 4, 1)
-        only_left = encode_figures([left], 1.0, origin=(0.0, 0.0))
-        only_right = encode_figures([right], 1.0, origin=(0.0, 0.0))
-        assert only_left.lines[0] == [(0, 1)]
-        assert only_right.lines[0] == [(1, 3)]
-        both = encode_figures([left, right], 1.0, origin=(0.0, 0.0))
-        assert both.lines[0] == [(0, 4)]
+        _, _, only_left = encode_runs([left], 1.0, origin=(0.0, 0.0))
+        _, _, only_right = encode_runs([right], 1.0, origin=(0.0, 0.0))
+        assert only_left.tolist() == [[0, 0, 1]]
+        assert only_right.tolist() == [[0, 1, 3]]
+        _, _, both = encode_runs([left, right], 1.0, origin=(0.0, 0.0))
+        assert both.tolist() == [[0, 0, 4]]
 
     def test_abutting_edge_on_centre_row_written_once(self):
         lower = Trapezoid.from_rectangle(0, 0, 4, 1.5)
         upper = Trapezoid.from_rectangle(0, 1.5, 4, 3.5)
-        pattern = encode_figures([lower, upper], 1.0, origin=(0.0, 0.0))
+        _, line_count, runs = encode_runs([lower, upper], 1.0, origin=(0.0, 0.0))
         # The shared edge sits exactly on the centre of row 1; it belongs
         # to the upper figure alone, so every row is one 4-address run
         # and nothing double-counts.
-        assert all(runs == [(0, 4)] for runs in pattern.lines.values())
-        ref = reference_coverage([lower, upper], 1.0, (0.0, 0.0), 4, pattern.line_count)
-        assert (decode_to_coverage(pattern, 4) == ref).all()
+        lines = runs_by_line(runs)
+        assert all(line_runs == [(0, 4)] for line_runs in lines.values())
+        ref = reference_coverage([lower, upper], 1.0, (0.0, 0.0), 4, line_count)
+        assert (decode_to_coverage(lines, line_count, 4) == ref).all()
 
 
 class TestPropertyOracle:
@@ -220,12 +213,10 @@ class TestPropertyOracle:
         st.sampled_from([0.25, 0.5, 1.0]),
     )
     def test_encode_matches_membership_oracle(self, figs, address_unit):
-        pattern = encode_figures(figs, address_unit)
-        width = pattern_width(figs, pattern)
-        grid = decode_to_coverage(pattern, width)
-        ref = reference_coverage(
-            figs, address_unit, pattern.origin, width, pattern.line_count
-        )
+        origin, line_count, runs = encode_runs(figs, address_unit)
+        width = pattern_width(figs, origin, address_unit)
+        grid = decode_to_coverage(runs_by_line(runs), line_count, width)
+        ref = reference_coverage(figs, address_unit, origin, width, line_count)
         assert (grid == ref).all()
 
     @settings(max_examples=25, deadline=None)
@@ -240,7 +231,7 @@ class TestPropertyOracle:
         0.5,
     )
     def test_encode_consistent_with_rasterizer(self, figs, address_unit):
-        # One figure per y-band: encode_figures' contract is *disjoint*
+        # One figure per y-band: encode_runs' contract is *disjoint*
         # figures, and the rasterizer's additive-then-clipped coverage
         # would count overlapping duplicates twice.  quantized_trapezoids
         # spans y in [0, 8], so 10 µm bands never meet.
@@ -255,17 +246,14 @@ class TestPropertyOracle:
             )
             for i, t in enumerate(figs)
         ]
-        pattern = encode_figures(figs, address_unit)
-        width = pattern_width(figs, pattern)
-        grid = decode_to_coverage(pattern, width)
+        origin, line_count, runs = encode_runs(figs, address_unit)
+        width = pattern_width(figs, origin, address_unit)
+        grid = decode_to_coverage(runs_by_line(runs), line_count, width)
         frame = RasterFrame(
-            pattern.origin[0],
-            pattern.origin[1],
-            address_unit,
-            width,
-            max(1, pattern.line_count),
+            origin[0], origin[1], address_unit, width, max(1, line_count)
         )
-        cover = rasterize_trapezoids(figs, frame, supersample=4)
+        polygons = [f.to_polygon() for f in figs]
+        cover = rasterize_polygons(polygons, frame, supersample=4)
         # A pixel the anti-aliased rasterizer sees as fully covered must
         # be written by the runs (no holes in fully exposed regions).
         # The converse is deliberately not asserted: a steep slanted
@@ -280,12 +268,10 @@ class TestPropertyOracle:
             Polygon([(0, 4), (5, 4), (5, 6.5), (0, 6.5)]),
         ]
         figs = TrapezoidFracturer().fracture(polys)
-        pattern = encode_figures(figs, 0.25)
-        width = pattern_width(figs, pattern)
-        grid = decode_to_coverage(pattern, width)
-        ref = reference_coverage(
-            figs, 0.25, pattern.origin, width, pattern.line_count
-        )
+        origin, line_count, runs = encode_runs(figs, 0.25)
+        width = pattern_width(figs, origin, 0.25)
+        grid = decode_to_coverage(runs_by_line(runs), line_count, width)
+        ref = reference_coverage(figs, 0.25, origin, width, line_count)
         assert (grid == ref).all()
 
 
@@ -297,9 +283,9 @@ class TestDecode:
         ]
         figures = TrapezoidFracturer().fracture(polys)
         a = 0.25
-        pattern = encode_figures(figures, address_unit=a)
+        _, line_count, runs = encode_runs(figures, address_unit=a)
         width = int(np.ceil(14 / a))
-        grid = decode_to_coverage(pattern, width)
+        grid = decode_to_coverage(runs_by_line(runs), line_count, width)
         # Compare covered address count against exact area within half an
         # address of boundary discretization.
         area = grid.sum() * a * a
@@ -308,34 +294,29 @@ class TestDecode:
 
     def test_decode_respects_width_clip(self):
         rect = Trapezoid.from_rectangle(0, 0, 10, 1)
-        pattern = encode_figures([rect], address_unit=1.0)
-        grid = decode_to_coverage(pattern, width_addresses=5)
+        _, line_count, runs = encode_runs([rect], address_unit=1.0)
+        grid = decode_to_coverage(runs_by_line(runs), line_count, width_addresses=5)
         assert grid.shape[1] == 5
         assert grid[0].all()
 
 
-class TestStreamRate:
-    def test_rate_positive(self):
-        rect = Trapezoid.from_rectangle(0, 0, 100, 100)
-        pattern = encode_figures([rect], address_unit=0.5)
-        rate = stream_rate_required(pattern, pixel_rate=2e7, width_addresses=200)
-        assert rate > 0
+class TestRunHelpers:
+    def test_runs_by_line_groups_rows(self):
+        runs = np.array([[0, 1, 2], [0, 5, 1], [2, 0, 4]])
+        assert runs_by_line(runs) == {0: [(1, 2), (5, 1)], 2: [(0, 4)]}
 
-    def test_busier_lines_need_more_rate(self):
-        sparse = encode_figures(
-            [Trapezoid.from_rectangle(0, 0, 50, 10)], address_unit=0.5
-        )
-        busy_figs = [
-            Trapezoid.from_rectangle(i * 2.0, 0, i * 2.0 + 1.0, 10)
-            for i in range(25)
-        ]
-        busy = encode_figures(busy_figs, address_unit=0.5)
-        width = 100
-        assert stream_rate_required(busy, 2e7, width) > stream_rate_required(
-            sparse, 2e7, width
-        )
+    def test_merge_joins_overlaps_and_neighbours_only(self):
+        runs = np.array([[1, 6, 2], [0, 0, 3], [0, 3, 2], [0, 9, 1], [0, 2, 2]])
+        assert merge_runs(runs).tolist() == [[0, 0, 5], [0, 9, 1], [1, 6, 2]]
 
-    def test_validation(self):
-        pattern = RlePattern((0, 0), 0.5, {}, 1)
-        with pytest.raises(ValueError):
-            stream_rate_required(pattern, 0, 100)
+    def test_merge_keeps_lines_apart(self):
+        # Same addresses on two scanlines never merge across them.
+        runs = np.array([[0, 0, 4], [1, 0, 4]])
+        assert merge_runs(runs).tolist() == [[0, 0, 4], [1, 0, 4]]
+
+    def test_merge_of_nothing(self):
+        assert len(merge_runs(np.empty((0, 3), dtype=np.int64))) == 0
+
+    def test_decode_ignores_lines_past_the_count(self):
+        grid = decode_to_coverage({0: [(1, 2)], 5: [(0, 3)]}, 2, 4)
+        assert grid.tolist() == [[False, True, True, False], [False] * 4]

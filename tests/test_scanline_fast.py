@@ -33,7 +33,8 @@ from repro.geometry.scanline_fast import (
 from repro.geometry.transform import Transform
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import (
-    snap_rings,
+    snap_stacked,
+    stack_polygons,
     transform_polygons,
     transform_trapezoid_array,
     trapezoid_array,
@@ -866,17 +867,17 @@ class TestMergeRows:
 class TestVertexArrayHelpers:
     @settings(max_examples=20, deadline=None)
     @given(generated_libraries())
-    def test_snap_rings_matches_snap_polygon(self, library):
+    def test_snap_stacked_matches_snap_polygon(self, library):
         flat = flatten_cell(library.top_cell())
         polys = [p for v in flat.values() for p in v]
-        ints, offsets = snap_rings(polys, 1e-3)
+        ints, offsets = snap_stacked(*stack_polygons(polys), 1e-3)
         for i, poly in enumerate(polys):
             ring = [tuple(v) for v in ints[offsets[i] : offsets[i + 1]].tolist()]
             assert ring == snap_polygon(poly, 1e-3)
 
-    def test_snap_rings_drops_closing_duplicate(self):
+    def test_snap_stacked_drops_closing_duplicate(self):
         p = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1e-5, 1e-5)])
-        ints, offsets = snap_rings([p], 1e-3)
+        ints, offsets = snap_stacked(*stack_polygons([p]), 1e-3)
         assert [tuple(v) for v in ints.tolist()] == snap_polygon(p, 1e-3)
 
     @settings(max_examples=20, deadline=None)
@@ -902,7 +903,7 @@ class TestVertexArrayHelpers:
         transforms = [
             Transform.translation(5, 7),
             Transform.mirror_x(),
-            Transform.mirror_y(),
+            Transform.scaling(-1.0, 1.0),
             Transform.rotation(math.pi),
             Transform.gdsii(origin=(2, 3), rotation_deg=180.0,
                             magnification=2.0, x_reflection=True),

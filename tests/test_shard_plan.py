@@ -15,6 +15,7 @@ block — against scalar, object-by-object references:
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 
@@ -308,10 +309,11 @@ class TestResidentPlanners:
 
         monkeypatch.setattr(plan, "stack_polygons", stacking)
         monkeypatch.setattr(plan, "_plan_tiles", tiling)
+        angles = [i * 2.0 * math.pi / 7 for i in range(7)]
         polygons = [
             Polygon.rectangle(0.0, 0.0, 18.0, 6.0),
             Polygon([(19.0, -0.0), (30.0, 0.5), (25.0, 6.0), (19.5, 3.0)]),
-            Polygon.regular((2.0, 32.0), 2.0, 7),
+            Polygon([(2 + 2 * math.cos(t), 32 + 2 * math.sin(t)) for t in angles]),
         ]
         plan_shards(polygons, 20.0)
         assert len(stacked) == 1 and stacked[0] == polygons
@@ -524,11 +526,14 @@ def nm_rectangles(draw):
 def convex_polygons(draw):
     """A regular polygon near the origin, its vertices on the 1 nm grid
     or off it."""
-    polygon = Polygon.regular(
-        (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
-        draw(st.floats(0.01, 2.0)),
-        draw(st.integers(3, 9)),
-        draw(st.floats(0.0, 6.3)),
+    cx, cy = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    radius = draw(st.floats(0.01, 2.0))
+    sides = draw(st.integers(3, 9))
+    phase = draw(st.floats(0.0, 6.3))
+    step = 2.0 * math.pi / sides
+    angles = [phase + i * step for i in range(sides)]
+    polygon = Polygon(
+        [(cx + radius * math.cos(t), cy + radius * math.sin(t)) for t in angles]
     )
     if draw(st.booleans()):
         polygon = Polygon([(round(v.x, 3), round(v.y, 3)) for v in polygon.vertices])

@@ -104,7 +104,7 @@ class TestViewsAreSequences:
             shot_fields(s) for s in SHOTS
         ]
         assert self.figures != FIGURES[:2] and self.figures != FIGURES[::-1]
-        assert self.shots != [s.with_dose(2.0) for s in SHOTS]
+        assert self.shots != [Shot(s.trapezoid, 2.0) for s in SHOTS]
         assert self.figures != [1, 2, 3] and self.figures != "abc"
         assert self.shots != self.figures
 
@@ -163,7 +163,7 @@ class TestViewsAreSequences:
         assert dosed(FIGURES, 2.0) == [Shot(t, 2.0) for t in FIGURES]
         redosed = with_doses(SHOTS, [3.0, 2.0, 1.0])
         assert redosed == [
-            s.with_dose(d) for s, d in zip(SHOTS, (3.0, 2.0, 1.0))
+            Shot(s.trapezoid, d) for s, d in zip(SHOTS, (3.0, 2.0, 1.0))
         ]
         assert with_doses(self.shots, [3.0, 2.0, 1.0]) == redosed
         for bad in (-1.0, [1.0, -0.5, 1.0]):

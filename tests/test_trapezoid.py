@@ -51,15 +51,6 @@ class TestMeasures:
         c = rect.centroid()
         assert c.almost_equals((2, 1))
 
-    def test_width_at(self, slanted):
-        assert slanted.width_at(0) == 10.0
-        assert slanted.width_at(2) == 6.0
-        assert slanted.width_at(1) == 8.0
-        assert slanted.width_at(5) == 0.0
-
-    def test_min_width(self, slanted):
-        assert slanted.min_width() == 6.0
-
     def test_is_rectangle(self, rect, slanted):
         assert rect.is_rectangle()
         assert not slanted.is_rectangle()
@@ -99,3 +90,25 @@ class TestOperations:
         same = Trapezoid.from_rectangle(0, 0, 4, 2)
         assert rect == same
         assert hash(rect) == hash(same)
+
+
+class TestAgreesWithItsPolygon:
+    """A trapezoid's measures are those of the ring it stands for."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 2, 0, 10, 2, 8), (1, 4, -3, 5, 0, 9), (0, 3, 0, 6, 3, 3)],
+    )
+    def test_bounding_box_and_centroid(self, fields):
+        t = Trapezoid(*fields)
+        ring = t.to_polygon()
+        assert t.bounding_box() == pytest.approx(ring.bounding_box())
+        assert t.centroid().almost_equals(ring.centroid(), tol=1e-9)
+
+    def test_split_pieces_cover_the_bounding_box(self, slanted):
+        lower, upper = slanted.split_at_y(1.5)
+        boxes = (lower.bounding_box(), upper.bounding_box())
+        x0, y0, x1, y1 = slanted.bounding_box()
+        assert min(b[0] for b in boxes) == x0
+        assert max(b[2] for b in boxes) == x1
+        assert (boxes[0][1], boxes[1][3]) == (y0, y1)

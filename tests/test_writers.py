@@ -47,11 +47,6 @@ class TestWriteTimeBreakdown:
         b = WriteTimeBreakdown(stage=2.0)
         assert (a + b).total == 3.0
 
-    def test_as_dict(self):
-        d = WriteTimeBreakdown(exposure=1.0).as_dict()
-        assert d["exposure"] == 1.0
-        assert d["total"] == 1.0
-
 
 class TestRasterWriter:
     def test_density_independence(self):
@@ -117,7 +112,7 @@ class TestVectorWriter:
         writer = VectorScanWriter(field_calibration=0.0, figure_settle=0.0)
         job = job_with_density(0.2)
         boosted = MachineJob(
-            [s.with_dose(2.0) for s in job.shots],
+            [Shot(s.trapezoid, 2.0) for s in job.shots],
             base_dose=1.0,
             bounding_box=job.bounding_box,
         )
