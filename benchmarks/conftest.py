@@ -23,6 +23,9 @@ import numpy
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a ``--quick`` run writes (git-ignored): reduced-workload numbers
+#: never overwrite the tracked full-size results.
+QUICK_RESULTS_DIR = RESULTS_DIR / "quick"
 
 
 def pytest_addoption(parser):
@@ -76,16 +79,18 @@ def save_table(request):
 
     ``save_table(experiment_id, text, data=...)`` writes the rendered
     table to ``results/<experiment_id>.txt`` and a JSON record to
-    ``results/BENCH_<experiment_id>.json``.  ``data`` carries the
-    experiment's structured numbers (workloads, times, speedups); the
-    table text, the host conditions (cores, Python and numpy versions)
-    and the process's peak RSS are always included.
+    ``results/BENCH_<experiment_id>.json`` (under ``results/quick/``
+    with ``--quick``).  ``data`` carries the experiment's structured
+    numbers (workloads, times, speedups); the table text, the host
+    conditions (cores, Python and numpy versions) and the process's
+    peak RSS are always included.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     is_quick = request.config.getoption("--quick")
+    results = QUICK_RESULTS_DIR if is_quick else RESULTS_DIR
+    results.mkdir(parents=True, exist_ok=True)
 
     def _save(experiment_id: str, text: str, data=None) -> None:
-        path = RESULTS_DIR / f"{experiment_id}.txt"
+        path = results / f"{experiment_id}.txt"
         path.write_text(text + "\n")
         record = {
             "experiment": experiment_id,
@@ -99,7 +104,7 @@ def save_table(request):
             "table": text.splitlines(),
             "data": data,
         }
-        json_path = RESULTS_DIR / f"BENCH_{experiment_id}.json"
+        json_path = results / f"BENCH_{experiment_id}.json"
         json_path.write_text(json.dumps(record, indent=2) + "\n")
         print(f"\n=== {experiment_id} ===")
         print(text)

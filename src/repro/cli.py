@@ -26,17 +26,22 @@ from typing import List, Optional
 
 from repro.analysis.tables import Table
 from repro.core.recipe import POSITIVE, PrepRecipe, flag_of, whole
-from repro.layout.stream import open_layout_stream
 
 
 _LAYOUT_FILE_HELP = "input layout file: GDSII stream, or CIF when named *.cif"
 
-#: What a prep imports beyond this module, by its roots.  The long-lived
-#: ``serve`` and ``work`` import it at start: their first job is timed
-#: like the rest, and a pool they fork inherits it (README "Fork note").
+#: What a prep imports beyond this module, by its roots, and each module
+#: a prep imports only where it is called (a CIF input, the cells door,
+#: a fault plan, the process pool).  The long-lived ``serve`` and
+#: ``work`` import it at start: their first job is timed like the rest,
+#: and a pool they fork inherits it (README "Fork note").
 _PREP_PATH = (
+    "concurrent.futures.process",
+    "repro.core.faults",
+    "repro.core.hierarchical",
     "repro.core.pipeline",
     "repro.fracture.shots",
+    "repro.layout.cif",
     "repro.machine.program",
     "repro.machine.raster",
     "repro.machine.vector",
@@ -163,6 +168,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.layout.stats import library_stats
+    from repro.layout.stream import open_layout_stream
 
     with open_layout_stream(args.gdsii) as stream:
         library = stream.materialize()

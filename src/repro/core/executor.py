@@ -75,7 +75,6 @@ from typing import (
 import numpy as np
 
 from repro.core.cache import ContainedStore, ShardCache
-from repro.core.faults import FaultPlan
 from repro.core.fields import FieldIndex
 from repro.core.jobfile import dumps_ring, dumps_shard_result
 from repro.core.jobfile import loads_ring, loads_shard_result
@@ -106,6 +105,7 @@ from repro.core.ladder import worker_pool_status as worker_pool_status
 from repro.core.plan import ShardOverlapWarning as ShardOverlapWarning
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.faults import FaultPlan
     from repro.pec.base import ProximityCorrector
     from repro.physics.psf import DoubleGaussianPSF
 

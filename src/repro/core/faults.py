@@ -70,11 +70,14 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import FrozenSet, Optional, Tuple
 
-from repro.core.recipe import COUNT, POSITIVE, from_mapping, json_object, require
-
-#: Environment variable carrying a JSON fault plan into CLI runs and
-#: service jobs (see :meth:`FaultPlan.from_env`).
-FAULTS_ENV_VAR = "REPRO_FAULTS"
+from repro.core.recipe import (
+    COUNT,
+    FAULTS_ENV_VAR,
+    POSITIVE,
+    from_mapping,
+    json_object,
+    require,
+)
 
 
 class TransientFaultError(OSError):

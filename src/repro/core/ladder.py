@@ -44,17 +44,19 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
-    ProcessPoolExecutor,
 )
 from concurrent.futures import (
     wait as futures_wait,
 )
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.core.plan import Shard
 from repro.core.recipe import check_knobs, number_complaint
 from repro.core.stats import ExecutionStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,10 @@ class _SharedPool:
                 if self._pool is not None and self._size != size and not self._leases:
                     self._shutdown_locked()
                 if self._pool is None:
+                    # The process pool (and multiprocessing with it) is
+                    # imported here: a serial run never builds one.
+                    from concurrent.futures import ProcessPoolExecutor
+
                     self._pool = ProcessPoolExecutor(max_workers=size)
                     self._size = size
                 self._leases += 1

@@ -30,8 +30,6 @@ from typing import (
 
 from repro.core.cache import ShardCache
 from repro.core.executor import ExecutionResult, ExecutionStats, ShardedExecutor
-from repro.core.faults import FaultPlan, FaultyCache
-from repro.core.hierarchical import fracture_hierarchical
 from repro.core.ladder import RetryPolicy
 from repro.core.job import MachineJob, ShotFold
 from repro.core.recipe import POSITIVE, FixedKnobs, check_knobs, require
@@ -50,6 +48,7 @@ from repro.layout.stream import (
 from repro.machine.base import Machine, WriteTimeBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.faults import FaultPlan
     from repro.machine.program import MachineProgram
     from repro.pec.base import ProximityCorrector
     from repro.physics.psf import DoubleGaussianPSF
@@ -217,6 +216,8 @@ class PreparationPipeline(FixedKnobs):
             # Injected store faults apply to every store this pipeline
             # makes — shard results and program segment blobs share one
             # put-ordinal counter, so a schedule can target either.
+            from repro.core.faults import FaultyCache
+
             cache = FaultyCache(cache, faults)
         self.fracturer = fracturer if fracturer is not None else TrapezoidFracturer()
         self.corrector = corrector
@@ -364,6 +365,8 @@ class PreparationPipeline(FixedKnobs):
             # Each cell's selected layers are fractured as one union,
             # mirroring the flat path, which fractures the union of
             # every requested layer's polygons in one pass.
+            from repro.core.hierarchical import fracture_hierarchical
+
             hier = fracture_hierarchical(
                 cell, self.fracturer, layers=selected, merge_layers=True
             )

@@ -26,6 +26,7 @@ prep option is one ``knob(...)`` line plus the line that uses it.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from argparse import ArgumentTypeError
 from dataclasses import dataclass, field, fields
@@ -37,6 +38,12 @@ MACHINE_MODES = ("raster", "vsb", "vector")
 
 #: Exposure-operator backends (``repro.pec`` re-exports this).
 MATRIX_MODES = ("dense", "sparse", "hybrid")
+
+#: Environment variable carrying a JSON fault plan into CLI runs and
+#: service jobs (see :meth:`repro.core.faults.FaultPlan.from_env`).
+#: Here, not in ``repro.core.faults``, so a run without a plan never
+#: imports the injector.
+FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 
 def number_complaint(value, positive: bool = True) -> Optional[str]:
@@ -336,7 +343,6 @@ class PrepRecipe:
         at construction, so this is where they are all given.
         """
         from repro.core.ladder import RetryPolicy
-        from repro.core.faults import FaultPlan
         from repro.core.pipeline import PreparationPipeline
         from repro.machine.raster import RasterScanWriter
         from repro.machine.vector import VectorScanWriter
@@ -355,6 +361,11 @@ class PrepRecipe:
             from repro.fracture.trapezoidal import TrapezoidFracturer
 
             fracturer = TrapezoidFracturer()
+        faults = None
+        if os.environ.get(FAULTS_ENV_VAR):
+            from repro.core.faults import FaultPlan
+
+            faults = FaultPlan.from_env()
         corrector = None
         psf = None
         if self.pec:
@@ -380,7 +391,7 @@ class PrepRecipe:
                 max_attempts=self.shard_retries + 1,
                 shard_timeout=self.shard_timeout,
             ),
-            faults=FaultPlan.from_env(),
+            faults=faults,
             dispatch=self.dispatch,
             workers_endpoint=self.workers_endpoint,
         )

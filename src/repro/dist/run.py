@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.faults import FaultPlan
 from repro.core.jobfile import dumps_shard, loads_shard_result
 from repro.core.ladder import _Ladder
 from repro.dist.coordinator import POLL_INTERVAL, DistPolicy, coordinator_for
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.faults import FaultPlan
 
 
 def fleet_rung(

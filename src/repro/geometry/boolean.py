@@ -175,9 +175,6 @@ def union(polys: Iterable[Polygon], grid: float = DEFAULT_GRID) -> List[Polygon]
 # Trapezoid-set -> polygon reassembly
 # ---------------------------------------------------------------------------
 
-_Coord = Tuple[float, float]
-
-
 def _key(x: float, y: float, quantum: float) -> Tuple[int, int]:
     """Quantize a coordinate for exact endpoint matching."""
     return (round(x / quantum), round(y / quantum))

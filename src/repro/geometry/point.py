@@ -151,6 +151,3 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
-
-
-ORIGIN = Point(0.0, 0.0)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from repro.layout.cif import CifStream
 from repro.layout.cursor import (
     GEOM_CACHE_MAX_BYTES,
     LayoutStream,
@@ -49,5 +48,16 @@ def open_layout_stream(path: Union[str, Path]) -> LayoutStream:
     """Open a layout file as a stream, choosing the reader by suffix
     (``.cif`` is CIF, anything else GDSII)."""
     if Path(path).suffix.lower() == ".cif":
+        from repro.layout.cif import CifStream
+
         return CifStream(path)
     return GdsiiStream(path)
+
+
+def __getattr__(name: str):
+    # The CIF reader is imported on first use: a GDSII run never calls it.
+    if name == "CifStream":
+        from repro.layout.cif import CifStream
+
+        return CifStream
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,9 +19,6 @@ from repro.geometry.trapezoid import Trapezoid
 #: 16-bit each, matching compact machine formats of the era.
 BYTES_PER_FIGURE = 12
 
-#: Bytes per rectangle record in a rectangles-only format.
-BYTES_PER_RECTANGLE = 8
-
 
 @dataclass(frozen=True)
 class DataVolumeReport:

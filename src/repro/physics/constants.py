@@ -19,9 +19,6 @@ PLANCK = 6.62607015e-34
 #: Electron mass [kg].
 ELECTRON_MASS = 9.1093837015e-31
 
-#: Speed of light [m/s].
-SPEED_OF_LIGHT = 2.99792458e8
-
 #: Micrometres per centimetre.
 UM_PER_CM = 1.0e4
 

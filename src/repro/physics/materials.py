@@ -64,9 +64,6 @@ SILICON = Material("Si", 14.0, 28.085, 2.329)
 #: Gallium arsenide substrate (mass-fraction effective values).
 GAAS = Material("GaAs", 31.5, 72.32, 5.317)
 
-#: Chromium film (photomask absorber).
-CHROMIUM = Material("Cr", 24.0, 51.996, 7.19)
-
 #: PMMA resist, C5H8O2 (mass-fraction effective values).
 PMMA_MATERIAL = compound(
     "PMMA",
@@ -77,17 +74,3 @@ PMMA_MATERIAL = compound(
     },
     density=1.18,
 )
-
-#: Fused-silica mask blank.
-QUARTZ = compound(
-    "SiO2",
-    {
-        "Si": (28.085, 1, 14),
-        "O": (15.999, 2, 8),
-    },
-    density=2.203,
-)
-
-MATERIALS: Dict[str, Material] = {
-    m.name: m for m in (SILICON, GAAS, CHROMIUM, PMMA_MATERIAL, QUARTZ)
-}

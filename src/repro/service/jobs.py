@@ -32,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Every state a job can be in, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-#: States a job never leaves.
-TERMINAL_STATES = ("done", "failed", "cancelled")
-
 #: The states each state may be entered from (:meth:`JobStore.move`):
 #: the queue starts a queued job, a ``DELETE`` cancels a queued one and
 #: the runner a running one; a runner called on a job outside the queue

@@ -142,6 +142,15 @@ class TestFaultPlan:
         plan = FaultPlan.from_env()
         assert plan.transient == frozenset({(2, 0)})
 
+    def test_cli_arms_a_plan_from_the_environment(self, monkeypatch, capsys):
+        # The CLI imports the injector only when the variable is set;
+        # the conformance matrix's faults axis checks the bytes.
+        from repro.cli import main
+
+        monkeypatch.setenv(FAULTS_ENV_VAR, '{"transient": [[0, 0]]}')
+        assert main(["demo", "--workload", "grating", "--field-size", "50"]) == 0
+        assert "  faults:    1 shard retries," in capsys.readouterr().out
+
     def test_kill_and_hang_never_fire_in_coordinator(self):
         # The armed coordinator must survive its own kill/hang schedule
         # (serial replays of a pool schedule run in-process) — if this

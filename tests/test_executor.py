@@ -616,6 +616,7 @@ class TestWarmPoolFailureConsistency:
         assert ladder.worker_pool_status() == {"size": 0, "alive": False}
 
     def test_warm_lease_failure_returns_zero(self, monkeypatch):
+        import concurrent.futures
         from concurrent.futures import BrokenExecutor
 
         from repro.core import ladder
@@ -625,7 +626,8 @@ class TestWarmPoolFailureConsistency:
         def refuse(max_workers):
             raise BrokenExecutor("platform refuses to spawn")
 
-        monkeypatch.setattr(ladder, "ProcessPoolExecutor", refuse)
+        # The ladder imports the pool class where it builds the pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         assert ladder.warm_worker_pool(2) == 0
         assert ladder._shared_pool._leases == 0
         assert ladder.worker_pool_status() == {"size": 0, "alive": False}

@@ -7,12 +7,14 @@ Two frozen surfaces, checked without running them:
   must still name something;
 * each CLI op loads exactly the ``repro`` modules it runs: the package
   facades resolve their names on first use, so ``import repro.cli``
-  loads the parser, the recipe and the layout readers, a flat prep adds
-  the engine, fracture and machine models, and a PEC prep the PEC
-  layer; the distributed and service layers load only for
-  ``--dispatch distributed``, ``work`` and ``serve``.  A module that
-  starts loading more shows here, and so does a fork that leaves a
-  pool worker something to import.
+  loads the parser and the recipe (and no numpy), a flat prep adds the
+  GDSII reader, the engine, fracture and machine models, and a PEC prep
+  through the cells door adds that door and the PEC layer; the CIF
+  reader, the fault injector and the process pool load only for a CIF
+  input, a fault plan and ``--workers`` > 1, and the distributed and
+  service layers only for ``--dispatch distributed``, ``work`` and
+  ``serve``.  A module that starts loading more shows here, and so
+  does a fork that leaves a pool worker something to import.
 
 Two boundaries are checked the same way: nothing under ``repro.dist``
 imports ``repro.core.cache`` — the fleet computes, and the preparing
@@ -67,7 +69,8 @@ def test_the_benchmark_imports_something_from_repro():
     assert sum(1 for path in E2E for _ in repro_imports(path)) > 10
 
 
-#: ``import repro.cli``: every CLI op's start-up.
+#: ``import repro.cli``: every CLI op's start-up — the parser and the
+#: recipe, no layout reader and no numpy.
 CLI_IMPORT = {
     "repro",
     "repro._facade",
@@ -76,34 +79,14 @@ CLI_IMPORT = {
     "repro.cli",
     "repro.core",
     "repro.core.recipe",
-    "repro.geometry",
-    "repro.geometry.point",
-    "repro.geometry.polygon",
-    "repro.geometry.predicates",
-    "repro.geometry.transform",
-    "repro.geometry.trapezoid",
-    "repro.geometry.vertex_array",
-    "repro.layout",
-    "repro.layout.cell",
-    "repro.layout.cif",
-    "repro.layout.cursor",
-    "repro.layout.flatten",
-    "repro.layout.gdsii",
-    "repro.layout.gdsii_records",
-    "repro.layout.layer",
-    "repro.layout.library",
-    "repro.layout.reference",
-    "repro.layout.stream",
 }
 
-#: What a flat prep without PEC adds: engine, fracture, machine models
-#: and program export.
+#: What a flat prep of a GDSII file without PEC adds: the GDSII reader,
+#: engine, fracture, machine models and program export.
 FLAT_PREP = {
     "repro.core.cache",
     "repro.core.executor",
-    "repro.core.faults",
     "repro.core.fields",
-    "repro.core.hierarchical",
     "repro.core.job",
     "repro.core.jobfile",
     "repro.core.ladder",
@@ -114,9 +97,26 @@ FLAT_PREP = {
     "repro.fracture.base",
     "repro.fracture.quality",
     "repro.fracture.trapezoidal",
+    "repro.geometry",
     "repro.geometry.boolean",
+    "repro.geometry.point",
+    "repro.geometry.polygon",
+    "repro.geometry.predicates",
     "repro.geometry.scanline",
     "repro.geometry.scanline_fast",
+    "repro.geometry.transform",
+    "repro.geometry.trapezoid",
+    "repro.geometry.vertex_array",
+    "repro.layout",
+    "repro.layout.cell",
+    "repro.layout.cursor",
+    "repro.layout.flatten",
+    "repro.layout.gdsii",
+    "repro.layout.gdsii_records",
+    "repro.layout.layer",
+    "repro.layout.library",
+    "repro.layout.reference",
+    "repro.layout.stream",
     "repro.machine",
     "repro.machine.base",
     "repro.machine.column",
@@ -131,8 +131,9 @@ FLAT_PREP = {
     "repro.physics.constants",
 }
 
-#: What a dense-PEC prep adds to that.
+#: What a dense-PEC prep through the cells door adds to that.
 DENSE_PEC = {
+    "repro.core.hierarchical",
     "repro.pec",
     "repro.pec.base",
     "repro.pec.dose_iter",
@@ -141,12 +142,26 @@ DENSE_PEC = {
     "repro.physics.psf",
 }
 
-STEPS = """
+#: Modules outside ``repro`` whose loading a step pins: numpy, and the
+#: process pool a serial run never builds.
+PINNED = ("numpy", "multiprocessing", "concurrent.futures.process")
+
+#: What a prep imports only where it calls it: the CIF reader, the cells
+#: door, the fault injector and the process pool.
+CALLED_ONLY = {
+    "repro.layout.cif",
+    "repro.core.hierarchical",
+    "repro.core.faults",
+    "concurrent.futures.process",
+}
+
+STEPS = f"""
 import sys
 from repro.cli import _load_prep_path, main
 
 def loaded():
     print("loaded:", *sorted(m for m in sys.modules if m.startswith("repro")))
+    print("pinned:", *[m for m in {PINNED!r} if m in sys.modules])
 
 loaded()
 flat = ["--field-size", "15", "--machine", "vsb"]
@@ -176,15 +191,20 @@ def run_on_a_grating(tmp_path, script: str, **grating) -> str:
 
 def test_each_cli_op_loads_only_the_modules_it_runs(tmp_path):
     out = run_on_a_grating(tmp_path, STEPS, lines=5)
-    steps = [
-        set(line.split()[1:]) for line in out.splitlines() if line.startswith("loaded:")
-    ]
+    lines = out.splitlines()
+    steps = [set(line.split()[1:]) for line in lines if line.startswith("loaded:")]
+    pinned = [set(line.split()[1:]) for line in lines if line.startswith("pinned:")]
     assert steps[0] == CLI_IMPORT
+    assert pinned[0] == set()
     assert steps[1] == CLI_IMPORT | FLAT_PREP
     assert steps[2] == CLI_IMPORT | FLAT_PREP | DENSE_PEC
+    # Both preps ran serially: no process pool.
+    assert pinned[1] == pinned[2] == {"numpy"}
     # What serve and work import before their first job: every run's
-    # modules, and the vsb fracturer.
-    assert steps[3] == steps[2] | {"repro.fracture.shots"}
+    # modules, the vsb fracturer and what a prep imports where it is
+    # called.
+    preloaded = steps[2] | {"repro.fracture.shots"} | CALLED_ONLY | set(PINNED)
+    assert steps[3] | pinned[3] == preloaded
     assert not {name for name in steps[3] if name.startswith(LAZY)}
 
 
@@ -204,7 +224,11 @@ class Witness:
         return None
 
 sys.meta_path.insert(0, Witness())
-assert main(["prep", "in.gds", "--field-size", "15", "--workers", "2"]) == 0
+pool = ["--field-size", "15", "--workers", "2"]
+# The cells run reuses the pool the flat run forked before the parent
+# imported the cells door.
+for hierarchy in ("flat", "cells"):
+    assert main(["prep", "in.gds", *pool, "--hierarchy", hierarchy]) == 0
 """
 
 
@@ -212,7 +236,7 @@ def test_pool_workers_first_import_no_repro_module(tmp_path):
     # README "Fork note": the parent loads every module a shard needs
     # before the pool forks.
     out = run_on_a_grating(tmp_path, WITNESS, lines=10)
-    assert "2 workers, parallel" in out
+    assert out.count("2 workers, parallel") == 2
     assert not (tmp_path / "first-imports.txt").exists()
 
 

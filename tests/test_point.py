@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geometry.point import ORIGIN, Point
+from repro.geometry.point import Point
 
 
 class TestConstruction:
@@ -74,7 +74,7 @@ class TestGeometry:
 
     def test_unit_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            ORIGIN.unit()
+            Point(0.0, 0.0).unit()
 
     def test_rotated_quarter_turn(self):
         r = Point(1, 0).rotated(math.pi / 2)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core.recipe import PrepRecipe
-from repro.service.jobs import JOB_STATES, MOVES, TERMINAL_STATES, JobStore
+from repro.service.jobs import JOB_STATES, MOVES, JobStore
 from repro.service.queue import JobQueue
 from repro.service.schemas import JobSpec
 
@@ -226,7 +226,7 @@ class TestJobStore:
         moved = store.move(job.id, target, frm, error="E", result={"ok": 1})
         sources = (frm,) if isinstance(frm, str) else frm
         assert moved == (current in sources)
-        if current in TERMINAL_STATES:
+        if current in ("done", "failed", "cancelled"):
             assert not moved
         if not moved:
             assert store.get(job.id) == before

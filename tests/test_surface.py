@@ -8,8 +8,9 @@ identifier (a name looked up with ``getattr`` or sent over the wire).
 A package facade's table (the dict handed to ``repro._facade.facade``)
 and a module's ``__all__`` export a name; they do not use it.
 
-A definition — a module-level function or class, or a method of such a
-class — is used when its name is spelled outside its own body.  Names
+A definition — a module-level function, class or assignment, or a
+method of such a class — is used when its name is spelled outside its
+own body (for an assignment, outside its own statement).  Names
 are matched bare, so a common name (``area``, ``run``) counts as used
 wherever anything spells it; the walk can miss dead code, but what it
 flags is unused.  Dunder names are the language's protocol and exempt.
@@ -33,7 +34,8 @@ SCANNED = ("src", "benchmarks", "tools", "examples")
 
 #: Definitions only tests reach, kept on purpose: the oracles tests
 #: check live code against, the HTTP hooks ``http.server`` calls by
-#: name, and names README's examples use.
+#: name, names README's examples use, and a substrate tests contrast
+#: with silicon.
 KEPT = {
     "repro.core.hierarchical.transform_trapezoid": (
         "scalar oracle of transform_trapezoid_array "
@@ -75,6 +77,10 @@ KEPT = {
         "operators, the FFT simulator and the PSF levels are checked with "
         "(tests/test_exposure_operator.py, tests/test_pec.py)"
     ),
+    "repro.physics.materials.GAAS": (
+        "the high-Z substrate the scattering models are checked against "
+        "silicon with (tests/test_montecarlo.py, tests/test_psf.py)"
+    ),
     "repro.physics.psf.DoubleGaussianPSF.radial": (
         "the profile fit_double_gaussian must recover "
         "(tests/test_montecarlo.py)"
@@ -86,6 +92,7 @@ KEPT = {
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 
 def _names(root: ast.AST) -> Iterator[str]:
@@ -116,9 +123,14 @@ def _names(root: ast.AST) -> Iterator[str]:
 def _regions(module: str, tree: ast.Module) -> Iterator[Tuple[ast.AST, Tuple]]:
     """The module split into ``(subtree, (qualified name, name) of each
     definition it lies in)``, every node in exactly one subtree: the
-    definitions are module-level functions and classes and the members
-    of those classes."""
+    definitions are module-level functions, classes and assignments to
+    a bare name, and the members of those classes."""
     for node in tree.body:
+        if isinstance(node, _ASSIGNMENTS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            yield node, tuple((f"{module}.{name}", name) for name in names)
+            continue
         if not isinstance(node, _DEFINITIONS):
             yield node, ()
             continue
