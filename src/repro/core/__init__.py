@@ -31,7 +31,6 @@ __getattr__, __dir__, __all__ = facade(
         "TransientFaultError": "faults",
         "ShardCache": "cache",
         "ShardOverlapWarning": "plan",
-        "ShardedExecutor": "executor",
         "fingerprint": "cache",
         "fracture_hierarchical": "hierarchical",
         "plan_shards": "plan",

@@ -1,4 +1,4 @@
-"""Parallel field-sharded execution engine for the preparation pipeline.
+"""Parallel field-sharded execution for the preparation pipeline.
 
 Large layouts are prepared field by field: the writing-field mosaic that
 the machine exposes one field at a time also partitions the *data
@@ -9,11 +9,13 @@ corrected on its own, so shards can run concurrently on a process pool;
 the merge step then reassembles one :class:`~repro.core.job.MachineJob`
 in deterministic row-major field order.
 
-The engine is three modules: :mod:`repro.core.plan` turns a layout into
-shards (sharding and overlap semantics live there),
+The execution is four modules: :mod:`repro.core.plan` turns a layout
+into shards (sharding and overlap semantics live there),
 :mod:`repro.core.ladder` keeps one map call's shards alive through
-worker deaths, hangs and transient faults (fleet → pool → serial), and
-this module runs the shard loop over them.
+worker deaths, hangs and transient faults (fleet → pool → serial),
+:class:`~repro.core.pipeline.PreparationPipeline` holds the run's
+configuration and runs the shard loop, and this module holds what the
+loop maps and where its results land.
 
 Determinism contract
 --------------------
@@ -25,20 +27,20 @@ for every ``N``.
 
 One shard loop, two doors
 -------------------------
-Both entry points of :class:`ShardedExecutor` run the same loop
-(:meth:`ShardedExecutor._run_shards`): a *source* supplies windows of
-shards, the loop does cache lookup → dispatch → store → recovery
-attribution per window, and a *sink* receives each result in row-major
-order.  A resident layout (:meth:`~ShardedExecutor.execute`) is one
-window whose results are held; a one-shot polygon cursor
-(:meth:`~ShardedExecutor.execute_stream`) is spooled to disk and
-arrives as one window per shard row whose results are spilled.  Both
-land in one sink class, :class:`ExecutionResult`, which merges the
-reports and re-reads what it spilled.  What a streamed run puts on disk
-— source polygons and spilled results alike — goes through one
-:class:`_Spool`.  Which source runs, and whether its sink holds or
-spills, follows from the input, never from a knob, and both produce
-the same bytes and counters.
+Both doors of the pipeline run the same loop
+(:meth:`~repro.core.pipeline.PreparationPipeline._run_shards`): a
+*source* supplies windows of shards, the loop does cache lookup →
+dispatch (:func:`_map_shards`) → store → recovery attribution per
+window, and a *sink* receives each result in row-major order.  A
+resident layout (``run``) is one window whose results are held; a
+one-shot polygon cursor (``run_streaming``) is spooled to disk
+(:func:`_spooled_windows`) and arrives as one window per shard row
+whose results are spilled.  Both land in one sink class,
+:class:`ExecutionResult`, which merges the reports and re-reads what it
+spilled.  What a streamed run puts on disk — source polygons and
+spilled results alike — goes through one :class:`_Spool`.  Which source
+runs, and whether its sink holds or spills, follows from the door,
+never from a knob, and both produce the same bytes and counters.
 
 Caching
 -------
@@ -58,7 +60,6 @@ import functools
 import itertools
 import os
 import tempfile
-import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import (
@@ -74,35 +75,25 @@ from typing import (
 
 import numpy as np
 
-from repro.core.cache import ContainedStore, ShardCache
+from repro.core.cache import ContainedStore
 from repro.core.fields import FieldIndex
 from repro.core.jobfile import dumps_ring, dumps_shard_result
 from repro.core.jobfile import loads_ring, loads_shard_result
-from repro.core.ladder import (
-    Deadline,
-    RetryPolicy,
-    _Ladder,
-    _resolve_workers,
-)
-from repro.core.plan import (
-    _OVERLAP_POLICY,
-    Shard,
-    _plan_tiles,
-    plan_figure_shards,
-    plan_shards,
-)
-from repro.core.recipe import FixedKnobs, check_knobs, require
+from repro.core.ladder import Deadline, RetryPolicy, _Ladder
+from repro.core.plan import Shard, _plan_tiles
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
 from repro.geometry.scanline_fast import KernelFallbacks
 from repro.geometry.vertex_array import sequential_sum
 
-# Re-exported: the engine's names callers have always imported from here.
+# Re-exported: the names callers have always imported from here.
 from repro.core.ladder import shutdown_worker_pool as shutdown_worker_pool
 from repro.core.ladder import warm_worker_pool as warm_worker_pool
 from repro.core.ladder import worker_pool_status as worker_pool_status
 from repro.core.plan import ShardOverlapWarning as ShardOverlapWarning
+from repro.core.plan import plan_figure_shards as plan_figure_shards
+from repro.core.plan import plan_shards as plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import FaultPlan
@@ -113,7 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SpillDegradedWarning(UserWarning):
     """A streamed run stopped spilling shard results after a store failure.
 
-    Emitted once per run by :meth:`ShardedExecutor.execute_stream` when a
+    Emitted once per run by
+    :meth:`~repro.core.pipeline.PreparationPipeline.run_streaming` when a
     spill append fails (ENOSPC, read-only filesystem): the run
     continues with the affected shard results held in memory — results
     are unaffected, only the bounded-memory guarantee degrades.  Degraded
@@ -215,15 +207,15 @@ class _Spool:
 
 class ExecutionResult:
     """One layout's shard results in row-major shard order — the sink
-    both doors of :class:`ShardedExecutor` end in.
+    both doors of :class:`~repro.core.pipeline.PreparationPipeline` end
+    in.
 
     The shard loop hands it every result through :meth:`add`.  A
-    resident run (:meth:`~ShardedExecutor.execute`) holds each result;
-    a streamed run (:meth:`~ShardedExecutor.execute_stream`) spills its
-    ``EBC1`` payload to a private :class:`_Spool` and keeps only the
-    record index.  A failed spill append degrades that shard (and the rest of
-    the run) to being held, with one :class:`SpillDegradedWarning` —
-    never a crash.
+    resident run (``run``) holds each result; a streamed run
+    (``run_streaming``) spills its ``EBC1`` payload to a private
+    :class:`_Spool` and keeps only the record index.  A failed spill
+    append degrades that shard (and the rest of the run) to being held,
+    with one :class:`SpillDegradedWarning` — never a crash.
 
     Either way it answers the same questions, once: the merged
     :attr:`report`, :attr:`corrected`, :attr:`total_shots`, the
@@ -254,7 +246,10 @@ class ExecutionResult:
         self._closed = False
         #: The run's one cache-store policy: the shard loop's stores and
         #: the machine-program export's segment blobs degrade together.
-        self.cache_store = ContainedStore.for_cache(stacklevel=4)
+        #: Both warn from the same depth — the store, ``_run_shards`` or
+        #: ``export_program``, ``_execute*`` or ``_assemble``, the door —
+        #: so the warning names the line that called the door.
+        self.cache_store = ContainedStore.for_cache(stacklevel=5)
         self._spool: Optional[_Spool] = None
         if spill:
             self._spool = _Spool("repro-spill-")
@@ -263,7 +258,8 @@ class ExecutionResult:
                 "shard-result spilling degraded to the in-memory merge for "
                 "the rest of this run ({reason}); results are unaffected, but "
                 "memory is no longer bounded by one shard row",
-                stacklevel=5,
+                # The store, add, _run_shards, _execute_stream, the door.
+                stacklevel=6,
             )
 
     @property
@@ -272,7 +268,7 @@ class ExecutionResult:
         return self._spool is not None
 
     def add(self, result: ShardResult) -> int:
-        """Take the next result (engine-facing); returns its serialized
+        """Take the next result (the shard loop's); returns its serialized
         size when spilled — its share of the window's resident bytes —
         else 0."""
         self._reports.append(result.report)
@@ -364,7 +360,7 @@ def _process_shard(
     Pre-fractured shards (``shard.figures`` set) skip the fracturer and
     go straight to dosing/correction.  Module-level so the process pool
     can pickle it; must stay pure — the determinism contract of the
-    engine rests on it.
+    sharded run rests on it.
     """
     if shard.figures is not None:
         shots = dosed(shard.figures)
@@ -510,303 +506,3 @@ def _spooled_windows(polygons, field_size: Optional[float]):
                 yield shards, sum(map(len, records))
 
         yield source_polygons, len(tiles), windows()
-
-
-class ShardedExecutor(FixedKnobs):
-    """Runs fracture + proximity correction over a field-shard plan.
-
-    One engine, :meth:`_run_shards`, serves both doors: a *source*
-    supplies windows of one layout's shards, the loop does cache lookup
-    → dispatch → store → recovery attribution per window, and the
-    layout's :class:`ExecutionResult` receives its results in row-major
-    order.
-
-    * :meth:`execute` takes a resident sequence: the source is one
-      window holding every shard, and the result holds their results.
-      Nothing touches disk.
-    * :meth:`execute_stream` takes a one-shot cursor: the source spools
-      it and yields one window per shard row, and the one result spills
-      each shard's result and keeps only its spool index.
-
-    An executor is one run's configuration, as is the pipeline that
-    builds it (:attr:`~repro.core.pipeline.PreparationPipeline.engine`):
-    its knobs are read-only after construction, and a different
-    configuration is a second executor.
-
-    Args:
-        fracturer: fracturing strategy applied per shard.
-        corrector: optional proximity corrector (field-local per shard).
-        psf: exposure PSF (required with a corrector).
-        workers: worker-pool size; 1 = serial, ``None``/0 = all cores.
-            Never affects results, only wall-clock.
-        field_size: mosaic pitch [µm]; ``None`` = one shard.
-        cache: optional shard-result cache consulted before dispatching
-            a shard and updated after.  Never affects results, only
-            wall-clock (payloads are exact; keys cover the full shard
-            input).
-        overlap_policy: cross-shard overlap handling for the planner —
-            ``"warn"`` (default), ``"union"`` or ``"ignore"``.
-        progress: optional per-shard completion callback
-            ``progress(done, total)`` — invoked with ``done=0`` once the
-            shard plan is known, then with the running completion count
-            (cache hits report immediately).  Feeds progress reporting
-            (e.g. a job server's status endpoint); it runs outside the
-            shard computation and never influences results.
-        retry: the :class:`~repro.core.ladder.RetryPolicy` governing
-            shard-level fault recovery (per-shard retries, backoff, hang
-            watchdog); defaults to ``RetryPolicy()``.  Never affects
-            results — an injected-fault run that ends in success is
-            byte-identical to a clean run.
-        faults: an optional :class:`~repro.core.faults.FaultPlan` of
-            injected shard faults (chaos testing); armed with this
-            process's pid at execution time.  ``None`` in production.
-        dispatch: shard scheduling — ``"local"`` (default: this
-            process's pool/serial rungs) or ``"distributed"`` (the
-            ladder's top rung leases shards to the worker fleet on
-            ``endpoint`` via :mod:`repro.dist`; what it leaves
-            unfinished goes down the same ladder's pool and serial
-            rungs).  Never changes results, only where the work runs —
-            distributed output is byte-identical to serial.
-        endpoint: coordinator ``host:port`` for distributed dispatch.
-        dist_policy: :class:`~repro.dist.coordinator.DistPolicy`
-            scheduling knobs for distributed dispatch (heartbeats,
-            speculation); defaults apply when ``None``.
-        deadline: the run's :class:`~repro.core.ladder.Deadline` — its
-            time budget and cooperative cancel, handed down to every
-            backoff, pool wait and lease (a service's job budget);
-            unbounded when ``None``.
-    """
-
-    def __init__(
-        self,
-        fracturer: Fracturer,
-        corrector: Optional[ProximityCorrector] = None,
-        psf: Optional[DoubleGaussianPSF] = None,
-        workers: int = 1,
-        field_size: Optional[float] = None,
-        cache: Optional[ShardCache] = None,
-        overlap_policy: str = "warn",
-        progress: Optional[Callable[[int, int], None]] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        dispatch: str = "local",
-        endpoint: Optional[str] = None,
-        dist_policy=None,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        if corrector is not None and psf is None:
-            raise ValueError("a corrector requires a PSF")
-        check_knobs(field_size=field_size, dispatch=dispatch)
-        require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
-        self.fracturer = fracturer
-        self.corrector = corrector
-        self.psf = psf
-        self.workers = _resolve_workers(workers)
-        self.field_size = field_size
-        self.cache = cache
-        self.overlap_policy = overlap_policy
-        self.progress = progress
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        if dispatch == "distributed" and not endpoint:
-            raise ValueError(
-                "distributed dispatch requires an endpoint (host:port)"
-            )
-        self.dispatch = dispatch
-        self.endpoint = endpoint
-        self.dist_policy = dist_policy
-        self.deadline = deadline if deadline is not None else Deadline()
-        self._fixed = True
-
-    def _progress_tick(self, total: int) -> Optional[Callable[[], None]]:
-        """A thread-safe per-shard tick feeding ``self.progress``.
-
-        Announces ``(0, total)`` up front so callers learn the shard
-        count before any work completes; returns ``None`` when no
-        progress callback is configured.
-        """
-        if self.progress is None:
-            return None
-        progress = self.progress
-        lock = threading.Lock()
-        done = 0
-        progress(0, total)
-
-        def tick() -> None:
-            nonlocal done
-            with lock:
-                done += 1
-                current = done
-            progress(current, total)
-
-        return tick
-
-    # -- the shard loop ---------------------------------------------------
-
-    def _run_shards(
-        self, windows, total: int, sink: ExecutionResult, prefractured: bool
-    ) -> None:
-        """The one shard loop: lookup → dispatch → store → attribute.
-
-        ``windows`` yields ``(shards, source_bytes)`` pairs
-        (``source_bytes`` is what the source re-read to build the
-        window); ``total`` is the shard count over all windows,
-        announced to the progress callback up front.  Each window's
-        shards are looked up in the cache, the misses sent down one
-        ladder (:func:`_map_shards`, with the fleet as its top rung on a
-        distributed executor) and stored, and every result handed to
-        ``sink.add`` in window order — row-major.
-
-        The sink gets the run's one :class:`ExecutionStats`
-        (``prefractured`` says whether the shards carry figures).
-        Per-shard counters land on it by plain arithmetic, each result's
-        kernel counters by :meth:`~repro.core.stats.ExecutionStats.fold`;
-        each window's ladder counts its recovery events and fleet
-        counters onto its own record, merged here by the schema's rules
-        (:meth:`~repro.core.stats.ExecutionStats.merge`); the cache
-        degradation is read off the run's one store
-        (:meth:`ExecutionResult.read_cache_store`).
-
-        Injected fault schedules key positions into the run's
-        dispatched work list: each window sees the plan rebased by the
-        shards dispatched before it, so a plan means the same thing
-        however the run is windowed.
-        """
-        config = (self.fracturer, self.corrector, self.psf)
-        cache = self.cache
-        faults = self.faults.arm() if self.faults is not None else None
-        tick = self._progress_tick(total)
-        stats = sink.stats = ExecutionStats(
-            shard_count=0,
-            occupied_shards=0,
-            workers=self.workers,
-            field_size=self.field_size,
-            cache_enabled=cache is not None,
-            hierarchy="cells" if prefractured else "flat",
-            # The configured mode even when a warm cache left nothing to
-            # map remotely — an all-hit run on a distributed executor is
-            # still a distributed run.
-            dispatch=self.dispatch,
-            streamed=sink.streamed,
-        )
-        fleet = None
-        if self.dispatch == "distributed":
-            from repro.dist.run import fleet_rung
-
-            fleet = functools.partial(
-                fleet_rung, endpoint=self.endpoint, policy=self.dist_policy
-            )
-        dispatched = 0
-        for shards, window_bytes in windows:
-            keys: List[Optional[str]] = [None] * len(shards)
-            results: List[Optional[ShardResult]] = [None] * len(shards)
-            if cache is not None:
-                # Keys are computed for the whole window up front,
-                # before any processing can touch corrector state, so
-                # hit/miss decisions never depend on execution order.
-                keys = [cache.key_for(shard, *config) for shard in shards]
-                for i, key in enumerate(keys):
-                    results[i], evicted = cache.lookup(key)
-                    stats.cache_evictions += evicted
-                    if results[i] is not None:
-                        stats.cache_hits += 1
-                        if tick is not None:
-                            tick()
-            pending = [i for i, hit in enumerate(results) if hit is None]
-            ladder = _map_shards(
-                [shards[i] for i in pending],
-                config,
-                self.workers,
-                tick,
-                self.retry,
-                faults.rebased(dispatched) if faults is not None else None,
-                self.deadline,
-                fleet,
-            )
-            dispatched += len(pending)
-            stats.merge(ladder.stats)
-            for i, result in zip(pending, ladder.results):
-                results[i] = result
-                if cache is not None:
-                    stats.cache_misses += 1
-                    sink.cache_store(cache.put, keys[i], result)
-            for result in results:
-                stats.shard_count += 1
-                if result.shots:
-                    stats.occupied_shards += 1
-                stats.fold(result.kernel_fallbacks)
-                window_bytes += sink.add(result)
-            stats.stream_windows += int(sink.streamed)
-            stats.peak_window_bytes = max(stats.peak_window_bytes, window_bytes)
-        sink.read_cache_store()
-
-    # -- the two doors ----------------------------------------------------
-
-    def execute(
-        self, geometry: Sequence, prefractured: bool = False
-    ) -> ExecutionResult:
-        """Shard, process (serially, on a pool or on the fleet) and hold
-        one resident layout.
-
-        The layout's shards are one window of the shard loop
-        (:meth:`_run_shards`); results are held and come back as one
-        :class:`ExecutionResult` in shard order.  With a cache, shards
-        whose content address is already stored skip the work list
-        entirely.
-
-        ``prefractured`` marks ``geometry`` as
-        :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
-        polygons — a hierarchy-aware run, where fracture already
-        happened once per cell, so shards carry figures and only
-        proximity correction runs per shard.
-        """
-        planner = plan_figure_shards if prefractured else plan_shards
-        shards = planner(geometry, self.field_size, overlap_policy=self.overlap_policy)
-        held = ExecutionResult(self.corrector is not None)
-        self._run_shards([(shards, 0)], len(shards), held, prefractured)
-        return held
-
-    def execute_stream(self, polygons) -> ExecutionResult:
-        """Shard, process and spill one layout in bounded memory.
-
-        The out-of-core counterpart of :meth:`execute`:
-        ``polygons`` may be any iterable (a
-        :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
-        all) and is consumed exactly once by the spool source
-        (:func:`_spooled_windows`); the same shard loop
-        (:meth:`_run_shards`) then runs one shard row at a time into the
-        returned, spilling :class:`ExecutionResult`.
-
-        Because shards, their order and every per-shard computation are
-        identical to the resident plan, a streamed run is byte-identical
-        to the resident one at any worker count, cold or warm cache,
-        local or distributed dispatch.
-
-        Differences from the resident path, by construction:
-
-        * ``overlap_policy="union"`` is rejected — a global boolean
-          union needs the whole layout resident.  The ``"warn"``
-          advisory check is skipped (it is pairwise across shards and
-          purely advisory; it never changes bytes).
-        * Results are spilled to the result's own spool, never to the
-          cache (which holds exactly the resident run's entries), and
-          the spool is removed by :meth:`ExecutionResult.close` — or
-          here, on every exit that does not return the result (a
-          failing shard, a service cancel or timeout raised through the
-          progress tick).
-        """
-        if self.overlap_policy == "union":
-            raise ValueError(
-                "overlap_policy='union' is incompatible with streamed "
-                "execution (the global union needs the whole layout "
-                "resident); pre-union the layout or use 'warn'/'ignore'"
-            )
-        execution = ExecutionResult(self.corrector is not None, spill=True)
-        try:
-            with _spooled_windows(polygons, self.field_size) as spooled:
-                execution.source_polygons, total_shards, windows = spooled
-                self._run_shards(windows, total_shards, execution, False)
-        except BaseException:
-            execution.close()
-            raise
-        return execution

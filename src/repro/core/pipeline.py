@@ -1,38 +1,49 @@
 """The data-preparation pipeline.
 
-Thin orchestration over :mod:`repro.core.executor`: gather polygons
-from the source, hand them to the field-sharded execution engine
-(fracture → proximity correction), then assemble every run — resident
-or streamed — in one pass over its shard results: the
+Gather polygons from the source, run them through the field-sharded
+shard loop (fracture → proximity correction, over the pieces in
+:mod:`repro.core.executor`), then assemble every run — resident or
+streamed — in one pass over its shard results: the
 :class:`~repro.core.job.MachineJob`, the ``.ebj`` job file, the
 write-time estimates and the machine program.  A pipeline is one run's
-configuration: every knob is set in its constructor and read-only after
-it, the engine is built there once, and the entry points take only what
-a run reads and writes (source, layer, name, output paths); a different
-configuration is a second pipeline.  A run prepares one layout into one
-job; a per-layer sweep is one :meth:`PreparationPipeline.run` per layer,
-all on the one shared worker pool.
+configuration: every knob is set and checked in its constructor and
+read-only after it, and the entry points take only what a run reads and
+writes (source, layer, name, output paths); a different configuration
+is a second pipeline.  A run prepares one layout into one job; a
+per-layer sweep is one :meth:`PreparationPipeline.run` per layer, all on
+the one shared worker pool.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
+    List,
     Optional,
     Sequence,
     Union,
 )
 
 from repro.core.cache import ShardCache
-from repro.core.executor import ExecutionResult, ExecutionStats, ShardedExecutor
-from repro.core.ladder import RetryPolicy
+from repro.core.executor import (
+    ExecutionResult,
+    ExecutionStats,
+    ShardResult,
+    _map_shards,
+    _spooled_windows,
+)
+from repro.core.ladder import Deadline, RetryPolicy, _resolve_workers
 from repro.core.job import MachineJob, ShotFold
-from repro.core.recipe import POSITIVE, FixedKnobs, check_knobs, require
+from repro.core.plan import _OVERLAP_POLICY, plan_figure_shards, plan_shards
+from repro.core.recipe import POSITIVE, STREAMED_CELLS, check_knobs, require
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -71,7 +82,7 @@ class PipelineResult:
         write_times: per-machine write-time breakdowns (name → breakdown).
         source_polygons: flattened polygon count before fracture.
         corrected: True if proximity correction ran.
-        execution: how the sharded engine ran (shards, workers, pool).
+        execution: how the shard loop ran (shards, workers, pool).
         machine_program: the exported machine data stream when the
             run had a ``machine`` mode.
         job_bytes: size of the ``.ebj`` job file the run wrote to its
@@ -93,14 +104,15 @@ class PipelineResult:
         return self.write_times[machine_name].total
 
 
-class PreparationPipeline(FixedKnobs):
+class PreparationPipeline:
     """Layout → fractured, corrected, timed machine job.
 
-    Every argument is checked here, and the knobs are read-only
-    afterwards (assigning one raises ``AttributeError``): to run under a
-    different configuration, build a second pipeline — passing one
-    :class:`~repro.core.cache.ShardCache` to both when they must share a
-    cache.  The execution engine is :attr:`engine`, built once.
+    Every argument is checked here, once, and kept as the attribute of
+    the same name (read-only afterwards: assigning one raises
+    ``AttributeError``); to run under a different configuration, build a
+    second pipeline — passing one :class:`~repro.core.cache.ShardCache`
+    to both when they must share a cache.  Both doors run the one shard
+    loop, :meth:`_run_shards`, on these knobs.
 
     Args:
         fracturer: fracturing strategy (trapezoids by default).
@@ -108,9 +120,9 @@ class PreparationPipeline(FixedKnobs):
         psf: exposure PSF used by the corrector (required with one).
         machines: machines to estimate writing time on.
         base_dose: physical base dose [µC/cm²].
-        workers: worker-pool size for the execution engine;
-            1 = serial, ``None``/0 = one per core.  The worker count
-            never changes the result, only the wall-clock (see
+        workers: worker-pool size for the shard loop; 1 = serial,
+            ``None``/0 = one per core.  The worker count never changes
+            the result, only the wall-clock (see
             :mod:`repro.core.executor`).
         field_size: writing-field pitch [µm] for layout
             sharding; ``None`` processes the layout as one shard.
@@ -146,19 +158,22 @@ class PreparationPipeline(FixedKnobs):
             working directory); files are named
             ``<job-name>.<mode>.ebp``.
         progress: optional per-shard completion callback
-            ``progress(done, total)`` threaded into the execution
-            engine — how a long-running front-end (the prep service's
-            job status endpoint) observes a run advancing.  Never
-            influences results.
-        retry: the engine's :class:`~repro.core.ladder.RetryPolicy`
+            ``progress(done, total)`` — invoked with ``done=0`` once the
+            shard plan is known, then with the running completion count
+            (cache hits report immediately); how a long-running
+            front-end (the prep service's job status endpoint) observes
+            a run advancing.  It runs outside the shard computation and
+            never influences results.
+        retry: the shard loop's :class:`~repro.core.ladder.RetryPolicy`
             (per-shard retries, deterministic backoff, hang watchdog);
             defaults to ``RetryPolicy()``.  Never changes results, only
             what survives: a run that finishes under faults is
             byte-identical to a clean run.
         faults: an optional :class:`~repro.core.faults.FaultPlan` of
             injected faults (chaos testing; usually arrives via the
-            ``REPRO_FAULTS`` environment variable through the recipe).
-            A plan with ``enospc_puts`` wraps the cache in a
+            ``REPRO_FAULTS`` environment variable through the recipe),
+            armed with this process's pid when a run starts.  A plan
+            with ``enospc_puts`` wraps the cache in a
             :class:`~repro.core.faults.FaultyCache` so store faults hit
             both shard results and program segment blobs.
         dispatch: shard scheduling — ``"local"`` (default) or
@@ -170,10 +185,12 @@ class PreparationPipeline(FixedKnobs):
             dispatch.
         dist_policy: optional
             :class:`~repro.dist.coordinator.DistPolicy` scheduling
-            knobs for distributed dispatch.
+            knobs for distributed dispatch (heartbeats, speculation);
+            defaults apply when ``None``.
         deadline: optional :class:`~repro.core.ladder.Deadline` —
             the run's time budget and cooperative cancel (the service's
-            job budget); unbounded when ``None``.
+            job budget), handed down to every backoff, pool wait and
+            lease; unbounded when ``None``.
 
     Example:
         >>> from repro.layout import generators
@@ -183,6 +200,9 @@ class PreparationPipeline(FixedKnobs):
         >>> result.job.figure_count()
         5
     """
+
+    #: Set last in ``__init__``: from then on every knob is read-only.
+    _fixed = False
 
     def __init__(
         self,
@@ -209,7 +229,18 @@ class PreparationPipeline(FixedKnobs):
         deadline=None,
     ) -> None:
         require(POSITIVE, "base_dose", base_dose)
-        check_knobs(hierarchy=hierarchy, machine=machine, address_unit=address_unit)
+        check_knobs(
+            hierarchy=hierarchy,
+            machine=machine,
+            address_unit=address_unit,
+            field_size=field_size,
+            dispatch=dispatch,
+        )
+        require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
+        if corrector is not None and psf is None:
+            raise ValueError("a corrector requires a PSF")
+        if dispatch == "distributed" and not workers_endpoint:
+            raise ValueError("distributed dispatch requires an endpoint (host:port)")
         if cache is None and cache_dir is not None:
             cache = ShardCache(cache_dir)
         if faults is not None and faults.enospc_puts and cache is not None:
@@ -229,26 +260,26 @@ class PreparationPipeline(FixedKnobs):
         self.machine = machine
         self.address_unit = address_unit
         self.program_dir = Path(program_dir) if program_dir is not None else None
-        #: The run's execution engine, built (and its knobs checked) once,
-        #: here; every door runs on it.  Its cache is also the run's
-        #: program-segment cache.
-        self.engine = ShardedExecutor(
-            self.fracturer,
-            corrector=corrector,
-            psf=psf,
-            workers=workers,
-            field_size=field_size,
-            cache=cache,
-            overlap_policy=overlap_policy,
-            progress=progress,
-            retry=retry,
-            faults=faults,
-            dispatch=dispatch,
-            endpoint=workers_endpoint,
-            dist_policy=dist_policy,
-            deadline=deadline,
-        )
+        self.workers = _resolve_workers(workers)
+        self.field_size = field_size
+        self.overlap_policy = overlap_policy
+        self.progress = progress
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.faults = faults
+        self.dispatch = dispatch
+        self.workers_endpoint = workers_endpoint
+        self.dist_policy = dist_policy
+        self.deadline = deadline if deadline is not None else Deadline()
         self._fixed = True
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._fixed:
+            kind = type(self).__name__
+            raise AttributeError(
+                f"{kind}.{name} is fixed at construction; build a second "
+                f"{kind} for a different value"
+            )
+        object.__setattr__(self, name, value)
 
     # -- entry points --------------------------------------------------------
 
@@ -278,7 +309,7 @@ class PreparationPipeline(FixedKnobs):
             with open_layout_stream(source) as stream:
                 source = stream.materialize()
         geometry, inferred, source_polygons, hier = self._work_item(source, layer)
-        execution = self.engine.execute(geometry, prefractured=hier is not None)
+        execution = self._execute(geometry, hier is not None)
         execution.source_polygons = source_polygons
         if hier is not None:
             # Cells-mode shards are prefractured, so their per-shard
@@ -302,9 +333,9 @@ class PreparationPipeline(FixedKnobs):
         from a lazy cursor (a layout file is opened as a
         :class:`~repro.layout.stream.LayoutStream`, a resident
         library/cell is wrapped in a
-        :class:`~repro.layout.stream.MemoryStream`), the execution
-        engine spills per-shard results to a temp spool instead of
-        holding them, and the same assembly pass as :meth:`run` folds
+        :class:`~repro.layout.stream.MemoryStream`), the shard loop
+        spills per-shard results to a temp spool instead of holding
+        them, and the same assembly pass as :meth:`run` folds
         the aggregates, digest and — with ``job_path`` — the ``.ebj``
         bytes one shard at a time.
 
@@ -325,8 +356,11 @@ class PreparationPipeline(FixedKnobs):
             program_path: explicit program file path.
             job_path: write the job's ``.ebj`` file here.
 
-        Always runs flat — hierarchy ``"cells"`` prefracture is a
-        materializing transform and is rejected by the streaming recipe.
+        Always runs flat.  Hierarchy ``"cells"`` prefracture is a
+        materializing transform, so a cells pipeline refuses a layout
+        source (file, stream, library or cell) with ``ValueError``
+        before reading it; a raw polygon iterable carries no hierarchy
+        and runs flat, as on :meth:`run`.
         """
         stream, owned = self._resolve_stream(source)
         try:
@@ -338,7 +372,7 @@ class PreparationPipeline(FixedKnobs):
             else:
                 inferred = "job"
                 polygons = iter(source)  # type: ignore[arg-type]
-            execution = self.engine.execute_stream(polygons)
+            execution = self._execute_stream(polygons)
         finally:
             if owned and stream is not None:
                 stream.close()
@@ -373,6 +407,191 @@ class PreparationPipeline(FixedKnobs):
             return hier.figures.get(None, []), cell.name, hier.source_polygons, hier
         merged = list(MemoryStream(cell).iter_flat(layers=selected))
         return merged, cell.name, len(merged), None
+
+    # -- the shard loop ---------------------------------------------------
+
+    def _progress_tick(self, total: int) -> Optional[Callable[[], None]]:
+        """A thread-safe per-shard tick feeding ``self.progress``.
+
+        Announces ``(0, total)`` up front so callers learn the shard
+        count before any work completes; returns ``None`` when no
+        progress callback is configured.
+        """
+        if self.progress is None:
+            return None
+        progress = self.progress
+        lock = threading.Lock()
+        done = 0
+        progress(0, total)
+
+        def tick() -> None:
+            nonlocal done
+            with lock:
+                done += 1
+                current = done
+            progress(current, total)
+
+        return tick
+
+    def _run_shards(
+        self, windows, total: int, sink: ExecutionResult, prefractured: bool
+    ) -> None:
+        """The one shard loop: lookup → dispatch → store → attribute.
+
+        ``windows`` yields ``(shards, source_bytes)`` pairs
+        (``source_bytes`` is what the source re-read to build the
+        window); ``total`` is the shard count over all windows,
+        announced to the progress callback up front.  Each window's
+        shards are looked up in the cache, the misses sent down one
+        ladder (:func:`~repro.core.executor._map_shards`, with the fleet
+        as its top rung on a distributed pipeline) and stored, and every
+        result handed to ``sink.add`` in window order — row-major.
+
+        The sink gets the run's one :class:`ExecutionStats`
+        (``prefractured`` says whether the shards carry figures).
+        Per-shard counters land on it by plain arithmetic, each result's
+        kernel counters by :meth:`~repro.core.stats.ExecutionStats.fold`;
+        each window's ladder counts its recovery events and fleet
+        counters onto its own record, merged here by the schema's rules
+        (:meth:`~repro.core.stats.ExecutionStats.merge`); the cache
+        degradation is read off the run's one store
+        (:meth:`ExecutionResult.read_cache_store`).
+
+        Injected fault schedules key positions into the run's
+        dispatched work list: each window sees the plan rebased by the
+        shards dispatched before it, so a plan means the same thing
+        however the run is windowed.
+        """
+        config = (self.fracturer, self.corrector, self.psf)
+        cache = self.cache
+        faults = self.faults.arm() if self.faults is not None else None
+        tick = self._progress_tick(total)
+        stats = sink.stats = ExecutionStats(
+            shard_count=0,
+            occupied_shards=0,
+            workers=self.workers,
+            field_size=self.field_size,
+            cache_enabled=cache is not None,
+            hierarchy="cells" if prefractured else "flat",
+            # The configured mode even when a warm cache left nothing to
+            # map remotely — an all-hit run on a distributed pipeline is
+            # still a distributed run.
+            dispatch=self.dispatch,
+            streamed=sink.streamed,
+        )
+        fleet = None
+        if self.dispatch == "distributed":
+            from repro.dist.run import fleet_rung
+
+            fleet = functools.partial(
+                fleet_rung, endpoint=self.workers_endpoint, policy=self.dist_policy
+            )
+        dispatched = 0
+        for shards, window_bytes in windows:
+            keys: List[Optional[str]] = [None] * len(shards)
+            results: List[Optional[ShardResult]] = [None] * len(shards)
+            if cache is not None:
+                # Keys are computed for the whole window up front,
+                # before any processing can touch corrector state, so
+                # hit/miss decisions never depend on execution order.
+                keys = [cache.key_for(shard, *config) for shard in shards]
+                for i, key in enumerate(keys):
+                    results[i], evicted = cache.lookup(key)
+                    stats.cache_evictions += evicted
+                    if results[i] is not None:
+                        stats.cache_hits += 1
+                        if tick is not None:
+                            tick()
+            pending = [i for i, hit in enumerate(results) if hit is None]
+            ladder = _map_shards(
+                [shards[i] for i in pending],
+                config,
+                self.workers,
+                tick,
+                self.retry,
+                faults.rebased(dispatched) if faults is not None else None,
+                self.deadline,
+                fleet,
+            )
+            dispatched += len(pending)
+            stats.merge(ladder.stats)
+            for i, result in zip(pending, ladder.results):
+                results[i] = result
+                if cache is not None:
+                    stats.cache_misses += 1
+                    sink.cache_store(cache.put, keys[i], result)
+            for result in results:
+                stats.shard_count += 1
+                if result.shots:
+                    stats.occupied_shards += 1
+                stats.fold(result.kernel_fallbacks)
+                window_bytes += sink.add(result)
+            stats.stream_windows += int(sink.streamed)
+            stats.peak_window_bytes = max(stats.peak_window_bytes, window_bytes)
+        sink.read_cache_store()
+
+    def _execute(self, geometry: Sequence, prefractured: bool) -> ExecutionResult:
+        """Shard, process (serially, on a pool or on the fleet) and hold
+        one resident layout — :meth:`run`'s shard loop.
+
+        The layout's shards are one window of :meth:`_run_shards`;
+        results are held and come back as one :class:`ExecutionResult`
+        in shard order.  With a cache, shards whose content address is
+        already stored skip the work list entirely.
+
+        ``prefractured`` marks ``geometry`` as
+        :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
+        polygons — a hierarchy-aware run, where fracture already
+        happened once per cell, so shards carry figures and only
+        proximity correction runs per shard.
+        """
+        planner = plan_figure_shards if prefractured else plan_shards
+        shards = planner(geometry, self.field_size, overlap_policy=self.overlap_policy)
+        held = ExecutionResult(self.corrector is not None)
+        self._run_shards([(shards, 0)], len(shards), held, prefractured)
+        return held
+
+    def _execute_stream(self, polygons) -> ExecutionResult:
+        """Shard, process and spill one layout in bounded memory —
+        :meth:`run_streaming`'s shard loop.
+
+        ``polygons`` may be any iterable (a
+        :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
+        all) and is consumed exactly once by the spool source
+        (:func:`~repro.core.executor._spooled_windows`); the same shard
+        loop then runs one shard row at a time into the returned,
+        spilling :class:`ExecutionResult`.  Shards, their order and
+        every per-shard computation are those of the resident plan, so
+        a streamed run is byte-identical to the resident one.
+
+        Differences from :meth:`_execute`, by construction:
+
+        * ``overlap_policy="union"`` is rejected — a global boolean
+          union needs the whole layout resident.  The ``"warn"``
+          advisory check is skipped (it is pairwise across shards and
+          purely advisory; it never changes bytes).
+        * Results are spilled to the result's own spool, never to the
+          cache (which holds exactly the resident run's entries), and
+          the spool is removed by :meth:`ExecutionResult.close` — or
+          here, on every exit that does not return the result (a
+          failing shard, a service cancel or timeout raised through the
+          progress tick).
+        """
+        if self.overlap_policy == "union":
+            raise ValueError(
+                "overlap_policy='union' is incompatible with streamed "
+                "execution (the global union needs the whole layout "
+                "resident); pre-union the layout or use 'warn'/'ignore'"
+            )
+        execution = ExecutionResult(self.corrector is not None, spill=True)
+        try:
+            with _spooled_windows(polygons, self.field_size) as spooled:
+                execution.source_polygons, total_shards, windows = spooled
+                self._run_shards(windows, total_shards, execution, False)
+        except BaseException:
+            execution.close()
+            raise
+        return execution
 
     # -- helpers ----------------------------------------------------------
 
@@ -448,14 +667,18 @@ class PreparationPipeline(FixedKnobs):
                 execution.read_cache_store()
         return result
 
-    @staticmethod
-    def _resolve_stream(source) -> tuple:
-        """``(stream, owned)`` for a streaming source; raw polygon
-        iterables return ``(None, False)`` and stream as-is."""
+    def _resolve_stream(self, source) -> tuple:
+        """``(stream, owned)`` for a layout source, refused unread by a
+        cells pipeline; raw polygon iterables return ``(None, False)``
+        and stream as-is."""
+        if not isinstance(source, (LayoutStream, str, Path, Library, Cell)):
+            return None, False
+        if self.hierarchy == "cells":
+            raise ValueError(
+                f"run_streaming requires hierarchy='flat': {STREAMED_CELLS}"
+            )
         if isinstance(source, LayoutStream):
             return source, False
         if isinstance(source, (str, Path)):
             return open_layout_stream(source), True
-        if isinstance(source, (Library, Cell)):
-            return MemoryStream(source), True
-        return None, False
+        return MemoryStream(source), True

@@ -18,7 +18,7 @@ recipe is hashable/comparable so callers can dedupe identical requests.
 — and its CLI flag, metavar and help text.  Validation
 (:func:`validate`), the ``prep``/``demo`` options (``cli._add_common``),
 the service payload (:func:`from_mapping`), the checks at the
-pipeline's and the engine's constructors (:func:`check_knobs`) and the
+pipeline's constructor (:func:`check_knobs`) and the
 README's option table are all read from the declarations: adding a
 prep option is one ``knob(...)`` line plus the line that uses it.
 """
@@ -38,6 +38,12 @@ MACHINE_MODES = ("raster", "vsb", "vector")
 
 #: Exposure-operator backends (``repro.pec`` re-exports this).
 MATRIX_MODES = ("dense", "sparse", "hybrid")
+
+#: Why a streamed run is flat: the recipe's and ``run_streaming``'s reason.
+STREAMED_CELLS = (
+    "per-cell prefracture materializes the hierarchy, which defeats the "
+    "out-of-core contract"
+)
 
 #: Environment variable carrying a JSON fault plan into CLI runs and
 #: service jobs (see :meth:`repro.core.faults.FaultPlan.from_env`).
@@ -315,9 +321,7 @@ class PrepRecipe:
             )
         if self.streaming and self.hierarchy == "cells":
             raise ValueError(
-                "streaming=True requires hierarchy='flat': per-cell "
-                "prefracture materializes the hierarchy, which defeats "
-                "the out-of-core contract"
+                f"streaming=True requires hierarchy='flat': {STREAMED_CELLS}"
             )
 
     def to_dict(self) -> dict:
@@ -422,24 +426,7 @@ _KINDS = {f.name: f.metadata["kind"] for f in fields(PrepRecipe)}
 
 def check_knobs(**values) -> None:
     """Check keyword values against the recipe knobs of the same names
-    — the rule a Python door (the pipeline, the engine) applies to its
-    own arguments, with the recipe's message."""
+    — the rule a Python door (the pipeline) applies to its own
+    arguments, with the recipe's message."""
     for name, value in values.items():
         require(_KINDS[name], name, value)
-
-
-class FixedKnobs:
-    """Knobs set in ``__init__`` and read-only after it — the pipeline's
-    and the engine's: a different configuration is a second object,
-    never a rebound attribute.  ``__init__`` sets ``_fixed`` last."""
-
-    _fixed = False
-
-    def __setattr__(self, name: str, value) -> None:
-        if self._fixed:
-            kind = type(self).__name__
-            raise AttributeError(
-                f"{kind}.{name} is fixed at construction; build a second "
-                f"{kind} for a different value"
-            )
-        object.__setattr__(self, name, value)

@@ -190,7 +190,7 @@ class ExecutionStats:
             no live workers) that the same ladder's pool and serial
             rungs completed instead.
         streamed: the run used the out-of-core field-window path
-            (:meth:`~repro.core.executor.ShardedExecutor.execute_stream`)
+            (:meth:`~repro.core.pipeline.PreparationPipeline.run_streaming`)
             — source polygons were spooled to disk and only one shard
             row was resident at a time; the ``memory`` group is then
             live.

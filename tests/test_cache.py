@@ -23,7 +23,7 @@ from repro.core.cache import (
     fingerprint,
     shard_cache_key,
 )
-from repro.core.executor import Shard, ShardedExecutor, _process_shard
+from repro.core.executor import Shard, _process_shard
 from repro.core.jobfile import (
     JobFileError,
     dumps_shard_result,
@@ -485,11 +485,11 @@ class TestCachedExecution:
     def test_two_executions_share_one_cache(self, tmp_path):
         pipe = self.pipeline(tmp_path)
         polys = grid_of_squares(4, 4)
-        cold = pipe.engine.execute(polys)
-        warm = pipe.engine.execute(polys)
-        assert cold.stats.cache_misses == cold.stats.shard_count
-        assert warm.stats.cache_hits == warm.stats.shard_count
-        assert [s.dose for s in warm.shots] == [s.dose for s in cold.shots]
+        cold = pipe.run(polys)
+        warm = pipe.run(polys)
+        assert cold.execution.cache_misses == cold.execution.shard_count
+        assert warm.execution.cache_hits == warm.execution.shard_count
+        assert [s.dose for s in warm.job.shots] == [s.dose for s in cold.job.shots]
 
 
 class TestReviewRegressions:
@@ -582,14 +582,11 @@ class TestKernelFallbackObservability:
     def test_executor_aggregates_fallback_counters(self):
         # Two shards, (0, 0) and (1000, 1000): a 20 µm pitch over this
         # extent would need tile indices no shard header can hold.
-        executor = ShardedExecutor(
-            TrapezoidFracturer(), field_size=self.FAR / 1000.0
-        )
-        result = executor.execute(
+        pipe = PreparationPipeline(field_size=self.FAR / 1000.0)
+        stats = pipe.run(
             self._far_polygons() + [Polygon.rectangle(0, 0, 5, 5)]
-        )
-        assert result.stats.shard_count == 2
-        stats = result.stats
+        ).execution
+        assert stats.shard_count == 2
         assert stats.kernel_coord_fallbacks >= 1
         assert stats.kernel_fallbacks == (
             stats.kernel_coord_fallbacks
@@ -601,23 +598,15 @@ class TestKernelFallbackObservability:
         # The counters describe the shard's geometry, so a cache hit
         # must replay them — a warm run may not pretend the kernel
         # never degraded.
-        executor = ShardedExecutor(
-            TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
-        )
+        pipe = PreparationPipeline(field_size=20.0, cache=ShardCache(tmp_path))
         polys = self._far_polygons()
-        cold = executor.execute(polys)
-        warm = executor.execute(polys)
-        assert warm.stats.cache_hits == warm.stats.shard_count
-        assert cold.stats.kernel_coord_fallbacks >= 1
-        assert warm.stats.kernel_fallbacks == cold.stats.kernel_fallbacks
-        assert (
-            warm.stats.kernel_coord_fallbacks
-            == cold.stats.kernel_coord_fallbacks
-        )
-        assert (
-            warm.stats.kernel_slab_fallbacks
-            == cold.stats.kernel_slab_fallbacks
-        )
+        cold = pipe.run(polys).execution
+        warm = pipe.run(polys).execution
+        assert warm.cache_hits == warm.shard_count
+        assert cold.kernel_coord_fallbacks >= 1
+        assert warm.kernel_fallbacks == cold.kernel_fallbacks
+        assert warm.kernel_coord_fallbacks == cold.kernel_coord_fallbacks
+        assert warm.kernel_slab_fallbacks == cold.kernel_slab_fallbacks
 
     def test_merge_hand_back_is_reported_cold_and_warm(self, tmp_path):
         # Two triangles meeting a third at one apex: the array merge
@@ -628,13 +617,11 @@ class TestKernelFallbackObservability:
             Polygon([(6, 0), (10, 0), (5, 5)]),
             Polygon([(5, 5), (8, 10), (2, 10)]),
         ]
-        executor = ShardedExecutor(
-            TrapezoidFracturer(), field_size=20.0, cache=ShardCache(tmp_path)
-        )
-        cold = executor.execute(apex)
-        warm = executor.execute(apex)
-        assert warm.stats.cache_hits == warm.stats.shard_count == 1
-        for stats in (cold.stats, warm.stats):
+        pipe = PreparationPipeline(field_size=20.0, cache=ShardCache(tmp_path))
+        cold = pipe.run(apex).execution
+        warm = pipe.run(apex).execution
+        assert warm.cache_hits == warm.shard_count == 1
+        for stats in (cold, warm):
             assert stats.kernel_merge_fallbacks == 1
             assert stats.kernel_fallbacks == 1
             assert stats.lines()[-1].endswith(

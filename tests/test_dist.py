@@ -1154,17 +1154,11 @@ class TestRecipeAndServerPlumbing:
         )
         assert recipe.dispatch == "distributed"
 
-    def test_executor_requires_endpoint_for_distributed(self):
-        from repro.core.executor import ShardedExecutor
-        from repro.fracture.trapezoidal import TrapezoidFracturer
-
-        fracturer = TrapezoidFracturer()
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                fracturer, field_size=4.0, dispatch="distributed"
-            )
-        with pytest.raises(ValueError):
-            ShardedExecutor(fracturer, field_size=4.0, dispatch="teleport")
+    def test_pipeline_requires_endpoint_for_distributed(self):
+        with pytest.raises(ValueError, match="requires an endpoint"):
+            PreparationPipeline(field_size=4.0, dispatch="distributed")
+        with pytest.raises(ValueError, match="dispatch must be one of"):
+            PreparationPipeline(field_size=4.0, dispatch="teleport")
 
     def test_server_stop_is_clean(self):
         server = CoordinatorServer(("127.0.0.1", 0))

@@ -1,4 +1,4 @@
-"""Tests for the parallel field-sharded execution engine."""
+"""Tests for the parallel field-sharded execution."""
 
 import contextlib
 import dataclasses
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.executor import (
     ExecutionStats,
-    ShardedExecutor,
     ShardOverlapWarning,
     merge_shard_results,
     plan_shards,
@@ -289,17 +288,15 @@ class TestOverlapPolicy:
         )
 
 
-class TestExecutorClass:
+class TestPipelineRun:
     def test_corrector_requires_psf(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                TrapezoidFracturer(), corrector=IterativeDoseCorrector()
-            )
+        with pytest.raises(ValueError, match="a corrector requires a PSF"):
+            PreparationPipeline(corrector=IterativeDoseCorrector())
 
     def test_execute_empty(self):
-        outcome = ShardedExecutor(TrapezoidFracturer()).execute([])
-        assert outcome.shots == []
-        assert outcome.report.figure_count == 0
+        outcome = PreparationPipeline().run([])
+        assert outcome.job.shots == []
+        assert outcome.fracture_report.figure_count == 0
         assert outcome.corrected is False
 
 
@@ -308,27 +305,23 @@ class TestProgressCallback:
 
     def _run(self, polygons, **knobs):
         events = []
-        executor = ShardedExecutor(
-            TrapezoidFracturer(),
-            progress=lambda done, total: events.append((done, total)),
-            **knobs,
+        pipe = PreparationPipeline(
+            progress=lambda done, total: events.append((done, total)), **knobs
         )
-        return executor.execute(polygons), events
+        return pipe.run(polygons), events
 
     def test_serial_progress_counts_every_shard(self):
         result, events = self._run(grid_of_squares(3, 2), field_size=10.0)
-        total = result.stats.shard_count
+        total = result.execution.shard_count
         assert events[0] == (0, total)
         assert events[1:] == [(i + 1, total) for i in range(total)]
 
     def test_progress_never_changes_results(self):
         polygons = grid_of_squares(3, 3)
-        silent = ShardedExecutor(TrapezoidFracturer(), field_size=10.0).execute(
-            polygons
-        )
+        silent = PreparationPipeline(field_size=10.0).run(polygons)
         result, events = self._run(polygons, field_size=10.0)
-        assert [shot_key(s) for s in result.shots] == [
-            shot_key(s) for s in silent.shots
+        assert [shot_key(s) for s in result.job.shots] == [
+            shot_key(s) for s in silent.job.shots
         ]
         assert events  # the callback really fired
 
@@ -339,8 +332,8 @@ class TestProgressCallback:
         polygons = grid_of_squares(2, 2)
         self._run(polygons, field_size=10.0, cache=cache)  # cold: fill the cache
         result, events = self._run(polygons, field_size=10.0, cache=cache)  # warm
-        total = result.stats.shard_count
-        assert result.stats.cache_hits == total
+        total = result.execution.shard_count
+        assert result.execution.cache_hits == total
         assert events == [(0, total)] + [
             (i + 1, total) for i in range(total)
         ]
@@ -363,7 +356,7 @@ class TestProgressCallback:
 
     def test_pooled_progress_reports_every_shard(self):
         result, events = self._run(grid_of_squares(4, 2), field_size=10.0, workers=2)
-        total = result.stats.shard_count
+        total = result.execution.shard_count
         # Pool completion order is nondeterministic, but the running
         # count is: one tick per shard, monotonically increasing.
         assert events[0] == (0, total)

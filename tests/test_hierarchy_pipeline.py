@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.core.cache import ShardCache, shard_cache_key
 from repro.core.executor import (
     Shard,
-    ShardedExecutor,
     ShardOverlapWarning,
     plan_figure_shards,
 )
@@ -240,31 +239,22 @@ class TestExecutorFigures:
     ]
 
     def test_prefractured_shots(self):
-        executor = ShardedExecutor(TrapezoidFracturer())
-        result = executor.execute(self.FIGS, prefractured=True)
+        result = PreparationPipeline()._execute(self.FIGS, True)
         assert [s.trapezoid for s in result.shots] == self.FIGS
         assert all(s.dose == 1.0 for s in result.shots)
         assert not result.corrected
 
     def test_sharded_equals_unsharded(self):
-        one = ShardedExecutor(TrapezoidFracturer()).execute(
-            self.FIGS, prefractured=True
-        )
-        sharded = ShardedExecutor(TrapezoidFracturer(), field_size=10.0).execute(
-            self.FIGS, prefractured=True
-        )
+        one = PreparationPipeline()._execute(self.FIGS, True)
+        sharded = PreparationPipeline(field_size=10.0)._execute(self.FIGS, True)
         assert sharded.stats.shard_count == 6
         assert [s.trapezoid for s in sharded.shots] == [
             s.trapezoid for s in one.shots
         ]
 
     def test_corrected_figures(self):
-        executor = ShardedExecutor(
-            TrapezoidFracturer(),
-            corrector=IterativeDoseCorrector(),
-            psf=PSF,
-        )
-        result = executor.execute(self.FIGS, prefractured=True)
+        pipe = PreparationPipeline(corrector=IterativeDoseCorrector(), psf=PSF)
+        result = pipe._execute(self.FIGS, True)
         assert result.corrected
         assert len(result.shots) == len(self.FIGS)
         assert any(s.dose != 1.0 for s in result.shots)

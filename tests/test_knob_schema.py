@@ -7,10 +7,9 @@ field list is the schema every front door is generated from.
   knob dicts and, when they accept, yield equal recipes (a property
   over dicts drawn from the schema);
 * a bad CLI value is one ``error:`` line that names no private function;
-* the Python doors (pipeline, engine, machine spec, job) apply the
-  recipe's rules at construction, the only place a pipeline takes a
-  knob: its knobs and its engine's are read-only after it, and the
-  engine is built there once;
+* the Python doors (pipeline, machine spec, job) apply the recipe's
+  rules at construction, the only place a pipeline takes a knob, and
+  the pipeline's knobs are read-only after it;
 * README's option table is the rendered schema.
 """
 
@@ -30,13 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _recipe_from_args, build_parser, main
-from repro.core.executor import ShardedExecutor
 from repro.core.job import MachineJob
 from repro.core.jobfile import MAGIC, JobFileError, dumps_job, loads_job
-from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import PreparationPipeline
 from repro.core.recipe import PrepRecipe, flag_of
-from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout.cell import Cell
 from repro.machine.program import MachineProgramError, MachineSpec
@@ -237,9 +233,6 @@ class TestThePythonDoorAppliesTheRule:
     def test_at_construction(self, knob, value, complaint):
         with pytest.raises(ValueError, match=re.escape(complaint)):
             PreparationPipeline(**{knob: value})
-        if knob in ("workers", "field_size", "overlap_policy", "dispatch"):
-            with pytest.raises(ValueError, match=re.escape(complaint)):
-                ShardedExecutor(TrapezoidFracturer(), **{knob: value})
 
     def test_no_door_takes_a_constructor_knob(self):
         # A pipeline is one run's configuration: a knob a door also took
@@ -264,34 +257,19 @@ class TestThePythonDoorAppliesTheRule:
     )
     def test_a_knob_cannot_be_rebound(self, knob, value, tmp_path):
         # A knob is fixed at construction, valid value or not: the
-        # assignment itself is refused, on the pipeline and on its
-        # engine, and the next run keeps the configuration it was built
-        # with.
+        # assignment itself is refused, the pipeline — the knob's one
+        # owner — still reads the value it was built with, and so does
+        # the next run.
         pipe = PreparationPipeline(hierarchy="cells", program_dir=tmp_path)
-        owners = [pipe, pipe.engine] if hasattr(pipe.engine, knob) else [pipe]
-        for owner in owners:
-            with pytest.raises(AttributeError, match="fixed at construction"):
-                setattr(owner, knob, value)
+        with pytest.raises(AttributeError, match="fixed at construction"):
+            setattr(pipe, knob, value)
+        assert (pipe.workers, pipe.field_size, pipe.machine) == (1, None, None)
         cell = Cell("SQUARES")
         for square in SQUARES:
             cell.add_polygon(square)
         stats = pipe.run(cell).execution
         assert (stats.workers, stats.field_size, stats.hierarchy) == (1, None, "cells")
         assert not list(tmp_path.iterdir())  # machine is still None
-
-    def test_the_engine_is_built_once(self, monkeypatch):
-        built = []
-
-        class Counted(ShardedExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(pipeline_module, "ShardedExecutor", Counted)
-        pipe = PreparationPipeline(field_size=10.0)
-        for door in (pipe.run, pipe.run_streaming):
-            door(SQUARES)
-        assert built == [pipe.engine]
 
     def test_none_still_means_one_worker_per_core(self):
         assert PreparationPipeline(workers=None).run(SQUARES).job.shots

@@ -13,11 +13,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ShardCache
-from repro.core.executor import ShardedExecutor, merge_shard_results
+from repro.core.executor import merge_shard_results
 from repro.core.jobfile import JobFileError, loads_program
 from repro.core.pipeline import PreparationPipeline
 from repro.fracture.base import Shot, with_doses
-from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
 from repro.layout.cell import Cell
@@ -50,8 +49,7 @@ def grating_polygons(lines=8):
 
 
 def fractured(polygons, field_size=None):
-    executor = ShardedExecutor(TrapezoidFracturer(), field_size=field_size)
-    return executor.execute(polygons)
+    return PreparationPipeline(field_size=field_size)._execute(polygons, False)
 
 
 class TestMachineSpec:

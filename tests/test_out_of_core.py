@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,10 +25,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.core import ladder
+from repro.core.cache import CacheDegradedWarning
 from repro.core.executor import (
     ExecutionResult,
     RetryPolicy,
-    ShardedExecutor,
     SpillDegradedWarning,
     _Spool,
     shutdown_worker_pool,
@@ -306,7 +307,7 @@ class TestFullReticle:
 class TestJobFileWriter:
     def _shots(self):
         polys = _flat_sequence(generators.grating(lines=4))
-        return ShardedExecutor(TrapezoidFracturer()).execute(polys).shots
+        return PreparationPipeline().run(polys).job.shots
 
     def test_byte_identical_to_write_job(self, tmp_path):
         from repro.core.job import MachineJob
@@ -536,17 +537,15 @@ class TestStreamingPipeline:
                 raise KeyboardInterrupt("cancelled at a shard boundary")
 
         if failure == "shard":
-            executor = ShardedExecutor(
+            pipe = PreparationPipeline(
                 _FailingFracturer(fail_at=4), field_size=FIELD_SIZE
             )
             expected = ValueError
         else:
-            executor = ShardedExecutor(
-                TrapezoidFracturer(), field_size=FIELD_SIZE, progress=cancel_late
-            )
+            pipe = PreparationPipeline(field_size=FIELD_SIZE, progress=cancel_late)
             expected = KeyboardInterrupt
         with pytest.raises(expected):
-            executor.execute_stream(polys)
+            pipe.run_streaming(polys)
         assert list(tmp_path.iterdir()) == []
         # A run that succeeds removes both spools once it is assembled.
         PreparationPipeline(field_size=FIELD_SIZE).run_streaming(polys)
@@ -588,9 +587,9 @@ class TestStreamingPipeline:
         assert not [p for p in held if "repro-spool-" in p or "repro-spill-" in p]
 
     def test_closed_execution_refuses_reads(self):
-        executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
+        pipe = PreparationPipeline(field_size=FIELD_SIZE)
         polys = _flat_sequence(generators.fresnel_zone_plate())
-        execution = executor.execute_stream(polys)
+        execution = pipe._execute_stream(polys)
         execution.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(execution.results())
@@ -604,8 +603,7 @@ class TestStreamingPipeline:
 def _held_results():
     """The FZP's shard results, held, in row-major order."""
     polys = _flat_sequence(generators.fresnel_zone_plate())
-    executor = ShardedExecutor(TrapezoidFracturer(), field_size=FIELD_SIZE)
-    held = executor.execute(polys)
+    held = PreparationPipeline(field_size=FIELD_SIZE)._execute(polys, False)
     return held.shard_results
 
 
@@ -738,6 +736,43 @@ class TestSpillDegradation:
         assert (tmp_path / "deg.ebj").read_bytes() == dumps_job(mat.job)
 
 
+@pytest.mark.parametrize(
+    "door, failure, category",
+    [
+        ("run", "shard store", CacheDegradedWarning),
+        ("run_streaming", "shard store", CacheDegradedWarning),
+        ("run_streaming", "spill", SpillDegradedWarning),
+        ("run", "segment store", CacheDegradedWarning),
+    ],
+)
+def test_a_degradation_warning_names_the_caller(
+    door, failure, category, tmp_path, monkeypatch
+):
+    # Like export_program's own store, each degraded store points at the
+    # line that called the pipeline's door, never inside repro.  One
+    # shard: put 0 is its result, put 1 the program's first segment.
+    puts = {"shard store": {0}, "segment store": {1}}.get(failure)
+    pipe = PreparationPipeline(
+        cache_dir=tmp_path / "cache",
+        faults=FaultPlan(enospc_puts=frozenset(puts)) if puts else None,
+        machine="raster" if failure == "segment store" else None,
+        program_dir=tmp_path,
+    )
+    if failure == "spill":
+        append = _Spool.append
+
+        def full_spill(spool, records):
+            if "repro-spill-" in spool.path:
+                raise OSError(errno.ENOSPC, "injected ENOSPC on the spill")
+            return append(spool, records)
+
+        monkeypatch.setattr(_Spool, "append", full_spill)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        getattr(pipe, door)(generators.grating(lines=3))
+    assert [(w.category, w.filename) for w in caught] == [(category, __file__)]
+
+
 # ---------------------------------------------------------------------------
 # Recipe and service wiring
 # ---------------------------------------------------------------------------
@@ -751,6 +786,35 @@ class TestStreamingWiring:
     def test_recipe_rejects_streaming_cells(self):
         with pytest.raises(ValueError, match="hierarchy='flat'"):
             PrepRecipe(streaming=True, hierarchy="cells")
+
+    @pytest.mark.parametrize("kind", ["file", "library", "cell"])
+    def test_a_cells_pipeline_refuses_a_streamed_layout(self, kind, tmp_path):
+        # The streamed door runs flat, so a cells pipeline would write
+        # other bytes than its own run; it refuses, before reading, with
+        # the recipe's reason.  The file is never written: a read would
+        # fail with FileNotFoundError instead.
+        library = generators.grating(lines=3)
+        source = {
+            "file": tmp_path / "absent.gds",
+            "library": library,
+            "cell": library.top_cell(),
+        }[kind]
+        with pytest.raises(ValueError) as refused:
+            PrepRecipe(streaming=True, hierarchy="cells")
+        reason = str(refused.value).split(": ", 1)[1]
+        pipe = PreparationPipeline(hierarchy="cells", field_size=FIELD_SIZE)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            pipe.run_streaming(source)
+
+    def test_a_cells_pipeline_streams_raw_polygons_flat(self, tmp_path):
+        polygons = _flat_sequence(generators.grating(lines=3))
+        pipe = PreparationPipeline(hierarchy="cells", field_size=FIELD_SIZE)
+        held = pipe.run(polygons, job_path=tmp_path / "held.ebj")
+        streamed = pipe.run_streaming(polygons, job_path=tmp_path / "streamed.ebj")
+        assert held.execution.hierarchy == streamed.execution.hierarchy == "flat"
+        assert (tmp_path / "held.ebj").read_bytes() == (
+            tmp_path / "streamed.ebj"
+        ).read_bytes()
 
     def test_recipe_rejects_non_bool_streaming(self):
         with pytest.raises(ValueError, match="streaming"):

@@ -101,8 +101,7 @@ class TestBuildPipeline:
             psf=psf, machine=None, overlap_policy="union"
         )
         assert (pipeline.psf, pipeline.machine) == (psf, None)
-        assert pipeline.engine.psf is psf
-        assert pipeline.engine.overlap_policy == "union"
+        assert pipeline.overlap_policy == "union"
 
     def test_cache_dir_builds_cache(self, tmp_path):
         pipeline = PrepRecipe().build_pipeline(cache_dir=tmp_path / "c")
