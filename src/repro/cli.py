@@ -225,11 +225,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_work(args: argparse.Namespace) -> int:
-    from repro.dist.protocol import parse_endpoint
     from repro.dist.worker import run_worker
 
     _load_prep_path()
-    parse_endpoint(args.connect)
     return run_worker(args.connect, idle_exit=args.idle_exit)
 
 

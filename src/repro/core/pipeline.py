@@ -43,7 +43,7 @@ from repro.core.executor import (
 from repro.core.ladder import Deadline, RetryPolicy, _resolve_workers
 from repro.core.job import MachineJob, ShotFold
 from repro.core.plan import _OVERLAP_POLICY, plan_figure_shards, plan_shards
-from repro.core.recipe import POSITIVE, STREAMED_CELLS, check_knobs, require
+from repro.core.recipe import POSITIVE, check_knobs, check_rules, require
 from repro.fracture.base import Fracturer
 from repro.fracture.quality import FractureReport
 from repro.fracture.trapezoidal import TrapezoidFracturer
@@ -116,8 +116,9 @@ class PreparationPipeline:
 
     Args:
         fracturer: fracturing strategy (trapezoids by default).
-        corrector: optional proximity corrector.
-        psf: exposure PSF used by the corrector (required with one).
+        corrector: optional proximity corrector; needs a ``psf`` (a
+            :data:`~repro.core.recipe.RULES` row).
+        psf: exposure PSF used by the corrector.
         machines: machines to estimate writing time on.
         base_dose: physical base dose [µC/cm²].
         workers: worker-pool size for the shard loop; 1 = serial,
@@ -181,8 +182,11 @@ class PreparationPipeline:
             ``workers_endpoint`` via :mod:`repro.dist`; byte-identical
             to local; the fleet is the recovery ladder's top rung, its
             pool and serial rungs finish what the fleet cannot).
+            ``"distributed"`` needs a ``workers_endpoint`` (a
+            :data:`~repro.core.recipe.RULES` row).
         workers_endpoint: coordinator ``host:port`` for distributed
-            dispatch.
+            dispatch, checked by the recipe's kind: a malformed one is
+            refused here, whatever the dispatch.
         dist_policy: optional
             :class:`~repro.dist.coordinator.DistPolicy` scheduling
             knobs for distributed dispatch (heartbeats, speculation);
@@ -229,18 +233,20 @@ class PreparationPipeline:
         deadline=None,
     ) -> None:
         require(POSITIVE, "base_dose", base_dose)
-        check_knobs(
+        knobs = dict(
             hierarchy=hierarchy,
             machine=machine,
             address_unit=address_unit,
             field_size=field_size,
             dispatch=dispatch,
+            workers_endpoint=workers_endpoint,
         )
+        check_knobs(**knobs)
         require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
-        if corrector is not None and psf is None:
-            raise ValueError("a corrector requires a PSF")
-        if dispatch == "distributed" and not workers_endpoint:
-            raise ValueError("distributed dispatch requires an endpoint (host:port)")
+        # The source decides whether ``hierarchy`` applies (raw polygons
+        # run flat) and the door whether the run streams, so the rows
+        # that read them with ``overlap_policy`` are checked by the doors.
+        check_rules(corrector=corrector is not None, psf=psf, **knobs)
         if cache is None and cache_dir is not None:
             cache = ShardCache(cache_dir)
         if faults is not None and faults.enospc_puts and cache is not None:
@@ -358,9 +364,13 @@ class PreparationPipeline:
 
         Always runs flat.  Hierarchy ``"cells"`` prefracture is a
         materializing transform, so a cells pipeline refuses a layout
-        source (file, stream, library or cell) with ``ValueError``
-        before reading it; a raw polygon iterable carries no hierarchy
-        and runs flat, as on :meth:`run`.
+        source (file, stream, library or cell) before reading it; a raw
+        polygon iterable carries no hierarchy and runs flat, as on
+        :meth:`run`.  An ``overlap_policy="union"`` pipeline refuses
+        every source (:meth:`_execute_stream`).  Both refusals are
+        :data:`~repro.core.recipe.RULES` rows, checked in that order,
+        so a cells + ``union`` pipeline given a layout gets the
+        streaming-needs-flat reason.
         """
         stream, owned = self._resolve_stream(source)
         try:
@@ -388,7 +398,9 @@ class PreparationPipeline:
         ``hier`` is the per-cell fracture the geometry came from when it
         holds pre-fractured figures (hierarchy ``"cells"`` on a
         library/cell), else ``None`` and the geometry is polygons; raw
-        polygon sources carry no hierarchy and always run flat.
+        polygon sources carry no hierarchy and always run flat.  A cells
+        pipeline checks its ``overlap_policy`` against
+        :data:`~repro.core.recipe.RULES` before it fractures anything.
         """
         if not isinstance(source, (Library, Cell)):
             polygons = list(source)
@@ -396,6 +408,7 @@ class PreparationPipeline:
         cell = source.top_cell() if isinstance(source, Library) else source
         selected = {layer} if layer is not None else None
         if self.hierarchy == "cells":
+            check_rules(hierarchy="cells", overlap_policy=self.overlap_policy)
             # Each cell's selected layers are fractured as one union,
             # mirroring the flat path, which fractures the union of
             # every requested layer's polygons in one pass.
@@ -566,7 +579,8 @@ class PreparationPipeline:
 
         Differences from :meth:`_execute`, by construction:
 
-        * ``overlap_policy="union"`` is rejected — a global boolean
+        * ``overlap_policy="union"`` is rejected (the streaming row of
+          :data:`~repro.core.recipe.RULES`) — a global boolean
           union needs the whole layout resident.  The ``"warn"``
           advisory check is skipped (it is pairwise across shards and
           purely advisory; it never changes bytes).
@@ -577,12 +591,7 @@ class PreparationPipeline:
           failing shard, a service cancel or timeout raised through the
           progress tick).
         """
-        if self.overlap_policy == "union":
-            raise ValueError(
-                "overlap_policy='union' is incompatible with streamed "
-                "execution (the global union needs the whole layout "
-                "resident); pre-union the layout or use 'warn'/'ignore'"
-            )
+        check_rules(streaming=True, overlap_policy=self.overlap_policy)
         execution = ExecutionResult(self.corrector is not None, spill=True)
         try:
             with _spooled_windows(polygons, self.field_size) as spooled:
@@ -673,10 +682,7 @@ class PreparationPipeline:
         and stream as-is."""
         if not isinstance(source, (LayoutStream, str, Path, Library, Cell)):
             return None, False
-        if self.hierarchy == "cells":
-            raise ValueError(
-                f"run_streaming requires hierarchy='flat': {STREAMED_CELLS}"
-            )
+        check_rules(streaming=True, hierarchy=self.hierarchy)
         if isinstance(source, LayoutStream):
             return source, False
         if isinstance(source, (str, Path)):

@@ -104,7 +104,7 @@ class Shard:
         return loads_shard, (dumps_shard(self),)
 
 
-#: Cross-shard overlap handling: the planners' and the engine's rule.
+#: Cross-shard overlap handling: :func:`plan_shards`' and the pipeline's rule.
 _OVERLAP_POLICY = choice(("warn", "union", "ignore"))
 
 
@@ -206,18 +206,13 @@ def plan_figure_shards(
     instances (or ill-formed overlapping placements) may overlap —
     exactly like input polygons in :func:`plan_shards` — so
     ``overlap_policy="warn"`` runs the same cross-shard interior check.
-    ``"union"`` is rejected: pre-unioning would require re-fracturing,
-    which is what a pre-fractured run exists to avoid — run flat or
-    choose ``"warn"``/``"ignore"`` instead.
+    ``"union"`` is not a figure policy (its kind refuses it):
+    pre-unioning would require re-fracturing, which is what a
+    pre-fractured run exists to avoid.  The pipeline refuses a cells +
+    ``union`` run before any fracture, with the
+    :data:`~repro.core.recipe.RULES` row's reason.
     """
-    require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
-    if overlap_policy == "union":
-        raise ValueError(
-            "overlap_policy='union' is incompatible with "
-            "pre-fractured figure shards (it would re-fracture the "
-            "layout); use hierarchy='flat' or overlap_policy "
-            "'warn'/'ignore'"
-        )
+    require(choice(("warn", "ignore")), "overlap_policy", overlap_policy)
     block = trapezoid_array(figures)
     if not len(block):
         return []

@@ -21,6 +21,12 @@ the service payload (:func:`from_mapping`), the checks at the
 pipeline's constructor (:func:`check_knobs`) and the
 README's option table are all read from the declarations: adding a
 prep option is one ``knob(...)`` line plus the line that uses it.
+
+**The rules that join knobs are rows.**  A combination of knob values
+that cannot run is one :data:`RULES` row, with its one reason;
+:func:`check_rules` applies them at every door (the recipe, the
+pipeline's constructor and, for the rows a source decides, the run
+doors), and the README renders them under the option table.
 """
 
 from __future__ import annotations
@@ -38,12 +44,6 @@ MACHINE_MODES = ("raster", "vsb", "vector")
 
 #: Exposure-operator backends (``repro.pec`` re-exports this).
 MATRIX_MODES = ("dense", "sparse", "hybrid")
-
-#: Why a streamed run is flat: the recipe's and ``run_streaming``'s reason.
-STREAMED_CELLS = (
-    "per-cell prefracture materializes the hierarchy, which defeats the "
-    "out-of-core contract"
-)
 
 #: Environment variable carrying a JSON fault plan into CLI runs and
 #: service jobs (see :meth:`repro.core.faults.FaultPlan.from_env`).
@@ -151,7 +151,19 @@ COUNT = whole(0)
 WORKER_COUNT = whole(0, "must be >= 1 (or 0 for one worker per core)")
 FLAG = Kind(_instance(bool, "a bool"))
 OPTIONAL_STRING = _or_none(Kind(_instance(str, "a string"), str))
-OPTIONAL_ENDPOINT = _or_none(Kind(_instance(str, "a host:port string"), str))
+
+
+def _endpoint(value) -> Optional[str]:
+    from repro.dist.protocol import parse_endpoint  # only a set endpoint loads it
+
+    try:
+        parse_endpoint(value)
+    except (AttributeError, TypeError, ValueError):  # not a str, or not host:port
+        return "must be a host:port string"
+    return None
+
+
+OPTIONAL_ENDPOINT = _or_none(Kind(_endpoint, str))
 
 
 def knob(
@@ -310,19 +322,7 @@ class PrepRecipe:
 
     def __post_init__(self) -> None:
         validate(self)
-        if self.workers_endpoint is not None:
-            from repro.dist.protocol import parse_endpoint
-
-            parse_endpoint(self.workers_endpoint)
-        if self.dispatch == "distributed" and self.workers_endpoint is None:
-            raise ValueError(
-                "dispatch='distributed' requires a workers_endpoint "
-                "(host:port of the lease coordinator)"
-            )
-        if self.streaming and self.hierarchy == "cells":
-            raise ValueError(
-                f"streaming=True requires hierarchy='flat': {STREAMED_CELLS}"
-            )
+        check_rules(**self.to_dict())
 
     def to_dict(self) -> dict:
         """The recipe as a plain JSON-serializable mapping."""
@@ -352,11 +352,6 @@ class PrepRecipe:
         from repro.machine.vector import VectorScanWriter
         from repro.machine.vsb import ShapedBeamWriter
 
-        machines = [
-            RasterScanWriter(),
-            VectorScanWriter(),
-            ShapedBeamWriter(),
-        ]
         if self.fracture == "vsb":
             from repro.fracture.shots import ShotFracturer
 
@@ -370,8 +365,7 @@ class PrepRecipe:
             from repro.core.faults import FaultPlan
 
             faults = FaultPlan.from_env()
-        corrector = None
-        psf = None
+        corrector = psf = None
         if self.pec:
             from repro.pec.dose_iter import IterativeDoseCorrector
             from repro.physics.psf import psf_for
@@ -384,7 +378,7 @@ class PrepRecipe:
             fracturer=fracturer,
             corrector=corrector,
             psf=psf,
-            machines=machines,
+            machines=[RasterScanWriter(), VectorScanWriter(), ShapedBeamWriter()],
             base_dose=self.dose,
             workers=self.workers,
             field_size=self.field_size,
@@ -430,3 +424,47 @@ def check_knobs(**values) -> None:
     arguments, with the recipe's message."""
     for name, value in values.items():
         require(_KINDS[name], name, value)
+
+
+#: The combinations of knob values that cannot run: ``(refused,
+#: reason)``, where ``refused`` maps each knob the rule joins to its
+#: refused value — ``None`` for an optional knob left unset, and for
+#: the pipeline's ``corrector`` object, whether one is set.  The first
+#: row whose entries a door's values all hold refuses them, so order
+#: decides where rows overlap (streaming, cells and ``union`` together
+#: match the last three).
+RULES: Tuple[Tuple[dict, str], ...] = (
+    ({"corrector": True, "psf": None}, "a corrector requires a PSF"),
+    (
+        {"dispatch": "distributed", "workers_endpoint": None},
+        "dispatch='distributed' requires a workers_endpoint "
+        "(host:port of the lease coordinator)",
+    ),
+    (
+        {"streaming": True, "hierarchy": "cells"},
+        "streaming=True requires hierarchy='flat': per-cell prefracture "
+        "materializes the hierarchy, which defeats the out-of-core contract",
+    ),
+    (
+        {"streaming": True, "overlap_policy": "union"},
+        "overlap_policy='union' is incompatible with streamed execution (the "
+        "global union needs the whole layout resident); pre-union the layout "
+        "or use 'warn'/'ignore'",
+    ),
+    (
+        {"hierarchy": "cells", "overlap_policy": "union"},
+        "overlap_policy='union' is incompatible with pre-fractured figure shards "
+        "(it would re-fracture the layout); use hierarchy='flat' or "
+        "overlap_policy 'warn'/'ignore'",
+    ),
+)
+
+
+def check_rules(**values) -> None:
+    """Raise ``ValueError`` with the reason of the first :data:`RULES`
+    row whose every entry ``values`` holds — a door passes the knob
+    values it knows, and a row that reads a knob it does not pass
+    cannot match."""
+    for refused, reason in RULES:
+        if refused.items() <= values.items():
+            raise ValueError(reason)

@@ -1155,7 +1155,7 @@ class TestRecipeAndServerPlumbing:
         assert recipe.dispatch == "distributed"
 
     def test_pipeline_requires_endpoint_for_distributed(self):
-        with pytest.raises(ValueError, match="requires an endpoint"):
+        with pytest.raises(ValueError, match="requires a workers_endpoint"):
             PreparationPipeline(field_size=4.0, dispatch="distributed")
         with pytest.raises(ValueError, match="dispatch must be one of"):
             PreparationPipeline(field_size=4.0, dispatch="teleport")

@@ -18,7 +18,9 @@ from repro.core.executor import (
     plan_figure_shards,
 )
 from repro.core.pipeline import PreparationPipeline
+from repro.core.recipe import RULES
 from repro.fracture.trapezoidal import TrapezoidFracturer
+from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.layout import generators
 from repro.layout.flatten import flatten_cell
@@ -88,6 +90,29 @@ class TestPlanFigureShards:
         lib = generators.memory_array(words=2, bits=2, blocks=(2, 2))
         with pytest.raises(ValueError, match="union"):
             pipe.run(lib)
+
+    def test_cells_with_union_is_refused_before_any_fracture(self, monkeypatch):
+        import repro.core.hierarchical as hierarchical
+
+        def fracture(*args, **kwargs):
+            raise AssertionError("fractured a hierarchy the run refuses")
+
+        monkeypatch.setattr(hierarchical, "fracture_hierarchical", fracture)
+        pipe = PreparationPipeline(
+            hierarchy="cells", overlap_policy="union", field_size=20.0
+        )
+        with pytest.raises(ValueError) as refused:
+            pipe.run(generators.memory_array(blocks=(4, 4)))
+        cells_union = {"hierarchy": "cells", "overlap_policy": "union"}
+        assert (cells_union, str(refused.value)) in RULES
+        # Raw polygons carry no hierarchy: they run flat, unioned.
+        overlapping = [
+            Polygon.rectangle(0.0, 0.0, 2.0, 2.0),
+            Polygon.rectangle(1.0, 0.0, 3.0, 2.0),
+        ]
+        result = pipe.run(overlapping)
+        assert result.execution.hierarchy == "flat"
+        assert result.fracture_report.total_area == pytest.approx(6.0)
 
 
 class TestCellsModeParity:

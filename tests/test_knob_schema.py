@@ -10,7 +10,10 @@ field list is the schema every front door is generated from.
 * the Python doors (pipeline, machine spec, job) apply the recipe's
   rules at construction, the only place a pipeline takes a knob, and
   the pipeline's knobs are read-only after it;
-* README's option table is the rendered schema.
+* the cross-knob rules are :data:`RULES` rows: over the finite values
+  they read, the defaults pass, every value is reachable, no row is
+  shadowed, and every door refuses with the first matching row's reason;
+* README's option and rule tables are the rendered schema.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import inspect
+import itertools
 import re
 import struct
 import sys
@@ -32,8 +36,10 @@ from repro.cli import _recipe_from_args, build_parser, main
 from repro.core.job import MachineJob
 from repro.core.jobfile import MAGIC, JobFileError, dumps_job, loads_job
 from repro.core.pipeline import PreparationPipeline
-from repro.core.recipe import PrepRecipe, flag_of
+from repro.core.plan import _OVERLAP_POLICY
+from repro.core.recipe import RULES, PrepRecipe, check_knobs, check_rules, flag_of
 from repro.geometry.polygon import Polygon
+from repro.layout import generators
 from repro.layout.cell import Cell
 from repro.machine.program import MachineProgramError, MachineSpec
 from repro.machine.raster import RasterScanWriter
@@ -134,14 +140,9 @@ class TestFrontDoorConformance:
         recipe = assert_doors_agree(knobs)
         if recipe is not None:
             assert {**PrepRecipe().to_dict(), **knobs} == recipe.to_dict()
-        else:  # only one of the three rules after the per-knob loop says no
-            assert (
-                knobs.get("workers_endpoint") == "abc"  # not host:port
-                or knobs.get("dispatch") == "distributed"
-                and knobs.get("workers_endpoint") is None
-                or knobs.get("streaming")
-                and knobs.get("hierarchy") == "cells"
-            )
+        else:  # the per-knob loop passed, so a cross-knob rule says no
+            said = {**DEFAULTS, **knobs}
+            assert any(refused.items() <= said.items() for refused, _ in RULES)
 
     @settings(max_examples=150, deadline=None)
     @given(valid_dicts, mutations)
@@ -228,11 +229,27 @@ class TestThePythonDoorAppliesTheRule:
             ("dispatch", "cloud", "dispatch must be one of"),
             ("hierarchy", "deep", "hierarchy must be one of"),
             ("machine", "ebes", "machine must be one of"),
+            ("workers_endpoint", "abc", "workers_endpoint must be a host:port"),
+            ("workers_endpoint", "h:99999", "workers_endpoint must be a host:port"),
+            ("workers_endpoint", 9, "workers_endpoint must be a host:port"),
         ],
     )
     def test_at_construction(self, knob, value, complaint):
         with pytest.raises(ValueError, match=re.escape(complaint)):
             PreparationPipeline(**{knob: value})
+
+    @pytest.mark.parametrize("dispatch", ["local", "distributed"])
+    def test_a_malformed_endpoint_gets_the_recipe_s_verdict(self, dispatch):
+        # Refused when the pipeline is built, not when a run first leases
+        # a shard, with the words the recipe and ``check_knobs`` use.
+        knobs = dict(dispatch=dispatch, workers_endpoint="abc")
+        complaints = []
+        for door in (PrepRecipe, PreparationPipeline, check_knobs):
+            with pytest.raises(ValueError) as refused:
+                door(**knobs)
+            complaints.append(str(refused.value))
+        complaint = "workers_endpoint must be a host:port string, got 'abc'"
+        assert complaints == [complaint] * 3
 
     def test_no_door_takes_a_constructor_knob(self):
         # A pipeline is one run's configuration: a knob a door also took
@@ -315,5 +332,140 @@ def test_readme_option_table_is_the_rendered_schema():
     knob_table = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(knob_table)
     table = knob_table.render()
-    assert table.count("\n") == len(SCHEMA) + 1
+    options, rules = table.split("\n\n")
+    assert options.count("\n") == len(SCHEMA) + 1
+    assert rules.count("\n") == len(RULES) + 1
+    for _, reason in RULES:
+        assert f" | {reason} |" in rules
     assert table in (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+# -- the cross-knob rules -----------------------------------------------------
+
+#: The knobs the rows read, and each one's default as a door passes it:
+#: the recipe's, else the pipeline constructor's (``corrector`` as
+#: whether one is set).
+RULE_KNOBS = sorted({name for refused, _ in RULES for name in refused})
+CONSTRUCTOR = inspect.signature(PreparationPipeline).parameters
+RULE_DEFAULTS = {
+    name: DEFAULTS[name] if name in DEFAULTS else CONSTRUCTOR[name].default
+    for name in RULE_KNOBS
+}
+RULE_DEFAULTS["corrector"] = CONSTRUCTOR["corrector"].default is not None
+KINDS = {f.name: f.metadata["kind"] for f in SCHEMA}
+KINDS["overlap_policy"] = _OVERLAP_POLICY
+
+
+def rule_values(name):
+    """The finite values a rule can tell apart of knob ``name``: a choice
+    kind's choices, an optional knob unset (``None``) or set (``"set"``
+    stands for any value), else a flag's two."""
+    if name in KINDS and KINDS[name].choices:
+        return KINDS[name].choices
+    return (None, "set") if RULE_DEFAULTS[name] is None else (False, True)
+
+
+#: (assignments, assignments each row refuses first, assignments passed).
+PINNED_DENOTATION = (192, [48, 36, 27, 9, 9], 63)
+
+ASSIGNMENTS = [
+    dict(zip(RULE_KNOBS, values))
+    for values in itertools.product(*map(rule_values, RULE_KNOBS))
+]
+
+
+def verdict(values):
+    """The reason ``check_rules`` refuses ``values`` with, or ``None``."""
+    try:
+        check_rules(**values)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCrossKnobRules:
+    def test_the_defaults_are_admitted(self):
+        # The recipe's (with the constructor's for the rest), and
+        # ``PreparationPipeline()``'s own (no corrector).
+        pipeline = {k: CONSTRUCTOR[k].default for k in RULE_KNOBS if k in CONSTRUCTOR}
+        assert verdict(RULE_DEFAULTS) is None
+        assert verdict({**pipeline, "corrector": False}) is None
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in RULE_KNOBS for value in rule_values(name)],
+    )
+    def test_every_value_is_admitted_somewhere(self, name, value):
+        assert any(a[name] == value and verdict(a) is None for a in ASSIGNMENTS)
+
+    def test_every_row_is_the_first_match_somewhere(self):
+        # One message per rule, and no row hidden behind an earlier one.
+        reasons = [reason for _, reason in RULES]
+        assert len(set(reasons)) == len(reasons)
+        assert {verdict(a) for a in ASSIGNMENTS} == {None, *reasons}
+
+    def test_the_table_s_denotation_is_pinned(self):
+        # How many of the enumerated assignments each row refuses first,
+        # and how many pass: a dropped, added or reordered row moves
+        # these counts, so changing the rules is changing this line.
+        firsts = [verdict(a) for a in ASSIGNMENTS]
+        counts = [firsts.count(reason) for _, reason in RULES]
+        assert (len(ASSIGNMENTS), counts, firsts.count(None)) == PINNED_DENOTATION
+
+
+class TestEveryDoorGivesTheFirstRowsReason:
+    """Each row's minimal assignment, and streaming + cells + ``union``
+    (three rows at once), through every door.  A door sees only the
+    knobs it knows: the recipe its fields, the constructor its arguments
+    but not the source (which decides whether ``hierarchy`` applies: raw
+    polygons run flat), a run door also its source and whether it
+    streams."""
+
+    LAYOUT = generators.grating(lines=2)
+
+    @staticmethod
+    def concrete(name, value):
+        """An assignment's value as a door takes it."""
+        from repro.pec.dose_iter import IterativeDoseCorrector
+        from repro.physics.psf import psf_for
+
+        if name == "corrector":
+            return IterativeDoseCorrector() if value else None
+        if value != "set":
+            return value
+        return psf_for(20.0) if name == "psf" else "127.0.0.1:1"
+
+    @staticmethod
+    def refusal(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [refused for refused, _ in RULES]
+        + [{"streaming": True, "hierarchy": "cells", "overlap_policy": "union"}],
+        ids=lambda a: "+".join(f"{k}={v}" for k, v in a.items()),
+    )
+    def test_each_door(self, assignment):
+        values = {**RULE_DEFAULTS, **assignment}
+        given = {k: self.concrete(k, v) for k, v in values.items()}
+        said = [k for k in values if k in DEFAULTS]
+        recipe = self.refusal(lambda: PrepRecipe(**{k: given[k] for k in said}))
+        assert recipe == verdict({k: values[k] for k in said})
+        knobs = {k: v for k, v in given.items() if k != "streaming"}
+        built = self.refusal(lambda: PreparationPipeline(**knobs))
+        unknown = ("streaming", "hierarchy")  # the door's and the source's
+        assert built == verdict({k: v for k, v in values.items() if k not in unknown})
+        if built is not None:
+            return
+        pipe = PreparationPipeline(**knobs)
+        for streams, door in ((False, pipe.run), (True, pipe.run_streaming)):
+            for source, flat in ((self.LAYOUT, False), (SQUARES, True)):
+                seen = {**values, "streaming": streams}
+                if flat:
+                    seen["hierarchy"] = "flat"
+                got = self.refusal(lambda: door(list(source) if flat else source))
+                assert got == verdict(seen), (door.__name__, flat)

@@ -56,7 +56,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.executor import shutdown_worker_pool
 from repro.core.faults import FAULTS_ENV_VAR
-from repro.core.recipe import PrepRecipe, flag_of
+from repro.core.recipe import PrepRecipe, check_rules, flag_of
 from repro.core.stats import GROUPS, LINES, ExecutionStats, schema
 from repro.dist import shutdown_coordinators
 from repro.fracture.quality import FractureReport
@@ -298,16 +298,12 @@ def _file_complaint(column: Column, source: str) -> Optional[str]:
 
 #: The combinations no recipe rejects but that still cannot run, first
 #: match wins: ``(applies(cell), reason)``.  (``streaming`` × ``cells``
-#: and the like are the recipe's own ``ValueError``.)
+#: and the like are ``repro.core.recipe.RULES`` rows.)
 _RULES: Tuple[Tuple[Callable[[Cell], bool], str], ...] = (
     (
         lambda c: bool(c.column.arguments) and c.door != "python",
         "overlap_policy='union' and a custom PSF are python-door arguments, "
         "not recipe options",
-    ),
-    (
-        lambda c: bool(c.column.arguments) and c.streaming,
-        "overlap_policy='union' cannot be spooled",
     ),
     (
         lambda c: c.door == "service"
@@ -346,10 +342,14 @@ _RULES: Tuple[Tuple[Callable[[Cell], bool], str], ...] = (
 
 def unsupported(cell: Cell) -> Optional[str]:
     """Why ``cell`` cannot run, or ``None`` when it can: the recipe's
-    own ``ValueError`` where the recipe decides, else the first matching
-    rule, else what the layout's source file cannot hold."""
+    own ``ValueError`` or, through the python door, a cross-knob rule
+    the column's arguments break (``repro.core.recipe.RULES``), else the
+    first matching rule, else what the layout's source file cannot
+    hold."""
     try:
         cell.recipe()
+        if cell.door == "python":  # no other door says the arguments
+            check_rules(streaming=cell.streaming, **dict(cell.column.arguments))
     except ValueError as exc:
         return str(exc)
     for applies, reason in _RULES:
