@@ -33,7 +33,6 @@ import hashlib
 import os
 import struct
 import uuid
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple, Union
@@ -41,6 +40,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.jobfile import dumps_ring
+from repro.core.plan import warn_at_caller
 from repro.fracture.base import ShotView, row_bytes
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
@@ -111,20 +111,16 @@ class ContainedStore:
     read-only filesystem) degrades the *rest of the run* — ``degraded``
     flips, ``warning`` is emitted once with the reason, and no further
     store is attempted.  The caller keeps the result either way and
-    counts what the failure means to it.
-
-    ``stacklevel`` is the number of frames between ``warnings.warn``
-    and the pipeline call the warning should point at (this object's
-    own frame included).
+    counts what the failure means to it.  The warning names the line
+    that called the pipeline's door (:func:`~repro.core.plan.warn_at_caller`).
     """
 
     warning: type
     message: str
-    stacklevel: int
     degraded: bool = False
 
     @classmethod
-    def for_cache(cls, stacklevel: int) -> "ContainedStore":
+    def for_cache(cls) -> "ContainedStore":
         """The policy of a store into the shard cache, whichever key
         family it writes (shard results, program segments)."""
         return cls(
@@ -132,7 +128,6 @@ class ContainedStore:
             "shard cache degraded to read-only for the rest of this run "
             "({reason}); results are unaffected, but what was not stored "
             "will be recomputed by later runs",
-            stacklevel,
         )
 
     def __call__(self, put, *args) -> bool:
@@ -149,11 +144,7 @@ class ContainedStore:
             reason = "the filesystem refused the store"
         if not stored:
             self.degraded = True
-            warnings.warn(
-                self.message.format(reason=reason),
-                self.warning,
-                stacklevel=self.stacklevel,
-            )
+            warn_at_caller(self.message.format(reason=reason), self.warning)
         return bool(stored)
 
 

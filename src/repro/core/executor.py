@@ -246,10 +246,7 @@ class ExecutionResult:
         self._closed = False
         #: The run's one cache-store policy: the shard loop's stores and
         #: the machine-program export's segment blobs degrade together.
-        #: Both warn from the same depth — the store, ``_run_shards`` or
-        #: ``export_program``, ``_execute*`` or ``_assemble``, the door —
-        #: so the warning names the line that called the door.
-        self.cache_store = ContainedStore.for_cache(stacklevel=5)
+        self.cache_store = ContainedStore.for_cache()
         self._spool: Optional[_Spool] = None
         if spill:
             self._spool = _Spool("repro-spill-")
@@ -258,8 +255,6 @@ class ExecutionResult:
                 "shard-result spilling degraded to the in-memory merge for "
                 "the rest of this run ({reason}); results are unaffected, but "
                 "memory is no longer bounded by one shard row",
-                # The store, add, _run_shards, _execute_stream, the door.
-                stacklevel=6,
             )
 
     @property

@@ -111,8 +111,9 @@ class PreparationPipeline:
     the same name (read-only afterwards: assigning one raises
     ``AttributeError``); to run under a different configuration, build a
     second pipeline — passing one :class:`~repro.core.cache.ShardCache`
-    to both when they must share a cache.  Both doors run the one shard
-    loop, :meth:`_run_shards`, on these knobs.
+    to both when they must share a cache.  Both doors run one body,
+    :meth:`_door`, and the one shard loop, :meth:`_run_shards`, on
+    these knobs.
 
     Args:
         fracturer: fracturing strategy (trapezoids by default).
@@ -245,7 +246,8 @@ class PreparationPipeline:
         require(_OVERLAP_POLICY, "overlap_policy", overlap_policy)
         # The source decides whether ``hierarchy`` applies (raw polygons
         # run flat) and the door whether the run streams, so the rows
-        # that read them with ``overlap_policy`` are checked by the doors.
+        # that read them with ``overlap_policy`` are checked by the door
+        # body, :meth:`_door`.
         check_rules(corrector=corrector is not None, psf=psf, **knobs)
         if cache is None and cache_dir is not None:
             cache = ShardCache(cache_dir)
@@ -291,39 +293,34 @@ class PreparationPipeline:
 
     def run(
         self,
-        source: Union[Library, Cell, str, Path, Iterable[Polygon]],
+        source: Union[LayoutStream, Library, Cell, str, Path, Iterable[Polygon]],
         layer: Optional[Layer] = None,
         name: Optional[str] = None,
         program_path: Optional[Union[str, Path]] = None,
         job_path: Optional[Union[str, Path]] = None,
     ) -> PipelineResult:
-        """Run the full pipeline on a library, cell, layout file or raw
-        polygon list.
+        """Run the full pipeline on a layout file, stream, library, cell
+        or raw polygon list, holding the layout and its results.
 
         Args:
-            source: the pattern source; libraries use their unique top
-                cell, cells are flattened with descendants, a layout
-                file path (``.gds``/``.cif``) is read to completion,
-                raw polygons are one job named ``"job"``.
+            source: the pattern source; a layout file path
+                (``.gds``/``.cif``) or a
+                :class:`~repro.layout.stream.LayoutStream` is read to
+                completion (a stream passed in is not closed),
+                libraries use their unique top cell, cells are flattened
+                with descendants, raw polygons are one job named
+                ``"job"``.
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the cell/library name).
             program_path: explicit program file path (defaults to
                 ``<program_dir>/<job-name>.<mode>.ebp``).
             job_path: write the job's ``.ebj`` file here.
+
+        A cells + ``overlap_policy="union"`` pipeline refuses a layout
+        source before reading it (a :data:`~repro.core.recipe.RULES`
+        row); raw polygons carry no hierarchy and run flat.
         """
-        if isinstance(source, (str, Path)):
-            with open_layout_stream(source) as stream:
-                source = stream.materialize()
-        geometry, inferred, source_polygons, hier = self._work_item(source, layer)
-        execution = self._execute(geometry, hier is not None)
-        execution.source_polygons = source_polygons
-        if hier is not None:
-            # Cells-mode shards are prefractured, so their per-shard
-            # kernel counters are zero; the kernel ran during the
-            # hierarchy walk instead.
-            execution.stats.fold(hier)
-            execution.stats.fold(hier.kernel_fallbacks)
-        return self._assemble(execution, name or inferred, program_path, job_path)
+        return self._door(source, layer, name, program_path, job_path, False)
 
     def run_streaming(
         self,
@@ -335,15 +332,15 @@ class PreparationPipeline:
     ) -> PipelineResult:
         """Run the full pipeline out of core, in bounded memory.
 
-        The streaming counterpart of :meth:`run`: polygons are drawn
-        from a lazy cursor (a layout file is opened as a
-        :class:`~repro.layout.stream.LayoutStream`, a resident
-        library/cell is wrapped in a
-        :class:`~repro.layout.stream.MemoryStream`), the shard loop
-        spills per-shard results to a temp spool instead of holding
-        them, and the same assembly pass as :meth:`run` folds
-        the aggregates, digest and — with ``job_path`` — the ``.ebj``
-        bytes one shard at a time.
+        The streaming counterpart of :meth:`run`, on the same sources
+        and outputs: polygons are drawn from a lazy cursor (a layout
+        file is opened as a :class:`~repro.layout.stream.LayoutStream`,
+        a resident library/cell is wrapped in a
+        :class:`~repro.layout.stream.MemoryStream`; a raw polygon
+        iterable is consumed once), the shard loop spills per-shard
+        results to a temp spool instead of holding them, and the same
+        assembly pass as :meth:`run` folds the aggregates, digest and
+        — with ``job_path`` — the ``.ebj`` bytes one shard at a time.
 
         Byte-identity contract: the ``.ebj`` file (``job_path``) and the
         machine program (``machine``/``program_path``) are byte-identical
@@ -354,8 +351,8 @@ class PreparationPipeline:
         exactly; only the resident shot list is absent.
 
         Args:
-            source: a :class:`~repro.layout.stream.LayoutStream`, a
-                layout file path (``.gds``/``.cif``), a
+            source: a :class:`~repro.layout.stream.LayoutStream` (not
+                closed here), a layout file path (``.gds``/``.cif``), a
                 library/cell, or a raw polygon iterable (consumed once).
             layer: restrict to one layer (all layers merged otherwise).
             name: job name (defaults to the top cell's name).
@@ -364,62 +361,73 @@ class PreparationPipeline:
 
         Always runs flat.  Hierarchy ``"cells"`` prefracture is a
         materializing transform, so a cells pipeline refuses a layout
-        source (file, stream, library or cell) before reading it; a raw
-        polygon iterable carries no hierarchy and runs flat, as on
-        :meth:`run`.  An ``overlap_policy="union"`` pipeline refuses
-        every source (:meth:`_execute_stream`).  Both refusals are
-        :data:`~repro.core.recipe.RULES` rows, checked in that order,
-        so a cells + ``union`` pipeline given a layout gets the
-        streaming-needs-flat reason.
+        source, and an ``overlap_policy="union"`` pipeline every source
+        — both :data:`~repro.core.recipe.RULES` rows, checked before
+        anything is read; a raw polygon iterable carries no hierarchy
+        and runs flat, as on :meth:`run`.
         """
-        stream, owned = self._resolve_stream(source)
-        try:
-            if stream is not None:
-                inferred = stream.top_cell().name
-                polygons: Iterable[Polygon] = stream.iter_flat(
-                    layers={layer} if layer is not None else None
-                )
-            else:
-                inferred = "job"
-                polygons = iter(source)  # type: ignore[arg-type]
-            execution = self._execute_stream(polygons)
-        finally:
-            if owned and stream is not None:
-                stream.close()
-        return self._assemble(execution, name or inferred, program_path, job_path)
+        return self._door(source, layer, name, program_path, job_path, True)
 
-    def _work_item(
-        self, source: Union[Library, Cell, Iterable[Polygon]], layer: Optional[Layer]
-    ) -> tuple:
-        """The one job a resident source makes.
+    def _door(self, source, layer, name, program_path, job_path, streaming):
+        """The one body of :meth:`run` and :meth:`run_streaming`.
 
-        ``(geometry, name, source_polygons, hier)``: the selected layer's
-        geometry (every layer merged when ``layer`` is ``None``).
-        ``hier`` is the per-cell fracture the geometry came from when it
-        holds pre-fractured figures (hierarchy ``"cells"`` on a
-        library/cell), else ``None`` and the geometry is polygons; raw
-        polygon sources carry no hierarchy and always run flat.  A cells
-        pipeline checks its ``overlap_policy`` against
-        :data:`~repro.core.recipe.RULES` before it fractures anything.
+        Resolves the source and checks the door's
+        :data:`~repro.core.recipe.RULES` rows before anything is opened:
+        a layout (file, stream, library or cell) runs under the
+        pipeline's ``hierarchy``, raw polygons flat.  A resident door
+        then materializes the layout (a file is closed before the shard
+        loop; a stream passed in is never closed) and, on a cells
+        pipeline, fractures each cell once; a streamed door draws the
+        flat cursor.  One :meth:`_execute` holds or spools the results
+        and :meth:`_assemble` writes them.
         """
-        if not isinstance(source, (Library, Cell)):
-            polygons = list(source)
-            return polygons, "job", len(polygons), None
-        cell = source.top_cell() if isinstance(source, Library) else source
+        layout = isinstance(source, (LayoutStream, str, Path, Library, Cell))
+        check_rules(
+            streaming=streaming,
+            hierarchy=self.hierarchy if layout else "flat",
+            overlap_policy=self.overlap_policy,
+        )
         selected = {layer} if layer is not None else None
-        if self.hierarchy == "cells":
-            check_rules(hierarchy="cells", overlap_policy=self.overlap_policy)
-            # Each cell's selected layers are fractured as one union,
-            # mirroring the flat path, which fractures the union of
-            # every requested layer's polygons in one pass.
-            from repro.core.hierarchical import fracture_hierarchical
+        opened = open_layout_stream(source) if isinstance(source, (str, Path)) else None
+        with opened or contextlib.nullcontext():
+            stream = opened or source
+            if isinstance(stream, (Library, Cell)):
+                stream = MemoryStream(stream)
+            hier = None
+            if not layout:
+                inferred, geometry = "job", source if streaming else list(source)
+            else:
+                top = stream.top_cell()
+                inferred = top.name
+                if not streaming and not isinstance(stream, MemoryStream):
+                    stream.materialize()
+                    if opened is not None:  # no file stays open for the run
+                        opened.close()
+                if streaming:
+                    geometry = stream.iter_flat(top, selected)
+                elif self.hierarchy == "cells":
+                    # Each cell's selected layers are fractured as one
+                    # union, mirroring the flat path, which fractures
+                    # the union of every requested layer in one pass.
+                    from repro.core.hierarchical import fracture_hierarchical
 
-            hier = fracture_hierarchical(
-                cell, self.fracturer, layers=selected, merge_layers=True
-            )
-            return hier.figures.get(None, []), cell.name, hier.source_polygons, hier
-        merged = list(MemoryStream(cell).iter_flat(layers=selected))
-        return merged, cell.name, len(merged), None
+                    hier = fracture_hierarchical(
+                        top, self.fracturer, layers=selected, merge_layers=True
+                    )
+                    geometry = hier.figures.get(None, [])
+                else:
+                    geometry = list(stream.iter_flat(top, selected))
+            execution = self._execute(geometry, hier is not None, streaming)
+        if hier is not None:
+            # Cells-mode shards are prefractured, so their per-shard
+            # kernel counters are zero; the kernel ran during the
+            # hierarchy walk instead.
+            execution.source_polygons = hier.source_polygons
+            execution.stats.fold(hier)
+            execution.stats.fold(hier.kernel_fallbacks)
+        elif not streaming:  # the spool counted a streamed run's
+            execution.source_polygons = len(geometry)
+        return self._assemble(execution, name or inferred, program_path, job_path)
 
     # -- the shard loop ---------------------------------------------------
 
@@ -543,60 +551,51 @@ class PreparationPipeline:
             stats.peak_window_bytes = max(stats.peak_window_bytes, window_bytes)
         sink.read_cache_store()
 
-    def _execute(self, geometry: Sequence, prefractured: bool) -> ExecutionResult:
+    def _execute(
+        self, geometry, prefractured: bool, streaming: bool = False
+    ) -> ExecutionResult:
         """Shard, process (serially, on a pool or on the fleet) and hold
-        one resident layout — :meth:`run`'s shard loop.
+        or spill one layout — the shard loop of both doors.
 
-        The layout's shards are one window of :meth:`_run_shards`;
-        results are held and come back as one :class:`ExecutionResult`
-        in shard order.  With a cache, shards whose content address is
-        already stored skip the work list entirely.
+        Resident (``streaming=False``), the layout's shards are one
+        window of :meth:`_run_shards`, planned with the pipeline's
+        ``overlap_policy``; results are held.  ``prefractured`` marks
+        ``geometry`` as :class:`~repro.geometry.trapezoid.Trapezoid`
+        figures instead of polygons — a hierarchy-aware run, where
+        fracture already happened once per cell, so shards carry
+        figures and only proximity correction runs per shard.
 
-        ``prefractured`` marks ``geometry`` as
-        :class:`~repro.geometry.trapezoid.Trapezoid` figures instead of
-        polygons — a hierarchy-aware run, where fracture already
-        happened once per cell, so shards carry figures and only
-        proximity correction runs per shard.
-        """
-        planner = plan_figure_shards if prefractured else plan_shards
-        shards = planner(geometry, self.field_size, overlap_policy=self.overlap_policy)
-        held = ExecutionResult(self.corrector is not None)
-        self._run_shards([(shards, 0)], len(shards), held, prefractured)
-        return held
-
-    def _execute_stream(self, polygons) -> ExecutionResult:
-        """Shard, process and spill one layout in bounded memory —
-        :meth:`run_streaming`'s shard loop.
-
-        ``polygons`` may be any iterable (a
+        Streamed, ``geometry`` may be any polygon iterable (a
         :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
         all) and is consumed exactly once by the spool source
-        (:func:`~repro.core.executor._spooled_windows`); the same shard
-        loop then runs one shard row at a time into the returned,
-        spilling :class:`ExecutionResult`.  Shards, their order and
-        every per-shard computation are those of the resident plan, so
-        a streamed run is byte-identical to the resident one.
+        (:func:`~repro.core.executor._spooled_windows`); the shard loop
+        runs one shard row at a time and the results are spilled to the
+        result's own spool, never to the cache (which holds exactly the
+        resident run's entries).  Shards, their order and every
+        per-shard computation are those of the resident plan, so a
+        streamed run is byte-identical to the resident one; the
+        ``"warn"`` advisory is skipped (it is pairwise across shards and
+        purely advisory; it never changes bytes).
 
-        Differences from :meth:`_execute`, by construction:
-
-        * ``overlap_policy="union"`` is rejected (the streaming row of
-          :data:`~repro.core.recipe.RULES`) — a global boolean
-          union needs the whole layout resident.  The ``"warn"``
-          advisory check is skipped (it is pairwise across shards and
-          purely advisory; it never changes bytes).
-        * Results are spilled to the result's own spool, never to the
-          cache (which holds exactly the resident run's entries), and
-          the spool is removed by :meth:`ExecutionResult.close` — or
-          here, on every exit that does not return the result (a
-          failing shard, a service cancel or timeout raised through the
-          progress tick).
+        Either way the results come back as one
+        :class:`ExecutionResult` in shard order, and shards whose content
+        address the cache already holds skip the work list.  The spool
+        is removed by :meth:`ExecutionResult.close` — or here, on every
+        exit that does not return the result (a failing shard, a service
+        cancel or timeout raised through the progress tick).
         """
-        check_rules(streaming=True, overlap_policy=self.overlap_policy)
-        execution = ExecutionResult(self.corrector is not None, spill=True)
+        execution = ExecutionResult(self.corrector is not None, spill=streaming)
         try:
-            with _spooled_windows(polygons, self.field_size) as spooled:
-                execution.source_polygons, total_shards, windows = spooled
-                self._run_shards(windows, total_shards, execution, False)
+            if streaming:
+                with _spooled_windows(geometry, self.field_size) as spooled:
+                    execution.source_polygons, total, windows = spooled
+                    self._run_shards(windows, total, execution, prefractured)
+            else:
+                planner = plan_figure_shards if prefractured else plan_shards
+                shards = planner(
+                    geometry, self.field_size, overlap_policy=self.overlap_policy
+                )
+                self._run_shards([(shards, 0)], len(shards), execution, prefractured)
         except BaseException:
             execution.close()
             raise
@@ -675,16 +674,3 @@ class PreparationPipeline:
                 # failed shard store does.
                 execution.read_cache_store()
         return result
-
-    def _resolve_stream(self, source) -> tuple:
-        """``(stream, owned)`` for a layout source, refused unread by a
-        cells pipeline; raw polygon iterables return ``(None, False)``
-        and stream as-is."""
-        if not isinstance(source, (LayoutStream, str, Path, Library, Cell)):
-            return None, False
-        check_rules(streaming=True, hierarchy=self.hierarchy)
-        if isinstance(source, LayoutStream):
-            return source, False
-        if isinstance(source, (str, Path)):
-            return open_layout_stream(source), True
-        return MemoryStream(source), True

@@ -43,6 +43,7 @@ shard would be double-counted on every warm run as well.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -64,6 +65,20 @@ from repro.geometry.vertex_array import (
 
 class ShardOverlapWarning(UserWarning):
     """Polygons of different shards overlap — their area double-counts."""
+
+
+def warn_at_caller(message: str, category: type) -> None:
+    """Warn at the first frame outside ``repro.core`` and
+    ``repro.machine``, whatever the depth of the call: the line that
+    called a pipeline door, the CLI's or the service's line that did,
+    or the caller of :func:`plan_shards` — the rule every run warning
+    (store degradation, the overlap advisory) names its line by."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and (
+        frame.f_globals.get("__name__", "") + "."
+    ).startswith(("repro.core.", "repro.machine.")):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 #: Pairwise interior-overlap checks budgeted per plan; beyond this the
@@ -209,7 +224,7 @@ def plan_figure_shards(
     ``"union"`` is not a figure policy (its kind refuses it):
     pre-unioning would require re-fracturing, which is what a
     pre-fractured run exists to avoid.  The pipeline refuses a cells +
-    ``union`` run before any fracture, with the
+    ``union`` run of a layout before it reads the layout, with the
     :data:`~repro.core.recipe.RULES` row's reason.
     """
     require(choice(("warn", "ignore")), "overlap_policy", overlap_policy)
@@ -322,10 +337,9 @@ def _warn_on_cross_shard_overlap(
                 )
             else:
                 continue
-            warnings.warn(
+            warn_at_caller(
                 f"{trouble} — pre-union the layout, pass "
                 "overlap_policy='union', or run with field_size=None",
                 ShardOverlapWarning,
-                stacklevel=3,
             )
             return

@@ -25,8 +25,9 @@ prep option is one ``knob(...)`` line plus the line that uses it.
 **The rules that join knobs are rows.**  A combination of knob values
 that cannot run is one :data:`RULES` row, with its one reason;
 :func:`check_rules` applies them at every door (the recipe, the
-pipeline's constructor and, for the rows a source decides, the run
-doors), and the README renders them under the option table.
+pipeline's constructor and, for the rows a source decides, the body
+both run doors share, before it reads the source), and the README
+renders them under the option table.
 """
 
 from __future__ import annotations
@@ -408,8 +409,10 @@ class PrepRecipe:
 
         The one place the ``streaming`` flag picks a door for the CLI
         and the service alike: ``run_streaming`` (out of core) or
-        ``run`` (resident).  Both take the same sources and outputs and
-        produce the same bytes.
+        ``run`` (resident), which share one body.  Both take
+        the same sources (a layout file or stream, a library or cell,
+        raw polygons) and outputs, check their rule rows before reading
+        the source, and produce the same bytes.
         """
         door = pipeline.run_streaming if self.streaming else pipeline.run
         return door(source, name=name, program_path=program_path, job_path=job_path)

@@ -439,7 +439,7 @@ def export_program(
                 ),
             )
             if store is None:
-                store = ContainedStore.for_cache(stacklevel=3)
+                store = ContainedStore.for_cache()
             for result in occupied:
                 payload = None
                 key = None

@@ -12,7 +12,6 @@ from repro.core.hierarchical import (
     preserves_horizontal,
     transform_trapezoid,
 )
-from repro.core.pipeline import PreparationPipeline
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.scanline_fast import KernelFallbacks
@@ -235,9 +234,6 @@ def hierarchies(draw):
     return top
 
 
-RESIDENT = PreparationPipeline()
-
-
 def flat_list(top, layers=None):
     return [poly for polys in flatten_cell(top, layers).values() for poly in polys]
 
@@ -319,7 +315,6 @@ class TestExpansionIsTheWalk:
         # Each door against flatten_cell's concatenated lists, ring bytes
         # in order (-0.0 included), or the same cycle text.
         layers = {Layer(2)} if filtered else None
-        layer = Layer(2) if filtered else None
         data = dumps_gdsii(Library("L").add(top))
         with GdsiiStream(data) as stream:
             tops = [top, stream.library["TOP"], loads_gdsii(data)["TOP"]]
@@ -330,8 +325,6 @@ class TestExpansionIsTheWalk:
             expected = flat_outcome(lambda: flat_list(top, layers))
             streamed = MemoryStream(top).iter_flat(layers=layers)
             assert flat_outcome(lambda: streamed) == expected
-            resident = RESIDENT._work_item
-            assert flat_outcome(lambda: resident(top, layer)[0]) == expected
             assert flat_outcome(lambda: stream.iter_flat("TOP", layers)) == (
                 flat_outcome(lambda: flat_list(tops[2], layers))
             )

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
+from repro import cli
 from repro.core import ladder
 from repro.core.cache import CacheDegradedWarning
 from repro.core.executor import (
@@ -43,7 +44,8 @@ from repro.core.jobfile import (
     write_job,
 )
 from repro.core.pipeline import PreparationPipeline
-from repro.core.recipe import PrepRecipe
+from repro.core.plan import ShardOverlapWarning, plan_shards
+from repro.core.recipe import FAULTS_ENV_VAR, RULES, PrepRecipe
 from repro.fracture.base import shot_rows
 from repro.fracture.trapezoidal import TrapezoidFracturer
 from repro.geometry.polygon import Polygon
@@ -589,7 +591,7 @@ class TestStreamingPipeline:
     def test_closed_execution_refuses_reads(self):
         pipe = PreparationPipeline(field_size=FIELD_SIZE)
         polys = _flat_sequence(generators.fresnel_zone_plate())
-        execution = pipe._execute_stream(polys)
+        execution = pipe._execute(polys, False, streaming=True)
         execution.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(execution.results())
@@ -736,6 +738,16 @@ class TestSpillDegradation:
         assert (tmp_path / "deg.ebj").read_bytes() == dumps_job(mat.job)
 
 
+def _overlapping(cells: bool):
+    """Two rectangles sharing area across the 10 µm field at x = 10:
+    raw polygons, or two placements of one cell (figure shards)."""
+    if not cells:
+        return [Polygon.rectangle(0, 0, 8, 4), Polygon.rectangle(7, 0, 15, 4)]
+    bar = Cell("BAR").add_rectangle(0, 0, 8, 4)
+    top = Cell("TOP").instantiate(bar).instantiate(bar, origin=(7.0, 0.0))
+    return Library("OVERLAP").add(top)
+
+
 @pytest.mark.parametrize(
     "door, failure, category",
     [
@@ -743,20 +755,32 @@ class TestSpillDegradation:
         ("run_streaming", "shard store", CacheDegradedWarning),
         ("run_streaming", "spill", SpillDegradedWarning),
         ("run", "segment store", CacheDegradedWarning),
+        ("run", "overlap", ShardOverlapWarning),
+        ("run", "cells overlap", ShardOverlapWarning),
+        ("plan_shards", "overlap", ShardOverlapWarning),
+        ("cli", "shard store", CacheDegradedWarning),
     ],
 )
 def test_a_degradation_warning_names_the_caller(
     door, failure, category, tmp_path, monkeypatch
 ):
-    # Like export_program's own store, each degraded store points at the
-    # line that called the pipeline's door, never inside repro.  One
-    # shard: put 0 is its result, put 1 the program's first segment.
+    # Like export_program's own store, each degraded store and the
+    # overlap advisory point at the line that called the pipeline's door
+    # (the planner, called directly), never inside repro; the CLI's
+    # names the CLI.  One shard: put 0 is its result, put 1 the
+    # program's first segment.
     puts = {"shard store": {0}, "segment store": {1}}.get(failure)
+    overlap = failure.endswith("overlap")
     pipe = PreparationPipeline(
         cache_dir=tmp_path / "cache",
         faults=FaultPlan(enospc_puts=frozenset(puts)) if puts else None,
         machine="raster" if failure == "segment store" else None,
         program_dir=tmp_path,
+        field_size=10.0 if overlap else None,
+        hierarchy="cells" if failure == "cells overlap" else "flat",
+    )
+    source = _overlapping(failure == "cells overlap") if overlap else (
+        generators.grating(lines=3)
     )
     if failure == "spill":
         append = _Spool.append
@@ -767,15 +791,34 @@ def test_a_degradation_warning_names_the_caller(
             return append(spool, records)
 
         monkeypatch.setattr(_Spool, "append", full_spill)
+    if door == "cli":
+        monkeypatch.setenv(FAULTS_ENV_VAR, '{"enospc_puts": [0]}')
+        monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        getattr(pipe, door)(generators.grating(lines=3))
-    assert [(w.category, w.filename) for w in caught] == [(category, __file__)]
+        if door == "cli":
+            cli.main(["demo", "--workload", "grating", "--cache-dir", "cache"])
+        elif door == "plan_shards":
+            plan_shards(source, 10.0)
+        else:
+            getattr(pipe, door)(source)
+    named = cli.__file__ if door == "cli" else __file__
+    assert [(w.category, w.filename) for w in caught] == [(category, named)]
 
 
 # ---------------------------------------------------------------------------
 # Recipe and service wiring
 # ---------------------------------------------------------------------------
+
+
+class _CloseWatched(GdsiiStream):
+    """A file stream that records whether anything closed it."""
+
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+        super().close()
 
 
 class TestStreamingWiring:
@@ -787,24 +830,64 @@ class TestStreamingWiring:
         with pytest.raises(ValueError, match="hierarchy='flat'"):
             PrepRecipe(streaming=True, hierarchy="cells")
 
-    @pytest.mark.parametrize("kind", ["file", "library", "cell"])
+    @pytest.mark.parametrize("kind", ["file", "stream", "library", "cell"])
     def test_a_cells_pipeline_refuses_a_streamed_layout(self, kind, tmp_path):
         # The streamed door runs flat, so a cells pipeline would write
         # other bytes than its own run; it refuses, before reading, with
-        # the recipe's reason.  The file is never written: a read would
-        # fail with FileNotFoundError instead.
+        # the recipe's reason.  The file is not written yet: a read would
+        # fail with FileNotFoundError instead.  Once it is, each kind of
+        # source gives both doors of a flat pipeline the bytes of
+        # ``run(path)``, and neither door closes a stream passed in.
         library = generators.grating(lines=3)
-        source = {
-            "file": tmp_path / "absent.gds",
-            "library": library,
-            "cell": library.top_cell(),
-        }[kind]
+        path = tmp_path / "grating.gds"
+
+        def source():
+            if kind == "stream":
+                return _CloseWatched(path) if path.exists() else MemoryStream(library)
+            return {"file": path, "library": library, "cell": library.top_cell()}[kind]
+
         with pytest.raises(ValueError) as refused:
             PrepRecipe(streaming=True, hierarchy="cells")
         reason = str(refused.value).split(": ", 1)[1]
         pipe = PreparationPipeline(hierarchy="cells", field_size=FIELD_SIZE)
         with pytest.raises(ValueError, match=re.escape(reason)):
-            pipe.run_streaming(source)
+            pipe.run_streaming(source())
+        write_gdsii(library, path)
+        flat = PreparationPipeline(field_size=FIELD_SIZE, machine="raster")
+
+        def written(door, given, stem):
+            door(given, job_path=tmp_path / f"{stem}.ebj",
+                 program_path=tmp_path / f"{stem}.ebp")
+            return [(tmp_path / f"{stem}.{ext}").read_bytes() for ext in ("ebj", "ebp")]
+
+        expected = written(flat.run, path, "path")
+        given = source()
+        # Streamed first: it reads the file through the stream, so a
+        # stream it closed would fail the resident door's read.
+        assert written(flat.run_streaming, given, "streamed") == expected
+        assert written(flat.run, given, "resident") == expected
+        assert not getattr(given, "closed", False)
+        if kind == "stream":
+            given.close()
+
+    @pytest.mark.parametrize(
+        "hierarchy, door, row",
+        [
+            ("cells", "run", {"hierarchy": "cells", "overlap_policy": "union"}),
+            ("flat", "run_streaming", {"streaming": True, "overlap_policy": "union"}),
+        ],
+    )
+    def test_a_union_pipeline_refuses_a_layout_unread(
+        self, hierarchy, door, row, tmp_path
+    ):
+        # The row is checked before the door opens its source: the file
+        # is never written, so a read would raise FileNotFoundError.
+        reason = next(why for refused, why in RULES if refused == row)
+        pipe = PreparationPipeline(
+            hierarchy=hierarchy, overlap_policy="union", field_size=FIELD_SIZE
+        )
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            getattr(pipe, door)(tmp_path / "absent.gds")
 
     def test_a_cells_pipeline_streams_raw_polygons_flat(self, tmp_path):
         polygons = _flat_sequence(generators.grating(lines=3))
