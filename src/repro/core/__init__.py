@@ -18,7 +18,7 @@ from repro._facade import facade
 __getattr__, __dir__, __all__ = facade(
     __name__,
     {
-        "CacheDegradedWarning": "cache",
+        "CacheDegradedWarning": "executor",
         "CacheStats": "cache",
         "ExecutionResult": "executor",
         "ExecutionStats": "stats",

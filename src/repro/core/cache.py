@@ -1,7 +1,7 @@
 """Persistent content-addressed shard-result cache.
 
-PR 1 made a single run fast by sharding the layout into writing-field
-work units; this module makes *repeat* runs nearly free.  Every shard is
+Sharding the layout into writing-field work units makes a single run
+fast; this module makes *repeat* runs nearly free.  Every shard is
 identified by a canonical hash of everything that can influence its
 result — the shard polygons, its field index, the fracturer / proximity
 corrector / PSF configuration, and a schema salt — so a shard that
@@ -25,6 +25,10 @@ Guarantees
   (process pools, parallel CI jobs sharing a cache directory) can never
   expose a torn entry.  Corrupt or truncated entries read as misses and
   are evicted.
+* **Containment**: a store that fails degrades the rest of the run to
+  read-only through the run's store policy,
+  :class:`~repro.core.executor.ContainedStore`, which lives with the
+  execution: a pipeline without a cache never loads this module.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.jobfile import dumps_ring
-from repro.core.plan import warn_at_caller
 from repro.fracture.base import ShotView, row_bytes
 from repro.geometry.polygon import Polygon
 from repro.geometry.trapezoid import Trapezoid
 from repro.geometry.vertex_array import FigureView, trapezoid_fields
+
+# Re-exported: the name callers have always imported from here.
+from repro.core.executor import CacheDegradedWarning as CacheDegradedWarning
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.executor import Shard, ShardResult
@@ -87,65 +93,6 @@ _BLOB_HEADER = struct.Struct(">4sI")
 
 class CacheKeyError(TypeError):
     """Raised when a configuration object cannot be fingerprinted."""
-
-
-class CacheDegradedWarning(UserWarning):
-    """A run stopped storing cache entries after a write failure.
-
-    Emitted once per run by the execution layer when a ``put`` fails
-    (ENOSPC, read-only filesystem): the run continues — reads included —
-    but computed results are no longer stored, so later runs recompute
-    them.  Degraded runs also flag ``cache_degraded`` on their
-    :class:`~repro.core.executor.ExecutionStats` — a degraded run never
-    looks like a clean one.
-    """
-
-
-@dataclass
-class ContainedStore:
-    """The one store-failure policy: cache entries, spilled shard
-    results and machine-program segment blobs.
-
-    A computed result must never be lost to storage trouble: the first
-    store that raises ``OSError`` or reports a refused publish (ENOSPC,
-    read-only filesystem) degrades the *rest of the run* — ``degraded``
-    flips, ``warning`` is emitted once with the reason, and no further
-    store is attempted.  The caller keeps the result either way and
-    counts what the failure means to it.  The warning names the line
-    that called the pipeline's door (:func:`~repro.core.plan.warn_at_caller`).
-    """
-
-    warning: type
-    message: str
-    degraded: bool = False
-
-    @classmethod
-    def for_cache(cls) -> "ContainedStore":
-        """The policy of a store into the shard cache, whichever key
-        family it writes (shard results, program segments)."""
-        return cls(
-            CacheDegradedWarning,
-            "shard cache degraded to read-only for the rest of this run "
-            "({reason}); results are unaffected, but what was not stored "
-            "will be recomputed by later runs",
-        )
-
-    def __call__(self, put, *args) -> bool:
-        """``put(*args)`` unless already degraded; True iff the value
-        was stored."""
-        if self.degraded:
-            return False
-        try:
-            stored = put(*args)
-        except OSError as exc:
-            stored = False
-            reason = f"{type(exc).__name__}: {exc}"
-        else:
-            reason = "the filesystem refused the store"
-        if not stored:
-            self.degraded = True
-            warn_at_caller(self.message.format(reason=reason), self.warning)
-        return bool(stored)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ configuration) is computed before dispatch; hits skip fracture and
 proximity correction entirely and misses are stored after processing.
 Cache keys never depend on worker count or shard arrival order, and
 payloads store exact doubles, so a warm run is byte-identical to a cold
-serial run.
+serial run.  A store that fails — a cache entry, a program segment or a
+spill record — degrades the rest of the run through this module's one
+store-failure policy, :class:`ContainedStore`.
 """
 
 from __future__ import annotations
@@ -75,12 +77,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.cache import ContainedStore
 from repro.core.fields import FieldIndex
 from repro.core.jobfile import dumps_ring, dumps_shard_result
 from repro.core.jobfile import loads_ring, loads_shard_result
 from repro.core.ladder import Deadline, RetryPolicy, _Ladder
-from repro.core.plan import Shard, _plan_tiles
+from repro.core.plan import Shard, _plan_tiles, warn_at_caller
 from repro.core.stats import ExecutionStats
 from repro.fracture.base import Fracturer, Shot, ShotView, dosed, shot_rows
 from repro.fracture.quality import FractureReport, analyze_figures, merge_reports
@@ -101,6 +102,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.physics.psf import DoubleGaussianPSF
 
 
+class CacheDegradedWarning(UserWarning):
+    """A run stopped storing cache entries after a write failure.
+
+    Emitted once per run by the execution layer when a ``put`` fails
+    (ENOSPC, read-only filesystem): the run continues — reads included —
+    but computed results are no longer stored, so later runs recompute
+    them.  Degraded runs also flag ``cache_degraded`` on their
+    :class:`ExecutionStats` — a degraded run never looks like a clean
+    one.
+    """
+
+
 class SpillDegradedWarning(UserWarning):
     """A streamed run stopped spilling shard results after a store failure.
 
@@ -112,6 +125,55 @@ class SpillDegradedWarning(UserWarning):
     runs also count ``spill_fallbacks`` on their :class:`ExecutionStats`,
     so a degraded run never looks like a clean one.
     """
+
+
+@dataclass
+class ContainedStore:
+    """The one store-failure policy: cache entries, spilled shard
+    results and machine-program segment blobs.
+
+    A computed result must never be lost to storage trouble: the first
+    store that raises ``OSError`` or reports a refused publish (ENOSPC,
+    read-only filesystem) degrades the *rest of the run* — ``degraded``
+    flips, ``warning`` is emitted once with the reason, and no further
+    store is attempted.  The caller keeps the result either way and
+    counts what the failure means to it.  The warning names the line
+    that called the pipeline's door (:func:`~repro.core.plan.warn_at_caller`).
+    It lives beside :class:`ExecutionResult`, which builds both of a
+    run's policies, so a run without a cache loads no file store.
+    """
+
+    warning: type
+    message: str
+    degraded: bool = False
+
+    @classmethod
+    def for_cache(cls) -> "ContainedStore":
+        """The policy of a store into the shard cache, whichever key
+        family it writes (shard results, program segments)."""
+        return cls(
+            CacheDegradedWarning,
+            "shard cache degraded to read-only for the rest of this run "
+            "({reason}); results are unaffected, but what was not stored "
+            "will be recomputed by later runs",
+        )
+
+    def __call__(self, put, *args) -> bool:
+        """``put(*args)`` unless already degraded; True iff the value
+        was stored."""
+        if self.degraded:
+            return False
+        try:
+            stored = put(*args)
+        except OSError as exc:
+            stored = False
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            reason = "the filesystem refused the store"
+        if not stored:
+            self.degraded = True
+            warn_at_caller(self.message.format(reason=reason), self.warning)
+        return bool(stored)
 
 
 @dataclass
@@ -177,8 +239,8 @@ class _Spool:
 
     def append(self, records: Iterable[bytes]) -> bool:
         """Write ``records`` after the last complete one; True, as a
-        :class:`~repro.core.cache.ContainedStore` store returns.  A
-        write that raises leaves the record count as it was."""
+        :class:`ContainedStore` store returns.  A write that raises
+        leaves the record count as it was."""
         ends = array("q")
         end = self._ends[-1]
         with open(self.path, "r+b", buffering=1 << 20) as spool:
@@ -245,7 +307,9 @@ class ExecutionResult:
         self._areas: List[float] = []
         self._closed = False
         #: The run's one cache-store policy: the shard loop's stores and
-        #: the machine-program export's segment blobs degrade together.
+        #: the machine-program export's segment blobs degrade together;
+        #: the pipeline reads its degradation once, when the run is
+        #: assembled.
         self.cache_store = ContainedStore.for_cache()
         self._spool: Optional[_Spool] = None
         if spill:
@@ -281,13 +345,6 @@ class ExecutionResult:
             self.stats.spill_fallbacks += 1
             self._entries.append(result)
         return len(payload)
-
-    def read_cache_store(self) -> None:
-        """Count the run's cache degradation off its one store: the
-        store stops at its first failure, so a degraded run failed
-        exactly one store, whichever key family it wrote."""
-        self.stats.cache_degraded = self.cache_store.degraded
-        self.stats.cache_write_failures = int(self.cache_store.degraded)
 
     @property
     def report(self) -> FractureReport:

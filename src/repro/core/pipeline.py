@@ -32,7 +32,6 @@ from typing import (
     Union,
 )
 
-from repro.core.cache import ShardCache
 from repro.core.executor import (
     ExecutionResult,
     ExecutionStats,
@@ -59,6 +58,7 @@ from repro.layout.stream import (
 from repro.machine.base import Machine, WriteTimeBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.cache import ShardCache
     from repro.core.faults import FaultPlan
     from repro.machine.program import MachineProgram
     from repro.pec.base import ProximityCorrector
@@ -111,9 +111,10 @@ class PreparationPipeline:
     the same name (read-only afterwards: assigning one raises
     ``AttributeError``); to run under a different configuration, build a
     second pipeline — passing one :class:`~repro.core.cache.ShardCache`
-    to both when they must share a cache.  Both doors run one body,
-    :meth:`_door`, and the one shard loop, :meth:`_run_shards`, on
-    these knobs.
+    to both when they must share a cache.  Both doors run one body on
+    these knobs, :meth:`_door`, in three blocks: read and plan the
+    source (closing a layout file it opened), the one shard loop
+    :meth:`_run_shards`, and :meth:`_assemble`.
 
     Args:
         fracturer: fracturing strategy (trapezoids by default).
@@ -250,6 +251,8 @@ class PreparationPipeline:
         # body, :meth:`_door`.
         check_rules(corrector=corrector is not None, psf=psf, **knobs)
         if cache is None and cache_dir is not None:
+            from repro.core.cache import ShardCache
+
             cache = ShardCache(cache_dir)
         if faults is not None and faults.enospc_puts and cache is not None:
             # Injected store faults apply to every store this pipeline
@@ -337,10 +340,12 @@ class PreparationPipeline:
         file is opened as a :class:`~repro.layout.stream.LayoutStream`,
         a resident library/cell is wrapped in a
         :class:`~repro.layout.stream.MemoryStream`; a raw polygon
-        iterable is consumed once), the shard loop spills per-shard
-        results to a temp spool instead of holding them, and the same
-        assembly pass as :meth:`run` folds the aggregates, digest and
-        — with ``job_path`` — the ``.ebj`` bytes one shard at a time.
+        iterable is consumed once) into a temp spool, and a layout
+        file the door opened is closed before any shard is dispatched;
+        the shard loop spills per-shard results instead of holding
+        them, and the same assembly pass as :meth:`run` folds the
+        aggregates, digest and — with ``job_path`` — the ``.ebj`` bytes
+        one shard at a time.
 
         Byte-identity contract: the ``.ebj`` file (``job_path``) and the
         machine program (``machine``/``program_path``) are byte-identical
@@ -369,17 +374,31 @@ class PreparationPipeline:
         return self._door(source, layer, name, program_path, job_path, True)
 
     def _door(self, source, layer, name, program_path, job_path, streaming):
-        """The one body of :meth:`run` and :meth:`run_streaming`.
+        """The one body of :meth:`run` and :meth:`run_streaming`: the
+        whole run, in three blocks.
 
         Resolves the source and checks the door's
         :data:`~repro.core.recipe.RULES` rows before anything is opened:
         a layout (file, stream, library or cell) runs under the
-        pipeline's ``hierarchy``, raw polygons flat.  A resident door
-        then materializes the layout (a file is closed before the shard
-        loop; a stream passed in is never closed) and, on a cells
-        pipeline, fractures each cell once; a streamed door draws the
-        flat cursor.  One :meth:`_execute` holds or spools the results
-        and :meth:`_assemble` writes them.
+        pipeline's ``hierarchy``, raw polygons flat.  Then:
+
+        1. **Source.**  A resident door materializes the layout and, on
+           a cells pipeline, fractures each cell once, then plans its
+           shards (with the pipeline's ``overlap_policy``) as one
+           window; a streamed door drains the flat cursor into the
+           spool source (:func:`~repro.core.executor._spooled_windows`),
+           one window per shard row of the same plan, without the
+           ``"warn"`` overlap advisory.  A layout file the door opened is
+           closed here, so no pool forked by the loop inherits it (a
+           stream passed in is never closed).
+        2. **Shard loop.**  :meth:`_run_shards` over those windows; the
+           source spool is removed when the loop ends.
+        3. **Assembly.**  :meth:`_assemble` writes the results.
+
+        The run's :class:`~repro.core.executor.ExecutionResult` holds
+        (resident) or spills (streamed) the results; its one ``with``
+        removes its spool on every exit (a failing shard, a service
+        cancel or timeout raised through the progress tick).
         """
         layout = isinstance(source, (LayoutStream, str, Path, Library, Cell))
         check_rules(
@@ -388,46 +407,57 @@ class PreparationPipeline:
             overlap_policy=self.overlap_policy,
         )
         selected = {layer} if layer is not None else None
-        opened = open_layout_stream(source) if isinstance(source, (str, Path)) else None
-        with opened or contextlib.nullcontext():
-            stream = opened or source
-            if isinstance(stream, (Library, Cell)):
-                stream = MemoryStream(stream)
-            hier = None
-            if not layout:
-                inferred, geometry = "job", source if streaming else list(source)
-            else:
-                top = stream.top_cell()
-                inferred = top.name
-                if not streaming and not isinstance(stream, MemoryStream):
-                    stream.materialize()
-                    if opened is not None:  # no file stays open for the run
-                        opened.close()
-                if streaming:
-                    geometry = stream.iter_flat(top, selected)
-                elif self.hierarchy == "cells":
-                    # Each cell's selected layers are fractured as one
-                    # union, mirroring the flat path, which fractures
-                    # the union of every requested layer in one pass.
-                    from repro.core.hierarchical import fracture_hierarchical
-
-                    hier = fracture_hierarchical(
-                        top, self.fracturer, layers=selected, merge_layers=True
-                    )
-                    geometry = hier.figures.get(None, [])
+        opens = isinstance(source, (str, Path))
+        reader = open_layout_stream if opens else contextlib.nullcontext
+        hier = None
+        execution = ExecutionResult(self.corrector is not None, spill=streaming)
+        with execution, contextlib.ExitStack() as source_spool:
+            with reader(source) as stream:
+                if isinstance(stream, (Library, Cell)):
+                    stream = MemoryStream(stream)
+                if not layout:
+                    inferred, geometry = "job", source if streaming else list(source)
                 else:
-                    geometry = list(stream.iter_flat(top, selected))
-            execution = self._execute(geometry, hier is not None, streaming)
-        if hier is not None:
-            # Cells-mode shards are prefractured, so their per-shard
-            # kernel counters are zero; the kernel ran during the
-            # hierarchy walk instead.
-            execution.source_polygons = hier.source_polygons
-            execution.stats.fold(hier)
-            execution.stats.fold(hier.kernel_fallbacks)
-        elif not streaming:  # the spool counted a streamed run's
-            execution.source_polygons = len(geometry)
-        return self._assemble(execution, name or inferred, program_path, job_path)
+                    top = stream.top_cell()
+                    inferred = top.name
+                    if not streaming and not isinstance(stream, MemoryStream):
+                        stream.materialize()
+                    if streaming:
+                        geometry = stream.iter_flat(top, selected)
+                    elif self.hierarchy == "cells":
+                        # Each cell's selected layers are fractured as one
+                        # union, mirroring the flat path, which fractures
+                        # the union of every requested layer in one pass.
+                        from repro.core.hierarchical import fracture_hierarchical
+
+                        hier = fracture_hierarchical(
+                            top, self.fracturer, layers=selected, merge_layers=True
+                        )
+                        geometry = hier.figures.get(None, [])
+                    else:
+                        geometry = list(stream.iter_flat(top, selected))
+                if streaming:
+                    spooled = _spooled_windows(geometry, self.field_size)
+                    execution.source_polygons, total, windows = (
+                        source_spool.enter_context(spooled)
+                    )
+                else:
+                    planner = plan_shards if hier is None else plan_figure_shards
+                    shards = planner(
+                        geometry, self.field_size, overlap_policy=self.overlap_policy
+                    )
+                    windows, total = [(shards, 0)], len(shards)
+                    execution.source_polygons = len(geometry)
+            self._run_shards(windows, total, execution, hier is not None)
+            source_spool.close()  # with the loop, not after assembly
+            if hier is not None:
+                # Cells-mode shards are prefractured, so their per-shard
+                # kernel counters are zero; the kernel ran during the
+                # hierarchy walk instead.
+                execution.source_polygons = hier.source_polygons
+                execution.stats.fold(hier)
+                execution.stats.fold(hier.kernel_fallbacks)
+            return self._assemble(execution, name or inferred, program_path, job_path)
 
     # -- the shard loop ---------------------------------------------------
 
@@ -474,9 +504,9 @@ class PreparationPipeline:
         kernel counters by :meth:`~repro.core.stats.ExecutionStats.fold`;
         each window's ladder counts its recovery events and fleet
         counters onto its own record, merged here by the schema's rules
-        (:meth:`~repro.core.stats.ExecutionStats.merge`); the cache
-        degradation is read off the run's one store
-        (:meth:`ExecutionResult.read_cache_store`).
+        (:meth:`~repro.core.stats.ExecutionStats.merge`).  Stores go
+        through the sink's one cache-store policy, whose degradation
+        :meth:`_assemble` reads once the program's blobs are stored too.
 
         Injected fault schedules key positions into the run's
         dispatched work list: each window sees the plan rebased by the
@@ -549,57 +579,6 @@ class PreparationPipeline:
                 window_bytes += sink.add(result)
             stats.stream_windows += int(sink.streamed)
             stats.peak_window_bytes = max(stats.peak_window_bytes, window_bytes)
-        sink.read_cache_store()
-
-    def _execute(
-        self, geometry, prefractured: bool, streaming: bool = False
-    ) -> ExecutionResult:
-        """Shard, process (serially, on a pool or on the fleet) and hold
-        or spill one layout — the shard loop of both doors.
-
-        Resident (``streaming=False``), the layout's shards are one
-        window of :meth:`_run_shards`, planned with the pipeline's
-        ``overlap_policy``; results are held.  ``prefractured`` marks
-        ``geometry`` as :class:`~repro.geometry.trapezoid.Trapezoid`
-        figures instead of polygons — a hierarchy-aware run, where
-        fracture already happened once per cell, so shards carry
-        figures and only proximity correction runs per shard.
-
-        Streamed, ``geometry`` may be any polygon iterable (a
-        :meth:`~repro.layout.stream.LayoutStream.iter_flat` cursor above
-        all) and is consumed exactly once by the spool source
-        (:func:`~repro.core.executor._spooled_windows`); the shard loop
-        runs one shard row at a time and the results are spilled to the
-        result's own spool, never to the cache (which holds exactly the
-        resident run's entries).  Shards, their order and every
-        per-shard computation are those of the resident plan, so a
-        streamed run is byte-identical to the resident one; the
-        ``"warn"`` advisory is skipped (it is pairwise across shards and
-        purely advisory; it never changes bytes).
-
-        Either way the results come back as one
-        :class:`ExecutionResult` in shard order, and shards whose content
-        address the cache already holds skip the work list.  The spool
-        is removed by :meth:`ExecutionResult.close` — or here, on every
-        exit that does not return the result (a failing shard, a service
-        cancel or timeout raised through the progress tick).
-        """
-        execution = ExecutionResult(self.corrector is not None, spill=streaming)
-        try:
-            if streaming:
-                with _spooled_windows(geometry, self.field_size) as spooled:
-                    execution.source_polygons, total, windows = spooled
-                    self._run_shards(windows, total, execution, prefractured)
-            else:
-                planner = plan_figure_shards if prefractured else plan_shards
-                shards = planner(
-                    geometry, self.field_size, overlap_policy=self.overlap_policy
-                )
-                self._run_shards([(shards, 0)], len(shards), execution, prefractured)
-        except BaseException:
-            execution.close()
-            raise
-        return execution
 
     # -- helpers ----------------------------------------------------------
 
@@ -625,52 +604,54 @@ class PreparationPipeline:
         job, so it never holds more than one shard's shots.  Write times
         are then estimated on the job and, with a machine mode, the
         program is exported from a second pass (the run's occupied
-        shards are its segments) through the pipeline's cache.  The
-        execution is closed on the way out.
+        shards are its segments) through the pipeline's cache.  Last,
+        the run's cache degradation is read off its one store, which
+        stops at its first failure: a degraded run failed exactly one
+        store, shard result or program segment.  The caller closes the
+        execution.
         """
-        with execution:
-            fold = ShotFold(self.base_dose)
-            blocks = None if execution.streamed else []
-            writer = None
-            if job_path is not None:
-                from repro.core.jobfile import JobFileWriter
+        fold = ShotFold(self.base_dose)
+        blocks = None if execution.streamed else []
+        writer = None
+        if job_path is not None:
+            from repro.core.jobfile import JobFileWriter
 
-                writer = JobFileWriter(
-                    job_path, execution.total_shots, base_dose=self.base_dose
-                )
-            with writer or contextlib.nullcontext():
-                for shard in execution.results():
-                    fold.add_rows(shard.rows)
-                    if blocks is not None:
-                        blocks.append(shard.rows)
-                    if writer is not None:
-                        writer.write_rows(shard.rows)
-            job = fold.job(name, blocks)
-            result = PipelineResult(
-                job=job,
-                fracture_report=execution.report,
-                write_times={m.name: m.write_time(job) for m in self.machines},
-                source_polygons=execution.source_polygons,
-                corrected=execution.corrected,
-                execution=execution.stats,
-                job_bytes=writer.close() if writer is not None else 0,
+            writer = JobFileWriter(
+                job_path, execution.total_shots, base_dose=self.base_dose
             )
-            mode = self.machine
-            if mode is not None:
-                from repro.machine.program import MachineSpec, export_program
+        with writer or contextlib.nullcontext():
+            for shard in execution.results():
+                fold.add_rows(shard.rows)
+                if blocks is not None:
+                    blocks.append(shard.rows)
+                if writer is not None:
+                    writer.write_rows(shard.rows)
+        job = fold.job(name, blocks)
+        result = PipelineResult(
+            job=job,
+            fracture_report=execution.report,
+            write_times={m.name: m.write_time(job) for m in self.machines},
+            source_polygons=execution.source_polygons,
+            corrected=execution.corrected,
+            execution=execution.stats,
+            job_bytes=writer.close() if writer is not None else 0,
+        )
+        mode = self.machine
+        if mode is not None:
+            from repro.machine.program import MachineSpec, export_program
 
-                if program_path is None:
-                    program_path = self._default_program_path(name, mode)
-                result.machine_program = export_program(
-                    execution.results(),
-                    job,
-                    MachineSpec(mode=mode, address_unit=self.address_unit),
-                    program_path,
-                    cache=self.cache,
-                    segment_count=execution.stats.occupied_shards,
-                    store=execution.cache_store,
-                )
-                # A failed segment-blob store degrades the run like a
-                # failed shard store does.
-                execution.read_cache_store()
+            if program_path is None:
+                program_path = self._default_program_path(name, mode)
+            result.machine_program = export_program(
+                execution.results(),
+                job,
+                MachineSpec(mode=mode, address_unit=self.address_unit),
+                program_path,
+                cache=self.cache,
+                segment_count=execution.stats.occupied_shards,
+                store=execution.cache_store,
+            )
+        degraded = execution.cache_store.degraded
+        execution.stats.cache_degraded = degraded
+        execution.stats.cache_write_failures = int(degraded)
         return result

@@ -48,7 +48,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.cache import ContainedStore
+from repro.core.executor import ContainedStore
 from repro.core.recipe import MACHINE_MODES, POSITIVE, choice, require
 from repro.core.jobfile import (
     JobFileError,

@@ -21,13 +21,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.recipe import MATRIX_MODES, choice, require
 from repro.fracture.base import Shot, ShotView, shot_rows, with_doses
 from repro.pec.base import (
     ProximityCorrector,
     edge_sample_points,
     shot_sample_points,
 )
-from repro.pec.operator import build_exposure_operator, validate_matrix_mode
+from repro.pec.operator import build_exposure_operator
 from repro.physics.psf import DoubleGaussianPSF
 
 
@@ -99,7 +100,8 @@ class IterativeDoseCorrector(ProximityCorrector):
         self.relaxation = relaxation
         self.sample_mode = sample_mode
         self.dose_limits = dose_limits
-        self.matrix_mode = validate_matrix_mode(matrix_mode)
+        require(choice(MATRIX_MODES), "matrix_mode", matrix_mode)
+        self.matrix_mode = matrix_mode
         self.grid_cell = grid_cell
         #: Trace of the most recent :meth:`correct` call.
         self.last_trace: Optional[ConvergenceTrace] = None

@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.recipe import MATRIX_MODES, choice, require
 from repro.fracture.base import Shot, ShotView, with_doses
 from repro.pec.base import ProximityCorrector, shot_sample_points
-from repro.pec.operator import build_exposure_operator, validate_matrix_mode
+from repro.pec.operator import build_exposure_operator
 from repro.physics.psf import DoubleGaussianPSF
 
 
@@ -56,7 +57,8 @@ class MatrixDoseCorrector(ProximityCorrector):
         self.sample_mode = sample_mode
         self.dose_limits = dose_limits
         self.regularization = regularization
-        self.matrix_mode = validate_matrix_mode(matrix_mode)
+        require(choice(MATRIX_MODES), "matrix_mode", matrix_mode)
+        self.matrix_mode = matrix_mode
         self.grid_cell = grid_cell
 
     def correct(

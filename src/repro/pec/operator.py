@@ -61,7 +61,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.recipe import MATRIX_MODES
+from repro.core.recipe import MATRIX_MODES, choice, require
 from repro.fracture.base import Shot, shot_rows
 from repro.pec.base import _exposure_matrix, _exposure_matrix_csr, _shot_bbox_arrays
 from repro.physics.psf import DoubleGaussianPSF, convolve_same
@@ -81,15 +81,6 @@ GRID_REACH_FACTOR = 4.0
 #: shots large against the backscatter range (full-height fracture
 #: trapezoids) are still represented by a smooth area density.
 PANEL_FACTOR = 0.5
-
-
-def validate_matrix_mode(mode: str) -> str:
-    """Return ``mode`` if it names a backend, raise ``ValueError`` else."""
-    if mode not in MATRIX_MODES:
-        raise ValueError(
-            f"matrix_mode must be one of {MATRIX_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class ExposureOperator(abc.ABC):
@@ -471,7 +462,7 @@ def build_exposure_operator(
     The factory every corrector goes through; ``mode`` is validated
     here so a typo fails loudly at configuration time.
     """
-    validate_matrix_mode(mode)
+    require(choice(MATRIX_MODES), "matrix_mode", mode)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if mode == "dense":
         return DenseExposureOperator(

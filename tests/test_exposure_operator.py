@@ -34,11 +34,7 @@ from repro.pec.base import (
 )
 from repro.pec.dose_iter import IterativeDoseCorrector
 from repro.pec.dose_matrix import MatrixDoseCorrector
-from repro.pec.operator import (
-    MATRIX_MODES,
-    build_exposure_operator,
-    validate_matrix_mode,
-)
+from repro.pec.operator import MATRIX_MODES, build_exposure_operator
 from repro.physics.psf import DoubleGaussianPSF
 from test_exposure_sweep import (
     alignment_marks,
@@ -270,17 +266,17 @@ class TestOperatorSolve:
 
 
 class TestModeWiring:
-    def test_validate_matrix_mode(self):
-        for mode in MATRIX_MODES:
-            assert validate_matrix_mode(mode) == mode
-        with pytest.raises(ValueError):
-            validate_matrix_mode("csr")
-
     def test_corrector_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            IterativeDoseCorrector(matrix_mode="banana")
-        with pytest.raises(ValueError):
-            MatrixDoseCorrector(matrix_mode="banana")
+        message = "matrix_mode must be one of ('dense', 'sparse', 'hybrid'), got 'csr'"
+        for corrector in (IterativeDoseCorrector, MatrixDoseCorrector):
+            for mode in MATRIX_MODES:
+                assert corrector(matrix_mode=mode).matrix_mode == mode
+            with pytest.raises(ValueError) as caught:
+                corrector(matrix_mode="csr")
+            assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            build_exposure_operator(np.zeros((0, 2)), [], PSF, mode="csr")
+        assert str(caught.value) == message
 
     def test_matrix_mode_changes_shard_cache_key(self):
         shard = Shard(

@@ -13,6 +13,7 @@ import pytest
 from repro.cli import main
 from repro.core.cache import ShardCache, shard_cache_key
 from repro.core.executor import (
+    ExecutionResult,
     Shard,
     ShardOverlapWarning,
     plan_figure_shards,
@@ -263,15 +264,22 @@ class TestExecutorFigures:
         for x in range(6)
     ]
 
+    def executed(self, pipe):
+        """``FIGS`` as a cells run's shard loop leaves them, held."""
+        shards = plan_figure_shards(self.FIGS, pipe.field_size)
+        execution = ExecutionResult(pipe.corrector is not None)
+        pipe._run_shards([(shards, 0)], len(shards), execution, True)
+        return execution
+
     def test_prefractured_shots(self):
-        result = PreparationPipeline()._execute(self.FIGS, True)
+        result = self.executed(PreparationPipeline())
         assert [s.trapezoid for s in result.shots] == self.FIGS
         assert all(s.dose == 1.0 for s in result.shots)
         assert not result.corrected
 
     def test_sharded_equals_unsharded(self):
-        one = PreparationPipeline()._execute(self.FIGS, True)
-        sharded = PreparationPipeline(field_size=10.0)._execute(self.FIGS, True)
+        one = self.executed(PreparationPipeline())
+        sharded = self.executed(PreparationPipeline(field_size=10.0))
         assert sharded.stats.shard_count == 6
         assert [s.trapezoid for s in sharded.shots] == [
             s.trapezoid for s in one.shots
@@ -279,7 +287,7 @@ class TestExecutorFigures:
 
     def test_corrected_figures(self):
         pipe = PreparationPipeline(corrector=IterativeDoseCorrector(), psf=PSF)
-        result = pipe._execute(self.FIGS, True)
+        result = self.executed(pipe)
         assert result.corrected
         assert len(result.shots) == len(self.FIGS)
         assert any(s.dose != 1.0 for s in result.shots)

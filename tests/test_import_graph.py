@@ -10,11 +10,12 @@ Two frozen surfaces, checked without running them:
   loads the parser and the recipe (and no numpy), a flat prep adds the
   GDSII reader, the engine, fracture and machine models, and a PEC prep
   through the cells door adds that door and the PEC layer; the CIF
-  reader, the fault injector and the process pool load only for a CIF
-  input, a fault plan and ``--workers`` > 1, and the distributed and
-  service layers only for ``--dispatch distributed``, ``work`` and
-  ``serve``.  A module that starts loading more shows here, and so
-  does a fork that leaves a pool worker something to import.
+  reader, the shard cache's file store, the fault injector and the
+  process pool load only for a CIF input, a ``--cache-dir``, a fault
+  plan and ``--workers`` > 1, and the distributed and service layers
+  only for ``--dispatch distributed``, ``work`` and ``serve``.  A
+  module that starts loading more shows here, and so does a fork that
+  leaves a pool worker something to import.
 
 Two boundaries are checked the same way: nothing under ``repro.dist``
 imports ``repro.core.cache`` — the fleet computes, and the preparing
@@ -84,7 +85,6 @@ CLI_IMPORT = {
 #: What a flat prep of a GDSII file without PEC adds: the GDSII reader,
 #: engine, fracture, machine models and program export.
 FLAT_PREP = {
-    "repro.core.cache",
     "repro.core.executor",
     "repro.core.fields",
     "repro.core.job",

@@ -13,9 +13,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import CACHE_SCHEMA_VERSION, ShardCache
-from repro.core.executor import merge_shard_results
+from repro.core.executor import ExecutionResult, merge_shard_results
 from repro.core.jobfile import JobFileError, loads_program
 from repro.core.pipeline import PreparationPipeline
+from repro.core.plan import plan_shards
 from repro.fracture.base import Shot, with_doses
 from repro.geometry.polygon import Polygon
 from repro.layout import generators
@@ -49,7 +50,13 @@ def grating_polygons(lines=8):
 
 
 def fractured(polygons, field_size=None):
-    return PreparationPipeline(field_size=field_size)._execute(polygons, False)
+    """The polygons' shard results, held in shard order: what a
+    resident run's shard loop hands its assembly."""
+    shards = plan_shards(polygons, field_size)
+    execution = ExecutionResult()
+    pipe = PreparationPipeline(field_size=field_size)
+    pipe._run_shards([(shards, 0)], len(shards), execution, False)
+    return execution
 
 
 class TestMachineSpec:

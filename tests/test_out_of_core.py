@@ -32,6 +32,7 @@ from repro.core.executor import (
     RetryPolicy,
     SpillDegradedWarning,
     _Spool,
+    _spooled_windows,
     shutdown_worker_pool,
 )
 from repro.core.faults import FaultPlan
@@ -573,12 +574,19 @@ class TestStreamingPipeline:
         assert pipe.cache.entry_count() == warm.shard_count
 
     @needs_proc
-    def test_pool_workers_hold_no_spool(self):
+    @pytest.mark.parametrize("from_file", [False, True], ids=["library", "file"])
+    def test_pool_workers_hold_no_spool(self, from_file, tmp_path):
         # Regression: a pool forked during a streamed run inherited the
-        # open input spool and kept it, unlinked, for its lifetime.
+        # open input spool, and from a path the layout file too, and
+        # kept them for its lifetime.
+        source = generators.full_reticle(tiles=4)
+        layout = tmp_path / "reticle.gds"
+        if from_file:
+            write_gdsii(source, layout)
+            source = layout
         shutdown_worker_pool()  # cold: the pool forks inside the run
         pipe = PreparationPipeline(field_size=100.0, workers=2)
-        stats = pipe.run_streaming(generators.full_reticle(tiles=4)).execution
+        stats = pipe.run_streaming(source).execution
         assert stats.parallel
         held = [
             path
@@ -586,12 +594,15 @@ class TestStreamingPipeline:
             for path in _open_paths(pid)
         ]
         assert held
-        assert not [p for p in held if "repro-spool-" in p or "repro-spill-" in p]
+        leaked = ("repro-spool-", "repro-spill-", os.path.realpath(layout))
+        assert not [p for p in held if any(name in p for name in leaked)]
 
     def test_closed_execution_refuses_reads(self):
         pipe = PreparationPipeline(field_size=FIELD_SIZE)
         polys = _flat_sequence(generators.fresnel_zone_plate())
-        execution = pipe._execute(polys, False, streaming=True)
+        execution = ExecutionResult(spill=True)
+        with _spooled_windows(polys, FIELD_SIZE) as (_, total, windows):
+            pipe._run_shards(windows, total, execution, False)
         execution.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(execution.results())
@@ -604,8 +615,10 @@ class TestStreamingPipeline:
 
 def _held_results():
     """The FZP's shard results, held, in row-major order."""
-    polys = _flat_sequence(generators.fresnel_zone_plate())
-    held = PreparationPipeline(field_size=FIELD_SIZE)._execute(polys, False)
+    shards = plan_shards(_flat_sequence(generators.fresnel_zone_plate()), FIELD_SIZE)
+    held = ExecutionResult()
+    pipe = PreparationPipeline(field_size=FIELD_SIZE)
+    pipe._run_shards([(shards, 0)], len(shards), held, False)
     return held.shard_results
 
 
